@@ -306,7 +306,8 @@ func describe(db *repro.DB, name string) {
 		return
 	}
 	rows := int64(0)
-	if t, err := db.Engine().Table(name); err == nil {
+	t, terr := db.Engine().Table(name)
+	if terr == nil {
 		rows = t.RowCount()
 	}
 	fmt.Printf("Table %q  (oid=%d, file=%s, rows=%d)\n", te.Name, te.OID, te.File, rows)
@@ -328,6 +329,14 @@ func describe(db *repro.DB, name string) {
 			}
 			fmt.Printf("  %s ON %s USING %s (%s %s)  oid=%d file=%s%s\n",
 				ix.Name, te.Name, ix.Method, col, ix.OpClass, ix.OID, ix.File, validity)
+		}
+	}
+	// What the planner is using right now (an in-memory lazy sample is
+	// never persisted), then what ANALYZE left in the catalog.
+	if terr == nil {
+		if si, err := t.StatsInfo(); err == nil {
+			fmt.Printf("Planner statistics: source=%s rows=%d sampled=%d churn=%d stale=%d%%\n",
+				si.Source, si.Rows, si.SampleRows, si.Churn, si.StalePct)
 		}
 	}
 	st, ok := cat.GetStats(te.OID)

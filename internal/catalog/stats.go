@@ -51,7 +51,8 @@ type TableStats struct {
 	// StaleFrac is the fraction of the table churned (inserted +
 	// deleted) since the statistics were collected, clamped to [0,1].
 	// Restrict procedures blend their estimate toward the type default
-	// by this weight, discounting stale statistics gracefully.
+	// by this weight, discounting stale statistics gracefully; at 1 the
+	// executor's planner re-samples the table rather than plan from it.
 	StaleFrac float64
 	ColumnStats
 }

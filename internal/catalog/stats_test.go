@@ -166,6 +166,13 @@ func TestStaleFracBlendsTowardDefault(t *testing.T) {
 	if !(fresh > half && half > dead) {
 		t.Errorf("staleness should decay the estimate: %g, %g, %g", fresh, half, dead)
 	}
+	// The blend is linear in the staleness weight: half stale is the
+	// midpoint of the statistics' answer and the default.
+	if want := 0.5*0.9 + 0.5*DefaultEqSel; math.Abs(half-want) > 1e-12 {
+		t.Errorf("50%% stale estimate = %g, want the even blend %g", half, want)
+	}
+	// Fully stale statistics contribute nothing. (The executor never
+	// plans from this state for long: at weight 1 it re-samples.)
 	if dead != DefaultEqSel {
 		t.Errorf("fully stale estimate = %g, want the default", dead)
 	}

@@ -271,28 +271,52 @@ func (t *Table) computeStats() (syscat.Stats, error) {
 	return s, nil
 }
 
-// install publishes freshly computed statistics to the planner and
-// resets the churn counter.
-func (t *Table) installStats(s syscat.Stats) {
+// StatsSource says where a table's planner statistics came from.
+type StatsSource int
+
+const (
+	StatsNone        StatsSource = iota // never collected: the planner uses defaults
+	StatsFromSample                     // in-memory sample (lazy refresh or CREATE INDEX); not persisted
+	StatsFromAnalyze                    // the ANALYZE statement, persisted in the catalog
+)
+
+func (s StatsSource) String() string {
+	switch s {
+	case StatsFromSample:
+		return "lazy sample"
+	case StatsFromAnalyze:
+		return "analyze"
+	default:
+		return "none"
+	}
+}
+
+// installStats publishes freshly computed statistics to the planner and
+// resets the churn counter. Caller holds the statement lock (the heap's
+// version count is read as the drift baseline).
+func (t *Table) installStats(s syscat.Stats, source StatsSource) {
+	versions := t.Heap.Count()
 	t.statsMu.Lock()
 	t.colStats = s.Cols
 	t.statsRows = s.Rows
+	t.statsVersions = versions
 	t.sampleRows = s.SampleRows
-	t.haveStats = true
+	t.statsSource = source
 	t.churn = 0
+	t.refreshAfter = 0
 	t.statsMu.Unlock()
 }
 
 // analyzeInMemory refreshes the planner's statistics from a fresh block
 // sample without touching the catalog — the lazy ensureStats path, and
-// CREATE INDEX's auto-refresh. Behavior (and cost) match the pre-stats
-// releases: nothing is persisted, so the next reopen samples again.
+// CREATE INDEX's auto-refresh. Nothing is persisted, so the next reopen
+// samples again.
 func (t *Table) analyzeInMemory() error {
 	s, err := t.computeStats()
 	if err != nil {
 		return err
 	}
-	t.installStats(s)
+	t.installStats(s, StatsFromSample)
 	return nil
 }
 
@@ -347,7 +371,7 @@ func (t *Table) Analyze() error {
 		undo()
 		return err
 	}
-	t.installStats(s)
+	t.installStats(s, StatsFromAnalyze)
 	return nil
 }
 

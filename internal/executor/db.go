@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/am"
@@ -64,20 +65,26 @@ type Table struct {
 	// Planner statistics (the shapes live in catalog.ColumnStats; the
 	// executor's ANALYZE in analyze.go fills them from a block sample).
 	// Persisted statistics are loaded from the system catalog at Open;
-	// otherwise ensureStats samples lazily on the first predicate plan.
+	// otherwise — and whenever the table has churned past what they
+	// describe — ensureStats samples lazily on the next predicate plan.
 	// Like PostgreSQL statistics they go stale as rows change — churn
 	// counts the inserts+deletes since they were collected so the
 	// planner can discount them. statsMu guards all of it: the planner
 	// reads on the unlocked query path while ANALYZE / CREATE INDEX
 	// (under the statement lock) refresh it.
-	statsMu    sync.Mutex
-	colStats   []catalog.ColumnStats
-	statsRows  int64 // heap row count when colStats was collected
-	sampleRows int64 // rows the collecting sample examined
-	haveStats  bool
-	churn      int64
-	// statsOnce gates the lazy sampling run by ensureStats.
-	statsOnce sync.Once
+	statsMu       sync.Mutex
+	colStats      []catalog.ColumnStats
+	statsRows     int64       // live row count when colStats was collected
+	statsVersions int64       // heap version count then (the drift baseline)
+	sampleRows    int64       // rows the collecting sample examined
+	statsSource   StatsSource // StatsNone until some are collected
+	churn         int64
+	// refreshAfter backs the lazy sample off after a failure: no retry
+	// until that many rows have churned.
+	refreshAfter int64
+	// refreshing admits one lazy refresher at a time; a planner that
+	// loses the race plans with the statistics it has.
+	refreshing atomic.Bool
 
 	// mu is the per-table *logical* write lock, the second level of the
 	// lock hierarchy (below db.stmtMu, which every statement holds at
@@ -118,23 +125,65 @@ func (t *Table) unlockRead() {
 	t.db.stmtMu.RUnlock()
 }
 
-// ensureStats lazily samples planner statistics the first time a
-// predicate is planned against a reattached table that has no persisted
-// statistics (running ANALYZE for every table at Open would make
-// reopening O(total rows)). The in-memory result is not persisted —
-// only the explicit ANALYZE statement writes the catalog — so databases
-// that never ANALYZE behave exactly as before statistics persistence.
+// ensureStats keeps the planner's statistics describing the table that
+// exists: when there are none (a reattached table never ANALYZEd —
+// sampling every table at Open would make reopening O(total rows)) or
+// when the rows churned since they were collected amount to the whole
+// analyzed table (StaleFrac 1: CREATE INDEX sampled an empty table that
+// was then loaded, or a full turnover since the last ANALYZE), it takes
+// a fresh in-memory block sample before planning. A refresh needs churn
+// ≥ the analyzed size, so a growing table re-samples at doublings and a
+// table under balanced churn once per turnover — amortised well under
+// one sampled row per changed row, with no threshold or timer. "Size"
+// is the larger of the live rows and the heap versions the sample had
+// to walk: an open transaction's rows are in the heap but in no fresh
+// snapshot, so a bulk load that plans as it goes would otherwise hold
+// the live count at zero and re-sample on every statement. Only one
+// refresher runs per table and nobody waits for it: a concurrent
+// planner uses the blended statistics it has, which the cost model's
+// page-fetch estimate keeps off the Seq Scan cliff. Nothing is
+// persisted — only the explicit ANALYZE statement writes the catalog.
 func (t *Table) ensureStats() {
-	t.statsOnce.Do(func() {
+	if !t.statsFullyStale() || !t.refreshing.CompareAndSwap(false, true) {
+		return
+	}
+	defer t.refreshing.Store(false)
+	if !t.statsFullyStale() {
+		return // the previous refresher finished between the two checks
+	}
+	t.db.met.statsRefresh.Inc()
+	var err error
+	if hook := t.db.statsRefreshHook; hook != nil {
+		err = hook(t)
+	}
+	if err == nil {
+		err = t.analyzeInMemory()
+	}
+	if err != nil {
+		// Best effort: the planner falls back to what it has (defaults
+		// when that is nothing). Do not retry on every plan — wait until
+		// the churn has doubled.
+		versions := t.Heap.Count()
 		t.statsMu.Lock()
-		have := t.haveStats
+		t.refreshAfter = 2 * max(t.staleRowsLocked(versions), 1)
 		t.statsMu.Unlock()
-		if !have {
-			// Best effort: a failed sample leaves haveStats false, which
-			// the planner reads as "unknown".
-			t.analyzeInMemory()
-		}
-	})
+	}
+}
+
+// statsFullyStale reports whether the statistics describe none of the
+// current table (or do not exist) and a lazy sample is due.
+func (t *Table) statsFullyStale() bool {
+	versions := t.Heap.Count()
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	stale := t.staleRowsLocked(versions)
+	if stale < t.refreshAfter {
+		return false
+	}
+	if t.statsSource == StatsNone {
+		return true
+	}
+	return stale > 0 && stale >= max(t.statsRows, t.statsVersions)
 }
 
 // OID returns the table's catalog OID.
@@ -173,6 +222,9 @@ type DB struct {
 	catPool *storage.BufferPool // the catalog heap's own pool
 	rebuilt []string            // indexes rebuilt during Open (recorded invalid)
 	faults  FaultInjection
+	// statsRefreshHook, when set (in-package tests only), runs inside
+	// every lazy statistics refresh before the sample; an error fails it.
+	statsRefreshHook func(*Table) error
 
 	// pf is the shared prefetcher every pool attaches to (nil when
 	// readahead is disabled); readahead is the per-pool window. bgw is
@@ -743,12 +795,13 @@ func (db *DB) loadSchema() error {
 		if s, ok := db.cat.GetStats(te.OID); ok && len(s.Cols) == len(cols) {
 			t.colStats = s.Cols
 			t.statsRows = s.Rows
+			t.statsVersions = s.Rows
 			t.sampleRows = s.SampleRows
+			t.statsSource = StatsFromAnalyze
 			// Seed the churn counter with the persisted value (folded in
 			// by the last clean Close), so staleness discounting keeps
 			// counting from where the previous session left off.
 			t.churn = s.Churn
-			t.haveStats = true
 		}
 		db.tables[te.Name] = t
 	}

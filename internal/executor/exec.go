@@ -87,12 +87,18 @@ func (t *Table) SelectIndexed(ix *IndexInfo, pred *Pred, emit func(Row) bool) er
 // UPDATE, so a pointer to a dead or not-yet-committed version is
 // normal and simply skipped. Tuple counts accumulate locally and reach
 // the cumulative counters in one Add per statement, keeping the
-// per-row path free of shared-cacheline traffic.
+// per-row path free of shared-cacheline traffic. A planned predicate
+// scan that ran to completion also records its q-error — how far the
+// planner's row estimate was from the rows it really produced.
 func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, emitted int64, err error) {
 	m := t.db.met
+	stopped := false // emit asked for no more rows (LIMIT)
 	defer func() {
 		m.tuplesRead.Add(scanned)
 		m.rowsReturned.Add(emitted)
+		if err == nil && !stopped && plan.Pred != nil {
+			m.planQError.ObserveRatio(QError(plan.Rows, emitted))
+		}
 	}()
 	if tr := obs.Current(); tr != nil {
 		sp := tr.StartSpan("execute "+plan.Kind.String(), "exec")
@@ -116,7 +122,8 @@ func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, e
 			return true // filtered out; keep scanning
 		}
 		emitted++
-		return emit(Row{RID: rid, Tuple: tup})
+		stopped = !emit(Row{RID: rid, Tuple: tup})
+		return !stopped
 	}
 	switch plan.Kind {
 	case SeqScan:

@@ -41,6 +41,12 @@ type execMetrics struct {
 	planNNScan    *obs.Counter
 
 	lockWaitNs *obs.Counter
+
+	// planQError is the estimate/actual row-count ratio of every
+	// executed predicate plan; statsRefresh counts ensureStats's lazy
+	// re-samples.
+	planQError   *obs.Histogram
+	statsRefresh *obs.Counter
 }
 
 func newExecMetrics() *execMetrics {
@@ -65,6 +71,8 @@ func newExecMetrics() *execMetrics {
 		planIndexScan:  reg.Counter("exec_plan_indexscan_total"),
 		planNNScan:     reg.Counter("exec_plan_nnscan_total"),
 		lockWaitNs:     reg.Counter("exec_lock_wait_ns_total"),
+		planQError:     reg.RatioHistogram("exec_plan_qerror"),
+		statsRefresh:   reg.Counter("exec_stats_refresh_total"),
 	}
 }
 
@@ -200,41 +208,78 @@ func (db *DB) PoolStats() storage.PoolStats {
 	return ps
 }
 
-// TableStat is one name/value line of the per-table SHOW STATS output.
+// TableStat is one name/value line of the per-table SHOW STATS output;
+// Text, when set, is the value of a non-numeric line.
 type TableStat struct {
 	Name  string
 	Value int64
+	Text  string
+}
+
+// StatsInfo is the provenance of the planner statistics a table plans
+// with right now — what `SHOW STATS <table>` and spgist-cli's \d print.
+type StatsInfo struct {
+	Source     StatsSource
+	Rows       int64 // live rows when they were collected
+	SampleRows int64 // rows the collecting sample examined
+	Churn      int64 // rows inserted + deleted since (this session's counter)
+	StalePct   int64 // how much of the analyzed table has churned, 0..100
+}
+
+// StatsInfo reads the statistics provenance under the shared statement
+// lock.
+func (t *Table) StatsInfo() (StatsInfo, error) {
+	t.lockRead()
+	defer t.unlockRead()
+	if err := t.checkAttached(); err != nil {
+		return StatsInfo{}, err
+	}
+	return t.statsInfoLocked(), nil
+}
+
+func (t *Table) statsInfoLocked() StatsInfo {
+	versions := t.Heap.Count()
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	si := StatsInfo{Source: t.statsSource, Rows: t.statsRows, SampleRows: t.sampleRows, Churn: t.churn}
+	if t.statsSource != StatsNone {
+		si.StalePct = int64(100 * t.staleFracLocked(versions))
+	}
+	return si
 }
 
 // Stats reads this table's pg_stat-style numbers under the shared
-// statement lock: live rows, heap pages, churn since the last ANALYZE,
-// and per-index size and scan counters.
+// statement lock: live rows, heap pages, where the planner's statistics
+// came from and how stale they are, and per-index size and scan
+// counters.
 func (t *Table) Stats() ([]TableStat, error) {
 	t.lockRead()
 	defer t.unlockRead()
 	if err := t.checkAttached(); err != nil {
 		return nil, err
 	}
-	t.statsMu.Lock()
-	churn := t.churn
+	si := t.statsInfoLocked()
 	analyzed := int64(0)
-	if t.haveStats {
+	if si.Source != StatsNone {
 		analyzed = 1
 	}
-	t.statsMu.Unlock()
 	out := []TableStat{
-		{"rows", t.visibleCountLocked()},
-		{"heap_versions", t.Heap.Count()},
-		{"heap_pages", int64(t.Heap.NumPages())},
-		{"churn_since_analyze", churn},
-		{"analyzed", analyzed},
+		{Name: "rows", Value: t.visibleCountLocked()},
+		{Name: "heap_versions", Value: t.Heap.Count()},
+		{Name: "heap_pages", Value: int64(t.Heap.NumPages())},
+		{Name: "churn_since_analyze", Value: si.Churn},
+		{Name: "analyzed", Value: analyzed},
+		{Name: "stats_source", Text: si.Source.String()},
+		{Name: "stats_rows", Value: si.Rows},
+		{Name: "stats_sample_rows", Value: si.SampleRows},
+		{Name: "stats_stale_pct", Value: si.StalePct},
 	}
 	for _, ix := range t.Indexes {
 		out = append(out,
-			TableStat{"index_" + ix.Name + "_entries", ix.Idx.Count()},
-			TableStat{"index_" + ix.Name + "_pages", int64(ix.Idx.NumPages())},
-			TableStat{"index_" + ix.Name + "_size_bytes", ix.Idx.SizeBytes()},
-			TableStat{"index_" + ix.Name + "_scans_total", ix.scans.Load()},
+			TableStat{Name: "index_" + ix.Name + "_entries", Value: ix.Idx.Count()},
+			TableStat{Name: "index_" + ix.Name + "_pages", Value: int64(ix.Idx.NumPages())},
+			TableStat{Name: "index_" + ix.Name + "_size_bytes", Value: ix.Idx.SizeBytes()},
+			TableStat{Name: "index_" + ix.Name + "_scans_total", Value: ix.scans.Load()},
 		)
 	}
 	return out, nil

@@ -77,60 +77,105 @@ func (p *Plan) String() string {
 	return s
 }
 
+// staleRowsLocked is how many rows changed since the statistics were
+// collected. The in-memory counter covers this session; the drift
+// between the heap's version count then and now (versions, passed in by
+// the caller, who holds the statement lock) covers churn from before a
+// reopen — the counter itself is persisted only by a clean Close. A
+// never-analyzed table reads as "everything changed". Caller holds
+// statsMu.
+func (t *Table) staleRowsLocked(versions int64) int64 {
+	eff := t.churn
+	if drift := versions - t.statsVersions; drift > eff {
+		eff = drift
+	} else if -drift > eff {
+		eff = -drift
+	}
+	return eff
+}
+
 func (t *Table) stats(column int) catalog.TableStats {
 	st := catalog.TableStats{Rows: t.Heap.Count()}
 	t.statsMu.Lock()
-	if t.haveStats && column < len(t.colStats) {
+	if t.statsSource != StatsNone && column < len(t.colStats) {
 		st.ColumnStats = t.colStats[column]
-		// Staleness: rows churned since the statistics were collected.
-		// The in-memory counter covers this session; the drift between
-		// the recorded and live row counts covers churn from before a
-		// reopen (the counter itself is not persisted).
-		eff := t.churn
-		if drift := st.Rows - t.statsRows; drift > eff {
-			eff = drift
-		} else if -drift > eff {
-			eff = -drift
-		}
-		if t.statsRows > 0 {
-			st.StaleFrac = float64(eff) / float64(t.statsRows)
-		} else if eff > 0 {
-			st.StaleFrac = 1
-		}
-		if st.StaleFrac > 1 {
-			st.StaleFrac = 1
-		}
+		st.StaleFrac = t.staleFracLocked(st.Rows)
 	}
 	t.statsMu.Unlock()
 	return st
 }
 
-// seqScanCost prices a full heap scan with a per-tuple filter.
-func (t *Table) seqScanCost() float64 {
-	pages := float64(t.Heap.NumPages())
-	rows := float64(t.Heap.Count())
-	return pages*seqPageCost + rows*(cpuTupleCost+cpuOperCost)
+// staleFracLocked is the fraction of the analyzed table churned since,
+// clamped to [0,1]. Caller holds statsMu.
+func (t *Table) staleFracLocked(versions int64) float64 {
+	eff := t.staleRowsLocked(versions)
+	if eff == 0 {
+		return 0
+	}
+	if eff >= t.statsRows {
+		return 1
+	}
+	return float64(eff) / float64(t.statsRows)
 }
 
-// indexScanCost prices an index scan: touch sel*indexPages index pages
-// randomly, process sel*rows index tuples, then fetch their heap pages
-// randomly (correlation 0, one page fetch per row in the worst case,
-// capped by the heap size).
-func indexScanCost(t *Table, ix *IndexInfo, sel float64) float64 {
-	rows := float64(t.Heap.Count())
-	idxPages := float64(ix.Idx.NumPages())
-	matched := sel * rows
-	heapFetch := matched
-	if hp := float64(t.Heap.NumPages()); heapFetch > hp {
-		heapFetch = hp
+// seqScanCost prices a full heap scan with a per-tuple filter.
+func (t *Table) seqScanCost() float64 {
+	return seqScanCost(float64(t.Heap.Count()), float64(t.Heap.NumPages()))
+}
+
+func seqScanCost(rows, heapPages float64) float64 {
+	return heapPages*seqPageCost + rows*(cpuTupleCost+cpuOperCost)
+}
+
+// pagesFetched is the Mackert–Lohman estimate of how many distinct heap
+// pages n randomly placed tuple fetches touch in a heap of T pages that
+// fits in cache — PostgreSQL's index_pages_fetched without its
+// effective_cache_size branch: min(2Tn/(2T+n), T). It is within ~2% of
+// n while n ≪ T and saturates smoothly at T. The simpler min(n, T) is
+// not a safe stand-in: at the default equality selectivity it alone
+// comes to 0.005·rows·4 = 0.02·rows, more than a whole sequential scan
+// (≈ 0.018·rows at 180 rows/page), so a table without usable statistics
+// would seq-scan every exact match at every size.
+func pagesFetched(n, T float64) float64 {
+	if n <= 0 || T <= 0 {
+		return 0
 	}
+	return math.Min(2*T*n/(2*T+n), T)
+}
+
+// indexScanCost prices an index scan as a pure function of the table's
+// shape: touch sel*indexPages index pages randomly, process sel*rows
+// index tuples, then fetch their heap pages randomly (correlation 0:
+// SP-GiST index order is unrelated to heap order).
+func indexScanCost(rows, heapPages, indexPages, sel float64) float64 {
+	matched := sel * rows
 	// Fixed descent overhead (root fetch). It keeps one-row tables on
 	// sequential scans, like PostgreSQL.
 	const startup = randomPageCost
 	return startup +
-		sel*idxPages*randomPageCost +
+		sel*indexPages*randomPageCost +
 		matched*(cpuIndexCost+cpuTupleCost+cpuOperCost) +
-		heapFetch*randomPageCost
+		pagesFetched(matched, heapPages)*randomPageCost
+}
+
+// clampRows is PostgreSQL's clamp_row_est: a row estimate is rounded,
+// and never below one — a unique-key equality must not print rows=0,
+// which would also leave the estimate/actual ratio undefined.
+func clampRows(est float64) int64 {
+	if est <= 1 {
+		return 1
+	}
+	return int64(math.Round(est))
+}
+
+// QError is the estimate/actual ratio of a row count or its inverse,
+// whichever is ≥ 1, with both sides clamped to one row.
+func QError(est, actual int64) float64 {
+	e, a := float64(max(est, 1)), float64(max(actual, 1))
+	if e > a {
+		return e / a
+	}
+	return a / e
 }
 
 // PlanSelect chooses the cheapest access path for an optional predicate,
@@ -174,12 +219,13 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 	}
 	sel := op.Restrict(t.stats(pred.Column), pred.Arg)
 	best.Selectivity = sel
-	best.Rows = int64(sel * float64(rows))
+	best.Rows = clampRows(sel * float64(rows))
+	heapPages := float64(t.Heap.NumPages())
 	for _, ix := range t.Indexes {
 		if ix.Column != pred.Column || !ix.OpClass.SupportsOp(pred.Op) {
 			continue
 		}
-		cost := indexScanCost(t, ix, sel)
+		cost := indexScanCost(float64(rows), heapPages, float64(ix.Idx.NumPages()), sel)
 		if cost < best.TotalCost {
 			best = &Plan{
 				Kind:        IndexScan,
@@ -188,7 +234,7 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 				Pred:        pred,
 				Selectivity: sel,
 				TotalCost:   cost,
-				Rows:        int64(sel * float64(rows)),
+				Rows:        best.Rows,
 				Recheck:     true,
 			}
 		}

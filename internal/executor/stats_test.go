@@ -3,6 +3,7 @@ package executor_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -242,9 +243,11 @@ func TestDropTableRemovesStats(t *testing.T) {
 	}
 }
 
-// Churn discounts stale statistics: after ANALYZE, heavy inserts move
-// the equality estimate away from the (now stale) MCV frequency toward
-// the default.
+// Churn discounts stale statistics, then replaces them: after ANALYZE,
+// inserts blend the equality estimate away from the (aging) MCV
+// frequency toward the default in proportion to the churn, and once the
+// churn amounts to the whole analyzed table the planner re-samples —
+// in memory — instead of planning from the default.
 func TestChurnDiscountsStaleStats(t *testing.T) {
 	db, err := executor.Open(executor.Options{})
 	if err != nil {
@@ -262,12 +265,33 @@ func TestChurnDiscountsStaleStats(t *testing.T) {
 	if fresh != 0.7 {
 		t.Fatalf("fresh MCV selectivity = %g, want 0.7", fresh)
 	}
-	// Double the table without re-analyzing: StaleFrac reaches 1 and the
-	// estimate collapses to the default.
-	fillSkewed(t, tb, 0, 1000)
+	analyzed, _ := db.Catalog().GetStats(tb.OID())
+
+	// Half the analyzed size churned: an even blend of the MCV frequency
+	// and the default, from the statistics ANALYZE left.
+	fillSkewed(t, tb, 0, 500)
+	half := planFor(t, tb, "=", "common").Selectivity
+	if want := 0.5*0.7 + 0.5*catalog.DefaultEqSel; math.Abs(half-want) > 1e-12 {
+		t.Fatalf("50%%-stale selectivity = %g, want the blend %g", half, want)
+	}
+	if si, _ := tb.StatsInfo(); si.Source != executor.StatsFromAnalyze || si.StalePct != 50 {
+		t.Fatalf("statistics at 50%% churn = %+v, want ANALYZE's, 50%% stale", si)
+	}
+
+	// The table doubled: the statistics describe none of it, so the next
+	// plan samples it afresh — 700 of 2000 rows are 'common'.
+	fillSkewed(t, tb, 0, 500)
 	stale := planFor(t, tb, "=", "common").Selectivity
-	if stale != catalog.DefaultEqSel {
-		t.Fatalf("fully-stale selectivity = %g, want the default %g", stale, catalog.DefaultEqSel)
+	if stale != 0.35 {
+		t.Fatalf("fully-stale selectivity = %g, want the re-sampled MCV frequency 0.35", stale)
+	}
+	si, _ := tb.StatsInfo()
+	if si.Source != executor.StatsFromSample || si.Rows != 2000 || si.Churn != 0 || si.StalePct != 0 {
+		t.Fatalf("statistics after the refresh = %+v, want a fresh lazy sample of 2000 rows", si)
+	}
+	// In memory only: the catalog still holds what ANALYZE wrote.
+	if now, _ := db.Catalog().GetStats(tb.OID()); now.Rows != analyzed.Rows || now.Rows != 1000 {
+		t.Fatalf("lazy refresh changed the persisted statistics: rows %d → %d", analyzed.Rows, now.Rows)
 	}
 }
 
@@ -371,9 +395,11 @@ func TestBalancedChurnSurvivesReopen(t *testing.T) {
 		t.Fatalf("persisted churn = %d, want >= 280 (140 deletes + 140 inserts)", st.Churn)
 	}
 	// 280 churned rows against 200 analyzed rows: fully stale, so the
-	// dead MCV frequency (0.7) must not survive — the estimate falls
-	// back to the default.
-	if sel := planFor(t, tb, "=", "common").Selectivity; sel != catalog.DefaultEqSel {
-		t.Fatalf("selectivity for dead MCV after reopen = %g, want the default %g", sel, catalog.DefaultEqSel)
+	// dead MCV frequency (0.7) must not survive — the planner re-samples
+	// the 200 distinct rows that exist now and estimates one of them
+	// (of 340 heap versions: the deleted rows await VACUUM).
+	plan := planFor(t, tb, "=", "common")
+	if plan.Selectivity != 1.0/200 || plan.Rows > 2 {
+		t.Fatalf("estimate for dead MCV after reopen: sel %g rows %d, want 1/200 and a row or two", plan.Selectivity, plan.Rows)
 	}
 }

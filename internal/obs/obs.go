@@ -13,6 +13,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,7 +61,22 @@ type Histogram struct {
 	buckets [histNumBkts + 1]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64 // total ns
+	// unit names and scales the readouts; the registry sets it when it
+	// creates the histogram, and it never changes.
+	unit histUnit
 }
+
+// histUnit is what a histogram's integer observations count.
+type histUnit struct {
+	each string  // suffix of Each's readouts: _sum_ns, _p50_ns, ...
+	prom string  // suffix of the Prometheus family name
+	per  float64 // observations per Prometheus unit
+}
+
+var (
+	unitNs    = histUnit{each: "_ns", prom: "_seconds", per: 1e9}
+	unitMilli = histUnit{each: "_milli", prom: "", per: histBase}
+)
 
 // bucketIndex maps a duration to its bucket.
 func bucketIndex(d time.Duration) int {
@@ -91,6 +107,18 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(d)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(int64(d))
+}
+
+// ObserveRatio records one dimensionless ratio in thousandths, for a
+// histogram made by Registry.RatioHistogram. Unlike the latency buckets
+// these include their upper bound — exactly 1× lands in le=1, exactly
+// 2× in le=2 — so a perfect estimate reads differently from one that
+// is 1.9× off.
+func (h *Histogram) ObserveRatio(x float64) {
+	milli := int64(math.Ceil(x * histBase))
+	h.buckets[bucketIndex(time.Duration(milli-1))].Add(1)
+	h.count.Add(1)
+	h.sum.Add(milli)
 }
 
 // Reset zeroes the histogram (SHOW STATS RESET). Not atomic against
@@ -224,14 +252,26 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it on
-// first use.
+// Histogram returns the latency histogram registered under name,
+// creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
+	return r.histogram(name, unitNs)
+}
+
+// RatioHistogram is Histogram for dimensionless ratios fed through
+// ObserveRatio: Each reports it in thousandths (_mean_milli,
+// _p50_milli, ...) and WritePrometheus under its bare name with le
+// bounds of 1, 2, 4, ....
+func (r *Registry) RatioHistogram(name string) *Histogram {
+	return r.histogram(name, unitMilli)
+}
+
+func (r *Registry) histogram(name string, unit histUnit) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = &Histogram{}
+		h = &Histogram{unit: unit}
 		r.histograms[name] = h
 	}
 	return h
@@ -279,7 +319,8 @@ func (r *Registry) Reset() {
 }
 
 // Each calls fn for every metric in sorted name order. Histograms
-// expand into _count, _sum_ns, _mean_ns, _p50_ns, _p95_ns, _p99_ns.
+// expand into _count, _sum_ns, _mean_ns, _p50_ns, _p95_ns, _p99_ns
+// (ratio histograms: the same in thousandths, suffixed _milli).
 func (r *Registry) Each(fn func(name string, value int64)) {
 	r.mu.Lock()
 	type kv struct {
@@ -295,13 +336,14 @@ func (r *Registry) Each(fn func(name string, value int64)) {
 	}
 	for name, h := range r.histograms {
 		s := h.Snapshot()
+		unit := h.unit.each
 		rows = append(rows,
 			kv{name + "_count", s.Count},
-			kv{name + "_sum_ns", int64(s.Sum)},
-			kv{name + "_mean_ns", int64(s.Mean)},
-			kv{name + "_p50_ns", int64(s.P50)},
-			kv{name + "_p95_ns", int64(s.P95)},
-			kv{name + "_p99_ns", int64(s.P99)},
+			kv{name + "_sum" + unit, int64(s.Sum)},
+			kv{name + "_mean" + unit, int64(s.Mean)},
+			kv{name + "_p50" + unit, int64(s.P50)},
+			kv{name + "_p95" + unit, int64(s.P95)},
+			kv{name + "_p99" + unit, int64(s.P99)},
 		)
 	}
 	samplers := r.samplers

@@ -12,7 +12,8 @@ import (
 // values whose names end in _total are typed counter, other scalars
 // gauge; histograms are exposed as native Prometheus histograms under
 // <name>_seconds, with the registry's power-of-two nanosecond buckets
-// converted to cumulative le-labelled buckets in seconds.
+// converted to cumulative le-labelled buckets in seconds (ratio
+// histograms: under their bare name, le bounds in plain ratio units).
 func WritePrometheus(w io.Writer, r *Registry) {
 	r.mu.Lock()
 	counters := make(map[string]int64, len(r.counters))
@@ -27,6 +28,7 @@ func WritePrometheus(w io.Writer, r *Registry) {
 		buckets [histNumBkts + 1]int64
 		count   int64
 		sumNs   int64
+		unit    histUnit
 	}
 	hists := make(map[string]histDump, len(r.histograms))
 	for name, h := range r.histograms {
@@ -36,6 +38,7 @@ func WritePrometheus(w io.Writer, r *Registry) {
 		}
 		d.count = h.count.Load()
 		d.sumNs = h.sum.Load()
+		d.unit = h.unit
 		hists[name] = d
 	}
 	samplers := r.samplers
@@ -72,7 +75,7 @@ func WritePrometheus(w io.Writer, r *Registry) {
 	sort.Strings(histNames)
 	for _, name := range histNames {
 		d := hists[name]
-		pname := name + "_seconds"
+		pname, unit := name+d.unit.prom, d.unit.per
 		fmt.Fprintf(w, "# TYPE %s histogram\n", pname)
 		cum := int64(0)
 		for i := 0; i <= histNumBkts; i++ {
@@ -80,11 +83,11 @@ func WritePrometheus(w io.Writer, r *Registry) {
 			if i == histNumBkts {
 				fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pname, cum)
 			} else {
-				le := float64(BucketUpper(i)) / 1e9
+				le := float64(BucketUpper(i)) / unit
 				fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", pname, le, cum)
 			}
 		}
-		fmt.Fprintf(w, "%s_sum %g\n", pname, float64(d.sumNs)/1e9)
+		fmt.Fprintf(w, "%s_sum %g\n", pname, float64(d.sumNs)/unit)
 		fmt.Fprintf(w, "%s_count %d\n", pname, d.count)
 	}
 }

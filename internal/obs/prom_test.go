@@ -130,3 +130,47 @@ func TestRegistryReset(t *testing.T) {
 		t.Error("OnReset hook did not run")
 	}
 }
+
+// TestRatioHistogram checks the dimensionless histogram's two readouts:
+// thousandths with a _milli suffix through Each, and a bare-named
+// Prometheus histogram whose le bounds are plain, inclusive ratios — an
+// exact estimate (1×) lands in le="1", apart from one 1.5× off.
+func TestRatioHistogram(t *testing.T) {
+	r := NewRegistry()
+	h := r.RatioHistogram("exec_plan_qerror")
+	for _, q := range []float64{1, 1, 1.5, 2, 25} {
+		h.ObserveRatio(q)
+	}
+	got := map[string]int64{}
+	r.Each(func(name string, v int64) { got[name] = v })
+	for name, want := range map[string]int64{
+		"exec_plan_qerror_count":     5,
+		"exec_plan_qerror_sum_milli": 30500,
+		"exec_plan_qerror_p50_milli": 2000,  // 1 < q ≤ 2
+		"exec_plan_qerror_p99_milli": 32000, // 16 < q ≤ 32
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %d, want %d", name, got[name], want)
+		}
+	}
+	if _, ok := got["exec_plan_qerror_p50_ns"]; ok {
+		t.Error("ratio histogram reported a _ns readout")
+	}
+
+	var b strings.Builder
+	WritePrometheus(&b, r)
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE exec_plan_qerror histogram\n",
+		"exec_plan_qerror_bucket{le=\"1\"} 2\n",
+		"exec_plan_qerror_bucket{le=\"2\"} 4\n",
+		"exec_plan_qerror_bucket{le=\"16\"} 4\n",
+		"exec_plan_qerror_bucket{le=\"32\"} 5\n",
+		"exec_plan_qerror_sum 30.5\n",
+		"exec_plan_qerror_count 5\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Prometheus output missing %q:\n%s", want, out)
+		}
+	}
+}

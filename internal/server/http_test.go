@@ -131,6 +131,7 @@ func TestHTTPMetrics(t *testing.T) {
 		`CREATE TABLE w (id INT)`,
 		`INSERT INTO w VALUES (1), (2), (3)`,
 		`SELECT * FROM w`,
+		`SELECT * FROM w WHERE id = 2`,
 	} {
 		if _, err := sess.Exec(stmt); err != nil {
 			t.Fatal(err)
@@ -165,6 +166,16 @@ func TestHTTPMetrics(t *testing.T) {
 	}
 	if fam := fams["server_query_latency_seconds"]; fam == nil || fam.typ != "histogram" {
 		t.Errorf("server_query_latency_seconds histogram missing: %+v", fam)
+	}
+	// Plan quality: the q-error histogram is dimensionless (no _seconds,
+	// le bounds in plain ratio units) and the lazy-sample counter counts
+	// the one sample the predicate plan above took.
+	if fam := fams["exec_plan_qerror"]; fam == nil || fam.typ != "histogram" ||
+		fam.samples["exec_plan_qerror_count"] != 1 || fam.samples[`exec_plan_qerror_bucket{le="2"}`] != 1 {
+		t.Errorf("exec_plan_qerror histogram missing or wrong: %+v", fam)
+	}
+	if fam := fams["exec_stats_refresh_total"]; fam == nil || fam.typ != "counter" || fam.samples["exec_stats_refresh_total"] != 1 {
+		t.Errorf("exec_stats_refresh_total missing or wrong: %+v", fam)
 	}
 }
 

@@ -81,6 +81,10 @@ func TestServerStatsVerb(t *testing.T) {
 	if _, ok := m["pool_hits_total"]; !ok {
 		t.Error("STATS output missing storage sampler counters")
 	}
+	if m["exec_plan_qerror_count"] < int64(clients*queries) || m["exec_stats_refresh_total"] < 1 {
+		t.Errorf("plan-quality metrics: exec_plan_qerror_count = %d, exec_stats_refresh_total = %d",
+			m["exec_plan_qerror_count"], m["exec_stats_refresh_total"])
+	}
 	// STATS is a protocol verb, not SQL: the same spelling through SQL
 	// parsing (with a semicolon) must still fail as unsupported SQL.
 	if _, err := setupErrProbe(addr, "STATS;"); err == nil {

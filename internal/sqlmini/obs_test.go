@@ -241,6 +241,19 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(logged, "hits=") || !strings.Contains(logged, "misses=") {
 		t.Fatalf("slow-query log missing buffer counters:\n%s", logged)
 	}
+	// An executed SELECT is logged with the plan it ran and how the
+	// planner's row estimate compared with the rows it returned.
+	mustExec(t, s, `SELECT * FROM w WHERE id = 1`)
+	if !strings.Contains(buf.String(), ", plan=Seq Scan est=1 actual=1, ok): SELECT * FROM w WHERE id = 1") {
+		t.Fatalf("slow-query log missing plan kind and est/actual rows:\n%s", buf.String())
+	}
+	// A LIMIT that stops the scan leaves only the plan kind: the rows
+	// returned say nothing about the estimate.
+	mustExec(t, s, `INSERT INTO w VALUES (2), (3)`)
+	mustExec(t, s, `SELECT * FROM w LIMIT 1`)
+	if !strings.Contains(buf.String(), ", plan=Seq Scan, ok): SELECT * FROM w LIMIT 1") {
+		t.Fatalf("slow-query log of a LIMIT-stopped scan:\n%s", buf.String())
+	}
 
 	// Zero threshold (the default) logs nothing.
 	buf.Reset()
@@ -253,5 +266,109 @@ func TestSlowQueryLog(t *testing.T) {
 	mustExec(t, s2, `SELECT * FROM w`)
 	if buf.Len() != 0 {
 		t.Fatalf("slow-query log written with zero threshold:\n%s", buf.String())
+	}
+}
+
+// loadFresh creates a word table whose index exists before its rows do
+// and which nobody ANALYZEs — the shape of the benchmark's `fresh`
+// table, where the planner used to fall off the Seq Scan cliff.
+func loadFresh(t *testing.T, s *Session, n int) {
+	t.Helper()
+	mustExec(t, s, `CREATE TABLE fresh (name VARCHAR, id INT)`)
+	mustExec(t, s, `CREATE INDEX fresh_trie ON fresh USING spgist (name spgist_trie)`)
+	for base := 0; base < n; base += 500 {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO fresh VALUES `)
+		for i := base; i < base+500 && i < n; i++ {
+			if i > base {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "('word%05d', %d)", i, i)
+		}
+		mustExec(t, s, b.String())
+	}
+}
+
+// TestExplainAnalyzeNeverAnalyzedTable pins the acceptance criterion of
+// the planner-cliff fix: the first exact match on a table loaded after
+// CREATE INDEX and never ANALYZEd is an Index Scan estimating one row,
+// with no misestimate flag, and the plan-quality metrics are exported.
+func TestExplainAnalyzeNeverAnalyzedTable(t *testing.T) {
+	s := newSession(t)
+	loadFresh(t, s, 5000)
+	res := mustExec(t, s, `EXPLAIN ANALYZE SELECT * FROM fresh WHERE name = 'word02500'`)
+	first := res.Rows[0][0].S
+	if !strings.HasPrefix(first, "Index Scan on fresh using fresh_trie") ||
+		!strings.Contains(first, " rows=1)") || !strings.Contains(first, "rows=1 scanned=1)") {
+		t.Fatalf("first exact match on the never-ANALYZEd table:\n%s", first)
+	}
+	if strings.Contains(first, "misestimate") {
+		t.Fatalf("a right estimate was flagged:\n%s", first)
+	}
+
+	tm := mustExec(t, s, `SHOW STATS fresh`)
+	provenance := map[string]string{}
+	for _, row := range tm.Rows {
+		provenance[row[0].S] = row[1].String()
+	}
+	for name, want := range map[string]string{
+		"stats_source": "lazy sample", "stats_rows": "5000", "stats_sample_rows": "5000",
+		"churn_since_analyze": "0", "stats_stale_pct": "0", "analyzed": "1",
+	} {
+		if got := provenance[name]; got != want {
+			t.Errorf("SHOW STATS fresh: %s = %q, want %q", name, got, want)
+		}
+	}
+
+	m := statsMap(t, mustExec(t, s, `SHOW STATS`))
+	if m["exec_stats_refresh_total"] != 1 {
+		t.Errorf("exec_stats_refresh_total = %d, want the one lazy sample", m["exec_stats_refresh_total"])
+	}
+	// One executed predicate plan, estimate = actual: q-error exactly 1,
+	// the first (inclusive) bucket.
+	if m["exec_plan_qerror_count"] != 1 || m["exec_plan_qerror_p99_milli"] != 1000 {
+		t.Errorf("exec_plan_qerror count=%d p99_milli=%d, want 1 and 1000",
+			m["exec_plan_qerror_count"], m["exec_plan_qerror_p99_milli"])
+	}
+}
+
+// TestExplainAnalyzeFlagsMisestimate pins the wording of the flag on
+// statistics that are stale but not stale enough to be replaced: an MCV
+// whose rows were since deleted.
+func TestExplainAnalyzeFlagsMisestimate(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE w (name VARCHAR, id INT)`)
+	mustExec(t, s, `CREATE INDEX w_trie ON w USING spgist (name spgist_trie)`)
+	var b strings.Builder
+	b.WriteString(`INSERT INTO w VALUES `)
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if i < 30 {
+			fmt.Fprintf(&b, "('hot', %d)", i)
+		} else {
+			fmt.Fprintf(&b, "('word%04d', %d)", i, i)
+		}
+	}
+	mustExec(t, s, b.String())
+	mustExec(t, s, `ANALYZE w`)
+	// 'hot' is an MCV at 3%. Delete all but one of its rows: 2.9% of the
+	// table churned, so the statistics are kept and barely discounted.
+	mustExec(t, s, `DELETE FROM w WHERE id < 29`)
+	res := mustExec(t, s, `EXPLAIN ANALYZE SELECT * FROM w WHERE name = 'hot'`)
+	first := res.Rows[0][0].S
+	// (0.971·0.03 + 0.029·0.005) · 1000 heap versions = 29 rows, actual 1.
+	if !strings.Contains(first, " rows=29)") || !strings.HasSuffix(first, " rows=1 scanned=971) misestimate=29×") {
+		t.Fatalf("stale-MCV plan line:\n%s", first)
+	}
+	// A LIMIT that cuts the scan short says nothing about the estimate.
+	res = mustExec(t, s, `EXPLAIN ANALYZE SELECT * FROM w LIMIT 1`)
+	if line := res.Rows[0][0].S; strings.Contains(line, "misestimate") {
+		t.Fatalf("LIMIT-truncated scan was flagged:\n%s", line)
+	}
+	m := statsMap(t, mustExec(t, s, `SHOW STATS`))
+	if m["exec_plan_qerror_p99_milli"] != 32000 {
+		t.Errorf("exec_plan_qerror_p99_milli = %d, want 32000 (the 16–32× bucket)", m["exec_plan_qerror_p99_milli"])
 	}
 }

@@ -29,6 +29,13 @@ type Result struct {
 	// TraceJSON carries the statement's span timeline in Chrome
 	// trace-event format (EXPLAIN (TRACE) only).
 	TraceJSON []byte
+
+	// ran is the plan an executed SELECT really ran (nil for EXPLAIN and
+	// everything else); the slow-query log reports its kind and estimate.
+	// limited says a LIMIT cut the scan short, so len(Rows) says nothing
+	// about that estimate.
+	ran     *executor.Plan
+	limited bool
 }
 
 // Session executes SQL against a database. Every session registers in
@@ -76,7 +83,9 @@ func (s *Session) InTxn() bool { return s.tx != nil }
 // tracks it live (statement text, active/waiting state, wait event) for
 // the duration. When the database was opened with a slow-query
 // threshold, statements at or over it are logged with their text,
-// duration, and buffer traffic.
+// duration, buffer traffic and — for an executed SELECT — the plan kind
+// with its estimated and actual row counts (the counts are left out
+// when a LIMIT stopped the scan, as in EXPLAIN ANALYZE).
 func (s *Session) Exec(sql string) (*Result, error) {
 	s.entry.Begin(sql)
 	defer s.entry.End()
@@ -93,9 +102,16 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		if err != nil {
 			status = "error: " + err.Error()
 		}
-		fmt.Fprintf(logw, "slow query (%.1f ms, hits=%d misses=%d, %s): %s\n",
+		plan := ""
+		if res != nil && res.ran != nil {
+			plan = ", plan=" + res.ran.Kind.String()
+			if !res.limited {
+				plan += fmt.Sprintf(" est=%d actual=%d", res.ran.Rows, len(res.Rows))
+			}
+		}
+		fmt.Fprintf(logw, "slow query (%.1f ms, hits=%d misses=%d%s, %s): %s\n",
 			elapsed.Seconds()*1000, after.Hits-before.Hits,
-			after.Misses-before.Misses, status, strings.TrimSpace(sql))
+			after.Misses-before.Misses, plan, status, strings.TrimSpace(sql))
 	}
 	return res, err
 }
@@ -585,8 +601,9 @@ func showTables(s *Session) (*Result, error) {
 // SHOW STATS [table]: name/value rows. Bare SHOW STATS renders the whole
 // metrics registry — executor statement and plan counters, buffer-pool
 // and WAL traffic, latency histogram quantiles; with a table name it
-// reports that table's pg_stat-style row (live rows, heap pages, churn
-// since ANALYZE, per-index sizes and scan counts).
+// reports that table's pg_stat-style row (live rows, heap pages, the
+// planner statistics' source, size, churn and staleness, per-index
+// sizes and scan counts).
 func (p *parser) showStats(s *Session) (*Result, error) {
 	res := &Result{Columns: []string{"name", "value"}}
 	if p.accept(tokIdent, "RESET") {
@@ -609,8 +626,11 @@ func (p *parser) showStats(s *Session) (*Result, error) {
 			return nil, err
 		}
 		for _, st := range stats {
-			res.Rows = append(res.Rows, catalog.Tuple{
-				catalog.NewText(st.Name), catalog.NewInt(st.Value)})
+			value := catalog.NewInt(st.Value)
+			if st.Text != "" {
+				value = catalog.NewText(st.Text)
+			}
+			res.Rows = append(res.Rows, catalog.Tuple{catalog.NewText(st.Name), value})
 		}
 		return res, nil
 	}
@@ -826,18 +846,28 @@ const (
 	modeAnalyze
 )
 
+// misestimateAt is the q-error from which EXPLAIN ANALYZE flags a plan.
+const misestimateAt = 10
+
 // analyzeResult renders EXPLAIN ANALYZE output, one "QUERY PLAN" row
 // per line: the plan with the planner's cost and row estimates next to
-// the actual run, then the buffer, WAL, and timing lines.
-func analyzeResult(plan *executor.Plan, rs *executor.RunStats) *Result {
+// the actual run — flagged misestimate=N× when they are an order of
+// magnitude apart (never for a scan a LIMIT cut short, whose actual
+// count says nothing about the estimate) — then the buffer, WAL, and
+// timing lines.
+func analyzeResult(plan *executor.Plan, rs *executor.RunStats, limited bool) *Result {
 	res := &Result{Columns: []string{"QUERY PLAN"}}
 	line := func(format string, args ...any) {
 		res.Rows = append(res.Rows, catalog.Tuple{
 			catalog.NewText(fmt.Sprintf(format, args...))})
 	}
 	ms := func(d time.Duration) float64 { return d.Seconds() * 1000 }
-	line("%s (actual time=%.3f ms rows=%d scanned=%d)",
-		plan.String(), ms(rs.Elapsed), rs.Rows, rs.Scanned)
+	flag := ""
+	if q := executor.QError(plan.Rows, rs.Rows); q >= misestimateAt && !limited {
+		flag = fmt.Sprintf(" misestimate=%.0f×", q)
+	}
+	line("%s (actual time=%.3f ms rows=%d scanned=%d)%s",
+		plan.String(), ms(rs.Elapsed), rs.Rows, rs.Scanned, flag)
 	if rs.IndexPages >= 0 {
 		line("  Buffers: hits=%d misses=%d index_pages=%d",
 			rs.PoolHits, rs.PoolMisses, rs.IndexPages)
@@ -950,13 +980,13 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			return analyzeResult(plan, rs), nil
+			return analyzeResult(plan, rs, false), nil
 		}
 		nns, plan, err := t.SelectNN(nnCol, nnArg, limit)
 		if err != nil {
 			return nil, err
 		}
-		res.Plan = plan.String()
+		res.Plan, res.ran = plan.String(), plan
 		for _, nn := range nns {
 			res.Rows = append(res.Rows, nn.Tuple)
 			res.Distances = append(res.Distances, nn.Distance)
@@ -984,7 +1014,7 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return analyzeResult(plan, rs), nil
+		return analyzeResult(plan, rs, limit >= 0 && n >= limit), nil
 	}
 	// One statement, one lock window: the plan reported is the plan the
 	// scan actually ran (planning it separately could race a writer and
@@ -998,7 +1028,8 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan.String()
+	res.Plan, res.ran = plan.String(), plan
+	res.limited = limit >= 0 && len(res.Rows) >= limit
 	return res, nil
 }
 
