@@ -127,6 +127,19 @@ func (d Datum) String() string {
 	}
 }
 
+// Append appends the datum's String form to b, without the intermediate
+// string for the scalar types (result rendering, plan text).
+func (d Datum) Append(b []byte) []byte {
+	switch d.Typ {
+	case Int:
+		return strconv.AppendInt(b, d.I, 10)
+	case Float:
+		return strconv.AppendFloat(b, d.F, 'g', -1, 64)
+	default:
+		return append(b, d.String()...)
+	}
+}
+
 // ParseLiteral converts the text form of a literal to a datum of the
 // required type, PostgreSQL-style: the paper's Table 6 queries write
 // points as '(0,1)' and boxes as '(0,0,5,5)'.

@@ -64,6 +64,7 @@ func (t *Tree) Scan(q *Query, emit func(key Value, rid heap.RID) bool) error {
 			Labels: labels,
 			Recon:  f.recon,
 		})
+		first := len(stack)
 		for _, fo := range out.Follow {
 			if fo.Entry < 0 || fo.Entry >= len(n.entries) {
 				return fmt.Errorf("spgist: %s.InnerConsistent follow entry %d out of range", t.oc.Name(), fo.Entry)
@@ -72,12 +73,21 @@ func (t *Tree) Scan(q *Query, emit func(key Value, rid heap.RID) bool) error {
 			if !child.Valid() {
 				continue // empty partition of a NodeShrink=false tree
 			}
-			// Every followed child will be visited; prefetching the ones
-			// on other pages overlaps their reads with this node's work.
-			if child.Page != f.ref.Page && t.bp.ReadaheadPages() > 0 {
-				t.bp.Prefetch(child.Page)
-			}
 			stack = append(stack, frame{child, f.level + fo.LevelAdd, fo.Recon})
+		}
+		// Every followed child will be visited, but the last one pushed
+		// is popped — and fetched — on the very next iteration: a
+		// prefetch of it could overlap with nothing (on an exact-match
+		// descent it is the only child). Readahead goes to the siblings
+		// that wait on the stack behind it, the ones on pages neither
+		// this node nor that fetch brings in.
+		if last := len(stack) - 1; last > first && t.bp.ReadaheadPages() > 0 {
+			next := stack[last].ref.Page
+			for _, sib := range stack[first:last] {
+				if p := sib.ref.Page; p != f.ref.Page && p != next {
+					t.bp.Prefetch(p)
+				}
+			}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
@@ -64,17 +65,36 @@ type Plan struct {
 	Recheck     bool  // heap tuples are rechecked against the operator
 }
 
+// String renders the plan line every SELECT response carries, so it is
+// built with appends into one buffer rather than fmt.
 func (p *Plan) String() string {
-	s := fmt.Sprintf("%s on %s", p.Kind, p.Table.Name)
+	b := make([]byte, 0, 160)
+	b = append(b, p.Kind.String()...)
+	b = append(b, " on "...)
+	b = append(b, p.Table.Name...)
 	if p.Index != nil {
-		s += fmt.Sprintf(" using %s (%s)", p.Index.Name, p.Index.OpClass.Name)
+		b = append(b, " using "...)
+		b = append(b, p.Index.Name...)
+		b = append(b, " ("...)
+		b = append(b, p.Index.OpClass.Name...)
+		b = append(b, ')')
 	}
 	if p.Pred != nil {
-		s += fmt.Sprintf("  filter: %s %s %s",
-			p.Table.Columns[p.Pred.Column].Name, p.Pred.Op, p.Pred.Arg)
+		b = append(b, "  filter: "...)
+		b = append(b, p.Table.Columns[p.Pred.Column].Name...)
+		b = append(b, ' ')
+		b = append(b, p.Pred.Op...)
+		b = append(b, ' ')
+		b = p.Pred.Arg.Append(b)
 	}
-	s += fmt.Sprintf("  (cost=%.2f..%.2f rows=%d)", p.StartupCost, p.TotalCost, p.Rows)
-	return s
+	b = append(b, "  (cost="...)
+	b = strconv.AppendFloat(b, p.StartupCost, 'f', 2, 64)
+	b = append(b, ".."...)
+	b = strconv.AppendFloat(b, p.TotalCost, 'f', 2, 64)
+	b = append(b, " rows="...)
+	b = strconv.AppendInt(b, p.Rows, 10)
+	b = append(b, ')')
+	return string(b)
 }
 
 // staleRowsLocked is how many rows changed since the statistics were

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -129,5 +130,51 @@ func TestIneqSelUsesHistogram(t *testing.T) {
 	}
 	if gt.Selectivity < 0.7 || gt.Selectivity > 0.8 {
 		t.Fatalf("id > 250 selectivity = %g, want ≈0.75", gt.Selectivity)
+	}
+}
+
+// TestPlanStringMatchesFmt pins the plan line's text: Plan.String is
+// built with appends (it is rendered on every SELECT), and must stay
+// byte-identical to the fmt rendering it replaced — clients and the
+// benchmark harness read it.
+func TestPlanStringMatchesFmt(t *testing.T) {
+	viaFmt := func(p *Plan) string {
+		s := fmt.Sprintf("%s on %s", p.Kind, p.Table.Name)
+		if p.Index != nil {
+			s += fmt.Sprintf(" using %s (%s)", p.Index.Name, p.Index.OpClass.Name)
+		}
+		if p.Pred != nil {
+			s += fmt.Sprintf("  filter: %s %s %s",
+				p.Table.Columns[p.Pred.Column].Name, p.Pred.Op, p.Pred.Arg)
+		}
+		s += fmt.Sprintf("  (cost=%.2f..%.2f rows=%d)", p.StartupCost, p.TotalCost, p.Rows)
+		return s
+	}
+	tb := &Table{Name: "t", Columns: []Column{
+		{"name", catalog.Text}, {"id", catalog.Int}, {"f", catalog.Float},
+		{"p", catalog.Point}, {"s", catalog.Segment},
+	}}
+	oc, _ := catalog.LookupOpClass("spgist_trie")
+	ix := &IndexInfo{Name: "t_trie", OpClass: oc}
+	args := []catalog.Datum{
+		catalog.NewText("it's a\ttab"), catalog.NewInt(-42), catalog.NewFloat(1e21),
+		catalog.NewFloat(0.1), catalog.NewPoint(geom.Point{X: 1.5, Y: -2}),
+		catalog.NewBox(geom.MakeBox(0, 0, 5, 5.25)),
+		catalog.NewSegment(geom.Segment{A: geom.Point{X: 1, Y: 2}, B: geom.Point{X: 3, Y: 4}}),
+	}
+	costs := []float64{0, 0.004, 0.005, 1, 12.345, 99.995, 123456789.125, 1e21, math.Inf(1)}
+	for i, arg := range args {
+		for j, c := range costs {
+			p := &Plan{Kind: PlanKind(i % 3), Table: tb, StartupCost: c, TotalCost: costs[(j+3)%len(costs)], Rows: int64(i*1000 + j)}
+			if i%2 == 0 {
+				p.Index = ix
+			}
+			if j%4 != 3 {
+				p.Pred = &Pred{Column: i % len(tb.Columns), Op: "#=", Arg: arg}
+			}
+			if got, want := p.String(), viaFmt(p); got != want {
+				t.Errorf("Plan.String() = %q, fmt renders %q", got, want)
+			}
+		}
 	}
 }

@@ -33,11 +33,11 @@ func (s SessionState) String() string {
 }
 
 // SessionEntry is one live session's row in the activity table. Every
-// mutable field is an atomic so scrapers (SHOW ACTIVITY, the /activity
-// endpoint) read a consistent-enough snapshot without taking any lock a
-// statement's hot path would contend on; the statement text in
-// particular is an atomic pointer swap, so a scraper can never observe
-// a torn string.
+// field a scraper reads is an atomic, so scrapers (SHOW ACTIVITY, the
+// /activity endpoint) read a consistent-enough snapshot without taking
+// any lock a statement's hot path would contend on; the statement text
+// in particular is an atomic pointer swap, so a scraper can never
+// observe a torn string.
 type SessionEntry struct {
 	act     *Activity
 	id      int64
@@ -48,7 +48,21 @@ type SessionEntry struct {
 	stmt      atomic.Pointer[string]
 	stmtStart atomic.Int64 // unix nanos; 0 when idle
 	wait      atomic.Int32
-	gid       atomic.Uint64 // bound goroutine while a statement runs
+
+	// bind is the slot of the goroutine the session runs on, taken by
+	// the first Begin and kept until Close. Only the session's own
+	// goroutine touches the field.
+	bind *goBinding
+}
+
+// goBinding is one goroutine's slot in the activity table: of the
+// sessions bound to the goroutine, the one whose statement ran on it
+// last. Several sessions may share a goroutine (an embedded program
+// with two sessions); at most one of them is mid-statement.
+type goBinding struct {
+	gid  uint64
+	refs int // sessions bound here; guarded by Activity.mu
+	cur  atomic.Pointer[SessionEntry]
 }
 
 // ID returns the session's id.
@@ -59,27 +73,29 @@ func (se *SessionEntry) ID() int64 {
 	return se.id
 }
 
-// Begin marks the start of one statement: the session becomes active,
-// records stmt as its current statement, and binds itself to the calling
-// goroutine so waits observed anywhere below (lock acquisition, buffer
-// I/O, WAL commit) attribute to it. One goid parse per statement.
+// Begin marks the start of one statement: the session becomes active
+// and records stmt as its current statement. The first Begin binds the
+// session to the calling goroutine — the one goroutine-id lookup of the
+// session's life — so waits observed anywhere below (lock acquisition,
+// buffer I/O, WAL commit) attribute to it; every later Begin touches
+// only atomics. A session that moves to another goroutine keeps its
+// row but loses live wait attribution.
 func (se *SessionEntry) Begin(stmt string) {
 	if se == nil {
 		return
 	}
-	g := goid()
-	if se.gid.Swap(g) == 0 {
-		se.act.bound.Add(1)
+	if se.bind == nil {
+		se.bind = se.act.bindGoroutine()
 	}
-	se.act.byGoid.Store(g, se)
+	se.bind.cur.Store(se)
 	se.stmt.Store(&stmt)
 	se.stmtStart.Store(time.Now().UnixNano())
 	se.wait.Store(int32(WaitNone))
 	se.state.Store(int32(StateActive))
 }
 
-// End marks the statement finished: the session returns to idle and the
-// goroutine binding is dropped.
+// End marks the statement finished: the session returns to idle. The
+// goroutine binding stays; an idle session ignores waits (setWait).
 func (se *SessionEntry) End() {
 	if se == nil {
 		return
@@ -87,46 +103,61 @@ func (se *SessionEntry) End() {
 	se.state.Store(int32(StateIdle))
 	se.stmtStart.Store(0)
 	se.wait.Store(int32(WaitNone))
-	if g := se.gid.Swap(0); g != 0 {
-		se.act.byGoid.Delete(g)
-		se.act.bound.Add(-1)
-	}
 }
 
-// Close removes the session from the activity table.
+// Close removes the session from the activity table and drops its
+// goroutine binding.
 func (se *SessionEntry) Close() {
 	if se == nil {
 		return
 	}
 	se.End()
-	se.act.mu.Lock()
-	delete(se.act.sessions, se.id)
-	se.act.mu.Unlock()
+	a := se.act
+	a.mu.Lock()
+	delete(a.sessions, se.id)
+	if b := se.bind; b != nil {
+		b.cur.CompareAndSwap(se, nil)
+		if b.refs--; b.refs == 0 {
+			a.byGoid.Delete(b.gid)
+			a.bound.Add(-1)
+		}
+	}
+	a.mu.Unlock()
+	// A slot outside the table: statements run after Close (allowed)
+	// bind nothing.
+	se.bind = &goBinding{}
 }
 
-func (se *SessionEntry) setWait(ev WaitEvent) {
+// setWait marks the session waiting on ev and reports whether it did.
+// Only a session inside a statement can wait: the binding outlives the
+// statement, so between statements the goroutine may block on work that
+// is not the session's, and an idle session must never read as waiting.
+func (se *SessionEntry) setWait(ev WaitEvent) bool {
+	if SessionState(se.state.Load()) != StateActive {
+		return false
+	}
 	se.wait.Store(int32(ev))
 	se.state.Store(int32(StateWaiting))
+	return true
 }
 
 func (se *SessionEntry) clearWait() {
 	se.wait.Store(int32(WaitNone))
-	se.state.Store(int32(StateActive))
+	se.state.CompareAndSwap(int32(StateWaiting), int32(StateActive))
 }
 
 // Activity is the live session table — this engine's pg_stat_activity.
-// Registration and removal take its mutex (cold, per connection); the
-// per-statement path touches only the entry's atomics plus one sync.Map
-// store/delete for the goroutine binding.
+// Registration, removal and goroutine binding take its mutex (cold, per
+// session); the per-statement path touches only atomics.
 type Activity struct {
 	mu       sync.Mutex
 	nextID   int64
 	sessions map[int64]*SessionEntry
-	byGoid   sync.Map // goroutine id → *SessionEntry
-	// bound counts goroutines currently in byGoid, so current() can skip
-	// the goid parse entirely when nothing is bound — the case for code
-	// driving the executor directly (benchmarks, embedded use) rather
-	// than through sessions.
+	byGoid   sync.Map // goroutine id → *goBinding
+	// bound counts the goroutines in byGoid, so current() can skip the
+	// goroutine-id lookup entirely when nothing is bound — the case for
+	// code driving the executor directly (benchmarks, embedded use)
+	// rather than through sessions.
 	bound atomic.Int64
 }
 
@@ -151,14 +182,32 @@ func (a *Activity) Register(client string) *SessionEntry {
 	return se
 }
 
-// current resolves the calling goroutine's bound session, or nil. Cold
-// path only — called when a wait has already blocked.
+// bindGoroutine takes a reference on the calling goroutine's slot,
+// creating it for the goroutine's first session.
+func (a *Activity) bindGoroutine() *goBinding {
+	g := goid()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	v, ok := a.byGoid.Load(g)
+	if !ok {
+		v = &goBinding{gid: g}
+		a.byGoid.Store(g, v)
+		a.bound.Add(1)
+	}
+	b := v.(*goBinding)
+	b.refs++
+	return b
+}
+
+// current resolves the session running a statement on the calling
+// goroutine, or nil. It costs a goroutine-id lookup: WaitSet.Begin
+// decides per event whether the wait is worth one.
 func (a *Activity) current() *SessionEntry {
 	if a == nil || a.bound.Load() == 0 {
 		return nil
 	}
 	if v, ok := a.byGoid.Load(goid()); ok {
-		return v.(*SessionEntry)
+		return v.(*goBinding).cur.Load()
 	}
 	return nil
 }

@@ -41,10 +41,12 @@ const (
 	// in-flight fsync.
 	WaitWALCommitWait
 	// WaitIOPrefetch: a prefetcher worker reading a page from disk ahead
-	// of a scan. Charged to the background worker, never to a session.
+	// of a scan. Charged to the background worker, never to a session:
+	// Begin does not look for one.
 	WaitIOPrefetch
 	// WaitBGWriter: the background writer flushing a dirty page to disk
-	// ahead of CHECKPOINT. Charged to the background goroutine.
+	// ahead of CHECKPOINT. Charged to the background goroutine, never to
+	// a session.
 	WaitBGWriter
 	// WaitIORetry: backing off before retrying a page read or write that
 	// failed with a transient I/O error. The sleep, not the I/O itself,
@@ -89,10 +91,12 @@ type waitCell struct {
 // Begin/End. All methods are nil-receiver safe so components built
 // standalone (tests, tools) pay one predictable branch and no clock.
 //
-// The costing rule mirrors the lock-wait counter that predates it:
-// lock-style events read the clock only after a try-acquire already
+// The costing rule is to pay only where the wait dwarfs the price.
+// Lock-style events read the clock only after a try-acquire already
 // failed, so the uncontended fast path stays timestamp-free; I/O events
 // are timed unconditionally because a disk read dwarfs the clock reads.
+// Live attribution costs a goroutine-id lookup (microseconds, see
+// goid), so it follows the same rule per event — see attributed.
 type WaitSet struct {
 	cells [NumWaitEvents]waitCell
 	act   *Activity // optional: live attribution of in-progress waits
@@ -109,18 +113,43 @@ type WaitMark struct {
 	se    *SessionEntry
 }
 
+// slowReadNs is the mean page-read time from which a read is worth
+// attributing live: ten times a goroutine-id lookup, and long enough
+// for a scrape to have a chance of catching the reader mid-read.
+const slowReadNs = 50_000
+
+// attributed reports whether a wait on ev is worth resolving the
+// calling goroutine's session for. Background events never are: no
+// session runs on a prefetch worker or the background writer. Waits
+// that have already blocked (locks, the WAL, retry backoff) always are:
+// the block costs far more than the lookup. A page read sits between —
+// a few microseconds from the OS cache, milliseconds from a slow
+// device — so it is attributed once the event's own history says reads
+// are slow (cumulative mean, so a device takes a while to change class;
+// the first read after start or STATS RESET is never attributed).
+func (ws *WaitSet) attributed(ev WaitEvent) bool {
+	switch ev {
+	case WaitIOPrefetch, WaitBGWriter:
+		return false
+	case WaitIOHeapRead, WaitIOIndexRead, WaitIOCatalogRead:
+		c := &ws.cells[ev]
+		n := c.count.Load()
+		return n > 0 && c.ns.Load() >= n*slowReadNs
+	}
+	return true
+}
+
 // Begin opens a wait observation: it reads the clock and, when an
-// activity table is attached, marks the calling session as waiting on
-// ev. Call only when a block is certain (a try-acquire failed) or
-// already expensive (disk I/O).
+// activity table is attached and the event is attributed, marks the
+// calling goroutine's session as waiting on ev. Call only when a block
+// is certain (a try-acquire failed) or already expensive (disk I/O).
 func (ws *WaitSet) Begin(ev WaitEvent) WaitMark {
 	if ws == nil {
 		return WaitMark{}
 	}
 	m := WaitMark{start: time.Now(), ev: ev}
-	if ws.act != nil {
-		if se := ws.act.current(); se != nil {
-			se.setWait(ev)
+	if ws.act != nil && ws.attributed(ev) {
+		if se := ws.act.current(); se != nil && se.setWait(ev) {
 			m.se = se
 		}
 	}

@@ -120,6 +120,135 @@ func TestWaitOtherGoroutineNotAttributed(t *testing.T) {
 	}
 }
 
+// TestBackgroundWaitsTouchNoSession: io_prefetch and bgwriter_write are
+// never a session's, so Begin must not even look for one — not on a
+// goroutine with a running session bound, and without a goroutine-id
+// lookup.
+func TestBackgroundWaitsTouchNoSession(t *testing.T) {
+	act := NewActivity()
+	ws := NewWaitSet(act)
+	se := act.Register("c1")
+	se.Begin("SELECT 1")
+	defer se.Close()
+
+	before := GoidLookups()
+	for _, ev := range []WaitEvent{WaitIOPrefetch, WaitBGWriter} {
+		m := ws.Begin(ev)
+		if snap := act.Snapshot(); snap[0].State != "active" || snap[0].WaitEvent != "none" {
+			t.Fatalf("%s marked the session: state %q wait %q", ev, snap[0].State, snap[0].WaitEvent)
+		}
+		ws.End(m)
+		if c, _ := ws.Count(ev); c != 1 {
+			t.Fatalf("%s count = %d, want 1", ev, c)
+		}
+	}
+	if n := GoidLookups() - before; n != 0 {
+		t.Fatalf("background waits made %d goroutine-id lookups, want 0", n)
+	}
+}
+
+// TestIdleSessionNeverWaits: the binding outlives the statement, so a
+// wait on the goroutine between statements (or after Close) finds the
+// session — and must leave it idle.
+func TestIdleSessionNeverWaits(t *testing.T) {
+	act := NewActivity()
+	ws := NewWaitSet(act)
+	se := act.Register("c1")
+	se.Begin("SELECT 1")
+	se.End()
+
+	m := ws.Begin(WaitLockTable)
+	if snap := act.Snapshot(); snap[0].State != "idle" || snap[0].WaitEvent != "none" {
+		t.Fatalf("idle session reads state %q wait %q mid-wait", snap[0].State, snap[0].WaitEvent)
+	}
+	ws.End(m)
+	if snap := act.Snapshot(); snap[0].State != "idle" {
+		t.Fatalf("End of an unattributed wait moved the session to %q", snap[0].State)
+	}
+
+	se.Close()
+	if n := act.bound.Load(); n != 0 {
+		t.Fatalf("%d goroutines still bound after the only session closed", n)
+	}
+	before := GoidLookups()
+	ws.End(ws.Begin(WaitLockTable))
+	if n := GoidLookups() - before; n != 0 {
+		t.Fatalf("wait with nothing bound made %d goroutine-id lookups", n)
+	}
+}
+
+// TestActivityBindingIsOncePerSession: statements after the first cost no
+// goroutine-id lookup, and two sessions sharing a goroutine each get
+// their own waits.
+func TestActivityBindingIsOncePerSession(t *testing.T) {
+	act := NewActivity()
+	ws := NewWaitSet(act)
+	a, b := act.Register("a"), act.Register("b")
+	defer a.Close()
+	defer b.Close()
+	a.Begin("warm-up")
+	a.End()
+	b.Begin("warm-up")
+	b.End()
+
+	before := GoidLookups()
+	for i := 0; i < 1000; i++ {
+		a.Begin("SELECT 1")
+		a.End()
+	}
+	if n := GoidLookups() - before; n != 0 {
+		t.Fatalf("1000 statements made %d goroutine-id lookups, want 0", n)
+	}
+
+	for _, se := range []*SessionEntry{a, b, a} {
+		se.Begin("UPDATE t")
+		m := ws.Begin(WaitLockTable)
+		for _, si := range act.Snapshot() {
+			want := "idle"
+			if si.ID == se.ID() {
+				want = "waiting"
+			}
+			if si.State != want {
+				t.Fatalf("while session %d waits, session %d reads %q", se.ID(), si.ID, si.State)
+			}
+		}
+		ws.End(m)
+		se.End()
+	}
+}
+
+// TestPageReadWaitsAttributedOnlyWhenSlow: a page-read wait resolves its
+// session only once the event's own history says reads are slow.
+func TestPageReadWaitsAttributedOnlyWhenSlow(t *testing.T) {
+	act := NewActivity()
+	ws := NewWaitSet(act)
+	se := act.Register("c1")
+	se.Begin("SELECT 1")
+	defer se.Close()
+
+	before := GoidLookups()
+	for i := 0; i < 100; i++ { // reads out of the OS cache: far under 50 µs
+		ws.End(ws.Begin(WaitIOHeapRead))
+	}
+	if n := GoidLookups() - before; n != 0 {
+		t.Fatalf("fast reads made %d goroutine-id lookups, want 0", n)
+	}
+
+	ws.cells[WaitIOIndexRead].count.Store(10)
+	ws.cells[WaitIOIndexRead].ns.Store(10 * (5 * time.Millisecond).Nanoseconds())
+	m := ws.Begin(WaitIOIndexRead)
+	if snap := act.Snapshot(); snap[0].State != "waiting" || snap[0].WaitEvent != "io_index_read" {
+		t.Fatalf("read on a slow device: state %q wait %q", snap[0].State, snap[0].WaitEvent)
+	}
+	ws.End(m)
+	// The heap-read event has its own history and is still fast.
+	m = ws.Begin(WaitIOHeapRead)
+	if snap := act.Snapshot(); snap[0].State != "active" {
+		t.Fatalf("fast heap read marked the session %q", snap[0].State)
+	}
+	ws.End(m)
+}
+
 func TestActivitySnapshotFields(t *testing.T) {
 	act := NewActivity()
 	a := act.Register("addr-a")

@@ -1,0 +1,139 @@
+package server_test
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/executor"
+	"repro/internal/obs"
+	"repro/internal/server"
+)
+
+// waitCount sums the observations so far of the given wait events.
+func waitCount(db *executor.DB, evs ...obs.WaitEvent) int64 {
+	var n int64
+	for _, ev := range evs {
+		c, _ := db.Waits().Count(ev)
+		n += c
+	}
+	return n
+}
+
+// blockedWaits is the number of waits so far that always resolve their
+// session — the ones that have already blocked when they are observed.
+// While any session is bound, each costs exactly one goroutine-id
+// lookup, whichever goroutine it happens on.
+func blockedWaits(db *executor.DB) int64 {
+	return waitCount(db, obs.WaitLockCatalog, obs.WaitLockTable, obs.WaitBufShard,
+		obs.WaitWALFsync, obs.WaitWALCommitWait, obs.WaitIORetry)
+}
+
+func pageReads(db *executor.DB) int64 {
+	return waitCount(db, obs.WaitIOHeapRead, obs.WaitIOIndexRead)
+}
+
+// TestActivityCostsNoGoroutineLookups is the cost half of the
+// attribution contract: a session binds its goroutine once, so a
+// statement that never blocks pays for no goroutine-id lookup — not
+// warm, and not through a 16-page pool on an undelayed disk, where every
+// statement misses and prefetch workers read beside it.
+func TestActivityCostsNoGoroutineLookups(t *testing.T) {
+	const stmts = 1000
+	run := func(t *testing.T, c *server.Client, prefixEvery int) {
+		t.Helper()
+		for i := 0; i < stmts; i++ {
+			stmt := lookupStmt(i * 1009 % lookupRows) // pages apart from its neighbours
+			if prefixEvery > 0 && i%prefixEvery == 0 {
+				// ~50 rows over the whole key space: a multi-follow
+				// scan, so readahead has siblings to fetch.
+				stmt = "SELECT * FROM words WHERE name #= '" + lookupName(i)[:2] + "'"
+			}
+			if _, err := c.Exec(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+	}
+
+	t.Run("warm", func(t *testing.T) {
+		_, _, c := lookupFixture(t, executor.Options{})
+		run(t, c, 0) // binds the session, fills the pool
+		before := obs.GoidLookups()
+		run(t, c, 0)
+		if n := obs.GoidLookups() - before; n != 0 {
+			t.Fatalf("%d warm exact-match statements made %d goroutine-id lookups, want 0", stmts, n)
+		}
+	})
+
+	t.Run("cold", func(t *testing.T) {
+		db, _, c := lookupFixture(t, executor.Options{PoolPages: 16})
+		run(t, c, 10)
+		lookups, blocked := obs.GoidLookups(), blockedWaits(db)
+		reads, prefetches := pageReads(db), waitCount(db, obs.WaitIOPrefetch)
+		run(t, c, 10)
+		lookups, blocked = obs.GoidLookups()-lookups, blockedWaits(db)-blocked
+		reads, prefetches = pageReads(db)-reads, waitCount(db, obs.WaitIOPrefetch)-prefetches
+		if reads < stmts/10 || prefetches == 0 {
+			t.Fatalf("pool was not cold: %d page reads, %d prefetch reads over %d statements", reads, prefetches, stmts)
+		}
+		// A shard mutex held by a prefetch worker can block a fetch for
+		// an instant; such a wait resolves its session by design. Every
+		// lookup must be one of those — the page reads and prefetch
+		// reads account for none.
+		if lookups != blocked {
+			t.Fatalf("%d goroutine-id lookups against %d blocked waits: one of %d page reads or %d prefetch reads resolved a session",
+				lookups, blocked, reads, prefetches)
+		}
+		t.Logf("%d page reads, %d prefetch reads, %d lookups (= blocked waits)", reads, prefetches, lookups)
+	})
+}
+
+// TestSlowReadsShowLiveInActivity is the other half: on a device whose
+// reads take milliseconds, a second connection's ACTIVITY scrape catches
+// the reading session waiting on the page read.
+func TestSlowReadsShowLiveInActivity(t *testing.T) {
+	_, addr, reader := lookupFixture(t, executor.Options{PoolPages: 16, DiskReadLatency: 5 * time.Millisecond})
+	scraper, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scraper.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := reader.Exec(lookupStmt(i * 1009 % lookupRows)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+
+	// The reader spends nearly all its time inside 5 ms reads; only the
+	// first read of each kind goes unattributed. 400 polls a millisecond
+	// apart is hundreds of chances.
+	for poll := 0; poll < 400; poll++ {
+		snap, err := scraper.Activity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, si := range snap {
+			if si.State == "waiting" && (si.WaitEvent == "io_heap_read" || si.WaitEvent == "io_index_read") {
+				t.Logf("poll %d: session %d waiting on %s in %q", poll, si.ID, si.WaitEvent, si.Statement)
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("400 ACTIVITY polls never saw the reading session waiting on a page read")
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strconv"
@@ -52,30 +53,38 @@ func (c *Client) Exec(stmt string) (*Response, error) {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if _, err := fmt.Fprintf(c.out, "%s\n", strings.ReplaceAll(stmt, "\n", " ")); err != nil {
-		return nil, err
+	// One statement is one line. The writes land in the buffer; Flush
+	// reports any error they met.
+	if strings.Contains(stmt, "\n") {
+		stmt = strings.ReplaceAll(stmt, "\n", " ")
 	}
+	c.out.WriteString(stmt)
+	c.out.WriteByte('\n')
 	if err := c.out.Flush(); err != nil {
 		return nil, err
 	}
 	res := &Response{}
 	for c.in.Scan() {
-		line := c.in.Text()
+		// The scanner's buffer is reused: only what the response keeps
+		// is copied out of it, once per line.
+		line := c.in.Bytes()
 		switch {
-		case strings.HasPrefix(line, "#cols "):
-			res.Columns = strings.Split(line[len("#cols "):], "\t")
-		case strings.HasPrefix(line, "row "):
-			vals := strings.Split(line[len("row "):], "\t")
-			for i, v := range vals {
-				vals[i] = unescapeValue(v)
+		case bytes.HasPrefix(line, []byte("#cols ")):
+			res.Columns = strings.Split(string(line[len("#cols "):]), "\t")
+		case bytes.HasPrefix(line, []byte("row ")):
+			vals := strings.Split(string(line[len("row "):]), "\t")
+			if bytes.IndexByte(line, '\\') >= 0 {
+				for i, v := range vals {
+					vals[i] = unescapeValue(v)
+				}
 			}
 			res.Rows = append(res.Rows, vals)
-		case strings.HasPrefix(line, "plan "):
-			res.Plan = line[len("plan "):]
-		case strings.HasPrefix(line, "OK"):
-			res.OK = strings.TrimSpace(strings.TrimPrefix(line, "OK"))
+		case bytes.HasPrefix(line, []byte("plan ")):
+			res.Plan = string(line[len("plan "):])
+		case bytes.HasPrefix(line, []byte("OK")):
+			res.OK = string(bytes.TrimSpace(line[len("OK"):]))
 			return res, nil
-		case strings.HasPrefix(line, "ERR "):
+		case bytes.HasPrefix(line, []byte("ERR ")):
 			return nil, fmt.Errorf("server: %s", line[len("ERR "):])
 		default:
 			return nil, fmt.Errorf("server: malformed response line %q", line)

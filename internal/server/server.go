@@ -31,10 +31,12 @@ import (
 	"net"
 	"os"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/obs"
 	"repro/internal/sqlmini"
@@ -271,16 +273,15 @@ func (s *Server) writeStats(out *bufio.Writer) {
 
 // writeActivity answers the ACTIVITY verb: the live session table — one
 // row per connected session with its state, wait event, and current
-// statement — in the normal result framing. Statement text goes through
-// escapeValue like any row value, so multi-line SQL cannot tear the
-// framing.
+// statement — in the normal result framing. Statement text is escaped
+// like any row value, so multi-line SQL cannot tear the framing.
 func (s *Server) writeActivity(out *bufio.Writer) {
 	fmt.Fprintf(out, "#cols id\tclient\tstate\twait_event\tstatement\telapsed_ms\n")
 	snap := s.db.Activity().Snapshot()
 	for _, si := range snap {
 		fmt.Fprintf(out, "row %d\t%s\t%s\t%s\t%s\t%.3f\n",
-			si.ID, escapeValue.Replace(si.Client), si.State, si.WaitEvent,
-			escapeValue.Replace(si.Statement), si.StmtElapsed.Seconds()*1000)
+			si.ID, appendEscaped(nil, si.Client), si.State, si.WaitEvent,
+			appendEscaped(nil, si.Statement), si.StmtElapsed.Seconds()*1000)
 	}
 	fmt.Fprintf(out, "OK %d\n", len(snap))
 }
@@ -292,35 +293,78 @@ func writeErr(w *bufio.Writer, err error) {
 	fmt.Fprintf(w, "ERR %s\n", msg)
 }
 
-// escapeValue keeps a row value from breaking the wire framing: newlines
-// would end the line early and tabs would split the column, so both are
-// emitted as their backslash escapes (the value "a\nb" arrives as the
-// five characters `a\nb`). Values without framing characters — all of
-// SQL-literal-insertable text — pass through verbatim.
-var escapeValue = strings.NewReplacer("\\", `\\`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+// appendEscaped appends a row value so that it cannot break the wire
+// framing: newlines would end the line early and tabs would split the
+// column, so both are emitted as their backslash escapes (the value
+// "a\nb" arrives as the five characters `a\nb`). Values without framing
+// characters — all of SQL-literal-insertable text — are appended as
+// they are.
+func appendEscaped(b []byte, v string) []byte {
+	if !strings.ContainsAny(v, "\\\n\r\t") {
+		return append(b, v...)
+	}
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, '\\', '\\')
+		case '\n':
+			b = append(b, '\\', 'n')
+		case '\r':
+			b = append(b, '\\', 'r')
+		case '\t':
+			b = append(b, '\\', 't')
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
+}
 
 // writeResult emits one statement's result lines and the OK terminator.
+// It runs once per statement and once per row of every response, so
+// each line is appended into the writer's own buffer: no per-value
+// strings, no fmt.
 func writeResult(w *bufio.Writer, res *sqlmini.Result) {
 	if len(res.Columns) > 0 {
-		fmt.Fprintf(w, "#cols %s\n", strings.Join(res.Columns, "\t"))
+		b := append(w.AvailableBuffer(), "#cols "...)
+		for i, c := range res.Columns {
+			if i > 0 {
+				b = append(b, '\t')
+			}
+			b = append(b, c...)
+		}
+		w.Write(append(b, '\n'))
 	}
 	for i, row := range res.Rows {
-		vals := make([]string, 0, len(row)+1)
-		for _, d := range row {
-			vals = append(vals, escapeValue.Replace(d.String()))
+		b := append(w.AvailableBuffer(), "row "...)
+		for j, d := range row {
+			if j > 0 {
+				b = append(b, '\t')
+			}
+			if d.Typ == catalog.Text {
+				b = appendEscaped(b, d.S)
+			} else {
+				b = d.Append(b) // numbers and geometry hold no framing characters
+			}
 		}
 		if res.Distances != nil {
-			vals = append(vals, fmt.Sprintf("%g", res.Distances[i]))
+			if len(row) > 0 {
+				b = append(b, '\t')
+			}
+			b = strconv.AppendFloat(b, res.Distances[i], 'g', -1, 64)
 		}
-		fmt.Fprintf(w, "row %s\n", strings.Join(vals, "\t"))
+		w.Write(append(b, '\n'))
 	}
 	if res.Plan != "" {
-		fmt.Fprintf(w, "plan %s\n", res.Plan)
+		w.WriteString("plan ")
+		w.WriteString(res.Plan)
+		w.WriteByte('\n')
 	}
-	switch {
-	case res.Msg != "":
-		fmt.Fprintf(w, "OK %s\n", res.Msg)
-	default:
-		fmt.Fprintf(w, "OK %d\n", len(res.Rows))
+	w.WriteString("OK ")
+	if res.Msg != "" {
+		w.WriteString(res.Msg)
+	} else {
+		w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(res.Rows)), 10))
 	}
+	w.WriteByte('\n')
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -47,7 +48,8 @@ type Result struct {
 // through the executor's *Tx entry points, so their changes stay
 // invisible to every other session until COMMIT. A Session is not safe
 // for concurrent use by multiple goroutines (the server gives each
-// connection its own).
+// connection its own), and it shows its waits live only on the
+// goroutine that ran its first statement.
 type Session struct {
 	DB    *executor.DB
 	entry *obs.SessionEntry
@@ -951,7 +953,9 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Sscanf(n.text, "%d", &limit)
+		if limit, err = strconv.Atoi(n.text); err != nil || limit < 0 {
+			return nil, fmt.Errorf("sql: LIMIT wants a non-negative integer, found %q", n.text)
+		}
 	}
 
 	cols := make([]string, len(t.Columns))
@@ -1022,6 +1026,9 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 	// open transaction the scan reads through the transaction's snapshot,
 	// so its own uncommitted writes are visible to it.
 	plan, err := t.SelectTx(s.tx, pred, func(r executor.Row) bool {
+		if limit == 0 {
+			return false
+		}
 		res.Rows = append(res.Rows, r.Tuple)
 		return limit < 0 || len(res.Rows) < limit
 	})

@@ -196,6 +196,17 @@ func TestLimitStopsScan(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("LIMIT: %d rows", len(res.Rows))
 	}
+	if res := mustExec(t, s, `SELECT * FROM w LIMIT 0`); len(res.Rows) != 0 {
+		t.Fatalf("LIMIT 0: %d rows", len(res.Rows))
+	}
+	// A limit that is not a non-negative int is an error, never "no
+	// limit": an overflowing one used to return every row.
+	for _, bad := range []string{`99999999999999999999`, `-1`, `2.5`, `1e3`} {
+		_, err := s.Exec(`SELECT * FROM w LIMIT ` + bad)
+		if err == nil || !strings.HasPrefix(err.Error(), "sql: LIMIT") {
+			t.Errorf("LIMIT %s: err = %v, want a sql: LIMIT error", bad, err)
+		}
+	}
 }
 
 // CHECKPOINT flushes the pools (and, with a WAL attached, truncates the

@@ -27,6 +27,9 @@ func TestBufferPoolConcurrent(t *testing.T) {
 	const workers, rounds = 8, 300
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
+	// The pool pins frames; latching a page's bytes is its users' job
+	// (table locks, in the engine). Here: one mutex per page.
+	var latches [pages]sync.Mutex
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -38,15 +41,17 @@ func TestBufferPoolConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := binary.LittleEndian.Uint32(p.Data); got != uint32(id) {
+				latches[id].Lock()
+				got := binary.LittleEndian.Uint32(p.Data)
+				// Rewrite the page's own marker: a dirty write that must
+				// never bleed into another page.
+				binary.LittleEndian.PutUint32(p.Data, uint32(id))
+				latches[id].Unlock()
+				bp.Unpin(p, true)
+				if got != uint32(id) {
 					errs <- fmt.Errorf("page %d holds contents of page %d", id, got)
-					bp.Unpin(p, false)
 					return
 				}
-				// Rewrite the page's own marker: a benign dirty write
-				// that must never bleed into another page.
-				binary.LittleEndian.PutUint32(p.Data, uint32(id))
-				bp.Unpin(p, true)
 			}
 		}(g)
 	}
