@@ -404,6 +404,17 @@ func BenchmarkWALAppend(b *testing.B) {
 	for i := range rec {
 		rec[i] = byte(i)
 	}
+	// One heap-insert record per group: the shape a single-row statement
+	// hands the log.
+	appendInsert := func(w *wal.Writer, page uint32) (wal.LSN, error) {
+		g := wal.NewGroup()
+		g.AddHeapInsert("t.tbl", page, 0, rec)
+		lsns, err := w.AppendGroup(g)
+		if err != nil {
+			return 0, err
+		}
+		return lsns[0], nil
+	}
 	b.Run("buffered", func(b *testing.B) {
 		w, err := wal.OpenWriter(b.TempDir(), wal.Options{Mode: wal.SyncLazy})
 		if err != nil {
@@ -413,7 +424,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.SetBytes(int64(len(rec)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.AppendHeapInsert("t.tbl", uint32(i), 0, rec); err != nil {
+			if _, err := appendInsert(w, uint32(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -427,7 +438,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.SetBytes(int64(len(rec)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.AppendHeapInsert("t.tbl", uint32(i), 0, rec); err != nil {
+			if _, err := appendInsert(w, uint32(i)); err != nil {
 				b.Fatal(err)
 			}
 			if err := w.Commit(); err != nil {
@@ -445,7 +456,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				lsn, err := w.AppendHeapInsert("t.tbl", 1, 0, rec)
+				lsn, err := appendInsert(w, 1)
 				if err != nil {
 					b.Error(err)
 					return

@@ -6,7 +6,7 @@
 //	spgist-bench -exp all                 # everything, text output
 //	spgist-bench -exp fig13               # one figure (its group runs)
 //	spgist-bench -exp strings -scale 10   # 10x larger datasets
-//	spgist-bench -exp all -md             # markdown (EXPERIMENTS.md body)
+//	spgist-bench -exp all -md             # markdown instead of text tables
 //	spgist-bench -exp latency -out BENCH_7.json  # latency percentiles
 //
 // Dataset sizes default to roughly 1/100 of the paper's; -scale 100
@@ -33,12 +33,8 @@ func main() {
 		queries = flag.Int("queries", 200, "probes per measurement")
 		md      = flag.Bool("md", false, "emit markdown instead of text tables")
 		outPath = flag.String("out", "", "also write the latency-percentile report (BENCH_N.json shape) to this path")
-		bench6  = flag.String("bench6", "", "deprecated alias for -out")
 	)
 	flag.Parse()
-	if *outPath == "" {
-		*outPath = *bench6
-	}
 
 	cfg := bench.DefaultConfig()
 	cfg.Scale = *scale

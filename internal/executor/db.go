@@ -234,12 +234,6 @@ type DB struct {
 	readahead int
 	bgw       *bgWriter
 
-	// serialColdReads / ioLatency mirror the benchmark Options onto
-	// every pool Open creates; immutable after Open.
-	serialColdReads  bool
-	diskReadLatency  time.Duration
-	diskWriteLatency time.Duration
-
 	// tm is the transaction layer (txn.go): xid allocation, snapshots,
 	// the active-transaction set, and table-lock ownership. Always
 	// non-nil after Open.
@@ -394,8 +388,10 @@ type Options struct {
 	// DiskFaults, when set, wraps every data file's disk manager at
 	// pool creation — the I/O fault-injection hook. Return
 	// storage.WithFaults(dm, seed) (configured with probabilities and
-	// schedules) to inject errors into that file's reads and writes, or
-	// dm unchanged to leave the file alone. Test and torture-suite use.
+	// schedules) to inject errors into that file's reads and writes,
+	// storage.WithLatency(dm, r, w) to simulate a slow device, or dm
+	// unchanged to leave the file alone. Test, torture-suite and
+	// benchmark use.
 	DiskFaults func(fileName string, dm storage.DiskManager) storage.DiskManager
 	// LockTimeout bounds how long a DML statement waits for a table
 	// write lock held by another open transaction before failing;
@@ -432,15 +428,6 @@ type Options struct {
 	// BGWriterMaxPages bounds one background-writer round; defaults to
 	// DefaultBGWriterMaxPages.
 	BGWriterMaxPages int
-	// SerialColdReads restores the pre-PR-9 buffer-pool miss path (the
-	// disk read under the shard mutex, serializing same-shard misses).
-	// Benchmark baseline only.
-	SerialColdReads bool
-	// DiskReadLatency/DiskWriteLatency add a simulated device delay to
-	// every physical page read/write (storage.WithLatency). Benchmark
-	// knobs: they make I/O-overlap effects measurable on fast disks.
-	DiskReadLatency  time.Duration
-	DiskWriteLatency time.Duration
 }
 
 // DefaultReadaheadPages is the scan readahead window when Options leave
@@ -489,9 +476,6 @@ func Open(opts Options) (*DB, error) {
 		slowQueryThreshold: opts.SlowQueryThreshold,
 		slowQueryLog:       opts.SlowQueryLog,
 		traceDir:           opts.TraceDir,
-		serialColdReads:    opts.SerialColdReads,
-		diskReadLatency:    opts.DiskReadLatency,
-		diskWriteLatency:   opts.DiskWriteLatency,
 	}
 	db.readahead = opts.ReadaheadPages
 	if db.readahead == 0 {
@@ -545,11 +529,12 @@ func Open(opts Options) (*DB, error) {
 		w.AttachObs(db.waits)
 		if w.CommittedLSN() == 0 {
 			// A fresh log (new database, or a previously-unlogged one
-			// now opened with WAL) has no commit marker yet, which turns
-			// off the buffer pool's no-steal rule and recovery's
-			// uncommitted-tail discard for the whole first statement.
-			// Plant an initial marker so statement atomicity holds from
-			// the very first record.
+			// now opened with WAL) has no commit marker yet, and both
+			// the buffer pool's no-steal rule and recovery's
+			// uncommitted-tail discard are relative to the last marker.
+			// Plant an initial one so statement atomicity holds from the
+			// very first record — the single place that guarantees the
+			// precondition BufferPool.AttachWAL enforces.
 			if err := db.commitWAL(nil); err != nil {
 				db.abandon()
 				return nil, err
@@ -1204,7 +1189,7 @@ func (db *DB) commitPools(t *Table, pools []*storage.BufferPool) error {
 			}
 		}
 	}
-	if err := db.appendPools(pools, true); err != nil {
+	if err := db.appendPools(pools); err != nil {
 		return err
 	}
 	if tr := obs.Current(); tr != nil {
@@ -1217,20 +1202,19 @@ func (db *DB) commitPools(t *Table, pools []*storage.BufferPool) error {
 }
 
 // appendPools stages the deferred records and page images of pools into
-// one wal.Group, appends the group (with a commit marker when commit is
-// set) atomically, and stamps the assigned LSNs back onto the covered
-// frames.
-func (db *DB) appendPools(pools []*storage.BufferPool, commit bool) error {
-	return db.appendPoolsXid(pools, commit, 0, 0)
+// one wal.Group, appends the group and its commit marker atomically, and
+// stamps the assigned LSNs back onto the covered frames.
+func (db *DB) appendPools(pools []*storage.BufferPool) error {
+	return db.appendPoolsXid(pools, 0)
 }
 
 // appendPoolsXid is appendPools with a transaction-boundary record
 // riding in the same atomic group: commitXid != 0 appends the
 // transaction's commit record (wal.RecTxnCommit) after the staged
-// records, abortXid != 0 its abort record. The boundary record and the
-// data records land under one marker, so recovery either sees the
-// transaction resolved together with its final records or not at all.
-func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commit bool, commitXid, abortXid uint64) error {
+// records. The boundary record and the data records land under one
+// marker, so recovery either sees the transaction resolved together with
+// its final records or not at all.
+func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) error {
 	if db.wal == nil {
 		return nil
 	}
@@ -1246,16 +1230,7 @@ func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commit bool, commitXid
 	if commitXid != 0 {
 		g.AddTxnCommit(commitXid)
 	}
-	if abortXid != 0 {
-		g.AddTxnAbort(abortXid)
-	}
-	var lsns []wal.LSN
-	var err error
-	if commit {
-		lsns, _, err = db.wal.AppendGroupCommit(g)
-	} else {
-		lsns, err = db.wal.AppendGroup(g)
-	}
+	lsns, _, err := db.wal.AppendGroupCommit(g)
 	if err != nil {
 		// An append failure is sticky in the writer (the log is
 		// unusable); flip read-only so later statements fail fast
@@ -1345,9 +1320,6 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 		}
 		dm = fdm
 	}
-	if db.diskReadLatency > 0 || db.diskWriteLatency > 0 {
-		dm = storage.WithLatency(dm, db.diskReadLatency, db.diskWriteLatency)
-	}
 	if db.diskFaults != nil {
 		dm = db.diskFaults(fileName, dm)
 		if fdm, ok := dm.(*storage.FaultDiskManager); ok {
@@ -1355,7 +1327,6 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 		}
 	}
 	bp := storage.NewBufferPool(dm, db.poolPages)
-	bp.SetSerialColdReads(db.serialColdReads)
 	bp.AttachPrefetcher(db.pf, db.readahead)
 	if storage.ChecksummedFile(fileName) {
 		// Heap pages (and the heap-backed catalog) carry per-page
@@ -1619,12 +1590,8 @@ func (db *DB) buildIndex(t *Table, idx am.Index, ci int, bp *storage.BufferPool)
 		// Batch size 64 keeps the build's uncommitted (unevictable)
 		// frame set well inside a single buffer-pool shard even for
 		// small pools — the no-steal rule now binds per shard.
-		if db.wal != nil && rows%64 == 0 {
-			if werr := bp.LogPendingImages(); werr != nil {
-				err = werr
-				return false
-			}
-			if _, werr := db.wal.AppendCommit(); werr != nil {
+		if rows%64 == 0 {
+			if werr := db.appendPools([]*storage.BufferPool{bp}); werr != nil {
 				err = werr
 				return false
 			}

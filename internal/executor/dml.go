@@ -104,7 +104,7 @@ func (t *Table) endDML(stx *Txn, implicit, mutated bool) error {
 		return nil
 	}
 	if mutated && db.wal != nil {
-		return db.appendPools(tablePools(t), true)
+		return db.appendPools(tablePools(t))
 	}
 	return nil
 }
@@ -130,7 +130,7 @@ func (t *Table) failDML(stx *Txn, implicit, mutated bool, err error) error {
 		return err
 	}
 	if mutated && db.wal != nil {
-		db.appendPools(tablePools(t), true)
+		db.appendPools(tablePools(t))
 	}
 	return err
 }
@@ -229,7 +229,7 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 			// while the statement stays invisible.
 			if db.wal != nil {
 				stx.logged = true
-				if err := db.appendPools(tablePools(t), true); err != nil {
+				if err := db.appendPools(tablePools(t)); err != nil {
 					return nil, t.failDML(stx, implicit, true, err)
 				}
 			}
@@ -348,7 +348,7 @@ func (t *Table) deleteRIDs(tx *Txn, pred *Pred, one *heap.RID) (int, error) {
 		if end < len(rids) {
 			if db.wal != nil {
 				stx.logged = true
-				if err := db.appendPools(tablePools(t), true); err != nil {
+				if err := db.appendPools(tablePools(t)); err != nil {
 					return 0, t.failDML(stx, implicit, true, err)
 				}
 			}
@@ -463,7 +463,7 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 		if end < len(olds) {
 			if db.wal != nil {
 				stx.logged = true
-				if err := db.appendPools(tablePools(t), true); err != nil {
+				if err := db.appendPools(tablePools(t)); err != nil {
 					return 0, t.failDML(stx, implicit, true, err)
 				}
 			}

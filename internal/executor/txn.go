@@ -210,7 +210,7 @@ func (tm *TxnManager) begin(implicit bool) (*Txn, error) {
 		if err := tm.db.cat.SetXidHigh(high); err != nil {
 			return nil, err
 		}
-		if err := tm.db.appendPools([]*storage.BufferPool{tm.db.catPool}, true); err != nil {
+		if err := tm.db.appendPools([]*storage.BufferPool{tm.db.catPool}); err != nil {
 			return nil, err
 		}
 		tm.lease = high + 1
@@ -456,7 +456,7 @@ func (db *DB) commitTxn(tx *Txn) error {
 		}
 		pools = append(pools, tablePools(t)...)
 	}
-	if err := db.appendPoolsXid(pools, true, tx.xid, 0); err != nil {
+	if err := db.appendPoolsXid(pools, tx.xid); err != nil {
 		return err
 	}
 	if tr := obs.Current(); tr != nil {
@@ -506,7 +506,7 @@ func (db *DB) rollbackTxn(tx *Txn) error {
 		for t := range touched {
 			pools = append(pools, tablePools(t)...)
 		}
-		keep(db.appendPoolsXid(pools, true, 0, 0))
+		keep(db.appendPools(pools))
 		pending = 0
 	}
 	for i := len(tx.undo) - 1; i >= 0; i-- {

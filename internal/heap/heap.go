@@ -187,66 +187,18 @@ func (f *File) saveMeta() error {
 
 // unpinLogged releases a data page after an insert or delete of rec at
 // slot. With a WAL attached the mutation is covered by a logical record
-// (not a page image). When the log carries statement boundaries (the
-// executor's commit markers) the record is *deferred*: it is staged in
-// the buffer pool and appended — contiguously with the rest of the
-// statement's records and its marker — at the commit point, so records
-// of statements running concurrently on other tables never interleave
-// with it. On a raw marker-less log the record is appended eagerly, as
-// before. rec is nil for a delete.
-func (f *File) unpinLogged(p *storage.Page, slot int, rec []byte) error {
-	w, name := f.bp.WAL()
-	if w == nil {
-		f.bp.Unpin(p, true)
-		return nil
-	}
-	if w.CommittedLSN() > 0 {
+// (not a page image), and the record is *deferred*: it is staged in the
+// buffer pool and appended — contiguously with the rest of the
+// statement's records and its commit marker — at the commit point, so
+// records of statements running concurrently on other tables never
+// interleave with it. rec is nil for a delete.
+func (f *File) unpinLogged(p *storage.Page, slot int, rec []byte) {
+	f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
 		if rec != nil {
-			f.bp.DeferHeapInsert(p.ID, uint16(slot), rec)
-		} else {
-			f.bp.DeferHeapDelete(p.ID, uint16(slot))
+			return g.AddHeapInsert(file, uint32(p.ID), uint16(slot), rec)
 		}
-		f.bp.UnpinDeferredOp(p)
-		return nil
-	}
-	var lsn wal.LSN
-	var err error
-	if rec != nil {
-		lsn, err = w.AppendHeapInsert(name, uint32(p.ID), uint16(slot), rec)
-	} else {
-		lsn, err = w.AppendHeapDelete(name, uint32(p.ID), uint16(slot))
-	}
-	if err != nil {
-		f.bp.Unpin(p, true)
-		return err
-	}
-	storage.SetPageLSN(p.Data, uint64(lsn))
-	f.bp.UnpinLSN(p, lsn)
-	return nil
-}
-
-// unpinBatchLogged releases a data page after a batch insert of recs at
-// slots — the batch twin of unpinLogged, covering the whole page-worth
-// of tuples with one log record.
-func (f *File) unpinBatchLogged(p *storage.Page, slots []uint16, recs [][]byte) error {
-	w, name := f.bp.WAL()
-	if w == nil {
-		f.bp.Unpin(p, true)
-		return nil
-	}
-	if w.CommittedLSN() > 0 {
-		f.bp.DeferHeapBatchInsert(p.ID, slots, recs)
-		f.bp.UnpinDeferredOp(p)
-		return nil
-	}
-	lsn, err := w.AppendHeapBatchInsert(name, uint32(p.ID), slots, recs)
-	if err != nil {
-		f.bp.Unpin(p, true)
-		return err
-	}
-	storage.SetPageLSN(p.Data, uint64(lsn))
-	f.bp.UnpinLSN(p, lsn)
-	return nil
+		return g.AddHeapDelete(file, uint32(p.ID), uint16(slot))
+	})
 }
 
 // Insert appends payload as a frozen tuple (xmin 0, visible to every
@@ -271,9 +223,7 @@ func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
 		}
 		if slot, ok := storage.SlotInsert(p.Data, rec); ok {
 			rid := RID{Page: p.ID, Slot: uint16(slot)}
-			if err := f.unpinLogged(p, slot, rec); err != nil {
-				return InvalidRID, err
-			}
+			f.unpinLogged(p, slot, rec)
 			f.count++
 			return rid, f.saveMeta()
 		}
@@ -291,9 +241,7 @@ func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
 	}
 	rid := RID{Page: p.ID, Slot: uint16(slot)}
 	f.lastPage = p.ID
-	if err := f.unpinLogged(p, slot, rec); err != nil {
-		return InvalidRID, err
-	}
+	f.unpinLogged(p, slot, rec)
 	f.count++
 	return rid, f.saveMeta()
 }
@@ -360,9 +308,11 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 			continue
 		}
 		f.count += int64(len(slots))
-		if err := f.unpinBatchLogged(p, slots, placed); err != nil {
-			return rids, err
-		}
+		// One batch record covers the whole page-worth of tuples,
+		// deferred like unpinLogged's.
+		f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+			return g.AddHeapBatchInsert(file, uint32(p.ID), slots, placed)
+		})
 	}
 	return rids, f.saveMeta()
 }
@@ -407,8 +357,7 @@ const (
 
 // setHeader rewrites part of the version header of the record at rid in
 // place and logs it. Mutating a non-existent record is a no-op, like
-// Delete. Logging follows unpinLogged's discipline: deferred under a
-// marker-bearing log, eager otherwise.
+// Delete. Logging follows unpinLogged's discipline.
 func (f *File) setHeader(rid RID, op headerOp, xid uint64) error {
 	if !rid.Valid() || uint32(rid.Page) >= f.NumPages() {
 		return nil
@@ -431,38 +380,16 @@ func (f *File) setHeader(rid RID, op headerOp, xid uint64) error {
 		binary.LittleEndian.PutUint16(rec[16:],
 			binary.LittleEndian.Uint16(rec[16:])|FlagXminAborted)
 	}
-	w, name := f.bp.WAL()
-	if w == nil {
-		f.bp.Unpin(p, true)
-		return nil
-	}
-	if w.CommittedLSN() > 0 {
+	f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
 		switch op {
 		case opSetXmax:
-			f.bp.DeferHeapSetXmax(p.ID, rid.Slot, xid)
+			return g.AddHeapSetXmax(file, uint32(p.ID), rid.Slot, xid)
 		case opClearXmax:
-			f.bp.DeferHeapClearXmax(p.ID, rid.Slot)
-		case opMarkAborted:
-			f.bp.DeferHeapMarkAborted(p.ID, rid.Slot)
+			return g.AddHeapClearXmax(file, uint32(p.ID), rid.Slot)
+		default:
+			return g.AddHeapMarkAborted(file, uint32(p.ID), rid.Slot)
 		}
-		f.bp.UnpinDeferredOp(p)
-		return nil
-	}
-	var lsn wal.LSN
-	switch op {
-	case opSetXmax:
-		lsn, err = w.AppendHeapSetXmax(name, uint32(p.ID), rid.Slot, xid)
-	case opClearXmax:
-		lsn, err = w.AppendHeapClearXmax(name, uint32(p.ID), rid.Slot)
-	case opMarkAborted:
-		lsn, err = w.AppendHeapMarkAborted(name, uint32(p.ID), rid.Slot)
-	}
-	if err != nil {
-		f.bp.Unpin(p, true)
-		return err
-	}
-	storage.SetPageLSN(p.Data, uint64(lsn))
-	f.bp.UnpinLSN(p, lsn)
+	})
 	return nil
 }
 
@@ -495,9 +422,7 @@ func (f *File) Delete(rid RID) error {
 		return nil
 	}
 	storage.SlotDelete(p.Data, int(rid.Slot))
-	if err := f.unpinLogged(p, int(rid.Slot), nil); err != nil {
-		return err
-	}
+	f.unpinLogged(p, int(rid.Slot), nil)
 	f.count--
 	return f.saveMeta()
 }

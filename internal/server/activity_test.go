@@ -28,6 +28,13 @@ func TestServerActivityVerb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Dial returns once the kernel has accepted the connection; the
+	// server registers the session only when its accept loop has run,
+	// and the protocol has no greeting to wait for. One round trip on b
+	// proves its session exists before a counts.
+	if _, err := b.Activity(); err != nil {
+		t.Fatal(err)
+	}
 
 	snap, err := a.Activity()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/storage"
 )
 
 // waitCount sums the observations so far of the given wait events.
@@ -92,7 +93,10 @@ func TestActivityCostsNoGoroutineLookups(t *testing.T) {
 // reads take milliseconds, a second connection's ACTIVITY scrape catches
 // the reading session waiting on the page read.
 func TestSlowReadsShowLiveInActivity(t *testing.T) {
-	_, addr, reader := lookupFixture(t, executor.Options{PoolPages: 16, DiskReadLatency: 5 * time.Millisecond})
+	slow := func(_ string, dm storage.DiskManager) storage.DiskManager {
+		return storage.WithLatency(dm, 5*time.Millisecond, 0)
+	}
+	_, addr, reader := lookupFixture(t, executor.Options{PoolPages: 16, DiskFaults: slow})
 	scraper, err := server.Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -87,11 +87,13 @@ const minFramesPerShard = 16
 // re-pinned.
 //
 // When a write-ahead log is attached (AttachWAL), the pool becomes the
-// WAL integration point for every structure built on it: each dirty
-// unpin appends a page-image record (unless the caller already covered
-// the mutation with a logical record via UnpinLSN), and no dirty frame
-// is written back to disk before the log is durable up to that frame's
-// latest record — the WAL-before-data rule.
+// WAL integration point for every structure built on it, with one
+// logging discipline: everything is deferred to the statement's commit
+// point. A dirty unpin marks the frame for a page image (Unpin) or
+// stages the logical record its caller built (UnpinDeferred);
+// StagePending hands both to the committer's record group, and no dirty
+// frame is written back to disk before the log is durable up to that
+// frame's latest record — the WAL-before-data rule.
 type BufferPool struct {
 	dm     DiskManager
 	shards []poolShard
@@ -113,24 +115,21 @@ type BufferPool struct {
 	waits  *obs.WaitSet
 	waitIO obs.WaitEvent // miss-read classification (heap/index/catalog)
 
-	// ops holds the statement's deferred logical records (heap inserts,
-	// deletes, batch inserts): instead of appending to the log during
-	// execution — where records of concurrent statements on other
-	// tables would interleave with them — they are staged here and
+	// ops holds the statement's deferred logical records, already
+	// encoded by their owner (UnpinDeferred): instead of appending to the
+	// log during execution — where records of concurrent statements on
+	// other tables would interleave with them — they are staged here and
 	// appended contiguously, together with the statement's commit
-	// marker, by StagePending/AppendGroupCommit. The frames they cover
-	// carry opPending and are unevictable until ResolvePending assigns
-	// their LSNs. Statements on one pool are externally serialized (the
-	// executor's per-table writer lock); opsMu only orders the slice
-	// against FlushAll and Crash.
-	opsMu sync.Mutex
-	ops   []deferredOp
-
-	// serialColdReads restores the pre-in-flight-table miss path: the
-	// disk read happens under the shard mutex, so same-shard misses
-	// serialize. Kept as the A/B baseline for the cold-cache benchmark;
-	// set before the pool is shared.
-	serialColdReads bool
+	// marker, by StagePending/AppendGroupCommit. The pool never looks
+	// inside a record; opPages names, per record (as an index into ops),
+	// the page it covers. Those frames carry opPending and are
+	// unevictable until ResolvePending assigns their LSNs. Statements on
+	// one pool are externally serialized (the executor's per-table
+	// writer lock); opsMu only orders the pair against FlushAll and
+	// Crash.
+	opsMu   sync.Mutex
+	ops     *wal.Group
+	opPages []Staged
 
 	// pf/readahead connect the pool to a shared prefetcher (AttachPrefetcher,
 	// before the pool is shared; nil disables prefetch). prefetchActive
@@ -165,18 +164,6 @@ type inflightRead struct {
 	fi      int
 	waiters int32 // registered before publish, under the shard mutex
 	err     error
-}
-
-// deferredOp is one staged logical record. rec/slots/recs are retained
-// until the statement commits; callers pass freshly allocated slices.
-type deferredOp struct {
-	typ   wal.RecordType
-	page  PageID
-	slot  uint16
-	rec   []byte   // RecHeapInsert
-	slots []uint16 // RecHeapBatchInsert
-	recs  [][]byte // RecHeapBatchInsert
-	xid   uint64   // RecHeapSetXmax
 }
 
 // walAttachment pairs the log writer with the file name used in WAL
@@ -327,7 +314,18 @@ func (bp *BufferPool) NumShards() int { return len(bp.shards) }
 // AttachWAL enables write-ahead logging for this pool. fileName is the
 // name under which this pool's pages appear in log records (the data
 // file's base name). Must be called before the pool is used.
+//
+// The log must already hold a statement boundary — a commit or
+// checkpoint marker; executor.Open plants one in a fresh log before it
+// creates its first pool. Every record this pool produces is deferred
+// to its statement's marker, and both the no-steal rule and recovery's
+// uncommitted-tail discard are positional (relative to the last
+// marker), so on a marker-less log neither would protect the first
+// statement. Attaching to one is a caller bug and panics.
 func (bp *BufferPool) AttachWAL(w *wal.Writer, fileName string) {
+	if w.CommittedLSN() == 0 {
+		panic("storage: AttachWAL on a log with no commit or checkpoint marker")
+	}
 	bp.walRef.Store(&walAttachment{w: w, file: fileName})
 }
 
@@ -481,11 +479,6 @@ func (bp *BufferPool) VerifyPage(id PageID, scratch []byte) error {
 	return bp.readPageRetry(id, scratch, bp.waitIO)
 }
 
-// SetSerialColdReads toggles the legacy miss path that performs the disk
-// read while holding the shard mutex (serializing same-shard misses).
-// Benchmark baseline only; call before the pool is shared.
-func (bp *BufferPool) SetSerialColdReads(on bool) { bp.serialColdReads = on }
-
 // Prefetch asks the attached prefetcher to pull a page into the pool in
 // the background. It never blocks: with no prefetcher attached, the pool
 // closing, the page unallocated, or the prefetch queue full, it simply
@@ -514,8 +507,7 @@ func (bp *BufferPool) lockShard(sh *poolShard) {
 }
 
 // WAL returns the attached log writer and record file name (nil, "" when
-// logging is disabled). Structures that log logical records instead of
-// page images (the heap) reach the writer through this.
+// logging is disabled).
 func (bp *BufferPool) WAL() (*wal.Writer, string) {
 	if a := bp.walRef.Load(); a != nil {
 		return a.w, a.file
@@ -559,22 +551,125 @@ func (bp *BufferPool) ResetStats() {
 	}
 }
 
-// Fetch pins the page with the given id, reading it from disk on a miss.
+// claimLocked resolves page id to a frame of sh, the first step of
+// Fetch, prefetchOne and NewPage alike. Exactly one outcome holds:
+// resident — fi is the frame already caching id (no pin taken); e != nil
+// — a read of id is in flight; err != nil — every frame is pinned or
+// uncommitted; otherwise fi is a victim frame now claimed for id: pinned
+// once and invalid, so the evictor skips it and nothing reaches it
+// through the table until publishLocked.
 //
-// The miss path is a singleflight per PageID over the shard's in-flight
-// table: the first fetch claims a victim frame (pinned, invalid — the
-// evictor skips it), publishes an "I/O pending" entry, and reads the
-// page with the shard mutex released, so misses on different pages of
-// the same shard overlap their disk reads. Concurrent fetches of the
-// same page register as waiters on the entry and park on its channel —
-// exactly one disk read happens however many sessions miss together —
-// counting as misses (Hits+Misses == Accesses) and as InflightJoins.
+// "Shard exhausted" can be transient: concurrent misses each claim a
+// frame for the duration of their read, so a small shard under a miss
+// burst may have every frame pinned by reads about to complete. With
+// wait set, claimLocked waits for any in-flight read to publish and
+// retries from the top (the page itself may have arrived meanwhile);
+// with no reads in flight the exhaustion is real. Caller holds sh.mu,
+// which is released only around that wait.
+func (bp *BufferPool) claimLocked(sh *poolShard, id PageID, wait bool) (fi int, resident bool, e *inflightRead, err error) {
+	for {
+		if cached, ok := sh.table[id]; ok {
+			return cached, true, nil, nil
+		}
+		if pending, ok := sh.inflight[id]; ok {
+			return 0, false, pending, nil
+		}
+		if fi, err = bp.victimLocked(sh); err == nil {
+			f := &sh.frames[fi]
+			f.id = id
+			f.valid = false
+			f.pin.Store(1)
+			return fi, false, nil, nil
+		}
+		done := sh.anyInflightDone()
+		if done == nil || !wait {
+			return 0, false, nil, err
+		}
+		sh.mu.Unlock()
+		iw := bp.waits.Begin(bp.waitIO)
+		<-done
+		bp.waits.End(iw)
+		bp.lockShard(sh)
+	}
+}
+
+// publishLocked makes frame fi — claimed by claimLocked, or resident and
+// being taken over by NewPage — the cached copy of page id. Every
+// per-residency field is reset, so a frame carries no WAL horizon, pending
+// flag or dirt over from the page it held before; the caller has already
+// stored the pin count the frame becomes reachable with. Caller holds
+// sh.mu.
+func (sh *poolShard) publishLocked(fi int, id PageID) *frame {
+	f := &sh.frames[fi]
+	f.id = id
+	f.dirty = false
+	f.ref.Store(true)
+	f.lsn = 0
+	f.imagedLSN = 0
+	f.imagePending = false
+	f.opPending = false
+	f.prefetched = false
+	f.valid = true
+	sh.table[id] = fi
+	return f
+}
+
+// readClaimedLocked fills the frame claimLocked handed out with page id
+// from disk and publishes it — the miss path shared by demand fetches
+// and the prefetcher. The read is a singleflight per PageID over the
+// shard's in-flight table: an "I/O pending" entry is published and the
+// shard mutex released for the read, so misses on different pages of one
+// shard overlap their disk reads, while fetches of the same page
+// register as waiters on the entry and park on its channel — exactly one
+// disk read happens however many sessions miss together.
+//
+// A demand read keeps one pin for its caller, is charged to the pool's
+// I/O wait event (transient errors retry with backoff; the bytes are
+// checksum-verified) and — when the statement above armed a tracer —
+// recorded as a page_read span on its timeline; a prefetch read keeps no
+// pin and is charged to io_prefetch. It returns how many fetches joined
+// mid-read. Called with sh.mu held, and returns with it held.
+func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand bool) (joined int32, err error) {
+	f := &sh.frames[fi]
+	e := &inflightRead{done: make(chan struct{}), fi: fi}
+	sh.inflight[id] = e
+	sh.mu.Unlock()
+	ev, pins := obs.WaitIOPrefetch, int32(0)
+	var sp obs.SpanMark
+	if demand {
+		ev, pins = bp.waitIO, 1
+		sp = obs.Current().StartSpan("page_read", "io")
+	}
+	err = bp.readPageRetry(id, f.data, ev)
+	sp.End()
+	bp.lockShard(sh)
+	delete(sh.inflight, id)
+	if err != nil {
+		e.err = err
+		f.pin.Store(0) // still invalid: free for the next claim
+	} else {
+		// One store grants the reader's pin plus every waiter's before
+		// the frame becomes reachable through the table, so no waiter
+		// can find its page evicted underneath it.
+		f.pin.Store(pins + e.waiters)
+		sh.publishLocked(fi, id)
+	}
+	close(e.done)
+	return e.waiters, err
+}
+
+// Fetch pins the page with the given id, reading it from disk on a miss
+// (readClaimedLocked). A fetch that finds its page's read already in
+// flight waits on it instead of issuing a second one, counting as a miss
+// (Hits+Misses == Accesses) and as an InflightJoin.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	si := bp.shardOf(id)
 	sh := &bp.shards[si]
 	bp.lockShard(sh)
 	sh.accesses++
-	if fi, ok := sh.table[id]; ok {
+	fi, resident, e, err := bp.claimLocked(sh, id, true)
+	switch {
+	case resident:
 		sh.hits++
 		f := &sh.frames[fi]
 		if f.prefetched {
@@ -583,140 +678,34 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		}
 		f.pin.Add(1)
 		f.ref.Store(true)
-		sh.mu.Unlock()
-		return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
-	}
-	if bp.serialColdReads {
+	case e != nil:
 		sh.misses++
-		return bp.fetchSerialLocked(sh, si, id)
-	}
-	var fi int
-	for {
-		if e, ok := sh.inflight[id]; ok {
-			sh.misses++
-			sh.inflightJoins++
-			e.waiters++
-			sh.mu.Unlock()
-			// Park on the in-flight read; the publisher granted this pin
-			// before closing done. Waiting on someone else's read is
-			// still I/O wait from this session's point of view.
-			iw := bp.waits.Begin(bp.waitIO)
-			<-e.done
-			bp.waits.End(iw)
-			if e.err != nil {
-				return nil, e.err
-			}
-			f := &sh.frames[e.fi]
-			return &Page{ID: id, Data: f.data, shard: si, frame: e.fi}, nil
-		}
-		var err error
-		if fi, err = bp.victimLocked(sh); err == nil {
-			sh.misses++
-			break
-		}
-		// "Shard exhausted" can be transient now: concurrent misses each
-		// claim a frame for the duration of their read, so a small shard
-		// under a miss burst may have every frame pinned by reads about
-		// to complete. Wait for any in-flight read to publish, then
-		// retry from the top (our page may even have arrived meanwhile —
-		// the hit check below reruns first). With no reads in flight the
-		// exhaustion is real (all frames pinned or uncommitted).
-		if done := sh.anyInflightDone(); done != nil {
-			sh.mu.Unlock()
-			iw := bp.waits.Begin(bp.waitIO)
-			<-done
-			bp.waits.End(iw)
-			bp.lockShard(sh)
-			if pfi, ok := sh.table[id]; ok {
-				sh.hits++
-				f := &sh.frames[pfi]
-				if f.prefetched {
-					f.prefetched = false
-					sh.prefetchHits++
-				}
-				f.pin.Add(1)
-				f.ref.Store(true)
-				sh.mu.Unlock()
-				return &Page{ID: id, Data: f.data, shard: si, frame: pfi}, nil
-			}
-			continue
-		}
+		sh.inflightJoins++
+		e.waiters++
 		sh.mu.Unlock()
-		return nil, err
+		// Park on the in-flight read; the publisher granted this pin
+		// before closing done. Waiting on someone else's read is still
+		// I/O wait from this session's point of view.
+		iw := bp.waits.Begin(bp.waitIO)
+		<-e.done
+		bp.waits.End(iw)
+		if e.err != nil {
+			return nil, e.err
+		}
+		return &Page{ID: id, Data: sh.frames[e.fi].data, shard: si, frame: e.fi}, nil
+	default:
+		// A real miss — counted even when no frame could be claimed, so
+		// the Hits+Misses == Accesses identity survives the error.
+		sh.misses++
+		if err == nil {
+			_, err = bp.readClaimedLocked(sh, fi, id, true)
+		}
 	}
-	f := &sh.frames[fi]
-	f.id = id
-	f.valid = false // reachable only through the in-flight entry
-	f.pin.Store(1)
-	e := &inflightRead{done: make(chan struct{}), fi: fi}
-	sh.inflight[id] = e
 	sh.mu.Unlock()
-	// The disk read proceeds without the shard mutex. It is charged to
-	// the pool's I/O wait event, and — when the statement above armed a
-	// tracer — recorded as a page_read span on its timeline. Transient
-	// errors retry with backoff; the bytes are checksum-verified.
-	sp := obs.Current().StartSpan("page_read", "io")
-	rerr := bp.readPageRetry(id, f.data, bp.waitIO)
-	sp.End()
-	bp.lockShard(sh)
-	delete(sh.inflight, id)
-	if rerr != nil {
-		e.err = rerr
-		f.pin.Store(0)
-		f.valid = false
-		close(e.done)
-		sh.mu.Unlock()
-		return nil, rerr
-	}
-	f.dirty = false
-	f.ref.Store(true)
-	f.lsn = 0
-	f.imagedLSN = 0
-	f.imagePending = false
-	f.opPending = false
-	f.prefetched = false
-	// One store grants the claimer's pin plus every waiter's before the
-	// frame becomes reachable through the table, so no waiter can find
-	// its page evicted underneath it.
-	f.pin.Store(1 + e.waiters)
-	f.valid = true
-	sh.table[id] = fi
-	close(e.done)
-	sh.mu.Unlock()
-	return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
-}
-
-// fetchSerialLocked is the legacy miss path: the disk read happens under
-// the shard mutex, so misses on pages of the same shard serialize.
-// Reached only with SetSerialColdReads(true); kept as the measured
-// baseline the in-flight table is compared against. Caller holds sh.mu
-// and has already counted the miss; always unlocks before returning.
-func (bp *BufferPool) fetchSerialLocked(sh *poolShard, si int, id PageID) (*Page, error) {
-	defer sh.mu.Unlock()
-	fi, err := bp.victimLocked(sh)
 	if err != nil {
 		return nil, err
 	}
-	f := &sh.frames[fi]
-	sp := obs.Current().StartSpan("page_read", "io")
-	rerr := bp.readPageRetry(id, f.data, bp.waitIO)
-	sp.End()
-	if rerr != nil {
-		f.valid = false
-		return nil, rerr
-	}
-	f.id = id
-	f.pin.Store(1)
-	f.dirty = false
-	f.ref.Store(true)
-	f.valid = true
-	f.lsn = 0
-	f.imagedLSN = 0
-	f.imagePending = false
-	f.opPending = false
-	f.prefetched = false
-	sh.table[id] = fi
-	return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
+	return &Page{ID: id, Data: sh.frames[fi].data, shard: si, frame: fi}, nil
 }
 
 // prefetchOne is the prefetch worker's entry point: pull id into the
@@ -731,60 +720,28 @@ func (bp *BufferPool) prefetchOne(id PageID) {
 	if bp.closed.Load() {
 		return
 	}
-	si := bp.shardOf(id)
-	sh := &bp.shards[si]
+	sh := &bp.shards[bp.shardOf(id)]
 	bp.lockShard(sh)
-	if _, ok := sh.table[id]; ok {
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	fi, resident, e, err := bp.claimLocked(sh, id, false)
+	if resident || e != nil || err != nil {
+		// Present, in flight, or every frame pinned or uncommitted:
+		// skip, demand will retry.
 		return
 	}
-	if _, ok := sh.inflight[id]; ok {
-		sh.mu.Unlock()
-		return
-	}
-	fi, err := bp.victimLocked(sh)
-	if err != nil {
-		// Every frame pinned or uncommitted: skip, demand will retry.
-		sh.mu.Unlock()
-		return
-	}
-	f := &sh.frames[fi]
-	f.id = id
-	f.valid = false
-	f.pin.Store(1) // claim: unevictable while the read is in flight
-	e := &inflightRead{done: make(chan struct{}), fi: fi}
-	sh.inflight[id] = e
 	sh.prefetchReads++
-	sh.mu.Unlock()
-	rerr := bp.readPageRetry(id, f.data, obs.WaitIOPrefetch)
-	bp.lockShard(sh)
-	delete(sh.inflight, id)
-	if rerr != nil {
-		e.err = rerr
-		f.pin.Store(0)
-		f.valid = false
-		close(e.done)
-		sh.mu.Unlock()
+	joined, err := bp.readClaimedLocked(sh, fi, id, false)
+	if err != nil {
 		return
 	}
-	f.dirty = false
-	f.ref.Store(true)
-	f.lsn = 0
-	f.imagedLSN = 0
-	f.imagePending = false
-	f.opPending = false
 	// A demand fetch that joined mid-read is a prefetch hit: the read
 	// overlapped useful work. Otherwise the frame waits, flagged, for
 	// the scan to reach it (hit) or the clock to reclaim it (wasted).
-	f.prefetched = e.waiters == 0
-	if e.waiters > 0 {
+	if joined > 0 {
 		sh.prefetchHits++
+	} else {
+		sh.frames[fi].prefetched = true
 	}
-	f.pin.Store(e.waiters)
-	f.valid = true
-	sh.table[id] = fi
-	close(e.done)
-	sh.mu.Unlock()
 }
 
 // NewPage allocates a fresh zeroed page on disk and returns it pinned.
@@ -800,62 +757,40 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	sh.accesses++
 	sh.misses++
 	var fi int
+	var resident bool
 	for {
 		// A concurrent scan's readahead can prefetch the just-allocated
 		// page (AllocatePage zero-fills it on disk before returning, so
 		// the race is visible through NumPages). Defuse rather than
 		// double-buffer: wait out an in-flight read of our id, then take
 		// over the published frame.
-		if pfi, ok := sh.table[id]; ok {
-			fi = pfi
-			f := &sh.frames[fi]
-			f.prefetched = false
-			f.pin.Add(1)
+		var e *inflightRead
+		if fi, resident, e, err = bp.claimLocked(sh, id, true); err != nil {
+			return nil, err
+		}
+		if e == nil {
 			break
 		}
-		if e, ok := sh.inflight[id]; ok {
-			sh.mu.Unlock()
-			<-e.done
-			bp.lockShard(sh)
-			continue
-		}
-		var err error
-		if fi, err = bp.victimLocked(sh); err == nil {
-			sh.frames[fi].pin.Store(1)
-			break
-		}
-		// Transient exhaustion: every frame claimed by in-flight reads.
-		// Wait for one to publish and retry (see Fetch).
-		if done := sh.anyInflightDone(); done != nil {
-			sh.mu.Unlock()
-			iw := bp.waits.Begin(bp.waitIO)
-			<-done
-			bp.waits.End(iw)
-			bp.lockShard(sh)
-			continue
-		}
-		return nil, err
+		sh.mu.Unlock()
+		<-e.done
+		bp.lockShard(sh)
 	}
-	f := &sh.frames[fi]
+	if resident {
+		sh.frames[fi].pin.Add(1)
+	}
+	f := sh.publishLocked(fi, id)
 	for i := range f.data {
 		f.data[i] = 0
 	}
-	f.id = id
 	f.dirty = true // must reach disk even if never modified again
-	f.ref.Store(true)
-	f.valid = true
-	f.lsn = 0
-	f.imagedLSN = 0
-	f.imagePending = false
-	f.opPending = false
-	f.prefetched = false
-	sh.table[id] = fi
 	return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
 }
 
 // Unpin releases one pin on p. dirty marks the frame as modified; with a
-// WAL attached, a dirty unpin also logs a page-image record so the
-// mutation can be redone after a crash.
+// WAL attached, a dirty unpin also schedules a page-image record for the
+// statement's commit point (StagePending), so the mutation can be redone
+// after a crash and a page dirtied N times within one statement is
+// imaged once. The no-steal rule keeps the frame in memory meanwhile.
 //
 // A clean unpin is lock-free: it validates, sets the reference bit, and
 // decrements the atomic pin count. The frame cannot be evicted (its id,
@@ -874,104 +809,41 @@ func (bp *BufferPool) Unpin(p *Page, dirty bool) {
 	defer sh.mu.Unlock()
 	f := bp.unpinLocked(sh, p)
 	f.dirty = true
-	w, walFile := bp.WAL()
-	switch {
-	case w == nil:
-	case w.CommittedLSN() > 0:
-		// Statement boundaries exist: defer the image to the commit
-		// point (LogPendingImages), so repeated dirtying of one
-		// page within a statement logs a single image. The no-steal
-		// rule keeps the frame in memory meanwhile.
-		if !f.imagePending {
-			f.imagePending = true
-			sh.pending++
-		}
-	default:
-		// Raw log without statement boundaries: log eagerly.
-		// Append errors are sticky in the writer; the next
-		// WAL-before-data sync surfaces them, so the failed LSN
-		// does not need to be tracked here.
-		if lsn, err := w.AppendPageImage(walFile, uint32(p.ID), f.data); err == nil {
-			f.lsn = lsn
-		}
+	if bp.walRef.Load() != nil && !f.imagePending {
+		f.imagePending = true
+		sh.pending++
 	}
 }
 
-// UnpinLSN releases one pin on p, marking it dirty, for a mutation that
-// the caller already covered with a logical WAL record at lsn. No page
-// image is logged; the frame's WAL-before-data horizon advances to lsn.
-func (bp *BufferPool) UnpinLSN(p *Page, lsn wal.LSN) {
-	sh := &bp.shards[p.shard]
-	bp.lockShard(sh)
-	defer sh.mu.Unlock()
-	f := bp.unpinLocked(sh, p)
-	f.dirty = true
-	if lsn > f.lsn {
-		f.lsn = lsn
+// UnpinDeferred releases one pin on p, marking it dirty and covered by a
+// logical record instead of a page image — the one deferral entry point
+// for every access method that owns its log records. build stages the
+// record in the pool's pending group with the typed wal.Group builder of
+// its choice (it receives the group and the name this pool's pages carry
+// in log records) and returns the index the builder gave it; the pool
+// remembers only that some record covers page p. The record is appended,
+// with the rest of the statement's records and its commit marker, via
+// StagePending, and the frame stays unevictable until ResolvePending
+// assigns the record's LSN. With no WAL attached there is nothing to
+// build: it is a plain dirty unpin.
+func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file string) int) {
+	a := bp.walRef.Load()
+	if a == nil {
+		bp.Unpin(p, true)
+		return
 	}
-}
-
-// UnpinDeferredOp releases one pin on p, marking it dirty and covered by
-// a deferred logical record the caller just staged with DeferHeapInsert/
-// DeferHeapDelete/DeferHeapBatchInsert. The frame stays unevictable
-// until ResolvePending assigns the record's LSN at the commit point.
-func (bp *BufferPool) UnpinDeferredOp(p *Page) {
+	bp.opsMu.Lock()
+	if bp.ops == nil {
+		bp.ops = wal.NewGroup()
+	}
+	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(bp.ops, a.file)})
+	bp.opsMu.Unlock()
 	sh := &bp.shards[p.shard]
 	bp.lockShard(sh)
 	defer sh.mu.Unlock()
 	f := bp.unpinLocked(sh, p)
 	f.dirty = true
 	f.opPending = true
-}
-
-// DeferHeapInsert stages a logical heap-insert record for the commit
-// point. rec is retained until then; pass a freshly allocated slice.
-// Pair with UnpinDeferredOp on the mutated page.
-func (bp *BufferPool) DeferHeapInsert(page PageID, slot uint16, rec []byte) {
-	bp.opsMu.Lock()
-	bp.ops = append(bp.ops, deferredOp{typ: wal.RecHeapInsert, page: page, slot: slot, rec: rec})
-	bp.opsMu.Unlock()
-}
-
-// DeferHeapDelete stages a logical heap-delete record for the commit
-// point. Pair with UnpinDeferredOp on the mutated page.
-func (bp *BufferPool) DeferHeapDelete(page PageID, slot uint16) {
-	bp.opsMu.Lock()
-	bp.ops = append(bp.ops, deferredOp{typ: wal.RecHeapDelete, page: page, slot: slot})
-	bp.opsMu.Unlock()
-}
-
-// DeferHeapBatchInsert stages one page-worth of heap inserts as a single
-// batch record for the commit point. slots/recs are retained until then.
-// Pair with UnpinDeferredOp on the mutated page.
-func (bp *BufferPool) DeferHeapBatchInsert(page PageID, slots []uint16, recs [][]byte) {
-	bp.opsMu.Lock()
-	bp.ops = append(bp.ops, deferredOp{typ: wal.RecHeapBatchInsert, page: page, slots: slots, recs: recs})
-	bp.opsMu.Unlock()
-}
-
-// DeferHeapSetXmax stages a set-xmax record (MVCC delete) for the commit
-// point. Pair with UnpinDeferredOp on the mutated page.
-func (bp *BufferPool) DeferHeapSetXmax(page PageID, slot uint16, xid uint64) {
-	bp.opsMu.Lock()
-	bp.ops = append(bp.ops, deferredOp{typ: wal.RecHeapSetXmax, page: page, slot: slot, xid: xid})
-	bp.opsMu.Unlock()
-}
-
-// DeferHeapClearXmax stages a clear-xmax record (SetXmax undo) for the
-// commit point. Pair with UnpinDeferredOp on the mutated page.
-func (bp *BufferPool) DeferHeapClearXmax(page PageID, slot uint16) {
-	bp.opsMu.Lock()
-	bp.ops = append(bp.ops, deferredOp{typ: wal.RecHeapClearXmax, page: page, slot: slot})
-	bp.opsMu.Unlock()
-}
-
-// DeferHeapMarkAborted stages a mark-aborted record (insert undo) for the
-// commit point. Pair with UnpinDeferredOp on the mutated page.
-func (bp *BufferPool) DeferHeapMarkAborted(page PageID, slot uint16) {
-	bp.opsMu.Lock()
-	bp.ops = append(bp.ops, deferredOp{typ: wal.RecHeapMarkAborted, page: page, slot: slot})
-	bp.opsMu.Unlock()
 }
 
 // Staged names one record a StagePending call added to a wal.Group: the
@@ -984,7 +856,7 @@ type Staged struct {
 }
 
 // StagePending moves the pool's deferred work — logical records staged
-// by the Defer* calls and the page images of imagePending frames — into
+// by UnpinDeferred and the page images of imagePending frames — into
 // g for one atomic group append. The covered frames keep their pending
 // flags (and stay unevictable) until ResolvePending stamps the assigned
 // LSNs. The caller must serialize StagePending/ResolvePending pairs per
@@ -994,11 +866,8 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 	if w == nil {
 		return nil
 	}
-	bp.opsMu.Lock()
-	ops := bp.ops
-	bp.ops = nil
-	bp.opsMu.Unlock()
-	staged := stageOps(g, file, ops)
+	staged := bp.takeDeferred(g)
+	nOps := len(staged)
 	for si := range bp.shards {
 		sh := &bp.shards[si]
 		sh.mu.Lock()
@@ -1016,11 +885,28 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 		}
 		sh.mu.Unlock()
 	}
-	return bp.stageFullPageImages(g, w, file, ops, staged)
+	return bp.stageFullPageImages(g, w, file, staged, nOps)
 }
 
-// stageFullPageImages appends a full image of each distinct page named
-// by ops whose content is not reconstructible from the surviving log
+// takeDeferred moves the pool's deferred logical records into g and
+// returns what each covers, indexed into g.
+func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
+	bp.opsMu.Lock()
+	ops, staged := bp.ops, bp.opPages
+	bp.ops, bp.opPages = nil, nil
+	bp.opsMu.Unlock()
+	if ops == nil {
+		return nil
+	}
+	base := g.Extend(ops)
+	for i := range staged {
+		staged[i].Index += base
+	}
+	return staged
+}
+
+// stageFullPageImages appends a full image of each distinct page covered
+// by the logical records staged[:nOps] whose content is not reconstructible from the surviving log
 // alone. Torn-page repair reinitializes the page and replays the
 // records that cover it, which only restores everything when the log
 // still reaches back to the page's creation or holds a full image of
@@ -1029,8 +915,8 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 // write (Postgres-style FPW) alongside the logical records. The image
 // is appended after the page's records so replay's last-writer-wins
 // order leaves the image's complete content in place.
-func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file string, ops []deferredOp, staged []Staged) []Staged {
-	if !bp.checksums || len(ops) == 0 {
+func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file string, staged []Staged, nOps int) []Staged {
+	if !bp.checksums || nOps == 0 {
 		return staged
 	}
 	ckpt := w.CheckpointLSN()
@@ -1040,9 +926,9 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file stri
 		// from its RecFileCreate onward.
 		return staged
 	}
-	done := make(map[PageID]bool, len(ops))
-	for _, op := range ops {
-		id := op.page
+	done := make(map[PageID]bool, nOps)
+	for _, op := range staged[:nOps] {
+		id := op.Page
 		if id == 0 || done[id] {
 			continue
 		}
@@ -1067,30 +953,6 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file stri
 		idx := g.AddPageImage(file, uint32(id), f.data)
 		staged = append(staged, Staged{Page: id, Index: idx, Image: true})
 		sh.mu.Unlock()
-	}
-	return staged
-}
-
-// stageOps encodes deferred logical records into g.
-func stageOps(g *wal.Group, file string, ops []deferredOp) []Staged {
-	var staged []Staged
-	for _, op := range ops {
-		var idx int
-		switch op.typ {
-		case wal.RecHeapInsert:
-			idx = g.AddHeapInsert(file, uint32(op.page), op.slot, op.rec)
-		case wal.RecHeapDelete:
-			idx = g.AddHeapDelete(file, uint32(op.page), op.slot)
-		case wal.RecHeapBatchInsert:
-			idx = g.AddHeapBatchInsert(file, uint32(op.page), op.slots, op.recs)
-		case wal.RecHeapSetXmax:
-			idx = g.AddHeapSetXmax(file, uint32(op.page), op.slot, op.xid)
-		case wal.RecHeapClearXmax:
-			idx = g.AddHeapClearXmax(file, uint32(op.page), op.slot)
-		case wal.RecHeapMarkAborted:
-			idx = g.AddHeapMarkAborted(file, uint32(op.page), op.slot)
-		}
-		staged = append(staged, Staged{Page: op.page, Index: idx})
 	}
 	return staged
 }
@@ -1145,16 +1007,12 @@ func (bp *BufferPool) flushDeferredOps() error {
 	if w == nil {
 		return nil
 	}
-	bp.opsMu.Lock()
-	ops := bp.ops
-	bp.ops = nil
-	bp.opsMu.Unlock()
-	if len(ops) == 0 {
+	g := wal.NewGroup()
+	staged := bp.takeDeferred(g)
+	if len(staged) == 0 {
 		return nil
 	}
-	g := wal.NewGroup()
-	staged := stageOps(g, file, ops)
-	staged = bp.stageFullPageImages(g, w, file, ops, staged)
+	staged = bp.stageFullPageImages(g, w, file, staged, len(staged))
 	lsns, err := w.AppendGroup(g)
 	if err != nil {
 		return err
@@ -1192,9 +1050,7 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 	// Writing it in place would require an undo pass at recovery (the
 	// redo log cannot take the row back out of the data file), so such
 	// frames are as unevictable as pinned ones until their statement
-	// commits. committed == 0 means no marker was ever appended — a
-	// raw storage-level log without statement boundaries — and the
-	// rule is off.
+	// commits.
 	w, _ := bp.WAL()
 	committed := wal.LSN(0)
 	if w != nil {
@@ -1214,7 +1070,7 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 		if !f.valid {
 			return i, nil
 		}
-		if f.dirty && (f.imagePending || f.opPending || (committed > 0 && f.lsn > committed)) {
+		if f.dirty && (f.imagePending || f.opPending || f.lsn > committed) {
 			continue
 		}
 		if f.ref.Load() {
@@ -1248,43 +1104,6 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 		return i, nil
 	}
 	return 0, fmt.Errorf("storage: buffer pool shard exhausted (%d frames, all pinned or uncommitted)", n)
-}
-
-// LogPendingImages appends the deferred page-image record of every
-// frame dirtied since the last commit marker. The commit path calls it
-// immediately before appending the marker, so the marker covers the
-// final image of each page the statement touched.
-func (bp *BufferPool) LogPendingImages() error {
-	w, walFile := bp.WAL()
-	if w == nil {
-		return nil
-	}
-	for si := range bp.shards {
-		sh := &bp.shards[si]
-		sh.mu.Lock()
-		if sh.pending == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if !f.valid || !f.imagePending {
-				continue
-			}
-			lsn, err := w.AppendPageImage(walFile, uint32(f.id), f.data)
-			if err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			if lsn > f.lsn {
-				f.lsn = lsn
-			}
-			f.imagePending = false
-			sh.pending--
-		}
-		sh.mu.Unlock()
-	}
-	return nil
 }
 
 // syncWAL enforces WAL-before-data: with a log attached, the log must be
@@ -1388,15 +1207,13 @@ func (bp *BufferPool) WriteBackDirty(max int) (int, error) {
 			if !f.valid || !f.dirty || f.pin.Load() > 0 || f.imagePending || f.opPending {
 				continue
 			}
-			if committed > 0 && f.lsn > committed {
+			if f.lsn > committed {
 				continue // uncommitted state: no-steal applies to us too
 			}
 			// WAL-before-data: the frame's records and its covering
 			// commit marker must be durable before the page is. One
 			// sync per round normally suffices (every candidate's lsn
-			// is at or below the commit horizon); committed == 0 means
-			// a raw log without markers, where each frame syncs to its
-			// own lsn.
+			// is at or below the commit horizon).
 			target := f.lsn
 			if committed > target {
 				target = committed
@@ -1488,7 +1305,7 @@ func (bp *BufferPool) Crash() error {
 		sh.mu.Unlock()
 	}
 	bp.opsMu.Lock()
-	bp.ops = nil
+	bp.ops, bp.opPages = nil, nil
 	bp.opsMu.Unlock()
 	return bp.dm.Close()
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,46 +97,37 @@ func TestSingleflightColdMiss(t *testing.T) {
 
 // TestConcurrentMissesOverlap: misses on *different* pages of one shard
 // must overlap their disk reads. With a 20ms simulated read latency,
-// eight serialized reads would take ≥160ms; overlapped they take a
-// fraction. The serialColdReads baseline path is measured alongside to
-// prove the comparison the benchmark makes is real.
+// eight reads serialized under the shard mutex would take ≥160ms;
+// overlapped they must finish in under half of that.
 func TestConcurrentMissesOverlap(t *testing.T) {
 	const pages = 8
 	const delay = 20 * time.Millisecond
-	run := func(serial bool) time.Duration {
-		dm, _ := asyncTestDisk(t, pages, delay)
-		bp := NewBufferPool(dm, 16) // one shard: every page contends on one mutex
-		bp.SetSerialColdReads(serial)
-		if bp.NumShards() != 1 {
-			t.Fatalf("want 1 shard for this test, got %d", bp.NumShards())
-		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < pages; i++ {
-			wg.Add(1)
-			go func(id PageID) {
-				defer wg.Done()
-				p, err := bp.Fetch(id)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := checkPage(p); err != nil {
-					t.Error(err)
-				}
-				bp.Unpin(p, false)
-			}(PageID(i))
-		}
-		wg.Wait()
-		return time.Since(start)
+	dm, _ := asyncTestDisk(t, pages, delay)
+	bp := NewBufferPool(dm, 16) // one shard: every page contends on one mutex
+	if bp.NumShards() != 1 {
+		t.Fatalf("want 1 shard for this test, got %d", bp.NumShards())
 	}
-	serial := run(true)
-	overlapped := run(false)
-	if serial < time.Duration(pages)*delay {
-		t.Fatalf("serial baseline finished in %v, faster than %d non-overlapping %v reads — test setup broken", serial, pages, delay)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := 0; i < pages; i++ {
+		wg.Add(1)
+		go func(id PageID) {
+			defer wg.Done()
+			p, err := bp.Fetch(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := checkPage(p); err != nil {
+				t.Error(err)
+			}
+			bp.Unpin(p, false)
+		}(PageID(i))
 	}
-	if overlapped >= serial/2 {
-		t.Fatalf("in-flight table gave no overlap: %v vs serial %v", overlapped, serial)
+	wg.Wait()
+	serial := time.Duration(pages) * delay
+	if overlapped := time.Since(start); overlapped >= serial/2 {
+		t.Fatalf("in-flight table gave no overlap: %d reads of %v took %v, serialized would take %v", pages, delay, overlapped, serial)
 	}
 }
 
@@ -145,14 +137,23 @@ func TestConcurrentMissesOverlap(t *testing.T) {
 // must return the right content — a frame stolen mid-read would show up
 // as a page carrying another page's bytes (and -race would flag the
 // unsynchronized access).
+//
+// Every goroutine holds its pin across checkPage, and a pool cannot hand
+// out more pins than it has frames: with all four frames pinned by
+// preempted goroutines and no read in flight, a fifth Fetch correctly
+// fails with "shard exhausted". So the pinners — not the goroutines, not
+// the pages — are bounded by the frame count; the other goroutines queue
+// on the semaphore and keep the four slots permanently contended.
 func TestEvictionVsInflightInterleaving(t *testing.T) {
 	const (
 		pages      = 20
 		goroutines = 8
 		iters      = 150
+		frames     = 4
 	)
 	dm, _ := asyncTestDisk(t, pages, 100*time.Microsecond)
-	bp := NewBufferPool(dm, 4) // 4 frames, 1 shard: maximum eviction pressure
+	bp := NewBufferPool(dm, frames) // 4 frames, 1 shard: maximum eviction pressure
+	pinners := make(chan struct{}, frames)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -162,16 +163,17 @@ func TestEvictionVsInflightInterleaving(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				x = x*1664525 + 1013904223
 				id := PageID(x % pages)
+				pinners <- struct{}{}
 				p, err := bp.Fetch(id)
+				if err == nil {
+					err = checkPage(p)
+					bp.Unpin(p, false)
+				}
+				<-pinners
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := checkPage(p); err != nil {
-					t.Error(err)
-					return
-				}
-				bp.Unpin(p, false)
 			}
 		}(g)
 	}
@@ -185,34 +187,48 @@ func TestEvictionVsInflightInterleaving(t *testing.T) {
 	}
 }
 
+// TestExhaustedFetchCountsAMiss: a Fetch that fails because every frame
+// is pinned and no read is in flight is still an access that did not
+// hit, so it must count as a miss — Hits+Misses == Accesses is the
+// identity Stats documents and hit ratios divide by.
+func TestExhaustedFetchCountsAMiss(t *testing.T) {
+	dm, _ := asyncTestDisk(t, 5, 0)
+	bp := NewBufferPool(dm, 4)
+	for id := PageID(0); id < 4; id++ {
+		p, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bp.Unpin(p, false)
+	}
+	if _, err := bp.Fetch(4); err == nil || !strings.Contains(err.Error(), "shard exhausted") {
+		t.Fatalf("fetch with all 4 frames pinned: err = %v, want shard exhausted", err)
+	}
+	st := bp.Stats()
+	if st.Accesses != 5 || st.Hits+st.Misses != st.Accesses {
+		t.Fatalf("hits(%d)+misses(%d) != accesses(%d), want 5 accesses", st.Hits, st.Misses, st.Accesses)
+	}
+}
+
 // TestBGWriterWALBeforeData: the background writer must never write a
 // page whose WAL records are not durable — neither an uncommitted frame
 // (skipped outright under no-steal) nor a committed one before its
 // records and commit marker are synced.
 func TestBGWriterWALBeforeData(t *testing.T) {
-	w, err := wal.OpenWriter(t.TempDir(), wal.Options{Mode: wal.SyncLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	mem := NewMem(256)
 	bp := NewBufferPool(mem, 8)
 	bp.AttachWAL(w, "t.tbl")
-	if _, err := w.AppendCommit(); err != nil { // statement boundaries exist
-		t.Fatal(err)
-	}
 
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Data[0] = 7
-	lsn, err := w.AppendHeapInsert("t.tbl", uint32(p.ID), 0, []byte("u"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp.UnpinLSN(p, lsn)
-	mem.Stats().Reset() // drop the allocation's zero-fill write
+	unpinInsert(bp, p, 0, []byte("u"))
+	logPending(t, bp, w, false) // the record is logged, its marker is not
+	mem.Stats().Reset()         // drop the allocation's zero-fill write
 
 	// Uncommitted: the frame's record is past the last marker, so a
 	// round must write nothing at all.

@@ -259,14 +259,68 @@ func TestSlotInsertAt(t *testing.T) {
 	}
 }
 
+// openMarkedWAL opens a log in dir and plants its first commit marker —
+// the precondition of AttachWAL that executor.Open guarantees.
+func openMarkedWAL(t *testing.T, dir string, opts wal.Options) *wal.Writer {
+	t.Helper()
+	w, err := wal.OpenWriter(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendCommit(); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// unpinInsert releases p the way the heap does after an insert: dirty,
+// covered by a deferred logical record.
+func unpinInsert(bp *BufferPool, p *Page, slot uint16, rec []byte) {
+	bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddHeapInsert(file, uint32(p.ID), slot, rec)
+	})
+}
+
+// logPending appends bp's deferred records and page images the way the
+// executor's commit path does — StagePending, one group append,
+// ResolvePending — and returns the records' LSNs. Without commit the
+// group carries no marker: a statement whose records reached the log but
+// whose boundary did not.
+func logPending(t *testing.T, bp *BufferPool, w *wal.Writer, commit bool) []wal.LSN {
+	t.Helper()
+	g := wal.NewGroup()
+	staged := bp.StagePending(g)
+	var lsns []wal.LSN
+	var err error
+	if commit {
+		lsns, _, err = w.AppendGroupCommit(g)
+	} else {
+		lsns, err = w.AppendGroup(g)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.ResolvePending(staged, lsns)
+	return lsns
+}
+
+// appendHeapInsert appends one heap-insert record straight to the log.
+func appendHeapInsert(t *testing.T, w *wal.Writer, file string, page uint32, slot uint16, rec []byte) wal.LSN {
+	t.Helper()
+	g := wal.NewGroup()
+	g.AddHeapInsert(file, page, slot, rec)
+	lsns, err := w.AppendGroup(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lsns[0]
+}
+
 // TestWALBeforeData checks the invariant the whole recovery design rests
 // on: a dirty page may not be written back unless the log is durable up
 // to that page's latest record.
 func TestWALBeforeData(t *testing.T) {
-	w, err := wal.OpenWriter(t.TempDir(), wal.Options{Mode: wal.SyncLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	dm := NewMem(256)
 	bp := NewBufferPool(dm, 4)
@@ -277,11 +331,12 @@ func TestWALBeforeData(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Data[0] = 1
-	bp.Unpin(p, true) // logs a page image
-	lsn := w.AppendedLSN()
-	if lsn == 0 {
-		t.Fatal("dirty unpin logged nothing")
+	bp.Unpin(p, true) // schedules a page image for the commit point
+	lsns := logPending(t, bp, w, true)
+	if len(lsns) != 1 {
+		t.Fatalf("dirty unpin logged %d records at commit, want 1 image", len(lsns))
 	}
+	lsn := w.AppendedLSN()
 	if w.DurableLSN() >= lsn {
 		t.Fatal("lazy mode synced prematurely; test cannot observe the invariant")
 	}
@@ -298,17 +353,11 @@ func TestWALBeforeData(t *testing.T) {
 // must not be evicted (its write-back could survive a crash whose
 // recovery discards the record as an uncommitted tail).
 func TestNoStealOfUncommittedFrames(t *testing.T) {
-	w, err := wal.OpenWriter(t.TempDir(), wal.Options{Mode: wal.SyncLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	dm := NewMem(256)
 	bp := NewBufferPool(dm, 4)
 	bp.AttachWAL(w, "t.tbl")
-	if _, err := w.AppendCommit(); err != nil { // enable the no-steal rule
-		t.Fatal(err)
-	}
 
 	var pages []*Page
 	for i := 0; i < 4; i++ {
@@ -318,14 +367,12 @@ func TestNoStealOfUncommittedFrames(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
-	// Unpin all four as uncommitted mid-statement mutations.
+	// Unpin all four as uncommitted mutations whose records are in the
+	// log — past the last marker — but whose statement boundary is not.
 	for i, p := range pages {
-		lsn, err := w.AppendHeapInsert("t.tbl", uint32(p.ID), uint16(i), []byte("u"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bp.UnpinLSN(p, lsn)
+		unpinInsert(bp, p, uint16(i), []byte("u"))
 	}
+	logPending(t, bp, w, false)
 	if _, err := bp.NewPage(); err == nil {
 		t.Fatal("pool evicted an uncommitted dirty frame")
 	}
@@ -349,20 +396,14 @@ func TestNoStealOfUncommittedFrames(t *testing.T) {
 	bp.Unpin(p, false)
 }
 
-// TestDeferredImageCoalescing: once statement boundaries exist, N dirty
-// unpins of one page within a statement must produce a single page
-// image (logged by LogPendingImages at the commit point), not N.
+// TestDeferredImageCoalescing: N dirty unpins of one page within a
+// statement must produce a single page image (staged by StagePending at
+// the commit point), not N.
 func TestDeferredImageCoalescing(t *testing.T) {
-	w, err := wal.OpenWriter(t.TempDir(), wal.Options{Mode: wal.SyncLazy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	bp := NewBufferPool(NewMem(256), 4)
 	bp.AttachWAL(w, "t.tbl")
-	if _, err := w.AppendCommit(); err != nil { // enable deferral
-		t.Fatal(err)
-	}
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -380,10 +421,7 @@ func TestDeferredImageCoalescing(t *testing.T) {
 	if got := w.Stats().Appends - base; got != 0 {
 		t.Fatalf("%d images logged before the commit point", got)
 	}
-	if err := bp.LogPendingImages(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Stats().Appends - base; got != 1 {
+	if got := len(logPending(t, bp, w, true)); got != 1 {
 		t.Fatalf("logged %d images for one thrice-dirtied page, want 1", got)
 	}
 	// The single image must carry the final state.
@@ -411,10 +449,7 @@ func TestDeferredImageCoalescing(t *testing.T) {
 func TestRecoverDirRedo(t *testing.T) {
 	dataDir := t.TempDir()
 	walDir := dataDir + "/wal"
-	w, err := wal.OpenWriter(walDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openMarkedWAL(t, walDir, wal.Options{})
 	fdm, err := OpenFile(dataDir+"/t.tbl", 256)
 	if err != nil {
 		t.Fatal(err)
@@ -440,16 +475,10 @@ func TestRecoverDirRedo(t *testing.T) {
 	if !ok {
 		t.Fatal("insert failed")
 	}
-	lsn, err := w.AppendHeapInsert("t.tbl", uint32(p1.ID), uint16(slot), []byte("row-1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetPageLSN(p1.Data, uint64(lsn))
-	bp.UnpinLSN(p1, lsn)
+	unpinInsert(bp, p1, uint16(slot), []byte("row-1"))
 
-	if _, err := w.AppendCommit(); err != nil {
-		t.Fatal(err)
-	}
+	// The commit point: logical records lead the group, images follow.
+	lsn := logPending(t, bp, w, true)[0]
 	if err := w.Sync(w.AppendedLSN()); err != nil {
 		t.Fatal(err)
 	}
@@ -513,10 +542,7 @@ func TestRecoverDirRefusesUncoveredTornPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldLSN, err := w.AppendHeapInsert("t.tbl", 1, 0, []byte("old-row"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldLSN := appendHeapInsert(t, w, "t.tbl", 1, 0, []byte("old-row"))
 	if _, err := w.AppendCommit(); err != nil {
 		t.Fatal(err)
 	}
@@ -525,9 +551,7 @@ func TestRecoverDirRefusesUncoveredTornPage(t *testing.T) {
 	if _, err := w.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendHeapInsert("t.tbl", 1, 1, []byte("new-row")); err != nil {
-		t.Fatal(err)
-	}
+	appendHeapInsert(t, w, "t.tbl", 1, 1, []byte("new-row"))
 	if _, err := w.AppendCommit(); err != nil {
 		t.Fatal(err)
 	}
@@ -585,16 +609,12 @@ func TestRecoverDirDiscardsUncommittedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendHeapInsert("t.tbl", 1, 0, []byte("committed")); err != nil {
-		t.Fatal(err)
-	}
+	appendHeapInsert(t, w, "t.tbl", 1, 0, []byte("committed"))
 	if _, err := w.AppendCommit(); err != nil {
 		t.Fatal(err)
 	}
 	// A second statement whose commit marker never made it to the log.
-	if _, err := w.AppendHeapInsert("t.tbl", 1, 1, []byte("torn")); err != nil {
-		t.Fatal(err)
-	}
+	appendHeapInsert(t, w, "t.tbl", 1, 1, []byte("torn"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,22 @@ func replayAll(t *testing.T, dir string) ([]*Record, ReplayStats) {
 	return recs, st
 }
 
+// appendGroupOf appends the one record add stages through the group
+// API — the only way heap records reach the log — and returns its LSN.
+func appendGroupOf(w *Writer, add func(g *Group)) (LSN, error) {
+	g := NewGroup()
+	add(g)
+	lsns, err := w.AppendGroup(g)
+	if err != nil {
+		return 0, err
+	}
+	return lsns[0], nil
+}
+
+func appendHeapInsert(w *Writer, file string, page uint32, slot uint16, rec []byte) (LSN, error) {
+	return appendGroupOf(w, func(g *Group) { g.AddHeapInsert(file, page, slot, rec) })
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, Options{})
@@ -34,11 +50,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := w.AppendHeapInsert("t.tbl", 3, 12, []byte("tuple-bytes"))
+	l2, err := appendHeapInsert(w, "t.tbl", 3, 12, []byte("tuple-bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l3, err := w.AppendHeapDelete("t.tbl", 3, 12)
+	l3, err := appendGroupOf(w, func(g *Group) { g.AddHeapDelete("t.tbl", 3, 12) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +101,7 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := w.AppendHeapInsert("t.tbl", 1, uint16(i), []byte("rec")); err != nil {
+		if _, err := appendHeapInsert(w, "t.tbl", 1, uint16(i), []byte("rec")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +157,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := w.AppendHeapInsert("t.tbl", uint32(i), 0, bytes.Repeat([]byte{1}, 40)); err != nil {
+		if _, err := appendHeapInsert(w, "t.tbl", uint32(i), 0, bytes.Repeat([]byte{1}, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +186,7 @@ func TestCheckpointRecyclesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := w.AppendHeapInsert("t.tbl", uint32(i), 0, bytes.Repeat([]byte{1}, 40)); err != nil {
+		if _, err := appendHeapInsert(w, "t.tbl", uint32(i), 0, bytes.Repeat([]byte{1}, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +231,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				lsn, err := w.AppendHeapInsert("t.tbl", uint32(g), uint16(i), []byte("r"))
+				lsn, err := appendHeapInsert(w, "t.tbl", uint32(g), uint16(i), []byte("r"))
 				if err != nil {
 					errs <- err
 					return
@@ -261,7 +277,7 @@ func TestReplayDetectsMiddleSegmentDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := w.AppendHeapInsert("t.tbl", uint32(i), 0, bytes.Repeat([]byte{1}, 40)); err != nil {
+		if _, err := appendHeapInsert(w, "t.tbl", uint32(i), 0, bytes.Repeat([]byte{1}, 40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +451,7 @@ func TestHeapBatchRecordRoundTrip(t *testing.T) {
 	}
 	slots := []uint16{3, 0, 7}
 	recs := [][]byte{[]byte("alpha"), {}, []byte("gamma-longer-record")}
-	if _, err := w.AppendHeapBatchInsert("big.tbl", 42, slots, recs); err != nil {
+	if _, err := appendGroupOf(w, func(g *Group) { g.AddHeapBatchInsert("big.tbl", 42, slots, recs) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.AppendCommit(); err != nil {

@@ -236,39 +236,6 @@ func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte) (LSN
 	return w.append(RecPageImage, encodePageImage(file, page, uint32(len(pageData)), img))
 }
 
-// AppendHeapInsert logs a logical heap insert of rec at (page, slot).
-func (w *Writer) AppendHeapInsert(file string, page uint32, slot uint16, rec []byte) (LSN, error) {
-	return w.append(RecHeapInsert, encodeHeapOp(file, page, slot, rec))
-}
-
-// AppendHeapDelete logs a logical heap delete at (page, slot).
-func (w *Writer) AppendHeapDelete(file string, page uint32, slot uint16) (LSN, error) {
-	return w.append(RecHeapDelete, encodeHeapOp(file, page, slot, nil))
-}
-
-// AppendHeapBatchInsert logs the logical insert of a page-worth of heap
-// records (parallel slot/record slices) as one record.
-func (w *Writer) AppendHeapBatchInsert(file string, page uint32, slots []uint16, recs [][]byte) (LSN, error) {
-	return w.append(RecHeapBatchInsert, encodeHeapBatch(file, page, slots, recs))
-}
-
-// AppendHeapSetXmax logs stamping xid as the deleting transaction of the
-// tuple at (page, slot).
-func (w *Writer) AppendHeapSetXmax(file string, page uint32, slot uint16, xid uint64) (LSN, error) {
-	return w.append(RecHeapSetXmax, encodeHeapSetXmax(file, page, slot, xid))
-}
-
-// AppendHeapClearXmax logs zeroing the xmax of the tuple at (page, slot).
-func (w *Writer) AppendHeapClearXmax(file string, page uint32, slot uint16) (LSN, error) {
-	return w.append(RecHeapClearXmax, encodeHeapOp(file, page, slot, nil))
-}
-
-// AppendHeapMarkAborted logs setting the aborted flag on the tuple at
-// (page, slot).
-func (w *Writer) AppendHeapMarkAborted(file string, page uint32, slot uint16) (LSN, error) {
-	return w.append(RecHeapMarkAborted, encodeHeapOp(file, page, slot, nil))
-}
-
 // Group is a set of records one statement appends atomically: no other
 // appender's record (in particular no other statement's commit marker)
 // can interleave with a group's records in the log. This is what lets
@@ -292,6 +259,17 @@ func (g *Group) add(typ RecordType, payload []byte) int {
 	g.types = append(g.types, typ)
 	g.payloads = append(g.payloads, payload)
 	return len(g.types) - 1
+}
+
+// Extend appends every record of o to g in order, returning the index
+// o's first record now has in g (record i of o becomes base+i). The
+// buffer pool uses it to move the logical records access methods staged
+// during a statement into the committer's group.
+func (g *Group) Extend(o *Group) (base int) {
+	base = len(g.types)
+	g.types = append(g.types, o.types...)
+	g.payloads = append(g.payloads, o.payloads...)
+	return base
 }
 
 // AddPageImage stages a full (zero-truncated) page image, returning its
