@@ -103,21 +103,15 @@ func (o testTrie) PickSplit(in *PickSplitIn) PickSplitOut {
 	return out
 }
 
-func (o testTrie) InnerConsistent(in *InnerIn) InnerOut {
-	var out InnerOut
+func (o testTrie) InnerConsistent(in *InnerIn, out *InnerOut) {
 	follow := func(i int) {
-		lb := in.Labels[i].(byte)
-		recon := in.Recon.(string)
-		if lb != blankLabel {
-			recon += string(lb)
-		}
-		out.Follow = append(out.Follow, InnerFollow{Entry: i, LevelAdd: 1, Recon: recon})
+		out.Follow = append(out.Follow, InnerFollow{Entry: i, LevelAdd: 1})
 	}
 	if in.Query == nil {
 		for i := range in.Labels {
 			follow(i)
 		}
-		return out
+		return
 	}
 	q := in.Query.Arg.(string)
 	switch in.Query.Op {
@@ -143,7 +137,6 @@ func (o testTrie) InnerConsistent(in *InnerIn) InnerOut {
 			}
 		}
 	}
-	return out
 }
 
 func (o testTrie) LeafConsistent(q *Query, key Value, _ int) bool {

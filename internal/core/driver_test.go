@@ -1,0 +1,381 @@
+package core_test
+
+// Tests of the two search drivers (Scan's descent and the NN cursor)
+// against the real opclasses, which package core's own tests cannot
+// import.
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/heap"
+	"repro/internal/kdtree"
+	"repro/internal/pmr"
+	"repro/internal/pquad"
+	"repro/internal/storage"
+	"repro/internal/trie"
+)
+
+func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
+
+// nnFixture describes one NN-capable opclass for the cursor contract
+// test: keys and queries are drawn from a small lattice so duplicate
+// keys and equal distances are the rule, not the exception.
+type nnFixture struct {
+	name  string
+	oc    func() core.OpClass
+	key   func(r *rand.Rand) core.Value
+	query func(r *rand.Rand) core.Value
+	dist  func(q, key core.Value) float64
+	scan  *core.Query // a multi-leaf search for the concurrency test
+}
+
+func latticePoint(r *rand.Rand) core.Value {
+	return geom.Point{X: float64(r.Intn(12)), Y: float64(r.Intn(12))}
+}
+
+func pointDist(q, k core.Value) float64 { return q.(geom.Point).Dist(k.(geom.Point)) }
+
+var nnFixtures = []nnFixture{
+	{
+		name: "trie",
+		oc:   func() core.OpClass { return trie.New() },
+		key: func(r *rand.Rand) core.Value {
+			b := make([]byte, 1+r.Intn(5))
+			for i := range b {
+				b[i] = byte('a' + r.Intn(3))
+			}
+			return string(b)
+		},
+		dist: func(q, k core.Value) float64 { return trie.Distance(k.(string), q.(string)) },
+		scan: &core.Query{Op: "#=", Arg: "a"},
+	},
+	{
+		name: "kdtree", oc: func() core.OpClass { return kdtree.New() },
+		key: latticePoint, dist: pointDist,
+		scan: &core.Query{Op: "^", Arg: geom.MakeBox(2, 2, 9, 9)},
+	},
+	{
+		name: "pquad", oc: func() core.OpClass { return pquad.New() },
+		key: latticePoint, dist: pointDist,
+		scan: &core.Query{Op: "^", Arg: geom.MakeBox(2, 2, 9, 9)},
+	},
+	{
+		name: "pmr",
+		oc:   func() core.OpClass { return pmr.New(pmr.WithWorld(geom.MakeBox(0, 0, 16, 16)), pmr.WithResolution(5)) },
+		key: func(r *rand.Rand) core.Value {
+			a := geom.Point{X: float64(r.Intn(12)), Y: float64(r.Intn(12))}
+			return geom.Segment{A: a, B: geom.Point{X: a.X + float64(r.Intn(4)), Y: a.Y + float64(r.Intn(4))}}
+		},
+		query: latticePoint,
+		dist:  func(q, k core.Value) float64 { return k.(geom.Segment).DistToPoint(q.(geom.Point)) },
+		scan:  &core.Query{Op: "&&", Arg: geom.MakeBox(2, 2, 9, 9)},
+	},
+}
+
+func (f nnFixture) drawQuery(r *rand.Rand) core.Value {
+	if f.query != nil {
+		return f.query(r)
+	}
+	return f.key(r)
+}
+
+// fixturePageSize is small enough that the 60 copies of one key every
+// fixture tree gets cannot share a node record (the smallest item, a
+// one-letter word, takes 9 bytes; the largest, a segment, 40): each tree
+// has at least one overflow chain.
+const fixturePageSize = 512
+
+type pair struct {
+	key core.Value
+	rid heap.RID
+}
+
+// buildFixture loads a tree over dm with n random keys, 60 copies of one
+// more, and then deletes every seventh pair; it returns what is left.
+func buildFixture(t testing.TB, f nnFixture, dm storage.DiskManager, n int, seed int64) (*core.Tree, []pair) {
+	t.Helper()
+	tr, err := core.Create(storage.NewBufferPool(dm, 256), f.oc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	var all []pair
+	dup := f.key(r)
+	for i := 0; i < n+60; i++ {
+		k := dup
+		if i < n {
+			k = f.key(r)
+		}
+		if err := tr.Insert(k, rid(i)); err != nil {
+			t.Fatalf("insert %v: %v", k, err)
+		}
+		all = append(all, pair{k, rid(i)})
+	}
+	var live []pair
+	for i, p := range all {
+		if i%7 != 3 {
+			live = append(live, p)
+			continue
+		}
+		if got, err := tr.Delete(p.key, p.rid); err != nil || got != 1 {
+			t.Fatalf("delete %v %v: removed %d, err %v", p.key, p.rid, got, err)
+		}
+	}
+	return tr, live
+}
+
+type nnHit struct {
+	rid  heap.RID
+	dist float64
+}
+
+// drain runs an NN cursor to exhaustion, checking each returned key
+// against its distance.
+func drain(t testing.TB, f nnFixture, tr *core.Tree, q core.Value) []nnHit {
+	t.Helper()
+	cur, err := tr.NNScan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits []nnHit
+	for {
+		key, rid, d, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if want := f.dist(q, key); d != want {
+			t.Fatalf("%s: NN %v reported at distance %g, is at %g", f.name, key, d, want)
+		}
+		hits = append(hits, nnHit{rid, d})
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, _, ok := cur.Next(); ok {
+			t.Fatalf("%s: Next after exhaustion returned a result", f.name)
+		}
+	}
+	return hits
+}
+
+// TestNNCursorContract: over duplicate keys, overflow chains, equal
+// distances and deleted entries, the cursor of every NN opclass yields
+// each live RID exactly once, in non-decreasing distance, with exactly
+// the distances a brute-force sort gives, and the same sequence every
+// time it is run.
+func TestNNCursorContract(t *testing.T) {
+	for _, f := range nnFixtures {
+		t.Run(f.name, func(t *testing.T) {
+			tr, live := buildFixture(t, f, storage.NewMem(fixturePageSize), 600, 11)
+			r := rand.New(rand.NewSource(12))
+			for trial := 0; trial < 5; trial++ {
+				q := f.drawQuery(r)
+				hits := drain(t, f, tr, q)
+
+				want := make([]float64, len(live))
+				for i, p := range live {
+					want[i] = f.dist(q, p.key)
+				}
+				sort.Float64s(want)
+				if len(hits) != len(live) {
+					t.Fatalf("q=%v: cursor yielded %d results, index holds %d", q, len(hits), len(live))
+				}
+				seen := make(map[heap.RID]bool, len(hits))
+				for i, h := range hits {
+					if seen[h.rid] {
+						t.Fatalf("q=%v: rid %v yielded twice", q, h.rid)
+					}
+					seen[h.rid] = true
+					if h.dist != want[i] {
+						t.Fatalf("q=%v: result %d at distance %g, brute force says %g", q, i, h.dist, want[i])
+					}
+				}
+				for _, p := range live {
+					if !seen[p.rid] {
+						t.Fatalf("q=%v: live rid %v never yielded", q, p.rid)
+					}
+				}
+				if again := drain(t, f, tr, q); !reflect.DeepEqual(hits, again) {
+					t.Fatalf("q=%v: second run of the cursor ordered ties differently", q)
+				}
+			}
+		})
+	}
+}
+
+// TestNNCursorSurfacesStorageError: a read that fails under the cursor
+// ends the iteration and is reported by Err, on that call and after.
+func TestNNCursorSurfacesStorageError(t *testing.T) {
+	for _, f := range nnFixtures {
+		t.Run(f.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "idx.spg")
+			dm, err := storage.OpenFile(path, fixturePageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, live := buildFixture(t, f, dm, 600, 13)
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Pool().Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Reopen cold (empty decoded-node cache, a pool far smaller
+			// than the file) over a disk that fails every read once armed.
+			dm, err = storage.OpenFile(path, fixturePageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulty := storage.WithFaults(dm, 1)
+			faulty.Disarm()
+			bp := storage.NewBufferPool(faulty, 4)
+			t.Cleanup(func() { bp.Close() })
+			tr, err = core.Open(bp, f.oc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := tr.NNScan(f.drawQuery(rand.New(rand.NewSource(14))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, ok := cur.Next(); !ok {
+				t.Fatalf("first result: %v", cur.Err())
+			}
+			faulty.SetProb(storage.FaultRead, 1)
+			faulty.Arm()
+			n := 1
+			for {
+				if _, _, _, ok := cur.Next(); !ok {
+					break
+				}
+				n++
+			}
+			if cur.Err() == nil {
+				t.Fatalf("cursor ended after %d of %d results with no error", n, len(live))
+			}
+			faulty.Disarm()
+			if _, _, _, ok := cur.Next(); ok || cur.Err() == nil {
+				t.Fatal("cursor came back to life after reporting an error")
+			}
+		})
+	}
+}
+
+// TestConcurrentScanAndNN: the drivers' reused buffers are per search,
+// never per tree — eight goroutines scanning and NN-searching one warm
+// tree each get what a serial run gets (meaningful under -race).
+func TestConcurrentScanAndNN(t *testing.T) {
+	for _, f := range nnFixtures {
+		t.Run(f.name, func(t *testing.T) {
+			tr, _ := buildFixture(t, f, storage.NewMem(fixturePageSize), 600, 15)
+			q := f.drawQuery(rand.New(rand.NewSource(16)))
+			scanAll := func() ([]heap.RID, error) { return tr.Lookup(f.scan) }
+			nnAll := func() ([]heap.RID, error) {
+				_, rids, _, err := tr.NN(q, 200)
+				return rids, err
+			}
+			wantScan, err := scanAll()
+			if err != nil || len(wantScan) == 0 {
+				t.Fatalf("serial scan: %d results, err %v", len(wantScan), err)
+			}
+			wantNN, err := nnAll()
+			if err != nil || len(wantNN) != 200 {
+				t.Fatalf("serial NN: %d results, err %v", len(wantNN), err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 5; i++ {
+						if got, err := scanAll(); err != nil || !reflect.DeepEqual(got, wantScan) {
+							t.Errorf("concurrent scan differs from serial run (err %v)", err)
+							return
+						}
+						if got, err := nnAll(); err != nil || !reflect.DeepEqual(got, wantNN) {
+							t.Errorf("concurrent NN differs from serial run (err %v)", err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestSearchAllocationBudgets pins what the drivers may allocate per
+// search on a warm tree: the descent (or cursor) itself, growth of its
+// stack or queue past the inline capacity, and — for NN only — the
+// traversal values of the inner nodes actually dequeued. Nothing per
+// node visited, nothing per child enqueued.
+func TestSearchAllocationBudgets(t *testing.T) {
+	emitted := 0
+	emit := func(core.Value, heap.RID) bool { emitted++; return true }
+	// measure checks search against its budget on a warm decoded-node
+	// cache and returns the rows one search emits.
+	measure := func(name string, budget float64, search func()) int {
+		t.Helper()
+		search()
+		emitted = 0
+		if got := testing.AllocsPerRun(50, search); got > budget {
+			t.Errorf("%s: %.0f allocations per search, budget %.0f", name, got, budget)
+		}
+		return emitted / 51 // AllocsPerRun adds a warm-up run
+	}
+
+	words, err := core.Create(storage.NewBufferPool(storage.NewMem(8192), 1024), trie.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40000; i++ {
+		if err := words.Insert(fmt.Sprintf("w%06d", i*7919%1000003), rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exact := &core.Query{Op: "=", Arg: fmt.Sprintf("w%06d", 20000*7919%1000003)}
+	if rows := measure("trie exact match", 4, func() {
+		if err := words.Scan(exact, emit); err != nil {
+			t.Fatal(err)
+		}
+	}); rows != 1 {
+		t.Fatalf("trie exact match returned %d rows, want 1", rows)
+	}
+
+	pts, err := core.Create(storage.NewBufferPool(storage.NewMem(8192), 1024), kdtree.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(18))
+	for i := 0; i < 15000; i++ {
+		p := geom.Point{X: r.Float64() * 1000, Y: r.Float64() * 1000}
+		if err := pts.Insert(p, rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 15 points per 1000 square units: a 26×26 box holds about ten.
+	box := &core.Query{Op: "^", Arg: geom.MakeBox(487, 487, 513, 513)}
+	if rows := measure("kd-tree box scan", 6, func() {
+		if err := pts.Scan(box, emit); err != nil {
+			t.Fatal(err)
+		}
+	}); rows < 3 || rows > 30 {
+		t.Fatalf("kd-tree box scan returned %d rows, want about ten", rows)
+	}
+	center := geom.Point{X: 500, Y: 500}
+	measure("kd-tree NN k=10", 80, func() {
+		if _, rids, _, err := pts.NN(center, 10); err != nil || len(rids) != 10 {
+			t.Fatalf("NN: %d results, err %v", len(rids), err)
+		}
+	})
+}

@@ -25,11 +25,7 @@ func (t *Tree) Delete(key Value, rid heap.RID) (int, error) {
 	// Collect the data nodes that may hold the key, then rewrite them.
 	// Removal shrinks records, so rewrites always succeed in place and no
 	// parent patching is needed.
-	var leaves []NodeRef
-	err := t.searchLeaves(q, func(ref NodeRef) bool {
-		leaves = append(leaves, ref)
-		return true
-	})
+	leaves, err := t.searchLeaves(q)
 	if err != nil {
 		return 0, err
 	}
@@ -60,50 +56,18 @@ func (t *Tree) Delete(key Value, rid heap.RID) (int, error) {
 	return len(removed), nil
 }
 
-// searchLeaves walks the tree like Scan but yields data-node references.
-func (t *Tree) searchLeaves(q *Query, fn func(ref NodeRef) bool) error {
-	if !t.root.Valid() {
-		return nil
-	}
-	type frame struct {
-		ref   NodeRef
-		level int
-		recon Value
-	}
-	stack := []frame{{t.root, 0, t.oc.RootRecon()}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.readNodeRO(f.ref)
-		if err != nil {
-			return err
+// searchLeaves returns the data-node records (overflow records included)
+// a Scan of q would test.
+func (t *Tree) searchLeaves(q *Query) ([]NodeRef, error) {
+	var leaves []NodeRef
+	d := t.newDescent(q)
+	for {
+		n, err := d.next()
+		if n == nil || err != nil {
+			return leaves, err
 		}
-		if n.leaf {
-			if !fn(f.ref) {
-				return nil
-			}
-			if n.next.Valid() {
-				stack = append(stack, frame{n.next, f.level, f.recon})
-			}
-			continue
-		}
-		pred, labels := t.innerValues(n)
-		out := t.oc.InnerConsistent(&InnerIn{
-			Query:  q,
-			Level:  f.level,
-			Pred:   pred,
-			Labels: labels,
-			Recon:  f.recon,
-		})
-		for _, fo := range out.Follow {
-			child := n.entries[fo.Entry].child
-			if !child.Valid() {
-				continue
-			}
-			stack = append(stack, frame{child, f.level + fo.LevelAdd, fo.Recon})
-		}
+		leaves = append(leaves, d.ref)
 	}
-	return nil
 }
 
 // BulkDelete removes every item whose RID satisfies drop, visiting the

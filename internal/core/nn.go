@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	heapfile "repro/internal/heap"
@@ -16,45 +15,51 @@ import (
 // carried in the queue entries so opclasses whose distance accumulates
 // along the path (the trie's Hamming distance) can compute child distances
 // incrementally — the modification the paper describes.
+//
+// Most of what is enqueued is never dequeued (a kNN stops after k items),
+// so an entry costs as little as possible until it is: the queue proper
+// is a binary heap of small pointer-free keys, the payload sits still in
+// an arena the keys index, and a node's traversal value is not built
+// when the node is enqueued but derived from its (cached, immutable)
+// parent if and when it is dequeued and has children of its own.
 
+// nnKey is one queue slot: what the ordering needs and where the rest is.
+// It holds no pointers, so sifting moves 24 bytes with no write barrier.
+type nnKey struct {
+	dist float64
+	// tie orders entries at equal distance: data objects before nodes, so
+	// results surface as early as possible, then insertion order, which
+	// makes the sequence deterministic. Bit 63 is set for nodes; the rest
+	// is the cursor's push counter.
+	tie uint64
+	idx uint32 // arena slot
+}
+
+const nnNodeTie = 1 << 63
+
+func (a nnKey) less(b nnKey) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.tie < b.tie
+}
+
+// nnEntry is the payload of one queue slot.
+//
+// A data object is (n, idx): item idx of the cached leaf record n.
+//
+// A node is the child under entry idx of the cached inner node n, whose
+// level and traversal value are plevel and recon — everything NNRecon
+// needs to derive the child's own value later. The root and overflow
+// records have no parent (n is nil): the root's recon is its own, and an
+// overflow record, always a data node, needs none.
 type nnEntry struct {
-	dist   float64
-	seq    uint64 // tie-break for deterministic order
-	isItem bool
-
-	// node fields
-	ref   NodeRef
-	level int
-	recon Value
-
-	// item fields
-	key Value
-	rid heapfile.RID
-}
-
-type nnQueue []*nnEntry
-
-func (q nnQueue) Len() int { return len(q) }
-func (q nnQueue) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	// Prefer items over nodes at equal distance so results surface as
-	// early as possible, then fall back to insertion order.
-	if q[i].isItem != q[j].isItem {
-		return q[i].isItem
-	}
-	return q[i].seq < q[j].seq
-}
-func (q nnQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x any)   { *q = append(*q, x.(*nnEntry)) }
-func (q *nnQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	n      *node
+	idx    int32
+	level  int32 // node: its own level
+	plevel int32 // node: the level of n
+	ref    NodeRef
+	recon  Value
 }
 
 // NNCursor is an incremental nearest-neighbor cursor: each Next call
@@ -64,11 +69,20 @@ type NNCursor struct {
 	t    *Tree
 	oc   NNOpClass
 	q    Value
-	pq   nnQueue
+	pq   []nnKey   // binary min-heap by nnKey.less
+	ents []nnEntry // arena the keys index
+	free int32     // first slot of the arena's free list, chained through nnEntry.idx; -1 if none
 	seq  uint64
 	seen map[heapfile.RID]struct{}
 	err  error
+
+	// Inline backing of pq and ents: a typical kNN never outgrows it, so
+	// the cursor is one allocation; larger queues spill by append.
+	pqBuf  [nnInline]nnKey
+	entBuf [nnInline]nnEntry
 }
+
+const nnInline = 128
 
 // NNScan starts an incremental NN search around the query object q. It
 // fails if the opclass does not implement NNOpClass.
@@ -77,14 +91,75 @@ func (t *Tree) NNScan(q Value) (*NNCursor, error) {
 	if !ok {
 		return nil, fmt.Errorf("spgist: opclass %s does not support NN search", t.oc.Name())
 	}
-	c := &NNCursor{t: t, oc: oc, q: q}
+	c := &NNCursor{t: t, oc: oc, q: q, free: -1}
+	c.pq, c.ents = c.pqBuf[:0], c.entBuf[:0]
 	if t.pr.MultiAssign || t.pr.DedupScan {
 		c.seen = make(map[heapfile.RID]struct{})
 	}
 	if t.root.Valid() {
-		heap.Push(&c.pq, &nnEntry{dist: 0, ref: t.root, level: 0, recon: t.oc.RootRecon()})
+		c.push(0, nnNodeTie, nnEntry{ref: t.root, recon: t.oc.RootRecon()})
 	}
 	return c, nil
+}
+
+// push enqueues e at distance dist; kind is 0 for a data object and
+// nnNodeTie for a node.
+func (c *NNCursor) push(dist float64, kind uint64, e nnEntry) {
+	var idx uint32
+	if c.free >= 0 {
+		idx = uint32(c.free)
+		c.free = c.ents[idx].idx
+		c.ents[idx] = e
+	} else {
+		idx = uint32(len(c.ents))
+		c.ents = append(c.ents, e)
+	}
+	k := nnKey{dist: dist, tie: kind | c.seq, idx: idx}
+	c.seq++
+	// Sift up.
+	c.pq = append(c.pq, k)
+	i := len(c.pq) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.less(c.pq[parent]) {
+			break
+		}
+		c.pq[i] = c.pq[parent]
+		i = parent
+	}
+	c.pq[i] = k
+}
+
+// pop dequeues the minimum. Its arena slot goes on the free list,
+// cleared so the cursor does not pin the nodes of entries it is done with.
+func (c *NNCursor) pop() (nnKey, nnEntry) {
+	top := c.pq[0]
+	last := len(c.pq) - 1
+	k := c.pq[last]
+	c.pq = c.pq[:last]
+	// Sift the former last key down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && c.pq[r].less(c.pq[child]) {
+			child = r
+		}
+		if !c.pq[child].less(k) {
+			break
+		}
+		c.pq[i] = c.pq[child]
+		i = child
+	}
+	if last > 0 {
+		c.pq[i] = k
+	}
+	e := c.ents[top.idx]
+	c.ents[top.idx] = nnEntry{idx: c.free}
+	c.free = int32(top.idx)
+	return top, e
 }
 
 // Next returns the next nearest neighbor. ok is false when the index is
@@ -93,66 +168,69 @@ func (c *NNCursor) Next() (key Value, rid heapfile.RID, dist float64, ok bool) {
 	if c.err != nil {
 		return nil, heapfile.InvalidRID, 0, false
 	}
-	for c.pq.Len() > 0 {
-		e := heap.Pop(&c.pq).(*nnEntry)
-		if e.isItem {
+	for len(c.pq) > 0 {
+		k, e := c.pop()
+		if k.tie&nnNodeTie == 0 {
+			rid := e.n.items[e.idx].rid
 			if c.seen != nil {
-				if _, dup := c.seen[e.rid]; dup {
+				if _, dup := c.seen[rid]; dup {
 					continue
 				}
-				c.seen[e.rid] = struct{}{}
+				c.seen[rid] = struct{}{}
 			}
-			return e.key, e.rid, e.dist, true
+			return c.t.keyValues(e.n)[e.idx], rid, k.dist, true
 		}
-		n, err := c.t.readNodeRO(e.ref)
-		if err != nil {
-			c.err = err
+		if c.err = c.expand(k.dist, e); c.err != nil {
 			return nil, heapfile.InvalidRID, 0, false
-		}
-		if n.leaf {
-			keys := c.t.keyValues(n)
-			for i, it := range n.items {
-				kv := keys[i]
-				c.seq++
-				heap.Push(&c.pq, &nnEntry{
-					dist:   c.oc.NNLeaf(c.q, kv),
-					seq:    c.seq,
-					isItem: true,
-					key:    kv,
-					rid:    it.rid,
-				})
-			}
-			if n.next.Valid() {
-				// The overflow record inherits the node's lower bound.
-				c.seq++
-				heap.Push(&c.pq, &nnEntry{
-					dist:  e.dist,
-					seq:   c.seq,
-					ref:   n.next,
-					level: e.level,
-					recon: e.recon,
-				})
-			}
-			continue
-		}
-		pred, labels := c.t.innerValues(n)
-		for i, ent := range n.entries {
-			if !ent.child.Valid() {
-				continue
-			}
-			label := labels[i]
-			d, childRecon, levelAdd := c.oc.NNInner(c.q, pred, label, e.level, e.recon, e.dist)
-			c.seq++
-			heap.Push(&c.pq, &nnEntry{
-				dist:  d,
-				seq:   c.seq,
-				ref:   ent.child,
-				level: e.level + levelAdd,
-				recon: childRecon,
-			})
 		}
 	}
 	return nil, heapfile.InvalidRID, 0, false
+}
+
+// expand replaces a dequeued node by its children: the items and the
+// overflow link of a data node, the non-empty partitions of an inner
+// node.
+func (c *NNCursor) expand(dist float64, e nnEntry) error {
+	n, err := c.t.readNodeRO(e.ref)
+	if err != nil {
+		return err
+	}
+	if n.leaf {
+		keys := c.t.keyValues(n)
+		for i := range n.items {
+			c.push(c.oc.NNLeaf(c.q, keys[i]), 0, nnEntry{n: n, idx: int32(i)})
+		}
+		if n.next.Valid() {
+			// The overflow record inherits the node's lower bound.
+			c.push(dist, nnNodeTie, nnEntry{ref: n.next})
+		}
+		return nil
+	}
+	recon := e.recon
+	if e.n != nil {
+		pred, labels := c.t.innerValues(e.n)
+		recon = c.oc.NNRecon(pred, labels[e.idx], int(e.plevel), e.recon)
+	} else if e.ref != c.t.root {
+		// Parentless and not the root: an overflow link, which only ever
+		// leads to another data node in a well-formed tree.
+		return fmt.Errorf("spgist: overflow chain reaches inner node %v", e.ref)
+	}
+	pred, labels := c.t.innerValues(n)
+	for i, ent := range n.entries {
+		if !ent.child.Valid() {
+			continue
+		}
+		d, levelAdd := c.oc.NNInner(c.q, pred, labels[i], int(e.level), recon, dist)
+		c.push(d, nnNodeTie, nnEntry{
+			n:      n,
+			idx:    int32(i),
+			level:  e.level + int32(levelAdd),
+			plevel: e.level,
+			ref:    ent.child,
+			recon:  recon,
+		})
+	}
+	return nil
 }
 
 // Err reports a storage error encountered by Next.

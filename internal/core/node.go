@@ -25,6 +25,9 @@ var InvalidRef = NodeRef{Page: storage.InvalidPageID}
 // which lets freshly built nodes leave their overflow chain unset.
 func (r NodeRef) Valid() bool { return r.Page != storage.InvalidPageID && r.Page != 0 }
 
+// cacheKey packs the reference into the decoded-node cache's key.
+func (r NodeRef) cacheKey() uint64 { return uint64(r.Page)<<16 | uint64(r.Slot) }
+
 func (r NodeRef) String() string { return fmt.Sprintf("(%d.%d)", r.Page, r.Slot) }
 
 // entry is one partition of an inner node: a label and the child it leads

@@ -166,23 +166,34 @@ type PickSplitOut struct {
 }
 
 // InnerIn is the input of OpClass.InnerConsistent for one inner node met
-// during a search.
+// during a search. The search driver owns it: one InnerIn serves a whole
+// scan and is refilled per node, so the opclass must not keep the pointer
+// or the Labels slice past the call.
 type InnerIn struct {
 	Query  *Query // nil means full scan: follow everything
 	Level  int
 	Pred   Value
 	Labels []Value
-	Recon  Value
+	Recon  Value // this node's traversal value, as its parent's Follow gave it
 }
 
 // InnerFollow is one child a search should visit.
+//
+// Recon is the child's traversal value. An opclass sets it only if its
+// own InnerConsistent reads InnerIn.Recon (the PMR quadtree, whose cells
+// exist nowhere but on the path); an opclass that navigates by level,
+// predicate and labels alone (trie, kd-tree, point quadtree) leaves it
+// nil and the search carries no traversal value at all. Insertion and the
+// NN search derive theirs independently (Choose, NNRecon).
 type InnerFollow struct {
 	Entry    int
 	LevelAdd int
 	Recon    Value
 }
 
-// InnerOut lists the children consistent with the query.
+// InnerOut lists the children consistent with the query. Follow is the
+// search driver's buffer, handed over empty: the opclass appends one
+// InnerFollow per child to visit and must not retain the slice.
 type InnerOut struct {
 	Follow []InnerFollow
 }
@@ -214,8 +225,10 @@ type OpClass interface {
 	Choose(in *ChooseIn) ChooseOut
 	// PickSplit decomposes the keys of an over-full data node.
 	PickSplit(in *PickSplitIn) PickSplitOut
-	// InnerConsistent selects the children to visit during a search.
-	InnerConsistent(in *InnerIn) InnerOut
+	// InnerConsistent selects the children to visit during a search by
+	// appending them to out.Follow (see InnerIn and InnerOut for who owns
+	// what).
+	InnerConsistent(in *InnerIn, out *InnerOut)
 	// LeafConsistent decides whether a stored key satisfies the query.
 	LeafConsistent(q *Query, key Value, level int) bool
 }
@@ -224,14 +237,26 @@ type OpClass interface {
 // nearest-neighbor search of the paper's section 5. Distances must be
 // lower bounds that never decrease along a root-to-leaf path, which is
 // what makes the best-first traversal correct.
+//
+// The paper's NN_Consistent comes in two halves, because the search
+// enqueues every child of a node it expands but dequeues only the few
+// that can still beat the current candidates: NNInner runs per enqueued
+// child and must stay cheap, NNRecon runs only for a child that was
+// dequeued and turned out to be an inner node. Both receive the same
+// parent-side arguments: the parent's predicate, the label of the child's
+// partition, the parent's level and the parent's traversal value.
 type NNOpClass interface {
 	OpClass
 	// NNInner returns the minimum possible distance between the query
-	// object and any key stored under the partition labeled label, plus
-	// the child's traversal bookkeeping. parentDist is the distance
-	// computed for this node when it was enqueued (the paper's
-	// parent-distance propagation for tries).
-	NNInner(q Value, pred Value, label Value, level int, recon Value, parentDist float64) (dist float64, childRecon Value, levelAdd int)
+	// object and any key stored under the partition labeled label, and
+	// the child's level increase. parentDist is the distance computed
+	// for this node when it was enqueued (the paper's parent-distance
+	// propagation for tries).
+	NNInner(q Value, pred Value, label Value, level int, recon Value, parentDist float64) (dist float64, levelAdd int)
+	// NNRecon returns the traversal value of the child under the
+	// partition labeled label — whatever NNInner and NNRecon want to find
+	// in recon when that child is expanded in turn; nil if they read none.
+	NNRecon(pred Value, label Value, level int, recon Value) Value
 	// NNLeaf returns the exact distance between the query object and a
 	// stored key.
 	NNLeaf(q Value, key Value) float64

@@ -14,66 +14,115 @@ import (
 // Trees whose opclass declares MultiAssign (PMR quadtree) or whose rows
 // contribute several keys (suffix tree) report each RID once.
 func (t *Tree) Scan(q *Query, emit func(key Value, rid heap.RID) bool) error {
-	if !t.root.Valid() {
-		return nil
-	}
-	type frame struct {
-		ref   NodeRef
-		level int
-		recon Value
-	}
-	stack := []frame{{t.root, 0, t.oc.RootRecon()}}
 	var seen map[heap.RID]struct{}
 	if t.pr.MultiAssign || t.pr.DedupScan {
 		seen = make(map[heap.RID]struct{})
 	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.readNodeRO(f.ref)
-		if err != nil {
+	d := t.newDescent(q)
+	lq := d.in.Query // the descent's copy: the caller's Query need not escape
+	for {
+		n, err := d.next()
+		if n == nil || err != nil {
 			return err
 		}
-		if n.leaf {
-			keys := t.keyValues(n)
-			for i, it := range n.items {
-				kv := keys[i]
-				if q != nil && !t.oc.LeafConsistent(q, kv, f.level) {
+		keys := t.keyValues(n)
+		for i, it := range n.items {
+			kv := keys[i]
+			if lq != nil && !t.oc.LeafConsistent(lq, kv, d.level) {
+				continue
+			}
+			if seen != nil {
+				if _, dup := seen[it.rid]; dup {
 					continue
 				}
-				if seen != nil {
-					if _, dup := seen[it.rid]; dup {
-						continue
-					}
-					seen[it.rid] = struct{}{}
-				}
-				if !emit(kv, it.rid) {
-					return nil
-				}
+				seen[it.rid] = struct{}{}
 			}
-			if n.next.Valid() {
-				stack = append(stack, frame{n.next, f.level, f.recon})
+			if !emit(kv, it.rid) {
+				return nil
 			}
-			continue
 		}
-		pred, labels := t.innerValues(n)
-		out := t.oc.InnerConsistent(&InnerIn{
-			Query:  q,
-			Level:  f.level,
-			Pred:   pred,
-			Labels: labels,
-			Recon:  f.recon,
-		})
-		first := len(stack)
-		for _, fo := range out.Follow {
+	}
+}
+
+// frame is one node waiting to be visited by a descent.
+type frame struct {
+	ref   NodeRef
+	level int
+	recon Value
+}
+
+// descent is the one search driver: a depth-first walk of the inner
+// nodes consistent with a query that hands out the data-node records it
+// reaches, one per next call. Scan tests their items; Delete collects
+// their references.
+//
+// A descent owns every buffer the walk needs — the InnerIn it refills per
+// node, the Follow slice the opclass appends into, the stack — in one
+// allocation made per search, never per tree, so concurrent searches of
+// one tree share nothing but the immutable cached nodes. Searches deeper
+// or wider than the inline arrays spill into append-grown slices that
+// also live as long as the descent.
+type descent struct {
+	t     *Tree
+	query Query // in.Query points here, unless the search has no query
+	in    InnerIn
+	out   InnerOut
+	stack []frame
+
+	// ref and level describe the data-node record next last returned.
+	ref   NodeRef
+	level int
+
+	stackBuf  [8]frame
+	followBuf [4]InnerFollow
+}
+
+func (t *Tree) newDescent(q *Query) *descent {
+	d := &descent{t: t}
+	if q != nil {
+		d.query = *q
+		d.in.Query = &d.query
+	}
+	d.out.Follow = d.followBuf[:0]
+	d.stack = d.stackBuf[:0]
+	if t.root.Valid() {
+		d.stack = append(d.stack, frame{t.root, 0, t.oc.RootRecon()})
+	}
+	return d
+}
+
+// next returns the next data-node record of the walk (overflow records
+// included, each as a record of its own), or nil when the walk is over.
+func (d *descent) next() (*node, error) {
+	t := d.t
+	for len(d.stack) > 0 {
+		f := d.stack[len(d.stack)-1]
+		d.stack = d.stack[:len(d.stack)-1]
+		n, err := t.readNodeRO(f.ref)
+		if err != nil {
+			return nil, err
+		}
+		if n.leaf {
+			if n.next.Valid() {
+				d.stack = append(d.stack, frame{n.next, f.level, f.recon})
+			}
+			d.ref, d.level = f.ref, f.level
+			return n, nil
+		}
+		d.in.Level, d.in.Recon = f.level, f.recon
+		d.in.Pred, d.in.Labels = t.innerValues(n)
+		d.out.Follow = d.out.Follow[:0]
+		t.oc.InnerConsistent(&d.in, &d.out)
+		first := len(d.stack)
+		for _, fo := range d.out.Follow {
 			if fo.Entry < 0 || fo.Entry >= len(n.entries) {
-				return fmt.Errorf("spgist: %s.InnerConsistent follow entry %d out of range", t.oc.Name(), fo.Entry)
+				return nil, fmt.Errorf("spgist: %s.InnerConsistent follow entry %d out of range", t.oc.Name(), fo.Entry)
 			}
 			child := n.entries[fo.Entry].child
 			if !child.Valid() {
 				continue // empty partition of a NodeShrink=false tree
 			}
-			stack = append(stack, frame{child, f.level + fo.LevelAdd, fo.Recon})
+			d.stack = append(d.stack, frame{child, f.level + fo.LevelAdd, fo.Recon})
 		}
 		// Every followed child will be visited, but the last one pushed
 		// is popped — and fetched — on the very next iteration: a
@@ -81,16 +130,16 @@ func (t *Tree) Scan(q *Query, emit func(key Value, rid heap.RID) bool) error {
 		// descent it is the only child). Readahead goes to the siblings
 		// that wait on the stack behind it, the ones on pages neither
 		// this node nor that fetch brings in.
-		if last := len(stack) - 1; last > first && t.bp.ReadaheadPages() > 0 {
-			next := stack[last].ref.Page
-			for _, sib := range stack[first:last] {
+		if last := len(d.stack) - 1; last > first && t.bp.ReadaheadPages() > 0 {
+			next := d.stack[last].ref.Page
+			for _, sib := range d.stack[first:last] {
 				if p := sib.ref.Page; p != f.ref.Page && p != next {
 					t.bp.Prefetch(p)
 				}
 			}
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // Lookup collects all RIDs matching the query (a convenience wrapper over

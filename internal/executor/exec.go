@@ -200,6 +200,10 @@ func (t *Table) SelectNN(colName string, arg catalog.Datum, k int) ([]NNResult, 
 	if err != nil {
 		return nil, nil, err
 	}
+	// Every heap version the statement fetches counts as read, visible or
+	// not, on either path and on error; one Add per statement.
+	var read int64
+	defer func() { t.db.met.tuplesRead.Add(read) }()
 	if plan.Kind == IndexNNScan {
 		t.db.met.planNNScan.Inc()
 		plan.Index.scans.Inc()
@@ -207,12 +211,13 @@ func (t *Table) SelectNN(colName string, arg catalog.Datum, k int) ([]NNResult, 
 		if err != nil {
 			return nil, nil, err
 		}
-		var out []NNResult
+		out := make([]NNResult, 0, min(k, int(t.Heap.Count())))
 		for len(out) < k {
 			rid, dist, ok := iter()
 			if !ok {
 				break
 			}
+			read++
 			tup, err := t.getVisible(snap, rid)
 			if err != nil {
 				return nil, nil, err
@@ -230,6 +235,7 @@ func (t *Table) SelectNN(colName string, arg catalog.Datum, k int) ([]NNResult, 
 	var all []NNResult
 	var derr error
 	err = t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, rec []byte) bool {
+		read++
 		if !snap.Visible(h) {
 			return true
 		}
@@ -256,7 +262,6 @@ func (t *Table) SelectNN(colName string, arg catalog.Datum, k int) ([]NNResult, 
 	if len(all) > k {
 		all = all[:k]
 	}
-	t.db.met.tuplesRead.Add(int64(len(all)))
 	t.db.met.rowsReturned.Add(int64(len(all)))
 	return all, plan, nil
 }

@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/catalog"
@@ -217,6 +218,58 @@ func TestSelectNNWithIndexAndFallback(t *testing.T) {
 		if res1[i].Distance != res2[i].Distance {
 			t.Fatalf("NN #%d: fallback %g, index %g", i, res1[i].Distance, res2[i].Distance)
 		}
+	}
+}
+
+// TestSelectNNCountsTuplesRead: an ORDER BY <-> statement counts every
+// heap version it fetches — the dead ones the index still points at
+// included — once, on the fallback path and on the index path alike.
+func TestSelectNNCountsTuplesRead(t *testing.T) {
+	db := memDB(t)
+	tb, err := db.CreateTable("pts", []Column{{"p", catalog.Point}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 10×10 lattice; the ten points nearest the query die, and stay in
+	// the heap (and, once it is built, in the index) as dead versions.
+	q := geom.Point{X: 4.4, Y: 4.6}
+	var pts []geom.Point
+	for i := 0; i < 100; i++ {
+		p := geom.Point{X: float64(i % 10), Y: float64(i / 10)}
+		pts = append(pts, p)
+		if _, err := tb.Insert(catalog.Tuple{catalog.NewPoint(p)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool { return q.Dist(pts[i]) < q.Dist(pts[j]) })
+	for _, p := range pts[:10] {
+		if n, err := tb.DeleteWhere(&Pred{Column: 0, Op: "@", Arg: catalog.NewPoint(p)}); err != nil || n != 1 {
+			t.Fatalf("delete %v: %d rows, %v", p, n, err)
+		}
+	}
+	nn5 := func(wantKind PlanKind) (read, returned int64) {
+		t.Helper()
+		r0, o0 := db.met.tuplesRead.Load(), db.met.rowsReturned.Load()
+		res, plan, err := tb.SelectNN("p", catalog.NewPoint(q), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Kind != wantKind || len(res) != 5 || res[0].Distance != q.Dist(pts[10]) {
+			t.Fatalf("plan %v returned %d rows, nearest at %g; want %v, 5 rows, nearest at %g",
+				plan.Kind, len(res), res[0].Distance, wantKind, q.Dist(pts[10]))
+		}
+		return db.met.tuplesRead.Load() - r0, db.met.rowsReturned.Load() - o0
+	}
+	if read, returned := nn5(SeqScan); read != 100 || returned != 5 {
+		t.Fatalf("fallback: counted %d tuples read and %d rows returned, want 100 versions scanned and 5", read, returned)
+	}
+	if _, err := db.CreateIndex("kd_idx", "pts", "p", "spgist", ""); err != nil {
+		t.Fatal(err)
+	}
+	// The cursor surfaces the ten dead neighbors first, each fetched and
+	// skipped, then the five results.
+	if read, returned := nn5(IndexNNScan); read != 15 || returned != 5 {
+		t.Fatalf("index NN: counted %d tuples read and %d rows returned, want 15 (10 dead + 5 live) and 5", read, returned)
 	}
 }
 

@@ -52,12 +52,16 @@ func (o *OpClass) Params() core.Params {
 	}
 }
 
-// RootRecon implements core.OpClass: the unbounded plane, refined into
-// half-plane boxes as the search descends (used by NN distance bounds).
-func (o *OpClass) RootRecon() core.Value {
-	inf := math.Inf(1)
-	return geom.Box{Min: geom.Point{X: -inf, Y: -inf}, Max: geom.Point{X: inf, Y: inf}}
+// plane is the root's traversal value, boxed once.
+var plane core.Value = geom.Box{
+	Min: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
+	Max: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
 }
+
+// RootRecon implements core.OpClass: the unbounded plane, refined into
+// half-plane boxes as an insertion or an NN search descends (the NN
+// distance bounds are distances to these boxes).
+func (o *OpClass) RootRecon() core.Value { return plane }
 
 // EncodePoint serializes a point in 16 bytes.
 func EncodePoint(p geom.Point) []byte {
@@ -202,24 +206,21 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	return out
 }
 
+// follow appends the child under entry i. Searches navigate by the
+// splitting point alone, so no traversal value goes along.
+func follow(out *core.InnerOut, i int) {
+	out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: 1})
+}
+
 // InnerConsistent implements core.OpClass for "@" (point equality) and
 // "^" (inside box).
-func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
-	var out core.InnerOut
+func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	disc := in.Pred.(geom.Point)
-	follow := func(i int) {
-		lb := in.Labels[i].(byte)
-		var recon core.Value
-		if box, ok := in.Recon.(geom.Box); ok {
-			recon = childBox(box, disc, in.Level, lb)
-		}
-		out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: 1, Recon: recon})
-	}
 	if in.Query == nil {
 		for i := range in.Labels {
-			follow(i)
+			follow(out, i)
 		}
-		return out
+		return
 	}
 	switch in.Query.Op {
 	case "@":
@@ -227,7 +228,7 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 		want := side(q, disc, in.Level)
 		for i, l := range in.Labels {
 			if l.(byte) == want {
-				follow(i)
+				follow(out, i)
 			}
 		}
 	case "^":
@@ -236,20 +237,19 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 			switch l.(byte) {
 			case LabelSelf:
 				if q.Contains(disc) {
-					follow(i)
+					follow(out, i)
 				}
 			case LabelLeft:
 				if coord(q.Min, in.Level) < coord(disc, in.Level) {
-					follow(i)
+					follow(out, i)
 				}
 			case LabelRight:
 				if coord(q.Max, in.Level) >= coord(disc, in.Level) {
-					follow(i)
+					follow(out, i)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // LeafConsistent implements core.OpClass.
@@ -267,15 +267,18 @@ func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
 // NNInner implements core.NNOpClass: the lower bound for a partition is
 // the Euclidean distance from the query point to the partition's bounding
 // box.
-func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, level int, recon core.Value, parentDist float64) (float64, core.Value, int) {
-	qp := q.(geom.Point)
-	disc := pred.(geom.Point)
-	box := childBox(recon.(geom.Box), disc, level, label.(byte))
-	d := box.DistToPoint(qp)
+func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, level int, recon core.Value, parentDist float64) (float64, int) {
+	box := childBox(recon.(geom.Box), pred.(geom.Point), level, label.(byte))
+	d := box.DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist // numeric safety: bounds never decrease downward
 	}
-	return d, box, 1
+	return d, 1
+}
+
+// NNRecon implements core.NNOpClass: the partition's bounding box.
+func (o *OpClass) NNRecon(pred core.Value, label core.Value, level int, recon core.Value) core.Value {
+	return childBox(recon.(geom.Box), pred.(geom.Point), level, label.(byte))
 }
 
 // NNLeaf implements core.NNOpClass.

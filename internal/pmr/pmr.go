@@ -205,27 +205,30 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	return out
 }
 
+// follow appends the child under entry i with its cell: the cell
+// geometry lives only on the path, and InnerConsistent reads it back from
+// InnerIn.Recon one level down.
+func follow(out *core.InnerOut, i int, cell geom.Box) {
+	out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: 1, Recon: cell})
+}
+
 // InnerConsistent implements core.OpClass for "=" and "&&".
-func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
-	var out core.InnerOut
+func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	cell := in.Recon.(geom.Box)
-	follow := func(i int, q geom.Box) {
-		out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: 1, Recon: q})
-	}
 	for i, l := range in.Labels {
 		q := cell.Quadrant(int(l.(byte)))
 		if in.Query == nil {
-			follow(i, q)
+			follow(out, i, q)
 			continue
 		}
 		switch in.Query.Op {
 		case "=":
 			if in.Query.Arg.(geom.Segment).IntersectsBox(q) {
-				follow(i, q)
+				follow(out, i, q)
 			}
 		case "&&":
 			if in.Query.Arg.(geom.Box).Intersects(q) {
-				follow(i, q)
+				follow(out, i, q)
 			}
 		}
 	}
@@ -243,10 +246,9 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 			}
 		}
 		if best >= 0 {
-			follow(best, cell.Quadrant(int(in.Labels[best].(byte))))
+			follow(out, best, cell.Quadrant(int(in.Labels[best].(byte))))
 		}
 	}
-	return out
 }
 
 // LeafConsistent implements core.OpClass.
@@ -261,15 +263,19 @@ func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
 	return false
 }
 
-// NNInner implements core.NNOpClass for point queries over segments.
-func (o *OpClass) NNInner(q core.Value, _ core.Value, label core.Value, _ int, recon core.Value, parentDist float64) (float64, core.Value, int) {
-	qp := q.(geom.Point)
-	cell := recon.(geom.Box).Quadrant(int(label.(byte)))
-	d := cell.DistToPoint(qp)
+// NNInner implements core.NNOpClass for point queries over segments: the
+// distance to the quadrant cell.
+func (o *OpClass) NNInner(q core.Value, _ core.Value, label core.Value, _ int, recon core.Value, parentDist float64) (float64, int) {
+	d := recon.(geom.Box).Quadrant(int(label.(byte))).DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist
 	}
-	return d, cell, 1
+	return d, 1
+}
+
+// NNRecon implements core.NNOpClass: the quadrant cell.
+func (o *OpClass) NNRecon(_ core.Value, label core.Value, _ int, recon core.Value) core.Value {
+	return recon.(geom.Box).Quadrant(int(label.(byte)))
 }
 
 // NNLeaf implements core.NNOpClass.

@@ -47,11 +47,15 @@ func (o *OpClass) Params() core.Params {
 	}
 }
 
-// RootRecon implements core.OpClass: the unbounded plane.
-func (o *OpClass) RootRecon() core.Value {
-	inf := math.Inf(1)
-	return geom.Box{Min: geom.Point{X: -inf, Y: -inf}, Max: geom.Point{X: inf, Y: inf}}
+// plane is the root's traversal value, boxed once.
+var plane core.Value = geom.Box{
+	Min: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
+	Max: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
 }
+
+// RootRecon implements core.OpClass: the unbounded plane, clipped to
+// quadrants as an insertion or an NN search descends.
+func (o *OpClass) RootRecon() core.Value { return plane }
 
 // EncodeKey implements core.OpClass.
 func (o *OpClass) EncodeKey(v core.Value) []byte { return kdtree.EncodePoint(v.(geom.Point)) }
@@ -183,23 +187,20 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	return out
 }
 
+// follow appends the child under entry i. Searches navigate by the
+// center point alone, so no traversal value goes along.
+func follow(out *core.InnerOut, i int) {
+	out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: 1})
+}
+
 // InnerConsistent implements core.OpClass for "@" and "^".
-func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
-	var out core.InnerOut
+func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	c := in.Pred.(geom.Point)
-	follow := func(i int) {
-		lb := in.Labels[i].(byte)
-		var recon core.Value
-		if box, ok := in.Recon.(geom.Box); ok {
-			recon = childBox(box, c, lb)
-		}
-		out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: 1, Recon: recon})
-	}
 	if in.Query == nil {
 		for i := range in.Labels {
-			follow(i)
+			follow(out, i)
 		}
-		return out
+		return
 	}
 	switch in.Query.Op {
 	case "@":
@@ -207,18 +208,17 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 		want := quadrant(q, c)
 		for i, l := range in.Labels {
 			if l.(byte) == want {
-				follow(i)
+				follow(out, i)
 			}
 		}
 	case "^":
 		q := in.Query.Arg.(geom.Box)
 		for i, l := range in.Labels {
 			if quadrantMayContain(q, c, l.(byte)) {
-				follow(i)
+				follow(out, i)
 			}
 		}
 	}
-	return out
 }
 
 // LeafConsistent implements core.OpClass.
@@ -233,16 +233,20 @@ func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
 	return false
 }
 
-// NNInner implements core.NNOpClass.
-func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, _ int, recon core.Value, parentDist float64) (float64, core.Value, int) {
-	qp := q.(geom.Point)
-	c := pred.(geom.Point)
-	box := childBox(recon.(geom.Box), c, label.(byte))
-	d := box.DistToPoint(qp)
+// NNInner implements core.NNOpClass: the distance to the quadrant's
+// bounding box.
+func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, _ int, recon core.Value, parentDist float64) (float64, int) {
+	box := childBox(recon.(geom.Box), pred.(geom.Point), label.(byte))
+	d := box.DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist
 	}
-	return d, box, 1
+	return d, 1
+}
+
+// NNRecon implements core.NNOpClass: the quadrant's bounding box.
+func (o *OpClass) NNRecon(pred core.Value, label core.Value, _ int, recon core.Value) core.Value {
+	return childBox(recon.(geom.Box), pred.(geom.Point), label.(byte))
 }
 
 // NNLeaf implements core.NNOpClass.

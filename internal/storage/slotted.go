@@ -313,26 +313,19 @@ func SlotInsertAt(data []byte, slot int, rec []byte) bool {
 }
 
 // slotCompact rewrites all live records contiguously at the high end of
-// the area, leaving slot numbers unchanged.
+// the area, in slot order from the top down, leaving slot numbers
+// unchanged. Records are read from one scratch copy of the area: slot
+// order is not offset order, so a record's new place may overlap the old
+// place of one not yet moved.
 func slotCompact(data []byte) {
-	type liveRec struct {
-		slot int
-		rec  []byte
-	}
-	nslots := SlotCount(data)
-	live := make([]liveRec, 0, nslots)
-	for s := 0; s < nslots; s++ {
-		if r := SlotRead(data, s); r != nil {
-			cp := make([]byte, len(r))
-			copy(cp, r)
-			live = append(live, liveRec{s, cp})
-		}
-	}
+	old := append([]byte(nil), data...)
 	hi := len(data)
-	for _, lr := range live {
-		hi -= len(lr.rec)
-		copy(data[hi:], lr.rec)
-		setSlotEntry(data, lr.slot, uint16(hi), uint16(len(lr.rec)))
+	for s, nslots := 0, SlotCount(old); s < nslots; s++ {
+		if rec := SlotRead(old, s); rec != nil {
+			hi -= len(rec)
+			copy(data[hi:], rec)
+			setSlotEntry(data, s, uint16(hi), uint16(len(rec)))
+		}
 	}
 	put16(data, 4, uint16(hi))
 }

@@ -280,6 +280,58 @@ func TestSlottedCompactionReclaims(t *testing.T) {
 	}
 }
 
+// slotCompact moves every record through one scratch copy, not one copy
+// per record, and must lay the page out exactly as the per-record
+// algorithm it replaced did (pages are logged as images: the golden WAL
+// stream pins their bytes): live records in slot order from the top of
+// the area down, every other byte left alone.
+func TestSlotCompactLayoutAndAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	data := make([]byte, 2048)
+	SlotInit(data)
+	// Scramble: offsets out of slot order, holes, reused slots.
+	var live []int
+	for step := 0; step < 400; step++ {
+		rec := make([]byte, 8+r.Intn(40))
+		r.Read(rec)
+		switch {
+		case len(live) > 0 && r.Intn(3) == 0:
+			i := r.Intn(len(live))
+			SlotDelete(data, live[i])
+			live = append(live[:i], live[i+1:]...)
+		case len(live) > 0 && r.Intn(3) == 0:
+			SlotUpdate(data, live[r.Intn(len(live))], rec)
+		default:
+			if s, ok := SlotInsert(data, rec); ok {
+				live = append(live, s)
+			}
+		}
+	}
+	if len(live) < 20 {
+		t.Fatalf("fixture has %d live records, want a well-filled page", len(live))
+	}
+
+	want := append([]byte(nil), data...)
+	hi := len(want)
+	for s := 0; s < SlotCount(data); s++ {
+		if rec := SlotRead(data, s); rec != nil { // read from the untouched original
+			hi -= len(rec)
+			copy(want[hi:], rec)
+			setSlotEntry(want, s, uint16(hi), uint16(len(rec)))
+		}
+	}
+	put16(want, 4, uint16(hi))
+
+	got := append([]byte(nil), data...)
+	slotCompact(got)
+	if !bytes.Equal(got, want) {
+		t.Fatal("slotCompact laid the page out differently from the per-record reference")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { slotCompact(got) }); allocs > 1 {
+		t.Fatalf("slotCompact of %d live records: %.0f allocations, want at most 1", len(live), allocs)
+	}
+}
+
 // Randomized model check: the slotted page must behave exactly like a
 // map[slot][]byte under random insert/update/delete while never corrupting
 // surviving records.

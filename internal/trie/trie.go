@@ -228,31 +228,27 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	return out
 }
 
+// follow appends the child under entry i, labeled lb, of a node whose
+// stored prefix is plen characters long. No traversal value goes along: a
+// search knows its position in the query from the level alone.
+func follow(out *core.InnerOut, i int, lb byte, plen int) {
+	if lb != Blank {
+		plen++
+	}
+	out.Follow = append(out.Follow, core.InnerFollow{Entry: i, LevelAdd: plen})
+}
+
 // InnerConsistent implements core.OpClass for the =, #=, ?= (and @=)
 // operators. This is where the trie's tolerance to wildcards comes from:
 // any non-wildcard character of the pattern prunes the fan-out at its
 // level, regardless of where wildcards appear (paper section 6).
-func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
-	var out core.InnerOut
+func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	p := pred(in.Pred)
-	recon, _ := in.Recon.(string)
-	follow := func(i int) {
-		lb := in.Labels[i].(byte)
-		f := core.InnerFollow{Entry: i}
-		if lb == Blank {
-			f.LevelAdd = len(p)
-			f.Recon = recon + p
-		} else {
-			f.LevelAdd = len(p) + 1
-			f.Recon = recon + p + string(lb)
-		}
-		out.Follow = append(out.Follow, f)
-	}
 	if in.Query == nil {
-		for i := range in.Labels {
-			follow(i)
+		for i, l := range in.Labels {
+			follow(out, i, l.(byte), len(p))
 		}
-		return out
+		return
 	}
 	q := in.Query.Arg.(string)
 	after := in.Level + len(p)
@@ -260,7 +256,7 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 	case "=":
 		// The stored prefix must match the query exactly.
 		if len(q) < after || q[in.Level:after] != p {
-			return out
+			return
 		}
 		want := Blank
 		if after < len(q) {
@@ -268,7 +264,7 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 		}
 		for i, l := range in.Labels {
 			if l.(byte) == want {
-				follow(i)
+				follow(out, i, want, len(p))
 			}
 		}
 	case "#=", "@=":
@@ -279,18 +275,18 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 			m = rem
 		}
 		if m > 0 && q[in.Level:in.Level+m] != p[:m] {
-			return out
+			return
 		}
 		if len(q) <= after {
-			for i := range in.Labels {
-				follow(i)
+			for i, l := range in.Labels {
+				follow(out, i, l.(byte), len(p))
 			}
-			return out
+			return
 		}
 		want := q[after]
 		for i, l := range in.Labels {
 			if l.(byte) == want {
-				follow(i)
+				follow(out, i, want, len(p))
 			}
 		}
 	case "?=":
@@ -298,27 +294,26 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn) core.InnerOut {
 		// node is at least `after` characters long, so the pattern must
 		// cover the stored prefix.
 		if len(q) < after {
-			return out
+			return
 		}
 		for i := 0; i < len(p); i++ {
 			if c := q[in.Level+i]; c != '?' && c != p[i] {
-				return out
+				return
 			}
 		}
 		for i, l := range in.Labels {
 			lb := l.(byte)
 			if lb == Blank {
 				if len(q) == after {
-					follow(i)
+					follow(out, i, lb, len(p))
 				}
 			} else if after < len(q) {
 				if c := q[after]; c == '?' || c == lb {
-					follow(i)
+					follow(out, i, lb, len(p))
 				}
 			}
 		}
 	}
-	return out
 }
 
 // LeafConsistent implements core.OpClass.
@@ -373,36 +368,39 @@ func Distance(a, b string) float64 {
 }
 
 // NNInner implements core.NNOpClass. The lower bound for any word under a
-// child with reconstructed prefix s is the mismatch count of s against the
-// query plus the overshoot of s beyond the query; it is computed
-// incrementally from the parent's bound, which is the modification the
-// paper's section 5 describes for tries.
-func (o *OpClass) NNInner(q core.Value, predV core.Value, label core.Value, level int, recon core.Value, parentDist float64) (float64, core.Value, int) {
+// child whose path spells s is the mismatch count of s against the query
+// plus the overshoot of s beyond the query; it is computed incrementally
+// from the parent's bound, which is the modification the paper's section
+// 5 describes for tries. The parent's path is level characters long, so
+// only the node's own prefix and the child's label are compared and no
+// traversal value is needed.
+func (o *OpClass) NNInner(q core.Value, predV core.Value, label core.Value, level int, _ core.Value, parentDist float64) (float64, int) {
 	query := q.(string)
-	s := recon.(string) + pred(predV)
-	levelAdd := len(pred(predV))
-	if lb := label.(byte); lb != Blank {
-		s += string(lb)
-		levelAdd++
-	}
-	parent := recon.(string)
+	p := pred(predV)
 	d := parentDist
-	for i := len(parent); i < len(s); i++ {
-		if i < len(query) {
-			if s[i] != query[i] {
-				d++
-			}
-		} else {
-			d++ // the word is already longer than the query
+	pos := level
+	for i := 0; i < len(p); i++ {
+		// Past its end the word is already longer than the query.
+		if pos >= len(query) || p[i] != query[pos] {
+			d++
 		}
+		pos++
 	}
-	// A blank child holds complete words equal to s; shorter-than-query
-	// words pay the length penalty immediately, keeping the bound tight.
-	if lb := label.(byte); lb == Blank && len(s) < len(query) {
-		d += float64(len(query) - len(s))
+	if lb := label.(byte); lb != Blank {
+		if pos >= len(query) || lb != query[pos] {
+			d++
+		}
+		pos++
+	} else if pos < len(query) {
+		// A blank child holds complete words equal to s; shorter-than-query
+		// words pay the length penalty immediately, keeping the bound tight.
+		d += float64(len(query) - pos)
 	}
-	return d, s, levelAdd
+	return d, pos - level
 }
+
+// NNRecon implements core.NNOpClass: NNInner reads no traversal value.
+func (o *OpClass) NNRecon(core.Value, core.Value, int, core.Value) core.Value { return nil }
 
 // NNLeaf implements core.NNOpClass.
 func (o *OpClass) NNLeaf(q core.Value, key core.Value) float64 {
