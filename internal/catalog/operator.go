@@ -148,11 +148,6 @@ func MatchSel(st TableStats, arg Datum) float64 {
 // ContSel is PostgreSQL's contsel for containment/overlap operators.
 func ContSel(_ TableStats, _ Datum) float64 { return DefaultContSel }
 
-// IneqSel is PostgreSQL's scalar inequality default (kept for operators
-// registered without a direction; the built-in <, <=, >, >= use
-// ScalarIneqSel closures instead).
-func IneqSel(_ TableStats, _ Datum) float64 { return DefaultIneqSel }
-
 // ScalarIneqSel is PostgreSQL's scalarltsel/scalargtsel: P(col < arg)
 // (or <=, >, >= per the flags) estimated from the MCV list plus
 // histogram interpolation, with a min/max linear fallback for numeric

@@ -327,11 +327,10 @@ func (t *Table) analyzeInMemory() error {
 // next Open loads the statistics with the schema, so the first plan
 // never scans the heap.
 func (t *Table) Analyze() error {
-	t.db.xlockStmt()
-	defer t.db.stmtMu.Unlock()
-	if err := t.db.poisoned(); err != nil {
+	if err := t.db.beginDDL(); err != nil {
 		return err
 	}
+	defer t.db.stmtMu.Unlock()
 	if err := t.checkAttached(); err != nil {
 		return err
 	}

@@ -110,14 +110,23 @@ type Table struct {
 	db *DB
 }
 
-// lockRead takes the locks of a read statement against t: the shared
-// catalog/DDL lock plus t's shared physical latch. A writer transaction
-// on the same table blocks this only while it is actually mutating
-// pages, never for its full transaction. Waits are charged to the
-// lock-wait counter; the uncontended path reads no clock.
-func (t *Table) lockRead() {
+// lockRead takes the locks of a read statement against t — the shared
+// catalog/DDL lock plus t's shared physical latch — and checks that t is
+// still attached. A writer transaction on the same table blocks this
+// only while it is actually mutating pages, never for its full
+// transaction. Waits are charged to the lock-wait counter; the
+// uncontended path reads no clock. On error nothing is held; otherwise
+// release with unlockRead. Statements that read rows for a caller go on
+// to take its transaction's snapshot (beginRead); EXPLAIN and the
+// statistics readouts stop here.
+func (t *Table) lockRead() error {
 	rlockTimed(&t.db.stmtMu, t.db.met.lockWaitNs, t.db.waits, obs.WaitLockCatalog)
 	rlockTimed(&t.phys, t.db.met.lockWaitNs, t.db.waits, obs.WaitLockTable)
+	if err := t.checkAttached(); err != nil {
+		t.unlockRead()
+		return err
+	}
+	return nil
 }
 
 func (t *Table) unlockRead() {
@@ -378,9 +387,6 @@ type Options struct {
 	// Dir). On open, any log left by a previous run is replayed into
 	// the data files before they are attached.
 	WAL bool
-	// WALSegmentBytes is the soft segment size limit; defaults to
-	// wal.DefaultSegmentBytes.
-	WALSegmentBytes int64
 	// WALSync controls commit durability; defaults to wal.SyncCommit.
 	WALSync wal.SyncMode
 	// Faults injects test-only crash points into DDL statements.
@@ -518,10 +524,7 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		db.recovered = st
-		w, err := wal.OpenWriter(walDir, wal.Options{
-			SegmentBytes: opts.WALSegmentBytes,
-			Mode:         opts.WALSync,
-		})
+		w, err := wal.OpenWriter(walDir, wal.Options{Mode: opts.WALSync})
 		if err != nil {
 			return nil, err
 		}
@@ -536,20 +539,20 @@ func Open(opts Options) (*DB, error) {
 			// very first record — the single place that guarantees the
 			// precondition BufferPool.AttachWAL enforces.
 			if err := db.commitWAL(nil); err != nil {
-				db.abandon()
+				db.discardAll()
 				return nil, err
 			}
 		}
 	}
 	if err := db.bootstrapCatalog(); err != nil {
-		db.abandon()
+		db.discardAll()
 		return nil, err
 	}
 	// The transaction manager seeds its xid counter from the catalog's
 	// persisted high-water mark, so it comes up only after the catalog.
 	db.tm = newTxnManager(db)
 	if err := db.loadSchema(); err != nil {
-		db.abandon()
+		db.discardAll()
 		return nil, err
 	}
 	if opts.BGWriterInterval > 0 {
@@ -593,12 +596,6 @@ func (db *DB) discardAll() error {
 	db.cat = nil
 	db.catPool = nil
 	return firstErr
-}
-
-// abandon releases every resource of a half-opened database (best
-// effort; the open error is what the caller reports).
-func (db *DB) abandon() {
-	db.discardAll()
 }
 
 // bootstrapCatalog opens (creating if necessary) the system catalog's
@@ -953,6 +950,19 @@ func (db *DB) xlockStmt() {
 	lockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
 }
 
+// beginDDL opens a DDL or maintenance statement: the exclusive statement
+// lock, then the refusal of a poisoned or read-only database — up
+// front, so such a session stops mutating the catalog heap at all. On
+// error nothing is held; otherwise release with db.stmtMu.Unlock().
+func (db *DB) beginDDL() error {
+	db.xlockStmt()
+	err := db.checkWritable()
+	if err != nil {
+		db.stmtMu.Unlock()
+	}
+	return err
+}
+
 // Activity exposes the live session table — who is connected, what each
 // session is running, and what it is blocked on (SHOW ACTIVITY, the
 // ACTIVITY server verb, the /activity HTTP endpoint).
@@ -1098,9 +1108,6 @@ func (db *DB) Checkpoint() error {
 }
 
 func (db *DB) checkpointLocked() error {
-	if err := db.poisoned(); err != nil {
-		return err
-	}
 	if err := db.checkWritable(); err != nil {
 		return err
 	}
@@ -1112,10 +1119,8 @@ func (db *DB) checkpointLocked() error {
 		return fmt.Errorf("executor: cannot checkpoint with an open transaction that has logged changes")
 	}
 	for _, t := range db.tables {
-		for _, ix := range t.Indexes {
-			if err := ix.Idx.SaveMeta(); err != nil {
-				return db.noteWALFailure(err)
-			}
+		if err := t.saveIndexMeta(); err != nil {
+			return db.noteWALFailure(err)
 		}
 	}
 	// Flush and log-rotation failures go through noteWALFailure: a log
@@ -1155,10 +1160,10 @@ func (db *DB) Crash() error {
 
 // poisoned reports the sticky error of a failed DDL compensation.
 // commitWAL refuses under it (a commit marker would retroactively
-// commit the ghost records left in the log), and the DDL entry points
-// check it up front so a poisoned session stops mutating the catalog
-// heap at all rather than failing late and relying on yet another
-// compensation.
+// commit the ghost records left in the log), and every write statement
+// checks it up front (checkWritable) so a poisoned session stops
+// mutating the catalog heap at all rather than failing late and relying
+// on yet another compensation.
 func (db *DB) poisoned() error {
 	if db.broken == nil {
 		return nil
@@ -1166,39 +1171,51 @@ func (db *DB) poisoned() error {
 	return fmt.Errorf("executor: database poisoned by a failed DDL compensation, reopen it: %w", db.broken)
 }
 
-// commitPools is the per-statement commit point over an explicit pool
-// set: index metadata is saved into (logged) meta pages, the deferred
-// logical records and page images of those pools are staged into one
-// record group, the group plus a commit marker is appended to the log
-// *atomically* (no concurrent statement's records interleave), the
+// commitGroup is the engine's one commit point. The index metadata of
+// tables (nil entries skipped) is saved into (logged) meta pages, the
+// deferred logical records and page images of pools are staged into one
+// record group — closed by commitXid's transaction-commit record when
+// that is non-zero — the group plus a commit marker is appended to the
+// log *atomically* (no concurrent statement's records interleave), the
 // assigned LSNs are stamped back onto the covered frames, and the log
 // is forced according to the sync mode. The final force runs the
 // writer's group-commit protocol, so any number of statements
-// committing concurrently share one fsync. A no-op when logging is off.
-func (db *DB) commitPools(t *Table, pools []*storage.BufferPool) error {
+// committing concurrently share one fsync. A failed append or force
+// passes through noteWALFailure: the statement that met a dead log is
+// the one that degrades the database. A no-op when logging is off.
+func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables ...*Table) error {
 	if err := db.poisoned(); err != nil {
 		return err
 	}
 	if db.wal == nil {
 		return nil
 	}
-	if t != nil {
-		for _, ix := range t.Indexes {
-			if err := ix.Idx.SaveMeta(); err != nil {
-				return err
-			}
+	for _, t := range tables {
+		if t == nil {
+			continue
+		}
+		if err := t.saveIndexMeta(); err != nil {
+			return err
 		}
 	}
-	if err := db.appendPools(pools); err != nil {
+	if err := db.appendPoolsXid(pools, commitXid); err != nil {
 		return err
 	}
-	if tr := obs.Current(); tr != nil {
-		sp := tr.StartSpan("commit_wait", "wal")
-		err := db.wal.Commit()
-		sp.End()
-		return db.noteWALFailure(err)
+	sp := obs.Current().StartSpan("commit_wait", "wal")
+	err := db.wal.Commit()
+	sp.End()
+	return db.noteWALFailure(err)
+}
+
+// saveIndexMeta writes the metadata of every index of t into its meta
+// page.
+func (t *Table) saveIndexMeta() error {
+	for _, ix := range t.Indexes {
+		if err := ix.Idx.SaveMeta(); err != nil {
+			return err
+		}
 	}
-	return db.noteWALFailure(db.wal.Commit())
+	return nil
 }
 
 // appendPools stages the deferred records and page images of pools into
@@ -1243,14 +1260,6 @@ func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) erro
 	return nil
 }
 
-// newAbortGroup builds the single-record group closing an aborted
-// transaction's trail in the log.
-func newAbortGroup(xid uint64) *wal.Group {
-	g := wal.NewGroup()
-	g.AddTxnAbort(xid)
-	return g
-}
-
 // tablePools lists the pools a DML statement against t can touch.
 func tablePools(t *Table) []*storage.BufferPool {
 	pools := make([]*storage.BufferPool, 0, 1+len(t.Indexes))
@@ -1267,7 +1276,7 @@ func tablePools(t *Table) []*storage.BufferPool {
 // slice is read without db.mu (which Close and Checkpoint already hold
 // when they commit through here).
 func (db *DB) commitWAL(t *Table) error {
-	return db.commitPools(t, db.pools)
+	return db.commitGroup(db.pools, 0, t)
 }
 
 // commitTable commits a DML statement against one table: only the
@@ -1275,7 +1284,7 @@ func (db *DB) commitWAL(t *Table) error {
 // concurrent writers on other tables (which hold stmtMu only shared)
 // are never swept into this statement's marker.
 func (db *DB) commitTable(t *Table) error {
-	return db.commitPools(t, tablePools(t))
+	return db.commitGroup(tablePools(t), 0, t)
 }
 
 // insertChunkRows bounds how many rows of one multi-row INSERT apply
@@ -1410,20 +1419,13 @@ func (db *DB) forgetPool(bp *storage.BufferPool) {
 // committed together, so a crash mid-statement leaves neither (the
 // orphaned file, if any, is swept at the next open).
 func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
-	db.xlockStmt()
+	if err := db.beginDDL(); err != nil {
+		return nil, err
+	}
 	defer db.stmtMu.Unlock()
-	if err := db.poisoned(); err != nil {
-		return nil, err
-	}
-	if err := db.checkWritable(); err != nil {
-		return nil, err
-	}
-	db.mu.Lock()
-	if _, dup := db.tables[name]; dup {
-		db.mu.Unlock()
+	if _, err := db.Table(name); err == nil {
 		return nil, fmt.Errorf("executor: table %q already exists", name)
 	}
-	db.mu.Unlock()
 	if name == "" {
 		return nil, fmt.Errorf("executor: table needs a name")
 	}
@@ -1614,14 +1616,10 @@ func (db *DB) buildIndex(t *Table, idx am.Index, ci int, bp *storage.BufferPool)
 // at the next Open, which removes the partial index file and rebuilds
 // the index from the heap — a partial build is never reattached.
 func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName string) (*IndexInfo, error) {
-	db.xlockStmt()
+	if err := db.beginDDL(); err != nil {
+		return nil, err
+	}
 	defer db.stmtMu.Unlock()
-	if err := db.poisoned(); err != nil {
-		return nil, err
-	}
-	if err := db.checkWritable(); err != nil {
-		return nil, err
-	}
 	t, err := db.Table(tableName)
 	if err != nil {
 		return nil, err
@@ -1772,14 +1770,10 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 // on a relation lock here). Callers must not drop a relation with reads
 // of it in flight.
 func (db *DB) DropIndex(name string) error {
-	db.xlockStmt()
+	if err := db.beginDDL(); err != nil {
+		return err
+	}
 	defer db.stmtMu.Unlock()
-	if err := db.poisoned(); err != nil {
-		return err
-	}
-	if err := db.checkWritable(); err != nil {
-		return err
-	}
 	ie, ok := db.cat.GetIndex(name)
 	if !ok {
 		return fmt.Errorf("executor: unknown index %q", name)
@@ -1866,19 +1860,13 @@ func (db *DB) DropIndex(name string) error {
 // linger as junk). As with DropIndex, callers must not drop a table with
 // reads of it in flight — readers are not locked out.
 func (db *DB) DropTable(name string) error {
-	db.xlockStmt()
+	if err := db.beginDDL(); err != nil {
+		return err
+	}
 	defer db.stmtMu.Unlock()
-	if err := db.poisoned(); err != nil {
+	t, err := db.Table(name)
+	if err != nil {
 		return err
-	}
-	if err := db.checkWritable(); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	t, ok := db.tables[name]
-	db.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("executor: unknown table %q", name)
 	}
 	if err := db.refuseLockedByTxn(t, "DROP TABLE"); err != nil {
 		return err
@@ -2028,13 +2016,11 @@ func (t *Table) Get(rid heap.RID) (catalog.Tuple, error) {
 // GetTx is Get inside a transaction: tx's own writes are visible,
 // other transactions' uncommitted versions are not. tx may be nil.
 func (t *Table) GetTx(tx *Txn, rid heap.RID) (catalog.Tuple, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	snap, err := t.beginRead(tx)
+	if err != nil {
 		return nil, err
 	}
-	snap := t.db.tm.snapshot(tx)
-	defer t.db.tm.release(snap)
+	defer t.endRead(snap)
 	return t.getVisible(snap, rid)
 }
 
@@ -2056,10 +2042,9 @@ func (t *Table) getVisible(snap *Snapshot, rid heap.RID) (catalog.Tuple, error) 
 // transactions' uncommitted rows are excluded. (Reaching for
 // t.Heap.Count() directly reports raw versions, not live rows.)
 func (t *Table) RowCount() int64 {
-	t.lockRead()
-	defer t.unlockRead()
-	if t.checkAttached() != nil {
+	if t.lockRead() != nil {
 		return 0
 	}
+	defer t.unlockRead()
 	return t.visibleCountLocked()
 }

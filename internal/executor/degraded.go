@@ -62,10 +62,14 @@ func (db *DB) State() (state, detail string) {
 	return "degraded", fmt.Sprintf("read-only since %s: %v", st.since.Format(time.RFC3339), st.cause)
 }
 
-// checkWritable gates write statements: nil when healthy, a typed
-// *ErrReadOnly once degraded. Called from the DML prologue and every
-// DDL/maintenance entry point, next to the poisoned() check.
+// checkWritable gates write statements: nil when healthy, the poisoned
+// error after a failed DDL compensation, a typed *ErrReadOnly once
+// degraded. Called from the DML prologue, every DDL/maintenance entry
+// point and CHECKPOINT.
 func (db *DB) checkWritable() error {
+	if err := db.poisoned(); err != nil {
+		return err
+	}
 	if st := db.degraded.Load(); st != nil {
 		return &ErrReadOnly{Cause: st.cause}
 	}

@@ -36,48 +36,48 @@ import (
 //     snapshot can see it. UPDATE stamps the old version and inserts
 //     the successor.
 
-// beginDML is the prologue of one DML statement against t: poison and
-// attachment checks, the statement's transaction (tx, or a fresh
-// implicit one), and the table's transaction-duration write lock.
-// Caller holds db.stmtMu shared. Returns implicit=true when the
+// beginDML is the prologue of one DML statement against t: the
+// writability and attachment checks, the statement's transaction (tx,
+// or a fresh implicit one), and the table's transaction-duration write
+// lock. Caller holds db.stmtMu shared. Returns implicit=true when the
 // statement must end the transaction itself.
 func (t *Table) beginDML(tx *Txn) (stx *Txn, implicit bool, err error) {
 	db := t.db
-	if err := db.poisoned(); err != nil {
-		return nil, false, err
-	}
 	if err := db.checkWritable(); err != nil {
 		return nil, false, err
 	}
 	if err := t.checkAttached(); err != nil {
 		return nil, false, err
 	}
-	if tx != nil {
-		if tx.done {
-			return nil, false, fmt.Errorf("executor: transaction %d already ended", tx.xid)
-		}
-		if err := db.tm.lockTable(tx, t); err != nil {
+	implicit = tx == nil
+	if implicit {
+		if tx, err = db.tm.begin(true); err != nil {
 			return nil, false, err
 		}
-		return tx, false, nil
+	} else if tx.done {
+		return nil, false, fmt.Errorf("executor: transaction %d already ended", tx.xid)
 	}
-	ntx, err := db.tm.begin(true)
-	if err != nil {
+	if err := db.tm.lockTable(tx, t); err != nil {
+		if implicit {
+			db.tm.finish(tx)
+		}
 		return nil, false, err
 	}
-	if err := db.tm.lockTable(ntx, t); err != nil {
-		db.tm.finish(ntx)
-		return nil, false, err
-	}
-	return ntx, true, nil
+	return tx, implicit, nil
 }
 
-// endDML closes a successful DML statement. An implicit transaction
+// endDML closes a DML statement; err is what failed it, nil when it ran
+// to its end. An implicit transaction ends with the statement: it
 // commits — its records and commit record append under one marker and
-// the log is forced per its sync mode. A statement inside an explicit
-// transaction appends its records under a plain marker *without* fsync
-// or commit record: the frames release, and the statement stays
-// invisible (and non-durable) until the transaction's COMMIT.
+// the log is forced per its sync mode — or, when the statement failed,
+// rolls back entirely, so a failed statement leaves nothing behind. A
+// statement inside an explicit transaction appends its records under a
+// plain marker *without* fsync or commit record: the frames release,
+// and the statement stays invisible (and non-durable) until the
+// transaction's COMMIT. A failed one keeps its applied prefix (its undo
+// entries are on the transaction, so ROLLBACK still compensates it) and
+// appends best effort, so the pool is not left holding unevictable
+// frames. Returns err, or what ending the statement failed with.
 //
 // mutated reports whether the statement actually staged page mutations.
 // A statement that matched zero rows left no trace, so it must not be
@@ -85,54 +85,104 @@ func (t *Table) beginDML(tx *Txn) (stx *Txn, implicit bool, err error) {
 // group-commit fsync) per no-op autocommit statement, and make
 // CHECKPOINT refuse while an explicit transaction that only ran no-op
 // statements stays open.
-func (t *Table) endDML(stx *Txn, implicit, mutated bool) error {
+func (t *Table) endDML(stx *Txn, implicit, mutated bool, err error) error {
 	db := t.db
-	if mutated && db.wal != nil {
+	logged := mutated && db.wal != nil
+	if logged {
 		stx.logged = true
 	}
-	if implicit {
-		if err := db.commitTxn(stx); err != nil {
-			// A failed COMMIT aborts the transaction (PostgreSQL
-			// semantics): compensate its versions and release its locks
-			// rather than leak them — rollbackTxn always finishes stx.
-			if rerr := db.rollbackTxn(stx); rerr != nil && db.broken == nil {
-				return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
-			}
-			return err
+	switch {
+	case implicit && err == nil:
+		return db.commitTxn(stx)
+	case implicit:
+		return db.abortAfter(stx, err)
+	case logged:
+		if aerr := db.appendPools(tablePools(t)); err == nil {
+			err = aerr
 		}
-		db.tm.finish(stx)
-		return nil
 	}
-	if mutated && db.wal != nil {
-		return db.appendPools(tablePools(t))
+	return err
+}
+
+// dmlShape is what differs between INSERT, DELETE and UPDATE outside
+// the work of one chunk.
+type dmlShape struct {
+	verb  string // "INSERT" — with the table and row count, the fault hooks' statement label
+	rows  int    // rows the statement applies to
+	chunk int    // rows per pool-bounded chunk
+	churn int    // versions churned per row: an update churns an old and a new one
+	// The statement's two cumulative counters.
+	stmts, tuples *obs.Counter
+}
+
+// runDML is the body every DML statement shares once it knows its rows:
+// apply(base, end) mutates the heap and the indexes for rows [base, end)
+// under the table's physical latch, chunk by chunk; between chunks the
+// applied records append under a plain marker (no fsync, no commit
+// record), so their frames release while the statement stays invisible
+// — every chunk carries the transaction's xid. Then the statement ends
+// (endDML) and is counted. The two crash points run where a crash is
+// worth simulating: before anything reached the log, and after each
+// intermediate append. Caller holds db.stmtMu shared and has run
+// beginDML.
+func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, end int) error) error {
+	db := t.db
+	var stmt string
+	if db.faults.BeforeDMLCommit != nil || db.faults.BetweenDMLChunks != nil {
+		stmt = fmt.Sprintf("%s %s %d", sh.verb, t.Name, sh.rows)
 	}
+	if f := db.faults.BeforeDMLCommit; f != nil {
+		// The crash point: nothing of the statement has reached the log.
+		if err := f(stmt); err != nil {
+			return faultErr{err}
+		}
+	}
+	for base, chunksDone := 0, 0; base < sh.rows; base += sh.chunk {
+		end := min(base+sh.chunk, sh.rows)
+		t.phys.Lock()
+		err := apply(base, end)
+		t.phys.Unlock()
+		if err != nil {
+			return t.endDML(stx, implicit, true, err)
+		}
+		if end == sh.rows {
+			break
+		}
+		if db.wal != nil {
+			stx.logged = true
+			if err := db.appendPools(tablePools(t)); err != nil {
+				return t.endDML(stx, implicit, true, err)
+			}
+		}
+		chunksDone++
+		if f := db.faults.BetweenDMLChunks; f != nil {
+			if err := f(stmt, chunksDone); err != nil {
+				return faultErr{err}
+			}
+		}
+	}
+	if err := t.endDML(stx, implicit, sh.rows > 0, nil); err != nil {
+		return err
+	}
+	t.bumpChurn(sh.churn * sh.rows)
+	sh.stmts.Inc()
+	sh.tuples.Add(int64(sh.rows))
 	return nil
 }
 
-// failDML unwinds a DML statement that failed after possibly mutating
-// pages. An implicit transaction rolls back entirely — a failed
-// statement leaves nothing behind, unlike the engine's old no-undo
-// path. Inside an explicit transaction the applied prefix stays (its
-// undo entries are on the transaction, so ROLLBACK still compensates
-// it); only the pending records are appended, best effort, so the pool
-// is not left holding unevictable frames. Returns err for tail-calling.
-func (t *Table) failDML(stx *Txn, implicit, mutated bool, err error) error {
-	db := t.db
-	if mutated && db.wal != nil {
-		stx.logged = true
+// qualify emits every row pred selects (all rows when pred is nil)
+// under stx's own snapshot: the transaction's own inserts qualify, other
+// transactions' uncommitted rows are not even visible. Already-stamped
+// versions (xmax set by stx or a committed deleter) fail Visible and are
+// skipped, so a double DELETE never stacks xmax stamps.
+func (t *Table) qualify(stx *Txn, implicit bool, pred *Pred, emit func(Row) bool) error {
+	snap := t.db.tm.snapshot(stx)
+	_, err := t.selectLocked(snap, pred, emit)
+	t.db.tm.release(snap)
+	if err != nil {
+		return t.endDML(stx, implicit, false, err)
 	}
-	if implicit {
-		if rerr := db.rollbackTxn(stx); rerr != nil && db.broken == nil {
-			// The compensation itself failed: surface it but keep the
-			// statement's own error primary.
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
-		}
-		return err
-	}
-	if mutated && db.wal != nil {
-		db.appendPools(tablePools(t))
-	}
-	return err
+	return nil
 }
 
 // Insert adds a row as its own implicit transaction, maintaining all
@@ -190,102 +240,46 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 	if err != nil {
 		return nil, err
 	}
-	if f := db.faults.BeforeDMLCommit; f != nil {
-		// The crash point: nothing of the statement has reached the log.
-		if err := f(fmt.Sprintf("INSERT %s %d", t.Name, len(tups))); err != nil {
-			return nil, faultErr{err}
-		}
-	}
-	stmt := fmt.Sprintf("INSERT %s %d", t.Name, len(tups))
-	chunk := db.insertChunkRows()
 	rids := make([]heap.RID, 0, len(tups))
-	chunksDone := 0
-	for base := 0; base < len(tups); base += chunk {
-		end := base + chunk
-		if end > len(tups) {
-			end = len(tups)
-		}
-		t.phys.Lock()
-		crids, herr := t.Heap.InsertBatchTx(encoded[base:end], stx.xid)
+	err = t.runDML(stx, implicit, dmlShape{
+		verb: "INSERT", rows: len(tups), chunk: db.insertChunkRows(), churn: 1,
+		stmts: db.met.stmtInsert, tuples: db.met.tuplesInserted,
+	}, func(base, end int) error {
+		crids, err := t.Heap.InsertBatchTx(encoded[base:end], stx.xid)
 		for _, rid := range crids {
 			stx.undo = append(stx.undo, undoRec{t: t, op: undoInsert, rid: rid})
 		}
-		if herr == nil {
-			for _, ix := range t.Indexes {
-				if ierr := am.InsertBatch(ix.Idx, ix.Column, tups[base:end], crids); ierr != nil {
-					herr = fmt.Errorf("executor: index %s: %w", ix.Name, ierr)
-					break
-				}
-			}
+		if err != nil {
+			return err
 		}
-		t.phys.Unlock()
-		if herr != nil {
-			return nil, t.failDML(stx, implicit, true, herr)
+		for _, ix := range t.Indexes {
+			if err := am.InsertBatch(ix.Idx, ix.Column, tups[base:end], crids); err != nil {
+				return fmt.Errorf("executor: index %s: %w", ix.Name, err)
+			}
 		}
 		rids = append(rids, crids...)
-		if end < len(tups) {
-			// More chunks follow: append this one's records under a plain
-			// marker (no fsync, no commit record) so its frames release
-			// while the statement stays invisible.
-			if db.wal != nil {
-				stx.logged = true
-				if err := db.appendPools(tablePools(t)); err != nil {
-					return nil, t.failDML(stx, implicit, true, err)
-				}
-			}
-			chunksDone++
-			if f := db.faults.BetweenDMLChunks; f != nil {
-				if err := f(stmt, chunksDone); err != nil {
-					return nil, faultErr{err}
-				}
-			}
-		}
-	}
-	if err := t.endDML(stx, implicit, true); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	t.bumpChurn(len(tups))
-	db.met.stmtInsert.Inc()
-	db.met.tuplesInserted.Add(int64(len(tups)))
 	return rids, nil
-}
-
-// DeleteRow deletes one row by RID as its own implicit transaction —
-// an MVCC delete: the version's xmax is stamped and it stays in place
-// for older snapshots until VACUUM. Deleting a missing or invisible
-// version is a no-op.
-func (t *Table) DeleteRow(rid heap.RID) error {
-	_, err := t.deleteRIDs(nil, nil, &rid)
-	return err
-}
-
-// DeleteRowTx is DeleteRow inside transaction tx (nil for autocommit).
-func (t *Table) DeleteRowTx(tx *Txn, rid heap.RID) error {
-	_, err := t.deleteRIDs(tx, nil, &rid)
-	return err
 }
 
 // DeleteWhere deletes every row matching pred (all rows when pred is
 // nil) as its own implicit transaction, returning how many versions
-// were stamped. The qualifying scan and the stamping run under the
-// statement's snapshot and the table's transaction write lock; readers
-// on the same table proceed concurrently and never see a partial
-// delete.
+// were stamped — an MVCC delete: a version's xmax is stamped and it
+// stays in place for older snapshots until VACUUM. The qualifying scan
+// and the stamping run under the statement's snapshot and the table's
+// transaction write lock; readers on the same table proceed
+// concurrently and never see a partial delete.
 func (t *Table) DeleteWhere(pred *Pred) (int, error) {
-	return t.deleteRIDs(nil, pred, nil)
+	return t.DeleteWhereTx(nil, pred)
 }
 
 // DeleteWhereTx is DeleteWhere inside transaction tx (nil for
 // autocommit).
 func (t *Table) DeleteWhereTx(tx *Txn, pred *Pred) (int, error) {
-	return t.deleteRIDs(tx, pred, nil)
-}
-
-// deleteRIDs is the shared DELETE body: one explicit RID, or a
-// predicate scan. Chunks larger than deleteChunkRows append under
-// intermediate plain markers, atomicity preserved by the transaction's
-// xid exactly as in InsertBatchTx.
-func (t *Table) deleteRIDs(tx *Txn, pred *Pred, one *heap.RID) (int, error) {
 	db := t.db
 	rlockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
 	defer db.stmtMu.RUnlock()
@@ -293,79 +287,29 @@ func (t *Table) deleteRIDs(tx *Txn, pred *Pred, one *heap.RID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Qualify under the statement's own snapshot: the transaction's own
-	// inserts are deletable, other transactions' uncommitted rows are
-	// not even visible. Already-stamped versions (xmax set by us or a
-	// committed deleter) fail Visible and are skipped, so a double
-	// DELETE never stacks xmax stamps.
-	snap := db.tm.snapshot(stx)
 	var rids []heap.RID
-	if one != nil {
-		tup, gerr := t.getVisible(snap, *one)
-		if gerr != nil {
-			db.tm.release(snap)
-			return 0, t.failDML(stx, implicit, false, gerr)
-		}
-		if tup != nil {
-			rids = append(rids, *one)
-		}
-	} else {
-		if _, serr := t.selectLocked(snap, pred, func(r Row) bool {
-			rids = append(rids, r.RID)
-			return true
-		}); serr != nil {
-			db.tm.release(snap)
-			return 0, t.failDML(stx, implicit, false, serr)
-		}
+	err = t.qualify(stx, implicit, pred, func(r Row) bool {
+		rids = append(rids, r.RID)
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
-	db.tm.release(snap)
-	if f := db.faults.BeforeDMLCommit; f != nil {
-		// The crash point: nothing of the statement has reached the log.
-		if err := f(fmt.Sprintf("DELETE %s %d", t.Name, len(rids))); err != nil {
-			return 0, faultErr{err}
-		}
-	}
-	stmt := fmt.Sprintf("DELETE %s %d", t.Name, len(rids))
-	chunk := db.deleteChunkRows()
-	chunksDone := 0
-	for base := 0; base < len(rids); base += chunk {
-		end := base + chunk
-		if end > len(rids) {
-			end = len(rids)
-		}
-		t.phys.Lock()
-		var herr error
+	err = t.runDML(stx, implicit, dmlShape{
+		verb: "DELETE", rows: len(rids), chunk: db.deleteChunkRows(), churn: 1,
+		stmts: db.met.stmtDelete, tuples: db.met.tuplesDeleted,
+	}, func(base, end int) error {
 		for _, rid := range rids[base:end] {
-			if herr = t.Heap.SetXmax(rid, stx.xid); herr != nil {
-				break
+			if err := t.Heap.SetXmax(rid, stx.xid); err != nil {
+				return err
 			}
 			stx.undo = append(stx.undo, undoRec{t: t, op: undoSetXmax, rid: rid})
 		}
-		t.phys.Unlock()
-		if herr != nil {
-			return 0, t.failDML(stx, implicit, true, herr)
-		}
-		if end < len(rids) {
-			if db.wal != nil {
-				stx.logged = true
-				if err := db.appendPools(tablePools(t)); err != nil {
-					return 0, t.failDML(stx, implicit, true, err)
-				}
-			}
-			chunksDone++
-			if f := db.faults.BetweenDMLChunks; f != nil {
-				if err := f(stmt, chunksDone); err != nil {
-					return 0, faultErr{err}
-				}
-			}
-		}
-	}
-	if err := t.endDML(stx, implicit, len(rids) > 0); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	t.bumpChurn(len(rids))
-	db.met.stmtDelete.Inc()
-	db.met.tuplesDeleted.Add(int64(len(rids)))
 	return len(rids), nil
 }
 
@@ -406,34 +350,21 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 	if err != nil {
 		return 0, err
 	}
-	snap := db.tm.snapshot(stx)
 	var olds []Row
-	if _, serr := t.selectLocked(snap, pred, func(r Row) bool {
+	err = t.qualify(stx, implicit, pred, func(r Row) bool {
 		olds = append(olds, r)
 		return true
-	}); serr != nil {
-		db.tm.release(snap)
-		return 0, t.failDML(stx, implicit, false, serr)
+	})
+	if err != nil {
+		return 0, err
 	}
-	db.tm.release(snap)
-	if f := db.faults.BeforeDMLCommit; f != nil {
-		if err := f(fmt.Sprintf("UPDATE %s %d", t.Name, len(olds))); err != nil {
-			return 0, faultErr{err}
-		}
-	}
-	stmt := fmt.Sprintf("UPDATE %s %d", t.Name, len(olds))
-	chunk := db.deleteChunkRows()
-	chunksDone := 0
-	for base := 0; base < len(olds); base += chunk {
-		end := base + chunk
-		if end > len(olds) {
-			end = len(olds)
-		}
-		t.phys.Lock()
-		var herr error
+	err = t.runDML(stx, implicit, dmlShape{
+		verb: "UPDATE", rows: len(olds), chunk: db.deleteChunkRows(), churn: 2,
+		stmts: db.met.stmtUpdate, tuples: db.met.tuplesUpdated,
+	}, func(base, end int) error {
 		for _, old := range olds[base:end] {
-			if herr = t.Heap.SetXmax(old.RID, stx.xid); herr != nil {
-				break
+			if err := t.Heap.SetXmax(old.RID, stx.xid); err != nil {
+				return err
 			}
 			stx.undo = append(stx.undo, undoRec{t: t, op: undoSetXmax, rid: old.RID})
 			succ := make(catalog.Tuple, len(old.Tuple))
@@ -441,46 +372,22 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 			for _, set := range sets {
 				succ[set.Column] = set.Value
 			}
-			var nrid heap.RID
-			if nrid, herr = t.Heap.InsertTx(catalog.EncodeTuple(succ), stx.xid); herr != nil {
-				break
+			nrid, err := t.Heap.InsertTx(catalog.EncodeTuple(succ), stx.xid)
+			if err != nil {
+				return err
 			}
 			stx.undo = append(stx.undo, undoRec{t: t, op: undoInsert, rid: nrid})
 			for _, ix := range t.Indexes {
-				if herr = ix.Idx.Insert(succ[ix.Column], nrid); herr != nil {
-					herr = fmt.Errorf("executor: index %s: %w", ix.Name, herr)
-					break
-				}
-			}
-			if herr != nil {
-				break
-			}
-		}
-		t.phys.Unlock()
-		if herr != nil {
-			return 0, t.failDML(stx, implicit, true, herr)
-		}
-		if end < len(olds) {
-			if db.wal != nil {
-				stx.logged = true
-				if err := db.appendPools(tablePools(t)); err != nil {
-					return 0, t.failDML(stx, implicit, true, err)
-				}
-			}
-			chunksDone++
-			if f := db.faults.BetweenDMLChunks; f != nil {
-				if err := f(stmt, chunksDone); err != nil {
-					return 0, faultErr{err}
+				if err := ix.Idx.Insert(succ[ix.Column], nrid); err != nil {
+					return fmt.Errorf("executor: index %s: %w", ix.Name, err)
 				}
 			}
 		}
-	}
-	if err := t.endDML(stx, implicit, len(olds) > 0); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	t.bumpChurn(2 * len(olds)) // an update churns an old and a new version
-	db.met.stmtUpdate.Inc()
-	db.met.tuplesUpdated.Add(int64(len(olds)))
 	return len(olds), nil
 }
 
@@ -491,25 +398,19 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 // other maintenance statements, in pool-bounded committed chunks.
 // Returns how many versions were reclaimed.
 func (db *DB) Vacuum(name string) (int, error) {
-	db.xlockStmt()
+	if err := db.beginDDL(); err != nil {
+		return 0, err
+	}
 	defer db.stmtMu.Unlock()
-	if err := db.poisoned(); err != nil {
-		return 0, err
-	}
-	if err := db.checkWritable(); err != nil {
-		return 0, err
-	}
 	var tables []*Table
-	if name != "" {
-		db.mu.Lock()
-		t, ok := db.tables[name]
-		db.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("executor: unknown table %q", name)
+	if name == "" {
+		tables = db.Tables()
+	} else {
+		t, err := db.Table(name)
+		if err != nil {
+			return 0, err
 		}
 		tables = []*Table{t}
-	} else {
-		tables = db.Tables()
 	}
 	total := 0
 	for _, t := range tables {

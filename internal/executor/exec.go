@@ -16,6 +16,24 @@ type Row struct {
 	Tuple catalog.Tuple
 }
 
+// beginRead opens a statement that reads rows of t on behalf of tx (nil
+// for autocommit) — the one prologue of every such form: lockRead (the
+// shared catalog/DDL lock, t's shared physical latch, the attachment
+// check), then a snapshot that admits tx's own uncommitted writes. On
+// error nothing is held; otherwise pair it with endRead.
+func (t *Table) beginRead(tx *Txn) (*Snapshot, error) {
+	if err := t.lockRead(); err != nil {
+		return nil, err
+	}
+	return t.db.tm.snapshot(tx), nil
+}
+
+// endRead closes the statement beginRead opened.
+func (t *Table) endRead(snap *Snapshot) {
+	t.db.tm.release(snap)
+	t.unlockRead()
+}
+
 // Select plans and runs `SELECT * FROM t [WHERE pred]`, emitting rows
 // until emit returns false. Index hits are rechecked against the heap
 // tuple, so lossy access methods (R-tree MBRs, B+-tree wildcard prefix
@@ -32,14 +50,12 @@ func (t *Table) Select(pred *Pred, emit func(Row) bool) (*Plan, error) {
 // SelectTx is Select inside transaction tx (nil for autocommit): the
 // snapshot additionally admits tx's own uncommitted writes.
 func (t *Table) SelectTx(tx *Txn, pred *Pred, emit func(Row) bool) (*Plan, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	snap, err := t.beginRead(tx)
+	if err != nil {
 		return nil, err
 	}
+	defer t.endRead(snap)
 	t.db.met.stmtSelect.Inc()
-	snap := t.db.tm.snapshot(tx)
-	defer t.db.tm.release(snap)
 	return t.selectLocked(snap, pred, emit)
 }
 
@@ -67,15 +83,13 @@ func (t *Table) SelectIndexed(ix *IndexInfo, pred *Pred, emit func(Row) bool) er
 	if !ix.OpClass.SupportsOp(pred.Op) {
 		return fmt.Errorf("executor: operator class %s does not support %q", ix.OpClass.Name, pred.Op)
 	}
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	snap, err := t.beginRead(nil)
+	if err != nil {
 		return err
 	}
+	defer t.endRead(snap)
 	t.db.met.stmtSelect.Inc()
-	snap := t.db.tm.snapshot(nil)
-	defer t.db.tm.release(snap)
-	_, _, err := t.run(snap, &Plan{Kind: IndexScan, Table: t, Index: ix, Pred: pred, Recheck: true}, emit)
+	_, _, err = t.run(snap, &Plan{Kind: IndexScan, Table: t, Index: ix, Pred: pred, Recheck: true}, emit)
 	return err
 }
 
@@ -128,22 +142,8 @@ func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, e
 	switch plan.Kind {
 	case SeqScan:
 		m.planSeqScan.Inc()
-		var derr error
-		err := t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, rec []byte) bool {
-			if !snap.Visible(h) {
-				return true
-			}
-			tup, e := catalog.DecodeTuple(rec)
-			if e != nil {
-				derr = e
-				return false
-			}
-			return accept(rid, tup)
-		})
-		if err != nil {
-			return scanned, emitted, err
-		}
-		return scanned, emitted, derr
+		_, err = t.seqScan(snap, accept)
+		return scanned, emitted, err
 	case IndexScan:
 		m.planIndexScan.Inc()
 		plan.Index.scans.Inc()
@@ -168,6 +168,30 @@ func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, e
 	}
 }
 
+// seqScan walks the heap in order, calling fn with every version snap
+// can see, decoded, until fn returns false — the one sequential-scan
+// loop, shared by the Seq Scan plan and the NN fallback. It returns how
+// many versions it walked, visible or not.
+func (t *Table) seqScan(snap *Snapshot, fn func(heap.RID, catalog.Tuple) bool) (walked int64, err error) {
+	var derr error
+	err = t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, rec []byte) bool {
+		walked++
+		if !snap.Visible(h) {
+			return true
+		}
+		tup, e := catalog.DecodeTuple(rec)
+		if e != nil {
+			derr = e
+			return false
+		}
+		return fn(rid, tup)
+	})
+	if err == nil {
+		err = derr
+	}
+	return walked, err
+}
+
 // NNResult is one nearest-neighbor result.
 type NNResult struct {
 	Row
@@ -181,37 +205,53 @@ type NNResult struct {
 // visible rows, which is all a LIMIT needs). Snapshot reads, like
 // Select.
 func (t *Table) SelectNN(colName string, arg catalog.Datum, k int) ([]NNResult, *Plan, error) {
+	return t.SelectNNTx(nil, colName, arg, k)
+}
+
+// SelectNNTx is SelectNN inside transaction tx (nil for autocommit).
+func (t *Table) SelectNNTx(tx *Txn, colName string, arg catalog.Datum, k int) ([]NNResult, *Plan, error) {
 	ci, err := t.colIndex(colName)
 	if err != nil {
 		return nil, nil, err
 	}
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	snap, err := t.beginRead(tx)
+	if err != nil {
 		return nil, nil, err
 	}
+	defer t.endRead(snap)
 	t.db.met.stmtNN.Inc()
-	snap := t.db.tm.snapshot(nil)
-	defer t.db.tm.release(snap)
-	if k < 0 {
-		k = int(t.Heap.Count())
-	}
 	plan, err := t.planNN(ci, arg, k)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Every heap version the statement fetches counts as read, visible or
-	// not, on either path and on error; one Add per statement.
-	var read int64
-	defer func() { t.db.met.tuplesRead.Add(read) }()
+	out, _, err := t.runNN(snap, plan, ci, arg, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, plan, nil
+}
+
+// runNN executes an NN plan through snap, returning the k nearest rows
+// and how many heap versions it fetched to find them — visible or not,
+// on either path and on error; the cumulative counters get one Add per
+// statement.
+func (t *Table) runNN(snap *Snapshot, plan *Plan, ci int, arg catalog.Datum, k int) (out []NNResult, read int64, err error) {
+	m := t.db.met
+	defer func() {
+		m.tuplesRead.Add(read)
+		m.rowsReturned.Add(int64(len(out)))
+	}()
+	if k < 0 {
+		k = int(t.Heap.Count())
+	}
 	if plan.Kind == IndexNNScan {
-		t.db.met.planNNScan.Inc()
+		m.planNNScan.Inc()
 		plan.Index.scans.Inc()
 		iter, err := plan.Index.Idx.NNScan(arg)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		out := make([]NNResult, 0, min(k, int(t.Heap.Count())))
+		out = make([]NNResult, 0, min(k, int(t.Heap.Count())))
 		for len(out) < k {
 			rid, dist, ok := iter()
 			if !ok {
@@ -220,50 +260,37 @@ func (t *Table) SelectNN(colName string, arg catalog.Datum, k int) ([]NNResult, 
 			read++
 			tup, err := t.getVisible(snap, rid)
 			if err != nil {
-				return nil, nil, err
+				return nil, read, err
 			}
 			if tup == nil {
 				continue // dead or invisible version; skip
 			}
 			out = append(out, NNResult{Row: Row{RID: rid, Tuple: tup}, Distance: dist})
 		}
-		t.db.met.rowsReturned.Add(int64(len(out)))
-		return out, plan, nil
+		return out, read, nil
 	}
 	// Fallback: full scan, sort by distance.
-	t.db.met.planSeqScan.Inc()
-	var all []NNResult
+	m.planSeqScan.Inc()
 	var derr error
-	err = t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, rec []byte) bool {
-		read++
-		if !snap.Visible(h) {
-			return true
-		}
-		tup, e := catalog.DecodeTuple(rec)
-		if e != nil {
-			derr = e
+	read, err = t.seqScan(snap, func(rid heap.RID, tup catalog.Tuple) bool {
+		var d float64
+		if d, derr = Distance(tup[ci], arg); derr != nil {
 			return false
 		}
-		d, e := Distance(tup[ci], arg)
-		if e != nil {
-			derr = e
-			return false
-		}
-		all = append(all, NNResult{Row: Row{RID: rid, Tuple: tup}, Distance: d})
+		out = append(out, NNResult{Row: Row{RID: rid, Tuple: tup}, Distance: d})
 		return true
 	})
 	if err == nil {
 		err = derr
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, read, err
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
-	if len(all) > k {
-		all = all[:k]
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
+	if len(out) > k {
+		out = out[:k]
 	}
-	t.db.met.rowsReturned.Add(int64(len(all)))
-	return all, plan, nil
+	return out, read, nil
 }
 
 // Distance is the NN distance function per column type: Hamming-style for

@@ -93,21 +93,10 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 	w := db.wal
 	db.stmtMu.RUnlock()
 
-	var ps storage.PoolStats
+	ps := sumPoolStats(pools)
 	var reads, writes, allocs int64
 	shards := 0
 	for _, bp := range pools {
-		s := bp.Stats()
-		ps.Accesses += s.Accesses
-		ps.Hits += s.Hits
-		ps.Misses += s.Misses
-		ps.Evictions += s.Evictions
-		ps.DirtyWrites += s.DirtyWrites
-		ps.InflightJoins += s.InflightJoins
-		ps.PrefetchReads += s.PrefetchReads
-		ps.PrefetchHits += s.PrefetchHits
-		ps.PrefetchWasted += s.PrefetchWasted
-		ps.BGWrites += s.BGWrites
 		r, wr, al := bp.DM().Stats().Snapshot()
 		reads += r
 		writes += wr
@@ -191,6 +180,10 @@ func (db *DB) PoolStats() storage.PoolStats {
 	db.stmtMu.RLock()
 	pools := append([]*storage.BufferPool(nil), db.pools...)
 	db.stmtMu.RUnlock()
+	return sumPoolStats(pools)
+}
+
+func sumPoolStats(pools []*storage.BufferPool) storage.PoolStats {
 	var ps storage.PoolStats
 	for _, bp := range pools {
 		s := bp.Stats()
@@ -229,11 +222,10 @@ type StatsInfo struct {
 // StatsInfo reads the statistics provenance under the shared statement
 // lock.
 func (t *Table) StatsInfo() (StatsInfo, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	if err := t.lockRead(); err != nil {
 		return StatsInfo{}, err
 	}
+	defer t.unlockRead()
 	return t.statsInfoLocked(), nil
 }
 
@@ -253,11 +245,10 @@ func (t *Table) statsInfoLocked() StatsInfo {
 // came from and how stale they are, and per-index size and scan
 // counters.
 func (t *Table) Stats() ([]TableStat, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	if err := t.lockRead(); err != nil {
 		return nil, err
 	}
+	defer t.unlockRead()
 	si := t.statsInfoLocked()
 	analyzed := int64(0)
 	if si.Source != StatsNone {
@@ -370,17 +361,23 @@ func (t *Table) tablePoolStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// SelectAnalyzed is Select instrumented for EXPLAIN ANALYZE: it plans
-// and runs the statement under the normal shared locks while capturing
-// wall time, tuple counts, buffer hit/miss deltas, WAL byte deltas, and
-// — for index scans — the distinct index pages visited via PageTrace.
-func (t *Table) SelectAnalyzed(pred *Pred, emit func(Row) bool) (*Plan, *RunStats, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+// analyzed runs one read statement for EXPLAIN ANALYZE — the measuring
+// wrapper of both statement kinds. plan chooses the access path and
+// exec runs it, inside one lock window and through tx's snapshot like
+// the plain forms; the pool, WAL and wall-time deltas are taken and the
+// index page trace is armed inside that window, around exec alone. The
+// statement really executes, so it counts once in stmts.
+func (t *Table) analyzed(tx *Txn, stmts *obs.Counter,
+	plan func() (*Plan, error),
+	exec func(*Snapshot, *Plan) (scanned, emitted int64, err error),
+) (*Plan, *RunStats, error) {
+	snap, err := t.beginRead(tx)
+	if err != nil {
 		return nil, nil, err
 	}
-	plan, err := t.planSelect(pred)
+	defer t.endRead(snap)
+	stmts.Inc()
+	p, err := plan()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -390,21 +387,17 @@ func (t *Table) SelectAnalyzed(pred *Pred, emit func(Row) bool) (*Plan, *RunStat
 	if w := t.db.wal; w != nil {
 		walBefore = w.Stats().AppendedBytes
 	}
-	traced := plan.Kind == IndexScan
-	if traced {
-		plan.Index.Idx.StartPageTrace()
+	if p.Index != nil {
+		p.Index.Idx.StartPageTrace()
 	}
-	snap := t.db.tm.snapshot(nil)
-	defer t.db.tm.release(snap)
 	start := time.Now()
-	scanned, emitted, err := t.run(snap, plan, emit)
+	rs.Scanned, rs.Rows, err = exec(snap, p)
 	rs.Elapsed = time.Since(start)
-	rs.Scanned, rs.Rows = scanned, emitted
-	if traced {
+	if p.Index != nil {
 		// PageTraceCount also stops the trace, so the per-page tracing
 		// cost ends with this statement.
-		rs.IndexPages = plan.Index.Idx.PageTraceCount()
-		plan.Index.pagesVisited.Add(int64(rs.IndexPages))
+		rs.IndexPages = p.Index.Idx.PageTraceCount()
+		p.Index.pagesVisited.Add(int64(rs.IndexPages))
 	}
 	hitsAfter, missesAfter := t.tablePoolStats()
 	rs.PoolHits = hitsAfter - hitsBefore
@@ -415,44 +408,34 @@ func (t *Table) SelectAnalyzed(pred *Pred, emit func(Row) bool) (*Plan, *RunStat
 	if err != nil {
 		return nil, nil, err
 	}
-	return plan, rs, nil
+	return p, rs, nil
 }
 
-// SelectNNAnalyzed is SelectNN instrumented the same way. The access
-// path is chosen inside SelectNN's lock window, so no index trace is
-// armed (IndexPages stays -1); buffer deltas still cover the NN scan.
-func (t *Table) SelectNNAnalyzed(colName string, arg catalog.Datum, k int) ([]NNResult, *Plan, *RunStats, error) {
-	rs := &RunStats{IndexPages: -1}
-	hitsBefore, missesBefore := int64(0), int64(0)
-	sampled := false
-	// The lock is taken inside SelectNN; sample this table's pools just
-	// before and after the call. The table set is stable (DDL takes the
-	// exclusive lock), so sampling outside the lock window only risks
-	// counting a concurrent same-table statement that slipped between
-	// sample and lock — the analyzed numbers remain honest upper bounds.
-	if t.checkAttached() == nil {
-		hitsBefore, missesBefore = t.tablePoolStats()
-		sampled = true
-	}
-	var walBefore int64
-	if w := t.db.wal; w != nil {
-		walBefore = w.Stats().AppendedBytes
-	}
-	start := time.Now()
-	out, plan, err := t.SelectNN(colName, arg, k)
-	rs.Elapsed = time.Since(start)
+// SelectAnalyzed is SelectTx instrumented for EXPLAIN ANALYZE: wall
+// time, tuple counts, buffer hit/miss deltas, WAL byte deltas, and — for
+// index scans — the distinct index pages visited via PageTrace.
+func (t *Table) SelectAnalyzed(tx *Txn, pred *Pred, emit func(Row) bool) (*Plan, *RunStats, error) {
+	return t.analyzed(tx, t.db.met.stmtSelect,
+		func() (*Plan, error) { return t.planSelect(pred) },
+		func(snap *Snapshot, plan *Plan) (int64, int64, error) { return t.run(snap, plan, emit) })
+}
+
+// SelectNNAnalyzed is SelectNNTx instrumented the same way; Scanned is
+// every heap version the search fetched, dead ones included.
+func (t *Table) SelectNNAnalyzed(tx *Txn, colName string, arg catalog.Datum, k int) ([]NNResult, *Plan, *RunStats, error) {
+	ci, err := t.colIndex(colName)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rs.Rows = int64(len(out))
-	rs.Scanned = rs.Rows
-	if sampled {
-		hitsAfter, missesAfter := t.tablePoolStats()
-		rs.PoolHits = hitsAfter - hitsBefore
-		rs.PoolMisses = missesAfter - missesBefore
-	}
-	if w := t.db.wal; w != nil {
-		rs.WALBytes = w.Stats().AppendedBytes - walBefore
+	var out []NNResult
+	plan, rs, err := t.analyzed(tx, t.db.met.stmtNN,
+		func() (*Plan, error) { return t.planNN(ci, arg, k) },
+		func(snap *Snapshot, plan *Plan) (read, rows int64, err error) {
+			out, read, err = t.runNN(snap, plan, ci, arg, k)
+			return read, int64(len(out)), err
+		})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return out, plan, rs, nil
 }

@@ -205,11 +205,10 @@ func QError(est, actual int64) float64 {
 // column statistics, churn counters) are guarded by the table's stats
 // mutex, so concurrent EXPLAINs never race.
 func (t *Table) PlanSelect(pred *Pred) (*Plan, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	if err := t.lockRead(); err != nil {
 		return nil, err
 	}
+	defer t.unlockRead()
 	return t.planSelect(pred)
 }
 
@@ -267,11 +266,10 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 // scan with a full sort (priced accordingly). Shared lock, like
 // PlanSelect.
 func (t *Table) PlanNN(column int, arg catalog.Datum, k int) (*Plan, error) {
-	t.lockRead()
-	defer t.unlockRead()
-	if err := t.checkAttached(); err != nil {
+	if err := t.lockRead(); err != nil {
 		return nil, err
 	}
+	defer t.unlockRead()
 	return t.planNN(column, arg, k)
 }
 

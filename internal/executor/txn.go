@@ -8,6 +8,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // This file is the transaction layer: transaction-ID allocation backed
@@ -427,45 +428,47 @@ func (tx *Txn) Commit() error {
 	defer db.stmtMu.RUnlock()
 	if err := db.commitTxn(tx); err != nil {
 		db.met.txnRollback.Inc()
-		if rerr := db.rollbackTxn(tx); rerr != nil && db.broken == nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
-		}
 		return err
 	}
-	db.tm.finish(tx)
 	db.met.txnCommit.Inc()
 	return nil
 }
 
-// commitTxn appends the transaction's commit record (with any pending
-// deferred records of its tables) under one marker and forces the log.
-// Caller holds the statement lock (shared or exclusive).
+// commitTxn ends tx by committing it: the commit record (with any
+// pending deferred records of its tables) appends under one marker and
+// the log is forced — commitGroup over the tables the transaction
+// touched; a transaction that logged nothing commits without touching
+// the log. A COMMIT that fails aborts the transaction instead. Either
+// way tx is finished. Caller holds the statement lock (shared or
+// exclusive).
 func (db *DB) commitTxn(tx *Txn) error {
-	if err := db.poisoned(); err != nil {
-		return err
-	}
-	if db.wal == nil || !tx.logged {
-		return nil
-	}
-	var pools []*storage.BufferPool
-	for t := range tx.tables {
-		for _, ix := range t.Indexes {
-			if err := ix.Idx.SaveMeta(); err != nil {
-				return err
-			}
+	err := db.poisoned()
+	if err == nil && db.wal != nil && tx.logged {
+		tables := make([]*Table, 0, len(tx.tables))
+		var pools []*storage.BufferPool
+		for t := range tx.tables {
+			tables = append(tables, t)
+			pools = append(pools, tablePools(t)...)
 		}
-		pools = append(pools, tablePools(t)...)
+		err = db.commitGroup(pools, tx.xid, tables...)
 	}
-	if err := db.appendPoolsXid(pools, tx.xid); err != nil {
-		return err
+	if err != nil {
+		return db.abortAfter(tx, err)
 	}
-	if tr := obs.Current(); tr != nil {
-		sp := tr.StartSpan("commit_wait", "wal")
-		err := db.wal.Commit()
-		sp.End()
-		return err
+	db.tm.finish(tx)
+	return nil
+}
+
+// abortAfter rolls tx back because err failed its statement or its
+// COMMIT — compensating its versions and releasing its locks rather
+// than leaking them (rollbackTxn always finishes tx) — and returns err.
+// If the compensation itself failed that is surfaced too, but the
+// statement's own error stays primary.
+func (db *DB) abortAfter(tx *Txn, err error) error {
+	if rerr := db.rollbackTxn(tx); rerr != nil && db.broken == nil {
+		return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
 	}
-	return db.wal.Commit()
+	return err
 }
 
 // Rollback undoes the transaction: every version it inserted is marked
@@ -532,7 +535,8 @@ func (db *DB) rollbackTxn(tx *Txn) error {
 		// Close the transaction's trail with an abort record under its
 		// own marker. Informational: recovery treats a missing commit
 		// record identically. No fsync — a torn abort recovers the same.
-		g := newAbortGroup(tx.xid)
+		g := wal.NewGroup()
+		g.AddTxnAbort(tx.xid)
 		_, _, err := db.wal.AppendGroupCommit(g)
 		keep(err)
 	}

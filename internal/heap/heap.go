@@ -427,19 +427,10 @@ func (f *File) Delete(rid RID) error {
 	return f.saveMeta()
 }
 
-// ScanPage calls fn for every live record of one data page — the unit
-// of ANALYZE's block sampling — with the version header stripped. The
-// rec slice is only valid during the call. Scanning a page outside the
-// file is a no-op. Version-blind: snapshot readers use ScanPageVersions.
-func (f *File) ScanPage(pid storage.PageID, fn func(rid RID, rec []byte) bool) error {
-	return f.ScanPageVersions(pid, func(rid RID, _ TupleHeader, payload []byte) bool {
-		return fn(rid, payload)
-	})
-}
-
-// ScanPageVersions calls fn for every live record of one data page with
-// its decoded version header. The payload slice is only valid during the
-// call.
+// ScanPageVersions calls fn for every live record of one data page — the
+// unit of ANALYZE's block sampling — with its decoded version header.
+// The payload slice is only valid during the call. Scanning a page
+// outside the file is a no-op.
 func (f *File) ScanPageVersions(pid storage.PageID, fn func(rid RID, h TupleHeader, payload []byte) bool) error {
 	if uint32(pid) == 0 || uint32(pid) >= f.NumPages() {
 		return nil

@@ -209,3 +209,64 @@ func TestServerIdleTxnTimeout(t *testing.T) {
 		t.Fatalf("idle non-txn session: rows=%v err=%v", res, err)
 	}
 }
+
+// TestServerTxnVisibilityReadForms is the wire round trip of the
+// visibility contract the executor and sqlmini tests pin form by form:
+// inside BEGIN, after an INSERT that changes the answer, WHERE,
+// ORDER BY <-> and EXPLAIN ANALYZE of both read through the session's
+// transaction; a second connection sees none of it, and after ROLLBACK
+// the first sees none of it either.
+func TestServerTxnVisibilityReadForms(t *testing.T) {
+	addr, shutdown := startTxnServer(t, 0)
+	defer shutdown()
+	a, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.SetTimeout(5 * time.Second)
+
+	mustExec := func(c *server.Client, stmt string) *server.Response {
+		t.Helper()
+		res, err := c.Exec(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		return res
+	}
+	mustExec(a, "CREATE TABLE p (pt POINT, id INT)")
+	mustExec(a, "CREATE INDEX p_kd ON p USING spgist (pt)")
+	mustExec(a, "INSERT INTO p VALUES ('(1,1)', 1), ('(2,2)', 2)")
+
+	// check runs the four executing read forms on c: the origin holds
+	// atOrigin rows, nearest is the row nearest to it, total rows exist.
+	check := func(who string, c *server.Client, atOrigin int, nearest string, total int) {
+		t.Helper()
+		where := "SELECT * FROM p WHERE pt @ '(0,0)'"
+		if res := mustExec(c, where); len(res.Rows) != atOrigin {
+			t.Errorf("%s: %s: %v, want %d rows", who, where, res.Rows, atOrigin)
+		}
+		if line := mustExec(c, "EXPLAIN ANALYZE "+where).Rows[0][0]; !strings.Contains(line, fmt.Sprintf(" ms rows=%d scanned=", atOrigin)) {
+			t.Errorf("%s: EXPLAIN ANALYZE %s: %q, want rows=%d", who, where, line, atOrigin)
+		}
+		nn := "SELECT * FROM p ORDER BY pt <-> '(0,0)'"
+		if res := mustExec(c, nn+" LIMIT 1"); len(res.Rows) != 1 || res.Rows[0][0] != nearest {
+			t.Errorf("%s: %s LIMIT 1: %v, want %s", who, nn, res.Rows, nearest)
+		}
+		if line := mustExec(c, "EXPLAIN ANALYZE "+nn).Rows[0][0]; !strings.Contains(line, fmt.Sprintf(" ms rows=%d scanned=", total)) {
+			t.Errorf("%s: EXPLAIN ANALYZE %s: %q, want rows=%d", who, nn, line, total)
+		}
+	}
+
+	mustExec(a, "BEGIN")
+	mustExec(a, "INSERT INTO p VALUES ('(0,0)', 3)")
+	check("A inside its transaction", a, 1, "(0,0)", 3)
+	check("B during A's transaction", b, 0, "(1,1)", 2)
+	mustExec(a, "ROLLBACK")
+	check("A after ROLLBACK", a, 0, "(1,1)", 2)
+}

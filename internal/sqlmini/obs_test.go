@@ -165,6 +165,66 @@ func TestExplainAnalyzeNN(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeOneStatementKind: EXPLAIN ANALYZE really executes,
+// whichever form the SELECT has — it counts once in the executed form's
+// statement counter (and not in the other's), takes its buffer deltas
+// inside the statement's lock window, and reports index_pages= exactly
+// when the statement ran through an index.
+func TestExplainAnalyzeOneStatementKind(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE pts (p POINT, id INT)`)
+	mustExec(t, s, `CREATE TABLE bare (p POINT, id INT)`)
+	mustExec(t, s, `CREATE INDEX pts_kd ON pts USING spgist (p)`)
+	var vals []string
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, fmt.Sprintf("('(%d,%d)', %d)", i*37%2003, i*91%1999, i))
+	}
+	mustExec(t, s, `INSERT INTO pts VALUES `+strings.Join(vals, ", "))
+	mustExec(t, s, `INSERT INTO bare VALUES `+strings.Join(vals[:50], ", "))
+	mustExec(t, s, `ANALYZE`)
+
+	for _, tc := range []struct {
+		stmt, plan, counter, other string
+		indexed                    bool
+	}{
+		{`SELECT * FROM pts WHERE p @ '(259,637)'`, "Index Scan", "exec_select_total", "exec_select_nn_total", true},
+		{`SELECT * FROM pts ORDER BY p <-> '(260,640)' LIMIT 5`, "Index NN Scan", "exec_select_nn_total", "exec_select_total", true},
+		{`SELECT * FROM bare WHERE p @ '(259,637)'`, "Seq Scan", "exec_select_total", "exec_select_nn_total", false},
+		{`SELECT * FROM bare ORDER BY p <-> '(260,640)' LIMIT 5`, "Seq Scan", "exec_select_nn_total", "exec_select_total", false},
+	} {
+		before := statsMap(t, mustExec(t, s, `SHOW STATS`))
+		var out []string
+		for _, row := range mustExec(t, s, `EXPLAIN ANALYZE `+tc.stmt).Rows {
+			out = append(out, row[0].S)
+		}
+		after := statsMap(t, mustExec(t, s, `SHOW STATS`))
+		text := strings.Join(out, "\n")
+		if !strings.HasPrefix(out[0], tc.plan+" on ") {
+			t.Fatalf("%s ran as %q, want %s", tc.stmt, out[0], tc.plan)
+		}
+		if d := after[tc.counter] - before[tc.counter]; d != 1 {
+			t.Errorf("EXPLAIN ANALYZE %s: %s moved by %d, want 1", tc.stmt, tc.counter, d)
+		}
+		if d := after[tc.other] - before[tc.other]; d != 0 {
+			t.Errorf("EXPLAIN ANALYZE %s: %s moved by %d, want 0", tc.stmt, tc.other, d)
+		}
+		var hits, misses, pages int
+		buffers := findLine(t, out, "Buffers: ")
+		if tc.indexed {
+			if _, err := fmt.Sscanf(buffers, "Buffers: hits=%d misses=%d index_pages=%d", &hits, &misses, &pages); err != nil || pages <= 0 {
+				t.Errorf("EXPLAIN ANALYZE %s ran through an index but reports %q:\n%s", tc.stmt, buffers, text)
+			}
+		} else if strings.Contains(buffers, "index_pages=") {
+			t.Errorf("EXPLAIN ANALYZE %s touched no index but reports %q", tc.stmt, buffers)
+		} else if _, err := fmt.Sscanf(buffers, "Buffers: hits=%d misses=%d", &hits, &misses); err != nil {
+			t.Errorf("EXPLAIN ANALYZE %s: unreadable %q", tc.stmt, buffers)
+		}
+		if hits+misses <= 0 {
+			t.Errorf("EXPLAIN ANALYZE %s reports no buffer traffic: %q", tc.stmt, buffers)
+		}
+	}
+}
+
 func TestExplainAnalyzeNonSelect(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE w (id INT)`)

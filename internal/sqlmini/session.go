@@ -964,79 +964,70 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 	}
 	res := &Result{Columns: cols}
 
-	if nnCol != "" {
-		if pred != nil {
-			return nil, fmt.Errorf("sql: WHERE together with ORDER BY <-> is not supported")
-		}
-		// limit < 0 flows through as "all rows": SelectNN resolves it
-		// against the row count inside its own lock window, so the
-		// statement stays atomic against concurrent writers.
-		switch mode {
-		case modeExplain:
-			plan, err := t.PlanNN(nnCi, nnArg, limit)
-			if err != nil {
-				return nil, err
-			}
-			res.Plan = plan.String()
-			return res, nil
-		case modeAnalyze:
-			_, plan, rs, err := t.SelectNNAnalyzed(nnCol, nnArg, limit)
-			if err != nil {
-				return nil, err
-			}
-			return analyzeResult(plan, rs, false), nil
-		}
-		nns, plan, err := t.SelectNN(nnCol, nnArg, limit)
-		if err != nil {
-			return nil, err
-		}
-		res.Plan, res.ran = plan.String(), plan
-		for _, nn := range nns {
-			res.Rows = append(res.Rows, nn.Tuple)
-			res.Distances = append(res.Distances, nn.Distance)
-		}
-		return res, nil
+	nn := nnCol != ""
+	if nn && pred != nil {
+		return nil, fmt.Errorf("sql: WHERE together with ORDER BY <-> is not supported")
 	}
-
-	switch mode {
-	case modeExplain:
-		plan, err := t.PlanSelect(pred)
-		if err != nil {
-			return nil, err
-		}
-		res.Plan = plan.String()
-		return res, nil
-	case modeAnalyze:
+	// One statement, one lock window: the plan reported is the plan the
+	// scan actually ran (planning it separately could race a writer and
+	// report a different access path than the one executed), and every
+	// form that executes reads through the session's transaction, so
+	// inside BEGIN its own uncommitted writes are visible to it. An NN
+	// limit < 0 flows through as "all rows": the executor resolves it
+	// against the row count inside that same window.
+	var (
+		plan *executor.Plan
+		rs   *executor.RunStats
+		nns  []executor.NNResult
+		// limited: a predicate scan stopped at its LIMIT, so its row
+		// count says nothing about the planner's estimate.
+		limited bool
+	)
+	switch {
+	case mode == modeExplain && nn:
+		plan, err = t.PlanNN(nnCi, nnArg, limit)
+	case mode == modeExplain:
+		plan, err = t.PlanSelect(pred)
+	case mode == modeAnalyze && nn:
+		_, plan, rs, err = t.SelectNNAnalyzed(s.tx, nnCol, nnArg, limit)
+	case mode == modeAnalyze:
 		// Like PostgreSQL, the statement really executes (LIMIT
 		// included) but the rows are discarded; only the measurements
 		// come back.
 		n := 0
-		plan, rs, err := t.SelectAnalyzed(pred, func(executor.Row) bool {
+		plan, rs, err = t.SelectAnalyzed(s.tx, pred, func(executor.Row) bool {
 			n++
 			return limit < 0 || n < limit
 		})
-		if err != nil {
-			return nil, err
-		}
-		return analyzeResult(plan, rs, limit >= 0 && n >= limit), nil
+		limited = limit >= 0 && n >= limit
+	case nn:
+		nns, plan, err = t.SelectNNTx(s.tx, nnCol, nnArg, limit)
+	default:
+		plan, err = t.SelectTx(s.tx, pred, func(r executor.Row) bool {
+			if limit == 0 {
+				return false
+			}
+			res.Rows = append(res.Rows, r.Tuple)
+			return limit < 0 || len(res.Rows) < limit
+		})
+		limited = limit >= 0 && len(res.Rows) >= limit
 	}
-	// One statement, one lock window: the plan reported is the plan the
-	// scan actually ran (planning it separately could race a writer and
-	// report a different access path than the one executed). Inside an
-	// open transaction the scan reads through the transaction's snapshot,
-	// so its own uncommitted writes are visible to it.
-	plan, err := t.SelectTx(s.tx, pred, func(r executor.Row) bool {
-		if limit == 0 {
-			return false
-		}
-		res.Rows = append(res.Rows, r.Tuple)
-		return limit < 0 || len(res.Rows) < limit
-	})
 	if err != nil {
 		return nil, err
 	}
-	res.Plan, res.ran = plan.String(), plan
-	res.limited = limit >= 0 && len(res.Rows) >= limit
+	if rs != nil {
+		return analyzeResult(plan, rs, limited), nil
+	}
+	res.Plan = plan.String()
+	if mode == modeExplain {
+		return res, nil
+	}
+	res.ran = plan
+	for _, r := range nns {
+		res.Rows = append(res.Rows, r.Tuple)
+		res.Distances = append(res.Distances, r.Distance)
+	}
+	res.limited = limited
 	return res, nil
 }
 

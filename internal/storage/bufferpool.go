@@ -526,12 +526,6 @@ func (bp *BufferPool) Stats() PoolStats {
 	return s
 }
 
-// ShardStats returns the counters of one page-table shard (SHOW STATS,
-// tests). Panics if si is out of range.
-func (bp *BufferPool) ShardStats(si int) PoolStats {
-	return bp.shards[si].snapshot()
-}
-
 // ResetStats zeroes the pool counters (the disk counters are separate).
 func (bp *BufferPool) ResetStats() {
 	for si := range bp.shards {
@@ -1240,24 +1234,6 @@ func (bp *BufferPool) WriteBackDirty(max int) (int, error) {
 		sh.mu.Unlock()
 	}
 	return written, nil
-}
-
-// DirtyFrames counts frames currently dirty (introspection, tests, and
-// the background writer's pacing).
-func (bp *BufferPool) DirtyFrames() int {
-	n := 0
-	for si := range bp.shards {
-		sh := &bp.shards[si]
-		sh.mu.Lock()
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if f.valid && f.dirty {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // quiescePrefetch stops new prefetch work and waits out this pool's

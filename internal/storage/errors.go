@@ -35,7 +35,7 @@ func IsPageCorrupt(err error) bool {
 
 // Sentinel fault classes injected by FaultDiskManager. Real device
 // errors arrive as *os.PathError etc.; the retry helpers classify both
-// through IsTransient/IsNoSpace rather than matching these directly.
+// through IsTransient rather than matching these directly.
 var (
 	// ErrInjectedIO is a transient I/O error: a retry may succeed.
 	ErrInjectedIO = errors.New("storage: injected I/O error (transient)")
@@ -61,9 +61,4 @@ func IsTransient(err error) bool {
 		return false
 	}
 	return true
-}
-
-// IsNoSpace reports whether err is (or wraps) the ENOSPC class.
-func IsNoSpace(err error) bool {
-	return errors.Is(err, ErrNoSpace)
 }

@@ -615,13 +615,6 @@ func (c *Catalog) IndexesOf(tableOID uint64) []Index {
 	return out
 }
 
-// NextOID exposes the counter (introspection and tests).
-func (c *Catalog) NextOID() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nextOID
-}
-
 // XidHigh returns the persisted transaction-ID high-water mark: every
 // xid at or below it may already have been handed out. 0 means no
 // transaction was ever allocated (or the catalog predates MVCC).
