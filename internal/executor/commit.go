@@ -1,0 +1,152 @@
+package executor
+
+import (
+	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// This file holds the commit point — the one sequence that moves a
+// statement's deferred records into the log and forces it — and the
+// pool-set and chunk-size helpers its callers share.
+
+// commitGroup is the engine's one commit point. The index metadata of
+// tables (nil entries skipped) is saved into (logged) meta pages, the
+// deferred logical records and page images of pools are staged into one
+// record group — closed by commitXid's transaction-commit record when
+// that is non-zero — the group plus a commit marker is appended to the
+// log *atomically* (no concurrent statement's records interleave), the
+// assigned LSNs are stamped back onto the covered frames, and the log
+// is forced according to the sync mode. The final force runs the
+// writer's group-commit protocol, so any number of statements
+// committing concurrently share one fsync. A failed append or force
+// passes through noteWALFailure: the statement that met a dead log is
+// the one that degrades the database. A no-op when logging is off.
+func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables ...*Table) error {
+	if err := db.poisoned(); err != nil {
+		return err
+	}
+	if db.wal == nil {
+		return nil
+	}
+	for _, t := range tables {
+		if t == nil {
+			continue
+		}
+		if err := t.saveIndexMeta(); err != nil {
+			return err
+		}
+	}
+	if err := db.appendPoolsXid(pools, commitXid); err != nil {
+		return err
+	}
+	sp := obs.Current().StartSpan("commit_wait", "wal")
+	err := db.wal.Commit()
+	sp.End()
+	return db.noteWALFailure(err)
+}
+
+// saveIndexMeta writes the metadata of every index of t into its meta
+// page.
+func (t *Table) saveIndexMeta() error {
+	for _, ix := range t.Indexes {
+		if err := ix.Idx.SaveMeta(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendPools stages the deferred records and page images of pools into
+// one wal.Group, appends the group and its commit marker atomically, and
+// stamps the assigned LSNs back onto the covered frames.
+func (db *DB) appendPools(pools []*storage.BufferPool) error {
+	return db.appendPoolsXid(pools, 0)
+}
+
+// appendPoolsXid is appendPools with a transaction-boundary record
+// riding in the same atomic group: commitXid != 0 appends the
+// transaction's commit record (wal.RecTxnCommit) after the staged
+// records. The boundary record and the data records land under one
+// marker, so recovery either sees the transaction resolved together with
+// its final records or not at all.
+func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) error {
+	if db.wal == nil {
+		return nil
+	}
+	if tr := obs.Current(); tr != nil {
+		sp := tr.StartSpan("wal_append", "wal")
+		defer sp.End()
+	}
+	g := wal.NewGroup()
+	staged := make([][]storage.Staged, len(pools))
+	for i, bp := range pools {
+		staged[i] = bp.StagePending(g)
+	}
+	if commitXid != 0 {
+		g.AddTxnCommit(commitXid)
+	}
+	lsns, _, err := db.wal.AppendGroupCommit(g)
+	if err != nil {
+		// An append failure is sticky in the writer (the log is
+		// unusable); flip read-only so later statements fail fast
+		// instead of each rediscovering the dead log.
+		return db.noteWALFailure(err)
+	}
+	for i, bp := range pools {
+		bp.ResolvePending(staged[i], lsns)
+	}
+	return nil
+}
+
+// tablePools lists the pools a DML statement against t can touch.
+func tablePools(t *Table) []*storage.BufferPool {
+	pools := make([]*storage.BufferPool, 0, 1+len(t.Indexes))
+	pools = append(pools, t.Heap.Pool())
+	for _, ix := range t.Indexes {
+		pools = append(pools, ix.pool)
+	}
+	return pools
+}
+
+// commitWAL commits a statement that may have touched any pool — the
+// DDL, catalog, and maintenance paths. Every caller holds stmtMu
+// exclusively, and db.pools is only mutated under that lock, so the
+// slice is read without db.mu (which Close and Checkpoint already hold
+// when they commit through here).
+func (db *DB) commitWAL(t *Table) error {
+	return db.commitGroup(db.pools, 0, t)
+}
+
+// commitTable commits a DML statement against one table: only the
+// table's own heap and index pools are staged, so statements of
+// concurrent writers on other tables (which hold stmtMu only shared)
+// are never swept into this statement's marker.
+func (db *DB) commitTable(t *Table) error {
+	return db.commitGroup(tablePools(t), 0, t)
+}
+
+// insertChunkRows bounds how many rows of one multi-row INSERT apply
+// between commit markers. Every page a statement dirties is unevictable
+// until its records are appended (no-steal), so an unbounded statement
+// could exhaust the buffer pool; like buildIndex's intra-build markers,
+// oversized batches commit in pool-proportional chunks (each chunk
+// all-or-nothing across a crash). Batched inserts pack ~dozens of rows
+// per heap page and their sorted index descents cluster, so poolPages*4
+// rows stay well inside a pool even after sharding.
+func (db *DB) insertChunkRows() int {
+	if n := db.poolPages * 4; n > 64 {
+		return n
+	}
+	return 64
+}
+
+// deleteChunkRows is insertChunkRows for DELETE, far smaller because a
+// deleted row can touch a heap page all of its own (worst case one page
+// per row, against ~dozens of batched inserts per page).
+func (db *DB) deleteChunkRows() int {
+	if n := db.poolPages / 4; n > 16 {
+		return n
+	}
+	return 16
+}
