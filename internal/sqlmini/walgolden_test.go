@@ -106,7 +106,8 @@ func firstDiff(got, want string) string {
 }
 
 // goldenWALStream was captured at the commit before the storage/wal/heap
-// logging refactor it guards (PR 17).
+// logging refactor it guards (PR 17). One line was added since: ROLLBACK
+// now logs the index meta page with its compensation records.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
@@ -177,6 +178,7 @@ commit file="" page=0 slot=0 xid=0 len=0
 heap-clear-xmax file="rel1.tbl" page=1 slot=1 xid=0 len=0
 heap-mark-aborted file="rel1.tbl" page=2 slot=117 xid=0 len=0
 heap-mark-aborted file="rel1.tbl" page=2 slot=116 xid=0 len=0
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
 commit file="" page=0 slot=0 xid=0 len=0
 txn-abort file="" page=0 slot=0 xid=5 len=0
 commit file="" page=0 slot=0 xid=0 len=0
@@ -199,5 +201,5 @@ txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=90 appended_bytes=107354
+appends=91 appended_bytes=107407
 `

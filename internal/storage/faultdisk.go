@@ -153,6 +153,15 @@ func (f *FaultDiskManager) Counters() FaultCounters {
 	}
 }
 
+// Calls returns how many calls to op the wrapper has seen, armed or not —
+// the number a FaultRule's Nth counts from, so a test can schedule a
+// fault on "the next write" of a manager that has already been written.
+func (f *FaultDiskManager) Calls(op FaultOp) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls[op]
+}
+
 // decide rolls one call of op. It returns the fault to inject (kind +
 // torn byte count) or ok=true to pass the call through.
 func (f *FaultDiskManager) decide(op FaultOp) (kind FaultKind, tornBytes int, inject bool) {
