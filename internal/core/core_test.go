@@ -570,3 +570,33 @@ func TestNNUnsupportedOpClass(t *testing.T) {
 		t.Fatal("NNScan should fail for opclass without NN support")
 	}
 }
+
+// A root-to-leaf path longer than maxChooseIters is legitimate (a trie
+// over keys sharing a long prefix, a degenerate kd-tree): the insert
+// descent's retry guard bounds the restructuring retries at one node, not
+// the depth of the tree.
+func TestInsertThroughDeepPath(t *testing.T) {
+	tr := newTestTree(t)
+	prefix := strings.Repeat("a", 200)
+	var keys []string
+	for c := byte('a'); c <= 'j'; c++ {
+		keys = append(keys, prefix+string(c))
+	}
+	// The fifth key overflows the bucket and the split cascades one level
+	// per prefix byte; every later key descends the 200 inner nodes.
+	for i, k := range keys {
+		if err := tr.Insert(k, rid(i)); err != nil {
+			t.Fatalf("insert #%d: %v", i, err)
+		}
+	}
+	for i, k := range keys {
+		rids, err := tr.Lookup(&Query{Op: "=", Arg: k})
+		if err != nil || len(rids) != 1 || rids[0] != rid(i) {
+			t.Fatalf("lookup of key #%d: %v, err %v, want [%v]", i, rids, err, rid(i))
+		}
+	}
+	rids, err := tr.Lookup(&Query{Op: "pfx", Arg: prefix})
+	if err != nil || len(rids) != len(keys) {
+		t.Fatalf("prefix scan under the deep path: %d rows, err %v, want %d", len(rids), err, len(keys))
+	}
+}

@@ -156,6 +156,11 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 				ref = child
 				level += m.LevelAdd
 				recon = m.Recon
+				// The guard bounds retries at one node, not the length of
+				// the path: a degenerate tree (a bucket-size-1 kd-tree fed
+				// sorted lattice points) is legitimately deeper than
+				// maxChooseIters.
+				guard = -1 // 0 once the loop has counted this iteration
 				continue
 			}
 			// Multi-assignment (PMR quadtree): the key descends into every

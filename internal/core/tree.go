@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // Tree is one disk-based SP-GiST index: the generic internal methods bound
@@ -164,7 +165,8 @@ func (t *Tree) saveMeta() error {
 // SaveMeta persists the in-memory metadata (root reference, key count)
 // into the metadata page without flushing data pages. With a WAL
 // attached this is enough to make the metadata recoverable: the dirty
-// meta page is logged as a page image and replayed on reopen.
+// meta page is logged as a page image and replayed on reopen (node
+// pages are logged node by node, see unpinPut).
 func (t *Tree) SaveMeta() error { return t.saveMeta() }
 
 // Flush persists metadata and all dirty pages.
@@ -271,6 +273,25 @@ func (t *Tree) tracePage(pid storage.PageID) {
 	}
 }
 
+// unpinPut releases p after the node record rec was stored at slot. A
+// node is an opaque record in a slotted page, exactly like a heap tuple,
+// so with a log attached the write is covered by a slot-put record — what
+// was stored where — instead of an image of the whole page, deferred to
+// the statement's commit point like the heap's records; recovery replays
+// it through the same slotted-page redo.
+func (t *Tree) unpinPut(p *storage.Page, slot int, rec []byte) {
+	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotPut(file, uint32(p.ID), uint16(slot), rec)
+	})
+}
+
+// unpinDelete is unpinPut for a node record removed from slot.
+func (t *Tree) unpinDelete(p *storage.Page, slot int) {
+	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotDelete(file, uint32(p.ID), uint16(slot))
+	})
+}
+
 // allocNode places an encoded node record using the clustering policy:
 // first the preferred page (normally the parent's), then the most recent
 // allocation page, then a fresh page. It returns the new node's address.
@@ -299,7 +320,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 			return InvalidRef, false, nil
 		}
 		t.setFree(pid, storage.SlotFreeSpace(p.Data))
-		t.bp.Unpin(p, true)
+		t.unpinPut(p, slot, rec)
 		return NodeRef{Page: pid, Slot: uint16(slot)}, true, nil
 	}
 	if ref, ok, err := try(prefer); err != nil || ok {
@@ -337,7 +358,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 	t.setFree(p.ID, storage.SlotFreeSpace(p.Data))
 	t.lastAlloc = p.ID
 	ref := NodeRef{Page: p.ID, Slot: uint16(slot)}
-	t.bp.Unpin(p, true)
+	t.unpinPut(p, slot, rec)
 	return ref, nil
 }
 
@@ -360,7 +381,7 @@ func (t *Tree) writeNode(ref NodeRef, n *node, parent *parentLink) (NodeRef, err
 	}
 	if storage.SlotUpdate(p.Data, int(ref.Slot), rec) {
 		t.setFree(ref.Page, storage.SlotFreeSpace(p.Data))
-		t.bp.Unpin(p, true)
+		t.unpinPut(p, int(ref.Slot), rec)
 		return ref, nil
 	}
 	// Relocate: drop the old copy, place the record elsewhere, fix the
@@ -368,7 +389,7 @@ func (t *Tree) writeNode(ref NodeRef, n *node, parent *parentLink) (NodeRef, err
 	// keep crossing as few pages as possible.
 	storage.SlotDelete(p.Data, int(ref.Slot))
 	t.setFree(ref.Page, storage.SlotFreeSpace(p.Data))
-	t.bp.Unpin(p, true)
+	t.unpinDelete(p, int(ref.Slot))
 	prefer := ref.Page
 	if parent != nil {
 		prefer = parent.ref.Page
@@ -399,11 +420,12 @@ func (t *Tree) writeNode(ref NodeRef, n *node, parent *parentLink) (NodeRef, err
 	if err != nil {
 		return InvalidRef, err
 	}
-	if !storage.SlotUpdate(pp.Data, int(parent.ref.Slot), pn.encode()) {
+	prec := pn.encode()
+	if !storage.SlotUpdate(pp.Data, int(parent.ref.Slot), prec) {
 		t.bp.Unpin(pp, false)
 		return InvalidRef, fmt.Errorf("spgist: same-size parent update failed at %v", parent.ref)
 	}
-	t.bp.Unpin(pp, true)
+	t.unpinPut(pp, int(parent.ref.Slot), prec)
 	return newRef, nil
 }
 
@@ -521,6 +543,6 @@ func (t *Tree) deleteNode(ref NodeRef) error {
 	}
 	storage.SlotDelete(p.Data, int(ref.Slot))
 	t.setFree(ref.Page, storage.SlotFreeSpace(p.Data))
-	t.bp.Unpin(p, true)
+	t.unpinDelete(p, int(ref.Slot))
 	return nil
 }

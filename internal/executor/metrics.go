@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/heap"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // execMetrics holds the executor's cumulative counters — the pg_stat
@@ -151,6 +153,14 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 		emit("wal_group_commits_total", s.GroupCommits)
 		emit("wal_group_records_total", s.GroupRecords)
 		emit("wal_segment_recycles_total", s.Recycles)
+		// What the log is made of: the two totals above, split by record
+		// type (their columns sum to wal_appends_total and
+		// wal_appended_bytes_total).
+		for typ := wal.RecordType(1); typ < wal.NumRecordTypes; typ++ {
+			by := s.ByType[typ]
+			emit(fmt.Sprintf("wal_appended_records_by_type{type=%q}", typ), by.Records)
+			emit(fmt.Sprintf("wal_appended_bytes_by_type{type=%q}", typ), by.Bytes)
+		}
 	}
 }
 

@@ -341,6 +341,27 @@ const (
 	oracleCrashPreds = 6   // predicates per (class, operator) and kNN probes per index, per recovery
 )
 
+// oracleCrashCreate creates table ti of oracleCrashTables, empty, with
+// its indexes — the suffix tree only where the pool can hold a word's
+// worth of its pages.
+func oracleCrashCreate(t *testing.T, db *DB, ti int, suffix bool) *Table {
+	t.Helper()
+	ot := oracleCrashTables[ti]
+	tb, err := db.CreateTable(ot.name, []Column{{"k", ot.typ}, {"id", catalog.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range ot.indexes {
+		if ix[2] == "spgist_suffix" && !suffix {
+			continue
+		}
+		if _, err := db.CreateIndex(ix[0], ot.name, "k", ix[1], ix[2]); err != nil {
+			t.Fatalf("CREATE INDEX %s: %v", ix[0], err)
+		}
+	}
+	return tb
+}
+
 func TestOracleCrashInterleaved(t *testing.T) {
 	for _, poolPages := range []int{0, 16} {
 		t.Run(fmt.Sprintf("pool=%d", poolPages), func(t *testing.T) {
@@ -393,18 +414,7 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 		rows = 1500 // every file several times its pool
 	}
 	for ti, ot := range oracleCrashTables {
-		tb, err := db.CreateTable(ot.name, []Column{{"k", ot.typ}, {"id", catalog.Int}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ix := range ot.indexes {
-			if cramped && ix[2] == "spgist_suffix" {
-				continue
-			}
-			if _, err := db.CreateIndex(ix[0], ot.name, "k", ix[1], ix[2]); err != nil {
-				t.Fatalf("CREATE INDEX %s: %v", ix[0], err)
-			}
-		}
+		tb := oracleCrashCreate(t, db, ti, !cramped)
 		model[ot.name] = map[int64]string{}
 		tups := fresh(ti, rows)
 		if _, err := tb.InsertBatch(tups); err != nil {
@@ -603,19 +613,8 @@ func TestTornIndexPageRecovery(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(31))
 	want := map[string]int{}
-	for _, ot := range oracleCrashTables {
-		tb, err := db.CreateTable(ot.name, []Column{{"k", ot.typ}, {"id", catalog.Int}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ix := range ot.indexes {
-			if ix[2] == "spgist_suffix" {
-				continue // see the crash oracle: a word's suffixes outgrow 16 frames
-			}
-			if _, err := db.CreateIndex(ix[0], ot.name, "k", ix[1], ix[2]); err != nil {
-				t.Fatalf("CREATE INDEX %s: %v", ix[0], err)
-			}
-		}
+	for ti, ot := range oracleCrashTables {
+		tb := oracleCrashCreate(t, db, ti, false) // 16 frames again: no suffix tree
 		// A load and a checkpoint, so that the log no longer reaches back
 		// to the files' creation, then single-row statements: first
 		// touches of pages the checkpoint left clean, and later touches

@@ -1,0 +1,142 @@
+package executor_test
+
+import (
+	"path/filepath"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
+	"repro/internal/executor"
+	"repro/internal/geom"
+	"repro/internal/wal"
+)
+
+// TestIndexWALBudget guards what the log of an SP-GiST insert is made of.
+// After a load and a CHECKPOINT, 1 000 autocommit single-row INSERTs into
+// a trie-indexed and into a kd-tree-indexed table may append at most 1 KB
+// of WAL per statement beyond the pages' first touches — node-level slot
+// records plus the two meta-page images, where whole-page logging spent
+// 8–12 KB — and the only image of a non-meta page the log may hold is
+// that first touch: the first record group to reach the page since the
+// checkpoint, once.
+func TestIndexWALBudget(t *testing.T) {
+	dir := t.TempDir()
+	db, err := executor.Open(executor.Options{Dir: dir, WAL: true, WALSync: wal.SyncLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cols := func(typ catalog.Type) []executor.Column {
+		return []executor.Column{{Name: "k", Type: typ}, {Name: "id", Type: catalog.Int}}
+	}
+	const loaded, inserted = 5000, 1000
+	words := datagen.Words(loaded+inserted, 41)
+	pts := datagen.Points(loaded+inserted, 42, geom.MakeBox(0, 0, 1000, 1000))
+	datum := map[string]func(i int) catalog.Datum{
+		"words": func(i int) catalog.Datum { return catalog.NewText(words[i]) },
+		"pts":   func(i int) catalog.Datum { return catalog.NewPoint(pts[i]) },
+	}
+	tables := map[string]*executor.Table{}
+	for _, def := range []struct {
+		name, opclass string
+		typ           catalog.Type
+	}{{"words", "spgist_trie", catalog.Text}, {"pts", "spgist_kdtree", catalog.Point}} {
+		tb, err := db.CreateTable(def.name, cols(def.typ))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateIndex(def.name+"_ix", def.name, "k", "spgist", def.opclass); err != nil {
+			t.Fatal(err)
+		}
+		tups := make([]catalog.Tuple, loaded)
+		for i := range tups {
+			tups[i] = catalog.Tuple{datum[def.name](i), catalog.NewInt(int64(i))}
+		}
+		if _, err := tb.InsertBatch(tups); err != nil {
+			t.Fatal(err)
+		}
+		tables[def.name] = tb
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	w := db.WAL()
+	before, start := w.Stats(), w.AppendedLSN()
+	for i := loaded; i < loaded+inserted; i++ {
+		for name, tb := range tables {
+			if _, err := tb.Insert(catalog.Tuple{datum[name](i), catalog.NewInt(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := w.Stats()
+	if err := w.Sync(w.AppendedLSN()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Walk the statements' records. A non-meta page image is a first
+	// touch iff no earlier group holds a record of its page and the page
+	// has not been imaged already.
+	type pageKey struct {
+		file string
+		page uint32
+	}
+	earlier := map[pageKey]bool{} // pages with a record in an earlier group, or an image
+	inGroup := map[pageKey]bool{}
+	var firstTouchBytes, nodeRecords int64
+	firstTouches := 0
+	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
+		if r.LSN <= start {
+			return nil
+		}
+		key := pageKey{r.File, r.Page}
+		switch r.Type {
+		case wal.RecCommit:
+			for k := range inGroup {
+				earlier[k] = true
+			}
+			clear(inGroup)
+		case wal.RecPageImage:
+			if r.Page == 0 {
+				break
+			}
+			if earlier[key] {
+				t.Errorf("LSN %d: image of %s page %d, which an earlier group had already touched", r.LSN, r.File, r.Page)
+			}
+			earlier[key] = true
+			firstTouches++
+			firstTouchBytes += int64(16 + 1 + 2 + len(r.File) + 8 + len(r.Data)) // frame header, type, payload
+		case wal.RecSlotPut, wal.RecSlotDelete:
+			nodeRecords++
+			inGroup[key] = true
+		case wal.RecHeapInsert, wal.RecHeapBatchInsert:
+			inGroup[key] = true
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	statements := int64(2 * inserted)
+	perStmt := (after.AppendedBytes - before.AppendedBytes - firstTouchBytes) / statements
+	t.Logf("%d B of WAL per INSERT beyond %d first-touch images (%d B); %d node records", perStmt, firstTouches, firstTouchBytes, nodeRecords)
+	if perStmt > 1024 {
+		t.Errorf("an INSERT appends %d B of WAL beyond first touches, want at most 1024", perStmt)
+	}
+	if nodeRecords < statements {
+		t.Errorf("%d slot records for %d index inserts: the index is not logging node writes", nodeRecords, statements)
+	}
+	// The per-type split is the same count, read from the writer.
+	var recs, bytes int64
+	for _, by := range after.ByType {
+		recs += by.Records
+		bytes += by.Bytes
+	}
+	puts := after.ByType[wal.RecSlotPut].Records - before.ByType[wal.RecSlotPut].Records
+	dels := after.ByType[wal.RecSlotDelete].Records - before.ByType[wal.RecSlotDelete].Records
+	if recs != after.Appends || bytes != after.AppendedBytes || puts+dels != nodeRecords {
+		t.Errorf("Stats.ByType sums to %d records / %d B against %d / %d; %d+%d node records against %d in the log",
+			recs, bytes, after.Appends, after.AppendedBytes, puts, dels, nodeRecords)
+	}
+}

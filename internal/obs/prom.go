@@ -10,7 +10,8 @@ import (
 // WritePrometheus renders the registry in Prometheus text exposition
 // format (version 0.0.4) for the /metrics endpoint. Counters and sampler
 // values whose names end in _total are typed counter, other scalars
-// gauge; histograms are exposed as native Prometheus histograms under
+// (labelled sampler series among them) gauge; histograms are exposed as
+// native Prometheus histograms under
 // <name>_seconds, with the registry's power-of-two nanosecond buckets
 // converted to cumulative le-labelled buckets in seconds (ratio
 // histograms: under their bare name, le bounds in plain ratio units).
@@ -55,14 +56,28 @@ func WritePrometheus(w io.Writer, r *Registry) {
 		})
 	}
 
+	// A sampler may emit a labelled series (name{label="value"}): the
+	// series of one family are grouped under a single TYPE line.
+	family := func(name string) string {
+		fam, _, _ := strings.Cut(name, "{")
+		return fam
+	}
 	scalar := func(m map[string]int64, typ string) {
 		names := make([]string, 0, len(m))
 		for name := range m {
 			names = append(names, name)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, m[name])
+		sort.Slice(names, func(i, j int) bool {
+			if fi, fj := family(names[i]), family(names[j]); fi != fj {
+				return fi < fj
+			}
+			return names[i] < names[j]
+		})
+		for i, name := range names {
+			if fam := family(name); i == 0 || fam != family(names[i-1]) {
+				fmt.Fprintf(w, "# TYPE %s %s\n", fam, typ)
+			}
+			fmt.Fprintf(w, "%s %d\n", name, m[name])
 		}
 	}
 	scalar(counters, "counter")

@@ -179,6 +179,67 @@ func TestHTTPMetrics(t *testing.T) {
 	}
 }
 
+// TestHTTPMetricsWALByType: with a log attached, /metrics and SHOW STATS
+// say what the log is made of — records and bytes per record type, as
+// labelled series of one family whose samples sum to the two totals.
+func TestHTTPMetricsWALByType(t *testing.T) {
+	db, err := executor.Open(executor.Options{Dir: t.TempDir(), WAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ts := httptest.NewServer(server.New(db).HTTPHandler())
+	defer ts.Close()
+	sess := sqlmini.NewSession(db)
+	defer sess.Close()
+	for _, stmt := range []string{
+		`CREATE TABLE w (name VARCHAR, id INT)`,
+		`CREATE INDEX wt ON w USING spgist (name spgist_trie)`,
+		`INSERT INTO w VALUES ('alpha', 1), ('beta', 2), ('gamma', 3)`,
+	} {
+		if _, err := sess.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams := parsePrometheus(t, string(body))
+	for family, total := range map[string]string{
+		"wal_appended_bytes_by_type":   "wal_appended_bytes_total",
+		"wal_appended_records_by_type": "wal_appends_total",
+	} {
+		fam := fams[family]
+		if fam == nil || fam.typ != "gauge" || fam.samples[family+`{type="slot-put"}`] == 0 {
+			t.Fatalf("%s missing, mistyped or without slot-put records: %+v", family, fam)
+		}
+		sum := 0.0
+		for _, v := range fam.samples {
+			sum += v
+		}
+		if want := fams[total].samples[total]; sum != want {
+			t.Errorf("%s sums to %g, %s is %g", family, sum, total, want)
+		}
+	}
+	res, err := sess.Exec(`SHOW STATS`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, row := range res.Rows {
+		found = found || (row[0].S == `wal_appended_bytes_by_type{type="slot-put"}` && row[1].I > 0)
+	}
+	if !found {
+		t.Error(`SHOW STATS has no wal_appended_bytes_by_type{type="slot-put"} row`)
+	}
+}
+
 func TestHTTPActivityAndHealthz(t *testing.T) {
 	// One server, two front doors: the SQL listener and the HTTP sidecar,
 	// exactly the spgist-server -http topology.

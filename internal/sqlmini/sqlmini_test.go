@@ -430,3 +430,28 @@ func TestMultiRowInsertIsOneStatement(t *testing.T) {
 		}
 	}
 }
+
+// A multi-row INSERT of lattice points used to fail with
+// "spgist_kdtree.Choose did not converge": the batch sorts its keys, a
+// bucket-size-1 kd-tree fed sorted points with many equal coordinates
+// grows one long path, and the retry guard of the insert descent — meant
+// per node — counted the whole path.
+func TestLatticeInsertIntoKdTree(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE lattice (p POINT, id INT)`)
+	mustExec(t, s, `CREATE INDEX lattice_kd ON lattice USING spgist (p spgist_kdtree)`)
+	vals := make([]string, 2000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("('(%d,%d)', %d)", i%50, i/50, i)
+	}
+	if res := mustExec(t, s, `INSERT INTO lattice VALUES `+strings.Join(vals, ", ")); res.Affected != len(vals) {
+		t.Fatalf("INSERT affected %d rows, want %d", res.Affected, len(vals))
+	}
+	res := mustExec(t, s, `SELECT * FROM lattice WHERE p ^ '(0,0,4,4)'`)
+	if !strings.Contains(res.Plan, "lattice_kd") {
+		t.Fatalf("box query planned as %q, want the kd-tree", res.Plan)
+	}
+	if len(res.Rows) != 25 {
+		t.Fatalf("box (0,0,4,4) holds %d lattice points, want 25", len(res.Rows))
+	}
+}

@@ -138,31 +138,516 @@ heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
 page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=8
 commit file="" page=0 slot=0 xid=0 len=0
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=40
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=56
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=72
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=88
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=103
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=119
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=135
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=151
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=166
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=182
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=198
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=214
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=229
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=245
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=261
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=89
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=69
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=73
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=73
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=84
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=89
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=89
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=99
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=114
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=129
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=144
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=159
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=174
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=189
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=204
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=219
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=234
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=265
 page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 commit file="" page=0 slot=0 xid=0 len=0
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=144
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=129
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=36
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=3 xid=0 len=36
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=36
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=4 xid=0 len=36
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=144
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=159
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=159
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=73
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=35
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=2 xid=0 len=35
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=174
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=89
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=189
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=204
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=69
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=219
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=84
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=234
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=99
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=73
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=73
 commit file="" page=0 slot=0 xid=0 len=0
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=114
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=17 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=18 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=19 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=20 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=21 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=22 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=23 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=89
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=24 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=25 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=26 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=27 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=28 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=29 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=30 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=89
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=31 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=32 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=33 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=34 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=35 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=36 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=37 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=129
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=38 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=39 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=105
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=40 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=144
+slot-put file="rel2.idx" page=1 slot=38 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=39 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=40 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=159
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=121
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=41 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=42 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=43 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=44 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=45 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=46 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=47 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=48 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=40 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=174
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=137
+slot-put file="rel2.idx" page=1 slot=47 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=48 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=49 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=189
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=153
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=50 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=48 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=49 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=204
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=169
+slot-put file="rel2.idx" page=1 slot=50 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=174
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=51 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=52 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=53 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=54 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=55 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=56 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=57 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=58 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=7 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=219
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=185
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=59 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=189
+slot-put file="rel2.idx" page=1 slot=57 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=201
 commit file="" page=0 slot=0 xid=0 len=0
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
+slot-put file="rel2.idx" page=1 slot=58 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=234
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=201
+slot-put file="rel2.idx" page=1 slot=59 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=204
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=60 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=58 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=217
+slot-put file="rel2.idx" page=1 slot=59 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=219
+slot-put file="rel2.idx" page=1 slot=60 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=61 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=62 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=63 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=64 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=65 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=66 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=67 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=233
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=68 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=15 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=234
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=69 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=70 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=68 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=249
+slot-put file="rel2.idx" page=1 slot=69 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=70 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=265
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=71 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=72 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=73 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=74 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=75 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=76 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=77 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=78 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=79 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=80 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=81 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=82 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=83 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=84 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=85 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=69 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=86 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=87 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=88 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=89 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=90 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=91 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=92 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=93 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=94 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=95 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=96 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=97 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=98 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=99 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=100 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=70 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=101 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=102 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=103 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=104 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=105 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=106 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=107 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=108 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=109 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=110 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=111 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=112 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=113 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=114 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=115 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=78 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=116 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=117 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=12 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=93 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=100 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=118 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=108 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=115 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=119 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=116 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=117 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=120 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=121 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=118 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=108 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=122 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=77
+slot-put file="rel2.idx" page=1 slot=119 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=116 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=123 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=120 xid=0 len=41
 commit file="" page=0 slot=0 xid=0 len=0
 heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
 page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
+slot-put file="rel2.idx" page=1 slot=121 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=124 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=16 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=125 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=122 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=119 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=126 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=123 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=120 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=127 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=124 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=125 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=128 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=86
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=129 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=5 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=126 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=123 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=130 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=13 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=127 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=124 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=131 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=11 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=128 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=129 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=132 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=8 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=133 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=10 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=130 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=127 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=134 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=9 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=131 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=128 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=71 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=132 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=133 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=86 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=135 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=6 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=134 xid=0 len=39
+slot-put file="rel2.idx" page=1 slot=131 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=136 xid=0 len=25
+slot-put file="rel2.idx" page=1 slot=14 xid=0 len=95
+slot-put file="rel2.idx" page=1 slot=71 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=132 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=17 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=86 xid=0 len=57
+slot-put file="rel2.idx" page=1 slot=135 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=24 xid=0 len=54
+slot-put file="rel2.idx" page=1 slot=101 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=136 xid=0 len=41
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=39
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=50
+slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=50
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=2 slot=114 xid=3 len=0
 heap-insert file="rel1.tbl" page=2 slot=115 xid=0 len=39
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+slot-put file="rel2.idx" page=1 slot=137 xid=0 len=39
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 txn-commit file="" page=0 slot=0 xid=3 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=1 slot=0 xid=4 len=0
@@ -171,7 +656,10 @@ txn-commit file="" page=0 slot=0 xid=4 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=71
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
+slot-put file="rel2.idx" page=1 slot=137 xid=0 len=50
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=59
+slot-put file="rel2.idx" page=1 slot=138 xid=0 len=21
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=59
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=1 slot=1 xid=5 len=0
 commit file="" page=0 slot=0 xid=0 len=0
@@ -187,19 +675,25 @@ heap-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+slot-put file="rel2.idx" page=1 slot=71 xid=0 len=41
+slot-put file="rel2.idx" page=1 slot=137 xid=0 len=35
+slot-put file="rel2.idx" page=1 slot=138 xid=0 len=9
+slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 commit file="" page=0 slot=0 xid=0 len=0
 -- after CHECKPOINT --
 checkpoint file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
 page-image file="rel1.tbl" page=2 slot=0 xid=0 len=8185
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=68
+slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
+slot-put file="rel2.idx" page=1 slot=0 xid=0 len=68
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
 page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=91 appended_bytes=107407
+appends=585 appended_bytes=108727
 `

@@ -254,10 +254,10 @@ type frame struct {
 	opPending bool
 	// imagedLSN is the LSN of the last full page image logged for this
 	// frame's page while it has been resident (0 after a load from
-	// disk). Together with the on-page LSN it decides whether a
-	// checksummed page's next commit needs a full-page write: recovery
-	// can only rebuild a torn page when an image of it survives in the
-	// post-checkpoint log.
+	// disk). Together with the on-page LSN it decides whether the next
+	// commit of logical records on the page needs a full-page write:
+	// recovery can only rebuild a torn page, or trust an unchecksummed
+	// one, when an image of it survives in the post-checkpoint log.
 	imagedLSN wal.LSN
 	// prefetched marks a frame read by the prefetcher and not yet used
 	// by a demand fetch: cleared (counting a prefetch hit) on first use,
@@ -900,24 +900,29 @@ func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 }
 
 // stageFullPageImages appends a full image of each distinct page covered
-// by the logical records staged[:nOps] whose content is not reconstructible from the surviving log
-// alone. Torn-page repair reinitializes the page and replays the
-// records that cover it, which only restores everything when the log
-// still reaches back to the page's creation or holds a full image of
-// it — and a checkpoint recycles the older segments. So the first time
-// a page is touched after a checkpoint, its statement ships a full-page
-// write (Postgres-style FPW) alongside the logical records. The image
-// is appended after the page's records so replay's last-writer-wins
-// order leaves the image's complete content in place.
+// by the logical records staged[:nOps] whose content is not
+// reconstructible from the surviving log alone — the page's first touch
+// since the last checkpoint (Postgres-style full-page writes). The image
+// is appended after the page's records, so it holds their effect too.
+//
+// A checksummed page needs it for torn-page repair, which reinitializes
+// the page and replays the records that cover it: that restores
+// everything only when the log still reaches back to the page's
+// creation or holds a full image of it, and a checkpoint recycles the
+// older segments. Before the first checkpoint the log is complete since
+// creation and no image is needed.
+//
+// A page without a checksum (an SP-GiST index page) cannot be detected
+// torn at all, so recovery never trusts its on-disk copy: it lays the
+// page down from its last image and runs only later records on it
+// (RecoverDir's supersede rule). Its log must therefore always open with
+// an image — also when no checkpoint has happened yet.
 func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file string, staged []Staged, nOps int) []Staged {
-	if !bp.checksums || nOps == 0 {
+	if nOps == 0 {
 		return staged
 	}
 	ckpt := w.CheckpointLSN()
-	if ckpt == 0 {
-		// No checkpoint has ever recycled segments: the log is
-		// complete since creation, and replay rebuilds any torn page
-		// from its RecFileCreate onward.
+	if bp.checksums && ckpt == 0 {
 		return staged
 	}
 	done := make(map[PageID]bool, nOps)
@@ -938,9 +943,10 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file stri
 		}
 		f := &sh.frames[fi]
 		if f.imagedLSN > ckpt || PageLSN(f.data) > uint64(ckpt) {
-			// A post-checkpoint image of this page already survives in
-			// the log — logged directly, or implied by a record whose
-			// own statement forced one before stamping the pageLSN.
+			// An image of this page from after the checkpoint (or, with
+			// none yet, from any time) already survives in the log —
+			// logged directly, or implied by a record whose own
+			// statement forced one before stamping the pageLSN.
 			sh.mu.Unlock()
 			continue
 		}

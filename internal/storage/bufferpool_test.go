@@ -455,6 +455,7 @@ func TestRecoverDirRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := NewBufferPool(fdm, 4)
+	bp.EnableChecksums("t.tbl") // a heap file, as its name says: no first-touch image before a checkpoint
 	bp.AttachWAL(w, "t.tbl")
 
 	// Page 0: raw page mutated via Unpin(dirty) -> page-image record.

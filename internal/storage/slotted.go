@@ -260,25 +260,29 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 	if len(rec) > SlotFreeSpace(data)+len(old) {
 		return false
 	}
-	off, length := slotEntry(data, slot)
-	_ = length
-	// Temporarily kill the slot (without trimming) so compaction reclaims
-	// the old bytes, then place the new record.
-	setSlotEntry(data, slot, deadOffset, 0)
-	slotCompact(data)
+	// The longer record goes into the contiguous gap when it fits there,
+	// leaving the old bytes for a later compaction to reclaim; only
+	// otherwise is the slot killed (without trimming) and the area
+	// compacted first. Which of the two happens moves bytes, never
+	// answers: SlotFreeSpace counts live lengths, not the gap.
 	freeLo := slottedHeaderSize + SlotCount(data)*slotSize
 	freeHi := int(get16(data, 4))
-	if freeHi-freeLo < len(rec) {
-		// The space check above guarantees fit on any page this package
-		// wrote; only corrupt on-disk bytes (inconsistent line pointers
-		// inflating SlotFreeSpace) get here. The old record is already
-		// compacted away — report failure instead of panicking.
-		return false
+	if freeHi > len(data) || freeHi-freeLo < len(rec) {
+		setSlotEntry(data, slot, deadOffset, 0)
+		slotCompact(data)
+		freeHi = int(get16(data, 4))
+		if freeHi-freeLo < len(rec) {
+			// The space check above guarantees fit on any page this
+			// package wrote; only corrupt on-disk bytes (inconsistent line
+			// pointers inflating SlotFreeSpace) get here. The old record is
+			// already compacted away — report failure instead of panicking.
+			return false
+		}
 	}
-	off = uint16(freeHi - len(rec))
+	off := freeHi - len(rec)
 	copy(data[off:], rec)
-	put16(data, 4, off)
-	setSlotEntry(data, slot, off, uint16(len(rec)))
+	put16(data, 4, uint16(off))
+	setSlotEntry(data, slot, uint16(off), uint16(len(rec)))
 	return true
 }
 

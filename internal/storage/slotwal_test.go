@@ -1,0 +1,249 @@
+package storage
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/wal"
+)
+
+// touchNode stores rec as a node record on page id the way core.Tree
+// does — slotted insert, slot-put record deferred to the commit point —
+// and returns how many records and how many page images the statement's
+// group then carries for the pool.
+func touchNode(t *testing.T, bp *BufferPool, w *wal.Writer, id PageID, rec []byte) (records, images int) {
+	t.Helper()
+	p, err := bp.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SlotAreaBlank(p.Data) {
+		SlotInit(p.Data)
+	}
+	slot, ok := SlotInsert(p.Data, rec)
+	if !ok {
+		t.Fatalf("page %d is full", id)
+	}
+	bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotPut(file, uint32(id), uint16(slot), rec)
+	})
+	g := wal.NewGroup()
+	staged := bp.StagePending(g)
+	lsns, _, err := w.AppendGroupCommit(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.ResolvePending(staged, lsns)
+	for _, s := range staged {
+		if s.Image {
+			images++
+		} else {
+			records++
+		}
+	}
+	return records, images
+}
+
+// TestFirstTouchImages pins when a page covered by logical records also
+// ships a full image: on its first touch since the last checkpoint — and,
+// for a pool without checksums, whose pages recovery cannot tell torn
+// from whole, also on its first touch ever.
+func TestFirstTouchImages(t *testing.T) {
+	for _, checksummed := range []bool{false, true} {
+		name := map[bool]string{false: "index", true: "heap"}[checksummed]
+		t.Run(name, func(t *testing.T) {
+			w := openMarkedWAL(t, t.TempDir(), wal.Options{})
+			defer w.Close()
+			file := map[bool]string{false: "rel2.idx", true: "rel1.tbl"}[checksummed]
+			bp := NewBufferPool(NewMem(256), 4)
+			if checksummed {
+				bp.EnableChecksums(file)
+			}
+			bp.AttachWAL(w, file)
+			for i := 0; i < 8; i++ { // a meta page and seven data pages: twice the pool
+				p, err := bp.NewPage()
+				if err != nil {
+					t.Fatal(err)
+				}
+				bp.Unpin(p, false)
+			}
+			expect := func(when string, wantImages int) {
+				t.Helper()
+				if recs, imgs := touchNode(t, bp, w, 1, []byte(when)); recs != 1 || imgs != wantImages {
+					t.Fatalf("%s: group carries %d records and %d images, want 1 and %d", when, recs, imgs, wantImages)
+				}
+			}
+			// (a) No checkpoint yet. The heap's log reaches back to the
+			// file's creation, so it needs no image; the index page's log
+			// must open with one — once.
+			first := 1
+			if checksummed {
+				first = 0 // (d) exactly as before this rule existed
+			}
+			expect("first touch ever", first)
+			expect("second touch", 0)
+			// (b) A checkpoint recycles the log: the next touch ships an
+			// image again, the one after it does not.
+			checkpoint := func() {
+				t.Helper()
+				if err := bp.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkpoint()
+			expect("first touch after the checkpoint", 1)
+			expect("second touch after the checkpoint", 0)
+			// (c) Evicted and reloaded, the frame has forgotten that it was
+			// imaged, but the page says so itself: its on-page LSN is past
+			// the checkpoint.
+			if err := bp.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			before := bp.Stats()
+			for id := PageID(2); id < 8; id++ {
+				p, err := bp.Fetch(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bp.Unpin(p, false)
+			}
+			expect("touch after eviction and reload", 0)
+			if after := bp.Stats(); after.Evictions == before.Evictions || after.Misses < before.Misses+7 {
+				t.Fatalf("page 1 was not evicted and reloaded: %+v -> %+v", before, after)
+			}
+			checkpoint()
+			expect("first touch after the second checkpoint", 1)
+		})
+	}
+}
+
+// slottedPage returns a page-size slotted area holding recs in slots 0….
+func slottedPage(size int, recs ...string) []byte {
+	page := make([]byte, size)
+	SlotInit(page)
+	for _, r := range recs {
+		SlotInsert(page, []byte(r))
+	}
+	return page
+}
+
+// TestRecoverySupersedesRecordsBeforeImage: on a file without checksums a
+// record older than a surviving image of its page is not applied — the
+// page is laid down from the image first and only later records run on
+// it, so what the disk held (here: garbage, as a torn write leaves it)
+// never matters. A checksummed file keeps the old discipline: every
+// record is applied unless the pageLSN says it already was.
+func TestRecoverySupersedesRecordsBeforeImage(t *testing.T) {
+	const pageSize = 256
+	for _, file := range []string{"rel2.idx", "rel1.tbl"} {
+		t.Run(file, func(t *testing.T) {
+			dataDir := t.TempDir()
+			walDir := filepath.Join(dataDir, "wal")
+			w := openMarkedWAL(t, walDir, wal.Options{})
+			g := wal.NewGroup()
+			g.AddSlotPut(file, 1, 0, []byte("from the record"))
+			g.AddPageImage(file, 1, slottedPage(pageSize, "from the image"))
+			g.AddSlotPut(file, 1, 1, []byte("after the image"))
+			if _, _, err := w.AppendGroupCommit(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dm, err := OpenFile(filepath.Join(dataDir, file), pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := dm.AllocatePage(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !ChecksummedFile(file) {
+				if err := dm.WritePage(1, bytes.Repeat([]byte{0xEE}, pageSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dm.Close()
+
+			st, err := RecoverDir(dataDir, walDir, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSuperseded, wantPuts := int64(1), int64(1)
+			if ChecksummedFile(file) {
+				wantSuperseded, wantPuts = 0, 2
+			}
+			if st.Superseded != wantSuperseded || st.SlotPuts != wantPuts || st.PageImages != 1 {
+				t.Fatalf("recovery stats %+v, want %d superseded, %d puts, 1 image", st, wantSuperseded, wantPuts)
+			}
+			dm, err = OpenFile(filepath.Join(dataDir, file), pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dm.Close()
+			page := make([]byte, pageSize)
+			if err := dm.ReadPage(1, page); err != nil {
+				t.Fatal(err)
+			}
+			if got := string(SlotRead(page, 0)) + " / " + string(SlotRead(page, 1)); got != "from the image / after the image" {
+				t.Fatalf("page 1 after recovery holds %q", got)
+			}
+		})
+	}
+}
+
+// TestRecoverDirRejectsDamagedSlotRecords: a slot record whose slot cannot
+// exist on a page, whose payload no page can hold, or whose page lies far
+// beyond the file is a damaged log. Recovery says so; it does not panic,
+// and it does not extend the file by four billion pages to get there.
+func TestRecoverDirRejectsDamagedSlotRecords(t *testing.T) {
+	const pageSize = 256
+	cases := []struct {
+		name  string
+		build func(g *wal.Group)
+		want  string
+	}{
+		{"slot out of range", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 1, 60000, []byte("node")) }, "does not fit"},
+		{"oversize payload", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 1, 0, make([]byte, 4*pageSize)) }, "does not fit"},
+		{"oversize replacement", func(g *wal.Group) {
+			g.AddSlotPut("rel2.idx", 1, 0, []byte("node"))
+			g.AddSlotPut("rel2.idx", 1, 0, make([]byte, 4*pageSize))
+		}, "does not fit"},
+		{"page beyond the file", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 4_000_000_000, 0, []byte("node")) }, "beyond anything"},
+		{"delete beyond the file", func(g *wal.Group) { g.AddSlotDelete("rel2.idx", 4_000_000_000, 0) }, "beyond anything"},
+		{"image beyond the file", func(g *wal.Group) { g.AddPageImage("rel2.idx", 4_000_000_000, slottedPage(pageSize, "node")) }, "beyond anything"},
+		{"heap tuple beyond the file", func(g *wal.Group) { g.AddHeapInsert("rel1.tbl", 4_000_000_000, 0, []byte("tuple")) }, "beyond anything"},
+		{"meta page", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 0, 0, []byte("node")) }, "meta page"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			walDir := filepath.Join(dataDir, "wal")
+			w := openMarkedWAL(t, walDir, wal.Options{})
+			g := wal.NewGroup()
+			c.build(g)
+			if _, _, err := w.AppendGroupCommit(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := RecoverDir(dataDir, walDir, pageSize)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("recovery returned %v, want an error about %q", err, c.want)
+			}
+			for _, file := range []string{"rel2.idx", "rel1.tbl"} {
+				if st, err := os.Stat(filepath.Join(dataDir, file)); err == nil && st.Size() > 16*pageSize {
+					t.Fatalf("recovery grew %s to %d bytes on its way to the error", file, st.Size())
+				}
+			}
+		})
+	}
+}

@@ -17,6 +17,9 @@ type RecoveryStats struct {
 	HeapDeletes   int64 // logical heap deletes applied
 	HeapBatches   int64 // batch-insert records applied
 	HeapXmaxOps   int64 // set/clear-xmax and mark-aborted records applied
+	SlotPuts      int64 // index-node puts applied
+	SlotDeletes   int64 // index-node deletes applied
+	Superseded    int64 // records on unchecksummed pages not applied: a later image of the page survives
 	SkippedByLSN  int64 // logical records skipped because pageLSN was newer
 	TailDiscarded int64 // records after the last commit marker, not replayed
 	FilesTouched  int   // distinct data files opened by redo
@@ -91,10 +94,22 @@ func (fx *txnFixups) noteDelete(key fixupKey) {
 // of dataDir, bringing every heap and index file up to the end of the
 // log. It is the redo pass run on reopen after a crash: page-image
 // records overwrite their page (replay is in LSN order, so the last
-// image wins), and logical heap records are re-executed through the
+// image wins), and logical records — heap tuples and SP-GiST nodes
+// alike, both records in slotted pages — are re-executed through the
 // slotted-page layer unless the on-disk pageLSN shows the page already
 // reflects them. The pass is idempotent — replaying an already-recovered
 // log is harmless — and a missing or empty log directory is a no-op.
+//
+// The two kinds of file are trusted differently. A heap page carries a
+// checksum: a write torn at the crash is detected, and only then is the
+// page rebuilt from its image or its file's creation. An index page
+// carries none, so a torn or stale copy cannot be told from a good one;
+// instead its log always opens with an image (the pool ships one with
+// the first record group that touches a page after a checkpoint), and a
+// record older than the last surviving image of its page is superseded —
+// not applied. Every index page touched since the checkpoint is thus
+// first laid down whole from the log and only later records run on it;
+// what the disk held before is irrelevant.
 //
 // Records after the log's last commit or checkpoint marker belong to a
 // statement whose tail was lost in the crash; they are not replayed, so
@@ -122,16 +137,18 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		page uint32
 	}
 	createdFiles := make(map[string]bool)
-	imagedPages := make(map[imageKey]bool)
+	lastImage := make(map[imageKey]wal.LSN) // LSN of the page's last surviving image
+	surviving := int64(0)                   // records at or before the last marker
 	if _, err := wal.Replay(walDir, func(r *wal.Record) error {
 		if lastMarker != 0 && r.LSN > lastMarker {
 			return nil
 		}
+		surviving++
 		switch r.Type {
 		case wal.RecFileCreate:
 			createdFiles[r.File] = true
 		case wal.RecPageImage:
-			imagedPages[imageKey{r.File, r.Page}] = true
+			lastImage[imageKey{r.File, r.Page}] = r.LSN
 		}
 		return nil
 	}); err != nil {
@@ -161,7 +178,15 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		st.FilesTouched++
 		return dm, nil
 	}
+	// ensure extends dm to hold page. Every page a statement allocates
+	// is covered by a record of its own, so a file can trail the log by
+	// no more pages than the log has records; an address further out is
+	// a damaged log, not a page to allocate four billion zeroed pages up
+	// to.
 	ensure := func(dm *FileDiskManager, page uint32) error {
+		if uint64(page) >= uint64(dm.NumPages())+uint64(surviving) {
+			return fmt.Errorf("storage: recovery: page %d is beyond anything the log's %d records could have allocated (file has %d pages)", page, surviving, dm.NumPages())
+		}
 		for dm.NumPages() <= page {
 			if _, err := dm.AllocatePage(); err != nil {
 				return err
@@ -251,7 +276,15 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			st.PagesWritten++
 			return nil
 		case wal.RecHeapInsert, wal.RecHeapDelete, wal.RecHeapBatchInsert,
-			wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted:
+			wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted,
+			wal.RecSlotPut, wal.RecSlotDelete:
+			if r.Page == 0 {
+				return fmt.Errorf("storage: recovery: %v addresses the meta page of %s, which holds no slots", r.Type, r.File)
+			}
+			if !ChecksummedFile(r.File) && r.LSN < lastImage[imageKey{r.File, r.Page}] {
+				st.Superseded++
+				return nil
+			}
 			dm, err := open(r.File)
 			if err != nil {
 				return err
@@ -278,7 +311,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 				// so recovery fails loudly instead.
 				if stored, computed, ok := VerifyPageChecksum(buf); !ok {
 					st.TornPages++
-					if !createdFiles[r.File] && !imagedPages[imageKey{r.File, r.Page}] {
+					if !createdFiles[r.File] && lastImage[imageKey{r.File, r.Page}] == 0 {
 						return &ErrPageCorrupt{File: r.File, PageID: PageID(r.Page), Expected: stored, Got: computed}
 					}
 					SlotInit(buf)
@@ -290,11 +323,15 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 				return nil
 			}
 			switch r.Type {
-			case wal.RecHeapInsert:
+			case wal.RecHeapInsert, wal.RecSlotPut:
 				if !SlotInsertAt(buf, int(r.Slot), r.Data) {
 					return fmt.Errorf("storage: recovery: redo insert does not fit page %d of %s", r.Page, r.File)
 				}
-				st.HeapInserts++
+				if r.Type == wal.RecSlotPut {
+					st.SlotPuts++
+				} else {
+					st.HeapInserts++
+				}
 			case wal.RecHeapBatchInsert:
 				// One record redoes a whole page-worth of tuples — the
 				// all-or-nothing unit of a multi-row INSERT's redo.
@@ -323,9 +360,13 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 					}
 				}
 				st.HeapXmaxOps++
-			default:
+			default: // RecHeapDelete, RecSlotDelete
 				SlotDelete(buf, int(r.Slot))
-				st.HeapDeletes++
+				if r.Type == wal.RecSlotDelete {
+					st.SlotDeletes++
+				} else {
+					st.HeapDeletes++
+				}
 			}
 			SetPageLSN(buf, uint64(r.LSN))
 			stamp(r.File, r.Page, buf)

@@ -25,31 +25,25 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func frameCRC(lsn LSN, body []byte) uint32 {
-	var l [8]byte
-	binary.LittleEndian.PutUint64(l[:], uint64(lsn))
-	crc := crc32.Update(0, crcTable, l[:])
-	return crc32.Update(crc, crcTable, body)
-}
-
-// encodeFrame serializes a record body under lsn into a wire frame.
-func encodeFrame(lsn LSN, typ RecordType, payload []byte) []byte {
-	body := make([]byte, 1+len(payload))
-	body[0] = byte(typ)
-	copy(body[1:], payload)
-	frame := make([]byte, frameHeaderSize+len(body))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], frameCRC(lsn, body))
-	binary.LittleEndian.PutUint64(frame[8:], uint64(lsn))
-	copy(frame[frameHeaderSize:], body)
-	return frame
+// appendFrame appends the wire frame of one record — body = type byte +
+// payload, under lsn — to dst. The checksum runs over the lsn bytes and
+// the body, which lie side by side in the frame.
+func appendFrame(dst []byte, lsn LSN, typ RecordType, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(payload)))
+	dst = append(dst, 0, 0, 0, 0) // crc, below
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(lsn))
+	dst = append(dst, byte(typ))
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], crcTable))
+	return dst
 }
 
 // Payload layouts (after the type byte):
 //
 //	page image:  nameLen:2 name pageID:4 pageSize:4 image...
-//	heap insert: nameLen:2 name pageID:4 slot:2 rec...
-//	heap delete: nameLen:2 name pageID:4 slot:2
+//	heap insert, slot put:    nameLen:2 name pageID:4 slot:2 rec...
+//	heap delete, slot delete: nameLen:2 name pageID:4 slot:2
 //	batch insert: nameLen:2 name pageID:4 n:2 { slot:2 len:4 rec }*n
 //	set xmax:    nameLen:2 name pageID:4 slot:2 xid:8
 //	clear xmax:  nameLen:2 name pageID:4 slot:2
@@ -145,7 +139,8 @@ func decodeRecord(lsn LSN, body []byte) (*Record, error) {
 			return nil, fmt.Errorf("wal: page image larger than its page size")
 		}
 		return r, nil
-	case RecHeapInsert, RecHeapDelete, RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted:
+	case RecHeapInsert, RecHeapDelete, RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
+		RecSlotPut, RecSlotDelete:
 		r.File, payload, err = decodeName(payload)
 		if err != nil {
 			return nil, err
@@ -156,7 +151,7 @@ func decodeRecord(lsn LSN, body []byte) (*Record, error) {
 		r.Page = binary.LittleEndian.Uint32(payload)
 		r.Slot = binary.LittleEndian.Uint16(payload[4:])
 		switch r.Type {
-		case RecHeapInsert:
+		case RecHeapInsert, RecSlotPut:
 			r.Data = append([]byte(nil), payload[6:]...)
 		case RecHeapSetXmax:
 			if len(payload) < 14 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -114,17 +115,8 @@ func scanSegment(path string, fn func(lsn LSN, body []byte) error) (validEnd int
 	}
 	off := 0
 	for {
-		if off+frameHeaderSize > len(b) {
-			break
-		}
-		size := int(binary.LittleEndian.Uint32(b[off:]))
-		if size == 0 || size > maxRecordSize || off+frameHeaderSize+size > len(b) {
-			break
-		}
-		crc := binary.LittleEndian.Uint32(b[off+4:])
-		lsn := LSN(binary.LittleEndian.Uint64(b[off+8:]))
-		body := b[off+frameHeaderSize : off+frameHeaderSize+size]
-		if frameCRC(lsn, body) != crc {
+		lsn, body, n, ok := parseFrame(b[off:])
+		if !ok {
 			break
 		}
 		if fn != nil {
@@ -133,7 +125,27 @@ func scanSegment(path string, fn func(lsn LSN, body []byte) error) (validEnd int
 			}
 		}
 		last = lsn
-		off += frameHeaderSize + size
+		off += n
 	}
 	return int64(off), last, nil
+}
+
+// parseFrame validates the frame at the head of b and returns its LSN,
+// its body (type byte + payload, aliasing b) and its total length. ok is
+// false for anything but a whole frame with a matching checksum — the
+// torn tail of the log, or corruption.
+func parseFrame(b []byte) (lsn LSN, body []byte, n int, ok bool) {
+	if len(b) < frameHeaderSize {
+		return 0, nil, 0, false
+	}
+	size := int(binary.LittleEndian.Uint32(b))
+	if size == 0 || size > maxRecordSize || frameHeaderSize+size > len(b) {
+		return 0, nil, 0, false
+	}
+	lsn = LSN(binary.LittleEndian.Uint64(b[8:]))
+	body = b[frameHeaderSize : frameHeaderSize+size]
+	if crc32.Checksum(b[8:frameHeaderSize+size], crcTable) != binary.LittleEndian.Uint32(b[4:]) {
+		return 0, nil, 0, false
+	}
+	return lsn, body, frameHeaderSize + size, true
 }

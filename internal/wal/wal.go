@@ -12,10 +12,11 @@
 //   - page-image records carry the complete after-image of one page
 //     (zero-truncated, since fresh pages are mostly zeros) and are
 //     replayed by overwriting the page;
-//   - logical records describe one heap operation (insert or delete of
-//     a record at a fixed page/slot) and are replayed through the
-//     slotted-page layer, guarded by the pageLSN stamped in the
-//     slotted-page header so replay is idempotent.
+//   - logical records describe one operation on a slotted page — a
+//     heap tuple or an SP-GiST node put into, or deleted from, a fixed
+//     page/slot — and are replayed through the slotted-page layer,
+//     guarded by the pageLSN stamped in the slotted-page header so
+//     replay is idempotent.
 //
 // The log is a sequence of segment files in one directory, each named
 // by the LSN of its first record. A checkpoint rotates to a fresh
@@ -86,6 +87,19 @@ const (
 	// — the compensating ClearXmax/MarkAborted records precede it, and
 	// recovery treats any transaction without a commit record as aborted.
 	RecTxnAbort RecordType = 12
+	// RecSlotPut stores an opaque record at a fixed (page, slot) of a
+	// slotted page, replacing whatever the slot held — the log shape of
+	// an SP-GiST node written by core.Tree. Same payload as
+	// RecHeapInsert, same redo; only the heap's MVCC bookkeeping does
+	// not apply, since a node's first bytes are not an xmin.
+	RecSlotPut RecordType = 13
+	// RecSlotDelete frees the slot at (page, slot) — a node that moved
+	// to another page or was dissolved by a split.
+	RecSlotDelete RecordType = 14
+
+	// NumRecordTypes bounds the RecordType values in use (0 is not a
+	// record); Stats.ByType is indexed up to it.
+	NumRecordTypes = 15
 )
 
 // String names the record type for stats and debugging output.
@@ -115,16 +129,20 @@ func (t RecordType) String() string {
 		return "txn-commit"
 	case RecTxnAbort:
 		return "txn-abort"
+	case RecSlotPut:
+		return "slot-put"
+	case RecSlotDelete:
+		return "slot-delete"
 	default:
 		return "unknown"
 	}
 }
 
 // Record is one decoded log record. Which fields are meaningful depends
-// on Type: File/Page address a page for images and heap ops, Slot is
-// the slot of a heap op, PageSize is the full page size an image must
-// be expanded to, and Data holds the (truncated) image or the heap
-// record bytes. Batch inserts carry parallel Slots/Recs instead of
+// on Type: File/Page address a page for images and slot operations
+// (heap tuples, index nodes), Slot is the slot operated on, PageSize is
+// the full page size an image must be expanded to, and Data holds the
+// (truncated) image or the bytes put into the slot. Batch inserts carry parallel Slots/Recs instead of
 // Slot/Data.
 type Record struct {
 	LSN      LSN

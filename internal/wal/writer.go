@@ -30,7 +30,10 @@ type Options struct {
 // contained (GroupRecords/GroupCommits is the mean commit batch size),
 // and SyncWaits the committers whose durability was covered by another
 // leader's fsync — the group-commit sharing factor. Recycles counts
-// segment files deleted by checkpoints.
+// segment files deleted by checkpoints. ByType splits Appends and
+// AppendedBytes by record type — what the log is made of; its columns
+// sum to the two totals (a checkpoint record is counted where Appends
+// counts it and, like AppendedBytes, without its 17 bytes).
 type Stats struct {
 	Appends       int64
 	AppendedBytes int64
@@ -41,6 +44,14 @@ type Stats struct {
 	GroupCommits  int64
 	GroupRecords  int64
 	Recycles      int64
+	ByType        [NumRecordTypes]TypeStats
+}
+
+// TypeStats counts the appended records of one RecordType and their
+// frame bytes.
+type TypeStats struct {
+	Records int64
+	Bytes   int64
 }
 
 // Writer is the append side of the log. Appends are buffered in memory
@@ -289,6 +300,16 @@ func (g *Group) AddHeapDelete(file string, page uint32, slot uint16) int {
 	return g.add(RecHeapDelete, encodeHeapOp(file, page, slot, nil))
 }
 
+// AddSlotPut stages storing rec — an index node — at (page, slot).
+func (g *Group) AddSlotPut(file string, page uint32, slot uint16, rec []byte) int {
+	return g.add(RecSlotPut, encodeHeapOp(file, page, slot, rec))
+}
+
+// AddSlotDelete stages freeing the slot at (page, slot).
+func (g *Group) AddSlotDelete(file string, page uint32, slot uint16) int {
+	return g.add(RecSlotDelete, encodeHeapOp(file, page, slot, nil))
+}
+
 // AddHeapBatchInsert stages a page-worth of heap inserts as one record.
 func (g *Group) AddHeapBatchInsert(file string, page uint32, slots []uint16, recs [][]byte) int {
 	return g.add(RecHeapBatchInsert, encodeHeapBatch(file, page, slots, recs))
@@ -445,10 +466,12 @@ func (w *Writer) appendLocked(typ RecordType, payload []byte) (LSN, error) {
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
-	w.buf = append(w.buf, encodeFrame(lsn, typ, payload)...)
+	w.buf = appendFrame(w.buf, lsn, typ, payload)
 	w.appended = lsn
 	w.stats.Appends++
 	w.stats.AppendedBytes += frameLen
+	w.stats.ByType[typ].Records++
+	w.stats.ByType[typ].Bytes += frameLen
 	if len(w.buf) >= bufFlushThreshold && !w.syncing {
 		if err := w.writeBufLocked(); err != nil {
 			w.err = err
@@ -593,11 +616,12 @@ func (w *Writer) Checkpoint() (LSN, error) {
 	ckSegFirst := w.segFirst
 	lsn := w.nextLSN
 	w.nextLSN++
-	w.buf = append(w.buf, encodeFrame(lsn, RecCheckpoint, nil)...)
+	w.buf = appendFrame(w.buf, lsn, RecCheckpoint, nil)
 	w.appended = lsn
 	w.committed = lsn
 	w.ckpt = lsn
 	w.stats.Appends++
+	w.stats.ByType[RecCheckpoint].Records++
 	if err := w.syncLocked(lsn); err != nil {
 		return 0, err
 	}
