@@ -51,9 +51,11 @@ type Index interface {
 	// SizeBytes returns the index size in bytes.
 	SizeBytes() int64
 	// SaveMeta persists the index's in-memory metadata (root, count)
-	// into its metadata page without flushing data pages. Called after
-	// every mutating statement when write-ahead logging is on, so the
-	// metadata is redone from the log after a crash.
+	// into its metadata page without flushing data pages, dirtying the
+	// page only when a value changed. The executor calls it at its commit
+	// point for the counters; the root pointer every access method saves
+	// itself, where it moves, so a logged statement that moved the root
+	// is never recovered without it.
 	SaveMeta() error
 	// Flush persists the index.
 	Flush() error

@@ -114,15 +114,26 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 	}, nil
 }
 
+// saveMeta writes root, height and count into the meta page, dirtying it
+// (and so logging its image with the next record group) only when one of
+// them changed. Insert calls it where the root moves, so that a record
+// group holding the new root page always holds the pointer to it; the
+// count follows at the caller's commit point (SaveMeta).
 func (t *Tree) saveMeta() error {
 	meta, err := t.bp.Fetch(0)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[mRootOf:], uint32(t.root))
-	binary.LittleEndian.PutUint32(meta.Data[mHeightOf:], uint32(t.height))
-	binary.LittleEndian.PutUint64(meta.Data[mCountOf:], uint64(t.count))
-	t.bp.Unpin(meta, true)
+	d := meta.Data
+	changed := binary.LittleEndian.Uint32(d[mRootOf:]) != uint32(t.root) ||
+		binary.LittleEndian.Uint32(d[mHeightOf:]) != uint32(t.height) ||
+		binary.LittleEndian.Uint64(d[mCountOf:]) != uint64(t.count)
+	if changed {
+		binary.LittleEndian.PutUint32(d[mRootOf:], uint32(t.root))
+		binary.LittleEndian.PutUint32(d[mHeightOf:], uint32(t.height))
+		binary.LittleEndian.PutUint64(d[mCountOf:], uint64(t.count))
+	}
+	t.bp.Unpin(meta, changed)
 	return nil
 }
 
@@ -370,7 +381,7 @@ func (t *Tree) Insert(key []byte, rid heap.RID) error {
 		t.root = pid
 		t.height = 1
 		t.count++
-		return nil
+		return t.saveMeta()
 	}
 	// Fast path: splice the entry directly into the leaf page bytes, the
 	// way PostgreSQL shifts item pointers in place. Only inserts that
@@ -394,6 +405,8 @@ func (t *Tree) Insert(key []byte, rid heap.RID) error {
 		}
 		t.root = pid
 		t.height++
+		t.count++
+		return t.saveMeta()
 	}
 	t.count++
 	return nil

@@ -522,6 +522,9 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			t.Fatalf("prefix %q: got %d, want %d", pfx, len(rids), want)
 		}
 	}
+	// Node bytes are canonical and the carried-forward free-space figures
+	// exact after inserts, splits, relocations and deletes.
+	checkTreeBytes(t, tr)
 }
 
 func sameRIDSet(a, b []heap.RID) bool {

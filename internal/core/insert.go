@@ -30,12 +30,16 @@ func (t *Tree) Insert(key Value, rid heap.RID) error {
 // InsertBatch adds many (key, rid) pairs as one grouped operation: the
 // keys are sorted by their encoded form first, so consecutive descents
 // revisit the same inner nodes back to back and the decoded-node cache
-// (readNodeRO) serves them without re-decoding — the batch amortizes
-// one node decode over the whole key cluster that routes through it,
-// instead of paying it per row the way per-row Insert does.
+// serves them without re-decoding — the batch amortizes one inner-node
+// decode over the whole key cluster that routes through it. The data node
+// at the end of each descent is never decoded at all: an insertion reads
+// and extends its record inside the page (insertIntoLeaf).
 func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	if len(keys) != len(rids) {
 		return fmt.Errorf("spgist: InsertBatch got %d keys for %d rids", len(keys), len(rids))
+	}
+	if len(keys) == 1 {
+		return t.Insert(keys[0], rids[0])
 	}
 	type pair struct {
 		kb  []byte
@@ -62,9 +66,8 @@ func (t *Tree) insertEncoded(kb []byte, rid heap.RID) error {
 		if err != nil {
 			return err
 		}
-		t.root = ref
 		t.nKeys++
-		return nil
+		return t.setRoot(ref)
 	}
 	if err := t.insertAt(t.root, nil, 0, t.oc.RootRecon(), kb, rid); err != nil {
 		return err
@@ -89,42 +92,67 @@ func cloneForWrite(n *node) *node {
 	}
 }
 
+// insertIntoLeaf adds (kb, rid) to the data node whose record rec lies in
+// the pinned page p (the pin is consumed). Kind, overflow link and item
+// count are read off the record, and the common case — an unchained node
+// with room in its bucket and its record — appends the item to a copy of
+// the record under that one pin: the node is not decoded, and what is
+// logged is what encoding the decoded node would have produced. Items are
+// decoded only for PickSplit and for overflow chains.
+func (t *Tree) insertIntoLeaf(p *storage.Page, rec []byte, ref NodeRef, parent *parentLink, level int, recon Value, kb []byte, rid heap.RID) error {
+	next, cnt, err := leafHeader(rec)
+	if err != nil {
+		t.bp.Unpin(p, false)
+		return fmt.Errorf("%w (node %v)", err, ref)
+	}
+	inBucket := cnt < t.pr.BucketSize || t.atResolution(level)
+	if inBucket && !next.Valid() && len(rec)+leafItemExtra+len(kb) <= t.maxNodeSize() {
+		_, err := t.writeRecord(p, ref, appendLeafItem(rec, kb, rid), parent)
+		return err
+	}
+	n, err := decodeNode(rec)
+	t.bp.Unpin(p, false)
+	if err != nil {
+		return err
+	}
+	items, chain, err := t.readLeafChain(n)
+	if err != nil {
+		return err
+	}
+	items = append(items, item{key: kb, rid: rid})
+	if inBucket {
+		return t.writeLeafChain(ref, parent, items, chain)
+	}
+	return t.splitLeaf(ref, parent, items, chain, level, recon)
+}
+
 // insertAt descends from the node at ref until the key lands in a data
 // node, applying Choose at every inner node and PickSplit on overflow.
-// The descent reads through the decoded-node cache (readNodeRO) and the
+// The descent reads inner nodes through the decoded-node cache and the
 // memoized predicate/label forms, so a batch of sorted keys descending
 // through the same inner nodes decodes each of them once; branches that
 // mutate a node clone it first (cached nodes are shared, immutable).
 func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value, kb []byte, rid heap.RID) error {
+	var in ChooseIn     // one per insertion, refilled at every inner node
+	var link parentLink // likewise: only the current node's parent is ever needed
 	for guard := 0; ; guard++ {
 		if guard >= maxChooseIters {
 			return fmt.Errorf("spgist: %s.Choose did not converge at node %v", t.oc.Name(), ref)
 		}
-		n, err := t.readNodeRO(ref)
+		n, p, rec, err := t.nodeForInsert(ref)
 		if err != nil {
 			return err
 		}
-		if n.leaf {
-			items, chain, err := t.readLeafChain(n)
-			if err != nil {
-				return err
-			}
-			items = append(items, item{key: kb, rid: rid})
-			if len(items) <= t.pr.BucketSize || t.atResolution(level) {
-				return t.writeLeafChain(ref, parent, items, chain)
-			}
-			return t.splitLeaf(ref, parent, items, chain, level, recon)
+		if p != nil {
+			return t.insertIntoLeaf(p, rec, ref, parent, level, recon, kb, rid)
 		}
 
-		pred, labels := t.innerValues(n)
-		in := &ChooseIn{
-			Key:    t.oc.DecodeKey(kb),
-			Level:  level,
-			Pred:   pred,
-			Labels: labels,
-			Recon:  recon,
+		if in.Key == nil {
+			in.Key = t.oc.DecodeKey(kb)
 		}
-		out := t.oc.Choose(in)
+		in.Level, in.Recon = level, recon
+		in.Pred, in.Labels = t.innerValues(n)
+		out := t.oc.Choose(&in)
 		switch out.Action {
 		case MatchNode:
 			if len(out.Matches) == 0 {
@@ -152,7 +180,8 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 					_, err = t.writeNode(ref, w, parent)
 					return err
 				}
-				parent = &parentLink{ref: ref, entry: m.Entry}
+				link = parentLink{ref: ref, entry: m.Entry}
+				parent = &link
 				ref = child
 				level += m.LevelAdd
 				recon = m.Recon

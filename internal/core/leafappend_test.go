@@ -1,0 +1,333 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/heap"
+	"repro/internal/storage"
+)
+
+// appendByDecoding is the insertion's leaf arm as it was before it worked
+// on the record where it lies: decode, append the item, encode.
+func appendByDecoding(rec, key []byte, rid heap.RID) ([]byte, error) {
+	n, err := decodeNode(rec)
+	if err != nil {
+		return nil, err
+	}
+	n.items = append(n.items, item{key: key, rid: rid})
+	return n.encode(), nil
+}
+
+// checkLeafAppend holds leafHeader + appendLeafItem to appendByDecoding on
+// one byte string, whatever it is: a record decodeNode refuses is refused
+// with the same error; a record leafHeader accepts is a data node decodeNode
+// accepts too, and the two appends agree byte for byte; the only records
+// leafHeader refuses beyond those are inner nodes and records with bytes
+// past their last item, which decode-encode would have dropped in silence.
+func checkLeafAppend(t *testing.T, what string, rec, key []byte, rid heap.RID) {
+	t.Helper()
+	before := append([]byte(nil), rec...)
+	want, decErr := appendByDecoding(rec, key, rid)
+	next, cnt, err := leafHeader(rec)
+	switch {
+	case decErr != nil:
+		// (Of a record that is no data node leafHeader only says so.)
+		if err == nil || (len(rec) > 0 && rec[0] == nodeKindLeaf && err.Error() != decErr.Error()) {
+			t.Fatalf("%s: decodeNode refuses %x with %q, leafHeader says %v", what, rec, decErr, err)
+		}
+	case err != nil:
+		n, _ := decodeNode(rec)
+		if stray := len(rec) - n.encodedSize(); n.leaf && stray == 0 {
+			t.Fatalf("%s: leafHeader refuses the well-formed data node %x: %v", what, rec, err)
+		}
+	default:
+		n, _ := decodeNode(rec)
+		if !n.leaf || n.next != next || len(n.items) != cnt {
+			t.Fatalf("%s: leafHeader read next %v count %d off %x, decodeNode %v / %d (leaf %v)", what, next, cnt, rec, n.next, len(n.items), n.leaf)
+		}
+		if got := appendLeafItem(rec, key, rid); !bytes.Equal(got, want) {
+			t.Fatalf("%s: append in place gives\n%x, decode-append-encode\n%x", what, got, want)
+		}
+	}
+	if !bytes.Equal(rec, before) {
+		t.Fatalf("%s: the record itself was written to", what)
+	}
+}
+
+// TestLeafAppendMatchesDecodeAppendEncode: over random data nodes — empty,
+// at and past any bucket size, chained, with empty and long keys — the
+// record appendLeafItem builds is the record decodeNode → append → encode
+// builds; over every truncation, every single-byte corruption of a header
+// or length field, stray tails and random bytes, it errors where decodeNode
+// errors and never panics.
+func TestLeafAppendMatchesDecodeAppendEncode(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	randBytes := func(n int) []byte {
+		b := make([]byte, n)
+		r.Read(b)
+		return b
+	}
+	randRID := func() heap.RID {
+		return heap.RID{Page: storage.PageID(r.Uint32()), Slot: uint16(r.Intn(1 << 16))}
+	}
+	for round := 0; round < 300; round++ {
+		n := &node{leaf: true, next: InvalidRef}
+		if r.Intn(3) == 0 { // a chained node
+			n.next = NodeRef{Page: storage.PageID(1 + r.Intn(1000)), Slot: uint16(r.Intn(500))}
+		}
+		for i, cnt := 0, []int{0, 1, 4, 5, 40}[r.Intn(5)]; i < cnt; i++ {
+			n.items = append(n.items, item{key: randBytes([]int{0, 1, 8, 20}[r.Intn(4)]), rid: randRID()})
+		}
+		rec := n.encode()
+		key, rid := randBytes(r.Intn(24)), randRID()
+		checkLeafAppend(t, "well-formed node", rec, key, rid)
+		if _, _, err := leafHeader(rec); err != nil {
+			t.Fatalf("leafHeader refuses an encoded node: %v", err)
+		}
+
+		for cut := 0; cut < len(rec); cut++ {
+			if _, _, err := leafHeader(rec[:cut]); err == nil {
+				t.Fatalf("leafHeader accepts %d of the %d bytes of a %d-item node", cut, len(rec), len(n.items))
+			}
+			checkLeafAppend(t, "truncated node", rec[:cut], key, rid)
+		}
+		stray := append(append([]byte(nil), rec...), randBytes(1+r.Intn(8))...)
+		if _, _, err := leafHeader(stray); err == nil || !strings.Contains(err.Error(), "stray bytes") {
+			t.Fatalf("leafHeader on a node with a stray tail: %v", err)
+		}
+		checkLeafAppend(t, "node with a stray tail", stray, key, rid)
+
+		// One corrupted byte: kind, count, or an item's length field.
+		fields := []int{0, 1 + refSize, 2 + refSize}
+		for off, i := leafHeaderSize, 0; i < len(n.items); i++ {
+			fields = append(fields, off, off+1)
+			off += leafItemExtra + len(n.items[i].key)
+		}
+		for _, f := range fields {
+			bad := append([]byte(nil), rec...)
+			bad[f] ^= byte(1 + r.Intn(255))
+			checkLeafAppend(t, "node with a corrupt field", bad, key, rid)
+		}
+		junk := randBytes(r.Intn(64))
+		if len(junk) > 0 && r.Intn(2) == 0 {
+			junk[0] = nodeKindLeaf
+		}
+		checkLeafAppend(t, "random bytes", junk, key, rid)
+	}
+}
+
+// limitedTrie is testTrie with a resolution limit: past two characters a
+// cell is not decomposed further, however many keys it holds.
+type limitedTrie struct{ testTrie }
+
+func (limitedTrie) Params() Params {
+	p := testTrie{}.Params()
+	p.Resolution = 2
+	return p
+}
+
+// checkTreeBytes walks every page of tr: each node record must be in
+// canonical form (decoding and re-encoding it gives the same bytes, and a
+// data node passes leafHeader), and the free-space figure the tree carries
+// forward from write to write must be what a walk of the page finds.
+func checkTreeBytes(t *testing.T, tr *Tree) {
+	t.Helper()
+	for pid := storage.PageID(1); uint32(pid) < tr.NumPages(); pid++ {
+		p, err := tr.bp.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		storage.SlotForEach(p.Data, func(slot int, rec []byte) bool {
+			n, err := decodeNode(rec)
+			if err != nil {
+				t.Fatalf("node (%d.%d): %v", pid, slot, err)
+			}
+			if !bytes.Equal(n.encode(), rec) {
+				t.Fatalf("node (%d.%d) is not what encoding its decoded form gives", pid, slot)
+			}
+			if n.leaf {
+				if _, _, err := leafHeader(rec); err != nil {
+					t.Fatalf("data node (%d.%d): %v", pid, slot, err)
+				}
+			}
+			return true
+		})
+		free := storage.SlotFreeSpace(p.Data)
+		tr.bp.Unpin(p, false)
+		if got, ok := tr.fsm[pid]; !ok || got != free {
+			t.Fatalf("page %d: the tree believes %d bytes free (known %v), the page has %d", pid, got, ok, free)
+		}
+		if _, spacious := tr.spacious[pid]; spacious != (free >= tr.bp.DM().PageSize()/4) {
+			t.Fatalf("page %d with %d bytes free: spacious = %v", pid, free, spacious)
+		}
+	}
+}
+
+// TestInsertIntoLeafCases drives the leaf arm through each of its
+// decisions — room in the bucket, a full bucket that splits, a node of
+// indistinguishable keys that outgrows one record and chains, a cell at
+// the resolution limit that grows past its bucket — and checks what is
+// found afterwards and the bytes left on the pages.
+func TestInsertIntoLeafCases(t *testing.T) {
+	lookup := func(tr *Tree, key string) int {
+		t.Helper()
+		rids, err := tr.Lookup(&Query{Op: "=", Arg: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rids)
+	}
+	t.Run("bucket fills then splits", func(t *testing.T) {
+		tr := newTestTree(t)
+		words := []string{"ab", "ac", "ad", "aa", "abc"} // bucket size 4
+		for i, w := range words {
+			if err := tr.Insert(w, rid(i)); err != nil {
+				t.Fatal(err)
+			}
+			st, err := tr.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if split := st.InnerNodes > 0; split != (i == 4) {
+				t.Fatalf("after %d keys the tree has %d inner nodes", i+1, st.InnerNodes)
+			}
+		}
+		for _, w := range words {
+			if lookup(tr, w) != 1 {
+				t.Fatalf("%q not found exactly once after the split", w)
+			}
+		}
+		checkTreeBytes(t, tr)
+	})
+	t.Run("indistinguishable keys chain", func(t *testing.T) {
+		tr := newTestTree(t) // 1 KB pages: ~80 items of "abab" fill a record
+		for i := 0; i < 400; i++ {
+			if err := tr.Insert("abab", rid(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := lookup(tr, "abab"); got != 400 {
+			t.Fatalf("found %d of 400 duplicates", got)
+		}
+		chained := 0
+		if err := tr.walk(func(_ NodeRef, n *node, _, _ int) bool {
+			if n.leaf && n.next.Valid() {
+				chained++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if chained == 0 {
+			t.Fatal("400 duplicates on 1 KB pages did not chain")
+		}
+		checkTreeBytes(t, tr)
+	})
+	t.Run("resolution limit", func(t *testing.T) {
+		bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+		tr, err := Create(bp, limitedTrie{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := []string{"abaa", "abab", "abac", "abad", "abba", "abbb", "abbc", "abbd", "abca"}
+		for i, w := range words {
+			if err := tr.Insert(w, rid(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := tr.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.MaxNodeHeight > 3 {
+			t.Fatalf("the tree decomposed past its resolution: node height %d", st.MaxNodeHeight)
+		}
+		for _, w := range words {
+			if lookup(tr, w) != 1 {
+				t.Fatalf("%q not found exactly once", w)
+			}
+		}
+		checkTreeBytes(t, tr)
+	})
+	t.Run("corrupt node is refused and left alone", func(t *testing.T) {
+		tr := newTestTree(t)
+		if err := tr.Insert("ab", rid(0)); err != nil {
+			t.Fatal(err)
+		}
+		corrupt := func(mutate func(rec []byte)) []byte {
+			p, err := tr.bp.Fetch(tr.root.Page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.bp.Unpin(p, true)
+			mutate(storage.SlotRead(p.Data, int(tr.root.Slot)))
+			return append([]byte(nil), p.Data...)
+		}
+		// The count claims an item the record does not hold.
+		page := corrupt(func(rec []byte) { binary.LittleEndian.PutUint16(rec[1+refSize:], 2) })
+		err := tr.Insert("ac", rid(1))
+		if err == nil || !strings.Contains(err.Error(), "truncated leaf item") {
+			t.Fatalf("insert into a node whose count overstates its items: %v", err)
+		}
+		after := corrupt(func([]byte) {})
+		if !bytes.Equal(page, after) {
+			t.Fatal("the refused insert wrote to the page")
+		}
+		if tr.Count() != 1 {
+			t.Fatalf("the refused insert was counted: %d keys", tr.Count())
+		}
+	})
+}
+
+// TestEqualInsertionsBuildEqualFiles: two trees fed the same insertions
+// are the same bytes, page for page — placement consults nothing that
+// varies from run to run (a relocated node goes to the lowest-numbered
+// page with room, not to whichever a map iteration offers first).
+func TestEqualInsertionsBuildEqualFiles(t *testing.T) {
+	choices := 0 // insertions made while more than one spacious page stood by
+	build := func() *Tree {
+		bp := storage.NewBufferPool(storage.NewMem(1024), 256)
+		tr, err := Create(bp, testTrie{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < 4000; i++ {
+			if len(tr.spacious) > 3 { // beyond the preferred and the last-allocated page
+				choices++
+			}
+			if err := tr.Insert(randWord(r), rid(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	a, b := build(), build()
+	if a.NumPages() != b.NumPages() || a.root != b.root {
+		t.Fatalf("%d pages, root %v against %d pages, root %v", a.NumPages(), a.root, b.NumPages(), b.root)
+	}
+	if choices < 20 {
+		t.Fatalf("only %d insertions ran with several spacious pages: the fixture never offers placement a choice", choices)
+	}
+	for pid := storage.PageID(0); uint32(pid) < a.NumPages(); pid++ {
+		pa, err := a.bp.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := b.bp.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := bytes.Equal(pa.Data, pb.Data)
+		a.bp.Unpin(pa, false)
+		b.bp.Unpin(pb, false)
+		if !same {
+			t.Fatalf("page %d differs between two builds from the same insertions", pid)
+		}
+	}
+	checkTreeBytes(t, a)
+}

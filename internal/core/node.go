@@ -74,6 +74,9 @@ const (
 	nodeKindInner = 1
 	nodeKindLeaf  = 2
 	refSize       = 6 // page u32 + slot u16
+
+	leafHeaderSize = 1 + refSize + 2 // kind, overflow link, item count
+	leafItemExtra  = 2 + heap.RIDSize
 )
 
 func putRef(b []byte, r NodeRef) {
@@ -91,9 +94,9 @@ func getRef(b []byte) NodeRef {
 // encodedSize returns the on-disk size of the node record.
 func (n *node) encodedSize() int {
 	if n.leaf {
-		sz := 1 + refSize + 2
+		sz := leafHeaderSize
 		for _, it := range n.items {
-			sz += 2 + len(it.key) + heap.RIDSize
+			sz += leafItemExtra + len(it.key)
 		}
 		return sz
 	}
@@ -111,7 +114,7 @@ func (n *node) encode() []byte {
 		buf[0] = nodeKindLeaf
 		putRef(buf[1:], n.next)
 		binary.LittleEndian.PutUint16(buf[1+refSize:], uint16(len(n.items)))
-		off := 3 + refSize
+		off := leafHeaderSize
 		for _, it := range n.items {
 			binary.LittleEndian.PutUint16(buf[off:], uint16(len(it.key)))
 			off += 2
@@ -149,13 +152,13 @@ func decodeNode(rec []byte) (*node, error) {
 	}
 	switch rec[0] {
 	case nodeKindLeaf:
-		if len(rec) < 3+refSize {
+		if len(rec) < leafHeaderSize {
 			return nil, fmt.Errorf("spgist: truncated leaf header")
 		}
 		next := getRef(rec[1:])
 		cnt := int(binary.LittleEndian.Uint16(rec[1+refSize:]))
 		n := &node{leaf: true, next: next, items: make([]item, 0, cnt)}
-		off := 3 + refSize
+		off := leafHeaderSize
 		for i := 0; i < cnt; i++ {
 			if off+2 > len(rec) {
 				return nil, fmt.Errorf("spgist: truncated leaf item header")
@@ -205,4 +208,51 @@ func decodeNode(rec []byte) (*node, error) {
 	default:
 		return nil, fmt.Errorf("spgist: unknown node kind %d", rec[0])
 	}
+}
+
+// leafHeader reads what an insertion decides on from a data-node record
+// where it lies — the overflow link and the item count — after walking the
+// items exactly as decodeNode would, copying nothing: a record decodeNode
+// refuses is refused here with the same error. Unlike decodeNode it also
+// refuses bytes past the last item, which appendLeafItem would otherwise
+// bury in the middle of the record.
+func leafHeader(rec []byte) (next NodeRef, cnt int, err error) {
+	if len(rec) < 3 {
+		return InvalidRef, 0, fmt.Errorf("spgist: node record too short (%d bytes)", len(rec))
+	}
+	if rec[0] != nodeKindLeaf {
+		return InvalidRef, 0, fmt.Errorf("spgist: node kind %d where a data node was expected", rec[0])
+	}
+	if len(rec) < leafHeaderSize {
+		return InvalidRef, 0, fmt.Errorf("spgist: truncated leaf header")
+	}
+	cnt = int(binary.LittleEndian.Uint16(rec[1+refSize:]))
+	off := leafHeaderSize
+	for i := 0; i < cnt; i++ {
+		if off+2 > len(rec) {
+			return InvalidRef, 0, fmt.Errorf("spgist: truncated leaf item header")
+		}
+		off += 2 + int(binary.LittleEndian.Uint16(rec[off:])) + heap.RIDSize
+		if off > len(rec) {
+			return InvalidRef, 0, fmt.Errorf("spgist: truncated leaf item")
+		}
+	}
+	if off != len(rec) {
+		return InvalidRef, 0, fmt.Errorf("spgist: %d stray bytes after the last leaf item", len(rec)-off)
+	}
+	return getRef(rec[1:]), cnt, nil
+}
+
+// appendLeafItem returns a copy of the data-node record rec (one leafHeader
+// accepted) with the item (key, rid) added: the bytes encode would produce
+// for the decoded node plus that item, without decoding it.
+func appendLeafItem(rec, key []byte, rid heap.RID) []byte {
+	out := make([]byte, len(rec), len(rec)+leafItemExtra+len(key))
+	copy(out, rec)
+	cnt := binary.LittleEndian.Uint16(out[1+refSize:])
+	binary.LittleEndian.PutUint16(out[1+refSize:], cnt+1)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(key)))
+	out = append(out, key...)
+	rb := rid.Bytes()
+	return append(out, rb[:]...)
 }

@@ -58,13 +58,21 @@ func (t *Tree) setFree(pid storage.PageID, free int) {
 	}
 }
 
+// noteFree updates p's free-space figure after one slot operation that
+// added grew bytes to its live records (negative: removed), dirBefore being
+// the page's storage.SlotDirCost before it. The figure moves by what the
+// operation put in, so the page's directory is not walked again after
+// every node write.
+func (t *Tree) noteFree(p *storage.Page, dirBefore, grew int) {
+	t.setFree(p.ID, storage.SlotFreeSpaceAfter(p.Data, t.fsm[p.ID], dirBefore, grew))
+}
+
 // Meta page (page 0) layout.
 const (
-	treeMagic    = 0x53504753 // "SPGS"
-	tmMagicOf    = 0
-	tmRootPageOf = 4
-	tmRootSlotOf = 8
-	tmNKeysOf    = 16
+	treeMagic = 0x53504753 // "SPGS"
+	tmMagicOf = 0
+	tmRootOf  = 4 // page u32, slot u16
+	tmNKeysOf = 16
 )
 
 // Create initializes a new empty index in an empty page file.
@@ -105,13 +113,10 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		return nil, fmt.Errorf("spgist: bad magic (not an SP-GiST file)")
 	}
 	t := &Tree{
-		bp: bp,
-		oc: oc,
-		pr: oc.Params(),
-		root: NodeRef{
-			Page: storage.PageID(binary.LittleEndian.Uint32(meta.Data[tmRootPageOf:])),
-			Slot: binary.LittleEndian.Uint16(meta.Data[tmRootSlotOf:]),
-		},
+		bp:        bp,
+		oc:        oc,
+		pr:        oc.Params(),
+		root:      getRef(meta.Data[tmRootOf:]),
 		nKeys:     int64(binary.LittleEndian.Uint64(meta.Data[tmNKeysOf:])),
 		cache:     storage.NewNodeCache[uint64, *node](maxCachedNodes),
 		fsm:       make(map[storage.PageID]int),
@@ -150,16 +155,30 @@ func (t *Tree) SizeBytes() int64 {
 	return int64(t.NumPages()) * int64(t.bp.DM().PageSize())
 }
 
+// saveMeta writes the root reference and the key count into the meta page,
+// dirtying it (and so logging its image with the next record group) only
+// when one of them changed. The root reference is saved where it moves —
+// a record group that holds the moved root always holds the pointer to it
+// — and the key count at the caller's commit point (SaveMeta).
 func (t *Tree) saveMeta() error {
 	meta, err := t.bp.Fetch(0)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[tmRootPageOf:], uint32(t.root.Page))
-	binary.LittleEndian.PutUint16(meta.Data[tmRootSlotOf:], t.root.Slot)
-	binary.LittleEndian.PutUint64(meta.Data[tmNKeysOf:], uint64(t.nKeys))
-	t.bp.Unpin(meta, true)
+	d := meta.Data
+	changed := getRef(d[tmRootOf:]) != t.root || binary.LittleEndian.Uint64(d[tmNKeysOf:]) != uint64(t.nKeys)
+	if changed {
+		putRef(d[tmRootOf:], t.root)
+		binary.LittleEndian.PutUint64(d[tmNKeysOf:], uint64(t.nKeys))
+	}
+	t.bp.Unpin(meta, changed)
 	return nil
+}
+
+// setRoot moves the root reference and saves it at once.
+func (t *Tree) setRoot(ref NodeRef) error {
+	t.root = ref
+	return t.saveMeta()
 }
 
 // SaveMeta persists the in-memory metadata (root reference, key count)
@@ -208,16 +227,51 @@ func (t *Tree) readNodeRO(ref NodeRef) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Memoize the decoded forms now, while the node is still private:
-	// once published to the cache it is shared with concurrent readers
-	// and must never be written again (immutable-after-fill).
+	return t.publish(ref, n), nil
+}
+
+// publish puts the private, freshly decoded node n into the decoded-node
+// cache. The decoded forms are memoized first, while the node is still
+// private: once published it is shared with concurrent readers and must
+// never be written again (immutable-after-fill).
+func (t *Tree) publish(ref NodeRef, n *node) *node {
 	if n.leaf {
 		t.keyValues(n)
 	} else {
 		t.innerValues(n)
 	}
 	t.cache.Put(ref.cacheKey(), n)
-	return n, nil
+	return n
+}
+
+// nodeForInsert is the insertion descent's read of the node at ref. An
+// inner node comes back decoded, through the cache like readNodeRO's. A
+// data node comes back as its record inside the pinned page p — the
+// insertion works on it where it lies (insertIntoLeaf), so the leaf the
+// previous insertion just rewrote is neither decoded nor cached again —
+// and the caller owns the pin.
+func (t *Tree) nodeForInsert(ref NodeRef) (n *node, p *storage.Page, rec []byte, err error) {
+	t.tracePage(ref.Page)
+	if n, ok := t.cache.Get(ref.cacheKey()); ok && !n.leaf {
+		return n, nil, nil, nil
+	}
+	if p, err = t.bp.Fetch(ref.Page); err != nil {
+		return nil, nil, nil, err
+	}
+	rec = storage.SlotRead(p.Data, int(ref.Slot))
+	if len(rec) > 0 && rec[0] == nodeKindLeaf {
+		return nil, p, rec, nil
+	}
+	if rec == nil {
+		err = fmt.Errorf("spgist: dangling node reference %v", ref)
+	} else {
+		n, err = decodeNode(rec)
+	}
+	t.bp.Unpin(p, false)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return t.publish(ref, n), nil, nil, nil
 }
 
 // invalidate drops a node from the decoded-node cache.
@@ -313,13 +367,14 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 		if err != nil {
 			return InvalidRef, false, err
 		}
+		dir := storage.SlotDirCost(p.Data)
 		slot, ok := storage.SlotInsert(p.Data, rec)
 		if !ok {
 			t.setFree(pid, storage.SlotFreeSpace(p.Data))
 			t.bp.Unpin(p, false)
 			return InvalidRef, false, nil
 		}
-		t.setFree(pid, storage.SlotFreeSpace(p.Data))
+		t.noteFree(p, dir, len(rec))
 		t.unpinPut(p, slot, rec)
 		return NodeRef{Page: pid, Slot: uint16(slot)}, true, nil
 	}
@@ -331,19 +386,24 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 			return ref, err
 		}
 	}
-	// Reclaim space abandoned by relocations: any spacious page will do.
-	// The set only holds pages with at least a quarter page free, so a
-	// typical node fits on the first candidate.
-	for pid := range t.spacious {
-		if pid == prefer || pid == t.lastAlloc {
-			continue
+	// Reclaim space abandoned by relocations: the spacious page with the
+	// lowest id that has room, so that equal insertion sequences build
+	// equal files. The set only holds pages with at least a quarter page
+	// free, so a typical node fits on the first candidate.
+	for tried := storage.PageID(0); ; {
+		pick := storage.InvalidPageID
+		for pid := range t.spacious {
+			if pid > tried && pid < pick && pid != prefer && pid != t.lastAlloc && t.fsm[pid] >= len(rec) {
+				pick = pid
+			}
 		}
-		if free := t.fsm[pid]; free < len(rec) {
-			continue
+		if pick == storage.InvalidPageID {
+			break
 		}
-		if ref, ok, err := try(pid); err != nil || ok {
+		if ref, ok, err := try(pick); err != nil || ok {
 			return ref, err
 		}
+		tried = pick
 	}
 	p, err := t.bp.NewPage()
 	if err != nil {
@@ -373,14 +433,21 @@ type parentLink struct {
 // child pointer or the root pointer) when the record no longer fits its
 // page. It returns the node's possibly-new address.
 func (t *Tree) writeNode(ref NodeRef, n *node, parent *parentLink) (NodeRef, error) {
-	t.invalidate(ref)
-	rec := n.encode()
 	p, err := t.bp.Fetch(ref.Page)
 	if err != nil {
 		return InvalidRef, err
 	}
+	return t.writeRecord(p, ref, n.encode(), parent)
+}
+
+// writeRecord is writeNode for an encoded node and the already pinned page
+// of ref; it consumes the pin.
+func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *parentLink) (NodeRef, error) {
+	t.invalidate(ref)
+	oldLen := len(storage.SlotRead(p.Data, int(ref.Slot)))
+	dir := storage.SlotDirCost(p.Data)
 	if storage.SlotUpdate(p.Data, int(ref.Slot), rec) {
-		t.setFree(ref.Page, storage.SlotFreeSpace(p.Data))
+		t.noteFree(p, dir, len(rec)-oldLen)
 		t.unpinPut(p, int(ref.Slot), rec)
 		return ref, nil
 	}
@@ -388,7 +455,7 @@ func (t *Tree) writeNode(ref NodeRef, n *node, parent *parentLink) (NodeRef, err
 	// incoming pointer. Prefer the parent's page so root-to-leaf paths
 	// keep crossing as few pages as possible.
 	storage.SlotDelete(p.Data, int(ref.Slot))
-	t.setFree(ref.Page, storage.SlotFreeSpace(p.Data))
+	t.noteFree(p, dir, -oldLen)
 	t.unpinDelete(p, int(ref.Slot))
 	prefer := ref.Page
 	if parent != nil {
@@ -402,8 +469,7 @@ func (t *Tree) writeNode(ref NodeRef, n *node, parent *parentLink) (NodeRef, err
 		if t.root != ref {
 			return InvalidRef, fmt.Errorf("spgist: relocating non-root node %v without parent link", ref)
 		}
-		t.root = newRef
-		return newRef, nil
+		return newRef, t.setRoot(newRef)
 	}
 	pn, err := t.readNode(parent.ref)
 	if err != nil {
@@ -459,12 +525,12 @@ func (t *Tree) readLeafChain(head *node) ([]item, []NodeRef, error) {
 // chunkItems groups items into runs that each fit one node record.
 func (t *Tree) chunkItems(items []item) ([][]item, error) {
 	maxSz := t.maxNodeSize()
-	base := 3 + refSize
+	base := leafHeaderSize
 	var groups [][]item
 	cur := []item{}
 	curSz := base
 	for _, it := range items {
-		isz := 2 + len(it.key) + 6
+		isz := leafItemExtra + len(it.key)
 		if base+isz > maxSz {
 			return nil, fmt.Errorf("spgist: key of %d bytes exceeds page capacity", len(it.key))
 		}
@@ -541,8 +607,10 @@ func (t *Tree) deleteNode(ref NodeRef) error {
 	if err != nil {
 		return err
 	}
+	oldLen := len(storage.SlotRead(p.Data, int(ref.Slot)))
+	dir := storage.SlotDirCost(p.Data)
 	storage.SlotDelete(p.Data, int(ref.Slot))
-	t.setFree(ref.Page, storage.SlotFreeSpace(p.Data))
+	t.noteFree(p, dir, -oldLen)
 	t.unpinDelete(p, int(ref.Slot))
 	return nil
 }

@@ -10,10 +10,11 @@ import (
 // statement's deferred records into the log and forces it — and the
 // pool-set and chunk-size helpers its callers share.
 
-// commitGroup is the engine's one commit point. The index metadata of
-// tables (nil entries skipped) is saved into (logged) meta pages, the
-// deferred logical records and page images of pools are staged into one
-// record group — closed by commitXid's transaction-commit record when
+// commitGroup is the engine's one commit point. The counters of tables
+// (nil entries skipped) are saved into (logged) meta pages — here and
+// nowhere per statement; a *pointer* in a meta page is saved where it
+// moves, by the structure that moves it — the deferred logical records
+// and page images of pools are staged into one record group — closed by commitXid's transaction-commit record when
 // that is non-zero — the group plus a commit marker is appended to the
 // log *atomically* (no concurrent statement's records interleave), the
 // assigned LSNs are stamped back onto the covered frames, and the log
@@ -33,7 +34,7 @@ func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables 
 		if t == nil {
 			continue
 		}
-		if err := t.saveIndexMeta(); err != nil {
+		if err := t.saveMeta(); err != nil {
 			return err
 		}
 	}
@@ -46,9 +47,13 @@ func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables 
 	return db.noteWALFailure(err)
 }
 
-// saveIndexMeta writes the metadata of every index of t into its meta
-// page.
-func (t *Table) saveIndexMeta() error {
+// saveMeta writes the counters of t's heap and of every index of t into
+// their meta pages. Each of them dirties its page only when a value
+// changed, so a commit that changed none logs no meta page.
+func (t *Table) saveMeta() error {
+	if err := t.Heap.SaveMeta(); err != nil {
+		return err
+	}
 	for _, ix := range t.Indexes {
 		if err := ix.Idx.SaveMeta(); err != nil {
 			return err
@@ -78,10 +83,18 @@ func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) erro
 		sp := tr.StartSpan("wal_append", "wal")
 		defer sp.End()
 	}
-	g := wal.NewGroup()
-	staged := make([][]storage.Staged, len(pools))
-	for i, bp := range pools {
-		staged[i] = bp.StagePending(g)
+	// Statements of concurrent writers append at the same time, so the
+	// group and the per-pool lists are borrowed, not the DB's own.
+	sc, _ := db.appendScratch.Get().(*appendScratch)
+	if sc == nil {
+		sc = new(appendScratch)
+	}
+	defer db.appendScratch.Put(sc)
+	g := &sc.g
+	g.Reset()
+	sc.staged = sc.staged[:0]
+	for _, bp := range pools {
+		sc.staged = append(sc.staged, bp.StagePending(g))
 	}
 	if commitXid != 0 {
 		g.AddTxnCommit(commitXid)
@@ -94,9 +107,17 @@ func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) erro
 		return db.noteWALFailure(err)
 	}
 	for i, bp := range pools {
-		bp.ResolvePending(staged[i], lsns)
+		bp.ResolvePending(sc.staged[i], lsns)
 	}
 	return nil
+}
+
+// appendScratch is what one appendPoolsXid call builds its record group
+// in, kept from call to call so that a statement's append allocates
+// nothing once the buffers have grown to a statement's size.
+type appendScratch struct {
+	g      wal.Group
+	staged [][]storage.Staged
 }
 
 // tablePools lists the pools a DML statement against t can touch.
@@ -115,6 +136,11 @@ func tablePools(t *Table) []*storage.BufferPool {
 // slice is read without db.mu (which Close and Checkpoint already hold
 // when they commit through here).
 func (db *DB) commitWAL(t *Table) error {
+	if db.wal != nil && db.cat != nil {
+		if err := db.cat.SaveMeta(); err != nil {
+			return err
+		}
+	}
 	return db.commitGroup(db.pools, 0, t)
 }
 

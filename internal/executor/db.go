@@ -226,6 +226,8 @@ type DB struct {
 	wal       *wal.Writer
 	recovered storage.RecoveryStats
 	crashed   bool
+	// appendScratch lends appendPoolsXid its buffers (*appendScratch).
+	appendScratch sync.Pool
 
 	cat     *syscat.Catalog
 	catPool *storage.BufferPool // the catalog heap's own pool
@@ -758,6 +760,14 @@ func (db *DB) loadSchema() error {
 		if err != nil {
 			return fmt.Errorf("executor: table %q (%s): %w", te.Name, te.File, err)
 		}
+		if r := db.recovered; r.HeapInserts+r.HeapDeletes+r.SkippedByLSN > 0 {
+			// The redo pass met tuple records: some may belong to
+			// statements that never reached their commit point, where the
+			// heap's counters are saved. Take them from the pages.
+			if err := hf.Recount(); err != nil {
+				return fmt.Errorf("executor: table %q (%s): %w", te.Name, te.File, err)
+			}
+		}
 		cols := make([]Column, len(te.Cols))
 		for i, c := range te.Cols {
 			cols[i] = Column{Name: c.Name, Type: c.Type}
@@ -1087,7 +1097,12 @@ func (db *DB) checkpointLocked() error {
 		return fmt.Errorf("executor: cannot checkpoint with an open transaction that has logged changes")
 	}
 	for _, t := range db.tables {
-		if err := t.saveIndexMeta(); err != nil {
+		if err := t.saveMeta(); err != nil {
+			return db.noteWALFailure(err)
+		}
+	}
+	if db.cat != nil {
+		if err := db.cat.SaveMeta(); err != nil {
 			return db.noteWALFailure(err)
 		}
 	}
@@ -1218,8 +1233,11 @@ func (db *DB) flushUnlogged(bp *storage.BufferPool) error {
 
 // flushCatalogIfUnlogged is flushUnlogged of the catalog's own pool.
 func (db *DB) flushCatalogIfUnlogged() error {
-	if db.catPool == nil {
+	if db.catPool == nil || db.wal != nil {
 		return nil
+	}
+	if err := db.cat.SaveMeta(); err != nil {
+		return err
 	}
 	return db.flushUnlogged(db.catPool)
 }

@@ -150,16 +150,9 @@ func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, en
 		}
 		if db.wal != nil {
 			stx.logged = true
-			// The index metadata goes with the chunk: a chunk that moved
-			// an index's root (a B+-tree root split, a relocated SP-GiST
-			// root node) must not reach the log without the meta page
-			// that says where the root now is, or a crash before the
-			// statement's commit recovers an index that cannot find it.
-			err := t.saveIndexMeta()
-			if err == nil {
-				err = db.appendPools(tablePools(t))
-			}
-			if err != nil {
+			// A chunk that moved an index's root carries the meta page
+			// that says where it now is: the index saved it when it moved.
+			if err := db.appendPools(tablePools(t)); err != nil {
 				return t.endDML(stx, implicit, true, err)
 			}
 		}

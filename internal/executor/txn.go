@@ -505,12 +505,8 @@ func (db *DB) rollbackTxn(tx *Txn) error {
 		if db.wal == nil || pending == 0 {
 			return
 		}
-		// The transaction's statements appended their index pages without
-		// the index metadata (endDML); it goes out here, so that a root
-		// they moved is findable once the transaction is over.
 		var pools []*storage.BufferPool
 		for t := range touched {
-			keep(t.saveIndexMeta())
 			pools = append(pools, tablePools(t)...)
 		}
 		keep(db.appendPools(pools))

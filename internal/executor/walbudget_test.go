@@ -15,10 +15,13 @@ import (
 // After a load and a CHECKPOINT, 1 000 autocommit single-row INSERTs into
 // a trie-indexed and into a kd-tree-indexed table may append at most 1 KB
 // of WAL per statement beyond the pages' first touches — node-level slot
-// records plus the two meta-page images, where whole-page logging spent
-// 8–12 KB — and the only image of a non-meta page the log may hold is
-// that first touch: the first record group to reach the page since the
-// checkpoint, once.
+// records plus, an autocommit statement being its own commit point, the
+// counters in the meta pages of its heap and its index, where whole-page
+// logging spent 8–12 KB — and the only image of a non-meta page the log
+// may hold is that first touch: the first record group to reach the page
+// since the checkpoint, once. Inside a transaction a statement logs no
+// meta page at all (no index root moves here): they wait for COMMIT, which
+// logs each once.
 func TestIndexWALBudget(t *testing.T) {
 	dir := t.TempDir()
 	db, err := executor.Open(executor.Options{Dir: dir, WAL: true, WALSync: wal.SyncLazy})
@@ -29,9 +32,9 @@ func TestIndexWALBudget(t *testing.T) {
 	cols := func(typ catalog.Type) []executor.Column {
 		return []executor.Column{{Name: "k", Type: typ}, {Name: "id", Type: catalog.Int}}
 	}
-	const loaded, inserted = 5000, 1000
-	words := datagen.Words(loaded+inserted, 41)
-	pts := datagen.Points(loaded+inserted, 42, geom.MakeBox(0, 0, 1000, 1000))
+	const loaded, inserted, inTxn = 5000, 1000, 500
+	words := datagen.Words(loaded+inserted+inTxn, 41)
+	pts := datagen.Points(loaded+inserted+inTxn, 42, geom.MakeBox(0, 0, 1000, 1000))
 	datum := map[string]func(i int) catalog.Datum{
 		"words": func(i int) catalog.Datum { return catalog.NewText(words[i]) },
 		"pts":   func(i int) catalog.Datum { return catalog.NewPoint(pts[i]) },
@@ -138,5 +141,44 @@ func TestIndexWALBudget(t *testing.T) {
 	if recs != after.Appends || bytes != after.AppendedBytes || puts+dels != nodeRecords {
 		t.Errorf("Stats.ByType sums to %d records / %d B against %d / %d; %d+%d node records against %d in the log",
 			recs, bytes, after.Appends, after.AppendedBytes, puts, dels, nodeRecords)
+	}
+
+	// The same statements inside one transaction, then its COMMIT.
+	metaImages := func(since wal.LSN) (n int) {
+		t.Helper()
+		if err := w.Sync(w.AppendedLSN()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
+			if r.LSN > since && r.Type == wal.RecPageImage && r.Page == 0 {
+				n++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = w.AppendedLSN()
+	for i := loaded + inserted; i < loaded+inserted+inTxn; i++ {
+		for name, tb := range tables {
+			if _, err := tb.InsertTx(tx, catalog.Tuple{datum[name](i), catalog.NewInt(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := metaImages(start); n != 0 {
+		t.Errorf("%d statements inside a transaction logged %d meta-page images, want none", 2*inTxn, n)
+	}
+	start = w.AppendedLSN()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := metaImages(start); n != 4 {
+		t.Errorf("COMMIT logged %d meta-page images, want 4: two heaps, two indexes", n)
 	}
 }

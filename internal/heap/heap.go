@@ -174,14 +174,46 @@ func (f *File) Count() int64 { return f.count }
 // NumPages returns the number of pages in the file (including metadata).
 func (f *File) NumPages() uint32 { return f.bp.DM().NumPages() }
 
-func (f *File) saveMeta() error {
+// SaveMeta writes the last-page hint and the record count into the meta
+// page, dirtying it (and so logging its image with the next record group)
+// only when one of them changed. Inserts and deletes do not call it: both
+// fields are counters of what the data pages hold, not pointers anything
+// is found through, so the owner saves them once at its commit point —
+// a statement inside a transaction logs its tuples and nothing else. After
+// a crash they read as of the last commit; Recount brings them up to what
+// recovery replayed.
+func (f *File) SaveMeta() error {
 	meta, err := f.bp.Fetch(0)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[metaLastOf:], uint32(f.lastPage))
-	binary.LittleEndian.PutUint64(meta.Data[metaCountOf:], uint64(f.count))
-	f.bp.Unpin(meta, true)
+	d := meta.Data
+	changed := binary.LittleEndian.Uint32(d[metaLastOf:]) != uint32(f.lastPage) ||
+		binary.LittleEndian.Uint64(d[metaCountOf:]) != uint64(f.count)
+	if changed {
+		binary.LittleEndian.PutUint32(d[metaLastOf:], uint32(f.lastPage))
+		binary.LittleEndian.PutUint64(d[metaCountOf:], uint64(f.count))
+	}
+	f.bp.Unpin(meta, changed)
+	return nil
+}
+
+// Recount sets the record count and the last-page hint from the data
+// pages themselves. Crash recovery replays the tuples of statements whose
+// commit point — and with it their SaveMeta — never came; the owner calls
+// this after such a replay.
+func (f *File) Recount() error {
+	n := f.NumPages()
+	f.count, f.lastPage = 0, storage.InvalidPageID
+	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
+		p, err := f.bp.Fetch(pid)
+		if err != nil {
+			return err
+		}
+		f.count += int64(storage.SlotLive(p.Data))
+		f.bp.Unpin(p, false)
+		f.lastPage = pid
+	}
 	return nil
 }
 
@@ -225,7 +257,7 @@ func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
 			rid := RID{Page: p.ID, Slot: uint16(slot)}
 			f.unpinLogged(p, slot, rec)
 			f.count++
-			return rid, f.saveMeta()
+			return rid, nil
 		}
 		f.bp.Unpin(p, false)
 	}
@@ -243,15 +275,14 @@ func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
 	f.lastPage = p.ID
 	f.unpinLogged(p, slot, rec)
 	f.count++
-	return rid, f.saveMeta()
+	return rid, nil
 }
 
 // InsertBatch appends every record of recs, filling each data page to
 // capacity under a single pin (instead of re-pinning per record the way
 // per-row Insert does) and covering each filled page with one batch log
 // record rather than one record per tuple. The returned RIDs parallel
-// recs. The heap metadata is saved once for the whole batch. The frozen
-// (xmin 0) twin of InsertBatchTx.
+// recs. The frozen (xmin 0) twin of InsertBatchTx.
 func (f *File) InsertBatch(payloads [][]byte) ([]RID, error) {
 	return f.InsertBatchTx(payloads, 0)
 }
@@ -314,7 +345,7 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 			return g.AddHeapBatchInsert(file, uint32(p.ID), slots, placed)
 		})
 	}
-	return rids, f.saveMeta()
+	return rids, nil
 }
 
 // Get returns a copy of the record payload at rid (version header
@@ -424,7 +455,7 @@ func (f *File) Delete(rid RID) error {
 	storage.SlotDelete(p.Data, int(rid.Slot))
 	f.unpinLogged(p, int(rid.Slot), nil)
 	f.count--
-	return f.saveMeta()
+	return nil
 }
 
 // ScanPageVersions calls fn for every live record of one data page — the

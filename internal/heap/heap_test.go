@@ -159,6 +159,10 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
+	// The owner's commit point: inserts leave the meta page alone.
+	if err := f.SaveMeta(); err != nil {
+		t.Fatal(err)
+	}
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,9 @@ func TestHeapRoundTrip(t *testing.T) {
 	if err := hf.Delete(rids[1]); err != nil {
 		t.Fatal(err)
 	}
+	if err := hf.SaveMeta(); err != nil {
+		t.Fatal(err)
+	}
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}

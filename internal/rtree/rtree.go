@@ -115,15 +115,26 @@ func newTree(bp *storage.BufferPool) *Tree {
 	}
 }
 
+// saveMeta writes root, height and count into the meta page, dirtying it
+// (and so logging its image with the next record group) only when one of
+// them changed. Insert calls it where the root moves, so that a record
+// group holding the new root page always holds the pointer to it; the
+// count follows at the caller's commit point (SaveMeta).
 func (t *Tree) saveMeta() error {
 	meta, err := t.bp.Fetch(0)
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[mRootOf:], uint32(t.root))
-	binary.LittleEndian.PutUint32(meta.Data[mHeightOf:], uint32(t.height))
-	binary.LittleEndian.PutUint64(meta.Data[mCountOf:], uint64(t.count))
-	t.bp.Unpin(meta, true)
+	d := meta.Data
+	changed := binary.LittleEndian.Uint32(d[mRootOf:]) != uint32(t.root) ||
+		binary.LittleEndian.Uint32(d[mHeightOf:]) != uint32(t.height) ||
+		binary.LittleEndian.Uint64(d[mCountOf:]) != uint64(t.count)
+	if changed {
+		binary.LittleEndian.PutUint32(d[mRootOf:], uint32(t.root))
+		binary.LittleEndian.PutUint32(d[mHeightOf:], uint32(t.height))
+		binary.LittleEndian.PutUint64(d[mCountOf:], uint64(t.count))
+	}
+	t.bp.Unpin(meta, changed)
 	return nil
 }
 
@@ -310,7 +321,7 @@ func (t *Tree) Insert(rect geom.Box, rid heap.RID) error {
 		t.root = pid
 		t.height = 1
 		t.count++
-		return nil
+		return t.saveMeta()
 	}
 	splitRect1, splitRect2, right, err := t.insertAt(t.root, rect, rid, t.height)
 	if err != nil {
@@ -327,6 +338,8 @@ func (t *Tree) Insert(rect geom.Box, rid heap.RID) error {
 		}
 		t.root = pid
 		t.height++
+		t.count++
+		return t.saveMeta()
 	}
 	t.count++
 	return nil

@@ -126,9 +126,10 @@ type BufferPool struct {
 	// unevictable until ResolvePending assigns their LSNs. Statements on
 	// one pool are externally serialized (the executor's per-table
 	// writer lock); opsMu only orders the pair against FlushAll and
-	// Crash.
+	// Crash. ops is emptied, not dropped, when its records move on, so a
+	// statement stages into the buffers the previous one grew.
 	opsMu   sync.Mutex
-	ops     *wal.Group
+	ops     wal.Group
 	opPages []Staged
 
 	// pf/readahead connect the pool to a shared prefetcher (AttachPrefetcher,
@@ -827,10 +828,7 @@ func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file strin
 		return
 	}
 	bp.opsMu.Lock()
-	if bp.ops == nil {
-		bp.ops = wal.NewGroup()
-	}
-	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(bp.ops, a.file)})
+	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(&bp.ops, a.file)})
 	bp.opsMu.Unlock()
 	sh := &bp.shards[p.shard]
 	bp.lockShard(sh)
@@ -886,13 +884,14 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 // returns what each covers, indexed into g.
 func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 	bp.opsMu.Lock()
-	ops, staged := bp.ops, bp.opPages
-	bp.ops, bp.opPages = nil, nil
-	bp.opsMu.Unlock()
-	if ops == nil {
+	defer bp.opsMu.Unlock()
+	staged := bp.opPages
+	if len(staged) == 0 {
 		return nil
 	}
-	base := g.Extend(ops)
+	base := g.Extend(&bp.ops)
+	bp.ops.Reset()
+	bp.opPages = nil
 	for i := range staged {
 		staged[i].Index += base
 	}
@@ -1287,7 +1286,8 @@ func (bp *BufferPool) Crash() error {
 		sh.mu.Unlock()
 	}
 	bp.opsMu.Lock()
-	bp.ops, bp.opPages = nil, nil
+	bp.ops.Reset()
+	bp.opPages = nil
 	bp.opsMu.Unlock()
 	return bp.dm.Close()
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 )
 
 // Slotted-page layout. A slotted area is any byte slice (usually a whole
@@ -146,16 +147,60 @@ func SlotFreeSpace(data []byte) int {
 	return free
 }
 
+// SlotDirCost is the part of an area SlotFreeSpace charges to the slot
+// directory: its entries, plus the entry a new record would need while no
+// dead one is there to reuse (the live count is in the header, so this
+// reads two fields and walks nothing). Callers that keep their own
+// free-space figure for an area take it before an operation: see
+// SlotFreeSpaceAfter.
+func SlotDirCost(data []byte) int {
+	nslots := SlotCount(data)
+	if nslots > SlotLive(data) {
+		return nslots * slotSize
+	}
+	return (nslots + 1) * slotSize
+}
+
+// SlotFreeSpaceAfter is SlotFreeSpace(data) for a caller that knows what it
+// was before its last operation on the area: before is that figure,
+// dirBefore the SlotDirCost taken with it, grew the bytes the operation
+// added to live records (negative when it removed some). Free space moves
+// by exactly what the operation put in, so nothing is walked — unless
+// before is 0, which may be a clamped deficit: then the directory is
+// walked after all.
+func SlotFreeSpaceAfter(data []byte, before, dirBefore, grew int) int {
+	if before <= 0 {
+		return SlotFreeSpace(data)
+	}
+	return max(before-grew-(SlotDirCost(data)-dirBefore), 0)
+}
+
+// gapFits reports that need bytes fit the contiguous gap between the
+// directory and the record heap, read off the header. Every live byte lies
+// above freeHi, so the gap never overstates SlotFreeSpace by more than the
+// directory entry that reserves: a record that fits the gap with room for
+// that entry fits the area, and nothing need be walked to know it.
+func gapFits(data []byte, need int) bool {
+	nslots := SlotCount(data)
+	freeHi := int(get16(data, 4))
+	return freeHi <= len(data) && freeHi-slottedHeaderSize-nslots*slotSize >= need
+}
+
 // SlotInsert stores rec and returns its slot number, or ok=false if the
 // area cannot hold it even after compaction.
 func SlotInsert(data []byte, rec []byte) (slot int, ok bool) {
-	if len(rec) > SlotFreeSpace(data) {
+	nslots := SlotCount(data)
+	reusable := nslots > SlotLive(data)
+	need := len(rec)
+	if !reusable {
+		need += slotSize
+	}
+	if !gapFits(data, need) && len(rec) > SlotFreeSpace(data) {
 		return 0, false
 	}
-	nslots := SlotCount(data)
 	// Reuse a dead slot if any, else append one.
 	slot = -1
-	for s := 0; s < nslots; s++ {
+	for s := 0; reusable && s < nslots; s++ {
 		if off, _ := slotEntry(data, s); off == deadOffset {
 			slot = s
 			break
@@ -254,24 +299,25 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 		setSlotEntry(data, slot, off, uint16(len(rec)))
 		return true
 	}
-	// Would the record fit once the old copy is dropped? (Conservative:
-	// the update never needs a new slot entry, but SlotFreeSpace may have
-	// reserved one.)
-	if len(rec) > SlotFreeSpace(data)+len(old) {
-		return false
-	}
 	// The longer record goes into the contiguous gap when it fits there,
 	// leaving the old bytes for a later compaction to reclaim; only
 	// otherwise is the slot killed (without trimming) and the area
 	// compacted first. Which of the two happens moves bytes, never
 	// answers: SlotFreeSpace counts live lengths, not the gap.
-	freeLo := slottedHeaderSize + SlotCount(data)*slotSize
-	freeHi := int(get16(data, 4))
-	if freeHi > len(data) || freeHi-freeLo < len(rec) {
+	inGap := gapFits(data, len(rec))
+	// Would the record fit once the old copy is dropped? (Conservative:
+	// the update never needs a new slot entry, but SlotFreeSpace may have
+	// reserved one.) A record that fits the gap fits — the gap overstates
+	// free space by at most that reserved entry, which an old copy of at
+	// least an entry's size makes up for — so only the compacting case
+	// pays for the walk.
+	if !(inGap && len(old) >= slotSize) && len(rec) > SlotFreeSpace(data)+len(old) {
+		return false
+	}
+	if !inGap {
 		setSlotEntry(data, slot, deadOffset, 0)
 		slotCompact(data)
-		freeHi = int(get16(data, 4))
-		if freeHi-freeLo < len(rec) {
+		if !gapFits(data, len(rec)) {
 			// The space check above guarantees fit on any page this
 			// package wrote; only corrupt on-disk bytes (inconsistent line
 			// pointers inflating SlotFreeSpace) get here. The old record is
@@ -279,7 +325,7 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 			return false
 		}
 	}
-	off := freeHi - len(rec)
+	off := int(get16(data, 4)) - len(rec)
 	copy(data[off:], rec)
 	put16(data, 4, uint16(off))
 	setSlotEntry(data, slot, uint16(off), uint16(len(rec)))
@@ -316,13 +362,19 @@ func SlotInsertAt(data []byte, slot int, rec []byte) bool {
 	return slotPlace(data, slot, rec)
 }
 
+// compactScratch lends slotCompact the copy of the area it reads records
+// from, so that a compaction — most growing updates of a well-filled page
+// need one — allocates nothing.
+var compactScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // slotCompact rewrites all live records contiguously at the high end of
 // the area, in slot order from the top down, leaving slot numbers
-// unchanged. Records are read from one scratch copy of the area: slot
+// unchanged. Records are read from a borrowed copy of the area: slot
 // order is not offset order, so a record's new place may overlap the old
 // place of one not yet moved.
 func slotCompact(data []byte) {
-	old := append([]byte(nil), data...)
+	sp := compactScratch.Get().(*[]byte)
+	old := append((*sp)[:0], data...)
 	hi := len(data)
 	for s, nslots := 0, SlotCount(old); s < nslots; s++ {
 		if rec := SlotRead(old, s); rec != nil {
@@ -332,6 +384,8 @@ func slotCompact(data []byte) {
 		}
 	}
 	put16(data, 4, uint16(hi))
+	*sp = old
+	compactScratch.Put(sp)
 }
 
 // SlotForEach calls fn for every live record in slot order. fn must not

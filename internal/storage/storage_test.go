@@ -280,8 +280,8 @@ func TestSlottedCompactionReclaims(t *testing.T) {
 	}
 }
 
-// slotCompact moves every record through one scratch copy, not one copy
-// per record, and must lay the page out exactly as the per-record
+// slotCompact reads the records from a borrowed copy of the area — so it
+// allocates nothing — and must lay the page out exactly as the per-record
 // algorithm it replaced did (pages are logged as images: the golden WAL
 // stream pins their bytes): live records in slot order from the top of
 // the area down, every other byte left alone.
@@ -327,8 +327,26 @@ func TestSlotCompactLayoutAndAllocations(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("slotCompact laid the page out differently from the per-record reference")
 	}
-	if allocs := testing.AllocsPerRun(20, func() { slotCompact(got) }); allocs > 1 {
-		t.Fatalf("slotCompact of %d live records: %.0f allocations, want at most 1", len(live), allocs)
+	scrambled := append([]byte(nil), data...)
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(scrambled, data)
+		slotCompact(scrambled)
+	}); allocs != 0 {
+		t.Fatalf("slotCompact of %d scattered records: %.0f allocations, want 0", len(live), allocs)
+	}
+	if !bytes.Equal(scrambled, want) {
+		t.Fatal("slotCompact through a reused buffer laid the page out differently")
+	}
+	// A growing update that has to compact allocates nothing either.
+	victim, grown := live[len(live)/2], make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(scrambled, data)
+		grown = append(append(grown[:0], SlotRead(scrambled, victim)...), "grown by one item"...)
+		for SlotUpdate(scrambled, victim, grown) && len(grown) < 200 {
+			grown = append(grown, "and one more item"...)
+		}
+	}); allocs != 0 {
+		t.Fatalf("growing SlotUpdate: %.0f allocations, want 0", allocs)
 	}
 }
 

@@ -615,6 +615,14 @@ func (c *Catalog) IndexesOf(tableOID uint64) []Index {
 	return out
 }
 
+// SaveMeta saves the counters of the catalog's heap file into its meta
+// page (heap.File.SaveMeta); the executor calls it at its commit point.
+func (c *Catalog) SaveMeta() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.heap.SaveMeta()
+}
+
 // XidHigh returns the persisted transaction-ID high-water mark: every
 // xid at or below it may already have been handed out. 0 means no
 // transaction was ever allocated (or the catalog predates MVCC).

@@ -11,9 +11,10 @@ func validFrames() map[RecordType][]byte {
 	g.AddPageImage("rel1.tbl", 3, append([]byte("page image"), make([]byte, 54)...))
 	g.AddHeapInsert("rel1.tbl", 1, 7, []byte("a heap tuple"))
 	g.AddHeapDelete("rel1.tbl", 1, 7)
-	g.add(RecFileCreate, appendName(nil, "rel2.idx"))
-	g.add(RecCheckpoint, nil)
-	g.add(RecCommit, nil)
+	g.buf = appendName(g.buf, "rel2.idx")
+	g.add(RecFileCreate)
+	g.add(RecCheckpoint)
+	g.add(RecCommit)
 	g.AddHeapBatchInsert("rel1.tbl", 2, []uint16{0, 1, 5}, [][]byte{[]byte("one"), []byte("two"), []byte("three")})
 	g.AddHeapSetXmax("rel1.tbl", 1, 7, 42)
 	g.AddHeapClearXmax("rel1.tbl", 1, 7)
@@ -24,7 +25,7 @@ func validFrames() map[RecordType][]byte {
 	g.AddSlotDelete("rel2.idx", 4, 9)
 	frames := make(map[RecordType][]byte, len(g.types))
 	for i, typ := range g.types {
-		frames[typ] = appendFrame(nil, LSN(100+i), typ, g.payloads[i])
+		frames[typ] = appendFrame(nil, LSN(100+i), typ, g.payload(i))
 	}
 	return frames
 }

@@ -53,41 +53,30 @@ func appendFrame(dst []byte, lsn LSN, typ RecordType, payload []byte) []byte {
 //	checkpoint:  (empty)
 
 func appendName(b []byte, name string) []byte {
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(name)))
-	b = append(b, n[:]...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
 	return append(b, name...)
 }
 
-func encodePageImage(file string, page uint32, pageSize uint32, image []byte) []byte {
-	b := appendName(make([]byte, 0, 10+len(file)+len(image)), file)
+// The append* encoders below add one record payload to b — a Group's
+// buffer, so that staging a record allocates nothing once the buffer has
+// grown to a statement's size.
+
+func appendPageImage(b []byte, file string, page uint32, pageSize uint32, image []byte) []byte {
+	b = appendName(b, file)
 	b = binary.LittleEndian.AppendUint32(b, page)
 	b = binary.LittleEndian.AppendUint32(b, pageSize)
 	return append(b, image...)
 }
 
-func encodeHeapOp(file string, page uint32, slot uint16, rec []byte) []byte {
-	b := appendName(make([]byte, 0, 8+len(file)+len(rec)), file)
+func appendHeapOp(b []byte, file string, page uint32, slot uint16, rec []byte) []byte {
+	b = appendName(b, file)
 	b = binary.LittleEndian.AppendUint32(b, page)
 	b = binary.LittleEndian.AppendUint16(b, slot)
 	return append(b, rec...)
 }
 
-func encodeHeapSetXmax(file string, page uint32, slot uint16, xid uint64) []byte {
-	b := encodeHeapOp(file, page, slot, nil)
-	return binary.LittleEndian.AppendUint64(b, xid)
-}
-
-func encodeXid(xid uint64) []byte {
-	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), xid)
-}
-
-func encodeHeapBatch(file string, page uint32, slots []uint16, recs [][]byte) []byte {
-	sz := 8 + len(file)
-	for _, r := range recs {
-		sz += 6 + len(r)
-	}
-	b := appendName(make([]byte, 0, sz), file)
+func appendHeapBatch(b []byte, file string, page uint32, slots []uint16, recs [][]byte) []byte {
+	b = appendName(b, file)
 	b = binary.LittleEndian.AppendUint32(b, page)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(slots)))
 	for i, r := range recs {
@@ -201,9 +190,13 @@ func decodeRecord(lsn LSN, body []byte) (*Record, error) {
 
 // truncateZeros trims trailing zero bytes from a page image. Fresh pages
 // are almost entirely zeros, so this keeps meta-page and small-page
-// records a few dozen bytes instead of a full page.
+// records a few dozen bytes instead of a full page. A meta page is 8 KB of
+// zeros behind a few fields, so the scan runs a word at a time.
 func truncateZeros(page []byte) []byte {
 	i := len(page)
+	for i >= 8 && binary.LittleEndian.Uint64(page[i-8:]) == 0 {
+		i -= 8
+	}
 	for i > 0 && page[i-1] == 0 {
 		i--
 	}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -73,6 +74,7 @@ type Writer struct {
 	segWritten int64 // bytes of the current segment handed to the OS
 
 	buf       []byte // encoded frames not yet written
+	spare     []byte // the buffer the last sync wrote out, for the next one to swap in
 	nextLSN   LSN
 	appended  LSN // last LSN appended
 	durable   LSN // last LSN known to be on stable storage
@@ -244,7 +246,7 @@ func (w *Writer) Segments() int {
 // on the wire) and returns its LSN.
 func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte) (LSN, error) {
 	img := truncateZeros(pageData)
-	return w.append(RecPageImage, encodePageImage(file, page, uint32(len(pageData)), img))
+	return w.append(RecPageImage, appendPageImage(nil, file, page, uint32(len(pageData)), img))
 }
 
 // Group is a set of records one statement appends atomically: no other
@@ -255,20 +257,51 @@ func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte) (LSN
 // marker is committed — because a marker can only ever cover whole
 // statements. Build the group during or after statement execution, then
 // hand it to AppendGroup or AppendGroupCommit.
+//
+// The payloads lie end to end in one buffer, and Reset keeps it: a group
+// that is reused from statement to statement stages records without
+// allocating.
 type Group struct {
-	types    []RecordType
-	payloads [][]byte
+	types []RecordType
+	ends  []int  // ends[i]: where record i's payload ends in buf
+	buf   []byte // the payloads, end to end
+	lsns  []LSN  // what the last append assigned
 }
+
+// maxRetainedGroupBytes bounds the payload buffer a Reset group keeps, so
+// that one bulk statement does not pin its size for good.
+const maxRetainedGroupBytes = 1 << 20
 
 // NewGroup returns an empty record group.
 func NewGroup() *Group { return &Group{} }
 
+// Reset empties the group for reuse, keeping its buffers. The LSN slice
+// the last append returned is invalid from here on.
+func (g *Group) Reset() {
+	g.types, g.ends, g.lsns = g.types[:0], g.ends[:0], g.lsns[:0]
+	if cap(g.buf) > maxRetainedGroupBytes {
+		g.buf = nil
+	}
+	g.buf = g.buf[:0]
+}
+
 // Len reports the number of records staged in the group.
 func (g *Group) Len() int { return len(g.types) }
 
-func (g *Group) add(typ RecordType, payload []byte) int {
+// payload returns record i's payload.
+func (g *Group) payload(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = g.ends[i-1]
+	}
+	return g.buf[start:g.ends[i]]
+}
+
+// add closes the record whose payload the caller has just appended to
+// g.buf and returns its index.
+func (g *Group) add(typ RecordType) int {
 	g.types = append(g.types, typ)
-	g.payloads = append(g.payloads, payload)
+	g.ends = append(g.ends, len(g.buf))
 	return len(g.types) - 1
 }
 
@@ -278,73 +311,88 @@ func (g *Group) add(typ RecordType, payload []byte) int {
 // during a statement into the committer's group.
 func (g *Group) Extend(o *Group) (base int) {
 	base = len(g.types)
+	shift := len(g.buf)
 	g.types = append(g.types, o.types...)
-	g.payloads = append(g.payloads, o.payloads...)
+	for _, end := range o.ends {
+		g.ends = append(g.ends, shift+end)
+	}
+	g.buf = append(g.buf, o.buf...)
 	return base
 }
 
 // AddPageImage stages a full (zero-truncated) page image, returning its
 // index into the LSN slice AppendGroup returns.
 func (g *Group) AddPageImage(file string, page uint32, pageData []byte) int {
-	img := truncateZeros(pageData)
-	return g.add(RecPageImage, encodePageImage(file, page, uint32(len(pageData)), img))
+	g.buf = appendPageImage(g.buf, file, page, uint32(len(pageData)), truncateZeros(pageData))
+	return g.add(RecPageImage)
+}
+
+// heapOp stages a record with the heap-op payload.
+func (g *Group) heapOp(typ RecordType, file string, page uint32, slot uint16, rec []byte) int {
+	g.buf = appendHeapOp(g.buf, file, page, slot, rec)
+	return g.add(typ)
 }
 
 // AddHeapInsert stages a logical heap insert.
 func (g *Group) AddHeapInsert(file string, page uint32, slot uint16, rec []byte) int {
-	return g.add(RecHeapInsert, encodeHeapOp(file, page, slot, rec))
+	return g.heapOp(RecHeapInsert, file, page, slot, rec)
 }
 
 // AddHeapDelete stages a logical heap delete.
 func (g *Group) AddHeapDelete(file string, page uint32, slot uint16) int {
-	return g.add(RecHeapDelete, encodeHeapOp(file, page, slot, nil))
+	return g.heapOp(RecHeapDelete, file, page, slot, nil)
 }
 
 // AddSlotPut stages storing rec — an index node — at (page, slot).
 func (g *Group) AddSlotPut(file string, page uint32, slot uint16, rec []byte) int {
-	return g.add(RecSlotPut, encodeHeapOp(file, page, slot, rec))
+	return g.heapOp(RecSlotPut, file, page, slot, rec)
 }
 
 // AddSlotDelete stages freeing the slot at (page, slot).
 func (g *Group) AddSlotDelete(file string, page uint32, slot uint16) int {
-	return g.add(RecSlotDelete, encodeHeapOp(file, page, slot, nil))
+	return g.heapOp(RecSlotDelete, file, page, slot, nil)
 }
 
 // AddHeapBatchInsert stages a page-worth of heap inserts as one record.
 func (g *Group) AddHeapBatchInsert(file string, page uint32, slots []uint16, recs [][]byte) int {
-	return g.add(RecHeapBatchInsert, encodeHeapBatch(file, page, slots, recs))
+	g.buf = appendHeapBatch(g.buf, file, page, slots, recs)
+	return g.add(RecHeapBatchInsert)
 }
 
 // AddHeapSetXmax stages stamping xid as the deleting transaction of the
 // tuple at (page, slot).
 func (g *Group) AddHeapSetXmax(file string, page uint32, slot uint16, xid uint64) int {
-	return g.add(RecHeapSetXmax, encodeHeapSetXmax(file, page, slot, xid))
+	g.buf = binary.LittleEndian.AppendUint64(appendHeapOp(g.buf, file, page, slot, nil), xid)
+	return g.add(RecHeapSetXmax)
 }
 
 // AddHeapClearXmax stages zeroing the xmax of the tuple at (page, slot).
 func (g *Group) AddHeapClearXmax(file string, page uint32, slot uint16) int {
-	return g.add(RecHeapClearXmax, encodeHeapOp(file, page, slot, nil))
+	return g.heapOp(RecHeapClearXmax, file, page, slot, nil)
 }
 
 // AddHeapMarkAborted stages setting the aborted flag on the tuple at
 // (page, slot).
 func (g *Group) AddHeapMarkAborted(file string, page uint32, slot uint16) int {
-	return g.add(RecHeapMarkAborted, encodeHeapOp(file, page, slot, nil))
+	return g.heapOp(RecHeapMarkAborted, file, page, slot, nil)
 }
 
 // AddTxnCommit stages a transaction-commit record for xid.
 func (g *Group) AddTxnCommit(xid uint64) int {
-	return g.add(RecTxnCommit, encodeXid(xid))
+	g.buf = binary.LittleEndian.AppendUint64(g.buf, xid)
+	return g.add(RecTxnCommit)
 }
 
 // AddTxnAbort stages a transaction-abort record for xid.
 func (g *Group) AddTxnAbort(xid uint64) int {
-	return g.add(RecTxnAbort, encodeXid(xid))
+	g.buf = binary.LittleEndian.AppendUint64(g.buf, xid)
+	return g.add(RecTxnAbort)
 }
 
 // AppendGroup appends every record of g contiguously (no concurrent
 // appender interleaves) and returns their LSNs, index-aligned with the
-// group's Add* calls. The records are buffered, not yet durable.
+// group's Add* calls; the slice is the group's own, valid until its Reset.
+// The records are buffered, not yet durable.
 func (w *Writer) AppendGroup(g *Group) ([]LSN, error) {
 	lsns, _, err := w.appendGroup(g, false)
 	return lsns, err
@@ -371,14 +419,15 @@ func (w *Writer) appendGroup(g *Group, commit bool) ([]LSN, LSN, error) {
 	}
 	var lsns []LSN
 	if g != nil && len(g.types) > 0 {
-		lsns = make([]LSN, len(g.types))
+		g.lsns = g.lsns[:0]
 		for i, typ := range g.types {
-			lsn, err := w.appendLocked(typ, g.payloads[i])
+			lsn, err := w.appendLocked(typ, g.payload(i))
 			if err != nil {
 				return nil, 0, err
 			}
-			lsns[i] = lsn
+			g.lsns = append(g.lsns, lsn)
 		}
+		lsns = g.lsns
 	}
 	var marker LSN
 	if commit {
@@ -547,8 +596,11 @@ func (w *Writer) syncLocked(target LSN) error {
 		}
 		w.syncing = true
 		upTo := w.appended
+		// The leader writes buf out unlocked while appenders fill the
+		// buffer the previous sync emptied: two buffers change places, and
+		// a commit allocates none.
 		buf := w.buf
-		w.buf = nil
+		w.buf, w.spare = w.spare[:0], nil
 		f := w.f
 		w.mu.Unlock()
 		// The leader's write+fsync covers every record appended so far;
@@ -568,6 +620,7 @@ func (w *Writer) syncLocked(target LSN) error {
 		w.waits.End(lm)
 		w.mu.Lock()
 		w.syncing = false
+		w.spare = buf[:0]
 		w.segWritten += int64(n)
 		if err != nil {
 			w.err = fmt.Errorf("wal: sync: %w", err)
