@@ -106,8 +106,15 @@ func firstDiff(got, want string) string {
 }
 
 // goldenWALStream was captured at the commit before the storage/wal/heap
-// logging refactor it guards (PR 17). One line was added since: ROLLBACK
-// now logs the index meta page with its compensation records.
+// logging refactor it guards (PR 17) and re-recorded twice since: PR 20
+// turned the index's page images into slot records; PR 21 moved the meta
+// pages off the per-statement log — six page-0 images are gone (the
+// catalog's after its xid high-water rewrite and where the index is
+// flipped valid, the heap's after the batch INSERT's first chunk and with
+// the INSERT inside BEGIN, the index's at the commit of a DELETE, which
+// changes none of its counters, and the one PR 20 added at ROLLBACK) and
+// one is new: the index logs its meta page in the build group in which its
+// root first moves. Every other line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
@@ -121,11 +128,9 @@ page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
 commit file="" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=2 xid=0 len=27
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=1 slot=0 xid=0 len=7393
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=2783
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=1749
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
@@ -207,6 +212,7 @@ slot-put file="rel2.idx" page=1 slot=1 xid=0 len=265
 slot-put file="rel2.idx" page=1 slot=2 xid=0 len=249
 slot-put file="rel2.idx" page=1 slot=3 xid=0 len=265
 slot-put file="rel2.idx" page=1 slot=4 xid=0 len=265
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=17
 page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
@@ -562,7 +568,6 @@ slot-put file="rel2.idx" page=1 slot=120 xid=0 len=41
 commit file="" page=0 slot=0 xid=0 len=0
 heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
 slot-put file="rel2.idx" page=1 slot=121 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=16 xid=0 len=95
 slot-put file="rel2.idx" page=1 slot=124 xid=0 len=24
@@ -651,11 +656,9 @@ page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
 txn-commit file="" page=0 slot=0 xid=3 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=1 slot=0 xid=4 len=0
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
 txn-commit file="" page=0 slot=0 xid=4 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=71
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=50
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=59
 slot-put file="rel2.idx" page=1 slot=138 xid=0 len=21
@@ -666,7 +669,6 @@ commit file="" page=0 slot=0 xid=0 len=0
 heap-clear-xmax file="rel1.tbl" page=1 slot=1 xid=0 len=0
 heap-mark-aborted file="rel1.tbl" page=2 slot=117 xid=0 len=0
 heap-mark-aborted file="rel1.tbl" page=2 slot=116 xid=0 len=0
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
 commit file="" page=0 slot=0 xid=0 len=0
 txn-abort file="" page=0 slot=0 xid=5 len=0
 commit file="" page=0 slot=0 xid=0 len=0
@@ -695,5 +697,5 @@ txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=585 appended_bytes=108727
+appends=579 appended_bytes=108408
 `
