@@ -44,7 +44,11 @@ type Index interface {
 	// NNScan starts an incremental nearest-neighbor scan, or errors when
 	// the class has no ordering operator.
 	NNScan(arg catalog.Datum) (NNIter, error)
-	// Count returns the number of indexed rows.
+	// Count returns the number of indexed rows. It is a statistic for
+	// display (SHOW STATS' index_<name>_entries), nothing plans by it:
+	// after a crash it reads as of the last commit point (see SaveMeta),
+	// without the entries of statements that never reached one, even
+	// though recovery replayed them.
 	Count() int64
 	// NumPages returns the index size in pages.
 	NumPages() uint32

@@ -38,9 +38,6 @@ func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	if len(keys) != len(rids) {
 		return fmt.Errorf("spgist: InsertBatch got %d keys for %d rids", len(keys), len(rids))
 	}
-	if len(keys) == 1 {
-		return t.Insert(keys[0], rids[0])
-	}
 	type pair struct {
 		kb  []byte
 		rid heap.RID
@@ -105,8 +102,9 @@ func (t *Tree) insertIntoLeaf(p *storage.Page, rec []byte, ref NodeRef, parent *
 		t.bp.Unpin(p, false)
 		return fmt.Errorf("%w (node %v)", err, ref)
 	}
-	inBucket := cnt < t.pr.BucketSize || t.atResolution(level)
-	if inBucket && !next.Valid() && len(rec)+leafItemExtra+len(kb) <= t.maxNodeSize() {
+	// An unchained record holds the whole bucket, so its count decides.
+	if !next.Valid() && (cnt < t.pr.BucketSize || t.atResolution(level)) &&
+		len(rec)+leafItemExtra+len(kb) <= t.maxNodeSize() {
 		_, err := t.writeRecord(p, ref, appendLeafItem(rec, kb, rid), parent)
 		return err
 	}
@@ -119,8 +117,10 @@ func (t *Tree) insertIntoLeaf(p *storage.Page, rec []byte, ref NodeRef, parent *
 	if err != nil {
 		return err
 	}
+	// A chained bucket is full by its items, not by what its head holds:
+	// long keys chain a bucket before it reaches BucketSize.
 	items = append(items, item{key: kb, rid: rid})
-	if inBucket {
+	if len(items) <= t.pr.BucketSize || t.atResolution(level) {
 		return t.writeLeafChain(ref, parent, items, chain)
 	}
 	return t.splitLeaf(ref, parent, items, chain, level, recon)

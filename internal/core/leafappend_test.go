@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,45 +13,27 @@ import (
 	"repro/internal/storage"
 )
 
-// appendByDecoding is the insertion's leaf arm as it was before it worked
-// on the record where it lies: decode, append the item, encode.
-func appendByDecoding(rec, key []byte, rid heap.RID) ([]byte, error) {
-	n, err := decodeNode(rec)
-	if err != nil {
-		return nil, err
-	}
-	n.items = append(n.items, item{key: key, rid: rid})
-	return n.encode(), nil
-}
-
-// checkLeafAppend holds leafHeader + appendLeafItem to appendByDecoding on
-// one byte string, whatever it is: a record decodeNode refuses is refused
-// with the same error; a record leafHeader accepts is a data node decodeNode
-// accepts too, and the two appends agree byte for byte; the only records
-// leafHeader refuses beyond those are inner nodes and records with bytes
-// past their last item, which decode-encode would have dropped in silence.
+// checkLeafAppend holds appendLeafItem to the insertion's leaf arm as it
+// was before it worked on the record where it lies — decode, append the
+// item, encode — on one byte string, whatever it is: a record leafHeader
+// accepts is a data node with that link and that many items, and the two
+// appends agree byte for byte; a record it refuses is no data node that
+// decodeNode (which reads data nodes through it) hands out.
 func checkLeafAppend(t *testing.T, what string, rec, key []byte, rid heap.RID) {
 	t.Helper()
 	before := append([]byte(nil), rec...)
-	want, decErr := appendByDecoding(rec, key, rid)
 	next, cnt, err := leafHeader(rec)
-	switch {
-	case decErr != nil:
-		// (Of a record that is no data node leafHeader only says so.)
-		if err == nil || (len(rec) > 0 && rec[0] == nodeKindLeaf && err.Error() != decErr.Error()) {
-			t.Fatalf("%s: decodeNode refuses %x with %q, leafHeader says %v", what, rec, decErr, err)
+	n, decErr := decodeNode(rec)
+	if err != nil {
+		if decErr == nil && n.leaf {
+			t.Fatalf("%s: leafHeader refuses %x (%v), decodeNode hands it out", what, rec, err)
 		}
-	case err != nil:
-		n, _ := decodeNode(rec)
-		if stray := len(rec) - n.encodedSize(); n.leaf && stray == 0 {
-			t.Fatalf("%s: leafHeader refuses the well-formed data node %x: %v", what, rec, err)
+	} else {
+		if decErr != nil || !n.leaf || n.next != next || len(n.items) != cnt {
+			t.Fatalf("%s: leafHeader read next %v count %d off %x, decodeNode %+v (%v)", what, next, cnt, rec, n, decErr)
 		}
-	default:
-		n, _ := decodeNode(rec)
-		if !n.leaf || n.next != next || len(n.items) != cnt {
-			t.Fatalf("%s: leafHeader read next %v count %d off %x, decodeNode %v / %d (leaf %v)", what, next, cnt, rec, n.next, len(n.items), n.leaf)
-		}
-		if got := appendLeafItem(rec, key, rid); !bytes.Equal(got, want) {
+		n.items = append(n.items, item{key: key, rid: rid})
+		if got, want := appendLeafItem(rec, key, rid), n.encode(); !bytes.Equal(got, want) {
 			t.Fatalf("%s: append in place gives\n%x, decode-append-encode\n%x", what, got, want)
 		}
 	}
@@ -62,8 +46,8 @@ func checkLeafAppend(t *testing.T, what string, rec, key []byte, rid heap.RID) {
 // at and past any bucket size, chained, with empty and long keys — the
 // record appendLeafItem builds is the record decodeNode → append → encode
 // builds; over every truncation, every single-byte corruption of a header
-// or length field, stray tails and random bytes, it errors where decodeNode
-// errors and never panics.
+// or length field, stray tails and random bytes, the walk errors or the
+// appends agree, and nothing panics.
 func TestLeafAppendMatchesDecodeAppendEncode(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	randBytes := func(n int) []byte {
@@ -120,6 +104,13 @@ func TestLeafAppendMatchesDecodeAppendEncode(t *testing.T) {
 	}
 }
 
+// longKeyPagesDigest is the SHA-256 of pages 1.. of the tree that
+// TestInsertIntoLeafCases' long-key case builds, recorded at commit 223f0a7
+// (the decode / re-encode leaf arm). That commit placed relocated nodes in
+// map order and built one of two files from these insertions; this is the
+// one lowest-page-first placement gives.
+const longKeyPagesDigest = "c27a633c13efcdcd3ce39e35be4b380367302e75ce3cdc0d893bc09db7081cfa"
+
 // limitedTrie is testTrie with a resolution limit: past two characters a
 // cell is not decomposed further, however many keys it holds.
 type limitedTrie struct{ testTrie }
@@ -169,8 +160,9 @@ func checkTreeBytes(t *testing.T, tr *Tree) {
 
 // TestInsertIntoLeafCases drives the leaf arm through each of its
 // decisions — room in the bucket, a full bucket that splits, a node of
-// indistinguishable keys that outgrows one record and chains, a cell at
-// the resolution limit that grows past its bucket — and checks what is
+// indistinguishable keys that outgrows one record and chains, a bucket of
+// long keys that chains before it is full and still splits at its size, a
+// cell at the resolution limit that grows past its bucket — and checks what is
 // found afterwards and the bytes left on the pages.
 func TestInsertIntoLeafCases(t *testing.T) {
 	lookup := func(tr *Tree, key string) int {
@@ -180,6 +172,19 @@ func TestInsertIntoLeafCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		return len(rids)
+	}
+	chained := func(tr *Tree) int {
+		t.Helper()
+		heads := 0
+		if err := tr.walk(func(_ NodeRef, n *node, _, _ int) bool {
+			if n.leaf && n.next.Valid() {
+				heads++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return heads
 	}
 	t.Run("bucket fills then splits", func(t *testing.T) {
 		tr := newTestTree(t)
@@ -213,19 +218,58 @@ func TestInsertIntoLeafCases(t *testing.T) {
 		if got := lookup(tr, "abab"); got != 400 {
 			t.Fatalf("found %d of 400 duplicates", got)
 		}
-		chained := 0
-		if err := tr.walk(func(_ NodeRef, n *node, _, _ int) bool {
-			if n.leaf && n.next.Valid() {
-				chained++
-			}
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if chained == 0 {
+		if chained(tr) == 0 {
 			t.Fatal("400 duplicates on 1 KB pages did not chain")
 		}
 		checkTreeBytes(t, tr)
+	})
+	t.Run("long keys chain below the bucket size and still split", func(t *testing.T) {
+		// 1 KB pages, bucket size 4: three 300-byte keys fill a record, so
+		// the fourth chains a bucket that is not yet full. The bucket is
+		// full by its items, not by what its head record holds.
+		tr := newTestTree(t)
+		long := func(head string) string { return head + strings.Repeat("c", 300) }
+		words := []string{long("a"), long("b"), long("c"), long("d"), long("ab"), long("bb"), long("ba"), long("bc"), long("bd")}
+		for i, w := range words {
+			if err := tr.Insert(w, rid(i)); err != nil {
+				t.Fatal(err)
+			}
+			st, err := tr.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (i == 3 || i == 7) && chained(tr) != 1 {
+				t.Fatalf("four 300-byte keys in one bucket on a 1 KB page did not chain (key %d)", i+1)
+			}
+			want := 0 // the fifth key splits the root bucket, the ninth the "b" bucket
+			if i >= 8 {
+				want = 2
+			} else if i >= 4 {
+				want = 1
+			}
+			if st.InnerNodes != want {
+				t.Fatalf("after %d keys the tree has %d inner nodes, want %d", i+1, st.InnerNodes, want)
+			}
+		}
+		for _, w := range words {
+			if lookup(tr, w) != 1 {
+				t.Fatalf("a long key is not found exactly once")
+			}
+		}
+		checkTreeBytes(t, tr)
+		// The pages are those the decode / re-encode leaf arm built.
+		h := sha256.New()
+		for pid := storage.PageID(1); uint32(pid) < tr.NumPages(); pid++ {
+			p, err := tr.bp.Fetch(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(p.Data)
+			tr.bp.Unpin(p, false)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != longKeyPagesDigest {
+			t.Fatalf("%d pages with digest %s, want %s", tr.NumPages(), got, longKeyPagesDigest)
+		}
 	})
 	t.Run("resolution limit", func(t *testing.T) {
 		bp := storage.NewBufferPool(storage.NewMem(1024), 64)

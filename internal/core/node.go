@@ -152,28 +152,20 @@ func decodeNode(rec []byte) (*node, error) {
 	}
 	switch rec[0] {
 	case nodeKindLeaf:
-		if len(rec) < leafHeaderSize {
-			return nil, fmt.Errorf("spgist: truncated leaf header")
+		next, cnt, err := leafHeader(rec)
+		if err != nil {
+			return nil, err
 		}
-		next := getRef(rec[1:])
-		cnt := int(binary.LittleEndian.Uint16(rec[1+refSize:]))
 		n := &node{leaf: true, next: next, items: make([]item, 0, cnt)}
 		off := leafHeaderSize
 		for i := 0; i < cnt; i++ {
-			if off+2 > len(rec) {
-				return nil, fmt.Errorf("spgist: truncated leaf item header")
-			}
 			kl := int(binary.LittleEndian.Uint16(rec[off:]))
 			off += 2
-			if off+kl+heap.RIDSize > len(rec) {
-				return nil, fmt.Errorf("spgist: truncated leaf item")
-			}
 			key := make([]byte, kl)
 			copy(key, rec[off:off+kl])
 			off += kl
-			rid := heap.RIDFromBytes(rec[off:])
+			n.items = append(n.items, item{key: key, rid: heap.RIDFromBytes(rec[off:])})
 			off += heap.RIDSize
-			n.items = append(n.items, item{key: key, rid: rid})
 		}
 		return n, nil
 	case nodeKindInner:
@@ -210,12 +202,11 @@ func decodeNode(rec []byte) (*node, error) {
 	}
 }
 
-// leafHeader reads what an insertion decides on from a data-node record
-// where it lies — the overflow link and the item count — after walking the
-// items exactly as decodeNode would, copying nothing: a record decodeNode
-// refuses is refused here with the same error. Unlike decodeNode it also
-// refuses bytes past the last item, which appendLeafItem would otherwise
-// bury in the middle of the record.
+// leafHeader is the one structural walk of a data-node record: it checks
+// that the header and every item lie inside rec and that nothing follows
+// the last item, copying nothing, and returns the overflow link and the
+// item count — what an insertion decides on where the record lies.
+// decodeNode reads data nodes through it and then only copies the items.
 func leafHeader(rec []byte) (next NodeRef, cnt int, err error) {
 	if len(rec) < 3 {
 		return InvalidRef, 0, fmt.Errorf("spgist: node record too short (%d bytes)", len(rec))

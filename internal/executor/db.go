@@ -648,6 +648,9 @@ func (db *DB) bootstrapCatalog() error {
 		if hf, err = heap.Open(bp); err != nil {
 			return fmt.Errorf("executor: system catalog %s is unreadable (%v); was the database crashed without write-ahead logging?", catalogFile, err)
 		}
+		if err := db.recountAfterRedo(hf); err != nil {
+			return err
+		}
 	} else if hf, err = heap.Create(bp); err != nil {
 		return err
 	}
@@ -738,6 +741,16 @@ func fileIsAllZeros(path string) (bool, error) {
 	}
 }
 
+// recountAfterRedo takes a heap's record count and last-page hint from its
+// pages if the redo pass met tuple records: some may belong to statements
+// that never reached their commit point, where those counters are saved.
+func (db *DB) recountAfterRedo(hf *heap.File) error {
+	if r := db.recovered; r.HeapInserts+r.HeapDeletes+r.SkippedByLSN == 0 {
+		return nil
+	}
+	return hf.Recount()
+}
+
 // loadSchema reattaches every cataloged relation: orphaned data files
 // from DDL that never committed are swept, tables are opened, valid
 // indexes are reattached, and invalid indexes (a crash interrupted their
@@ -760,13 +773,8 @@ func (db *DB) loadSchema() error {
 		if err != nil {
 			return fmt.Errorf("executor: table %q (%s): %w", te.Name, te.File, err)
 		}
-		if r := db.recovered; r.HeapInserts+r.HeapDeletes+r.SkippedByLSN > 0 {
-			// The redo pass met tuple records: some may belong to
-			// statements that never reached their commit point, where the
-			// heap's counters are saved. Take them from the pages.
-			if err := hf.Recount(); err != nil {
-				return fmt.Errorf("executor: table %q (%s): %w", te.Name, te.File, err)
-			}
+		if err := db.recountAfterRedo(hf); err != nil {
+			return fmt.Errorf("executor: table %q (%s): %w", te.Name, te.File, err)
 		}
 		cols := make([]Column, len(te.Cols))
 		for i, c := range te.Cols {

@@ -105,9 +105,9 @@ func BenchmarkInsertTxSingleRow(b *testing.B) {
 // transaction allocates, beside TestIndexWALBudget's guard on what it
 // logs: the leaf it lands in is extended inside its page, not decoded and
 // re-encoded; compaction borrows its buffer; the record group and the
-// commit point reuse theirs. The ceilings are a quarter above what the
-// change that introduced them measured (trie 50 allocations / 1.8 KB,
-// kd-tree 100 / 3.9 KB; before it: 101 / 9.8 KB and 177 / 11.1 KB) — most
+// commit point reuse theirs. The ceilings are about a quarter above what
+// the change that introduced them measured (trie 52 allocations / 1.9 KB,
+// kd-tree 102 / 4.0 KB; before it: 101 / 9.8 KB and 177 / 11.1 KB) — most
 // of what is left is the opclass's: a traversal value and a match list at
 // every level of the descent, and the kd-tree's paths are deep.
 func TestInsertAllocBudget(t *testing.T) {

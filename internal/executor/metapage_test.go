@@ -150,7 +150,9 @@ func TestRootMoveInOpenTransactionSurvivesCrash(t *testing.T) {
 // crash they are what they were; after a crash inside a transaction, whose
 // tuples recovery replays and marks aborted, they are taken from the pages
 // — the count covers the aborted versions until VACUUM removes them, and
-// the next insert goes to the last page instead of growing the file.
+// the next insert goes to the last page instead of growing the file. An
+// index's key count is saved at the same point and not recounted: after a
+// crash it reads as of the last commit (am.Index.Count's contract).
 func TestHeapCountersAcrossCrash(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*DB, *Table) {
@@ -173,6 +175,10 @@ func TestHeapCountersAcrossCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := db.CreateIndex("t_k", "t", "k", "spgist", "spgist_trie"); err != nil {
+		t.Fatal(err)
+	}
+	entries := func(tb *Table) int64 { return tb.Indexes[0].Idx.Count() }
 	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +200,8 @@ func TestHeapCountersAcrossCrash(t *testing.T) {
 	}
 
 	db, tb = open()
-	if got := tb.Heap.Count(); got != 400 {
-		t.Fatalf("after COMMIT and crash the heap counts %d records, want 400", got)
+	if got, keys := tb.Heap.Count(), entries(tb); got != 400 || keys != 400 {
+		t.Fatalf("after COMMIT and crash the heap counts %d records and the index %d keys, want 400 and 400", got, keys)
 	}
 	if _, err := tb.Insert(rows(400, 1)[0]); err != nil {
 		t.Fatal(err)
@@ -221,6 +227,9 @@ func TestHeapCountersAcrossCrash(t *testing.T) {
 	defer db.Close()
 	if got, visible := tb.Heap.Count(), tb.RowCount(); got != 701 || visible != 401 {
 		t.Fatalf("after a crash inside the transaction: %d records counted, %d rows visible, want 701 and 401", got, visible)
+	}
+	if keys := entries(tb); keys != 401 {
+		t.Fatalf("after a crash inside the transaction the index counts %d keys, want the 401 of the last commit", keys)
 	}
 	if _, err := tb.Insert(rows(401, 1)[0]); err != nil {
 		t.Fatal(err)

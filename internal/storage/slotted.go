@@ -175,32 +175,16 @@ func SlotFreeSpaceAfter(data []byte, before, dirBefore, grew int) int {
 	return max(before-grew-(SlotDirCost(data)-dirBefore), 0)
 }
 
-// gapFits reports that need bytes fit the contiguous gap between the
-// directory and the record heap, read off the header. Every live byte lies
-// above freeHi, so the gap never overstates SlotFreeSpace by more than the
-// directory entry that reserves: a record that fits the gap with room for
-// that entry fits the area, and nothing need be walked to know it.
-func gapFits(data []byte, need int) bool {
-	nslots := SlotCount(data)
-	freeHi := int(get16(data, 4))
-	return freeHi <= len(data) && freeHi-slottedHeaderSize-nslots*slotSize >= need
-}
-
 // SlotInsert stores rec and returns its slot number, or ok=false if the
 // area cannot hold it even after compaction.
 func SlotInsert(data []byte, rec []byte) (slot int, ok bool) {
-	nslots := SlotCount(data)
-	reusable := nslots > SlotLive(data)
-	need := len(rec)
-	if !reusable {
-		need += slotSize
-	}
-	if !gapFits(data, need) && len(rec) > SlotFreeSpace(data) {
+	if len(rec) > SlotFreeSpace(data) {
 		return 0, false
 	}
+	nslots := SlotCount(data)
 	// Reuse a dead slot if any, else append one.
 	slot = -1
-	for s := 0; reusable && s < nslots; s++ {
+	for s := 0; s < nslots; s++ {
 		if off, _ := slotEntry(data, s); off == deadOffset {
 			slot = s
 			break
@@ -299,25 +283,24 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 		setSlotEntry(data, slot, off, uint16(len(rec)))
 		return true
 	}
+	// Would the record fit once the old copy is dropped? (Conservative:
+	// the update never needs a new slot entry, but SlotFreeSpace may have
+	// reserved one.)
+	if len(rec) > SlotFreeSpace(data)+len(old) {
+		return false
+	}
 	// The longer record goes into the contiguous gap when it fits there,
 	// leaving the old bytes for a later compaction to reclaim; only
 	// otherwise is the slot killed (without trimming) and the area
 	// compacted first. Which of the two happens moves bytes, never
 	// answers: SlotFreeSpace counts live lengths, not the gap.
-	inGap := gapFits(data, len(rec))
-	// Would the record fit once the old copy is dropped? (Conservative:
-	// the update never needs a new slot entry, but SlotFreeSpace may have
-	// reserved one.) A record that fits the gap fits — the gap overstates
-	// free space by at most that reserved entry, which an old copy of at
-	// least an entry's size makes up for — so only the compacting case
-	// pays for the walk.
-	if !(inGap && len(old) >= slotSize) && len(rec) > SlotFreeSpace(data)+len(old) {
-		return false
-	}
-	if !inGap {
+	freeLo := slottedHeaderSize + SlotCount(data)*slotSize
+	freeHi := int(get16(data, 4))
+	if freeHi > len(data) || freeHi-freeLo < len(rec) {
 		setSlotEntry(data, slot, deadOffset, 0)
 		slotCompact(data)
-		if !gapFits(data, len(rec)) {
+		freeHi = int(get16(data, 4))
+		if freeHi-freeLo < len(rec) {
 			// The space check above guarantees fit on any page this
 			// package wrote; only corrupt on-disk bytes (inconsistent line
 			// pointers inflating SlotFreeSpace) get here. The old record is
@@ -325,7 +308,7 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 			return false
 		}
 	}
-	off := int(get16(data, 4)) - len(rec)
+	off := freeHi - len(rec)
 	copy(data[off:], rec)
 	put16(data, 4, uint16(off))
 	setSlotEntry(data, slot, uint16(off), uint16(len(rec)))
