@@ -39,7 +39,7 @@ func benchRID(i int) heap.RID {
 }
 
 func newPool() *storage.BufferPool {
-	return storage.NewBufferPool(storage.NewMem(storage.DefaultPageSize), 4096)
+	return storage.NewBufferPool("", storage.NewMem(storage.DefaultPageSize), 4096)
 }
 
 // Shared fixtures, built once.

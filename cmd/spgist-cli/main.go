@@ -54,8 +54,8 @@ func main() {
 	}
 	defer db.Close()
 	if rs := db.Engine().RecoveryStats(); rs.PagesWritten > 0 || rs.TornTail {
-		fmt.Printf("recovered from WAL: %d records (%d page images, %d heap inserts, %d heap deletes, %d index node puts, %d node deletes, %d superseded by a later image), %d pages written across %d files\n",
-			rs.Records, rs.PageImages, rs.HeapInserts, rs.HeapDeletes, rs.SlotPuts, rs.SlotDeletes, rs.Superseded, rs.PagesWritten, rs.FilesTouched)
+		fmt.Printf("recovered from WAL: %d records (%d page images, %d heap inserts, %d heap deletes, %d index node puts, %d node deletes), %d pages written across %d files\n",
+			rs.Records, rs.PageImages, rs.HeapInserts, rs.HeapDeletes, rs.SlotPuts, rs.SlotDeletes, rs.PagesWritten, rs.FilesTouched)
 		if rs.TornPages > 0 {
 			fmt.Printf("torn pages detected by checksum: %d, repaired from WAL: %d\n", rs.TornPages, rs.TornRepaired)
 		}
@@ -257,8 +257,8 @@ func meta(db *repro.DB, dir, line string) bool {
 		fmt.Printf("     appends=%d bytes=%d syncs=%d rotations=%d checkpoints=%d\n",
 			st.Appends, st.AppendedBytes, st.Syncs, st.Rotations, st.Checkpoints)
 		if rs := db.Engine().RecoveryStats(); rs.Records > 0 {
-			fmt.Printf("     recovered: %d records, %d pages written, %d files, torn-tail=%v\n",
-				rs.Records, rs.PagesWritten, rs.FilesTouched, rs.TornTail)
+			fmt.Printf("     recovered: %d records, %d pages written, %d files, torn-pages=%d repaired=%d torn-tail=%v\n",
+				rs.Records, rs.PagesWritten, rs.FilesTouched, rs.TornPages, rs.TornRepaired, rs.TornTail)
 		}
 	default:
 		fmt.Println("unknown meta command; try \\dam \\doc \\do \\dt \\d <table> \\page <rel> <n> \\scrub [table] \\wal \\activity \\timing \\q")

@@ -13,7 +13,7 @@ import (
 )
 
 func pool() *storage.BufferPool {
-	return storage.NewBufferPool(storage.NewMem(8192), 256)
+	return storage.NewBufferPool("", storage.NewMem(8192), 256)
 }
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }

@@ -77,7 +77,7 @@ func RunAblation(cfg Config) []Figure {
 	words := datagen.Words(n, cfg.Seed)
 
 	build := func(oc core.OpClass, pageSize int) (*core.Tree, core.TreeStats) {
-		bp := storage.NewBufferPool(storage.NewMem(pageSize), cfg.PoolPages)
+		bp := storage.NewBufferPool("", storage.NewMem(pageSize), cfg.PoolPages)
 		t, err := core.Create(bp, oc)
 		if err != nil {
 			panic(fmt.Sprintf("bench ablation: %v", err))

@@ -73,7 +73,7 @@ func (c Config) sizes(base []int) []int {
 }
 
 func (c Config) pool() *storage.BufferPool {
-	return storage.NewBufferPool(storage.NewMem(c.PageSize), c.PoolPages)
+	return storage.NewBufferPool("", storage.NewMem(c.PageSize), c.PoolPages)
 }
 
 // Series is one plotted line: Y[i] measured at X[i].

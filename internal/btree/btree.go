@@ -25,17 +25,14 @@ import (
 	"repro/internal/storage"
 )
 
-// Meta page (page 0) layout.
+// Meta page: the magic, and the body storage frames on page 0 —
+// [root u32][height u32][count u64].
 const (
-	magic      = 0x42545245 // "BTRE"
-	mMagicOf   = 0
-	mRootOf    = 4
-	mHeightOf  = 8
-	mCountOf   = 12
-	metaOffEnd = 20
+	magic        = 0x42545245 // "BTRE"
+	metaBodySize = 16
 )
 
-// Node page layout:
+// Node page layout, after the page header:
 //
 //	[kind u8][nkeys u16][next u32 (leaf) | child0 u32 (inner)] entries...
 //	leaf entry:  [klen u16][key][rid 6]
@@ -80,36 +77,34 @@ type Tree struct {
 	cache *storage.NodeCache[storage.PageID, *node]
 }
 
+func (t *Tree) metaBody() (body [metaBodySize]byte) {
+	binary.LittleEndian.PutUint32(body[0:], uint32(t.root))
+	binary.LittleEndian.PutUint32(body[4:], uint32(t.height))
+	binary.LittleEndian.PutUint64(body[8:], uint64(t.count))
+	return body
+}
+
 // Create initializes a new empty B+-tree in an empty page file.
 func Create(bp *storage.BufferPool) (*Tree, error) {
-	if bp.DM().NumPages() != 0 {
-		return nil, fmt.Errorf("btree: create on non-empty file")
-	}
-	meta, err := bp.NewPage()
-	if err != nil {
+	t := &Tree{bp: bp, root: storage.InvalidPageID, cache: storage.NewNodeCache[storage.PageID, *node](maxCachedNodes)}
+	body := t.metaBody()
+	if err := bp.CreateMeta(magic, body[:]); err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[mMagicOf:], magic)
-	bp.Unpin(meta, true)
-	t := &Tree{bp: bp, root: storage.InvalidPageID, cache: storage.NewNodeCache[storage.PageID, *node](maxCachedNodes)}
-	return t, t.saveMeta()
+	return t, nil
 }
 
 // Open attaches to an existing B+-tree file.
 func Open(bp *storage.BufferPool) (*Tree, error) {
-	meta, err := bp.Fetch(0)
-	if err != nil {
+	var body [metaBodySize]byte
+	if err := bp.ReadMeta(magic, body[:]); err != nil {
 		return nil, err
-	}
-	defer bp.Unpin(meta, false)
-	if binary.LittleEndian.Uint32(meta.Data[mMagicOf:]) != magic {
-		return nil, fmt.Errorf("btree: bad magic")
 	}
 	return &Tree{
 		bp:     bp,
-		root:   storage.PageID(binary.LittleEndian.Uint32(meta.Data[mRootOf:])),
-		height: int(binary.LittleEndian.Uint32(meta.Data[mHeightOf:])),
-		count:  int64(binary.LittleEndian.Uint64(meta.Data[mCountOf:])),
+		root:   storage.PageID(binary.LittleEndian.Uint32(body[0:])),
+		height: int(binary.LittleEndian.Uint32(body[4:])),
+		count:  int64(binary.LittleEndian.Uint64(body[8:])),
 		cache:  storage.NewNodeCache[storage.PageID, *node](maxCachedNodes),
 	}, nil
 }
@@ -120,21 +115,8 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 // group holding the new root page always holds the pointer to it; the
 // count follows at the caller's commit point (SaveMeta).
 func (t *Tree) saveMeta() error {
-	meta, err := t.bp.Fetch(0)
-	if err != nil {
-		return err
-	}
-	d := meta.Data
-	changed := binary.LittleEndian.Uint32(d[mRootOf:]) != uint32(t.root) ||
-		binary.LittleEndian.Uint32(d[mHeightOf:]) != uint32(t.height) ||
-		binary.LittleEndian.Uint64(d[mCountOf:]) != uint64(t.count)
-	if changed {
-		binary.LittleEndian.PutUint32(d[mRootOf:], uint32(t.root))
-		binary.LittleEndian.PutUint32(d[mHeightOf:], uint32(t.height))
-		binary.LittleEndian.PutUint64(d[mCountOf:], uint64(t.count))
-	}
-	t.bp.Unpin(meta, changed)
-	return nil
+	body := t.metaBody()
+	return t.bp.WriteMeta(body[:])
 }
 
 // SaveMeta persists the in-memory metadata (root, height, count) into
@@ -240,13 +222,16 @@ func decode(buf []byte) (*node, error) {
 	return n, nil
 }
 
+// nodeCap is the size of the largest node one page holds.
+func (t *Tree) nodeCap() int { return t.bp.DM().PageSize() - storage.PageHeaderSize }
+
 func (t *Tree) readNode(pid storage.PageID) (*node, error) {
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return nil, err
 	}
 	defer t.bp.Unpin(p, false)
-	return decode(p.Data)
+	return decode(storage.PageBody(p.Data))
 }
 
 // StartPageTrace begins counting the distinct pages touched by read-only
@@ -292,14 +277,14 @@ func (t *Tree) readNodeRO(pid storage.PageID) (*node, error) {
 
 func (t *Tree) writeNode(pid storage.PageID, n *node) error {
 	t.invalidate(pid)
-	if n.encodedSize() > t.bp.DM().PageSize() {
+	if n.encodedSize() > t.nodeCap() {
 		return fmt.Errorf("btree: node of %d bytes exceeds page size", n.encodedSize())
 	}
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return err
 	}
-	n.encode(p.Data)
+	n.encode(storage.PageBody(p.Data))
 	t.bp.Unpin(p, true)
 	return nil
 }
@@ -309,7 +294,7 @@ func (t *Tree) allocNode(n *node) (storage.PageID, error) {
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
-	n.encode(p.Data)
+	n.encode(storage.PageBody(p.Data))
 	t.bp.Unpin(p, true)
 	return p.ID, nil
 }
@@ -481,7 +466,7 @@ func (t *Tree) spliceRun(pairs []Pair) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	data := p.Data
+	data := storage.PageBody(p.Data)
 	if data[0] != kindLeaf {
 		t.bp.Unpin(p, false)
 		return 0, fmt.Errorf("btree: descent ended on non-leaf page %d", pid)
@@ -557,7 +542,7 @@ func (t *Tree) insertFast(key []byte, rid heap.RID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	data := p.Data
+	data := storage.PageBody(p.Data)
 	if data[0] != kindLeaf {
 		t.bp.Unpin(p, false)
 		return false, fmt.Errorf("btree: descent ended on non-leaf page %d", pid)
@@ -626,7 +611,7 @@ func (t *Tree) insertAt(pid storage.PageID, key []byte, rid heap.RID) ([]byte, s
 // writeSplit stores n at pid, splitting it in half first when it no
 // longer fits one page.
 func (t *Tree) writeSplit(pid storage.PageID, n *node) ([]byte, storage.PageID, error) {
-	if n.encodedSize() <= t.bp.DM().PageSize() {
+	if n.encodedSize() <= t.nodeCap() {
 		return nil, storage.InvalidPageID, t.writeNode(pid, n)
 	}
 	mid := len(n.entries) / 2

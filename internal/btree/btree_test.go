@@ -16,7 +16,7 @@ import (
 
 func newTree(t testing.TB, pageSize int) *Tree {
 	t.Helper()
-	bp := storage.NewBufferPool(storage.NewMem(pageSize), 128)
+	bp := storage.NewBufferPool("", storage.NewMem(pageSize), 128)
 	tr, err := Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(dm, 64)
+	bp := storage.NewBufferPool("", dm, 64)
 	tr, err := Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestPersistence(t *testing.T) {
 	bp.Close()
 
 	dm2, _ := storage.OpenFile(path, 512)
-	bp2 := storage.NewBufferPool(dm2, 64)
+	bp2 := storage.NewBufferPool("", dm2, 64)
 	tr2, err := Open(bp2)
 	if err != nil {
 		t.Fatal(err)

@@ -102,6 +102,15 @@ func TestDecodeTupleErrors(t *testing.T) {
 	if _, err := DecodeTuple([]byte{2, 0, 99}); err == nil {
 		t.Error("unknown datum type accepted")
 	}
+	// Every proper prefix of a tuple is a truncated tuple: an error, not
+	// a read past the end.
+	whole := EncodeTuple(Tuple{NewInt(7), NewText("word"), NewPoint(geom.Point{X: 1, Y: 2}),
+		NewSegment(geom.Segment{B: geom.Point{X: 3, Y: 4}})})
+	for n := 0; n < len(whole); n++ {
+		if _, err := DecodeTuple(whole[:n]); err == nil {
+			t.Errorf("tuple cut to %d of %d bytes accepted", n, len(whole))
+		}
+	}
 }
 
 func TestOperatorLookupAndProcs(t *testing.T) {

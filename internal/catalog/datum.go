@@ -277,7 +277,12 @@ func encodeDatum(buf []byte, d Datum) int {
 func putF(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
-// DecodeTuple parses a tuple written by EncodeTuple.
+// fixedDatumSize is the encoded size of a datum of each type after its type
+// byte; a text's characters follow its two length bytes.
+var fixedDatumSize = [...]int{Int: 8, Float: 8, Text: 2, Point: 16, Box: 32, Segment: 32}
+
+// DecodeTuple parses a tuple written by EncodeTuple; bytes that are no
+// such tuple — a damaged page — are an error.
 func DecodeTuple(buf []byte) (Tuple, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("catalog: short tuple")
@@ -291,36 +296,39 @@ func DecodeTuple(buf []byte) (Tuple, error) {
 		}
 		d := Datum{Typ: Type(buf[off])}
 		off++
+		if int(d.Typ) >= len(fixedDatumSize) || fixedDatumSize[d.Typ] == 0 {
+			return nil, fmt.Errorf("catalog: unknown datum type %d", d.Typ)
+		}
+		size := fixedDatumSize[d.Typ]
+		if off+size > len(buf) {
+			return nil, fmt.Errorf("catalog: truncated tuple")
+		}
 		switch d.Typ {
 		case Int:
 			d.I = int64(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
 		case Float:
 			d.F = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
 		case Text:
 			l := int(binary.LittleEndian.Uint16(buf[off:]))
-			off += 2
-			d.S = string(buf[off : off+l])
+			if off+size+l > len(buf) {
+				return nil, fmt.Errorf("catalog: truncated tuple")
+			}
+			d.S = string(buf[off+size : off+size+l])
 			off += l
 		case Point:
 			d.P = geom.Point{X: getF(buf[off:]), Y: getF(buf[off+8:])}
-			off += 16
 		case Box:
 			d.B = geom.Box{
 				Min: geom.Point{X: getF(buf[off:]), Y: getF(buf[off+8:])},
 				Max: geom.Point{X: getF(buf[off+16:]), Y: getF(buf[off+24:])},
 			}
-			off += 32
 		case Segment:
 			d.G = geom.Segment{
 				A: geom.Point{X: getF(buf[off:]), Y: getF(buf[off+8:])},
 				B: geom.Point{X: getF(buf[off+16:]), Y: getF(buf[off+24:])},
 			}
-			off += 32
-		default:
-			return nil, fmt.Errorf("catalog: unknown datum type %d", buf[off-1])
 		}
+		off += size
 		t = append(t, d)
 	}
 	return t, nil

@@ -152,7 +152,7 @@ func (o testTrie) LeafConsistent(q *Query, key Value, _ int) bool {
 
 func newTestTree(t *testing.T) *Tree {
 	t.Helper()
-	bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 	tr, err := Create(bp, testTrie{})
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestStatsShape(t *testing.T) {
 // tree is deep enough (the point of Figure 12). Uses the paper's 8 KB
 // pages: with tiny pages a deep path cannot collapse much.
 func TestClusteringKeepsPageHeightLow(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(8192), 64)
+	bp := storage.NewBufferPool("", storage.NewMem(8192), 64)
 	tr, err := Create(bp, testTrie{})
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +409,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(dm, 64)
+	bp := storage.NewBufferPool("", dm, 64)
 	tr, err := Create(bp, testTrie{})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp2 := storage.NewBufferPool(dm2, 64)
+	bp2 := storage.NewBufferPool("", dm2, 64)
 	tr2, err := Open(bp2, testTrie{})
 	if err != nil {
 		t.Fatal(err)
@@ -549,7 +549,7 @@ func sameRIDSet(a, b []heap.RID) bool {
 }
 
 func TestCreateOnNonEmptyFileFails(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(1024), 8)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 8)
 	if _, err := Create(bp, testTrie{}); err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestCreateOnNonEmptyFileFails(t *testing.T) {
 }
 
 func TestOpenRejectsForeignFile(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(1024), 8)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 8)
 	p, _ := bp.NewPage()
 	bp.Unpin(p, true)
 	if _, err := Open(bp, testTrie{}); err == nil {

@@ -102,7 +102,7 @@ type pair struct {
 // more, and then deletes every seventh pair; it returns what is left.
 func buildFixture(t testing.TB, f nnFixture, dm storage.DiskManager, n int, seed int64) (*core.Tree, []pair) {
 	t.Helper()
-	tr, err := core.Create(storage.NewBufferPool(dm, 256), f.oc())
+	tr, err := core.Create(storage.NewBufferPool("", dm, 256), f.oc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestNNCursorSurfacesStorageError(t *testing.T) {
 			}
 			faulty := storage.WithFaults(dm, 1)
 			faulty.Disarm()
-			bp := storage.NewBufferPool(faulty, 4)
+			bp := storage.NewBufferPool("", faulty, 4)
 			t.Cleanup(func() { bp.Close() })
 			tr, err = core.Open(bp, f.oc())
 			if err != nil {
@@ -334,7 +334,7 @@ func TestSearchAllocationBudgets(t *testing.T) {
 		return emitted / 51 // AllocsPerRun adds a warm-up run
 	}
 
-	words, err := core.Create(storage.NewBufferPool(storage.NewMem(8192), 1024), trie.New())
+	words, err := core.Create(storage.NewBufferPool("", storage.NewMem(8192), 1024), trie.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestSearchAllocationBudgets(t *testing.T) {
 		t.Fatalf("trie exact match returned %d rows, want 1", rows)
 	}
 
-	pts, err := core.Create(storage.NewBufferPool(storage.NewMem(8192), 1024), kdtree.New())
+	pts, err := core.Create(storage.NewBufferPool("", storage.NewMem(8192), 1024), kdtree.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 		}
 	})
 	t.Run("resolution limit", func(t *testing.T) {
-		bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+		bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 		tr, err := Create(bp, limitedTrie{})
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +334,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 func TestEqualInsertionsBuildEqualFiles(t *testing.T) {
 	choices := 0 // insertions made while more than one spacious page stood by
 	build := func() *Tree {
-		bp := storage.NewBufferPool(storage.NewMem(1024), 256)
+		bp := storage.NewBufferPool("", storage.NewMem(1024), 256)
 		tr, err := Create(bp, testTrie{})
 		if err != nil {
 			t.Fatal(err)

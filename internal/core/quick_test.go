@@ -29,7 +29,7 @@ func (wordSet) Generate(r *rand.Rand, size int) reflect.Value {
 // multiset.
 func TestQuickInsertThenFindAll(t *testing.T) {
 	f := func(ws wordSet) bool {
-		bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+		bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 		tr, err := Create(bp, testTrie{})
 		if err != nil {
 			return false
@@ -60,7 +60,7 @@ func TestQuickInsertThenFindAll(t *testing.T) {
 // interleaving.
 func TestQuickCountInvariant(t *testing.T) {
 	f := func(ws wordSet, delMask uint64) bool {
-		bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+		bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 		tr, err := Create(bp, testTrie{})
 		if err != nil {
 			return false
@@ -92,7 +92,7 @@ func TestQuickCountInvariant(t *testing.T) {
 // leaf reachable by full scan.
 func TestQuickStructuralInvariants(t *testing.T) {
 	f := func(ws wordSet) bool {
-		bp := storage.NewBufferPool(storage.NewMem(2048), 64)
+		bp := storage.NewBufferPool("", storage.NewMem(2048), 64)
 		tr, err := Create(bp, testTrie{})
 		if err != nil {
 			return false
@@ -122,7 +122,7 @@ func TestQuickStructuralInvariants(t *testing.T) {
 // Property: Repack preserves exactly the multiset of (key, rid) pairs.
 func TestQuickRepackPreservesPairs(t *testing.T) {
 	f := func(ws wordSet) bool {
-		bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+		bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 		tr, err := Create(bp, testTrie{})
 		if err != nil {
 			return false
@@ -138,7 +138,7 @@ func TestQuickRepackPreservesPairs(t *testing.T) {
 			}
 			want = append(want, pair{w, rid(i)})
 		}
-		rp, err := tr.Repack(storage.NewBufferPool(storage.NewMem(1024), 64))
+		rp, err := tr.Repack(storage.NewBufferPool("", storage.NewMem(1024), 64))
 		if err != nil {
 			return false
 		}
@@ -170,7 +170,7 @@ func TestQuickRepackPreservesPairs(t *testing.T) {
 func TestQuickPersistenceRoundTrip(t *testing.T) {
 	f := func(ws wordSet) bool {
 		dm := storage.NewMem(1024)
-		bp := storage.NewBufferPool(dm, 64)
+		bp := storage.NewBufferPool("", dm, 64)
 		tr, err := Create(bp, testTrie{})
 		if err != nil {
 			return false
@@ -185,7 +185,7 @@ func TestQuickPersistenceRoundTrip(t *testing.T) {
 		if err := tr.Flush(); err != nil {
 			return false
 		}
-		tr2, err := Open(storage.NewBufferPool(dm, 64), testTrie{})
+		tr2, err := Open(storage.NewBufferPool("", dm, 64), testTrie{})
 		if err != nil {
 			return false
 		}

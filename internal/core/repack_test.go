@@ -9,7 +9,7 @@ import (
 )
 
 func TestRepackPreservesContentAndLowersPageHeight(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(8192), 64)
+	bp := storage.NewBufferPool("", storage.NewMem(8192), 64)
 	tr, err := Create(bp, testTrie{})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestRepackPreservesContentAndLowersPageHeight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bp2 := storage.NewBufferPool(storage.NewMem(8192), 64)
+	bp2 := storage.NewBufferPool("", storage.NewMem(8192), 64)
 	rp, err := tr.Repack(bp2)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +80,12 @@ func TestRepackPreservesContentAndLowersPageHeight(t *testing.T) {
 }
 
 func TestRepackEmptyTree(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(1024), 8)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 8)
 	tr, err := Create(bp, testTrie{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := tr.Repack(storage.NewBufferPool(storage.NewMem(1024), 8))
+	rp, err := tr.Repack(storage.NewBufferPool("", storage.NewMem(1024), 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +95,9 @@ func TestRepackEmptyTree(t *testing.T) {
 }
 
 func TestRepackRejectsNonEmptyTarget(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(1024), 8)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 8)
 	tr, _ := Create(bp, testTrie{})
-	bp2 := storage.NewBufferPool(storage.NewMem(1024), 8)
+	bp2 := storage.NewBufferPool("", storage.NewMem(1024), 8)
 	p, _ := bp2.NewPage()
 	bp2.Unpin(p, true)
 	if _, err := tr.Repack(bp2); err == nil {

@@ -22,7 +22,7 @@ func coldTrie(t *testing.T) (tr *Tree, bp *storage.BufferPool, words []string, d
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := storage.NewBufferPool(dm, 64)
+	build := storage.NewBufferPool("", dm, 64)
 	tr, err = Create(build, testTrie{})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func coldTrie(t *testing.T) (tr *Tree, bp *storage.BufferPool, words []string, d
 	if dm.NumPages() < 60 {
 		t.Fatalf("fixture has %d pages, want several pools' worth", dm.NumPages())
 	}
-	bp = storage.NewBufferPool(storage.WithLatency(dm, 200*time.Microsecond, 0), 16)
+	bp = storage.NewBufferPool("", storage.WithLatency(dm, 200*time.Microsecond, 0), 16)
 	pf := storage.NewPrefetcher(0, 0)
 	bp.AttachPrefetcher(pf, 8)
 	tr, err = Open(bp, testTrie{})

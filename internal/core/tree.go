@@ -67,28 +67,24 @@ func (t *Tree) noteFree(p *storage.Page, dirBefore, grew int) {
 	t.setFree(p.ID, storage.SlotFreeSpaceAfter(p.Data, t.fsm[p.ID], dirBefore, grew))
 }
 
-// Meta page (page 0) layout.
+// Meta page: the magic, and the body storage frames on page 0 —
+// [root page u32][root slot u16][keys u64].
 const (
-	treeMagic = 0x53504753 // "SPGS"
-	tmMagicOf = 0
-	tmRootOf  = 4 // page u32, slot u16
-	tmNKeysOf = 16
+	treeMagic    = 0x53504753 // "SPGS"
+	metaBodySize = 14
 )
+
+func (t *Tree) metaBody() (body [metaBodySize]byte) {
+	putRef(body[0:], t.root)
+	binary.LittleEndian.PutUint64(body[6:], uint64(t.nKeys))
+	return body
+}
 
 // Create initializes a new empty index in an empty page file.
 func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
-	if bp.DM().NumPages() != 0 {
-		return nil, fmt.Errorf("spgist: create on non-empty file")
-	}
 	if oc.Params().BucketSize <= 0 {
 		return nil, fmt.Errorf("spgist: opclass %s has non-positive BucketSize", oc.Name())
 	}
-	meta, err := bp.NewPage()
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint32(meta.Data[tmMagicOf:], treeMagic)
-	bp.Unpin(meta, true)
 	t := &Tree{
 		bp:        bp,
 		oc:        oc,
@@ -99,34 +95,40 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		spacious:  make(map[storage.PageID]struct{}),
 		lastAlloc: storage.InvalidPageID,
 	}
-	return t, t.saveMeta()
+	body := t.metaBody()
+	if err := bp.CreateMeta(treeMagic, body[:]); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // Open attaches to an existing index file, rebuilding the free-space map.
 func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
-	meta, err := bp.Fetch(0)
-	if err != nil {
-		return nil, fmt.Errorf("spgist: open: %w", err)
-	}
-	if binary.LittleEndian.Uint32(meta.Data[tmMagicOf:]) != treeMagic {
-		bp.Unpin(meta, false)
-		return nil, fmt.Errorf("spgist: bad magic (not an SP-GiST file)")
+	var body [metaBodySize]byte
+	if err := bp.ReadMeta(treeMagic, body[:]); err != nil {
+		return nil, err
 	}
 	t := &Tree{
 		bp:        bp,
 		oc:        oc,
 		pr:        oc.Params(),
-		root:      getRef(meta.Data[tmRootOf:]),
-		nKeys:     int64(binary.LittleEndian.Uint64(meta.Data[tmNKeysOf:])),
+		root:      getRef(body[0:]),
+		nKeys:     int64(binary.LittleEndian.Uint64(body[6:])),
 		cache:     storage.NewNodeCache[uint64, *node](maxCachedNodes),
 		fsm:       make(map[storage.PageID]int),
 		spacious:  make(map[storage.PageID]struct{}),
 		lastAlloc: storage.InvalidPageID,
 	}
-	bp.Unpin(meta, false)
 	n := bp.DM().NumPages()
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, err := bp.Fetch(pid)
+		if storage.IsPageCorrupt(err) {
+			// One damaged page does not keep the index — and the database
+			// over it — from opening: the page stays out of the free-space
+			// map, so nothing new is placed on it, a descent that reaches it
+			// fails with this error, and SCRUB names it.
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -161,18 +163,8 @@ func (t *Tree) SizeBytes() int64 {
 // a record group that holds the moved root always holds the pointer to it
 // — and the key count at the caller's commit point (SaveMeta).
 func (t *Tree) saveMeta() error {
-	meta, err := t.bp.Fetch(0)
-	if err != nil {
-		return err
-	}
-	d := meta.Data
-	changed := getRef(d[tmRootOf:]) != t.root || binary.LittleEndian.Uint64(d[tmNKeysOf:]) != uint64(t.nKeys)
-	if changed {
-		putRef(d[tmRootOf:], t.root)
-		binary.LittleEndian.PutUint64(d[tmNKeysOf:], uint64(t.nKeys))
-	}
-	t.bp.Unpin(meta, changed)
-	return nil
+	body := t.metaBody()
+	return t.bp.WriteMeta(body[:])
 }
 
 // setRoot moves the root reference and saves it at once.

@@ -1185,15 +1185,8 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 			db.faultDMs = append(db.faultDMs, fdm)
 		}
 	}
-	bp := storage.NewBufferPool(dm, db.poolPages)
+	bp := storage.NewBufferPool(fileName, dm, db.poolPages)
 	bp.AttachPrefetcher(db.pf, db.readahead)
-	if storage.ChecksummedFile(fileName) {
-		// Heap pages (and the heap-backed catalog) carry per-page
-		// checksums: stamped on every write-back, verified on every
-		// read. Index node layouts own the checksum field's bytes, so
-		// .idx pools stay unchecksummed — an index is rebuildable.
-		bp.EnableChecksums(fileName)
-	}
 	// Join the pool to the wait-event layer, classifying its miss I/O by
 	// what the file holds (the extension is authoritative: rel<oid>.tbl,
 	// rel<oid>.idx, syscat.dat).
@@ -1217,7 +1210,7 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 				return nil, false, err
 			}
 		}
-		bp.AttachWAL(db.wal, fileName)
+		bp.AttachWAL(db.wal)
 	}
 	db.pools = append(db.pools, bp)
 	return bp, existed, nil

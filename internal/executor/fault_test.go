@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
+	"repro/internal/geom"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -159,97 +160,149 @@ func TestDegradedRollbackReleasesLocks(t *testing.T) {
 }
 
 // TestScrubReportsBitFlip: a single flipped bit in a flushed,
-// checkpointed heap page is (a) reported by SCRUB with the file and
-// page, (b) never served to a query — the scan fails with
-// ErrPageCorrupt instead of returning poisoned tuples — and (c) not a
-// reason to degrade: read-side corruption is per-page, the database
-// stays writable elsewhere.
+// checkpointed page of any relation file — a heap page, a data page of a
+// trie, a B+-tree or an R-tree index, a page 0 — is (a) reported by SCRUB
+// with the file and page, (b) never served to a query — the scan fails
+// with ErrPageCorrupt instead of returning poisoned rows, and a file whose
+// page 0 is damaged is refused at open — and (c) not a reason to degrade:
+// read-side corruption is per-page, the database stays writable elsewhere.
 func TestScrubReportsBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	db, err := executor.Open(executor.Options{Dir: dir, WAL: true, WALSync: wal.SyncCommit})
-	if err != nil {
-		t.Fatal(err)
+	textKey := func(i int) catalog.Datum { return catalog.NewText(fmt.Sprintf("word%03d", i)) }
+	pointKey := func(i int) catalog.Datum { return catalog.NewPoint(geom.Point{X: float64(i), Y: float64(i % 7)}) }
+	cases := []struct {
+		name   string
+		key    func(i int) catalog.Datum
+		method string // "" for no index: the flip goes into the heap
+		page   int
+		pred   executor.Pred
+	}{
+		{"heap page", textKey, "", 1, executor.Pred{}},
+		{"trie page", textKey, "spgist", 1, executor.Pred{Op: "=", Arg: textKey(7)}},
+		{"btree page", textKey, "btree", 1, executor.Pred{Op: "=", Arg: textKey(7)}},
+		{"rtree page", pointKey, "rtree", 1, executor.Pred{Op: "@", Arg: pointKey(7)}},
+		{"heap page 0", textKey, "", 0, executor.Pred{}},
+		{"trie page 0", textKey, "spgist", 0, executor.Pred{}},
 	}
-	tb, err := db.CreateTable("t", tortureCols())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := tb.Insert(catalog.Tuple{catalog.NewText(fmt.Sprintf("word%03d", i)), catalog.NewInt(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	heapFile := tb.File()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := executor.Options{Dir: dir, WAL: true, WALSync: wal.SyncCommit}
+			db, err := executor.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := db.CreateTable("t", []executor.Column{{Name: "k", Type: c.key(0).Typ}, {Name: "id", Type: catalog.Int}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			file := tb.File()
+			if c.method != "" {
+				ix, err := db.CreateIndex("t_k", "t", "k", c.method, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				file = ix.File()
+			}
+			for i := 0; i < 50; i++ {
+				if _, err := tb.Insert(catalog.Tuple{c.key(i), catalog.NewInt(int64(i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// A clean scrub first: every page verifies.
-	res, err := db.Scrub("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Issues) != 0 || res.PagesChecked == 0 || res.FilesChecked == 0 {
-		t.Fatalf("clean scrub: %+v", res)
-	}
+			// A clean scrub first: every page verifies.
+			res, err := db.Scrub("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Issues) != 0 || res.PagesChecked == 0 || res.FilesChecked == 0 {
+				t.Fatalf("clean scrub: %+v", res)
+			}
 
-	// Checkpoint so the WAL holds nothing replayable (recovery must not
-	// quietly repair the flip we are about to make), then close.
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+			// Checkpoint so the WAL holds nothing replayable (recovery must
+			// not quietly repair the flip we are about to make). A data page
+			// is flipped under a closed database, so that the reopened one
+			// has to read it; a page 0 under the open one, which could not
+			// open over it.
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			flip := func() {
+				t.Helper()
+				path := filepath.Join(dir, file)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[c.page*storage.DefaultPageSize+100] ^= 0x04
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.page == 0 {
+				flip()
+			} else {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				flip()
+				if db, err = executor.Open(opts); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Flip one bit of page 1's payload, behind the checksum's back.
-	path := filepath.Join(dir, heapFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := storage.DefaultPageSize + 100
-	raw[off] ^= 0x04
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// SCRUB names the file and the page.
+			res, err = db.Scrub("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Issues) != 1 {
+				t.Fatalf("scrub found %d issues, want 1: %+v", len(res.Issues), res.Issues)
+			}
+			is := res.Issues[0]
+			if is.File != file || int(is.Page) != c.page {
+				t.Fatalf("scrub reported %s page %d, want %s page %d", is.File, is.Page, file, c.page)
+			}
+			if !storage.IsPageCorrupt(is.Err) {
+				t.Fatalf("scrub issue error = %v, want page corrupt", is.Err)
+			}
 
-	db, err = executor.Open(executor.Options{Dir: dir, WAL: true, WALSync: wal.SyncCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
+			if c.page == 0 {
+				// The open database holds a good copy of the page; the next
+				// one to read it from disk is refused.
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := executor.Open(opts); !storage.IsPageCorrupt(err) {
+					t.Fatalf("open over a corrupt page 0: %v, want page corrupt", err)
+				}
+				return
+			}
+			defer db.Close()
 
-	// SCRUB names the file and the page.
-	res, err = db.Scrub("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Issues) != 1 {
-		t.Fatalf("scrub found %d issues, want 1: %+v", len(res.Issues), res.Issues)
-	}
-	is := res.Issues[0]
-	if is.File != heapFile || is.Page != 1 {
-		t.Fatalf("scrub reported %s page %d, want %s page 1", is.File, is.Page, heapFile)
-	}
-	if !storage.IsPageCorrupt(is.Err) {
-		t.Fatalf("scrub issue error = %v, want page corrupt", is.Err)
-	}
+			// The corrupt page is never served: the scan fails, it does not
+			// return rows.
+			if tb, err = db.Table("t"); err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			count := func(executor.Row) bool { rows++; return true }
+			if c.method == "" {
+				_, err = tb.Select(nil, count)
+			} else {
+				err = tb.SelectIndexed(tb.Indexes[0], &c.pred, count)
+			}
+			if !storage.IsPageCorrupt(err) || rows != 0 {
+				t.Fatalf("scan over the corrupt page: %d rows and %v, want none and page corrupt", rows, err)
+			}
 
-	// The corrupt page is never served: the scan fails, it does not
-	// return garbage tuples.
-	tb, err = db.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tb.Select(nil, func(executor.Row) bool { return true })
-	if !storage.IsPageCorrupt(err) {
-		t.Fatalf("scan over corrupt page: %v, want page corrupt", err)
-	}
-
-	// Corruption is not degradation: the database is still writable.
-	if state, _ := db.State(); state != "ok" {
-		t.Fatalf("read-side corruption degraded the database: %q", state)
-	}
-	if _, err := db.CreateTable("t2", tortureCols()); err != nil {
-		t.Fatalf("CREATE TABLE after corruption report: %v", err)
+			// Corruption is not degradation: the database is still writable.
+			if state, _ := db.State(); state != "ok" {
+				t.Fatalf("read-side corruption degraded the database: %q", state)
+			}
+			if _, err := db.CreateTable("t2", tortureCols()); err != nil {
+				t.Fatalf("CREATE TABLE after corruption report: %v", err)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/geom"
+	"repro/internal/storage"
 )
 
 // The one rule for meta pages: a pointer in a meta page is saved where it
@@ -21,7 +22,8 @@ func rootPointer(t *testing.T, ix *IndexInfo) []byte {
 	t.Helper()
 	p := mustFetch(t, ix.pool, 0)
 	defer ix.pool.Unpin(p, false)
-	return append([]byte(nil), p.Data[4:10]...)
+	_, _, body := storage.ParseMeta(p.Data)
+	return append([]byte(nil), body[:6]...)
 }
 
 // TestRootMoveInOpenTransactionSurvivesCrash: statements inside BEGIN move

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // The index-vs-seqscan oracle, static-data slice: every access method
@@ -589,15 +591,22 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 	}
 }
 
-// TestTornIndexPageRecovery is TestTornPageRecovery's index twin. An
-// .idx page carries no checksum, so recovery cannot see that its last
-// write was torn; it has to make the tear irrelevant instead, by laying
-// every index page touched since the checkpoint down whole from the log
-// before anything else is trusted on it. Here the background writer's
-// write of one data page of every index — SP-GiST and not — lands its
-// first 512 bytes and the power goes; after recovery every index must
-// agree with the heap, and the heap with the statements that succeeded.
+// TestTornIndexPageRecovery is TestTornPageRecovery's index twin: the
+// background writer's write of one data page of every index — SP-GiST and
+// not — lands its first 512 bytes and the power goes. The torn page fails
+// its checksum at redo and is rebuilt from the log: before the first
+// checkpoint from the file's creation on (the log holds no image of it),
+// after one from the image its first touch since then shipped. After
+// recovery every index must agree with the heap, and the heap with the
+// statements that succeeded.
 func TestTornIndexPageRecovery(t *testing.T) {
+	for _, checkpointed := range []bool{false, true} {
+		name := map[bool]string{false: "before the first checkpoint", true: "after a checkpoint"}[checkpointed]
+		t.Run(name, func(t *testing.T) { tornIndexPageRecovery(t, checkpointed) })
+	}
+}
+
+func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	dir := t.TempDir()
 	faults := map[string]*storage.FaultDiskManager{}
 	db, err := Open(Options{Dir: dir, WAL: true, PoolPages: 16,
@@ -613,31 +622,41 @@ func TestTornIndexPageRecovery(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(31))
 	want := map[string]int{}
-	for ti, ot := range oracleCrashTables {
-		tb := oracleCrashCreate(t, db, ti, false) // 16 frames again: no suffix tree
-		// A load and a checkpoint, so that the log no longer reaches back
-		// to the files' creation, then single-row statements: first
-		// touches of pages the checkpoint left clean, and later touches
-		// of the same pages.
-		for i := 0; i < 400; i += ot.cramped {
-			tups := make([]catalog.Tuple, ot.cramped)
+	insert := func(tb *Table, datum func(*rand.Rand) catalog.Datum, from, to, perStatement int) {
+		t.Helper()
+		for i := from; i < to; i += perStatement {
+			tups := make([]catalog.Tuple, perStatement)
 			for j := range tups {
-				tups[j] = catalog.Tuple{ot.datum(r), catalog.NewInt(int64(i + j))}
+				tups[j] = catalog.Tuple{datum(r), catalog.NewInt(int64(i + j))}
 			}
 			if _, err := tb.InsertBatch(tups); err != nil {
 				t.Fatal(err)
 			}
 		}
+		want[tb.Name] = to
+	}
+	// A load and — in one of the two runs — a checkpoint, so that the log
+	// no longer reaches back to the files' creation, then single-row
+	// statements: first touches of pages the checkpoint left clean, and
+	// later touches of the same pages.
+	var tables []*Table
+	for ti, ot := range oracleCrashTables {
+		tb := oracleCrashCreate(t, db, ti, false) // 16 frames again: no suffix tree
+		insert(tb, ot.datum, 0, 400, ot.cramped)
+		tables = append(tables, tb)
+	}
+	if checkpointed {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		for i := 400; i < 600; i++ {
-			if _, err := tb.Insert(catalog.Tuple{ot.datum(r), catalog.NewInt(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want[ot.name] = 600
+	}
+	spgist := map[string]bool{} // files of slotted node records
+	for ti, tb := range tables {
+		insert(tb, oracleCrashTables[ti].datum, 400, 600, 1)
 		for _, ix := range tb.Indexes {
+			if ix.OpClass.AM == "spgist" {
+				spgist[ix.file] = true
+			}
 			// The meta page stays pinned, so the writer's first candidate
 			// is a data page; all three attempts at it are torn.
 			fdm, meta := faults[ix.file], mustFetch(t, ix.pool, 0)
@@ -651,14 +670,35 @@ func TestTornIndexPageRecovery(t *testing.T) {
 			}
 		}
 	}
+	if got := db.WAL().CheckpointLSN() != 0; got != checkpointed {
+		t.Fatalf("the log was checkpointed: %v, want %v", got, checkpointed)
+	}
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
+	}
+	nodePageImages := 0
+	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
+		if r.Type == wal.RecPageImage && spgist[r.File] && r.Page != 0 {
+			nodePageImages++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if (nodePageImages != 0) != checkpointed {
+		t.Fatalf("the log holds %d images of SP-GiST node pages; none are due before the first checkpoint, some after it", nodePageImages)
 	}
 	db, err = Open(Options{Dir: dir, WAL: true, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	// A torn page of slotted records is found by its checksum and rebuilt;
+	// a B+-tree or R-tree page is logged as images only, and its last
+	// image overwrites the tear unseen.
+	if rs := db.RecoveryStats(); rs.TornPages < int64(len(spgist)) || rs.TornRepaired != rs.TornPages {
+		t.Fatalf("recovery found %d torn pages and repaired %d, want all of at least %d", rs.TornPages, rs.TornRepaired, len(spgist))
+	}
 	matched := map[string]int{}
 	for _, tb := range db.Tables() {
 		if rids, _ := oracleRows(t, tb); len(rids) != want[tb.Name] {
@@ -667,6 +707,9 @@ func TestTornIndexPageRecovery(t *testing.T) {
 		oracleCheckTable(t, r, tb, 40, matched)
 	}
 	oracleAllMatched(t, matched)
+	if res, err := db.Scrub(""); err != nil || len(res.Issues) != 0 {
+		t.Fatalf("scrub after the repair: %v, %+v", err, res)
+	}
 }
 
 func mustFetch(t *testing.T, bp *storage.BufferPool, id storage.PageID) *storage.Page {

@@ -7,14 +7,13 @@ import (
 )
 
 // SCRUB: online checksum verification of relation files, the pg_checksums
-// / amcheck analogue. Every page of every checksummed file (heap .tbl
-// files and the system catalog; index files carry no checksums and are
-// rebuildable from their heaps) is read from disk and verified against
-// its stored checksum. Pages whose cached frame is dirty are skipped —
-// the disk copy is legitimately stale there — and reads happen under the
-// owning shard's mutex, so a concurrent eviction write can never be
-// observed half-done. The scan runs under the shared statement lock:
-// queries and DML proceed, only DDL waits.
+// / amcheck analogue. Every page of every relation file — heaps, indexes
+// and the system catalog, page 0 included — is read from disk and
+// verified against its stored checksum. Pages whose cached frame is dirty
+// are skipped — the disk copy is legitimately stale there — and a failed
+// read is confirmed under the owning shard's mutex, so a concurrent
+// eviction write can never be observed half-done. The scan runs under the
+// shared statement lock: queries and DML proceed, only DDL waits.
 
 // ScrubIssue reports one page that failed verification.
 type ScrubIssue struct {
@@ -34,8 +33,8 @@ type ScrubResult struct {
 	Issues       []ScrubIssue
 }
 
-// Scrub checksum-verifies every page of every checksummed relation file
-// (or only tableName's heap when non-empty). The error return is for
+// Scrub checksum-verifies every page of every relation file (or only
+// those of tableName and its indexes when non-empty). The error return is for
 // setup problems (unknown table); corrupt pages are reported in
 // Issues, not as an error, so one bad page never hides the rest of the
 // report.
@@ -58,12 +57,9 @@ func (db *DB) Scrub(tableName string) (*ScrubResult, error) {
 	res := &ScrubResult{}
 	scratch := make([]byte, db.pageSize)
 	for _, bp := range pools {
-		if !bp.ChecksumsEnabled() {
-			continue
-		}
 		res.FilesChecked++
 		n := bp.DM().NumPages()
-		for p := uint32(1); p < n; p++ {
+		for p := uint32(0); p < n; p++ {
 			res.PagesChecked++
 			if err := bp.VerifyPage(storage.PageID(p), scratch); err != nil {
 				res.Issues = append(res.Issues, ScrubIssue{

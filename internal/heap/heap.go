@@ -101,23 +101,11 @@ func ParseTuple(rec []byte) (TupleHeader, []byte) {
 	}, rec[TupleHeaderSize:]
 }
 
-// Heap file metadata page layout (page 0).
+// Heap file meta page: the magic, and the body storage frames on page 0 —
+// [last page with free space u32 (hint)][live records u64].
 const (
-	metaMagic   = 0x48454150 // "HEAP"
-	metaMagicOf = 0
-	metaLastOf  = 4  // last page with free space (hint)
-	metaCountOf = 8  // number of live records
-	metaVerOf   = 16 // on-disk record format version
-
-	// formatVersion is the current on-disk format: 1 added the MVCC
-	// TupleHeader prefix on every record; 2 widened the slotted page
-	// header to 24 bytes, adding the per-page checksum field. Files
-	// written before the tuple header read version 0 (the meta field
-	// was unwritten zeros); version-1 files place records 8 bytes
-	// earlier than this build's slotted layout expects. Both are
-	// refused at Open — misparsing either would silently corrupt the
-	// system catalog and all user rows.
-	formatVersion = 2
+	metaMagic    = 0x48454150 // "HEAP"
+	metaBodySize = 12
 )
 
 // File is a heap file over a buffer pool. Methods are not safe for
@@ -128,40 +116,32 @@ type File struct {
 	count    int64
 }
 
+func (f *File) metaBody() (body [metaBodySize]byte) {
+	binary.LittleEndian.PutUint32(body[0:], uint32(f.lastPage))
+	binary.LittleEndian.PutUint64(body[4:], uint64(f.count))
+	return body
+}
+
 // Create initializes a new heap file on an empty buffer pool / disk.
 func Create(bp *storage.BufferPool) (*File, error) {
-	if bp.DM().NumPages() != 0 {
-		return nil, fmt.Errorf("heap: create on non-empty file")
-	}
-	meta, err := bp.NewPage()
-	if err != nil {
+	f := &File{bp: bp, lastPage: storage.InvalidPageID}
+	body := f.metaBody()
+	if err := bp.CreateMeta(metaMagic, body[:]); err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[metaMagicOf:], metaMagic)
-	binary.LittleEndian.PutUint32(meta.Data[metaLastOf:], uint32(storage.InvalidPageID))
-	binary.LittleEndian.PutUint64(meta.Data[metaCountOf:], 0)
-	binary.LittleEndian.PutUint32(meta.Data[metaVerOf:], formatVersion)
-	bp.Unpin(meta, true)
-	return &File{bp: bp, lastPage: storage.InvalidPageID}, nil
+	return f, nil
 }
 
 // Open attaches to an existing heap file.
 func Open(bp *storage.BufferPool) (*File, error) {
-	meta, err := bp.Fetch(0)
-	if err != nil {
-		return nil, fmt.Errorf("heap: open: %w", err)
-	}
-	defer bp.Unpin(meta, false)
-	if binary.LittleEndian.Uint32(meta.Data[metaMagicOf:]) != metaMagic {
-		return nil, fmt.Errorf("heap: bad magic (not a heap file)")
-	}
-	if v := binary.LittleEndian.Uint32(meta.Data[metaVerOf:]); v != formatVersion {
-		return nil, fmt.Errorf("heap: on-disk format version %d, want %d (version 0 predates MVCC tuple headers, version 1 predates page checksums; dump and reload with a matching build)", v, formatVersion)
+	var body [metaBodySize]byte
+	if err := bp.ReadMeta(metaMagic, body[:]); err != nil {
+		return nil, err
 	}
 	return &File{
 		bp:       bp,
-		lastPage: storage.PageID(binary.LittleEndian.Uint32(meta.Data[metaLastOf:])),
-		count:    int64(binary.LittleEndian.Uint64(meta.Data[metaCountOf:])),
+		lastPage: storage.PageID(binary.LittleEndian.Uint32(body[0:])),
+		count:    int64(binary.LittleEndian.Uint64(body[4:])),
 	}, nil
 }
 
@@ -183,19 +163,8 @@ func (f *File) NumPages() uint32 { return f.bp.DM().NumPages() }
 // a crash they read as of the last commit; Recount brings them up to what
 // recovery replayed.
 func (f *File) SaveMeta() error {
-	meta, err := f.bp.Fetch(0)
-	if err != nil {
-		return err
-	}
-	d := meta.Data
-	changed := binary.LittleEndian.Uint32(d[metaLastOf:]) != uint32(f.lastPage) ||
-		binary.LittleEndian.Uint64(d[metaCountOf:]) != uint64(f.count)
-	if changed {
-		binary.LittleEndian.PutUint32(d[metaLastOf:], uint32(f.lastPage))
-		binary.LittleEndian.PutUint64(d[metaCountOf:], uint64(f.count))
-	}
-	f.bp.Unpin(meta, changed)
-	return nil
+	body := f.metaBody()
+	return f.bp.WriteMeta(body[:])
 }
 
 // Recount sets the record count and the last-page hint from the data

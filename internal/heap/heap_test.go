@@ -2,9 +2,11 @@ package heap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -12,7 +14,7 @@ import (
 
 func newTestHeap(t *testing.T) *File {
 	t.Helper()
-	bp := storage.NewBufferPool(storage.NewMem(1024), 16)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 16)
 	f, err := Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +148,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(dm, 16)
+	bp := storage.NewBufferPool("", dm, 16)
 	f, err := Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +173,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp2 := storage.NewBufferPool(dm2, 16)
+	bp2 := storage.NewBufferPool("", dm2, 16)
 	f2, err := Open(bp2)
 	if err != nil {
 		t.Fatal(err)
@@ -195,48 +197,68 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesPreVersionFormat pins the format gate: a heap file
-// whose meta page predates the MVCC tuple header (format version 0 —
-// the field was unwritten zeros) must refuse to open, not silently
-// parse the first TupleHeaderSize bytes of every payload as a header.
+// TestOpenRefusesPreVersionFormat pins the format gate: this build opens
+// files of storage.FormatVersion and refuses everything else — a well
+// formed page 0 of any other version by the one version check, and a file
+// laid out the way earlier builds wrote it (magic at byte 0, the heap's
+// own version counter where the page checksum now lives) before that, by
+// the checksum of its page 0.
 func TestOpenRefusesPreVersionFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heap.dat")
-	dm, err := storage.OpenFile(path, 1024)
-	if err != nil {
-		t.Fatal(err)
+	const pageSize = 1024
+	cases := []struct {
+		name    string
+		rewrite func(meta []byte)
+		refused func(err error) bool
+	}{
+		{"another version in the framing", func(meta []byte) {
+			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize+4:], storage.FormatVersion-1)
+			storage.StampPageChecksum(meta)
+		}, func(err error) bool { return strings.Contains(err.Error(), "on-disk format version 2") }},
+		{"the layout before the common header", func(meta []byte) {
+			clear(meta)
+			binary.LittleEndian.PutUint32(meta[0:], metaMagic)
+			binary.LittleEndian.PutUint32(meta[4:], 1)  // last page
+			binary.LittleEndian.PutUint64(meta[8:], 1)  // count
+			binary.LittleEndian.PutUint32(meta[16:], 2) // the heap's format version
+		}, storage.IsPageCorrupt},
 	}
-	bp := storage.NewBufferPool(dm, 16)
-	f, err := Create(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Insert([]byte("row")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "heap.dat")
+			dm, err := storage.OpenFile(path, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp := storage.NewBufferPool("heap.dat", dm, 16)
+			f, err := Create(bp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Insert([]byte("row")); err != nil {
+				t.Fatal(err)
+			}
+			if err := bp.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Rewrite the meta page with the version field zeroed, the way a
-	// pre-MVCC build left it.
-	dm2, err := storage.OpenFile(path, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := make([]byte, 1024)
-	if err := dm2.ReadPage(0, meta); err != nil {
-		t.Fatal(err)
-	}
-	for i := metaVerOf; i < metaVerOf+4; i++ {
-		meta[i] = 0
-	}
-	if err := dm2.WritePage(0, meta); err != nil {
-		t.Fatal(err)
-	}
-	bp2 := storage.NewBufferPool(dm2, 16)
-	defer bp2.Close()
-	if _, err := Open(bp2); err == nil {
-		t.Fatal("Open accepted a format-version-0 heap file")
+			dm2, err := storage.OpenFile(path, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := make([]byte, pageSize)
+			if err := dm2.ReadPage(0, meta); err != nil {
+				t.Fatal(err)
+			}
+			c.rewrite(meta)
+			if err := dm2.WritePage(0, meta); err != nil {
+				t.Fatal(err)
+			}
+			bp2 := storage.NewBufferPool("heap.dat", dm2, 16)
+			defer bp2.Close()
+			if _, err := Open(bp2); err == nil || !c.refused(err) {
+				t.Fatalf("Open returned %v", err)
+			}
+		})
 	}
 }
 

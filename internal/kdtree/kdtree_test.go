@@ -13,7 +13,7 @@ import (
 
 func newTree(t testing.TB) *core.Tree {
 	t.Helper()
-	bp := storage.NewBufferPool(storage.NewMem(8192), 128)
+	bp := storage.NewBufferPool("", storage.NewMem(8192), 128)
 	tr, err := core.Create(bp, New())
 	if err != nil {
 		t.Fatal(err)

@@ -1,18 +1,17 @@
 // Package pageinspect decodes raw pages of this repository's on-disk
 // structures straight from the file — no executor, no buffer pool, no
 // recovery — the way PostgreSQL's pageinspect extension (and tools like
-// pg_filedump) read relation files. It understands every page file the
-// engine writes:
+// pg_filedump) read relation files. Every page of every file opens with
+// the same header (storage.PageHeaderSize bytes: pageLSN and a checksum
+// that is verified against a recomputation, mismatches flagged), printed
+// the same way for all of them; page 0 then holds storage's meta framing
+// (magic, format version, the access method's body), and the data pages
+// what the file kind keeps there:
 //
 //	heap files    (rel<oid>.tbl, magic "HEAP"): slotted tuple pages;
 //	              each tuple opens with the 18-byte MVCC header
-//	              [xmin:8][xmax:8][infomask:2] (PR 8). The meta page
-//	              carries a format version (1 added the MVCC header,
-//	              2 the per-page checksum; the engine refuses older
-//	              files) — shown in the meta dump. Each data page's
-//	              stored checksum is verified against a recomputation
-//	              and mismatches are flagged. Records shorter than the
-//	              header decode as frozen tuples
+//	              [xmin:8][xmax:8][infomask:2]. Records shorter than
+//	              the header decode as frozen tuples
 //	B+-tree files (rel<oid>.idx, magic "BTRE"): one node per page
 //	SP-GiST files (rel<oid>.idx, magic "SPGS"): slotted node-record pages
 //	R-tree files  (rel<oid>.idx, magic "RTRE"): one node per page
@@ -66,7 +65,7 @@ func (k FileKind) String() string {
 
 // The page-0 magics of every structure, mirrored from their packages
 // (heap, btree, core, rtree). All are big-endian ASCII read as a
-// little-endian uint32 at offset 0.
+// little-endian uint32.
 const (
 	magicHeap   = 0x48454150 // "HEAP"
 	magicBTree  = 0x42545245 // "BTRE"
@@ -76,10 +75,7 @@ const (
 
 // DetectKind classifies a page file from its metadata page (page 0).
 func DetectKind(page0 []byte) FileKind {
-	if len(page0) < 4 {
-		return KindUnknown
-	}
-	switch binary.LittleEndian.Uint32(page0) {
+	switch magic, _, _ := storage.ParseMeta(page0); magic {
 	case magicHeap:
 		return KindHeap
 	case magicBTree:
@@ -126,50 +122,62 @@ func Describe(w io.Writer, path string, pageNo uint32, pageSize int) error {
 		}
 	}
 	fmt.Fprintf(w, "%s: %s file, %d pages of %d bytes\n", path, kind, dm.NumPages(), pageSize)
-	fmt.Fprintf(w, "page %d:\n", pageNo)
-	if pageNo == 0 {
-		describeMeta(w, kind, page)
-		return nil
-	}
-	switch kind {
-	case KindHeap:
-		describeSlotted(w, page, true, describeHeapTuple)
-	case KindSPGiST:
-		// Index files carry no per-page checksums (they are rebuildable
-		// from the heap), so the field is decoded but never verified.
-		describeSlotted(w, page, false, describeSPGiSTNode)
-	case KindBTree:
-		describeBTreeNode(w, page)
-	case KindRTree:
-		describeRTreeNode(w, page)
-	default:
-		fmt.Fprintf(w, "  unknown file kind; raw bytes:\n")
-		hexdump(w, "  ", page[:min(len(page), 256)])
-	}
+	describePage(w, kind, pageNo, page)
 	return nil
 }
 
-// describeMeta dumps page 0 of any file kind. Field offsets mirror each
-// structure's documented meta layout.
-func describeMeta(w io.Writer, kind FileKind, p []byte) {
-	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(p[off:]) }
-	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(p[off:]) }
+// describePage dumps one page of a file of the given kind: the header
+// every page has, then page 0's meta framing or the kind's data page.
+func describePage(w io.Writer, kind FileKind, pageNo uint32, page []byte) {
+	fmt.Fprintf(w, "page %d:\n", pageNo)
+	if len(page) < storage.PageHeaderSize {
+		fmt.Fprintf(w, "  page of %d bytes is smaller than the page header\n", len(page))
+		return
+	}
+	fmt.Fprintf(w, "  page header: lsn=%d cksum=%s\n", storage.PageLSN(page), describeChecksum(page))
+	if pageNo == 0 {
+		describeMeta(w, kind, page)
+		return
+	}
 	switch kind {
 	case KindHeap:
-		fmt.Fprintf(w, "  meta: magic=\"HEAP\" last_page_hint=%s count=%d format=%d\n",
-			pageIDString(u32(4)), u64(8), u32(16))
-	case KindBTree:
-		fmt.Fprintf(w, "  meta: magic=\"BTRE\" root=%s height=%d count=%d\n",
-			pageIDString(u32(4)), u32(8), u64(12))
+		describeSlotted(w, page, describeHeapTuple)
 	case KindSPGiST:
-		fmt.Fprintf(w, "  meta: magic=\"SPGS\" root=(%s,%d) nkeys=%d\n",
-			pageIDString(u32(4)), binary.LittleEndian.Uint16(p[8:]), u64(16))
+		describeSlotted(w, page, describeSPGiSTNode)
+	case KindBTree:
+		describeBTreeNode(w, storage.PageBody(page))
 	case KindRTree:
-		fmt.Fprintf(w, "  meta: magic=\"RTRE\" root=%s height=%d count=%d\n",
-			pageIDString(u32(4)), u32(8), u64(12))
+		describeRTreeNode(w, storage.PageBody(page))
 	default:
-		fmt.Fprintf(w, "  meta: unrecognized magic %#08x; raw bytes:\n", u32(0))
+		fmt.Fprintf(w, "  unknown file kind; raw bytes:\n")
+		hexdump(w, "  ", page)
+	}
+}
+
+// describeMeta dumps page 0 of any file kind: storage's framing, then the
+// body, whose field offsets mirror each structure's documented layout.
+func describeMeta(w io.Writer, kind FileKind, p []byte) {
+	magic, format, body := storage.ParseMeta(p)
+	if kind == KindUnknown || len(body) < 16 {
+		fmt.Fprintf(w, "  meta: unrecognized magic %#08x; raw bytes:\n", magic)
 		hexdump(w, "  ", p[:min(len(p), 64)])
+		return
+	}
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(body[off:]) }
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(body[off:]) }
+	switch kind {
+	case KindHeap:
+		fmt.Fprintf(w, "  meta: magic=\"HEAP\" format=%d last_page_hint=%s count=%d\n",
+			format, pageIDString(u32(0)), u64(4))
+	case KindBTree:
+		fmt.Fprintf(w, "  meta: magic=\"BTRE\" format=%d root=%s height=%d count=%d\n",
+			format, pageIDString(u32(0)), u32(4), u64(8))
+	case KindSPGiST:
+		fmt.Fprintf(w, "  meta: magic=\"SPGS\" format=%d root=(%s,%d) nkeys=%d\n",
+			format, pageIDString(u32(0)), binary.LittleEndian.Uint16(body[4:]), u64(6))
+	case KindRTree:
+		fmt.Fprintf(w, "  meta: magic=\"RTRE\" format=%d root=%s height=%d count=%d\n",
+			format, pageIDString(u32(0)), u32(4), u64(8))
 	}
 }
 
@@ -182,41 +190,39 @@ func pageIDString(id uint32) string {
 	return fmt.Sprintf("%d", id)
 }
 
-// describeSlotted dumps a slotted page — the 24-byte header, the line
-// pointer directory, and each live record through the per-kind decoder.
-func describeSlotted(w io.Writer, p []byte, checksummed bool, rec func(w io.Writer, slot int, rec []byte)) {
+// describeSlotted dumps the rest of a slotted page — the slotted fields of
+// the header, the line pointer directory, and each live record through
+// the per-kind decoder.
+func describeSlotted(w io.Writer, p []byte, rec func(w io.Writer, slot int, rec []byte)) {
 	nslots := storage.SlotCount(p)
-	fmt.Fprintf(w, "  slotted header: nslots=%d nlive=%d free=[%d,%d) lsn=%d cksum=%s\n",
+	fmt.Fprintf(w, "  slotted header: nslots=%d nlive=%d free=[%d,%d)\n",
 		nslots, storage.SlotLive(p),
-		binary.LittleEndian.Uint16(p[2:]), binary.LittleEndian.Uint16(p[4:]),
-		storage.PageLSN(p), describeChecksum(p, checksummed))
+		binary.LittleEndian.Uint16(p[2:]), binary.LittleEndian.Uint16(p[4:]))
 	for s := 0; s < nslots; s++ {
 		off, length, dead := storage.SlotEntry(p, s)
 		if dead {
 			fmt.Fprintf(w, "  slot %d: dead\n", s)
 			continue
 		}
+		r := storage.SlotRead(p, s)
+		if r == nil {
+			fmt.Fprintf(w, "  slot %d: off=%d len=%d CORRUPT (line pointer leaves the page)\n", s, off, length)
+			continue
+		}
 		fmt.Fprintf(w, "  slot %d: off=%d len=%d\n", s, off, length)
-		rec(w, s, p[off:int(off)+int(length)])
+		rec(w, s, r)
 	}
 }
 
-// describeChecksum renders the slotted header's checksum field. For
-// checksummed files (heap, system catalog) the stored value is verified
-// against a recomputation over the page image: 0 means the page predates
-// checksums ("unstamped"), a match prints "ok", and a mismatch is
+// describeChecksum renders the header's checksum field, verified against
+// a recomputation over the page: a match prints "ok", a mismatch is
 // flagged loudly with both values — the same condition SCRUB reports.
-// Index pages carry the field but are never stamped, so only the raw
-// value is shown.
-func describeChecksum(p []byte, checksummed bool) string {
-	stored := storage.PageStoredChecksum(p)
-	if !checksummed {
-		return fmt.Sprintf("%#08x", stored)
-	}
+// Only a page that was allocated and never written holds 0.
+func describeChecksum(p []byte) string {
 	stored, computed, ok := storage.VerifyPageChecksum(p)
 	switch {
-	case stored == 0:
-		return "0 (unstamped)"
+	case ok && stored == 0:
+		return "0 (page never written)"
 	case ok:
 		return fmt.Sprintf("%#08x (ok)", stored)
 	default:
@@ -328,7 +334,7 @@ func describeSPGiSTNode(w io.Writer, _ int, rec []byte) {
 	}
 }
 
-// describeBTreeNode dumps a B+-tree node page: [kind u8][nkeys u16]
+// describeBTreeNode dumps the body of a B+-tree node page: [kind u8][nkeys u16]
 // [next u32 (leaf) | child0 u32 (inner)], then length-prefixed keys with
 // a RID (leaf) or child page (inner) each.
 func describeBTreeNode(w io.Writer, p []byte) {
@@ -378,7 +384,7 @@ func describeBTreeNode(w io.Writer, p []byte) {
 	}
 }
 
-// describeRTreeNode dumps an R-tree node page: [kind u8][n u16], then
+// describeRTreeNode dumps the body of an R-tree node page: [kind u8][n u16], then
 // fixed 40-byte entries of a 4-float64 rectangle plus a child page
 // (inner) or RID (leaf).
 func describeRTreeNode(w io.Writer, p []byte) {

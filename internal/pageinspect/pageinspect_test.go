@@ -1,15 +1,19 @@
 package pageinspect
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/am"
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/executor"
+	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/storage"
 )
@@ -32,7 +36,7 @@ func TestHeapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(dm, 16)
+	bp := storage.NewBufferPool("", dm, 16)
 	hf, err := heap.Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +83,7 @@ func TestBTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(dm, 16)
+	bp := storage.NewBufferPool("", dm, 16)
 	bt, err := btree.Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +200,7 @@ func TestDescribeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := storage.NewBufferPool(dm, 8)
+	bp := storage.NewBufferPool("", dm, 8)
 	if _, err := heap.Create(bp); err != nil {
 		t.Fatal(err)
 	}
@@ -209,54 +213,145 @@ func TestDescribeErrors(t *testing.T) {
 	}
 }
 
-// TestChecksumDescribe pins the three checksum renderings on a heap
-// page: unstamped (stored 0, the pre-v2 compat sentinel), stamped and
-// matching, and stamped but mismatching after a bit flip.
+// buildFile writes a small relation file of the given kind, in pages of
+// pageSize bytes, through its access method and a buffer pool, closes it,
+// and returns its path.
+func buildFile(t testing.TB, kind FileKind, pageSize int) string {
+	t.Helper()
+	name := map[FileKind]string{KindHeap: "rel1.tbl", KindBTree: "rel2.idx", KindSPGiST: "rel3.idx", KindRTree: "rel4.idx"}[kind]
+	path := filepath.Join(t.TempDir(), name)
+	dm, err := storage.OpenFile(path, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := storage.NewBufferPool(name, dm, 8)
+	if kind == KindHeap {
+		hf, err := heap.Create(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hf.Insert(catalog.EncodeTuple(catalog.Tuple{catalog.NewText("w"), catalog.NewInt(7)})); err != nil {
+			t.Fatal(err)
+		}
+		if err := hf.SaveMeta(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		opclass := map[FileKind]string{KindBTree: "btree_text", KindSPGiST: "spgist_trie", KindRTree: "rtree_point"}[kind]
+		idx, err := am.New(opclass, bp, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := catalog.NewText("w")
+		if kind == KindRTree {
+			key = catalog.NewPoint(geom.Point{X: 1, Y: 2})
+		}
+		if err := idx.Insert(key, heap.RID{Page: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.SaveMeta(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+var allKinds = []FileKind{KindHeap, KindBTree, KindSPGiST, KindRTree}
+
+// TestChecksumDescribe pins the three renderings of the header's checksum
+// field, the same for page 0 and a data page of all four file kinds:
+// stamped and matching, mismatching after a bit flip, and zero on a page
+// that was allocated and never written.
 func TestChecksumDescribe(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.tbl")
-	dm, err := storage.OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			path := buildFile(t, kind, storage.DefaultPageSize)
+			for _, pageNo := range []uint32{0, 1} {
+				if got := describeString(t, path, pageNo); !strings.Contains(got, "page header: lsn=0 cksum=") || !strings.Contains(got, "(ok)") {
+					t.Errorf("page %d dump:\n%s", pageNo, got)
+				}
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[200] ^= 0x01
+			raw[storage.DefaultPageSize+200] ^= 0x01
+			raw = append(raw, make([]byte, storage.DefaultPageSize)...)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, pageNo := range []uint32{0, 1} {
+				if got := describeString(t, path, pageNo); !strings.Contains(got, "MISMATCH") {
+					t.Errorf("corrupt page %d dump:\n%s", pageNo, got)
+				}
+			}
+			if got := describeString(t, path, 2); !strings.Contains(got, "cksum=0 (page never written)") {
+				t.Errorf("never-written page dump:\n%s", got)
+			}
+		})
 	}
-	bp := storage.NewBufferPool(dm, 8)
-	hf, err := heap.Create(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hf.Insert(catalog.EncodeTuple(catalog.Tuple{catalog.NewText("w"), catalog.NewInt(7)})); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// Raw heap writes above bypass the pool's checksum stamping, so the
-	// page lands on disk unstamped.
-	if got := describeString(t, path, 1); !strings.Contains(got, "cksum=0 (unstamped)") {
-		t.Errorf("unstamped page dump:\n%s", got)
-	}
+// corruptLinePointer returns a slotted page of pageSize bytes whose slot 1
+// points past the end of the page.
+func corruptLinePointer(pageSize int) []byte {
+	page := make([]byte, pageSize)
+	storage.SlotInit(page)
+	storage.SlotInsert(page, []byte("a live record"))
+	storage.SlotInsert(page, []byte("another one"))
+	entry := page[storage.PageHeaderSize+storage.SlotEntrySize:]
+	binary.LittleEndian.PutUint16(entry[0:], 8000)
+	binary.LittleEndian.PutUint16(entry[2:], 60000)
+	return page
+}
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestDescribeCorruptLinePointer: a directory entry that leaves the page
+// is printed as corrupt, and the slots around it still decode.
+func TestDescribeCorruptLinePointer(t *testing.T) {
+	for _, kind := range []FileKind{KindHeap, KindSPGiST} {
+		var sb strings.Builder
+		describePage(&sb, kind, 1, corruptLinePointer(storage.DefaultPageSize))
+		for _, want := range []string{"slot 0: off=", "slot 1: off=8000 len=60000 CORRUPT"} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("%s page dump missing %q:\n%s", kind, want, sb.String())
+			}
+		}
 	}
-	page := raw[storage.DefaultPageSize : 2*storage.DefaultPageSize]
-	storage.StampPageChecksum(page)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := describeString(t, path, 1); !strings.Contains(got, "(ok)") {
-		t.Errorf("stamped page dump:\n%s", got)
-	}
+}
 
-	raw[storage.DefaultPageSize+200] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+// FuzzDescribePage feeds arbitrary page bytes to the decoder of every file
+// kind, as a data page and as page 0: whatever the bytes, the result is a
+// dump, never a panic or a hang. Pages are small so that the fuzzer spends
+// its time on new inputs, not on minimizing 8 KB ones.
+func FuzzDescribePage(f *testing.F) {
+	const pageSize = 512
+	for _, kind := range allKinds {
+		raw, err := os.ReadFile(buildFile(f, kind, pageSize))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(kind), false, raw[:pageSize])
+		f.Add(uint8(kind), true, raw[pageSize:2*pageSize])
 	}
-	if got := describeString(t, path, 1); !strings.Contains(got, "MISMATCH") {
-		t.Errorf("corrupt page dump:\n%s", got)
-	}
+	f.Add(uint8(KindHeap), true, corruptLinePointer(pageSize))
+	f.Add(uint8(KindSPGiST), true, corruptLinePointer(pageSize))
+	truncated := make([]byte, pageSize) // a heap tuple that ends inside its first datum
+	storage.SlotInit(truncated)
+	storage.SlotInsert(truncated, heap.EncodeTuple(heap.TupleHeader{}, []byte{1, 0, byte(catalog.Int), 1, 2}))
+	f.Add(uint8(KindHeap), true, truncated)
+	f.Add(uint8(KindUnknown), true, []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, kind uint8, dataPage bool, page []byte) {
+		if len(page) > 2*pageSize {
+			page = page[:2*pageSize]
+		}
+		pageNo := uint32(0)
+		if dataPage {
+			pageNo = 1
+		}
+		describePage(io.Discard, FileKind(kind%5), pageNo, page)
+	})
 }

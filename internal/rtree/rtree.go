@@ -21,16 +21,14 @@ import (
 	"repro/internal/storage"
 )
 
-// Meta page (page 0) layout.
+// Meta page: the magic, and the body storage frames on page 0 —
+// [root u32][height u32][count u64].
 const (
-	magic     = 0x52545245 // "RTRE"
-	mMagicOf  = 0
-	mRootOf   = 4
-	mHeightOf = 8
-	mCountOf  = 12
+	magic        = 0x52545245 // "RTRE"
+	metaBodySize = 16
 )
 
-// Node page layout:
+// Node page layout, after the page header:
 //
 //	[kind u8][n u16] entries: [4 x float64 rect][child u32 | rid 6, padded to 8]
 const (
@@ -70,40 +68,38 @@ type Tree struct {
 	cache *storage.NodeCache[storage.PageID, *node]
 }
 
+func (t *Tree) metaBody() (body [metaBodySize]byte) {
+	binary.LittleEndian.PutUint32(body[0:], uint32(t.root))
+	binary.LittleEndian.PutUint32(body[4:], uint32(t.height))
+	binary.LittleEndian.PutUint64(body[8:], uint64(t.count))
+	return body
+}
+
 // Create initializes a new empty R-tree in an empty page file.
 func Create(bp *storage.BufferPool) (*Tree, error) {
-	if bp.DM().NumPages() != 0 {
-		return nil, fmt.Errorf("rtree: create on non-empty file")
-	}
-	meta, err := bp.NewPage()
-	if err != nil {
+	t := newTree(bp)
+	body := t.metaBody()
+	if err := bp.CreateMeta(magic, body[:]); err != nil {
 		return nil, err
 	}
-	binary.LittleEndian.PutUint32(meta.Data[mMagicOf:], magic)
-	bp.Unpin(meta, true)
-	t := newTree(bp)
-	return t, t.saveMeta()
+	return t, nil
 }
 
 // Open attaches to an existing R-tree file.
 func Open(bp *storage.BufferPool) (*Tree, error) {
-	meta, err := bp.Fetch(0)
-	if err != nil {
+	var body [metaBodySize]byte
+	if err := bp.ReadMeta(magic, body[:]); err != nil {
 		return nil, err
 	}
-	defer bp.Unpin(meta, false)
-	if binary.LittleEndian.Uint32(meta.Data[mMagicOf:]) != magic {
-		return nil, fmt.Errorf("rtree: bad magic")
-	}
 	t := newTree(bp)
-	t.root = storage.PageID(binary.LittleEndian.Uint32(meta.Data[mRootOf:]))
-	t.height = int(binary.LittleEndian.Uint32(meta.Data[mHeightOf:]))
-	t.count = int64(binary.LittleEndian.Uint64(meta.Data[mCountOf:]))
+	t.root = storage.PageID(binary.LittleEndian.Uint32(body[0:]))
+	t.height = int(binary.LittleEndian.Uint32(body[4:]))
+	t.count = int64(binary.LittleEndian.Uint64(body[8:]))
 	return t, nil
 }
 
 func newTree(bp *storage.BufferPool) *Tree {
-	maxFill := (bp.DM().PageSize() - hdrSize) / entrySize
+	maxFill := (bp.DM().PageSize() - storage.PageHeaderSize - hdrSize) / entrySize
 	minFill := maxFill * 2 / 5 // Guttman's recommended m ~ 40% of M
 	if minFill < 1 {
 		minFill = 1
@@ -121,21 +117,8 @@ func newTree(bp *storage.BufferPool) *Tree {
 // group holding the new root page always holds the pointer to it; the
 // count follows at the caller's commit point (SaveMeta).
 func (t *Tree) saveMeta() error {
-	meta, err := t.bp.Fetch(0)
-	if err != nil {
-		return err
-	}
-	d := meta.Data
-	changed := binary.LittleEndian.Uint32(d[mRootOf:]) != uint32(t.root) ||
-		binary.LittleEndian.Uint32(d[mHeightOf:]) != uint32(t.height) ||
-		binary.LittleEndian.Uint64(d[mCountOf:]) != uint64(t.count)
-	if changed {
-		binary.LittleEndian.PutUint32(d[mRootOf:], uint32(t.root))
-		binary.LittleEndian.PutUint32(d[mHeightOf:], uint32(t.height))
-		binary.LittleEndian.PutUint64(d[mCountOf:], uint64(t.count))
-	}
-	t.bp.Unpin(meta, changed)
-	return nil
+	body := t.metaBody()
+	return t.bp.WriteMeta(body[:])
 }
 
 // SaveMeta persists the in-memory metadata (root, height, count) into
@@ -233,7 +216,7 @@ func (t *Tree) readNode(pid storage.PageID) (*node, error) {
 		return nil, err
 	}
 	defer t.bp.Unpin(p, false)
-	return decode(p.Data)
+	return decode(storage.PageBody(p.Data))
 }
 
 // StartPageTrace begins counting the distinct pages touched by read-only
@@ -283,7 +266,7 @@ func (t *Tree) writeNode(pid storage.PageID, n *node) error {
 	if err != nil {
 		return err
 	}
-	n.encode(p.Data)
+	n.encode(storage.PageBody(p.Data))
 	t.bp.Unpin(p, true)
 	return nil
 }
@@ -293,7 +276,7 @@ func (t *Tree) allocNode(n *node) (storage.PageID, error) {
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
-	n.encode(p.Data)
+	n.encode(storage.PageBody(p.Data))
 	t.bp.Unpin(p, true)
 	return p.ID, nil
 }

@@ -11,7 +11,7 @@ import (
 
 func newTestTree(t testing.TB, pageSize int) *Tree {
 	t.Helper()
-	bp := storage.NewBufferPool(storage.NewMem(pageSize), 128)
+	bp := storage.NewBufferPool("", storage.NewMem(pageSize), 128)
 	tr, err := Create(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestPersistence(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMem(1024), 64)
+	bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 	tr, err := Create(bp)
 	if err != nil {
 		t.Fatal(err)

@@ -540,7 +540,7 @@ func showState(s *Session) (*Result, error) {
 }
 
 // SCRUB [table]: online checksum verification. Reads every page of
-// every checksummed relation file (or only the named table's heap) back
+// every relation file (or only the named table's heap and indexes) back
 // from disk and verifies it, reporting one row per corrupt page. A
 // clean scan returns no rows — the Msg carries the coverage summary
 // either way via the plan line.

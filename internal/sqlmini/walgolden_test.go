@@ -71,7 +71,7 @@ func TestGoldenWALStream(t *testing.T) {
 	walDir := filepath.Join(dir, "wal")
 	got := walStream(t, walDir)
 	mustExec(t, s, `CHECKPOINT`)
-	// The first mutation of a checksummed page after a checkpoint ships
+	// The first mutation of a page after a checkpoint ships
 	// a full-page write behind its logical record.
 	mustExec(t, s, `INSERT INTO w VALUES ('theta', 3000)`)
 	got += "-- after CHECKPOINT --\n" + walStream(t, walDir)

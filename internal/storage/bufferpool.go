@@ -98,12 +98,16 @@ type BufferPool struct {
 	dm     DiskManager
 	shards []poolShard
 
-	// walRef holds the attached log writer and record file name. An
-	// atomic pointer rather than a mutex: AttachWAL is called once,
-	// before the pool is shared, and afterwards every dirty unpin and
-	// eviction reads it — a lock here would be a pool-global
-	// serialization point inside the per-shard critical sections.
-	walRef atomic.Pointer[walAttachment]
+	// fileName is the base name of the relation file this pool caches: it
+	// names the pool's pages in log records and in ErrPageCorrupt reports.
+	fileName string
+
+	// walRef holds the attached log writer. An atomic pointer rather than
+	// a mutex: AttachWAL is called once, before the pool is shared, and
+	// afterwards every dirty unpin and eviction reads it — a lock here
+	// would be a pool-global serialization point inside the per-shard
+	// critical sections.
+	walRef atomic.Pointer[wal.Writer]
 
 	// waits joins the pool to the engine's wait-event layer (AttachObs,
 	// once, before the pool is shared; nil for standalone pools). Shard
@@ -141,14 +145,6 @@ type BufferPool struct {
 	readahead      int
 	prefetchActive sync.WaitGroup
 	closed         atomic.Bool
-
-	// checksums enables per-page checksum stamping on every disk write
-	// and verification on every disk read (page 0 excepted: meta pages
-	// own the header bytes the checksum lives in). fileName names this
-	// pool's relation file in ErrPageCorrupt reports. Set once via
-	// EnableChecksums before the pool is shared.
-	checksums bool
-	fileName  string
 }
 
 // inflightRead is one pending disk read published in a shard's in-flight
@@ -165,13 +161,6 @@ type inflightRead struct {
 	fi      int
 	waiters int32 // registered before publish, under the shard mutex
 	err     error
-}
-
-// walAttachment pairs the log writer with the file name used in WAL
-// records for this pool's pages.
-type walAttachment struct {
-	w    *wal.Writer
-	file string
 }
 
 // poolShard owns a disjoint subset of the pool's frames and the pages
@@ -257,8 +246,8 @@ type frame struct {
 	// frame's page while it has been resident (0 after a load from
 	// disk). Together with the on-page LSN it decides whether the next
 	// commit of logical records on the page needs a full-page write:
-	// recovery can only rebuild a torn page, or trust an unchecksummed
-	// one, when an image of it survives in the post-checkpoint log.
+	// recovery can only rebuild a torn page when an image of it survives
+	// in the post-checkpoint log.
 	imagedLSN wal.LSN
 	// prefetched marks a frame read by the prefetcher and not yet used
 	// by a demand fetch: cleared (counting a prefetch hit) on first use,
@@ -266,8 +255,10 @@ type frame struct {
 	prefetched bool
 }
 
-// NewBufferPool creates a pool with capacity frames over dm.
-func NewBufferPool(dm DiskManager, capacity int) *BufferPool {
+// NewBufferPool creates a pool with capacity frames over dm, the relation
+// file called fileName (its base name; "" for a pool nobody will name in
+// a log record or an error report).
+func NewBufferPool(fileName string, dm DiskManager, capacity int) *BufferPool {
 	if capacity < 4 {
 		capacity = 4
 	}
@@ -279,8 +270,9 @@ func NewBufferPool(dm DiskManager, capacity int) *BufferPool {
 		nShards = 1
 	}
 	bp := &BufferPool{
-		dm:     dm,
-		shards: make([]poolShard, nShards),
+		dm:       dm,
+		fileName: fileName,
+		shards:   make([]poolShard, nShards),
 	}
 	for si := range bp.shards {
 		// Distribute the capacity remainder over the first shards so the
@@ -312,9 +304,9 @@ func (bp *BufferPool) DM() DiskManager { return bp.dm }
 // NumShards reports the page-table shard count (introspection, tests).
 func (bp *BufferPool) NumShards() int { return len(bp.shards) }
 
-// AttachWAL enables write-ahead logging for this pool. fileName is the
-// name under which this pool's pages appear in log records (the data
-// file's base name). Must be called before the pool is used.
+// AttachWAL enables write-ahead logging for this pool; its pages appear
+// in log records under the pool's file name. Must be called before the
+// pool is used.
 //
 // The log must already hold a statement boundary — a commit or
 // checkpoint marker; executor.Open plants one in a fresh log before it
@@ -323,11 +315,11 @@ func (bp *BufferPool) NumShards() int { return len(bp.shards) }
 // uncommitted-tail discard are positional (relative to the last
 // marker), so on a marker-less log neither would protect the first
 // statement. Attaching to one is a caller bug and panics.
-func (bp *BufferPool) AttachWAL(w *wal.Writer, fileName string) {
+func (bp *BufferPool) AttachWAL(w *wal.Writer) {
 	if w.CommittedLSN() == 0 {
 		panic("storage: AttachWAL on a log with no commit or checkpoint marker")
 	}
-	bp.walRef.Store(&walAttachment{w: w, file: fileName})
+	bp.walRef.Store(w)
 }
 
 // AttachObs joins the pool to a wait-event set: shard-mutex contention
@@ -356,21 +348,7 @@ func (bp *BufferPool) AttachPrefetcher(pf *Prefetcher, readahead int) {
 // disabled). Scan layers use it to size their prefetch distance.
 func (bp *BufferPool) ReadaheadPages() int { return bp.readahead }
 
-// EnableChecksums turns on per-page checksum stamping and verification
-// for this pool. fileName is the relation file's base name, used in
-// ErrPageCorrupt reports. Only callable for files whose non-meta pages
-// are slotted areas (heap files and the catalog — index node layouts
-// own the bytes the checksum field occupies). Like AttachWAL, call
-// before the pool is shared.
-func (bp *BufferPool) EnableChecksums(fileName string) {
-	bp.checksums = true
-	bp.fileName = fileName
-}
-
-// ChecksumsEnabled reports whether this pool verifies page checksums.
-func (bp *BufferPool) ChecksumsEnabled() bool { return bp.checksums }
-
-// FileName returns the relation file name set by EnableChecksums ("" otherwise).
+// FileName returns the base name of the relation file this pool caches.
 func (bp *BufferPool) FileName() string { return bp.fileName }
 
 // I/O retry policy: a transient read/write error is retried up to
@@ -395,12 +373,8 @@ func (bp *BufferPool) backoff(attempt int) {
 }
 
 // verifyOnRead checks a page just read from disk against its stored
-// checksum, returning a typed ErrPageCorrupt on mismatch. Meta pages
-// (page 0) and pools without checksums pass through.
+// checksum, returning a typed ErrPageCorrupt on mismatch.
 func (bp *BufferPool) verifyOnRead(id PageID, data []byte) error {
-	if !bp.checksums || id == 0 {
-		return nil
-	}
 	if stored, computed, ok := VerifyPageChecksum(data); !ok {
 		return &ErrPageCorrupt{File: bp.fileName, PageID: id, Expected: stored, Got: computed}
 	}
@@ -428,15 +402,12 @@ func (bp *BufferPool) readPageRetry(id PageID, buf []byte, ev obs.WaitEvent) err
 	}
 }
 
-// writePageRetry stamps the page checksum (checksummed pools, non-meta
-// pages) and writes the page, retrying transient errors per the retry
-// policy. Callers hold the owning shard's mutex with the frame
-// unpinned, so mutating the checksum bytes in place cannot race a
-// reader.
+// writePageRetry stamps the page checksum and writes the page, retrying
+// transient errors per the retry policy. Callers hold the owning shard's
+// mutex with the frame unpinned, so mutating the checksum bytes in place
+// cannot race a reader.
 func (bp *BufferPool) writePageRetry(id PageID, data []byte) error {
-	if bp.checksums && id != 0 {
-		StampPageChecksum(data)
-	}
+	StampPageChecksum(data)
 	for attempt := 0; ; attempt++ {
 		err := bp.dm.WritePage(id, data)
 		if err == nil || attempt+1 >= ioRetryAttempts || !IsTransient(err) {
@@ -455,11 +426,8 @@ func (bp *BufferPool) writePageRetry(id PageID, data []byte) error {
 // behind retry backoff. A failure is then re-checked under the mutex,
 // which every pool disk write also holds: an in-progress write the
 // unlocked read observed torn cannot still look torn on the locked
-// re-read. Returns nil for meta pages and non-checksummed pools.
+// re-read.
 func (bp *BufferPool) VerifyPage(id PageID, scratch []byte) error {
-	if !bp.checksums || id == 0 {
-		return nil
-	}
 	sh := &bp.shards[bp.shardOf(id)]
 	bp.lockShard(sh)
 	if fi, ok := sh.table[id]; ok && sh.frames[fi].dirty {
@@ -507,14 +475,8 @@ func (bp *BufferPool) lockShard(sh *poolShard) {
 	bp.waits.End(m)
 }
 
-// WAL returns the attached log writer and record file name (nil, "" when
-// logging is disabled).
-func (bp *BufferPool) WAL() (*wal.Writer, string) {
-	if a := bp.walRef.Load(); a != nil {
-		return a.w, a.file
-	}
-	return nil, ""
-}
+// WAL returns the attached log writer (nil when logging is disabled).
+func (bp *BufferPool) WAL() *wal.Writer { return bp.walRef.Load() }
 
 // Stats returns a snapshot of the pool counters, summed over shards.
 // Under concurrent traffic the counters are read at slightly different
@@ -822,13 +784,12 @@ func (bp *BufferPool) Unpin(p *Page, dirty bool) {
 // assigns the record's LSN. With no WAL attached there is nothing to
 // build: it is a plain dirty unpin.
 func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file string) int) {
-	a := bp.walRef.Load()
-	if a == nil {
+	if bp.WAL() == nil {
 		bp.Unpin(p, true)
 		return
 	}
 	bp.opsMu.Lock()
-	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(&bp.ops, a.file)})
+	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(&bp.ops, bp.fileName)})
 	bp.opsMu.Unlock()
 	sh := &bp.shards[p.shard]
 	bp.lockShard(sh)
@@ -854,7 +815,7 @@ type Staged struct {
 // LSNs. The caller must serialize StagePending/ResolvePending pairs per
 // pool (the executor's per-table writer lock and exclusive DDL lock do).
 func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
-	w, file := bp.WAL()
+	w := bp.WAL()
 	if w == nil {
 		return nil
 	}
@@ -872,12 +833,12 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 			if !f.valid || !f.imagePending {
 				continue
 			}
-			idx := g.AddPageImage(file, uint32(f.id), f.data)
+			idx := g.AddPageImage(bp.fileName, uint32(f.id), f.data)
 			staged = append(staged, Staged{Page: f.id, Index: idx, Image: true})
 		}
 		sh.mu.Unlock()
 	}
-	return bp.stageFullPageImages(g, w, file, staged, nOps)
+	return bp.stageFullPageImages(g, w, staged, nOps)
 }
 
 // takeDeferred moves the pool's deferred logical records into g and
@@ -904,30 +865,24 @@ func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 // since the last checkpoint (Postgres-style full-page writes). The image
 // is appended after the page's records, so it holds their effect too.
 //
-// A checksummed page needs it for torn-page repair, which reinitializes
-// the page and replays the records that cover it: that restores
-// everything only when the log still reaches back to the page's
-// creation or holds a full image of it, and a checkpoint recycles the
-// older segments. Before the first checkpoint the log is complete since
+// Torn-page repair needs it: recovery reinitializes a page whose checksum
+// does not match and replays the records that cover it, which restores
+// everything only when the log still reaches back to the page's creation
+// or holds a full image of it, and a checkpoint recycles the older
+// segments. Before the first checkpoint the log is complete since
 // creation and no image is needed.
-//
-// A page without a checksum (an SP-GiST index page) cannot be detected
-// torn at all, so recovery never trusts its on-disk copy: it lays the
-// page down from its last image and runs only later records on it
-// (RecoverDir's supersede rule). Its log must therefore always open with
-// an image — also when no checkpoint has happened yet.
-func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file string, staged []Staged, nOps int) []Staged {
+func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []Staged, nOps int) []Staged {
 	if nOps == 0 {
 		return staged
 	}
 	ckpt := w.CheckpointLSN()
-	if bp.checksums && ckpt == 0 {
+	if ckpt == 0 {
 		return staged
 	}
 	done := make(map[PageID]bool, nOps)
 	for _, op := range staged[:nOps] {
 		id := op.Page
-		if id == 0 || done[id] {
+		if done[id] {
 			continue
 		}
 		done[id] = true
@@ -942,14 +897,14 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file stri
 		}
 		f := &sh.frames[fi]
 		if f.imagedLSN > ckpt || PageLSN(f.data) > uint64(ckpt) {
-			// An image of this page from after the checkpoint (or, with
-			// none yet, from any time) already survives in the log —
-			// logged directly, or implied by a record whose own
-			// statement forced one before stamping the pageLSN.
+			// An image of this page from after the checkpoint already
+			// survives in the log — logged directly, or implied by a
+			// record whose own statement forced one before stamping the
+			// pageLSN.
 			sh.mu.Unlock()
 			continue
 		}
-		idx := g.AddPageImage(file, uint32(id), f.data)
+		idx := g.AddPageImage(bp.fileName, uint32(id), f.data)
 		staged = append(staged, Staged{Page: id, Index: idx, Image: true})
 		sh.mu.Unlock()
 	}
@@ -958,7 +913,7 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, file stri
 
 // ResolvePending stamps the LSNs assigned by the group append onto the
 // staged frames: the WAL-before-data horizon advances, logical records
-// stamp the slotted pageLSN (for redo idempotence), and the pending
+// stamp the pageLSN (for redo idempotence), and the pending
 // flags clear, making the frames evictable again. lsns is the slice
 // AppendGroup(Commit) returned for the group the Staged indices point
 // into.
@@ -1002,7 +957,7 @@ func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
 // durable anyway; the checkpoint or close marker that follows commits
 // them.
 func (bp *BufferPool) flushDeferredOps() error {
-	w, file := bp.WAL()
+	w := bp.WAL()
 	if w == nil {
 		return nil
 	}
@@ -1011,7 +966,7 @@ func (bp *BufferPool) flushDeferredOps() error {
 	if len(staged) == 0 {
 		return nil
 	}
-	staged = bp.stageFullPageImages(g, w, file, staged, len(staged))
+	staged = bp.stageFullPageImages(g, w, staged, len(staged))
 	lsns, err := w.AppendGroup(g)
 	if err != nil {
 		return err
@@ -1050,7 +1005,7 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 	// redo log cannot take the row back out of the data file), so such
 	// frames are as unevictable as pinned ones until their statement
 	// commits.
-	w, _ := bp.WAL()
+	w := bp.WAL()
 	committed := wal.LSN(0)
 	if w != nil {
 		committed = w.CommittedLSN()
@@ -1129,7 +1084,7 @@ func (bp *BufferPool) FlushAll() error {
 	if err := bp.flushDeferredOps(); err != nil {
 		return err
 	}
-	w, walFile := bp.WAL()
+	w := bp.WAL()
 	for si := range bp.shards {
 		sh := &bp.shards[si]
 		sh.mu.Lock()
@@ -1143,7 +1098,7 @@ func (bp *BufferPool) FlushAll() error {
 				panic(fmt.Sprintf("storage: FlushAll of page %d with %d pins held", f.id, n))
 			}
 			if f.imagePending {
-				lsn, err := w.AppendPageImage(walFile, uint32(f.id), f.data)
+				lsn, err := w.AppendPageImage(bp.fileName, uint32(f.id), f.data)
 				if err != nil {
 					sh.mu.Unlock()
 					return err
@@ -1185,7 +1140,7 @@ func (bp *BufferPool) WriteBackDirty(max int) (int, error) {
 	if max <= 0 {
 		return 0, nil
 	}
-	w, _ := bp.WAL()
+	w := bp.WAL()
 	committed := wal.LSN(0)
 	if w != nil {
 		committed = w.CommittedLSN()

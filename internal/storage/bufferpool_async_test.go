@@ -25,6 +25,7 @@ func asyncTestDisk(t *testing.T, n int, readDelay time.Duration) (*LatencyDiskMa
 			t.Fatal(err)
 		}
 		binary.LittleEndian.PutUint32(buf, uint32(id))
+		StampPageChecksum(buf)
 		if err := mem.WritePage(id, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func checkPage(p *Page) error {
 func TestSingleflightColdMiss(t *testing.T) {
 	const goroutines = 32
 	dm, mem := asyncTestDisk(t, 8, 5*time.Millisecond)
-	bp := NewBufferPool(dm, 16)
+	bp := NewBufferPool("", dm, 16)
 
 	start := make(chan struct{})
 	errs := make(chan error, goroutines)
@@ -103,7 +104,7 @@ func TestConcurrentMissesOverlap(t *testing.T) {
 	const pages = 8
 	const delay = 20 * time.Millisecond
 	dm, _ := asyncTestDisk(t, pages, delay)
-	bp := NewBufferPool(dm, 16) // one shard: every page contends on one mutex
+	bp := NewBufferPool("", dm, 16) // one shard: every page contends on one mutex
 	if bp.NumShards() != 1 {
 		t.Fatalf("want 1 shard for this test, got %d", bp.NumShards())
 	}
@@ -152,7 +153,7 @@ func TestEvictionVsInflightInterleaving(t *testing.T) {
 		frames     = 4
 	)
 	dm, _ := asyncTestDisk(t, pages, 100*time.Microsecond)
-	bp := NewBufferPool(dm, frames) // 4 frames, 1 shard: maximum eviction pressure
+	bp := NewBufferPool("", dm, frames) // 4 frames, 1 shard: maximum eviction pressure
 	pinners := make(chan struct{}, frames)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -193,7 +194,7 @@ func TestEvictionVsInflightInterleaving(t *testing.T) {
 // identity Stats documents and hit ratios divide by.
 func TestExhaustedFetchCountsAMiss(t *testing.T) {
 	dm, _ := asyncTestDisk(t, 5, 0)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	for id := PageID(0); id < 4; id++ {
 		p, err := bp.Fetch(id)
 		if err != nil {
@@ -218,8 +219,8 @@ func TestBGWriterWALBeforeData(t *testing.T) {
 	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	mem := NewMem(256)
-	bp := NewBufferPool(mem, 8)
-	bp.AttachWAL(w, "t.tbl")
+	bp := NewBufferPool("t.tbl", mem, 8)
+	bp.AttachWAL(w)
 
 	p, err := bp.NewPage()
 	if err != nil {
@@ -288,7 +289,7 @@ func TestBGWriterWALBeforeData(t *testing.T) {
 // not be written back under the holder.
 func TestBGWriterSkipsPinned(t *testing.T) {
 	mem := NewMem(256)
-	bp := NewBufferPool(mem, 8)
+	bp := NewBufferPool("", mem, 8)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +317,7 @@ func TestBGWriterSkipsPinned(t *testing.T) {
 // prefetched-then-fetched page counts as a prefetch hit.
 func TestPrefetchSingleflight(t *testing.T) {
 	dm, mem := asyncTestDisk(t, 16, 2*time.Millisecond)
-	bp := NewBufferPool(dm, 16)
+	bp := NewBufferPool("", dm, 16)
 	pf := NewPrefetcher(2, 16)
 	defer pf.Close()
 	bp.AttachPrefetcher(pf, 4)
@@ -378,7 +379,7 @@ func TestPrefetchSingleflight(t *testing.T) {
 // any demand fetch count as wasted.
 func TestPrefetchWastedAccounting(t *testing.T) {
 	dm, _ := asyncTestDisk(t, 64, 0)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	pf := NewPrefetcher(1, 64)
 	defer pf.Close()
 	bp.AttachPrefetcher(pf, 4)

@@ -14,7 +14,7 @@ import (
 // contents. Run with -race to exercise the locking.
 func TestBufferPoolConcurrent(t *testing.T) {
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 8)
+	bp := NewBufferPool("", dm, 8)
 	const pages = 64
 	for i := 0; i < pages; i++ {
 		p, err := bp.NewPage()
@@ -80,7 +80,7 @@ func TestBufferPoolConcurrent(t *testing.T) {
 // frames are all pinned must refuse (not corrupt) the next fetch.
 func TestEvictionNeverReclaimsPinned(t *testing.T) {
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	const pages = 32
 	for i := 0; i < pages; i++ {
 		p, err := bp.NewPage()
@@ -139,7 +139,7 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 func TestPoolStatsAtomicUnderConcurrency(t *testing.T) {
 	dm := NewMem(256)
 	const pages = 64
-	bp := NewBufferPool(dm, 2*pages) // no eviction: hits+misses is exact
+	bp := NewBufferPool("", dm, 2*pages) // no eviction: hits+misses is exact
 	if bp.NumShards() < 2 {
 		t.Fatalf("pool of %d frames got %d shards, want sharding", 2*pages, bp.NumShards())
 	}
@@ -323,8 +323,8 @@ func TestWALBeforeData(t *testing.T) {
 	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
-	bp.AttachWAL(w, "t.tbl")
+	bp := NewBufferPool("t.tbl", dm, 4)
+	bp.AttachWAL(w)
 
 	p, err := bp.NewPage()
 	if err != nil {
@@ -356,8 +356,8 @@ func TestNoStealOfUncommittedFrames(t *testing.T) {
 	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
-	bp.AttachWAL(w, "t.tbl")
+	bp := NewBufferPool("t.tbl", dm, 4)
+	bp.AttachWAL(w)
 
 	var pages []*Page
 	for i := 0; i < 4; i++ {
@@ -402,8 +402,8 @@ func TestNoStealOfUncommittedFrames(t *testing.T) {
 func TestDeferredImageCoalescing(t *testing.T) {
 	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
-	bp := NewBufferPool(NewMem(256), 4)
-	bp.AttachWAL(w, "t.tbl")
+	bp := NewBufferPool("t.tbl", NewMem(256), 4)
+	bp.AttachWAL(w)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -454,16 +454,15 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := NewBufferPool(fdm, 4)
-	bp.EnableChecksums("t.tbl") // a heap file, as its name says: no first-touch image before a checkpoint
-	bp.AttachWAL(w, "t.tbl")
+	bp := NewBufferPool("t.tbl", fdm, 4)
+	bp.AttachWAL(w)
 
 	// Page 0: raw page mutated via Unpin(dirty) -> page-image record.
 	p0, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(p0.Data, "meta-contents")
+	copy(PageBody(p0.Data), "meta-contents")
 	bp.Unpin(p0, true)
 
 	// Page 1: slotted page mutated via logical records, like the heap.
@@ -507,8 +506,8 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err := fdm2.ReadPage(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:13]) != "meta-contents" {
-		t.Fatalf("page 0 not redone: %q", buf[:13])
+	if body := PageBody(buf); string(body[:13]) != "meta-contents" {
+		t.Fatalf("page 0 not redone: %q", body[:13])
 	}
 	if err := fdm2.ReadPage(1, buf); err != nil {
 		t.Fatal(err)

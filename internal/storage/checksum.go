@@ -3,38 +3,30 @@ package storage
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"strings"
 )
 
-// Per-page checksums. The slotted header reserves a uint32 at
-// pageChecksumOffset; the checksum is CRC32-Castagnoli over the entire
-// page with that field read as zero, so the stamp never invalidates
-// itself. A computed value of 0 is biased to 1 so that a stored 0 can
-// mean exactly one thing: the page predates checksums (or was written
-// by a pool with checksums off) and must be accepted unverified — the
-// same backward-compat move as xmin=0 marking frozen pre-MVCC tuples.
+// Per-page checksums. The page header holds a uint32 at
+// pageChecksumOffset: CRC32-Castagnoli over the entire page with that
+// field read as zero, so the stamp never invalidates itself. The buffer
+// pool stamps every page it writes and verifies every page it reads, of
+// every relation file, page 0 included. One rule follows for everything
+// that reads a page from disk: a page is trusted when its checksum
+// matches; when it does not, recovery rebuilds it from the log's
+// file-create record or the page's last image, and everything else
+// refuses it with ErrPageCorrupt.
 //
-// Page 0 of every file is a structure-specific meta page whose layout
-// owns offset 16 (the heap meta keeps its format version there), so
-// meta pages are never checksummed; callers skip page 0.
+// A computed value of 0 is biased to 1, so a stored 0 is never a stamp:
+// it is the checksum field of a page that was allocated (zero-filled)
+// and never written back, and only an entirely zero page may carry it.
 
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ChecksummedFile reports whether the relation file name holds pages
-// this package checksums: heap files (rel<oid>.tbl) and the heap-backed
-// system catalog (syscat.dat). Index files (.idx) are excluded — btree
-// and R-tree node layouts put node data at the byte offsets the slotted
-// checksum field occupies, and an index is rebuildable from its heap.
-func ChecksummedFile(name string) bool {
-	return strings.HasSuffix(name, ".tbl") || name == "syscat.dat"
-}
 
 var checksumZeroField [4]byte
 
 // ComputePageChecksum returns the checksum of data with the stored
 // checksum field treated as zero. Never returns 0.
 func ComputePageChecksum(data []byte) uint32 {
-	if len(data) < slottedHeaderSize {
+	if len(data) < PageHeaderSize {
 		return 1
 	}
 	c := crc32.Update(0, castagnoliTable, data[:pageChecksumOffset])
@@ -46,10 +38,9 @@ func ComputePageChecksum(data []byte) uint32 {
 	return c
 }
 
-// PageStoredChecksum returns the checksum stored in the page header
-// (0 = never stamped).
+// PageStoredChecksum returns the checksum stored in the page header.
 func PageStoredChecksum(data []byte) uint32 {
-	if len(data) < slottedHeaderSize {
+	if len(data) < PageHeaderSize {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(data[pageChecksumOffset:])
@@ -61,15 +52,24 @@ func StampPageChecksum(data []byte) {
 	binary.LittleEndian.PutUint32(data[pageChecksumOffset:], ComputePageChecksum(data))
 }
 
-// VerifyPageChecksum checks data against its stored checksum. ok is
-// true when they match or when the page was never stamped (stored==0);
-// stored and computed are returned either way so callers can build an
-// ErrPageCorrupt.
+// VerifyPageChecksum checks data against its stored checksum. ok is true
+// when they match, or when the page is entirely zero — allocated and
+// never written. stored and computed are returned either way so callers
+// can build an ErrPageCorrupt.
 func VerifyPageChecksum(data []byte) (stored, computed uint32, ok bool) {
 	stored = PageStoredChecksum(data)
-	if stored == 0 {
+	if stored == 0 && allZero(data) {
 		return 0, 0, true
 	}
 	computed = ComputePageChecksum(data)
 	return stored, computed, stored == computed
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -11,19 +11,21 @@ import (
 // --- checksum unit tests ------------------------------------------------
 
 // TestChecksumRoundTrip: a stamped page verifies; any flipped bit —
-// payload, header, or the LSN — fails verification; a never-stamped
-// page (stored checksum 0) passes, the backward-compat contract for
-// files written before checksums existed.
+// payload, header, or the LSN — fails verification; a stored checksum of
+// 0 passes only on a page that is zero throughout.
 func TestChecksumRoundTrip(t *testing.T) {
 	page := make([]byte, 256)
+	if stored, _, ok := VerifyPageChecksum(page); !ok || stored != 0 {
+		t.Fatalf("zero page: stored=%d ok=%v, want 0/true", stored, ok)
+	}
 	SlotInit(page)
 	if _, ok := SlotInsert(page, []byte("hello checksums")); !ok {
 		t.Fatal("insert failed")
 	}
 	SetPageLSN(page, 42)
 
-	if stored, _, ok := VerifyPageChecksum(page); !ok || stored != 0 {
-		t.Fatalf("unstamped page: stored=%d ok=%v, want 0/true", stored, ok)
+	if stored, _, ok := VerifyPageChecksum(page); ok || stored != 0 {
+		t.Fatalf("written page with no stamp: stored=%d ok=%v, want 0/false", stored, ok)
 	}
 
 	StampPageChecksum(page)
@@ -32,7 +34,7 @@ func TestChecksumRoundTrip(t *testing.T) {
 		t.Fatalf("stamped page: stored=%#x computed=%#x ok=%v", stored, computed, ok)
 	}
 
-	for _, off := range []int{0, pageLSNOffset, slottedHeaderSize + 3, len(page) - 1} {
+	for _, off := range []int{0, pageLSNOffset, PageHeaderSize + 3, len(page) - 1} {
 		mut := append([]byte(nil), page...)
 		mut[off] ^= 0x40
 		if _, _, ok := VerifyPageChecksum(mut); ok {
@@ -46,24 +48,6 @@ func TestChecksumRoundTrip(t *testing.T) {
 	StampPageChecksum(again)
 	if !bytes.Equal(page, again) {
 		t.Fatal("restamping changed the page")
-	}
-}
-
-// TestChecksummedFile pins down which files carry checksums: heaps and
-// the system catalog yes, index files (offset 16 belongs to their node
-// layouts; they are rebuildable) no.
-func TestChecksummedFile(t *testing.T) {
-	for name, want := range map[string]bool{
-		"rel7.tbl":       true,
-		"dir/rel7.tbl":   true,
-		"syscat.dat":     true,
-		"rel7.idx":       false,
-		"rel7.idx.build": false,
-		"wal/000001.wal": false,
-	} {
-		if got := ChecksummedFile(name); got != want {
-			t.Errorf("ChecksummedFile(%q) = %v, want %v", name, got, want)
-		}
 	}
 }
 
@@ -81,6 +65,7 @@ func seedFaultDisk(t *testing.T, n int, seed int64) (*FaultDiskManager, *MemDisk
 			t.Fatal(err)
 		}
 		binary.LittleEndian.PutUint32(buf, uint32(id))
+		StampPageChecksum(buf)
 		if err := mem.WritePage(id, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +177,7 @@ func TestFaultSeedReplay(t *testing.T) {
 // frame.
 func TestFetchRetriesTransientRead(t *testing.T) {
 	fdm, _ := seedFaultDisk(t, 8, 1)
-	bp := NewBufferPool(fdm, 4)
+	bp := NewBufferPool("", fdm, 4)
 	fdm.AddRule(FaultRule{Op: FaultRead, Kind: FaultTransient, Nth: 1})
 	p, err := bp.Fetch(0)
 	if err != nil {
@@ -214,7 +199,7 @@ func TestFetchRetriesTransientRead(t *testing.T) {
 func TestFetchPermanentReadFails(t *testing.T) {
 	const frames = 4
 	fdm, _ := seedFaultDisk(t, frames+1, 1)
-	bp := NewBufferPool(fdm, frames)
+	bp := NewBufferPool("", fdm, frames)
 	fdm.AddRule(FaultRule{Op: FaultRead, Kind: FaultPermanent, Nth: 1})
 	if _, err := bp.Fetch(0); !errors.Is(err, ErrInjectedPermanentIO) {
 		t.Fatalf("Fetch: got %v, want permanent error", err)
@@ -243,7 +228,7 @@ func TestFetchPermanentReadFails(t *testing.T) {
 // demand-fetchable, with hit/miss accounting still consistent.
 func TestPrefetchFailureLeavesPageFetchable(t *testing.T) {
 	fdm, _ := seedFaultDisk(t, 8, 1)
-	bp := NewBufferPool(fdm, 8)
+	bp := NewBufferPool("", fdm, 8)
 	pf := NewPrefetcher(2, 8)
 	defer pf.Close()
 	bp.AttachPrefetcher(pf, 4)
@@ -281,7 +266,7 @@ func TestPrefetchFailureLeavesPageFetchable(t *testing.T) {
 func TestConcurrentFetchersShareReadError(t *testing.T) {
 	const goroutines, frames = 32, 4
 	fdm, _ := seedFaultDisk(t, frames+1, 1)
-	bp := NewBufferPool(fdm, frames)
+	bp := NewBufferPool("", fdm, frames)
 	for n := int64(1); n <= ioRetryAttempts; n++ {
 		fdm.AddRule(FaultRule{Op: FaultRead, Kind: FaultTransient, Nth: n})
 	}
@@ -341,8 +326,10 @@ func TestConcurrentFetchersShareReadError(t *testing.T) {
 
 // TestCorruptPageNeverServed: a page whose stored checksum does not
 // match its contents must surface as ErrPageCorrupt from Fetch — the
-// poisoned bytes are never handed to the executor — while healthy
-// pages and the unstamped-page compatibility path keep working.
+// poisoned bytes are never handed to the executor — and neither is a page
+// whose checksum field was zeroed: only a page that is zero throughout,
+// allocated and never written, may hold 0 there. Healthy pages keep
+// working.
 func TestCorruptPageNeverServed(t *testing.T) {
 	mem := NewMem(256)
 	buf := make([]byte, 256)
@@ -363,13 +350,12 @@ func TestCorruptPageNeverServed(t *testing.T) {
 	if err := mem.ReadPage(2, buf); err != nil {
 		t.Fatal(err)
 	}
-	buf[slottedHeaderSize+10] ^= 0x01
+	buf[PageHeaderSize+10] ^= 0x01
 	if err := mem.WritePage(2, buf); err != nil {
 		t.Fatal(err)
 	}
 
-	bp := NewBufferPool(mem, 4)
-	bp.EnableChecksums("rel1.tbl")
+	bp := NewBufferPool("rel1.tbl", mem, 4)
 
 	p, err := bp.Fetch(1)
 	if err != nil {
@@ -399,14 +385,30 @@ func TestCorruptPageNeverServed(t *testing.T) {
 		t.Fatalf("VerifyPage(3) = %v, want nil", err)
 	}
 
-	// Unstamped page (checksum field zero): must still be served —
-	// pages written before the format carried checksums.
-	SlotInit(buf)
+	// Corruption that clears the checksum field does not switch
+	// verification off.
+	if err := mem.ReadPage(3, buf); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf[pageChecksumOffset:], 0)
 	if err := mem.WritePage(3, buf); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := bp.Fetch(3); err != nil {
-		t.Fatalf("unstamped page refused: %v", err)
+	if _, err := bp.Fetch(3); !IsPageCorrupt(err) {
+		t.Fatalf("page with a zeroed checksum field served: err=%v", err)
+	}
+	if err := bp.VerifyPage(3, scratch); !IsPageCorrupt(err) {
+		t.Fatalf("VerifyPage of a zeroed checksum field = %v, want page corrupt", err)
+	}
+
+	// A page that was allocated and never written is zero throughout,
+	// checksum field included, and is served.
+	id, err := mem.AllocatePage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := bp.Fetch(id); err != nil {
+		t.Fatalf("never-written page refused: %v", err)
 	} else {
 		bp.Unpin(p, false)
 	}

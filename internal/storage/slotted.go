@@ -6,27 +6,37 @@ import (
 	"sync"
 )
 
-// Slotted-page layout. A slotted area is any byte slice (usually a whole
-// page, sometimes a page minus a structure-specific header). Records are
-// addressed by stable slot numbers, so tree nodes can hold (page, slot)
-// child pointers while records move during compaction.
+// Page header. Every page of every relation file — heap, SP-GiST, B+-tree,
+// R-tree, page 0 included — opens with the same 24 bytes, so the buffer
+// pool, recovery, SCRUB and the page inspector treat all of them alike:
 //
 //	+--------+--------+--------+--------+----------------+----------+----------+--- - -
-//	| nslots | freeLo | freeHi | nlive  | pageLSN (8B)   | cksum 4B | rsvd 4B  | slot dir ...
+//	| nslots | freeLo | freeHi | nlive  | pageLSN (8B)   | cksum 4B | rsvd 4B  | body ...
 //	+--------+--------+--------+--------+----------------+----------+----------+--- - -
-//	                 ... free space ...                      records (grow down) |
 //
-// The first four header fields are uint16 little-endian, so the slotted
-// area must be at most 65535 bytes (the default 8 KB page qualifies).
 // pageLSN is the uint64 LSN of the last write-ahead-log record applied
-// to this area — the same role as the pd_lsn field of a PostgreSQL page
-// header. It lets redo recovery skip records the page already reflects.
-// cksum is a CRC32-Castagnoli over the whole page with the checksum
-// field itself zeroed (pd_checksum's role); 0 means "never stamped" —
-// the backward-compat sentinel, like xmin=0 marking pre-MVCC frozen
-// tuples. The trailing 4 bytes are reserved.
+// to the page — the role of pd_lsn in a PostgreSQL page header; it lets
+// redo skip records the page already reflects. cksum is a
+// CRC32-Castagnoli over the whole page with the field itself read as
+// zero (pd_checksum's role, see checksum.go). The trailing 4 bytes are
+// reserved.
+//
+// The first four fields, uint16 little-endian, belong to the slotted
+// layout below and stay zero on pages that keep one node (B+-tree,
+// R-tree) or a meta body (page 0, see meta.go) after the header. On a
+// slotted page — heap tuples, SP-GiST nodes — the body is a line-pointer
+// directory growing up and records growing down, addressed by stable
+// slot numbers, so tree nodes can hold (page, slot) child pointers while
+// records move during compaction:
+//
+//	| header | slot dir ... ->    ... free space ...    <- records |
+//
+// The uint16 fields limit a slotted page to 65535 bytes (the default
+// 8 KB page qualifies).
 const (
-	slottedHeaderSize  = 24
+	// PageHeaderSize is the size of the header every page starts with.
+	PageHeaderSize = 24
+
 	slotSize           = 4
 	deadOffset         = 0xFFFF
 	pageLSNOffset      = 8
@@ -42,13 +52,16 @@ func SlotInit(data []byte) {
 		panic("storage: slotted area larger than 64KB")
 	}
 	put16(data, 0, 0)                 // nslots
-	put16(data, 2, slottedHeaderSize) // freeLo: end of slot directory
+	put16(data, 2, PageHeaderSize)    // freeLo: end of slot directory
 	put16(data, 4, uint16(len(data))) // freeHi: start of record heap
 	put16(data, 6, 0)                 // nlive
 	SetPageLSN(data, 0)
-	binary.LittleEndian.PutUint32(data[pageChecksumOffset:], 0)   // unstamped
-	binary.LittleEndian.PutUint32(data[pageChecksumOffset+4:], 0) // reserved
+	binary.LittleEndian.PutUint64(data[pageChecksumOffset:], 0) // checksum (stamped at write-back) and reserved
 }
+
+// PageBody returns the part of a page after the page header: what a page
+// that is not slotted keeps its node or meta framing in.
+func PageBody(data []byte) []byte { return data[PageHeaderSize:] }
 
 // PageLSN returns the LSN of the last WAL record applied to the area.
 func PageLSN(data []byte) uint64 {
@@ -71,13 +84,13 @@ func SlotAreaBlank(data []byte) bool {
 // areaLen bytes can hold: the area minus the header and one directory
 // entry. Callers sizing records to a page must use this rather than
 // hardcoding the overhead.
-func SlotCapacity(areaLen int) int { return areaLen - slottedHeaderSize - slotSize }
+func SlotCapacity(areaLen int) int { return areaLen - PageHeaderSize - slotSize }
 
 // SlotUsable returns the bytes of an empty slotted area available for
 // records plus their directory entries: the area minus the header. A set
 // of records fits one area iff the sum of each record's length plus
 // SlotEntrySize stays within SlotUsable.
-func SlotUsable(areaLen int) int { return areaLen - slottedHeaderSize }
+func SlotUsable(areaLen int) int { return areaLen - PageHeaderSize }
 
 // SlotEntrySize is the directory cost of one record.
 const SlotEntrySize = slotSize
@@ -86,11 +99,11 @@ const SlotEntrySize = slotSize
 // A corrupt nslots larger than the directory could physically occupy is
 // clamped so iteration never reads past the area.
 func SlotCount(data []byte) int {
-	if len(data) < slottedHeaderSize {
+	if len(data) < PageHeaderSize {
 		return 0
 	}
 	n := int(get16(data, 0))
-	if maxSlots := (len(data) - slottedHeaderSize) / slotSize; n > maxSlots {
+	if maxSlots := (len(data) - PageHeaderSize) / slotSize; n > maxSlots {
 		return maxSlots
 	}
 	return n
@@ -100,12 +113,12 @@ func SlotCount(data []byte) int {
 func SlotLive(data []byte) int { return int(get16(data, 6)) }
 
 func slotEntry(data []byte, slot int) (off, length uint16) {
-	base := slottedHeaderSize + slot*slotSize
+	base := PageHeaderSize + slot*slotSize
 	return get16(data, base), get16(data, base+2)
 }
 
 func setSlotEntry(data []byte, slot int, off, length uint16) {
-	base := slottedHeaderSize + slot*slotSize
+	base := PageHeaderSize + slot*slotSize
 	put16(data, base, off)
 	put16(data, base+2, length)
 }
@@ -137,7 +150,7 @@ func SlotFreeSpace(data []byte) int {
 			reusable = true
 		}
 	}
-	free := len(data) - slottedHeaderSize - nslots*slotSize - used
+	free := len(data) - PageHeaderSize - nslots*slotSize - used
 	if !reusable {
 		free -= slotSize // a new slot entry would be needed
 	}
@@ -194,7 +207,7 @@ func SlotInsert(data []byte, rec []byte) (slot int, ok bool) {
 		// Extending the directory must not overwrite record bytes: if the
 		// new entry would cross freeHi, compact first to push records to
 		// the high end (the SlotFreeSpace check above guarantees room).
-		if slottedHeaderSize+(nslots+1)*slotSize > int(get16(data, 4)) {
+		if PageHeaderSize+(nslots+1)*slotSize > int(get16(data, 4)) {
 			slotCompact(data)
 		}
 		slot = nslots
@@ -215,7 +228,7 @@ func SlotInsert(data []byte, rec []byte) (slot int, ok bool) {
 // must already exist (dead or about to be overwritten). Returns false
 // if the record does not fit even after compaction.
 func slotPlace(data []byte, slot int, rec []byte) bool {
-	freeLo := slottedHeaderSize + SlotCount(data)*slotSize
+	freeLo := PageHeaderSize + SlotCount(data)*slotSize
 	freeHi := int(get16(data, 4))
 	if freeHi-freeLo < len(rec) {
 		slotCompact(data)
@@ -244,7 +257,7 @@ func SlotRead(data []byte, slot int) []byte {
 	if off == deadOffset {
 		return nil
 	}
-	if int(off) < slottedHeaderSize || int(off)+int(length) > len(data) {
+	if int(off) < PageHeaderSize || int(off)+int(length) > len(data) {
 		return nil
 	}
 	return data[off : int(off)+int(length)]
@@ -294,7 +307,7 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 	// otherwise is the slot killed (without trimming) and the area
 	// compacted first. Which of the two happens moves bytes, never
 	// answers: SlotFreeSpace counts live lengths, not the gap.
-	freeLo := slottedHeaderSize + SlotCount(data)*slotSize
+	freeLo := PageHeaderSize + SlotCount(data)*slotSize
 	freeHi := int(get16(data, 4))
 	if freeHi > len(data) || freeHi-freeLo < len(rec) {
 		setSlotEntry(data, slot, deadOffset, 0)
@@ -332,9 +345,9 @@ func SlotInsertAt(data []byte, slot int, rec []byte) bool {
 	nslots := SlotCount(data)
 	// Grow the directory so the target slot exists, dead until filled.
 	for nslots <= slot {
-		if slottedHeaderSize+(nslots+1)*slotSize > int(get16(data, 4)) {
+		if PageHeaderSize+(nslots+1)*slotSize > int(get16(data, 4)) {
 			slotCompact(data)
-			if slottedHeaderSize+(nslots+1)*slotSize > int(get16(data, 4)) {
+			if PageHeaderSize+(nslots+1)*slotSize > int(get16(data, 4)) {
 				return false
 			}
 		}

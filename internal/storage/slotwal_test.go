@@ -48,21 +48,16 @@ func touchNode(t *testing.T, bp *BufferPool, w *wal.Writer, id PageID, rec []byt
 }
 
 // TestFirstTouchImages pins when a page covered by logical records also
-// ships a full image: on its first touch since the last checkpoint — and,
-// for a pool without checksums, whose pages recovery cannot tell torn
-// from whole, also on its first touch ever.
+// ships a full image: on its first touch since the last checkpoint, and
+// not before the first one — for an index file exactly as for a heap
+// file.
 func TestFirstTouchImages(t *testing.T) {
-	for _, checksummed := range []bool{false, true} {
-		name := map[bool]string{false: "index", true: "heap"}[checksummed]
+	for name, file := range map[string]string{"index": "rel2.idx", "heap": "rel1.tbl"} {
 		t.Run(name, func(t *testing.T) {
 			w := openMarkedWAL(t, t.TempDir(), wal.Options{})
 			defer w.Close()
-			file := map[bool]string{false: "rel2.idx", true: "rel1.tbl"}[checksummed]
-			bp := NewBufferPool(NewMem(256), 4)
-			if checksummed {
-				bp.EnableChecksums(file)
-			}
-			bp.AttachWAL(w, file)
+			bp := NewBufferPool(file, NewMem(256), 4)
+			bp.AttachWAL(w)
 			for i := 0; i < 8; i++ { // a meta page and seven data pages: twice the pool
 				p, err := bp.NewPage()
 				if err != nil {
@@ -76,14 +71,9 @@ func TestFirstTouchImages(t *testing.T) {
 					t.Fatalf("%s: group carries %d records and %d images, want 1 and %d", when, recs, imgs, wantImages)
 				}
 			}
-			// (a) No checkpoint yet. The heap's log reaches back to the
-			// file's creation, so it needs no image; the index page's log
-			// must open with one — once.
-			first := 1
-			if checksummed {
-				first = 0 // (d) exactly as before this rule existed
-			}
-			expect("first touch ever", first)
+			// (a) No checkpoint yet: the log reaches back to the file's
+			// creation, so a torn page can be rebuilt without an image.
+			expect("first touch ever", 0)
 			expect("second touch", 0)
 			// (b) A checkpoint recycles the log: the next touch ships an
 			// image again, the one after it does not.
@@ -133,14 +123,17 @@ func slottedPage(size int, recs ...string) []byte {
 	return page
 }
 
-// TestRecoverySupersedesRecordsBeforeImage: on a file without checksums a
-// record older than a surviving image of its page is not applied — the
-// page is laid down from the image first and only later records run on
-// it, so what the disk held (here: garbage, as a torn write leaves it)
-// never matters. A checksummed file keeps the old discipline: every
-// record is applied unless the pageLSN says it already was.
-func TestRecoverySupersedesRecordsBeforeImage(t *testing.T) {
+// TestRecoverySameStreamSamePage: recovery does not look at what kind of
+// file a page belongs to. The same record stream over the same torn page
+// (garbage, as a half-landed write leaves it) recovers an index file and
+// a heap file to the same bytes with the same statistics: the page fails
+// its checksum, is reinitialized under the license of the surviving
+// image, every record is applied in LSN order, and the image lays the
+// page down whole on its way.
+func TestRecoverySameStreamSamePage(t *testing.T) {
 	const pageSize = 256
+	recovered := make(map[string][]byte)
+	stats := make(map[string]RecoveryStats)
 	for _, file := range []string{"rel2.idx", "rel1.tbl"} {
 		t.Run(file, func(t *testing.T) {
 			dataDir := t.TempDir()
@@ -165,10 +158,8 @@ func TestRecoverySupersedesRecordsBeforeImage(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !ChecksummedFile(file) {
-				if err := dm.WritePage(1, bytes.Repeat([]byte{0xEE}, pageSize)); err != nil {
-					t.Fatal(err)
-				}
+			if err := dm.WritePage(1, bytes.Repeat([]byte{0xEE}, pageSize)); err != nil {
+				t.Fatal(err)
 			}
 			dm.Close()
 
@@ -176,13 +167,11 @@ func TestRecoverySupersedesRecordsBeforeImage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSuperseded, wantPuts := int64(1), int64(1)
-			if ChecksummedFile(file) {
-				wantSuperseded, wantPuts = 0, 2
+			if st.TornPages != 1 || st.TornRepaired != 1 || st.SlotPuts != 2 || st.PageImages != 1 {
+				t.Fatalf("recovery stats %+v, want 1 torn page repaired, 2 puts, 1 image", st)
 			}
-			if st.Superseded != wantSuperseded || st.SlotPuts != wantPuts || st.PageImages != 1 {
-				t.Fatalf("recovery stats %+v, want %d superseded, %d puts, 1 image", st, wantSuperseded, wantPuts)
-			}
+			st.FilesTouched = 0 // the two runs share nothing but the stream
+			stats[file] = st
 			dm, err = OpenFile(filepath.Join(dataDir, file), pageSize)
 			if err != nil {
 				t.Fatal(err)
@@ -195,7 +184,17 @@ func TestRecoverySupersedesRecordsBeforeImage(t *testing.T) {
 			if got := string(SlotRead(page, 0)) + " / " + string(SlotRead(page, 1)); got != "from the image / after the image" {
 				t.Fatalf("page 1 after recovery holds %q", got)
 			}
+			if _, _, ok := VerifyPageChecksum(page); !ok || PageLSN(page) == 0 {
+				t.Fatalf("page 1 left recovery unstamped: lsn=%d checksum ok=%v", PageLSN(page), ok)
+			}
+			recovered[file] = page
 		})
+	}
+	if !bytes.Equal(recovered["rel2.idx"], recovered["rel1.tbl"]) {
+		t.Fatalf("the same stream recovered different pages:\n idx %x\n tbl %x", recovered["rel2.idx"], recovered["rel1.tbl"])
+	}
+	if stats["rel2.idx"] != stats["rel1.tbl"] {
+		t.Fatalf("the same stream recovered with different statistics:\n idx %+v\n tbl %+v", stats["rel2.idx"], stats["rel1.tbl"])
 	}
 }
 

@@ -80,7 +80,7 @@ func TestDiskManagerBounds(t *testing.T) {
 
 func TestBufferPoolHitMiss(t *testing.T) {
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestBufferPoolHitMiss(t *testing.T) {
 
 func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	var first PageID
 	// Create more pages than frames; early ones must be evicted and their
 	// content written back.
@@ -134,7 +134,7 @@ func TestBufferPoolEvictionWritesBack(t *testing.T) {
 
 func TestBufferPoolAllPinned(t *testing.T) {
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	var pages []*Page
 	for i := 0; i < 4; i++ {
 		p, err := bp.NewPage()
@@ -156,7 +156,7 @@ func TestBufferPoolAllPinned(t *testing.T) {
 
 func TestBufferPoolFlushAll(t *testing.T) {
 	dm := NewMem(256)
-	bp := NewBufferPool(dm, 4)
+	bp := NewBufferPool("", dm, 4)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)

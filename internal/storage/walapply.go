@@ -19,7 +19,6 @@ type RecoveryStats struct {
 	HeapXmaxOps   int64 // set/clear-xmax and mark-aborted records applied
 	SlotPuts      int64 // index-node puts applied
 	SlotDeletes   int64 // index-node deletes applied
-	Superseded    int64 // records on unchecksummed pages not applied: a later image of the page survives
 	SkippedByLSN  int64 // logical records skipped because pageLSN was newer
 	TailDiscarded int64 // records after the last commit marker, not replayed
 	FilesTouched  int   // distinct data files opened by redo
@@ -100,16 +99,13 @@ func (fx *txnFixups) noteDelete(key fixupKey) {
 // reflects them. The pass is idempotent — replaying an already-recovered
 // log is harmless — and a missing or empty log directory is a no-op.
 //
-// The two kinds of file are trusted differently. A heap page carries a
-// checksum: a write torn at the crash is detected, and only then is the
-// page rebuilt from its image or its file's creation. An index page
-// carries none, so a torn or stale copy cannot be told from a good one;
-// instead its log always opens with an image (the pool ships one with
-// the first record group that touches a page after a checkpoint), and a
-// record older than the last surviving image of its page is superseded —
-// not applied. Every index page touched since the checkpoint is thus
-// first laid down whole from the log and only later records run on it;
-// what the disk held before is irrelevant.
+// Every page of every file is trusted by one rule: its checksum matches.
+// A page a logical record targets whose checksum does not match was torn
+// at the crash; it is reinitialized and rebuilt by the replay, provided
+// the surviving log holds the file's creation or a full image of the
+// page (the pool ships one with the first record group that touches a
+// page after a checkpoint) — otherwise recovery fails with
+// ErrPageCorrupt. Every page recovery writes leaves freshly stamped.
 //
 // Records after the log's last commit or checkpoint marker belong to a
 // statement whose tail was lost in the crash; they are not replayed, so
@@ -195,16 +191,6 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		return nil
 	}
 
-	// stamp refreshes the page checksum before any redo write to a
-	// checksummed file: logged page images and logical redo both carry
-	// or produce bytes whose stored checksum predates this write, so
-	// every page recovery touches leaves disk freshly stamped.
-	stamp := func(name string, page uint32, buf []byte) {
-		if page != 0 && ChecksummedFile(name) {
-			StampPageChecksum(buf)
-		}
-	}
-
 	buf := make([]byte, pageSize)
 	fx := newTxnFixups()
 	rs, err := wal.Replay(walDir, func(r *wal.Record) error {
@@ -260,15 +246,13 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			for i := n; i < len(buf); i++ {
 				buf[i] = 0
 			}
-			if r.Page != 0 && ChecksummedFile(r.File) {
-				// The image was captured before its statement's LSNs
-				// were stamped, so its embedded pageLSN is stale.
-				// Advance it to the image's own LSN: the group records
-				// preceding the image are baked into it, and the skip
-				// guard should treat them as applied on a re-replay.
-				SetPageLSN(buf, uint64(r.LSN))
-			}
-			stamp(r.File, r.Page, buf)
+			// The image was captured before its statement's LSNs were
+			// stamped, so its embedded pageLSN is stale. Advance it to the
+			// image's own LSN: the group records preceding the image are
+			// baked into it, and the skip guard should treat them as
+			// applied on a re-replay.
+			SetPageLSN(buf, uint64(r.LSN))
+			StampPageChecksum(buf)
 			if err := dm.WritePage(PageID(r.Page), buf); err != nil {
 				return err
 			}
@@ -280,10 +264,6 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			wal.RecSlotPut, wal.RecSlotDelete:
 			if r.Page == 0 {
 				return fmt.Errorf("storage: recovery: %v addresses the meta page of %s, which holds no slots", r.Type, r.File)
-			}
-			if !ChecksummedFile(r.File) && r.LSN < lastImage[imageKey{r.File, r.Page}] {
-				st.Superseded++
-				return nil
 			}
 			dm, err := open(r.File)
 			if err != nil {
@@ -297,7 +277,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			}
 			if SlotAreaBlank(buf) {
 				SlotInit(buf)
-			} else if r.Page != 0 && ChecksummedFile(r.File) {
+			} else if stored, computed, ok := VerifyPageChecksum(buf); !ok {
 				// A checksum mismatch here is a page torn at the crash —
 				// part of an eviction or flush landed, the rest did not.
 				// Its pageLSN and slot directory cannot be trusted, so
@@ -309,14 +289,12 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 				// a page ships one). Otherwise reinitializing would
 				// silently drop every row the recycled segments carried,
 				// so recovery fails loudly instead.
-				if stored, computed, ok := VerifyPageChecksum(buf); !ok {
-					st.TornPages++
-					if !createdFiles[r.File] && lastImage[imageKey{r.File, r.Page}] == 0 {
-						return &ErrPageCorrupt{File: r.File, PageID: PageID(r.Page), Expected: stored, Got: computed}
-					}
-					SlotInit(buf)
-					st.TornRepaired++
+				st.TornPages++
+				if !createdFiles[r.File] && lastImage[imageKey{r.File, r.Page}] == 0 {
+					return &ErrPageCorrupt{File: r.File, PageID: PageID(r.Page), Expected: stored, Got: computed}
 				}
+				SlotInit(buf)
+				st.TornRepaired++
 			}
 			if PageLSN(buf) >= uint64(r.LSN) {
 				st.SkippedByLSN++
@@ -369,7 +347,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 				}
 			}
 			SetPageLSN(buf, uint64(r.LSN))
-			stamp(r.File, r.Page, buf)
+			StampPageChecksum(buf)
 			if err := dm.WritePage(PageID(r.Page), buf); err != nil {
 				return err
 			}
@@ -451,7 +429,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			}
 		}
 		if changed {
-			stamp(pk.file, pk.page, buf)
+			StampPageChecksum(buf)
 			if err := dm.WritePage(PageID(pk.page), buf); err != nil {
 				return st, fmt.Errorf("storage: recovery: %w", err)
 			}

@@ -10,7 +10,7 @@ import (
 
 func newCatalog(t *testing.T) (*Catalog, *storage.BufferPool) {
 	t.Helper()
-	bp := storage.NewBufferPool(storage.NewMem(storage.DefaultPageSize), 64)
+	bp := storage.NewBufferPool("", storage.NewMem(storage.DefaultPageSize), 64)
 	hf, err := heap.Create(bp)
 	if err != nil {
 		t.Fatal(err)

@@ -468,8 +468,8 @@ func (w *Writer) AppendCommit() (LSN, error) {
 // CheckpointLSN returns the LSN of the last checkpoint record — the
 // horizon the surviving log is complete back to. 0 means no checkpoint
 // has ever recycled segments, so the log reaches back to its creation.
-// The buffer pool uses it for full-page-write decisions: a checksummed
-// page's first mutation after a checkpoint must log a full image, or a
+// The buffer pool uses it for full-page-write decisions: a page's first
+// mutation after a checkpoint must log a full image, or a
 // write of the page torn at a crash could not be rebuilt (the records
 // describing its older contents were recycled with the pre-checkpoint
 // segments).
