@@ -114,18 +114,22 @@ func firstDiff(got, want string) string {
 // the INSERT inside BEGIN, the index's at the commit of a DELETE, which
 // changes none of its counters, and the one PR 20 added at ROLLBACK) and
 // one is new: the index logs its meta page in the build group in which its
-// root first moves. Every other line is unchanged.
+// root first moves; PR 22 put the common page header on every page — the
+// one image of an index data page before CHECKPOINT (rel2.idx page 1, its
+// first touch ever) is gone, and every page-0 image is 20 to 28 bytes
+// longer (the header, magic and version ahead of the body). Every other
+// line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
+page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
 commit file="" page=0 slot=0 xid=0 len=0
 file-create file="rel1.tbl" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=27
 heap-delete file="syscat.dat" page=1 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=64
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=36
 commit file="" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=2 xid=0 len=27
 commit file="" page=0 slot=0 xid=0 len=0
@@ -133,15 +137,15 @@ heap-batch-insert file="rel1.tbl" page=1 slot=0 xid=0 len=7393
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=2783
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=1749
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
 txn-commit file="" page=0 slot=0 xid=1 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 file-create file="rel2.idx" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=3 xid=0 len=27
 heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=17
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=8
+page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=36
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=25
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=40
@@ -212,8 +216,7 @@ slot-put file="rel2.idx" page=1 slot=1 xid=0 len=265
 slot-put file="rel2.idx" page=1 slot=2 xid=0 len=249
 slot-put file="rel2.idx" page=1 slot=3 xid=0 len=265
 slot-put file="rel2.idx" page=1 slot=4 xid=0 len=265
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=17
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=39
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
 slot-put file="rel2.idx" page=1 slot=5 xid=0 len=25
@@ -638,21 +641,21 @@ slot-put file="rel2.idx" page=1 slot=135 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=24 xid=0 len=54
 slot-put file="rel2.idx" page=1 slot=101 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=136 xid=0 len=41
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=39
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=50
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=50
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=2 slot=114 xid=3 len=0
 heap-insert file="rel1.tbl" page=2 slot=115 xid=0 len=39
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=39
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 txn-commit file="" page=0 slot=0 xid=3 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=1 slot=0 xid=4 len=0
@@ -676,26 +679,26 @@ heap-delete file="rel1.tbl" page=1 slot=0 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
 slot-put file="rel2.idx" page=1 slot=71 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=35
 slot-put file="rel2.idx" page=1 slot=138 xid=0 len=9
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 commit file="" page=0 slot=0 xid=0 len=0
 -- after CHECKPOINT --
 checkpoint file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=17
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
 page-image file="rel1.tbl" page=2 slot=0 xid=0 len=8185
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=68
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=18
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=579 appended_bytes=108408
+appends=578 appended_bytes=100526
 `
