@@ -1,0 +1,185 @@
+package am
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
+	"repro/internal/geom"
+	"repro/internal/heap"
+	"repro/internal/storage"
+)
+
+// TestNodeTableFetchParity pins how often each SP-GiST opclass goes to its
+// buffer pool: one deterministic stream of inserts, deletes, scans and NN
+// searches per opclass through an 8-frame pool, with the pool's access and
+// miss counters asserted after every phase. A node that is served from
+// memory costs no pool access, so the counters say which node visits were
+// misses of the in-memory node store and which were not — whatever that
+// store is made of. The figures were recorded at commit 937e6f7 (the
+// decoded-node cache) and must not move: the benchmark's pages_per_op is
+// this count.
+func TestNodeTableFetchParity(t *testing.T) {
+	world := geom.MakeBox(0, 0, 100, 100)
+	words := datagen.Words(8000, 11)
+	pts := datagen.Points(3000, 12, world)
+	segs := datagen.Segments(1200, 13, world, 6)
+	boxes := datagen.Boxes(40, 14, world, 7)
+
+	text := func(ws []string) []catalog.Datum {
+		ds := make([]catalog.Datum, len(ws))
+		for i, w := range ws {
+			ds[i] = catalog.NewText(w)
+		}
+		return ds
+	}
+	var ptKeys, segKeys, boxArgs []catalog.Datum
+	for _, p := range pts {
+		ptKeys = append(ptKeys, catalog.NewPoint(p))
+	}
+	for _, s := range segs {
+		segKeys = append(segKeys, catalog.NewSegment(s))
+	}
+	for _, b := range boxes {
+		boxArgs = append(boxArgs, catalog.NewBox(b))
+	}
+	type scan struct {
+		op   string
+		args []catalog.Datum
+	}
+	cases := []struct {
+		opclass string
+		keys    []catalog.Datum
+		scans   []scan
+		nn      []catalog.Datum
+		want    [6][2]int64 // per phase: pool accesses, pool misses
+	}{
+		{
+			opclass: "spgist_trie", keys: text(words),
+			scans: []scan{
+				{"=", text(datagen.Sample(words, 60, 21))},
+				{"#=", text(datagen.Prefixes(words, 30, 22))},
+				{"?=", text(datagen.Patterns(words, 20, 0.3, 23))},
+			},
+			nn:   text(datagen.Sample(words, 15, 24)),
+			want: [6][2]int64{{8614, 151}, {9318, 277}, {9318, 277}, {16246, 2495}, {25656, 5995}, {25681, 6008}},
+		},
+		{
+			opclass: "spgist_suffix", keys: text(words[:600]),
+			scans: []scan{
+				{"@=", text(datagen.Substrings(words[:600], 40, 25))},
+			},
+			nn:   text(datagen.Sample(words[:600], 5, 26)),
+			want: [6][2]int64{{5473, 7}, {6133, 7}, {6133, 7}, {10266, 221}, {15102, 736}, {15304, 779}},
+		},
+		{
+			opclass: "spgist_kdtree", keys: ptKeys,
+			scans: []scan{{"@", ptKeys[100:160]}, {"^", boxArgs}},
+			nn:    ptKeys[500:520],
+			want:  [6][2]int64{{8303, 209}, {9138, 435}, {9138, 435}, {17537, 1768}, {21765, 2633}, {21790, 2636}},
+		},
+		{
+			opclass: "spgist_pquadtree", keys: ptKeys,
+			scans: []scan{{"@", ptKeys[100:160]}, {"^", boxArgs}},
+			nn:    ptKeys[500:520],
+			want:  [6][2]int64{{8008, 289}, {8881, 510}, {8881, 510}, {17027, 1927}, {21383, 2908}, {21407, 2917}},
+		},
+		{
+			opclass: "spgist_pmr", keys: segKeys,
+			scans: []scan{{"=", segKeys[100:140]}, {"&&", boxArgs}},
+			nn:    ptKeys[500:520],
+			want:  [6][2]int64{{2524, 8}, {2734, 8}, {2734, 8}, {7298, 558}, {10803, 1426}, {10899, 1480}},
+		},
+	}
+	for ci := range cases {
+		c := &cases[ci]
+		t.Run(c.opclass, func(t *testing.T) {
+			bp := storage.NewBufferPool("", storage.NewMem(8192), 8)
+			idx, err := New(c.opclass, bp, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids := make([]heap.RID, len(c.keys))
+			for i := range rids {
+				rids[i] = rid(i)
+			}
+			search := func() {
+				for _, s := range c.scans {
+					for _, arg := range s.args {
+						if err := idx.Scan(s.op, arg, func(heap.RID) bool { return true }); err != nil {
+							t.Fatalf("%s %v: %v", s.op, arg, err)
+						}
+					}
+				}
+				for _, arg := range c.nn {
+					next, err := idx.NNScan(arg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < 10; k++ {
+						if _, _, ok := next(); !ok {
+							break
+						}
+					}
+				}
+			}
+			half := len(c.keys) / 2
+			phases := []func(){
+				// Batched load of the first half, in statement-sized batches.
+				func() {
+					for lo := 0; lo < half; lo += 250 {
+						hi := min(lo+250, half)
+						tups := make([]catalog.Tuple, 0, hi-lo)
+						for _, k := range c.keys[lo:hi] {
+							tups = append(tups, catalog.Tuple{k})
+						}
+						if err := InsertBatch(idx, 0, tups, rids[lo:hi]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				},
+				// Cold node store (the load left inner nodes behind, no leaves), then warm.
+				search,
+				search,
+				// Row-at-a-time inserts of the second half over a warm store.
+				func() {
+					for i := half; i < len(c.keys); i++ {
+						if err := idx.Insert(c.keys[i], rids[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				},
+				// Deletes of every third key, interleaved with searches of what they invalidate.
+				func() {
+					for i := 0; i < len(c.keys); i += 3 {
+						if _, err := idx.Delete(c.keys[i], rids[i]); err != nil {
+							t.Fatal(err)
+						}
+						if i%240 == 0 {
+							search()
+						}
+					}
+				},
+				search,
+			}
+			var got [6][2]int64
+			for i, phase := range phases {
+				phase()
+				st := bp.Stats()
+				got[i] = [2]int64{st.Accesses, st.Misses}
+			}
+			if got != c.want {
+				t.Errorf("pool accesses and misses after each phase:\n got  %s\n want %s", fmtCounters(got), fmtCounters(c.want))
+			}
+		})
+	}
+}
+
+func fmtCounters(c [6][2]int64) string {
+	s := ""
+	for _, p := range c {
+		s += fmt.Sprintf("{%d, %d}, ", p[0], p[1])
+	}
+	return s
+}
