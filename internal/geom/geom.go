@@ -22,8 +22,15 @@ func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
 // Eq reports exact coordinate equality.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
 
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
+// Dist returns the Euclidean distance between p and q, as
+// sqrt(dx*dx + dy*dy): correctly rounded operations keep it monotone in
+// |dx| and |dy|, which is all an ordering of distances needs, at a fraction
+// of math.Hypot's cost. Coordinate differences beyond about ±1e150 overflow
+// to +Inf where Hypot would not.
+func (p Point) Dist(q Point) float64 {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return math.Sqrt(dx*dx + dy*dy)
+}
 
 // Box is an axis-aligned rectangle with Min.X <= Max.X and Min.Y <= Max.Y.
 type Box struct {
@@ -98,11 +105,13 @@ func (b Box) Quadrant(i int) Box {
 }
 
 // DistToPoint returns the minimum Euclidean distance from any point of b
-// to p; zero when p is inside b.
+// to p; zero when p is inside b. It is computed the way Point.Dist is (same
+// overflow beyond ±1e150), from a dx and dy that no point of b undercuts,
+// so the bound never exceeds the distance to a point inside the box.
 func (b Box) DistToPoint(p Point) float64 {
 	dx := math.Max(0, math.Max(b.Min.X-p.X, p.X-b.Max.X))
 	dy := math.Max(0, math.Max(b.Min.Y-p.Y, p.Y-b.Max.Y))
-	return math.Hypot(dx, dy)
+	return math.Sqrt(dx*dx + dy*dy)
 }
 
 // Segment is a line segment between two endpoints.
