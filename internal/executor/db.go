@@ -1344,15 +1344,14 @@ func (t *Table) GetTx(tx *Txn, rid heap.RID) (catalog.Tuple, error) {
 
 // getVisible fetches the tuple at rid if snap can see its version.
 // Callers hold the statement lock and t.phys (shared or exclusive).
-func (t *Table) getVisible(snap *Snapshot, rid heap.RID) (catalog.Tuple, error) {
-	h, payload, err := t.Heap.GetVersion(rid)
-	if err != nil || payload == nil {
-		return nil, err
-	}
-	if !snap.Visible(h) {
-		return nil, nil
-	}
-	return catalog.DecodeTuple(payload)
+func (t *Table) getVisible(snap *Snapshot, rid heap.RID) (tup catalog.Tuple, err error) {
+	err = t.Heap.GetVersion(rid, func(h heap.TupleHeader, payload []byte) (err error) {
+		if snap.Visible(h) {
+			tup, err = catalog.DecodeTuple(payload)
+		}
+		return err
+	})
+	return tup, err
 }
 
 // RowCount returns the table's snapshot-visible live row count under

@@ -320,30 +320,34 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 // Get returns a copy of the record payload at rid (version header
 // stripped), or nil if no record exists there. Version-blind: callers
 // that honor snapshots use GetVersion.
-func (f *File) Get(rid RID) ([]byte, error) {
-	_, payload, err := f.GetVersion(rid)
-	return payload, err
+func (f *File) Get(rid RID) (out []byte, err error) {
+	err = f.GetVersion(rid, func(_ TupleHeader, payload []byte) error {
+		out = make([]byte, len(payload))
+		copy(out, payload)
+		return nil
+	})
+	return out, err
 }
 
-// GetVersion returns the version header and a copy of the payload of the
-// record at rid, or a nil payload if no record exists there.
-func (f *File) GetVersion(rid RID) (TupleHeader, []byte, error) {
+// GetVersion calls read with the version header and the payload of the
+// record at rid while its page is pinned: payload lies in the page and is
+// valid only during the call, so a reader that skips the version copies
+// nothing and one that wants it decodes straight from the page. read is not
+// called if no record exists at rid; its error is returned.
+func (f *File) GetVersion(rid RID, read func(h TupleHeader, payload []byte) error) error {
 	if !rid.Valid() || uint32(rid.Page) >= f.NumPages() {
-		return TupleHeader{}, nil, nil
+		return nil
 	}
 	p, err := f.bp.Fetch(rid.Page)
 	if err != nil {
-		return TupleHeader{}, nil, err
+		return err
 	}
 	defer f.bp.Unpin(p, false)
 	rec := storage.SlotRead(p.Data, int(rid.Slot))
 	if rec == nil {
-		return TupleHeader{}, nil, nil
+		return nil
 	}
-	h, payload := ParseTuple(rec)
-	out := make([]byte, len(payload))
-	copy(out, payload)
-	return h, out, nil
+	return read(ParseTuple(rec))
 }
 
 // headerOp discriminates the three version-header mutations.
