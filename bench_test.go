@@ -114,7 +114,7 @@ func setup(b *testing.B) {
 
 var sink int
 
-func emitCore(_ core.Value, _ heap.RID) bool { sink++; return true }
+func emitCore(_ []byte, _ heap.RID) bool { sink++; return true }
 
 // --- Table 7 has no runtime component (line counting); see cmd/spgist-loc.
 

@@ -208,8 +208,8 @@ func (x *spgistIndex) Insert(key catalog.Datum, rid heap.RID) error {
 }
 
 // InsertBatch groups a statement's inserts: core sorts the keys by
-// encoded form and serves the clustered descents from its decoded-node
-// cache.
+// encoded form, so the clustered descents find the inner nodes they share
+// in its node table.
 func (x *spgistIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
 	vs := make([]core.Value, len(keys))
 	for i, k := range keys {
@@ -238,7 +238,7 @@ func (x *spgistIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) boo
 	if err != nil {
 		return err
 	}
-	return x.tree.Scan(&core.Query{Op: op, Arg: v}, func(_ core.Value, rid heap.RID) bool {
+	return x.tree.Scan(&core.Query{Op: op, Arg: v}, func(_ []byte, rid heap.RID) bool {
 		return emit(rid)
 	})
 }

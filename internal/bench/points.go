@@ -46,7 +46,7 @@ func measurePointRow(cfg Config, n int) (pointRow, error) {
 		return row, err
 	}
 	sink := 0
-	emit := func(_ core.Value, _ heap.RID) bool { sink++; return true }
+	emit := func(_ []byte, _ heap.RID) bool { sink++; return true }
 	row.kdPoint = measure(kd, len(pointQ), func(i int) {
 		kd.Scan(&core.Query{Op: "@", Arg: pointQ[i]}, emit)
 	})

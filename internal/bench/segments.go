@@ -41,7 +41,7 @@ func measureSegmentRow(cfg Config, n int) (segmentRow, error) {
 		return row, err
 	}
 	sink := 0
-	emit := func(_ core.Value, _ heap.RID) bool { sink++; return true }
+	emit := func(_ []byte, _ heap.RID) bool { sink++; return true }
 	row.pmrExact = measure(pq, len(exactQ), func(i int) {
 		pq.Scan(&core.Query{Op: "=", Arg: exactQ[i]}, emit)
 	})

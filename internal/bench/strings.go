@@ -82,7 +82,7 @@ func measureStringRow(cfg Config, n int) (stringRow, error) {
 		return row, err
 	}
 	sink := 0
-	emit := func(_ core.Value, _ heap.RID) bool { sink++; return true }
+	emit := func(_ []byte, _ heap.RID) bool { sink++; return true }
 	exactTimes := timePerOp(len(exactQ), func(i int) {
 		tr.Scan(&core.Query{Op: "=", Arg: exactQ[i]}, emit)
 	})
@@ -114,15 +114,14 @@ func measureStringRow(cfg Config, n int) (stringRow, error) {
 		return row, err
 	}
 	row.btreeInsert = bIns
-	bemit := func(_ []byte, _ heap.RID) bool { sink++; return true }
 	row.btreeExact = measure(bt, len(exactQ), func(i int) {
 		bt.Search([]byte(exactQ[i]), func(heap.RID) bool { sink++; return true })
 	})
 	row.btreePrefix = measure(bt, len(prefixQ), func(i int) {
-		bt.PrefixScan([]byte(prefixQ[i]), bemit)
+		bt.PrefixScan([]byte(prefixQ[i]), emit)
 	})
 	row.btreeRegex = measure(bt, len(regexQ), func(i int) {
-		bt.MatchScan(regexQ[i], trie.MatchPattern, bemit)
+		bt.MatchScan(regexQ[i], trie.MatchPattern, emit)
 	})
 	row.btreeSize = bt.SizeBytes()
 	row.btreeNodeH = bt.Height()

@@ -63,7 +63,7 @@ func RunSuffix(cfg Config) []Figure {
 			})
 		})
 		sfxTime := timeOp(len(subQ), func(i int) {
-			st.Scan(suffix.SubstringQuery(subQ[i]), func(_ core.Value, _ heap.RID) bool {
+			st.Scan(suffix.SubstringQuery(subQ[i]), func(_ []byte, _ heap.RID) bool {
 				sink++
 				return true
 			})

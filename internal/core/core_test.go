@@ -35,9 +35,16 @@ func (testTrie) RootRecon() Value           { return "" }
 func (testTrie) EncodeKey(v Value) []byte   { return []byte(v.(string)) }
 func (testTrie) DecodeKey(b []byte) Value   { return string(b) }
 func (testTrie) EncodePred(v Value) []byte  { return []byte(v.(string)) }
-func (testTrie) DecodePred(b []byte) Value  { return string(b) }
 func (testTrie) EncodeLabel(v Value) []byte { return []byte{v.(byte)} }
-func (testTrie) DecodeLabel(b []byte) Value { return b[0] }
+
+// labelAt reads partition i's one-byte label; a label of any other length
+// (FuzzNodeView feeds some) reads as one no key is routed to.
+func labelAt(ls Labels, i int) byte {
+	if l := ls.At(i); len(l) == 1 {
+		return l[0]
+	}
+	return 0xFE
+}
 
 func (o testTrie) Choose(in *ChooseIn) ChooseOut {
 	key := in.Key.(string)
@@ -47,8 +54,8 @@ func (o testTrie) Choose(in *ChooseIn) ChooseOut {
 	} else {
 		want = key[in.Level]
 	}
-	for i, l := range in.Labels {
-		if l.(byte) == want {
+	for i := 0; i < in.Labels.Len(); i++ {
+		if labelAt(in.Labels, i) == want {
 			recon := in.Recon.(string)
 			if want != blankLabel {
 				recon += string(want)
@@ -108,7 +115,7 @@ func (o testTrie) InnerConsistent(in *InnerIn, out *InnerOut) {
 		out.Follow = append(out.Follow, InnerFollow{Entry: i, LevelAdd: 1})
 	}
 	if in.Query == nil {
-		for i := range in.Labels {
+		for i := 0; i < in.Labels.Len(); i++ {
 			follow(i)
 		}
 		return
@@ -122,14 +129,14 @@ func (o testTrie) InnerConsistent(in *InnerIn, out *InnerOut) {
 		} else {
 			want = q[in.Level]
 		}
-		for i, l := range in.Labels {
-			if l.(byte) == want {
+		for i := 0; i < in.Labels.Len(); i++ {
+			if labelAt(in.Labels, i) == want {
 				follow(i)
 			}
 		}
 	case "pfx":
-		for i, l := range in.Labels {
-			lb := l.(byte)
+		for i := 0; i < in.Labels.Len(); i++ {
+			lb := labelAt(in.Labels, i)
 			if in.Level >= len(q) {
 				follow(i) // inside the prefix subtree: everything matches
 			} else if lb == q[in.Level] {
@@ -139,8 +146,8 @@ func (o testTrie) InnerConsistent(in *InnerIn, out *InnerOut) {
 	}
 }
 
-func (o testTrie) LeafConsistent(q *Query, key Value, _ int) bool {
-	k := key.(string)
+func (o testTrie) LeafConsistent(q *Query, key []byte, _ int) bool {
+	k := string(key)
 	switch q.Op {
 	case "=":
 		return k == q.Arg.(string)
@@ -150,7 +157,7 @@ func (o testTrie) LeafConsistent(q *Query, key Value, _ int) bool {
 	return false
 }
 
-func newTestTree(t *testing.T) *Tree {
+func newTestTree(t testing.TB) *Tree {
 	t.Helper()
 	bp := storage.NewBufferPool("", storage.NewMem(1024), 64)
 	tr, err := Create(bp, testTrie{})
@@ -257,7 +264,7 @@ func TestFullScanNilQuery(t *testing.T) {
 		}
 	}
 	n := 0
-	if err := tr.Scan(nil, func(_ Value, _ heap.RID) bool { n++; return true }); err != nil {
+	if err := tr.Scan(nil, func(_ []byte, _ heap.RID) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 300 {
@@ -271,7 +278,7 @@ func TestScanEarlyStop(t *testing.T) {
 		tr.Insert("ab", rid(i))
 	}
 	n := 0
-	tr.Scan(nil, func(_ Value, _ heap.RID) bool { n++; return n < 5 })
+	tr.Scan(nil, func(_ []byte, _ heap.RID) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d, want 5", n)
 	}
@@ -332,7 +339,7 @@ func TestBulkDelete(t *testing.T) {
 		t.Fatal("bulk delete removed nothing")
 	}
 	cnt := 0
-	tr.Scan(nil, func(_ Value, rd heap.RID) bool {
+	tr.Scan(nil, func(_ []byte, rd heap.RID) bool {
 		if rd.Slot%2 == 0 {
 			t.Fatalf("rid %v should have been removed", rd)
 		}

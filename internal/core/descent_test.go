@@ -11,7 +11,7 @@ type strayFollow struct{ testTrie }
 
 func (o strayFollow) InnerConsistent(in *InnerIn, out *InnerOut) {
 	o.testTrie.InnerConsistent(in, out)
-	out.Follow = append(out.Follow, InnerFollow{Entry: len(in.Labels), LevelAdd: 1})
+	out.Follow = append(out.Follow, InnerFollow{Entry: in.Labels.Len(), LevelAdd: 1})
 }
 
 // TestDeleteRejectsOutOfRangeFollow: Scan and Delete walk the tree with

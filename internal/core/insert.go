@@ -29,11 +29,10 @@ func (t *Tree) Insert(key Value, rid heap.RID) error {
 
 // InsertBatch adds many (key, rid) pairs as one grouped operation: the
 // keys are sorted by their encoded form first, so consecutive descents
-// revisit the same inner nodes back to back and the decoded-node cache
-// serves them without re-decoding — the batch amortizes one inner-node
-// decode over the whole key cluster that routes through it. The data node
-// at the end of each descent is never decoded at all: an insertion reads
-// and extends its record inside the page (insertIntoLeaf).
+// revisit the same inner nodes back to back and read them out of the node
+// table — one page fetch and one record copy per inner node for the whole
+// key cluster that routes through it. The data node at the end of a descent
+// is never copied: an insertion extends its record inside the page.
 func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	if len(keys) != len(rids) {
 		return fmt.Errorf("spgist: InsertBatch got %d keys for %d rids", len(keys), len(rids))
@@ -71,22 +70,6 @@ func (t *Tree) insertEncoded(kb []byte, rid heap.RID) error {
 	}
 	t.nKeys++
 	return nil
-}
-
-// cloneForWrite returns a private mutable copy of a possibly-shared
-// (cached) node: the descent reads nodes through the decoded-node cache,
-// so a branch that needs to mutate one must copy it first — cached nodes
-// are immutable once published. Entry and item values are copied; the
-// byte slices inside them are never mutated in place, so they may be
-// shared.
-func cloneForWrite(n *node) *node {
-	return &node{
-		leaf:    n.leaf,
-		pred:    n.pred,
-		entries: append([]entry(nil), n.entries...),
-		items:   append([]item(nil), n.items...),
-		next:    n.next,
-	}
 }
 
 // insertIntoLeaf adds (kb, rid) to the data node whose record rec lies in
@@ -128,10 +111,9 @@ func (t *Tree) insertIntoLeaf(p *storage.Page, rec []byte, ref NodeRef, parent *
 
 // insertAt descends from the node at ref until the key lands in a data
 // node, applying Choose at every inner node and PickSplit on overflow.
-// The descent reads inner nodes through the decoded-node cache and the
-// memoized predicate/label forms, so a batch of sorted keys descending
-// through the same inner nodes decodes each of them once; branches that
-// mutate a node clone it first (cached nodes are shared, immutable).
+// The descent reads inner nodes as views out of the node table; a branch
+// that changes one decodes it into a private node first (views are shared,
+// immutable).
 func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value, kb []byte, rid heap.RID) error {
 	var in ChooseIn     // one per insertion, refilled at every inner node
 	var link parentLink // likewise: only the current node's parent is ever needed
@@ -139,7 +121,7 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 		if guard >= maxChooseIters {
 			return fmt.Errorf("spgist: %s.Choose did not converge at node %v", t.oc.Name(), ref)
 		}
-		n, p, rec, err := t.nodeForInsert(ref)
+		n, p, rec, err := t.read(ref, true)
 		if err != nil {
 			return err
 		}
@@ -151,7 +133,7 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			in.Key = t.oc.DecodeKey(kb)
 		}
 		in.Level, in.Recon = level, recon
-		in.Pred, in.Labels = t.innerValues(n)
+		in.Pred, in.Labels = n.pred(), Labels{n}
 		out := t.oc.Choose(&in)
 		switch out.Action {
 		case MatchNode:
@@ -163,22 +145,12 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			}
 			if len(out.Matches) == 1 {
 				m := out.Matches[0]
-				if m.Entry < 0 || m.Entry >= len(n.entries) {
+				if m.Entry < 0 || m.Entry >= n.n {
 					return fmt.Errorf("spgist: Choose match entry %d out of range", m.Entry)
 				}
-				child := n.entries[m.Entry].child
+				child := n.child(m.Entry)
 				if !child.Valid() {
-					// First key of an empty partition: hang a fresh data
-					// node off the entry.
-					leafN := &node{leaf: true, items: []item{{key: kb, rid: rid}}}
-					cref, err := t.allocNode(ref.Page, leafN.encode())
-					if err != nil {
-						return err
-					}
-					w := cloneForWrite(n)
-					w.entries[m.Entry].child = cref
-					_, err = t.writeNode(ref, w, parent)
-					return err
+					return t.hangLeaf(ref, n.node(), m.Entry, parent, kb, rid)
 				}
 				link = parentLink{ref: ref, entry: m.Entry}
 				parent = &link
@@ -194,10 +166,10 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			}
 			// Multi-assignment (PMR quadtree): the key descends into every
 			// matched partition. Re-read the node privately before each
-			// branch — the previous branch may have patched child
-			// pointers, and the loop's n may be a shared cached node.
+			// branch — the previous branch may have patched child pointers.
 			for _, m := range out.Matches {
-				if n, err = t.readNode(ref); err != nil {
+				n, err := t.readNode(ref)
+				if err != nil {
 					return err
 				}
 				if m.Entry < 0 || m.Entry >= len(n.entries) {
@@ -205,13 +177,7 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 				}
 				child := n.entries[m.Entry].child
 				if !child.Valid() {
-					leafN := &node{leaf: true, items: []item{{key: kb, rid: rid}}}
-					cref, err := t.allocNode(ref.Page, leafN.encode())
-					if err != nil {
-						return err
-					}
-					n.entries[m.Entry].child = cref
-					if _, err := t.writeNode(ref, n, parent); err != nil {
+					if err := t.hangLeaf(ref, n, m.Entry, parent, kb, rid); err != nil {
 						return err
 					}
 					continue
@@ -223,7 +189,7 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			return nil
 
 		case AddNode:
-			w := cloneForWrite(n)
+			w := n.node()
 			w.entries = append(w.entries, entry{label: t.oc.EncodeLabel(out.NewLabel), child: InvalidRef})
 			newRef, err := t.writeNode(ref, w, parent)
 			if err != nil {
@@ -237,7 +203,7 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			// Prefix-conflict restructuring (patricia trie): the node
 			// splits into upper (shortened predicate, one partition) and
 			// lower (rest of the predicate, the original entries).
-			lower := &node{pred: t.encodePred(out.LowerPred), entries: n.entries}
+			lower := &node{pred: t.encodePred(out.LowerPred), entries: n.node().entries}
 			lref, err := t.allocNode(ref.Page, lower.encode())
 			if err != nil {
 				return err
@@ -257,6 +223,19 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			return fmt.Errorf("spgist: unknown Choose action %d", out.Action)
 		}
 	}
+}
+
+// hangLeaf gives the empty partition entry of the inner node n, stored at
+// ref, its first key: a fresh data node hangs off the entry.
+func (t *Tree) hangLeaf(ref NodeRef, n *node, entry int, parent *parentLink, kb []byte, rid heap.RID) error {
+	leafN := &node{leaf: true, items: []item{{key: kb, rid: rid}}}
+	cref, err := t.allocNode(ref.Page, leafN.encode())
+	if err != nil {
+		return err
+	}
+	n.entries[entry].child = cref
+	_, err = t.writeNode(ref, n, parent)
+	return err
 }
 
 // splitLeaf decomposes the items of an over-full data node (already
@@ -424,24 +403,9 @@ func (t *Tree) atResolution(level int) bool {
 	return t.pr.Resolution > 0 && level >= t.pr.Resolution
 }
 
-func (t *Tree) decodePred(pred []byte) Value {
-	if len(pred) == 0 {
-		return nil
-	}
-	return t.oc.DecodePred(pred)
-}
-
 func (t *Tree) encodePred(v Value) []byte {
 	if v == nil {
 		return nil
 	}
 	return t.oc.EncodePred(v)
-}
-
-func (t *Tree) decodeLabels(n *node) []Value {
-	labels := make([]Value, len(n.entries))
-	for i, e := range n.entries {
-		labels[i] = t.oc.DecodeLabel(e.label)
-	}
-	return labels
 }

@@ -176,8 +176,8 @@ func TestInsertIntoLeafCases(t *testing.T) {
 	chained := func(tr *Tree) int {
 		t.Helper()
 		heads := 0
-		if err := tr.walk(func(_ NodeRef, n *node, _, _ int) bool {
-			if n.leaf && n.next.Valid() {
+		if err := tr.walk(func(_ NodeRef, v *nodeView, _, _ int) bool {
+			if v.leaf && v.next().Valid() {
 				heads++
 			}
 			return true

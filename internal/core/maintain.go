@@ -22,13 +22,19 @@ func (t *Tree) Delete(key Value, rid heap.RID) (int, error) {
 	kb := t.oc.EncodeKey(key)
 	q := &Query{Op: t.pr.EqualityOp, Arg: key}
 
-	// Collect the data nodes that may hold the key, then rewrite them.
-	// Removal shrinks records, so rewrites always succeed in place and no
-	// parent patching is needed.
 	leaves, err := t.searchLeaves(q)
 	if err != nil {
 		return 0, err
 	}
+	return t.dropItems(leaves, func(it item) bool {
+		return bytes.Equal(it.key, kb) && (!rid.Valid() || it.rid == rid)
+	})
+}
+
+// dropItems rewrites the data-node records at leaves without the items drop
+// selects and returns the number of logical keys that went. Removal shrinks
+// records, so the rewrites always succeed in place and no parent is patched.
+func (t *Tree) dropItems(leaves []NodeRef, drop func(it item) bool) (int, error) {
 	removed := make(map[heap.RID]struct{})
 	for _, ref := range leaves {
 		n, err := t.readNode(ref)
@@ -36,16 +42,14 @@ func (t *Tree) Delete(key Value, rid heap.RID) (int, error) {
 			return 0, err
 		}
 		kept := n.items[:0]
-		changed := false
 		for _, it := range n.items {
-			if bytes.Equal(it.key, kb) && (!rid.Valid() || it.rid == rid) {
+			if drop(it) {
 				removed[it.rid] = struct{}{}
-				changed = true
-				continue
+			} else {
+				kept = append(kept, it)
 			}
-			kept = append(kept, it)
 		}
-		if changed {
+		if len(kept) < len(n.items) {
 			n.items = kept
 			if _, err := t.writeNode(ref, n, nil); err != nil {
 				return 0, err
@@ -74,10 +78,9 @@ func (t *Tree) searchLeaves(q *Query) ([]NodeRef, error) {
 // whole index once (the spgistbulkdelete interface routine of the paper's
 // Table 2). It returns the number of logical keys removed.
 func (t *Tree) BulkDelete(drop func(rid heap.RID) bool) (int, error) {
-	removed := make(map[heap.RID]struct{})
 	var leaves []NodeRef
-	err := t.walk(func(ref NodeRef, n *node, _, _ int) bool {
-		if n.leaf {
+	err := t.walk(func(ref NodeRef, v *nodeView, _, _ int) bool {
+		if v.leaf {
 			leaves = append(leaves, ref)
 		}
 		return true
@@ -85,28 +88,5 @@ func (t *Tree) BulkDelete(drop func(rid heap.RID) bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, ref := range leaves {
-		n, err := t.readNode(ref)
-		if err != nil {
-			return 0, err
-		}
-		kept := n.items[:0]
-		changed := false
-		for _, it := range n.items {
-			if drop(it.rid) {
-				removed[it.rid] = struct{}{}
-				changed = true
-				continue
-			}
-			kept = append(kept, it)
-		}
-		if changed {
-			n.items = kept
-			if _, err := t.writeNode(ref, n, nil); err != nil {
-				return 0, err
-			}
-		}
-	}
-	t.nKeys -= int64(len(removed))
-	return len(removed), nil
+	return t.dropItems(leaves, func(it item) bool { return drop(it.rid) })
 }

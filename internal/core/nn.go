@@ -20,8 +20,8 @@ import (
 // so an entry costs as little as possible until it is: the queue proper
 // is a binary heap of small pointer-free keys, the payload sits still in
 // an arena the keys index, and a node's traversal value is not built
-// when the node is enqueued but derived from its (cached, immutable)
-// parent if and when it is dequeued and has children of its own.
+// when the node is enqueued but derived from its parent's (immutable) view
+// if and when it is dequeued and has children of its own.
 
 // nnKey is one queue slot: what the ordering needs and where the rest is.
 // It holds no pointers, so sifting moves 24 bytes with no write barrier.
@@ -46,15 +46,15 @@ func (a nnKey) less(b nnKey) bool {
 
 // nnEntry is the payload of one queue slot.
 //
-// A data object is (n, idx): item idx of the cached leaf record n.
+// A data object is (n, idx): item idx of the data-node record n.
 //
-// A node is the child under entry idx of the cached inner node n, whose
+// A node is the child under entry idx of the inner node n, whose
 // level and traversal value are plevel and recon — everything NNRecon
 // needs to derive the child's own value later. The root and overflow
 // records have no parent (n is nil): the root's recon is its own, and an
 // overflow record, always a data node, needs none.
 type nnEntry struct {
-	n      *node
+	n      *nodeView
 	idx    int32
 	level  int32 // node: its own level
 	plevel int32 // node: the level of n
@@ -162,23 +162,24 @@ func (c *NNCursor) pop() (nnKey, nnEntry) {
 	return top, e
 }
 
-// Next returns the next nearest neighbor. ok is false when the index is
-// exhausted or an error occurred (check Err).
-func (c *NNCursor) Next() (key Value, rid heapfile.RID, dist float64, ok bool) {
+// Next returns the next nearest neighbor, its key as it is encoded in the
+// index (OpClass.DecodeKey gives its Value; the bytes must not be changed).
+// ok is false when the index is exhausted or an error occurred (check Err).
+func (c *NNCursor) Next() (key []byte, rid heapfile.RID, dist float64, ok bool) {
 	if c.err != nil {
 		return nil, heapfile.InvalidRID, 0, false
 	}
 	for len(c.pq) > 0 {
 		k, e := c.pop()
 		if k.tie&nnNodeTie == 0 {
-			rid := e.n.items[e.idx].rid
+			rid := e.n.rid(int(e.idx))
 			if c.seen != nil {
 				if _, dup := c.seen[rid]; dup {
 					continue
 				}
 				c.seen[rid] = struct{}{}
 			}
-			return c.t.keyValues(e.n)[e.idx], rid, k.dist, true
+			return e.n.key(int(e.idx)), rid, k.dist, true
 		}
 		if c.err = c.expand(k.dist, e); c.err != nil {
 			return nil, heapfile.InvalidRID, 0, false
@@ -191,42 +192,41 @@ func (c *NNCursor) Next() (key Value, rid heapfile.RID, dist float64, ok bool) {
 // overflow link of a data node, the non-empty partitions of an inner
 // node.
 func (c *NNCursor) expand(dist float64, e nnEntry) error {
-	n, err := c.t.readNodeRO(e.ref)
+	n, err := c.t.view(e.ref)
 	if err != nil {
 		return err
 	}
 	if n.leaf {
-		keys := c.t.keyValues(n)
-		for i := range n.items {
-			c.push(c.oc.NNLeaf(c.q, keys[i]), 0, nnEntry{n: n, idx: int32(i)})
+		for i := 0; i < n.n; i++ {
+			c.push(c.oc.NNLeaf(c.q, n.key(i)), 0, nnEntry{n: n, idx: int32(i)})
 		}
-		if n.next.Valid() {
+		if next := n.next(); next.Valid() {
 			// The overflow record inherits the node's lower bound.
-			c.push(dist, nnNodeTie, nnEntry{ref: n.next})
+			c.push(dist, nnNodeTie, nnEntry{ref: next})
 		}
 		return nil
 	}
 	recon := e.recon
 	if e.n != nil {
-		pred, labels := c.t.innerValues(e.n)
-		recon = c.oc.NNRecon(pred, labels[e.idx], int(e.plevel), e.recon)
+		recon = c.oc.NNRecon(e.n.pred(), e.n.label(int(e.idx)), int(e.plevel), e.recon)
 	} else if e.ref != c.t.root {
 		// Parentless and not the root: an overflow link, which only ever
 		// leads to another data node in a well-formed tree.
 		return fmt.Errorf("spgist: overflow chain reaches inner node %v", e.ref)
 	}
-	pred, labels := c.t.innerValues(n)
-	for i, ent := range n.entries {
-		if !ent.child.Valid() {
+	pred := n.pred()
+	for i := 0; i < n.n; i++ {
+		child := n.child(i)
+		if !child.Valid() {
 			continue
 		}
-		d, levelAdd := c.oc.NNInner(c.q, pred, labels[i], int(e.level), recon, dist)
+		d, levelAdd := c.oc.NNInner(c.q, pred, n.label(i), int(e.level), recon, dist)
 		c.push(d, nnNodeTie, nnEntry{
 			n:      n,
 			idx:    int32(i),
 			level:  e.level + int32(levelAdd),
 			plevel: e.level,
-			ref:    ent.child,
+			ref:    child,
 			recon:  recon,
 		})
 	}
@@ -248,7 +248,7 @@ func (t *Tree) NN(q Value, k int) (keys []Value, rids []heapfile.RID, dists []fl
 		if !ok {
 			break
 		}
-		keys = append(keys, key)
+		keys = append(keys, t.oc.DecodeKey(key))
 		rids = append(rids, rid)
 		dists = append(dists, d)
 	}

@@ -25,9 +25,6 @@ var InvalidRef = NodeRef{Page: storage.InvalidPageID}
 // which lets freshly built nodes leave their overflow chain unset.
 func (r NodeRef) Valid() bool { return r.Page != storage.InvalidPageID && r.Page != 0 }
 
-// cacheKey packs the reference into the decoded-node cache's key.
-func (r NodeRef) cacheKey() uint64 { return uint64(r.Page)<<16 | uint64(r.Slot) }
-
 func (r NodeRef) String() string { return fmt.Sprintf("(%d.%d)", r.Page, r.Slot) }
 
 // entry is one partition of an inner node: a label and the child it leads
@@ -43,7 +40,9 @@ type item struct {
 	rid heap.RID
 }
 
-// node is the in-memory form of a tree node.
+// node is the decoded, mutable form of a tree node: what the paths that
+// restructure the tree (AddNode, SplitNode, PickSplit, Repack, deletion)
+// build, change and encode. Reads never see it — they work on a nodeView.
 //
 // A data (leaf) node additionally carries a next reference: when a group
 // of keys cannot be partitioned any further (duplicates, or a cell at the
@@ -57,17 +56,6 @@ type node struct {
 	entries []entry // inner only
 	items   []item  // leaf only
 	next    NodeRef // leaf only: overflow chain
-
-	// Memoized decoded forms, filled on first read-only visit of a
-	// cached node so repeated searches do not re-decode (PostgreSQL
-	// equivalents live in the buffer page and need no materialization).
-	// Only the read-only paths touch these; mutating paths always work
-	// on freshly decoded nodes.
-	predV   Value
-	labelsV []Value
-	keysV   []Value
-	memoIn  bool // predV/labelsV filled
-	memoKey bool // keysV filled
 }
 
 const (
@@ -144,69 +132,22 @@ func (n *node) encode() []byte {
 	return buf
 }
 
-// decodeNode parses a node record. The returned node owns copies of all
-// byte slices, so the page buffer may be unpinned afterwards.
+// decodeNode parses a node record into a private node the caller may
+// change. Its byte slices lie in the view's copy of the record, which nobody
+// writes, so the page may be unpinned afterwards.
 func decodeNode(rec []byte) (*node, error) {
-	if len(rec) < 3 {
-		return nil, fmt.Errorf("spgist: node record too short (%d bytes)", len(rec))
+	v, err := newView(rec)
+	if err != nil {
+		return nil, err
 	}
-	switch rec[0] {
-	case nodeKindLeaf:
-		next, cnt, err := leafHeader(rec)
-		if err != nil {
-			return nil, err
-		}
-		n := &node{leaf: true, next: next, items: make([]item, 0, cnt)}
-		off := leafHeaderSize
-		for i := 0; i < cnt; i++ {
-			kl := int(binary.LittleEndian.Uint16(rec[off:]))
-			off += 2
-			key := make([]byte, kl)
-			copy(key, rec[off:off+kl])
-			off += kl
-			n.items = append(n.items, item{key: key, rid: heap.RIDFromBytes(rec[off:])})
-			off += heap.RIDSize
-		}
-		return n, nil
-	case nodeKindInner:
-		pl := int(binary.LittleEndian.Uint16(rec[1:]))
-		off := 3
-		if off+pl+2 > len(rec) {
-			return nil, fmt.Errorf("spgist: truncated inner predicate")
-		}
-		pred := make([]byte, pl)
-		copy(pred, rec[off:off+pl])
-		off += pl
-		cnt := int(binary.LittleEndian.Uint16(rec[off:]))
-		off += 2
-		n := &node{pred: pred, entries: make([]entry, 0, cnt)}
-		for i := 0; i < cnt; i++ {
-			if off+2 > len(rec) {
-				return nil, fmt.Errorf("spgist: truncated inner entry header")
-			}
-			ll := int(binary.LittleEndian.Uint16(rec[off:]))
-			off += 2
-			if off+ll+refSize > len(rec) {
-				return nil, fmt.Errorf("spgist: truncated inner entry")
-			}
-			label := make([]byte, ll)
-			copy(label, rec[off:off+ll])
-			off += ll
-			child := getRef(rec[off:])
-			off += refSize
-			n.entries = append(n.entries, entry{label: label, child: child})
-		}
-		return n, nil
-	default:
-		return nil, fmt.Errorf("spgist: unknown node kind %d", rec[0])
-	}
+	return v.node(), nil
 }
 
 // leafHeader is the one structural walk of a data-node record: it checks
 // that the header and every item lie inside rec and that nothing follows
 // the last item, copying nothing, and returns the overflow link and the
-// item count — what an insertion decides on where the record lies.
-// decodeNode reads data nodes through it and then only copies the items.
+// item count — what an insertion decides on where the record lies. newView
+// validates data nodes through it.
 func leafHeader(rec []byte) (next NodeRef, cnt int, err error) {
 	if len(rec) < 3 {
 		return InvalidRef, 0, fmt.Errorf("spgist: node record too short (%d bytes)", len(rec))

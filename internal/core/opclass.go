@@ -12,10 +12,19 @@
 // extension points Table 1 of the paper describes.
 package core
 
-// Value is an opclass-typed datum: a key stored at data (leaf) nodes, a
-// node predicate, a partition label, or a reconstructed traversal value.
-// The framework never inspects Values; it moves them between the opclass
-// callbacks and (de)serializes them with the opclass codecs.
+// Value is an opclass-typed datum: a key, a node predicate, a partition
+// label, a query operand or a reconstructed traversal value. The framework
+// never inspects Values; it moves them between the opclass callbacks and
+// serializes them with the opclass codecs.
+//
+// What the index stores — predicates, labels, the keys of data nodes —
+// reaches the methods a read calls (Choose, InnerConsistent, LeafConsistent,
+// NNInner, NNRecon, NNLeaf) as the encoded bytes, where the node's record
+// holds them, so nothing is decoded or allocated to look at one. A method
+// must not change those bytes or keep them past the call, and must survive
+// bytes no Encode* wrote (a damaged file) without panicking — any answer
+// will do. Values remain the currency of what builds nodes: the key being
+// inserted, PickSplit, ChooseOut.
 type Value = any
 
 // Query is a search predicate handed to Scan. Op is an opclass-defined
@@ -111,11 +120,11 @@ const (
 
 // ChooseIn is the input of OpClass.Choose.
 type ChooseIn struct {
-	Key    Value   // key being inserted
-	Level  int     // decomposition level of the node
-	Pred   Value   // node predicate (nil when the opclass stores none)
-	Labels []Value // partition labels in entry order
-	Recon  Value   // reconstructed traversal value at this node
+	Key    Value  // key being inserted
+	Level  int    // decomposition level of the node
+	Pred   []byte // encoded node predicate (empty when the opclass stores none)
+	Labels Labels // encoded partition labels in entry order
+	Recon  Value  // reconstructed traversal value at this node
 }
 
 // ChooseMatch is one descent target selected by Choose.
@@ -167,14 +176,14 @@ type PickSplitOut struct {
 
 // InnerIn is the input of OpClass.InnerConsistent for one inner node met
 // during a search. The search driver owns it: one InnerIn serves a whole
-// scan and is refilled per node, so the opclass must not keep the pointer
-// or the Labels slice past the call.
+// scan and is refilled per node, so the opclass must not keep the pointer,
+// Pred or Labels past the call.
 type InnerIn struct {
 	Query  *Query // nil means full scan: follow everything
 	Level  int
-	Pred   Value
-	Labels []Value
-	Recon  Value // this node's traversal value, as its parent's Follow gave it
+	Pred   []byte // encoded node predicate (empty when the opclass stores none)
+	Labels Labels // encoded partition labels in entry order
+	Recon  Value  // this node's traversal value, as its parent's Follow gave it
 }
 
 // InnerFollow is one child a search should visit.
@@ -212,14 +221,13 @@ type OpClass interface {
 	// when unused).
 	RootRecon() Value
 
-	// Codecs. Encode*/Decode* must round-trip; encoded forms are what is
-	// stored on disk.
+	// Codecs. The encoded forms are what is stored on disk and what the
+	// read-side methods below receive; the framework decodes only keys, for
+	// PickSplit, for Choose's Key and for callers of Tree.NN.
 	EncodeKey(Value) []byte
 	DecodeKey([]byte) Value
 	EncodePred(Value) []byte
-	DecodePred([]byte) Value
 	EncodeLabel(Value) []byte
-	DecodeLabel([]byte) Value
 
 	// Choose directs the insertion descent at an inner node.
 	Choose(in *ChooseIn) ChooseOut
@@ -229,8 +237,9 @@ type OpClass interface {
 	// appending them to out.Follow (see InnerIn and InnerOut for who owns
 	// what).
 	InnerConsistent(in *InnerIn, out *InnerOut)
-	// LeafConsistent decides whether a stored key satisfies the query.
-	LeafConsistent(q *Query, key Value, level int) bool
+	// LeafConsistent decides whether a stored key, as encoded, satisfies
+	// the query.
+	LeafConsistent(q *Query, key []byte, level int) bool
 }
 
 // NNOpClass is implemented by opclasses that support the incremental
@@ -243,8 +252,9 @@ type OpClass interface {
 // that can still beat the current candidates: NNInner runs per enqueued
 // child and must stay cheap, NNRecon runs only for a child that was
 // dequeued and turned out to be an inner node. Both receive the same
-// parent-side arguments: the parent's predicate, the label of the child's
-// partition, the parent's level and the parent's traversal value.
+// parent-side arguments: the parent's encoded predicate, the encoded label
+// of the child's partition, the parent's level and the parent's traversal
+// value.
 type NNOpClass interface {
 	OpClass
 	// NNInner returns the minimum possible distance between the query
@@ -252,12 +262,12 @@ type NNOpClass interface {
 	// the child's level increase. parentDist is the distance computed
 	// for this node when it was enqueued (the paper's parent-distance
 	// propagation for tries).
-	NNInner(q Value, pred Value, label Value, level int, recon Value, parentDist float64) (dist float64, levelAdd int)
+	NNInner(q Value, pred, label []byte, level int, recon Value, parentDist float64) (dist float64, levelAdd int)
 	// NNRecon returns the traversal value of the child under the
 	// partition labeled label — whatever NNInner and NNRecon want to find
 	// in recon when that child is expanded in turn; nil if they read none.
-	NNRecon(pred Value, label Value, level int, recon Value) Value
+	NNRecon(pred, label []byte, level int, recon Value) Value
 	// NNLeaf returns the exact distance between the query object and a
-	// stored key.
-	NNLeaf(q Value, key Value) float64
+	// stored key, as encoded.
+	NNLeaf(q Value, key []byte) float64
 }

@@ -48,7 +48,7 @@ func TestQuickInsertThenFindAll(t *testing.T) {
 			}
 		}
 		seen := 0
-		tr.Scan(nil, func(_ Value, _ heap.RID) bool { seen++; return true })
+		tr.Scan(nil, func(_ []byte, _ heap.RID) bool { seen++; return true })
 		return seen == len(ws)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -143,8 +143,8 @@ func TestQuickRepackPreservesPairs(t *testing.T) {
 			return false
 		}
 		var got []pair
-		rp.Scan(nil, func(k Value, r heap.RID) bool {
-			got = append(got, pair{k.(string), r})
+		rp.Scan(nil, func(k []byte, r heap.RID) bool {
+			got = append(got, pair{string(k), r})
 			return true
 		})
 		if len(got) != len(want) {

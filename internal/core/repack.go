@@ -207,6 +207,7 @@ func (t *Tree) Repack(bp *storage.BufferPool) (*Tree, error) {
 			}
 		}
 		nt.setFree(p.ID, storage.SlotFreeSpace(p.Data))
+		nt.nodes.cover(p.ID, len(pageRefs[bi]))
 		bp.Unpin(p, true)
 	}
 	nt.root = remap[t.root]

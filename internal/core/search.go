@@ -8,12 +8,14 @@ import (
 
 // Scan runs the generic search internal method: it walks the tree guided
 // by the opclass's InnerConsistent and LeafConsistent external methods and
-// calls emit for every qualifying (key, rid). A nil query matches every
-// key. Scanning stops early when emit returns false.
+// calls emit for every qualifying (key, rid), the key as it is encoded in
+// the index (OpClass.DecodeKey gives its Value; emit must not change the
+// bytes). A nil query matches every key. Scanning stops early when emit
+// returns false.
 //
 // Trees whose opclass declares MultiAssign (PMR quadtree) or whose rows
 // contribute several keys (suffix tree) report each RID once.
-func (t *Tree) Scan(q *Query, emit func(key Value, rid heap.RID) bool) error {
+func (t *Tree) Scan(q *Query, emit func(key []byte, rid heap.RID) bool) error {
 	var seen map[heap.RID]struct{}
 	if t.pr.MultiAssign || t.pr.DedupScan {
 		seen = make(map[heap.RID]struct{})
@@ -21,23 +23,23 @@ func (t *Tree) Scan(q *Query, emit func(key Value, rid heap.RID) bool) error {
 	d := t.newDescent(q)
 	lq := d.in.Query // the descent's copy: the caller's Query need not escape
 	for {
-		n, err := d.next()
-		if n == nil || err != nil {
+		v, err := d.next()
+		if v == nil || err != nil {
 			return err
 		}
-		keys := t.keyValues(n)
-		for i, it := range n.items {
-			kv := keys[i]
-			if lq != nil && !t.oc.LeafConsistent(lq, kv, d.level) {
+		for i := 0; i < v.n; i++ {
+			key := v.key(i)
+			if lq != nil && !t.oc.LeafConsistent(lq, key, d.level) {
 				continue
 			}
+			rid := v.rid(i)
 			if seen != nil {
-				if _, dup := seen[it.rid]; dup {
+				if _, dup := seen[rid]; dup {
 					continue
 				}
-				seen[it.rid] = struct{}{}
+				seen[rid] = struct{}{}
 			}
-			if !emit(kv, it.rid) {
+			if !emit(key, rid) {
 				return nil
 			}
 		}
@@ -59,7 +61,7 @@ type frame struct {
 // A descent owns every buffer the walk needs — the InnerIn it refills per
 // node, the Follow slice the opclass appends into, the stack — in one
 // allocation made per search, never per tree, so concurrent searches of
-// one tree share nothing but the immutable cached nodes. Searches deeper
+// one tree share nothing but the immutable node views. Searches deeper
 // or wider than the inline arrays spill into append-grown slices that
 // also live as long as the descent.
 type descent struct {
@@ -93,32 +95,32 @@ func (t *Tree) newDescent(q *Query) *descent {
 
 // next returns the next data-node record of the walk (overflow records
 // included, each as a record of its own), or nil when the walk is over.
-func (d *descent) next() (*node, error) {
+func (d *descent) next() (*nodeView, error) {
 	t := d.t
 	for len(d.stack) > 0 {
 		f := d.stack[len(d.stack)-1]
 		d.stack = d.stack[:len(d.stack)-1]
-		n, err := t.readNodeRO(f.ref)
+		v, err := t.view(f.ref)
 		if err != nil {
 			return nil, err
 		}
-		if n.leaf {
-			if n.next.Valid() {
-				d.stack = append(d.stack, frame{n.next, f.level, f.recon})
+		if v.leaf {
+			if next := v.next(); next.Valid() {
+				d.stack = append(d.stack, frame{next, f.level, f.recon})
 			}
 			d.ref, d.level = f.ref, f.level
-			return n, nil
+			return v, nil
 		}
 		d.in.Level, d.in.Recon = f.level, f.recon
-		d.in.Pred, d.in.Labels = t.innerValues(n)
+		d.in.Pred, d.in.Labels = v.pred(), Labels{v}
 		d.out.Follow = d.out.Follow[:0]
 		t.oc.InnerConsistent(&d.in, &d.out)
 		first := len(d.stack)
 		for _, fo := range d.out.Follow {
-			if fo.Entry < 0 || fo.Entry >= len(n.entries) {
+			if fo.Entry < 0 || fo.Entry >= v.n {
 				return nil, fmt.Errorf("spgist: %s.InnerConsistent follow entry %d out of range", t.oc.Name(), fo.Entry)
 			}
-			child := n.entries[fo.Entry].child
+			child := v.child(fo.Entry)
 			if !child.Valid() {
 				continue // empty partition of a NodeShrink=false tree
 			}
@@ -146,7 +148,7 @@ func (d *descent) next() (*node, error) {
 // Scan used by tests and simple callers).
 func (t *Tree) Lookup(q *Query) ([]heap.RID, error) {
 	var rids []heap.RID
-	err := t.Scan(q, func(_ Value, rid heap.RID) bool {
+	err := t.Scan(q, func(_ []byte, rid heap.RID) bool {
 		rids = append(rids, rid)
 		return true
 	})
@@ -154,46 +156,42 @@ func (t *Tree) Lookup(q *Query) ([]heap.RID, error) {
 }
 
 // walk visits every node reachable from the root in depth-first order,
-// calling fn with the node's reference, decoded form, level, and the
-// number of distinct pages on the path from the root (the node's
-// page-depth). Returning false stops the walk.
-func (t *Tree) walk(fn func(ref NodeRef, n *node, level, pageDepth int) bool) error {
-	if !t.root.Valid() {
-		return nil
-	}
+// calling fn with the node's reference, view, level, and the number of
+// distinct pages on the path from the root (the node's page-depth).
+// Returning false stops the walk.
+func (t *Tree) walk(fn func(ref NodeRef, v *nodeView, level, pageDepth int) bool) error {
 	type frame struct {
 		ref       NodeRef
 		level     int
 		pageDepth int
 	}
 	stack := []frame{{t.root, 1, 1}}
+	push := func(from frame, ref NodeRef, level int) {
+		pd := from.pageDepth
+		if ref.Page != from.ref.Page {
+			pd++
+		}
+		stack = append(stack, frame{ref, level, pd})
+	}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := t.readNodeRO(f.ref)
+		if !f.ref.Valid() {
+			continue // an empty partition, the end of a chain, an empty tree
+		}
+		v, err := t.view(f.ref)
 		if err != nil {
 			return err
 		}
-		if !fn(f.ref, n, f.level, f.pageDepth) {
+		if !fn(f.ref, v, f.level, f.pageDepth) {
 			return nil
 		}
-		if n.leaf && n.next.Valid() {
-			pd := f.pageDepth
-			if n.next.Page != f.ref.Page {
-				pd++
-			}
+		if v.leaf {
 			// Overflow records continue the same logical node: same level.
-			stack = append(stack, frame{n.next, f.level, pd})
+			push(f, v.next(), f.level)
 		}
-		for _, e := range n.entries {
-			if !e.child.Valid() {
-				continue
-			}
-			pd := f.pageDepth
-			if e.child.Page != f.ref.Page {
-				pd++
-			}
-			stack = append(stack, frame{e.child, f.level + 1, pd})
+		for i := 0; !v.leaf && i < v.n; i++ {
+			push(f, v.child(i), f.level+1)
 		}
 	}
 	return nil

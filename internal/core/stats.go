@@ -28,10 +28,10 @@ func (t *Tree) Stats() (TreeStats, error) {
 		Pages:     t.NumPages(),
 		SizeBytes: t.SizeBytes(),
 	}
-	err := t.walk(func(_ NodeRef, n *node, level, pageDepth int) bool {
-		if n.leaf {
+	err := t.walk(func(_ NodeRef, v *nodeView, level, pageDepth int) bool {
+		if v.leaf {
 			st.LeafNodes++
-			st.LeafItems += len(n.items)
+			st.LeafItems += v.n
 		} else {
 			st.InnerNodes++
 		}

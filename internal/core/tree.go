@@ -14,8 +14,8 @@ import (
 //
 // Writers must be externally serialized (one mutator at a time), and no
 // reader may run concurrently with a mutator; readers may run
-// concurrently with each other (the decoded-node cache is guarded and
-// cached nodes are immutable once published). The executor layer above
+// concurrently with each other (node views are immutable and published
+// atomically, see nodeTable). The executor layer above
 // enforces the reader/writer discipline with its shared/exclusive
 // statement lock, mirroring how the paper delegates fine-grained
 // concurrency control to the host DBMS.
@@ -27,13 +27,9 @@ type Tree struct {
 	root  NodeRef
 	nKeys int64
 
-	// cache holds decoded nodes for read-only paths (Scan, NN, walk),
-	// invalidated on every write. Nodes are fully decoded and memoized
-	// before publication (immutable-after-fill), so concurrent readers
-	// share them freely; mutating paths decode fresh private copies.
-	// Keyed by NodeRef.cacheKey: a search looks up every node it visits,
-	// and a map of uint64 hashes in half the time a map of structs does.
-	cache *storage.NodeCache[uint64, *node]
+	// nodes holds the view of every node a read has visited since it was
+	// last written; mutating paths decode private copies.
+	nodes nodeTable
 
 	// trace, when non-nil, records distinct pages touched by read paths.
 	trace atomic.Pointer[storage.PageTrace]
@@ -90,7 +86,6 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		oc:        oc,
 		pr:        oc.Params(),
 		root:      InvalidRef,
-		cache:     storage.NewNodeCache[uint64, *node](maxCachedNodes),
 		fsm:       make(map[storage.PageID]int),
 		spacious:  make(map[storage.PageID]struct{}),
 		lastAlloc: storage.InvalidPageID,
@@ -114,7 +109,6 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		pr:        oc.Params(),
 		root:      getRef(body[0:]),
 		nKeys:     int64(binary.LittleEndian.Uint64(body[6:])),
-		cache:     storage.NewNodeCache[uint64, *node](maxCachedNodes),
 		fsm:       make(map[storage.PageID]int),
 		spacious:  make(map[storage.PageID]struct{}),
 		lastAlloc: storage.InvalidPageID,
@@ -133,6 +127,7 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 			return nil, err
 		}
 		t.setFree(pid, storage.SlotFreeSpace(p.Data))
+		t.nodes.cover(pid, storage.SlotCount(p.Data))
 		bp.Unpin(p, false)
 	}
 	return t, nil
@@ -188,112 +183,69 @@ func (t *Tree) Flush() error {
 	return t.bp.FlushAll()
 }
 
-// maxCachedNodes bounds the decoded-node cache; when full it is dropped
-// wholesale (searches repopulate it quickly).
-const maxCachedNodes = 1 << 19
+// record pins ref's page and returns the node record in it; the caller
+// unpins p.
+func (t *Tree) record(ref NodeRef) (p *storage.Page, rec []byte, err error) {
+	if p, err = t.bp.Fetch(ref.Page); err != nil {
+		return nil, nil, err
+	}
+	if rec = storage.SlotRead(p.Data, int(ref.Slot)); rec == nil {
+		t.bp.Unpin(p, false)
+		return nil, nil, fmt.Errorf("spgist: dangling node reference %v", ref)
+	}
+	return p, rec, nil
+}
 
 // readNode loads and decodes the node at ref. The returned node is a
 // private copy the caller may mutate.
 func (t *Tree) readNode(ref NodeRef) (*node, error) {
-	p, err := t.bp.Fetch(ref.Page)
+	p, rec, err := t.record(ref)
 	if err != nil {
 		return nil, err
 	}
 	defer t.bp.Unpin(p, false)
-	rec := storage.SlotRead(p.Data, int(ref.Slot))
-	if rec == nil {
-		return nil, fmt.Errorf("spgist: dangling node reference %v", ref)
-	}
 	return decodeNode(rec)
 }
 
-// readNodeRO returns the node at ref for read-only use, serving repeated
-// visits from the decoded-node cache. Callers must not mutate the result:
-// it may be shared with any number of concurrent readers.
-func (t *Tree) readNodeRO(ref NodeRef) (*node, error) {
-	t.tracePage(ref.Page)
-	if n, ok := t.cache.Get(ref.cacheKey()); ok {
-		return n, nil
-	}
-	n, err := t.readNode(ref)
-	if err != nil {
-		return nil, err
-	}
-	return t.publish(ref, n), nil
+// view returns the node at ref for reading, out of the node table or — a
+// miss — copied from its page and published for the reads that follow.
+func (t *Tree) view(ref NodeRef) (*nodeView, error) {
+	v, _, _, err := t.read(ref, false)
+	return v, err
 }
 
-// publish puts the private, freshly decoded node n into the decoded-node
-// cache. The decoded forms are memoized first, while the node is still
-// private: once published it is shared with concurrent readers and must
-// never be written again (immutable-after-fill).
-func (t *Tree) publish(ref NodeRef, n *node) *node {
-	if n.leaf {
-		t.keyValues(n)
-	} else {
-		t.innerValues(n)
-	}
-	t.cache.Put(ref.cacheKey(), n)
-	return n
-}
-
-// nodeForInsert is the insertion descent's read of the node at ref. An
-// inner node comes back decoded, through the cache like readNodeRO's. A
-// data node comes back as its record inside the pinned page p — the
-// insertion works on it where it lies (insertIntoLeaf), so the leaf the
-// previous insertion just rewrote is neither decoded nor cached again —
-// and the caller owns the pin.
-func (t *Tree) nodeForInsert(ref NodeRef) (n *node, p *storage.Page, rec []byte, err error) {
+// read is the one node read of searches and of the insertion descent. With
+// leafInPlace, the insertion's form, a data node comes back not as a view
+// but as its record inside the pinned page p: the insertion works on it
+// where it lies (insertIntoLeaf), so the leaf the previous insertion just
+// rewrote is neither copied nor published again, and the caller owns the pin.
+func (t *Tree) read(ref NodeRef, leafInPlace bool) (v *nodeView, p *storage.Page, rec []byte, err error) {
 	t.tracePage(ref.Page)
-	if n, ok := t.cache.Get(ref.cacheKey()); ok && !n.leaf {
-		return n, nil, nil, nil
+	slot := t.nodes.at(ref)
+	if slot != nil {
+		if v = slot.Load(); v != nil && !(leafInPlace && v.leaf) {
+			return v, nil, nil, nil
+		}
 	}
-	if p, err = t.bp.Fetch(ref.Page); err != nil {
+	if p, rec, err = t.record(ref); err != nil {
 		return nil, nil, nil, err
 	}
-	rec = storage.SlotRead(p.Data, int(ref.Slot))
-	if len(rec) > 0 && rec[0] == nodeKindLeaf {
+	if leafInPlace && len(rec) > 0 && rec[0] == nodeKindLeaf {
 		return nil, p, rec, nil
 	}
-	if rec == nil {
-		err = fmt.Errorf("spgist: dangling node reference %v", ref)
-	} else {
-		n, err = decodeNode(rec)
-	}
+	v, err = newView(rec)
 	t.bp.Unpin(p, false)
-	if err != nil {
-		return nil, nil, nil, err
+	if err == nil && slot != nil {
+		slot.Store(v)
 	}
-	return t.publish(ref, n), nil, nil, nil
+	return v, nil, nil, err
 }
 
-// invalidate drops a node from the decoded-node cache.
+// invalidate drops a node's view; every write of a node record calls it.
 func (t *Tree) invalidate(ref NodeRef) {
-	t.cache.Drop(ref.cacheKey())
-}
-
-// innerValues returns the memoized decoded predicate and labels of an
-// inner node. Cached (shared) nodes are always pre-filled by readNodeRO;
-// the fill branch only ever runs on a private, freshly decoded node.
-func (t *Tree) innerValues(n *node) (Value, []Value) {
-	if !n.memoIn {
-		n.predV = t.decodePred(n.pred)
-		n.labelsV = t.decodeLabels(n)
-		n.memoIn = true
+	if slot := t.nodes.at(ref); slot != nil {
+		slot.Store(nil)
 	}
-	return n.predV, n.labelsV
-}
-
-// keyValues returns the memoized decoded keys of a leaf node. Same
-// fill discipline as innerValues.
-func (t *Tree) keyValues(n *node) []Value {
-	if !n.memoKey {
-		n.keysV = make([]Value, len(n.items))
-		for i := range n.items {
-			n.keysV[i] = t.oc.DecodeKey(n.items[i].key)
-		}
-		n.memoKey = true
-	}
-	return n.keysV
 }
 
 // StartPageTrace begins counting the distinct pages touched by read-only
@@ -367,6 +319,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 			return InvalidRef, false, nil
 		}
 		t.noteFree(p, dir, len(rec))
+		t.nodes.cover(pid, slot+1)
 		t.unpinPut(p, slot, rec)
 		return NodeRef{Page: pid, Slot: uint16(slot)}, true, nil
 	}
@@ -408,6 +361,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 		return InvalidRef, fmt.Errorf("spgist: node of %d bytes does not fit an empty page", len(rec))
 	}
 	t.setFree(p.ID, storage.SlotFreeSpace(p.Data))
+	t.nodes.cover(p.ID, slot+1)
 	t.lastAlloc = p.ID
 	ref := NodeRef{Page: p.ID, Slot: uint16(slot)}
 	t.unpinPut(p, slot, rec)

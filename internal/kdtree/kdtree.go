@@ -71,8 +71,12 @@ func EncodePoint(p geom.Point) []byte {
 	return b
 }
 
-// DecodePoint parses a point written by EncodePoint.
+// DecodePoint parses a point written by EncodePoint. Anything shorter — a
+// damaged record — reads as the origin rather than panicking.
 func DecodePoint(b []byte) geom.Point {
+	if len(b) < 16 {
+		return geom.Point{}
+	}
 	return geom.Point{
 		X: math.Float64frombits(binary.LittleEndian.Uint64(b[0:])),
 		Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
@@ -88,14 +92,20 @@ func (o *OpClass) DecodeKey(b []byte) core.Value { return DecodePoint(b) }
 // EncodePred implements core.OpClass.
 func (o *OpClass) EncodePred(v core.Value) []byte { return EncodePoint(v.(geom.Point)) }
 
-// DecodePred implements core.OpClass.
-func (o *OpClass) DecodePred(b []byte) core.Value { return DecodePoint(b) }
-
 // EncodeLabel implements core.OpClass.
 func (o *OpClass) EncodeLabel(v core.Value) []byte { return []byte{v.(byte)} }
 
-// DecodeLabel implements core.OpClass.
-func (o *OpClass) DecodeLabel(b []byte) core.Value { return b[0] }
+// labelInvalid is what a label that is not one byte long reads as: a
+// partition no key is routed to.
+const labelInvalid = byte(0xFF)
+
+// Label reads an encoded one-byte partition label.
+func Label(b []byte) byte {
+	if len(b) != 1 {
+		return labelInvalid
+	}
+	return b[0]
+}
 
 // coord returns the discriminated coordinate at the given level: X on
 // even levels, Y on odd (Table 1's "level is odd/even" rule, zero-based).
@@ -144,10 +154,10 @@ func childBox(parent geom.Box, disc geom.Point, level int, label byte) geom.Box 
 // Choose implements core.OpClass.
 func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	k := in.Key.(geom.Point)
-	disc := in.Pred.(geom.Point)
+	disc := DecodePoint(in.Pred)
 	want := side(k, disc, in.Level)
-	for i, l := range in.Labels {
-		if l.(byte) == want {
+	for i := 0; i < in.Labels.Len(); i++ {
+		if Label(in.Labels.At(i)) == want {
 			var recon core.Value
 			if box, ok := in.Recon.(geom.Box); ok {
 				recon = childBox(box, disc, in.Level, want)
@@ -215,9 +225,10 @@ func follow(out *core.InnerOut, i int) {
 // InnerConsistent implements core.OpClass for "@" (point equality) and
 // "^" (inside box).
 func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
-	disc := in.Pred.(geom.Point)
+	disc := DecodePoint(in.Pred)
+	n := in.Labels.Len()
 	if in.Query == nil {
-		for i := range in.Labels {
+		for i := 0; i < n; i++ {
 			follow(out, i)
 		}
 		return
@@ -226,15 +237,15 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	case "@":
 		q := in.Query.Arg.(geom.Point)
 		want := side(q, disc, in.Level)
-		for i, l := range in.Labels {
-			if l.(byte) == want {
+		for i := 0; i < n; i++ {
+			if Label(in.Labels.At(i)) == want {
 				follow(out, i)
 			}
 		}
 	case "^":
 		q := in.Query.Arg.(geom.Box)
-		for i, l := range in.Labels {
-			switch l.(byte) {
+		for i := 0; i < n; i++ {
+			switch Label(in.Labels.At(i)) {
 			case LabelSelf:
 				if q.Contains(disc) {
 					follow(out, i)
@@ -253,8 +264,8 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 }
 
 // LeafConsistent implements core.OpClass.
-func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
-	k := key.(geom.Point)
+func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
+	k := DecodePoint(key)
 	switch q.Op {
 	case "@":
 		return k.Eq(q.Arg.(geom.Point))
@@ -267,8 +278,8 @@ func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
 // NNInner implements core.NNOpClass: the lower bound for a partition is
 // the Euclidean distance from the query point to the partition's bounding
 // box.
-func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, level int, recon core.Value, parentDist float64) (float64, int) {
-	box := childBox(recon.(geom.Box), pred.(geom.Point), level, label.(byte))
+func (o *OpClass) NNInner(q core.Value, pred, label []byte, level int, recon core.Value, parentDist float64) (float64, int) {
+	box := childBox(recon.(geom.Box), DecodePoint(pred), level, Label(label))
 	d := box.DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist // numeric safety: bounds never decrease downward
@@ -277,11 +288,11 @@ func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, level
 }
 
 // NNRecon implements core.NNOpClass: the partition's bounding box.
-func (o *OpClass) NNRecon(pred core.Value, label core.Value, level int, recon core.Value) core.Value {
-	return childBox(recon.(geom.Box), pred.(geom.Point), level, label.(byte))
+func (o *OpClass) NNRecon(pred, label []byte, level int, recon core.Value) core.Value {
+	return childBox(recon.(geom.Box), DecodePoint(pred), level, Label(label))
 }
 
 // NNLeaf implements core.NNOpClass.
-func (o *OpClass) NNLeaf(q core.Value, key core.Value) float64 {
-	return q.(geom.Point).Dist(key.(geom.Point))
+func (o *OpClass) NNLeaf(q core.Value, key []byte) float64 {
+	return q.(geom.Point).Dist(DecodePoint(key))
 }

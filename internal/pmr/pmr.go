@@ -105,8 +105,12 @@ func EncodeSegment(s geom.Segment) []byte {
 	return b
 }
 
-// DecodeSegment parses a segment written by EncodeSegment.
+// DecodeSegment parses a segment written by EncodeSegment. Anything shorter
+// — a damaged record — reads as the zero segment rather than panicking.
 func DecodeSegment(b []byte) geom.Segment {
+	if len(b) < 32 {
+		return geom.Segment{}
+	}
 	return geom.Segment{
 		A: geom.Point{
 			X: math.Float64frombits(binary.LittleEndian.Uint64(b[0:])),
@@ -129,14 +133,17 @@ func (o *OpClass) DecodeKey(b []byte) core.Value { return DecodeSegment(b) }
 // the cell geometry is derived from the path (the recon value).
 func (o *OpClass) EncodePred(core.Value) []byte { return nil }
 
-// DecodePred implements core.OpClass.
-func (o *OpClass) DecodePred([]byte) core.Value { return nil }
-
 // EncodeLabel implements core.OpClass.
 func (o *OpClass) EncodeLabel(v core.Value) []byte { return []byte{v.(byte)} }
 
-// DecodeLabel implements core.OpClass.
-func (o *OpClass) DecodeLabel(b []byte) core.Value { return b[0] }
+// quadrant reads an encoded label: the index of the cell's quadrant. A
+// label no EncodeLabel wrote — a damaged record — reads as some quadrant.
+func quadrant(label []byte) int {
+	if len(label) != 1 {
+		return 0
+	}
+	return int(label[0] & 3)
+}
 
 // Choose implements core.OpClass: descend into every quadrant the segment
 // crosses (multi-assignment).
@@ -144,25 +151,26 @@ func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	s := in.Key.(geom.Segment)
 	cell := in.Recon.(geom.Box)
 	var matches []core.ChooseMatch
-	for i, l := range in.Labels {
-		q := cell.Quadrant(int(l.(byte)))
+	n := in.Labels.Len()
+	for i := 0; i < n; i++ {
+		q := cell.Quadrant(quadrant(in.Labels.At(i)))
 		if s.IntersectsBox(q) {
 			matches = append(matches, core.ChooseMatch{Entry: i, LevelAdd: 1, Recon: q})
 		}
 	}
-	if len(matches) == 0 {
+	if len(matches) == 0 && n > 0 {
 		// The segment lies outside the world box; park it in the nearest
 		// quadrant so it is never lost (it still answers equality queries
 		// through LeafConsistent).
 		best, bestDist := 0, math.Inf(1)
 		c := geom.Point{X: (s.A.X + s.B.X) / 2, Y: (s.A.Y + s.B.Y) / 2}
-		for i, l := range in.Labels {
-			q := cell.Quadrant(int(l.(byte)))
+		for i := 0; i < n; i++ {
+			q := cell.Quadrant(quadrant(in.Labels.At(i)))
 			if d := q.DistToPoint(c); d < bestDist {
 				best, bestDist = i, d
 			}
 		}
-		q := cell.Quadrant(int(in.Labels[best].(byte)))
+		q := cell.Quadrant(quadrant(in.Labels.At(best)))
 		matches = append(matches, core.ChooseMatch{Entry: best, LevelAdd: 1, Recon: q})
 	}
 	return core.ChooseOut{Action: core.MatchNode, Matches: matches}
@@ -215,8 +223,9 @@ func follow(out *core.InnerOut, i int, cell geom.Box) {
 // InnerConsistent implements core.OpClass for "=" and "&&".
 func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	cell := in.Recon.(geom.Box)
-	for i, l := range in.Labels {
-		q := cell.Quadrant(int(l.(byte)))
+	n := in.Labels.Len()
+	for i := 0; i < n; i++ {
+		q := cell.Quadrant(quadrant(in.Labels.At(i)))
 		if in.Query == nil {
 			follow(out, i, q)
 			continue
@@ -239,21 +248,21 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 		s := in.Query.Arg.(geom.Segment)
 		c := geom.Point{X: (s.A.X + s.B.X) / 2, Y: (s.A.Y + s.B.Y) / 2}
 		best, bestDist := -1, math.Inf(1)
-		for i, l := range in.Labels {
-			q := cell.Quadrant(int(l.(byte)))
+		for i := 0; i < n; i++ {
+			q := cell.Quadrant(quadrant(in.Labels.At(i)))
 			if d := q.DistToPoint(c); d < bestDist {
 				best, bestDist = i, d
 			}
 		}
 		if best >= 0 {
-			follow(out, best, cell.Quadrant(int(in.Labels[best].(byte))))
+			follow(out, best, cell.Quadrant(quadrant(in.Labels.At(best))))
 		}
 	}
 }
 
 // LeafConsistent implements core.OpClass.
-func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
-	s := key.(geom.Segment)
+func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
+	s := DecodeSegment(key)
 	switch q.Op {
 	case "=":
 		return s.Eq(q.Arg.(geom.Segment))
@@ -265,8 +274,8 @@ func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
 
 // NNInner implements core.NNOpClass for point queries over segments: the
 // distance to the quadrant cell.
-func (o *OpClass) NNInner(q core.Value, _ core.Value, label core.Value, _ int, recon core.Value, parentDist float64) (float64, int) {
-	d := recon.(geom.Box).Quadrant(int(label.(byte))).DistToPoint(q.(geom.Point))
+func (o *OpClass) NNInner(q core.Value, _, label []byte, _ int, recon core.Value, parentDist float64) (float64, int) {
+	d := recon.(geom.Box).Quadrant(quadrant(label)).DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist
 	}
@@ -274,11 +283,11 @@ func (o *OpClass) NNInner(q core.Value, _ core.Value, label core.Value, _ int, r
 }
 
 // NNRecon implements core.NNOpClass: the quadrant cell.
-func (o *OpClass) NNRecon(_ core.Value, label core.Value, _ int, recon core.Value) core.Value {
-	return recon.(geom.Box).Quadrant(int(label.(byte)))
+func (o *OpClass) NNRecon(_, label []byte, _ int, recon core.Value) core.Value {
+	return recon.(geom.Box).Quadrant(quadrant(label))
 }
 
 // NNLeaf implements core.NNOpClass.
-func (o *OpClass) NNLeaf(q core.Value, key core.Value) float64 {
-	return key.(geom.Segment).DistToPoint(q.(geom.Point))
+func (o *OpClass) NNLeaf(q core.Value, key []byte) float64 {
+	return DecodeSegment(key).DistToPoint(q.(geom.Point))
 }

@@ -66,14 +66,8 @@ func (o *OpClass) DecodeKey(b []byte) core.Value { return kdtree.DecodePoint(b) 
 // EncodePred implements core.OpClass.
 func (o *OpClass) EncodePred(v core.Value) []byte { return kdtree.EncodePoint(v.(geom.Point)) }
 
-// DecodePred implements core.OpClass.
-func (o *OpClass) DecodePred(b []byte) core.Value { return kdtree.DecodePoint(b) }
-
 // EncodeLabel implements core.OpClass.
 func (o *OpClass) EncodeLabel(v core.Value) []byte { return []byte{v.(byte)} }
-
-// DecodeLabel implements core.OpClass.
-func (o *OpClass) DecodeLabel(b []byte) core.Value { return b[0] }
 
 // quadrant classifies k against the center point: west is x < cx, south
 // is y < cy; ties go east/north, mirroring the kd-tree's >= convention.
@@ -134,10 +128,10 @@ func quadrantMayContain(q geom.Box, c geom.Point, label byte) bool {
 // Choose implements core.OpClass.
 func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	k := in.Key.(geom.Point)
-	c := in.Pred.(geom.Point)
+	c := kdtree.DecodePoint(in.Pred)
 	want := quadrant(k, c)
-	for i, l := range in.Labels {
-		if l.(byte) == want {
+	for i := 0; i < in.Labels.Len(); i++ {
+		if kdtree.Label(in.Labels.At(i)) == want {
 			var recon core.Value
 			if box, ok := in.Recon.(geom.Box); ok {
 				recon = childBox(box, c, want)
@@ -195,9 +189,10 @@ func follow(out *core.InnerOut, i int) {
 
 // InnerConsistent implements core.OpClass for "@" and "^".
 func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
-	c := in.Pred.(geom.Point)
+	c := kdtree.DecodePoint(in.Pred)
+	n := in.Labels.Len()
 	if in.Query == nil {
-		for i := range in.Labels {
+		for i := 0; i < n; i++ {
 			follow(out, i)
 		}
 		return
@@ -206,15 +201,15 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	case "@":
 		q := in.Query.Arg.(geom.Point)
 		want := quadrant(q, c)
-		for i, l := range in.Labels {
-			if l.(byte) == want {
+		for i := 0; i < n; i++ {
+			if kdtree.Label(in.Labels.At(i)) == want {
 				follow(out, i)
 			}
 		}
 	case "^":
 		q := in.Query.Arg.(geom.Box)
-		for i, l := range in.Labels {
-			if quadrantMayContain(q, c, l.(byte)) {
+		for i := 0; i < n; i++ {
+			if quadrantMayContain(q, c, kdtree.Label(in.Labels.At(i))) {
 				follow(out, i)
 			}
 		}
@@ -222,8 +217,8 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 }
 
 // LeafConsistent implements core.OpClass.
-func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
-	k := key.(geom.Point)
+func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
+	k := kdtree.DecodePoint(key)
 	switch q.Op {
 	case "@":
 		return k.Eq(q.Arg.(geom.Point))
@@ -235,8 +230,8 @@ func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
 
 // NNInner implements core.NNOpClass: the distance to the quadrant's
 // bounding box.
-func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, _ int, recon core.Value, parentDist float64) (float64, int) {
-	box := childBox(recon.(geom.Box), pred.(geom.Point), label.(byte))
+func (o *OpClass) NNInner(q core.Value, pred, label []byte, _ int, recon core.Value, parentDist float64) (float64, int) {
+	box := childBox(recon.(geom.Box), kdtree.DecodePoint(pred), kdtree.Label(label))
 	d := box.DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist
@@ -245,11 +240,11 @@ func (o *OpClass) NNInner(q core.Value, pred core.Value, label core.Value, _ int
 }
 
 // NNRecon implements core.NNOpClass: the quadrant's bounding box.
-func (o *OpClass) NNRecon(pred core.Value, label core.Value, _ int, recon core.Value) core.Value {
-	return childBox(recon.(geom.Box), pred.(geom.Point), label.(byte))
+func (o *OpClass) NNRecon(pred, label []byte, _ int, recon core.Value) core.Value {
+	return childBox(recon.(geom.Box), kdtree.DecodePoint(pred), kdtree.Label(label))
 }
 
 // NNLeaf implements core.NNOpClass.
-func (o *OpClass) NNLeaf(q core.Value, key core.Value) float64 {
-	return q.(geom.Point).Dist(key.(geom.Point))
+func (o *OpClass) NNLeaf(q core.Value, key []byte) float64 {
+	return q.(geom.Point).Dist(kdtree.DecodePoint(key))
 }

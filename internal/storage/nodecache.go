@@ -2,10 +2,11 @@ package storage
 
 import "sync"
 
-// NodeCache is the bounded, guarded decoded-node cache shared by the
-// index structures (core, btree, rtree): read paths serve repeated node
-// visits from it instead of re-decoding page records, standing in for
-// PostgreSQL processing tuples directly inside buffer pages.
+// NodeCache is the bounded, guarded decoded-node cache of the baseline
+// index structures (btree, rtree): read paths serve repeated node visits
+// from it instead of re-decoding page records, standing in for PostgreSQL
+// processing tuples directly inside buffer pages. (The SP-GiST core reads
+// record bytes through node views instead, see core.nodeTable.)
 //
 // The mutex guards only the map. The cached values themselves must be
 // immutable from the instant they are published — callers finish all

@@ -17,11 +17,7 @@
 // on (package suffix).
 package trie
 
-import (
-	"strings"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Blank is the label of the partition holding words that end exactly at
 // the node's position (Table 1's "blank" predicate). The indexed alphabet
@@ -99,50 +95,46 @@ func (o *OpClass) DecodeKey(b []byte) core.Value { return string(b) }
 // EncodePred implements core.OpClass.
 func (o *OpClass) EncodePred(v core.Value) []byte { return []byte(v.(string)) }
 
-// DecodePred implements core.OpClass.
-func (o *OpClass) DecodePred(b []byte) core.Value { return string(b) }
-
 // EncodeLabel implements core.OpClass.
 func (o *OpClass) EncodeLabel(v core.Value) []byte { return []byte{v.(byte)} }
 
-// DecodeLabel implements core.OpClass.
-func (o *OpClass) DecodeLabel(b []byte) core.Value { return b[0] }
-
-func pred(v core.Value) string {
-	if v == nil {
-		return ""
+// label reads an encoded partition label: one byte. Anything else — a
+// damaged record — reads as the blank partition rather than panicking.
+func label(b []byte) byte {
+	if len(b) != 1 {
+		return Blank
 	}
-	return v.(string)
+	return b[0]
 }
 
 // Choose implements core.OpClass: navigate by the character at the
 // current level, splitting the node predicate on a prefix conflict.
 func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	key := in.Key.(string)
-	p := pred(in.Pred)
+	p := in.Pred
 	for i := 0; i < len(p); i++ {
 		if in.Level+i >= len(key) || key[in.Level+i] != p[i] {
 			// The key disagrees with the stored prefix: split it
 			// (Figure 1(c) restructuring).
 			return core.ChooseOut{
 				Action:     core.SplitNode,
-				UpperPred:  p[:i],
+				UpperPred:  string(p[:i]),
 				UpperLabel: p[i],
-				LowerPred:  p[i+1:],
+				LowerPred:  string(p[i+1:]),
 			}
 		}
 	}
 	after := in.Level + len(p)
 	want := Blank
 	levelAdd := len(p)
-	childRecon := in.Recon.(string) + p
+	childRecon := in.Recon.(string) + string(p)
 	if after < len(key) {
 		want = key[after]
 		levelAdd = len(p) + 1
 		childRecon += string(want)
 	}
-	for i, l := range in.Labels {
-		if l.(byte) == want {
+	for i := 0; i < in.Labels.Len(); i++ {
+		if label(in.Labels.At(i)) == want {
 			return core.ChooseOut{
 				Action: core.MatchNode,
 				Matches: []core.ChooseMatch{{
@@ -243,10 +235,11 @@ func follow(out *core.InnerOut, i int, lb byte, plen int) {
 // any non-wildcard character of the pattern prunes the fan-out at its
 // level, regardless of where wildcards appear (paper section 6).
 func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
-	p := pred(in.Pred)
+	p := in.Pred
+	n := in.Labels.Len()
 	if in.Query == nil {
-		for i, l := range in.Labels {
-			follow(out, i, l.(byte), len(p))
+		for i := 0; i < n; i++ {
+			follow(out, i, label(in.Labels.At(i)), len(p))
 		}
 		return
 	}
@@ -255,15 +248,15 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 	switch in.Query.Op {
 	case "=":
 		// The stored prefix must match the query exactly.
-		if len(q) < after || q[in.Level:after] != p {
+		if len(q) < after || q[in.Level:after] != string(p) {
 			return
 		}
 		want := Blank
 		if after < len(q) {
 			want = q[after]
 		}
-		for i, l := range in.Labels {
-			if l.(byte) == want {
+		for i := 0; i < n; i++ {
+			if label(in.Labels.At(i)) == want {
 				follow(out, i, want, len(p))
 			}
 		}
@@ -274,18 +267,18 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 		if rem := len(q) - in.Level; rem < m {
 			m = rem
 		}
-		if m > 0 && q[in.Level:in.Level+m] != p[:m] {
+		if m > 0 && q[in.Level:in.Level+m] != string(p[:m]) {
 			return
 		}
 		if len(q) <= after {
-			for i, l := range in.Labels {
-				follow(out, i, l.(byte), len(p))
+			for i := 0; i < n; i++ {
+				follow(out, i, label(in.Labels.At(i)), len(p))
 			}
 			return
 		}
 		want := q[after]
-		for i, l := range in.Labels {
-			if l.(byte) == want {
+		for i := 0; i < n; i++ {
+			if label(in.Labels.At(i)) == want {
 				follow(out, i, want, len(p))
 			}
 		}
@@ -301,8 +294,8 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 				return
 			}
 		}
-		for i, l := range in.Labels {
-			lb := l.(byte)
+		for i := 0; i < n; i++ {
+			lb := label(in.Labels.At(i))
 			if lb == Blank {
 				if len(q) == after {
 					follow(out, i, lb, len(p))
@@ -317,22 +310,24 @@ func (o *OpClass) InnerConsistent(in *core.InnerIn, out *core.InnerOut) {
 }
 
 // LeafConsistent implements core.OpClass.
-func (o *OpClass) LeafConsistent(q *core.Query, key core.Value, _ int) bool {
-	k := key.(string)
+func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
+	arg := q.Arg.(string)
 	switch q.Op {
 	case "=":
-		return k == q.Arg.(string)
+		return string(key) == arg
 	case "#=", "@=":
-		return strings.HasPrefix(k, q.Arg.(string))
+		return len(key) >= len(arg) && string(key[:len(arg)]) == arg
 	case "?=":
-		return MatchPattern(k, q.Arg.(string))
+		return matchPattern(key, arg)
 	}
 	return false
 }
 
 // MatchPattern reports whether word matches the pattern: equal length and
 // per-position equality, with '?' matching any single character.
-func MatchPattern(word, pattern string) bool {
+func MatchPattern(word, pattern string) bool { return matchPattern(word, pattern) }
+
+func matchPattern[S string | []byte](word S, pattern string) bool {
 	if len(word) != len(pattern) {
 		return false
 	}
@@ -347,7 +342,9 @@ func MatchPattern(word, pattern string) bool {
 // Distance is the Hamming-style string distance used for NN search (paper
 // section 6): positional mismatches over the common length plus one per
 // length-difference character.
-func Distance(a, b string) float64 {
+func Distance(a, b string) float64 { return distance(a, b) }
+
+func distance[S string | []byte](a S, b string) float64 {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -374,9 +371,8 @@ func Distance(a, b string) float64 {
 // 5 describes for tries. The parent's path is level characters long, so
 // only the node's own prefix and the child's label are compared and no
 // traversal value is needed.
-func (o *OpClass) NNInner(q core.Value, predV core.Value, label core.Value, level int, _ core.Value, parentDist float64) (float64, int) {
+func (o *OpClass) NNInner(q core.Value, p, lbl []byte, level int, _ core.Value, parentDist float64) (float64, int) {
 	query := q.(string)
-	p := pred(predV)
 	d := parentDist
 	pos := level
 	for i := 0; i < len(p); i++ {
@@ -386,7 +382,7 @@ func (o *OpClass) NNInner(q core.Value, predV core.Value, label core.Value, leve
 		}
 		pos++
 	}
-	if lb := label.(byte); lb != Blank {
+	if lb := label(lbl); lb != Blank {
 		if pos >= len(query) || lb != query[pos] {
 			d++
 		}
@@ -400,9 +396,9 @@ func (o *OpClass) NNInner(q core.Value, predV core.Value, label core.Value, leve
 }
 
 // NNRecon implements core.NNOpClass: NNInner reads no traversal value.
-func (o *OpClass) NNRecon(core.Value, core.Value, int, core.Value) core.Value { return nil }
+func (o *OpClass) NNRecon(_, _ []byte, _ int, _ core.Value) core.Value { return nil }
 
 // NNLeaf implements core.NNOpClass.
-func (o *OpClass) NNLeaf(q core.Value, key core.Value) float64 {
-	return Distance(key.(string), q.(string))
+func (o *OpClass) NNLeaf(q core.Value, key []byte) float64 {
+	return distance(key, q.(string))
 }
