@@ -253,7 +253,7 @@ func TestNNCursorSurfacesStorageError(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Reopen cold (empty decoded-node cache, a pool far smaller
+			// Reopen cold (empty node table, a pool far smaller
 			// than the file) over a disk that fails every read once armed.
 			dm, err = storage.OpenFile(path, fixturePageSize)
 			if err != nil {

@@ -300,8 +300,8 @@ type DB struct {
 	//     nearest-neighbor scans, RID lookups, INSERT, DELETE. Readers
 	//     additionally hold the target table's mu shared and writers
 	//     hold it exclusive, so reads and writes of one table still
-	//     exclude each other (scans work on shared decoded-node caches
-	//     and unversioned heap pages — there is no MVCC), while writers
+	//     exclude each other (scans work on shared node views and
+	//     unversioned heap pages — there is no MVCC), while writers
 	//     on different tables overlap and commit together through the
 	//     write-ahead log's group-commit fsync.
 	//   - exclusive (Lock): DDL, ANALYZE, CHECKPOINT, Close, Crash —
