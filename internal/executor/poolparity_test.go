@@ -1,0 +1,192 @@
+package executor
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
+	"repro/internal/geom"
+)
+
+// poolCounts are the storage counters TestPoolCountParity pins, as one
+// database instance's SHOW STATS reports them when it ends.
+type poolCounts struct {
+	accesses, misses, diskWrites, walBytes int64
+}
+
+// TestPoolCountParity pins what one seeded script costs the buffer pool,
+// the disk and the log: batched and single-row INSERT, UPDATE, DELETE,
+// index scans and kNN over a trie, a kd-tree and a B+-tree table, VACUUM,
+// CHECKPOINT, and a Crash with the reopen that recovers it. Accesses are
+// logical — what the access methods ask of the pool — and are pinned at
+// both pool sizes; misses, disk writes and log bytes are pinned where
+// every file fits (1024 frames). The figures were recorded at commit
+// 70fd2f1, which had one pool of PoolPages frames per relation file, and
+// must not move when the files share one pool. Readahead is off so that
+// no prefetch races a demand fetch for a miss.
+func TestPoolCountParity(t *testing.T) {
+	for _, c := range []struct {
+		pool int
+		want [2]poolCounts // before the crash, after the reopen
+	}{
+		{16, [2]poolCounts{{accesses: 12095}, {accesses: 2907}}},
+		{1024, [2]poolCounts{{12037, 43, 41, 1124150}, {2911, 43, 34, 152505}}},
+	} {
+		t.Run(fmt.Sprintf("pool=%d", c.pool), func(t *testing.T) {
+			got := poolParityRun(t, c.pool)
+			if c.pool < 1024 {
+				for i := range got {
+					got[i] = poolCounts{accesses: got[i].accesses}
+				}
+			}
+			if got != c.want {
+				t.Errorf("storage counters (before the crash, after the reopen):\n got  %+v\n want %+v", got, c.want)
+			}
+		})
+	}
+}
+
+// poolParityTables are the script's three tables, one index each.
+var poolParityTables = []struct {
+	name, col string
+	typ       catalog.Type
+	index     [3]string
+}{
+	{"words", "k", catalog.Text, [3]string{"w_trie", "spgist", "spgist_trie"}},
+	{"pts", "p", catalog.Point, [3]string{"p_kd", "spgist", "spgist_kdtree"}},
+	{"keys", "k", catalog.Text, [3]string{"k_btree", "btree", ""}},
+}
+
+func poolParityRun(t *testing.T, poolPages int) (got [2]poolCounts) {
+	dir := t.TempDir()
+	open := func() *DB {
+		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: poolPages, ReadaheadPages: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	counts := func(db *DB) (c poolCounts) {
+		db.Obs().Each(func(name string, v int64) {
+			switch name {
+			case "pool_accesses_total":
+				c.accesses = v
+			case "pool_misses_total":
+				c.misses = v
+			case "disk_writes_total":
+				c.diskWrites = v
+			case "wal_appended_bytes_total":
+				c.walBytes = v
+			}
+		})
+		return c
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(25))
+	words := datagen.Words(3000, 26)
+	pts := datagen.Points(3000, 27, geom.MakeBox(0, 0, 100, 100))
+	nextID := int64(0)
+	key := func(ti int) catalog.Datum {
+		i := int(nextID) % len(words)
+		if ti == 1 {
+			return catalog.NewPoint(pts[i])
+		}
+		return catalog.NewText(words[(i+1000*ti)%len(words)])
+	}
+	row := func(ti int) catalog.Tuple {
+		tup := catalog.Tuple{key(ti), catalog.NewInt(nextID)}
+		nextID++
+		return tup
+	}
+	idPred := func(op string, id int64) *Pred { return &Pred{Column: 1, Op: op, Arg: catalog.NewInt(id)} }
+	var tables [3]*Table
+	reads := func() {
+		t.Helper()
+		count := func(Row) bool { return true }
+		for i := 0; i < 40; i++ {
+			w := words[r.Intn(len(words))]
+			_, err := tables[0].Select(&Pred{Column: 0, Op: "=", Arg: catalog.NewText(w)}, count)
+			must(err)
+			_, err = tables[0].Select(&Pred{Column: 0, Op: "#=", Arg: catalog.NewText(w[:1+r.Intn(len(w))])}, count)
+			must(err)
+			x, y := r.Float64()*90, r.Float64()*90
+			_, err = tables[1].Select(&Pred{Column: 0, Op: "^", Arg: catalog.NewBox(geom.MakeBox(x, y, x+10, y+10))}, count)
+			must(err)
+			_, _, err = tables[1].SelectNN("p", catalog.NewPoint(geom.Point{X: x, Y: y}), 5)
+			must(err)
+			_, err = tables[2].Select(&Pred{Column: 0, Op: "=", Arg: catalog.NewText(w)}, count)
+			must(err)
+			_, err = tables[2].Select(&Pred{Column: 0, Op: "<", Arg: catalog.NewText(w[:1])}, count)
+			must(err)
+		}
+	}
+	writes := func(single int) {
+		t.Helper()
+		for i := 0; i < single; i++ {
+			ti := i % len(tables)
+			_, err := tables[ti].Insert(row(ti))
+			must(err)
+			if i%2 == 0 {
+				_, err = tables[ti].UpdateWhere(idPred("=", r.Int63n(nextID)), []ColUpdate{{Column: 0, Value: key(ti)}})
+				must(err)
+				_, err = tables[ti].DeleteWhere(idPred("=", r.Int63n(nextID)))
+				must(err)
+			}
+		}
+	}
+
+	db := open()
+	for ti, def := range poolParityTables {
+		tb, err := db.CreateTable(def.name, []Column{{def.col, def.typ}, {"id", catalog.Int}})
+		must(err)
+		_, err = db.CreateIndex(def.index[0], def.name, def.col, def.index[1], def.index[2])
+		must(err)
+		tables[ti] = tb
+	}
+	for batch := 0; batch < 18; batch++ {
+		ti := batch % len(tables)
+		tups := make([]catalog.Tuple, 150)
+		for i := range tups {
+			tups[i] = row(ti)
+		}
+		_, err := tables[ti].InsertBatch(tups)
+		must(err)
+	}
+	writes(45)
+	reads()
+	for _, tb := range tables {
+		_, err := tb.DeleteWhere(idPred("<", 40))
+		must(err)
+		_, err = db.Vacuum(tb.Name)
+		must(err)
+	}
+	must(db.Checkpoint())
+	writes(30)
+	reads()
+	got[0] = counts(db)
+	must(db.Crash())
+
+	db = open()
+	for ti, def := range poolParityTables {
+		tb, err := db.Table(def.name)
+		must(err)
+		tables[ti] = tb
+	}
+	reads()
+	writes(30)
+	for _, tb := range tables {
+		_, err := db.Vacuum(tb.Name)
+		must(err)
+	}
+	must(db.Checkpoint())
+	got[1] = counts(db)
+	must(db.Close())
+	return got
+}
