@@ -35,7 +35,7 @@ func main() {
 	dir := flag.String("dir", "", "database directory (default: in-memory)")
 	useWAL := flag.Bool("wal", false, "enable write-ahead logging and crash recovery (requires -dir)")
 	walLazy := flag.Bool("wal-lazy", false, "sync the log lazily instead of on every commit")
-	poolPages := flag.Int("pool", 0, "buffer-pool pages per file (default 1024)")
+	poolPages := flag.Int("pool", 0, "buffer-pool pages per database (default 1024)")
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or over this duration to stderr (0 disables)")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON file per statement into this directory (empty disables)")
 	idleTxn := flag.Duration("idle-txn-timeout", 0, "roll back and disconnect sessions idle in an open transaction this long (0 disables)")

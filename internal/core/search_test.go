@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -49,9 +50,10 @@ func coldTrie(t *testing.T) (tr *Tree, bp *storage.BufferPool, words []string, d
 	if dm.NumPages() < 60 {
 		t.Fatalf("fixture has %d pages, want several pools' worth", dm.NumPages())
 	}
-	bp = storage.NewBufferPool("", storage.WithLatency(dm, 200*time.Microsecond, 0), 16)
+	pool := storage.NewPool(1024, 16)
 	pf := storage.NewPrefetcher(0, 0)
-	bp.AttachPrefetcher(pf, 8)
+	pool.AttachPrefetcher(pf, 8)
+	bp = pool.Open("", storage.WithLatency(dm, 200*time.Microsecond, 0), obs.WaitNone)
 	tr, err = Open(bp, testTrie{})
 	if err != nil {
 		t.Fatal(err)

@@ -7,12 +7,12 @@ import (
 )
 
 // bgWriter trickles committed dirty pages to disk in the background so
-// CHECKPOINT finds mostly-clean pools and shrinks to a bounded fsync
+// CHECKPOINT finds a mostly-clean pool and shrinks to a bounded fsync
 // instead of a stop-the-world write storm. Each round takes the shared
 // statement lock with a try-acquire — a round never delays DDL or
 // CHECKPOINT, it just skips the tick — and holds it across the round so
-// a concurrent DROP cannot discard a pool mid-write. What is safe to
-// write is the buffer pool's decision (BufferPool.WriteBackDirty):
+// a concurrent DROP cannot discard a relation mid-write. What is safe to
+// write is the buffer pool's decision (Pool.WriteBackDirty):
 // unpinned, fully committed frames only, WAL synced first, so the
 // WAL-before-data and no-steal disciplines hold exactly as they do for
 // eviction writeback.
@@ -59,9 +59,7 @@ func (w *bgWriter) run() {
 	}
 }
 
-// round writes back up to maxPages dirty frames across every pool. The
-// budget is global per round, not per pool, so a busy table cannot make
-// the writer hammer the disk N-pools wide.
+// round writes back up to maxPages dirty frames of the pool.
 func (w *bgWriter) round() {
 	db := w.db
 	if !db.stmtMu.TryRLock() {
@@ -72,21 +70,11 @@ func (w *bgWriter) round() {
 	}
 	defer db.stmtMu.RUnlock()
 	w.rounds.Add(1)
-	budget := w.maxPages
-	for _, bp := range db.pools {
-		if budget <= 0 {
-			break
-		}
-		n, err := bp.WriteBackDirty(budget)
-		w.pages.Add(int64(n))
-		budget -= n
-		if err != nil {
-			// A write-back failure is not fatal to the engine: the frame
-			// stays dirty and eviction or CHECKPOINT will surface the
-			// error on a path that can report it. Stop this round.
-			return
-		}
-	}
+	// A write-back failure is not fatal to the engine: the frame stays
+	// dirty and eviction or CHECKPOINT will surface the error on a path
+	// that can report it.
+	n, _ := db.pool.WriteBackDirty(w.maxPages)
+	w.pages.Add(int64(n))
 }
 
 // stopBGWriter stops the background writer and waits for an in-flight

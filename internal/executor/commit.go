@@ -8,13 +8,14 @@ import (
 
 // This file holds the commit point — the one sequence that moves a
 // statement's deferred records into the log and forces it — and the
-// pool-set and chunk-size helpers its callers share.
+// relation-set and chunk-size helpers its callers share.
 
 // commitGroup is the engine's one commit point. The counters of tables
 // (nil entries skipped) are saved into (logged) meta pages — here and
 // nowhere per statement; a *pointer* in a meta page is saved where it
 // moves, by the structure that moves it — the deferred logical records
-// and page images of pools are staged into one record group — closed by commitXid's transaction-commit record when
+// and page images of the relation files in pools are staged into one
+// record group — closed by commitXid's transaction-commit record when
 // that is non-zero — the group plus a commit marker is appended to the
 // log *atomically* (no concurrent statement's records interleave), the
 // assigned LSNs are stamped back onto the covered frames, and the log
@@ -62,9 +63,10 @@ func (t *Table) saveMeta() error {
 	return nil
 }
 
-// appendPools stages the deferred records and page images of pools into
-// one wal.Group, appends the group and its commit marker atomically, and
-// stamps the assigned LSNs back onto the covered frames.
+// appendPools stages the deferred records and page images of the
+// relation files in pools into one wal.Group, appends the group and its
+// commit marker atomically, and stamps the assigned LSNs back onto the
+// covered frames.
 func (db *DB) appendPools(pools []*storage.BufferPool) error {
 	return db.appendPoolsXid(pools, 0)
 }
@@ -84,7 +86,7 @@ func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) erro
 		defer sp.End()
 	}
 	// Statements of concurrent writers append at the same time, so the
-	// group and the per-pool lists are borrowed, not the DB's own.
+	// group and the per-relation lists are borrowed, not the DB's own.
 	sc, _ := db.appendScratch.Get().(*appendScratch)
 	if sc == nil {
 		sc = new(appendScratch)
@@ -120,7 +122,8 @@ type appendScratch struct {
 	staged [][]storage.Staged
 }
 
-// tablePools lists the pools a DML statement against t can touch.
+// tablePools lists the relation files a DML statement against t can
+// touch.
 func tablePools(t *Table) []*storage.BufferPool {
 	pools := make([]*storage.BufferPool, 0, 1+len(t.Indexes))
 	pools = append(pools, t.Heap.Pool())
@@ -130,22 +133,21 @@ func tablePools(t *Table) []*storage.BufferPool {
 	return pools
 }
 
-// commitWAL commits a statement that may have touched any pool — the
-// DDL, catalog, and maintenance paths. Every caller holds stmtMu
-// exclusively, and db.pools is only mutated under that lock, so the
-// slice is read without db.mu (which Close and Checkpoint already hold
-// when they commit through here).
+// commitWAL commits a statement that may have touched any relation —
+// the DDL, catalog, and maintenance paths. Every caller holds stmtMu
+// exclusively, and relations are only opened and dropped under that
+// lock.
 func (db *DB) commitWAL(t *Table) error {
 	if db.wal != nil && db.cat != nil {
 		if err := db.cat.SaveMeta(); err != nil {
 			return err
 		}
 	}
-	return db.commitGroup(db.pools, 0, t)
+	return db.commitGroup(db.pool.Relations(), 0, t)
 }
 
 // commitTable commits a DML statement against one table: only the
-// table's own heap and index pools are staged, so statements of
+// table's own heap and index files are staged, so statements of
 // concurrent writers on other tables (which hold stmtMu only shared)
 // are never swept into this statement's marker.
 func (db *DB) commitTable(t *Table) error {

@@ -40,8 +40,8 @@ type IndexInfo struct {
 	OpClass *catalog.OperatorClass
 	Idx     am.Index
 
-	pool *storage.BufferPool
-	file string // data file base name, from the system catalog
+	pool *storage.BufferPool // the index file in the database's pool
+	file string              // data file base name, from the system catalog
 
 	// Per-opclass counters, cached here so the scan path pays one
 	// atomic add instead of a registry lookup.
@@ -222,7 +222,7 @@ type DB struct {
 	pageSize  int
 	poolPages int
 	tables    map[string]*Table
-	pools     []*storage.BufferPool
+	pool      *storage.Pool // every relation file's frames; created at Open
 	wal       *wal.Writer
 	recovered storage.RecoveryStats
 	crashed   bool
@@ -237,13 +237,11 @@ type DB struct {
 	// every lazy statistics refresh before the sample; an error fails it.
 	statsRefreshHook func(*Table) error
 
-	// pf is the shared prefetcher every pool attaches to (nil when
-	// readahead is disabled); readahead is the per-pool window. bgw is
-	// the background writer (nil when disabled). All are created at Open
-	// and immutable afterwards — only teardown stops them.
-	pf        *storage.Prefetcher
-	readahead int
-	bgw       *bgWriter
+	// pf is the pool's prefetcher (nil when readahead is disabled); bgw
+	// is the background writer (nil when disabled). Both are created at
+	// Open and immutable afterwards — only teardown stops them.
+	pf  *storage.Prefetcher
+	bgw *bgWriter
 
 	// tm is the transaction layer (txn.go): xid allocation, snapshots,
 	// the active-transaction set, and table-lock ownership. Always
@@ -260,7 +258,7 @@ type DB struct {
 	// waits and activity are the wait-event and live-session layer
 	// (pg_stat_activity): both always non-nil, created at Open, shared
 	// by every component that can block — the statement locks here, the
-	// buffer pools' shard mutexes and miss I/O, the WAL writer's group
+	// buffer pool's shard mutexes and miss I/O, the WAL writer's group
 	// commit. Immutable after Open.
 	waits    *obs.WaitSet
 	activity *obs.Activity
@@ -288,8 +286,8 @@ type DB struct {
 	// diskFaults is the fault-injection wrap applied to every data
 	// file's disk manager (Options.DiskFaults); faultDMs retains the
 	// FaultDiskManagers it produced so their injection counters can be
-	// sampled into SHOW STATS. Both immutable after the pools exist
-	// (appends happen under the exclusive statement lock).
+	// sampled into SHOW STATS. Appended to only under the exclusive
+	// statement lock.
 	diskFaults func(fileName string, dm storage.DiskManager) storage.DiskManager
 	faultDMs   []*storage.FaultDiskManager
 
@@ -383,7 +381,7 @@ type Options struct {
 	Dir string
 	// PageSize defaults to storage.DefaultPageSize.
 	PageSize int
-	// PoolPages is the buffer pool size per file; defaults to 1024.
+	// PoolPages is the buffer pool size, shared by every file; defaults to 1024.
 	PoolPages int
 	// WAL enables write-ahead logging and crash recovery (requires
 	// Dir). On open, any log left by a previous run is replayed into
@@ -393,8 +391,8 @@ type Options struct {
 	WALSync wal.SyncMode
 	// Faults injects test-only crash points into DDL statements.
 	Faults FaultInjection
-	// DiskFaults, when set, wraps every data file's disk manager at
-	// pool creation — the I/O fault-injection hook. Return
+	// DiskFaults, when set, wraps every data file's disk manager when
+	// the file is opened — the I/O fault-injection hook. Return
 	// storage.WithFaults(dm, seed) (configured with probabilities and
 	// schedules) to inject errors into that file's reads and writes,
 	// storage.WithLatency(dm, r, w) to simulate a slow device, or dm
@@ -429,8 +427,8 @@ type Options struct {
 	// readahead is disabled.
 	PrefetchWorkers int
 	// BGWriterInterval enables the background writer: every interval it
-	// writes back up to BGWriterMaxPages committed dirty pages across
-	// all pools, so CHECKPOINT finds mostly-clean pools. Zero (the
+	// writes back up to BGWriterMaxPages committed dirty pages of the
+	// buffer pool, so CHECKPOINT finds it mostly clean. Zero (the
 	// default) disables it.
 	BGWriterInterval time.Duration
 	// BGWriterMaxPages bounds one background-writer round; defaults to
@@ -485,18 +483,18 @@ func Open(opts Options) (*DB, error) {
 		slowQueryLog:       opts.SlowQueryLog,
 		traceDir:           opts.TraceDir,
 	}
-	db.readahead = opts.ReadaheadPages
-	if db.readahead == 0 {
-		db.readahead = DefaultReadaheadPages
+	db.pool = storage.NewPool(opts.PageSize, opts.PoolPages)
+	db.pool.AttachObs(db.waits)
+	readahead := opts.ReadaheadPages
+	if readahead == 0 {
+		readahead = DefaultReadaheadPages
 	}
-	if db.readahead < 0 {
-		db.readahead = 0
-	}
-	if db.readahead > 0 {
-		// Every pool this database opens shares one prefetcher: readahead
-		// demand is bursty per file but bounded overall, and the shared
-		// queue caps the background I/O the whole system generates.
+	if readahead > 0 {
+		// Every file of the pool shares one prefetcher: readahead demand
+		// is bursty per file but bounded overall, and the shared queue
+		// caps the background I/O the whole system generates.
 		db.pf = storage.NewPrefetcher(opts.PrefetchWorkers, 0)
+		db.pool.AttachPrefetcher(db.pf, readahead)
 	}
 	if db.slowQueryLog == nil {
 		db.slowQueryLog = os.Stderr
@@ -545,6 +543,7 @@ func Open(opts Options) (*DB, error) {
 				return nil, err
 			}
 		}
+		db.pool.AttachWAL(w)
 	}
 	if err := db.bootstrapCatalog(); err != nil {
 		db.discardAll()
@@ -569,7 +568,7 @@ func Open(opts Options) (*DB, error) {
 
 // discardAll tears the database down without flushing anything: the log
 // closes first (its appended records become durable for the next open's
-// recovery to judge), every pool drops its frames, and the in-memory
+// recovery to judge), the pool drops every frame, and the in-memory
 // references clear. Discard, never flush: the callers — a failed Open,
 // a poisoned Close, Crash — may hold uncommitted dirty frames, and
 // writing them in place would break the no-steal discipline; the next
@@ -582,18 +581,15 @@ func (db *DB) discardAll() error {
 		}
 		db.wal = nil
 	}
-	for _, bp := range db.pools {
-		if err := bp.Crash(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := db.pool.Crash(); err != nil && firstErr == nil {
+		firstErr = err
 	}
-	// The pools just waited out their queued prefetch work; now the
+	// The relations just waited out their queued prefetch work; now the
 	// workers themselves can go.
 	if db.pf != nil {
 		db.pf.Close()
 		db.pf = nil
 	}
-	db.pools = nil
 	db.tables = make(map[string]*Table)
 	db.cat = nil
 	db.catPool = nil
@@ -832,7 +828,7 @@ func (db *DB) loadSchema() error {
 				continue
 			}
 			// The file vanished under a valid entry (e.g. deleted by
-			// hand): the fresh pool newPool just opened serves as the
+			// hand): the fresh file newPool just opened serves as the
 			// rebuild target. Flip the entry invalid and commit first —
 			// the rebuild emits intra-build commit markers, so a crash
 			// mid-rebuild would otherwise leave committed partial pages
@@ -1032,16 +1028,13 @@ func (db *DB) Close() error {
 	if err := db.checkpointLocked(); err != nil {
 		return err
 	}
-	for _, bp := range db.pools {
-		if err := bp.Close(); err != nil {
-			return err
-		}
+	if err := db.pool.Close(); err != nil {
+		return err
 	}
 	if db.pf != nil {
 		db.pf.Close()
 		db.pf = nil
 	}
-	db.pools = nil
 	db.tables = make(map[string]*Table)
 	db.cat = nil
 	db.catPool = nil
@@ -1082,7 +1075,7 @@ func (db *DB) persistChurnLocked() error {
 	return db.commitWAL(nil)
 }
 
-// Checkpoint flushes every buffer pool, syncs the data files, and (with
+// Checkpoint flushes the buffer pool, syncs the data files, and (with
 // a WAL attached) logs a checkpoint record and recycles old log
 // segments — the role of the CHECKPOINT statement.
 func (db *DB) Checkpoint() error {
@@ -1117,10 +1110,10 @@ func (db *DB) checkpointLocked() error {
 	// Flush and log-rotation failures go through noteWALFailure: a log
 	// that died during CHECKPOINT must flip degraded mode now, not at
 	// whatever later DML first trips the sticky writer error.
-	for _, bp := range db.pools {
-		if err := bp.FlushAll(); err != nil {
-			return db.noteWALFailure(err)
-		}
+	if err := db.pool.FlushAll(); err != nil {
+		return db.noteWALFailure(err)
+	}
+	for _, bp := range db.pool.Relations() {
 		if err := bp.DM().Sync(); err != nil {
 			return db.noteWALFailure(err)
 		}
@@ -1135,7 +1128,7 @@ func (db *DB) checkpointLocked() error {
 
 // Crash simulates a process crash for tests and demos: the write-ahead
 // log is made durable up to its last appended record (the state an
-// OS-level crash would leave after the last commit), every buffer pool
+// OS-level crash would leave after the last commit), the buffer pool
 // discards its frames without writing them back, and the files close.
 // Data pages keep only what earlier evictions and flushes wrote; a
 // subsequent Open with WAL enabled must redo the rest from the log.
@@ -1162,7 +1155,7 @@ func (db *DB) poisoned() error {
 	return fmt.Errorf("executor: database poisoned by a failed DDL compensation, reopen it: %w", db.broken)
 }
 
-// newPool opens a buffer pool over a fresh or existing file (or memory).
+// newPool opens a fresh or existing relation file (or memory) in the pool.
 func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 	var dm storage.DiskManager
 	existed := false
@@ -1185,11 +1178,19 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 			db.faultDMs = append(db.faultDMs, fdm)
 		}
 	}
-	bp := storage.NewBufferPool(fileName, dm, db.poolPages)
-	bp.AttachPrefetcher(db.pf, db.readahead)
-	// Join the pool to the wait-event layer, classifying its miss I/O by
-	// what the file holds (the extension is authoritative: rel<oid>.tbl,
-	// rel<oid>.idx, syscat.dat).
+	if db.wal != nil && !existed {
+		if _, err := db.wal.AppendFileCreate(fileName); err != nil {
+			// The file never joins the pool, so nothing else will release
+			// the descriptor or the just-created empty file.
+			dm.Close()
+			if db.dir != "" {
+				os.Remove(filepath.Join(db.dir, fileName))
+			}
+			return nil, false, err
+		}
+	}
+	// Classify the file's miss I/O by what it holds (the extension is
+	// authoritative: rel<oid>.tbl, rel<oid>.idx, syscat.dat).
 	ioEv := obs.WaitIOHeapRead
 	switch {
 	case fileName == catalogFile:
@@ -1197,26 +1198,10 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 	case strings.HasSuffix(fileName, ".idx"):
 		ioEv = obs.WaitIOIndexRead
 	}
-	bp.AttachObs(db.waits, ioEv)
-	if db.wal != nil {
-		if !existed {
-			if _, err := db.wal.AppendFileCreate(fileName); err != nil {
-				// The pool never joins db.pools, so nothing else will
-				// release the descriptor or the just-created empty file.
-				dm.Close()
-				if db.dir != "" {
-					os.Remove(filepath.Join(db.dir, fileName))
-				}
-				return nil, false, err
-			}
-		}
-		bp.AttachWAL(db.wal)
-	}
-	db.pools = append(db.pools, bp)
-	return bp, existed, nil
+	return db.pool.Open(fileName, dm, ioEv), existed, nil
 }
 
-// flushUnlogged makes one pool durable on databases with no write-ahead
+// flushUnlogged makes one relation durable on databases with no write-ahead
 // log (a no-op otherwise). Unlogged DDL uses it to order durability by
 // hand: a new relation's pages before its catalog entry, the catalog's
 // deletes before a DROP's unlink. Either ordering violated across a
@@ -1232,7 +1217,7 @@ func (db *DB) flushUnlogged(bp *storage.BufferPool) error {
 	return bp.DM().Sync()
 }
 
-// flushCatalogIfUnlogged is flushUnlogged of the catalog's own pool.
+// flushCatalogIfUnlogged is flushUnlogged of the catalog's own file.
 func (db *DB) flushCatalogIfUnlogged() error {
 	if db.catPool == nil || db.wal != nil {
 		return nil
@@ -1241,24 +1226,6 @@ func (db *DB) flushCatalogIfUnlogged() error {
 		return err
 	}
 	return db.flushUnlogged(db.catPool)
-}
-
-// discardPool forgets bp and drops its frames without writing anything
-// back — for pools of a doomed relation (a committed DROP, or a failed
-// DDL statement's compensation), whose dirty pages must reach neither
-// the log nor the file about to be unlinked.
-func (db *DB) discardPool(bp *storage.BufferPool) {
-	db.forgetPool(bp)
-	bp.Crash()
-}
-
-func (db *DB) forgetPool(bp *storage.BufferPool) {
-	for i, p := range db.pools {
-		if p == bp {
-			db.pools = append(db.pools[:i], db.pools[i+1:]...)
-			break
-		}
-	}
 }
 
 // Table returns a table by name.
@@ -1310,7 +1277,7 @@ func (t *Table) validateTuple(tup catalog.Tuple) error {
 // checkAttached verifies, under the statement lock, that t is still the
 // database's attached table of its name. A caller may have resolved the
 // *Table (db.Table, a SQL session's name lookup) before a concurrent
-// DROP TABLE committed; its heap and index pools are discarded then, and
+// DROP TABLE committed; its heap and index files are discarded then, and
 // running a scan against them would surface as a confusing storage-level
 // error. The statement lock makes this check stable for the statement's
 // whole lock window: DROP needs the exclusive lock to detach.

@@ -64,7 +64,7 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 			db.broken = rerr
 		}
 		if bp != nil {
-			db.discardPool(bp)
+			bp.Crash()
 		}
 		// Unlinking is only provably safe under WAL, where the no-steal
 		// rule keeps the uncommitted catalog entry off disk and the file
@@ -249,7 +249,7 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 			// compensation commit does not log page images of a file
 			// about to be unlinked.
 			if bp != nil {
-				db.discardPool(bp)
+				bp.Crash()
 				bp = nil
 			}
 			if cerr := db.commitWAL(nil); cerr != nil {
@@ -260,7 +260,7 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 			}
 		}
 		if bp != nil {
-			db.discardPool(bp)
+			bp.Crash()
 		}
 		if unlink && db.dir != "" {
 			os.Remove(filepath.Join(db.dir, ie.File))
@@ -444,7 +444,7 @@ func (db *DB) DropIndex(name string) error {
 		fresh = append(fresh, t.Indexes[pos+1:]...)
 		t.Indexes = fresh
 		db.mu.Unlock()
-		db.discardPool(info.pool)
+		info.pool.Crash()
 	}
 	if db.dir != "" {
 		if err := os.Remove(filepath.Join(db.dir, ie.File)); err != nil && !os.IsNotExist(err) && firstErr == nil {
@@ -544,9 +544,9 @@ func (db *DB) DropTable(name string) error {
 		}
 	}
 	for _, ix := range t.Indexes {
-		db.discardPool(ix.pool)
+		ix.pool.Crash()
 	}
-	db.discardPool(t.Heap.Pool())
+	t.Heap.Pool().Crash()
 	if db.dir != "" {
 		unlink := func(file string) {
 			if err := os.Remove(filepath.Join(db.dir, file)); err != nil && !os.IsNotExist(err) {

@@ -10,7 +10,7 @@ import (
 // permanent device error, anything that sets the wal.Writer's sticky
 // error — the database flips into a read-only state instead of
 // panicking or limping on without durability. SELECTs keep working off
-// the buffer pools; every statement that would need to append to the
+// the buffer pool; every statement that would need to append to the
 // log (DML, DDL, CHECKPOINT, VACUUM, ANALYZE) fails fast with a typed
 // *ErrReadOnly; SHOW STATE and /healthz report the condition so an
 // operator (or orchestrator) can replace the disk and restart. The

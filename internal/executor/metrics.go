@@ -79,34 +79,33 @@ func newExecMetrics() *execMetrics {
 }
 
 // Obs exposes the database's metrics registry: the executor's own
-// counters plus, via a sampler, the buffer-pool, disk, and WAL counters
-// of every open file. SHOW STATS and the server's STATS verb render it.
+// counters plus, via a sampler, the buffer-pool, disk, and WAL counters.
+// SHOW STATS and the server's STATS verb render it.
 // Do not call Render/Each while holding ShareLock — the storage sampler
 // takes the shared statement lock itself.
 func (db *DB) Obs() *obs.Registry { return db.met.reg }
 
 // sampleStorage contributes the storage-layer counters to the registry
-// readout: buffer-pool traffic summed over every open pool (catalog
-// included), physical disk I/O, and the write-ahead log's activity.
+// readout: the buffer pool's size and traffic (every relation file,
+// catalog included), physical disk I/O, and the write-ahead log's activity.
 func (db *DB) sampleStorage(emit func(name string, value int64)) {
 	db.stmtMu.RLock()
-	pools := append([]*storage.BufferPool(nil), db.pools...)
 	faultDMs := append([]*storage.FaultDiskManager(nil), db.faultDMs...)
 	w := db.wal
 	db.stmtMu.RUnlock()
 
-	ps := sumPoolStats(pools)
+	rels := db.pool.Relations()
+	ps := db.pool.Stats()
 	var reads, writes, allocs int64
-	shards := 0
-	for _, bp := range pools {
+	for _, bp := range rels {
 		r, wr, al := bp.DM().Stats().Snapshot()
 		reads += r
 		writes += wr
 		allocs += al
-		shards += bp.NumShards()
 	}
-	emit("pool_open", int64(len(pools)))
-	emit("pool_shards", int64(shards))
+	emit("pool_frames", int64(db.pool.Frames()))
+	emit("pool_open", int64(len(rels)))
+	emit("pool_shards", int64(db.pool.NumShards()))
 	emit("pool_accesses_total", ps.Accesses)
 	emit("pool_hits_total", ps.Hits)
 	emit("pool_misses_total", ps.Misses)
@@ -171,10 +170,9 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 // sampler — do not call while holding ShareLock.
 func (db *DB) resetStorageStats() {
 	db.stmtMu.RLock()
-	pools := append([]*storage.BufferPool(nil), db.pools...)
 	w := db.wal
 	db.stmtMu.RUnlock()
-	for _, bp := range pools {
+	for _, bp := range db.pool.Relations() {
 		bp.ResetStats()
 		bp.DM().Stats().Reset()
 	}
@@ -184,32 +182,9 @@ func (db *DB) resetStorageStats() {
 	db.waits.Reset()
 }
 
-// PoolStats sums the buffer-pool counters over every open pool. The
-// slow-query log and tests use it for before/after deltas.
-func (db *DB) PoolStats() storage.PoolStats {
-	db.stmtMu.RLock()
-	pools := append([]*storage.BufferPool(nil), db.pools...)
-	db.stmtMu.RUnlock()
-	return sumPoolStats(pools)
-}
-
-func sumPoolStats(pools []*storage.BufferPool) storage.PoolStats {
-	var ps storage.PoolStats
-	for _, bp := range pools {
-		s := bp.Stats()
-		ps.Accesses += s.Accesses
-		ps.Hits += s.Hits
-		ps.Misses += s.Misses
-		ps.Evictions += s.Evictions
-		ps.DirtyWrites += s.DirtyWrites
-		ps.InflightJoins += s.InflightJoins
-		ps.PrefetchReads += s.PrefetchReads
-		ps.PrefetchHits += s.PrefetchHits
-		ps.PrefetchWasted += s.PrefetchWasted
-		ps.BGWrites += s.BGWrites
-	}
-	return ps
-}
+// PoolStats sums the buffer-pool counters over every open relation
+// file. The slow-query log and tests use it for before/after deltas.
+func (db *DB) PoolStats() storage.PoolStats { return db.pool.Stats() }
 
 // TableStat is one name/value line of the per-table SHOW STATS output;
 // Text, when set, is the value of a non-numeric line.
@@ -341,7 +316,7 @@ func lockTimed(mu *sync.RWMutex, c *obs.Counter, ws *obs.WaitSet, ev obs.WaitEve
 
 // RunStats captures the actual execution counters of one analyzed
 // statement — what EXPLAIN ANALYZE reports next to the planner's
-// estimates. Buffer counters are deltas over this table's pools (heap
+// estimates. Buffer counters are deltas over this table's files (heap
 // plus indexes), so concurrent statements on other tables do not
 // pollute them; concurrent work on the *same* table is excluded by the
 // statement lock the analyzed run holds.

@@ -305,13 +305,14 @@ func oracleNN(t *testing.T, r *rand.Rand, tb *Table, ix *IndexInfo, keys []catal
 //
 // It runs twice. With the default pool nothing is evicted and a
 // statement chunks only past 4 096 rows (INSERT) or 256 (DELETE). With
-// PoolPages 16 every file outgrows its pool, so index pages are evicted,
-// reloaded and re-imaged between crashes — but no-steal keeps every page
-// a chunk dirtied in memory until the chunk's records are appended, and a
-// pool of 16 frames holds no more than that: there the tables are loaded
-// through the default pool first, statements stay a few rows long, dead
-// versions are vacuumed while they are few, and the suffix tree (one word
-// is up to fifteen suffixes, each in a leaf of its own) sits the run out.
+// 16 frames for each of its eleven files the files outgrow the pool, so
+// index pages are evicted, reloaded and re-imaged between crashes — but
+// no-steal keeps every page a chunk dirtied in memory until the chunk's
+// records are appended, and 16 frames a file hold no more than that:
+// there the tables are loaded through the default pool first, statements
+// stay a few rows long, dead versions are vacuumed while they are few,
+// and the suffix tree (one word is up to fifteen suffixes, each in a
+// leaf of its own) sits the run out.
 
 // oracleCrashTables are the crash oracle's three tables: between them
 // one index of every access method, created before the first row so
@@ -341,6 +342,10 @@ var oracleCrashTables = []struct {
 const (
 	oracleCrashOps   = 160 // statements per run after the load
 	oracleCrashPreds = 6   // predicates per (class, operator) and kNN probes per index, per recovery
+	// oracleCrampedFiles are the files of the cramped run: the catalog,
+	// three heaps and seven indexes (no suffix tree). A pool of p pages a
+	// file is p × oracleCrampedFiles frames.
+	oracleCrampedFiles = 11
 )
 
 // oracleCrashCreate creates table ti of oracleCrashTables, empty, with
@@ -379,7 +384,7 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 	errBoom := fmt.Errorf("injected crash between chunks")
 	armed := false
 	open := func(poolPages int) *DB {
-		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: poolPages, Faults: FaultInjection{
+		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: poolPages * oracleCrampedFiles, Faults: FaultInjection{
 			BetweenDMLChunks: func(string, int) error {
 				if armed {
 					return errBoom
@@ -413,7 +418,7 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 	db := open(0)
 	rows := 300
 	if cramped {
-		rows = 1500 // every file several times its pool
+		rows = 3000 // the files several times their pool
 	}
 	for ti, ot := range oracleCrashTables {
 		tb := oracleCrashCreate(t, db, ti, !cramped)
@@ -609,7 +614,7 @@ func TestTornIndexPageRecovery(t *testing.T) {
 func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	dir := t.TempDir()
 	faults := map[string]*storage.FaultDiskManager{}
-	db, err := Open(Options{Dir: dir, WAL: true, PoolPages: 16,
+	db, err := Open(Options{Dir: dir, WAL: true, PoolPages: 16 * oracleCrampedFiles,
 		DiskFaults: func(file string, dm storage.DiskManager) storage.DiskManager {
 			if !strings.HasSuffix(file, ".idx") {
 				return dm
@@ -641,7 +646,7 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	// later touches of the same pages.
 	var tables []*Table
 	for ti, ot := range oracleCrashTables {
-		tb := oracleCrashCreate(t, db, ti, false) // 16 frames again: no suffix tree
+		tb := oracleCrashCreate(t, db, ti, false) // 16 frames a file again: no suffix tree
 		insert(tb, ot.datum, 0, 400, ot.cramped)
 		tables = append(tables, tb)
 	}
@@ -688,7 +693,7 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	if (nodePageImages != 0) != checkpointed {
 		t.Fatalf("the log holds %d images of SP-GiST node pages; none are due before the first checkpoint, some after it", nodePageImages)
 	}
-	db, err = Open(Options{Dir: dir, WAL: true, PoolPages: 16})
+	db, err = Open(Options{Dir: dir, WAL: true, PoolPages: 16 * oracleCrampedFiles})
 	if err != nil {
 		t.Fatal(err)
 	}

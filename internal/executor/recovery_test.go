@@ -23,7 +23,7 @@ func openRecoveryDB(t *testing.T, dir string) *executor.DB {
 	db, err := executor.Open(executor.Options{
 		Dir:       dir,
 		WAL:       true,
-		PoolPages: 8, // tiny pool: most of the workload lives only in WAL + evicted pages
+		PoolPages: 7 * 8, // tiny pool, 8 frames for each of the 7 files: most of the workload lives only in WAL + evicted pages
 		WALSync:   wal.SyncCommit,
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ func (db *DB) Scrub(tableName string) (*ScrubResult, error) {
 	defer db.stmtMu.RUnlock()
 	var pools []*storage.BufferPool
 	if tableName == "" {
-		pools = db.pools
+		pools = db.pool.Relations()
 	} else {
 		t, err := db.Table(tableName)
 		if err != nil {

@@ -212,8 +212,8 @@ type Registry struct {
 	// elsewhere (e.g. the buffer pool's own atomics) without adding a
 	// second increment to their hot paths.
 	samplers []func(emit func(name string, value int64))
-	// resetHooks run on Reset so components behind samplers (buffer
-	// pools, the WAL writer, the wait set) zero their own counters too.
+	// resetHooks run on Reset so components behind samplers (the buffer
+	// pool, the WAL writer, the wait set) zero their own counters too.
 	resetHooks []func()
 }
 
@@ -299,7 +299,7 @@ func (r *Registry) OnReset(fn func()) {
 // runs the registered reset hooks, so experiments can measure deltas
 // against a running server without restarting it (SHOW STATS RESET, the
 // STATS RESET server verb). Gauges are left alone: they are
-// instantaneous values (active sessions, open pools) whose truth does
+// instantaneous values (active sessions, open files) whose truth does
 // not reset. Hooks run outside the registry mutex; they may take
 // component locks of their own (the storage hook takes the shared
 // statement lock), so do not call Reset while holding ShareLock.

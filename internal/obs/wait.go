@@ -86,8 +86,8 @@ type waitCell struct {
 }
 
 // WaitSet accumulates per-event wait counts and durations. One WaitSet
-// serves the whole database: every component (executor locks, buffer
-// pools, the WAL writer) holds a pointer to it and records waits with
+// serves the whole database: every component (executor locks, the buffer
+// pool, the WAL writer) holds a pointer to it and records waits with
 // Begin/End. All methods are nil-receiver safe so components built
 // standalone (tests, tools) pay one predictable branch and no clock.
 //

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,8 @@ type Page struct {
 // prefetcher (not logical accesses); PrefetchHits counts prefetched
 // pages a demand fetch then used, PrefetchWasted those evicted untouched.
 // BGWrites counts the subset of DirtyWrites issued by the background
-// writer.
+// writer. A relation's counters count the fetches of its pages and the
+// write-backs and evictions of its frames; the pool's sum them.
 type PoolStats struct {
 	Accesses       int64
 	Hits           int64
@@ -48,7 +50,7 @@ type PoolStats struct {
 	BGWrites       int64
 }
 
-// add accumulates o into s (Stats sums the per-shard counters).
+// add accumulates o into s.
 func (s *PoolStats) add(o PoolStats) {
 	s.Accesses += o.Accesses
 	s.Hits += o.Hits
@@ -75,16 +77,20 @@ const maxPoolShards = 16
 // statements the unsharded pool handled.
 const minFramesPerShard = 16
 
-// BufferPool caches pages of one DiskManager using clock replacement.
-// All methods are safe for concurrent use.
+// Pool is the buffer pool of one database, PostgreSQL's shared buffers:
+// one set of frames, one clock and one budget for every relation file
+// opened in it (Open), with frames keyed by (relation, page). All methods
+// are safe for concurrent use.
 //
-// The page table is sharded by PageID so concurrent Fetch/Unpin of
-// distinct pages contend on (at most) one shard mutex rather than one
-// global pool mutex, and releasing a clean pin touches no mutex at all:
-// pin counts and reference bits are per-frame atomics. Pins are only ever
-// *added* under the owning shard's mutex, which the evictor also holds,
-// so a frame observed unpinned by the evictor cannot be concurrently
-// re-pinned.
+// The page table is sharded so concurrent Fetch/Unpin of distinct pages
+// contend on (at most) one shard mutex rather than one global pool mutex,
+// and releasing a clean pin touches no mutex at all: pin counts and
+// reference bits are per-frame atomics. Pins are only ever *added* under
+// the owning shard's mutex, which the evictor also holds, so a frame
+// observed unpinned by the evictor cannot be concurrently re-pinned. A
+// page's shard is its page number plus its relation's number, modulo the
+// shard count: each file's consecutive pages spread round-robin, so a set
+// of files that fits the budget fits every shard.
 //
 // When a write-ahead log is attached (AttachWAL), the pool becomes the
 // WAL integration point for every structure built on it, with one
@@ -93,14 +99,12 @@ const minFramesPerShard = 16
 // stages the logical record its caller built (UnpinDeferred);
 // StagePending hands both to the committer's record group, and no dirty
 // frame is written back to disk before the log is durable up to that
-// frame's latest record — the WAL-before-data rule.
-type BufferPool struct {
-	dm     DiskManager
+// frame's latest record — the WAL-before-data rule. Deferred work belongs
+// to a relation: staging, flushing and resolving one relation touch only
+// its own frames, so statements on different tables commit independently.
+type Pool struct {
 	shards []poolShard
-
-	// fileName is the base name of the relation file this pool caches: it
-	// names the pool's pages in log records and in ErrPageCorrupt reports.
-	fileName string
+	frames int // the budget: how many frames the shards hold together
 
 	// walRef holds the attached log writer. An atomic pointer rather than
 	// a mutex: AttachWAL is called once, before the pool is shared, and
@@ -113,11 +117,39 @@ type BufferPool struct {
 	// once, before the pool is shared; nil for standalone pools). Shard
 	// mutex acquisitions charge waitShard only after a TryLock failed —
 	// the uncontended path pays one predictable branch and reads no
-	// clock — while miss disk reads always charge waitIO: next to a real
-	// disk read the two clock reads are noise, and the I/O time is the
-	// number the wait profile exists to expose.
-	waits  *obs.WaitSet
-	waitIO obs.WaitEvent // miss-read classification (heap/index/catalog)
+	// clock — while miss disk reads always charge the relation's I/O
+	// event: next to a real disk read the two clock reads are noise, and
+	// the I/O time is the number the wait profile exists to expose.
+	waits *obs.WaitSet
+
+	// pf/readahead connect the pool to a prefetcher (AttachPrefetcher,
+	// before the pool is shared; nil disables prefetch).
+	pf        *Prefetcher
+	readahead int
+
+	// rels lists the open relations in the order they were opened; their
+	// numbers (nextRel) are never reused, so no frame outlives its file.
+	relMu   sync.Mutex
+	rels    []*BufferPool
+	nextRel uint32
+}
+
+// BufferPool is one relation file opened in a Pool, the handle access
+// methods work through. It holds only what is per file — disk manager,
+// file name, deferred log records, miss-I/O wait event, prefetch quiesce
+// and traffic counters — and shares everything else with the pool.
+type BufferPool struct {
+	pool     *Pool
+	rel      uint32 // relation number: its frames' key prefix and shard offset
+	dm       DiskManager
+	fileName string
+	waitIO   obs.WaitEvent // miss-read classification (heap/index/catalog)
+
+	// stats[si] counts this relation's traffic in shard si, as plain
+	// fields under that shard's mutex, which the hot paths already hold —
+	// zero extra atomics per fetch. Readouts (SHOW STATS) take the same
+	// mutexes.
+	stats []PoolStats
 
 	// ops holds the statement's deferred logical records, already
 	// encoded by their owner (UnpinDeferred): instead of appending to the
@@ -128,7 +160,7 @@ type BufferPool struct {
 	// inside a record; opPages names, per record (as an index into ops),
 	// the page it covers. Those frames carry opPending and are
 	// unevictable until ResolvePending assigns their LSNs. Statements on
-	// one pool are externally serialized (the executor's per-table
+	// one relation are externally serialized (the executor's per-table
 	// writer lock); opsMu only orders the pair against FlushAll and
 	// Crash. ops is emptied, not dropped, when its records move on, so a
 	// statement stages into the buffers the previous one grew.
@@ -136,13 +168,9 @@ type BufferPool struct {
 	ops     wal.Group
 	opPages []Staged
 
-	// pf/readahead connect the pool to a shared prefetcher (AttachPrefetcher,
-	// before the pool is shared; nil disables prefetch). prefetchActive
-	// counts this pool's queued-or-running prefetch tasks so Close/Crash
-	// can wait them out before tearing frames down; closed stops new
-	// prefetch work from being enqueued or started.
-	pf             *Prefetcher
-	readahead      int
+	// prefetchActive counts this relation's queued-or-running prefetch
+	// tasks so Close/Crash can wait them out before tearing frames down;
+	// closed stops new prefetch work from being enqueued or started.
 	prefetchActive sync.WaitGroup
 	closed         atomic.Bool
 }
@@ -164,52 +192,20 @@ type inflightRead struct {
 }
 
 // poolShard owns a disjoint subset of the pool's frames and the pages
-// that hash to it. Its mutex guards the page table, the clock hand, and
-// every non-atomic frame field.
+// that map to it, keyed by (relation, page) packed into one uint64
+// (BufferPool.key). Its mutex guards the page table, the clock hand,
+// every non-atomic frame field and its slot of every relation's counters.
 type poolShard struct {
 	mu      sync.Mutex
 	frames  []frame
-	table   map[PageID]int
+	table   map[uint64]int
 	hand    int
 	pending int // frames with imagePending set
 
-	// inflight holds the shard's pending disk reads, keyed by the page
-	// being read. An entry's frame is pinned and invalid, reachable only
-	// through the entry until the read publishes it into table.
-	inflight map[PageID]*inflightRead
-
-	// Traffic counters live per shard, as plain fields under the shard
-	// mutex the hot paths already hold — zero extra atomics per fetch.
-	// Readouts (SHOW STATS) take the same mutex, contending only with
-	// this shard's traffic.
-	accesses       int64
-	hits           int64
-	misses         int64
-	evictions      int64
-	dirtyWrites    int64
-	inflightJoins  int64
-	prefetchReads  int64
-	prefetchHits   int64
-	prefetchWasted int64
-	bgWrites       int64
-}
-
-// snapshot reads the shard's counters.
-func (sh *poolShard) snapshot() PoolStats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return PoolStats{
-		Accesses:       sh.accesses,
-		Hits:           sh.hits,
-		Misses:         sh.misses,
-		Evictions:      sh.evictions,
-		DirtyWrites:    sh.dirtyWrites,
-		InflightJoins:  sh.inflightJoins,
-		PrefetchReads:  sh.prefetchReads,
-		PrefetchHits:   sh.prefetchHits,
-		PrefetchWasted: sh.prefetchWasted,
-		BGWrites:       sh.bgWrites,
-	}
+	// inflight holds the shard's pending disk reads, keyed like table. An
+	// entry's frame is pinned and invalid, reachable only through the
+	// entry until the read publishes it into table.
+	inflight map[uint64]*inflightRead
 }
 
 // anyInflightDone returns the done channel of an arbitrary in-flight
@@ -223,6 +219,7 @@ func (sh *poolShard) anyInflightDone() chan struct{} {
 }
 
 type frame struct {
+	rel  *BufferPool // relation whose page the frame holds
 	id   PageID
 	data []byte
 	// pin and ref are atomics so a clean unpin (the hot read path) needs
@@ -239,7 +236,7 @@ type frame struct {
 	// times. Such frames are unevictable (no-steal) until logged.
 	imagePending bool
 	// opPending marks a frame covered by deferred logical records
-	// (bp.ops) whose LSNs are not yet assigned. Unevictable, like
+	// (rel.ops) whose LSNs are not yet assigned. Unevictable, like
 	// imagePending, until ResolvePending runs at the commit point.
 	opPending bool
 	// imagedLSN is the LSN of the last full page image logged for this
@@ -255,100 +252,111 @@ type frame struct {
 	prefetched bool
 }
 
-// NewBufferPool creates a pool with capacity frames over dm, the relation
-// file called fileName (its base name; "" for a pool nobody will name in
-// a log record or an error report).
-func NewBufferPool(fileName string, dm DiskManager, capacity int) *BufferPool {
-	if capacity < 4 {
-		capacity = 4
-	}
-	nShards := capacity / minFramesPerShard
-	if nShards > maxPoolShards {
-		nShards = maxPoolShards
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	bp := &BufferPool{
-		dm:       dm,
-		fileName: fileName,
-		shards:   make([]poolShard, nShards),
-	}
-	for si := range bp.shards {
+// NewPool creates a pool of capacity frames of pageSize bytes.
+func NewPool(pageSize, capacity int) *Pool {
+	capacity = max(capacity, 4)
+	nShards := min(max(capacity/minFramesPerShard, 1), maxPoolShards)
+	p := &Pool{frames: capacity, shards: make([]poolShard, nShards)}
+	for si := range p.shards {
 		// Distribute the capacity remainder over the first shards so the
 		// total frame count is exactly capacity.
 		n := capacity / nShards
 		if si < capacity%nShards {
 			n++
 		}
-		sh := &bp.shards[si]
+		sh := &p.shards[si]
 		sh.frames = make([]frame, n)
-		sh.table = make(map[PageID]int, n)
-		sh.inflight = make(map[PageID]*inflightRead)
+		sh.table = make(map[uint64]int, n)
+		sh.inflight = make(map[uint64]*inflightRead)
 		for i := range sh.frames {
-			sh.frames[i].data = make([]byte, dm.PageSize())
+			sh.frames[i].data = make([]byte, pageSize)
 		}
 	}
+	return p
+}
+
+// NewBufferPool creates a pool of capacity frames with one relation in it,
+// dm, called fileName ("" for a file no log record or error report names).
+func NewBufferPool(fileName string, dm DiskManager, capacity int) *BufferPool {
+	return NewPool(dm.PageSize(), capacity).Open(fileName, dm, obs.WaitNone)
+}
+
+// Open attaches the relation file dm, called fileName, to the pool and
+// returns its handle; the relation's miss reads are charged to ioEvent.
+func (p *Pool) Open(fileName string, dm DiskManager, ioEvent obs.WaitEvent) *BufferPool {
+	p.relMu.Lock()
+	defer p.relMu.Unlock()
+	bp := &BufferPool{pool: p, rel: p.nextRel, dm: dm, fileName: fileName, waitIO: ioEvent, stats: make([]PoolStats, len(p.shards))}
+	p.nextRel++
+	p.rels = append(p.rels, bp)
 	return bp
 }
 
-// shardOf maps a page to its owning shard index. Sequential page IDs
-// spread round-robin, so a scan's working set lands evenly across shards.
+// Relations lists the open relations in the order they were opened.
+func (p *Pool) Relations() []*BufferPool {
+	p.relMu.Lock()
+	defer p.relMu.Unlock()
+	return slices.Clone(p.rels)
+}
+
+// key is the page-table key of page id of this relation.
+func (bp *BufferPool) key(id PageID) uint64 { return uint64(bp.rel)<<32 | uint64(id) }
+
+// shardOf maps a page to its owning shard index. A file's sequential
+// page IDs spread round-robin, so a scan's working set lands evenly
+// across shards; the relation number staggers where each file starts.
 func (bp *BufferPool) shardOf(id PageID) int {
-	return int(uint32(id)) % len(bp.shards)
+	return int((uint32(id) + bp.rel) % uint32(len(bp.pool.shards)))
 }
 
 // DM exposes the underlying disk manager.
 func (bp *BufferPool) DM() DiskManager { return bp.dm }
 
 // NumShards reports the page-table shard count (introspection, tests).
-func (bp *BufferPool) NumShards() int { return len(bp.shards) }
+func (p *Pool) NumShards() int { return len(p.shards) }
 
-// AttachWAL enables write-ahead logging for this pool; its pages appear
-// in log records under the pool's file name. Must be called before the
-// pool is used.
+// Frames reports how many frames the pool holds — its page budget.
+func (p *Pool) Frames() int { return p.frames }
+
+// AttachWAL enables write-ahead logging for the pool; each relation's
+// pages appear in log records under its file name. Must be called before
+// the pool is used.
 //
 // The log must already hold a statement boundary — a commit or
 // checkpoint marker; executor.Open plants one in a fresh log before it
-// creates its first pool. Every record this pool produces is deferred
-// to its statement's marker, and both the no-steal rule and recovery's
+// attaches it. Every record the pool produces is deferred to its
+// statement's marker, and both the no-steal rule and recovery's
 // uncommitted-tail discard are positional (relative to the last
 // marker), so on a marker-less log neither would protect the first
 // statement. Attaching to one is a caller bug and panics.
-func (bp *BufferPool) AttachWAL(w *wal.Writer) {
+func (p *Pool) AttachWAL(w *wal.Writer) {
 	if w.CommittedLSN() == 0 {
 		panic("storage: AttachWAL on a log with no commit or checkpoint marker")
 	}
-	bp.walRef.Store(w)
+	p.walRef.Store(w)
 }
 
 // AttachObs joins the pool to a wait-event set: shard-mutex contention
-// is charged to buf_shard and miss disk reads to ioEvent (heap, index,
-// or catalog reads, per the file this pool caches). Like AttachWAL, it
-// must be called before the pool is shared.
-func (bp *BufferPool) AttachObs(ws *obs.WaitSet, ioEvent obs.WaitEvent) {
-	bp.waits = ws
-	bp.waitIO = ioEvent
-}
+// is charged to buf_shard and miss disk reads to each relation's I/O
+// event. Like AttachWAL, it must be called before the pool is shared.
+func (p *Pool) AttachObs(ws *obs.WaitSet) { p.waits = ws }
 
 // AttachPrefetcher joins the pool to a (possibly shared) prefetcher and
 // sets how many pages ahead sequential scans request. readahead <= 0
 // disables prefetch. Like AttachWAL, call before the pool is shared.
-func (bp *BufferPool) AttachPrefetcher(pf *Prefetcher, readahead int) {
+func (p *Pool) AttachPrefetcher(pf *Prefetcher, readahead int) {
 	if pf == nil || readahead <= 0 {
-		bp.pf = nil
-		bp.readahead = 0
+		p.pf, p.readahead = nil, 0
 		return
 	}
-	bp.pf = pf
-	bp.readahead = readahead
+	p.pf, p.readahead = pf, readahead
 }
 
 // ReadaheadPages reports the configured readahead window (0 = prefetch
 // disabled). Scan layers use it to size their prefetch distance.
-func (bp *BufferPool) ReadaheadPages() int { return bp.readahead }
+func (bp *BufferPool) ReadaheadPages() int { return bp.pool.readahead }
 
-// FileName returns the base name of the relation file this pool caches.
+// FileName returns the base name of the relation file.
 func (bp *BufferPool) FileName() string { return bp.fileName }
 
 // I/O retry policy: a transient read/write error is retried up to
@@ -362,14 +370,14 @@ const (
 )
 
 // backoff sleeps for the attempt's delay, charging io_retry.
-func (bp *BufferPool) backoff(attempt int) {
+func (p *Pool) backoff(attempt int) {
 	d := ioRetryBaseDelay << attempt
 	if d > ioRetryMaxDelay {
 		d = ioRetryMaxDelay
 	}
-	rw := bp.waits.Begin(obs.WaitIORetry)
+	rw := p.waits.Begin(obs.WaitIORetry)
 	time.Sleep(d)
-	bp.waits.End(rw)
+	p.waits.End(rw)
 }
 
 // verifyOnRead checks a page just read from disk against its stored
@@ -389,16 +397,16 @@ func (bp *BufferPool) verifyOnRead(id PageID, data []byte) error {
 // garbage in buf.
 func (bp *BufferPool) readPageRetry(id PageID, buf []byte, ev obs.WaitEvent) error {
 	for attempt := 0; ; attempt++ {
-		iw := bp.waits.Begin(ev)
+		iw := bp.pool.waits.Begin(ev)
 		err := bp.dm.ReadPage(id, buf)
-		bp.waits.End(iw)
+		bp.pool.waits.End(iw)
 		if err == nil {
 			return bp.verifyOnRead(id, buf)
 		}
 		if attempt+1 >= ioRetryAttempts || !IsTransient(err) {
 			return err
 		}
-		bp.backoff(attempt)
+		bp.pool.backoff(attempt)
 	}
 }
 
@@ -413,7 +421,7 @@ func (bp *BufferPool) writePageRetry(id PageID, data []byte) error {
 		if err == nil || attempt+1 >= ioRetryAttempts || !IsTransient(err) {
 			return err
 		}
-		bp.backoff(attempt)
+		bp.pool.backoff(attempt)
 	}
 }
 
@@ -428,9 +436,9 @@ func (bp *BufferPool) writePageRetry(id PageID, data []byte) error {
 // unlocked read observed torn cannot still look torn on the locked
 // re-read.
 func (bp *BufferPool) VerifyPage(id PageID, scratch []byte) error {
-	sh := &bp.shards[bp.shardOf(id)]
-	bp.lockShard(sh)
-	if fi, ok := sh.table[id]; ok && sh.frames[fi].dirty {
+	sh := &bp.pool.shards[bp.shardOf(id)]
+	bp.pool.lockShard(sh)
+	if fi, ok := sh.table[bp.key(id)]; ok && sh.frames[fi].dirty {
 		sh.mu.Unlock()
 		return nil
 	}
@@ -440,21 +448,21 @@ func (bp *BufferPool) VerifyPage(id PageID, scratch []byte) error {
 	}
 	// Confirm the failure with the shard quiesced. The frame may have
 	// been dirtied (or written back) since the unlocked snapshot.
-	bp.lockShard(sh)
+	bp.pool.lockShard(sh)
 	defer sh.mu.Unlock()
-	if fi, ok := sh.table[id]; ok && sh.frames[fi].dirty {
+	if fi, ok := sh.table[bp.key(id)]; ok && sh.frames[fi].dirty {
 		return nil
 	}
 	return bp.readPageRetry(id, scratch, bp.waitIO)
 }
 
 // Prefetch asks the attached prefetcher to pull a page into the pool in
-// the background. It never blocks: with no prefetcher attached, the pool
-// closing, the page unallocated, or the prefetch queue full, it simply
-// drops the request — prefetch is an optimization, never a correctness
-// dependency.
+// the background. It never blocks: with no prefetcher attached, the
+// relation closing, the page unallocated, or the prefetch queue full, it
+// simply drops the request — prefetch is an optimization, never a
+// correctness dependency.
 func (bp *BufferPool) Prefetch(id PageID) {
-	pf := bp.pf
+	pf := bp.pool.pf
 	if pf == nil || bp.closed.Load() || uint32(id) >= bp.dm.NumPages() {
 		return
 	}
@@ -466,49 +474,53 @@ func (bp *BufferPool) Prefetch(id PageID) {
 
 // lockShard acquires sh.mu, charging a blocked acquisition to the
 // buf_shard wait event. The uncontended fast path is one TryLock.
-func (bp *BufferPool) lockShard(sh *poolShard) {
+func (p *Pool) lockShard(sh *poolShard) {
 	if sh.mu.TryLock() {
 		return
 	}
-	m := bp.waits.Begin(obs.WaitBufShard)
+	m := p.waits.Begin(obs.WaitBufShard)
 	sh.mu.Lock()
-	bp.waits.End(m)
+	p.waits.End(m)
 }
 
 // WAL returns the attached log writer (nil when logging is disabled).
-func (bp *BufferPool) WAL() *wal.Writer { return bp.walRef.Load() }
+func (p *Pool) WAL() *wal.Writer { return p.walRef.Load() }
 
-// Stats returns a snapshot of the pool counters, summed over shards.
-// Under concurrent traffic the counters are read at slightly different
-// instants; each is individually exact.
+// Stats returns a snapshot of the relation's counters, summed over
+// shards. Under concurrent traffic the counters are read at slightly
+// different instants; each is individually exact.
 func (bp *BufferPool) Stats() PoolStats {
 	var s PoolStats
-	for si := range bp.shards {
-		s.add(bp.shards[si].snapshot())
+	for si := range bp.stats {
+		sh := &bp.pool.shards[si]
+		sh.mu.Lock()
+		s.add(bp.stats[si])
+		sh.mu.Unlock()
 	}
 	return s
 }
 
-// ResetStats zeroes the pool counters (the disk counters are separate).
+// ResetStats zeroes the relation's counters (the disk counters are
+// separate).
 func (bp *BufferPool) ResetStats() {
-	for si := range bp.shards {
-		sh := &bp.shards[si]
+	for si := range bp.stats {
+		sh := &bp.pool.shards[si]
 		sh.mu.Lock()
-		sh.accesses = 0
-		sh.hits = 0
-		sh.misses = 0
-		sh.evictions = 0
-		sh.dirtyWrites = 0
-		sh.inflightJoins = 0
-		sh.prefetchReads = 0
-		sh.prefetchHits = 0
-		sh.prefetchWasted = 0
-		sh.bgWrites = 0
+		bp.stats[si] = PoolStats{}
 		sh.mu.Unlock()
 	}
 }
 
-// claimLocked resolves page id to a frame of sh, the first step of
+// Stats sums the counters of every open relation.
+func (p *Pool) Stats() PoolStats {
+	var s PoolStats
+	for _, bp := range p.Relations() {
+		s.add(bp.Stats())
+	}
+	return s
+}
+
+// claimLocked resolves page id to a frame of shard si, the first step of
 // Fetch, prefetchOne and NewPage alike. Exactly one outcome holds:
 // resident — fi is the frame already caching id (no pin taken); e != nil
 // — a read of id is in flight; err != nil — every frame is pinned or
@@ -521,19 +533,20 @@ func (bp *BufferPool) ResetStats() {
 // burst may have every frame pinned by reads about to complete. With
 // wait set, claimLocked waits for any in-flight read to publish and
 // retries from the top (the page itself may have arrived meanwhile);
-// with no reads in flight the exhaustion is real. Caller holds sh.mu,
-// which is released only around that wait.
-func (bp *BufferPool) claimLocked(sh *poolShard, id PageID, wait bool) (fi int, resident bool, e *inflightRead, err error) {
+// with no reads in flight the exhaustion is real. Caller holds the
+// shard's mutex, which is released only around that wait.
+func (bp *BufferPool) claimLocked(si int, id PageID, wait bool) (fi int, resident bool, e *inflightRead, err error) {
+	sh, key := &bp.pool.shards[si], bp.key(id)
 	for {
-		if cached, ok := sh.table[id]; ok {
+		if cached, ok := sh.table[key]; ok {
 			return cached, true, nil, nil
 		}
-		if pending, ok := sh.inflight[id]; ok {
+		if pending, ok := sh.inflight[key]; ok {
 			return 0, false, pending, nil
 		}
-		if fi, err = bp.victimLocked(sh); err == nil {
+		if fi, err = bp.pool.victimLocked(si); err == nil {
 			f := &sh.frames[fi]
-			f.id = id
+			f.rel, f.id = bp, id
 			f.valid = false
 			f.pin.Store(1)
 			return fi, false, nil, nil
@@ -543,10 +556,10 @@ func (bp *BufferPool) claimLocked(sh *poolShard, id PageID, wait bool) (fi int, 
 			return 0, false, nil, err
 		}
 		sh.mu.Unlock()
-		iw := bp.waits.Begin(bp.waitIO)
+		iw := bp.pool.waits.Begin(bp.waitIO)
 		<-done
-		bp.waits.End(iw)
-		bp.lockShard(sh)
+		bp.pool.waits.End(iw)
+		bp.pool.lockShard(sh)
 	}
 }
 
@@ -556,9 +569,9 @@ func (bp *BufferPool) claimLocked(sh *poolShard, id PageID, wait bool) (fi int, 
 // flag or dirt over from the page it held before; the caller has already
 // stored the pin count the frame becomes reachable with. Caller holds
 // sh.mu.
-func (sh *poolShard) publishLocked(fi int, id PageID) *frame {
+func (bp *BufferPool) publishLocked(sh *poolShard, fi int, id PageID) *frame {
 	f := &sh.frames[fi]
-	f.id = id
+	f.rel, f.id = bp, id
 	f.dirty = false
 	f.ref.Store(true)
 	f.lsn = 0
@@ -567,29 +580,29 @@ func (sh *poolShard) publishLocked(fi int, id PageID) *frame {
 	f.opPending = false
 	f.prefetched = false
 	f.valid = true
-	sh.table[id] = fi
+	sh.table[bp.key(id)] = fi
 	return f
 }
 
 // readClaimedLocked fills the frame claimLocked handed out with page id
 // from disk and publishes it — the miss path shared by demand fetches
-// and the prefetcher. The read is a singleflight per PageID over the
+// and the prefetcher. The read is a singleflight per page over the
 // shard's in-flight table: an "I/O pending" entry is published and the
 // shard mutex released for the read, so misses on different pages of one
 // shard overlap their disk reads, while fetches of the same page
 // register as waiters on the entry and park on its channel — exactly one
 // disk read happens however many sessions miss together.
 //
-// A demand read keeps one pin for its caller, is charged to the pool's
-// I/O wait event (transient errors retry with backoff; the bytes are
-// checksum-verified) and — when the statement above armed a tracer —
-// recorded as a page_read span on its timeline; a prefetch read keeps no
-// pin and is charged to io_prefetch. It returns how many fetches joined
-// mid-read. Called with sh.mu held, and returns with it held.
+// A demand read keeps one pin for its caller, is charged to the
+// relation's I/O wait event (transient errors retry with backoff; the
+// bytes are checksum-verified) and — when the statement above armed a
+// tracer — recorded as a page_read span on its timeline; a prefetch read
+// keeps no pin and is charged to io_prefetch. It returns how many fetches
+// joined mid-read. Called with sh.mu held, and returns with it held.
 func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand bool) (joined int32, err error) {
 	f := &sh.frames[fi]
 	e := &inflightRead{done: make(chan struct{}), fi: fi}
-	sh.inflight[id] = e
+	sh.inflight[bp.key(id)] = e
 	sh.mu.Unlock()
 	ev, pins := obs.WaitIOPrefetch, int32(0)
 	var sp obs.SpanMark
@@ -599,8 +612,8 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand
 	}
 	err = bp.readPageRetry(id, f.data, ev)
 	sp.End()
-	bp.lockShard(sh)
-	delete(sh.inflight, id)
+	bp.pool.lockShard(sh)
+	delete(sh.inflight, bp.key(id))
 	if err != nil {
 		e.err = err
 		f.pin.Store(0) // still invalid: free for the next claim
@@ -609,7 +622,7 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand
 		// the frame becomes reachable through the table, so no waiter
 		// can find its page evicted underneath it.
 		f.pin.Store(pins + e.waiters)
-		sh.publishLocked(fi, id)
+		bp.publishLocked(sh, fi, id)
 	}
 	close(e.done)
 	return e.waiters, err
@@ -621,31 +634,31 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand
 // (Hits+Misses == Accesses) and as an InflightJoin.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	si := bp.shardOf(id)
-	sh := &bp.shards[si]
-	bp.lockShard(sh)
-	sh.accesses++
-	fi, resident, e, err := bp.claimLocked(sh, id, true)
+	sh, st := &bp.pool.shards[si], &bp.stats[si]
+	bp.pool.lockShard(sh)
+	st.Accesses++
+	fi, resident, e, err := bp.claimLocked(si, id, true)
 	switch {
 	case resident:
-		sh.hits++
+		st.Hits++
 		f := &sh.frames[fi]
 		if f.prefetched {
 			f.prefetched = false
-			sh.prefetchHits++
+			st.PrefetchHits++
 		}
 		f.pin.Add(1)
 		f.ref.Store(true)
 	case e != nil:
-		sh.misses++
-		sh.inflightJoins++
+		st.Misses++
+		st.InflightJoins++
 		e.waiters++
 		sh.mu.Unlock()
 		// Park on the in-flight read; the publisher granted this pin
 		// before closing done. Waiting on someone else's read is still
 		// I/O wait from this session's point of view.
-		iw := bp.waits.Begin(bp.waitIO)
+		iw := bp.pool.waits.Begin(bp.waitIO)
 		<-e.done
-		bp.waits.End(iw)
+		bp.pool.waits.End(iw)
 		if e.err != nil {
 			return nil, e.err
 		}
@@ -653,7 +666,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	default:
 		// A real miss — counted even when no frame could be claimed, so
 		// the Hits+Misses == Accesses identity survives the error.
-		sh.misses++
+		st.Misses++
 		if err == nil {
 			_, err = bp.readClaimedLocked(sh, fi, id, true)
 		}
@@ -677,16 +690,17 @@ func (bp *BufferPool) prefetchOne(id PageID) {
 	if bp.closed.Load() {
 		return
 	}
-	sh := &bp.shards[bp.shardOf(id)]
-	bp.lockShard(sh)
+	si := bp.shardOf(id)
+	sh, st := &bp.pool.shards[si], &bp.stats[si]
+	bp.pool.lockShard(sh)
 	defer sh.mu.Unlock()
-	fi, resident, e, err := bp.claimLocked(sh, id, false)
+	fi, resident, e, err := bp.claimLocked(si, id, false)
 	if resident || e != nil || err != nil {
 		// Present, in flight, or every frame pinned or uncommitted:
 		// skip, demand will retry.
 		return
 	}
-	sh.prefetchReads++
+	st.PrefetchReads++
 	joined, err := bp.readClaimedLocked(sh, fi, id, false)
 	if err != nil {
 		return
@@ -695,7 +709,7 @@ func (bp *BufferPool) prefetchOne(id PageID) {
 	// overlapped useful work. Otherwise the frame waits, flagged, for
 	// the scan to reach it (hit) or the clock to reclaim it (wasted).
 	if joined > 0 {
-		sh.prefetchHits++
+		st.PrefetchHits++
 	} else {
 		sh.frames[fi].prefetched = true
 	}
@@ -708,11 +722,11 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		return nil, err
 	}
 	si := bp.shardOf(id)
-	sh := &bp.shards[si]
-	bp.lockShard(sh)
+	sh := &bp.pool.shards[si]
+	bp.pool.lockShard(sh)
 	defer sh.mu.Unlock()
-	sh.accesses++
-	sh.misses++
+	bp.stats[si].Accesses++
+	bp.stats[si].Misses++
 	var fi int
 	var resident bool
 	for {
@@ -722,7 +736,7 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		// double-buffer: wait out an in-flight read of our id, then take
 		// over the published frame.
 		var e *inflightRead
-		if fi, resident, e, err = bp.claimLocked(sh, id, true); err != nil {
+		if fi, resident, e, err = bp.claimLocked(si, id, true); err != nil {
 			return nil, err
 		}
 		if e == nil {
@@ -730,12 +744,12 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		}
 		sh.mu.Unlock()
 		<-e.done
-		bp.lockShard(sh)
+		bp.pool.lockShard(sh)
 	}
 	if resident {
 		sh.frames[fi].pin.Add(1)
 	}
-	f := sh.publishLocked(fi, id)
+	f := bp.publishLocked(sh, fi, id)
 	for i := range f.data {
 		f.data[i] = 0
 	}
@@ -754,7 +768,7 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 // valid bit, and data reassigned) while the pin is held, and the evictor
 // observes the decrement through the same atomic.
 func (bp *BufferPool) Unpin(p *Page, dirty bool) {
-	sh := &bp.shards[p.shard]
+	sh := &bp.pool.shards[p.shard]
 	if !dirty {
 		f := &sh.frames[p.frame]
 		bp.validatePinned(f, p)
@@ -762,11 +776,11 @@ func (bp *BufferPool) Unpin(p *Page, dirty bool) {
 		f.pin.Add(-1)
 		return
 	}
-	bp.lockShard(sh)
+	bp.pool.lockShard(sh)
 	defer sh.mu.Unlock()
 	f := bp.unpinLocked(sh, p)
 	f.dirty = true
-	if bp.walRef.Load() != nil && !f.imagePending {
+	if bp.pool.WAL() != nil && !f.imagePending {
 		f.imagePending = true
 		sh.pending++
 	}
@@ -775,24 +789,24 @@ func (bp *BufferPool) Unpin(p *Page, dirty bool) {
 // UnpinDeferred releases one pin on p, marking it dirty and covered by a
 // logical record instead of a page image — the one deferral entry point
 // for every access method that owns its log records. build stages the
-// record in the pool's pending group with the typed wal.Group builder of
-// its choice (it receives the group and the name this pool's pages carry
-// in log records) and returns the index the builder gave it; the pool
-// remembers only that some record covers page p. The record is appended,
-// with the rest of the statement's records and its commit marker, via
-// StagePending, and the frame stays unevictable until ResolvePending
-// assigns the record's LSN. With no WAL attached there is nothing to
-// build: it is a plain dirty unpin.
+// record in the relation's pending group with the typed wal.Group builder
+// of its choice (it receives the group and the name this relation's pages
+// carry in log records) and returns the index the builder gave it; the
+// pool remembers only that some record covers page p. The record is
+// appended, with the rest of the statement's records and its commit
+// marker, via StagePending, and the frame stays unevictable until
+// ResolvePending assigns the record's LSN. With no WAL attached there is
+// nothing to build: it is a plain dirty unpin.
 func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file string) int) {
-	if bp.WAL() == nil {
+	if bp.pool.WAL() == nil {
 		bp.Unpin(p, true)
 		return
 	}
 	bp.opsMu.Lock()
 	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(&bp.ops, bp.fileName)})
 	bp.opsMu.Unlock()
-	sh := &bp.shards[p.shard]
-	bp.lockShard(sh)
+	sh := &bp.pool.shards[p.shard]
+	bp.pool.lockShard(sh)
 	defer sh.mu.Unlock()
 	f := bp.unpinLocked(sh, p)
 	f.dirty = true
@@ -808,21 +822,22 @@ type Staged struct {
 	Image bool
 }
 
-// StagePending moves the pool's deferred work — logical records staged
-// by UnpinDeferred and the page images of imagePending frames — into
-// g for one atomic group append. The covered frames keep their pending
-// flags (and stay unevictable) until ResolvePending stamps the assigned
-// LSNs. The caller must serialize StagePending/ResolvePending pairs per
-// pool (the executor's per-table writer lock and exclusive DDL lock do).
+// StagePending moves the relation's deferred work — logical records
+// staged by UnpinDeferred and the page images of its imagePending frames
+// — into g for one atomic group append. The covered frames keep their
+// pending flags (and stay unevictable) until ResolvePending stamps the
+// assigned LSNs. The caller must serialize StagePending/ResolvePending
+// pairs per relation (the executor's per-table writer lock and exclusive
+// DDL lock do).
 func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
-	w := bp.WAL()
+	w := bp.pool.WAL()
 	if w == nil {
 		return nil
 	}
 	staged := bp.takeDeferred(g)
 	nOps := len(staged)
-	for si := range bp.shards {
-		sh := &bp.shards[si]
+	for si := range bp.pool.shards {
+		sh := &bp.pool.shards[si]
 		sh.mu.Lock()
 		if sh.pending == 0 {
 			sh.mu.Unlock()
@@ -830,7 +845,7 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 		}
 		for i := range sh.frames {
 			f := &sh.frames[i]
-			if !f.valid || !f.imagePending {
+			if f.rel != bp || !f.valid || !f.imagePending {
 				continue
 			}
 			idx := g.AddPageImage(bp.fileName, uint32(f.id), f.data)
@@ -841,7 +856,7 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 	return bp.stageFullPageImages(g, w, staged, nOps)
 }
 
-// takeDeferred moves the pool's deferred logical records into g and
+// takeDeferred moves the relation's deferred logical records into g and
 // returns what each covers, indexed into g.
 func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 	bp.opsMu.Lock()
@@ -886,9 +901,9 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 			continue
 		}
 		done[id] = true
-		sh := &bp.shards[bp.shardOf(id)]
-		bp.lockShard(sh)
-		fi, ok := sh.table[id]
+		sh := &bp.pool.shards[bp.shardOf(id)]
+		bp.pool.lockShard(sh)
+		fi, ok := sh.table[bp.key(id)]
 		if !ok {
 			// Unreachable: frames with deferred ops are opPending and
 			// therefore unevictable until resolved.
@@ -920,9 +935,9 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
 	for _, s := range staged {
 		lsn := lsns[s.Index]
-		sh := &bp.shards[bp.shardOf(s.Page)]
+		sh := &bp.pool.shards[bp.shardOf(s.Page)]
 		sh.mu.Lock()
-		fi, ok := sh.table[s.Page]
+		fi, ok := sh.table[bp.key(s.Page)]
 		if !ok {
 			// Unreachable: pending frames are unevictable until resolved.
 			sh.mu.Unlock()
@@ -957,7 +972,7 @@ func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
 // durable anyway; the checkpoint or close marker that follows commits
 // them.
 func (bp *BufferPool) flushDeferredOps() error {
-	w := bp.WAL()
+	w := bp.pool.WAL()
 	if w == nil {
 		return nil
 	}
@@ -977,11 +992,11 @@ func (bp *BufferPool) flushDeferredOps() error {
 
 // validatePinned panics on unpin misuse (stale page, double unpin).
 func (bp *BufferPool) validatePinned(f *frame, p *Page) {
-	if !f.valid || f.id != p.ID {
-		panic(fmt.Sprintf("storage: unpin of stale page %d", p.ID))
+	if !f.valid || f.rel != bp || f.id != p.ID {
+		panic(fmt.Sprintf("storage: unpin of stale page %d of %q", p.ID, bp.fileName))
 	}
 	if f.pin.Load() <= 0 {
-		panic(fmt.Sprintf("storage: unpin of unpinned page %d", p.ID))
+		panic(fmt.Sprintf("storage: unpin of unpinned page %d of %q", p.ID, bp.fileName))
 	}
 }
 
@@ -995,9 +1010,11 @@ func (bp *BufferPool) unpinLocked(sh *poolShard, p *Page) *frame {
 	return f
 }
 
-// victimLocked finds a free or evictable frame in sh, writing back a
-// dirty victim. Caller holds sh.mu.
-func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
+// victimLocked finds a free or evictable frame in shard si, writing back
+// a dirty victim — of whichever relation it holds a page of. Caller holds
+// the shard's mutex.
+func (p *Pool) victimLocked(si int) (int, error) {
+	sh := &p.shards[si]
 	n := len(sh.frames)
 	// No-steal rule: with a WAL attached, a dirty frame whose latest
 	// record is past the last commit marker holds uncommitted state.
@@ -1005,7 +1022,7 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 	// redo log cannot take the row back out of the data file), so such
 	// frames are as unevictable as pinned ones until their statement
 	// commits.
-	w := bp.WAL()
+	w := p.WAL()
 	committed := wal.LSN(0)
 	if w != nil {
 		committed = w.CommittedLSN()
@@ -1031,30 +1048,27 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 			f.ref.Store(false)
 			continue
 		}
+		st := &f.rel.stats[si]
 		if f.dirty {
 			// WAL-before-data, including the commit marker covering
 			// this frame's statement: if only the records (not the
 			// marker) were durable at a crash, recovery would discard
 			// them as an uncommitted tail while the page survived.
-			target := f.lsn
-			if committed > target {
-				target = committed
-			}
-			if err := bp.syncWAL(w, target); err != nil {
+			if err := syncWAL(w, max(f.lsn, committed)); err != nil {
 				return 0, err
 			}
-			if err := bp.writePageRetry(f.id, f.data); err != nil {
+			if err := f.rel.writePageRetry(f.id, f.data); err != nil {
 				return 0, err
 			}
-			sh.dirtyWrites++
+			st.DirtyWrites++
 		}
 		if f.prefetched {
 			f.prefetched = false
-			sh.prefetchWasted++
+			st.PrefetchWasted++
 		}
-		delete(sh.table, f.id)
+		delete(sh.table, f.rel.key(f.id))
 		f.valid = false
-		sh.evictions++
+		st.Evictions++
 		return i, nil
 	}
 	return 0, fmt.Errorf("storage: buffer pool shard exhausted (%d frames, all pinned or uncommitted)", n)
@@ -1063,16 +1077,16 @@ func (bp *BufferPool) victimLocked(sh *poolShard) (int, error) {
 // syncWAL enforces WAL-before-data: with a log attached, the log must be
 // durable up to lsn before the page it covers may be written in place.
 // It also surfaces any sticky log error even when lsn is zero.
-func (bp *BufferPool) syncWAL(w *wal.Writer, lsn wal.LSN) error {
+func syncWAL(w *wal.Writer, lsn wal.LSN) error {
 	if w == nil {
 		return nil
 	}
 	return w.Sync(lsn)
 }
 
-// FlushAll writes every dirty frame back to disk. Pages stay cached.
-// Deferred logical records and page images are materialized first,
-// keeping WAL-before-data intact for frames whose records were
+// FlushAll writes every dirty frame of the relation back to disk. Pages
+// stay cached. Deferred logical records and page images are materialized
+// first, keeping WAL-before-data intact for frames whose records were
 // postponed to the commit point.
 //
 // Callers must hold the exclusive statement lock (CHECKPOINT, Close,
@@ -1084,21 +1098,38 @@ func (bp *BufferPool) FlushAll() error {
 	if err := bp.flushDeferredOps(); err != nil {
 		return err
 	}
-	w := bp.WAL()
-	for si := range bp.shards {
-		sh := &bp.shards[si]
+	return bp.pool.flushFrames(bp)
+}
+
+// FlushAll is the relations' FlushAll in one sweep of the frames — the
+// CHECKPOINT of the whole pool.
+func (p *Pool) FlushAll() error {
+	for _, bp := range p.Relations() {
+		if err := bp.flushDeferredOps(); err != nil {
+			return err
+		}
+	}
+	return p.flushFrames(nil)
+}
+
+// flushFrames writes back the dirty frames of rel (of every relation when
+// nil), logging the images still pending on them first.
+func (p *Pool) flushFrames(rel *BufferPool) error {
+	w := p.WAL()
+	for si := range p.shards {
+		sh := &p.shards[si]
 		sh.mu.Lock()
 		for i := range sh.frames {
 			f := &sh.frames[i]
-			if !f.valid || !f.dirty {
+			if !f.valid || !f.dirty || (rel != nil && f.rel != rel) {
 				continue
 			}
 			if n := f.pin.Load(); n != 0 {
 				sh.mu.Unlock()
-				panic(fmt.Sprintf("storage: FlushAll of page %d with %d pins held", f.id, n))
+				panic(fmt.Sprintf("storage: FlushAll of page %d of %q with %d pins held", f.id, f.rel.fileName, n))
 			}
 			if f.imagePending {
-				lsn, err := w.AppendPageImage(bp.fileName, uint32(f.id), f.data)
+				lsn, err := w.AppendPageImage(f.rel.fileName, uint32(f.id), f.data)
 				if err != nil {
 					sh.mu.Unlock()
 					return err
@@ -1109,15 +1140,15 @@ func (bp *BufferPool) FlushAll() error {
 				f.imagePending = false
 				sh.pending--
 			}
-			if err := bp.syncWAL(w, f.lsn); err != nil {
+			if err := syncWAL(w, f.lsn); err != nil {
 				sh.mu.Unlock()
 				return err
 			}
-			if err := bp.writePageRetry(f.id, f.data); err != nil {
+			if err := f.rel.writePageRetry(f.id, f.data); err != nil {
 				sh.mu.Unlock()
 				return err
 			}
-			sh.dirtyWrites++
+			f.rel.stats[si].DirtyWrites++
 			f.dirty = false
 		}
 		sh.mu.Unlock()
@@ -1126,7 +1157,7 @@ func (bp *BufferPool) FlushAll() error {
 }
 
 // WriteBackDirty is the background writer's unit of work: write back up
-// to max dirty frames that are safe to clean right now — unpinned, not
+// to limit dirty frames that are safe to clean right now — unpinned, not
 // covered by deferred records or images, and (with a WAL attached) fully
 // committed, so one WAL sync up to the commit horizon makes every
 // candidate durable-before-data. Frames are cleaned in place, not
@@ -1136,29 +1167,35 @@ func (bp *BufferPool) FlushAll() error {
 // Frames dirtied after the horizon was read have higher LSNs and are
 // skipped; the next round picks them up. Holding each shard's mutex
 // across its writes is the same trade eviction writeback already makes.
-func (bp *BufferPool) WriteBackDirty(max int) (int, error) {
-	if max <= 0 {
+func (p *Pool) WriteBackDirty(limit int) (int, error) { return p.writeBack(nil, limit) }
+
+// WriteBackDirty is the pool's WriteBackDirty restricted to the
+// relation's frames.
+func (bp *BufferPool) WriteBackDirty(limit int) (int, error) { return bp.pool.writeBack(bp, limit) }
+
+func (p *Pool) writeBack(rel *BufferPool, limit int) (int, error) {
+	if limit <= 0 {
 		return 0, nil
 	}
-	w := bp.WAL()
+	w := p.WAL()
 	committed := wal.LSN(0)
 	if w != nil {
 		committed = w.CommittedLSN()
 	}
 	written := 0
 	synced := wal.LSN(0) // highest LSN made durable this round
-	for si := range bp.shards {
-		if written >= max {
+	for si := range p.shards {
+		if written >= limit {
 			break
 		}
-		sh := &bp.shards[si]
-		bp.lockShard(sh)
+		sh := &p.shards[si]
+		p.lockShard(sh)
 		for i := range sh.frames {
-			if written >= max {
+			if written >= limit {
 				break
 			}
 			f := &sh.frames[i]
-			if !f.valid || !f.dirty || f.pin.Load() > 0 || f.imagePending || f.opPending {
+			if !f.valid || !f.dirty || f.pin.Load() > 0 || f.imagePending || f.opPending || (rel != nil && f.rel != rel) {
 				continue
 			}
 			if f.lsn > committed {
@@ -1168,27 +1205,23 @@ func (bp *BufferPool) WriteBackDirty(max int) (int, error) {
 			// commit marker must be durable before the page is. One
 			// sync per round normally suffices (every candidate's lsn
 			// is at or below the commit horizon).
-			target := f.lsn
-			if committed > target {
-				target = committed
-			}
-			if target > synced {
-				if err := bp.syncWAL(w, target); err != nil {
+			if target := max(f.lsn, committed); target > synced {
+				if err := syncWAL(w, target); err != nil {
 					sh.mu.Unlock()
 					return written, err
 				}
 				synced = target
 			}
-			mw := bp.waits.Begin(obs.WaitBGWriter)
-			err := bp.writePageRetry(f.id, f.data)
-			bp.waits.End(mw)
+			mw := p.waits.Begin(obs.WaitBGWriter)
+			err := f.rel.writePageRetry(f.id, f.data)
+			p.waits.End(mw)
 			if err != nil {
 				sh.mu.Unlock()
 				return written, err
 			}
 			f.dirty = false
-			sh.dirtyWrites++
-			sh.bgWrites++
+			f.rel.stats[si].DirtyWrites++
+			f.rel.stats[si].BGWrites++
 			written++
 		}
 		sh.mu.Unlock()
@@ -1196,7 +1229,7 @@ func (bp *BufferPool) WriteBackDirty(max int) (int, error) {
 	return written, nil
 }
 
-// quiescePrefetch stops new prefetch work and waits out this pool's
+// quiescePrefetch stops new prefetch work and waits out this relation's
 // queued or running prefetch tasks, so teardown never races a worker
 // holding frame references. Idempotent.
 func (bp *BufferPool) quiescePrefetch() {
@@ -1204,45 +1237,66 @@ func (bp *BufferPool) quiescePrefetch() {
 	bp.prefetchActive.Wait()
 }
 
-// Close flushes all dirty pages and closes the disk manager.
+// Close flushes the relation's dirty pages, drops its frames from the
+// pool and closes the disk manager.
 func (bp *BufferPool) Close() error {
 	bp.quiescePrefetch()
 	if err := bp.FlushAll(); err != nil {
 		return err
 	}
-	return bp.dm.Close()
+	return bp.Crash()
 }
 
-// Crash discards every frame — dirty or not, pinned or not — without
-// writing anything back, then closes the disk manager. It simulates the
-// loss of volatile state in a crash: the data file keeps only what
-// earlier evictions and flushes wrote. Test and demo hook.
+// Crash discards the relation's frames — dirty or not, pinned or not —
+// without writing anything back, detaches the relation from the pool and
+// closes its disk manager: the loss of volatile state in a crash, and how
+// a doomed relation (a committed DROP, a failed DDL statement) frees its
+// frames without its dirty pages reaching the log or the file.
 func (bp *BufferPool) Crash() error {
 	bp.quiescePrefetch()
-	for si := range bp.shards {
-		sh := &bp.shards[si]
+	for si := range bp.pool.shards {
+		sh := &bp.pool.shards[si]
 		sh.mu.Lock()
 		for i := range sh.frames {
 			f := &sh.frames[i]
-			f.id = 0
-			f.pin.Store(0)
-			f.ref.Store(false)
-			f.dirty = false
-			f.valid = false
-			f.lsn = 0
-			f.imagedLSN = 0
-			f.imagePending = false
-			f.opPending = false
-			f.prefetched = false
+			if f.rel != bp {
+				continue
+			}
+			if f.valid {
+				delete(sh.table, bp.key(f.id))
+			}
+			if f.imagePending {
+				sh.pending--
+			}
+			*f = frame{data: f.data}
 		}
-		sh.table = make(map[PageID]int)
-		sh.inflight = make(map[PageID]*inflightRead)
-		sh.pending = 0
 		sh.mu.Unlock()
 	}
 	bp.opsMu.Lock()
 	bp.ops.Reset()
 	bp.opPages = nil
 	bp.opsMu.Unlock()
+	p := bp.pool
+	p.relMu.Lock()
+	p.rels = slices.DeleteFunc(p.rels, func(r *BufferPool) bool { return r == bp })
+	p.relMu.Unlock()
 	return bp.dm.Close()
+}
+
+// Close closes every relation of the pool (BufferPool.Close), returning
+// the first error.
+func (p *Pool) Close() error { return p.each((*BufferPool).Close) }
+
+// Crash crashes every relation of the pool (BufferPool.Crash), returning
+// the first error.
+func (p *Pool) Crash() error { return p.each((*BufferPool).Crash) }
+
+func (p *Pool) each(fn func(*BufferPool) error) error {
+	var firstErr error
+	for _, bp := range p.Relations() {
+		if err := fn(bp); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }

@@ -105,8 +105,8 @@ func TestConcurrentMissesOverlap(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	dm, _ := asyncTestDisk(t, pages, delay)
 	bp := NewBufferPool("", dm, 16) // one shard: every page contends on one mutex
-	if bp.NumShards() != 1 {
-		t.Fatalf("want 1 shard for this test, got %d", bp.NumShards())
+	if bp.pool.NumShards() != 1 {
+		t.Fatalf("want 1 shard for this test, got %d", bp.pool.NumShards())
 	}
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -220,7 +220,7 @@ func TestBGWriterWALBeforeData(t *testing.T) {
 	defer w.Close()
 	mem := NewMem(256)
 	bp := NewBufferPool("t.tbl", mem, 8)
-	bp.AttachWAL(w)
+	bp.pool.AttachWAL(w)
 
 	p, err := bp.NewPage()
 	if err != nil {
@@ -320,7 +320,7 @@ func TestPrefetchSingleflight(t *testing.T) {
 	bp := NewBufferPool("", dm, 16)
 	pf := NewPrefetcher(2, 16)
 	defer pf.Close()
-	bp.AttachPrefetcher(pf, 4)
+	bp.pool.AttachPrefetcher(pf, 4)
 
 	// Phase 1 — deterministic hit path: prefetch eight pages, wait for
 	// the worker pool to land them (prefetchActive drains without the
@@ -382,7 +382,7 @@ func TestPrefetchWastedAccounting(t *testing.T) {
 	bp := NewBufferPool("", dm, 4)
 	pf := NewPrefetcher(1, 64)
 	defer pf.Close()
-	bp.AttachPrefetcher(pf, 4)
+	bp.pool.AttachPrefetcher(pf, 4)
 
 	// Prefetch far more pages than the pool holds; none are ever fetched.
 	for id := PageID(0); id < 32; id++ {

@@ -140,8 +140,8 @@ func TestPoolStatsAtomicUnderConcurrency(t *testing.T) {
 	dm := NewMem(256)
 	const pages = 64
 	bp := NewBufferPool("", dm, 2*pages) // no eviction: hits+misses is exact
-	if bp.NumShards() < 2 {
-		t.Fatalf("pool of %d frames got %d shards, want sharding", 2*pages, bp.NumShards())
+	if bp.pool.NumShards() < 2 {
+		t.Fatalf("pool of %d frames got %d shards, want sharding", 2*pages, bp.pool.NumShards())
 	}
 	for i := 0; i < pages; i++ {
 		p, err := bp.NewPage()
@@ -324,7 +324,7 @@ func TestWALBeforeData(t *testing.T) {
 	defer w.Close()
 	dm := NewMem(256)
 	bp := NewBufferPool("t.tbl", dm, 4)
-	bp.AttachWAL(w)
+	bp.pool.AttachWAL(w)
 
 	p, err := bp.NewPage()
 	if err != nil {
@@ -357,7 +357,7 @@ func TestNoStealOfUncommittedFrames(t *testing.T) {
 	defer w.Close()
 	dm := NewMem(256)
 	bp := NewBufferPool("t.tbl", dm, 4)
-	bp.AttachWAL(w)
+	bp.pool.AttachWAL(w)
 
 	var pages []*Page
 	for i := 0; i < 4; i++ {
@@ -403,7 +403,7 @@ func TestDeferredImageCoalescing(t *testing.T) {
 	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
 	bp := NewBufferPool("t.tbl", NewMem(256), 4)
-	bp.AttachWAL(w)
+	bp.pool.AttachWAL(w)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +455,7 @@ func TestRecoverDirRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := NewBufferPool("t.tbl", fdm, 4)
-	bp.AttachWAL(w)
+	bp.pool.AttachWAL(w)
 
 	// Page 0: raw page mutated via Unpin(dirty) -> page-image record.
 	p0, err := bp.NewPage()

@@ -231,7 +231,7 @@ func TestPrefetchFailureLeavesPageFetchable(t *testing.T) {
 	bp := NewBufferPool("", fdm, 8)
 	pf := NewPrefetcher(2, 8)
 	defer pf.Close()
-	bp.AttachPrefetcher(pf, 4)
+	bp.pool.AttachPrefetcher(pf, 4)
 
 	// All three retry attempts of the prefetch read fail; the prefetch
 	// itself gives up and drops the frame.

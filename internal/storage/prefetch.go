@@ -3,10 +3,11 @@ package storage
 import "sync"
 
 // Prefetcher is a small pool of worker goroutines that pull pages into
-// buffer pools ahead of the scans that will want them. One prefetcher is
-// shared by every pool of a database (heap files and indexes alike):
-// readahead demand is bursty per file but bounded overall, and a shared
-// bounded queue caps the background I/O the whole system can generate.
+// a buffer pool ahead of the scans that will want them. One prefetcher
+// serves every relation of a database's pool (heap files and indexes
+// alike): readahead demand is bursty per file but bounded overall, and a
+// shared bounded queue caps the background I/O the whole system can
+// generate.
 //
 // Requests enter through BufferPool.Prefetch, which drops on a full
 // queue rather than blocking — a missed prefetch costs a demand read
@@ -15,8 +16,8 @@ import "sync"
 // and a demand fetch of the same page can never both read from disk.
 //
 // Close drains the queue and stops the workers; callers must ensure no
-// pool can enqueue anymore (pools quiesce their prefetch work in
-// Close/Crash, and the executor closes the prefetcher after its pools).
+// relation can enqueue anymore (relations quiesce their prefetch work in
+// Close/Crash, and the executor closes the prefetcher after its pool).
 type Prefetcher struct {
 	tasks     chan prefetchTask
 	wg        sync.WaitGroup

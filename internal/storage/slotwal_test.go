@@ -57,7 +57,7 @@ func TestFirstTouchImages(t *testing.T) {
 			w := openMarkedWAL(t, t.TempDir(), wal.Options{})
 			defer w.Close()
 			bp := NewBufferPool(file, NewMem(256), 4)
-			bp.AttachWAL(w)
+			bp.pool.AttachWAL(w)
 			for i := 0; i < 8; i++ { // a meta page and seven data pages: twice the pool
 				p, err := bp.NewPage()
 				if err != nil {
