@@ -41,7 +41,6 @@ func (o noShrinkTrie) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	for i, l := range out.Labels {
 		have[l.(byte)] = i
 	}
-	recon, _ := in.Recon.(string)
 	pred := ""
 	if out.Pred != nil {
 		pred = out.Pred.(string)
@@ -57,10 +56,8 @@ func (o noShrinkTrie) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 		out.Labels = append(out.Labels, lb)
 		if lb == trie.Blank {
 			out.LevelAdds = append(out.LevelAdds, len(pred))
-			out.Recons = append(out.Recons, recon+pred)
 		} else {
 			out.LevelAdds = append(out.LevelAdds, len(pred)+1)
-			out.Recons = append(out.Recons, recon+pred+string(lb))
 		}
 	}
 	return out

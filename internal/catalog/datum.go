@@ -127,16 +127,24 @@ func (d Datum) String() string {
 	}
 }
 
-// Append appends the datum's String form to b, without the intermediate
-// string for the scalar types (result rendering, plan text).
+// Append appends the datum's String form to b without building the
+// string (result rendering, plan text, ANALYZE's tie order).
 func (d Datum) Append(b []byte) []byte {
 	switch d.Typ {
 	case Int:
 		return strconv.AppendInt(b, d.I, 10)
 	case Float:
 		return strconv.AppendFloat(b, d.F, 'g', -1, 64)
+	case Text:
+		return append(b, d.S...)
+	case Point:
+		return d.P.Append(b)
+	case Box:
+		return d.B.Append(b)
+	case Segment:
+		return d.G.Append(b)
 	default:
-		return append(b, d.String()...)
+		return append(b, '?')
 	}
 }
 

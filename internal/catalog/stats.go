@@ -130,9 +130,9 @@ func clampSel(sel float64) float64 {
 
 // histogramFraction estimates P(col < arg) (or <= when orEq) among the
 // values the histogram describes, interpolating inside the containing
-// bucket: numerically for INT/FLOAT, mid-bucket for VARCHAR (the
-// PostgreSQL convert_to_scalar fallback). ok is false without a usable
-// histogram for arg's type.
+// bucket: numerically for INT/FLOAT, by the strings read as numbers for
+// VARCHAR (stringFraction). ok is false without a usable histogram for
+// arg's type.
 func histogramFraction(hist []Datum, arg Datum, orEq bool) (float64, bool) {
 	if len(hist) < 2 {
 		return 0, false
@@ -157,7 +157,7 @@ func histogramFraction(hist []Datum, arg Datum, orEq bool) (float64, bool) {
 	if i >= len(hist)-1 {
 		i = len(hist) - 2
 	}
-	frac := 0.5 // within-bucket position; mid-bucket unless numeric
+	frac := 0.5 // within-bucket position; mid-bucket when the bounds do not span
 	switch arg.Typ {
 	case Int:
 		if span := hist[i+1].I - hist[i].I; span > 0 {
@@ -167,6 +167,8 @@ func histogramFraction(hist []Datum, arg Datum, orEq bool) (float64, bool) {
 		if span := hist[i+1].F - hist[i].F; span > 0 {
 			frac = (arg.F - hist[i].F) / span
 		}
+	case Text:
+		frac = stringFraction(hist[i].S, hist[i+1].S, arg.S)
 	}
 	if frac < 0 {
 		frac = 0
@@ -174,6 +176,59 @@ func histogramFraction(hist []Datum, arg Datum, orEq bool) (float64, bool) {
 		frac = 1
 	}
 	return (float64(i) + frac) / buckets, true
+}
+
+// stringFraction places v inside the bucket [lo, hi) the way PostgreSQL's
+// convert_string_to_scalar does. Past the prefix all three strings share,
+// each reads as a fraction whose digits are its bytes, in a base spanning
+// the bytes the bounds use — widened to all of A–Z, a–z or 0–9 when they
+// touch one, and to printable ASCII when that is fewer than ten — and v
+// lies where its number lies between lo's and hi's. A bucket whose bounds
+// read alike puts v mid-bucket.
+//
+// Unlike PostgreSQL, v's bytes do not widen the base: the two ends of a
+// prefix range are priced one call each, and the upper end's last byte is
+// often one past the alphabet (the successor of "1009" is "100:"). Read in
+// the bounds' base, clamped to the digit past the last, both ends read in
+// one base and the range between them is the prefix's share.
+func stringFraction(lo, hi, v string) float64 {
+	rlo, rhi := 255, 0
+	for _, s := range [...]string{lo, hi} {
+		for i := 0; i < len(s); i++ {
+			rlo, rhi = min(rlo, int(s[i])), max(rhi, int(s[i]))
+		}
+	}
+	for _, r := range [...][2]int{{'A', 'Z'}, {'a', 'z'}, {'0', '9'}} {
+		if rlo <= r[1] && rhi >= r[0] {
+			rlo, rhi = min(rlo, r[0]), max(rhi, r[1])
+		}
+	}
+	if rhi-rlo < 9 {
+		rlo, rhi = ' ', 127
+	}
+	n := 0
+	for n < len(lo) && n < len(hi) && n < len(v) && lo[n] == hi[n] && lo[n] == v[n] {
+		n++
+	}
+	l, h := stringScalar(lo[n:], rlo, rhi), stringScalar(hi[n:], rlo, rhi)
+	if h <= l {
+		return 0.5
+	}
+	return (stringScalar(v[n:], rlo, rhi) - l) / (h - l)
+}
+
+// stringScalar reads s as a fraction in base rhi-rlo+1, one byte per digit,
+// a byte outside [rlo, rhi] as the digit just outside. Twelve digits are
+// more than a float64 resolves in any base of ten or more.
+func stringScalar(s string, rlo, rhi int) float64 {
+	base := float64(rhi - rlo + 1)
+	num, denom := 0.0, base
+	for i := 0; i < len(s) && i < 12; i++ {
+		c := min(max(int(s[i]), rlo-1), rhi+1)
+		num += float64(c-rlo) / denom
+		denom *= base
+	}
+	return num
 }
 
 // rangeFraction is the min/max-only fallback of histogramFraction for

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/heap"
 	"repro/internal/storage"
@@ -45,7 +45,7 @@ func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	for i := range keys {
 		ps[i] = pair{kb: t.oc.EncodeKey(keys[i]), rid: rids[i]}
 	}
-	sort.SliceStable(ps, func(i, j int) bool { return bytes.Compare(ps[i].kb, ps[j].kb) < 0 })
+	slices.SortStableFunc(ps, func(a, b pair) int { return bytes.Compare(a.kb, b.kb) })
 	for _, p := range ps {
 		if err := t.insertEncoded(p.kb, p.rid); err != nil {
 			return err
@@ -115,8 +115,15 @@ func (t *Tree) insertIntoLeaf(p *storage.Page, rec []byte, ref NodeRef, parent *
 // that changes one decodes it into a private node first (views are shared,
 // immutable).
 func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value, kb []byte, rid heap.RID) error {
-	var in ChooseIn     // one per insertion, refilled at every inner node
-	var link parentLink // likewise: only the current node's parent is ever needed
+	// One per insertion, refilled at every inner node: Choose's input with
+	// the buffer it returns its match in, and the link to the current
+	// node's parent, the only one ever needed.
+	var st struct {
+		in    ChooseIn
+		match [1]ChooseMatch
+		link  parentLink
+	}
+	in, link := &st.in, &st.link
 	for guard := 0; ; guard++ {
 		if guard >= maxChooseIters {
 			return fmt.Errorf("spgist: %s.Choose did not converge at node %v", t.oc.Name(), ref)
@@ -133,8 +140,8 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 			in.Key = t.oc.DecodeKey(kb)
 		}
 		in.Level, in.Recon = level, recon
-		in.Pred, in.Labels = n.pred(), Labels{n}
-		out := t.oc.Choose(&in)
+		in.Pred, in.Labels, in.Matches = n.pred(), Labels{n}, st.match[:0]
+		out := t.oc.Choose(in)
 		switch out.Action {
 		case MatchNode:
 			if len(out.Matches) == 0 {
@@ -152,8 +159,8 @@ func (t *Tree) insertAt(ref NodeRef, parent *parentLink, level int, recon Value,
 				if !child.Valid() {
 					return t.hangLeaf(ref, n.node(), m.Entry, parent, kb, rid)
 				}
-				link = parentLink{ref: ref, entry: m.Entry}
-				parent = &link
+				*link = parentLink{ref: ref, entry: m.Entry}
+				parent = link
 				ref = child
 				level += m.LevelAdd
 				recon = m.Recon
@@ -309,9 +316,9 @@ func (t *Tree) splitLeaf(ref NodeRef, parent *parentLink, items []item, chain []
 			}
 		}
 
-		inner := &node{pred: t.encodePred(out.Pred)}
+		inner := &node{pred: t.encodePred(out.Pred), entries: make([]entry, 0, len(parts))}
 		type childPos struct{ entryIdx, part int }
-		var positions []childPos
+		positions := make([]childPos, 0, len(parts))
 		for p := range parts {
 			if len(parts[p]) == 0 && t.pr.NodeShrink {
 				continue // omit empty partitions (Figure 2(b))

@@ -118,16 +118,28 @@ const (
 	SplitNode
 )
 
-// ChooseIn is the input of OpClass.Choose.
+// ChooseIn is the input of OpClass.Choose. The insertion descent owns it:
+// one ChooseIn serves a whole descent and is refilled per node, so the
+// opclass must not keep the pointer, Pred, Labels or Matches past the call.
 type ChooseIn struct {
 	Key    Value  // key being inserted
 	Level  int    // decomposition level of the node
 	Pred   []byte // encoded node predicate (empty when the opclass stores none)
 	Labels Labels // encoded partition labels in entry order
 	Recon  Value  // reconstructed traversal value at this node
+	// Matches is the descent's buffer for ChooseOut.Matches, handed over
+	// empty with room for one match: an opclass that appends its matches
+	// to it and returns the result allocates nothing for them.
+	Matches []ChooseMatch
 }
 
 // ChooseMatch is one descent target selected by Choose.
+//
+// Recon is the child's traversal value, what ChooseIn.Recon holds one
+// level down. Like InnerFollow.Recon, an opclass sets it only if its own
+// Choose or PickSplit reads ChooseIn.Recon / PickSplitIn.Recon (the PMR
+// quadtree's cell); one that navigates by level, predicate and labels
+// alone (trie, kd-tree, point quadtree) leaves it nil.
 type ChooseMatch struct {
 	Entry    int   // index into ChooseIn.Labels
 	LevelAdd int   // level increase for the child
@@ -171,7 +183,7 @@ type PickSplitOut struct {
 	Labels    []Value // partition labels
 	Mapping   [][]int // Mapping[i] = partitions receiving Keys[i] (each non-empty; len>1 only with MultiAssign)
 	LevelAdds []int   // per-label level increase for each partition
-	Recons    []Value // per-label reconstructed values (nil ok)
+	Recons    []Value // per-label reconstructed values (nil when the opclass reads none, see ChooseMatch)
 }
 
 // InnerIn is the input of OpClass.InnerConsistent for one inner node met
@@ -192,8 +204,9 @@ type InnerIn struct {
 // own InnerConsistent reads InnerIn.Recon (the PMR quadtree, whose cells
 // exist nowhere but on the path); an opclass that navigates by level,
 // predicate and labels alone (trie, kd-tree, point quadtree) leaves it
-// nil and the search carries no traversal value at all. Insertion and the
-// NN search derive theirs independently (Choose, NNRecon).
+// nil and the search carries no traversal value at all. Insertion follows
+// the same rule through ChooseMatch.Recon; the NN search derives its own
+// (NNRecon).
 type InnerFollow struct {
 	Entry    int
 	LevelAdd int

@@ -1,13 +1,17 @@
 package executor
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/storage"
 	"repro/internal/syscat"
@@ -109,26 +113,47 @@ func (t *Table) sampleHeap() ([]catalog.Tuple, error) {
 //
 // where n = sample rows, N = total rows, d = distinct values in the
 // sample, f1 = values seen exactly once.
+//
+// As PostgreSQL's compute_scalar_stats does, the sample is sorted once
+// — positions into it, not datums — and its runs of equal values are
+// counted: d is the number of runs, f1 the runs of one, and the MCVs are
+// the longest runs. Two values are equal when their text forms are: that
+// is the identity the statistics have always counted by.
 func computeColumnStats(typ catalog.Type, column int, sample []catalog.Tuple, totalRows int64) catalog.ColumnStats {
 	var cs catalog.ColumnStats
 	n := len(sample)
 	if n == 0 {
 		return cs
 	}
-	counts := make(map[string]int, n)
-	vals := make(map[string]catalog.Datum, n)
-	for _, tup := range sample {
-		d := tup[column]
-		k := d.String()
-		counts[k]++
-		vals[k] = d
+	val := func(i int32) *catalog.Datum { return &sample[i][column] }
+	// Ties go by sample position, so the last row of a run is the value's
+	// last occurrence — the row a value's statistics have always shown.
+	// INT and VARCHAR sort by their value alone, statOrder's order for them
+	// (validateTuple admits no other type into their columns).
+	var order []int32
+	switch typ {
+	case catalog.Int:
+		order = sortedPositions(sample, column, func(d *catalog.Datum) int64 { return d.I }, cmp.Compare[int64])
+	case catalog.Text:
+		order = sortedPositions(sample, column, func(d *catalog.Datum) string { return d.S }, strings.Compare)
+	default:
+		order = sortedPositions(sample, column, func(d *catalog.Datum) *catalog.Datum { return d }, statOrder)
 	}
-	d := len(counts)
-	f1 := 0
-	for _, c := range counts {
-		if c == 1 {
-			f1++
+	type run struct{ start, cnt int } // a run of order
+	var common []run                  // the runs seen more than once, of storable values
+	d, f1 := 0, 0
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && statOrder(val(order[i]), val(order[j])) == 0 {
+			j++
 		}
+		d++
+		if j-i == 1 {
+			f1++
+		} else if storableStat(val(order[i])) {
+			common = append(common, run{i, j - i})
+		}
+		i = j
 	}
 	if int64(n) >= totalRows || f1 == 0 {
 		// The sample covered everything (or every value repeats): the
@@ -147,80 +172,165 @@ func computeColumnStats(typ catalog.Type, column int, sample []catalog.Tuple, to
 	}
 
 	// Most-common values: anything sampled more than once, by frequency
-	// (ties broken by value for determinism), capped at MaxMCVs. Very
+	// (ties broken by text form for determinism), capped at MaxMCVs. Very
 	// wide values are excluded from storage (they would bloat the
 	// catalog record) but still counted in ndistinct above.
-	type vc struct {
-		key string
-		cnt int
-	}
-	var common []vc
-	for k, c := range counts {
-		if c > 1 && storableStat(vals[k]) {
-			common = append(common, vc{k, c})
+	slices.SortFunc(common, func(a, b run) int {
+		if a.cnt != b.cnt {
+			return b.cnt - a.cnt
 		}
-	}
-	sort.Slice(common, func(i, j int) bool {
-		if common[i].cnt != common[j].cnt {
-			return common[i].cnt > common[j].cnt
-		}
-		return common[i].key < common[j].key
+		return compareText(val(order[a.start]), val(order[b.start]))
 	})
-	if len(common) > catalog.MaxMCVs {
-		common = common[:catalog.MaxMCVs]
-	}
-	inMCV := make(map[string]bool, len(common))
-	for _, c := range common {
-		cs.MCVals = append(cs.MCVals, vals[c.key])
-		cs.MCFreqs = append(cs.MCFreqs, float64(c.cnt)/float64(n))
-		inMCV[c.key] = true
+	common = common[:min(len(common), catalog.MaxMCVs)]
+	for _, r := range common {
+		cs.MCVals = append(cs.MCVals, *val(order[r.start+r.cnt-1]))
+		cs.MCFreqs = append(cs.MCFreqs, float64(r.cnt)/float64(n))
 	}
 
 	if !catalog.Ordered(typ) {
 		return cs
 	}
-	// Min/max over the whole sample, histogram over the non-MCV rest —
-	// equi-depth bounds across the sorted remaining instances.
-	var rest []catalog.Datum
+	// Min/max over the whole sample, first met among equals.
 	for _, tup := range sample {
-		d := tup[column]
+		d := &tup[column]
 		if !storableStat(d) {
 			continue
 		}
 		if !cs.HasRange {
-			cs.Min, cs.Max, cs.HasRange = d, d, true
-		} else {
-			if c, _ := catalog.Compare(d, cs.Min); c < 0 {
-				cs.Min = d
-			}
-			if c, _ := catalog.Compare(d, cs.Max); c > 0 {
-				cs.Max = d
-			}
+			cs.Min, cs.Max, cs.HasRange = *d, *d, true
+			continue
 		}
-		if !inMCV[d.String()] {
-			rest = append(rest, d)
+		if c, _ := catalog.Compare(*d, cs.Min); c < 0 {
+			cs.Min = *d
+		}
+		if c, _ := catalog.Compare(*d, cs.Max); c > 0 {
+			cs.Max = *d
 		}
 	}
-	if len(rest) >= 2 {
-		sort.Slice(rest, func(i, j int) bool {
-			c, _ := catalog.Compare(rest[i], rest[j])
-			return c < 0
+	// The histogram: equi-depth bounds across the sorted non-MCV rest,
+	// taken out of order in place.
+	slices.SortFunc(common, func(a, b run) int { return a.start - b.start })
+	rest := order[:0]
+	for i := 0; i < n; i++ {
+		if len(common) > 0 && i == common[0].start {
+			i += common[0].cnt - 1
+			common = common[1:]
+		} else if storableStat(val(order[i])) {
+			rest = append(rest, order[i])
+		}
+	}
+	if len(rest) < 2 {
+		return cs
+	}
+	if typ == catalog.Float {
+		// Compare ties a float's −0 with its +0, and NaN with everything, so
+		// which of two tied values lands on a bound depends on the order the
+		// sort meets them in: sort the rest as it always was sorted, from
+		// sample order through Compare.
+		slices.Sort(rest)
+		slices.SortFunc(rest, func(a, b int32) int {
+			c, _ := catalog.Compare(*val(a), *val(b))
+			return c
 		})
-		buckets := catalog.HistogramBuckets
-		if len(rest)-1 < buckets {
-			buckets = len(rest) - 1
-		}
-		for i := 0; i <= buckets; i++ {
-			cs.Histogram = append(cs.Histogram, rest[i*(len(rest)-1)/buckets])
-		}
+	}
+	buckets := min(catalog.HistogramBuckets, len(rest)-1)
+	for i := 0; i <= buckets; i++ {
+		cs.Histogram = append(cs.Histogram, *val(rest[i*(len(rest)-1)/buckets]))
 	}
 	return cs
 }
 
+// sortedPositions returns the positions of the sample ordered by the
+// column's values under compare, ties by position. Each value's key is read
+// once into the slice the sort moves, so a comparison reads no tuple.
+func sortedPositions[K any](sample []catalog.Tuple, column int, key func(*catalog.Datum) K, compare func(a, b K) int) []int32 {
+	type keyed struct {
+		k  K
+		at int32
+	}
+	ks := make([]keyed, len(sample))
+	for i := range sample {
+		ks[i] = keyed{key(&sample[i][column]), int32(i)}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := compare(a.k, b.k); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	order := make([]int32, len(ks))
+	for i := range ks {
+		order[i] = ks[i].at
+	}
+	return order
+}
+
 // storableStat reports whether a datum is narrow enough to store in the
 // catalog's statistics record.
-func storableStat(d catalog.Datum) bool {
+func storableStat(d *catalog.Datum) bool {
 	return d.Typ != catalog.Text || len(d.S) <= catalog.MaxStatWidth
+}
+
+// statOrder orders datums so that those whose text forms are equal — the
+// identity ANALYZE counts values by — lie together: by type, then by
+// value, a float's −0 before its +0 and NaN after every number; geometry
+// coordinate by coordinate. For INT and VARCHAR it is Compare's order.
+func statOrder(a, b *catalog.Datum) int {
+	if a.Typ != b.Typ {
+		return cmp.Compare(a.Typ, b.Typ)
+	}
+	switch a.Typ {
+	case catalog.Int:
+		return cmp.Compare(a.I, b.I)
+	case catalog.Float:
+		return cmp.Compare(floatKey(a.F), floatKey(b.F))
+	case catalog.Text:
+		return strings.Compare(a.S, b.S)
+	case catalog.Point:
+		return pointOrder(a.P, b.P)
+	case catalog.Box:
+		if c := pointOrder(a.B.Min, b.B.Min); c != 0 {
+			return c
+		}
+		return pointOrder(a.B.Max, b.B.Max)
+	case catalog.Segment:
+		if c := pointOrder(a.G.A, b.G.A); c != 0 {
+			return c
+		}
+		return pointOrder(a.G.B, b.G.B)
+	}
+	return 0
+}
+
+func pointOrder(a, b geom.Point) int {
+	if c := cmp.Compare(floatKey(a.X), floatKey(b.X)); c != 0 {
+		return c
+	}
+	return cmp.Compare(floatKey(a.Y), floatKey(b.Y))
+}
+
+// floatKey maps a float64 to an integer that orders as the float does,
+// −0 below +0 and every NaN alike above every number: two keys are equal
+// exactly when the floats print alike.
+func floatKey(f float64) uint64 {
+	if math.IsNaN(f) {
+		return math.MaxUint64
+	}
+	k := math.Float64bits(f)
+	if k>>63 != 0 {
+		return ^k
+	}
+	return k | 1<<63
+}
+
+// compareText compares the text forms of two datums, as bytes, without
+// allocating either.
+func compareText(a, b *catalog.Datum) int {
+	if a.Typ == catalog.Text && b.Typ == catalog.Text {
+		return strings.Compare(a.S, b.S)
+	}
+	var ab, bb [128]byte
+	return bytes.Compare(a.Append(ab[:0]), b.Append(bb[:0]))
 }
 
 // shrinkStatsToFit degrades statistics whose encoded record would not

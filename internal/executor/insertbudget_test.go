@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
@@ -105,17 +106,20 @@ func BenchmarkInsertTxSingleRow(b *testing.B) {
 // transaction allocates, beside TestIndexWALBudget's guard on what it
 // logs: the leaf it lands in is extended inside its page, not decoded and
 // re-encoded; compaction borrows its buffer; the record group and the
-// commit point reuse theirs. The ceilings are about a quarter above what
-// the change that introduced them measured (trie 52 allocations / 1.9 KB,
-// kd-tree 102 / 4.0 KB; before it: 101 / 9.8 KB and 177 / 11.1 KB) — most
-// of what is left is the opclass's: a traversal value and a match list at
-// every level of the descent, and the kd-tree's paths are deep.
+// commit point reuse theirs; Choose returns its match in a buffer the
+// descent lends it, and the trie, kd-tree and point quadtree derive no
+// traversal value nobody reads. The ceilings are about a quarter above
+// what the last change measured: trie 29 allocations / 1.5 KB, kd-tree
+// 53 / 2.5 KB. Before it: 46 / 1.7 KB and 97 / 3.8 KB — a traversal value
+// and a match list at every level of the descent, and the kd-tree's paths
+// are deep; before the in-page leaf append: 101 / 9.8 KB and
+// 177 / 11.1 KB.
 func TestInsertAllocBudget(t *testing.T) {
 	db, tables, next := loadedWriteDB(t, 20000)
 	for _, c := range []struct {
 		table        string
 		allocs, size float64
-	}{{"words", 64, 2304}, {"pts", 128, 4992}} {
+	}{{"words", 36, 1920}, {"pts", 66, 3104}} {
 		// Warm up first: after the checkpoint every page's first touch
 		// ships an image, and the log's buffer grows to hold them.
 		const warm, runs = 4000, 2000
@@ -155,6 +159,33 @@ func TestInsertAllocBudget(t *testing.T) {
 		} else if size > c.size {
 			t.Errorf("%s: a single-row INSERT allocates %.0f B, the budget is %.0f B", c.table, size, c.size)
 		}
+	}
+}
+
+// TestAnalyzeAllocBudget guards what ANALYZE allocates over the shapes of
+// the end-to-end benchmark's tables: words and pts at 40 000 rows each,
+// 30 000 sampled. The sample's decoded tuples are most of it; the
+// statistics sort positions into the sample and build no map of datums.
+// The ceiling is 40 MB; the map-based statistics allocated 121 MB here.
+func TestAnalyzeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 80 000 rows")
+	}
+	_, tables, _ := loadedWriteDB(t, 40000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	for _, name := range []string{"words", "pts"} {
+		if err := tables[name].Analyze(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("ANALYZE words, pts: %.1f MB in %d allocations, %v", mb, after.Mallocs-before.Mallocs, took)
+	if mb > 40 {
+		t.Errorf("ANALYZE of words and pts allocates %.1f MB, the budget is 40 MB", mb)
 	}
 }
 

@@ -26,13 +26,23 @@ type poolCounts struct {
 // 70fd2f1, which had one pool of PoolPages frames per relation file, and
 // must not move when the files share one pool. Readahead is off so that
 // no prefetch races a demand fetch for a miss.
+//
+// The accesses were re-recorded once since, for a plan change and nothing
+// else: the script's `#=` prefixes were priced with both ends of their
+// range at mid-bucket, so a one-letter prefix inside a bucket estimated one
+// row of 1 000 (3 % match) and planned an Index Scan. Interpolated inside
+// the bucket, it estimates within a third of the truth and plans the Seq
+// Scan the cost model prefers for a table this small: accesses 12 095 →
+// 11 656 and 2 907 → 2 563 at 16 frames (12 037 → 11 598 and
+// 2 911 → 2 567 at 1 024). Misses, disk writes and log bytes did not move,
+// and with the old within-bucket position the old accesses come back.
 func TestPoolCountParity(t *testing.T) {
 	for _, c := range []struct {
 		pool int
 		want [2]poolCounts // before the crash, after the reopen
 	}{
-		{16, [2]poolCounts{{accesses: 12095}, {accesses: 2907}}},
-		{1024, [2]poolCounts{{12037, 43, 41, 1124150}, {2911, 43, 34, 152505}}},
+		{16, [2]poolCounts{{accesses: 11656}, {accesses: 2563}}},
+		{1024, [2]poolCounts{{11598, 43, 41, 1124150}, {2567, 43, 34, 152505}}},
 	} {
 		t.Run(fmt.Sprintf("pool=%d", c.pool), func(t *testing.T) {
 			got := poolParityRun(t, c.pool)

@@ -8,8 +8,8 @@
 package geom
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 )
 
 // Point is a point in the plane.
@@ -17,7 +17,18 @@ type Point struct {
 	X, Y float64
 }
 
-func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
+func (p Point) String() string { return string(p.Append(nil)) }
+
+// Append appends p's text form, "(x,y)", to b: each coordinate as the
+// verb %g prints it, without going through fmt.
+func (p Point) Append(b []byte) []byte {
+	b = appendG(append(b, '('), p.X)
+	return append(appendG(append(b, ','), p.Y), ')')
+}
+
+// appendG appends f as fmt's %g prints a float64: the shortest form that
+// reads back exactly.
+func appendG(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
 
 // Eq reports exact coordinate equality.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
@@ -48,8 +59,14 @@ func MakeBox(x1, y1, x2, y2 float64) Box {
 	return Box{Point{x1, y1}, Point{x2, y2}}
 }
 
-func (b Box) String() string {
-	return fmt.Sprintf("(%g,%g,%g,%g)", b.Min.X, b.Min.Y, b.Max.X, b.Max.Y)
+func (b Box) String() string { return string(b.Append(nil)) }
+
+// Append appends b's text form, "(minx,miny,maxx,maxy)", to dst.
+func (b Box) Append(dst []byte) []byte {
+	dst = appendG(append(dst, '('), b.Min.X)
+	dst = appendG(append(dst, ','), b.Min.Y)
+	dst = appendG(append(dst, ','), b.Max.X)
+	return append(appendG(append(dst, ','), b.Max.Y), ')')
 }
 
 // Contains reports whether p lies inside or on the border of b.
@@ -119,8 +136,12 @@ type Segment struct {
 	A, B Point
 }
 
-func (s Segment) String() string {
-	return fmt.Sprintf("[(%g,%g)-(%g,%g)]", s.A.X, s.A.Y, s.B.X, s.B.Y)
+func (s Segment) String() string { return string(s.Append(nil)) }
+
+// Append appends s's text form, "[(ax,ay)-(bx,by)]", to b.
+func (s Segment) Append(b []byte) []byte {
+	b = s.A.Append(append(b, '['))
+	return append(s.B.Append(append(b, '-')), ']')
 }
 
 // Eq reports whether s and t have the same endpoints in either order.

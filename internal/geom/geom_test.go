@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,5 +258,50 @@ func TestQuickSegmentBoxSampling(t *testing.T) {
 		if sampleHit && !s.IntersectsBox(b) {
 			t.Fatalf("sampling found hit but IntersectsBox=false: %v %v", s, b)
 		}
+	}
+}
+
+// TestTextFormsMatchFmt: Point, Box and Segment write their text forms
+// with strconv instead of fmt, and must write exactly what fmt's %g wrote
+// — the forms are what result rows carry and what ANALYZE counts distinct
+// values by. Checked on the floats %g formats specially and on 10 000
+// random coordinates of every magnitude; appending into a buffer with
+// room allocates nothing.
+func TestTextFormsMatchFmt(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1e21, 1e20, 1e-5, 1e-4, -1e21, 123456789, 0.1, 1.0 / 3, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	r := rand.New(rand.NewSource(1))
+	coord := func() float64 {
+		switch r.Intn(4) {
+		case 0:
+			return special[r.Intn(len(special))]
+		case 1:
+			return float64(r.Intn(1000000)) / 1000
+		case 2:
+			return math.Float64frombits(r.Uint64())
+		}
+		return (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(60)-30))
+	}
+	buf := make([]byte, 0, 256)
+	for i := 0; i < 10000; i++ {
+		p, q := Point{coord(), coord()}, Point{coord(), coord()}
+		if i < len(special)*len(special) {
+			p = Point{special[i/len(special)], special[i%len(special)]}
+		}
+		b, s := Box{p, q}, Segment{p, q}
+		for _, c := range []struct{ got, want string }{
+			{p.String(), fmt.Sprintf("(%g,%g)", p.X, p.Y)},
+			{b.String(), fmt.Sprintf("(%g,%g,%g,%g)", b.Min.X, b.Min.Y, b.Max.X, b.Max.Y)},
+			{s.String(), fmt.Sprintf("[(%g,%g)-(%g,%g)]", s.A.X, s.A.Y, s.B.X, s.B.Y)},
+			{string(s.Append(buf[:0])), s.String()},
+		} {
+			if c.got != c.want {
+				t.Fatalf("text form %q, fmt writes %q", c.got, c.want)
+			}
+		}
+	}
+	s := Segment{Point{-1.5e-300, math.Inf(1)}, Point{math.NaN(), 1e21}}
+	if allocs := testing.AllocsPerRun(100, func() { buf = s.Append(buf[:0]) }); allocs != 0 {
+		t.Errorf("Segment.Append into a buffer with room: %.0f allocations, want 0", allocs)
 	}
 }

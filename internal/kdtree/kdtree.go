@@ -59,8 +59,8 @@ var plane core.Value = geom.Box{
 }
 
 // RootRecon implements core.OpClass: the unbounded plane, refined into
-// half-plane boxes as an insertion or an NN search descends (the NN
-// distance bounds are distances to these boxes).
+// half-plane boxes as an NN search descends (the NN distance bounds are
+// distances to these boxes). Insertions and searches read none.
 func (o *OpClass) RootRecon() core.Value { return plane }
 
 // EncodePoint serializes a point in 16 bytes.
@@ -151,20 +151,16 @@ func childBox(parent geom.Box, disc geom.Point, level int, label byte) geom.Box 
 	}
 }
 
-// Choose implements core.OpClass.
+// Choose implements core.OpClass. An insertion navigates by the splitting
+// point alone, so no traversal value goes along.
 func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	k := in.Key.(geom.Point)
-	disc := DecodePoint(in.Pred)
-	want := side(k, disc, in.Level)
+	want := side(k, DecodePoint(in.Pred), in.Level)
 	for i := 0; i < in.Labels.Len(); i++ {
 		if Label(in.Labels.At(i)) == want {
-			var recon core.Value
-			if box, ok := in.Recon.(geom.Box); ok {
-				recon = childBox(box, disc, in.Level, want)
-			}
 			return core.ChooseOut{
 				Action:  core.MatchNode,
-				Matches: []core.ChooseMatch{{Entry: i, LevelAdd: 1, Recon: recon}},
+				Matches: append(in.Matches, core.ChooseMatch{Entry: i, LevelAdd: 1}),
 			}
 		}
 	}
@@ -200,20 +196,12 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	if allSame {
 		return core.PickSplitOut{Failed: true} // duplicate points
 	}
-	out := core.PickSplitOut{
+	return core.PickSplitOut{
 		Pred:      disc,
 		Labels:    []core.Value{LabelSelf, LabelLeft, LabelRight},
 		Mapping:   mapping,
 		LevelAdds: []int{1, 1, 1},
 	}
-	if box, ok := in.Recon.(geom.Box); ok {
-		out.Recons = []core.Value{
-			childBox(box, disc, in.Level, LabelSelf),
-			childBox(box, disc, in.Level, LabelLeft),
-			childBox(box, disc, in.Level, LabelRight),
-		}
-	}
-	return out
 }
 
 // follow appends the child under entry i. Searches navigate by the

@@ -150,7 +150,7 @@ func quadrant(label []byte) int {
 func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	s := in.Key.(geom.Segment)
 	cell := in.Recon.(geom.Box)
-	var matches []core.ChooseMatch
+	matches := in.Matches
 	n := in.Labels.Len()
 	for i := 0; i < n; i++ {
 		q := cell.Quadrant(quadrant(in.Labels.At(i)))

@@ -54,7 +54,7 @@ var plane core.Value = geom.Box{
 }
 
 // RootRecon implements core.OpClass: the unbounded plane, clipped to
-// quadrants as an insertion or an NN search descends.
+// quadrants as an NN search descends. Insertions and searches read none.
 func (o *OpClass) RootRecon() core.Value { return plane }
 
 // EncodeKey implements core.OpClass.
@@ -125,20 +125,16 @@ func quadrantMayContain(q geom.Box, c geom.Point, label byte) bool {
 	}
 }
 
-// Choose implements core.OpClass.
+// Choose implements core.OpClass. An insertion navigates by the center
+// point alone, so no traversal value goes along.
 func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 	k := in.Key.(geom.Point)
-	c := kdtree.DecodePoint(in.Pred)
-	want := quadrant(k, c)
+	want := quadrant(k, kdtree.DecodePoint(in.Pred))
 	for i := 0; i < in.Labels.Len(); i++ {
 		if kdtree.Label(in.Labels.At(i)) == want {
-			var recon core.Value
-			if box, ok := in.Recon.(geom.Box); ok {
-				recon = childBox(box, c, want)
-			}
 			return core.ChooseOut{
 				Action:  core.MatchNode,
-				Matches: []core.ChooseMatch{{Entry: i, LevelAdd: 1, Recon: recon}},
+				Matches: append(in.Matches, core.ChooseMatch{Entry: i, LevelAdd: 1}),
 			}
 		}
 	}
@@ -171,12 +167,6 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	}
 	for i, lb := range labels {
 		out.Labels[i] = lb
-	}
-	if box, ok := in.Recon.(geom.Box); ok {
-		out.Recons = make([]core.Value, len(labels))
-		for i, lb := range labels {
-			out.Recons[i] = childBox(box, c, lb)
-		}
 	}
 	return out
 }

@@ -31,6 +31,16 @@ import (
 //
 //	| header | slot dir ... ->    ... free space ...    <- records |
 //
+// The directory ends at 24 + 4·nslots and the record heap starts at
+// freeHi; between them lies the contiguous gap. A record is placed at the
+// top of the gap, so the gap alone decides most fits: free space counts
+// the gap plus every dead byte, and the directory is walked (to sum the
+// live lengths) only when the gap is too small to answer. A growing
+// record that does not fit the gap but whose growth does is widened where
+// it lies: the records between the gap and it shift down by the growth,
+// as PostgreSQL's PageIndexTupleOverwrite does. The whole page is
+// compacted only to reuse space that deletes and shrinking updates freed.
+//
 // The uint16 fields limit a slotted page to 65535 bytes (the default
 // 8 KB page qualifies).
 const (
@@ -113,14 +123,12 @@ func SlotCount(data []byte) int {
 func SlotLive(data []byte) int { return int(get16(data, 6)) }
 
 func slotEntry(data []byte, slot int) (off, length uint16) {
-	base := PageHeaderSize + slot*slotSize
-	return get16(data, base), get16(data, base+2)
+	e := binary.LittleEndian.Uint32(data[PageHeaderSize+slot*slotSize:])
+	return uint16(e), uint16(e >> 16)
 }
 
 func setSlotEntry(data []byte, slot int, off, length uint16) {
-	base := PageHeaderSize + slot*slotSize
-	put16(data, base, off)
-	put16(data, base+2, length)
+	binary.LittleEndian.PutUint32(data[PageHeaderSize+slot*slotSize:], uint32(off)|uint32(length)<<16)
 }
 
 // SlotEntry exposes one raw line-pointer for inspection tools: the
@@ -167,11 +175,38 @@ func SlotFreeSpace(data []byte) int {
 // free-space figure for an area take it before an operation: see
 // SlotFreeSpaceAfter.
 func SlotDirCost(data []byte) int {
-	nslots := SlotCount(data)
-	if nslots > SlotLive(data) {
-		return nslots * slotSize
+	return SlotCount(data)*slotSize + slotReserve(data)
+}
+
+// slotReserve is the directory entry a new record would need: none while a
+// dead slot is there to reuse — the header's live count below its slot
+// count says one is — and one otherwise.
+func slotReserve(data []byte) int {
+	if SlotCount(data) > SlotLive(data) {
+		return 0
 	}
-	return (nslots + 1) * slotSize
+	return slotSize
+}
+
+// slotGap returns the contiguous free bytes between the end of the slot
+// directory and the start of the record heap. A header whose record heap
+// starts outside the area or inside the directory — corrupt bytes — has no
+// gap.
+func slotGap(data []byte) int {
+	freeLo := PageHeaderSize + SlotCount(data)*slotSize
+	freeHi := int(get16(data, 4))
+	if freeHi > len(data) || freeHi < freeLo {
+		return 0
+	}
+	return freeHi - freeLo
+}
+
+// slotFits reports whether n <= SlotFreeSpace(data), reading the gap
+// first: free space is the gap, less the entry a new record may need, plus
+// every dead byte, so a gap that holds n and that entry answers alone, and
+// only a smaller one has the directory walked.
+func slotFits(data []byte, n int) bool {
+	return n+slotReserve(data) <= slotGap(data) || n <= SlotFreeSpace(data)
 }
 
 // SlotFreeSpaceAfter is SlotFreeSpace(data) for a caller that knows what it
@@ -191,16 +226,19 @@ func SlotFreeSpaceAfter(data []byte, before, dirBefore, grew int) int {
 // SlotInsert stores rec and returns its slot number, or ok=false if the
 // area cannot hold it even after compaction.
 func SlotInsert(data []byte, rec []byte) (slot int, ok bool) {
-	if len(rec) > SlotFreeSpace(data) {
+	if !slotFits(data, len(rec)) {
 		return 0, false
 	}
 	nslots := SlotCount(data)
-	// Reuse a dead slot if any, else append one.
+	// Reuse a dead slot if any, else append one. Only a live count below
+	// the slot count says there is one to look for.
 	slot = -1
-	for s := 0; s < nslots; s++ {
-		if off, _ := slotEntry(data, s); off == deadOffset {
-			slot = s
-			break
+	if slotReserve(data) == 0 {
+		for s := 0; s < nslots; s++ {
+			if off, _ := slotEntry(data, s); off == deadOffset {
+				slot = s
+				break
+			}
 		}
 	}
 	if slot < 0 {
@@ -299,21 +337,26 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 	// Would the record fit once the old copy is dropped? (Conservative:
 	// the update never needs a new slot entry, but SlotFreeSpace may have
 	// reserved one.)
-	if len(rec) > SlotFreeSpace(data)+len(old) {
+	grow := len(rec) - len(old)
+	if !slotFits(data, grow) {
 		return false
 	}
 	// The longer record goes into the contiguous gap when it fits there,
-	// leaving the old bytes for a later compaction to reclaim; only
+	// leaving the old bytes for a later compaction to reclaim. Else, when
+	// the gap holds the growth, the record widens where it lies. Only
 	// otherwise is the slot killed (without trimming) and the area
-	// compacted first. Which of the two happens moves bytes, never
+	// compacted first. Which of the three happens moves bytes, never
 	// answers: SlotFreeSpace counts live lengths, not the gap.
-	freeLo := PageHeaderSize + SlotCount(data)*slotSize
-	freeHi := int(get16(data, 4))
-	if freeHi > len(data) || freeHi-freeLo < len(rec) {
+	gap, freeHi := slotGap(data), int(get16(data, 4))
+	if len(rec) > gap {
+		if off, _ := slotEntry(data, slot); grow <= gap && int(off) >= freeHi {
+			slotGrowInPlace(data, slot, int(off), rec)
+			return true
+		}
 		setSlotEntry(data, slot, deadOffset, 0)
 		slotCompact(data)
 		freeHi = int(get16(data, 4))
-		if freeHi-freeLo < len(rec) {
+		if freeHi-len(rec) < PageHeaderSize+SlotCount(data)*slotSize {
 			// The space check above guarantees fit on any page this
 			// package wrote; only corrupt on-disk bytes (inconsistent line
 			// pointers inflating SlotFreeSpace) get here. The old record is
@@ -326,6 +369,26 @@ func SlotUpdate(data []byte, slot int, rec []byte) bool {
 	put16(data, 4, uint16(off))
 	setSlotEntry(data, slot, uint16(off), uint16(len(rec)))
 	return true
+}
+
+// slotGrowInPlace widens the record of slot, stored at off, to rec where it
+// lies: the bytes between the gap and the record — other records, and
+// whatever dead bytes lie among them — shift down by the growth, the line
+// pointers of the records among them follow, and rec takes the widened
+// place. The caller has checked that the gap holds the growth.
+func slotGrowInPlace(data []byte, slot, off int, rec []byte) {
+	_, oldLen := slotEntry(data, slot)
+	grow := len(rec) - int(oldLen)
+	freeHi := int(get16(data, 4))
+	copy(data[freeHi-grow:], data[freeHi:off])
+	for s, n := 0, SlotCount(data); s < n; s++ {
+		if o, l := slotEntry(data, s); o != deadOffset && int(o) < off {
+			setSlotEntry(data, s, o-uint16(grow), l)
+		}
+	}
+	copy(data[off-grow:], rec)
+	put16(data, 4, uint16(freeHi-grow))
+	setSlotEntry(data, slot, uint16(off-grow), uint16(len(rec)))
 }
 
 // SlotInsertAt places rec into a specific slot, growing the directory
@@ -371,14 +434,24 @@ var compactScratch = sync.Pool{New: func() any { return new([]byte) }}
 func slotCompact(data []byte) {
 	sp := compactScratch.Get().(*[]byte)
 	old := append((*sp)[:0], data...)
-	hi := len(data)
+	// Records that already lie one right below the other in slot order —
+	// most of them, on a page compacted before — keep lying so: they move
+	// as one block, old[from:to] to data[hi:].
+	hi, from, to := len(data), 0, 0
 	for s, nslots := 0, SlotCount(old); s < nslots; s++ {
-		if rec := SlotRead(old, s); rec != nil {
-			hi -= len(rec)
-			copy(data[hi:], rec)
-			setSlotEntry(data, s, uint16(hi), uint16(len(rec)))
+		off, l := slotEntry(old, s)
+		if off == deadOffset || int(off) < PageHeaderSize || int(off)+int(l) > len(old) {
+			continue // SlotRead's checks, on the entry read once
 		}
+		if int(off)+int(l) != from {
+			copy(data[hi:], old[from:to])
+			to = int(off) + int(l)
+		}
+		from = int(off)
+		hi -= int(l)
+		setSlotEntry(data, s, uint16(hi), l)
 	}
+	copy(data[hi:], old[from:to])
 	put16(data, 4, uint16(hi))
 	*sp = old
 	compactScratch.Put(sp)

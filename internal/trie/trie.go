@@ -83,8 +83,9 @@ func (o *OpClass) Params() core.Params {
 	}
 }
 
-// RootRecon implements core.OpClass: no characters consumed yet.
-func (o *OpClass) RootRecon() core.Value { return "" }
+// RootRecon implements core.OpClass: none. No method of the trie reads a
+// traversal value — a node's position in the key is its level.
+func (o *OpClass) RootRecon() core.Value { return nil }
 
 // EncodeKey implements core.OpClass.
 func (o *OpClass) EncodeKey(v core.Value) []byte { return []byte(v.(string)) }
@@ -124,24 +125,19 @@ func (o *OpClass) Choose(in *core.ChooseIn) core.ChooseOut {
 			}
 		}
 	}
+	// The key's position is the level alone: no traversal value goes along.
 	after := in.Level + len(p)
 	want := Blank
 	levelAdd := len(p)
-	childRecon := in.Recon.(string) + string(p)
 	if after < len(key) {
 		want = key[after]
 		levelAdd = len(p) + 1
-		childRecon += string(want)
 	}
 	for i := 0; i < in.Labels.Len(); i++ {
 		if label(in.Labels.At(i)) == want {
 			return core.ChooseOut{
-				Action: core.MatchNode,
-				Matches: []core.ChooseMatch{{
-					Entry:    i,
-					LevelAdd: levelAdd,
-					Recon:    childRecon,
-				}},
+				Action:  core.MatchNode,
+				Matches: append(in.Matches, core.ChooseMatch{Entry: i, LevelAdd: levelAdd}),
 			}
 		}
 	}
@@ -204,17 +200,12 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 		Labels:    make([]core.Value, len(labels)),
 		Mapping:   mapping,
 		LevelAdds: make([]int, len(labels)),
-		Recons:    make([]core.Value, len(labels)),
 	}
-	parentRecon, _ := in.Recon.(string)
 	for pi, lb := range labels {
 		out.Labels[pi] = lb
-		if lb == Blank {
-			out.LevelAdds[pi] = lcp
-			out.Recons[pi] = parentRecon + p
-		} else {
-			out.LevelAdds[pi] = lcp + 1
-			out.Recons[pi] = parentRecon + p + string(lb)
+		out.LevelAdds[pi] = lcp
+		if lb != Blank {
+			out.LevelAdds[pi]++
 		}
 	}
 	return out
