@@ -471,8 +471,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkWALPageImage measures the page-image record path the buffer
-// pool takes on every dirty unpin of an index page, for a sparse
-// (mostly-zero, heavily truncated) and a full page image.
+// pool takes on every dirty unpin of an index page, for a sparse page
+// (mostly zeros, left out as its hole) and a full page image.
 func BenchmarkWALPageImage(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -491,7 +491,7 @@ func BenchmarkWALPageImage(b *testing.B) {
 			b.SetBytes(int64(len(page)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.AppendPageImage("t.idx", uint32(i%64), page); err != nil {
+				if _, err := w.AppendPageImage("t.idx", uint32(i%64), page, bc.fill, len(page)-bc.fill); err != nil {
 					b.Fatal(err)
 				}
 			}

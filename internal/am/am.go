@@ -45,10 +45,12 @@ type Index interface {
 	// the class has no ordering operator.
 	NNScan(arg catalog.Datum) (NNIter, error)
 	// Count returns the number of indexed rows. It is a statistic for
-	// display (SHOW STATS' index_<name>_entries), nothing plans by it:
-	// after a crash it reads as of the last commit point (see SaveMeta),
-	// without the entries of statements that never reached one, even
-	// though recovery replayed them.
+	// display (SHOW STATS' index_<name>_entries), nothing plans by it. An
+	// SP-GiST index without MultiAssign counts its leaf items on open, so
+	// after a crash it counts what recovery replayed — the entries a full
+	// scan returns. The others read as of the last commit point (see
+	// SaveMeta), without the entries of statements that never reached
+	// one, even though recovery replayed them.
 	Count() int64
 	// NumPages returns the index size in pages.
 	NumPages() uint32

@@ -42,6 +42,10 @@ type Tree struct {
 	// lastAlloc is the most recent page that received a node; new sibling
 	// groups land there while it has room, keeping subtrees clustered.
 	lastAlloc storage.PageID
+
+	// patch is the slot patch of the last record update took, empty when
+	// logging the whole record is smaller; unpinUpdate logs it.
+	patch []byte
 }
 
 // setFree records the free space of a page and maintains the spacious set.
@@ -97,7 +101,12 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 	return t, nil
 }
 
-// Open attaches to an existing index file, rebuilding the free-space map.
+// Open attaches to an existing index file, rebuilding the free-space map
+// and — unless the opclass is MultiAssign, where a key is an item in every
+// cell it crosses — the key count: the meta page holds the count of the
+// last commit point, while recovery replays every statement the log kept,
+// those of a transaction that never committed included (their heap tuples,
+// marked aborted, stay counted until VACUUM as well).
 func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 	var body [metaBodySize]byte
 	if err := bp.ReadMeta(treeMagic, body[:]); err != nil {
@@ -114,13 +123,16 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		lastAlloc: storage.InvalidPageID,
 	}
 	n := bp.DM().NumPages()
+	keys, counted := int64(0), !t.pr.MultiAssign
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, err := bp.Fetch(pid)
 		if storage.IsPageCorrupt(err) {
 			// One damaged page does not keep the index — and the database
 			// over it — from opening: the page stays out of the free-space
 			// map, so nothing new is placed on it, a descent that reaches it
-			// fails with this error, and SCRUB names it.
+			// fails with this error, and SCRUB names it. Its items cannot be
+			// counted, so the meta page's count stands.
+			counted = false
 			continue
 		}
 		if err != nil {
@@ -128,9 +140,27 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		}
 		t.setFree(pid, storage.SlotFreeSpace(p.Data))
 		t.nodes.cover(pid, storage.SlotCount(p.Data))
+		if counted {
+			keys += leafItems(p.Data)
+		}
 		bp.Unpin(p, false)
 	}
+	if counted {
+		t.nKeys = keys
+	}
 	return t, nil
+}
+
+// leafItems returns the number of items the data-node records of one page
+// hold, read off their headers.
+func leafItems(page []byte) (n int64) {
+	storage.SlotForEach(page, func(_ int, rec []byte) bool {
+		if len(rec) >= leafHeaderSize && rec[0] == nodeKindLeaf {
+			n += int64(binary.LittleEndian.Uint16(rec[1+refSize:]))
+		}
+		return true
+	})
+	return n
 }
 
 // OpClass returns the opclass the tree was built with.
@@ -283,6 +313,28 @@ func (t *Tree) unpinPut(p *storage.Page, slot int, rec []byte) {
 	})
 }
 
+// update stores rec over the node record in slot of the pinned page p,
+// where it lies, as storage.SlotUpdate does — false when rec does not fit
+// the page — first taking into t.patch what the rewrite changes, while the
+// old bytes are still there to compare.
+func (t *Tree) update(p *storage.Page, slot int, rec []byte) bool {
+	t.patch, _ = storage.AppendSlotPatch(t.patch[:0], storage.SlotRead(p.Data, slot), rec)
+	return storage.SlotUpdate(p.Data, slot, rec)
+}
+
+// unpinUpdate is unpinPut for the record update stored in slot: the
+// rewrite is logged as the slot patch update took when it is smaller than
+// rec, and as a slot put otherwise.
+func (t *Tree) unpinUpdate(p *storage.Page, slot int, rec []byte) {
+	if len(t.patch) == 0 {
+		t.unpinPut(p, slot, rec)
+		return
+	}
+	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotPatch(file, uint32(p.ID), uint16(slot), t.patch)
+	})
+}
+
 // unpinDelete is unpinPut for a node record removed from slot.
 func (t *Tree) unpinDelete(p *storage.Page, slot int) {
 	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
@@ -392,9 +444,9 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 	t.invalidate(ref)
 	oldLen := len(storage.SlotRead(p.Data, int(ref.Slot)))
 	dir := storage.SlotDirCost(p.Data)
-	if storage.SlotUpdate(p.Data, int(ref.Slot), rec) {
+	if t.update(p, int(ref.Slot), rec) {
 		t.noteFree(p, dir, len(rec)-oldLen)
-		t.unpinPut(p, int(ref.Slot), rec)
+		t.unpinUpdate(p, int(ref.Slot), rec)
 		return ref, nil
 	}
 	// Relocate: drop the old copy, place the record elsewhere, fix the
@@ -433,11 +485,11 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 		return InvalidRef, err
 	}
 	prec := pn.encode()
-	if !storage.SlotUpdate(pp.Data, int(parent.ref.Slot), prec) {
+	if !t.update(pp, int(parent.ref.Slot), prec) {
 		t.bp.Unpin(pp, false)
 		return InvalidRef, fmt.Errorf("spgist: same-size parent update failed at %v", parent.ref)
 	}
-	t.unpinPut(pp, int(parent.ref.Slot), prec)
+	t.unpinUpdate(pp, int(parent.ref.Slot), prec)
 	return newRef, nil
 }
 

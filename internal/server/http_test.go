@@ -231,12 +231,16 @@ func TestHTTPMetricsWALByType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, row := range res.Rows {
-		found = found || (row[0].S == `wal_appended_bytes_by_type{type="slot-put"}` && row[1].I > 0)
-	}
-	if !found {
-		t.Error(`SHOW STATS has no wal_appended_bytes_by_type{type="slot-put"} row`)
+	// The first key's leaf is a new record, a put; the two keys after it
+	// extend it where it lies, a patch each.
+	for _, typ := range []string{"slot-put", "slot-patch"} {
+		found := false
+		for _, row := range res.Rows {
+			found = found || (row[0].S == `wal_appended_bytes_by_type{type="`+typ+`"}` && row[1].I > 0)
+		}
+		if !found {
+			t.Errorf(`SHOW STATS has no wal_appended_bytes_by_type{type=%q} row`, typ)
+		}
 	}
 }
 

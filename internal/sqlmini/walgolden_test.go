@@ -117,8 +117,13 @@ func firstDiff(got, want string) string {
 // root first moves; PR 22 put the common page header on every page — the
 // one image of an index data page before CHECKPOINT (rel2.idx page 1, its
 // first touch ever) is gone, and every page-0 image is 20 to 28 bytes
-// longer (the header, magic and version ahead of the body). Every other
-// line is unchanged.
+// longer (the header, magic and version ahead of the body); and once more
+// for the slot patch and the image hole — 345 slot-puts of node records
+// rewritten where they lie are slot-patches of the same slots (43 142
+// record bytes as puts, 8 846 as patches), the two full-page images after
+// CHECKPOINT leave out the free gap of their slotted pages (8 185 → 5 206
+// and 8 191 → 7 779 bytes), and the stream appends 62 839 bytes instead of
+// 100 526. Every other line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
@@ -148,160 +153,160 @@ page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=36
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=40
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=56
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=72
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=88
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=103
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=119
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=135
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=151
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=166
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=182
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=198
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=214
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=229
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=245
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=261
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=1 xid=0 len=89
 slot-put file="rel2.idx" page=1 slot=2 xid=0 len=69
 slot-put file="rel2.idx" page=1 slot=3 xid=0 len=73
 slot-put file="rel2.idx" page=1 slot=4 xid=0 len=73
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=84
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=89
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=89
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=99
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=114
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=129
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=144
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=159
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=174
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=189
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=204
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=219
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=234
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=265
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=38
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=39
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
 slot-put file="rel2.idx" page=1 slot=5 xid=0 len=25
 slot-put file="rel2.idx" page=1 slot=6 xid=0 len=137
 slot-put file="rel2.idx" page=1 slot=7 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=29
 slot-put file="rel2.idx" page=1 slot=2 xid=0 len=26
 slot-put file="rel2.idx" page=1 slot=8 xid=0 len=144
 slot-put file="rel2.idx" page=1 slot=9 xid=0 len=129
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=3 xid=0 len=36
 slot-put file="rel2.idx" page=1 slot=10 xid=0 len=153
 slot-put file="rel2.idx" page=1 slot=11 xid=0 len=105
 slot-put file="rel2.idx" page=1 slot=12 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=36
+slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=29
 slot-put file="rel2.idx" page=1 slot=4 xid=0 len=36
 slot-put file="rel2.idx" page=1 slot=13 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=14 xid=0 len=137
 slot-put file="rel2.idx" page=1 slot=15 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=36
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=144
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=159
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=159
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=73
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=35
+slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=29
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=16 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=35
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=174
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=89
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=189
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=204
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=69
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=219
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=84
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=234
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=99
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=73
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=73
+slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
 commit file="" page=0 slot=0 xid=0 len=0
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=114
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
 slot-put file="rel2.idx" page=1 slot=10 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=17 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=18 xid=0 len=41
@@ -310,9 +315,9 @@ slot-put file="rel2.idx" page=1 slot=20 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=21 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=22 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=23 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=89
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=9 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=24 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=25 xid=0 len=39
@@ -321,9 +326,9 @@ slot-put file="rel2.idx" page=1 slot=27 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=28 xid=0 len=54
 slot-put file="rel2.idx" page=1 slot=29 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=30 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=89
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=7 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=31 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=32 xid=0 len=57
@@ -332,31 +337,31 @@ slot-put file="rel2.idx" page=1 slot=34 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=35 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=36 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=37 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=129
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=38 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=39 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=40 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=144
-slot-put file="rel2.idx" page=1 slot=38 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=39 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=121
-slot-put file="rel2.idx" page=1 slot=40 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=159
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=121
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=38 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=39 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=40 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=15 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=41 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=42 xid=0 len=41
@@ -365,39 +370,39 @@ slot-put file="rel2.idx" page=1 slot=44 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=45 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=46 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=47 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=48 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=40 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=174
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=47 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=48 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=40 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=47 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=48 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=49 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=189
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=50 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=48 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=49 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=204
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=169
-slot-put file="rel2.idx" page=1 slot=50 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=174
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=48 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=49 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=50 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
 slot-put file="rel2.idx" page=1 slot=12 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=51 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=52 xid=0 len=41
@@ -406,40 +411,40 @@ slot-put file="rel2.idx" page=1 slot=54 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=55 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=56 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=57 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=58 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=219
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=185
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=59 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=189
-slot-put file="rel2.idx" page=1 slot=57 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=201
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=57 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
 commit file="" page=0 slot=0 xid=0 len=0
-slot-put file="rel2.idx" page=1 slot=58 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=234
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=201
-slot-put file="rel2.idx" page=1 slot=59 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=204
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=58 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=59 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=60 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=58 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=217
-slot-put file="rel2.idx" page=1 slot=59 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=219
-slot-put file="rel2.idx" page=1 slot=60 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=233
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=58 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=59 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=60 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=16 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=61 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=62 xid=0 len=54
@@ -448,31 +453,31 @@ slot-put file="rel2.idx" page=1 slot=64 xid=0 len=54
 slot-put file="rel2.idx" page=1 slot=65 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=66 xid=0 len=54
 slot-put file="rel2.idx" page=1 slot=67 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=233
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=68 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=234
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=69 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=70 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=68 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=249
-slot-put file="rel2.idx" page=1 slot=69 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=70 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=265
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=265
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=68 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=69 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=70 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=5 xid=0 len=77
 slot-put file="rel2.idx" page=1 slot=71 xid=0 len=25
 slot-put file="rel2.idx" page=1 slot=72 xid=0 len=41
@@ -482,7 +487,7 @@ slot-put file="rel2.idx" page=1 slot=75 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=76 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=77 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=78 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=74
 slot-put file="rel2.idx" page=1 slot=8 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=79 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=80 xid=0 len=54
@@ -491,8 +496,8 @@ slot-put file="rel2.idx" page=1 slot=82 xid=0 len=54
 slot-put file="rel2.idx" page=1 slot=83 xid=0 len=39
 slot-put file="rel2.idx" page=1 slot=84 xid=0 len=54
 slot-put file="rel2.idx" page=1 slot=85 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=69 xid=0 len=57
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=69 xid=0 len=27
 slot-put file="rel2.idx" page=1 slot=13 xid=0 len=77
 slot-put file="rel2.idx" page=1 slot=86 xid=0 len=25
 slot-put file="rel2.idx" page=1 slot=87 xid=0 len=41
@@ -502,7 +507,7 @@ slot-put file="rel2.idx" page=1 slot=90 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=91 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=92 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=93 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=74
 slot-put file="rel2.idx" page=1 slot=6 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=94 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=95 xid=0 len=41
@@ -511,8 +516,8 @@ slot-put file="rel2.idx" page=1 slot=97 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=98 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=99 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=100 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=70 xid=0 len=54
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=70 xid=0 len=26
 slot-put file="rel2.idx" page=1 slot=11 xid=0 len=77
 slot-put file="rel2.idx" page=1 slot=101 xid=0 len=25
 slot-put file="rel2.idx" page=1 slot=102 xid=0 len=57
@@ -522,7 +527,7 @@ slot-put file="rel2.idx" page=1 slot=105 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=106 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=107 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=108 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=74
 slot-put file="rel2.idx" page=1 slot=14 xid=0 len=68
 slot-put file="rel2.idx" page=1 slot=109 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=110 xid=0 len=41
@@ -531,130 +536,130 @@ slot-put file="rel2.idx" page=1 slot=112 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=113 xid=0 len=57
 slot-put file="rel2.idx" page=1 slot=114 xid=0 len=41
 slot-put file="rel2.idx" page=1 slot=115 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=78 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=65
+slot-patch file="rel2.idx" page=1 slot=78 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=116 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=117 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=93 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=100 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=93 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=100 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=118 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=108 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=115 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=108 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=115 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=119 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=116 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=117 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=116 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=117 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=120 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=121 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=118 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=108 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=77
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=118 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=108 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=122 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=119 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=116 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=119 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=116 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=123 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=120 xid=0 len=41
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=120 xid=0 len=27
 commit file="" page=0 slot=0 xid=0 len=0
 heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
-slot-put file="rel2.idx" page=1 slot=121 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=121 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=124 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=125 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=122 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=119 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=122 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=119 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=126 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=123 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=120 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=123 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=120 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=127 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=124 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=125 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=86
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=124 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=125 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=128 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=86
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=129 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=126 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=123 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=126 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=123 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=130 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=127 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=124 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=127 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=124 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=131 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=128 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=129 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=128 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=129 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=132 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=133 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=130 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=127 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=130 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=127 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=134 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=131 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=128 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=71 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=132 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=133 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=86 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=131 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=128 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=132 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=133 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=86 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=135 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=134 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=131 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=95
+slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=134 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=131 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=136 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=95
-slot-put file="rel2.idx" page=1 slot=71 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=132 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=17 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=86 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=135 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=24 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=101 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=136 xid=0 len=41
+slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=11
+slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=132 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=17 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=86 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=135 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=24 xid=0 len=26
+slot-patch file="rel2.idx" page=1 slot=101 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=136 xid=0 len=27
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=39
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=50
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=50
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=2 slot=114 xid=3 len=0
 heap-insert file="rel1.tbl" page=2 slot=115 xid=0 len=39
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
-slot-put file="rel2.idx" page=1 slot=137 xid=0 len=39
+slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=26
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 txn-commit file="" page=0 slot=0 xid=3 len=0
 commit file="" page=0 slot=0 xid=0 len=0
@@ -662,10 +667,10 @@ heap-set-xmax file="rel1.tbl" page=1 slot=0 xid=4 len=0
 txn-commit file="" page=0 slot=0 xid=4 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=71
-slot-put file="rel2.idx" page=1 slot=137 xid=0 len=50
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=59
+slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=22
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=138 xid=0 len=21
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=59
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=1 slot=1 xid=5 len=0
 commit file="" page=0 slot=0 xid=0 len=0
@@ -680,25 +685,25 @@ heap-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
-slot-put file="rel2.idx" page=1 slot=71 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=137 xid=0 len=35
-slot-put file="rel2.idx" page=1 slot=138 xid=0 len=9
-slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
+slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=23
+slot-patch file="rel2.idx" page=1 slot=138 xid=0 len=7
+slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=7
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
 commit file="" page=0 slot=0 xid=0 len=0
 -- after CHECKPOINT --
 checkpoint file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
-page-image file="rel1.tbl" page=2 slot=0 xid=0 len=8185
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=68
+page-image file="rel1.tbl" page=2 slot=0 xid=0 len=5206
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=68
+slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=8191
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=7779
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=578 appended_bytes=100526
+appends=578 appended_bytes=62839
 `

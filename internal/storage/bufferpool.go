@@ -848,12 +848,18 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 			if f.rel != bp || !f.valid || !f.imagePending {
 				continue
 			}
-			idx := g.AddPageImage(bp.fileName, uint32(f.id), f.data)
-			staged = append(staged, Staged{Page: f.id, Index: idx, Image: true})
+			staged = append(staged, Staged{Page: f.id, Index: bp.addImage(g, f.id, f.data), Image: true})
 		}
 		sh.mu.Unlock()
 	}
 	return bp.stageFullPageImages(g, w, staged, nOps)
+}
+
+// addImage stages in g an image of page id, which holds data, its hole
+// (pageHole) left out, and returns the record's index.
+func (bp *BufferPool) addImage(g *wal.Group, id PageID, data []byte) int {
+	off, n := pageHole(data)
+	return g.AddPageImage(bp.fileName, uint32(id), data, off, n)
 }
 
 // takeDeferred moves the relation's deferred logical records into g and
@@ -919,8 +925,7 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 			sh.mu.Unlock()
 			continue
 		}
-		idx := g.AddPageImage(bp.fileName, uint32(id), f.data)
-		staged = append(staged, Staged{Page: id, Index: idx, Image: true})
+		staged = append(staged, Staged{Page: id, Index: bp.addImage(g, id, f.data), Image: true})
 		sh.mu.Unlock()
 	}
 	return staged
@@ -1129,7 +1134,8 @@ func (p *Pool) flushFrames(rel *BufferPool) error {
 				panic(fmt.Sprintf("storage: FlushAll of page %d of %q with %d pins held", f.id, f.rel.fileName, n))
 			}
 			if f.imagePending {
-				lsn, err := w.AppendPageImage(f.rel.fileName, uint32(f.id), f.data)
+				off, n := pageHole(f.data)
+				lsn, err := w.AppendPageImage(f.rel.fileName, uint32(f.id), f.data, off, n)
 				if err != nil {
 					sh.mu.Unlock()
 					return err

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -419,6 +421,151 @@ func SlotInsertAt(data []byte, slot int, rec []byte) bool {
 		put16(data, 0, uint16(nslots))
 	}
 	return slotPlace(data, slot, rec)
+}
+
+// Slot patches. A record rewritten where it lies — most of it unchanged —
+// is logged as what changed, PostgreSQL's generic-WAL delta in miniature:
+//
+//	newLen:2 { off:2 len:2 bytes }*
+//
+// Redo cuts the old record to newLen, or extends it with zeros, and copies
+// each fragment's bytes over it at off. The fragments are the runs of the
+// new record that differ from the old one at the same offsets, the bytes
+// past the old record's end included; runs no more than a fragment header
+// apart travel as one fragment, since the equal bytes between them cost no
+// more than a second header would.
+const (
+	patchLenSize    = 2
+	patchFragHeader = 4
+)
+
+// AppendSlotPatch appends to dst the patch that turns the record old into
+// rec and reports whether it is smaller than rec — the one case in which
+// logging it in place of the whole record pays. When it is not, dst comes
+// back at its old length (the diff stops as soon as it knows).
+func AppendSlotPatch(dst, old, rec []byte) ([]byte, bool) {
+	base := len(dst)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec)))
+	n := min(len(old), len(rec))
+	start, end := -1, -1 // the fragment being gathered: rec[start:end]
+	flush := func() {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(start))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(end-start))
+		dst = append(dst, rec[start:end]...)
+	}
+	// add takes in the changed run rec[d:e] and reports whether the patch
+	// can still come out smaller than rec.
+	add := func(d, e int) bool {
+		if start >= 0 && d-end <= patchFragHeader {
+			end = e
+			return true
+		}
+		if start >= 0 {
+			flush()
+		}
+		start, end = d, e
+		return len(dst)-base < len(rec)
+	}
+	for i := 0; ; {
+		d := i + firstDiff(old[i:n], rec[i:n])
+		if d == n {
+			break
+		}
+		e := d + 1
+		for e < n && old[e] != rec[e] {
+			e++
+		}
+		if !add(d, e) {
+			return dst[:base], false
+		}
+		i = e
+	}
+	if len(rec) > n && !add(n, len(rec)) {
+		return dst[:base], false
+	}
+	if start >= 0 {
+		flush()
+	}
+	if len(dst)-base >= len(rec) {
+		return dst[:base], false
+	}
+	return dst, true
+}
+
+// firstDiff returns the first index at which a and b, of equal length,
+// differ, or their length; it compares a word at a time.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// SlotPatch rewrites the record in slot by patch, AppendSlotPatch's
+// encoding — the redo of a slot-patch record. It returns an error when the
+// slot is dead, the patch is malformed, a fragment runs past the new
+// length, or the new record does not fit the area.
+func SlotPatch(data []byte, slot int, patch []byte) error {
+	old := SlotRead(data, slot)
+	if old == nil {
+		return fmt.Errorf("storage: patch of slot %d: the slot is dead", slot)
+	}
+	if len(patch) < patchLenSize {
+		return fmt.Errorf("storage: patch of slot %d: truncated length", slot)
+	}
+	newLen := int(get16(patch, 0))
+	sp := compactScratch.Get().(*[]byte)
+	defer compactScratch.Put(sp)
+	rec := append((*sp)[:0], old[:min(len(old), newLen)]...)
+	rec = append(rec, make([]byte, newLen-len(rec))...)
+	*sp = rec
+	for frags := patch[patchLenSize:]; len(frags) > 0; {
+		if len(frags) < patchFragHeader {
+			return fmt.Errorf("storage: patch of slot %d: truncated fragment header", slot)
+		}
+		off, n := int(get16(frags, 0)), int(get16(frags, 2))
+		if off+n > newLen {
+			return fmt.Errorf("storage: patch of slot %d: fragment [%d, %d) runs past the new length %d", slot, off, off+n, newLen)
+		}
+		if len(frags) < patchFragHeader+n {
+			return fmt.Errorf("storage: patch of slot %d: truncated fragment", slot)
+		}
+		copy(rec[off:], frags[patchFragHeader:patchFragHeader+n])
+		frags = frags[patchFragHeader+n:]
+	}
+	if !SlotUpdate(data, slot, rec) {
+		return fmt.Errorf("storage: patch of slot %d: the new length %d does not fit the page", slot, newLen)
+	}
+	return nil
+}
+
+// pageHole returns the bytes of a page that an image of it leaves out, as
+// an offset and a length: on a slotted page the gap between the slot
+// directory and the records, whatever it holds; on any other page — meta,
+// B+-tree, R-tree, never initialized — its trailing zeros. Redo writes
+// zeros there, so a page rebuilt from an image can differ from the page
+// imaged only in the gap's bytes, which no slot reads.
+func pageHole(data []byte) (off, n int) {
+	if !SlotAreaBlank(data) {
+		freeLo := PageHeaderSize + SlotCount(data)*slotSize
+		if freeHi := int(get16(data, 4)); freeLo <= freeHi && freeHi <= len(data) {
+			return freeLo, freeHi - freeLo
+		}
+	}
+	i := len(data)
+	for i >= 8 && binary.LittleEndian.Uint64(data[i-8:]) == 0 {
+		i -= 8
+	}
+	for i > 0 && data[i-1] == 0 {
+		i--
+	}
+	return i, len(data) - i
 }
 
 // compactScratch lends slotCompact the copy of the area it reads records

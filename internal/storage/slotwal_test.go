@@ -113,6 +113,13 @@ func TestFirstTouchImages(t *testing.T) {
 	}
 }
 
+// addImage stages an image of page in g as the buffer pool does, its hole
+// left out.
+func addImage(g *wal.Group, file string, id uint32, page []byte) {
+	off, n := pageHole(page)
+	g.AddPageImage(file, id, page, off, n)
+}
+
 // slottedPage returns a page-size slotted area holding recs in slots 0….
 func slottedPage(size int, recs ...string) []byte {
 	page := make([]byte, size)
@@ -141,7 +148,7 @@ func TestRecoverySameStreamSamePage(t *testing.T) {
 			w := openMarkedWAL(t, walDir, wal.Options{})
 			g := wal.NewGroup()
 			g.AddSlotPut(file, 1, 0, []byte("from the record"))
-			g.AddPageImage(file, 1, slottedPage(pageSize, "from the image"))
+			addImage(g, file, 1, slottedPage(pageSize, "from the image"))
 			g.AddSlotPut(file, 1, 1, []byte("after the image"))
 			if _, _, err := w.AppendGroupCommit(g); err != nil {
 				t.Fatal(err)
@@ -217,7 +224,7 @@ func TestRecoverDirRejectsDamagedSlotRecords(t *testing.T) {
 		}, "does not fit"},
 		{"page beyond the file", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 4_000_000_000, 0, []byte("node")) }, "beyond anything"},
 		{"delete beyond the file", func(g *wal.Group) { g.AddSlotDelete("rel2.idx", 4_000_000_000, 0) }, "beyond anything"},
-		{"image beyond the file", func(g *wal.Group) { g.AddPageImage("rel2.idx", 4_000_000_000, slottedPage(pageSize, "node")) }, "beyond anything"},
+		{"image beyond the file", func(g *wal.Group) { addImage(g, "rel2.idx", 4_000_000_000, slottedPage(pageSize, "node")) }, "beyond anything"},
 		{"heap tuple beyond the file", func(g *wal.Group) { g.AddHeapInsert("rel1.tbl", 4_000_000_000, 0, []byte("tuple")) }, "beyond anything"},
 		{"meta page", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 0, 0, []byte("node")) }, "meta page"},
 	}

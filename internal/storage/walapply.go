@@ -18,6 +18,7 @@ type RecoveryStats struct {
 	HeapBatches   int64 // batch-insert records applied
 	HeapXmaxOps   int64 // set/clear-xmax and mark-aborted records applied
 	SlotPuts      int64 // index-node puts applied
+	SlotPatches   int64 // index-node patches applied
 	SlotDeletes   int64 // index-node deletes applied
 	SkippedByLSN  int64 // logical records skipped because pageLSN was newer
 	TailDiscarded int64 // records after the last commit marker, not replayed
@@ -87,6 +88,21 @@ func (fx *txnFixups) noteInsert(key fixupKey, rec []byte) {
 func (fx *txnFixups) noteDelete(key fixupKey) {
 	delete(fx.lastInsert, key)
 	delete(fx.lastXmaxSet, key)
+}
+
+// imagePage lays the page image r carries down in buf, a page: the bytes
+// around the hole from the record, zeros in it.
+func imagePage(buf []byte, r *wal.Record) error {
+	if n := len(r.Data) + r.HoleLen; n != len(buf) {
+		return fmt.Errorf("storage: recovery: record page size %d != %d", n, len(buf))
+	}
+	if r.HoleOff > len(r.Data) {
+		return fmt.Errorf("storage: recovery: image of page %d of %s: hole [%d, %d) runs past the %d-byte page", r.Page, r.File, r.HoleOff, r.HoleOff+r.HoleLen, len(buf))
+	}
+	copy(buf, r.Data[:r.HoleOff])
+	clear(buf[r.HoleOff : r.HoleOff+r.HoleLen])
+	copy(buf[r.HoleOff+r.HoleLen:], r.Data[r.HoleOff:])
+	return nil
 }
 
 // RecoverDir replays the write-ahead log in walDir into the data files
@@ -232,8 +248,8 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			_, err := open(r.File)
 			return err
 		case wal.RecPageImage:
-			if int(r.PageSize) != pageSize {
-				return fmt.Errorf("storage: recovery: record page size %d != %d", r.PageSize, pageSize)
+			if err := imagePage(buf, r); err != nil {
+				return err
 			}
 			dm, err := open(r.File)
 			if err != nil {
@@ -241,10 +257,6 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			}
 			if err := ensure(dm, r.Page); err != nil {
 				return err
-			}
-			n := copy(buf, r.Data)
-			for i := n; i < len(buf); i++ {
-				buf[i] = 0
 			}
 			// The image was captured before its statement's LSNs were
 			// stamped, so its embedded pageLSN is stale. Advance it to the
@@ -261,7 +273,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			return nil
 		case wal.RecHeapInsert, wal.RecHeapDelete, wal.RecHeapBatchInsert,
 			wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted,
-			wal.RecSlotPut, wal.RecSlotDelete:
+			wal.RecSlotPut, wal.RecSlotDelete, wal.RecSlotPatch:
 			if r.Page == 0 {
 				return fmt.Errorf("storage: recovery: %v addresses the meta page of %s, which holds no slots", r.Type, r.File)
 			}
@@ -310,6 +322,18 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 				} else {
 					st.HeapInserts++
 				}
+			case wal.RecSlotPatch:
+				// A patch needs the record it was taken from. A later image
+				// of the page overwrites whatever this redo would leave, and
+				// on a page rebuilt from that image (torn, see above) the
+				// old record is not there to patch: such patches are passed.
+				if r.LSN < lastImage[imageKey{r.File, r.Page}] {
+					break
+				}
+				if err := SlotPatch(buf, int(r.Slot), r.Data); err != nil {
+					return fmt.Errorf("storage: recovery: page %d of %s: %w", r.Page, r.File, err)
+				}
+				st.SlotPatches++
 			case wal.RecHeapBatchInsert:
 				// One record redoes a whole page-worth of tuples — the
 				// all-or-nothing unit of a multi-row INSERT's redo.

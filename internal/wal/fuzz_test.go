@@ -8,7 +8,9 @@ import (
 // can hold, by type.
 func validFrames() map[RecordType][]byte {
 	g := NewGroup()
-	g.AddPageImage("rel1.tbl", 3, append([]byte("page image"), make([]byte, 54)...))
+	page := append([]byte("page image"), make([]byte, 54)...)
+	copy(page[60:], "tail")
+	g.AddPageImage("rel1.tbl", 3, page, 10, 50)
 	g.AddHeapInsert("rel1.tbl", 1, 7, []byte("a heap tuple"))
 	g.AddHeapDelete("rel1.tbl", 1, 7)
 	g.buf = appendName(g.buf, "rel2.idx")
@@ -23,6 +25,7 @@ func validFrames() map[RecordType][]byte {
 	g.AddTxnAbort(43)
 	g.AddSlotPut("rel2.idx", 4, 9, []byte("an index node"))
 	g.AddSlotDelete("rel2.idx", 4, 9)
+	g.AddSlotPatch("rel2.idx", 4, 9, []byte{15, 0, 3, 0, 2, 0, 'n', 'o'})
 	frames := make(map[RecordType][]byte, len(g.types))
 	for i, typ := range g.types {
 		frames[typ] = appendFrame(nil, LSN(100+i), typ, g.payload(i))

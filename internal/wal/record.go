@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // On-disk frame layout, little-endian:
@@ -41,8 +42,9 @@ func appendFrame(dst []byte, lsn LSN, typ RecordType, payload []byte) []byte {
 
 // Payload layouts (after the type byte):
 //
-//	page image:  nameLen:2 name pageID:4 pageSize:4 image...
+//	page image:  nameLen:2 name pageID:4 holeOff:2 holeLen:2 image...
 //	heap insert, slot put:    nameLen:2 name pageID:4 slot:2 rec...
+//	slot patch:  nameLen:2 name pageID:4 slot:2 patch...
 //	heap delete, slot delete: nameLen:2 name pageID:4 slot:2
 //	batch insert: nameLen:2 name pageID:4 n:2 { slot:2 len:4 rec }*n
 //	set xmax:    nameLen:2 name pageID:4 slot:2 xid:8
@@ -61,11 +63,20 @@ func appendName(b []byte, name string) []byte {
 // buffer, so that staging a record allocates nothing once the buffer has
 // grown to a statement's size.
 
-func appendPageImage(b []byte, file string, page uint32, pageSize uint32, image []byte) []byte {
+// appendPageImage encodes an image of pageData without the bytes of
+// pageData[holeOff : holeOff+holeLen], so the page's size is the image's
+// length plus the hole's. A hole the 16-bit fields cannot describe — a page past
+// 64 KB — is not left out.
+func appendPageImage(b []byte, file string, page uint32, pageData []byte, holeOff, holeLen int) []byte {
+	if holeOff > math.MaxUint16 || holeLen > math.MaxUint16 {
+		holeOff, holeLen = 0, 0
+	}
 	b = appendName(b, file)
 	b = binary.LittleEndian.AppendUint32(b, page)
-	b = binary.LittleEndian.AppendUint32(b, pageSize)
-	return append(b, image...)
+	b = binary.LittleEndian.AppendUint16(b, uint16(holeOff))
+	b = binary.LittleEndian.AppendUint16(b, uint16(holeLen))
+	b = append(b, pageData[:holeOff]...)
+	return append(b, pageData[holeOff+holeLen:]...)
 }
 
 func appendHeapOp(b []byte, file string, page uint32, slot uint16, rec []byte) []byte {
@@ -122,14 +133,12 @@ func decodeRecord(lsn LSN, body []byte) (*Record, error) {
 			return nil, fmt.Errorf("wal: truncated page-image header")
 		}
 		r.Page = binary.LittleEndian.Uint32(payload)
-		r.PageSize = binary.LittleEndian.Uint32(payload[4:])
+		r.HoleOff = int(binary.LittleEndian.Uint16(payload[4:]))
+		r.HoleLen = int(binary.LittleEndian.Uint16(payload[6:]))
 		r.Data = append([]byte(nil), payload[8:]...)
-		if int(r.PageSize) < len(r.Data) {
-			return nil, fmt.Errorf("wal: page image larger than its page size")
-		}
 		return r, nil
 	case RecHeapInsert, RecHeapDelete, RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
-		RecSlotPut, RecSlotDelete:
+		RecSlotPut, RecSlotDelete, RecSlotPatch:
 		r.File, payload, err = decodeName(payload)
 		if err != nil {
 			return nil, err
@@ -140,7 +149,7 @@ func decodeRecord(lsn LSN, body []byte) (*Record, error) {
 		r.Page = binary.LittleEndian.Uint32(payload)
 		r.Slot = binary.LittleEndian.Uint16(payload[4:])
 		switch r.Type {
-		case RecHeapInsert, RecSlotPut:
+		case RecHeapInsert, RecSlotPut, RecSlotPatch:
 			r.Data = append([]byte(nil), payload[6:]...)
 		case RecHeapSetXmax:
 			if len(payload) < 14 {
@@ -186,19 +195,4 @@ func decodeRecord(lsn LSN, body []byte) (*Record, error) {
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
 	}
-}
-
-// truncateZeros trims trailing zero bytes from a page image. Fresh pages
-// are almost entirely zeros, so this keeps meta-page and small-page
-// records a few dozen bytes instead of a full page. A meta page is 8 KB of
-// zeros behind a few fields, so the scan runs a word at a time.
-func truncateZeros(page []byte) []byte {
-	i := len(page)
-	for i >= 8 && binary.LittleEndian.Uint64(page[i-8:]) == 0 {
-		i -= 8
-	}
-	for i > 0 && page[i-1] == 0 {
-		i--
-	}
-	return page[:i]
 }

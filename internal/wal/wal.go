@@ -9,14 +9,16 @@
 // Two record families exist, mirroring PostgreSQL's full-page writes
 // versus ordinary redo records:
 //
-//   - page-image records carry the complete after-image of one page
-//     (zero-truncated, since fresh pages are mostly zeros) and are
-//     replayed by overwriting the page;
+//   - page-image records carry the after-image of one page less its
+//     hole — the free gap of a slotted page, the trailing zeros of any
+//     other — as PostgreSQL's full-page writes leave out the gap between
+//     pd_lower and pd_upper, and are replayed by overwriting the page,
+//     the hole zeroed;
 //   - logical records describe one operation on a slotted page — a
-//     heap tuple or an SP-GiST node put into, or deleted from, a fixed
-//     page/slot — and are replayed through the slotted-page layer,
-//     guarded by the pageLSN stamped in the slotted-page header so
-//     replay is idempotent.
+//     heap tuple or an SP-GiST node put into, patched in, or deleted
+//     from, a fixed page/slot — and are replayed through the
+//     slotted-page layer, guarded by the pageLSN stamped in the
+//     slotted-page header so replay is idempotent.
 //
 // The log is a sequence of segment files in one directory, each named
 // by the LSN of its first record. A checkpoint rotates to a fresh
@@ -47,7 +49,9 @@ const (
 type RecordType uint8
 
 const (
-	// RecPageImage is a full (zero-truncated) after-image of one page.
+	// RecPageImage is the after-image of one page, a hole of it left
+	// out: (HoleOff, HoleLen) name the bytes the image does not carry,
+	// and redo writes zeros there.
 	RecPageImage RecordType = 1
 	// RecHeapInsert is a logical heap-record insert at a fixed slot.
 	RecHeapInsert RecordType = 2
@@ -96,10 +100,20 @@ const (
 	// RecSlotDelete frees the slot at (page, slot) — a node that moved
 	// to another page or was dissolved by a split.
 	RecSlotDelete RecordType = 14
+	// RecSlotPatch rewrites the record at (page, slot) where it lies,
+	// carrying only what changed: the new length and the byte ranges of
+	// the new record that differ from the old one at the same offsets
+	// (storage.AppendSlotPatch builds it, storage.SlotPatch redoes it).
+	// It is the log shape of an SP-GiST node rewritten in place — a leaf
+	// append, a shrink, an AddNode, a child pointer patched — and is only
+	// logged when it is smaller than the RecSlotPut it stands for. Its
+	// redo needs the old record, which replay from the file's creation or
+	// from a full image of the page provides, like every slot record's.
+	RecSlotPatch RecordType = 15
 
 	// NumRecordTypes bounds the RecordType values in use (0 is not a
 	// record); Stats.ByType is indexed up to it.
-	NumRecordTypes = 15
+	NumRecordTypes = 16
 )
 
 // String names the record type for stats and debugging output.
@@ -133,6 +147,8 @@ func (t RecordType) String() string {
 		return "slot-put"
 	case RecSlotDelete:
 		return "slot-delete"
+	case RecSlotPatch:
+		return "slot-patch"
 	default:
 		return "unknown"
 	}
@@ -140,18 +156,20 @@ func (t RecordType) String() string {
 
 // Record is one decoded log record. Which fields are meaningful depends
 // on Type: File/Page address a page for images and slot operations
-// (heap tuples, index nodes), Slot is the slot operated on, PageSize is
-// the full page size an image must be expanded to, and Data holds the
-// (truncated) image or the bytes put into the slot. Batch inserts carry parallel Slots/Recs instead of
-// Slot/Data.
+// (heap tuples, index nodes), Slot is the slot operated on, and Data
+// holds the image less its hole, the bytes put into the slot, or a slot
+// patch. An image's hole is HoleLen bytes at HoleOff, so the page it
+// expands to is len(Data)+HoleLen bytes. Batch inserts carry parallel
+// Slots/Recs instead of Slot/Data.
 type Record struct {
-	LSN      LSN
-	Type     RecordType
-	File     string
-	Page     uint32
-	Slot     uint16
-	PageSize uint32
-	Data     []byte
+	LSN     LSN
+	Type    RecordType
+	File    string
+	Page    uint32
+	Slot    uint16
+	HoleOff int
+	HoleLen int
+	Data    []byte
 	// Slots/Recs are the per-tuple slot assignments and record bytes of
 	// one RecHeapBatchInsert.
 	Slots []uint16

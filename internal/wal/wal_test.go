@@ -46,7 +46,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	page := make([]byte, 512)
 	copy(page, "page-image-content")
-	l1, err := w.AppendPageImage("t.tbl", 7, page)
+	copy(page[500:], "tail")
+	l1, err := w.AppendPageImage("t.tbl", 7, page, 18, 482)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("replay saw %d records (stats %+v)", len(recs), st)
 	}
 	img := recs[0]
-	if img.Type != RecPageImage || img.File != "t.tbl" || img.Page != 7 || img.PageSize != 512 {
+	if img.Type != RecPageImage || img.File != "t.tbl" || img.Page != 7 || img.HoleOff != 18 || img.HoleLen != 482 {
 		t.Fatalf("bad image record: %+v", img)
 	}
-	want := truncateZeros(page)
+	want := append(page[:18:18], page[500:]...)
 	if !bytes.Equal(img.Data, want) {
 		t.Fatalf("image data mismatch: %q vs %q", img.Data, want)
 	}

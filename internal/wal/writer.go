@@ -242,11 +242,10 @@ func (w *Writer) Segments() int {
 	return len(segs)
 }
 
-// AppendPageImage logs the full after-image of one page (zero-truncated
-// on the wire) and returns its LSN.
-func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte) (LSN, error) {
-	img := truncateZeros(pageData)
-	return w.append(RecPageImage, appendPageImage(nil, file, page, uint32(len(pageData)), img))
+// AppendPageImage logs the after-image of one page, less the holeLen
+// bytes at holeOff, and returns its LSN.
+func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte, holeOff, holeLen int) (LSN, error) {
+	return w.append(RecPageImage, appendPageImage(nil, file, page, pageData, holeOff, holeLen))
 }
 
 // Group is a set of records one statement appends atomically: no other
@@ -320,10 +319,10 @@ func (g *Group) Extend(o *Group) (base int) {
 	return base
 }
 
-// AddPageImage stages a full (zero-truncated) page image, returning its
-// index into the LSN slice AppendGroup returns.
-func (g *Group) AddPageImage(file string, page uint32, pageData []byte) int {
-	g.buf = appendPageImage(g.buf, file, page, uint32(len(pageData)), truncateZeros(pageData))
+// AddPageImage stages the after-image of one page, less the holeLen bytes
+// at holeOff, returning its index into the LSN slice AppendGroup returns.
+func (g *Group) AddPageImage(file string, page uint32, pageData []byte, holeOff, holeLen int) int {
+	g.buf = appendPageImage(g.buf, file, page, pageData, holeOff, holeLen)
 	return g.add(RecPageImage)
 }
 
@@ -351,6 +350,12 @@ func (g *Group) AddSlotPut(file string, page uint32, slot uint16, rec []byte) in
 // AddSlotDelete stages freeing the slot at (page, slot).
 func (g *Group) AddSlotDelete(file string, page uint32, slot uint16) int {
 	return g.heapOp(RecSlotDelete, file, page, slot, nil)
+}
+
+// AddSlotPatch stages rewriting the record at (page, slot) by patch, the
+// encoding storage.AppendSlotPatch gives of what changed in it.
+func (g *Group) AddSlotPatch(file string, page uint32, slot uint16, patch []byte) int {
+	return g.heapOp(RecSlotPatch, file, page, slot, patch)
 }
 
 // AddHeapBatchInsert stages a page-worth of heap inserts as one record.
