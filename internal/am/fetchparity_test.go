@@ -11,15 +11,16 @@ import (
 	"repro/internal/storage"
 )
 
-// TestNodeTableFetchParity pins how often each SP-GiST opclass goes to its
+// TestNodeTableFetchParity pins how often each operator class goes to its
 // buffer pool: one deterministic stream of inserts, deletes, scans and NN
 // searches per opclass through an 8-frame pool, with the pool's access and
 // miss counters asserted after every phase. A node that is served from
 // memory costs no pool access, so the counters say which node visits were
 // misses of the in-memory node store and which were not — whatever that
-// store is made of. The figures were recorded at commit 937e6f7 (the
-// decoded-node cache) and must not move: the benchmark's pages_per_op is
-// this count.
+// store is made of. The SP-GiST figures were recorded at commit 937e6f7
+// (the decoded-node cache) and must not move: the benchmark's pages_per_op
+// is this count. The B+-tree and R-tree keep no node store: every node they
+// visit is a pool access, as in PostgreSQL's nbtree and GiST.
 func TestNodeTableFetchParity(t *testing.T) {
 	world := geom.MakeBox(0, 0, 100, 100)
 	words := datagen.Words(8000, 11)
@@ -90,6 +91,26 @@ func TestNodeTableFetchParity(t *testing.T) {
 			scans: []scan{{"=", segKeys[100:140]}, {"&&", boxArgs}},
 			nn:    ptKeys[500:520],
 			want:  [6][2]int64{{2524, 8}, {2734, 8}, {2734, 8}, {7298, 558}, {10803, 1426}, {10899, 1480}},
+		},
+		// The baselines have no NN operator, so they skip that phase.
+		{
+			opclass: "btree_text", keys: text(words),
+			scans: []scan{
+				{"=", text(datagen.Sample(words, 60, 21))},
+				{"#=", text(datagen.Prefixes(words, 30, 22))},
+				{"?=", text(datagen.Patterns(words, 20, 0.3, 23))},
+			},
+			want: [6][2]int64{{300, 44}, {677, 254}, {1054, 463}, {9104, 2688}, {35005, 17702}, {35530, 18090}},
+		},
+		{
+			opclass: "rtree_point", keys: ptKeys,
+			scans: []scan{{"@", ptKeys[100:160]}, {"^", boxArgs}},
+			want:  [6][2]int64{{5602, 84}, {5824, 117}, {6046, 151}, {12057, 959}, {18214, 2721}, {18454, 2805}},
+		},
+		{
+			opclass: "rtree_segment", keys: segKeys,
+			scans: []scan{{"=", segKeys[100:140]}, {"&&", boxArgs}},
+			want:  [6][2]int64{{1996, 6}, {2177, 6}, {2358, 6}, {4763, 21}, {7036, 241}, {7234, 263}},
 		},
 	}
 	for ci := range cases {
@@ -182,4 +203,40 @@ func fmtCounters(c [6][2]int64) string {
 		s += fmt.Sprintf("{%d, %d}, ", p[0], p[1])
 	}
 	return s
+}
+
+// TestWarmBTreeMatchPinsItsPath: a B+-tree exact match reads its nodes in
+// the buffer pool, so repeating a warm one costs a pool access per level at
+// least, and no miss.
+func TestWarmBTreeMatchPinsItsPath(t *testing.T) {
+	bp := storage.NewBufferPool("", storage.NewMem(8192), 64)
+	idx, err := New("btree_text", bp, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := datagen.Words(8000, 11)
+	tups := make([]catalog.Tuple, len(words))
+	rids := make([]heap.RID, len(words))
+	for i, w := range words {
+		tups[i], rids[i] = catalog.Tuple{catalog.NewText(w)}, rid(i)
+	}
+	if err := InsertBatch(idx, 0, tups, rids); err != nil {
+		t.Fatal(err)
+	}
+	match := func() {
+		if err := idx.Scan("=", catalog.NewText(words[4000]), func(heap.RID) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	match()
+	before := bp.Stats()
+	match()
+	after := bp.Stats()
+	height := idx.(*btreeIndex).Tree().Height()
+	if height < 2 {
+		t.Fatalf("height %d: the test wants inner nodes", height)
+	}
+	if acc, miss := after.Accesses-before.Accesses, after.Misses-before.Misses; acc < int64(height) || miss != 0 {
+		t.Errorf("warm exact match: %d pool accesses, %d misses; want >= %d and 0", acc, miss, height)
+	}
 }

@@ -18,7 +18,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/heap"
@@ -68,13 +70,6 @@ type Tree struct {
 
 	// trace, when non-nil, records distinct pages touched by read paths.
 	trace atomic.Pointer[storage.PageTrace]
-
-	// cache holds decoded nodes for read-only paths, invalidated on
-	// writes — the analogue of PostgreSQL binary-searching directly in
-	// buffer pages instead of materializing tuples per visit. Cached
-	// nodes are immutable once published, so concurrent readers share
-	// them freely.
-	cache *storage.NodeCache[storage.PageID, *node]
 }
 
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
@@ -86,7 +81,7 @@ func (t *Tree) metaBody() (body [metaBodySize]byte) {
 
 // Create initializes a new empty B+-tree in an empty page file.
 func Create(bp *storage.BufferPool) (*Tree, error) {
-	t := &Tree{bp: bp, root: storage.InvalidPageID, cache: storage.NewNodeCache[storage.PageID, *node](maxCachedNodes)}
+	t := &Tree{bp: bp, root: storage.InvalidPageID}
 	body := t.metaBody()
 	if err := bp.CreateMeta(magic, body[:]); err != nil {
 		return nil, err
@@ -105,7 +100,6 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 		root:   storage.PageID(binary.LittleEndian.Uint32(body[0:])),
 		height: int(binary.LittleEndian.Uint32(body[4:])),
 		count:  int64(binary.LittleEndian.Uint64(body[8:])),
-		cache:  storage.NewNodeCache[storage.PageID, *node](maxCachedNodes),
 	}, nil
 }
 
@@ -189,50 +183,8 @@ func (n *node) encode(buf []byte) {
 	}
 }
 
-func decode(buf []byte) (*node, error) {
-	n := &node{}
-	switch buf[0] {
-	case kindLeaf:
-		n.leaf = true
-		n.next = storage.PageID(binary.LittleEndian.Uint32(buf[3:]))
-	case kindInner:
-		n.child0 = storage.PageID(binary.LittleEndian.Uint32(buf[3:]))
-	default:
-		return nil, fmt.Errorf("btree: unknown node kind %d", buf[0])
-	}
-	cnt := int(binary.LittleEndian.Uint16(buf[1:]))
-	n.entries = make([]entry, 0, cnt)
-	off := hdrSize
-	for i := 0; i < cnt; i++ {
-		kl := int(binary.LittleEndian.Uint16(buf[off:]))
-		off += 2
-		key := make([]byte, kl)
-		copy(key, buf[off:off+kl])
-		off += kl
-		e := entry{key: key}
-		if n.leaf {
-			e.rid = heap.RIDFromBytes(buf[off:])
-			off += heap.RIDSize
-		} else {
-			e.child = storage.PageID(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-		}
-		n.entries = append(n.entries, e)
-	}
-	return n, nil
-}
-
 // nodeCap is the size of the largest node one page holds.
 func (t *Tree) nodeCap() int { return t.bp.DM().PageSize() - storage.PageHeaderSize }
-
-func (t *Tree) readNode(pid storage.PageID) (*node, error) {
-	p, err := t.bp.Fetch(pid)
-	if err != nil {
-		return nil, err
-	}
-	defer t.bp.Unpin(p, false)
-	return decode(storage.PageBody(p.Data))
-}
 
 // StartPageTrace begins counting the distinct pages touched by read-only
 // operations (the page reads a cold execution would issue).
@@ -250,33 +202,74 @@ func (t *Tree) PageTraceCount() int {
 	return tr.Count()
 }
 
-// maxCachedNodes bounds the decoded-node cache.
-const maxCachedNodes = 1 << 16
-
-// invalidate drops a node from the decoded-node cache.
-func (t *Tree) invalidate(pid storage.PageID) {
-	t.cache.Drop(pid)
+// walk is what one pass over the tree owns and reuses from node to node:
+// the entry table of the node it reads, and the copy of the leaf it emits
+// from, so that no caller's emit runs under a pin.
+type walk struct {
+	offs []int32
+	leaf []byte
 }
 
-// readNodeRO serves read-only visits from the decoded-node cache. The
-// result must not be mutated: it may be shared with concurrent readers.
-func (t *Tree) readNodeRO(pid storage.PageID) (*node, error) {
+// walks recycles walks from pass to pass, so that a search allocates
+// neither its entry table nor its leaf copy.
+var walks = sync.Pool{New: func() any { return new(walk) }}
+
+// pin fetches page pid and reads it as a node where it lies, as one visit
+// of the page trace. The caller unpins p.
+func (t *Tree) pin(pid storage.PageID, w *walk) (*storage.Page, View, error) {
 	if tr := t.trace.Load(); tr != nil {
 		tr.Visit(pid)
 	}
-	if n, ok := t.cache.Get(pid); ok {
-		return n, nil
-	}
-	n, err := t.readNode(pid)
+	p, err := t.bp.Fetch(pid)
 	if err != nil {
-		return nil, err
+		return nil, View{}, err
 	}
-	t.cache.Put(pid, n)
-	return n, nil
+	v, err := NewView(storage.PageBody(p.Data), w.offs)
+	if err != nil {
+		t.bp.Unpin(p, false)
+		return nil, View{}, fmt.Errorf("%w (page %d)", err, pid)
+	}
+	w.offs = v.offs
+	return p, v, nil
+}
+
+// descend walks from the root to the leaf that covers k (see childFor),
+// reading each inner node in its frame, and returns the leaf pinned.
+func (t *Tree) descend(k []byte, leftmost bool, w *walk) (*storage.Page, View, error) {
+	pid := t.root
+	for {
+		p, v, err := t.pin(pid, w)
+		if err != nil || v.leaf {
+			return p, v, err
+		}
+		pid = v.childFor(k, leftmost)
+		t.bp.Unpin(p, false)
+	}
+}
+
+// release copies leaf v, pinned in p, into w's buffer, unpins p, and
+// returns the view of the copy.
+func (t *Tree) release(p *storage.Page, v View, w *walk) View {
+	w.leaf = append(w.leaf[:0], v.b[:v.end]...)
+	t.bp.Unpin(p, false)
+	v.b = w.leaf
+	return v
+}
+
+// readLeaf reads leaf pid into w's buffer.
+func (t *Tree) readLeaf(pid storage.PageID, w *walk) (View, error) {
+	p, v, err := t.pin(pid, w)
+	if err != nil {
+		return View{}, err
+	}
+	if !v.leaf {
+		t.bp.Unpin(p, false)
+		return View{}, fmt.Errorf("btree: page %d on the leaf chain is an inner node", pid)
+	}
+	return t.release(p, v, w), nil
 }
 
 func (t *Tree) writeNode(pid storage.PageID, n *node) error {
-	t.invalidate(pid)
 	if n.encodedSize() > t.nodeCap() {
 		return fmt.Errorf("btree: node of %d bytes exceeds page size", n.encodedSize())
 	}
@@ -299,102 +292,23 @@ func (t *Tree) allocNode(n *node) (storage.PageID, error) {
 	return p.ID, nil
 }
 
-// lowerBound returns the first entry index with key >= k.
-func lowerBound(entries []entry, k []byte) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(entries[mid].key, k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// checkKey refuses a key too large for a node to split around.
+func (t *Tree) checkKey(key []byte) error {
+	if len(key)+32 > t.bp.DM().PageSize()/4 {
+		return fmt.Errorf("btree: key of %d bytes too large", len(key))
 	}
-	return lo
-}
-
-// upperBound returns the first entry index with key > k.
-func upperBound(entries []entry, k []byte) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(entries[mid].key, k) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// childFor returns the child page covering key k in inner node n, using
-// upper-bound separators (keys equal to a separator live to its right),
-// plus the child's entry index (-1 for the leftmost child). The index is
-// what lets a split insert its new sibling pointer at the right position
-// even among runs of equal separators.
-func childFor(n *node, k []byte) (storage.PageID, int) {
-	i := upperBound(n.entries, k)
-	if i == 0 {
-		return n.child0, -1
-	}
-	return n.entries[i-1].child, i - 1
-}
-
-// childForLeftmost returns the child that can hold the FIRST occurrence
-// of k (equal keys may straddle a separator after splits of duplicate
-// runs).
-func childForLeftmost(n *node, k []byte) storage.PageID {
-	i := lowerBound(n.entries, k)
-	if i == 0 {
-		return n.child0
-	}
-	return n.entries[i-1].child
+	return nil
 }
 
 // Insert adds one (key, rid) pair.
 func (t *Tree) Insert(key []byte, rid heap.RID) error {
-	if len(key)+32 > t.bp.DM().PageSize()/4 {
-		return fmt.Errorf("btree: key of %d bytes too large", len(key))
-	}
-	if t.root == storage.InvalidPageID {
-		leaf := &node{leaf: true, next: storage.InvalidPageID,
-			entries: []entry{{key: append([]byte(nil), key...), rid: rid}}}
-		pid, err := t.allocNode(leaf)
-		if err != nil {
-			return err
-		}
-		t.root = pid
-		t.height = 1
-		t.count++
-		return t.saveMeta()
-	}
-	// Fast path: splice the entry directly into the leaf page bytes, the
-	// way PostgreSQL shifts item pointers in place. Only inserts that
-	// would overflow the leaf fall back to the decode/split path.
-	if ok, err := t.insertFast(key, rid); err != nil {
-		return err
-	} else if ok {
-		t.count++
-		return nil
-	}
-	sep, right, err := t.insertAt(t.root, key, rid)
-	if err != nil {
+	if err := t.checkKey(key); err != nil {
 		return err
 	}
-	if right != storage.InvalidPageID {
-		// Root split: grow a new root.
-		newRoot := &node{child0: t.root, entries: []entry{{key: sep, child: right}}}
-		pid, err := t.allocNode(newRoot)
-		if err != nil {
-			return err
-		}
-		t.root = pid
-		t.height++
-		t.count++
-		return t.saveMeta()
-	}
-	t.count++
-	return nil
+	w := walks.Get().(*walk)
+	defer walks.Put(w)
+	_, err := t.insert([]Pair{{Key: key, RID: rid}}, w)
+	return err
 }
 
 // Pair is one (key, RID) input of InsertBatch.
@@ -414,197 +328,143 @@ type Pair struct {
 // one pin per leaf cluster instead of one per row.
 func (t *Tree) InsertBatch(pairs []Pair) error {
 	for _, p := range pairs {
-		if len(p.Key)+32 > t.bp.DM().PageSize()/4 {
-			return fmt.Errorf("btree: key of %d bytes too large", len(p.Key))
+		if err := t.checkKey(p.Key); err != nil {
+			return err
 		}
 	}
 	sorted := append([]Pair(nil), pairs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0 })
-	i := 0
-	for i < len(sorted) {
-		if t.root == storage.InvalidPageID {
-			if err := t.Insert(sorted[i].Key, sorted[i].RID); err != nil {
-				return err
-			}
-			i++
-			continue
-		}
-		n, err := t.spliceRun(sorted[i:])
+	w := walks.Get().(*walk)
+	defer walks.Put(w)
+	for i := 0; i < len(sorted); {
+		n, err := t.insert(sorted[i:], w)
 		if err != nil {
 			return err
-		}
-		if n == 0 {
-			// The run's first key needs the split path; insert it alone
-			// and resume the run from the next key.
-			if err := t.Insert(sorted[i].Key, sorted[i].RID); err != nil {
-				return err
-			}
-			n = 1
 		}
 		i += n
 	}
 	return nil
 }
 
-// spliceRun descends once to the leaf covering pairs[0].Key and splices
-// as many consecutive (sorted) pairs into it as provably belong there
-// and fit, returning how many were consumed (0 if the first key needs
-// the split path).
-func (t *Tree) spliceRun(pairs []Pair) (int, error) {
-	pid := t.root
-	for {
-		n, err := t.readNodeRO(pid)
+// insert adds pairs[0] and, after it, as many of the sorted pairs that
+// follow as spliceRun can place in the same leaf, returning how many it
+// added. A first pair that does not fit its leaf takes the split path.
+func (t *Tree) insert(pairs []Pair, w *walk) (int, error) {
+	key, rid := pairs[0].Key, pairs[0].RID
+	if t.root == storage.InvalidPageID {
+		leaf := &node{leaf: true, next: storage.InvalidPageID,
+			entries: []entry{{key: append([]byte(nil), key...), rid: rid}}}
+		pid, err := t.allocNode(leaf)
 		if err != nil {
 			return 0, err
 		}
-		if n.leaf {
-			break
-		}
-		pid, _ = childFor(n, pairs[0].Key)
+		t.root = pid
+		t.height = 1
+		t.count++
+		return 1, t.saveMeta()
 	}
-	p, err := t.bp.Fetch(pid)
+	if n, err := t.spliceRun(pairs, w); err != nil || n > 0 {
+		return n, err
+	}
+	sep, right, err := t.insertAt(t.root, key, rid, w)
 	if err != nil {
 		return 0, err
 	}
-	data := storage.PageBody(p.Data)
-	if data[0] != kindLeaf {
-		t.bp.Unpin(p, false)
-		return 0, fmt.Errorf("btree: descent ended on non-leaf page %d", pid)
+	if right != storage.InvalidPageID {
+		// Root split: grow a new root.
+		newRoot := &node{child0: t.root, entries: []entry{{key: sep, child: right}}}
+		pid, err := t.allocNode(newRoot)
+		if err != nil {
+			return 0, err
+		}
+		t.root = pid
+		t.height++
+		t.count++
+		return 1, t.saveMeta()
 	}
-	rightmost := storage.PageID(binary.LittleEndian.Uint32(data[3:])) == storage.InvalidPageID
-	done := 0
-	for _, pr := range pairs {
-		cnt := int(binary.LittleEndian.Uint16(data[1:]))
-		// One pass over the entry bytes: find the upper-bound insertion
-		// offset, the end of the used region, and the leaf's last key.
-		off := hdrSize
-		insOff := -1
-		var lastOff, lastLen int
-		for i := 0; i < cnt; i++ {
-			kl := int(binary.LittleEndian.Uint16(data[off:]))
-			if insOff < 0 && bytes.Compare(data[off+2:off+2+kl], pr.Key) > 0 {
-				insOff = off
-			}
-			lastOff, lastLen = off+2, kl
-			off += 2 + kl + heap.RIDSize
-		}
-		end := off
-		if done > 0 && cnt > 0 && !rightmost {
-			// Only the first key of the run is placed here by descent;
-			// later keys belong to this leaf only when strictly below
-			// its current last key (equal keys may belong to the right
-			// sibling under upper-bound separators).
-			if bytes.Compare(pr.Key, data[lastOff:lastOff+lastLen]) >= 0 {
-				break
-			}
-		}
-		if insOff < 0 {
-			insOff = end
-		}
-		esz := 2 + len(pr.Key) + heap.RIDSize
-		if end+esz > len(data) {
-			break // leaf full: the caller re-enters through the split path
-		}
-		copy(data[insOff+esz:end+esz], data[insOff:end])
-		binary.LittleEndian.PutUint16(data[insOff:], uint16(len(pr.Key)))
-		copy(data[insOff+2:], pr.Key)
-		rb := pr.RID.Bytes()
-		copy(data[insOff+2+len(pr.Key):], rb[:])
-		binary.LittleEndian.PutUint16(data[1:], uint16(cnt+1))
-		done++
-	}
-	if done > 0 {
-		t.invalidate(pid)
-		t.count += int64(done)
-		t.bp.Unpin(p, true)
-	} else {
-		t.bp.Unpin(p, false)
-	}
-	return done, nil
+	t.count++
+	return 1, nil
 }
 
-// insertFast descends read-only to the target leaf and splices the new
-// entry into the page bytes in place. It reports false (without side
-// effects) when the leaf would overflow and the split path must run.
-func (t *Tree) insertFast(key []byte, rid heap.RID) (bool, error) {
-	pid := t.root
-	for {
-		n, err := t.readNodeRO(pid)
-		if err != nil {
-			return false, err
-		}
-		if n.leaf {
+// spliceRun descends once to the leaf covering pairs[0].Key and splices
+// as many consecutive (sorted) pairs into its page bytes as provably
+// belong there and fit, the way PostgreSQL shifts item pointers in place,
+// returning how many were consumed (0 if the first key needs the split
+// path). Each pair goes in at its key's upper bound.
+func (t *Tree) spliceRun(pairs []Pair, w *walk) (int, error) {
+	p, v, err := t.descend(pairs[0].Key, false, w)
+	if err != nil {
+		return 0, err
+	}
+	data := v.b
+	rightmost := v.Link() == storage.InvalidPageID
+	done := 0
+	for _, pr := range pairs {
+		cnt := v.Len()
+		// Only the first key of the run is placed here by descent; later
+		// keys belong to this leaf only when strictly below its current
+		// last key (equal keys may belong to the right sibling under
+		// upper-bound separators).
+		if done > 0 && !rightmost && bytes.Compare(pr.Key, v.Key(cnt-1)) >= 0 {
 			break
 		}
-		pid, _ = childFor(n, key)
-	}
-	p, err := t.bp.Fetch(pid)
-	if err != nil {
-		return false, err
-	}
-	data := storage.PageBody(p.Data)
-	if data[0] != kindLeaf {
-		t.bp.Unpin(p, false)
-		return false, fmt.Errorf("btree: descent ended on non-leaf page %d", pid)
-	}
-	cnt := int(binary.LittleEndian.Uint16(data[1:]))
-	// One pass over the entry bytes: find the upper-bound insertion
-	// offset and the end of the used region.
-	off := hdrSize
-	insOff := -1
-	for i := 0; i < cnt; i++ {
-		kl := int(binary.LittleEndian.Uint16(data[off:]))
-		if insOff < 0 && bytes.Compare(data[off+2:off+2+kl], key) > 0 {
-			insOff = off
+		esz := 2 + len(pr.Key) + heap.RIDSize
+		if v.end+esz > len(data) {
+			break // leaf full: the caller re-enters through the split path
 		}
-		off += 2 + kl + heap.RIDSize
+		i := v.bound(pr.Key, false)
+		ins := v.end
+		if i < cnt {
+			ins = int(v.offs[i])
+		}
+		copy(data[ins+esz:v.end+esz], data[ins:v.end])
+		binary.LittleEndian.PutUint16(data[ins:], uint16(len(pr.Key)))
+		copy(data[ins+2:], pr.Key)
+		rb := pr.RID.Bytes()
+		copy(data[ins+2+len(pr.Key):], rb[:])
+		binary.LittleEndian.PutUint16(data[1:], uint16(cnt+1))
+		// Keep the view in step with the bytes: entry i is new, the ones
+		// after it moved up by esz.
+		v.offs = slices.Insert(v.offs, i, int32(ins))
+		for j := i + 1; j < len(v.offs); j++ {
+			v.offs[j] += int32(esz)
+		}
+		v.end += esz
+		done++
 	}
-	end := off
-	if insOff < 0 {
-		insOff = end
-	}
-	esz := 2 + len(key) + heap.RIDSize
-	if end+esz > len(data) {
-		t.bp.Unpin(p, false)
-		return false, nil // leaf full: take the split path
-	}
-	copy(data[insOff+esz:end+esz], data[insOff:end])
-	binary.LittleEndian.PutUint16(data[insOff:], uint16(len(key)))
-	copy(data[insOff+2:], key)
-	rb := rid.Bytes()
-	copy(data[insOff+2+len(key):], rb[:])
-	binary.LittleEndian.PutUint16(data[1:], uint16(cnt+1))
-	t.invalidate(pid)
-	t.bp.Unpin(p, true)
-	return true, nil
+	t.count += int64(done)
+	t.bp.Unpin(p, done > 0)
+	return done, nil
 }
 
 // insertAt descends recursively; on child split it returns the separator
 // key and new right sibling for the caller to absorb.
-func (t *Tree) insertAt(pid storage.PageID, key []byte, rid heap.RID) ([]byte, storage.PageID, error) {
-	n, err := t.readNode(pid)
+func (t *Tree) insertAt(pid storage.PageID, key []byte, rid heap.RID, w *walk) ([]byte, storage.PageID, error) {
+	p, v, err := t.pin(pid, w)
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
+	// A leaf takes key at its upper bound; in an inner node the entries
+	// below it lead to the child that covers key.
+	i := v.bound(key, false)
+	n := v.node()
+	t.bp.Unpin(p, false)
 	if n.leaf {
-		i := upperBound(n.entries, key)
-		n.entries = append(n.entries, entry{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = entry{key: append([]byte(nil), key...), rid: rid}
+		n.entries = slices.Insert(n.entries, i, entry{key: append([]byte(nil), key...), rid: rid})
 		return t.writeSplit(pid, n)
 	}
-	child, ci := childFor(n, key)
-	sep, right, err := t.insertAt(child, key, rid)
+	child := n.child0
+	if i > 0 {
+		child = n.entries[i-1].child
+	}
+	sep, right, err := t.insertAt(child, key, rid, w)
 	if err != nil || right == storage.InvalidPageID {
 		return nil, storage.InvalidPageID, err
 	}
 	// The new right sibling must sit directly after the child that split:
 	// placing it merely by key would misorder subtrees inside a run of
 	// equal separators and desynchronize them from the leaf chain.
-	i := ci + 1
-	n.entries = append(n.entries, entry{})
-	copy(n.entries[i+1:], n.entries[i:])
-	n.entries[i] = entry{key: sep, child: right}
+	n.entries = slices.Insert(n.entries, i, entry{key: sep, child: right})
 	return t.writeSplit(pid, n)
 }
 
@@ -640,76 +500,50 @@ func (t *Tree) writeSplit(pid storage.PageID, n *node) ([]byte, storage.PageID, 
 	return sep, rightPID, nil
 }
 
-// descendLeftmost finds the leaf where the first occurrence of key could
-// live.
-func (t *Tree) descendLeftmost(key []byte) (storage.PageID, error) {
-	pid := t.root
-	for {
-		n, err := t.readNodeRO(pid)
-		if err != nil {
-			return storage.InvalidPageID, err
-		}
-		if n.leaf {
-			return pid, nil
-		}
-		pid = childForLeftmost(n, key)
-	}
-}
-
 // Search calls emit for every pair with key exactly equal to key.
 func (t *Tree) Search(key []byte, emit func(rid heap.RID) bool) error {
 	return t.RangeScan(key, key, func(_ []byte, rid heap.RID) bool { return emit(rid) })
 }
 
 // RangeScan calls emit for every pair with lo <= key <= hi in key order.
-// A nil hi means "to the end"; a nil lo starts at the smallest key.
+// A nil hi means "to the end"; a nil lo starts at the smallest key. The
+// key emit gets lies in the scan's copy of its leaf: it is valid until emit
+// returns.
 func (t *Tree) RangeScan(lo, hi []byte, emit func(key []byte, rid heap.RID) bool) error {
 	if t.root == storage.InvalidPageID {
 		return nil
 	}
-	var pid storage.PageID
-	var err error
-	if lo == nil {
-		pid = t.root
-		for {
-			n, err := t.readNodeRO(pid)
-			if err != nil {
-				return err
-			}
-			if n.leaf {
-				break
-			}
-			pid = n.child0
-		}
-	} else if pid, err = t.descendLeftmost(lo); err != nil {
+	w := walks.Get().(*walk)
+	defer walks.Put(w)
+	p, v, err := t.descend(lo, true, w)
+	if err != nil {
 		return err
 	}
-	for pid != storage.InvalidPageID {
-		n, err := t.readNodeRO(pid)
-		if err != nil {
-			return err
-		}
+	v = t.release(p, v, w)
+	for i := v.bound(lo, true); ; i = 0 {
 		// Readahead along the leaf chain: ask the prefetcher for the next
 		// leaf before processing this one, so a cold range scan overlaps
 		// its key emission with the following page's disk read.
-		if n.next != storage.InvalidPageID && t.bp.ReadaheadPages() > 0 {
-			t.bp.Prefetch(n.next)
+		next := v.Link()
+		if next != storage.InvalidPageID && t.bp.ReadaheadPages() > 0 {
+			t.bp.Prefetch(next)
 		}
-		start := 0
-		if lo != nil {
-			start = lowerBound(n.entries, lo)
-		}
-		for _, e := range n.entries[start:] {
-			if hi != nil && bytes.Compare(e.key, hi) > 0 {
+		for ; i < v.Len(); i++ {
+			k := v.Key(i)
+			if hi != nil && bytes.Compare(k, hi) > 0 {
 				return nil
 			}
-			if !emit(e.key, e.rid) {
+			if !emit(k, v.RID(i)) {
 				return nil
 			}
 		}
-		pid = n.next
+		if next == storage.InvalidPageID {
+			return nil
+		}
+		if v, err = t.readLeaf(next, w); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // PrefixSuccessor returns the smallest byte string greater than every
@@ -770,16 +604,17 @@ func (t *Tree) Delete(key []byte, rid heap.RID) (int, error) {
 	if t.root == storage.InvalidPageID {
 		return 0, nil
 	}
-	pid, err := t.descendLeftmost(key)
+	w := walks.Get().(*walk)
+	defer walks.Put(w)
+	p, v, err := t.descend(key, true, w)
 	if err != nil {
 		return 0, err
 	}
+	pid := p.ID
+	v = t.release(p, v, w)
 	removed := 0
-	for pid != storage.InvalidPageID {
-		n, err := t.readNode(pid)
-		if err != nil {
-			return removed, err
-		}
+	for {
+		n := v.node()
 		kept := n.entries[:0]
 		done := false
 		for _, e := range n.entries {
@@ -799,10 +634,13 @@ func (t *Tree) Delete(key []byte, rid heap.RID) (int, error) {
 				return removed, err
 			}
 		}
-		if done {
+		if done || n.next == storage.InvalidPageID {
 			break
 		}
 		pid = n.next
+		if v, err = t.readLeaf(pid, w); err != nil {
+			return removed, err
+		}
 	}
 	t.count -= int64(removed)
 	return removed, nil

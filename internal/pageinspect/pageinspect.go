@@ -27,12 +27,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/heap"
+	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -334,97 +335,58 @@ func describeSPGiSTNode(w io.Writer, _ int, rec []byte) {
 	}
 }
 
-// describeBTreeNode dumps the body of a B+-tree node page: [kind u8][nkeys u16]
-// [next u32 (leaf) | child0 u32 (inner)], then length-prefixed keys with
-// a RID (leaf) or child page (inner) each.
+// describeBTreeNode dumps the body of a B+-tree node page as btree's view
+// reads it: kind, key count and right sibling (leaf) or leftmost child
+// (inner), then every key with its RID or child page.
 func describeBTreeNode(w io.Writer, p []byte) {
-	const hdrSize = 7
-	if len(p) < hdrSize {
-		fmt.Fprintf(w, "  btree node: page smaller than header\n")
+	v, err := btree.NewView(p, nil)
+	if err != nil {
+		describeMalformed(w, err, p)
 		return
 	}
-	kind := p[0]
-	nkeys := int(binary.LittleEndian.Uint16(p[1:]))
-	link := binary.LittleEndian.Uint32(p[3:])
-	switch kind {
-	case 1:
-		fmt.Fprintf(w, "  btree leaf: nkeys=%d next=%s\n", nkeys, pageIDString(link))
-	case 2:
-		fmt.Fprintf(w, "  btree inner: nkeys=%d child0=%s\n", nkeys, pageIDString(link))
-	default:
-		fmt.Fprintf(w, "  btree node: unknown kind %d (unwritten page?); raw bytes:\n", kind)
-		hexdump(w, "  ", p[:min(len(p), 64)])
-		return
-	}
-	off := hdrSize
-	for i := 0; i < nkeys; i++ {
-		if off+2 > len(p) {
-			fmt.Fprintf(w, "    [truncated]\n")
-			return
+	if v.Leaf() {
+		fmt.Fprintf(w, "  btree leaf: nkeys=%d next=%s\n", v.Len(), pageIDString(uint32(v.Link())))
+		for i := 0; i < v.Len(); i++ {
+			fmt.Fprintf(w, "    key=%q rid=%s\n", v.Key(i), v.RID(i))
 		}
-		kl := int(binary.LittleEndian.Uint16(p[off:]))
-		off += 2
-		if kind == 1 {
-			if off+kl+heap.RIDSize > len(p) {
-				fmt.Fprintf(w, "    [truncated]\n")
-				return
-			}
-			rid := heap.RIDFromBytes(p[off+kl:])
-			fmt.Fprintf(w, "    key=%q rid=%s\n", p[off:off+kl], rid)
-			off += kl + heap.RIDSize
+		return
+	}
+	fmt.Fprintf(w, "  btree inner: nkeys=%d child0=%s\n", v.Len(), pageIDString(uint32(v.Link())))
+	for i := 0; i < v.Len(); i++ {
+		fmt.Fprintf(w, "    key=%q child=%s\n", v.Key(i), pageIDString(uint32(v.Child(i))))
+	}
+}
+
+// describeRTreeNode dumps the body of an R-tree node page as rtree's view
+// reads it: kind and entry count, then every entry's rectangle with its RID
+// (leaf) or child page (inner).
+func describeRTreeNode(w io.Writer, p []byte) {
+	v, err := rtree.NewView(p)
+	if err != nil {
+		describeMalformed(w, err, p)
+		return
+	}
+	kind := "inner"
+	if v.Leaf() {
+		kind = "leaf"
+	}
+	fmt.Fprintf(w, "  rtree %s: entries=%d\n", kind, v.Len())
+	for i := 0; i < v.Len(); i++ {
+		r := v.Rect(i)
+		rect := fmt.Sprintf("[%g,%g]x[%g,%g]", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
+		if v.Leaf() {
+			fmt.Fprintf(w, "    rect=%s rid=%s\n", rect, v.RID(i))
 		} else {
-			if off+kl+4 > len(p) {
-				fmt.Fprintf(w, "    [truncated]\n")
-				return
-			}
-			child := binary.LittleEndian.Uint32(p[off+kl:])
-			fmt.Fprintf(w, "    key=%q child=%s\n", p[off:off+kl], pageIDString(child))
-			off += kl + 4
+			fmt.Fprintf(w, "    rect=%s child=%s\n", rect, pageIDString(uint32(v.Child(i))))
 		}
 	}
 }
 
-// describeRTreeNode dumps the body of an R-tree node page: [kind u8][n u16], then
-// fixed 40-byte entries of a 4-float64 rectangle plus a child page
-// (inner) or RID (leaf).
-func describeRTreeNode(w io.Writer, p []byte) {
-	const (
-		hdrSize   = 3
-		entrySize = 40
-	)
-	if len(p) < hdrSize {
-		fmt.Fprintf(w, "  rtree node: page smaller than header\n")
-		return
-	}
-	kind := p[0]
-	n := int(binary.LittleEndian.Uint16(p[1:]))
-	switch kind {
-	case 1:
-		fmt.Fprintf(w, "  rtree leaf: entries=%d\n", n)
-	case 2:
-		fmt.Fprintf(w, "  rtree inner: entries=%d\n", n)
-	default:
-		fmt.Fprintf(w, "  rtree node: unknown kind %d (unwritten page?); raw bytes:\n", kind)
-		hexdump(w, "  ", p[:min(len(p), 64)])
-		return
-	}
-	f64 := func(off int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
-	}
-	for i := 0; i < n; i++ {
-		off := hdrSize + i*entrySize
-		if off+entrySize > len(p) {
-			fmt.Fprintf(w, "    [truncated]\n")
-			return
-		}
-		rect := fmt.Sprintf("[%g,%g]x[%g,%g]", f64(off), f64(off+8), f64(off+16), f64(off+24))
-		if kind == 1 {
-			rid := heap.RIDFromBytes(p[off+32:])
-			fmt.Fprintf(w, "    rect=%s rid=%s\n", rect, rid)
-		} else {
-			fmt.Fprintf(w, "    rect=%s child=%s\n", rect, pageIDString(binary.LittleEndian.Uint32(p[off+32:])))
-		}
-	}
+// describeMalformed prints why a node body failed its view, then its first
+// bytes.
+func describeMalformed(w io.Writer, err error, p []byte) {
+	fmt.Fprintf(w, "  %v; raw bytes:\n", err)
+	hexdump(w, "  ", p[:min(len(p), 64)])
 }
 
 // hexdump writes b in canonical 16-bytes-per-line hex with an ASCII

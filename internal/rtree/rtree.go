@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -61,11 +63,6 @@ type Tree struct {
 
 	// trace, when non-nil, records distinct pages touched by read paths.
 	trace atomic.Pointer[storage.PageTrace]
-
-	// cache holds decoded nodes for read-only paths, invalidated on
-	// writes (see the btree package for rationale). Cached nodes are
-	// immutable once published, so concurrent readers share them freely.
-	cache *storage.NodeCache[storage.PageID, *node]
 }
 
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
@@ -107,7 +104,6 @@ func newTree(bp *storage.BufferPool) *Tree {
 	return &Tree{
 		bp: bp, root: storage.InvalidPageID,
 		maxFill: maxFill, minFill: minFill,
-		cache: storage.NewNodeCache[storage.PageID, *node](maxCachedNodes),
 	}
 }
 
@@ -182,43 +178,6 @@ func (n *node) encode(buf []byte) {
 	}
 }
 
-func decode(buf []byte) (*node, error) {
-	n := &node{}
-	switch buf[0] {
-	case kindLeaf:
-		n.leaf = true
-	case kindInner:
-	default:
-		return nil, fmt.Errorf("rtree: unknown node kind %d", buf[0])
-	}
-	cnt := int(binary.LittleEndian.Uint16(buf[1:]))
-	n.entries = make([]entry, 0, cnt)
-	off := hdrSize
-	for i := 0; i < cnt; i++ {
-		e := entry{rect: geom.Box{
-			Min: geom.Point{X: getF64(buf[off:]), Y: getF64(buf[off+8:])},
-			Max: geom.Point{X: getF64(buf[off+16:]), Y: getF64(buf[off+24:])},
-		}}
-		if n.leaf {
-			e.rid = heap.RIDFromBytes(buf[off+32:])
-		} else {
-			e.child = storage.PageID(binary.LittleEndian.Uint32(buf[off+32:]))
-		}
-		n.entries = append(n.entries, e)
-		off += entrySize
-	}
-	return n, nil
-}
-
-func (t *Tree) readNode(pid storage.PageID) (*node, error) {
-	p, err := t.bp.Fetch(pid)
-	if err != nil {
-		return nil, err
-	}
-	defer t.bp.Unpin(p, false)
-	return decode(storage.PageBody(p.Data))
-}
-
 // StartPageTrace begins counting the distinct pages touched by read-only
 // operations (the page reads a cold execution would issue).
 func (t *Tree) StartPageTrace() {
@@ -235,33 +194,35 @@ func (t *Tree) PageTraceCount() int {
 	return tr.Count()
 }
 
-// maxCachedNodes bounds the decoded-node cache.
-const maxCachedNodes = 1 << 16
-
-// readNodeRO serves read-only visits from the decoded-node cache. The
-// result must not be mutated: it may be shared with concurrent readers.
-func (t *Tree) readNodeRO(pid storage.PageID) (*node, error) {
+// pin fetches page pid and reads it as a node where it lies, as one visit
+// of the page trace. The caller unpins p.
+func (t *Tree) pin(pid storage.PageID) (*storage.Page, View, error) {
 	if tr := t.trace.Load(); tr != nil {
 		tr.Visit(pid)
 	}
-	if n, ok := t.cache.Get(pid); ok {
-		return n, nil
+	p, err := t.bp.Fetch(pid)
+	if err != nil {
+		return nil, View{}, err
 	}
-	n, err := t.readNode(pid)
+	v, err := NewView(storage.PageBody(p.Data))
+	if err != nil {
+		t.bp.Unpin(p, false)
+		return nil, View{}, fmt.Errorf("%w (page %d)", err, pid)
+	}
+	return p, v, nil
+}
+
+// readNode decodes page pid into a private node, for a mutator.
+func (t *Tree) readNode(pid storage.PageID) (*node, error) {
+	p, v, err := t.pin(pid)
 	if err != nil {
 		return nil, err
 	}
-	t.cache.Put(pid, n)
-	return n, nil
-}
-
-// invalidate drops a node from the decoded-node cache.
-func (t *Tree) invalidate(pid storage.PageID) {
-	t.cache.Drop(pid)
+	defer t.bp.Unpin(p, false)
+	return v.node(), nil
 }
 
 func (t *Tree) writeNode(pid storage.PageID, n *node) error {
-	t.invalidate(pid)
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return err
@@ -446,29 +407,48 @@ func quadraticSplit(entries []entry, minFill int) ([]entry, []entry) {
 	return g1, g2
 }
 
-// Search calls emit for every leaf entry whose rectangle intersects q.
+// search is what one Search owns and reuses from node to node: its stack
+// of pages to visit, and the copy of the leaf it emits from.
+type search struct {
+	stack []storage.PageID
+	leaf  []byte
+}
+
+// searches recycles searches, so that a Search allocates neither.
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// Search calls emit for every leaf entry whose rectangle intersects q. It
+// reads inner nodes in their frames and each leaf in one copy the search
+// owns, from which it emits.
 func (t *Tree) Search(q geom.Box, emit func(rect geom.Box, rid heap.RID) bool) error {
 	if t.root == storage.InvalidPageID {
 		return nil
 	}
-	stack := []storage.PageID{t.root}
-	for len(stack) > 0 {
-		pid := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, err := t.readNodeRO(pid)
+	s := searches.Get().(*search)
+	defer searches.Put(s)
+	s.stack = append(s.stack[:0], t.root)
+	for len(s.stack) > 0 {
+		pid := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		p, v, err := t.pin(pid)
 		if err != nil {
 			return err
 		}
-		for _, e := range n.entries {
-			if !e.rect.Intersects(q) {
-				continue
-			}
-			if n.leaf {
-				if !emit(e.rect, e.rid) {
-					return nil
+		if !v.leaf {
+			for i := 0; i < v.Len(); i++ {
+				if v.Rect(i).Intersects(q) {
+					s.stack = append(s.stack, v.Child(i))
 				}
-			} else {
-				stack = append(stack, e.child)
+			}
+			t.bp.Unpin(p, false)
+			continue
+		}
+		s.leaf = append(s.leaf[:0], v.b...)
+		t.bp.Unpin(p, false)
+		v.b = s.leaf
+		for i := 0; i < v.Len(); i++ {
+			if r := v.Rect(i); r.Intersects(q) && !emit(r, v.RID(i)) {
+				return nil
 			}
 		}
 	}
@@ -510,27 +490,28 @@ func (t *Tree) Delete(rect geom.Box, rid heap.RID) (int, error) {
 	for len(stack) > 0 {
 		pid := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := t.readNode(pid)
+		p, v, err := t.pin(pid)
 		if err != nil {
 			return 0, err
 		}
-		for i, e := range n.entries {
-			if !e.rect.Intersects(rect) {
-				continue
-			}
-			if n.leaf {
-				if e.rect == rect && e.rid == rid {
-					n.entries = append(n.entries[:i], n.entries[i+1:]...)
-					if err := t.writeNode(pid, n); err != nil {
-						return 0, err
-					}
-					t.count--
-					return 1, nil
+		for i := 0; i < v.Len(); i++ {
+			r := v.Rect(i)
+			switch {
+			case !r.Intersects(rect):
+			case !v.leaf:
+				stack = append(stack, v.Child(i))
+			case r == rect && v.RID(i) == rid:
+				n := v.node()
+				t.bp.Unpin(p, false)
+				n.entries = slices.Delete(n.entries, i, i+1)
+				if err := t.writeNode(pid, n); err != nil {
+					return 0, err
 				}
-			} else {
-				stack = append(stack, e.child)
+				t.count--
+				return 1, nil
 			}
 		}
+		t.bp.Unpin(p, false)
 	}
 	return 0, nil
 }
