@@ -154,7 +154,8 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 		emit("wal_segment_recycles_total", s.Recycles)
 		// What the log is made of: the two totals above, split by record
 		// type (their columns sum to wal_appends_total and
-		// wal_appended_bytes_total).
+		// wal_appended_bytes_total; a frame's header is charged to its
+		// last record, a statement's commit marker).
 		for typ := wal.RecordType(1); typ < wal.NumRecordTypes; typ++ {
 			by := s.ByType[typ]
 			emit(fmt.Sprintf("wal_appended_records_by_type{type=%q}", typ), by.Records)

@@ -15,17 +15,17 @@ import (
 // The load, before the first checkpoint, logs no image of a data page at
 // all: the log reaches back to every file's creation. After a CHECKPOINT,
 // 1 000 autocommit single-row INSERTs into a trie-indexed and into a
-// kd-tree-indexed table may append at most 470 B of WAL per statement
-// (432 measured; 520 while every node rewrite logged its whole record)
-// beyond the pages' first touches — node-level slot records, most of them
-// patches of a record rewritten where it lies, plus, an autocommit
-// statement being its own commit point, the
-// counters in the meta pages of its heap and its index, where whole-page
-// logging spent 8–12 KB — and the only image of a non-meta page the log
-// may hold is that first touch: the first record group to reach the page
-// since the checkpoint, once. Inside a transaction a statement logs no
-// meta page at all (no index root moves here): they wait for COMMIT, which
-// logs each once.
+// kd-tree-indexed table may append at most 205 B of WAL per statement
+// beyond page images, as the writer's page-image byte counter has them
+// (188 measured) — heap and node-level slot records, most of the latter
+// patches of a record rewritten where it lies, and the statement's frame,
+// where whole-page logging spent 8–12 KB. Page images are the pages'
+// first touches and, an autocommit statement being its own commit point,
+// the counters in the meta pages of its heap and its index. The only
+// image of a non-meta page the log may hold is a first touch: the first
+// record group to reach the page since the checkpoint, once. Inside a
+// transaction a statement logs no meta page at all (no index root moves
+// here): they wait for COMMIT, which logs each once.
 func TestIndexWALBudget(t *testing.T) {
 	dir := t.TempDir()
 	db, err := executor.Open(executor.Options{Dir: dir, WAL: true, WALSync: wal.SyncLazy})
@@ -102,7 +102,7 @@ func TestIndexWALBudget(t *testing.T) {
 	}
 	earlier := map[pageKey]bool{} // pages with a record in an earlier group, or an image
 	inGroup := map[pageKey]bool{}
-	var firstTouchBytes, nodeRecords int64
+	var nodeRecords int64
 	firstTouches := 0
 	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
 		if r.LSN <= start {
@@ -124,7 +124,6 @@ func TestIndexWALBudget(t *testing.T) {
 			}
 			earlier[key] = true
 			firstTouches++
-			firstTouchBytes += int64(16 + 1 + 2 + len(r.File) + 8 + len(r.Data)) // frame header, type, payload
 		case wal.RecSlotPut, wal.RecSlotPatch, wal.RecSlotDelete:
 			nodeRecords++
 			inGroup[key] = true
@@ -137,10 +136,11 @@ func TestIndexWALBudget(t *testing.T) {
 	}
 
 	statements := int64(2 * inserted)
-	perStmt := (after.AppendedBytes - before.AppendedBytes - firstTouchBytes) / statements
-	t.Logf("%d B of WAL per INSERT beyond %d first-touch images (%d B); %d node records", perStmt, firstTouches, firstTouchBytes, nodeRecords)
-	if perStmt > 470 {
-		t.Errorf("an INSERT appends %d B of WAL beyond first touches, want at most 470", perStmt)
+	imageBytes := after.ByType[wal.RecPageImage].Bytes - before.ByType[wal.RecPageImage].Bytes
+	perStmt := (after.AppendedBytes - before.AppendedBytes - imageBytes) / statements
+	t.Logf("%d B of WAL per INSERT beyond page images (%d first touches; %d B of images); %d node records", perStmt, firstTouches, imageBytes, nodeRecords)
+	if perStmt > 205 {
+		t.Errorf("an INSERT appends %d B of WAL beyond page images, want at most 205", perStmt)
 	}
 	if nodeRecords < statements {
 		t.Errorf("%d slot records for %d index inserts: the index is not logging node writes", nodeRecords, statements)

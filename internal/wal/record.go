@@ -5,194 +5,269 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
-// On-disk frame layout, little-endian:
+// On-disk layout, little-endian. The log is a sequence of frames. A frame
+// is one atomic append — a statement's record group with its commit
+// marker, or one record appended alone — and holds its records back to
+// back:
 //
-//	+---------+---------+---------+------+------------- - -
-//	| size:4  | crc:4   | lsn:8   | type | payload ...
-//	+---------+---------+---------+------+------------- - -
+//	+---------+---------+------------+----------+----------+- - -
+//	| size:4  | crc:4   | firstLSN:8 | record 0 | record 1 | ...
+//	+---------+---------+------------+----------+----------+- - -
 //
-// size counts the body (type byte + payload); crc is CRC-32C over the
-// lsn bytes and the body, so a record cannot be accepted at the wrong
-// position. A size of zero or a checksum mismatch marks the torn tail
-// of the log (or corruption) and stops replay.
+// size counts the records' bytes; crc is CRC-32C over firstLSN and the
+// records, so a frame cannot be accepted at the wrong position. Record i
+// of a frame has LSN firstLSN+i. A frame is all or nothing: a size of
+// zero, a checksum mismatch or records that do not exactly fill the frame
+// mark the torn tail of the log (or corruption) and stop replay.
+//
+// A record is
+//
+//	type:1 len:uvarint body
+//
+// where len counts the body. The body of a page-level record opens with
+// the relation file and the page it addresses,
+//
+//	rel:uvarint [name] page:uvarint
+//
+// rel 0 meaning the file of the frame's previous page-level record, any
+// other value the name's length + 1, the name following. So a statement's
+// records name each file they touch about once, as PostgreSQL's block
+// references leave out a relation that repeats (BKPBLOCK_SAME_REL). The
+// bodies, the page-level head written "head":
+//
+//	page image:  head holeOff:2 holeLen:2 image...
+//	heap insert, slot put:    head slot:uvarint rec...
+//	slot patch:  head slot:uvarint patch...
+//	heap delete, slot delete: head slot:uvarint
+//	clear xmax, mark aborted: head slot:uvarint
+//	set xmax:    head slot:uvarint xid:8
+//	batch insert: head n:2 { slot:2 len:4 rec }*n
+//	txn commit/abort: xid:8
+//	file create: name
+//	commit, checkpoint: (empty)
 const (
 	frameHeaderSize = 16
-	// maxRecordSize bounds one record body; larger sizes are treated
-	// as corruption during replay.
-	maxRecordSize = 1 << 24
+	// maxFrameSize bounds the records of one frame; larger sizes are
+	// treated as corruption during replay, and a group past it is split
+	// into consecutive frames (Group.cuts).
+	maxFrameSize = 1 << 24
+	// markerSize is the encoded size of a commit or checkpoint record:
+	// its type byte and a zero len.
+	markerSize = 2
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends the wire frame of one record — body = type byte +
-// payload, under lsn — to dst. The checksum runs over the lsn bytes and
-// the body, which lie side by side in the frame.
-func appendFrame(dst []byte, lsn LSN, typ RecordType, payload []byte) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(payload)))
-	dst = append(dst, 0, 0, 0, 0) // crc, below
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(lsn))
-	dst = append(dst, byte(typ))
-	dst = append(dst, payload...)
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], crcTable))
-	return dst
-}
-
-// Payload layouts (after the type byte):
-//
-//	page image:  nameLen:2 name pageID:4 holeOff:2 holeLen:2 image...
-//	heap insert, slot put:    nameLen:2 name pageID:4 slot:2 rec...
-//	slot patch:  nameLen:2 name pageID:4 slot:2 patch...
-//	heap delete, slot delete: nameLen:2 name pageID:4 slot:2
-//	batch insert: nameLen:2 name pageID:4 n:2 { slot:2 len:4 rec }*n
-//	set xmax:    nameLen:2 name pageID:4 slot:2 xid:8
-//	clear xmax:  nameLen:2 name pageID:4 slot:2
-//	mark aborted: nameLen:2 name pageID:4 slot:2
-//	txn commit/abort: xid:8
-//	file create: nameLen:2 name
-//	checkpoint:  (empty)
-
-func appendName(b []byte, name string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
-	return append(b, name...)
-}
-
-// The append* encoders below add one record payload to b — a Group's
-// buffer, so that staging a record allocates nothing once the buffer has
-// grown to a statement's size.
-
-// appendPageImage encodes an image of pageData without the bytes of
-// pageData[holeOff : holeOff+holeLen], so the page's size is the image's
-// length plus the hole's. A hole the 16-bit fields cannot describe — a page past
-// 64 KB — is not left out.
-func appendPageImage(b []byte, file string, page uint32, pageData []byte, holeOff, holeLen int) []byte {
-	if holeOff > math.MaxUint16 || holeLen > math.MaxUint16 {
-		holeOff, holeLen = 0, 0
-	}
-	b = appendName(b, file)
-	b = binary.LittleEndian.AppendUint32(b, page)
-	b = binary.LittleEndian.AppendUint16(b, uint16(holeOff))
-	b = binary.LittleEndian.AppendUint16(b, uint16(holeLen))
-	b = append(b, pageData[:holeOff]...)
-	return append(b, pageData[holeOff+holeLen:]...)
-}
-
-func appendHeapOp(b []byte, file string, page uint32, slot uint16, rec []byte) []byte {
-	b = appendName(b, file)
-	b = binary.LittleEndian.AppendUint32(b, page)
-	b = binary.LittleEndian.AppendUint16(b, slot)
-	return append(b, rec...)
-}
-
-func appendHeapBatch(b []byte, file string, page uint32, slots []uint16, recs [][]byte) []byte {
-	b = appendName(b, file)
-	b = binary.LittleEndian.AppendUint32(b, page)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(slots)))
-	for i, r := range recs {
-		b = binary.LittleEndian.AppendUint16(b, slots[i])
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(r)))
-		b = append(b, r...)
-	}
-	return b
-}
-
-func decodeName(b []byte) (name string, rest []byte, err error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("wal: truncated file name length")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", nil, fmt.Errorf("wal: truncated file name")
-	}
-	return string(b[2 : 2+n]), b[2+n:], nil
-}
-
-// decodeRecord parses a frame body (type byte + payload) into a Record.
-// The Data slice is copied, so the caller may reuse the input buffer.
-func decodeRecord(lsn LSN, body []byte) (*Record, error) {
-	if len(body) < 1 {
-		return nil, fmt.Errorf("wal: empty record body")
-	}
-	r := &Record{LSN: lsn, Type: RecordType(body[0])}
-	payload := body[1:]
-	var err error
-	switch r.Type {
-	case RecCheckpoint, RecCommit:
-		return r, nil
-	case RecFileCreate:
-		r.File, _, err = decodeName(payload)
-		return r, err
-	case RecPageImage:
-		r.File, payload, err = decodeName(payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(payload) < 8 {
-			return nil, fmt.Errorf("wal: truncated page-image header")
-		}
-		r.Page = binary.LittleEndian.Uint32(payload)
-		r.HoleOff = int(binary.LittleEndian.Uint16(payload[4:]))
-		r.HoleLen = int(binary.LittleEndian.Uint16(payload[6:]))
-		r.Data = append([]byte(nil), payload[8:]...)
-		return r, nil
-	case RecHeapInsert, RecHeapDelete, RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
+// pageLevel reports whether records of type t open with a relation and
+// a page.
+func (t RecordType) pageLevel() bool {
+	switch t {
+	case RecPageImage, RecHeapInsert, RecHeapDelete, RecHeapBatchInsert,
+		RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
 		RecSlotPut, RecSlotDelete, RecSlotPatch:
-		r.File, payload, err = decodeName(payload)
+		return true
+	}
+	return false
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// openFrame appends the header of a frame whose first record has LSN
+// first to dst; closeFrame fills in its size and checksum once the
+// records follow it.
+func openFrame(dst []byte, first LSN) []byte {
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // size, crc: closeFrame
+	return binary.LittleEndian.AppendUint64(dst, uint64(first))
+}
+
+// closeFrame completes the frame that starts at b[start:] and runs to the
+// end of b.
+func closeFrame(b []byte, start int) {
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-frameHeaderSize))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(b[start+8:], crcTable))
+}
+
+// appendMarker appends a record of type typ with an empty body (a commit
+// or checkpoint marker).
+func appendMarker(dst []byte, typ RecordType) []byte { return append(dst, byte(typ), 0) }
+
+// nextRecord splits the record at the head of recs into its type and
+// body; ok is false when recs does not start with a whole record.
+func nextRecord(recs []byte) (typ RecordType, body, rest []byte, ok bool) {
+	if len(recs) < 2 {
+		return 0, nil, nil, false
+	}
+	n, k := binary.Uvarint(recs[1:])
+	if k <= 0 || n > uint64(len(recs)-1-k) {
+		return 0, nil, nil, false
+	}
+	end := 1 + k + int(n)
+	return RecordType(recs[0]), recs[1+k : end], recs[end:], true
+}
+
+// countRecords returns how many records exactly fill recs; ok is false
+// when they do not.
+func countRecords(recs []byte) (n int, ok bool) {
+	for len(recs) > 0 {
+		if _, _, recs, ok = nextRecord(recs); !ok {
+			return 0, false
+		}
+		n++
+	}
+	return n, true
+}
+
+// recordDecoder decodes the records of one frame in order, carrying the
+// relation a rel of 0 names. A File string is allocated once per name the
+// frame spells out and shared by the records that refer back to it.
+type recordDecoder struct {
+	rel    string
+	hasRel bool
+}
+
+// decodeFrame decodes the records of a frame whose first record has LSN
+// first, calling fn for each in order. Data slices are copied, so the
+// caller may reuse recs.
+func decodeFrame(first LSN, recs []byte, fn func(*Record) error) error {
+	var d recordDecoder
+	for lsn := first; len(recs) > 0; lsn++ {
+		typ, body, rest, ok := nextRecord(recs)
+		if !ok {
+			return fmt.Errorf("wal: truncated record at LSN %d", lsn)
+		}
+		r, err := d.decode(lsn, typ, body)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(payload) < 6 {
-			return nil, fmt.Errorf("wal: truncated heap-op header")
+		if err := fn(r); err != nil {
+			return err
 		}
-		r.Page = binary.LittleEndian.Uint32(payload)
-		r.Slot = binary.LittleEndian.Uint16(payload[4:])
-		switch r.Type {
-		case RecHeapInsert, RecSlotPut, RecSlotPatch:
-			r.Data = append([]byte(nil), payload[6:]...)
-		case RecHeapSetXmax:
-			if len(payload) < 14 {
-				return nil, fmt.Errorf("wal: truncated set-xmax record")
-			}
-			r.Xid = binary.LittleEndian.Uint64(payload[6:])
+		recs = rest
+	}
+	return nil
+}
+
+// head parses the relation and page a page-level body opens with.
+func (d *recordDecoder) head(b []byte) (file string, page uint32, rest []byte, err error) {
+	rel, k := binary.Uvarint(b)
+	if k <= 0 {
+		return "", 0, nil, fmt.Errorf("wal: truncated relation")
+	}
+	b = b[k:]
+	if rel == 0 {
+		if !d.hasRel {
+			return "", 0, nil, fmt.Errorf("wal: record refers to a previous relation, and the frame has named none")
 		}
+		file = d.rel
+	} else {
+		if rel-1 > uint64(len(b)) {
+			return "", 0, nil, fmt.Errorf("wal: truncated relation name")
+		}
+		file, b = string(b[:rel-1]), b[rel-1:]
+		d.rel, d.hasRel = file, true
+	}
+	p, k := binary.Uvarint(b)
+	if k <= 0 || p > math.MaxUint32 {
+		return "", 0, nil, fmt.Errorf("wal: bad page number")
+	}
+	return file, uint32(p), b[k:], nil
+}
+
+// parseSlot parses the slot a slot-level body carries after its head.
+func parseSlot(b []byte) (uint16, []byte, error) {
+	s, k := binary.Uvarint(b)
+	if k <= 0 || s > math.MaxUint16 {
+		return 0, nil, fmt.Errorf("wal: bad slot number")
+	}
+	return uint16(s), b[k:], nil
+}
+
+// decode parses the body of one record of type typ into a Record.
+func (d *recordDecoder) decode(lsn LSN, typ RecordType, body []byte) (*Record, error) {
+	r := &Record{LSN: lsn, Type: typ}
+	var err error
+	switch typ {
+	case RecCheckpoint, RecCommit:
+		return r, exact(r, body, 0)
+	case RecFileCreate:
+		r.File = string(body)
 		return r, nil
 	case RecTxnCommit, RecTxnAbort:
-		if len(payload) < 8 {
-			return nil, fmt.Errorf("wal: truncated transaction marker")
-		}
-		r.Xid = binary.LittleEndian.Uint64(payload)
-		return r, nil
-	case RecHeapBatchInsert:
-		r.File, payload, err = decodeName(payload)
-		if err != nil {
+		if err := exact(r, body, 8); err != nil {
 			return nil, err
 		}
-		if len(payload) < 6 {
-			return nil, fmt.Errorf("wal: truncated heap-batch header")
-		}
-		r.Page = binary.LittleEndian.Uint32(payload)
-		n := int(binary.LittleEndian.Uint16(payload[4:]))
-		payload = payload[6:]
-		r.Slots = make([]uint16, 0, n)
-		r.Recs = make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			if len(payload) < 6 {
-				return nil, fmt.Errorf("wal: truncated heap-batch tuple header")
-			}
-			slot := binary.LittleEndian.Uint16(payload)
-			rl := int(binary.LittleEndian.Uint32(payload[2:]))
-			payload = payload[6:]
-			if len(payload) < rl {
-				return nil, fmt.Errorf("wal: truncated heap-batch tuple")
-			}
-			r.Slots = append(r.Slots, slot)
-			r.Recs = append(r.Recs, append([]byte(nil), payload[:rl]...))
-			payload = payload[rl:]
-		}
+		r.Xid = binary.LittleEndian.Uint64(body)
 		return r, nil
-	default:
-		return nil, fmt.Errorf("wal: unknown record type %d", r.Type)
 	}
+	if !typ.pageLevel() {
+		return nil, fmt.Errorf("wal: unknown record type %d", typ)
+	}
+	if r.File, r.Page, body, err = d.head(body); err != nil {
+		return nil, err
+	}
+	switch typ {
+	case RecPageImage:
+		if len(body) < 4 {
+			return nil, fmt.Errorf("wal: truncated page-image header")
+		}
+		r.HoleOff = int(binary.LittleEndian.Uint16(body))
+		r.HoleLen = int(binary.LittleEndian.Uint16(body[2:]))
+		r.Data = append([]byte(nil), body[4:]...)
+		return r, nil
+	case RecHeapBatchInsert:
+		return r, decodeBatch(r, body)
+	}
+	if r.Slot, body, err = parseSlot(body); err != nil {
+		return nil, err
+	}
+	switch typ {
+	case RecHeapInsert, RecSlotPut, RecSlotPatch:
+		r.Data = append([]byte(nil), body...)
+		return r, nil
+	case RecHeapSetXmax:
+		if err := exact(r, body, 8); err != nil {
+			return nil, err
+		}
+		r.Xid = binary.LittleEndian.Uint64(body)
+		return r, nil
+	default: // heap delete, slot delete, clear xmax, mark aborted
+		return r, exact(r, body, 0)
+	}
+}
+
+// exact checks that what is left of r's body is n bytes long.
+func exact(r *Record, rest []byte, n int) error {
+	if len(rest) != n {
+		return fmt.Errorf("wal: %v record at LSN %d has %d bytes where %d belong", r.Type, r.LSN, len(rest), n)
+	}
+	return nil
+}
+
+// decodeBatch parses the tuples of a batch insert into r.
+func decodeBatch(r *Record, b []byte) error {
+	if len(b) < 2 {
+		return fmt.Errorf("wal: truncated heap-batch header")
+	}
+	n := int(binary.LittleEndian.Uint16(b))
+	b = b[2:]
+	r.Slots = make([]uint16, 0, min(n, len(b)/6))
+	r.Recs = make([][]byte, 0, min(n, len(b)/6))
+	for i := 0; i < n; i++ {
+		if len(b) < 6 {
+			return fmt.Errorf("wal: truncated heap-batch tuple header")
+		}
+		slot := binary.LittleEndian.Uint16(b)
+		rl := int(binary.LittleEndian.Uint32(b[2:]))
+		b = b[6:]
+		if len(b) < rl {
+			return fmt.Errorf("wal: truncated heap-batch tuple")
+		}
+		r.Slots = append(r.Slots, slot)
+		r.Recs = append(r.Recs, append([]byte(nil), b[:rl]...))
+		b = b[rl:]
+	}
+	return exact(r, b, 0)
 }

@@ -34,24 +34,22 @@ func Replay(dir string, fn func(*Record) error) (ReplayStats, error) {
 		if expect != 0 && seg.first != expect {
 			return st, fmt.Errorf("wal: segment %s starts at LSN %d, expected %d (log damaged)", seg.path, seg.first, expect)
 		}
-		validEnd, lastLSN, err := scanSegment(seg.path, func(lsn LSN, body []byte) error {
-			if expect != 0 && lsn != expect {
-				return fmt.Errorf("wal: record LSN %d, expected %d (log damaged)", lsn, expect)
-			}
-			rec, derr := decodeRecord(lsn, body)
-			if derr != nil {
-				return derr
+		validEnd, lastLSN, err := scanSegment(seg.path, func(first LSN, n int, recs []byte) error {
+			if expect != 0 && first != expect {
+				return fmt.Errorf("wal: frame at LSN %d, expected %d (log damaged)", first, expect)
 			}
 			if st.FirstLSN == 0 {
-				st.FirstLSN = lsn
+				st.FirstLSN = first
 			}
-			st.LastLSN = lsn
-			st.Records++
-			if rec.Type == RecCheckpoint {
-				st.Checkpoints++
-			}
-			expect = lsn + 1
-			return fn(rec)
+			expect = first + LSN(n)
+			return decodeFrame(first, recs, func(rec *Record) error {
+				st.LastLSN = rec.LSN
+				st.Records++
+				if rec.Type == RecCheckpoint {
+					st.Checkpoints++
+				}
+				return fn(rec)
+			})
 		})
 		if err != nil {
 			return st, err
@@ -76,8 +74,8 @@ func Replay(dir string, fn func(*Record) error) (ReplayStats, error) {
 }
 
 // LastMarker returns the LSN of the log's last commit or checkpoint
-// marker (0 when none), validating frames but not decoding payloads —
-// the cheap pre-pass recovery uses to find the replay horizon.
+// marker (0 when none), validating frames but not decoding record
+// bodies — the cheap pre-pass recovery uses to find the replay horizon.
 func LastMarker(dir string) (LSN, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -85,11 +83,14 @@ func LastMarker(dir string) (LSN, error) {
 	}
 	var last LSN
 	for _, seg := range segs {
-		if _, _, err := scanSegment(seg.path, func(lsn LSN, body []byte) error {
-			if t := RecordType(body[0]); t == RecCommit || t == RecCheckpoint {
-				if lsn > last {
+		if _, _, err := scanSegment(seg.path, func(first LSN, _ int, recs []byte) error {
+			// parseFrame has split these records once already.
+			for lsn := first; len(recs) > 0; lsn++ {
+				t, _, rest, _ := nextRecord(recs)
+				if (t == RecCommit || t == RecCheckpoint) && lsn > last {
 					last = lsn
 				}
+				recs = rest
 			}
 			return nil
 		}); err != nil {

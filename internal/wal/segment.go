@@ -59,10 +59,13 @@ var errStopScan = errors.New("wal: stop scan")
 
 // TruncateAfter physically removes every record with an LSN greater
 // than lsn from the log: whole segments past lsn are deleted and the
-// segment containing lsn is cut just after it. Recovery calls this
-// after discarding an uncommitted tail, so the discarded records cannot
-// resurface (and be wrongly replayed as committed) at the next reopen.
-// No Writer may have the log open during the call.
+// segment containing lsn is cut just after the frame it closes. Recovery
+// calls this after discarding an uncommitted tail, so the discarded
+// records cannot resurface (and be wrongly replayed as committed) at the
+// next reopen. A frame is cut whole or not at all, so lsn must be the
+// last record of its frame — a marker is — or TruncateAfter returns an
+// error and cuts nothing. No Writer may have the log open during the
+// call.
 func TruncateAfter(dir string, lsn LSN) error {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -77,9 +80,12 @@ func TruncateAfter(dir string, lsn LSN) error {
 		}
 		// scanSegment stops at the frame whose callback errors and
 		// returns the offset of that frame — the cut point.
-		cut, _, err := scanSegment(seg.path, func(l LSN, _ []byte) error {
-			if l > lsn {
+		cut, _, err := scanSegment(seg.path, func(first LSN, n int, _ []byte) error {
+			switch last := first + LSN(n) - 1; {
+			case first > lsn:
 				return errStopScan
+			case last > lsn:
+				return fmt.Errorf("wal: truncate after LSN %d: it lies inside the frame of LSNs %d to %d", lsn, first, last)
 			}
 			return nil
 		})
@@ -103,49 +109,54 @@ func HasLog(dir string) bool {
 	return err == nil && len(segs) > 0
 }
 
-// scanSegment iterates the valid records of one segment file, calling fn
-// for each raw (lsn, body) pair. It returns the byte offset just past
-// the last valid frame and the last valid LSN (0 if none). Scanning
-// stops silently at the first torn or corrupt frame — distinguishing a
-// crash-torn tail from damage is the caller's job.
-func scanSegment(path string, fn func(lsn LSN, body []byte) error) (validEnd int64, last LSN, err error) {
+// scanSegment iterates the valid frames of one segment file, calling fn
+// for each with its first LSN, its record count and its records. It
+// returns the byte offset just past the last valid frame and the LSN of
+// that frame's last record (0 if none). Scanning stops silently at the
+// first torn or corrupt frame — distinguishing a crash-torn tail from
+// damage is the caller's job.
+func scanSegment(path string, fn func(first LSN, n int, recs []byte) error) (validEnd int64, last LSN, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	off := 0
 	for {
-		lsn, body, n, ok := parseFrame(b[off:])
+		first, n, recs, size, ok := parseFrame(b[off:])
 		if !ok {
 			break
 		}
 		if fn != nil {
-			if err := fn(lsn, body); err != nil {
+			if err := fn(first, n, recs); err != nil {
 				return int64(off), last, err
 			}
 		}
-		last = lsn
-		off += n
+		last = first + LSN(n) - 1
+		off += size
 	}
 	return int64(off), last, nil
 }
 
-// parseFrame validates the frame at the head of b and returns its LSN,
-// its body (type byte + payload, aliasing b) and its total length. ok is
-// false for anything but a whole frame with a matching checksum — the
-// torn tail of the log, or corruption.
-func parseFrame(b []byte) (lsn LSN, body []byte, n int, ok bool) {
+// parseFrame validates the frame at the head of b and returns its first
+// LSN, its record count, its records (aliasing b) and its total length.
+// ok is false for anything but a whole frame with a matching checksum
+// whose records exactly fill it — the torn tail of the log, or
+// corruption.
+func parseFrame(b []byte) (first LSN, n int, recs []byte, size int, ok bool) {
 	if len(b) < frameHeaderSize {
-		return 0, nil, 0, false
+		return 0, 0, nil, 0, false
 	}
-	size := int(binary.LittleEndian.Uint32(b))
-	if size == 0 || size > maxRecordSize || frameHeaderSize+size > len(b) {
-		return 0, nil, 0, false
+	body := int(binary.LittleEndian.Uint32(b))
+	if body == 0 || body > maxFrameSize || frameHeaderSize+body > len(b) {
+		return 0, 0, nil, 0, false
 	}
-	lsn = LSN(binary.LittleEndian.Uint64(b[8:]))
-	body = b[frameHeaderSize : frameHeaderSize+size]
-	if crc32.Checksum(b[8:frameHeaderSize+size], crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return 0, nil, 0, false
+	size = frameHeaderSize + body
+	if crc32.Checksum(b[8:size], crcTable) != binary.LittleEndian.Uint32(b[4:]) {
+		return 0, 0, nil, 0, false
 	}
-	return lsn, body, frameHeaderSize + size, true
+	recs = b[frameHeaderSize:size]
+	if n, ok = countRecords(recs); !ok {
+		return 0, 0, nil, 0, false
+	}
+	return LSN(binary.LittleEndian.Uint64(b[8:])), n, recs, size, true
 }

@@ -2,9 +2,12 @@
 // recovery for the storage substrate. PostgreSQL gives the paper's
 // SP-GiST realization durability for free through its storage manager;
 // this package supplies the equivalent for our reproduction: an
-// append-only segmented log of CRC-checksummed, LSN-addressed records
-// that is forced to stable storage before any dirty data page may be
-// written in place (WAL-before-data).
+// append-only segmented log of LSN-addressed records that is forced to
+// stable storage before any dirty data page may be written in place
+// (WAL-before-data). Records go out in CRC-checksummed frames, one per
+// atomic append: a statement's records and its commit marker share one
+// frame header, and name each relation file once (record.go has the
+// layout).
 //
 // Two record families exist, mirroring PostgreSQL's full-page writes
 // versus ordinary redo records:

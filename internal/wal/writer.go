@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,10 +30,14 @@ type Options struct {
 // contained (GroupRecords/GroupCommits is the mean commit batch size),
 // and SyncWaits the committers whose durability was covered by another
 // leader's fsync — the group-commit sharing factor. Recycles counts
-// segment files deleted by checkpoints. ByType splits Appends and
-// AppendedBytes by record type — what the log is made of; its columns
-// sum to the two totals (a checkpoint record is counted where Appends
-// counts it and, like AppendedBytes, without its 17 bytes).
+// segment files deleted by checkpoints. AppendedBytes counts the frames
+// appended, headers included: what the segment files grow by. ByType
+// splits Appends and AppendedBytes by record type — what the log is made
+// of; its columns sum to the two totals. A record is charged its own
+// encoded bytes, and a frame's 16-byte header is charged to the frame's
+// last record: the commit marker of a statement's group, the record
+// itself when it was appended alone. A checkpoint record is counted where
+// Appends counts it and, like AppendedBytes, without its 18-byte frame.
 type Stats struct {
 	Appends       int64
 	AppendedBytes int64
@@ -49,7 +52,7 @@ type Stats struct {
 }
 
 // TypeStats counts the appended records of one RecordType and their
-// frame bytes.
+// bytes (see Stats for where a frame header is charged).
 type TypeStats struct {
 	Records int64
 	Bytes   int64
@@ -245,153 +248,9 @@ func (w *Writer) Segments() int {
 // AppendPageImage logs the after-image of one page, less the holeLen
 // bytes at holeOff, and returns its LSN.
 func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte, holeOff, holeLen int) (LSN, error) {
-	return w.append(RecPageImage, appendPageImage(nil, file, page, pageData, holeOff, holeLen))
-}
-
-// Group is a set of records one statement appends atomically: no other
-// appender's record (in particular no other statement's commit marker)
-// can interleave with a group's records in the log. This is what lets
-// statements on different tables run and commit concurrently while
-// recovery keeps its positional rule — everything before the last
-// marker is committed — because a marker can only ever cover whole
-// statements. Build the group during or after statement execution, then
-// hand it to AppendGroup or AppendGroupCommit.
-//
-// The payloads lie end to end in one buffer, and Reset keeps it: a group
-// that is reused from statement to statement stages records without
-// allocating.
-type Group struct {
-	types []RecordType
-	ends  []int  // ends[i]: where record i's payload ends in buf
-	buf   []byte // the payloads, end to end
-	lsns  []LSN  // what the last append assigned
-}
-
-// maxRetainedGroupBytes bounds the payload buffer a Reset group keeps, so
-// that one bulk statement does not pin its size for good.
-const maxRetainedGroupBytes = 1 << 20
-
-// NewGroup returns an empty record group.
-func NewGroup() *Group { return &Group{} }
-
-// Reset empties the group for reuse, keeping its buffers. The LSN slice
-// the last append returned is invalid from here on.
-func (g *Group) Reset() {
-	g.types, g.ends, g.lsns = g.types[:0], g.ends[:0], g.lsns[:0]
-	if cap(g.buf) > maxRetainedGroupBytes {
-		g.buf = nil
-	}
-	g.buf = g.buf[:0]
-}
-
-// Len reports the number of records staged in the group.
-func (g *Group) Len() int { return len(g.types) }
-
-// payload returns record i's payload.
-func (g *Group) payload(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = g.ends[i-1]
-	}
-	return g.buf[start:g.ends[i]]
-}
-
-// add closes the record whose payload the caller has just appended to
-// g.buf and returns its index.
-func (g *Group) add(typ RecordType) int {
-	g.types = append(g.types, typ)
-	g.ends = append(g.ends, len(g.buf))
-	return len(g.types) - 1
-}
-
-// Extend appends every record of o to g in order, returning the index
-// o's first record now has in g (record i of o becomes base+i). The
-// buffer pool uses it to move the logical records access methods staged
-// during a statement into the committer's group.
-func (g *Group) Extend(o *Group) (base int) {
-	base = len(g.types)
-	shift := len(g.buf)
-	g.types = append(g.types, o.types...)
-	for _, end := range o.ends {
-		g.ends = append(g.ends, shift+end)
-	}
-	g.buf = append(g.buf, o.buf...)
-	return base
-}
-
-// AddPageImage stages the after-image of one page, less the holeLen bytes
-// at holeOff, returning its index into the LSN slice AppendGroup returns.
-func (g *Group) AddPageImage(file string, page uint32, pageData []byte, holeOff, holeLen int) int {
-	g.buf = appendPageImage(g.buf, file, page, pageData, holeOff, holeLen)
-	return g.add(RecPageImage)
-}
-
-// heapOp stages a record with the heap-op payload.
-func (g *Group) heapOp(typ RecordType, file string, page uint32, slot uint16, rec []byte) int {
-	g.buf = appendHeapOp(g.buf, file, page, slot, rec)
-	return g.add(typ)
-}
-
-// AddHeapInsert stages a logical heap insert.
-func (g *Group) AddHeapInsert(file string, page uint32, slot uint16, rec []byte) int {
-	return g.heapOp(RecHeapInsert, file, page, slot, rec)
-}
-
-// AddHeapDelete stages a logical heap delete.
-func (g *Group) AddHeapDelete(file string, page uint32, slot uint16) int {
-	return g.heapOp(RecHeapDelete, file, page, slot, nil)
-}
-
-// AddSlotPut stages storing rec — an index node — at (page, slot).
-func (g *Group) AddSlotPut(file string, page uint32, slot uint16, rec []byte) int {
-	return g.heapOp(RecSlotPut, file, page, slot, rec)
-}
-
-// AddSlotDelete stages freeing the slot at (page, slot).
-func (g *Group) AddSlotDelete(file string, page uint32, slot uint16) int {
-	return g.heapOp(RecSlotDelete, file, page, slot, nil)
-}
-
-// AddSlotPatch stages rewriting the record at (page, slot) by patch, the
-// encoding storage.AppendSlotPatch gives of what changed in it.
-func (g *Group) AddSlotPatch(file string, page uint32, slot uint16, patch []byte) int {
-	return g.heapOp(RecSlotPatch, file, page, slot, patch)
-}
-
-// AddHeapBatchInsert stages a page-worth of heap inserts as one record.
-func (g *Group) AddHeapBatchInsert(file string, page uint32, slots []uint16, recs [][]byte) int {
-	g.buf = appendHeapBatch(g.buf, file, page, slots, recs)
-	return g.add(RecHeapBatchInsert)
-}
-
-// AddHeapSetXmax stages stamping xid as the deleting transaction of the
-// tuple at (page, slot).
-func (g *Group) AddHeapSetXmax(file string, page uint32, slot uint16, xid uint64) int {
-	g.buf = binary.LittleEndian.AppendUint64(appendHeapOp(g.buf, file, page, slot, nil), xid)
-	return g.add(RecHeapSetXmax)
-}
-
-// AddHeapClearXmax stages zeroing the xmax of the tuple at (page, slot).
-func (g *Group) AddHeapClearXmax(file string, page uint32, slot uint16) int {
-	return g.heapOp(RecHeapClearXmax, file, page, slot, nil)
-}
-
-// AddHeapMarkAborted stages setting the aborted flag on the tuple at
-// (page, slot).
-func (g *Group) AddHeapMarkAborted(file string, page uint32, slot uint16) int {
-	return g.heapOp(RecHeapMarkAborted, file, page, slot, nil)
-}
-
-// AddTxnCommit stages a transaction-commit record for xid.
-func (g *Group) AddTxnCommit(xid uint64) int {
-	g.buf = binary.LittleEndian.AppendUint64(g.buf, xid)
-	return g.add(RecTxnCommit)
-}
-
-// AddTxnAbort stages a transaction-abort record for xid.
-func (g *Group) AddTxnAbort(xid uint64) int {
-	g.buf = binary.LittleEndian.AppendUint64(g.buf, xid)
-	return g.add(RecTxnAbort)
+	var g Group
+	g.AddPageImage(file, page, pageData, holeOff, holeLen)
+	return w.appendOne(&g)
 }
 
 // AppendGroup appends every record of g contiguously (no concurrent
@@ -413,61 +272,63 @@ func (w *Writer) AppendGroupCommit(g *Group) ([]LSN, LSN, error) {
 	return w.appendGroup(g, true)
 }
 
+// appendGroup appends g as one frame — or, past maxFrameSize, as one
+// frame per span its cuts delimit — with the commit marker closing the
+// last when commit is set.
 func (w *Writer) appendGroup(g *Group, commit bool) ([]LSN, LSN, error) {
+	if g == nil {
+		g = new(Group)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return nil, 0, fmt.Errorf("wal: append on closed log")
+	if err := w.usableLocked(); err != nil {
+		return nil, 0, err
 	}
-	if w.err != nil {
-		return nil, 0, w.err
+	n := len(g.types)
+	if n == 0 && !commit {
+		return nil, 0, nil
 	}
-	var lsns []LSN
-	if g != nil && len(g.types) > 0 {
-		g.lsns = g.lsns[:0]
-		for i, typ := range g.types {
-			lsn, err := w.appendLocked(typ, g.payload(i))
-			if err != nil {
-				return nil, 0, err
-			}
-			g.lsns = append(g.lsns, lsn)
-		}
-		lsns = g.lsns
+	if err := g.checkFrames(); err != nil {
+		return nil, 0, err
 	}
+	g.lsns = g.lsns[:0]
 	var marker LSN
-	if commit {
-		lsn, err := w.appendLocked(RecCommit, nil)
-		if err != nil {
+	for f, i := 0, 0; i < n || f == 0; f++ {
+		j := n
+		if f < len(g.cuts) {
+			j = g.cuts[f]
+		}
+		var err error
+		if marker, err = w.frameLocked(g, i, j, commit && j == n); err != nil {
 			return nil, 0, err
 		}
-		marker = lsn
-		if lsn > w.committed {
-			w.committed = lsn
-		}
-		w.stats.GroupCommits++
-		w.stats.GroupRecords += int64(len(lsns))
+		i = j
 	}
-	return lsns, marker, nil
+	if commit {
+		w.stats.GroupCommits++
+		w.stats.GroupRecords += int64(n)
+	}
+	return g.lsns, marker, nil
 }
 
 // AppendFileCreate logs the creation of a data file.
 func (w *Writer) AppendFileCreate(file string) (LSN, error) {
-	return w.append(RecFileCreate, appendName(nil, file))
+	var g Group
+	g.addRecord(RecFileCreate, file)
+	return w.appendOne(&g)
 }
 
 // AppendCommit logs a statement-boundary marker. Recovery replays only
 // up to the last marker, so every record of a statement must be
 // appended before its commit marker.
 func (w *Writer) AppendCommit() (LSN, error) {
-	lsn, err := w.append(RecCommit, nil)
-	if err == nil {
-		w.mu.Lock()
-		if lsn > w.committed {
-			w.committed = lsn
-		}
-		w.mu.Unlock()
+	var g Group
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.usableLocked(); err != nil {
+		return 0, err
 	}
-	return lsn, err
+	return w.frameLocked(&g, 0, 0, true)
 }
 
 // CheckpointLSN returns the LSN of the last checkpoint record — the
@@ -495,44 +356,73 @@ func (w *Writer) CommittedLSN() LSN {
 	return w.committed
 }
 
-func (w *Writer) append(typ RecordType, payload []byte) (LSN, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// usableLocked returns why nothing can be appended, if anything. Caller
+// holds w.mu.
+func (w *Writer) usableLocked() error {
 	if w.closed {
-		return 0, fmt.Errorf("wal: append on closed log")
+		return fmt.Errorf("wal: append on closed log")
 	}
-	if w.err != nil {
-		return 0, w.err
-	}
-	return w.appendLocked(typ, payload)
+	return w.err
 }
 
-// appendLocked encodes and buffers one record. Caller holds w.mu and
-// has checked closed/err.
-func (w *Writer) appendLocked(typ RecordType, payload []byte) (LSN, error) {
-	frameLen := int64(frameHeaderSize + 1 + len(payload))
+// appendOne appends the one record of g as a frame of its own and
+// returns its LSN.
+func (w *Writer) appendOne(g *Group) (LSN, error) {
+	lsns, err := w.AppendGroup(g)
+	if err != nil {
+		return 0, err
+	}
+	return lsns[0], nil
+}
+
+// frameLocked buffers records [i, j) of g as one frame, followed in it by
+// a commit marker when marker is set, and returns the marker's LSN. The
+// records' LSNs are appended to g.lsns. Caller holds w.mu and has checked
+// usableLocked.
+func (w *Writer) frameLocked(g *Group, i, j int, marker bool) (LSN, error) {
+	recs := g.buf[g.start(i):g.start(j)]
+	size := frameHeaderSize + len(recs)
+	if marker {
+		size += markerSize
+	}
 	cur := w.segWritten + int64(len(w.buf))
-	if cur > 0 && cur+frameLen > w.opts.SegmentBytes {
+	if cur > 0 && cur+int64(size) > w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.err = err
 			return 0, err
 		}
 	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.buf = appendFrame(w.buf, lsn, typ, payload)
-	w.appended = lsn
-	w.stats.Appends++
-	w.stats.AppendedBytes += frameLen
-	w.stats.ByType[typ].Records++
-	w.stats.ByType[typ].Bytes += frameLen
+	start := len(w.buf)
+	w.buf = append(openFrame(w.buf, w.nextLSN), recs...)
+	var last RecordType
+	for k := i; k < j; k++ {
+		last = g.types[k]
+		g.lsns = append(g.lsns, w.nextLSN)
+		w.nextLSN++
+		w.stats.ByType[last].Records++
+		w.stats.ByType[last].Bytes += int64(g.start(k+1) - g.start(k))
+	}
+	var m LSN
+	if marker {
+		w.buf = appendMarker(w.buf, RecCommit)
+		m, last = w.nextLSN, RecCommit
+		w.nextLSN++
+		w.committed = m
+		w.stats.ByType[RecCommit].Records++
+		w.stats.ByType[RecCommit].Bytes += markerSize
+	}
+	closeFrame(w.buf, start)
+	w.stats.ByType[last].Bytes += frameHeaderSize
+	w.stats.Appends += int64(w.nextLSN - 1 - w.appended)
+	w.stats.AppendedBytes += int64(size)
+	w.appended = w.nextLSN - 1
 	if len(w.buf) >= bufFlushThreshold && !w.syncing {
 		if err := w.writeBufLocked(); err != nil {
 			w.err = err
 			return 0, err
 		}
 	}
-	return lsn, nil
+	return m, nil
 }
 
 // writeBufLocked hands the append buffer to the OS (no fsync). Caller
@@ -674,7 +564,9 @@ func (w *Writer) Checkpoint() (LSN, error) {
 	ckSegFirst := w.segFirst
 	lsn := w.nextLSN
 	w.nextLSN++
-	w.buf = appendFrame(w.buf, lsn, RecCheckpoint, nil)
+	start := len(w.buf)
+	w.buf = appendMarker(openFrame(w.buf, lsn), RecCheckpoint)
+	closeFrame(w.buf, start)
 	w.appended = lsn
 	w.committed = lsn
 	w.ckpt = lsn
