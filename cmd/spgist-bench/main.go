@@ -7,7 +7,9 @@
 //	spgist-bench -exp fig13               # one figure (its group runs)
 //	spgist-bench -exp strings -scale 10   # 10x larger datasets
 //	spgist-bench -exp all -md             # markdown instead of text tables
-//	spgist-bench -exp latency -out BENCH_7.json  # latency percentiles
+//
+// Latency, throughput and I/O counts over the whole server are measured
+// by the end-to-end benchmark under benchmark/, not here.
 //
 // Dataset sizes default to roughly 1/100 of the paper's; -scale 100
 // reproduces the original sizes given time and memory. All figure axes
@@ -16,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +33,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "workload seed")
 		queries = flag.Int("queries", 200, "probes per measurement")
 		md      = flag.Bool("md", false, "emit markdown instead of text tables")
-		outPath = flag.String("out", "", "also write the latency-percentile report (BENCH_N.json shape) to this path")
 	)
 	flag.Parse()
 
@@ -56,32 +56,7 @@ func main() {
 	var out strings.Builder
 	for _, e := range exps {
 		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.ID, e.Title)
-		var figs []bench.Figure
-		if (e.ID == "latency" || e.ID == "coldcache") && *outPath != "" {
-			// The report variant yields the same figures plus the raw
-			// rows for the BENCH_N.json artifact, in a single run.
-			var report *bench.LatencyReport
-			var rfigs []bench.Figure
-			if e.ID == "latency" {
-				report, rfigs = bench.RunLatencyReport(cfg)
-			} else {
-				report, rfigs = bench.RunColdCacheReport(cfg)
-			}
-			figs = rfigs
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
-		} else {
-			figs = e.Run(cfg)
-		}
-		for _, fig := range figs {
+		for _, fig := range e.Run(cfg) {
 			if *md {
 				fig.Markdown(&out)
 			} else {

@@ -40,9 +40,7 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON file per statement into this directory (empty disables)")
 	idleTxn := flag.Duration("idle-txn-timeout", 0, "roll back and disconnect sessions idle in an open transaction this long (0 disables)")
 	readahead := flag.Int("readahead", 0, "pages of scan readahead to prefetch (default 8, negative disables)")
-	prefetchWorkers := flag.Int("prefetch-workers", 0, "prefetcher goroutines shared by all tables (default 4)")
 	bgwInterval := flag.Duration("bgwriter-interval", 0, "background dirty-page writer tick (0 disables)")
-	bgwMaxPages := flag.Int("bgwriter-max-pages", 0, "page budget per background-writer round (default 128)")
 	flag.Parse()
 
 	mode := wal.SyncCommit
@@ -52,8 +50,7 @@ func main() {
 	db, err := executor.Open(executor.Options{
 		Dir: *dir, WAL: *useWAL, WALSync: mode, PoolPages: *poolPages,
 		SlowQueryThreshold: *slowQuery, TraceDir: *traceDir,
-		ReadaheadPages: *readahead, PrefetchWorkers: *prefetchWorkers,
-		BGWriterInterval: *bgwInterval, BGWriterMaxPages: *bgwMaxPages,
+		ReadaheadPages: *readahead, BGWriterInterval: *bgwInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -13,7 +13,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -93,29 +92,28 @@ type Figure struct {
 	Notes  []string
 }
 
-// Render prints the figure as an aligned text table.
+// Render prints the figure as an aligned text table. A figure without
+// series (an experiment that could not run) prints its title and notes.
 func (f *Figure) Render(w *strings.Builder) {
 	fmt.Fprintf(w, "%s — %s\n", strings.ToUpper(f.ID), f.Title)
 	fmt.Fprintf(w, "  x-axis: %s   y-axis: %s\n", f.XLabel, f.YLabel)
-	if len(f.Series) == 0 {
-		return
-	}
-	// Header.
-	fmt.Fprintf(w, "  %-12s", f.XLabel)
-	for _, s := range f.Series {
-		fmt.Fprintf(w, " %16s", s.Name)
-	}
-	w.WriteString("\n")
-	for i := range f.Series[0].X {
-		fmt.Fprintf(w, "  %-12.0f", f.Series[0].X[i])
+	if len(f.Series) > 0 {
+		fmt.Fprintf(w, "  %-12s", f.XLabel)
 		for _, s := range f.Series {
-			if i < len(s.Y) {
-				fmt.Fprintf(w, " %16.3f", s.Y[i])
-			} else {
-				fmt.Fprintf(w, " %16s", "-")
-			}
+			fmt.Fprintf(w, " %16s", s.Name)
 		}
 		w.WriteString("\n")
+		for i := range f.Series[0].X {
+			fmt.Fprintf(w, "  %-12.0f", f.Series[0].X[i])
+			for _, s := range f.Series {
+				if i < len(s.Y) {
+					fmt.Fprintf(w, " %16.3f", s.Y[i])
+				} else {
+					fmt.Fprintf(w, " %16s", "-")
+				}
+			}
+			w.WriteString("\n")
+		}
 	}
 	for _, n := range f.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
@@ -123,30 +121,33 @@ func (f *Figure) Render(w *strings.Builder) {
 	w.WriteString("\n")
 }
 
-// Markdown renders the figure as a markdown table.
+// Markdown renders the figure as a markdown table. A figure without
+// series prints its heading and notes.
 func (f *Figure) Markdown(w *strings.Builder) {
 	fmt.Fprintf(w, "### %s — %s\n\n", strings.ToUpper(f.ID), f.Title)
-	fmt.Fprintf(w, "| %s |", f.XLabel)
-	for _, s := range f.Series {
-		fmt.Fprintf(w, " %s |", s.Name)
-	}
-	w.WriteString("\n|")
-	for range f.Series {
-		w.WriteString("---|")
-	}
-	w.WriteString("---|\n")
-	for i := range f.Series[0].X {
-		fmt.Fprintf(w, "| %.0f |", f.Series[0].X[i])
+	if len(f.Series) > 0 {
+		fmt.Fprintf(w, "| %s |", f.XLabel)
 		for _, s := range f.Series {
-			if i < len(s.Y) {
-				fmt.Fprintf(w, " %.3f |", s.Y[i])
-			} else {
-				w.WriteString(" - |")
+			fmt.Fprintf(w, " %s |", s.Name)
+		}
+		w.WriteString("\n|")
+		for range f.Series {
+			w.WriteString("---|")
+		}
+		w.WriteString("---|\n")
+		for i := range f.Series[0].X {
+			fmt.Fprintf(w, "| %.0f |", f.Series[0].X[i])
+			for _, s := range f.Series {
+				if i < len(s.Y) {
+					fmt.Fprintf(w, " %.3f |", s.Y[i])
+				} else {
+					w.WriteString(" - |")
+				}
 			}
+			w.WriteString("\n")
 		}
 		w.WriteString("\n")
 	}
-	w.WriteString("\n")
 	for _, n := range f.Notes {
 		fmt.Fprintf(w, "*%s*\n\n", n)
 	}
@@ -264,8 +265,6 @@ func All() []Experiment {
 		{"suffix", "Figure 16: suffix tree vs sequential scan", RunSuffix},
 		{"nn", "Figure 17: NN search across SP-GiST instantiations", RunNN},
 		{"ablation", "Ablations: clustering, node shrink, bucket size", RunAblation},
-		{"latency", "Latency percentiles over the executor (exact, NN, mixed 90/10)", RunLatency},
-		{"coldcache", "Cold-cache async I/O: in-flight reads, readahead, background writer", RunColdCache},
 	}
 }
 
@@ -289,27 +288,4 @@ func Lookup(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// sortedCopy returns a sorted copy of times (helper for percentiles).
-func sortedCopy(ds []time.Duration) []time.Duration {
-	out := append([]time.Duration(nil), ds...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// percentile returns the q-quantile (0 < q <= 1) of ds by nearest rank.
-func percentile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := sortedCopy(ds)
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

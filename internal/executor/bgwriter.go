@@ -6,6 +6,9 @@ import (
 	"time"
 )
 
+// bgWriterMaxPages bounds one background-writer round.
+const bgWriterMaxPages = 128
+
 // bgWriter trickles committed dirty pages to disk in the background so
 // CHECKPOINT finds a mostly-clean pool and shrinks to a bounded fsync
 // instead of a stop-the-world write storm. Each round takes the shared
@@ -19,7 +22,6 @@ import (
 type bgWriter struct {
 	db       *DB
 	interval time.Duration
-	maxPages int
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -33,11 +35,10 @@ type bgWriter struct {
 
 // startBGWriter launches the background writer. Call once, at the end of
 // Open, with the database fully constructed.
-func startBGWriter(db *DB, interval time.Duration, maxPages int) *bgWriter {
+func startBGWriter(db *DB, interval time.Duration) *bgWriter {
 	w := &bgWriter{
 		db:       db,
 		interval: interval,
-		maxPages: maxPages,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -59,7 +60,7 @@ func (w *bgWriter) run() {
 	}
 }
 
-// round writes back up to maxPages dirty frames of the pool.
+// round writes back up to bgWriterMaxPages dirty frames of the pool.
 func (w *bgWriter) round() {
 	db := w.db
 	if !db.stmtMu.TryRLock() {
@@ -73,7 +74,7 @@ func (w *bgWriter) round() {
 	// A write-back failure is not fatal to the engine: the frame stays
 	// dirty and eviction or CHECKPOINT will surface the error on a path
 	// that can report it.
-	n, _ := db.pool.WriteBackDirty(w.maxPages)
+	n, _ := db.pool.WriteBackDirty(bgWriterMaxPages)
 	w.pages.Add(int64(n))
 }
 

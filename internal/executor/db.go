@@ -396,8 +396,7 @@ type Options struct {
 	// storage.WithFaults(dm, seed) (configured with probabilities and
 	// schedules) to inject errors into that file's reads and writes,
 	// storage.WithLatency(dm, r, w) to simulate a slow device, or dm
-	// unchanged to leave the file alone. Test, torture-suite and
-	// benchmark use.
+	// unchanged to leave the file alone. Test and torture-suite use.
 	DiskFaults func(fileName string, dm storage.DiskManager) storage.DiskManager
 	// LockTimeout bounds how long a DML statement waits for a table
 	// write lock held by another open transaction before failing;
@@ -422,18 +421,11 @@ type Options struct {
 	// prefetcher. 0 defaults to DefaultReadaheadPages; negative disables
 	// prefetch entirely.
 	ReadaheadPages int
-	// PrefetchWorkers sizes the shared prefetcher goroutine pool;
-	// 0 defaults to storage.DefaultPrefetchWorkers. Ignored when
-	// readahead is disabled.
-	PrefetchWorkers int
 	// BGWriterInterval enables the background writer: every interval it
-	// writes back up to BGWriterMaxPages committed dirty pages of the
+	// writes back up to bgWriterMaxPages committed dirty pages of the
 	// buffer pool, so CHECKPOINT finds it mostly clean. Zero (the
 	// default) disables it.
 	BGWriterInterval time.Duration
-	// BGWriterMaxPages bounds one background-writer round; defaults to
-	// DefaultBGWriterMaxPages.
-	BGWriterMaxPages int
 }
 
 // DefaultReadaheadPages is the scan readahead window when Options leave
@@ -441,10 +433,6 @@ type Options struct {
 // sequential scan, shallow enough that a mispredicted scan wastes only a
 // few frames.
 const DefaultReadaheadPages = 8
-
-// DefaultBGWriterMaxPages bounds one background-writer round when
-// Options leave it zero.
-const DefaultBGWriterMaxPages = 128
 
 // Open creates or opens a database. The persistent system catalog is
 // bootstrapped first (replaying any write-ahead log into it and the data
@@ -492,8 +480,9 @@ func Open(opts Options) (*DB, error) {
 	if readahead > 0 {
 		// Every file of the pool shares one prefetcher: readahead demand
 		// is bursty per file but bounded overall, and the shared queue
-		// caps the background I/O the whole system generates.
-		db.pf = storage.NewPrefetcher(opts.PrefetchWorkers, 0)
+		// caps the background I/O the whole system generates. Zeros pick
+		// the default worker count and queue depth.
+		db.pf = storage.NewPrefetcher(0, 0)
 		db.pool.AttachPrefetcher(db.pf, readahead)
 	}
 	if db.slowQueryLog == nil {
@@ -557,11 +546,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	if opts.BGWriterInterval > 0 {
-		max := opts.BGWriterMaxPages
-		if max <= 0 {
-			max = DefaultBGWriterMaxPages
-		}
-		db.bgw = startBGWriter(db, opts.BGWriterInterval, max)
+		db.bgw = startBGWriter(db, opts.BGWriterInterval)
 	}
 	return db, nil
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/executor"
 )
 
-// MVCC concurrency benchmarks (BENCH_8): snapshot readers against
+// MVCC concurrency benchmarks: snapshot readers against
 // writers on the SAME table. Before MVCC the engine had nothing to
 // measure here — a SELECT against a table with an open writer simply
 // blocked on the table lock. Now readers take a snapshot and scan live

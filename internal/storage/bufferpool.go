@@ -937,8 +937,17 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 // flags clear, making the frames evictable again. lsns is the slice
 // AppendGroup(Commit) returned for the group the Staged indices point
 // into.
+//
+// staged runs in group order, and a page covered by several records is
+// resolved from its last record back: the pass that clears its pending
+// flag, and so makes it writable by eviction or the background writer,
+// stamps the pageLSN of the last record whose effect the page holds. In
+// group order, a page would be writable between its first and last
+// record with a pageLSN behind its content, and redo would apply the
+// later records a second time.
 func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
-	for _, s := range staged {
+	for i := len(staged) - 1; i >= 0; i-- {
+		s := staged[i]
 		lsn := lsns[s.Index]
 		sh := &bp.pool.shards[bp.shardOf(s.Page)]
 		sh.mu.Lock()

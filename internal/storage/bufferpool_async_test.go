@@ -3,8 +3,10 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -282,6 +284,94 @@ func TestBGWriterWALBeforeData(t *testing.T) {
 	bp.Unpin(p2, false)
 	if bp.Stats().Hits != before+1 {
 		t.Fatal("background write-back evicted the frame instead of cleaning it")
+	}
+}
+
+// TestBGWriterSeesWholeGroups: a page that several records of one group
+// cover becomes writable only with the pageLSN of the last of them. A
+// background writer spinning beside the commits must never put a page
+// on disk whose content runs ahead of its pageLSN: redo would apply the
+// records in between a second time. The writer has to run beside
+// ResolvePending to see a half-resolved page, so the test catches one
+// only with two or more Ps.
+func TestBGWriterSeesWholeGroups(t *testing.T) {
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
+	defer w.Close()
+	mem := NewMem(512)
+	bp := NewBufferPool("t.tbl", mem, 8)
+	bp.pool.AttachWAL(w)
+	p, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := p.ID
+
+	// The writer snapshots the page after each round that wrote it.
+	var snaps [][]byte
+	var written atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	stopWriter := sync.OnceFunc(func() { close(stop); <-done })
+	t.Cleanup(stopWriter)
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n, err := bp.WriteBackDirty(8)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n > 0 {
+				buf := make([]byte, 512)
+				if err := mem.ReadPage(id, buf); err != nil {
+					t.Error(err)
+					return
+				}
+				snaps = append(snaps, buf)
+				written.Add(1)
+			}
+		}
+	}()
+
+	// Record i sets body byte i; each group covers the page perGroup times.
+	const groups, perGroup = 6, 64
+	var lsnOf []wal.LSN
+	for g := 0; g < groups; g++ {
+		before := written.Load()
+		for j := 0; j < perGroup; j++ {
+			i := g*perGroup + j
+			if i > 0 {
+				if p, err = bp.Fetch(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			PageBody(p.Data)[i] = 1
+			bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+				return g.AddHeapInsert(file, uint32(id), uint16(i), []byte{1})
+			})
+		}
+		lsnOf = append(lsnOf, logPending(t, bp, w, true)[:perGroup]...)
+		// The page is writable now; wait for the writer to write it.
+		for deadline := time.Now().Add(10 * time.Second); written.Load() == before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("group %d: the background writer never wrote the page", g)
+			}
+			runtime.Gosched()
+		}
+	}
+	stopWriter()
+
+	for _, snap := range snaps {
+		pageLSN := wal.LSN(PageLSN(snap))
+		for i, lsn := range lsnOf {
+			if applied := PageBody(snap)[i] == 1; applied != (lsn <= pageLSN) {
+				t.Fatalf("page written with pageLSN %d: record %d (LSN %d) applied = %v", pageLSN, i, lsn, applied)
+			}
+		}
 	}
 }
 

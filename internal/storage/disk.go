@@ -241,7 +241,7 @@ func (d *MemDiskManager) Sync() error { return nil }
 func (d *MemDiskManager) Close() error { return nil }
 
 // LatencyDiskManager wraps another DiskManager and sleeps for a fixed
-// duration on every page read/write. The cold-cache benchmark uses it to
+// duration on every page read/write. The async-read tests use it to
 // model a device with non-trivial access latency: on a fast local
 // filesystem (or the in-memory mock) page reads complete in microseconds
 // and any concurrency win in the read path drowns in noise, whereas with
