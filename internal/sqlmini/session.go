@@ -135,16 +135,7 @@ func (s *Session) exec(sql string) (*Result, error) {
 	}
 	tr.AddRange("parse", "sql", start, time.Now())
 	p := &parser{toks: toks, stmtStart: start, lexEnd: time.Now()}
-	res, err := p.statement(s)
-	if err != nil {
-		return nil, err
-	}
-	// Allow a trailing semicolon.
-	p.accept(tokPunct, ";")
-	if !p.at(tokEOF, "") {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
-	}
-	return res, nil
+	return p.statement(s)
 }
 
 // writeTrace finishes tr and writes its Chrome trace-event JSON as one
@@ -217,12 +208,15 @@ func noTxn(s *Session, stmt string) error {
 	return nil
 }
 
+// statement parses and runs one statement. Every statement parses to its
+// end before it executes anything, so one with trailing input fails
+// having changed nothing.
 func (p *parser) statement(s *Session) (*Result, error) {
 	switch {
 	case p.at(tokIdent, "BEGIN"):
 		p.i++
-		if !p.atStatementEnd() {
-			return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+		if err := p.end(); err != nil {
+			return nil, err
 		}
 		if s.tx != nil {
 			return nil, fmt.Errorf("sql: already in a transaction")
@@ -235,8 +229,8 @@ func (p *parser) statement(s *Session) (*Result, error) {
 		return &Result{Msg: "BEGIN"}, nil
 	case p.at(tokIdent, "COMMIT"):
 		p.i++
-		if !p.atStatementEnd() {
-			return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+		if err := p.end(); err != nil {
+			return nil, err
 		}
 		if s.tx == nil {
 			return nil, fmt.Errorf("sql: no transaction in progress")
@@ -249,8 +243,8 @@ func (p *parser) statement(s *Session) (*Result, error) {
 		return &Result{Msg: "COMMIT"}, nil
 	case p.at(tokIdent, "ROLLBACK"):
 		p.i++
-		if !p.atStatementEnd() {
-			return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+		if err := p.end(); err != nil {
+			return nil, err
 		}
 		if s.tx == nil {
 			return nil, fmt.Errorf("sql: no transaction in progress")
@@ -294,19 +288,19 @@ func (p *parser) statement(s *Session) (*Result, error) {
 	case p.at(tokIdent, "SHOW"):
 		p.i++
 		if p.accept(tokIdent, "TABLES") {
-			return showTables(s)
+			return p.then(s, showTables)
 		}
 		if p.accept(tokIdent, "INDEXES") {
-			return showIndexes(s)
+			return p.then(s, showIndexes)
 		}
 		if p.accept(tokIdent, "STATS") {
 			return p.showStats(s)
 		}
 		if p.accept(tokIdent, "ACTIVITY") {
-			return showActivity(s)
+			return p.then(s, showActivity)
 		}
 		if p.accept(tokIdent, "STATE") {
-			return showState(s)
+			return p.then(s, showState)
 		}
 		return nil, fmt.Errorf("sql: SHOW must be followed by TABLES, INDEXES, STATS, ACTIVITY, or STATE")
 	case p.at(tokIdent, "INSERT"):
@@ -358,13 +352,24 @@ func (p *parser) statement(s *Session) (*Result, error) {
 		if err := noTxn(s, "CHECKPOINT"); err != nil {
 			return nil, err
 		}
-		if err := s.DB.Checkpoint(); err != nil {
-			return nil, err
-		}
-		return &Result{Msg: "CHECKPOINT"}, nil
+		return p.then(s, func(s *Session) (*Result, error) {
+			if err := s.DB.Checkpoint(); err != nil {
+				return nil, err
+			}
+			return &Result{Msg: "CHECKPOINT"}, nil
+		})
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement starting with %q", p.peek().text)
 	}
+}
+
+// then runs run once the parser has reached the end of the statement, and
+// fails without running it otherwise.
+func (p *parser) then(s *Session, run func(*Session) (*Result, error)) (*Result, error) {
+	if err := p.end(); err != nil {
+		return nil, err
+	}
+	return run(s)
 }
 
 // CREATE TABLE name (col TYPE, ...)
@@ -408,6 +413,9 @@ func (p *parser) createTable(s *Session) (*Result, error) {
 	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
 	if _, err := s.DB.CreateTable(name.text, cols); err != nil {
 		return nil, err
 	}
@@ -449,6 +457,9 @@ func (p *parser) createIndex(s *Session) (*Result, error) {
 	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
 	if _, err := s.DB.CreateIndex(name.text, table.text, col.text, strings.ToLower(method.text), opclass); err != nil {
 		return nil, err
 	}
@@ -465,8 +476,8 @@ func (p *parser) analyze(s *Session) (*Result, error) {
 		tok, _ := p.expect(tokIdent, "")
 		name = tok.text
 	}
-	if !p.atStatementEnd() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	if name == "" {
 		if err := s.DB.AnalyzeAll(); err != nil {
@@ -484,18 +495,17 @@ func (p *parser) analyze(s *Session) (*Result, error) {
 	return &Result{Msg: fmt.Sprintf("ANALYZE %s", name)}, nil
 }
 
-// atStatementEnd reports whether the parser sits on a statement
-// terminator. Statements with irreversible side effects check it before
-// executing, so `DROP TABLE t garbage` fails as a parse error without
-// having dropped anything (most statements parse-while-executing and
-// rely on Exec's trailing-input check alone). Exec is a single-statement
-// API, so a semicolon only terminates when nothing but EOF follows —
-// `DROP TABLE t; DROP TABLE u` must not drop t and then parse-fail.
-func (p *parser) atStatementEnd() bool {
-	if p.at(tokEOF, "") {
-		return true
+// end returns the trailing-input error unless the parser sits on the end
+// of the statement. Every statement checks it before it executes, so
+// `DELETE FROM t garbage` fails as a parse error without having deleted
+// anything. Exec is a single-statement API, so a semicolon only ends the
+// statement when nothing but EOF follows — `DROP TABLE t; DROP TABLE u`
+// must not drop t and then parse-fail.
+func (p *parser) end() error {
+	if p.at(tokEOF, "") || p.at(tokPunct, ";") && p.i+1 < len(p.toks) && p.toks[p.i+1].kind == tokEOF {
+		return nil
 	}
-	return p.at(tokPunct, ";") && p.i+1 < len(p.toks) && p.toks[p.i+1].kind == tokEOF
+	return fmt.Errorf("sql: trailing input at %q", p.peek().text)
 }
 
 // DROP TABLE name
@@ -504,8 +514,8 @@ func (p *parser) dropTable(s *Session) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atStatementEnd() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	if err := s.DB.DropTable(name.text); err != nil {
 		return nil, err
@@ -519,8 +529,8 @@ func (p *parser) dropIndex(s *Session) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atStatementEnd() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	if err := s.DB.DropIndex(name.text); err != nil {
 		return nil, err
@@ -550,8 +560,8 @@ func (p *parser) scrub(s *Session) (*Result, error) {
 		table = p.peek().text
 		p.i++
 	}
-	if !p.atStatementEnd() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	sr, err := s.DB.Scrub(table)
 	if err != nil {
@@ -609,6 +619,9 @@ func showTables(s *Session) (*Result, error) {
 func (p *parser) showStats(s *Session) (*Result, error) {
 	res := &Result{Columns: []string{"name", "value"}}
 	if p.accept(tokIdent, "RESET") {
+		if err := p.end(); err != nil {
+			return nil, err
+		}
 		// SHOW STATS RESET: zero every cumulative metric — registry
 		// counters and histograms plus, via the reset hooks, the
 		// buffer-pool, disk, WAL, and wait-event counters behind the
@@ -617,9 +630,16 @@ func (p *parser) showStats(s *Session) (*Result, error) {
 		s.DB.Obs().Reset()
 		return &Result{Msg: "STATS RESET"}, nil
 	}
+	table := ""
 	if p.at(tokIdent, "") {
-		tok, _ := p.expect(tokIdent, "")
-		t, err := s.DB.Table(tok.text)
+		table = p.peek().text
+		p.i++
+	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
+	if table != "" {
+		t, err := s.DB.Table(table)
 		if err != nil {
 			return nil, err
 		}
@@ -788,8 +808,8 @@ func (p *parser) insert(s *Session) (*Result, error) {
 		}
 		break
 	}
-	if !p.atStatementEnd() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	if _, err := t.InsertBatchTx(s.tx, tups); err != nil {
 		return nil, err
@@ -957,6 +977,9 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 			return nil, fmt.Errorf("sql: LIMIT wants a non-negative integer, found %q", n.text)
 		}
 	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
 
 	cols := make([]string, len(t.Columns))
 	for i, c := range t.Columns {
@@ -1048,6 +1071,9 @@ func (p *parser) deleteStmt(s *Session) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
 	n, err := t.DeleteWhereTx(s.tx, pred)
 	if err != nil {
 		return nil, err
@@ -1106,6 +1132,9 @@ func (p *parser) updateStmt(s *Session) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.end(); err != nil {
+		return nil, err
+	}
 	n, err := t.UpdateWhereTx(s.tx, pred, sets)
 	if err != nil {
 		return nil, err
@@ -1122,8 +1151,8 @@ func (p *parser) vacuum(s *Session) (*Result, error) {
 		tok, _ := p.expect(tokIdent, "")
 		name = tok.text
 	}
-	if !p.atStatementEnd() {
-		return nil, fmt.Errorf("sql: trailing input at %q", p.peek().text)
+	if err := p.end(); err != nil {
+		return nil, err
 	}
 	n, err := s.DB.Vacuum(name)
 	if err != nil {
