@@ -161,6 +161,10 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 			emit(fmt.Sprintf("wal_appended_records_by_type{type=%q}", typ), by.Records)
 			emit(fmt.Sprintf("wal_appended_bytes_by_type{type=%q}", typ), by.Bytes)
 		}
+		// The page-image bytes had no image been deflated: over
+		// wal_appended_bytes_by_type{type="page-image"}, the compression
+		// ratio.
+		emit("wal_page_image_raw_bytes_total", s.PageImageRawBytes)
 	}
 }
 

@@ -181,7 +181,10 @@ func TestHTTPMetrics(t *testing.T) {
 
 // TestHTTPMetricsWALByType: with a log attached, /metrics and SHOW STATS
 // say what the log is made of — records and bytes per record type, as
-// labelled series of one family whose samples sum to the two totals.
+// labelled series of one family whose samples sum to the two totals — and
+// what deflating page images saves: wal_page_image_raw_bytes_total, the
+// page-image bytes had they been stored raw, exceeds the page-image series
+// once a full page is imaged (its first touch after a CHECKPOINT).
 func TestHTTPMetricsWALByType(t *testing.T) {
 	db, err := executor.Open(executor.Options{Dir: t.TempDir(), WAL: true})
 	if err != nil {
@@ -192,10 +195,17 @@ func TestHTTPMetricsWALByType(t *testing.T) {
 	defer ts.Close()
 	sess := sqlmini.NewSession(db)
 	defer sess.Close()
+	var rows []string
+	for i := 0; i < 300; i++ {
+		rows = append(rows, fmt.Sprintf("('w%08d', %d)", i*7919%100000, i))
+	}
 	for _, stmt := range []string{
 		`CREATE TABLE w (name VARCHAR, id INT)`,
 		`CREATE INDEX wt ON w USING spgist (name spgist_trie)`,
 		`INSERT INTO w VALUES ('alpha', 1), ('beta', 2), ('gamma', 3)`,
+		`INSERT INTO w VALUES ` + strings.Join(rows, ", "),
+		`CHECKPOINT`,
+		`INSERT INTO w VALUES ('delta', 4)`,
 	} {
 		if _, err := sess.Exec(stmt); err != nil {
 			t.Fatal(err)
@@ -226,6 +236,11 @@ func TestHTTPMetricsWALByType(t *testing.T) {
 		if want := fams[total].samples[total]; sum != want {
 			t.Errorf("%s sums to %g, %s is %g", family, sum, total, want)
 		}
+	}
+	stored := fams["wal_appended_bytes_by_type"].samples[`wal_appended_bytes_by_type{type="page-image"}`]
+	if fam := fams["wal_page_image_raw_bytes_total"]; fam == nil || fam.typ != "counter" ||
+		!(fam.samples["wal_page_image_raw_bytes_total"] > stored && stored > 0) {
+		t.Errorf("wal_page_image_raw_bytes_total missing, mistyped or not above the %g bytes of page images stored: %+v", stored, fam)
 	}
 	res, err := sess.Exec(`SHOW STATS`)
 	if err != nil {

@@ -167,6 +167,11 @@ type BufferPool struct {
 	opsMu   sync.Mutex
 	ops     wal.Group
 	opPages []Staged
+	// imageCopy is the page an image is copied into under its shard's
+	// lock, to be staged — and deflated — with the lock released. Only
+	// StagePending and FlushAll use it, which the same serialization
+	// orders.
+	imageCopy []byte
 
 	// prefetchActive counts this relation's queued-or-running prefetch
 	// tasks so Close/Crash can wait them out before tearing frames down;
@@ -839,27 +844,36 @@ func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 	for si := range bp.pool.shards {
 		sh := &bp.pool.shards[si]
 		sh.mu.Lock()
-		if sh.pending == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		for i := range sh.frames {
+		for i := 0; sh.pending > 0 && i < len(sh.frames); i++ {
 			f := &sh.frames[i]
 			if f.rel != bp || !f.valid || !f.imagePending {
 				continue
 			}
-			staged = append(staged, Staged{Page: f.id, Index: bp.addImage(g, f.id, f.data), Image: true})
+			// The lock is let go while the image is staged. The frames
+			// scanned keep their pending flags, so they stay unevictable,
+			// and no frame of bp turns imagePending meanwhile: its writers
+			// wait for this commit.
+			staged = append(staged, bp.addImage(g, sh, f))
+			sh.mu.Lock()
 		}
 		sh.mu.Unlock()
 	}
 	return bp.stageFullPageImages(g, w, staged, nOps)
 }
 
-// addImage stages in g an image of page id, which holds data, its hole
-// (pageHole) left out, and returns the record's index.
-func (bp *BufferPool) addImage(g *wal.Group, id PageID, data []byte) int {
+// addImage stages in g an image of the page frame f of shard sh holds, its
+// hole (pageHole) left out. The caller holds sh's lock; addImage copies
+// the image and releases the lock before it stages the copy.
+func (bp *BufferPool) addImage(g *wal.Group, sh *poolShard, f *frame) Staged {
+	id, data := f.id, f.data
 	off, n := pageHole(data)
-	return g.AddPageImage(bp.fileName, uint32(id), data, off, n)
+	if len(bp.imageCopy) != len(data) {
+		bp.imageCopy = make([]byte, len(data))
+	}
+	copy(bp.imageCopy, data[:off])
+	copy(bp.imageCopy[off+n:], data[off+n:])
+	sh.mu.Unlock()
+	return Staged{Page: id, Index: g.AddPageImage(bp.fileName, uint32(id), bp.imageCopy, off, n), Image: true}
 }
 
 // takeDeferred moves the relation's deferred logical records into g and
@@ -925,8 +939,7 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 			sh.mu.Unlock()
 			continue
 		}
-		staged = append(staged, Staged{Page: id, Index: bp.addImage(g, id, f.data), Image: true})
-		sh.mu.Unlock()
+		staged = append(staged, bp.addImage(g, sh, f))
 	}
 	return staged
 }

@@ -146,14 +146,15 @@ func TestImagePageHole(t *testing.T) {
 	r := &wal.Record{Type: wal.RecPageImage, File: "rel2.idx", Page: 3, HoleOff: off, HoleLen: n,
 		Data: append(page[:off:off], page[off+n:]...)}
 	buf := bytes.Repeat([]byte{0xEE}, 256)
-	if err := imagePage(buf, r); err != nil {
+	var z imageInflater
+	if err := z.imagePage(buf, r); err != nil {
 		t.Fatal(err)
 	}
 	if string(SlotRead(buf, 0))+string(SlotRead(buf, 1)) != "firstsecond" || !bytes.Equal(buf[off:off+n], make([]byte, n)) {
 		t.Fatalf("image laid down as %x", buf)
 	}
 	r.HoleOff = len(r.Data) + 1
-	if err := imagePage(buf, r); err == nil || !strings.Contains(err.Error(), "image of page 3 of rel2.idx: hole") {
+	if err := z.imagePage(buf, r); err == nil || !strings.Contains(err.Error(), "image of page 3 of rel2.idx: hole") {
 		t.Fatalf("a hole past the page redid as %v", err)
 	}
 }

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 
@@ -90,18 +93,60 @@ func (fx *txnFixups) noteDelete(key fixupKey) {
 	delete(fx.lastXmaxSet, key)
 }
 
+// imageInflater inflates the deflated page images of one redo pass into
+// its page buffer; it keeps the decompressor, and its 32 KB window, from
+// image to image.
+type imageInflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser
+	one [1]byte
+}
+
 // imagePage lays the page image r carries down in buf, a page: the bytes
-// around the hole from the record, zeros in it.
-func imagePage(buf []byte, r *wal.Record) error {
-	if n := len(r.Data) + r.HoleLen; n != len(buf) {
+// around the hole from the record — inflated straight into buf when the
+// image is deflated — zeros in it. A deflated image must inflate to
+// exactly the page less its hole, and no more of it is inflated than
+// that and one byte.
+func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
+	if n := len(r.Data) + r.HoleLen; !r.Deflated && n != len(buf) {
 		return fmt.Errorf("storage: recovery: record page size %d != %d", n, len(buf))
 	}
-	if r.HoleOff > len(r.Data) {
+	if r.HoleOff > len(buf)-r.HoleLen {
 		return fmt.Errorf("storage: recovery: image of page %d of %s: hole [%d, %d) runs past the %d-byte page", r.Page, r.File, r.HoleOff, r.HoleOff+r.HoleLen, len(buf))
 	}
-	copy(buf, r.Data[:r.HoleOff])
+	head, tail := buf[:r.HoleOff], buf[r.HoleOff+r.HoleLen:]
 	clear(buf[r.HoleOff : r.HoleOff+r.HoleLen])
-	copy(buf[r.HoleOff+r.HoleLen:], r.Data[r.HoleOff:])
+	if !r.Deflated {
+		copy(head, r.Data)
+		copy(tail, r.Data[r.HoleOff:])
+		return nil
+	}
+	z.src.Reset(r.Data)
+	var err error
+	if z.zr == nil {
+		z.zr = flate.NewReader(&z.src)
+	} else {
+		err = z.zr.(flate.Resetter).Reset(&z.src, nil)
+	}
+	if err == nil {
+		_, err = io.ReadFull(z.zr, head)
+	}
+	if err == nil {
+		_, err = io.ReadFull(z.zr, tail)
+	}
+	if err == nil {
+		// The stream must end here, with nothing behind it.
+		if k, rerr := z.zr.Read(z.one[:]); k > 0 {
+			err = fmt.Errorf("it inflates past the %d bytes around the hole", len(head)+len(tail))
+		} else if rerr != io.EOF {
+			err = rerr
+		} else if z.src.Len() > 0 {
+			err = fmt.Errorf("%d bytes follow its end", z.src.Len())
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("storage: recovery: deflated image of page %d of %s: %w", r.Page, r.File, err)
+	}
 	return nil
 }
 
@@ -208,6 +253,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	}
 
 	buf := make([]byte, pageSize)
+	var images imageInflater
 	fx := newTxnFixups()
 	rs, err := wal.Replay(walDir, func(r *wal.Record) error {
 		if lastMarker != 0 && r.LSN > lastMarker {
@@ -248,7 +294,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			_, err := open(r.File)
 			return err
 		case wal.RecPageImage:
-			if err := imagePage(buf, r); err != nil {
+			if err := images.imagePage(buf, r); err != nil {
 				return err
 			}
 			dm, err := open(r.File)

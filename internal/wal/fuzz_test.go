@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"unsafe"
@@ -15,6 +16,10 @@ var everyType = []func(g *Group){
 		page := append([]byte("page image"), make([]byte, 54)...)
 		copy(page[60:], "tail")
 		g.AddPageImage("rel1.tbl", 3, page, 10, 50)
+	},
+	func(g *Group) { // an image of 1 KB or more, stored deflated
+		page := bytes.Repeat([]byte("a page image that deflates "), 160)
+		g.AddPageImage("rel1.tbl", 4, page, 100, 300)
 	},
 	func(g *Group) { g.AddHeapInsert("rel1.tbl", 1, 7, []byte("a heap tuple")) },
 	func(g *Group) { g.AddHeapDelete("rel1.tbl", 1, 7) },
@@ -78,7 +83,8 @@ func varintOffsets(f []byte) []int {
 // from a frame hold no more bytes than the frame (the decoder copies
 // payloads, so a length field must not be able to size an allocation,
 // and a name referred back to is shared, not copied). The seed corpus is
-// a one-record frame of every record type and every truncation of it,
+// a one-record frame of every record type — page images raw and deflated —
+// and every truncation of it,
 // a frame holding one record of every type and every truncation of that,
 // and that frame with each bit of its len, rel and page varints flipped
 // under a checksum made to match. `go test` runs the corpus, `go test
@@ -105,6 +111,15 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	all := frameOf(g, 0, g.Len(), 100)
 	checkSeed(f, all, g.types)
+	deflated := 0
+	if err := decodeFrame(100, all[frameHeaderSize:], func(r *Record) error {
+		if r.Deflated {
+			deflated++
+		}
+		return nil
+	}); err != nil || deflated != 1 {
+		f.Fatalf("the seed frame holds %d deflated images (%v), want 1", deflated, err)
+	}
 	for cut := 0; cut <= len(all); cut++ {
 		f.Add(all[:cut])
 	}

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Group is a set of records one statement appends atomically: no other
@@ -33,6 +35,9 @@ type Group struct {
 	rel    string
 	hasRel bool
 	lsns   []LSN // what the last append assigned
+	// saved is how many bytes deflating the group's page images saved:
+	// the records' encoded size had they been stored raw, less their size.
+	saved int
 }
 
 // maxRetainedGroupBytes bounds the record buffer a Reset group keeps, so
@@ -50,7 +55,7 @@ func (g *Group) Reset() {
 		g.buf = nil
 	}
 	g.buf = g.buf[:0]
-	g.span, g.rel, g.hasRel = 0, "", false
+	g.span, g.rel, g.hasRel, g.saved = 0, "", false, 0
 }
 
 // Len reports the number of records staged in the group.
@@ -108,26 +113,30 @@ func (g *Group) addRecord(typ RecordType, body string) int {
 }
 
 // head opens a page-level record of type typ addressing page of file,
-// whose body goes on for rest bytes past its head. The relation is 0 when
-// the frame's previous page-level record named file, and the name
-// otherwise — after a cut too, the new frame having named nothing yet.
-func (g *Group) head(typ RecordType, file string, page uint32, rest int) {
+// whose body goes on for rest bytes past its head, and returns the body's
+// length. The relation is 0 when the frame's previous page-level record
+// named file, and the name otherwise — after a cut too, the new frame
+// having named nothing yet.
+func (g *Group) head(typ RecordType, file string, page uint32, rest int) int {
 	same := g.hasRel && file == g.rel
 	n := uvarintLen(uint64(page)) + rest
 	name := uvarintLen(uint64(len(file))+1) + len(file)
 	if same && !g.cut(recordSize(n+1)) {
-		g.open(typ, n+1)
+		n++
+		g.open(typ, n)
 		g.buf = append(g.buf, 0)
 	} else {
 		if !same {
 			g.cut(recordSize(n + name))
 		}
-		g.open(typ, n+name)
+		n += name
+		g.open(typ, n)
 		g.buf = binary.AppendUvarint(g.buf, uint64(len(file))+1)
 		g.buf = append(g.buf, file...)
 		g.rel, g.hasRel = file, true
 	}
 	g.buf = binary.AppendUvarint(g.buf, uint64(page))
+	return n
 }
 
 // checkFrames reports a record too large for a frame of its own — the
@@ -172,6 +181,7 @@ func (g *Group) Extend(o *Group) (base int) {
 		g.cuts = append(g.cuts, base+c)
 	}
 	g.buf = append(g.buf, o.buf...)
+	g.saved += o.saved
 	if len(o.cuts) > 0 {
 		g.span, g.rel, g.hasRel = shift+o.span, o.rel, o.hasRel
 	} else if o.hasRel {
@@ -182,18 +192,90 @@ func (g *Group) Extend(o *Group) (base int) {
 
 // AddPageImage stages the after-image of one page, less the holeLen bytes
 // at holeOff, returning its index into the LSN slice AppendGroup returns.
-// The page's size is the image's length plus the hole's. A hole the
-// 16-bit fields cannot describe — a page past 64 KB — is not left out.
+// The page's size is the image's length plus the hole's. An image of at
+// least minDeflatedImage bytes is stored DEFLATE-compressed when that
+// makes it smaller, which the high bit of its holeLen field says; every
+// other image is stored as it is. A hole the fields cannot describe — from
+// 32 KB long, or past 64 KB into the page — is not left out.
 func (g *Group) AddPageImage(file string, page uint32, pageData []byte, holeOff, holeLen int) int {
-	if holeOff > math.MaxUint16 || holeLen > math.MaxUint16 {
+	if holeOff > math.MaxUint16 || holeLen >= imageDeflated {
 		holeOff, holeLen = 0, 0
 	}
-	g.head(RecPageImage, file, page, 4+len(pageData)-holeLen)
+	head, tail := pageData[:holeOff], pageData[holeOff+holeLen:]
+	raw := len(head) + len(tail)
+	if raw >= minDeflatedImage {
+		imageDeflater.Lock()
+		defer imageDeflater.Unlock()
+		if z := imageDeflater.deflate(head, tail); len(z) < raw {
+			n := g.imageHead(file, page, holeOff, holeLen|imageDeflated, len(z))
+			g.buf = append(g.buf, z...)
+			g.saved += recordSize(n-len(z)+raw) - recordSize(n)
+			return g.add(RecPageImage)
+		}
+	}
+	g.imageHead(file, page, holeOff, holeLen, raw)
+	g.buf = append(g.buf, head...)
+	g.buf = append(g.buf, tail...)
+	return g.add(RecPageImage)
+}
+
+// imageHead opens a page-image record whose image is n bytes long and
+// returns the record body's length.
+func (g *Group) imageHead(file string, page uint32, holeOff, holeLen, n int) int {
+	body := g.head(RecPageImage, file, page, 4+n)
 	g.buf = binary.LittleEndian.AppendUint16(g.buf, uint16(holeOff))
 	g.buf = binary.LittleEndian.AppendUint16(g.buf, uint16(holeLen))
-	g.buf = append(g.buf, pageData[:holeOff]...)
-	g.buf = append(g.buf, pageData[holeOff+holeLen:]...)
-	return g.add(RecPageImage)
+	return body
+}
+
+const (
+	// imageDeflated is the bit of a page image's holeLen field that says
+	// the image is stored deflated. No hole of a page of less than 32 KB
+	// sets it.
+	imageDeflated = 1 << 15
+	// minDeflatedImage is the smallest image AddPageImage tries to
+	// deflate. Smaller ones are the meta pages' few dozen bytes, which do
+	// not shrink, and trying costs ≈ 10 µs an image.
+	minDeflatedImage = 1 << 10
+)
+
+// imageDeflater is the one compressor every page image goes through,
+// process-wide: flate.NewWriter allocates 1.2 MB and takes ≈ 245 µs, so
+// the writer is made once and reset for each image. A sync.Pool would
+// drop it at every garbage collection.
+var imageDeflater deflater
+
+type deflater struct {
+	sync.Mutex
+	zw  *flate.Writer
+	out sliceWriter
+}
+
+// deflate returns the DEFLATE stream (BestSpeed) of head followed by tail.
+// The slice is d's own, valid until d's next use; hold d's lock across
+// both.
+func (d *deflater) deflate(head, tail []byte) []byte {
+	d.out = d.out[:0]
+	if d.zw == nil {
+		// The error is for a bad level alone.
+		d.zw, _ = flate.NewWriter(&d.out, flate.BestSpeed)
+	} else {
+		d.zw.Reset(&d.out)
+	}
+	// A flate.Writer fails only when what it writes to does, and appending
+	// to a slice does not.
+	_, _ = d.zw.Write(head)
+	_, _ = d.zw.Write(tail)
+	_ = d.zw.Close()
+	return d.out
+}
+
+// sliceWriter is an io.Writer that appends to itself.
+type sliceWriter []byte
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // slotOp stages a record addressing (page, slot) whose body ends in rec.

@@ -39,6 +39,7 @@ import (
 // bodies, the page-level head written "head":
 //
 //	page image:  head holeOff:2 holeLen:2 image...
+//	             (holeLen's bit 15 set: image is a DEFLATE stream)
 //	heap insert, slot put:    head slot:uvarint rec...
 //	slot patch:  head slot:uvarint patch...
 //	heap delete, slot delete: head slot:uvarint
@@ -213,8 +214,10 @@ func (d *recordDecoder) decode(lsn LSN, typ RecordType, body []byte) (*Record, e
 		if len(body) < 4 {
 			return nil, fmt.Errorf("wal: truncated page-image header")
 		}
+		hole := binary.LittleEndian.Uint16(body[2:])
 		r.HoleOff = int(binary.LittleEndian.Uint16(body))
-		r.HoleLen = int(binary.LittleEndian.Uint16(body[2:]))
+		r.HoleLen = int(hole &^ imageDeflated)
+		r.Deflated = hole&imageDeflated != 0
 		r.Data = append([]byte(nil), body[4:]...)
 		return r, nil
 	case RecHeapBatchInsert:

@@ -15,8 +15,9 @@
 //   - page-image records carry the after-image of one page less its
 //     hole — the free gap of a slotted page, the trailing zeros of any
 //     other — as PostgreSQL's full-page writes leave out the gap between
-//     pd_lower and pd_upper, and are replayed by overwriting the page,
-//     the hole zeroed;
+//     pd_lower and pd_upper, deflated when that makes an image of 1 KB or
+//     more smaller (PostgreSQL's wal_compression), and are replayed by
+//     overwriting the page, the hole zeroed;
 //   - logical records describe one operation on a slotted page — a
 //     heap tuple or an SP-GiST node put into, patched in, or deleted
 //     from, a fixed page/slot — and are replayed through the
@@ -54,7 +55,7 @@ type RecordType uint8
 const (
 	// RecPageImage is the after-image of one page, a hole of it left
 	// out: (HoleOff, HoleLen) name the bytes the image does not carry,
-	// and redo writes zeros there.
+	// and redo writes zeros there. Deflated says the image is compressed.
 	RecPageImage RecordType = 1
 	// RecHeapInsert is a logical heap-record insert at a fixed slot.
 	RecHeapInsert RecordType = 2
@@ -162,17 +163,20 @@ func (t RecordType) String() string {
 // (heap tuples, index nodes), Slot is the slot operated on, and Data
 // holds the image less its hole, the bytes put into the slot, or a slot
 // patch. An image's hole is HoleLen bytes at HoleOff, so the page it
-// expands to is len(Data)+HoleLen bytes. Batch inserts carry parallel
-// Slots/Recs instead of Slot/Data.
+// expands to is len(Data)+HoleLen bytes — unless Deflated is set, and
+// Data is the image less its hole as a DEFLATE stream (RFC 1951), left
+// for redo to inflate. Batch inserts carry parallel Slots/Recs instead of
+// Slot/Data.
 type Record struct {
-	LSN     LSN
-	Type    RecordType
-	File    string
-	Page    uint32
-	Slot    uint16
-	HoleOff int
-	HoleLen int
-	Data    []byte
+	LSN      LSN
+	Type     RecordType
+	File     string
+	Page     uint32
+	Slot     uint16
+	HoleOff  int
+	HoleLen  int
+	Deflated bool
+	Data     []byte
 	// Slots/Recs are the per-tuple slot assignments and record bytes of
 	// one RecHeapBatchInsert.
 	Slots []uint16

@@ -38,17 +38,20 @@ type Options struct {
 // last record: the commit marker of a statement's group, the record
 // itself when it was appended alone. A checkpoint record is counted where
 // Appends counts it and, like AppendedBytes, without its 18-byte frame.
+// PageImageRawBytes is what ByType[RecPageImage].Bytes would be had no
+// image been stored deflated; the two give the compression ratio.
 type Stats struct {
-	Appends       int64
-	AppendedBytes int64
-	Syncs         int64
-	SyncWaits     int64
-	Rotations     int64
-	Checkpoints   int64
-	GroupCommits  int64
-	GroupRecords  int64
-	Recycles      int64
-	ByType        [NumRecordTypes]TypeStats
+	Appends           int64
+	AppendedBytes     int64
+	Syncs             int64
+	SyncWaits         int64
+	Rotations         int64
+	Checkpoints       int64
+	GroupCommits      int64
+	GroupRecords      int64
+	Recycles          int64
+	ByType            [NumRecordTypes]TypeStats
+	PageImageRawBytes int64
 }
 
 // TypeStats counts the appended records of one RecordType and their
@@ -88,6 +91,9 @@ type Writer struct {
 	err       error // sticky I/O error; the log is unusable once set
 
 	stats Stats
+	// imageSaved is what deflating page images has saved the log, in
+	// encoded record bytes; Stats adds it to the images' bytes.
+	imageSaved int64
 
 	// waits joins group commit to the engine's wait-event layer
 	// (AttachObs, once, before the writer is shared; nil when the WAL
@@ -222,14 +228,16 @@ func (w *Writer) InjectFault(err error) {
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.stats
+	s := w.stats
+	s.PageImageRawBytes = s.ByType[RecPageImage].Bytes + w.imageSaved
+	return s
 }
 
 // ResetStats zeroes the writer counters (SHOW STATS RESET).
 func (w *Writer) ResetStats() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.stats = Stats{}
+	w.stats, w.imageSaved = Stats{}, 0
 }
 
 // AttachObs joins group commit to a wait-event set. Must be called
@@ -304,6 +312,7 @@ func (w *Writer) appendGroup(g *Group, commit bool) ([]LSN, LSN, error) {
 		}
 		i = j
 	}
+	w.imageSaved += int64(g.saved)
 	if commit {
 		w.stats.GroupCommits++
 		w.stats.GroupRecords += int64(n)
