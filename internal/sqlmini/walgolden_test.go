@@ -12,7 +12,7 @@ import (
 
 // walStream renders every record currently in the log at dir, one line
 // per record: type, file, page, slot, xid, decoded payload length (image
-// bytes, tuple bytes, or the summed tuple bytes of a batch). LSNs are
+// bytes as stored, tuple bytes, or the summed tuple bytes of a batch). LSNs are
 // left out on purpose — the sequence is what is pinned; AppendedBytes
 // pins the encoded sizes.
 func walStream(t *testing.T, dir string) string {
@@ -126,6 +126,12 @@ func firstDiff(got, want string) string {
 // 100 526. Every other line is unchanged. The total was re-recorded once
 // more, alone, when a statement's records came to share one log frame and
 // name their file once: 62 839 → 47 715 bytes, every record line as it was.
+// Then the two full-page images after CHECKPOINT came to be stored
+// deflated: 5 206 → 1 483 and 7 779 → 2 876 bytes (len is the image as
+// stored), and the stream appends 39 089 bytes instead of 47 715 — the
+// 8 626 bytes the two images shrank by, their length fields two bytes
+// either way. Every other line is unchanged, the meta-page images
+// included: under 1 KB, they are stored raw.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
@@ -697,15 +703,15 @@ commit file="" page=0 slot=0 xid=0 len=0
 checkpoint file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
-page-image file="rel1.tbl" page=2 slot=0 xid=0 len=5206
+page-image file="rel1.tbl" page=2 slot=0 xid=0 len=1483
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=7779
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=2876
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=578 appended_bytes=47715
+appends=578 appended_bytes=39089
 `
