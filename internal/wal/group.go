@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
@@ -235,47 +236,39 @@ const (
 	imageDeflated = 1 << 15
 	// minDeflatedImage is the smallest image AddPageImage tries to
 	// deflate. Smaller ones are the meta pages' few dozen bytes, which do
-	// not shrink, and trying costs ≈ 10 µs an image.
+	// not shrink, and trying would cost a few µs on every commit.
 	minDeflatedImage = 1 << 10
 )
 
 // imageDeflater is the one compressor every page image goes through,
-// process-wide: flate.NewWriter allocates 1.2 MB and takes ≈ 245 µs, so
-// the writer is made once and reset for each image. A sync.Pool would
-// drop it at every garbage collection.
+// process-wide: flate.NewWriter allocates 1.2 MB and takes about as long
+// as deflating a page, so the writer is made once and reset for each
+// image. A sync.Pool would drop it at every garbage collection.
 var imageDeflater deflater
 
 type deflater struct {
 	sync.Mutex
 	zw  *flate.Writer
-	out sliceWriter
+	out bytes.Buffer
 }
 
 // deflate returns the DEFLATE stream (BestSpeed) of head followed by tail.
 // The slice is d's own, valid until d's next use; hold d's lock across
 // both.
 func (d *deflater) deflate(head, tail []byte) []byte {
-	d.out = d.out[:0]
+	d.out.Reset()
 	if d.zw == nil {
 		// The error is for a bad level alone.
 		d.zw, _ = flate.NewWriter(&d.out, flate.BestSpeed)
 	} else {
 		d.zw.Reset(&d.out)
 	}
-	// A flate.Writer fails only when what it writes to does, and appending
-	// to a slice does not.
+	// A flate.Writer fails only when what it writes to does, and a
+	// bytes.Buffer does not.
 	_, _ = d.zw.Write(head)
 	_, _ = d.zw.Write(tail)
 	_ = d.zw.Close()
-	return d.out
-}
-
-// sliceWriter is an io.Writer that appends to itself.
-type sliceWriter []byte
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
+	return d.out.Bytes()
 }
 
 // slotOp stages a record addressing (page, slot) whose body ends in rec.
