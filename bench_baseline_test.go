@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// BENCH_24.json is the committed baseline of the end-to-end benchmark:
+// BENCH_31.json is the committed baseline of the end-to-end benchmark:
 // every workload × end_to_end metric of BENCHMARK.json, each the median of
 // seeds 1–3 of `bash benchmark/run.sh --workload W --seed S --seconds 10
 // --trace 0` with the three per-seed values beside it. The three count
@@ -24,7 +24,7 @@ import (
 //	done; done
 //	go test -run TestBenchBaseline -count=1 . -args -bench-runs=.bench_build/runs -bench-record   # writes the file
 //	go test -run TestBenchBaseline -count=1 . -args -bench-runs=.bench_build/runs                  # gates the runs against it
-const benchBaselineFile = "BENCH_24.json"
+const benchBaselineFile = "BENCH_31.json"
 
 var (
 	benchRuns   = flag.String("bench-runs", "", "directory of <workload>.<seed>.json files, each the last line benchmark/run.sh printed")
@@ -165,10 +165,12 @@ func recordBaseline(t *testing.T, decl benchDecl) {
 	t.Helper()
 	runs := readRuns(t, *benchRuns)
 	base := benchBaseline{
-		PR:          24,
 		Description: "End-to-end benchmark baseline: every workload × end_to_end metric of BENCHMARK.json, median of seeds 1–3 (the per-seed values beside it). Count metrics repeat exactly at equal seed; timings are calibrated to the harness's reference op and belong to the machine that recorded them.",
 		Command:     "bash benchmark/run.sh --workload W --seed S --seconds 10 --trace 0, S = 1, 2, 3; go test -run TestBenchBaseline . -args -bench-runs=DIR -bench-record",
 		Workloads:   map[string]map[string]benchValue{},
+	}
+	if _, err := fmt.Sscanf(benchBaselineFile, "BENCH_%d.json", &base.PR); err != nil {
+		t.Fatalf("%s: %v", benchBaselineFile, err)
 	}
 	for _, w := range decl.Workloads {
 		base.Workloads[w.Name] = map[string]benchValue{}
