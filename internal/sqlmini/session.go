@@ -352,12 +352,13 @@ func (p *parser) statement(s *Session) (*Result, error) {
 		if err := noTxn(s, "CHECKPOINT"); err != nil {
 			return nil, err
 		}
-		return p.then(s, func(s *Session) (*Result, error) {
-			if err := s.DB.Checkpoint(); err != nil {
-				return nil, err
-			}
-			return &Result{Msg: "CHECKPOINT"}, nil
-		})
+		if err := p.end(); err != nil {
+			return nil, err
+		}
+		if err := s.DB.Checkpoint(); err != nil {
+			return nil, err
+		}
+		return &Result{Msg: "CHECKPOINT"}, nil
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement starting with %q", p.peek().text)
 	}
