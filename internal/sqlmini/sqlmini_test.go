@@ -387,6 +387,43 @@ func TestTrailingInputChangesNothing(t *testing.T) {
 	mustExec(t, s, `DROP TABLE t;`)
 }
 
+// A malformed DROP must fail as a parse error BEFORE the drop executes —
+// the destructive side effect must not precede the syntax check.
+func TestMalformedDropDoesNotDrop(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE t (name VARCHAR)`)
+	mustExec(t, s, `CREATE INDEX ti ON t USING spgist (name spgist_trie)`)
+	if _, err := s.Exec(`DROP INDEX ti garbage`); err == nil {
+		t.Fatal("malformed DROP INDEX accepted")
+	}
+	if res := mustExec(t, s, `SHOW INDEXES`); len(res.Rows) != 1 {
+		t.Fatal("malformed DROP INDEX still dropped the index")
+	}
+	if _, err := s.Exec(`DROP TABLE t garbage`); err == nil {
+		t.Fatal("malformed DROP TABLE accepted")
+	}
+	if res := mustExec(t, s, `SELECT * FROM t`); res == nil {
+		t.Fatal("table unexpectedly gone")
+	}
+	// Well-formed drops (with and without semicolon) still work.
+	mustExec(t, s, `DROP INDEX ti;`)
+	mustExec(t, s, `DROP TABLE t`)
+}
+
+// Exec is a single-statement API: `DROP TABLE t; DROP TABLE u` must
+// parse-fail without having dropped t.
+func TestMultiStatementDropDoesNotHalfExecute(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE t (name VARCHAR)`)
+	mustExec(t, s, `CREATE TABLE u (name VARCHAR)`)
+	if _, err := s.Exec(`DROP TABLE t; DROP TABLE u`); err == nil {
+		t.Fatal("multi-statement DROP accepted")
+	}
+	if res := mustExec(t, s, `SHOW TABLES`); len(res.Rows) != 2 {
+		t.Fatalf("multi-statement DROP half-executed: %d tables left", len(res.Rows))
+	}
+}
+
 // ANALYZE persists planner statistics in the system catalog; the bare
 // form covers every table, the targeted form one table, and a reopened
 // session plans identically from the persisted record with no heap scan.
