@@ -149,11 +149,8 @@ func checkTreeBytes(t *testing.T, tr *Tree) {
 		})
 		free := storage.SlotFreeSpace(p.Data)
 		tr.bp.Unpin(p, false)
-		if got, ok := tr.fsm[pid]; !ok || got != free {
+		if got, ok := tr.free.Free(pid); !ok || got != free {
 			t.Fatalf("page %d: the tree believes %d bytes free (known %v), the page has %d", pid, got, ok, free)
-		}
-		if _, spacious := tr.spacious[pid]; spacious != (free >= tr.bp.DM().PageSize()/4) {
-			t.Fatalf("page %d with %d bytes free: spacious = %v", pid, free, spacious)
 		}
 	}
 }
@@ -332,7 +329,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 // varies from run to run (a relocated node goes to the lowest-numbered
 // page with room, not to whichever a map iteration offers first).
 func TestEqualInsertionsBuildEqualFiles(t *testing.T) {
-	choices := 0 // insertions made while more than one spacious page stood by
+	choices := 0 // insertions made while more than one listed page stood by
 	build := func() *Tree {
 		bp := storage.NewBufferPool("", storage.NewMem(1024), 256)
 		tr, err := Create(bp, testTrie{})
@@ -341,7 +338,7 @@ func TestEqualInsertionsBuildEqualFiles(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(5))
 		for i := 0; i < 4000; i++ {
-			if len(tr.spacious) > 3 { // beyond the preferred and the last-allocated page
+			if tr.free.Listed() > 3 { // beyond the preferred and the last-allocated page
 				choices++
 			}
 			if err := tr.Insert(randWord(r), rid(i)); err != nil {
@@ -355,7 +352,7 @@ func TestEqualInsertionsBuildEqualFiles(t *testing.T) {
 		t.Fatalf("%d pages, root %v against %d pages, root %v", a.NumPages(), a.root, b.NumPages(), b.root)
 	}
 	if choices < 20 {
-		t.Fatalf("only %d insertions ran with several spacious pages: the fixture never offers placement a choice", choices)
+		t.Fatalf("only %d insertions ran with several listed pages: the fixture never offers placement a choice", choices)
 	}
 	for pid := storage.PageID(0); uint32(pid) < a.NumPages(); pid++ {
 		pa, err := a.bp.Fetch(pid)

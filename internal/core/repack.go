@@ -206,7 +206,7 @@ func (t *Tree) Repack(bp *storage.BufferPool) (*Tree, error) {
 				return nil, fmt.Errorf("spgist: repack slot assignment failed (page %d slot %d)", p.ID, si)
 			}
 		}
-		nt.setFree(p.ID, storage.SlotFreeSpace(p.Data))
+		nt.free.Set(p.ID, storage.SlotFreeSpace(p.Data))
 		nt.nodes.cover(p.ID, len(pageRefs[bi]))
 		bp.Unpin(p, true)
 	}

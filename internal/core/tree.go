@@ -34,11 +34,10 @@ type Tree struct {
 	// trace, when non-nil, records distinct pages touched by read paths.
 	trace atomic.Pointer[storage.PageTrace]
 
-	// fsm caches free bytes per page for the clustering allocator.
-	fsm map[storage.PageID]int
-	// spacious indexes the pages whose free space exceeds a quarter page,
-	// so space abandoned by relocations is found again in O(1).
-	spacious map[storage.PageID]struct{}
+	// free holds the free bytes of every page for the clustering
+	// allocator, and lists those with at least a quarter page free, so
+	// space abandoned by relocations is found again.
+	free *storage.FreeSpace
 	// lastAlloc is the most recent page that received a node; new sibling
 	// groups land there while it has room, keeping subtrees clustered.
 	lastAlloc storage.PageID
@@ -48,23 +47,10 @@ type Tree struct {
 	patch []byte
 }
 
-// setFree records the free space of a page and maintains the spacious set.
-func (t *Tree) setFree(pid storage.PageID, free int) {
-	t.fsm[pid] = free
-	if free >= t.bp.DM().PageSize()/4 {
-		t.spacious[pid] = struct{}{}
-	} else {
-		delete(t.spacious, pid)
-	}
-}
-
-// noteFree updates p's free-space figure after one slot operation that
-// added grew bytes to its live records (negative: removed), dirBefore being
-// the page's storage.SlotDirCost before it. The figure moves by what the
-// operation put in, so the page's directory is not walked again after
-// every node write.
-func (t *Tree) noteFree(p *storage.Page, dirBefore, grew int) {
-	t.setFree(p.ID, storage.SlotFreeSpaceAfter(p.Data, t.fsm[p.ID], dirBefore, grew))
+// newFreeSpace returns the free-space map of an index over bp: a page is
+// worth trying for a relocated node once a quarter of it is free.
+func newFreeSpace(bp *storage.BufferPool) *storage.FreeSpace {
+	return storage.NewFreeSpace(bp.DM().PageSize() / 4)
 }
 
 // Meta page: the magic, and the body storage frames on page 0 —
@@ -90,8 +76,7 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		oc:        oc,
 		pr:        oc.Params(),
 		root:      InvalidRef,
-		fsm:       make(map[storage.PageID]int),
-		spacious:  make(map[storage.PageID]struct{}),
+		free:      newFreeSpace(bp),
 		lastAlloc: storage.InvalidPageID,
 	}
 	body := t.metaBody()
@@ -118,8 +103,7 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		pr:        oc.Params(),
 		root:      getRef(body[0:]),
 		nKeys:     int64(binary.LittleEndian.Uint64(body[6:])),
-		fsm:       make(map[storage.PageID]int),
-		spacious:  make(map[storage.PageID]struct{}),
+		free:      newFreeSpace(bp),
 		lastAlloc: storage.InvalidPageID,
 	}
 	n := bp.DM().NumPages()
@@ -138,7 +122,7 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.setFree(pid, storage.SlotFreeSpace(p.Data))
+		t.free.Set(pid, storage.SlotFreeSpace(p.Data))
 		t.nodes.cover(pid, storage.SlotCount(p.Data))
 		if counted {
 			keys += leafItems(p.Data)
@@ -356,7 +340,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 		if pid == storage.InvalidPageID || pid == 0 {
 			return InvalidRef, false, nil
 		}
-		if free, ok := t.fsm[pid]; ok && free < len(rec) {
+		if free, ok := t.free.Free(pid); ok && free < len(rec) {
 			return InvalidRef, false, nil
 		}
 		p, err := t.bp.Fetch(pid)
@@ -366,11 +350,11 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 		dir := storage.SlotDirCost(p.Data)
 		slot, ok := storage.SlotInsert(p.Data, rec)
 		if !ok {
-			t.setFree(pid, storage.SlotFreeSpace(p.Data))
+			t.free.Set(pid, storage.SlotFreeSpace(p.Data))
 			t.bp.Unpin(p, false)
 			return InvalidRef, false, nil
 		}
-		t.noteFree(p, dir, len(rec))
+		t.free.Note(p, dir, len(rec))
 		t.nodes.cover(pid, slot+1)
 		t.unpinPut(p, slot, rec)
 		return NodeRef{Page: pid, Slot: uint16(slot)}, true, nil
@@ -383,17 +367,12 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 			return ref, err
 		}
 	}
-	// Reclaim space abandoned by relocations: the spacious page with the
+	// Reclaim space abandoned by relocations: the listed page with the
 	// lowest id that has room, so that equal insertion sequences build
-	// equal files. The set only holds pages with at least a quarter page
-	// free, so a typical node fits on the first candidate.
+	// equal files. Only pages with at least a quarter page free are
+	// listed, so a typical node fits on the first candidate.
 	for tried := storage.PageID(0); ; {
-		pick := storage.InvalidPageID
-		for pid := range t.spacious {
-			if pid > tried && pid < pick && pid != prefer && pid != t.lastAlloc && t.fsm[pid] >= len(rec) {
-				pick = pid
-			}
-		}
+		pick := t.free.Lowest(len(rec), tried, prefer, t.lastAlloc)
 		if pick == storage.InvalidPageID {
 			break
 		}
@@ -412,7 +391,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 		t.bp.Unpin(p, false)
 		return InvalidRef, fmt.Errorf("spgist: node of %d bytes does not fit an empty page", len(rec))
 	}
-	t.setFree(p.ID, storage.SlotFreeSpace(p.Data))
+	t.free.Set(p.ID, storage.SlotFreeSpace(p.Data))
 	t.nodes.cover(p.ID, slot+1)
 	t.lastAlloc = p.ID
 	ref := NodeRef{Page: p.ID, Slot: uint16(slot)}
@@ -445,7 +424,7 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 	oldLen := len(storage.SlotRead(p.Data, int(ref.Slot)))
 	dir := storage.SlotDirCost(p.Data)
 	if t.update(p, int(ref.Slot), rec) {
-		t.noteFree(p, dir, len(rec)-oldLen)
+		t.free.Note(p, dir, len(rec)-oldLen)
 		t.unpinUpdate(p, int(ref.Slot), rec)
 		return ref, nil
 	}
@@ -453,7 +432,7 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 	// incoming pointer. Prefer the parent's page so root-to-leaf paths
 	// keep crossing as few pages as possible.
 	storage.SlotDelete(p.Data, int(ref.Slot))
-	t.noteFree(p, dir, -oldLen)
+	t.free.Note(p, dir, -oldLen)
 	t.unpinDelete(p, int(ref.Slot))
 	prefer := ref.Page
 	if parent != nil {
@@ -608,7 +587,7 @@ func (t *Tree) deleteNode(ref NodeRef) error {
 	oldLen := len(storage.SlotRead(p.Data, int(ref.Slot)))
 	dir := storage.SlotDirCost(p.Data)
 	storage.SlotDelete(p.Data, int(ref.Slot))
-	t.noteFree(p, dir, -oldLen)
+	t.free.Note(p, dir, -oldLen)
 	t.unpinDelete(p, int(ref.Slot))
 	return nil
 }

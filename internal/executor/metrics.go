@@ -231,7 +231,8 @@ func (t *Table) statsInfoLocked() StatsInfo {
 }
 
 // Stats reads this table's pg_stat-style numbers under the shared
-// statement lock: live rows, heap pages, where the planner's statistics
+// statement lock: live rows, heap pages and the free bytes the heap's
+// free-space map holds, where the planner's statistics
 // came from and how stale they are, and per-index size and scan
 // counters.
 func (t *Table) Stats() ([]TableStat, error) {
@@ -248,6 +249,7 @@ func (t *Table) Stats() ([]TableStat, error) {
 		{Name: "rows", Value: t.visibleCountLocked()},
 		{Name: "heap_versions", Value: t.Heap.Count()},
 		{Name: "heap_pages", Value: int64(t.Heap.NumPages())},
+		{Name: "heap_free_bytes", Value: t.Heap.FreeBytes()},
 		{Name: "churn_since_analyze", Value: si.Churn},
 		{Name: "analyzed", Value: analyzed},
 		{Name: "stats_source", Text: si.Source.String()},

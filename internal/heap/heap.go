@@ -102,7 +102,7 @@ func ParseTuple(rec []byte) (TupleHeader, []byte) {
 }
 
 // Heap file meta page: the magic, and the body storage frames on page 0 —
-// [last page with free space u32 (hint)][live records u64].
+// [target page u32 (hint)][live records u64].
 const (
 	metaMagic    = 0x48454150 // "HEAP"
 	metaBodySize = 12
@@ -111,20 +111,32 @@ const (
 // File is a heap file over a buffer pool. Methods are not safe for
 // concurrent mutation; the executor layer serializes access per table.
 type File struct {
-	bp       *storage.BufferPool
-	lastPage storage.PageID
-	count    int64
+	bp *storage.BufferPool
+	// target is the page the last insert went to and the first the next
+	// one tries.
+	target storage.PageID
+	count  int64
+	// free maps the pages deletes freed space on. An insert that does not
+	// fit the target page goes to the lowest of them with room before the
+	// file grows. It lives in memory only: after a reopen it is empty until
+	// VACUUM's deletes fill it again.
+	free *storage.FreeSpace
 }
 
+// freeFloor is the least free space that lists a page in the free-space
+// map. Most pages VACUUM visits under churn get back only a few hundred
+// bytes, so the floor is far below a page: a typical tuple still fits.
+const freeFloor = 128
+
 func (f *File) metaBody() (body [metaBodySize]byte) {
-	binary.LittleEndian.PutUint32(body[0:], uint32(f.lastPage))
+	binary.LittleEndian.PutUint32(body[0:], uint32(f.target))
 	binary.LittleEndian.PutUint64(body[4:], uint64(f.count))
 	return body
 }
 
 // Create initializes a new heap file on an empty buffer pool / disk.
 func Create(bp *storage.BufferPool) (*File, error) {
-	f := &File{bp: bp, lastPage: storage.InvalidPageID}
+	f := &File{bp: bp, target: storage.InvalidPageID, free: storage.NewFreeSpace(freeFloor)}
 	body := f.metaBody()
 	if err := bp.CreateMeta(metaMagic, body[:]); err != nil {
 		return nil, err
@@ -139,9 +151,10 @@ func Open(bp *storage.BufferPool) (*File, error) {
 		return nil, err
 	}
 	return &File{
-		bp:       bp,
-		lastPage: storage.PageID(binary.LittleEndian.Uint32(body[0:])),
-		count:    int64(binary.LittleEndian.Uint64(body[4:])),
+		bp:     bp,
+		target: storage.PageID(binary.LittleEndian.Uint32(body[0:])),
+		count:  int64(binary.LittleEndian.Uint64(body[4:])),
+		free:   storage.NewFreeSpace(freeFloor),
 	}, nil
 }
 
@@ -151,10 +164,13 @@ func (f *File) Pool() *storage.BufferPool { return f.bp }
 // Count returns the number of live records.
 func (f *File) Count() int64 { return f.count }
 
+// FreeBytes returns the free bytes of the pages in the free-space map.
+func (f *File) FreeBytes() int64 { return f.free.Total() }
+
 // NumPages returns the number of pages in the file (including metadata).
 func (f *File) NumPages() uint32 { return f.bp.DM().NumPages() }
 
-// SaveMeta writes the last-page hint and the record count into the meta
+// SaveMeta writes the target-page hint and the record count into the meta
 // page, dirtying it (and so logging its image with the next record group)
 // only when one of them changed. Inserts and deletes do not call it: both
 // fields are counters of what the data pages hold, not pointers anything
@@ -167,13 +183,13 @@ func (f *File) SaveMeta() error {
 	return f.bp.WriteMeta(body[:])
 }
 
-// Recount sets the record count and the last-page hint from the data
-// pages themselves. Crash recovery replays the tuples of statements whose
-// commit point — and with it their SaveMeta — never came; the owner calls
-// this after such a replay.
+// Recount sets the record count from the data pages themselves, and the
+// target page to the last of them. Crash recovery replays the tuples of
+// statements whose commit point — and with it their SaveMeta — never
+// came; the owner calls this after such a replay.
 func (f *File) Recount() error {
 	n := f.NumPages()
-	f.count, f.lastPage = 0, storage.InvalidPageID
+	f.count, f.target = 0, storage.InvalidPageID
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, err := f.bp.Fetch(pid)
 		if err != nil {
@@ -181,7 +197,7 @@ func (f *File) Recount() error {
 		}
 		f.count += int64(storage.SlotLive(p.Data))
 		f.bp.Unpin(p, false)
-		f.lastPage = pid
+		f.target = pid
 	}
 	return nil
 }
@@ -202,52 +218,103 @@ func (f *File) unpinLogged(p *storage.Page, slot int, rec []byte) {
 	})
 }
 
-// Insert appends payload as a frozen tuple (xmin 0, visible to every
+// Insert stores payload as a frozen tuple (xmin 0, visible to every
 // snapshot) and returns its RID — the legacy single-row API, used by the
 // system catalog and version-agnostic callers.
 func (f *File) Insert(payload []byte) (RID, error) {
 	return f.InsertTx(payload, 0)
 }
 
-// InsertTx appends payload as a new tuple version created by transaction
-// xmin and returns its RID.
+// InsertTx stores payload as a new tuple version created by transaction
+// xmin, on the page place picks, and returns its RID.
 func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
 	rec := EncodeTuple(TupleHeader{Xmin: xmin}, payload)
 	if len(rec) > storage.SlotCapacity(f.bp.DM().PageSize()) {
 		return InvalidRID, fmt.Errorf("heap: record of %d bytes exceeds page capacity", len(rec))
 	}
-	// Fast path: the last page we inserted into.
-	if f.lastPage != storage.InvalidPageID {
-		p, err := f.bp.Fetch(f.lastPage)
-		if err != nil {
-			return InvalidRID, err
+	p, slot, err := f.place(rec)
+	if err != nil {
+		return InvalidRID, err
+	}
+	f.unpinLogged(p, slot, rec)
+	f.count++
+	return RID{Page: p.ID, Slot: uint16(slot)}, nil
+}
+
+// place stores rec on the first page that takes it — the target page, then
+// the lowest-numbered page the free-space map has room on, then a new page
+// at the end of the file, PostgreSQL's target-block, FSM, extend order —
+// and returns that page, still pinned, with the record's slot. The page
+// becomes the target.
+func (f *File) place(rec []byte) (*storage.Page, int, error) {
+	if p, slot, err := f.tryPage(f.target, rec); p != nil || err != nil {
+		return p, slot, err
+	}
+	for tried := storage.PageID(0); ; {
+		pid := f.free.Lowest(len(rec), tried, f.target)
+		if pid == storage.InvalidPageID {
+			break
 		}
-		if slot, ok := storage.SlotInsert(p.Data, rec); ok {
-			rid := RID{Page: p.ID, Slot: uint16(slot)}
-			f.unpinLogged(p, slot, rec)
-			f.count++
-			return rid, nil
+		if p, slot, err := f.tryPage(pid, rec); p != nil || err != nil {
+			if p != nil {
+				f.target = pid
+			}
+			return p, slot, err
 		}
-		f.bp.Unpin(p, false)
+		tried = pid
 	}
 	p, err := f.bp.NewPage()
 	if err != nil {
-		return InvalidRID, err
+		return nil, 0, err
 	}
 	storage.SlotInit(p.Data)
 	slot, ok := storage.SlotInsert(p.Data, rec)
 	if !ok {
 		f.bp.Unpin(p, false)
-		return InvalidRID, fmt.Errorf("heap: record of %d bytes does not fit an empty page", len(rec))
+		return nil, 0, fmt.Errorf("heap: record of %d bytes does not fit an empty page", len(rec))
 	}
-	rid := RID{Page: p.ID, Slot: uint16(slot)}
-	f.lastPage = p.ID
-	f.unpinLogged(p, slot, rec)
-	f.count++
-	return rid, nil
+	f.target = p.ID
+	return p, slot, nil
 }
 
-// InsertBatch appends every record of recs, filling each data page to
+// tryPage stores rec on page pid if it fits, returning the page pinned and
+// the slot, or a nil page. A page the free-space map knows is not fetched
+// when the map says rec does not fit, and its figure follows the insert.
+func (f *File) tryPage(pid storage.PageID, rec []byte) (*storage.Page, int, error) {
+	if pid == storage.InvalidPageID {
+		return nil, 0, nil
+	}
+	free, known := f.free.Free(pid)
+	if known && free < len(rec) {
+		return nil, 0, nil
+	}
+	p, err := f.bp.Fetch(pid)
+	if err != nil {
+		return nil, 0, err
+	}
+	slot, ok := f.insertNoted(p, rec)
+	if !ok {
+		f.bp.Unpin(p, false)
+		return nil, 0, nil
+	}
+	return p, slot, nil
+}
+
+// insertNoted is storage.SlotInsert on the pinned page p that keeps the
+// free-space map's figure for p, if it has one, exact.
+func (f *File) insertNoted(p *storage.Page, rec []byte) (int, bool) {
+	if _, known := f.free.Free(p.ID); !known {
+		return storage.SlotInsert(p.Data, rec)
+	}
+	dir := storage.SlotDirCost(p.Data)
+	slot, ok := storage.SlotInsert(p.Data, rec)
+	if ok {
+		f.free.Note(p, dir, len(rec))
+	}
+	return slot, ok
+}
+
+// InsertBatch stores every record of recs, filling each data page to
 // capacity under a single pin (instead of re-pinning per record the way
 // per-row Insert does) and covering each filled page with one batch log
 // record rather than one record per tuple. The returned RIDs parallel
@@ -256,10 +323,11 @@ func (f *File) InsertBatch(payloads [][]byte) ([]RID, error) {
 	return f.InsertBatchTx(payloads, 0)
 }
 
-// InsertBatchTx appends every payload as a new tuple version created by
-// transaction xmin. The encoded records are retained until the statement
-// commits (they are freshly allocated here, so callers may reuse their
-// payload slices).
+// InsertBatchTx stores every payload as a new tuple version created by
+// transaction xmin, placing each page's first record as InsertTx does and
+// the records after it on the same page while they fit. The encoded
+// records are fresh allocations, so callers may reuse their payload
+// slices.
 func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 	capacity := storage.SlotCapacity(f.bp.DM().PageSize())
 	recs := make([][]byte, len(payloads))
@@ -270,42 +338,23 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 		}
 	}
 	rids := make([]RID, 0, len(recs))
-	i := 0
-	for i < len(recs) {
-		var p *storage.Page
-		var err error
-		fresh := false
-		if f.lastPage != storage.InvalidPageID {
-			p, err = f.bp.Fetch(f.lastPage)
-		} else {
-			fresh = true
-			p, err = f.bp.NewPage()
-		}
+	for i := 0; i < len(recs); {
+		p, slot, err := f.place(recs[i])
 		if err != nil {
 			return rids, err
 		}
-		if fresh {
-			storage.SlotInit(p.Data)
-			f.lastPage = p.ID
-		}
 		// Fill this page with as many of the remaining records as fit.
-		var slots []uint16
-		var placed [][]byte
-		for i < len(recs) {
-			slot, ok := storage.SlotInsert(p.Data, recs[i])
+		slots := []uint16{uint16(slot)}
+		placed := [][]byte{recs[i]}
+		rids = append(rids, RID{Page: p.ID, Slot: uint16(slot)})
+		for i++; i < len(recs); i++ {
+			slot, ok := f.insertNoted(p, recs[i])
 			if !ok {
 				break
 			}
 			rids = append(rids, RID{Page: p.ID, Slot: uint16(slot)})
 			slots = append(slots, uint16(slot))
 			placed = append(placed, recs[i])
-			i++
-		}
-		if len(slots) == 0 {
-			// A full last page: move on to a fresh one.
-			f.bp.Unpin(p, false)
-			f.lastPage = storage.InvalidPageID
-			continue
 		}
 		f.count += int64(len(slots))
 		// One batch record covers the whole page-worth of tuples,
@@ -410,8 +459,9 @@ func (f *File) ClearXmax(rid RID) error { return f.setHeader(rid, opClearXmax, 0
 // every snapshot — the undo of an insert whose transaction rolled back.
 func (f *File) MarkAborted(rid RID) error { return f.setHeader(rid, opMarkAborted, 0) }
 
-// Delete removes the record at rid. Deleting a non-existent record is a
-// no-op.
+// Delete removes the record at rid and notes the page's free space in the
+// free-space map, so later inserts fill it. Deleting a non-existent record
+// is a no-op.
 func (f *File) Delete(rid RID) error {
 	if !rid.Valid() || uint32(rid.Page) >= f.NumPages() {
 		return nil
@@ -420,12 +470,14 @@ func (f *File) Delete(rid RID) error {
 	if err != nil {
 		return err
 	}
-	existed := storage.SlotRead(p.Data, int(rid.Slot)) != nil
-	if !existed {
+	rec := storage.SlotRead(p.Data, int(rid.Slot))
+	if rec == nil {
 		f.bp.Unpin(p, false)
 		return nil
 	}
+	dir := storage.SlotDirCost(p.Data)
 	storage.SlotDelete(p.Data, int(rid.Slot))
+	f.free.Note(p, dir, -len(rec))
 	f.unpinLogged(p, int(rid.Slot), nil)
 	f.count--
 	return nil

@@ -310,3 +310,84 @@ func TestRandomizedModel(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertsFillFreedSpace holds both insert paths to the placement
+// order — the target page, then the lowest-numbered page the free-space
+// map lists with room, then a new page — under random deletes, and the
+// map's figures to what a walk of each page finds.
+func TestInsertsFillFreedSpace(t *testing.T) {
+	f := newTestHeap(t)
+	r := rand.New(rand.NewSource(9))
+	var live []RID
+	pageFree := func(pid storage.PageID) int {
+		p, err := f.bp.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.bp.Unpin(p, false)
+		return storage.SlotFreeSpace(p.Data)
+	}
+	// want is the page an insert of payload must land on.
+	want := func(payload []byte) storage.PageID {
+		n := TupleHeaderSize + len(payload)
+		if f.target != storage.InvalidPageID && pageFree(f.target) >= n {
+			return f.target
+		}
+		if pid := f.free.Lowest(n, 0, f.target); pid != storage.InvalidPageID {
+			return pid
+		}
+		return storage.PageID(f.NumPages())
+	}
+	reused := 0
+	for step := 0; step < 4000; step++ {
+		switch k := r.Intn(10); {
+		case k < 4 && len(live) > 0:
+			i := r.Intn(len(live))
+			if err := f.Delete(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case k < 8:
+			payload := make([]byte, 1+r.Intn(100))
+			r.Read(payload)
+			page := want(payload)
+			rid, err := f.InsertTx(payload, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rid.Page != page {
+				t.Fatalf("step %d: insert went to page %d, want %d", step, rid.Page, page)
+			}
+			if uint32(page)+1 < f.NumPages() {
+				reused++
+			}
+			live = append(live, rid)
+		default:
+			payloads := make([][]byte, 1+r.Intn(8))
+			for i := range payloads {
+				payloads[i] = make([]byte, 1+r.Intn(100))
+				r.Read(payloads[i])
+			}
+			page := want(payloads[0])
+			rids, err := f.InsertBatchTx(payloads, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rids[0].Page != page {
+				t.Fatalf("step %d: batch began on page %d, want %d", step, rids[0].Page, page)
+			}
+			live = append(live, rids...)
+		}
+		for pid := storage.PageID(1); uint32(pid) < f.NumPages(); pid++ {
+			if got, known := f.free.Free(pid); known && got != pageFree(pid) {
+				t.Fatalf("step %d: the map holds %d bytes free on page %d, the page has %d", step, got, pid, pageFree(pid))
+			}
+		}
+	}
+	if reused < 100 {
+		t.Fatalf("only %d inserts went to freed space before the last page", reused)
+	}
+	if int(f.Count()) != len(live) {
+		t.Fatalf("Count = %d, %d live records", f.Count(), len(live))
+	}
+}

@@ -80,6 +80,21 @@ func TestShowStatsTable(t *testing.T) {
 	if m["index_w_trie_pages"] < 2 {
 		t.Errorf("index_w_trie_pages = %d, want >= 2", m["index_w_trie_pages"])
 	}
+	if m["heap_free_bytes"] != 0 {
+		t.Errorf("heap_free_bytes = %d before any VACUUM, want 0", m["heap_free_bytes"])
+	}
+	// VACUUM's delete notes the page's free space; the next insert fills
+	// it, and the figure follows.
+	mustExec(t, s, `DELETE FROM w WHERE id = 2`)
+	mustExec(t, s, `VACUUM w`)
+	freed := statsMap(t, mustExec(t, s, `SHOW STATS w`))["heap_free_bytes"]
+	if freed <= 0 || freed >= 8192 {
+		t.Errorf("heap_free_bytes = %d after VACUUM, want the free bytes of the one heap page", freed)
+	}
+	mustExec(t, s, `INSERT INTO w VALUES ('d', 4)`)
+	if got := statsMap(t, mustExec(t, s, `SHOW STATS w`))["heap_free_bytes"]; got >= freed {
+		t.Errorf("heap_free_bytes = %d after an insert into the vacuumed page, was %d", got, freed)
+	}
 
 	if _, err := s.Exec(`SHOW STATS nope`); err == nil {
 		t.Fatal("SHOW STATS on a missing table should fail")
