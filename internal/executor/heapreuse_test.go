@@ -250,3 +250,60 @@ func reusePage(t *testing.T, f *heap.File, pid storage.PageID) []byte {
 	defer f.Pool().Unpin(p, false)
 	return append([]byte(nil), p.Data...)
 }
+
+// TestHeapFreeBytesBesideInserts: SHOW STATS reads the free-space map
+// while inserts fill the space it lists — under the race detector, the
+// table's page latch must order the two.
+func TestHeapFreeBytesBesideInserts(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	words := datagen.Words(1000, 34)
+	tb := reuseTable(t, db, words, 1000)
+	if _, err := tb.DeleteWhere(reuseIDPred("<", 500)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Vacuum("words"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 1000; i < 1300; i++ {
+			if _, err := tb.Insert(reuseRows(words, i, i+1)[0]); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	free := func() int64 {
+		stats, err := tb.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stats {
+			if s.Name == "heap_free_bytes" {
+				return s.Value
+			}
+		}
+		t.Fatal("SHOW STATS has no heap_free_bytes")
+		return 0
+	}
+	before := free()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after := free(); after >= before {
+				t.Fatalf("heap_free_bytes %d after 300 inserts into freed space, %d before", after, before)
+			}
+			return
+		default:
+			free()
+		}
+	}
+}
