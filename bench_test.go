@@ -470,9 +470,9 @@ func BenchmarkWALAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkWALPageImage measures the page-image record path the buffer
-// pool takes on every dirty unpin of an index page, for a sparse page
-// (mostly zeros, left out as its hole) and a full page image.
+// BenchmarkWALPageImage measures the page-image record path of a page's
+// first-touch full-page write, for a sparse page (mostly zeros, left out
+// as its hole) and a full page image.
 func BenchmarkWALPageImage(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -489,9 +489,12 @@ func BenchmarkWALPageImage(b *testing.B) {
 				page[i] = byte(i | 1)
 			}
 			b.SetBytes(int64(len(page)))
+			g := wal.NewGroup()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.AppendPageImage("t.idx", uint32(i%64), page, bc.fill, len(page)-bc.fill); err != nil {
+				g.Reset()
+				g.AddPageImage("t.idx", uint32(i%64), page, bc.fill, len(page)-bc.fill)
+				if _, err := w.AppendGroup(g); err != nil {
 					b.Fatal(err)
 				}
 			}

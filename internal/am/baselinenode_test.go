@@ -10,9 +10,10 @@ import (
 	"repro/internal/storage"
 )
 
-// baselineBodies builds a B+-tree and an R-tree in 512-byte pages, deep
-// enough to have inner nodes, and returns the node body of every data page.
-func baselineBodies(t testing.TB) (bt, rt [][]byte) {
+// baselineRecords builds a B+-tree and an R-tree in 512-byte pages, deep
+// enough to have inner nodes, and returns the node record, slot 0, of every
+// data page.
+func baselineRecords(t testing.TB) (bt, rt [][]byte) {
 	t.Helper()
 	const pageSize = 512
 	bodies := func(build func(bp *storage.BufferPool) error) [][]byte {
@@ -30,7 +31,7 @@ func baselineBodies(t testing.TB) (bt, rt [][]byte) {
 			if err := dm.ReadPage(pid, page); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, storage.PageBody(page))
+			out = append(out, storage.SlotRead(page, 0))
 		}
 		return out
 	}
@@ -61,7 +62,7 @@ func baselineBodies(t testing.TB) (bt, rt [][]byte) {
 	return bt, rt
 }
 
-// readBTree and readRTree call every accessor of a view the body gives,
+// readBTree and readRTree call every accessor of a view the record gives,
 // reporting whether it gave one.
 func readBTree(body []byte) bool {
 	v, err := btree.NewView(body, nil)
@@ -96,14 +97,15 @@ func readRTree(body []byte) bool {
 	return true
 }
 
-// FuzzBaselineNode feeds arbitrary node bodies to the B+-tree's and the
+// FuzzBaselineNode feeds arbitrary node records to the B+-tree's and the
 // R-tree's view: each must return an error or a view whose every accessor
-// stays inside the body. The seeds are the trees' own leaf and inner pages,
-// whole, truncated inside their entries, and with a bit flipped in the
-// count or the first key length; the whole pages must parse and the
-// truncated ones must not.
+// stays inside the record. The seeds are the slot-0 records of the trees'
+// own leaf and inner pages, whole, truncated inside their entries, and with
+// a bit flipped in the count or the first key length; the whole records
+// must parse, end where their entries end, and the truncated ones must not
+// parse.
 func FuzzBaselineNode(f *testing.F) {
-	bt, rt := baselineBodies(f)
+	bt, rt := baselineRecords(f)
 	seen := map[bool]bool{}
 	for _, body := range bt {
 		v, err := btree.NewView(body, nil)
@@ -122,6 +124,9 @@ func FuzzBaselineNode(f *testing.F) {
 	}
 	// seed adds body, whose entries end at byte used, as read parses it.
 	seed := func(read func([]byte) bool, body []byte, used int) {
+		if used != len(body) {
+			f.Fatalf("a node record of %d bytes whose entries end at byte %d", len(body), used)
+		}
 		f.Add(body)
 		for _, cut := range [][]byte{body[:used-1], body[:used/2]} {
 			if read(cut) {

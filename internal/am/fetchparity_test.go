@@ -20,7 +20,12 @@ import (
 // store is made of. The SP-GiST figures were recorded at commit 937e6f7
 // (the decoded-node cache) and must not move: the benchmark's pages_per_op
 // is this count. The B+-tree and R-tree keep no node store: every node they
-// visit is a pool access, as in PostgreSQL's nbtree and GiST.
+// visit is a pool access, as in PostgreSQL's nbtree and GiST. Their figures
+// were re-recorded when a node became the slot-0 record of its page: a
+// node now holds 8 bytes less (its line pointer, and the one SlotUpdate
+// keeps free for a growing record), so B+-tree leaves split a little
+// earlier and the R-tree's M fell from 204 to 203 entries; the trees'
+// shapes, and with them these counts, moved.
 func TestNodeTableFetchParity(t *testing.T) {
 	world := geom.MakeBox(0, 0, 100, 100)
 	words := datagen.Words(8000, 11)
@@ -100,17 +105,17 @@ func TestNodeTableFetchParity(t *testing.T) {
 				{"#=", text(datagen.Prefixes(words, 30, 22))},
 				{"?=", text(datagen.Patterns(words, 20, 0.3, 23))},
 			},
-			want: [6][2]int64{{300, 44}, {677, 254}, {1054, 463}, {9104, 2688}, {35005, 17702}, {35530, 18090}},
+			want: [6][2]int64{{296, 44}, {673, 254}, {1050, 463}, {9100, 2676}, {34888, 17670}, {35410, 18056}},
 		},
 		{
 			opclass: "rtree_point", keys: ptKeys,
 			scans: []scan{{"@", ptKeys[100:160]}, {"^", boxArgs}},
-			want:  [6][2]int64{{5602, 84}, {5824, 117}, {6046, 151}, {12057, 959}, {18214, 2721}, {18454, 2805}},
+			want:  [6][2]int64{{5604, 99}, {5831, 141}, {6058, 180}, {12069, 992}, {18384, 2921}, {18636, 3017}},
 		},
 		{
 			opclass: "rtree_segment", keys: segKeys,
 			scans: []scan{{"=", segKeys[100:140]}, {"&&", boxArgs}},
-			want:  [6][2]int64{{1996, 6}, {2177, 6}, {2358, 6}, {4763, 21}, {7036, 241}, {7234, 263}},
+			want:  [6][2]int64{{1998, 6}, {2179, 6}, {2360, 6}, {4765, 23}, {7036, 258}, {7234, 283}},
 		},
 	}
 	for ci := range cases {

@@ -2,7 +2,9 @@
 // the baseline PostgreSQL access method the paper compares the SP-GiST
 // trie against (Figures 6–12).
 //
-// One tree node occupies one page. Leaves hold sorted (key, RID) pairs
+// One tree node occupies one page: it is the one record, in slot 0, of a
+// slotted page, logged as a slot put or patch like an SP-GiST node. Leaves
+// hold sorted (key, RID) pairs
 // and are chained left-to-right, which is what makes prefix (range) scans
 // cheap — the very advantage Figure 6 reports for the B+-tree over the
 // trie on prefix queries. Wildcard ("regular expression") search uses
@@ -34,7 +36,7 @@ const (
 	metaBodySize = 16
 )
 
-// Node page layout, after the page header:
+// Node record layout, the one record of its page, in nodeSlot:
 //
 //	[kind u8][nkeys u16][next u32 (leaf) | child0 u32 (inner)] entries...
 //	leaf entry:  [klen u16][key][rid 6]
@@ -43,6 +45,7 @@ const (
 	kindLeaf  = 1
 	kindInner = 2
 	hdrSize   = 7
+	nodeSlot  = 0
 )
 
 type entry struct {
@@ -70,6 +73,10 @@ type Tree struct {
 
 	// trace, when non-nil, records distinct pages touched by read paths.
 	trace atomic.Pointer[storage.PageTrace]
+
+	// enc is the buffer node records are encoded and spliced in; writers
+	// are serialized, so one serves the tree.
+	enc []byte
 }
 
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
@@ -104,7 +111,7 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 }
 
 // saveMeta writes root, height and count into the meta page, dirtying it
-// (and so logging its image with the next record group) only when one of
+// (and so logging the change with the next record group) only when one of
 // them changed. Insert calls it where the root moves, so that a record
 // group holding the new root page always holds the pointer to it; the
 // count follows at the caller's commit point (SaveMeta).
@@ -183,8 +190,11 @@ func (n *node) encode(buf []byte) {
 	}
 }
 
-// nodeCap is the size of the largest node one page holds.
-func (t *Tree) nodeCap() int { return t.bp.DM().PageSize() - storage.PageHeaderSize }
+// nodeCap is the largest node record: an empty slotted page's capacity,
+// less the line pointer SlotUpdate keeps free to grow a record.
+func (t *Tree) nodeCap() int {
+	return storage.SlotCapacity(t.bp.DM().PageSize()) - storage.SlotEntrySize
+}
 
 // StartPageTrace begins counting the distinct pages touched by read-only
 // operations (the page reads a cold execution would issue).
@@ -224,7 +234,7 @@ func (t *Tree) pin(pid storage.PageID, w *walk) (*storage.Page, View, error) {
 	if err != nil {
 		return nil, View{}, err
 	}
-	v, err := NewView(storage.PageBody(p.Data), w.offs)
+	v, err := NewView(storage.SlotRead(p.Data, nodeSlot), w.offs)
 	if err != nil {
 		t.bp.Unpin(p, false)
 		return nil, View{}, fmt.Errorf("%w (page %d)", err, pid)
@@ -269,27 +279,35 @@ func (t *Tree) readLeaf(pid storage.PageID, w *walk) (View, error) {
 	return t.release(p, v, w), nil
 }
 
+// record returns n encoded as a node record, in t.enc.
+func (t *Tree) record(n *node) ([]byte, error) {
+	sz := n.encodedSize()
+	if sz > t.nodeCap() {
+		return nil, fmt.Errorf("btree: node of %d bytes exceeds page size", sz)
+	}
+	t.enc = slices.Grow(t.enc[:0], sz)[:sz]
+	n.encode(t.enc)
+	return t.enc, nil
+}
+
 func (t *Tree) writeNode(pid storage.PageID, n *node) error {
-	if n.encodedSize() > t.nodeCap() {
-		return fmt.Errorf("btree: node of %d bytes exceeds page size", n.encodedSize())
+	rec, err := t.record(n)
+	if err != nil {
+		return err
 	}
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return err
 	}
-	n.encode(storage.PageBody(p.Data))
-	t.bp.Unpin(p, true)
-	return nil
+	return t.bp.UnpinRewrite(p, nodeSlot, rec)
 }
 
 func (t *Tree) allocNode(n *node) (storage.PageID, error) {
-	p, err := t.bp.NewPage()
+	rec, err := t.record(n)
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
-	n.encode(storage.PageBody(p.Data))
-	t.bp.Unpin(p, true)
-	return p.ID, nil
+	return t.bp.NewRecordPage(rec)
 }
 
 // checkKey refuses a key too large for a node to split around.
@@ -390,13 +408,17 @@ func (t *Tree) insert(pairs []Pair, w *walk) (int, error) {
 // as many consecutive (sorted) pairs into its page bytes as provably
 // belong there and fit, the way PostgreSQL shifts item pointers in place,
 // returning how many were consumed (0 if the first key needs the split
-// path). Each pair goes in at its key's upper bound.
+// path). Each pair goes in at its key's upper bound. The run is spliced
+// into a copy of the leaf record with room for a whole node, which then
+// replaces the record where it lies.
 func (t *Tree) spliceRun(pairs []Pair, w *walk) (int, error) {
 	p, v, err := t.descend(pairs[0].Key, false, w)
 	if err != nil {
 		return 0, err
 	}
-	data := v.b
+	data := slices.Grow(t.enc[:0], t.nodeCap())[:t.nodeCap()]
+	copy(data, v.b[:v.end])
+	v.b, t.enc = data, data
 	rightmost := v.Link() == storage.InvalidPageID
 	done := 0
 	for _, pr := range pairs {
@@ -432,8 +454,14 @@ func (t *Tree) spliceRun(pairs []Pair, w *walk) (int, error) {
 		v.end += esz
 		done++
 	}
+	if done == 0 {
+		t.bp.Unpin(p, false)
+		return 0, nil
+	}
+	if err := t.bp.UnpinRewrite(p, nodeSlot, data[:v.end]); err != nil {
+		return 0, err
+	}
 	t.count += int64(done)
-	t.bp.Unpin(p, done > 0)
 	return done, nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/storage"
 )
 
-// View is the one reading of a node page body: its kind, its key count, key
+// View is the one reading of a node record: its kind, its key count, key
 // and RID or child i, and a leaf's right sibling (an inner node's leftmost
 // child). NewView checks the whole layout against the body, so every
 // accessor stays inside it for every i below Len. Searches read inner nodes

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // Tree is one disk-based SP-GiST index: the generic internal methods bound
@@ -41,10 +40,6 @@ type Tree struct {
 	// lastAlloc is the most recent page that received a node; new sibling
 	// groups land there while it has room, keeping subtrees clustered.
 	lastAlloc storage.PageID
-
-	// patch is the slot patch of the last record update took, empty when
-	// logging the whole record is smaller; unpinUpdate logs it.
-	patch []byte
 }
 
 // newFreeSpace returns the free-space map of an index over bp: a page is
@@ -167,7 +162,7 @@ func (t *Tree) SizeBytes() int64 {
 }
 
 // saveMeta writes the root reference and the key count into the meta page,
-// dirtying it (and so logging its image with the next record group) only
+// dirtying it (and so logging the change with the next record group) only
 // when one of them changed. The root reference is saved where it moves —
 // a record group that holds the moved root always holds the pointer to it
 // — and the key count at the caller's commit point (SaveMeta).
@@ -184,9 +179,9 @@ func (t *Tree) setRoot(ref NodeRef) error {
 
 // SaveMeta persists the in-memory metadata (root reference, key count)
 // into the metadata page without flushing data pages. With a WAL
-// attached this is enough to make the metadata recoverable: the dirty
-// meta page is logged as a page image and replayed on reopen (node
-// pages are logged node by node, see unpinPut).
+// attached this is enough to make the metadata recoverable: the change to
+// the meta record is logged as a slot patch, as a node rewrite is, and
+// replayed on reopen.
 func (t *Tree) SaveMeta() error { return t.saveMeta() }
 
 // Flush persists metadata and all dirty pages.
@@ -285,47 +280,6 @@ func (t *Tree) tracePage(pid storage.PageID) {
 	}
 }
 
-// unpinPut releases p after the node record rec was stored at slot. A
-// node is an opaque record in a slotted page, exactly like a heap tuple,
-// so with a log attached the write is covered by a slot-put record — what
-// was stored where — instead of an image of the whole page, deferred to
-// the statement's commit point like the heap's records; recovery replays
-// it through the same slotted-page redo.
-func (t *Tree) unpinPut(p *storage.Page, slot int, rec []byte) {
-	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-		return g.AddSlotPut(file, uint32(p.ID), uint16(slot), rec)
-	})
-}
-
-// update stores rec over the node record in slot of the pinned page p,
-// where it lies, as storage.SlotUpdate does — false when rec does not fit
-// the page — first taking into t.patch what the rewrite changes, while the
-// old bytes are still there to compare.
-func (t *Tree) update(p *storage.Page, slot int, rec []byte) bool {
-	t.patch, _ = storage.AppendSlotPatch(t.patch[:0], storage.SlotRead(p.Data, slot), rec)
-	return storage.SlotUpdate(p.Data, slot, rec)
-}
-
-// unpinUpdate is unpinPut for the record update stored in slot: the
-// rewrite is logged as the slot patch update took when it is smaller than
-// rec, and as a slot put otherwise.
-func (t *Tree) unpinUpdate(p *storage.Page, slot int, rec []byte) {
-	if len(t.patch) == 0 {
-		t.unpinPut(p, slot, rec)
-		return
-	}
-	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-		return g.AddSlotPatch(file, uint32(p.ID), uint16(slot), t.patch)
-	})
-}
-
-// unpinDelete is unpinPut for a node record removed from slot.
-func (t *Tree) unpinDelete(p *storage.Page, slot int) {
-	t.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-		return g.AddSlotDelete(file, uint32(p.ID), uint16(slot))
-	})
-}
-
 // allocNode places an encoded node record using the clustering policy:
 // first the preferred page (normally the parent's), then the most recent
 // allocation page, then a fresh page. It returns the new node's address.
@@ -356,7 +310,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 		}
 		t.free.Note(p, dir, len(rec))
 		t.nodes.cover(pid, slot+1)
-		t.unpinPut(p, slot, rec)
+		t.bp.UnpinPut(p, slot, rec)
 		return NodeRef{Page: pid, Slot: uint16(slot)}, true, nil
 	}
 	if ref, ok, err := try(prefer); err != nil || ok {
@@ -395,7 +349,7 @@ func (t *Tree) allocNode(prefer storage.PageID, rec []byte) (NodeRef, error) {
 	t.nodes.cover(p.ID, slot+1)
 	t.lastAlloc = p.ID
 	ref := NodeRef{Page: p.ID, Slot: uint16(slot)}
-	t.unpinPut(p, slot, rec)
+	t.bp.UnpinPut(p, slot, rec)
 	return ref, nil
 }
 
@@ -423,9 +377,9 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 	t.invalidate(ref)
 	oldLen := len(storage.SlotRead(p.Data, int(ref.Slot)))
 	dir := storage.SlotDirCost(p.Data)
-	if t.update(p, int(ref.Slot), rec) {
+	if t.bp.UpdateSlot(p, int(ref.Slot), rec) {
 		t.free.Note(p, dir, len(rec)-oldLen)
-		t.unpinUpdate(p, int(ref.Slot), rec)
+		t.bp.UnpinUpdate(p, int(ref.Slot), rec)
 		return ref, nil
 	}
 	// Relocate: drop the old copy, place the record elsewhere, fix the
@@ -433,7 +387,7 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 	// keep crossing as few pages as possible.
 	storage.SlotDelete(p.Data, int(ref.Slot))
 	t.free.Note(p, dir, -oldLen)
-	t.unpinDelete(p, int(ref.Slot))
+	t.bp.UnpinDelete(p, int(ref.Slot))
 	prefer := ref.Page
 	if parent != nil {
 		prefer = parent.ref.Page
@@ -464,11 +418,11 @@ func (t *Tree) writeRecord(p *storage.Page, ref NodeRef, rec []byte, parent *par
 		return InvalidRef, err
 	}
 	prec := pn.encode()
-	if !t.update(pp, int(parent.ref.Slot), prec) {
+	if !t.bp.UpdateSlot(pp, int(parent.ref.Slot), prec) {
 		t.bp.Unpin(pp, false)
 		return InvalidRef, fmt.Errorf("spgist: same-size parent update failed at %v", parent.ref)
 	}
-	t.unpinUpdate(pp, int(parent.ref.Slot), prec)
+	t.bp.UnpinUpdate(pp, int(parent.ref.Slot), prec)
 	return newRef, nil
 }
 
@@ -588,6 +542,6 @@ func (t *Tree) deleteNode(ref NodeRef) error {
 	dir := storage.SlotDirCost(p.Data)
 	storage.SlotDelete(p.Data, int(ref.Slot))
 	t.free.Note(p, dir, -oldLen)
-	t.unpinDelete(p, int(ref.Slot))
+	t.bp.UnpinDelete(p, int(ref.Slot))
 	return nil
 }

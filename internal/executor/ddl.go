@@ -246,7 +246,7 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 			db.broken = rerr
 		} else if commit {
 			// Discard the doomed build's frames first, so the
-			// compensation commit does not log page images of a file
+			// compensation commit does not log the records of a file
 			// about to be unlinked.
 			if bp != nil {
 				bp.Crash()
@@ -295,7 +295,7 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 	}
 
 	// Phase 3: flip the entry valid and commit it with the build's final
-	// page images and metadata — the statement's real commit point. The
+	// records and metadata — the statement's real commit point. The
 	// index joins t.Indexes only after the commit succeeds, so a failed
 	// statement never leaves a live index behind.
 	if err := db.cat.SetIndexValid(idxName, true); err != nil {

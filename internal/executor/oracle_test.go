@@ -597,13 +597,13 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 }
 
 // TestTornIndexPageRecovery is TestTornPageRecovery's index twin: the
-// background writer's write of one data page of every index — SP-GiST and
-// not — lands its first 512 bytes and the power goes. The torn page fails
-// its checksum at redo and is rebuilt from the log: before the first
-// checkpoint from the file's creation on (the log holds no image of it),
-// after one from the image its first touch since then shipped. After
-// recovery every index must agree with the heap, and the heap with the
-// statements that succeeded.
+// background writer's write of one data page of every index — SP-GiST,
+// B+-tree and R-tree alike — lands its first 512 bytes and the power goes.
+// Every torn page fails its checksum at redo and is rebuilt from the log:
+// before the first checkpoint from the file's creation on (the log holds
+// no image at all), after one from the image its first touch since then
+// shipped. After recovery every index must agree with the heap, and the
+// heap with the statements that succeeded.
 func TestTornIndexPageRecovery(t *testing.T) {
 	for _, checkpointed := range []bool{false, true} {
 		name := map[bool]string{false: "before the first checkpoint", true: "after a checkpoint"}[checkpointed]
@@ -655,13 +655,11 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 			t.Fatal(err)
 		}
 	}
-	spgist := map[string]bool{} // files of slotted node records
+	indexFiles := map[string]bool{}
 	for ti, tb := range tables {
 		insert(tb, oracleCrashTables[ti].datum, 400, 600, 1)
 		for _, ix := range tb.Indexes {
-			if ix.OpClass.AM == "spgist" {
-				spgist[ix.file] = true
-			}
+			indexFiles[ix.file] = true
 			// The meta page stays pinned, so the writer's first candidate
 			// is a data page; all three attempts at it are torn.
 			fdm, meta := faults[ix.file], mustFetch(t, ix.pool, 0)
@@ -681,28 +679,28 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	nodePageImages := 0
+	nodePageImages := map[string]int{}
 	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
-		if r.Type == wal.RecPageImage && spgist[r.File] && r.Page != 0 {
-			nodePageImages++
+		if r.Type == wal.RecPageImage && r.Page != 0 {
+			nodePageImages[r.File]++
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if (nodePageImages != 0) != checkpointed {
-		t.Fatalf("the log holds %d images of SP-GiST node pages; none are due before the first checkpoint, some after it", nodePageImages)
+	for file := range indexFiles {
+		if n := nodePageImages[file]; (n != 0) != checkpointed {
+			t.Fatalf("the log holds %d images of node pages of %s; none are due before the first checkpoint, some after it", n, file)
+		}
 	}
 	db, err = Open(Options{Dir: dir, WAL: true, PoolPages: 16 * oracleCrampedFiles})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	// A torn page of slotted records is found by its checksum and rebuilt;
-	// a B+-tree or R-tree page is logged as images only, and its last
-	// image overwrites the tear unseen.
-	if rs := db.RecoveryStats(); rs.TornPages < int64(len(spgist)) || rs.TornRepaired != rs.TornPages {
-		t.Fatalf("recovery found %d torn pages and repaired %d, want all of at least %d", rs.TornPages, rs.TornRepaired, len(spgist))
+	// Every index file's torn page is found by its checksum and rebuilt.
+	if rs := db.RecoveryStats(); rs.TornPages != int64(len(indexFiles)) || rs.TornRepaired != rs.TornPages {
+		t.Fatalf("recovery found %d torn pages and repaired %d, want the %d index files' one each", rs.TornPages, rs.TornRepaired, len(indexFiles))
 	}
 	matched := map[string]int{}
 	for _, tb := range db.Tables() {

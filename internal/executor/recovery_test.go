@@ -172,7 +172,7 @@ func TestCrashRecoveryMatchesCleanShutdown(t *testing.T) {
 	if rs.Records == 0 || rs.PagesWritten == 0 {
 		t.Fatalf("crash reopen performed no recovery: %+v", rs)
 	}
-	if rs.HeapInserts == 0 || rs.PageImages == 0 {
+	if rs.HeapInserts == 0 || rs.SlotPuts == 0 {
 		t.Fatalf("recovery exercised only one record family: %+v", rs)
 	}
 	crashRows := queryAll(t, db)

@@ -22,8 +22,8 @@ func sharedPoolFiles(tb *Table) map[string]bool {
 
 // TestSharedPoolConcurrentCommits: two sessions write two tables at once
 // through one pool — single-row and batched INSERT, DELETE — each table
-// with its B+-tree / R-tree (page images) and SP-GiST indexes (node
-// records). Every commit group in the log carries the records and images
+// with its B+-tree / R-tree and SP-GiST indexes (node records). Every
+// commit group in the log carries the records and images
 // of one table only (or of the catalog alone, where an xid high-water
 // mark is saved), and after a crash both tables recover to what their
 // statements committed, every index agreeing with its heap.

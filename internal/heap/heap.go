@@ -171,7 +171,7 @@ func (f *File) FreeBytes() int64 { return f.free.Total() }
 func (f *File) NumPages() uint32 { return f.bp.DM().NumPages() }
 
 // SaveMeta writes the target-page hint and the record count into the meta
-// page, dirtying it (and so logging its image with the next record group)
+// page, dirtying it (and so logging the change with the next record group)
 // only when one of them changed. Inserts and deletes do not call it: both
 // fields are counters of what the data pages hold, not pointers anything
 // is found through, so the owner saves them once at its commit point —

@@ -199,10 +199,11 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 // TestOpenRefusesPreVersionFormat pins the format gate: this build opens
 // files of storage.FormatVersion and refuses everything else — a well
-// formed page 0 of any other version by the one version check, and a file
-// laid out the way earlier builds wrote it (magic at byte 0, the heap's
-// own version counter where the page checksum now lives) before that, by
-// the checksum of its page 0.
+// formed meta record of any other version by the one version check, a
+// page 0 framed the way version 3 wrote it (the framing at byte 24, no
+// slot) by its missing meta record, and a file laid out the way earlier
+// builds wrote it (magic at byte 0, the heap's own version counter where
+// the page checksum now lives) before that, by the checksum of its page 0.
 func TestOpenRefusesPreVersionFormat(t *testing.T) {
 	const pageSize = 1024
 	cases := []struct {
@@ -211,9 +212,15 @@ func TestOpenRefusesPreVersionFormat(t *testing.T) {
 		refused func(err error) bool
 	}{
 		{"another version in the framing", func(meta []byte) {
+			binary.LittleEndian.PutUint32(storage.SlotRead(meta, 0)[4:], storage.FormatVersion-1)
+			storage.StampPageChecksum(meta)
+		}, func(err error) bool { return strings.Contains(err.Error(), "on-disk format version 3") }},
+		{"the framing before slotted meta pages", func(meta []byte) {
+			clear(meta)
+			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize:], metaMagic)
 			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize+4:], storage.FormatVersion-1)
 			storage.StampPageChecksum(meta)
-		}, func(err error) bool { return strings.Contains(err.Error(), "on-disk format version 2") }},
+		}, func(err error) bool { return strings.Contains(err.Error(), "holds no meta record") }},
 		{"the layout before the common header", func(meta []byte) {
 			clear(meta)
 			binary.LittleEndian.PutUint32(meta[0:], metaMagic)

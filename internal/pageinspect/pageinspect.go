@@ -1,20 +1,20 @@
 // Package pageinspect decodes raw pages of this repository's on-disk
 // structures straight from the file — no executor, no buffer pool, no
 // recovery — the way PostgreSQL's pageinspect extension (and tools like
-// pg_filedump) read relation files. Every page of every file opens with
-// the same header (storage.PageHeaderSize bytes: pageLSN and a checksum
-// that is verified against a recomputation, mismatches flagged), printed
-// the same way for all of them; page 0 then holds storage's meta framing
-// (magic, format version, the access method's body), and the data pages
-// what the file kind keeps there:
+// pg_filedump) read relation files. Every page of every file is a slotted
+// page: the same header (storage.PageHeaderSize bytes: pageLSN and a
+// checksum that is verified against a recomputation, mismatches flagged)
+// and line pointers, printed the same way for all of them, and records
+// that only a formatter of the file kind decodes. Page 0 holds one record,
+// storage's meta framing (magic, format version, the access method's
+// body); the data pages hold
 //
-//	heap files    (rel<oid>.tbl, magic "HEAP"): slotted tuple pages;
-//	              each tuple opens with the 18-byte MVCC header
-//	              [xmin:8][xmax:8][infomask:2]. Records shorter than
-//	              the header decode as frozen tuples
-//	B+-tree files (rel<oid>.idx, magic "BTRE"): one node per page
-//	SP-GiST files (rel<oid>.idx, magic "SPGS"): slotted node-record pages
-//	R-tree files  (rel<oid>.idx, magic "RTRE"): one node per page
+//	heap files    (rel<oid>.tbl, magic "HEAP"): tuples; each opens with
+//	              the 18-byte MVCC header [xmin:8][xmax:8][infomask:2].
+//	              Records shorter than the header decode as frozen tuples
+//	B+-tree files (rel<oid>.idx, magic "BTRE"): one node record per page
+//	SP-GiST files (rel<oid>.idx, magic "SPGS"): node records
+//	R-tree files  (rel<oid>.idx, magic "RTRE"): one node record per page
 //
 // The file kind is detected from the page-0 magic, so callers only name
 // a file, a page number, and a page size. Because pages are read from
@@ -127,8 +127,9 @@ func Describe(w io.Writer, path string, pageNo uint32, pageSize int) error {
 	return nil
 }
 
-// describePage dumps one page of a file of the given kind: the header
-// every page has, then page 0's meta framing or the kind's data page.
+// describePage dumps one page of a file of the given kind: the header and
+// line pointers every page has, then each live record through the kind's
+// formatter — page 0's meta record, or the kind's data records.
 func describePage(w io.Writer, kind FileKind, pageNo uint32, page []byte) {
 	fmt.Fprintf(w, "page %d:\n", pageNo)
 	if len(page) < storage.PageHeaderSize {
@@ -136,48 +137,59 @@ func describePage(w io.Writer, kind FileKind, pageNo uint32, page []byte) {
 		return
 	}
 	fmt.Fprintf(w, "  page header: lsn=%d cksum=%s\n", storage.PageLSN(page), describeChecksum(page))
+	describeSlotted(w, page, recordFormatter(kind, pageNo))
+}
+
+// recordFormatter returns the decoder of the records of page pageNo of a
+// file of the given kind.
+func recordFormatter(kind FileKind, pageNo uint32) func(w io.Writer, rec []byte) {
 	if pageNo == 0 {
-		describeMeta(w, kind, page)
-		return
+		return func(w io.Writer, rec []byte) { describeMeta(w, kind, rec) }
 	}
 	switch kind {
 	case KindHeap:
-		describeSlotted(w, page, describeHeapTuple)
+		return describeHeapTuple
 	case KindSPGiST:
-		describeSlotted(w, page, describeSPGiSTNode)
+		return describeSPGiSTNode
 	case KindBTree:
-		describeBTreeNode(w, storage.PageBody(page))
+		return describeBTreeNode
 	case KindRTree:
-		describeRTreeNode(w, storage.PageBody(page))
-	default:
-		fmt.Fprintf(w, "  unknown file kind; raw bytes:\n")
-		hexdump(w, "  ", page)
+		return describeRTreeNode
+	}
+	return func(w io.Writer, rec []byte) {
+		fmt.Fprintf(w, "    unknown file kind; raw bytes:\n")
+		hexdump(w, "    ", rec)
 	}
 }
 
-// describeMeta dumps page 0 of any file kind: storage's framing, then the
-// body, whose field offsets mirror each structure's documented layout.
-func describeMeta(w io.Writer, kind FileKind, p []byte) {
-	magic, format, body := storage.ParseMeta(p)
-	if kind == KindUnknown || len(body) < 16 {
-		fmt.Fprintf(w, "  meta: unrecognized magic %#08x; raw bytes:\n", magic)
-		hexdump(w, "  ", p[:min(len(p), 64)])
+// metaBodySize is the meta body of each file kind, mirrored from its
+// package: the bytes describeMeta reads.
+var metaBodySize = map[FileKind]int{KindHeap: 12, KindBTree: 16, KindSPGiST: 14, KindRTree: 16}
+
+// describeMeta renders page 0's meta record: storage's framing
+// [magic u32][format u32], then the body, whose field offsets mirror each
+// structure's documented layout.
+func describeMeta(w io.Writer, kind FileKind, rec []byte) {
+	if kind == KindUnknown || len(rec) < 8+metaBodySize[kind] {
+		fmt.Fprintf(w, "    meta: unrecognized record; raw bytes:\n")
+		hexdump(w, "    ", rec)
 		return
 	}
+	format, body := binary.LittleEndian.Uint32(rec[4:]), rec[8:]
 	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(body[off:]) }
 	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(body[off:]) }
 	switch kind {
 	case KindHeap:
-		fmt.Fprintf(w, "  meta: magic=\"HEAP\" format=%d last_page_hint=%s count=%d\n",
+		fmt.Fprintf(w, "    meta: magic=\"HEAP\" format=%d target=%s count=%d\n",
 			format, pageIDString(u32(0)), u64(4))
 	case KindBTree:
-		fmt.Fprintf(w, "  meta: magic=\"BTRE\" format=%d root=%s height=%d count=%d\n",
+		fmt.Fprintf(w, "    meta: magic=\"BTRE\" format=%d root=%s height=%d count=%d\n",
 			format, pageIDString(u32(0)), u32(4), u64(8))
 	case KindSPGiST:
-		fmt.Fprintf(w, "  meta: magic=\"SPGS\" format=%d root=(%s,%d) nkeys=%d\n",
+		fmt.Fprintf(w, "    meta: magic=\"SPGS\" format=%d root=(%s,%d) nkeys=%d\n",
 			format, pageIDString(u32(0)), binary.LittleEndian.Uint16(body[4:]), u64(6))
 	case KindRTree:
-		fmt.Fprintf(w, "  meta: magic=\"RTRE\" format=%d root=%s height=%d count=%d\n",
+		fmt.Fprintf(w, "    meta: magic=\"RTRE\" format=%d root=%s height=%d count=%d\n",
 			format, pageIDString(u32(0)), u32(4), u64(8))
 	}
 }
@@ -191,10 +203,10 @@ func pageIDString(id uint32) string {
 	return fmt.Sprintf("%d", id)
 }
 
-// describeSlotted dumps the rest of a slotted page — the slotted fields of
-// the header, the line pointer directory, and each live record through
-// the per-kind decoder.
-func describeSlotted(w io.Writer, p []byte, rec func(w io.Writer, slot int, rec []byte)) {
+// describeSlotted dumps the rest of a page — the slotted fields of the
+// header, the line pointer directory, and each live record through the
+// per-kind decoder.
+func describeSlotted(w io.Writer, p []byte, rec func(w io.Writer, rec []byte)) {
 	nslots := storage.SlotCount(p)
 	fmt.Fprintf(w, "  slotted header: nslots=%d nlive=%d free=[%d,%d)\n",
 		nslots, storage.SlotLive(p),
@@ -211,7 +223,7 @@ func describeSlotted(w io.Writer, p []byte, rec func(w io.Writer, slot int, rec 
 			continue
 		}
 		fmt.Fprintf(w, "  slot %d: off=%d len=%d\n", s, off, length)
-		rec(w, s, r)
+		rec(w, r)
 	}
 }
 
@@ -236,7 +248,7 @@ func describeChecksum(p []byte) string {
 // the raw bytes, and — since tuple payloads are self-describing — the
 // decoded datums. Versions no snapshot can ever see again are flagged
 // DEAD the way they would be to VACUUM.
-func describeHeapTuple(w io.Writer, _ int, rec []byte) {
+func describeHeapTuple(w io.Writer, rec []byte) {
 	h, payload := heap.ParseTuple(rec)
 	xmin := "frozen"
 	if h.Xmin != 0 {
@@ -265,7 +277,7 @@ func describeHeapTuple(w io.Writer, _ int, rec []byte) {
 // their partition labels and child references, leaf (data) nodes with
 // their items and overflow chain. The layout mirrors core's node
 // encoding: kind byte 1=inner, 2=leaf.
-func describeSPGiSTNode(w io.Writer, _ int, rec []byte) {
+func describeSPGiSTNode(w io.Writer, rec []byte) {
 	if len(rec) < 3 {
 		fmt.Fprintf(w, "    node: truncated record (%d bytes)\n", len(rec))
 		return
@@ -335,58 +347,58 @@ func describeSPGiSTNode(w io.Writer, _ int, rec []byte) {
 	}
 }
 
-// describeBTreeNode dumps the body of a B+-tree node page as btree's view
-// reads it: kind, key count and right sibling (leaf) or leftmost child
-// (inner), then every key with its RID or child page.
-func describeBTreeNode(w io.Writer, p []byte) {
-	v, err := btree.NewView(p, nil)
+// describeBTreeNode renders a B+-tree node record as btree's view reads
+// it: kind, key count and right sibling (leaf) or leftmost child (inner),
+// then every key with its RID or child page.
+func describeBTreeNode(w io.Writer, rec []byte) {
+	v, err := btree.NewView(rec, nil)
 	if err != nil {
-		describeMalformed(w, err, p)
+		describeMalformed(w, err, rec)
 		return
 	}
 	if v.Leaf() {
-		fmt.Fprintf(w, "  btree leaf: nkeys=%d next=%s\n", v.Len(), pageIDString(uint32(v.Link())))
+		fmt.Fprintf(w, "    btree leaf: nkeys=%d next=%s\n", v.Len(), pageIDString(uint32(v.Link())))
 		for i := 0; i < v.Len(); i++ {
-			fmt.Fprintf(w, "    key=%q rid=%s\n", v.Key(i), v.RID(i))
+			fmt.Fprintf(w, "      key=%q rid=%s\n", v.Key(i), v.RID(i))
 		}
 		return
 	}
-	fmt.Fprintf(w, "  btree inner: nkeys=%d child0=%s\n", v.Len(), pageIDString(uint32(v.Link())))
+	fmt.Fprintf(w, "    btree inner: nkeys=%d child0=%s\n", v.Len(), pageIDString(uint32(v.Link())))
 	for i := 0; i < v.Len(); i++ {
-		fmt.Fprintf(w, "    key=%q child=%s\n", v.Key(i), pageIDString(uint32(v.Child(i))))
+		fmt.Fprintf(w, "      key=%q child=%s\n", v.Key(i), pageIDString(uint32(v.Child(i))))
 	}
 }
 
-// describeRTreeNode dumps the body of an R-tree node page as rtree's view
-// reads it: kind and entry count, then every entry's rectangle with its RID
+// describeRTreeNode renders an R-tree node record as rtree's view reads
+// it: kind and entry count, then every entry's rectangle with its RID
 // (leaf) or child page (inner).
-func describeRTreeNode(w io.Writer, p []byte) {
-	v, err := rtree.NewView(p)
+func describeRTreeNode(w io.Writer, rec []byte) {
+	v, err := rtree.NewView(rec)
 	if err != nil {
-		describeMalformed(w, err, p)
+		describeMalformed(w, err, rec)
 		return
 	}
 	kind := "inner"
 	if v.Leaf() {
 		kind = "leaf"
 	}
-	fmt.Fprintf(w, "  rtree %s: entries=%d\n", kind, v.Len())
+	fmt.Fprintf(w, "    rtree %s: entries=%d\n", kind, v.Len())
 	for i := 0; i < v.Len(); i++ {
 		r := v.Rect(i)
 		rect := fmt.Sprintf("[%g,%g]x[%g,%g]", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
 		if v.Leaf() {
-			fmt.Fprintf(w, "    rect=%s rid=%s\n", rect, v.RID(i))
+			fmt.Fprintf(w, "      rect=%s rid=%s\n", rect, v.RID(i))
 		} else {
-			fmt.Fprintf(w, "    rect=%s child=%s\n", rect, pageIDString(uint32(v.Child(i))))
+			fmt.Fprintf(w, "      rect=%s child=%s\n", rect, pageIDString(uint32(v.Child(i))))
 		}
 	}
 }
 
-// describeMalformed prints why a node body failed its view, then its first
-// bytes.
-func describeMalformed(w io.Writer, err error, p []byte) {
-	fmt.Fprintf(w, "  %v; raw bytes:\n", err)
-	hexdump(w, "  ", p[:min(len(p), 64)])
+// describeMalformed prints why a node record failed its view, then its
+// first bytes.
+func describeMalformed(w io.Writer, err error, rec []byte) {
+	fmt.Fprintf(w, "    %v; raw bytes:\n", err)
+	hexdump(w, "    ", rec[:min(len(rec), 64)])
 }
 
 // hexdump writes b in canonical 16-bytes-per-line hex with an ASCII

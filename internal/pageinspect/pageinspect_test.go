@@ -309,6 +309,15 @@ func corruptLinePointer(pageSize int) []byte {
 	return page
 }
 
+// halveSlot0 returns a copy of page whose slot-0 line pointer claims half
+// its record: a record that ends inside its own fields.
+func halveSlot0(page []byte) []byte {
+	cut := append([]byte(nil), page...)
+	entry := cut[storage.PageHeaderSize:]
+	binary.LittleEndian.PutUint16(entry[2:], binary.LittleEndian.Uint16(entry[2:])/2)
+	return cut
+}
+
 // TestDescribeCorruptLinePointer: a directory entry that leaves the page
 // is printed as corrupt, and the slots around it still decode.
 func TestDescribeCorruptLinePointer(t *testing.T) {
@@ -325,10 +334,14 @@ func TestDescribeCorruptLinePointer(t *testing.T) {
 
 // FuzzDescribePage feeds arbitrary page bytes to the decoder of every file
 // kind, as a data page and as page 0: whatever the bytes, the result is a
-// dump, never a panic or a hang. Pages are small so that the fuzzer spends
-// its time on new inputs, not on minimizing 8 KB ones.
+// dump, never a panic or a hang. The seeds are page 0 and page 1 of a file
+// of every kind, then the same pages with the line pointer of their slot-0
+// record — the meta record, or the node or tuple — cut to half its length.
+// Pages are small so that the fuzzer spends its time on new inputs, not on
+// minimizing 8 KB ones.
 func FuzzDescribePage(f *testing.F) {
 	const pageSize = 512
+	var cut [][]byte
 	for _, kind := range allKinds {
 		raw, err := os.ReadFile(buildFile(f, kind, pageSize))
 		if err != nil {
@@ -336,6 +349,7 @@ func FuzzDescribePage(f *testing.F) {
 		}
 		f.Add(uint8(kind), false, raw[:pageSize])
 		f.Add(uint8(kind), true, raw[pageSize:2*pageSize])
+		cut = append(cut, halveSlot0(raw[:pageSize]), halveSlot0(raw[pageSize:2*pageSize]))
 	}
 	f.Add(uint8(KindHeap), true, corruptLinePointer(pageSize))
 	f.Add(uint8(KindSPGiST), true, corruptLinePointer(pageSize))
@@ -344,6 +358,9 @@ func FuzzDescribePage(f *testing.F) {
 	storage.SlotInsert(truncated, heap.EncodeTuple(heap.TupleHeader{}, []byte{1, 0, byte(catalog.Int), 1, 2}))
 	f.Add(uint8(KindHeap), true, truncated)
 	f.Add(uint8(KindUnknown), true, []byte{1, 2, 3})
+	for i, page := range cut {
+		f.Add(uint8(allKinds[i/2]), i%2 == 1, page)
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, dataPage bool, page []byte) {
 		if len(page) > 2*pageSize {
 			page = page[:2*pageSize]

@@ -2,7 +2,9 @@
 // split) — the baseline PostgreSQL spatial access method the paper
 // compares the SP-GiST kd-tree and PMR quadtree against (Figures 13–15).
 //
-// One tree node occupies one page. Leaf entries carry the exact geometry
+// One tree node occupies one page: it is the one record, in slot 0, of a
+// slotted page, logged as a slot put or patch like an SP-GiST node. Leaf
+// entries carry the exact geometry
 // bounding box of the indexed object plus its RID; inner entries carry
 // the minimum bounding rectangle of a child page. Points are indexed as
 // degenerate rectangles; line segments by their MBR, so an exact segment
@@ -30,7 +32,7 @@ const (
 	metaBodySize = 16
 )
 
-// Node page layout, after the page header:
+// Node record layout, the one record of its page, in nodeSlot:
 //
 //	[kind u8][n u16] entries: [4 x float64 rect][child u32 | rid 6, padded to 8]
 const (
@@ -38,6 +40,7 @@ const (
 	kindInner = 2
 	hdrSize   = 3
 	entrySize = 40
+	nodeSlot  = 0
 )
 
 type entry struct {
@@ -63,6 +66,10 @@ type Tree struct {
 
 	// trace, when non-nil, records distinct pages touched by read paths.
 	trace atomic.Pointer[storage.PageTrace]
+
+	// enc is the buffer node records are encoded in; writers are
+	// serialized, so one serves the tree.
+	enc []byte
 }
 
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
@@ -96,7 +103,9 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 }
 
 func newTree(bp *storage.BufferPool) *Tree {
-	maxFill := (bp.DM().PageSize() - storage.PageHeaderSize - hdrSize) / entrySize
+	// M fills an empty slotted page but for the line pointer SlotUpdate
+	// keeps free to grow a record.
+	maxFill := (storage.SlotCapacity(bp.DM().PageSize()) - storage.SlotEntrySize - hdrSize) / entrySize
 	minFill := maxFill * 2 / 5 // Guttman's recommended m ~ 40% of M
 	if minFill < 1 {
 		minFill = 1
@@ -108,7 +117,7 @@ func newTree(bp *storage.BufferPool) *Tree {
 }
 
 // saveMeta writes root, height and count into the meta page, dirtying it
-// (and so logging its image with the next record group) only when one of
+// (and so logging the change with the next record group) only when one of
 // them changed. Insert calls it where the root moves, so that a record
 // group holding the new root page always holds the pointer to it; the
 // count follows at the caller's commit point (SaveMeta).
@@ -204,7 +213,7 @@ func (t *Tree) pin(pid storage.PageID) (*storage.Page, View, error) {
 	if err != nil {
 		return nil, View{}, err
 	}
-	v, err := NewView(storage.PageBody(p.Data))
+	v, err := NewView(storage.SlotRead(p.Data, nodeSlot))
 	if err != nil {
 		t.bp.Unpin(p, false)
 		return nil, View{}, fmt.Errorf("%w (page %d)", err, pid)
@@ -222,24 +231,24 @@ func (t *Tree) readNode(pid storage.PageID) (*node, error) {
 	return v.node(), nil
 }
 
+// record returns n encoded as a node record, in t.enc.
+func (t *Tree) record(n *node) []byte {
+	sz := hdrSize + len(n.entries)*entrySize
+	t.enc = slices.Grow(t.enc[:0], sz)[:sz]
+	n.encode(t.enc)
+	return t.enc
+}
+
 func (t *Tree) writeNode(pid storage.PageID, n *node) error {
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return err
 	}
-	n.encode(storage.PageBody(p.Data))
-	t.bp.Unpin(p, true)
-	return nil
+	return t.bp.UnpinRewrite(p, nodeSlot, t.record(n))
 }
 
 func (t *Tree) allocNode(n *node) (storage.PageID, error) {
-	p, err := t.bp.NewPage()
-	if err != nil {
-		return storage.InvalidPageID, err
-	}
-	n.encode(storage.PageBody(p.Data))
-	t.bp.Unpin(p, true)
-	return p.ID, nil
+	return t.bp.NewRecordPage(t.record(n))
 }
 
 func mbr(entries []entry) geom.Box {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/storage"
 )
 
-// View is the one reading of a node page body: its kind, its entry count,
+// View is the one reading of a node record: its kind, its entry count,
 // and rectangle and RID or child i. NewView checks kind and count against
 // the body, so every accessor stays inside it for every i below Len.
 // Searches read inner nodes in the pinned frame and leaves in a copy they

@@ -132,17 +132,37 @@ func firstDiff(got, want string) string {
 // 8 626 bytes the two images shrank by, their length fields two bytes
 // either way. Every other line is unchanged, the meta-page images
 // included: under 1 KB, they are stored raw.
+//
+// Re-recorded once more when page 0 became a slotted page whose meta
+// record is logged like any other record, and every page-0 image before
+// CHECKPOINT went. A file's creation is now a slot-put of its meta record
+// (syscat.dat 20 bytes, a new line in the first group, ahead of the
+// heap-insert its image used to follow; rel1.tbl 20 and rel2.idx 22 in
+// place of their 36-byte images), and every counter save a slot-patch of
+// 7 to 12 bytes in place of a 37- to 40-byte image: syscat.dat's three,
+// rel1.tbl's five and rel2.idx's five. The index's first meta record of
+// the build is a 13-byte patch right after the root's first slot-put —
+// where the root moved — no longer a 39-byte image closing the group.
+// After CHECKPOINT each statement logs its meta patch, and, page 0 being
+// touched for the first time since the checkpoint, a 48- and a 50-byte
+// first-touch image of page 0 behind the data page's; the data pages'
+// deflated images come out a byte longer (1 483 → 1 484, 2 876 → 2 877)
+// because the LSNs stamped in them are three records later. The stream
+// appends 581 records instead of 578 (the catalog's creation put and the
+// two page-0 first touches) and 38 726 bytes instead of 39 089. Every
+// other line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
+slot-put file="syscat.dat" page=0 slot=0 xid=0 len=20
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
+slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=11
 commit file="" page=0 slot=0 xid=0 len=0
 file-create file="rel1.tbl" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=27
 heap-delete file="syscat.dat" page=1 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=64
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=36
+slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=7
+slot-put file="rel1.tbl" page=0 slot=0 xid=0 len=20
 commit file="" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=2 xid=0 len=27
 commit file="" page=0 slot=0 xid=0 len=0
@@ -150,17 +170,18 @@ heap-batch-insert file="rel1.tbl" page=1 slot=0 xid=0 len=7393
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=2783
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=1749
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
+slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=12
 txn-commit file="" page=0 slot=0 xid=1 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 file-create file="rel2.idx" page=0 slot=0 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=3 xid=0 len=27
 heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
-page-image file="syscat.dat" page=0 slot=0 xid=0 len=37
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=36
+slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=7
+slot-put file="rel2.idx" page=0 slot=0 xid=0 len=22
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=0 xid=0 len=25
+slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=13
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
@@ -229,7 +250,6 @@ slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
 slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=39
 commit file="" page=0 slot=0 xid=0 len=0
 slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
 slot-put file="rel2.idx" page=1 slot=5 xid=0 len=25
@@ -654,21 +674,21 @@ slot-patch file="rel2.idx" page=1 slot=135 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=24 xid=0 len=26
 slot-patch file="rel2.idx" page=1 slot=101 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=136 xid=0 len=27
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
+slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=8
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=39
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
+slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
+slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=2 slot=114 xid=3 len=0
 heap-insert file="rel1.tbl" page=2 slot=115 xid=0 len=39
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
+slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=26
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
+slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
 txn-commit file="" page=0 slot=0 xid=3 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=1 slot=0 xid=4 len=0
@@ -692,26 +712,28 @@ heap-delete file="rel1.tbl" page=1 slot=0 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
 heap-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
+slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=23
 slot-patch file="rel2.idx" page=1 slot=138 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=7
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
+slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
 commit file="" page=0 slot=0 xid=0 len=0
 -- after CHECKPOINT --
 checkpoint file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
-page-image file="rel1.tbl" page=0 slot=0 xid=0 len=38
-page-image file="rel1.tbl" page=2 slot=0 xid=0 len=1483
+slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
+page-image file="rel1.tbl" page=2 slot=0 xid=0 len=1484
+page-image file="rel1.tbl" page=0 slot=0 xid=0 len=48
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
-page-image file="rel2.idx" page=0 slot=0 xid=0 len=40
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=2876
+slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=2877
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=578 appended_bytes=39089
+appends=581 appended_bytes=38726
 `

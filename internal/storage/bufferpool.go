@@ -94,12 +94,13 @@ const minFramesPerShard = 16
 //
 // When a write-ahead log is attached (AttachWAL), the pool becomes the
 // WAL integration point for every structure built on it, with one
-// logging discipline: everything is deferred to the statement's commit
-// point. A dirty unpin marks the frame for a page image (Unpin) or
-// stages the logical record its caller built (UnpinDeferred);
-// StagePending hands both to the committer's record group, and no dirty
-// frame is written back to disk before the log is durable up to that
-// frame's latest record — the WAL-before-data rule. Deferred work belongs
+// logging rule: every change to a page is a record its owner built and
+// staged as it unpinned the page (UnpinDeferred), deferred to the
+// statement's commit point. StagePending hands the records — and the
+// full-page image of each page's first touch since the last checkpoint —
+// to the committer's record group, and no dirty frame is written back to
+// disk before the log is durable up to that frame's latest record — the
+// WAL-before-data rule. Deferred work belongs
 // to a relation: staging, flushing and resolving one relation touch only
 // its own frames, so statements on different tables commit independently.
 type Pool struct {
@@ -172,6 +173,10 @@ type BufferPool struct {
 	// StagePending and FlushAll use it, which the same serialization
 	// orders.
 	imageCopy []byte
+	// patch is the slot patch of the last UpdateSlot, empty when logging
+	// the whole record is smaller; UnpinUpdate logs it. The relation's
+	// writers are serialized, as for its pages.
+	patch []byte
 
 	// prefetchActive counts this relation's queued-or-running prefetch
 	// tasks so Close/Crash can wait them out before tearing frames down;
@@ -201,11 +206,10 @@ type inflightRead struct {
 // (BufferPool.key). Its mutex guards the page table, the clock hand,
 // every non-atomic frame field and its slot of every relation's counters.
 type poolShard struct {
-	mu      sync.Mutex
-	frames  []frame
-	table   map[uint64]int
-	hand    int
-	pending int // frames with imagePending set
+	mu     sync.Mutex
+	frames []frame
+	table  map[uint64]int
+	hand   int
 
 	// inflight holds the shard's pending disk reads, keyed like table. An
 	// entry's frame is pinned and invalid, reachable only through the
@@ -235,14 +239,9 @@ type frame struct {
 	dirty bool
 	valid bool
 	lsn   wal.LSN // latest WAL record covering this page (0 = none)
-	// imagePending marks a frame dirtied since the last commit marker
-	// whose page-image record is deferred to the commit point, so a
-	// page touched N times within one statement is imaged once, not N
-	// times. Such frames are unevictable (no-steal) until logged.
-	imagePending bool
 	// opPending marks a frame covered by deferred logical records
-	// (rel.ops) whose LSNs are not yet assigned. Unevictable, like
-	// imagePending, until ResolvePending runs at the commit point.
+	// (rel.ops) whose LSNs are not yet assigned. Unevictable (no-steal)
+	// until ResolvePending runs at the commit point.
 	opPending bool
 	// imagedLSN is the LSN of the last full page image logged for this
 	// frame's page while it has been resident (0 after a load from
@@ -581,7 +580,6 @@ func (bp *BufferPool) publishLocked(sh *poolShard, fi int, id PageID) *frame {
 	f.ref.Store(true)
 	f.lsn = 0
 	f.imagedLSN = 0
-	f.imagePending = false
 	f.opPending = false
 	f.prefetched = false
 	f.valid = true
@@ -762,11 +760,11 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
 }
 
-// Unpin releases one pin on p. dirty marks the frame as modified; with a
-// WAL attached, a dirty unpin also schedules a page-image record for the
-// statement's commit point (StagePending), so the mutation can be redone
-// after a crash and a page dirtied N times within one statement is
-// imaged once. The no-steal rule keeps the frame in memory meanwhile.
+// Unpin releases one pin on p. dirty marks the frame as modified, which
+// only a pool with no log attached accepts: with a WAL, every change to a
+// page is logged by its owner's record (UnpinDeferred), and a dirty Unpin
+// — a change that would reach the disk unlogged — panics, naming the file
+// and the page, before it drops the pin.
 //
 // A clean unpin is lock-free: it validates, sets the reference bit, and
 // decrements the atomic pin count. The frame cannot be evicted (its id,
@@ -781,19 +779,17 @@ func (bp *BufferPool) Unpin(p *Page, dirty bool) {
 		f.pin.Add(-1)
 		return
 	}
+	if bp.pool.WAL() != nil {
+		panic(fmt.Sprintf("storage: dirty Unpin of page %d of %q with a log attached: the change would reach the disk unlogged (log it through UnpinDeferred)", p.ID, bp.fileName))
+	}
 	bp.pool.lockShard(sh)
 	defer sh.mu.Unlock()
-	f := bp.unpinLocked(sh, p)
-	f.dirty = true
-	if bp.pool.WAL() != nil && !f.imagePending {
-		f.imagePending = true
-		sh.pending++
-	}
+	bp.unpinLocked(sh, p).dirty = true
 }
 
 // UnpinDeferred releases one pin on p, marking it dirty and covered by a
-// logical record instead of a page image — the one deferral entry point
-// for every access method that owns its log records. build stages the
+// record its owner builds — the one way a change to a page reaches the
+// log, for every access method and for the meta page. build stages the
 // record in the relation's pending group with the typed wal.Group builder
 // of its choice (it receives the group and the name this relation's pages
 // carry in log records) and returns the index the builder gave it; the
@@ -818,6 +814,73 @@ func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file strin
 	f.opPending = true
 }
 
+// UnpinPut releases p after rec was stored at slot of its slotted page,
+// logging a slot-put: what was stored where. Recovery replays it through
+// the slotted-page redo, as it does a heap tuple.
+func (bp *BufferPool) UnpinPut(p *Page, slot int, rec []byte) {
+	bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotPut(file, uint32(p.ID), uint16(slot), rec)
+	})
+}
+
+// UpdateSlot stores rec over the record in slot of the pinned page p,
+// where it lies, as SlotUpdate does — false when rec does not fit the
+// page — first taking what the rewrite changes (AppendSlotPatch) while the
+// old bytes are still there to compare. UnpinUpdate logs it.
+func (bp *BufferPool) UpdateSlot(p *Page, slot int, rec []byte) bool {
+	bp.patch, _ = AppendSlotPatch(bp.patch[:0], SlotRead(p.Data, slot), rec)
+	return SlotUpdate(p.Data, slot, rec)
+}
+
+// UnpinUpdate is UnpinPut for the record UpdateSlot stored in slot: the
+// rewrite is logged as the slot patch UpdateSlot took when that is smaller
+// than rec, and as a slot put otherwise.
+func (bp *BufferPool) UnpinUpdate(p *Page, slot int, rec []byte) {
+	if len(bp.patch) == 0 {
+		bp.UnpinPut(p, slot, rec)
+		return
+	}
+	bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotPatch(file, uint32(p.ID), uint16(slot), bp.patch)
+	})
+}
+
+// UnpinDelete is UnpinPut for a record removed from slot.
+func (bp *BufferPool) UnpinDelete(p *Page, slot int) {
+	bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
+		return g.AddSlotDelete(file, uint32(p.ID), uint16(slot))
+	})
+}
+
+// UnpinRewrite stores rec over the record in slot of the pinned page p
+// where it lies (UpdateSlot), logs the change (UnpinUpdate) and unpins p.
+// A record that does not fit leaves the page as it was.
+func (bp *BufferPool) UnpinRewrite(p *Page, slot int, rec []byte) error {
+	if !bp.UpdateSlot(p, slot, rec) {
+		bp.Unpin(p, false)
+		return fmt.Errorf("storage: %s: a record of %d bytes does not fit slot %d of page %d", bp.fileName, len(rec), slot, p.ID)
+	}
+	bp.UnpinUpdate(p, slot, rec)
+	return nil
+}
+
+// NewRecordPage allocates a page whose one record, in slot 0, is rec, and
+// logs it as a slot-put: a file's meta page, or the node page of a tree
+// that keeps one node a page.
+func (bp *BufferPool) NewRecordPage(rec []byte) (PageID, error) {
+	p, err := bp.NewPage()
+	if err != nil {
+		return InvalidPageID, err
+	}
+	SlotInit(p.Data)
+	if _, ok := SlotInsert(p.Data, rec); !ok {
+		bp.Unpin(p, false)
+		return InvalidPageID, fmt.Errorf("storage: %s: a record of %d bytes does not fit a page", bp.fileName, len(rec))
+	}
+	bp.UnpinPut(p, 0, rec)
+	return p.ID, nil
+}
+
 // Staged names one record a StagePending call added to a wal.Group: the
 // page it covers and its index into the LSNs AppendGroup(Commit)
 // returns. ResolvePending consumes it.
@@ -827,53 +890,19 @@ type Staged struct {
 	Image bool
 }
 
-// StagePending moves the relation's deferred work — logical records
-// staged by UnpinDeferred and the page images of its imagePending frames
-// — into g for one atomic group append. The covered frames keep their
-// pending flags (and stay unevictable) until ResolvePending stamps the
-// assigned LSNs. The caller must serialize StagePending/ResolvePending
-// pairs per relation (the executor's per-table writer lock and exclusive
-// DDL lock do).
+// StagePending moves the relation's deferred records, staged by
+// UnpinDeferred, into g for one atomic group append, with the first-touch
+// images they need behind them (stageFullPageImages). The covered frames
+// keep their pending flags (and stay unevictable) until ResolvePending
+// stamps the assigned LSNs. The caller must serialize
+// StagePending/ResolvePending pairs per relation (the executor's
+// per-table writer lock and exclusive DDL lock do).
 func (bp *BufferPool) StagePending(g *wal.Group) []Staged {
 	w := bp.pool.WAL()
 	if w == nil {
 		return nil
 	}
-	staged := bp.takeDeferred(g)
-	nOps := len(staged)
-	for si := range bp.pool.shards {
-		sh := &bp.pool.shards[si]
-		sh.mu.Lock()
-		for i := 0; sh.pending > 0 && i < len(sh.frames); i++ {
-			f := &sh.frames[i]
-			if f.rel != bp || !f.valid || !f.imagePending {
-				continue
-			}
-			// The lock is let go while the image is staged. The frames
-			// scanned keep their pending flags, so they stay unevictable,
-			// and no frame of bp turns imagePending meanwhile: its writers
-			// wait for this commit.
-			staged = append(staged, bp.addImage(g, sh, f))
-			sh.mu.Lock()
-		}
-		sh.mu.Unlock()
-	}
-	return bp.stageFullPageImages(g, w, staged, nOps)
-}
-
-// addImage stages in g an image of the page frame f of shard sh holds, its
-// hole (pageHole) left out. The caller holds sh's lock; addImage copies
-// the image and releases the lock before it stages the copy.
-func (bp *BufferPool) addImage(g *wal.Group, sh *poolShard, f *frame) Staged {
-	id, data := f.id, f.data
-	off, n := pageHole(data)
-	if len(bp.imageCopy) != len(data) {
-		bp.imageCopy = make([]byte, len(data))
-	}
-	copy(bp.imageCopy, data[:off])
-	copy(bp.imageCopy[off+n:], data[off+n:])
-	sh.mu.Unlock()
-	return Staged{Page: id, Index: g.AddPageImage(bp.fileName, uint32(id), bp.imageCopy, off, n), Image: true}
+	return bp.stageFullPageImages(g, w, bp.takeDeferred(g))
 }
 
 // takeDeferred moves the relation's deferred logical records into g and
@@ -895,7 +924,7 @@ func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 }
 
 // stageFullPageImages appends a full image of each distinct page covered
-// by the logical records staged[:nOps] whose content is not
+// by the logical records staged whose content is not
 // reconstructible from the surviving log alone — the page's first touch
 // since the last checkpoint (Postgres-style full-page writes). The image
 // is appended after the page's records, so it holds their effect too.
@@ -906,12 +935,9 @@ func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 // or holds a full image of it, and a checkpoint recycles the older
 // segments. Before the first checkpoint the log is complete since
 // creation and no image is needed.
-func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []Staged, nOps int) []Staged {
-	if nOps == 0 {
-		return staged
-	}
-	ckpt := w.CheckpointLSN()
-	if ckpt == 0 {
+func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []Staged) []Staged {
+	nOps, ckpt := len(staged), w.CheckpointLSN()
+	if nOps == 0 || ckpt == 0 {
 		return staged
 	}
 	done := make(map[PageID]bool, nOps)
@@ -939,7 +965,16 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 			sh.mu.Unlock()
 			continue
 		}
-		staged = append(staged, bp.addImage(g, sh, f))
+		// The image, its hole (pageHole) left out, is copied under the
+		// lock and staged with the lock released.
+		off, n := pageHole(f.data)
+		if len(bp.imageCopy) != len(f.data) {
+			bp.imageCopy = make([]byte, len(f.data))
+		}
+		copy(bp.imageCopy, f.data[:off])
+		copy(bp.imageCopy[off+n:], f.data[off+n:])
+		sh.mu.Unlock()
+		staged = append(staged, Staged{Page: id, Index: g.AddPageImage(bp.fileName, uint32(id), bp.imageCopy, off, n), Image: true})
 	}
 	return staged
 }
@@ -978,10 +1013,6 @@ func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
 			if lsn > f.imagedLSN {
 				f.imagedLSN = lsn
 			}
-			if f.imagePending {
-				f.imagePending = false
-				sh.pending--
-			}
 		} else {
 			f.opPending = false
 			if PageLSN(f.data) < uint64(lsn) {
@@ -1008,7 +1039,7 @@ func (bp *BufferPool) flushDeferredOps() error {
 	if len(staged) == 0 {
 		return nil
 	}
-	staged = bp.stageFullPageImages(g, w, staged, len(staged))
+	staged = bp.stageFullPageImages(g, w, staged)
 	lsns, err := w.AppendGroup(g)
 	if err != nil {
 		return err
@@ -1068,7 +1099,7 @@ func (p *Pool) victimLocked(si int) (int, error) {
 		if !f.valid {
 			return i, nil
 		}
-		if f.dirty && (f.imagePending || f.opPending || f.lsn > committed) {
+		if f.dirty && (f.opPending || f.lsn > committed) {
 			continue
 		}
 		if f.ref.Load() {
@@ -1112,9 +1143,9 @@ func syncWAL(w *wal.Writer, lsn wal.LSN) error {
 }
 
 // FlushAll writes every dirty frame of the relation back to disk. Pages
-// stay cached. Deferred logical records and page images are materialized
-// first, keeping WAL-before-data intact for frames whose records were
-// postponed to the commit point.
+// stay cached. Deferred records are appended first, keeping
+// WAL-before-data intact for frames whose records were postponed to the
+// commit point.
 //
 // Callers must hold the exclusive statement lock (CHECKPOINT, Close,
 // and index flushes all do): frames are checksum-stamped and written
@@ -1140,7 +1171,7 @@ func (p *Pool) FlushAll() error {
 }
 
 // flushFrames writes back the dirty frames of rel (of every relation when
-// nil), logging the images still pending on them first.
+// nil), each once the log is durable up to its latest record.
 func (p *Pool) flushFrames(rel *BufferPool) error {
 	w := p.WAL()
 	for si := range p.shards {
@@ -1154,19 +1185,6 @@ func (p *Pool) flushFrames(rel *BufferPool) error {
 			if n := f.pin.Load(); n != 0 {
 				sh.mu.Unlock()
 				panic(fmt.Sprintf("storage: FlushAll of page %d of %q with %d pins held", f.id, f.rel.fileName, n))
-			}
-			if f.imagePending {
-				off, n := pageHole(f.data)
-				lsn, err := w.AppendPageImage(f.rel.fileName, uint32(f.id), f.data, off, n)
-				if err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				if lsn > f.lsn {
-					f.lsn = lsn
-				}
-				f.imagePending = false
-				sh.pending--
 			}
 			if err := syncWAL(w, f.lsn); err != nil {
 				sh.mu.Unlock()
@@ -1186,7 +1204,7 @@ func (p *Pool) flushFrames(rel *BufferPool) error {
 
 // WriteBackDirty is the background writer's unit of work: write back up
 // to limit dirty frames that are safe to clean right now — unpinned, not
-// covered by deferred records or images, and (with a WAL attached) fully
+// covered by deferred records, and (with a WAL attached) fully
 // committed, so one WAL sync up to the commit horizon makes every
 // candidate durable-before-data. Frames are cleaned in place, not
 // evicted: the cache keeps its contents, CHECKPOINT just finds less to
@@ -1223,7 +1241,7 @@ func (p *Pool) writeBack(rel *BufferPool, limit int) (int, error) {
 				break
 			}
 			f := &sh.frames[i]
-			if !f.valid || !f.dirty || f.pin.Load() > 0 || f.imagePending || f.opPending || (rel != nil && f.rel != rel) {
+			if !f.valid || !f.dirty || f.pin.Load() > 0 || f.opPending || (rel != nil && f.rel != rel) {
 				continue
 			}
 			if f.lsn > committed {
@@ -1292,9 +1310,6 @@ func (bp *BufferPool) Crash() error {
 			}
 			if f.valid {
 				delete(sh.table, bp.key(f.id))
-			}
-			if f.imagePending {
-				sh.pending--
 			}
 			*f = frame{data: f.data}
 		}

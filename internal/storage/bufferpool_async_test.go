@@ -349,7 +349,7 @@ func TestBGWriterSeesWholeGroups(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			PageBody(p.Data)[i] = 1
+			p.Data[PageHeaderSize+i] = 1
 			bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
 				return g.AddHeapInsert(file, uint32(id), uint16(i), []byte{1})
 			})
@@ -368,7 +368,7 @@ func TestBGWriterSeesWholeGroups(t *testing.T) {
 	for _, snap := range snaps {
 		pageLSN := wal.LSN(PageLSN(snap))
 		for i, lsn := range lsnOf {
-			if applied := PageBody(snap)[i] == 1; applied != (lsn <= pageLSN) {
+			if applied := snap[PageHeaderSize+i] == 1; applied != (lsn <= pageLSN) {
 				t.Fatalf("page written with pageLSN %d: record %d (LSN %d) applied = %v", pageLSN, i, lsn, applied)
 			}
 		}

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -330,11 +331,12 @@ func TestWALBeforeData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Data[0] = 1
-	bp.Unpin(p, true) // schedules a page image for the commit point
+	SlotInit(p.Data)
+	SlotInsert(p.Data, []byte("r"))
+	unpinInsert(bp, p, 0, []byte("r")) // a record for the commit point
 	lsns := logPending(t, bp, w, true)
 	if len(lsns) != 1 {
-		t.Fatalf("dirty unpin logged %d records at commit, want 1 image", len(lsns))
+		t.Fatalf("the insert logged %d records at commit, want 1", len(lsns))
 	}
 	lsn := w.AppendedLSN()
 	if w.DurableLSN() >= lsn {
@@ -396,56 +398,44 @@ func TestNoStealOfUncommittedFrames(t *testing.T) {
 	bp.Unpin(p, false)
 }
 
-// TestDeferredImageCoalescing: N dirty unpins of one page within a
-// statement must produce a single page image (staged by StagePending at
-// the commit point), not N.
-func TestDeferredImageCoalescing(t *testing.T) {
-	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
-	defer w.Close()
+// TestDirtyUnpinNeedsNoLog: a dirty Unpin is a change no record covers. A
+// pool without a log takes it, and writes the page back like any dirty
+// frame; a pool with a log refuses it with a panic that names the file and
+// the page, and the pin stays held.
+func TestDirtyUnpinNeedsNoLog(t *testing.T) {
 	bp := NewBufferPool("t.tbl", NewMem(256), 4)
-	bp.pool.AttachWAL(w)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp.Unpin(p, false)
-	base := w.Stats().Appends
-	for i := 0; i < 3; i++ {
-		p, err := bp.Fetch(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Data[i] = byte(i + 1)
-		bp.Unpin(p, true)
+	bp.Unpin(p, true)
+	if err := bp.FlushAll(); err != nil || bp.Stats().DirtyWrites != 1 {
+		t.Fatalf("flush of the unlogged pool: %v, %d dirty writes, want 1", err, bp.Stats().DirtyWrites)
 	}
-	if got := w.Stats().Appends - base; got != 0 {
-		t.Fatalf("%d images logged before the commit point", got)
-	}
-	if got := len(logPending(t, bp, w, true)); got != 1 {
-		t.Fatalf("logged %d images for one thrice-dirtied page, want 1", got)
-	}
-	// The single image must carry the final state.
-	if err := bp.FlushAll(); err != nil {
+
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
+	defer w.Close()
+	logged := NewBufferPool("t.idx", NewMem(256), 4)
+	logged.pool.AttachWAL(w)
+	q, err := logged.NewPage()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *wal.Record
-	if _, err := wal.Replay(w.Dir(), func(r *wal.Record) error {
-		if r.Type == wal.RecPageImage {
-			rec = r
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rec == nil || len(rec.Data) < 3 || rec.Data[0] != 1 || rec.Data[1] != 2 || rec.Data[2] != 3 {
-		t.Fatalf("image does not hold the final page state: %+v", rec)
-	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, `page 0 of "t.idx"`) {
+				t.Fatalf("dirty Unpin with a log attached: panic %q, want one naming page 0 of t.idx", msg)
+			}
+		}()
+		logged.Unpin(q, true)
+	}()
+	logged.Unpin(q, false) // the refused unpin left the pin held
 }
 
 // TestRecoverDirRedo writes pages under WAL protection, simulates a
 // crash (buffer pool dropped, nothing flushed), runs the redo pass, and
-// checks the data file matches what was logged — for both page images
-// and logical heap records.
+// checks the data file matches what was logged — for the meta record and
+// a heap record.
 func TestRecoverDirRedo(t *testing.T) {
 	dataDir := t.TempDir()
 	walDir := dataDir + "/wal"
@@ -457,13 +447,10 @@ func TestRecoverDirRedo(t *testing.T) {
 	bp := NewBufferPool("t.tbl", fdm, 4)
 	bp.pool.AttachWAL(w)
 
-	// Page 0: raw page mutated via Unpin(dirty) -> page-image record.
-	p0, err := bp.NewPage()
-	if err != nil {
+	// Page 0: the meta record, a slot-put.
+	if err := bp.CreateMeta(0x54534554, []byte("meta-contents")); err != nil {
 		t.Fatal(err)
 	}
-	copy(PageBody(p0.Data), "meta-contents")
-	bp.Unpin(p0, true)
 
 	// Page 1: slotted page mutated via logical records, like the heap.
 	p1, err := bp.NewPage()
@@ -477,8 +464,8 @@ func TestRecoverDirRedo(t *testing.T) {
 	}
 	unpinInsert(bp, p1, uint16(slot), []byte("row-1"))
 
-	// The commit point: logical records lead the group, images follow.
-	lsn := logPending(t, bp, w, true)[0]
+	// The commit point: both records in one group.
+	lsn := logPending(t, bp, w, true)[1]
 	if err := w.Sync(w.AppendedLSN()); err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +481,7 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PageImages == 0 || st.HeapInserts != 1 {
+	if st.SlotPuts != 1 || st.HeapInserts != 1 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
 	fdm2, err := OpenFile(dataDir+"/t.tbl", 256)
@@ -506,8 +493,8 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err := fdm2.ReadPage(0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if body := PageBody(buf); string(body[:13]) != "meta-contents" {
-		t.Fatalf("page 0 not redone: %q", body[:13])
+	if _, _, body := ParseMeta(buf); string(body) != "meta-contents" {
+		t.Fatalf("page 0 not redone: %q", body)
 	}
 	if err := fdm2.ReadPage(1, buf); err != nil {
 		t.Fatal(err)
@@ -524,7 +511,7 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.HeapInserts != 0 || st2.SkippedByLSN != 1 {
+	if st2.HeapInserts != 0 || st2.SlotPuts != 0 || st2.SkippedByLSN != 2 {
 		t.Fatalf("second pass not idempotent: %+v", st2)
 	}
 }

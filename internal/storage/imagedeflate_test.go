@@ -60,8 +60,9 @@ func imageLog(tb testing.TB, dir, file string, id uint32, page []byte) (*wal.Rec
 	if err != nil {
 		tb.Fatal(err)
 	}
-	off, n := pageHole(page)
-	if _, err := w.AppendPageImage(file, id, page, off, n); err != nil {
+	g := wal.NewGroup()
+	addImage(g, file, id, page)
+	if _, err := w.AppendGroup(g); err != nil {
 		tb.Fatal(err)
 	}
 	st := w.Stats()
@@ -109,11 +110,9 @@ func rawImageRecord(file string, id uint32, page []byte, off, n int) []byte {
 func TestDeflatedImageRoundTrip(t *testing.T) {
 	fresh := make([]byte, DefaultPageSize)
 	SlotInit(fresh)
-	meta := make([]byte, DefaultPageSize)
-	copy(PageBody(meta), "heap meta: count 40000, last page 311")
+	meta := slottedPage(DefaultPageSize, "heap meta: count 40000, last page 311")
 	random := make([]byte, DefaultPageSize)
 	rand.New(rand.NewSource(31)).Read(random)
-	random[len(random)-1] = 1 // no trailing zeros: no hole
 	for _, c := range []struct {
 		name     string
 		page     []byte
@@ -265,9 +264,7 @@ func FuzzImageRedo(f *testing.F) {
 	}
 	heapSeg, heap := seed(fullPage(heapTuple))
 	seed(fullPage(trieNode))
-	meta := make([]byte, DefaultPageSize)
-	copy(PageBody(meta), "meta")
-	seed(meta)
+	seed(slottedPage(DefaultPageSize, "meta"))
 	if !heap.Deflated {
 		f.Fatal("the seed image of a full heap page is not deflated")
 	}
@@ -277,7 +274,7 @@ func FuzzImageRedo(f *testing.F) {
 		reseal(flipped)
 		f.Add(flipped)
 	}
-	// Pages with no slot area and no trailing zeros have no hole.
+	// Pages whose header names no gap have no hole.
 	text := bytes.Repeat([]byte("text that deflates "), DefaultPageSize/19+1)
 	seed(text[:DefaultPageSize-1])
 	seed(text[:DefaultPageSize+1])

@@ -6,33 +6,33 @@ import (
 	"fmt"
 )
 
-// Meta page. Page 0 of every relation file holds, after the page header,
+// Meta page. Page 0 of every relation file is a slotted page like every
+// other, and its one record, in slot 0, is
 //
 //	[magic u32][format u32][body ...]
 //
 // magic names the access method that owns the file, format is the one
 // on-disk format version of all file kinds, and the body is the access
 // method's own: it lays the body out, this file frames, checks and
-// writes it.
+// writes it, logging each change as a slot record like any other.
 const (
-	metaMagicOffset  = PageHeaderSize
-	metaFormatOffset = PageHeaderSize + 4
-	metaBodyOffset   = PageHeaderSize + 8
+	metaSlot       = 0
+	metaHeaderSize = 8
 
 	// FormatVersion is the on-disk format this build writes, and the only
 	// one it reads.
-	FormatVersion = 3
+	FormatVersion = 4
 )
 
-// ParseMeta splits the bytes of a page 0 into magic, format version and
-// body, for tools that read pages straight from disk.
+// ParseMeta splits the slot-0 record of a page 0 into magic, format
+// version and body, for tools that read pages straight from disk. A page
+// that holds no such record parses as magic and format 0.
 func ParseMeta(page0 []byte) (magic, format uint32, body []byte) {
-	if len(page0) < metaBodyOffset {
+	rec := SlotRead(page0, metaSlot)
+	if len(rec) < metaHeaderSize {
 		return 0, 0, nil
 	}
-	return binary.LittleEndian.Uint32(page0[metaMagicOffset:]),
-		binary.LittleEndian.Uint32(page0[metaFormatOffset:]),
-		page0[metaBodyOffset:]
+	return binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint32(rec[4:]), rec[metaHeaderSize:]
 }
 
 // CreateMeta makes page 0 of the pool's file, which must be empty: the
@@ -41,15 +41,10 @@ func (bp *BufferPool) CreateMeta(magic uint32, body []byte) error {
 	if bp.dm.NumPages() != 0 {
 		return fmt.Errorf("storage: create %s: file is not empty", bp.fileName)
 	}
-	meta, err := bp.NewPage()
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(meta.Data[metaMagicOffset:], magic)
-	binary.LittleEndian.PutUint32(meta.Data[metaFormatOffset:], FormatVersion)
-	copy(meta.Data[metaBodyOffset:], body)
-	bp.Unpin(meta, true)
-	return nil
+	rec := binary.LittleEndian.AppendUint32(make([]byte, 0, metaHeaderSize+len(body)), magic)
+	rec = binary.LittleEndian.AppendUint32(rec, FormatVersion)
+	_, err := bp.NewRecordPage(append(rec, body...)) // page 0, slot 0: metaSlot
+	return err
 }
 
 // ReadMeta fills body from page 0 of the pool's file, after checking that
@@ -62,29 +57,36 @@ func (bp *BufferPool) ReadMeta(magic uint32, body []byte) error {
 	}
 	defer bp.Unpin(meta, false)
 	got, format, stored := ParseMeta(meta.Data)
-	if format != FormatVersion {
+	switch {
+	case SlotRead(meta.Data, metaSlot) == nil:
+		return fmt.Errorf("storage: open %s: page 0 holds no meta record: the file predates on-disk format version %d, the only one this build reads (load the file with the build that wrote it)", bp.fileName, FormatVersion)
+	case format != FormatVersion:
 		return fmt.Errorf("storage: open %s: on-disk format version %d, this build reads version %d only (load the file with the build that wrote it)", bp.fileName, format, FormatVersion)
-	}
-	if got != magic {
+	case got != magic:
 		return fmt.Errorf("storage: open %s: magic %#08x, want %#08x (the file belongs to another access method)", bp.fileName, got, magic)
+	case len(stored) != len(body):
+		return fmt.Errorf("storage: open %s: meta body of %d bytes, want %d", bp.fileName, len(stored), len(body))
 	}
 	copy(body, stored)
 	return nil
 }
 
-// WriteMeta stores body in page 0, dirtying the page — and so logging its
-// image with the next record group — only when body differs from what the
-// page holds.
+// WriteMeta stores body in page 0, dirtying the page — and so logging the
+// change as a slot patch with the next record group — only when body
+// differs from what the page holds.
 func (bp *BufferPool) WriteMeta(body []byte) error {
 	meta, err := bp.Fetch(0)
 	if err != nil {
 		return err
 	}
-	stored := meta.Data[metaBodyOffset:][:len(body)]
-	changed := !bytes.Equal(stored, body)
-	if changed {
-		copy(stored, body)
+	old := SlotRead(meta.Data, metaSlot)
+	if len(old) != metaHeaderSize+len(body) {
+		bp.Unpin(meta, false)
+		return fmt.Errorf("storage: %s: meta record of %d bytes, want %d", bp.fileName, len(old), metaHeaderSize+len(body))
 	}
-	bp.Unpin(meta, changed)
-	return nil
+	if bytes.Equal(old[metaHeaderSize:], body) {
+		bp.Unpin(meta, false)
+		return nil
+	}
+	return bp.UnpinRewrite(meta, metaSlot, append(append(make([]byte, 0, len(old)), old[:metaHeaderSize]...), body...))
 }

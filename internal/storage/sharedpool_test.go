@@ -88,9 +88,8 @@ func TestSharedPoolEvictsAcrossRelations(t *testing.T) {
 }
 
 // TestSharedPoolStagesOnlyItsOwnFrames: a relation's commit stages its own
-// deferred records and page images and nothing of another relation's,
-// whose pending work stays pending (and its frames unevictable) for its
-// own commit.
+// deferred records and nothing of another relation's, whose pending work
+// stays pending (and its frames unevictable) for its own commit.
 func TestSharedPoolStagesOnlyItsOwnFrames(t *testing.T) {
 	dir := t.TempDir()
 	w := openMarkedWAL(t, dir, wal.Options{Mode: wal.SyncLazy})
@@ -100,16 +99,17 @@ func TestSharedPoolStagesOnlyItsOwnFrames(t *testing.T) {
 	a := p.Open("a.tbl", NewMem(256), obs.WaitNone)
 	b := p.Open("b.tbl", NewMem(256), obs.WaitNone)
 	for _, bp := range []*BufferPool{a, b} {
-		newMarkedPages(t, bp, 1, 'm') // a page image at the commit point
-		pg, err := bp.NewPage()
-		if err != nil {
-			t.Fatal(err)
+		for range 2 {
+			pg, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			unpinInsert(bp, pg, 0, []byte("r")) // a deferred record
 		}
-		unpinInsert(bp, pg, 0, []byte("r")) // a deferred record
 	}
 	start := w.AppendedLSN()
 	if lsns := logPending(t, a, w, true); len(lsns) != 2 {
-		t.Fatalf("a's commit logged %d records, want its image and its record", len(lsns))
+		t.Fatalf("a's commit logged %d records, want its two", len(lsns))
 	}
 	if err := w.Sync(w.AppendedLSN()); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSharedPoolStagesOnlyItsOwnFrames(t *testing.T) {
 		t.Errorf("a has %d records left to stage after its commit", len(staged))
 	}
 	if lsns := logPending(t, b, w, true); len(lsns) != 2 {
-		t.Errorf("b's commit logged %d records, want the image and the record a's commit left alone", len(lsns))
+		t.Errorf("b's commit logged %d records, want the two a's commit left alone", len(lsns))
 	}
 }
 

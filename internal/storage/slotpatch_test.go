@@ -127,15 +127,13 @@ func TestRecoverDirRejectsDamagedPatches(t *testing.T) {
 	}
 }
 
-// TestImagePageHole: the hole of a page that is not slotted is its
-// trailing zeros, of a slotted page its free gap; redo lays an image down
-// around its hole and zeroes the hole; a hole that runs past the page is
-// refused with the file and page named, not sliced into a panic.
+// TestImagePageHole: the hole of a page is its free gap, and a page whose
+// header names no gap has none; redo lays an image down around its hole
+// and zeroes the hole; a hole that runs past the page is refused with the
+// file and page named, not sliced into a panic.
 func TestImagePageHole(t *testing.T) {
-	meta := make([]byte, 256)
-	copy(PageBody(meta), "meta body")
-	if off, n := pageHole(meta); off != PageHeaderSize+len("meta body") || off+n != 256 {
-		t.Fatalf("hole of a meta page is [%d, %d)", off, off+n)
+	if off, n := pageHole(make([]byte, 256)); off != 0 || n != 0 {
+		t.Fatalf("hole of a page never initialized is [%d, %d)", off, off+n)
 	}
 	page := slottedPage(256, "first", "second")
 	off, n := pageHole(page)

@@ -71,10 +71,6 @@ func SlotInit(data []byte) {
 	binary.LittleEndian.PutUint64(data[pageChecksumOffset:], 0) // checksum (stamped at write-back) and reserved
 }
 
-// PageBody returns the part of a page after the page header: what a page
-// that is not slotted keeps its node or meta framing in.
-func PageBody(data []byte) []byte { return data[PageHeaderSize:] }
-
 // PageLSN returns the LSN of the last WAL record applied to the area.
 func PageLSN(data []byte) uint64 {
 	return binary.LittleEndian.Uint64(data[pageLSNOffset:])
@@ -546,26 +542,17 @@ func SlotPatch(data []byte, slot int, patch []byte) error {
 }
 
 // pageHole returns the bytes of a page that an image of it leaves out, as
-// an offset and a length: on a slotted page the gap between the slot
-// directory and the records, whatever it holds; on any other page — meta,
-// B+-tree, R-tree, never initialized — its trailing zeros. Redo writes
-// zeros there, so a page rebuilt from an image can differ from the page
-// imaged only in the gap's bytes, which no slot reads.
+// an offset and a length: the gap between the slot directory and the
+// records, whatever it holds. Redo writes zeros there, so a page rebuilt
+// from an image can differ from the page imaged only in the gap's bytes,
+// which no slot reads. A header that names no gap — a page never
+// initialized, or corrupt — leaves nothing out.
 func pageHole(data []byte) (off, n int) {
-	if !SlotAreaBlank(data) {
-		freeLo := PageHeaderSize + SlotCount(data)*slotSize
-		if freeHi := int(get16(data, 4)); freeLo <= freeHi && freeHi <= len(data) {
-			return freeLo, freeHi - freeLo
-		}
+	freeLo := PageHeaderSize + SlotCount(data)*slotSize
+	if freeHi := int(get16(data, 4)); freeLo <= freeHi && freeHi <= len(data) {
+		return freeLo, freeHi - freeLo
 	}
-	i := len(data)
-	for i >= 8 && binary.LittleEndian.Uint64(data[i-8:]) == 0 {
-		i -= 8
-	}
-	for i > 0 && data[i-1] == 0 {
-		i--
-	}
-	return i, len(data) - i
+	return 0, 0
 }
 
 // compactScratch lends slotCompact the copy of the area it reads records

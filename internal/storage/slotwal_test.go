@@ -206,8 +206,9 @@ func TestRecoverySameStreamSamePage(t *testing.T) {
 }
 
 // TestRecoverDirRejectsDamagedSlotRecords: a slot record whose slot cannot
-// exist on a page, whose payload no page can hold, or whose page lies far
-// beyond the file is a damaged log. Recovery says so; it does not panic,
+// exist on a page, whose payload no page can hold, whose page lies far
+// beyond the file, or that patches a meta record the log never put is a
+// damaged log. Recovery says so; it does not panic,
 // and it does not extend the file by four billion pages to get there.
 func TestRecoverDirRejectsDamagedSlotRecords(t *testing.T) {
 	const pageSize = 256
@@ -226,7 +227,7 @@ func TestRecoverDirRejectsDamagedSlotRecords(t *testing.T) {
 		{"delete beyond the file", func(g *wal.Group) { g.AddSlotDelete("rel2.idx", 4_000_000_000, 0) }, "beyond anything"},
 		{"image beyond the file", func(g *wal.Group) { addImage(g, "rel2.idx", 4_000_000_000, slottedPage(pageSize, "node")) }, "beyond anything"},
 		{"heap tuple beyond the file", func(g *wal.Group) { g.AddHeapInsert("rel1.tbl", 4_000_000_000, 0, []byte("tuple")) }, "beyond anything"},
-		{"meta page", func(g *wal.Group) { g.AddSlotPut("rel2.idx", 0, 0, []byte("node")) }, "meta page"},
+		{"meta page", func(g *wal.Group) { g.AddSlotPatch("rel2.idx", 0, 0, []byte{4, 0}) }, "slot is dead"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

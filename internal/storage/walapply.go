@@ -154,8 +154,8 @@ func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
 // of dataDir, bringing every heap and index file up to the end of the
 // log. It is the redo pass run on reopen after a crash: page-image
 // records overwrite their page (replay is in LSN order, so the last
-// image wins), and logical records — heap tuples and SP-GiST nodes
-// alike, both records in slotted pages — are re-executed through the
+// image wins), and logical records — heap tuples, index nodes and meta
+// records alike, every page being slotted — are re-executed through the
 // slotted-page layer unless the on-disk pageLSN shows the page already
 // reflects them. The pass is idempotent — replaying an already-recovered
 // log is harmless — and a missing or empty log directory is a no-op.
@@ -320,9 +320,6 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		case wal.RecHeapInsert, wal.RecHeapDelete, wal.RecHeapBatchInsert,
 			wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted,
 			wal.RecSlotPut, wal.RecSlotDelete, wal.RecSlotPatch:
-			if r.Page == 0 {
-				return fmt.Errorf("storage: recovery: %v addresses the meta page of %s, which holds no slots", r.Type, r.File)
-			}
 			dm, err := open(r.File)
 			if err != nil {
 				return err

@@ -212,7 +212,7 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 	page := make([]byte, 256)
 	copy(page, "image")
 	for i := 0; i < 4; i++ {
-		if _, err := w.AppendPageImage("rel2.idx", uint32(i), page, 5, 200); err != nil {
+		if _, err := appendGroupOf(w, func(g *Group) { g.AddPageImage("rel2.idx", uint32(i), page, 5, 200) }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := w.AppendFileCreate("rel9.idx"); err != nil {

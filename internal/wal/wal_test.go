@@ -47,7 +47,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	page := make([]byte, 512)
 	copy(page, "page-image-content")
 	copy(page[500:], "tail")
-	l1, err := w.AppendPageImage("t.tbl", 7, page, 18, 482)
+	l1, err := appendGroupOf(w, func(g *Group) { g.AddPageImage("t.tbl", 7, page, 18, 482) })
 	if err != nil {
 		t.Fatal(err)
 	}

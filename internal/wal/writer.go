@@ -253,14 +253,6 @@ func (w *Writer) Segments() int {
 	return len(segs)
 }
 
-// AppendPageImage logs the after-image of one page, less the holeLen
-// bytes at holeOff, and returns its LSN.
-func (w *Writer) AppendPageImage(file string, page uint32, pageData []byte, holeOff, holeLen int) (LSN, error) {
-	var g Group
-	g.AddPageImage(file, page, pageData, holeOff, holeLen)
-	return w.appendOne(&g)
-}
-
 // AppendGroup appends every record of g contiguously (no concurrent
 // appender interleaves) and returns their LSNs, index-aligned with the
 // group's Add* calls; the slice is the group's own, valid until its Reset.
