@@ -198,7 +198,7 @@ func meta(db *repro.DB, dir, line string) bool {
 				t.Name, strings.Join(cols, ", "), t.RowCount(), len(t.Indexes))
 			for _, ix := range t.Indexes {
 				fmt.Printf("    index %s on %s using %s (%s), %d pages\n",
-					ix.Name, t.Columns[ix.Column].Name, ix.OpClass.AM, ix.OpClass.Name, ix.Idx.NumPages())
+					ix.Name, t.Columns[ix.Column].Name, ix.OpClass.AM, ix.OpClass.Name, ix.Pool().DM().NumPages())
 			}
 		}
 	case "\\page":

@@ -30,10 +30,13 @@ import (
 // NNIter yields nearest-neighbor candidates in increasing distance.
 type NNIter func() (rid heap.RID, dist float64, ok bool)
 
-// Index is the uniform access-method interface.
+// Index is the uniform access-method interface: the routines the executor
+// calls. What works the same way for every access method — file size,
+// flushing, counting the pages a scan reads — is the buffer pool's the
+// index was opened over (storage.BufferPool: SizeBytes, FlushAll,
+// StartPageTrace / PageTraceCount), as in PostgreSQL it is the storage
+// and buffer managers'.
 type Index interface {
-	// OpClass returns the operator class the index was created with.
-	OpClass() *catalog.OperatorClass
 	// Insert adds the key of one row.
 	Insert(key catalog.Datum, rid heap.RID) error
 	// Delete removes the key of one row.
@@ -52,10 +55,6 @@ type Index interface {
 	// SaveMeta), without the entries of statements that never reached
 	// one, even though recovery replayed them.
 	Count() int64
-	// NumPages returns the index size in pages.
-	NumPages() uint32
-	// SizeBytes returns the index size in bytes.
-	SizeBytes() int64
 	// SaveMeta persists the index's in-memory metadata (root, count)
 	// into its metadata page without flushing data pages, dirtying the
 	// page only when a value changed. The executor calls it at its commit
@@ -63,14 +62,6 @@ type Index interface {
 	// itself, where it moves, so a logged statement that moved the root
 	// is never recovered without it.
 	SaveMeta() error
-	// Flush persists the index.
-	Flush() error
-	// StartPageTrace begins counting the distinct pages read-only
-	// operations touch (EXPLAIN ANALYZE, the benchmark harness).
-	StartPageTrace()
-	// PageTraceCount reports the distinct pages touched since
-	// StartPageTrace and stops tracing (0 when tracing never started).
-	PageTraceCount() int
 }
 
 // BatchInserter is the optional grouped-maintenance interface: an index
@@ -189,14 +180,8 @@ type spgistIndex struct {
 	tree *core.Tree
 }
 
-func (x *spgistIndex) OpClass() *catalog.OperatorClass { return x.oc }
-func (x *spgistIndex) Count() int64                    { return x.tree.Count() }
-func (x *spgistIndex) NumPages() uint32                { return x.tree.NumPages() }
-func (x *spgistIndex) SizeBytes() int64                { return x.tree.SizeBytes() }
-func (x *spgistIndex) SaveMeta() error                 { return x.tree.SaveMeta() }
-func (x *spgistIndex) Flush() error                    { return x.tree.Flush() }
-func (x *spgistIndex) StartPageTrace()                 { x.tree.StartPageTrace() }
-func (x *spgistIndex) PageTraceCount() int             { return x.tree.PageTraceCount() }
+func (x *spgistIndex) Count() int64    { return x.tree.Count() }
+func (x *spgistIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
 // Tree exposes the underlying SP-GiST tree (statistics, ablations).
 func (x *spgistIndex) Tree() *core.Tree { return x.tree }
@@ -308,14 +293,8 @@ type btreeIndex struct {
 	tree *btree.Tree
 }
 
-func (x *btreeIndex) OpClass() *catalog.OperatorClass { return x.oc }
-func (x *btreeIndex) Count() int64                    { return x.tree.Count() }
-func (x *btreeIndex) NumPages() uint32                { return x.tree.NumPages() }
-func (x *btreeIndex) SizeBytes() int64                { return x.tree.SizeBytes() }
-func (x *btreeIndex) SaveMeta() error                 { return x.tree.SaveMeta() }
-func (x *btreeIndex) Flush() error                    { return x.tree.Flush() }
-func (x *btreeIndex) StartPageTrace()                 { x.tree.StartPageTrace() }
-func (x *btreeIndex) PageTraceCount() int             { return x.tree.PageTraceCount() }
+func (x *btreeIndex) Count() int64    { return x.tree.Count() }
+func (x *btreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
 // Tree exposes the underlying B+-tree (statistics).
 func (x *btreeIndex) Tree() *btree.Tree { return x.tree }
@@ -376,14 +355,8 @@ type rtreeIndex struct {
 	segments bool
 }
 
-func (x *rtreeIndex) OpClass() *catalog.OperatorClass { return x.oc }
-func (x *rtreeIndex) Count() int64                    { return x.tree.Count() }
-func (x *rtreeIndex) NumPages() uint32                { return x.tree.NumPages() }
-func (x *rtreeIndex) SizeBytes() int64                { return x.tree.SizeBytes() }
-func (x *rtreeIndex) SaveMeta() error                 { return x.tree.SaveMeta() }
-func (x *rtreeIndex) Flush() error                    { return x.tree.Flush() }
-func (x *rtreeIndex) StartPageTrace()                 { x.tree.StartPageTrace() }
-func (x *rtreeIndex) PageTraceCount() int             { return x.tree.PageTraceCount() }
+func (x *rtreeIndex) Count() int64    { return x.tree.Count() }
+func (x *rtreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
 // Tree exposes the underlying R-tree (statistics).
 func (x *rtreeIndex) Tree() *rtree.Tree { return x.tree }

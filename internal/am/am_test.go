@@ -30,15 +30,13 @@ func TestEveryOpClassConstructs(t *testing.T) {
 		"spgist_pquadtree", "spgist_pmr", "btree_text",
 		"rtree_point", "rtree_segment",
 	} {
-		idx, err := New(name, pool(), true)
+		bp := pool()
+		idx, err := New(name, bp, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if idx.OpClass().Name != name {
-			t.Fatalf("%s reports opclass %s", name, idx.OpClass().Name)
-		}
-		if idx.Count() != 0 || idx.NumPages() == 0 {
-			t.Fatalf("%s: fresh index count=%d pages=%d", name, idx.Count(), idx.NumPages())
+		if idx.Count() != 0 || bp.DM().NumPages() == 0 {
+			t.Fatalf("%s: fresh index count=%d pages=%d", name, idx.Count(), bp.DM().NumPages())
 		}
 	}
 }
@@ -222,7 +220,10 @@ func TestReopenExistingIndexFile(t *testing.T) {
 		w := datagen.Words(1, r.Int63())[0]
 		idx.Insert(catalog.NewText(w), rid(i))
 	}
-	if err := idx.Flush(); err != nil {
+	if err := idx.SaveMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	idx2, err := New("spgist_trie", bp, false)

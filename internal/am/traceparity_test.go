@@ -11,12 +11,12 @@ import (
 	"repro/internal/storage"
 )
 
-// traced runs op under a page trace of idx's pages and returns the distinct
-// pages it visited.
-func traced(idx Index, bp *storage.BufferPool, op func()) int {
-	idx.StartPageTrace()
+// traced runs op under a page trace of the index file bp and returns the
+// distinct pages it visited.
+func traced(bp *storage.BufferPool, op func()) int {
+	bp.StartPageTrace()
 	op()
-	return idx.PageTraceCount()
+	return bp.PageTraceCount()
 }
 
 // TestPageTraceParity pins the distinct pages each query of every operator
@@ -153,8 +153,8 @@ func TestPageTraceParity(t *testing.T) {
 							}
 						}
 					}
-					cold := traced(idx, bp, run)
-					if warm := traced(idx, bp, run); warm != cold {
+					cold := traced(bp, run)
+					if warm := traced(bp, run); warm != cold {
 						t.Errorf("%q %v: %d pages cold, %d warm", q.op, arg, cold, warm)
 					}
 					got = append(got, cold)

@@ -153,12 +153,6 @@ func (f *Figure) Markdown(w *strings.Builder) {
 	}
 }
 
-// pageTracer is implemented by every index structure in this repository.
-type pageTracer interface {
-	StartPageTrace()
-	PageTraceCount() int
-}
-
 // measured couples the two cost metrics of one operation: warm wall time
 // (the CPU-bound regime of modern in-memory runs) and distinct pages
 // touched per query (the page reads a cold run would issue — the
@@ -168,15 +162,16 @@ type measured struct {
 	pages float64
 }
 
-// measure times n runs of op, then repeats them under page tracing. The
-// two passes keep tracing overhead out of the timings.
-func measure(tr pageTracer, n int, op func(i int)) measured {
+// measure times n runs of op, then repeats them under a page trace of bp,
+// the index's file. The two passes keep tracing overhead out of the
+// timings.
+func measure(bp *storage.BufferPool, n int, op func(i int)) measured {
 	d := timeOp(n, op)
 	total := 0
 	for i := 0; i < n; i++ {
-		tr.StartPageTrace()
+		bp.StartPageTrace()
 		op(i)
-		total += tr.PageTraceCount()
+		total += bp.PageTraceCount()
 	}
 	return measured{t: d, pages: float64(total) / float64(n)}
 }

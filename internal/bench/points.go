@@ -47,13 +47,13 @@ func measurePointRow(cfg Config, n int) (pointRow, error) {
 	}
 	sink := 0
 	emit := func(_ []byte, _ heap.RID) bool { sink++; return true }
-	row.kdPoint = measure(kd, len(pointQ), func(i int) {
+	row.kdPoint = measure(kd.Pool(), len(pointQ), func(i int) {
 		kd.Scan(&core.Query{Op: "@", Arg: pointQ[i]}, emit)
 	})
-	row.kdRange = measure(kd, len(boxQ), func(i int) {
+	row.kdRange = measure(kd.Pool(), len(boxQ), func(i int) {
 		kd.Scan(&core.Query{Op: "^", Arg: boxQ[i]}, emit)
 	})
-	row.kdSize = kdBuilt.SizeBytes() // dynamic (insert-maintained) size, as in the paper
+	row.kdSize = kdBuilt.Pool().SizeBytes() // dynamic (insert-maintained) size, as in the paper
 
 	rt, err := rtree.Create(cfg.pool())
 	if err != nil {
@@ -66,13 +66,13 @@ func measurePointRow(cfg Config, n int) (pointRow, error) {
 		}
 	}
 	row.rtInsert = time.Since(start)
-	row.rtPoint = measure(rt, len(pointQ), func(i int) {
+	row.rtPoint = measure(rt.Pool(), len(pointQ), func(i int) {
 		rt.SearchPoint(pointQ[i], func(heap.RID) bool { sink++; return true })
 	})
-	row.rtRange = measure(rt, len(boxQ), func(i int) {
+	row.rtRange = measure(rt.Pool(), len(boxQ), func(i int) {
 		rt.SearchContained(boxQ[i], func(_ geom.Box, _ heap.RID) bool { sink++; return true })
 	})
-	row.rtSize = rt.SizeBytes()
+	row.rtSize = rt.Pool().SizeBytes()
 	return row, nil
 }
 

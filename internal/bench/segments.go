@@ -42,10 +42,10 @@ func measureSegmentRow(cfg Config, n int) (segmentRow, error) {
 	}
 	sink := 0
 	emit := func(_ []byte, _ heap.RID) bool { sink++; return true }
-	row.pmrExact = measure(pq, len(exactQ), func(i int) {
+	row.pmrExact = measure(pq.Pool(), len(exactQ), func(i int) {
 		pq.Scan(&core.Query{Op: "=", Arg: exactQ[i]}, emit)
 	})
-	row.pmrRange = measure(pq, len(boxQ), func(i int) {
+	row.pmrRange = measure(pq.Pool(), len(boxQ), func(i int) {
 		pq.Scan(&core.Query{Op: "&&", Arg: boxQ[i]}, emit)
 	})
 
@@ -65,7 +65,7 @@ func measureSegmentRow(cfg Config, n int) (segmentRow, error) {
 	ridToSeg := func(rd heap.RID) geom.Segment {
 		return segs[(int(rd.Page)-1)*1000+int(rd.Slot)]
 	}
-	row.rtExact = measure(rt, len(exactQ), func(i int) {
+	row.rtExact = measure(rt.Pool(), len(exactQ), func(i int) {
 		q := exactQ[i]
 		rt.Search(q.MBR(), func(_ geom.Box, rd heap.RID) bool {
 			if ridToSeg(rd).Eq(q) {
@@ -74,7 +74,7 @@ func measureSegmentRow(cfg Config, n int) (segmentRow, error) {
 			return true
 		})
 	})
-	row.rtRange = measure(rt, len(boxQ), func(i int) {
+	row.rtRange = measure(rt.Pool(), len(boxQ), func(i int) {
 		q := boxQ[i]
 		rt.Search(q, func(_ geom.Box, rd heap.RID) bool {
 			if ridToSeg(rd).IntersectsBox(q) {

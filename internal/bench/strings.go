@@ -87,13 +87,13 @@ func measureStringRow(cfg Config, n int) (stringRow, error) {
 		tr.Scan(&core.Query{Op: "=", Arg: exactQ[i]}, emit)
 	})
 	row.trieExactStd = stddev(exactTimes)
-	row.trieExact = measure(tr, len(exactQ), func(i int) {
+	row.trieExact = measure(tr.Pool(), len(exactQ), func(i int) {
 		tr.Scan(&core.Query{Op: "=", Arg: exactQ[i]}, emit)
 	})
-	row.triePrefix = measure(tr, len(prefixQ), func(i int) {
+	row.triePrefix = measure(tr.Pool(), len(prefixQ), func(i int) {
 		tr.Scan(&core.Query{Op: "#=", Arg: prefixQ[i]}, emit)
 	})
-	row.trieRegex = measure(tr, len(regexQ), func(i int) {
+	row.trieRegex = measure(tr.Pool(), len(regexQ), func(i int) {
 		tr.Scan(&core.Query{Op: "?=", Arg: regexQ[i]}, emit)
 	})
 	st, err := built.Stats()
@@ -114,16 +114,16 @@ func measureStringRow(cfg Config, n int) (stringRow, error) {
 		return row, err
 	}
 	row.btreeInsert = bIns
-	row.btreeExact = measure(bt, len(exactQ), func(i int) {
+	row.btreeExact = measure(bt.Pool(), len(exactQ), func(i int) {
 		bt.Search([]byte(exactQ[i]), func(heap.RID) bool { sink++; return true })
 	})
-	row.btreePrefix = measure(bt, len(prefixQ), func(i int) {
+	row.btreePrefix = measure(bt.Pool(), len(prefixQ), func(i int) {
 		bt.PrefixScan([]byte(prefixQ[i]), emit)
 	})
-	row.btreeRegex = measure(bt, len(regexQ), func(i int) {
+	row.btreeRegex = measure(bt.Pool(), len(regexQ), func(i int) {
 		bt.MatchScan(regexQ[i], trie.MatchPattern, emit)
 	})
-	row.btreeSize = bt.SizeBytes()
+	row.btreeSize = bt.Pool().SizeBytes()
 	row.btreeNodeH = bt.Height()
 	row.btreePageH = bt.Height() // one B+-tree node per page
 	return row, nil

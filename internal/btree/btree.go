@@ -23,7 +23,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/heap"
 	"repro/internal/storage"
@@ -70,9 +69,6 @@ type Tree struct {
 	root   storage.PageID
 	height int
 	count  int64
-
-	// trace, when non-nil, records distinct pages touched by read paths.
-	trace atomic.Pointer[storage.PageTrace]
 
 	// enc is the buffer node records are encoded and spliced in; writers
 	// are serialized, so one serves the tree.
@@ -143,14 +139,6 @@ func (t *Tree) Count() int64 { return t.count }
 // path); 0 for an empty tree.
 func (t *Tree) Height() int { return t.height }
 
-// NumPages returns the number of pages, including metadata.
-func (t *Tree) NumPages() uint32 { return t.bp.DM().NumPages() }
-
-// SizeBytes returns the on-disk size of the index.
-func (t *Tree) SizeBytes() int64 {
-	return int64(t.NumPages()) * int64(t.bp.DM().PageSize())
-}
-
 func (n *node) encodedSize() int {
 	sz := hdrSize
 	for _, e := range n.entries {
@@ -196,22 +184,6 @@ func (t *Tree) nodeCap() int {
 	return storage.SlotCapacity(t.bp.DM().PageSize()) - storage.SlotEntrySize
 }
 
-// StartPageTrace begins counting the distinct pages touched by read-only
-// operations (the page reads a cold execution would issue).
-func (t *Tree) StartPageTrace() {
-	t.trace.Store(storage.NewPageTrace())
-}
-
-// PageTraceCount reports the distinct pages touched since StartPageTrace
-// and stops tracing.
-func (t *Tree) PageTraceCount() int {
-	tr := t.trace.Swap(nil)
-	if tr == nil {
-		return 0
-	}
-	return tr.Count()
-}
-
 // walk is what one pass over the tree owns and reuses from node to node:
 // the entry table of the node it reads, and the copy of the leaf it emits
 // from, so that no caller's emit runs under a pin.
@@ -224,12 +196,9 @@ type walk struct {
 // neither its entry table nor its leaf copy.
 var walks = sync.Pool{New: func() any { return new(walk) }}
 
-// pin fetches page pid and reads it as a node where it lies, as one visit
-// of the page trace. The caller unpins p.
+// pin fetches page pid and reads it as a node where it lies. The caller
+// unpins p.
 func (t *Tree) pin(pid storage.PageID, w *walk) (*storage.Page, View, error) {
-	if tr := t.trace.Load(); tr != nil {
-		tr.Visit(pid)
-	}
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return nil, View{}, err

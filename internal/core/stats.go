@@ -26,7 +26,7 @@ func (t *Tree) Stats() (TreeStats, error) {
 	st := TreeStats{
 		Keys:      t.nKeys,
 		Pages:     t.NumPages(),
-		SizeBytes: t.SizeBytes(),
+		SizeBytes: t.bp.SizeBytes(),
 	}
 	err := t.walk(func(_ NodeRef, v *nodeView, level, pageDepth int) bool {
 		if v.leaf {

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -29,9 +28,6 @@ type Tree struct {
 	// nodes holds the view of every node a read has visited since it was
 	// last written; mutating paths decode private copies.
 	nodes nodeTable
-
-	// trace, when non-nil, records distinct pages touched by read paths.
-	trace atomic.Pointer[storage.PageTrace]
 
 	// free holds the free bytes of every page for the clustering
 	// allocator, and lists those with at least a quarter page free, so
@@ -156,11 +152,6 @@ func (t *Tree) Count() int64 { return t.nKeys }
 // metadata page.
 func (t *Tree) NumPages() uint32 { return t.bp.DM().NumPages() }
 
-// SizeBytes returns the on-disk size of the index.
-func (t *Tree) SizeBytes() int64 {
-	return int64(t.NumPages()) * int64(t.bp.DM().PageSize())
-}
-
 // saveMeta writes the root reference and the key count into the meta page,
 // dirtying it (and so logging the change with the next record group) only
 // when one of them changed. The root reference is saved where it moves —
@@ -229,10 +220,11 @@ func (t *Tree) view(ref NodeRef) (*nodeView, error) {
 // where it lies (insertIntoLeaf), so the leaf the previous insertion just
 // rewrote is neither copied nor published again, and the caller owns the pin.
 func (t *Tree) read(ref NodeRef, leafInPlace bool) (v *nodeView, p *storage.Page, rec []byte, err error) {
-	t.tracePage(ref.Page)
 	slot := t.nodes.at(ref)
 	if slot != nil {
 		if v = slot.Load(); v != nil && !(leafInPlace && v.leaf) {
+			// Served without a fetch: still a visit of the page.
+			t.bp.TracePage(ref.Page)
 			return v, nil, nil, nil
 		}
 	}
@@ -254,29 +246,6 @@ func (t *Tree) read(ref NodeRef, leafInPlace bool) (v *nodeView, p *storage.Page
 func (t *Tree) invalidate(ref NodeRef) {
 	if slot := t.nodes.at(ref); slot != nil {
 		slot.Store(nil)
-	}
-}
-
-// StartPageTrace begins counting the distinct pages touched by read-only
-// operations — the number of page reads a cold (unbuffered) execution
-// would issue, which is the cost the paper's I/O-bound measurements see.
-func (t *Tree) StartPageTrace() {
-	t.trace.Store(storage.NewPageTrace())
-}
-
-// PageTraceCount reports the distinct pages touched since StartPageTrace
-// and stops tracing.
-func (t *Tree) PageTraceCount() int {
-	tr := t.trace.Swap(nil)
-	if tr == nil {
-		return 0
-	}
-	return tr.Count()
-}
-
-func (t *Tree) tracePage(pid storage.PageID) {
-	if tr := t.trace.Load(); tr != nil {
-		tr.Visit(pid)
 	}
 }
 

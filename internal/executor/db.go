@@ -52,6 +52,11 @@ type IndexInfo struct {
 // File returns the index's data file base name (catalog introspection).
 func (ix *IndexInfo) File() string { return ix.file }
 
+// Pool returns the index file's handle in the database's buffer pool: its
+// size and the page trace of its scans are the pool's, not the access
+// method's.
+func (ix *IndexInfo) Pool() *storage.BufferPool { return ix.pool }
+
 // Table is a heap file plus its schema and indexes.
 type Table struct {
 	Name    string
@@ -998,13 +1003,6 @@ func (db *DB) Close() error {
 				return err
 			}
 			db.met.txnRollback.Inc()
-		}
-	}
-	for _, t := range db.tables {
-		for _, ix := range t.Indexes {
-			if err := ix.Idx.Flush(); err != nil {
-				return err
-			}
 		}
 	}
 	if err := db.persistChurnLocked(); err != nil {

@@ -260,8 +260,8 @@ func (t *Table) Stats() ([]TableStat, error) {
 	for _, ix := range t.Indexes {
 		out = append(out,
 			TableStat{Name: "index_" + ix.Name + "_entries", Value: ix.Idx.Count()},
-			TableStat{Name: "index_" + ix.Name + "_pages", Value: int64(ix.Idx.NumPages())},
-			TableStat{Name: "index_" + ix.Name + "_size_bytes", Value: ix.Idx.SizeBytes()},
+			TableStat{Name: "index_" + ix.Name + "_pages", Value: int64(ix.pool.DM().NumPages())},
+			TableStat{Name: "index_" + ix.Name + "_size_bytes", Value: ix.pool.SizeBytes()},
 			TableStat{Name: "index_" + ix.Name + "_scans_total", Value: ix.scans.Load()},
 		)
 	}
@@ -335,8 +335,8 @@ type RunStats struct {
 	PoolMisses int64
 	WALBytes   int64
 	// IndexPages is the count of distinct index pages the scan visited,
-	// from the access method's PageTrace; -1 when the plan did not go
-	// through an index.
+	// from the index file's page trace in the buffer pool; -1 when the plan
+	// did not go through an index.
 	IndexPages int
 }
 
@@ -380,7 +380,7 @@ func (t *Table) analyzed(tx *Txn, stmts *obs.Counter,
 		walBefore = w.Stats().AppendedBytes
 	}
 	if p.Index != nil {
-		p.Index.Idx.StartPageTrace()
+		p.Index.pool.StartPageTrace()
 	}
 	start := time.Now()
 	rs.Scanned, rs.Rows, err = exec(snap, p)
@@ -388,7 +388,7 @@ func (t *Table) analyzed(tx *Txn, stmts *obs.Counter,
 	if p.Index != nil {
 		// PageTraceCount also stops the trace, so the per-page tracing
 		// cost ends with this statement.
-		rs.IndexPages = p.Index.Idx.PageTraceCount()
+		rs.IndexPages = p.Index.pool.PageTraceCount()
 		p.Index.pagesVisited.Add(int64(rs.IndexPages))
 	}
 	hitsAfter, missesAfter := t.tablePoolStats()

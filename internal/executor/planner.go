@@ -244,7 +244,7 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 		if ix.Column != pred.Column || !ix.OpClass.SupportsOp(pred.Op) {
 			continue
 		}
-		cost := indexScanCost(float64(rows), heapPages, float64(ix.Idx.NumPages()), sel)
+		cost := indexScanCost(float64(rows), heapPages, float64(ix.pool.DM().NumPages()), sel)
 		if cost < best.TotalCost {
 			best = &Plan{
 				Kind:        IndexScan,
@@ -297,7 +297,7 @@ func (t *Table) planNN(column int, arg catalog.Datum, k int) (*Plan, error) {
 				frac = 1
 			}
 		}
-		cost := frac*float64(ix.Idx.NumPages())*randomPageCost +
+		cost := frac*float64(ix.pool.DM().NumPages())*randomPageCost +
 			float64(k)*(cpuIndexCost+cpuTupleCost) +
 			float64(k)*randomPageCost
 		return &Plan{

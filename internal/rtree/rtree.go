@@ -18,7 +18,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/heap"
@@ -63,9 +62,6 @@ type Tree struct {
 	count   int64
 	maxFill int // M: entries per node
 	minFill int // m: lower bound after split
-
-	// trace, when non-nil, records distinct pages touched by read paths.
-	trace atomic.Pointer[storage.PageTrace]
 
 	// enc is the buffer node records are encoded in; writers are
 	// serialized, so one serves the tree.
@@ -148,14 +144,6 @@ func (t *Tree) Count() int64 { return t.count }
 // Height returns the number of levels; 0 when empty.
 func (t *Tree) Height() int { return t.height }
 
-// NumPages returns the number of pages, including metadata.
-func (t *Tree) NumPages() uint32 { return t.bp.DM().NumPages() }
-
-// SizeBytes returns the on-disk size of the index.
-func (t *Tree) SizeBytes() int64 {
-	return int64(t.NumPages()) * int64(t.bp.DM().PageSize())
-}
-
 // MaxEntries exposes M (used by tests).
 func (t *Tree) MaxEntries() int { return t.maxFill }
 
@@ -187,28 +175,9 @@ func (n *node) encode(buf []byte) {
 	}
 }
 
-// StartPageTrace begins counting the distinct pages touched by read-only
-// operations (the page reads a cold execution would issue).
-func (t *Tree) StartPageTrace() {
-	t.trace.Store(storage.NewPageTrace())
-}
-
-// PageTraceCount reports the distinct pages touched since StartPageTrace
-// and stops tracing.
-func (t *Tree) PageTraceCount() int {
-	tr := t.trace.Swap(nil)
-	if tr == nil {
-		return 0
-	}
-	return tr.Count()
-}
-
-// pin fetches page pid and reads it as a node where it lies, as one visit
-// of the page trace. The caller unpins p.
+// pin fetches page pid and reads it as a node where it lies. The caller
+// unpins p.
 func (t *Tree) pin(pid storage.PageID) (*storage.Page, View, error) {
-	if tr := t.trace.Load(); tr != nil {
-		tr.Visit(pid)
-	}
 	p, err := t.bp.Fetch(pid)
 	if err != nil {
 		return nil, View{}, err

@@ -147,11 +147,11 @@ func TestExplainAnalyzeMatchesPageTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := tab.Indexes[0]
-	ix.Idx.StartPageTrace()
+	ix.Pool().StartPageTrace()
 	if err := tab.SelectIndexed(ix, &executor.Pred{Column: 0, Op: "=", Arg: catalog.NewText("word0150")}, func(executor.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if traced := ix.Idx.PageTraceCount(); traced != eaPages {
+	if traced := ix.Pool().PageTraceCount(); traced != eaPages {
 		t.Errorf("EXPLAIN ANALYZE index_pages=%d, independent PageTrace=%d", eaPages, traced)
 	}
 }

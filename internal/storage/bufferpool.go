@@ -137,8 +137,9 @@ type Pool struct {
 
 // BufferPool is one relation file opened in a Pool, the handle access
 // methods work through. It holds only what is per file — disk manager,
-// file name, deferred log records, miss-I/O wait event, prefetch quiesce
-// and traffic counters — and shares everything else with the pool.
+// file name, deferred log records, miss-I/O wait event, prefetch quiesce,
+// traffic counters and page trace — and shares everything else with the
+// pool.
 type BufferPool struct {
 	pool     *Pool
 	rel      uint32 // relation number: its frames' key prefix and shard offset
@@ -183,6 +184,9 @@ type BufferPool struct {
 	// closed stops new prefetch work from being enqueued or started.
 	prefetchActive sync.WaitGroup
 	closed         atomic.Bool
+
+	// trace, when armed, records the distinct pages fetched (PageTrace).
+	trace atomic.Pointer[PageTrace]
 }
 
 // inflightRead is one pending disk read published in a shard's in-flight
@@ -315,6 +319,11 @@ func (bp *BufferPool) shardOf(id PageID) int {
 
 // DM exposes the underlying disk manager.
 func (bp *BufferPool) DM() DiskManager { return bp.dm }
+
+// SizeBytes returns the size of the relation file on disk.
+func (bp *BufferPool) SizeBytes() int64 {
+	return int64(bp.dm.NumPages()) * int64(bp.dm.PageSize())
+}
 
 // NumShards reports the page-table shard count (introspection, tests).
 func (p *Pool) NumShards() int { return len(p.shards) }
@@ -634,8 +643,10 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand
 // Fetch pins the page with the given id, reading it from disk on a miss
 // (readClaimedLocked). A fetch that finds its page's read already in
 // flight waits on it instead of issuing a second one, counting as a miss
-// (Hits+Misses == Accesses) and as an InflightJoin.
+// (Hits+Misses == Accesses) and as an InflightJoin. Every fetch is a visit
+// of an armed page trace.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
+	bp.TracePage(id)
 	si := bp.shardOf(id)
 	sh, st := &bp.pool.shards[si], &bp.stats[si]
 	bp.pool.lockShard(sh)

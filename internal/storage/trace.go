@@ -2,32 +2,45 @@ package storage
 
 import "sync"
 
-// PageTrace counts the distinct pages touched by read-only operations —
-// the page reads a cold (unbuffered) execution would issue, which is the
-// cost the paper's I/O-bound measurements see. The index structures hold
-// one behind an atomic pointer: tracing disabled (the norm) costs a
-// single pointer load on the read path, and an enabled trace has its own
-// mutex so traced reads may run from several goroutines.
+// PageTrace counts the distinct pages of one relation file that are read
+// while it is armed — the page reads a cold (unbuffered) execution would
+// issue, which is the cost the paper's I/O-bound measurements see. It is
+// the buffer pool's, as EXPLAIN's BUFFERS is the buffer manager's in
+// PostgreSQL, so every access method is counted the same way: each Fetch
+// of the relation's pages visits one, and an access method that serves a
+// page's contents from memory of its own (SP-GiST's node table) reports
+// the visit with TracePage. A disarmed trace (the norm) costs one pointer
+// load per fetch. An armed one counts every fetch of the relation's pages
+// in its window, a concurrent reader's included; it has its own mutex, so
+// traced reads may run from several goroutines.
 type PageTrace struct {
 	mu    sync.Mutex
 	pages map[PageID]struct{}
 }
 
-// NewPageTrace returns an empty trace.
-func NewPageTrace() *PageTrace {
-	return &PageTrace{pages: make(map[PageID]struct{})}
+// StartPageTrace arms a new page trace on the relation, replacing any
+// armed one.
+func (bp *BufferPool) StartPageTrace() {
+	bp.trace.Store(&PageTrace{pages: make(map[PageID]struct{})})
 }
 
-// Visit records one page access.
-func (t *PageTrace) Visit(id PageID) {
-	t.mu.Lock()
-	t.pages[id] = struct{}{}
-	t.mu.Unlock()
+// PageTraceCount disarms the relation's page trace and reports the
+// distinct pages it visited (0 when none was armed).
+func (bp *BufferPool) PageTraceCount() int {
+	tr := bp.trace.Swap(nil)
+	if tr == nil {
+		return 0
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return len(tr.pages)
 }
 
-// Count reports the number of distinct pages visited.
-func (t *PageTrace) Count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pages)
+// TracePage records a visit of page id in the armed trace, if any.
+func (bp *BufferPool) TracePage(id PageID) {
+	if tr := bp.trace.Load(); tr != nil {
+		tr.mu.Lock()
+		tr.pages[id] = struct{}{}
+		tr.mu.Unlock()
+	}
 }
