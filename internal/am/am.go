@@ -183,9 +183,6 @@ type spgistIndex struct {
 func (x *spgistIndex) Count() int64    { return x.tree.Count() }
 func (x *spgistIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
-// Tree exposes the underlying SP-GiST tree (statistics, ablations).
-func (x *spgistIndex) Tree() *core.Tree { return x.tree }
-
 func (x *spgistIndex) Insert(key catalog.Datum, rid heap.RID) error {
 	v, err := datumToValue(key)
 	if err != nil {
@@ -296,9 +293,6 @@ type btreeIndex struct {
 func (x *btreeIndex) Count() int64    { return x.tree.Count() }
 func (x *btreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
-// Tree exposes the underlying B+-tree (statistics).
-func (x *btreeIndex) Tree() *btree.Tree { return x.tree }
-
 func (x *btreeIndex) Insert(key catalog.Datum, rid heap.RID) error {
 	if key.Typ != catalog.Text {
 		return fmt.Errorf("am: btree_text requires VARCHAR keys")
@@ -357,9 +351,6 @@ type rtreeIndex struct {
 
 func (x *rtreeIndex) Count() int64    { return x.tree.Count() }
 func (x *rtreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
-
-// Tree exposes the underlying R-tree (statistics).
-func (x *rtreeIndex) Tree() *rtree.Tree { return x.tree }
 
 func (x *rtreeIndex) rect(key catalog.Datum) (geom.Box, error) {
 	switch {

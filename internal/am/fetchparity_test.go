@@ -237,7 +237,7 @@ func TestWarmBTreeMatchPinsItsPath(t *testing.T) {
 	before := bp.Stats()
 	match()
 	after := bp.Stats()
-	height := idx.(*btreeIndex).Tree().Height()
+	height := idx.(*btreeIndex).tree.Height()
 	if height < 2 {
 		t.Fatalf("height %d: the test wants inner nodes", height)
 	}

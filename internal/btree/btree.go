@@ -121,14 +121,6 @@ func (t *Tree) saveMeta() error {
 // the dirty meta page is logged and recoverable.
 func (t *Tree) SaveMeta() error { return t.saveMeta() }
 
-// Flush persists metadata and dirty pages.
-func (t *Tree) Flush() error {
-	if err := t.saveMeta(); err != nil {
-		return err
-	}
-	return t.bp.FlushAll()
-}
-
 // Pool returns the underlying buffer pool.
 func (t *Tree) Pool() *storage.BufferPool { return t.bp }
 

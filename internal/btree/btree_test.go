@@ -283,10 +283,12 @@ func TestPersistence(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tr.Insert([]byte(fmt.Sprintf("key%04d", i)), rid(i))
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.SaveMeta(); err != nil {
 		t.Fatal(err)
 	}
-	bp.Close()
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	dm2, _ := storage.OpenFile(path, 512)
 	bp2 := storage.NewBufferPool("", dm2, 64)

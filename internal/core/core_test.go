@@ -430,7 +430,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		}
 		words[w]++
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.SaveMeta(); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Close(); err != nil {

@@ -246,7 +246,7 @@ func TestNNCursorSurfacesStorageError(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr, live := buildFixture(t, f, dm, 600, 13)
-			if err := tr.Flush(); err != nil {
+			if err := tr.SaveMeta(); err != nil {
 				t.Fatal(err)
 			}
 			if err := tr.Pool().Close(); err != nil {

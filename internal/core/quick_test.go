@@ -182,7 +182,7 @@ func TestQuickPersistenceRoundTrip(t *testing.T) {
 			}
 			counts[w]++
 		}
-		if err := tr.Flush(); err != nil {
+		if tr.SaveMeta() != nil || tr.Pool().FlushAll() != nil {
 			return false
 		}
 		tr2, err := Open(storage.NewBufferPool("", dm, 64), testTrie{})

@@ -36,7 +36,7 @@ func coldTrie(t *testing.T) (tr *Tree, bp *storage.BufferPool, words []string, d
 		}
 		words = append(words, w)
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.SaveMeta(); err != nil {
 		t.Fatal(err)
 	}
 	if err := build.Close(); err != nil {

@@ -175,14 +175,6 @@ func (t *Tree) setRoot(ref NodeRef) error {
 // replayed on reopen.
 func (t *Tree) SaveMeta() error { return t.saveMeta() }
 
-// Flush persists metadata and all dirty pages.
-func (t *Tree) Flush() error {
-	if err := t.saveMeta(); err != nil {
-		return err
-	}
-	return t.bp.FlushAll()
-}
-
 // record pins ref's page and returns the node record in it; the caller
 // unpins p.
 func (t *Tree) record(ref NodeRef) (p *storage.Page, rec []byte, err error) {

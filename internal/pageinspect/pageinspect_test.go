@@ -94,7 +94,10 @@ func TestBTreeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bt.Flush(); err != nil {
+	if err := bt.SaveMeta(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Pool().FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := dm.Close(); err != nil {

@@ -222,7 +222,7 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := buildPoints(t, tr, 500, 9)
-	if err := tr.Flush(); err != nil {
+	if err := tr.SaveMeta(); err != nil {
 		t.Fatal(err)
 	}
 	tr2, err := Open(bp)

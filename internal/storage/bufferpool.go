@@ -1158,8 +1158,8 @@ func syncWAL(w *wal.Writer, lsn wal.LSN) error {
 // WAL-before-data intact for frames whose records were postponed to the
 // commit point.
 //
-// Callers must hold the exclusive statement lock (CHECKPOINT, Close,
-// and index flushes all do): frames are checksum-stamped and written
+// Callers must hold the exclusive statement lock (CHECKPOINT, Close
+// and unlogged DDL all do): frames are checksum-stamped and written
 // in place, which tolerates no concurrent pins on the frame. A pinned
 // dirty frame here is a locking bug and panics rather than racing the
 // reader on the header bytes.
