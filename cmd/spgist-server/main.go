@@ -39,7 +39,6 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or over this duration to stderr (0 disables)")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON file per statement into this directory (empty disables)")
 	idleTxn := flag.Duration("idle-txn-timeout", 0, "roll back and disconnect sessions idle in an open transaction this long (0 disables)")
-	readahead := flag.Int("readahead", 0, "pages of scan readahead to prefetch (default 8, negative disables)")
 	bgwInterval := flag.Duration("bgwriter-interval", 0, "background dirty-page writer tick (0 disables)")
 	flag.Parse()
 
@@ -50,7 +49,7 @@ func main() {
 	db, err := executor.Open(executor.Options{
 		Dir: *dir, WAL: *useWAL, WALSync: mode, PoolPages: *poolPages,
 		SlowQueryThreshold: *slowQuery, TraceDir: *traceDir,
-		ReadaheadPages: *readahead, BGWriterInterval: *bgwInterval,
+		BGWriterInterval: *bgwInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

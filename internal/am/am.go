@@ -44,8 +44,10 @@ type Index interface {
 	// Scan drives an index scan for `key op arg`, emitting candidate
 	// RIDs (possibly lossy).
 	Scan(op string, arg catalog.Datum, emit func(heap.RID) bool) error
-	// NNScan starts an incremental nearest-neighbor scan, or errors when
-	// the class has no ordering operator.
+	// NNScan starts an incremental nearest-neighbor scan over the
+	// index's keys, or errors when the index cannot rank them. Only a
+	// class with an ordering operator (NNOp) ranks rows: the suffix
+	// tree's NN scan ranks suffixes, so the planner never uses it.
 	NNScan(arg catalog.Datum) (NNIter, error)
 	// Count returns the number of indexed rows. It is a statistic for
 	// display (SHOW STATS' index_<name>_entries), nothing plans by it. An
@@ -228,9 +230,6 @@ func (x *spgistIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) boo
 }
 
 func (x *spgistIndex) NNScan(arg catalog.Datum) (NNIter, error) {
-	if x.oc.NNOp == "" {
-		return nil, fmt.Errorf("am: operator class %s has no NN operator", x.oc.Name)
-	}
 	v, err := datumToValue(arg)
 	if err != nil {
 		return nil, err

@@ -510,13 +510,7 @@ func (t *Tree) RangeScan(lo, hi []byte, emit func(key []byte, rid heap.RID) bool
 	}
 	v = t.release(p, v, w)
 	for i := v.bound(lo, true); ; i = 0 {
-		// Readahead along the leaf chain: ask the prefetcher for the next
-		// leaf before processing this one, so a cold range scan overlaps
-		// its key emission with the following page's disk read.
 		next := v.Link()
-		if next != storage.InvalidPageID && t.bp.ReadaheadPages() > 0 {
-			t.bp.Prefetch(next)
-		}
 		for ; i < v.Len(); i++ {
 			k := v.Key(i)
 			if hi != nil && bytes.Compare(k, hi) > 0 {

@@ -92,11 +92,13 @@ func init() {
 		NNOp:       "@@",
 		Support:    []string{"trie_consistent", "trie_picksplit", "trie_nn_consistent", "trie_getparameters"},
 	})
+	// The suffix tree's keys are suffixes, not rows: a nearest-suffix
+	// order is no row distance order, so the class registers no
+	// ordering operator and `<->` plans elsewhere.
 	RegisterOpClass(&OperatorClass{
 		Name: "spgist_suffix", AM: "spgist", Type: Text,
-		Strategies: map[string]int{"@=": 1, "@@": 20},
-		NNOp:       "@@",
-		Support:    []string{"suffix_consistent", "suffix_picksplit", "suffix_nn_consistent", "suffix_getparameters"},
+		Strategies: map[string]int{"@=": 1},
+		Support:    []string{"suffix_consistent", "suffix_picksplit", "suffix_getparameters"},
 	})
 	RegisterOpClass(&OperatorClass{
 		Name: "spgist_kdtree", AM: "spgist", Type: Point, Default: true,

@@ -115,7 +115,6 @@ func (d *descent) next() (*nodeView, error) {
 		d.in.Pred, d.in.Labels = v.pred(), Labels{v}
 		d.out.Follow = d.out.Follow[:0]
 		t.oc.InnerConsistent(&d.in, &d.out)
-		first := len(d.stack)
 		for _, fo := range d.out.Follow {
 			if fo.Entry < 0 || fo.Entry >= v.n {
 				return nil, fmt.Errorf("spgist: %s.InnerConsistent follow entry %d out of range", t.oc.Name(), fo.Entry)
@@ -125,20 +124,6 @@ func (d *descent) next() (*nodeView, error) {
 				continue // empty partition of a NodeShrink=false tree
 			}
 			d.stack = append(d.stack, frame{child, f.level + fo.LevelAdd, fo.Recon})
-		}
-		// Every followed child will be visited, but the last one pushed
-		// is popped — and fetched — on the very next iteration: a
-		// prefetch of it could overlap with nothing (on an exact-match
-		// descent it is the only child). Readahead goes to the siblings
-		// that wait on the stack behind it, the ones on pages neither
-		// this node nor that fetch brings in.
-		if last := len(d.stack) - 1; last > first && t.bp.ReadaheadPages() > 0 {
-			next := d.stack[last].ref.Page
-			for _, sib := range d.stack[first:last] {
-				if p := sib.ref.Page; p != f.ref.Page && p != next {
-					t.bp.Prefetch(p)
-				}
-			}
 		}
 	}
 	return nil, nil

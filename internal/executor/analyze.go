@@ -57,29 +57,10 @@ func (t *Table) sampleHeap() ([]catalog.Tuple, error) {
 		}
 		return i
 	}
-	draw := func(i int) int {
+	for i := 0; i < dataPages && len(sample) < analyzeSampleCap; i++ {
 		j := i + rng.Intn(dataPages-i)
 		pi := at(j)
 		swapped[j] = at(i)
-		return pi
-	}
-	// The sample's random page order defeats the heap scan's sequential
-	// readahead, so pipeline by hand: draw the next page one iteration
-	// early and prefetch it while the current page is decoded. The rng
-	// consumes draws in the same order as the plain loop, keeping page
-	// choice deterministic.
-	bp := t.Heap.Pool()
-	pending := -1
-	for i := 0; i < dataPages && len(sample) < analyzeSampleCap; i++ {
-		pi := pending
-		if pi < 0 {
-			pi = draw(i)
-		}
-		pending = -1
-		if i+1 < dataPages && bp.ReadaheadPages() > 0 {
-			pending = draw(i + 1)
-			bp.Prefetch(storage.PageID(pending + 1))
-		}
 		err := t.Heap.ScanPageVersions(storage.PageID(pi+1), func(_ heap.RID, h heap.TupleHeader, rec []byte) bool {
 			// Sample only versions a fresh snapshot could see: dead
 			// versions (aborted inserts, deleted rows awaiting VACUUM)

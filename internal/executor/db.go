@@ -242,10 +242,8 @@ type DB struct {
 	// every lazy statistics refresh before the sample; an error fails it.
 	statsRefreshHook func(*Table) error
 
-	// pf is the pool's prefetcher (nil when readahead is disabled); bgw
-	// is the background writer (nil when disabled). Both are created at
-	// Open and immutable afterwards — only teardown stops them.
-	pf  *storage.Prefetcher
+	// bgw is the background writer (nil when disabled), created at Open
+	// and immutable afterwards — only teardown stops it.
 	bgw *bgWriter
 
 	// tm is the transaction layer (txn.go): xid allocation, snapshots,
@@ -421,23 +419,12 @@ type Options struct {
 	// armed per statement; with TraceDir empty (the default) the
 	// instrumentation costs one atomic load per potential span site.
 	TraceDir string
-	// ReadaheadPages is how many pages ahead sequential heap scans and
-	// btree/SP-GiST descents prefetch through the shared background
-	// prefetcher. 0 defaults to DefaultReadaheadPages; negative disables
-	// prefetch entirely.
-	ReadaheadPages int
 	// BGWriterInterval enables the background writer: every interval it
 	// writes back up to bgWriterMaxPages committed dirty pages of the
 	// buffer pool, so CHECKPOINT finds it mostly clean. Zero (the
 	// default) disables it.
 	BGWriterInterval time.Duration
 }
-
-// DefaultReadaheadPages is the scan readahead window when Options leave
-// it zero: deep enough to keep a handful of reads in flight ahead of a
-// sequential scan, shallow enough that a mispredicted scan wastes only a
-// few frames.
-const DefaultReadaheadPages = 8
 
 // Open creates or opens a database. The persistent system catalog is
 // bootstrapped first (replaying any write-ahead log into it and the data
@@ -478,18 +465,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.pool = storage.NewPool(opts.PageSize, opts.PoolPages)
 	db.pool.AttachObs(db.waits)
-	readahead := opts.ReadaheadPages
-	if readahead == 0 {
-		readahead = DefaultReadaheadPages
-	}
-	if readahead > 0 {
-		// Every file of the pool shares one prefetcher: readahead demand
-		// is bursty per file but bounded overall, and the shared queue
-		// caps the background I/O the whole system generates. Zeros pick
-		// the default worker count and queue depth.
-		db.pf = storage.NewPrefetcher(0, 0)
-		db.pool.AttachPrefetcher(db.pf, readahead)
-	}
 	if db.slowQueryLog == nil {
 		db.slowQueryLog = os.Stderr
 	}
@@ -573,12 +548,6 @@ func (db *DB) discardAll() error {
 	}
 	if err := db.pool.Crash(); err != nil && firstErr == nil {
 		firstErr = err
-	}
-	// The relations just waited out their queued prefetch work; now the
-	// workers themselves can go.
-	if db.pf != nil {
-		db.pf.Close()
-		db.pf = nil
 	}
 	db.tables = make(map[string]*Table)
 	db.cat = nil
@@ -1013,10 +982,6 @@ func (db *DB) Close() error {
 	}
 	if err := db.pool.Close(); err != nil {
 		return err
-	}
-	if db.pf != nil {
-		db.pf.Close()
-		db.pf = nil
 	}
 	db.tables = make(map[string]*Table)
 	db.cat = nil

@@ -112,9 +112,6 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 	emit("pool_evictions_total", ps.Evictions)
 	emit("pool_dirty_writes_total", ps.DirtyWrites)
 	emit("pool_inflight_joins_total", ps.InflightJoins)
-	emit("pool_prefetch_reads_total", ps.PrefetchReads)
-	emit("pool_prefetch_hits_total", ps.PrefetchHits)
-	emit("pool_prefetch_wasted_total", ps.PrefetchWasted)
 	emit("pool_bgwriter_writes_total", ps.BGWrites)
 	if db.bgw != nil {
 		rounds, skipped, pages := db.BGWriterStats()

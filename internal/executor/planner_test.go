@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -235,5 +236,57 @@ func TestPrefixEstimateInsideVarcharBucket(t *testing.T) {
 		if plan.Kind != IndexScan {
 			t.Errorf("prefix %q: %v, want an Index Scan", p, plan)
 		}
+	}
+}
+
+// TestSuffixIndexDrivesNoKNN: the suffix tree ranks suffixes, not rows,
+// so with only a suffix index on the column `ORDER BY name <-> q LIMIT k`
+// must not plan an Index NN Scan through it — the rows come back at
+// their own distances, in brute-force order.
+func TestSuffixIndexDrivesNoKNN(t *testing.T) {
+	db := memDB(t)
+	tb, err := db.CreateTable("w", []Column{{"name", catalog.Text}, {"id", catalog.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	var keys []catalog.Datum
+	for i := 0; i < 500; i++ {
+		b := make([]byte, 6)
+		for j := range b {
+			b[j] = "abcd"[r.Intn(4)]
+		}
+		keys = append(keys, catalog.NewText(string(b)))
+		if _, err := tb.Insert(catalog.Tuple{keys[i], catalog.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.CreateIndex("w_sfx", "w", "name", "spgist", "spgist_suffix"); err != nil {
+		t.Fatal(err)
+	}
+	arg := catalog.NewText("abcd")
+	res, plan, err := tb.SelectNN("name", arg, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]float64, len(keys))
+	for i, k := range keys {
+		if all[i], err = Distance(k, arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(all)
+	if len(res) != 10 {
+		t.Fatalf("kNN returned %d rows, want 10", len(res))
+	}
+	for i, nn := range res {
+		own, _ := Distance(nn.Tuple[0], arg)
+		if nn.Distance != all[i] || own != nn.Distance {
+			t.Fatalf("#%d is %s at reported distance %g (really %g), brute force has %g",
+				i, nn.Tuple[0], nn.Distance, own, all[i])
+		}
+	}
+	if plan.Kind == IndexNNScan {
+		t.Fatalf("kNN planned %s through the suffix index", plan)
 	}
 }

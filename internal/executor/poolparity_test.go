@@ -24,8 +24,7 @@ type poolCounts struct {
 // both pool sizes; misses, disk writes and log bytes are pinned where
 // every file fits (1024 frames). The figures were recorded at commit
 // 70fd2f1, which had one pool of PoolPages frames per relation file, and
-// must not move when the files share one pool. Readahead is off so that
-// no prefetch races a demand fetch for a miss.
+// must not move when the files share one pool.
 //
 // The accesses were re-recorded twice since. The first time was for a plan
 // change and nothing else: the script's `#=` prefixes were priced with
@@ -132,7 +131,7 @@ var poolParityTables = []struct {
 func poolParityRun(t *testing.T, poolPages int) (got [2]poolCounts) {
 	dir := t.TempDir()
 	open := func() *DB {
-		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: poolPages, ReadaheadPages: -1})
+		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: poolPages})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,7 +147,7 @@ func TestSharedPoolConcurrentCommits(t *testing.T) {
 func TestSharedPoolDropThenCreate(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *DB {
-		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: 32, ReadaheadPages: -1})
+		db, err := Open(Options{Dir: dir, WAL: true, PoolPages: 32})
 		if err != nil {
 			t.Fatal(err)
 		}

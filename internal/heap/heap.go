@@ -516,23 +516,9 @@ func (f *File) Scan(fn func(rid RID, rec []byte) bool) error {
 // ScanVersions calls fn for every live record in file order with its
 // decoded version header. The payload slice is only valid during the
 // call. Scanning stops early if fn returns false.
-//
-// When the pool has a prefetcher attached, the scan keeps a readahead
-// window open: before processing page P it requests P+window, so by the
-// time the scan arrives the read has (ideally) already happened in the
-// background. The initial burst primes the window.
 func (f *File) ScanVersions(fn func(rid RID, h TupleHeader, payload []byte) bool) error {
 	n := f.NumPages()
-	ra := uint32(f.bp.ReadaheadPages())
-	if ra > 0 {
-		for a := uint32(2); a <= ra && a < n; a++ {
-			f.bp.Prefetch(storage.PageID(a))
-		}
-	}
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
-		if ra > 0 && uint32(pid)+ra < n {
-			f.bp.Prefetch(pid + storage.PageID(ra))
-		}
 		p, err := f.bp.Fetch(pid)
 		if err != nil {
 			return err

@@ -40,10 +40,6 @@ const (
 	// WaitWALCommitWait: a group-commit follower parked on the leader's
 	// in-flight fsync.
 	WaitWALCommitWait
-	// WaitIOPrefetch: a prefetcher worker reading a page from disk ahead
-	// of a scan. Charged to the background worker, never to a session:
-	// Begin does not look for one.
-	WaitIOPrefetch
 	// WaitBGWriter: the background writer flushing a dirty page to disk
 	// ahead of CHECKPOINT. Charged to the background goroutine, never to
 	// a session.
@@ -67,7 +63,6 @@ var waitEventNames = [NumWaitEvents]string{
 	WaitIOCatalogRead: "io_catalog_read",
 	WaitWALFsync:      "wal_fsync",
 	WaitWALCommitWait: "wal_commit_wait",
-	WaitIOPrefetch:    "io_prefetch",
 	WaitBGWriter:      "bgwriter_write",
 	WaitIORetry:       "io_retry",
 }
@@ -119,8 +114,8 @@ type WaitMark struct {
 const slowReadNs = 50_000
 
 // attributed reports whether a wait on ev is worth resolving the
-// calling goroutine's session for. Background events never are: no
-// session runs on a prefetch worker or the background writer. Waits
+// calling goroutine's session for. The background writer's never are:
+// no session runs on its goroutine. Waits
 // that have already blocked (locks, the WAL, retry backoff) always are:
 // the block costs far more than the lookup. A page read sits between —
 // a few microseconds from the OS cache, milliseconds from a slow
@@ -129,7 +124,7 @@ const slowReadNs = 50_000
 // the first read after start or STATS RESET is never attributed).
 func (ws *WaitSet) attributed(ev WaitEvent) bool {
 	switch ev {
-	case WaitIOPrefetch, WaitBGWriter:
+	case WaitBGWriter:
 		return false
 	case WaitIOHeapRead, WaitIOIndexRead, WaitIOCatalogRead:
 		c := &ws.cells[ev]

@@ -120,10 +120,9 @@ func TestWaitOtherGoroutineNotAttributed(t *testing.T) {
 	}
 }
 
-// TestBackgroundWaitsTouchNoSession: io_prefetch and bgwriter_write are
-// never a session's, so Begin must not even look for one — not on a
-// goroutine with a running session bound, and without a goroutine-id
-// lookup.
+// TestBackgroundWaitsTouchNoSession: bgwriter_write is never a
+// session's, so Begin must not even look for one — not on a goroutine
+// with a running session bound, and without a goroutine-id lookup.
 func TestBackgroundWaitsTouchNoSession(t *testing.T) {
 	act := NewActivity()
 	ws := NewWaitSet(act)
@@ -132,18 +131,16 @@ func TestBackgroundWaitsTouchNoSession(t *testing.T) {
 	defer se.Close()
 
 	before := GoidLookups()
-	for _, ev := range []WaitEvent{WaitIOPrefetch, WaitBGWriter} {
-		m := ws.Begin(ev)
-		if snap := act.Snapshot(); snap[0].State != "active" || snap[0].WaitEvent != "none" {
-			t.Fatalf("%s marked the session: state %q wait %q", ev, snap[0].State, snap[0].WaitEvent)
-		}
-		ws.End(m)
-		if c, _ := ws.Count(ev); c != 1 {
-			t.Fatalf("%s count = %d, want 1", ev, c)
-		}
+	m := ws.Begin(WaitBGWriter)
+	if snap := act.Snapshot(); snap[0].State != "active" || snap[0].WaitEvent != "none" {
+		t.Fatalf("bgwriter_write marked the session: state %q wait %q", snap[0].State, snap[0].WaitEvent)
+	}
+	ws.End(m)
+	if c, _ := ws.Count(WaitBGWriter); c != 1 {
+		t.Fatalf("bgwriter_write count = %d, want 1", c)
 	}
 	if n := GoidLookups() - before; n != 0 {
-		t.Fatalf("background waits made %d goroutine-id lookups, want 0", n)
+		t.Fatalf("the background wait made %d goroutine-id lookups, want 0", n)
 	}
 }
 

@@ -38,7 +38,7 @@ func pageReads(db *executor.DB) int64 {
 // attribution contract: a session binds its goroutine once, so a
 // statement that never blocks pays for no goroutine-id lookup — not
 // warm, and not through a 16-page pool on an undelayed disk, where every
-// statement misses and prefetch workers read beside it.
+// statement misses.
 func TestActivityCostsNoGoroutineLookups(t *testing.T) {
 	const stmts = 1000
 	run := func(t *testing.T, c *server.Client, prefixEvery int) {
@@ -47,7 +47,7 @@ func TestActivityCostsNoGoroutineLookups(t *testing.T) {
 			stmt := lookupStmt(i * 1009 % lookupRows) // pages apart from its neighbours
 			if prefixEvery > 0 && i%prefixEvery == 0 {
 				// ~50 rows over the whole key space: a multi-follow
-				// scan, so readahead has siblings to fetch.
+				// scan, reading pages on several branches.
 				stmt = "SELECT * FROM words WHERE name #= '" + lookupName(i)[:2] + "'"
 			}
 			if _, err := c.Exec(stmt); err != nil {
@@ -70,22 +70,21 @@ func TestActivityCostsNoGoroutineLookups(t *testing.T) {
 		db, _, c := lookupFixture(t, executor.Options{PoolPages: 16})
 		run(t, c, 10)
 		lookups, blocked := obs.GoidLookups(), blockedWaits(db)
-		reads, prefetches := pageReads(db), waitCount(db, obs.WaitIOPrefetch)
+		reads := pageReads(db)
 		run(t, c, 10)
 		lookups, blocked = obs.GoidLookups()-lookups, blockedWaits(db)-blocked
-		reads, prefetches = pageReads(db)-reads, waitCount(db, obs.WaitIOPrefetch)-prefetches
-		if reads < stmts/10 || prefetches == 0 {
-			t.Fatalf("pool was not cold: %d page reads, %d prefetch reads over %d statements", reads, prefetches, stmts)
+		reads = pageReads(db) - reads
+		if reads < stmts/10 {
+			t.Fatalf("pool was not cold: %d page reads over %d statements", reads, stmts)
 		}
-		// A shard mutex held by a prefetch worker can block a fetch for
+		// A shard mutex held by another goroutine can block a fetch for
 		// an instant; such a wait resolves its session by design. Every
-		// lookup must be one of those — the page reads and prefetch
-		// reads account for none.
+		// lookup must be one of those — the page reads account for none.
 		if lookups != blocked {
-			t.Fatalf("%d goroutine-id lookups against %d blocked waits: one of %d page reads or %d prefetch reads resolved a session",
-				lookups, blocked, reads, prefetches)
+			t.Fatalf("%d goroutine-id lookups against %d blocked waits: one of %d page reads resolved a session",
+				lookups, blocked, reads)
 		}
-		t.Logf("%d page reads, %d prefetch reads, %d lookups (= blocked waits)", reads, prefetches, lookups)
+		t.Logf("%d page reads, %d lookups (= blocked waits)", reads, lookups)
 	})
 }
 

@@ -31,23 +31,18 @@ type Page struct {
 // Misses include InflightJoins: fetches that found their page's read
 // already in flight and waited on it rather than issuing a second disk
 // read, so Hits+Misses == Accesses always holds while physical reads can
-// be fewer than misses. PrefetchReads counts pages read by the
-// prefetcher (not logical accesses); PrefetchHits counts prefetched
-// pages a demand fetch then used, PrefetchWasted those evicted untouched.
-// BGWrites counts the subset of DirtyWrites issued by the background
-// writer. A relation's counters count the fetches of its pages and the
-// write-backs and evictions of its frames; the pool's sum them.
+// be fewer than misses. BGWrites counts the subset of DirtyWrites issued
+// by the background writer. A relation's counters count the fetches of
+// its pages and the write-backs and evictions of its frames; the pool's
+// sum them.
 type PoolStats struct {
-	Accesses       int64
-	Hits           int64
-	Misses         int64
-	Evictions      int64
-	DirtyWrites    int64
-	InflightJoins  int64
-	PrefetchReads  int64
-	PrefetchHits   int64
-	PrefetchWasted int64
-	BGWrites       int64
+	Accesses      int64
+	Hits          int64
+	Misses        int64
+	Evictions     int64
+	DirtyWrites   int64
+	InflightJoins int64
+	BGWrites      int64
 }
 
 // add accumulates o into s.
@@ -58,9 +53,6 @@ func (s *PoolStats) add(o PoolStats) {
 	s.Evictions += o.Evictions
 	s.DirtyWrites += o.DirtyWrites
 	s.InflightJoins += o.InflightJoins
-	s.PrefetchReads += o.PrefetchReads
-	s.PrefetchHits += o.PrefetchHits
-	s.PrefetchWasted += o.PrefetchWasted
 	s.BGWrites += o.BGWrites
 }
 
@@ -123,11 +115,6 @@ type Pool struct {
 	// the I/O time is the number the wait profile exists to expose.
 	waits *obs.WaitSet
 
-	// pf/readahead connect the pool to a prefetcher (AttachPrefetcher,
-	// before the pool is shared; nil disables prefetch).
-	pf        *Prefetcher
-	readahead int
-
 	// rels lists the open relations in the order they were opened; their
 	// numbers (nextRel) are never reused, so no frame outlives its file.
 	relMu   sync.Mutex
@@ -137,9 +124,8 @@ type Pool struct {
 
 // BufferPool is one relation file opened in a Pool, the handle access
 // methods work through. It holds only what is per file — disk manager,
-// file name, deferred log records, miss-I/O wait event, prefetch quiesce,
-// traffic counters and page trace — and shares everything else with the
-// pool.
+// file name, deferred log records, miss-I/O wait event, traffic counters
+// and page trace — and shares everything else with the pool.
 type BufferPool struct {
 	pool     *Pool
 	rel      uint32 // relation number: its frames' key prefix and shard offset
@@ -179,20 +165,14 @@ type BufferPool struct {
 	// writers are serialized, as for its pages.
 	patch []byte
 
-	// prefetchActive counts this relation's queued-or-running prefetch
-	// tasks so Close/Crash can wait them out before tearing frames down;
-	// closed stops new prefetch work from being enqueued or started.
-	prefetchActive sync.WaitGroup
-	closed         atomic.Bool
-
 	// trace, when armed, records the distinct pages fetched (PageTrace).
 	trace atomic.Pointer[PageTrace]
 }
 
 // inflightRead is one pending disk read published in a shard's in-flight
-// table. The claimer (demand fetch or prefetch worker) owns the frame at
-// fi — pinned and invalid, so the evictor skips it — reads with the
-// shard mutex released, then publishes the frame and closes done.
+// table. The claiming fetch owns the frame at fi — pinned and invalid,
+// so the evictor skips it — reads with the shard mutex released, then
+// publishes the frame and closes done.
 // Fetches of the same page meanwhile register as waiters (under the
 // shard mutex) and park on done; the publisher grants their pins in one
 // store before the entry leaves the table, so a published frame cannot
@@ -254,10 +234,6 @@ type frame struct {
 	// recovery can only rebuild a torn page when an image of it survives
 	// in the post-checkpoint log.
 	imagedLSN wal.LSN
-	// prefetched marks a frame read by the prefetcher and not yet used
-	// by a demand fetch: cleared (counting a prefetch hit) on first use,
-	// or counted as wasted if the frame is evicted still carrying it.
-	prefetched bool
 }
 
 // NewPool creates a pool of capacity frames of pageSize bytes.
@@ -353,21 +329,6 @@ func (p *Pool) AttachWAL(w *wal.Writer) {
 // is charged to buf_shard and miss disk reads to each relation's I/O
 // event. Like AttachWAL, it must be called before the pool is shared.
 func (p *Pool) AttachObs(ws *obs.WaitSet) { p.waits = ws }
-
-// AttachPrefetcher joins the pool to a (possibly shared) prefetcher and
-// sets how many pages ahead sequential scans request. readahead <= 0
-// disables prefetch. Like AttachWAL, call before the pool is shared.
-func (p *Pool) AttachPrefetcher(pf *Prefetcher, readahead int) {
-	if pf == nil || readahead <= 0 {
-		p.pf, p.readahead = nil, 0
-		return
-	}
-	p.pf, p.readahead = pf, readahead
-}
-
-// ReadaheadPages reports the configured readahead window (0 = prefetch
-// disabled). Scan layers use it to size their prefetch distance.
-func (bp *BufferPool) ReadaheadPages() int { return bp.pool.readahead }
 
 // FileName returns the base name of the relation file.
 func (bp *BufferPool) FileName() string { return bp.fileName }
@@ -469,22 +430,6 @@ func (bp *BufferPool) VerifyPage(id PageID, scratch []byte) error {
 	return bp.readPageRetry(id, scratch, bp.waitIO)
 }
 
-// Prefetch asks the attached prefetcher to pull a page into the pool in
-// the background. It never blocks: with no prefetcher attached, the
-// relation closing, the page unallocated, or the prefetch queue full, it
-// simply drops the request — prefetch is an optimization, never a
-// correctness dependency.
-func (bp *BufferPool) Prefetch(id PageID) {
-	pf := bp.pool.pf
-	if pf == nil || bp.closed.Load() || uint32(id) >= bp.dm.NumPages() {
-		return
-	}
-	bp.prefetchActive.Add(1)
-	if !pf.enqueue(prefetchTask{bp: bp, id: id}) {
-		bp.prefetchActive.Done()
-	}
-}
-
 // lockShard acquires sh.mu, charging a blocked acquisition to the
 // buf_shard wait event. The uncontended fast path is one TryLock.
 func (p *Pool) lockShard(sh *poolShard) {
@@ -534,7 +479,7 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // claimLocked resolves page id to a frame of shard si, the first step of
-// Fetch, prefetchOne and NewPage alike. Exactly one outcome holds:
+// Fetch and NewPage alike. Exactly one outcome holds:
 // resident — fi is the frame already caching id (no pin taken); e != nil
 // — a read of id is in flight; err != nil — every frame is pinned or
 // uncommitted; otherwise fi is a victim frame now claimed for id: pinned
@@ -543,12 +488,12 @@ func (p *Pool) Stats() PoolStats {
 //
 // "Shard exhausted" can be transient: concurrent misses each claim a
 // frame for the duration of their read, so a small shard under a miss
-// burst may have every frame pinned by reads about to complete. With
-// wait set, claimLocked waits for any in-flight read to publish and
-// retries from the top (the page itself may have arrived meanwhile);
-// with no reads in flight the exhaustion is real. Caller holds the
-// shard's mutex, which is released only around that wait.
-func (bp *BufferPool) claimLocked(si int, id PageID, wait bool) (fi int, resident bool, e *inflightRead, err error) {
+// burst may have every frame pinned by reads about to complete, so
+// claimLocked waits for any in-flight read to publish and retries from
+// the top (the page itself may have arrived meanwhile); with no reads in
+// flight the exhaustion is real. Caller holds the shard's mutex, which
+// is released only around that wait.
+func (bp *BufferPool) claimLocked(si int, id PageID) (fi int, resident bool, e *inflightRead, err error) {
 	sh, key := &bp.pool.shards[si], bp.key(id)
 	for {
 		if cached, ok := sh.table[key]; ok {
@@ -565,7 +510,7 @@ func (bp *BufferPool) claimLocked(si int, id PageID, wait bool) (fi int, residen
 			return fi, false, nil, nil
 		}
 		done := sh.anyInflightDone()
-		if done == nil || !wait {
+		if done == nil {
 			return 0, false, nil, err
 		}
 		sh.mu.Unlock()
@@ -590,39 +535,32 @@ func (bp *BufferPool) publishLocked(sh *poolShard, fi int, id PageID) *frame {
 	f.lsn = 0
 	f.imagedLSN = 0
 	f.opPending = false
-	f.prefetched = false
 	f.valid = true
 	sh.table[bp.key(id)] = fi
 	return f
 }
 
 // readClaimedLocked fills the frame claimLocked handed out with page id
-// from disk and publishes it — the miss path shared by demand fetches
-// and the prefetcher. The read is a singleflight per page over the
-// shard's in-flight table: an "I/O pending" entry is published and the
-// shard mutex released for the read, so misses on different pages of one
-// shard overlap their disk reads, while fetches of the same page
-// register as waiters on the entry and park on its channel — exactly one
-// disk read happens however many sessions miss together.
+// from disk and publishes it — Fetch's miss path. The read is a
+// singleflight per page over the shard's in-flight table: an "I/O
+// pending" entry is published and the shard mutex released for the
+// read, so misses on different pages of one shard overlap their disk
+// reads, while fetches of the same page register as waiters on the entry
+// and park on its channel — exactly one disk read happens however many
+// sessions miss together.
 //
-// A demand read keeps one pin for its caller, is charged to the
-// relation's I/O wait event (transient errors retry with backoff; the
-// bytes are checksum-verified) and — when the statement above armed a
-// tracer — recorded as a page_read span on its timeline; a prefetch read
-// keeps no pin and is charged to io_prefetch. It returns how many fetches
-// joined mid-read. Called with sh.mu held, and returns with it held.
-func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand bool) (joined int32, err error) {
+// The read keeps one pin for its caller, is charged to the relation's
+// I/O wait event (transient errors retry with backoff; the bytes are
+// checksum-verified) and — when the statement above armed a tracer —
+// recorded as a page_read span on its timeline. Called with sh.mu held,
+// and returns with it held.
+func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID) error {
 	f := &sh.frames[fi]
 	e := &inflightRead{done: make(chan struct{}), fi: fi}
 	sh.inflight[bp.key(id)] = e
 	sh.mu.Unlock()
-	ev, pins := obs.WaitIOPrefetch, int32(0)
-	var sp obs.SpanMark
-	if demand {
-		ev, pins = bp.waitIO, 1
-		sp = obs.Current().StartSpan("page_read", "io")
-	}
-	err = bp.readPageRetry(id, f.data, ev)
+	sp := obs.Current().StartSpan("page_read", "io")
+	err := bp.readPageRetry(id, f.data, bp.waitIO)
 	sp.End()
 	bp.pool.lockShard(sh)
 	delete(sh.inflight, bp.key(id))
@@ -633,11 +571,11 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID, demand
 		// One store grants the reader's pin plus every waiter's before
 		// the frame becomes reachable through the table, so no waiter
 		// can find its page evicted underneath it.
-		f.pin.Store(pins + e.waiters)
+		f.pin.Store(1 + e.waiters)
 		bp.publishLocked(sh, fi, id)
 	}
 	close(e.done)
-	return e.waiters, err
+	return err
 }
 
 // Fetch pins the page with the given id, reading it from disk on a miss
@@ -651,15 +589,11 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	sh, st := &bp.pool.shards[si], &bp.stats[si]
 	bp.pool.lockShard(sh)
 	st.Accesses++
-	fi, resident, e, err := bp.claimLocked(si, id, true)
+	fi, resident, e, err := bp.claimLocked(si, id)
 	switch {
 	case resident:
 		st.Hits++
 		f := &sh.frames[fi]
-		if f.prefetched {
-			f.prefetched = false
-			st.PrefetchHits++
-		}
 		f.pin.Add(1)
 		f.ref.Store(true)
 	case e != nil:
@@ -682,7 +616,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		// the Hits+Misses == Accesses identity survives the error.
 		st.Misses++
 		if err == nil {
-			_, err = bp.readClaimedLocked(sh, fi, id, true)
+			err = bp.readClaimedLocked(sh, fi, id)
 		}
 	}
 	sh.mu.Unlock()
@@ -690,43 +624,6 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		return nil, err
 	}
 	return &Page{ID: id, Data: sh.frames[fi].data, shard: si, frame: fi}, nil
-}
-
-// prefetchOne is the prefetch worker's entry point: pull id into the
-// pool if it is not already present or in flight. It follows the same
-// claim/read/publish protocol as Fetch but takes no pin for itself —
-// the published frame is immediately evictable (marked prefetched, with
-// its clock reference bit set so it survives roughly one sweep). Demand
-// fetches that arrive mid-read join as waiters and get their pins from
-// the publish; errors are swallowed (beyond waiter delivery) because a
-// failed prefetch just means the later demand fetch reads for itself.
-func (bp *BufferPool) prefetchOne(id PageID) {
-	if bp.closed.Load() {
-		return
-	}
-	si := bp.shardOf(id)
-	sh, st := &bp.pool.shards[si], &bp.stats[si]
-	bp.pool.lockShard(sh)
-	defer sh.mu.Unlock()
-	fi, resident, e, err := bp.claimLocked(si, id, false)
-	if resident || e != nil || err != nil {
-		// Present, in flight, or every frame pinned or uncommitted:
-		// skip, demand will retry.
-		return
-	}
-	st.PrefetchReads++
-	joined, err := bp.readClaimedLocked(sh, fi, id, false)
-	if err != nil {
-		return
-	}
-	// A demand fetch that joined mid-read is a prefetch hit: the read
-	// overlapped useful work. Otherwise the frame waits, flagged, for
-	// the scan to reach it (hit) or the clock to reclaim it (wasted).
-	if joined > 0 {
-		st.PrefetchHits++
-	} else {
-		sh.frames[fi].prefetched = true
-	}
 }
 
 // NewPage allocates a fresh zeroed page on disk and returns it pinned.
@@ -744,13 +641,13 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	var fi int
 	var resident bool
 	for {
-		// A concurrent scan's readahead can prefetch the just-allocated
-		// page (AllocatePage zero-fills it on disk before returning, so
-		// the race is visible through NumPages). Defuse rather than
-		// double-buffer: wait out an in-flight read of our id, then take
-		// over the published frame.
+		// A concurrent demand Fetch of the just-allocated page can be
+		// reading it already (AllocatePage zero-fills it on disk before
+		// returning, so the page is fetchable through NumPages). Defuse
+		// rather than double-buffer: wait out an in-flight read of our id,
+		// then take over the published frame.
 		var e *inflightRead
-		if fi, resident, e, err = bp.claimLocked(si, id, true); err != nil {
+		if fi, resident, e, err = bp.claimLocked(si, id); err != nil {
 			return nil, err
 		}
 		if e == nil {
@@ -1131,10 +1028,6 @@ func (p *Pool) victimLocked(si int) (int, error) {
 			}
 			st.DirtyWrites++
 		}
-		if f.prefetched {
-			f.prefetched = false
-			st.PrefetchWasted++
-		}
 		delete(sh.table, f.rel.key(f.id))
 		f.valid = false
 		st.Evictions++
@@ -1286,18 +1179,9 @@ func (p *Pool) writeBack(rel *BufferPool, limit int) (int, error) {
 	return written, nil
 }
 
-// quiescePrefetch stops new prefetch work and waits out this relation's
-// queued or running prefetch tasks, so teardown never races a worker
-// holding frame references. Idempotent.
-func (bp *BufferPool) quiescePrefetch() {
-	bp.closed.Store(true)
-	bp.prefetchActive.Wait()
-}
-
 // Close flushes the relation's dirty pages, drops its frames from the
 // pool and closes the disk manager.
 func (bp *BufferPool) Close() error {
-	bp.quiescePrefetch()
 	if err := bp.FlushAll(); err != nil {
 		return err
 	}
@@ -1310,7 +1194,6 @@ func (bp *BufferPool) Close() error {
 // a doomed relation (a committed DROP, a failed DDL statement) frees its
 // frames without its dirty pages reaching the log or the file.
 func (bp *BufferPool) Crash() error {
-	bp.quiescePrefetch()
 	for si := range bp.pool.shards {
 		sh := &bp.pool.shards[si]
 		sh.mu.Lock()

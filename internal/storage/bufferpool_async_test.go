@@ -401,92 +401,3 @@ func TestBGWriterSkipsPinned(t *testing.T) {
 		t.Fatalf("after unpin want 1 write-back, got %d", n)
 	}
 }
-
-// TestPrefetchSingleflight: a prefetch and a demand fetch of the same
-// cold page must share one disk read, whichever wins the claim; a
-// prefetched-then-fetched page counts as a prefetch hit.
-func TestPrefetchSingleflight(t *testing.T) {
-	dm, mem := asyncTestDisk(t, 16, 2*time.Millisecond)
-	bp := NewBufferPool("", dm, 16)
-	pf := NewPrefetcher(2, 16)
-	defer pf.Close()
-	bp.pool.AttachPrefetcher(pf, 4)
-
-	// Phase 1 — deterministic hit path: prefetch eight pages, wait for
-	// the worker pool to land them (prefetchActive drains without the
-	// cancellation quiescePrefetch implies), then demand-fetch each. All
-	// eight must be prefetch hits on top of exactly eight disk reads.
-	for id := PageID(0); id < 8; id++ {
-		bp.Prefetch(id)
-	}
-	bp.prefetchActive.Wait()
-	if st := bp.Stats(); st.PrefetchReads != 8 {
-		t.Fatalf("prefetchReads = %d after drain, want 8", st.PrefetchReads)
-	}
-	for id := PageID(0); id < 8; id++ {
-		p, err := bp.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := checkPage(p); err != nil {
-			t.Fatal(err)
-		}
-		bp.Unpin(p, false)
-	}
-	if reads, _, _ := mem.Stats().Snapshot(); reads != 8 {
-		t.Fatalf("8 prefetched+fetched pages read %d times, want 8", reads)
-	}
-	st := bp.Stats()
-	if st.PrefetchHits != 8 || st.Hits != 8 {
-		t.Fatalf("prefetchHits=%d hits=%d, want 8/8", st.PrefetchHits, st.Hits)
-	}
-
-	// Phase 2 — the race path: prefetch and immediately demand-fetch
-	// eight more cold pages. Whoever wins the claim, each page must cost
-	// exactly one disk read (the loser joins or scores a hit).
-	for id := PageID(8); id < 16; id++ {
-		bp.Prefetch(id)
-		p, err := bp.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := checkPage(p); err != nil {
-			t.Fatal(err)
-		}
-		bp.Unpin(p, false)
-	}
-	bp.prefetchActive.Wait()
-	if reads, _, _ := mem.Stats().Snapshot(); reads != 16 {
-		t.Fatalf("16 pages read %d times: prefetch and demand fetch did not share reads", reads)
-	}
-	st = bp.Stats()
-	if st.Hits+st.Misses != st.Accesses {
-		t.Fatalf("hits(%d)+misses(%d) != accesses(%d)", st.Hits, st.Misses, st.Accesses)
-	}
-}
-
-// TestPrefetchWastedAccounting: prefetched pages that are evicted before
-// any demand fetch count as wasted.
-func TestPrefetchWastedAccounting(t *testing.T) {
-	dm, _ := asyncTestDisk(t, 64, 0)
-	bp := NewBufferPool("", dm, 4)
-	pf := NewPrefetcher(1, 64)
-	defer pf.Close()
-	bp.pool.AttachPrefetcher(pf, 4)
-
-	// Prefetch far more pages than the pool holds; none are ever fetched.
-	for id := PageID(0); id < 32; id++ {
-		bp.Prefetch(id)
-	}
-	bp.prefetchActive.Wait()
-	st := bp.Stats()
-	if st.PrefetchReads == 0 {
-		t.Fatal("no prefetch reads recorded")
-	}
-	if st.PrefetchWasted == 0 {
-		t.Fatal("32 never-fetched pages through a 4-frame pool recorded no wasted prefetches")
-	}
-	if st.PrefetchHits != 0 {
-		t.Fatalf("no demand fetches ran, yet %d prefetch hits recorded", st.PrefetchHits)
-	}
-}

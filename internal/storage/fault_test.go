@@ -223,42 +223,6 @@ func TestFetchPermanentReadFails(t *testing.T) {
 	}
 }
 
-// TestPrefetchFailureLeavesPageFetchable (regression): a prefetch whose
-// read fails must release its claimed frame and leave the page
-// demand-fetchable, with hit/miss accounting still consistent.
-func TestPrefetchFailureLeavesPageFetchable(t *testing.T) {
-	fdm, _ := seedFaultDisk(t, 8, 1)
-	bp := NewBufferPool("", fdm, 8)
-	pf := NewPrefetcher(2, 8)
-	defer pf.Close()
-	bp.pool.AttachPrefetcher(pf, 4)
-
-	// All three retry attempts of the prefetch read fail; the prefetch
-	// itself gives up and drops the frame.
-	for n := int64(1); n <= ioRetryAttempts; n++ {
-		fdm.AddRule(FaultRule{Op: FaultRead, Kind: FaultTransient, Nth: n})
-	}
-	bp.Prefetch(3)
-	bp.prefetchActive.Wait()
-
-	p, err := bp.Fetch(3)
-	if err != nil {
-		t.Fatalf("Fetch after failed prefetch: %v", err)
-	}
-	if err := checkPage(p); err != nil {
-		t.Fatal(err)
-	}
-	bp.Unpin(p, false)
-	st := bp.Stats()
-	if st.Hits+st.Misses != st.Accesses {
-		t.Fatalf("hits(%d)+misses(%d) != accesses(%d) after failed prefetch",
-			st.Hits, st.Misses, st.Accesses)
-	}
-	if c := fdm.Counters(); c.Transient != ioRetryAttempts {
-		t.Fatalf("transient faults = %d, want %d", c.Transient, ioRetryAttempts)
-	}
-}
-
 // TestConcurrentFetchersShareReadError: 32 goroutines demand-fetch one
 // cold page whose read fails through every retry. Exactly one performs
 // the read (singleflight); every waiter must receive the error — none
