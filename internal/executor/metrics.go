@@ -149,10 +149,11 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 		emit("wal_group_commits_total", s.GroupCommits)
 		emit("wal_group_records_total", s.GroupRecords)
 		emit("wal_segment_recycles_total", s.Recycles)
-		// What the log is made of: the two totals above, split by record
-		// type (their columns sum to wal_appends_total and
-		// wal_appended_bytes_total; a frame's header is charged to its
-		// last record, a statement's commit marker).
+		// What the log is made of: the records appended and their bytes
+		// had no frame been deflated, split by record type (the columns
+		// sum to wal_appends_total and wal_frame_raw_bytes_total; a
+		// frame's header is charged to its last record, a statement's
+		// commit marker).
 		for typ := wal.RecordType(1); typ < wal.NumRecordTypes; typ++ {
 			by := s.ByType[typ]
 			emit(fmt.Sprintf("wal_appended_records_by_type{type=%q}", typ), by.Records)
@@ -162,6 +163,10 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 		// wal_appended_bytes_by_type{type="page-image"}, the compression
 		// ratio.
 		emit("wal_page_image_raw_bytes_total", s.PageImageRawBytes)
+		// The frames' bytes had none been deflated: over
+		// wal_appended_bytes_total, what the segment files grow by, the
+		// frames' compression ratio.
+		emit("wal_frame_raw_bytes_total", s.FrameRawBytes)
 	}
 }
 

@@ -345,7 +345,7 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 		}
 		// Fill this page with as many of the remaining records as fit.
 		slots := []uint16{uint16(slot)}
-		placed := [][]byte{recs[i]}
+		placed := [][]byte{payloads[i]}
 		rids = append(rids, RID{Page: p.ID, Slot: uint16(slot)})
 		for i++; i < len(recs); i++ {
 			slot, ok := f.insertNoted(p, recs[i])
@@ -354,13 +354,14 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 			}
 			rids = append(rids, RID{Page: p.ID, Slot: uint16(slot)})
 			slots = append(slots, uint16(slot))
-			placed = append(placed, recs[i])
+			placed = append(placed, payloads[i])
 		}
 		f.count += int64(len(slots))
 		// One batch record covers the whole page-worth of tuples,
-		// deferred like unpinLogged's.
+		// deferred like unpinLogged's. The tuples share one fresh
+		// header, which the record carries as xmin alone.
 		f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-			return g.AddHeapBatchInsert(file, uint32(p.ID), slots, placed)
+			return g.AddHeapBatchInsert(file, uint32(p.ID), slots, xmin, placed)
 		})
 	}
 	return rids, nil

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 func newTestHeap(t *testing.T) *File {
@@ -396,5 +398,81 @@ func TestInsertsFillFreedSpace(t *testing.T) {
 	}
 	if int(f.Count()) != len(live) {
 		t.Fatalf("Count = %d, %d live records", f.Count(), len(live))
+	}
+}
+
+// TestBatchRecordCarriesXminOnce: the log record covering a page of
+// InsertBatchTx's tuples leaves their headers out, the xmin carried once,
+// and decodes back to the very tuple bytes the page holds — for a
+// transaction's versions and for frozen ones alike.
+func TestBatchRecordCarriesXminOnce(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.OpenWriter(dir, wal.Options{Mode: wal.SyncLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.AppendCommit(); err != nil {
+		t.Fatal(err)
+	}
+	pool := storage.NewPool(1024, 16)
+	pool.AttachWAL(w)
+	bp := pool.Open("t.tbl", storage.NewMem(1024), obs.WaitNone)
+	f, err := Create(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	for i := 0; i < 120; i++ {
+		payloads = append(payloads, []byte(fmt.Sprintf("payload %d", i)))
+	}
+	var rids []RID
+	for _, xmin := range []uint64{0, 1 << 33} {
+		r, err := f.InsertBatchTx(payloads, xmin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, r...)
+	}
+	g := wal.NewGroup()
+	staged := bp.StagePending(g)
+	lsns, _, err := w.AppendGroupCommit(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.ResolvePending(staged, lsns)
+	if err := w.Sync(w.AppendedLSN()); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Stats()
+	batch, tuples := st.ByType[wal.RecHeapBatchInsert].Bytes, int64(0)
+	for _, p := range payloads {
+		tuples += 2 * int64(TupleHeaderSize+len(p))
+	}
+	if batch >= tuples-2*int64(len(payloads))*(TupleHeaderSize-4) {
+		t.Errorf("the batch records take %d bytes for %d bytes of tuples: the headers are not left out", batch, tuples)
+	}
+	logged := map[RID][]byte{}
+	if _, err := wal.Replay(dir, func(r *wal.Record) error {
+		for i, slot := range r.Slots {
+			logged[RID{Page: storage.PageID(r.Page), Slot: slot}] = r.Recs[i]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != len(rids) {
+		t.Fatalf("the log holds %d batch tuples, want %d", len(logged), len(rids))
+	}
+	for _, rid := range rids {
+		p, err := bp.Fetch(rid.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onPage := bytes.Clone(storage.SlotRead(p.Data, int(rid.Slot)))
+		bp.Unpin(p, false)
+		if !bytes.Equal(logged[rid], onPage) {
+			t.Fatalf("%v: logged %x, the page holds %x", rid, logged[rid], onPage)
+		}
 	}
 }

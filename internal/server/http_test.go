@@ -181,10 +181,13 @@ func TestHTTPMetrics(t *testing.T) {
 
 // TestHTTPMetricsWALByType: with a log attached, /metrics and SHOW STATS
 // say what the log is made of — records and bytes per record type, as
-// labelled series of one family whose samples sum to the two totals — and
-// what deflating page images saves: wal_page_image_raw_bytes_total, the
-// page-image bytes had they been stored raw, exceeds the page-image series
-// once a full page is imaged (its first touch after a CHECKPOINT).
+// labelled series of one family each — and what deflating saves. The
+// records sum to wal_appends_total; the bytes to the appended bytes plus
+// what deflated frames saved, wal_frame_raw_bytes_total, which exceeds
+// wal_appended_bytes_total once a statement's frame reaches 1 KB (the
+// 300-row INSERT). wal_page_image_raw_bytes_total, the page-image bytes
+// had they been stored raw, exceeds the page-image series once a full
+// page is imaged (its first touch after a CHECKPOINT).
 func TestHTTPMetricsWALByType(t *testing.T) {
 	db, err := executor.Open(executor.Options{Dir: t.TempDir(), WAL: true})
 	if err != nil {
@@ -222,7 +225,7 @@ func TestHTTPMetricsWALByType(t *testing.T) {
 	}
 	fams := parsePrometheus(t, string(body))
 	for family, total := range map[string]string{
-		"wal_appended_bytes_by_type":   "wal_appended_bytes_total",
+		"wal_appended_bytes_by_type":   "wal_frame_raw_bytes_total",
 		"wal_appended_records_by_type": "wal_appends_total",
 	} {
 		fam := fams[family]
@@ -237,6 +240,10 @@ func TestHTTPMetricsWALByType(t *testing.T) {
 			t.Errorf("%s sums to %g, %s is %g", family, sum, total, want)
 		}
 	}
+	if fam := fams["wal_frame_raw_bytes_total"]; fam == nil || fam.typ != "counter" ||
+		!(fam.samples["wal_frame_raw_bytes_total"] > fams["wal_appended_bytes_total"].samples["wal_appended_bytes_total"]) {
+		t.Errorf("wal_frame_raw_bytes_total missing, mistyped or not above wal_appended_bytes_total: %+v", fam)
+	}
 	stored := fams["wal_appended_bytes_by_type"].samples[`wal_appended_bytes_by_type{type="page-image"}`]
 	if fam := fams["wal_page_image_raw_bytes_total"]; fam == nil || fam.typ != "counter" ||
 		!(fam.samples["wal_page_image_raw_bytes_total"] > stored && stored > 0) {
@@ -248,13 +255,13 @@ func TestHTTPMetricsWALByType(t *testing.T) {
 	}
 	// The first key's leaf is a new record, a put; the two keys after it
 	// extend it where it lies, a patch each.
-	for _, typ := range []string{"slot-put", "slot-patch"} {
+	for _, name := range []string{`wal_appended_bytes_by_type{type="slot-put"}`, `wal_appended_bytes_by_type{type="slot-patch"}`, "wal_frame_raw_bytes_total"} {
 		found := false
 		for _, row := range res.Rows {
-			found = found || (row[0].S == `wal_appended_bytes_by_type{type="`+typ+`"}` && row[1].I > 0)
+			found = found || (row[0].S == name && row[1].I > 0)
 		}
 		if !found {
-			t.Errorf(`SHOW STATS has no wal_appended_bytes_by_type{type=%q} row`, typ)
+			t.Errorf(`SHOW STATS has no %s row`, name)
 		}
 	}
 }

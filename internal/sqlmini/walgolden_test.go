@@ -151,6 +151,14 @@ func firstDiff(got, want string) string {
 // appends 581 records instead of 578 (the catalog's creation put and the
 // two page-0 first touches) and 38 726 bytes instead of 39 089. Every
 // other line is unchanged.
+//
+// The total was re-recorded once more, alone, when the log came to spend
+// fewer bytes on the same records. A batch insert carries its xmin once,
+// its tuples without their 18-byte headers, and its slot and length
+// fields as varints: 38 726 → 32 039 bytes. A frame of 1 KB or more is
+// stored as a DEFLATE stream of Huffman codes when that is smaller — the
+// batch INSERT's and the index build's among them: 32 039 → 20 700 bytes.
+// Every record line is unchanged: the decoder gives back the same records.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 slot-put file="syscat.dat" page=0 slot=0 xid=0 len=20
@@ -735,5 +743,5 @@ txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=581 appended_bytes=38726
+appends=581 appended_bytes=20700
 `

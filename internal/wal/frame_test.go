@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,16 +20,20 @@ type frameSpan struct {
 
 func frameSpans(t *testing.T, path string) []frameSpan {
 	t.Helper()
-	var spans []frameSpan
-	off := int64(0)
-	if _, _, err := scanSegment(path, func(first LSN, n int, recs []byte) error {
-		off += int64(frameHeaderSize + len(recs))
-		spans = append(spans, frameSpan{first, n, off})
-		return nil
-	}); err != nil {
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return spans
+	var spans []frameSpan
+	var fr frameReader
+	for off := 0; ; {
+		first, n, _, size, ok := fr.parseFrame(b[off:])
+		if !ok {
+			return spans
+		}
+		off += size
+		spans = append(spans, frameSpan{first, n, int64(off)})
+	}
 }
 
 // writeStatements appends groups statements of several records over two
@@ -181,8 +187,9 @@ func TestTruncateAfterCutsWholeFrames(t *testing.T) {
 
 // TestAppendedBytesCountTheDisk: AppendedBytes, the counter behind the
 // benchmark's write bytes, is what the segment files hold — headers
-// included — less the checkpoint frames it has always left out, across
-// groups, single-record appends and rotations. ByType sums to it, a
+// included, deflated frames as stored — less the checkpoint frames it has
+// always left out, across groups, single-record appends and rotations.
+// ByType sums to FrameRawBytes, what the frames would have taken raw, a
 // statement's frame header charged to its commit marker.
 func TestAppendedBytesCountTheDisk(t *testing.T) {
 	dir := t.TempDir()
@@ -209,6 +216,9 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 	}
 
 	writeStatements(t, w, 10)
+	if _, _, err := w.AppendGroupCommit(bigStatement(0)); err != nil {
+		t.Fatal(err)
+	}
 	page := make([]byte, 256)
 	copy(page, "image")
 	for i := 0; i < 4; i++ {
@@ -252,8 +262,8 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 		recs += by.Records
 		bytes += by.Bytes
 	}
-	if recs != st.Appends || bytes != st.AppendedBytes {
-		t.Errorf("ByType sums to %d records / %d B, the totals are %d / %d", recs, bytes, st.Appends, st.AppendedBytes)
+	if recs != st.Appends || bytes != st.FrameRawBytes || st.FrameRawBytes <= st.AppendedBytes {
+		t.Errorf("ByType sums to %d records / %d B, the totals are %d / %d raw, %d stored", recs, bytes, st.Appends, st.FrameRawBytes, st.AppendedBytes)
 	}
 }
 
@@ -377,8 +387,7 @@ func TestMalformedFrameEndsTheLog(t *testing.T) {
 	segs, _ := listSegments(dir)
 	good, _ := fileSize(segs[0].path)
 	// A slot delete whose len claims one byte more than the frame holds.
-	bad := append(openFrame(nil, 12), byte(RecSlotDelete), 4, 0, 1, 0)
-	closeFrame(bad, 0)
+	bad := appendFrame(nil, 12, []byte{byte(RecSlotDelete), 4, 0, 1, 0}, nil, nil)
 	f, err := os.OpenFile(segs[0].path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -428,5 +437,182 @@ func TestRecordsShareTheirRelationName(t *testing.T) {
 	// after the index records) and rel2.idx once.
 	if len(names["rel1.tbl"]) != 4 || len(names["rel2.idx"]) != 2 {
 		t.Fatalf("distinct name strings: rel1.tbl %d, rel2.idx %d; want 4 and 2", len(names["rel1.tbl"]), len(names["rel2.idx"]))
+	}
+}
+
+// bigStatement stages a statement of 60 index nodes, over 1 KB: its
+// frame goes out deflated.
+func bigStatement(s int) *Group {
+	g := NewGroup()
+	for i := 0; i < 60; i++ {
+		g.AddSlotPut("rel2.idx", uint32(s+1), uint16(i), []byte(fmt.Sprintf("node %d of statement %d", i, s)))
+	}
+	return g
+}
+
+// TestTornDeflatedFrame: a torn tail inside a deflated frame stops replay
+// at the frame before it, deflated or not, and OpenWriter cuts the log
+// back to that frame's end; TruncateAfter a deflated frame's marker keeps
+// that frame whole.
+func TestTornDeflatedFrame(t *testing.T) {
+	src := t.TempDir()
+	w, err := OpenWriter(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	markers := writeStatements(t, w, 2)
+	for s := 0; s < 2; s++ {
+		_, m, err := w.AppendGroupCommit(bigStatement(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		markers = append(markers, m)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := listSegments(src)
+	whole, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := frameSpans(t, segs[0].path)
+	if len(spans) != 4 || spans[3].end != int64(len(whole)) {
+		t.Fatalf("frames %+v of a %d-byte segment, want 4 filling it", spans, len(whole))
+	}
+	for k, s := range spans {
+		start := int64(0)
+		if k > 0 {
+			start = spans[k-1].end
+		}
+		deflated := binary.LittleEndian.Uint32(whole[start:])&frameDeflated != 0
+		if deflated != (k >= 2) {
+			t.Fatalf("frame %d (%d records) deflated: %v, want %v", k, s.n, deflated, k >= 2)
+		}
+	}
+
+	dir := t.TempDir()
+	seg := filepath.Join(dir, filepath.Base(segs[0].path))
+	for cut := spans[1].end + 1; cut < spans[3].end; cut++ {
+		if cut == spans[2].end {
+			continue
+		}
+		if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		kept := 1
+		if cut > spans[2].end {
+			kept = 2
+		}
+		records := 0
+		for _, s := range spans[:kept+1] {
+			records += s.n
+		}
+		recs, st := replayAll(t, dir)
+		if len(recs) != records || !st.TornTail || st.LastLSN != markers[kept] {
+			t.Fatalf("cut at %d: replayed %d records to LSN %d (torn %v), want %d to the marker %d, torn",
+				cut, len(recs), st.LastLSN, st.TornTail, records, markers[kept])
+		}
+		w, err := OpenWriter(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if size, _ := fileSize(seg); size != spans[kept].end {
+			t.Fatalf("cut at %d: OpenWriter left %d bytes, want the frame boundary %d", cut, size, spans[kept].end)
+		}
+	}
+
+	if err := os.WriteFile(seg, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := TruncateAfter(dir, markers[2]-1); err == nil {
+		t.Fatal("TruncateAfter inside a deflated frame succeeded")
+	}
+	if err := TruncateAfter(dir, markers[2]); err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := fileSize(seg); size != spans[2].end {
+		t.Fatalf("TruncateAfter(%d) left %d bytes, want the deflated frame's end %d", markers[2], size, spans[2].end)
+	}
+	recs, st := replayAll(t, dir)
+	if st.TornTail || st.LastLSN != markers[2] {
+		t.Fatalf("after TruncateAfter(%d): last LSN %d, torn %v", markers[2], st.LastLSN, st.TornTail)
+	}
+	node := recs[len(recs)-2]
+	if node.Type != RecSlotPut || node.Slot != 59 || string(node.Data) != "node 59 of statement 0" {
+		t.Fatalf("the deflated frame's last node replays as %v slot %d %q", node.Type, node.Slot, node.Data)
+	}
+}
+
+// TestDeflatedFrameBounds: a deflated frame is read only when its stream
+// inflates to at most maxFrameSize bytes — a frame's whole records, one
+// record of exactly that size included — and ends exactly at the frame's
+// end; anything else is no frame, and inflating it stops at maxFrameSize.
+func TestDeflatedFrameBounds(t *testing.T) {
+	// putOf returns one slot put of size bytes: its type, a 4-byte len,
+	// then rel 2 "r", page 1, slot 0 and zeros.
+	putOf := func(size int) []byte {
+		rec := binary.AppendUvarint([]byte{byte(RecSlotPut)}, uint64(size-5))
+		rec = append(rec, 2, 'r', 1, 0)
+		return append(rec, make([]byte, size-len(rec))...)
+	}
+	full, short := putOf(maxFrameSize), putOf(maxFrameSize-1)
+	for _, c := range []struct {
+		name string
+		z    []byte
+		ok   bool
+	}{
+		{"maxFrameSize bytes", deflateBytes(full), true},
+		{"past maxFrameSize", deflateBytes(append(full, 0)), false},
+		{"a byte past the stream", append(deflateBytes(short), 0), false},
+		{"a stream cut short", func() []byte { z := deflateBytes(short); return z[:len(z)-1] }(), false},
+		{"no records", deflateBytes(nil), false},
+	} {
+		var fr frameReader
+		_, n, recs, _, ok := fr.parseFrame(appendFrame(nil, 1, nil, nil, c.z))
+		if ok != c.ok || (ok && (n != 1 || !bytes.Equal(recs, full))) || cap(fr.buf) > maxFrameSize {
+			t.Errorf("%s: parsed %v to %d records of %d bytes (buffer %d), want %v",
+				c.name, ok, n, len(recs), cap(fr.buf), c.ok)
+		}
+	}
+}
+
+// TestBatchTupleCountBound: a batch insert may count as many tuples as a
+// page's uint16 slot numbers address and no more. A deflated frame of
+// some 16 KB that holds one record counting 2^16 + 1 empty tuples
+// — enough bytes for each, so only the bound refuses it — is corruption,
+// refused before the decoder allocates for the tuples; 2^16 decode.
+func TestBatchTupleCountBound(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{{maxBatchTuples, true}, {maxBatchTuples + 1, false}} {
+		g := NewGroup()
+		body := binary.AppendUvarint(nil, uint64(c.n))
+		body = append(body, 0)                      // xmin
+		body = append(body, make([]byte, 2*c.n)...) // delta 0, len 0 each
+		g.head(RecHeapBatchInsert, "r.tbl", 1, len(body))
+		g.buf = append(g.buf, body...)
+		g.add(RecHeapBatchInsert)
+		frame := deflatedFrameOf(t, g, 1)
+		if len(frame) > 1<<15 {
+			t.Fatalf("the frame of %d tuples takes %d bytes", c.n, len(frame))
+		}
+		var fr frameReader
+		first, n, recs, _, ok := fr.parseFrame(frame)
+		if !ok || n != 2 {
+			t.Fatalf("the frame of %d tuples does not parse", c.n)
+		}
+		tuples := 0
+		err := decodeFrame(first, recs, func(r *Record) error {
+			tuples += len(r.Recs)
+			return nil
+		})
+		if (err == nil) != c.ok || (c.ok && tuples != c.n) {
+			t.Errorf("%d tuples: decoded %d, error %v; want ok %v", c.n, tuples, err, c.ok)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -27,7 +29,10 @@ var everyType = []func(g *Group){
 	func(g *Group) { g.addRecord(RecCheckpoint, "") },
 	func(g *Group) { g.addRecord(RecCommit, "") },
 	func(g *Group) {
-		g.AddHeapBatchInsert("rel1.tbl", 2, []uint16{0, 1, 5}, [][]byte{[]byte("one"), []byte("two"), []byte("three")})
+		g.AddHeapBatchInsert("rel1.tbl", 3, []uint16{4, 2, 3}, 77, [][]byte{[]byte("four"), {}, []byte("three")})
+	},
+	func(g *Group) { // as an older build wrote it, each tuple whole
+		addBatchV1(g, "rel1.tbl", 2, []uint16{0, 1, 5}, [][]byte{tuple(5, "one"), tuple(5, "two"), []byte("three")})
 	},
 	func(g *Group) { g.AddHeapSetXmax("rel1.tbl", 1, 7, 42) },
 	func(g *Group) { g.AddHeapClearXmax("rel1.tbl", 1, 7) },
@@ -39,11 +44,64 @@ var everyType = []func(g *Group){
 	func(g *Group) { g.AddSlotPatch("rel2.idx", 400, 300, []byte{15, 0, 3, 0, 2, 0, 'n', 'o'}) },
 }
 
-// frameOf encodes records [i, j) of g as a frame whose first LSN is first.
+// tuple returns a heap tuple of a fresh version of transaction xmin: its
+// 18-byte header (xmin, xmax 0, no flags), then payload.
+func tuple(xmin uint64, payload string) []byte {
+	t := binary.LittleEndian.AppendUint64(nil, xmin)
+	return append(append(t, make([]byte, tupleHeaderSize-8)...), payload...)
+}
+
+// addBatchV1 stages a batch insert in the body an older build wrote,
+// recHeapBatchInsertV1's: n:2 { slot:2 len:4 tuple }*n.
+func addBatchV1(g *Group, file string, page uint32, slots []uint16, tuples [][]byte) {
+	n := 2
+	for _, tup := range tuples {
+		n += 6 + len(tup)
+	}
+	g.head(recHeapBatchInsertV1, file, page, n)
+	g.buf = binary.LittleEndian.AppendUint16(g.buf, uint16(len(slots)))
+	for i, tup := range tuples {
+		g.buf = binary.LittleEndian.AppendUint16(g.buf, slots[i])
+		g.buf = binary.LittleEndian.AppendUint32(g.buf, uint32(len(tup)))
+		g.buf = append(g.buf, tup...)
+	}
+	g.add(recHeapBatchInsertV1)
+}
+
+// frameOf encodes records [i, j) of g as a raw frame whose first LSN is
+// first.
 func frameOf(g *Group, i, j int, first LSN) []byte {
-	b := append(openFrame(nil, first), g.buf[g.start(i):g.start(j)]...)
-	closeFrame(b, 0)
-	return b
+	return appendFrame(nil, first, g.buf[g.start(i):g.start(j)], nil, nil)
+}
+
+// deflatedFrameOf encodes the records of g and a commit marker as the
+// writer does, as one frame whose first LSN is first, and fails t unless
+// the frame is stored deflated.
+func deflatedFrameOf(t testing.TB, g *Group, first LSN) []byte {
+	t.Helper()
+	d := deflater{level: flate.HuffmanOnly}
+	z := d.deflate(g.buf, commitMarker)
+	if len(g.buf)+markerSize < minDeflatedFrame || len(z) >= len(g.buf)+markerSize || len(g.cuts) > 0 {
+		t.Fatalf("a frame of %d record bytes is not deflated", len(g.buf))
+	}
+	return appendFrame(nil, first, g.buf, commitMarker, z)
+}
+
+// deflateBytes returns the DEFLATE stream of b.
+func deflateBytes(b []byte) []byte {
+	var out bytes.Buffer
+	zw, _ := flate.NewWriter(&out, flate.BestSpeed)
+	zw.Write(b)
+	zw.Close()
+	return out.Bytes()
+}
+
+// reseal returns a copy of frame f whose size and checksum match its
+// bytes, its size word saying what f's says of deflation.
+func reseal(f []byte) []byte {
+	sealed := append([]byte(nil), f...)
+	closeFrame(sealed, 0, binary.LittleEndian.Uint32(f)&frameDeflated != 0)
+	return sealed
 }
 
 // varintOffsets returns where the len varint of every record of the frame
@@ -79,16 +137,21 @@ func varintOffsets(f []byte) []int {
 
 // FuzzDecodeRecord: whatever bytes the log hands back — a torn tail, a
 // flipped bit, a hostile file — the frame parser and the record decoder
-// return records or an error; they never panic, and the records decoded
-// from a frame hold no more bytes than the frame (the decoder copies
-// payloads, so a length field must not be able to size an allocation,
-// and a name referred back to is shared, not copied). The seed corpus is
-// a one-record frame of every record type — page images raw and deflated —
-// and every truncation of it,
-// a frame holding one record of every type and every truncation of that,
-// and that frame with each bit of its len, rel and page varints flipped
-// under a checksum made to match. `go test` runs the corpus, `go test
-// -fuzz` explores.
+// return records or an error; they never panic, a deflated frame never
+// inflates into more than maxFrameSize bytes, and the records decoded
+// from a frame hold no more bytes than the frame's records, inflated,
+// save the tuple header a batch insert carries once for all its tuples
+// (the decoder copies payloads, so a length field must not be able to
+// size an allocation, and a name referred back to is shared, not copied).
+// The seed corpus is a one-record frame of every record type — page
+// images raw and deflated — and every truncation of it, a frame holding
+// one record of every type and every truncation of that, that frame with
+// each bit of its len, rel and page varints flipped under a checksum made
+// to match, and a deflated frame of the same records with more index
+// nodes, its truncations, each bit of its stream flipped under a matching
+// checksum, the stream with a byte past its end, and a stream that
+// inflates past maxFrameSize. `go test` runs the corpus, `go test -fuzz`
+// explores.
 func FuzzDecodeRecord(f *testing.F) {
 	g := NewGroup()
 	seen := map[RecordType]bool{}
@@ -127,19 +190,43 @@ func FuzzDecodeRecord(f *testing.F) {
 		for bit := 0; bit < 8; bit++ {
 			flipped := append([]byte(nil), all...)
 			flipped[off] ^= 1 << bit
-			closeFrame(flipped, 0)
-			f.Add(flipped)
+			f.Add(reseal(flipped))
 		}
+	}
+	for i := 0; i < 40; i++ {
+		g.AddSlotPut("rel2.idx", 401, uint16(i), []byte(fmt.Sprintf("an index node, number %d of a page", i)))
+	}
+	packed := deflatedFrameOf(f, g, 100)
+	checkSeed(f, packed, append(g.types, RecCommit))
+	for cut := 0; cut <= len(packed); cut++ {
+		f.Add(packed[:cut])
+	}
+	for off := frameHeaderSize; off < len(packed); off++ {
+		for bit := 0; bit < 8; bit++ {
+			flipped := append([]byte(nil), packed...)
+			flipped[off] ^= 1 << bit
+			f.Add(reseal(flipped))
+		}
+	}
+	// Streams whose checksum matches but which are no frame: one with a
+	// byte past its end, one that inflates past maxFrameSize.
+	for _, bad := range [][]byte{
+		reseal(append(packed, 0)),
+		appendFrame(nil, 100, nil, nil, deflateBytes(make([]byte, maxFrameSize+1))),
+	} {
+		var fr frameReader
+		if _, _, _, _, ok := fr.parseFrame(bad); ok || cap(fr.buf) > maxFrameSize {
+			f.Fatalf("a corrupt deflated frame of %d bytes parses (buffer %d)", len(bad), cap(fr.buf))
+		}
+		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// As it is — which a mutation rarely survives, the checksum sees to
 		// that — and resealed, its size and checksum made to match, which
-		// takes every mutation to the record decoder.
+		// takes every mutation to the inflater and the record decoder.
 		checkFrame(t, data)
 		if len(data) >= frameHeaderSize {
-			sealed := append([]byte(nil), data...)
-			closeFrame(sealed, 0)
-			checkFrame(t, sealed)
+			checkFrame(t, reseal(data))
 		}
 	})
 }
@@ -148,7 +235,8 @@ func FuzzDecodeRecord(f *testing.F) {
 // types want.
 func checkSeed(f *testing.F, frame []byte, want []RecordType) {
 	f.Helper()
-	first, n, recs, size, ok := parseFrame(frame)
+	var fr frameReader
+	first, n, recs, size, ok := fr.parseFrame(frame)
 	if !ok || size != len(frame) || n != len(want) {
 		f.Fatalf("seed frame of %v does not parse", want)
 	}
@@ -159,22 +247,27 @@ func checkSeed(f *testing.F, frame []byte, want []RecordType) {
 	}); err != nil || len(got) != len(want) {
 		f.Fatalf("seed frame of %v decodes to %v, %v", want, got, err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
+	for i, typ := range want {
+		if typ == recHeapBatchInsertV1 {
+			typ = RecHeapBatchInsert // what the decoder reads it as
+		}
+		if got[i] != typ {
 			f.Fatalf("seed frame of %v decodes to %v", want, got)
 		}
 	}
 }
 
 func checkFrame(t *testing.T, data []byte) {
-	first, n, recs, size, ok := parseFrame(data)
+	var fr frameReader
+	first, n, recs, size, ok := fr.parseFrame(data)
 	if !ok {
 		return
 	}
-	if size > len(data) || len(recs) > size {
-		t.Fatalf("frame of %d bytes parsed to length %d, records %d", len(data), size, len(recs))
+	raw := binary.LittleEndian.Uint32(data)&frameDeflated == 0
+	if size > len(data) || len(recs) > maxFrameSize || cap(fr.buf) > maxFrameSize || (raw && len(recs) > size) {
+		t.Fatalf("frame of %d bytes parsed to length %d, records %d (buffer %d)", len(data), size, len(recs), cap(fr.buf))
 	}
-	held, got := 0, 0
+	held, got, tuples := 0, 0, 0
 	var prev string
 	err := decodeFrame(first, recs, func(r *Record) error {
 		if r.LSN != first+LSN(got) {
@@ -191,13 +284,14 @@ func checkFrame(t *testing.T, data []byte) {
 		for _, rec := range r.Recs {
 			held += len(rec)
 		}
+		tuples += len(r.Recs)
 		if len(r.Recs) != len(r.Slots) {
 			t.Fatalf("%d slots, %d tuples", len(r.Slots), len(r.Recs))
 		}
 		return nil
 	})
-	if held > len(recs) {
-		t.Fatalf("%d bytes of records decoded to %d bytes", len(recs), held)
+	if held > len(recs)+tupleHeaderSize*tuples {
+		t.Fatalf("%d bytes of records decoded to %d bytes, %d of them batch tuples", len(recs), held, tuples)
 	}
 	if err == nil && got != n {
 		t.Fatalf("frame of %d records decoded to %d", n, got)

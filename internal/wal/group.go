@@ -243,23 +243,29 @@ const (
 // imageDeflater is the one compressor every page image goes through,
 // process-wide: flate.NewWriter allocates 1.2 MB and takes about as long
 // as deflating a page, so the writer is made once and reset for each
-// image. A sync.Pool would drop it at every garbage collection.
-var imageDeflater deflater
-
-type deflater struct {
+// image. A sync.Pool would drop it at every garbage collection. Images are
+// coded with LZ77 matches (BestSpeed); frames, by each log Writer's own
+// deflater, with Huffman codes alone.
+var imageDeflater = struct {
 	sync.Mutex
-	zw  *flate.Writer
-	out bytes.Buffer
+	deflater
+}{deflater: deflater{level: flate.BestSpeed}}
+
+// deflater is a DEFLATE compressor of one level, made on first use and
+// reset for each stream.
+type deflater struct {
+	level int
+	zw    *flate.Writer
+	out   bytes.Buffer
 }
 
-// deflate returns the DEFLATE stream (BestSpeed) of head followed by tail.
-// The slice is d's own, valid until d's next use; hold d's lock across
-// both.
+// deflate returns the DEFLATE stream of head followed by tail. The slice
+// is d's own, valid until d's next use.
 func (d *deflater) deflate(head, tail []byte) []byte {
 	d.out.Reset()
 	if d.zw == nil {
 		// The error is for a bad level alone.
-		d.zw, _ = flate.NewWriter(&d.out, flate.BestSpeed)
+		d.zw, _ = flate.NewWriter(&d.out, d.level)
 	} else {
 		d.zw.Reset(&d.out)
 	}
@@ -305,18 +311,26 @@ func (g *Group) AddSlotPatch(file string, page uint32, slot uint16, patch []byte
 	return g.slotOp(RecSlotPatch, file, page, slot, patch)
 }
 
-// AddHeapBatchInsert stages a page-worth of heap inserts as one record.
-func (g *Group) AddHeapBatchInsert(file string, page uint32, slots []uint16, recs [][]byte) int {
-	n := 2
-	for _, r := range recs {
-		n += 6 + len(r)
+// AddHeapBatchInsert stages a page-worth of heap inserts as one record:
+// fresh tuple versions of transaction xmin, payloads[i] going to
+// slots[i]. The record carries xmin once; redo rebuilds each tuple's
+// header from it.
+func (g *Group) AddHeapBatchInsert(file string, page uint32, slots []uint16, xmin uint64, payloads [][]byte) int {
+	n := uvarintLen(uint64(len(slots))) + uvarintLen(xmin)
+	prev := uint16(math.MaxUint16)
+	for i, p := range payloads {
+		n += uvarintLen(uint64(slots[i]-prev-1)) + uvarintLen(uint64(len(p))) + len(p)
+		prev = slots[i]
 	}
 	g.head(RecHeapBatchInsert, file, page, n)
-	g.buf = binary.LittleEndian.AppendUint16(g.buf, uint16(len(slots)))
-	for i, r := range recs {
-		g.buf = binary.LittleEndian.AppendUint16(g.buf, slots[i])
-		g.buf = binary.LittleEndian.AppendUint32(g.buf, uint32(len(r)))
-		g.buf = append(g.buf, r...)
+	g.buf = binary.AppendUvarint(g.buf, uint64(len(slots)))
+	g.buf = binary.AppendUvarint(g.buf, xmin)
+	prev = math.MaxUint16
+	for i, p := range payloads {
+		g.buf = binary.AppendUvarint(g.buf, uint64(slots[i]-prev-1))
+		g.buf = binary.AppendUvarint(g.buf, uint64(len(p)))
+		g.buf = append(g.buf, p...)
+		prev = slots[i]
 	}
 	return g.add(RecHeapBatchInsert)
 }

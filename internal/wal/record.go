@@ -17,11 +17,17 @@ import (
 //	| size:4  | crc:4   | firstLSN:8 | record 0 | record 1 | ...
 //	+---------+---------+------------+----------+----------+- - -
 //
-// size counts the records' bytes; crc is CRC-32C over firstLSN and the
-// records, so a frame cannot be accepted at the wrong position. Record i
-// of a frame has LSN firstLSN+i. A frame is all or nothing: a size of
-// zero, a checksum mismatch or records that do not exactly fill the frame
-// mark the torn tail of the log (or corruption) and stop replay.
+// size counts the bytes after the header; crc is CRC-32C over firstLSN
+// and those bytes, so a frame cannot be accepted at the wrong position.
+// Record i of a frame has LSN firstLSN+i. A frame whose records, commit
+// marker included, reach minDeflatedFrame bytes is stored as one DEFLATE
+// stream of them (RFC 1951, Huffman codes alone) when that is smaller;
+// bit 31 of size says so, and size counts the stream. No frame reaches
+// 2^24 bytes, so a raw frame never sets the bit. A frame is all or
+// nothing: a size of zero, a checksum mismatch, a stream that does not
+// inflate to at most maxFrameSize bytes ending exactly at the frame's end,
+// or records that do not exactly fill the frame mark the torn tail of the
+// log (or corruption) and stop replay.
 //
 // A record is
 //
@@ -45,19 +51,45 @@ import (
 //	heap delete, slot delete: head slot:uvarint
 //	clear xmax, mark aborted: head slot:uvarint
 //	set xmax:    head slot:uvarint xid:8
-//	batch insert: head n:2 { slot:2 len:4 rec }*n
+//	batch insert: head n:uvarint xmin:uvarint { delta:uvarint len:uvarint payload }*n
+//	batch insert, before xmin was carried once: head n:2 { slot:2 len:4 tuple }*n
 //	txn commit/abort: xid:8
 //	file create: name
 //	commit, checkpoint: (empty)
+//
+// A batch insert's tuple i goes to slot s(i) = s(i-1) + 1 + delta, modulo
+// 2^16, with s(-1) = 2^16 - 1: a page filled in order spends a byte on
+// each slot. Every tuple is a fresh heap version of transaction xmin; the
+// record carries its payload alone and the decoder puts back the 18-byte
+// header (xmin, xmax 0, no flags), as PostgreSQL's xl_multi_insert_tuple
+// leaves out what the record's xid implies. The older body, which carried
+// each tuple whole, has a record type of its own
+// (recHeapBatchInsertV1); it is no longer written, and the decoder reads
+// it as a RecHeapBatchInsert, so a log an older build left behind still
+// replays.
 const (
 	frameHeaderSize = 16
-	// maxFrameSize bounds the records of one frame; larger sizes are
-	// treated as corruption during replay, and a group past it is split
-	// into consecutive frames (Group.cuts).
+	// maxFrameSize bounds the records of one frame, inflated; larger
+	// sizes are treated as corruption during replay, and a group past it
+	// is split into consecutive frames (Group.cuts).
 	maxFrameSize = 1 << 24
+	// frameDeflated is the bit of a frame's size word that says the frame
+	// holds a DEFLATE stream of its records.
+	frameDeflated = 1 << 31
+	// minDeflatedFrame is the smallest frame, in record bytes with the
+	// commit marker, that is offered to the deflater. The window
+	// statements of a read workload stay under it and are never coded.
+	minDeflatedFrame = 1 << 10
 	// markerSize is the encoded size of a commit or checkpoint record:
 	// its type byte and a zero len.
 	markerSize = 2
+	// tupleHeaderSize is the heap's tuple header (heap.TupleHeaderSize:
+	// xmin:8 xmax:8 flags:2), which a batch insert carries as its xmin.
+	tupleHeaderSize = 18
+	// maxBatchTuples bounds the tuples of one batch insert, what a page's
+	// uint16 slot numbers can address; a larger count is corruption,
+	// refused before anything is allocated for it.
+	maxBatchTuples = 1 << 16
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -66,7 +98,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // a page.
 func (t RecordType) pageLevel() bool {
 	switch t {
-	case RecPageImage, RecHeapInsert, RecHeapDelete, RecHeapBatchInsert,
+	case RecPageImage, RecHeapInsert, RecHeapDelete, RecHeapBatchInsert, recHeapBatchInsertV1,
 		RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
 		RecSlotPut, RecSlotDelete, RecSlotPatch:
 		return true
@@ -76,24 +108,40 @@ func (t RecordType) pageLevel() bool {
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// openFrame appends the header of a frame whose first record has LSN
-// first to dst; closeFrame fills in its size and checksum once the
-// records follow it.
-func openFrame(dst []byte, first LSN) []byte {
+// appendFrame appends to dst a frame whose first record has LSN first:
+// z, a DEFLATE stream of recs followed by marker, when z is not nil, and
+// recs followed by marker when it is.
+func appendFrame(dst []byte, first LSN, recs, marker, z []byte) []byte {
+	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // size, crc: closeFrame
-	return binary.LittleEndian.AppendUint64(dst, uint64(first))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(first))
+	if z != nil {
+		dst = append(dst, z...)
+	} else {
+		dst = append(append(dst, recs...), marker...)
+	}
+	closeFrame(dst, start, z != nil)
+	return dst
 }
 
-// closeFrame completes the frame that starts at b[start:] and runs to the
-// end of b.
-func closeFrame(b []byte, start int) {
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-frameHeaderSize))
+// closeFrame fills in the size and checksum of the frame that starts at
+// b[start:] and runs to the end of b; deflated says it holds a DEFLATE
+// stream.
+func closeFrame(b []byte, start int, deflated bool) {
+	size := uint32(len(b) - start - frameHeaderSize)
+	if deflated {
+		size |= frameDeflated
+	}
+	binary.LittleEndian.PutUint32(b[start:], size)
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(b[start+8:], crcTable))
 }
 
-// appendMarker appends a record of type typ with an empty body (a commit
-// or checkpoint marker).
-func appendMarker(dst []byte, typ RecordType) []byte { return append(dst, byte(typ), 0) }
+// The encoded commit and checkpoint markers: a record's type byte and a
+// zero len.
+var (
+	commitMarker     = []byte{byte(RecCommit), 0}
+	checkpointMarker = []byte{byte(RecCheckpoint), 0}
+)
 
 // nextRecord splits the record at the head of recs into its type and
 // body; ok is false when recs does not start with a whole record.
@@ -222,6 +270,9 @@ func (d *recordDecoder) decode(lsn LSN, typ RecordType, body []byte) (*Record, e
 		return r, nil
 	case RecHeapBatchInsert:
 		return r, decodeBatch(r, body)
+	case recHeapBatchInsertV1:
+		r.Type = RecHeapBatchInsert
+		return r, decodeBatchV1(r, body)
 	}
 	if r.Slot, body, err = parseSlot(body); err != nil {
 		return nil, err
@@ -249,8 +300,54 @@ func exact(r *Record, rest []byte, n int) error {
 	return nil
 }
 
-// decodeBatch parses the tuples of a batch insert into r.
+// decodeBatch parses the tuples of a batch insert into r, each tuple's
+// header put back in front of its payload. The tuples share one
+// allocation.
 func decodeBatch(r *Record, b []byte) error {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return fmt.Errorf("wal: truncated heap-batch header")
+	}
+	b = b[k:]
+	xmin, k := binary.Uvarint(b)
+	if k <= 0 {
+		return fmt.Errorf("wal: truncated heap-batch xmin")
+	}
+	b = b[k:]
+	// A tuple takes at least two bytes, its delta and its len.
+	if n > maxBatchTuples || n > uint64(len(b)/2) {
+		return fmt.Errorf("wal: heap-batch of %d tuples in %d bytes", n, len(b))
+	}
+	r.Slots = make([]uint16, 0, n)
+	r.Recs = make([][]byte, 0, n)
+	tuples := make([]byte, 0, len(b)+tupleHeaderSize*int(n))
+	slot := uint16(math.MaxUint16)
+	for i := uint64(0); i < n; i++ {
+		delta, k := binary.Uvarint(b)
+		if k <= 0 || delta > math.MaxUint16 {
+			return fmt.Errorf("wal: bad heap-batch slot")
+		}
+		b = b[k:]
+		pl, k := binary.Uvarint(b)
+		if k <= 0 || pl > uint64(len(b)-k) {
+			return fmt.Errorf("wal: truncated heap-batch tuple")
+		}
+		b = b[k:]
+		slot += 1 + uint16(delta)
+		start := len(tuples)
+		tuples = binary.LittleEndian.AppendUint64(tuples, xmin)
+		tuples = append(tuples, make([]byte, tupleHeaderSize-8)...)
+		tuples = append(tuples, b[:pl]...)
+		b = b[pl:]
+		r.Slots = append(r.Slots, slot)
+		r.Recs = append(r.Recs, tuples[start:len(tuples):len(tuples)])
+	}
+	return exact(r, b, 0)
+}
+
+// decodeBatchV1 parses the tuples of a recHeapBatchInsertV1 body, each
+// carried whole, into r.
+func decodeBatchV1(r *Record, b []byte) error {
 	if len(b) < 2 {
 		return fmt.Errorf("wal: truncated heap-batch header")
 	}

@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -110,19 +113,21 @@ func HasLog(dir string) bool {
 }
 
 // scanSegment iterates the valid frames of one segment file, calling fn
-// for each with its first LSN, its record count and its records. It
-// returns the byte offset just past the last valid frame and the LSN of
-// that frame's last record (0 if none). Scanning stops silently at the
-// first torn or corrupt frame — distinguishing a crash-torn tail from
-// damage is the caller's job.
+// for each with its first LSN, its record count and its records, inflated
+// when the frame holds them deflated (valid during the call). It returns
+// the byte offset just past the last valid frame and the LSN of that
+// frame's last record (0 if none). Scanning stops silently at the first
+// torn or corrupt frame — distinguishing a crash-torn tail from damage is
+// the caller's job.
 func scanSegment(path string, fn func(first LSN, n int, recs []byte) error) (validEnd int64, last LSN, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: read %s: %w", path, err)
 	}
+	var fr frameReader
 	off := 0
 	for {
-		first, n, recs, size, ok := parseFrame(b[off:])
+		first, n, recs, size, ok := fr.parseFrame(b[off:])
 		if !ok {
 			break
 		}
@@ -137,16 +142,26 @@ func scanSegment(path string, fn func(first LSN, n int, recs []byte) error) (val
 	return int64(off), last, nil
 }
 
+// frameReader parses frames, inflating the deflated ones into a buffer it
+// keeps from frame to frame.
+type frameReader struct {
+	src bytes.Reader
+	zr  io.ReadCloser // a flate reader, reset for each deflated frame
+	buf []byte
+}
+
 // parseFrame validates the frame at the head of b and returns its first
-// LSN, its record count, its records (aliasing b) and its total length.
-// ok is false for anything but a whole frame with a matching checksum
-// whose records exactly fill it — the torn tail of the log, or
+// LSN, its record count, its records and its total length. The records
+// alias b, or r's buffer when the frame is deflated, valid until r's next
+// use. ok is false for anything but a whole frame with a matching
+// checksum whose records exactly fill it — the torn tail of the log, or
 // corruption.
-func parseFrame(b []byte) (first LSN, n int, recs []byte, size int, ok bool) {
+func (r *frameReader) parseFrame(b []byte) (first LSN, n int, recs []byte, size int, ok bool) {
 	if len(b) < frameHeaderSize {
 		return 0, 0, nil, 0, false
 	}
-	body := int(binary.LittleEndian.Uint32(b))
+	word := binary.LittleEndian.Uint32(b)
+	body := int(word &^ frameDeflated)
 	if body == 0 || body > maxFrameSize || frameHeaderSize+body > len(b) {
 		return 0, 0, nil, 0, false
 	}
@@ -155,8 +170,52 @@ func parseFrame(b []byte) (first LSN, n int, recs []byte, size int, ok bool) {
 		return 0, 0, nil, 0, false
 	}
 	recs = b[frameHeaderSize:size]
-	if n, ok = countRecords(recs); !ok {
+	if word&frameDeflated != 0 {
+		if recs, ok = r.inflate(recs); !ok {
+			return 0, 0, nil, 0, false
+		}
+	}
+	if n, ok = countRecords(recs); !ok || n == 0 {
 		return 0, 0, nil, 0, false
 	}
 	return LSN(binary.LittleEndian.Uint64(b[8:])), n, recs, size, true
+}
+
+// inflate returns the records the DEFLATE stream z holds. ok is false
+// unless z is one whole stream that ends exactly where z does and
+// inflates to at most maxFrameSize bytes; r's buffer never grows past
+// that.
+func (r *frameReader) inflate(z []byte) (recs []byte, ok bool) {
+	r.src.Reset(z)
+	if r.zr == nil {
+		r.zr = flate.NewReader(&r.src)
+	} else if err := r.zr.(flate.Resetter).Reset(&r.src, nil); err != nil {
+		return nil, false
+	}
+	out := r.buf[:0]
+	for {
+		if len(out) == cap(out) {
+			if len(out) == maxFrameSize {
+				// Full: the stream must end here.
+				var one [1]byte
+				if k, err := r.zr.Read(one[:]); k > 0 || err != io.EOF {
+					return nil, false
+				}
+				break
+			}
+			grown := make([]byte, len(out), min(max(2*cap(out), 4*len(z), 4<<10), maxFrameSize))
+			copy(grown, out)
+			out = grown
+		}
+		k, err := r.zr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+k]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, false
+		}
+	}
+	r.buf = out
+	return out, r.src.Len() == 0
 }

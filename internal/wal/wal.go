@@ -73,10 +73,10 @@ const (
 	// mid-statement never replays half a statement (heap row without
 	// its index entries).
 	RecCommit RecordType = 6
-	// RecHeapBatchInsert is a logical insert of a whole page-worth of
-	// heap records at fixed slots — one record per filled page instead
-	// of one per tuple, the log shape of a multi-row INSERT.
-	RecHeapBatchInsert RecordType = 7
+	// recHeapBatchInsertV1 is the batch insert an older build wrote,
+	// each tuple carried whole. It is no longer written; the decoder
+	// reads it as a RecHeapBatchInsert.
+	recHeapBatchInsertV1 RecordType = 7
 	// RecHeapSetXmax stamps a deleting transaction ID into the xmax
 	// field of the versioned tuple at (page, slot) — the log shape of an
 	// MVCC DELETE, which leaves the tuple in place for older snapshots.
@@ -114,10 +114,15 @@ const (
 	// redo needs the old record, which replay from the file's creation or
 	// from a full image of the page provides, like every slot record's.
 	RecSlotPatch RecordType = 15
+	// RecHeapBatchInsert is a logical insert of a whole page-worth of
+	// fresh heap tuples of one transaction at fixed slots — one record
+	// per filled page instead of one per tuple, the log shape of a
+	// multi-row INSERT. It carries the transaction's xmin once.
+	RecHeapBatchInsert RecordType = 16
 
 	// NumRecordTypes bounds the RecordType values in use (0 is not a
 	// record); Stats.ByType is indexed up to it.
-	NumRecordTypes = 16
+	NumRecordTypes = 17
 )
 
 // String names the record type for stats and debugging output.
@@ -137,6 +142,8 @@ func (t RecordType) String() string {
 		return "commit"
 	case RecHeapBatchInsert:
 		return "heap-batch-insert"
+	case recHeapBatchInsertV1:
+		return "heap-batch-insert-v1"
 	case RecHeapSetXmax:
 		return "heap-set-xmax"
 	case RecHeapClearXmax:

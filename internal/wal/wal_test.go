@@ -443,17 +443,36 @@ func TestAppendGroupCommitIsAtomic(t *testing.T) {
 }
 
 // TestHeapBatchRecordRoundTrip: the batch-insert record's slots and
-// tuples survive encode -> frame -> replay intact.
+// tuples survive encode -> frame -> replay intact, each tuple's header
+// rebuilt from the xmin the record carries once — 18 bytes less a tuple
+// than the same tuples carried whole, less what the xmin takes — and
+// slot numbers that wrap around 2^16 come back as they went.
 func TestHeapBatchRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, Options{Mode: SyncCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := []uint16{3, 0, 7}
-	recs := [][]byte{[]byte("alpha"), {}, []byte("gamma-longer-record")}
-	if _, err := appendGroupOf(w, func(g *Group) { g.AddHeapBatchInsert("big.tbl", 42, slots, recs) }); err != nil {
-		t.Fatal(err)
+	slots := []uint16{3, 0, 7, 65535, 0}
+	payloads := [][]byte{[]byte("alpha"), {}, []byte("gamma-longer-record"), []byte("wrap"), []byte("0")}
+	xmins := []uint64{0, 1 << 40}
+	var batches [][][]byte
+	for _, xmin := range xmins {
+		g := NewGroup()
+		g.AddHeapBatchInsert("big.tbl", 42, slots, xmin, payloads)
+		whole := NewGroup()
+		tuples := make([][]byte, len(payloads))
+		for i, p := range payloads {
+			tuples[i] = tuple(xmin, string(p))
+		}
+		addBatchV1(whole, "big.tbl", 42, slots, tuples)
+		if saved := len(whole.buf) - len(g.buf); saved < 16*len(slots) {
+			t.Errorf("xmin %d: the batch takes %d bytes, the same tuples whole %d: want 16 or more a tuple saved", xmin, len(g.buf), len(whole.buf))
+		}
+		if _, err := w.AppendGroup(g); err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, tuples)
 	}
 	if _, err := w.AppendCommit(); err != nil {
 		t.Fatal(err)
@@ -462,25 +481,27 @@ func TestHeapBatchRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := replayAll(t, dir)
-	var batch *Record
+	var replayed []*Record
 	for _, r := range got {
 		if r.Type == RecHeapBatchInsert {
-			batch = r
+			replayed = append(replayed, r)
 		}
 	}
-	if batch == nil {
-		t.Fatal("batch record not replayed")
+	if len(replayed) != len(batches) {
+		t.Fatalf("%d batch records replayed, want %d", len(replayed), len(batches))
 	}
-	if batch.File != "big.tbl" || batch.Page != 42 {
-		t.Fatalf("addr %s/%d", batch.File, batch.Page)
-	}
-	if len(batch.Slots) != len(slots) {
-		t.Fatalf("%d slots, want %d", len(batch.Slots), len(slots))
-	}
-	for i := range slots {
-		if batch.Slots[i] != slots[i] || !bytes.Equal(batch.Recs[i], recs[i]) {
-			t.Fatalf("tuple %d: slot %d rec %q, want slot %d rec %q",
-				i, batch.Slots[i], batch.Recs[i], slots[i], recs[i])
+	for b, batch := range replayed {
+		if batch.File != "big.tbl" || batch.Page != 42 {
+			t.Fatalf("addr %s/%d", batch.File, batch.Page)
+		}
+		if len(batch.Slots) != len(slots) {
+			t.Fatalf("%d slots, want %d", len(batch.Slots), len(slots))
+		}
+		for i := range slots {
+			if batch.Slots[i] != slots[i] || !bytes.Equal(batch.Recs[i], batches[b][i]) {
+				t.Fatalf("batch %d, tuple %d: slot %d rec %q, want slot %d rec %q",
+					b, i, batch.Slots[i], batch.Recs[i], slots[i], batches[b][i])
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"compress/flate"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,15 +32,18 @@ type Options struct {
 // and SyncWaits the committers whose durability was covered by another
 // leader's fsync — the group-commit sharing factor. Recycles counts
 // segment files deleted by checkpoints. AppendedBytes counts the frames
-// appended, headers included: what the segment files grow by. ByType
-// splits Appends and AppendedBytes by record type — what the log is made
-// of; its columns sum to the two totals. A record is charged its own
-// encoded bytes, and a frame's 16-byte header is charged to the frame's
-// last record: the commit marker of a statement's group, the record
-// itself when it was appended alone. A checkpoint record is counted where
-// Appends counts it and, like AppendedBytes, without its 18-byte frame.
-// PageImageRawBytes is what ByType[RecPageImage].Bytes would be had no
-// image been stored deflated; the two give the compression ratio.
+// appended, headers included, as they were stored: what the segment files
+// grow by. FrameRawBytes is what they would have taken had no frame been
+// deflated. ByType splits Appends and FrameRawBytes by record type — what
+// the log is made of; its columns sum to the two totals. A record is
+// charged its own encoded bytes, and a frame's 16-byte header is charged
+// to the frame's last record: the commit marker of a statement's group,
+// the record itself when it was appended alone. A checkpoint record is
+// counted where Appends counts it and, like AppendedBytes, without its
+// 18-byte frame. PageImageRawBytes is what ByType[RecPageImage].Bytes
+// would be had no image been stored deflated; the two give the images'
+// compression ratio, as FrameRawBytes over AppendedBytes gives the
+// frames'.
 type Stats struct {
 	Appends           int64
 	AppendedBytes     int64
@@ -52,6 +56,7 @@ type Stats struct {
 	Recycles          int64
 	ByType            [NumRecordTypes]TypeStats
 	PageImageRawBytes int64
+	FrameRawBytes     int64
 }
 
 // TypeStats counts the appended records of one RecordType and their
@@ -92,8 +97,14 @@ type Writer struct {
 
 	stats Stats
 	// imageSaved is what deflating page images has saved the log, in
-	// encoded record bytes; Stats adds it to the images' bytes.
-	imageSaved int64
+	// encoded record bytes; Stats adds it to the images' bytes. frameSaved
+	// is what deflating frames has saved it; Stats adds it to
+	// AppendedBytes.
+	imageSaved, frameSaved int64
+	// frames codes the frames of minDeflatedFrame record bytes or more
+	// (flate.HuffmanOnly, which takes the frequent bytes of SP-GiST and
+	// heap records at a fraction of LZ77's cost). Guarded by mu.
+	frames deflater
 
 	// waits joins group commit to the engine's wait-event layer
 	// (AttachObs, once, before the writer is shared; nil when the WAL
@@ -114,7 +125,7 @@ func OpenWriter(dir string, opts Options) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	w := &Writer{dir: dir, opts: opts}
+	w := &Writer{dir: dir, opts: opts, frames: deflater{level: flate.HuffmanOnly}}
 	w.cond = sync.NewCond(&w.mu)
 
 	segs, err := listSegments(dir)
@@ -230,6 +241,7 @@ func (w *Writer) Stats() Stats {
 	defer w.mu.Unlock()
 	s := w.stats
 	s.PageImageRawBytes = s.ByType[RecPageImage].Bytes + w.imageSaved
+	s.FrameRawBytes = s.AppendedBytes + w.frameSaved
 	return s
 }
 
@@ -237,7 +249,7 @@ func (w *Writer) Stats() Stats {
 func (w *Writer) ResetStats() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.stats, w.imageSaved = Stats{}, 0
+	w.stats, w.imageSaved, w.frameSaved = Stats{}, 0, 0
 }
 
 // AttachObs joins group commit to a wait-event set. Must be called
@@ -377,14 +389,23 @@ func (w *Writer) appendOne(g *Group) (LSN, error) {
 }
 
 // frameLocked buffers records [i, j) of g as one frame, followed in it by
-// a commit marker when marker is set, and returns the marker's LSN. The
-// records' LSNs are appended to g.lsns. Caller holds w.mu and has checked
-// usableLocked.
+// a commit marker when marker is set, and returns the marker's LSN. A
+// frame of minDeflatedFrame record bytes or more is stored as their
+// DEFLATE stream when that is smaller. The records' LSNs are appended to
+// g.lsns. Caller holds w.mu and has checked usableLocked.
 func (w *Writer) frameLocked(g *Group, i, j int, marker bool) (LSN, error) {
-	recs := g.buf[g.start(i):g.start(j)]
-	size := frameHeaderSize + len(recs)
+	recs, tail := g.buf[g.start(i):g.start(j)], []byte(nil)
 	if marker {
-		size += markerSize
+		tail = commitMarker
+	}
+	raw := frameHeaderSize + len(recs) + len(tail)
+	size, z := raw, []byte(nil)
+	if raw-frameHeaderSize >= minDeflatedFrame {
+		if z = w.frames.deflate(recs, tail); frameHeaderSize+len(z) < raw {
+			size = frameHeaderSize + len(z)
+		} else {
+			z = nil
+		}
 	}
 	cur := w.segWritten + int64(len(w.buf))
 	if cur > 0 && cur+int64(size) > w.opts.SegmentBytes {
@@ -393,8 +414,7 @@ func (w *Writer) frameLocked(g *Group, i, j int, marker bool) (LSN, error) {
 			return 0, err
 		}
 	}
-	start := len(w.buf)
-	w.buf = append(openFrame(w.buf, w.nextLSN), recs...)
+	w.buf = appendFrame(w.buf, w.nextLSN, recs, tail, z)
 	var last RecordType
 	for k := i; k < j; k++ {
 		last = g.types[k]
@@ -405,17 +425,16 @@ func (w *Writer) frameLocked(g *Group, i, j int, marker bool) (LSN, error) {
 	}
 	var m LSN
 	if marker {
-		w.buf = appendMarker(w.buf, RecCommit)
 		m, last = w.nextLSN, RecCommit
 		w.nextLSN++
 		w.committed = m
 		w.stats.ByType[RecCommit].Records++
 		w.stats.ByType[RecCommit].Bytes += markerSize
 	}
-	closeFrame(w.buf, start)
 	w.stats.ByType[last].Bytes += frameHeaderSize
 	w.stats.Appends += int64(w.nextLSN - 1 - w.appended)
 	w.stats.AppendedBytes += int64(size)
+	w.frameSaved += int64(raw - size)
 	w.appended = w.nextLSN - 1
 	if len(w.buf) >= bufFlushThreshold && !w.syncing {
 		if err := w.writeBufLocked(); err != nil {
@@ -565,9 +584,7 @@ func (w *Writer) Checkpoint() (LSN, error) {
 	ckSegFirst := w.segFirst
 	lsn := w.nextLSN
 	w.nextLSN++
-	start := len(w.buf)
-	w.buf = appendMarker(openFrame(w.buf, lsn), RecCheckpoint)
-	closeFrame(w.buf, start)
+	w.buf = appendFrame(w.buf, lsn, nil, checkpointMarker, nil)
 	w.appended = lsn
 	w.committed = lsn
 	w.ckpt = lsn
