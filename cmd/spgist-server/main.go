@@ -39,7 +39,6 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or over this duration to stderr (0 disables)")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON file per statement into this directory (empty disables)")
 	idleTxn := flag.Duration("idle-txn-timeout", 0, "roll back and disconnect sessions idle in an open transaction this long (0 disables)")
-	bgwInterval := flag.Duration("bgwriter-interval", 0, "background dirty-page writer tick (0 disables)")
 	flag.Parse()
 
 	mode := wal.SyncCommit
@@ -49,7 +48,6 @@ func main() {
 	db, err := executor.Open(executor.Options{
 		Dir: *dir, WAL: *useWAL, WALSync: mode, PoolPages: *poolPages,
 		SlowQueryThreshold: *slowQuery, TraceDir: *traceDir,
-		BGWriterInterval: *bgwInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -242,10 +242,6 @@ type DB struct {
 	// every lazy statistics refresh before the sample; an error fails it.
 	statsRefreshHook func(*Table) error
 
-	// bgw is the background writer (nil when disabled), created at Open
-	// and immutable afterwards — only teardown stops it.
-	bgw *bgWriter
-
 	// tm is the transaction layer (txn.go): xid allocation, snapshots,
 	// the active-transaction set, and table-lock ownership. Always
 	// non-nil after Open.
@@ -419,11 +415,6 @@ type Options struct {
 	// armed per statement; with TraceDir empty (the default) the
 	// instrumentation costs one atomic load per potential span site.
 	TraceDir string
-	// BGWriterInterval enables the background writer: every interval it
-	// writes back up to bgWriterMaxPages committed dirty pages of the
-	// buffer pool, so CHECKPOINT finds it mostly clean. Zero (the
-	// default) disables it.
-	BGWriterInterval time.Duration
 }
 
 // Open creates or opens a database. The persistent system catalog is
@@ -524,9 +515,6 @@ func Open(opts Options) (*DB, error) {
 	if err := db.loadSchema(); err != nil {
 		db.discardAll()
 		return nil, err
-	}
-	if opts.BGWriterInterval > 0 {
-		db.bgw = startBGWriter(db, opts.BGWriterInterval)
 	}
 	return db, nil
 }
@@ -945,10 +933,6 @@ func OpenMemory() *DB {
 // Close flushes everything, checkpoints the log, and closes the
 // underlying files.
 func (db *DB) Close() error {
-	// Stop the background writer before taking the exclusive lock: its
-	// rounds take the shared lock, and a stopped writer cannot race the
-	// teardown below.
-	db.stopBGWriter()
 	db.xlockStmt()
 	defer db.stmtMu.Unlock()
 	db.mu.Lock()
@@ -1081,7 +1065,6 @@ func (db *DB) checkpointLocked() error {
 // Data pages keep only what earlier evictions and flushes wrote; a
 // subsequent Open with WAL enabled must redo the rest from the log.
 func (db *DB) Crash() error {
-	db.stopBGWriter()
 	db.xlockStmt()
 	defer db.stmtMu.Unlock()
 	db.mu.Lock()

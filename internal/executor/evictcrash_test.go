@@ -2,27 +2,25 @@ package executor_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
 )
 
-// TestBGWriterCrashKeepsCommittedOnly runs the background writer beside
-// an open transaction: it writes committed pages to the data files while
-// the transaction's uncommitted rows sit dirty in a pool smaller than
-// the table. After a crash and a reopen without the writer, exactly the
-// committed rows come back, through a seq scan and an index scan alike.
-func TestBGWriterCrashKeepsCommittedOnly(t *testing.T) {
+// TestEvictionCrashKeepsCommittedOnly writes committed pages to the data
+// files by eviction while a transaction's uncommitted rows sit dirty in a
+// pool smaller than the table: a seq scan beside the open transaction
+// cycles the heap through the pool. After a crash and a reopen, exactly
+// the committed rows come back, through a seq scan and an index scan
+// alike.
+func TestEvictionCrashKeepsCommittedOnly(t *testing.T) {
 	dir := t.TempDir()
-	db, err := executor.Open(executor.Options{
-		Dir: dir, WAL: true, PoolPages: 32, BGWriterInterval: time.Millisecond,
-	})
+	db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb := txnTable(t, db)
-	const committed, uncommitted = 2000, 50
+	const committed, uncommitted = 5000, 50
 	rows := make([]catalog.Tuple, committed)
 	for i := range rows {
 		rows[i] = batchTuple(i)
@@ -40,33 +38,26 @@ func TestBGWriterCrashKeepsCommittedOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Wait until the writer has written pages and has run a few rounds
-	// with the transaction's frames dirty in the pool.
-	roundsAtOpen, _, _ := db.BGWriterStats()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rounds, _, pages := db.BGWriterStats()
-		var poolWrites int64
+	dirtyWrites := func() (n int64) {
 		db.Obs().Each(func(name string, v int64) {
-			if name == "pool_bgwriter_writes_total" {
-				poolWrites = v
+			if name == "pool_dirty_writes_total" {
+				n = v
 			}
 		})
-		if pages > 0 && poolWrites > 0 && rounds >= roundsAtOpen+3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background writer: %d rounds (%d at the transaction's start), %d pages, pool_bgwriter_writes_total=%d",
-				rounds, roundsAtOpen, pages, poolWrites)
-		}
-		time.Sleep(time.Millisecond)
+		return n
+	}
+	before := dirtyWrites()
+	if got := visibleNames(t, tb, nil); len(got) != committed {
+		t.Fatalf("a scan beside the open transaction sees %d rows, want the %d committed", len(got), committed)
+	}
+	if after := dirtyWrites(); after == before {
+		t.Fatalf("the scan beside the open transaction wrote no dirty page back (%d write-backs in all)", after)
 	}
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
 
-	db, err = executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 32})
+	db, err = executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

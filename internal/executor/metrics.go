@@ -112,13 +112,6 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 	emit("pool_evictions_total", ps.Evictions)
 	emit("pool_dirty_writes_total", ps.DirtyWrites)
 	emit("pool_inflight_joins_total", ps.InflightJoins)
-	emit("pool_bgwriter_writes_total", ps.BGWrites)
-	if db.bgw != nil {
-		rounds, skipped, pages := db.BGWriterStats()
-		emit("bgwriter_rounds_total", rounds)
-		emit("bgwriter_skipped_total", skipped)
-		emit("bgwriter_pages_total", pages)
-	}
 	emit("disk_reads_total", reads)
 	emit("disk_writes_total", writes)
 	emit("disk_allocs_total", allocs)

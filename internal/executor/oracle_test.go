@@ -594,9 +594,9 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 	}
 }
 
-// TestTornIndexPageRecovery is TestTornPageRecovery's index twin: the
-// background writer's write of one data page of every index — SP-GiST,
-// B+-tree and R-tree alike — lands its first 512 bytes and the power goes.
+// TestTornIndexPageRecovery is TestTornPageRecovery's index twin: a write
+// of one dirty data page of every index — SP-GiST, B+-tree and R-tree
+// alike — lands its first 512 bytes and the power goes.
 // Every torn page fails its checksum at redo and is rebuilt from the log:
 // before the first checkpoint from the file's creation on (the log holds
 // no image at all), after one from the image its first touch since then
@@ -653,22 +653,14 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 			t.Fatal(err)
 		}
 	}
-	indexFiles := map[string]bool{}
 	for ti, tb := range tables {
 		insert(tb, oracleCrashTables[ti].datum, 400, 600, 1)
+	}
+	indexFiles := map[string]bool{}
+	for _, tb := range tables {
 		for _, ix := range tb.Indexes {
 			indexFiles[ix.file] = true
-			// The meta page stays pinned, so the writer's first candidate
-			// is a data page; all three attempts at it are torn.
-			fdm, meta := faults[ix.file], mustFetch(t, ix.pool, 0)
-			for n, i := fdm.Calls(storage.FaultWrite), int64(1); i <= 3; i++ {
-				fdm.AddRule(storage.FaultRule{Op: storage.FaultWrite, Kind: storage.FaultTorn, Nth: n + i, TornBytes: 512})
-			}
-			_, err := ix.pool.WriteBackDirty(1)
-			ix.pool.Unpin(meta, false)
-			if err == nil || fdm.Counters().TornWrites != 3 {
-				t.Fatalf("%s: write-back returned %v after %d torn writes, want an error after 3", ix.Name, err, fdm.Counters().TornWrites)
-			}
+			tearDirtyPage(t, ix.pool, faults[ix.file])
 		}
 	}
 	if got := db.WAL().CheckpointLSN() != 0; got != checkpointed {

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -44,17 +46,7 @@ func TestRecoveredPagesMatchTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bp := range []*storage.BufferPool{words.Indexes[0].pool, words.Heap.Pool()} {
-		// The meta page stays pinned, so the writer's first candidate is a
-		// data page; all three attempts at it are torn.
-		fdm, meta := faults[bp.FileName()], mustFetch(t, bp, 0)
-		for n, i := fdm.Calls(storage.FaultWrite), int64(1); i <= 3; i++ {
-			fdm.AddRule(storage.FaultRule{Op: storage.FaultWrite, Kind: storage.FaultTorn, Nth: n + i, TornBytes: 512})
-		}
-		_, err := bp.WriteBackDirty(1)
-		bp.Unpin(meta, false)
-		if err == nil || fdm.Counters().TornWrites != 3 {
-			t.Fatalf("%s: write-back returned %v after %d torn writes, want an error after 3", bp.FileName(), err, fdm.Counters().TornWrites)
-		}
+		tearDirtyPage(t, bp, faults[bp.FileName()])
 	}
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
@@ -99,6 +91,36 @@ func TestRecoveredPagesMatchTwin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tearDirtyPage tears one data page of bp the way a power cut tears a
+// write: the first data page whose cached frame differs from its disk copy
+// past the first 512 bytes is written through the file's fault manager
+// with a torn rule armed, so only those 512 bytes land. The frame stays
+// dirty and pinned, so no later eviction writes the page whole again; a
+// crash discards it.
+func tearDirtyPage(t *testing.T, bp *storage.BufferPool, fdm *storage.FaultDiskManager) {
+	t.Helper()
+	const torn = 512
+	disk := make([]byte, bp.DM().PageSize())
+	for id := storage.PageID(1); id < storage.PageID(bp.DM().NumPages()); id++ {
+		p := mustFetch(t, bp, id)
+		img := bytes.Clone(p.Data)
+		storage.StampPageChecksum(img)
+		if err := bp.DM().ReadPage(id, disk); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(img[torn:], disk[torn:]) {
+			bp.Unpin(p, false)
+			continue
+		}
+		fdm.AddRule(storage.FaultRule{Op: storage.FaultWrite, Kind: storage.FaultTorn, Nth: fdm.Calls(storage.FaultWrite) + 1, TornBytes: torn})
+		if err := fdm.WritePage(id, img); !errors.Is(err, storage.ErrInjectedIO) || fdm.Counters().TornWrites != 1 {
+			t.Fatalf("%s page %d: the torn write returned %v after %d torn writes, want an injected error after 1", bp.FileName(), id, err, fdm.Counters().TornWrites)
+		}
+		return
+	}
+	t.Fatalf("%s: no data page is dirty past its first %d bytes", bp.FileName(), torn)
 }
 
 // openTwin opens the on-disk, logged database of TestRecoveredPagesMatchTwin.

@@ -40,10 +40,6 @@ const (
 	// WaitWALCommitWait: a group-commit follower parked on the leader's
 	// in-flight fsync.
 	WaitWALCommitWait
-	// WaitBGWriter: the background writer flushing a dirty page to disk
-	// ahead of CHECKPOINT. Charged to the background goroutine, never to
-	// a session.
-	WaitBGWriter
 	// WaitIORetry: backing off before retrying a page read or write that
 	// failed with a transient I/O error. The sleep, not the I/O itself,
 	// is charged here; the retried I/O charges its usual event.
@@ -63,7 +59,6 @@ var waitEventNames = [NumWaitEvents]string{
 	WaitIOCatalogRead: "io_catalog_read",
 	WaitWALFsync:      "wal_fsync",
 	WaitWALCommitWait: "wal_commit_wait",
-	WaitBGWriter:      "bgwriter_write",
 	WaitIORetry:       "io_retry",
 }
 
@@ -114,18 +109,15 @@ type WaitMark struct {
 const slowReadNs = 50_000
 
 // attributed reports whether a wait on ev is worth resolving the
-// calling goroutine's session for. The background writer's never are:
-// no session runs on its goroutine. Waits
-// that have already blocked (locks, the WAL, retry backoff) always are:
-// the block costs far more than the lookup. A page read sits between —
+// calling goroutine's session for. Waits that have already blocked
+// (locks, the WAL, retry backoff) always are: the block costs far more
+// than the lookup. A page read sits between —
 // a few microseconds from the OS cache, milliseconds from a slow
 // device — so it is attributed once the event's own history says reads
 // are slow (cumulative mean, so a device takes a while to change class;
 // the first read after start or STATS RESET is never attributed).
 func (ws *WaitSet) attributed(ev WaitEvent) bool {
 	switch ev {
-	case WaitBGWriter:
-		return false
 	case WaitIOHeapRead, WaitIOIndexRead, WaitIOCatalogRead:
 		c := &ws.cells[ev]
 		n := c.count.Load()

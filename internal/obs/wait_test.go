@@ -120,30 +120,6 @@ func TestWaitOtherGoroutineNotAttributed(t *testing.T) {
 	}
 }
 
-// TestBackgroundWaitsTouchNoSession: bgwriter_write is never a
-// session's, so Begin must not even look for one — not on a goroutine
-// with a running session bound, and without a goroutine-id lookup.
-func TestBackgroundWaitsTouchNoSession(t *testing.T) {
-	act := NewActivity()
-	ws := NewWaitSet(act)
-	se := act.Register("c1")
-	se.Begin("SELECT 1")
-	defer se.Close()
-
-	before := GoidLookups()
-	m := ws.Begin(WaitBGWriter)
-	if snap := act.Snapshot(); snap[0].State != "active" || snap[0].WaitEvent != "none" {
-		t.Fatalf("bgwriter_write marked the session: state %q wait %q", snap[0].State, snap[0].WaitEvent)
-	}
-	ws.End(m)
-	if c, _ := ws.Count(WaitBGWriter); c != 1 {
-		t.Fatalf("bgwriter_write count = %d, want 1", c)
-	}
-	if n := GoidLookups() - before; n != 0 {
-		t.Fatalf("the background wait made %d goroutine-id lookups, want 0", n)
-	}
-}
-
 // TestIdleSessionNeverWaits: the binding outlives the statement, so a
 // wait on the goroutine between statements (or after Close) finds the
 // session — and must leave it idle.

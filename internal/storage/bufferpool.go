@@ -26,15 +26,14 @@ type Page struct {
 
 // PoolStats counts logical page traffic at the buffer-pool level.
 // DirtyWrites counts dirty frames written back to disk, whether by
-// eviction, the background writer, or an explicit flush.
+// eviction or an explicit flush.
 //
 // Misses include InflightJoins: fetches that found their page's read
 // already in flight and waited on it rather than issuing a second disk
 // read, so Hits+Misses == Accesses always holds while physical reads can
-// be fewer than misses. BGWrites counts the subset of DirtyWrites issued
-// by the background writer. A relation's counters count the fetches of
-// its pages and the write-backs and evictions of its frames; the pool's
-// sum them.
+// be fewer than misses. A relation's counters count the fetches of its
+// pages and the write-backs and evictions of its frames; the pool's sum
+// them.
 type PoolStats struct {
 	Accesses      int64
 	Hits          int64
@@ -42,7 +41,6 @@ type PoolStats struct {
 	Evictions     int64
 	DirtyWrites   int64
 	InflightJoins int64
-	BGWrites      int64
 }
 
 // add accumulates o into s.
@@ -53,7 +51,6 @@ func (s *PoolStats) add(o PoolStats) {
 	s.Evictions += o.Evictions
 	s.DirtyWrites += o.DirtyWrites
 	s.InflightJoins += o.InflightJoins
-	s.BGWrites += o.BGWrites
 }
 
 // maxPoolShards caps the page-table sharding; 16 shards keep read-path
@@ -896,8 +893,8 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 //
 // staged runs in group order, and a page covered by several records is
 // resolved from its last record back: the pass that clears its pending
-// flag, and so makes it writable by eviction or the background writer,
-// stamps the pageLSN of the last record whose effect the page holds. In
+// flag, and so makes it writable by eviction, stamps the pageLSN of the
+// last record whose effect the page holds. In
 // group order, a page would be writable between its first and last
 // record with a pageLSN behind its content, and redo would apply the
 // later records a second time.
@@ -1104,79 +1101,6 @@ func (p *Pool) flushFrames(rel *BufferPool) error {
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-// WriteBackDirty is the background writer's unit of work: write back up
-// to limit dirty frames that are safe to clean right now — unpinned, not
-// covered by deferred records, and (with a WAL attached) fully
-// committed, so one WAL sync up to the commit horizon makes every
-// candidate durable-before-data. Frames are cleaned in place, not
-// evicted: the cache keeps its contents, CHECKPOINT just finds less to
-// flush. Returns how many frames were written.
-//
-// Frames dirtied after the horizon was read have higher LSNs and are
-// skipped; the next round picks them up. Holding each shard's mutex
-// across its writes is the same trade eviction writeback already makes.
-func (p *Pool) WriteBackDirty(limit int) (int, error) { return p.writeBack(nil, limit) }
-
-// WriteBackDirty is the pool's WriteBackDirty restricted to the
-// relation's frames.
-func (bp *BufferPool) WriteBackDirty(limit int) (int, error) { return bp.pool.writeBack(bp, limit) }
-
-func (p *Pool) writeBack(rel *BufferPool, limit int) (int, error) {
-	if limit <= 0 {
-		return 0, nil
-	}
-	w := p.WAL()
-	committed := wal.LSN(0)
-	if w != nil {
-		committed = w.CommittedLSN()
-	}
-	written := 0
-	synced := wal.LSN(0) // highest LSN made durable this round
-	for si := range p.shards {
-		if written >= limit {
-			break
-		}
-		sh := &p.shards[si]
-		p.lockShard(sh)
-		for i := range sh.frames {
-			if written >= limit {
-				break
-			}
-			f := &sh.frames[i]
-			if !f.valid || !f.dirty || f.pin.Load() > 0 || f.opPending || (rel != nil && f.rel != rel) {
-				continue
-			}
-			if f.lsn > committed {
-				continue // uncommitted state: no-steal applies to us too
-			}
-			// WAL-before-data: the frame's records and its covering
-			// commit marker must be durable before the page is. One
-			// sync per round normally suffices (every candidate's lsn
-			// is at or below the commit horizon).
-			if target := max(f.lsn, committed); target > synced {
-				if err := syncWAL(w, target); err != nil {
-					sh.mu.Unlock()
-					return written, err
-				}
-				synced = target
-			}
-			mw := p.waits.Begin(obs.WaitBGWriter)
-			err := f.rel.writePageRetry(f.id, f.data)
-			p.waits.End(mw)
-			if err != nil {
-				sh.mu.Unlock()
-				return written, err
-			}
-			f.dirty = false
-			f.rel.stats[si].DirtyWrites++
-			f.rel.stats[si].BGWrites++
-			written++
-		}
-		sh.mu.Unlock()
-	}
-	return written, nil
 }
 
 // Close flushes the relation's dirty pages, drops its frames from the

@@ -1,12 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,135 +213,84 @@ func TestExhaustedFetchCountsAMiss(t *testing.T) {
 	}
 }
 
-// TestBGWriterWALBeforeData: the background writer must never write a
-// page whose WAL records are not durable — neither an uncommitted frame
-// (skipped outright under no-steal) nor a committed one before its
-// records and commit marker are synced.
-func TestBGWriterWALBeforeData(t *testing.T) {
-	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
-	defer w.Close()
-	mem := NewMem(256)
-	bp := NewBufferPool("t.tbl", mem, 8)
-	bp.pool.AttachWAL(w)
+// pageWrites records a copy of every write of one page.
+type pageWrites struct {
+	DiskManager
+	id PageID
 
-	p, err := bp.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Data[0] = 7
-	unpinInsert(bp, p, 0, []byte("u"))
-	logPending(t, bp, w, false) // the record is logged, its marker is not
-	mem.Stats().Reset()         // drop the allocation's zero-fill write
-
-	// Uncommitted: the frame's record is past the last marker, so a
-	// round must write nothing at all.
-	n, err := bp.WriteBackDirty(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("background writer wrote %d uncommitted frames", n)
-	}
-	if _, writes, _ := mem.Stats().Snapshot(); writes != 0 {
-		t.Fatalf("uncommitted page reached disk (%d writes)", writes)
-	}
-
-	// Committed but not yet durable (lazy sync): the round may write the
-	// page only after forcing the log through the commit marker.
-	if _, err := w.AppendCommit(); err != nil {
-		t.Fatal(err)
-	}
-	if w.DurableLSN() >= w.CommittedLSN() {
-		t.Fatal("lazy mode synced prematurely; test cannot observe the invariant")
-	}
-	n, err = bp.WriteBackDirty(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("background writer wrote %d frames, want 1", n)
-	}
-	if w.DurableLSN() < w.CommittedLSN() {
-		t.Fatalf("page written back while log durable only to %d < committed %d", w.DurableLSN(), w.CommittedLSN())
-	}
-	if _, writes, _ := mem.Stats().Snapshot(); writes != 1 {
-		t.Fatalf("want exactly 1 page write, got %d", writes)
-	}
-	st := bp.Stats()
-	if st.BGWrites != 1 || st.DirtyWrites != 1 {
-		t.Fatalf("BGWrites=%d DirtyWrites=%d, want 1/1", st.BGWrites, st.DirtyWrites)
-	}
-
-	// The frame was cleaned in place, not evicted: a re-fetch must hit.
-	before := bp.Stats().Hits
-	p2, err := bp.Fetch(p.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Data[0] != 7 {
-		t.Fatal("write-back corrupted the cached frame")
-	}
-	bp.Unpin(p2, false)
-	if bp.Stats().Hits != before+1 {
-		t.Fatal("background write-back evicted the frame instead of cleaning it")
-	}
+	mu    sync.Mutex
+	snaps [][]byte
 }
 
-// TestBGWriterSeesWholeGroups: a page that several records of one group
-// cover becomes writable only with the pageLSN of the last of them. A
-// background writer spinning beside the commits must never put a page
-// on disk whose content runs ahead of its pageLSN: redo would apply the
-// records in between a second time. The writer has to run beside
-// ResolvePending to see a half-resolved page, so the test catches one
-// only with two or more Ps.
-func TestBGWriterSeesWholeGroups(t *testing.T) {
+func (d *pageWrites) WritePage(id PageID, buf []byte) error {
+	if id == d.id {
+		d.mu.Lock()
+		d.snaps = append(d.snaps, bytes.Clone(buf))
+		d.mu.Unlock()
+	}
+	return d.DiskManager.WritePage(id, buf)
+}
+
+func (d *pageWrites) written() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.snaps)
+}
+
+// TestEvictionSeesWholeGroups: a page that several records of one group
+// cover becomes evictable only with the pageLSN of the last of them. An
+// evictor fetching other pages through the same 8-frame pool beside the
+// commits must never put a page on disk whose content runs ahead of its
+// pageLSN: redo would apply the records in between a second time. The
+// evictor has to run beside ResolvePending to see a half-resolved page,
+// so the test catches one only with two or more Ps.
+func TestEvictionSeesWholeGroups(t *testing.T) {
 	w := openMarkedWAL(t, t.TempDir(), wal.Options{Mode: wal.SyncLazy})
 	defer w.Close()
-	mem := NewMem(512)
-	bp := NewBufferPool("t.tbl", mem, 8)
+	mem := NewMem(2048)
+	const others = 16 // the evictor's pages, twice the pool
+	for i := 0; i < others; i++ {
+		if _, err := mem.AllocatePage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk := &pageWrites{DiskManager: mem, id: others}
+	bp := NewBufferPool("t.tbl", disk, 8)
 	bp.pool.AttachWAL(w)
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := p.ID
+	if id != disk.id {
+		t.Fatalf("new page %d, want %d", id, disk.id)
+	}
 
-	// The writer snapshots the page after each round that wrote it.
-	var snaps [][]byte
-	var written atomic.Int64
 	stop, done := make(chan struct{}), make(chan struct{})
-	stopWriter := sync.OnceFunc(func() { close(stop); <-done })
-	t.Cleanup(stopWriter)
+	stopEvictor := sync.OnceFunc(func() { close(stop); <-done })
+	t.Cleanup(stopEvictor)
 	go func() {
 		defer close(done)
-		for {
+		for i := 0; ; i = (i + 1) % others {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			n, err := bp.WriteBackDirty(8)
+			q, err := bp.Fetch(PageID(i))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if n > 0 {
-				buf := make([]byte, 512)
-				if err := mem.ReadPage(id, buf); err != nil {
-					t.Error(err)
-					return
-				}
-				snaps = append(snaps, buf)
-				written.Add(1)
-			}
+			bp.Unpin(q, false)
 		}
 	}()
 
 	// Record i sets body byte i; each group covers the page perGroup times.
-	const groups, perGroup = 6, 64
+	const groups, perGroup = 6, 256
 	var lsnOf []wal.LSN
 	for g := 0; g < groups; g++ {
-		before := written.Load()
+		before := disk.written()
 		for j := 0; j < perGroup; j++ {
 			i := g*perGroup + j
 			if i > 0 {
@@ -355,49 +304,22 @@ func TestBGWriterSeesWholeGroups(t *testing.T) {
 			})
 		}
 		lsnOf = append(lsnOf, logPending(t, bp, w, true)[:perGroup]...)
-		// The page is writable now; wait for the writer to write it.
-		for deadline := time.Now().Add(10 * time.Second); written.Load() == before; {
+		// The page is evictable now; wait for the evictor to write it.
+		for deadline := time.Now().Add(10 * time.Second); disk.written() == before; {
 			if time.Now().After(deadline) {
-				t.Fatalf("group %d: the background writer never wrote the page", g)
+				t.Fatalf("group %d: the evictor never wrote the page", g)
 			}
 			runtime.Gosched()
 		}
 	}
-	stopWriter()
+	stopEvictor()
 
-	for _, snap := range snaps {
+	for _, snap := range disk.snaps {
 		pageLSN := wal.LSN(PageLSN(snap))
 		for i, lsn := range lsnOf {
 			if applied := snap[PageHeaderSize+i] == 1; applied != (lsn <= pageLSN) {
 				t.Fatalf("page written with pageLSN %d: record %d (LSN %d) applied = %v", pageLSN, i, lsn, applied)
 			}
 		}
-	}
-}
-
-// TestBGWriterSkipsPinned: a pinned dirty frame is in active use and must
-// not be written back under the holder.
-func TestBGWriterSkipsPinned(t *testing.T) {
-	mem := NewMem(256)
-	bp := NewBufferPool("", mem, 8)
-	p, err := bp.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem.Stats().Reset()
-	n, err := bp.WriteBackDirty(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("background writer wrote %d pinned frames", n)
-	}
-	bp.Unpin(p, true)
-	n, err = bp.WriteBackDirty(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("after unpin want 1 write-back, got %d", n)
 	}
 }
