@@ -47,7 +47,9 @@ type Index interface {
 	// NNScan starts an incremental nearest-neighbor scan over the
 	// index's keys, or errors when the index cannot rank them. Only a
 	// class with an ordering operator (NNOp) ranks rows: the suffix
-	// tree's NN scan ranks suffixes, so the planner never uses it.
+	// tree's NN scan ranks suffixes, so the planner never uses it. The
+	// scan has no end: the executor runs kNN through NNSearch, which
+	// releases what the scan holds.
 	NNScan(arg catalog.Datum) (NNIter, error)
 	// Count returns the number of indexed rows. It is a statistic for
 	// display (SHOW STATS' index_<name>_entries), nothing plans by it. An
@@ -92,6 +94,35 @@ func InsertBatch(idx Index, column int, tups []catalog.Tuple, rids []heap.RID) e
 		}
 	}
 	return nil
+}
+
+// NNSearcher is the optional interface of an index whose NN scan holds
+// resources worth giving back: it drives the scan itself and ends it
+// before returning, as PostgreSQL's amendscan does.
+type NNSearcher interface {
+	NNSearch(arg catalog.Datum, yield func(rid heap.RID, dist float64) bool) error
+}
+
+// NNSearch runs a nearest-neighbor scan of idx around arg, calling yield
+// with each candidate in increasing distance until yield returns false or
+// the index is exhausted, and ends the scan before it returns, on every
+// path: through the index's NNSearcher when it has one, by dropping the
+// NNIter otherwise. It returns the error that cut the scan short, if the
+// index met one. The executor's kNN drives every index scan through this.
+func NNSearch(idx Index, arg catalog.Datum, yield func(rid heap.RID, dist float64) bool) error {
+	if s, ok := idx.(NNSearcher); ok {
+		return s.NNSearch(arg, yield)
+	}
+	next, err := idx.NNScan(arg)
+	if err != nil {
+		return err
+	}
+	for {
+		rid, d, ok := next()
+		if !ok || !yield(rid, d) {
+			return nil
+		}
+	}
 }
 
 // New creates (or reopens) an index of the given operator class over the
@@ -242,6 +273,29 @@ func (x *spgistIndex) NNScan(arg catalog.Datum) (NNIter, error) {
 		_, rid, d, ok := cur.Next()
 		return rid, d, ok
 	}, nil
+}
+
+// NNSearch drives the tree's NN cursor and closes it, which recycles its
+// queue and arenas for the next search.
+func (x *spgistIndex) NNSearch(arg catalog.Datum, yield func(heap.RID, float64) bool) error {
+	v, err := datumToValue(arg)
+	if err != nil {
+		return err
+	}
+	cur, err := x.tree.NNScan(v)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	for {
+		_, rid, d, ok := cur.Next()
+		if !ok {
+			return cur.Err()
+		}
+		if !yield(rid, d) {
+			return nil
+		}
+	}
 }
 
 // suffixIndex overrides row maintenance to index all suffixes.

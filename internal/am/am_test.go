@@ -187,10 +187,22 @@ func TestNNThroughAMInterface(t *testing.T) {
 		}
 		prev = d
 	}
+	// NNSearch yields the same sequence and stops where yield says.
+	var got []float64
+	err = NNSearch(idx, catalog.NewPoint(geom.Point{X: 50, Y: 50}), func(_ heap.RID, d float64) bool {
+		got = append(got, d)
+		return len(got) < 20
+	})
+	if err != nil || len(got) != 20 || got[19] != prev {
+		t.Fatalf("NNSearch: %d results, the 20th at %v (NNScan's at %g), err %v", len(got), got, prev, err)
+	}
 	// The B+-tree has no ordering operator.
 	bt, _ := New("btree_text", pool(), true)
 	if _, err := bt.NNScan(catalog.NewText("x")); err == nil {
 		t.Fatal("btree NNScan should fail")
+	}
+	if err := NNSearch(bt, catalog.NewText("x"), func(heap.RID, float64) bool { return true }); err == nil {
+		t.Fatal("btree NNSearch should fail")
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	heapfile "repro/internal/heap"
 )
@@ -21,7 +23,13 @@ import (
 // is a binary heap of small pointer-free keys, the payload sits still in
 // an arena the keys index, and a node's traversal value is not built
 // when the node is enqueued but derived from its parent's (immutable) view
-// if and when it is dequeued and has children of its own.
+// if and when it is dequeued and has children of its own. Traversal
+// values are bytes the opclass appends to a second, byte arena, which
+// entries name by offset, so deriving one allocates nothing either.
+//
+// A scan ends when its caller closes the cursor (PostgreSQL's
+// amendscan): Close hands the queue and both arenas, emptied, to the
+// next NNScan, so a warm kNN statement allocates nothing at all.
 
 // nnKey is one queue slot: what the ordering needs and where the rest is.
 // It holds no pointers, so sifting moves 24 bytes with no write barrier.
@@ -49,57 +57,107 @@ func (a nnKey) less(b nnKey) bool {
 // A data object is (n, idx): item idx of the data-node record n.
 //
 // A node is the child under entry idx of the inner node n, whose
-// level and traversal value are plevel and recon — everything NNRecon
-// needs to derive the child's own value later. The root and overflow
-// records have no parent (n is nil): the root's recon is its own, and an
-// overflow record, always a data node, needs none.
+// level and traversal value are plevel and recon[rc:re] — everything
+// NNRecon needs to derive the child's own value later. The root and
+// overflow records have no parent (n is nil): the root's recon[rc:re] is
+// its own, and an overflow record, always a data node, needs none.
 type nnEntry struct {
 	n      *nodeView
 	idx    int32
 	level  int32 // node: its own level
 	plevel int32 // node: the level of n
 	ref    NodeRef
-	recon  Value
+	rc, re uint32 // node: where its traversal value lies in NNCursor.recon
 }
 
 // NNCursor is an incremental nearest-neighbor cursor: each Next call
 // returns the next-closest key, so it can feed a query pipeline (the
 // paper's get-next semantics) without knowing k in advance.
+//
+// One goroutine drives a cursor. Close recycles it; a cursor nobody
+// closes is garbage like any other value.
 type NNCursor struct {
-	t    *Tree
-	oc   NNOpClass
-	q    Value
-	pq   []nnKey   // binary min-heap by nnKey.less
-	ents []nnEntry // arena the keys index
-	free int32     // first slot of the arena's free list, chained through nnEntry.idx; -1 if none
-	seq  uint64
-	seen map[heapfile.RID]struct{}
-	err  error
-
-	// Inline backing of pq and ents: a typical kNN never outgrows it, so
-	// the cursor is one allocation; larger queues spill by append.
-	pqBuf  [nnInline]nnKey
-	entBuf [nnInline]nnEntry
+	t     *Tree // nil once closed
+	oc    NNOpClass
+	q     Value
+	pq    []nnKey   // binary min-heap by nnKey.less
+	ents  []nnEntry // arena the keys index
+	free  int32     // first slot of the arena's free list, chained through nnEntry.idx; -1 if none
+	recon []byte    // traversal values, appended as inner nodes are expanded
+	seq   uint64
+	dedup bool // the tree may hold a row more than once: yield each RID once, via seen
+	seen  map[heapfile.RID]struct{}
+	err   error
 }
 
-const nnInline = 128
+const (
+	// nnInitial is the queue and entry capacity of a new cursor, and its
+	// arena's in 32-byte boxes: a typical kNN never outgrows them.
+	nnInitial = 128
+	// nnRecycleMax bounds what a closed cursor may hold to be recycled,
+	// in queue entries (or seen RIDs): one full-index scan must not pin
+	// its queue for every later kNN.
+	nnRecycleMax = 4096
+)
+
+// nnCursors holds closed cursors for NNScan to reuse.
+var nnCursors = sync.Pool{New: func() any {
+	return &NNCursor{
+		pq:    make([]nnKey, 0, nnInitial),
+		ents:  make([]nnEntry, 0, nnInitial),
+		recon: make([]byte, 0, nnInitial*32),
+	}
+}}
+
+// nnOpened and nnClosed count the cursors NNScan handed out and the ones
+// Close took back.
+var nnOpened, nnClosed atomic.Int64
+
+// NNCursorCounts returns how many cursors NNScan has handed out and how
+// many of them Close has taken back; a cursor dropped unclosed is never
+// counted closed. Tests use them to check that a caller ends every scan
+// it starts.
+func NNCursorCounts() (opened, closed int64) { return nnOpened.Load(), nnClosed.Load() }
 
 // NNScan starts an incremental NN search around the query object q. It
-// fails if the opclass does not implement NNOpClass.
+// fails if the opclass does not implement NNOpClass. The cursor comes
+// from the ones earlier scans closed, when there is one.
 func (t *Tree) NNScan(q Value) (*NNCursor, error) {
 	oc, ok := t.oc.(NNOpClass)
 	if !ok {
 		return nil, fmt.Errorf("spgist: opclass %s does not support NN search", t.oc.Name())
 	}
-	c := &NNCursor{t: t, oc: oc, q: q, free: -1}
-	c.pq, c.ents = c.pqBuf[:0], c.entBuf[:0]
-	if t.pr.MultiAssign || t.pr.DedupScan {
+	c := nnCursors.Get().(*NNCursor)
+	c.t, c.oc, c.q, c.free = t, oc, q, -1
+	c.dedup = t.pr.MultiAssign || t.pr.DedupScan
+	if c.dedup && c.seen == nil {
 		c.seen = make(map[heapfile.RID]struct{})
 	}
+	nnOpened.Add(1)
 	if t.root.Valid() {
-		c.push(0, nnNodeTie, nnEntry{ref: t.root, recon: t.oc.RootRecon()})
+		c.recon = oc.NNRootRecon(c.recon)
+		c.push(0, nnNodeTie, nnEntry{ref: t.root, re: uint32(len(c.recon))})
 	}
 	return c, nil
+}
+
+// Close ends the scan and recycles the cursor: its queue, arenas and
+// dedup set go, emptied, to a later NNScan on any tree. The cursor must
+// not be used after Close; closing it again before that is harmless.
+func (c *NNCursor) Close() {
+	if c.t == nil {
+		return
+	}
+	nnClosed.Add(1)
+	if cap(c.pq) > nnRecycleMax || cap(c.ents) > nnRecycleMax || len(c.seen) > nnRecycleMax ||
+		cap(c.recon) > nnRecycleMax*32 { // a 32-byte box per entry
+		c.t = nil
+		return
+	}
+	clear(c.ents) // live entries pin the nodes they came from
+	clear(c.seen)
+	*c = NNCursor{pq: c.pq[:0], ents: c.ents[:0], recon: c.recon[:0], seen: c.seen}
+	nnCursors.Put(c)
 }
 
 // push enqueues e at distance dist; kind is 0 for a data object and
@@ -173,7 +231,7 @@ func (c *NNCursor) Next() (key []byte, rid heapfile.RID, dist float64, ok bool) 
 		k, e := c.pop()
 		if k.tie&nnNodeTie == 0 {
 			rid := e.n.rid(int(e.idx))
-			if c.seen != nil {
+			if c.dedup {
 				if _, dup := c.seen[rid]; dup {
 					continue
 				}
@@ -206,14 +264,19 @@ func (c *NNCursor) expand(dist float64, e nnEntry) error {
 		}
 		return nil
 	}
-	recon := e.recon
+	rc, re := e.rc, e.re
 	if e.n != nil {
-		recon = c.oc.NNRecon(e.n.pred(), e.n.label(int(e.idx)), int(e.plevel), e.recon)
+		// The parent's value lies before the arena's end, so the opclass
+		// appending the child's value there leaves it intact.
+		rc = uint32(len(c.recon))
+		c.recon = c.oc.NNRecon(e.n.pred(), e.n.label(int(e.idx)), int(e.plevel), c.recon[e.rc:e.re:e.re], c.recon)
+		re = uint32(len(c.recon))
 	} else if e.ref != c.t.root {
 		// Parentless and not the root: an overflow link, which only ever
 		// leads to another data node in a well-formed tree.
 		return fmt.Errorf("spgist: overflow chain reaches inner node %v", e.ref)
 	}
+	recon := c.recon[rc:re:re]
 	pred := n.pred()
 	for i := 0; i < n.n; i++ {
 		child := n.child(i)
@@ -227,7 +290,8 @@ func (c *NNCursor) expand(dist float64, e nnEntry) error {
 			level:  e.level + int32(levelAdd),
 			plevel: e.level,
 			ref:    child,
-			recon:  recon,
+			rc:     rc,
+			re:     re,
 		})
 	}
 	return nil
@@ -243,6 +307,7 @@ func (t *Tree) NN(q Value, k int) (keys []Value, rids []heapfile.RID, dists []fl
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	defer cur.Close()
 	for len(keys) < k {
 		key, rid, d, ok := cur.Next()
 		if !ok {

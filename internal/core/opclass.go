@@ -24,7 +24,8 @@ package core
 // must not change those bytes or keep them past the call, and must survive
 // bytes no Encode* wrote (a damaged file) without panicking — any answer
 // will do. Values remain the currency of what builds nodes: the key being
-// inserted, PickSplit, ChooseOut.
+// inserted, PickSplit, ChooseOut. The NN search's traversal values are
+// bytes as well (see NNOpClass).
 type Value = any
 
 // Query is a search predicate handed to Scan. Op is an opclass-defined
@@ -229,9 +230,10 @@ type OpClass interface {
 	Name() string
 	// Params returns the interface parameters of the instantiation.
 	Params() Params
-	// RootRecon is the reconstructed traversal value at the root (empty
-	// string for tries, the world box for space-driven quadtrees, nil
-	// when unused).
+	// RootRecon is the reconstructed traversal value at the root for
+	// insertion and search (the world cell for the PMR quadtree, nil when
+	// unused). The NN search has its own, as bytes
+	// (NNOpClass.NNRootRecon).
 	RootRecon() Value
 
 	// Codecs. The encoded forms are what is stored on disk and what the
@@ -268,18 +270,29 @@ type OpClass interface {
 // parent-side arguments: the parent's encoded predicate, the encoded label
 // of the child's partition, the parent's level and the parent's traversal
 // value.
+//
+// Traversal values are bytes, like predicates, labels and keys: the
+// opclass encodes them (the kd-tree, point quadtree and PMR quadtree a
+// box, through geom.AppendBoxBytes; the trie nothing) and the cursor
+// keeps them in an arena it owns and recycles, so deriving one allocates
+// nothing. NNRootRecon and NNRecon only append to dst; recon may lie in
+// dst's own backing array, before len(dst), and must not be kept past
+// the call.
 type NNOpClass interface {
 	OpClass
+	// NNRootRecon appends the root's traversal value to dst.
+	NNRootRecon(dst []byte) []byte
 	// NNInner returns the minimum possible distance between the query
 	// object and any key stored under the partition labeled label, and
 	// the child's level increase. parentDist is the distance computed
 	// for this node when it was enqueued (the paper's parent-distance
 	// propagation for tries).
-	NNInner(q Value, pred, label []byte, level int, recon Value, parentDist float64) (dist float64, levelAdd int)
-	// NNRecon returns the traversal value of the child under the
+	NNInner(q Value, pred, label []byte, level int, recon []byte, parentDist float64) (dist float64, levelAdd int)
+	// NNRecon appends to dst the traversal value of the child under the
 	// partition labeled label — whatever NNInner and NNRecon want to find
-	// in recon when that child is expanded in turn; nil if they read none.
-	NNRecon(pred, label []byte, level int, recon Value) Value
+	// in recon when that child is expanded in turn; nothing if they read
+	// none.
+	NNRecon(pred, label []byte, level int, recon, dst []byte) []byte
 	// NNLeaf returns the exact distance between the query object and a
 	// stored key, as encoded.
 	NNLeaf(q Value, key []byte) float64

@@ -130,8 +130,9 @@ func FuzzNodeView(f *testing.F) {
 				}
 				fx.OC.Choose(&ChooseIn{Key: fx.Key, Level: level, Pred: v.pred(), Labels: Labels{v}, Recon: fx.OC.RootRecon()})
 				for i := 0; nn != nil && i < v.n; i++ {
-					nn.NNInner(fx.NNQuery, v.pred(), v.label(i), level, fx.OC.RootRecon(), 0)
-					nn.NNRecon(v.pred(), v.label(i), level, fx.OC.RootRecon())
+					root := nn.NNRootRecon(nil)
+					nn.NNInner(fx.NNQuery, v.pred(), v.label(i), level, root, 0)
+					nn.NNRecon(v.pred(), v.label(i), level, root, root)
 				}
 			}
 		}

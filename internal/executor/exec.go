@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/am"
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/obs"
@@ -247,25 +248,29 @@ func (t *Table) runNN(snap *Snapshot, plan *Plan, ci int, arg catalog.Datum, k i
 	if plan.Kind == IndexNNScan {
 		m.planNNScan.Inc()
 		plan.Index.scans.Inc()
-		iter, err := plan.Index.Idx.NNScan(arg)
-		if err != nil {
-			return nil, 0, err
-		}
 		out = make([]NNResult, 0, min(k, int(t.Heap.Count())))
-		for len(out) < k {
-			rid, dist, ok := iter()
-			if !ok {
-				break
-			}
+		if k == 0 {
+			return out, 0, nil // LIMIT 0 opens no scan
+		}
+		// NNSearch ends the scan however the callback stops it: k rows,
+		// an exhausted index or a heap-read error.
+		var herr error
+		err = am.NNSearch(plan.Index.Idx, arg, func(rid heap.RID, dist float64) bool {
 			read++
-			tup, err := t.getVisible(snap, rid)
-			if err != nil {
-				return nil, read, err
+			var tup catalog.Tuple
+			if tup, herr = t.getVisible(snap, rid); herr != nil {
+				return false
 			}
-			if tup == nil {
-				continue // dead or invisible version; skip
+			if tup != nil { // else a dead or invisible version; skip
+				out = append(out, NNResult{Row: Row{RID: rid, Tuple: tup}, Distance: dist})
 			}
-			out = append(out, NNResult{Row: Row{RID: rid, Tuple: tup}, Distance: dist})
+			return len(out) < k
+		})
+		if err == nil {
+			err = herr
+		}
+		if err != nil {
+			return nil, read, err
 		}
 		return out, read, nil
 	}

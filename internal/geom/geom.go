@@ -8,6 +8,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 )
@@ -125,10 +126,45 @@ func (b Box) Quadrant(i int) Box {
 // to p; zero when p is inside b. It is computed the way Point.Dist is (same
 // overflow beyond ±1e150), from a dx and dy that no point of b undercuts,
 // so the bound never exceeds the distance to a point inside the box.
+//
+// The maxima are the built-in max, which the compiler turns into a few
+// comparison instructions, not math.Max, which is a call, so DistToPoint
+// inlines. The two agree for every point and every box with Min <= Max,
+// signed zeros, infinities and NaN included.
 func (b Box) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(b.Min.X-p.X, p.X-b.Max.X))
-	dy := math.Max(0, math.Max(b.Min.Y-p.Y, p.Y-b.Max.Y))
+	dx := max(b.Min.X-p.X, p.X-b.Max.X, 0)
+	dy := max(b.Min.Y-p.Y, p.Y-b.Max.Y, 0)
 	return math.Sqrt(dx*dx + dy*dy)
+}
+
+// BoxSize is the length of a box as AppendBoxBytes writes it.
+const BoxSize = 32
+
+// AppendBoxBytes appends b's binary form to dst: Min.X, Min.Y, Max.X,
+// Max.Y as little-endian IEEE 754 bits, BoxSize bytes.
+func AppendBoxBytes(dst []byte, b Box) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Min.X))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Min.Y))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Max.X))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Max.Y))
+}
+
+// BoxFromBytes reads a box AppendBoxBytes wrote. Anything shorter reads
+// as the zero box rather than panicking.
+func BoxFromBytes(b []byte) Box {
+	if len(b) < BoxSize {
+		return Box{}
+	}
+	return Box{
+		Min: Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b[0:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		},
+		Max: Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+		},
+	}
 }
 
 // Segment is a line segment between two endpoints.

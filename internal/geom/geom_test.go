@@ -109,6 +109,71 @@ func TestBoxDistToPoint(t *testing.T) {
 	}
 }
 
+// TestBoxDistToPointMatchesMax: the built-in max gives, bit for bit, what
+// math.Max gave, for boxes with Min <= Max over finite coordinates,
+// infinities (the kd-tree's and point quadtree's root plane), differences
+// of exactly zero or negative zero, and NaN where an infinite query meets
+// an infinite edge — so an NN search pops the same order.
+func TestBoxDistToPointMatchesMax(t *testing.T) {
+	ref := func(b Box, p Point) float64 {
+		dx := math.Max(0, math.Max(b.Min.X-p.X, p.X-b.Max.X))
+		dy := math.Max(0, math.Max(b.Min.Y-p.Y, p.Y-b.Max.Y))
+		return math.Sqrt(dx*dx + dy*dy)
+	}
+	r := rand.New(rand.NewSource(7))
+	coord := func() float64 {
+		switch r.Intn(8) {
+		case 0:
+			return math.Inf(-1)
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return 0
+		case 3:
+			return math.Copysign(0, -1)
+		case 4:
+			return float64(r.Intn(5))
+		}
+		return (r.Float64() - 0.5) * 2e3
+	}
+	for i := 0; i < 200000; i++ {
+		b := MakeBox(coord(), coord(), coord(), coord())
+		p := Point{coord(), coord()}
+		got, want := b.DistToPoint(p), ref(b, p)
+		if math.IsNaN(got) && math.IsNaN(want) {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v.DistToPoint(%v) = %v, math.Max gives %v", b, p, got, want)
+		}
+	}
+}
+
+// TestBoxBytesRoundTrip: a box, infinite edges included, reads back from
+// its 32 bytes as it was written, after whatever dst held; short input
+// reads as the zero box.
+func TestBoxBytesRoundTrip(t *testing.T) {
+	for _, b := range []Box{
+		MakeBox(1, 2, 3, 4),
+		{Min: Point{math.Inf(-1), math.Inf(-1)}, Max: Point{math.Inf(1), math.Inf(1)}},
+		{Min: Point{math.Copysign(0, -1), -5e-324}, Max: Point{math.MaxFloat64, 1e300}},
+	} {
+		enc := AppendBoxBytes([]byte("xy"), b)
+		if len(enc) != 2+BoxSize || string(enc[:2]) != "xy" {
+			t.Fatalf("AppendBoxBytes(%v) wrote %d bytes", b, len(enc)-2)
+		}
+		got := BoxFromBytes(enc[2:])
+		for i, pair := range [][2]float64{{got.Min.X, b.Min.X}, {got.Min.Y, b.Min.Y}, {got.Max.X, b.Max.X}, {got.Max.Y, b.Max.Y}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("%v round-trips to %v (coordinate %d)", b, got, i)
+			}
+		}
+		if z := BoxFromBytes(enc[2 : 2+BoxSize-1]); z != (Box{}) {
+			t.Fatalf("a short box reads as %v", z)
+		}
+	}
+}
+
 func TestSegmentIntersectsSegment(t *testing.T) {
 	cases := []struct {
 		s, u Segment

@@ -52,16 +52,17 @@ func (o *OpClass) Params() core.Params {
 	}
 }
 
-// plane is the root's traversal value, boxed once.
-var plane core.Value = geom.Box{
+// plane is the NN search's root traversal value: the unbounded plane,
+// refined into half-plane boxes as the search descends (its distance
+// bounds are distances to these boxes).
+var plane = geom.Box{
 	Min: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
 	Max: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
 }
 
-// RootRecon implements core.OpClass: the unbounded plane, refined into
-// half-plane boxes as an NN search descends (the NN distance bounds are
-// distances to these boxes). Insertions and searches read none.
-func (o *OpClass) RootRecon() core.Value { return plane }
+// RootRecon implements core.OpClass: none. Insertions and searches
+// navigate by the splitting points alone.
+func (o *OpClass) RootRecon() core.Value { return nil }
 
 // EncodePoint serializes a point in 16 bytes.
 func EncodePoint(p geom.Point) []byte {
@@ -263,11 +264,14 @@ func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
 	return false
 }
 
+// NNRootRecon implements core.NNOpClass: the unbounded plane.
+func (o *OpClass) NNRootRecon(dst []byte) []byte { return geom.AppendBoxBytes(dst, plane) }
+
 // NNInner implements core.NNOpClass: the lower bound for a partition is
 // the Euclidean distance from the query point to the partition's bounding
 // box.
-func (o *OpClass) NNInner(q core.Value, pred, label []byte, level int, recon core.Value, parentDist float64) (float64, int) {
-	box := childBox(recon.(geom.Box), DecodePoint(pred), level, Label(label))
+func (o *OpClass) NNInner(q core.Value, pred, label []byte, level int, recon []byte, parentDist float64) (float64, int) {
+	box := childBox(geom.BoxFromBytes(recon), DecodePoint(pred), level, Label(label))
 	d := box.DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist // numeric safety: bounds never decrease downward
@@ -276,8 +280,8 @@ func (o *OpClass) NNInner(q core.Value, pred, label []byte, level int, recon cor
 }
 
 // NNRecon implements core.NNOpClass: the partition's bounding box.
-func (o *OpClass) NNRecon(pred, label []byte, level int, recon core.Value) core.Value {
-	return childBox(recon.(geom.Box), DecodePoint(pred), level, Label(label))
+func (o *OpClass) NNRecon(pred, label []byte, level int, recon, dst []byte) []byte {
+	return geom.AppendBoxBytes(dst, childBox(geom.BoxFromBytes(recon), DecodePoint(pred), level, Label(label)))
 }
 
 // NNLeaf implements core.NNOpClass.

@@ -274,17 +274,20 @@ func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
 
 // NNInner implements core.NNOpClass for point queries over segments: the
 // distance to the quadrant cell.
-func (o *OpClass) NNInner(q core.Value, _, label []byte, _ int, recon core.Value, parentDist float64) (float64, int) {
-	d := recon.(geom.Box).Quadrant(quadrant(label)).DistToPoint(q.(geom.Point))
+func (o *OpClass) NNInner(q core.Value, _, label []byte, _ int, recon []byte, parentDist float64) (float64, int) {
+	d := geom.BoxFromBytes(recon).Quadrant(quadrant(label)).DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist
 	}
 	return d, 1
 }
 
+// NNRootRecon implements core.NNOpClass: the world cell.
+func (o *OpClass) NNRootRecon(dst []byte) []byte { return geom.AppendBoxBytes(dst, o.world) }
+
 // NNRecon implements core.NNOpClass: the quadrant cell.
-func (o *OpClass) NNRecon(_, label []byte, _ int, recon core.Value) core.Value {
-	return recon.(geom.Box).Quadrant(quadrant(label))
+func (o *OpClass) NNRecon(_, label []byte, _ int, recon, dst []byte) []byte {
+	return geom.AppendBoxBytes(dst, geom.BoxFromBytes(recon).Quadrant(quadrant(label)))
 }
 
 // NNLeaf implements core.NNOpClass.

@@ -47,15 +47,16 @@ func (o *OpClass) Params() core.Params {
 	}
 }
 
-// plane is the root's traversal value, boxed once.
-var plane core.Value = geom.Box{
+// plane is the NN search's root traversal value: the unbounded plane,
+// clipped to quadrants as the search descends.
+var plane = geom.Box{
 	Min: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
 	Max: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
 }
 
-// RootRecon implements core.OpClass: the unbounded plane, clipped to
-// quadrants as an NN search descends. Insertions and searches read none.
-func (o *OpClass) RootRecon() core.Value { return plane }
+// RootRecon implements core.OpClass: none. Insertions and searches
+// navigate by the centers alone.
+func (o *OpClass) RootRecon() core.Value { return nil }
 
 // EncodeKey implements core.OpClass.
 func (o *OpClass) EncodeKey(v core.Value) []byte { return kdtree.EncodePoint(v.(geom.Point)) }
@@ -220,8 +221,8 @@ func (o *OpClass) LeafConsistent(q *core.Query, key []byte, _ int) bool {
 
 // NNInner implements core.NNOpClass: the distance to the quadrant's
 // bounding box.
-func (o *OpClass) NNInner(q core.Value, pred, label []byte, _ int, recon core.Value, parentDist float64) (float64, int) {
-	box := childBox(recon.(geom.Box), kdtree.DecodePoint(pred), kdtree.Label(label))
+func (o *OpClass) NNInner(q core.Value, pred, label []byte, _ int, recon []byte, parentDist float64) (float64, int) {
+	box := childBox(geom.BoxFromBytes(recon), kdtree.DecodePoint(pred), kdtree.Label(label))
 	d := box.DistToPoint(q.(geom.Point))
 	if d < parentDist {
 		d = parentDist
@@ -229,9 +230,12 @@ func (o *OpClass) NNInner(q core.Value, pred, label []byte, _ int, recon core.Va
 	return d, 1
 }
 
+// NNRootRecon implements core.NNOpClass: the unbounded plane.
+func (o *OpClass) NNRootRecon(dst []byte) []byte { return geom.AppendBoxBytes(dst, plane) }
+
 // NNRecon implements core.NNOpClass: the quadrant's bounding box.
-func (o *OpClass) NNRecon(pred, label []byte, _ int, recon core.Value) core.Value {
-	return childBox(recon.(geom.Box), kdtree.DecodePoint(pred), kdtree.Label(label))
+func (o *OpClass) NNRecon(pred, label []byte, _ int, recon, dst []byte) []byte {
+	return geom.AppendBoxBytes(dst, childBox(geom.BoxFromBytes(recon), kdtree.DecodePoint(pred), kdtree.Label(label)))
 }
 
 // NNLeaf implements core.NNOpClass.

@@ -362,7 +362,7 @@ func distance[S string | []byte](a S, b string) float64 {
 // 5 describes for tries. The parent's path is level characters long, so
 // only the node's own prefix and the child's label are compared and no
 // traversal value is needed.
-func (o *OpClass) NNInner(q core.Value, p, lbl []byte, level int, _ core.Value, parentDist float64) (float64, int) {
+func (o *OpClass) NNInner(q core.Value, p, lbl []byte, level int, _ []byte, parentDist float64) (float64, int) {
 	query := q.(string)
 	d := parentDist
 	pos := level
@@ -386,8 +386,11 @@ func (o *OpClass) NNInner(q core.Value, p, lbl []byte, level int, _ core.Value, 
 	return d, pos - level
 }
 
-// NNRecon implements core.NNOpClass: NNInner reads no traversal value.
-func (o *OpClass) NNRecon(_, _ []byte, _ int, _ core.Value) core.Value { return nil }
+// NNRootRecon implements core.NNOpClass: NNInner reads no traversal value.
+func (o *OpClass) NNRootRecon(dst []byte) []byte { return dst }
+
+// NNRecon implements core.NNOpClass: nothing, as for the root.
+func (o *OpClass) NNRecon(_, _ []byte, _ int, _, dst []byte) []byte { return dst }
 
 // NNLeaf implements core.NNOpClass.
 func (o *OpClass) NNLeaf(q core.Value, key []byte) float64 {
