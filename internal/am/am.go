@@ -10,6 +10,7 @@
 package am
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -48,9 +49,15 @@ type Index interface {
 	// index's keys, or errors when the index cannot rank them. Only a
 	// class with an ordering operator (NNOp) ranks rows: the suffix
 	// tree's NN scan ranks suffixes, so the planner never uses it. The
-	// scan has no end: the executor runs kNN through NNSearch, which
-	// releases what the scan holds.
+	// scan has no end: what it holds is dropped, never given back.
 	NNScan(arg catalog.Datum) (NNIter, error)
+	// NNSearch runs the same scan, calling yield with each candidate in
+	// increasing distance until yield returns false or the index is
+	// exhausted, and ends it before returning, as PostgreSQL's amendscan
+	// does, so what it held serves the next scan. It returns the error
+	// that cut the scan short, if the index met one. The executor's kNN
+	// runs through this.
+	NNSearch(arg catalog.Datum, yield func(rid heap.RID, dist float64) bool) error
 	// Count returns the number of indexed rows. It is a statistic for
 	// display (SHOW STATS' index_<name>_entries), nothing plans by it. An
 	// SP-GiST index without MultiAssign counts its leaf items on open, so
@@ -94,35 +101,6 @@ func InsertBatch(idx Index, column int, tups []catalog.Tuple, rids []heap.RID) e
 		}
 	}
 	return nil
-}
-
-// NNSearcher is the optional interface of an index whose NN scan holds
-// resources worth giving back: it drives the scan itself and ends it
-// before returning, as PostgreSQL's amendscan does.
-type NNSearcher interface {
-	NNSearch(arg catalog.Datum, yield func(rid heap.RID, dist float64) bool) error
-}
-
-// NNSearch runs a nearest-neighbor scan of idx around arg, calling yield
-// with each candidate in increasing distance until yield returns false or
-// the index is exhausted, and ends the scan before it returns, on every
-// path: through the index's NNSearcher when it has one, by dropping the
-// NNIter otherwise. It returns the error that cut the scan short, if the
-// index met one. The executor's kNN drives every index scan through this.
-func NNSearch(idx Index, arg catalog.Datum, yield func(rid heap.RID, dist float64) bool) error {
-	if s, ok := idx.(NNSearcher); ok {
-		return s.NNSearch(arg, yield)
-	}
-	next, err := idx.NNScan(arg)
-	if err != nil {
-		return err
-	}
-	for {
-		rid, d, ok := next()
-		if !ok || !yield(rid, d) {
-			return nil
-		}
-	}
 }
 
 // New creates (or reopens) an index of the given operator class over the
@@ -392,8 +370,14 @@ func (x *btreeIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) bool
 }
 
 func (x *btreeIndex) NNScan(catalog.Datum) (NNIter, error) {
-	return nil, fmt.Errorf("am: btree has no NN operator")
+	return nil, errBtreeNN
 }
+
+func (x *btreeIndex) NNSearch(catalog.Datum, func(heap.RID, float64) bool) error {
+	return errBtreeNN
+}
+
+var errBtreeNN = errors.New("am: btree has no NN operator")
 
 // rtreeIndex adapts the R-tree baseline over points or segments.
 type rtreeIndex struct {
@@ -451,5 +435,11 @@ func (x *rtreeIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) bool
 }
 
 func (x *rtreeIndex) NNScan(catalog.Datum) (NNIter, error) {
-	return nil, fmt.Errorf("am: rtree has no NN operator")
+	return nil, errRtreeNN
 }
+
+func (x *rtreeIndex) NNSearch(catalog.Datum, func(heap.RID, float64) bool) error {
+	return errRtreeNN
+}
+
+var errRtreeNN = errors.New("am: rtree has no NN operator")

@@ -3,6 +3,7 @@ package am
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -189,7 +190,7 @@ func TestNNThroughAMInterface(t *testing.T) {
 	}
 	// NNSearch yields the same sequence and stops where yield says.
 	var got []float64
-	err = NNSearch(idx, catalog.NewPoint(geom.Point{X: 50, Y: 50}), func(_ heap.RID, d float64) bool {
+	err = idx.NNSearch(catalog.NewPoint(geom.Point{X: 50, Y: 50}), func(_ heap.RID, d float64) bool {
 		got = append(got, d)
 		return len(got) < 20
 	})
@@ -201,9 +202,60 @@ func TestNNThroughAMInterface(t *testing.T) {
 	if _, err := bt.NNScan(catalog.NewText("x")); err == nil {
 		t.Fatal("btree NNScan should fail")
 	}
-	if err := NNSearch(bt, catalog.NewText("x"), func(heap.RID, float64) bool { return true }); err == nil {
+	if err := bt.NNSearch(catalog.NewText("x"), func(heap.RID, float64) bool { return true }); err == nil {
 		t.Fatal("btree NNSearch should fail")
 	}
+}
+
+// TestNNSearchEndsItsScan: NNSearch closes its cursor whether yield stops
+// the scan or the index runs out, so the next search reuses it and a warm
+// one allocates only its query value. A scan left open would cost every
+// later search a fresh cursor: its struct, queue, entries and arena. The
+// executor's kNN stops through yield at k rows and on a heap-read error.
+func TestNNSearchEndsItsScan(t *testing.T) {
+	idx, err := New("spgist_kdtree", pool(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range datagen.Points(500, 4, geom.MakeBox(0, 0, 100, 100)) {
+		idx.Insert(catalog.NewPoint(p), rid(i))
+	}
+	q := catalog.NewPoint(geom.Point{X: 50, Y: 50})
+	for _, stop := range []int{10, 1000} {
+		n := 0
+		yield := func(heap.RID, float64) bool { n++; return n < stop }
+		search := func() {
+			n = 0
+			if err := idx.NNSearch(q, yield); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search()
+		if want := min(stop, 500); n != want {
+			t.Fatalf("NNSearch stopping at %d yielded %d rows, want %d", stop, n, want)
+		}
+		allocs := testing.AllocsPerRun(100, search)
+		switch {
+		case !poolsKeep():
+			t.Logf("sync.Pool drops what it is given (the race detector does that): %.1f allocations measure nothing", allocs)
+		case allocs > 1:
+			t.Errorf("a warm NNSearch stopping at %d allocates %.1f times, want 1 (the query value)", stop, allocs)
+		}
+	}
+}
+
+// poolsKeep reports whether a sync.Pool hands back what it was just given.
+// Under the race detector Put drops a quarter of its arguments at random.
+func poolsKeep() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		p.Put(x)
+		if p.Get() != any(x) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestTypeMismatchErrors(t *testing.T) {

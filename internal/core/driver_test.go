@@ -478,9 +478,9 @@ func TestConcurrentScanAndNN(t *testing.T) {
 // visited (no predicate, label or key is decoded to be looked at), nothing
 // per child enqueued: an exact-match descent down a full-length path of the
 // kd-tree costs what one down the trie's five nodes costs, the descent
-// itself. kNN is measured on a cursor closed after its ten results, as
-// am.NNSearch drives it for the executor: the cursor, its queue and its
-// arena of traversal values come back from the last closed one, so the
+// itself. kNN is measured on a cursor closed after its ten results, as an
+// am index's NNSearch drives it for the executor: the cursor, its queue and
+// its arena of traversal values come back from the last closed one, so the
 // budget is 0 (53 when every inner node dequeued boxed its traversal value
 // and every cursor was new). Where sync.Pool drops what it is given (the
 // race detector does that) the kNN half measures nothing and is skipped.

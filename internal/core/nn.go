@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	heapfile "repro/internal/heap"
 )
@@ -109,16 +108,6 @@ var nnCursors = sync.Pool{New: func() any {
 	}
 }}
 
-// nnOpened and nnClosed count the cursors NNScan handed out and the ones
-// Close took back.
-var nnOpened, nnClosed atomic.Int64
-
-// NNCursorCounts returns how many cursors NNScan has handed out and how
-// many of them Close has taken back; a cursor dropped unclosed is never
-// counted closed. Tests use them to check that a caller ends every scan
-// it starts.
-func NNCursorCounts() (opened, closed int64) { return nnOpened.Load(), nnClosed.Load() }
-
 // NNScan starts an incremental NN search around the query object q. It
 // fails if the opclass does not implement NNOpClass. The cursor comes
 // from the ones earlier scans closed, when there is one.
@@ -133,7 +122,6 @@ func (t *Tree) NNScan(q Value) (*NNCursor, error) {
 	if c.dedup && c.seen == nil {
 		c.seen = make(map[heapfile.RID]struct{})
 	}
-	nnOpened.Add(1)
 	if t.root.Valid() {
 		c.recon = oc.NNRootRecon(c.recon)
 		c.push(0, nnNodeTie, nnEntry{ref: t.root, re: uint32(len(c.recon))})
@@ -148,7 +136,6 @@ func (c *NNCursor) Close() {
 	if c.t == nil {
 		return
 	}
-	nnClosed.Add(1)
 	if cap(c.pq) > nnRecycleMax || cap(c.ents) > nnRecycleMax || len(c.seen) > nnRecycleMax ||
 		cap(c.recon) > nnRecycleMax*32 { // a 32-byte box per entry
 		c.t = nil

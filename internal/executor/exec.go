@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/am"
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/obs"
@@ -255,7 +254,7 @@ func (t *Table) runNN(snap *Snapshot, plan *Plan, ci int, arg catalog.Datum, k i
 		// NNSearch ends the scan however the callback stops it: k rows,
 		// an exhausted index or a heap-read error.
 		var herr error
-		err = am.NNSearch(plan.Index.Idx, arg, func(rid heap.RID, dist float64) bool {
+		err = plan.Index.Idx.NNSearch(arg, func(rid heap.RID, dist float64) bool {
 			read++
 			var tup catalog.Tuple
 			if tup, herr = t.getVisible(snap, rid); herr != nil {

@@ -10,20 +10,21 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/geom"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
-// TestNNCursorClosedOnEveryExit: an index kNN ends its NN scan however it
-// stops — at k rows, with the index exhausted, or on a heap page that
-// fails to read in the middle of the scan — and LIMIT 0 starts none. The
+// TestNNCursorExitPaths: an index kNN returns the right rows however its
+// NN scan stops — at k rows, with the index exhausted, or on a heap page
+// that fails to read in the middle of the scan — and LIMIT 0 reads no
+// index page. Every path ends the scan through the index's NNSearch,
+// which closes the cursor (TestNNSearchEndsItsScan in am pins that). The
 // heap is cold (a 16-frame pool after a reopen), so the nearest rows'
 // pages are read from disk and the fault lands between two of them. After
 // the fault a clean kNN still matches a brute-force sort.
-func TestNNCursorClosedOnEveryExit(t *testing.T) {
+func TestNNCursorExitPaths(t *testing.T) {
 	const rows = 6000
 	dir := t.TempDir()
 	var fmu sync.Mutex
@@ -88,26 +89,22 @@ func TestNNCursorClosedOnEveryExit(t *testing.T) {
 	faults := heapFaults[0]
 	fmu.Unlock()
 
-	// knn runs one kNN through the executor and checks its NN scans:
-	// opened is how many it must have started, each of them closed.
-	knn := func(q geom.Point, k, opened int, analyzed bool) ([]executor.NNResult, error) {
+	// knn runs one kNN through the executor, which must plan an index NN
+	// scan.
+	knn := func(q geom.Point, k int, analyzed bool) ([]executor.NNResult, *executor.RunStats, error) {
 		t.Helper()
-		o0, c0 := core.NNCursorCounts()
 		var res []executor.NNResult
 		var plan *executor.Plan
+		var rs *executor.RunStats
 		if analyzed {
-			res, plan, _, err = tb.SelectNNAnalyzed(nil, "p", catalog.NewPoint(q), k)
+			res, plan, rs, err = tb.SelectNNAnalyzed(nil, "p", catalog.NewPoint(q), k)
 		} else {
 			res, plan, err = tb.SelectNNTx(nil, "p", catalog.NewPoint(q), k)
-		}
-		o1, c1 := core.NNCursorCounts()
-		if o1-o0 != int64(opened) || c1-c0 != int64(opened) {
-			t.Fatalf("kNN k=%d: opened %d NN cursors and closed %d, want %d and %d", k, o1-o0, c1-c0, opened, opened)
 		}
 		if err == nil && plan.Kind != executor.IndexNNScan {
 			t.Fatalf("kNN k=%d planned %s, want an index NN scan", k, plan)
 		}
-		return res, err
+		return res, rs, err
 	}
 	// brute checks res against the k nearest of pts by distance.
 	brute := func(q geom.Point, res []executor.NNResult, k int) {
@@ -132,26 +129,30 @@ func TestNNCursorClosedOnEveryExit(t *testing.T) {
 	// read from here on, and every one after it.
 	faults.AddRule(storage.FaultRule{Op: storage.FaultRead, Kind: storage.FaultPermanent, Nth: faults.Calls(storage.FaultRead) + 3})
 	faults.Arm()
-	if _, err := knn(q, 50, 1, false); !errors.Is(err, storage.ErrInjectedPermanentIO) {
+	if _, _, err := knn(q, 50, false); !errors.Is(err, storage.ErrInjectedPermanentIO) {
 		t.Fatalf("kNN over a failing heap page: err %v, want the injected read error", err)
 	}
 	faults.Disarm()
 
 	for _, analyzed := range []bool{false, true} {
 		// k reached.
-		res, err := knn(q, 10, 1, analyzed)
+		res, _, err := knn(q, 10, analyzed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		brute(q, res, 10)
 		// The index exhausted before k rows.
-		if res, err = knn(geom.Point{X: 10, Y: 990}, rows+5, 1, analyzed); err != nil {
+		if res, _, err = knn(geom.Point{X: 10, Y: 990}, rows+5, analyzed); err != nil {
 			t.Fatal(err)
 		}
 		brute(geom.Point{X: 10, Y: 990}, res, rows+5)
-		// LIMIT 0.
-		if res, err = knn(q, 0, 0, analyzed); err != nil || len(res) != 0 {
+		// LIMIT 0 returns before the scan.
+		res, rs, err := knn(q, 0, analyzed)
+		if err != nil || len(res) != 0 {
 			t.Fatalf("LIMIT 0: %d rows, err %v", len(res), err)
+		}
+		if analyzed && (rs.IndexPages != 0 || rs.Scanned != 0) {
+			t.Fatalf("LIMIT 0 read %d index pages and %d heap versions, want none", rs.IndexPages, rs.Scanned)
 		}
 	}
 }
