@@ -16,7 +16,8 @@ import (
 // full-page write of a page's first touch since the checkpoint, shipped
 // in the group whose records touch it. Before the checkpoint the log holds
 // no image at all and every meta page is changed by slot records; after
-// it, node pages of every index are imaged, each page at most once.
+// it, node pages of every index are imaged, each page at most once, and
+// the first group with a record of a page carries that page's image.
 func TestLogShapeImagesOnlyAtFirstTouch(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir, WAL: true, WALSync: wal.SyncLazy})
@@ -88,22 +89,29 @@ func TestLogShapeImagesOnlyAtFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	statements(40)
-	touched := map[pageKey]bool{} // pages a record of an earlier group, or an image, covered
-	inGroup := map[pageKey]bool{}
+	touched := map[pageKey]bool{} // pages a record of an earlier group covered
+	inGroup := map[pageKey]bool{} // pages a record of this group covers
+	imaged := map[pageKey]bool{}  // pages this group images
 	nodeImages := map[string]int{}
 	replay(func(r *wal.Record) {
 		key := pageKey{r.File, r.Page}
 		switch {
 		case r.Type == wal.RecCommit || r.Type == wal.RecCheckpoint:
 			for k := range inGroup {
+				// The converse, which recovery's torn-page license relies
+				// on: a page's first group since the checkpoint images it.
+				if !touched[k] && !imaged[k] {
+					t.Errorf("LSN %d: the first group since the checkpoint with a record of %s page %d carries no image of it", r.LSN, k.file, k.page)
+				}
 				touched[k] = true
 			}
 			clear(inGroup)
+			clear(imaged)
 		case r.Type == wal.RecPageImage:
-			if touched[key] || !inGroup[key] {
+			if touched[key] || imaged[key] || !inGroup[key] {
 				t.Errorf("LSN %d: image of %s page %d is not its first touch since the checkpoint", r.LSN, r.File, r.Page)
 			}
-			touched[key] = true
+			imaged[key] = true
 			if r.Page != 0 {
 				nodeImages[r.File]++
 			}

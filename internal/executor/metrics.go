@@ -148,6 +148,9 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 		// frame's header is charged to its last record, a statement's
 		// commit marker).
 		for typ := wal.RecordType(1); typ < wal.NumRecordTypes; typ++ {
+			if typ.String() == "unknown" { // type 7 is retired
+				continue
+			}
 			by := s.ByType[typ]
 			emit(fmt.Sprintf("wal_appended_records_by_type{type=%q}", typ), by.Records)
 			emit(fmt.Sprintf("wal_appended_bytes_by_type{type=%q}", typ), by.Bytes)

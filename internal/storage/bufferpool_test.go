@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -646,7 +645,8 @@ func TestRecoverDirDiscardsUncommittedTail(t *testing.T) {
 }
 
 // olderBatchLog is a log segment an older build wrote, when a batch
-// insert carried each tuple whole (n:2 {slot:2 len:4 tuple}*n): a commit
+// insert was record type 7 and carried each tuple whole
+// (n:2 {slot:2 len:4 tuple}*n): a commit
 // marker, the creation of rel1.tbl, then one frame of three tuples of
 // transaction 5 — "alpha", "" and "gamma" — at slots 0, 1 and 2 of page
 // 1, transaction 5's commit record and a commit marker.
@@ -656,70 +656,27 @@ const olderBatchLog = "02000000fcda4441010000000000000006000a000000d329559402000
 	"00000000000002001700000005000000000000000000000000000000000067616d6d610b08050000000000" +
 	"00000600"
 
-// TestRecoverDirReplaysOlderBatchRecord: a log whose batch insert an
-// older build wrote, each tuple whole, still recovers — to the very page
-// the same tuples logged with today's body, the xmin carried once, redo
-// to.
-func TestRecoverDirReplaysOlderBatchRecord(t *testing.T) {
-	const pageSize = 256
-	recoverPage := func(t *testing.T, writeLog func(walDir string)) []byte {
-		t.Helper()
-		dataDir := t.TempDir()
-		walDir := filepath.Join(dataDir, "wal")
-		writeLog(walDir)
-		st, err := RecoverDir(dataDir, walDir, pageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.HeapBatches != 1 || st.HeapInserts != 3 || st.AbortFixups != 0 {
-			t.Fatalf("recovery stats: %+v", st)
-		}
-		fdm, err := OpenFile(filepath.Join(dataDir, "rel1.tbl"), pageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fdm.Close()
-		buf := make([]byte, pageSize)
-		if err := fdm.ReadPage(1, buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf
+// TestRecoverDirRefusesOlderBatchRecord: a log whose batch insert an
+// older build wrote, each tuple whole, as record type 7, is refused with
+// the decoder's unknown-record-type error.
+func TestRecoverDirRefusesOlderBatchRecord(t *testing.T) {
+	dataDir := t.TempDir()
+	walDir := filepath.Join(dataDir, "wal")
+	seg, err := hex.DecodeString(olderBatchLog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	payloads := [][]byte{[]byte("alpha"), {}, []byte("gamma")}
-	older := recoverPage(t, func(walDir string) {
-		seg, err := hex.DecodeString(olderBatchLog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(walDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(walDir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for i, p := range payloads {
-		want := append(binary.LittleEndian.AppendUint64(nil, 5), make([]byte, 10)...)
-		if got := SlotRead(older, i); !bytes.Equal(got, append(want, p...)) {
-			t.Fatalf("slot %d holds %x, want the tuple of transaction 5 %q", i, got, p)
-		}
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	current := recoverPage(t, func(walDir string) {
-		w := openMarkedWAL(t, walDir, wal.Options{})
-		if _, err := w.AppendFileCreate("rel1.tbl"); err != nil {
-			t.Fatal(err)
-		}
-		g := wal.NewGroup()
-		g.AddHeapBatchInsert("rel1.tbl", 1, []uint16{0, 1, 2}, 5, payloads)
-		g.AddTxnCommit(5)
-		if _, _, err := w.AppendGroupCommit(g); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !bytes.Equal(older, current) {
-		t.Fatalf("the older record redoes page 1 to\n%x\ntoday's to\n%x", older, current)
+	if err := os.WriteFile(filepath.Join(walDir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := RecoverDir(dataDir, walDir, 256)
+	if err == nil || !strings.Contains(err.Error(), "unknown record type 7") {
+		t.Fatalf("RecoverDir of a log holding a type-7 record: %v, want the unknown-record-type error", err)
+	}
+	if st.HeapBatches != 0 || st.HeapInserts != 0 {
+		t.Fatalf("the older batch was replayed: %+v", st)
 	}
 }

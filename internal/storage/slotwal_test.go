@@ -205,6 +205,78 @@ func TestRecoverySameStreamSamePage(t *testing.T) {
 	}
 }
 
+// TestRecoveryUnitSpansTwoFrames: recovery's unit is the records up to
+// the next marker, however many frames hold them. A slot put on a torn
+// page, appended with no marker, is licensed by the page's image in the
+// frame that closes its unit; without that frame the put is the
+// uncommitted tail, and no page is written.
+func TestRecoveryUnitSpansTwoFrames(t *testing.T) {
+	const pageSize = 256
+	const file = "rel2.idx"
+	for name, closed := range map[string]bool{"closed": true, "tail": false} {
+		t.Run(name, func(t *testing.T) {
+			dataDir := t.TempDir()
+			walDir := filepath.Join(dataDir, "wal")
+			w := openMarkedWAL(t, walDir, wal.Options{})
+			g := wal.NewGroup()
+			g.AddSlotPut(file, 1, 0, []byte("before the image"))
+			if _, err := w.AppendGroup(g); err != nil {
+				t.Fatal(err)
+			}
+			if closed {
+				g = wal.NewGroup()
+				addImage(g, file, 1, slottedPage(pageSize, "from the image"))
+				g.AddSlotPut(file, 1, 1, []byte("after the image"))
+				if _, _, err := w.AppendGroupCommit(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dm, err := OpenFile(filepath.Join(dataDir, file), pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := dm.AllocatePage(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := dm.WritePage(1, bytes.Repeat([]byte{0xEE}, pageSize)); err != nil {
+				t.Fatal(err)
+			}
+			dm.Close()
+
+			st, err := RecoverDir(dataDir, walDir, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !closed {
+				if st.TailDiscarded != 1 || st.PagesWritten != 0 || st.TornPages != 0 {
+					t.Fatalf("recovery stats %+v, want the put discarded as the tail and no page written", st)
+				}
+				return
+			}
+			if st.TornPages != 1 || st.TornRepaired != 1 || st.SlotPuts != 2 || st.PageImages != 1 || st.TailDiscarded != 0 {
+				t.Fatalf("recovery stats %+v, want 1 torn page repaired, 2 puts, 1 image", st)
+			}
+			dm, err = OpenFile(filepath.Join(dataDir, file), pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dm.Close()
+			page := make([]byte, pageSize)
+			if err := dm.ReadPage(1, page); err != nil {
+				t.Fatal(err)
+			}
+			if got := string(SlotRead(page, 0)) + " / " + string(SlotRead(page, 1)); got != "from the image / after the image" {
+				t.Fatalf("page 1 after recovery holds %q", got)
+			}
+		})
+	}
+}
+
 // TestRecoverDirRejectsDamagedSlotRecords: a slot record whose slot cannot
 // exist on a page, whose payload no page can hold, whose page lies far
 // beyond the file, or that patches a meta record the log never put is a

@@ -152,64 +152,39 @@ func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
 
 // RecoverDir replays the write-ahead log in walDir into the data files
 // of dataDir, bringing every heap and index file up to the end of the
-// log. It is the redo pass run on reopen after a crash: page-image
-// records overwrite their page (replay is in LSN order, so the last
-// image wins), and logical records — heap tuples, index nodes and meta
-// records alike, every page being slotted — are re-executed through the
-// slotted-page layer unless the on-disk pageLSN shows the page already
-// reflects them. The pass is idempotent — replaying an already-recovered
-// log is harmless — and a missing or empty log directory is a no-op.
+// log. It is the redo pass run on reopen after a crash, one read of the
+// log: page-image records overwrite their page (replay is in LSN order,
+// so the last image wins), and logical records — heap tuples, index
+// nodes and meta records alike, every page being slotted — are
+// re-executed through the slotted-page layer unless the on-disk pageLSN
+// shows the page already reflects them. The pass is idempotent —
+// replaying an already-recovered log is harmless — and a missing or
+// empty log directory is a no-op.
+//
+// Records are applied a unit at a time: the records up to and including
+// the next commit or checkpoint marker, one statement's group. Records
+// after the log's last marker belong to a statement whose tail was lost
+// in the crash; they are not replayed, so a heap row never reappears
+// without its index entries, and they are cut from the log. A log with
+// no marker at all (raw storage-level use) is one unit, replayed in full.
 //
 // Every page of every file is trusted by one rule: its checksum matches.
 // A page a logical record targets whose checksum does not match was torn
 // at the crash; it is reinitialized and rebuilt by the replay, provided
-// the surviving log holds the file's creation or a full image of the
-// page (the pool ships one with the first record group that touches a
-// page after a checkpoint) — otherwise recovery fails with
-// ErrPageCorrupt. Every page recovery writes leaves freshly stamped.
-//
-// Records after the log's last commit or checkpoint marker belong to a
-// statement whose tail was lost in the crash; they are not replayed, so
-// a heap row never reappears without its index entries. A log with no
-// marker at all (raw storage-level use) is replayed in full.
+// the log holds the file's creation ahead of the record, or the record's
+// unit holds a full image of the page — otherwise recovery fails with
+// ErrPageCorrupt. The pool ships that image in the first group that
+// touches a page after a checkpoint, behind the page's records, so the
+// first unit to find a page torn carries it. Every page recovery writes
+// leaves freshly stamped.
 func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
 	var st RecoveryStats
-	// Pre-pass: find the last statement boundary.
-	lastMarker, err := wal.LastMarker(walDir)
-	if err != nil {
-		return st, fmt.Errorf("storage: recovery: %w", err)
-	}
-	// Second pre-pass: which torn pages could replay provably rebuild?
-	// A SlotInit repair restores only what the surviving log carries, so
-	// it is licensed by either a RecFileCreate (the log covers the file
-	// since its creation — nothing predates it) or a surviving full
-	// image of the page (everything older is baked into the image,
-	// everything newer follows it in LSN order). A torn page with
-	// neither would be silently rebuilt minus its pre-checkpoint rows.
-	type imageKey struct {
+	type pageKey struct {
 		file string
 		page uint32
-	}
-	createdFiles := make(map[string]bool)
-	lastImage := make(map[imageKey]wal.LSN) // LSN of the page's last surviving image
-	surviving := int64(0)                   // records at or before the last marker
-	if _, err := wal.Replay(walDir, func(r *wal.Record) error {
-		if lastMarker != 0 && r.LSN > lastMarker {
-			return nil
-		}
-		surviving++
-		switch r.Type {
-		case wal.RecFileCreate:
-			createdFiles[r.File] = true
-		case wal.RecPageImage:
-			lastImage[imageKey{r.File, r.Page}] = r.LSN
-		}
-		return nil
-	}); err != nil {
-		return st, fmt.Errorf("storage: recovery: %w", err)
 	}
 	files := make(map[string]*FileDiskManager)
 	defer func() {
@@ -237,12 +212,13 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	}
 	// ensure extends dm to hold page. Every page a statement allocates
 	// is covered by a record of its own, so a file can trail the log by
-	// no more pages than the log has records; an address further out is
-	// a damaged log, not a page to allocate four billion zeroed pages up
-	// to.
+	// no more pages than the log has records up to the end of the unit
+	// being replayed; an address further out is a damaged log, not a
+	// page to allocate four billion zeroed pages up to.
+	replayed := int64(0)
 	ensure := func(dm *FileDiskManager, page uint32) error {
-		if uint64(page) >= uint64(dm.NumPages())+uint64(surviving) {
-			return fmt.Errorf("storage: recovery: page %d is beyond anything the log's %d records could have allocated (file has %d pages)", page, surviving, dm.NumPages())
+		if uint64(page) >= uint64(dm.NumPages())+uint64(replayed) {
+			return fmt.Errorf("storage: recovery: page %d is beyond anything the log's %d records could have allocated (file has %d pages)", page, replayed, dm.NumPages())
 		}
 		for dm.NumPages() <= page {
 			if _, err := dm.AllocatePage(); err != nil {
@@ -255,11 +231,9 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	buf := make([]byte, pageSize)
 	var images imageInflater
 	fx := newTxnFixups()
-	rs, err := wal.Replay(walDir, func(r *wal.Record) error {
-		if lastMarker != 0 && r.LSN > lastMarker {
-			st.TailDiscarded++
-			return nil
-		}
+	created := make(map[string]bool)       // files whose creation has been replayed
+	unitImage := make(map[pageKey]wal.LSN) // LSN of the unit's last image of a page
+	apply := func(r *wal.Record) error {
 		// Transaction bookkeeping happens for every surviving record —
 		// including ones the pageLSN guard will skip below, because a
 		// skipped record's effect is already on the page and still needs
@@ -291,6 +265,7 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		case wal.RecCheckpoint, wal.RecCommit:
 			return nil
 		case wal.RecFileCreate:
+			created[r.File] = true
 			_, err := open(r.File)
 			return err
 		case wal.RecPageImage:
@@ -338,14 +313,14 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 				// Its pageLSN and slot directory cannot be trusted, so
 				// reinitialize the page and let replay rebuild it, with
 				// the reset pageLSN (0) disabling the skip guard — but
-				// only when the surviving log provably holds the page's
-				// whole content: the file's creation record, or a full
-				// image of the page (the first post-checkpoint touch of
-				// a page ships one). Otherwise reinitializing would
-				// silently drop every row the recycled segments carried,
-				// so recovery fails loudly instead.
+				// only when the log provably holds the page's whole
+				// content: the file's creation record, already replayed,
+				// or a full image of the page in this unit. Otherwise
+				// reinitializing would silently drop every row the
+				// recycled segments carried, so recovery fails loudly
+				// instead.
 				st.TornPages++
-				if !createdFiles[r.File] && lastImage[imageKey{r.File, r.Page}] == 0 {
+				if !created[r.File] && unitImage[pageKey{r.File, r.Page}] == 0 {
 					return &ErrPageCorrupt{File: r.File, PageID: PageID(r.Page), Expected: stored, Got: computed}
 				}
 				SlotInit(buf)
@@ -366,11 +341,12 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 					st.HeapInserts++
 				}
 			case wal.RecSlotPatch:
-				// A patch needs the record it was taken from. A later image
-				// of the page overwrites whatever this redo would leave, and
-				// on a page rebuilt from that image (torn, see above) the
-				// old record is not there to patch: such patches are passed.
-				if r.LSN < lastImage[imageKey{r.File, r.Page}] {
+				// A patch needs the record it was taken from. The unit's
+				// image of the page, behind it, overwrites whatever this
+				// redo would leave, and on a page rebuilt from that image
+				// (torn, see above) the old record is not there to patch:
+				// such patches are passed.
+				if r.LSN < unitImage[pageKey{r.File, r.Page}] {
 					break
 				}
 				if err := SlotPatch(buf, int(r.Slot), r.Data); err != nil {
@@ -423,11 +399,42 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		default:
 			return fmt.Errorf("storage: recovery: unexpected record type %v", r.Type)
 		}
+	}
+	var unit []*wal.Record
+	applyUnit := func() error {
+		replayed += int64(len(unit))
+		clear(unitImage)
+		for _, r := range unit {
+			if r.Type == wal.RecPageImage {
+				unitImage[pageKey{r.File, r.Page}] = r.LSN
+			}
+		}
+		for _, r := range unit {
+			if err := apply(r); err != nil {
+				return err
+			}
+		}
+		clear(unit) // unit keeps its capacity, not the applied records
+		unit = unit[:0]
+		return nil
+	}
+	lastMarker := wal.LSN(0)
+	rs, err := wal.Replay(walDir, func(r *wal.Record) error {
+		unit = append(unit, r)
+		if r.Type != wal.RecCommit && r.Type != wal.RecCheckpoint {
+			return nil
+		}
+		lastMarker = r.LSN
+		return applyUnit()
 	})
 	st.ReplayStats = rs
+	if err == nil && lastMarker == 0 {
+		err = applyUnit()
+	}
 	if err != nil {
 		return st, fmt.Errorf("storage: recovery: %w", err)
 	}
+	st.TailDiscarded = int64(len(unit))
 	// Abort fixup: replay restored every surviving record, including the
 	// tuples of transactions that never reached a commit record (a crash
 	// mid-transaction, or mid-statement between the chunks of an
@@ -436,10 +443,6 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	// stamped xmaxes are cleared — so no snapshot ever sees the
 	// transaction's effects. Idempotent: re-recovering reapplies the
 	// same repairs onto already-repaired pages.
-	type pageKey struct {
-		file string
-		page uint32
-	}
 	fixPages := make(map[pageKey]bool)
 	abortSlots := make(map[pageKey][]uint16)
 	clearSlots := make(map[pageKey]map[uint16]uint64)

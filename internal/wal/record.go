@@ -52,7 +52,6 @@ import (
 //	clear xmax, mark aborted: head slot:uvarint
 //	set xmax:    head slot:uvarint xid:8
 //	batch insert: head n:uvarint xmin:uvarint { delta:uvarint len:uvarint payload }*n
-//	batch insert, before xmin was carried once: head n:2 { slot:2 len:4 tuple }*n
 //	txn commit/abort: xid:8
 //	file create: name
 //	commit, checkpoint: (empty)
@@ -62,11 +61,7 @@ import (
 // each slot. Every tuple is a fresh heap version of transaction xmin; the
 // record carries its payload alone and the decoder puts back the 18-byte
 // header (xmin, xmax 0, no flags), as PostgreSQL's xl_multi_insert_tuple
-// leaves out what the record's xid implies. The older body, which carried
-// each tuple whole, has a record type of its own
-// (recHeapBatchInsertV1); it is no longer written, and the decoder reads
-// it as a RecHeapBatchInsert, so a log an older build left behind still
-// replays.
+// leaves out what the record's xid implies.
 const (
 	frameHeaderSize = 16
 	// maxFrameSize bounds the records of one frame, inflated; larger
@@ -98,7 +93,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // a page.
 func (t RecordType) pageLevel() bool {
 	switch t {
-	case RecPageImage, RecHeapInsert, RecHeapDelete, RecHeapBatchInsert, recHeapBatchInsertV1,
+	case RecPageImage, RecHeapInsert, RecHeapDelete, RecHeapBatchInsert,
 		RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
 		RecSlotPut, RecSlotDelete, RecSlotPatch:
 		return true
@@ -270,9 +265,6 @@ func (d *recordDecoder) decode(lsn LSN, typ RecordType, body []byte) (*Record, e
 		return r, nil
 	case RecHeapBatchInsert:
 		return r, decodeBatch(r, body)
-	case recHeapBatchInsertV1:
-		r.Type = RecHeapBatchInsert
-		return r, decodeBatchV1(r, body)
 	}
 	if r.Slot, body, err = parseSlot(body); err != nil {
 		return nil, err
@@ -341,33 +333,6 @@ func decodeBatch(r *Record, b []byte) error {
 		b = b[pl:]
 		r.Slots = append(r.Slots, slot)
 		r.Recs = append(r.Recs, tuples[start:len(tuples):len(tuples)])
-	}
-	return exact(r, b, 0)
-}
-
-// decodeBatchV1 parses the tuples of a recHeapBatchInsertV1 body, each
-// carried whole, into r.
-func decodeBatchV1(r *Record, b []byte) error {
-	if len(b) < 2 {
-		return fmt.Errorf("wal: truncated heap-batch header")
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	r.Slots = make([]uint16, 0, min(n, len(b)/6))
-	r.Recs = make([][]byte, 0, min(n, len(b)/6))
-	for i := 0; i < n; i++ {
-		if len(b) < 6 {
-			return fmt.Errorf("wal: truncated heap-batch tuple header")
-		}
-		slot := binary.LittleEndian.Uint16(b)
-		rl := int(binary.LittleEndian.Uint32(b[2:]))
-		b = b[6:]
-		if len(b) < rl {
-			return fmt.Errorf("wal: truncated heap-batch tuple")
-		}
-		r.Slots = append(r.Slots, slot)
-		r.Recs = append(r.Recs, append([]byte(nil), b[:rl]...))
-		b = b[rl:]
 	}
 	return exact(r, b, 0)
 }

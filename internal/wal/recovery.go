@@ -73,33 +73,6 @@ func Replay(dir string, fn func(*Record) error) (ReplayStats, error) {
 	return st, nil
 }
 
-// LastMarker returns the LSN of the log's last commit or checkpoint
-// marker (0 when none), validating frames but not decoding record
-// bodies — the cheap pre-pass recovery uses to find the replay horizon.
-func LastMarker(dir string) (LSN, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	var last LSN
-	for _, seg := range segs {
-		if _, _, err := scanSegment(seg.path, func(first LSN, _ int, recs []byte) error {
-			// parseFrame has split these records once already.
-			for lsn := first; len(recs) > 0; lsn++ {
-				t, _, rest, _ := nextRecord(recs)
-				if (t == RecCommit || t == RecCheckpoint) && lsn > last {
-					last = lsn
-				}
-				recs = rest
-			}
-			return nil
-		}); err != nil {
-			return 0, err
-		}
-	}
-	return last, nil
-}
-
 func fileSize(path string) (int64, error) {
 	st, err := os.Stat(path)
 	if err != nil {

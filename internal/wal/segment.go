@@ -67,18 +67,22 @@ var errStopScan = errors.New("wal: stop scan")
 // records cannot resurface (and be wrongly replayed as committed) at the
 // next reopen. A frame is cut whole or not at all, so lsn must be the
 // last record of its frame — a marker is — or TruncateAfter returns an
-// error and cuts nothing. No Writer may have the log open during the
-// call.
+// error and cuts nothing. Only the segment containing lsn is read: one
+// whose successor starts at or below lsn holds nothing past it. No
+// Writer may have the log open during the call.
 func TruncateAfter(dir string, lsn LSN) error {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return err
 	}
-	for _, seg := range segs {
+	for i, seg := range segs {
 		if seg.first > lsn {
 			if err := os.Remove(seg.path); err != nil {
 				return fmt.Errorf("wal: truncate: remove %s: %w", seg.path, err)
 			}
+			continue
+		}
+		if i+1 < len(segs) && segs[i+1].first <= lsn {
 			continue
 		}
 		// scanSegment stops at the frame whose callback errors and

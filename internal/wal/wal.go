@@ -73,10 +73,8 @@ const (
 	// mid-statement never replays half a statement (heap row without
 	// its index entries).
 	RecCommit RecordType = 6
-	// recHeapBatchInsertV1 is the batch insert an older build wrote,
-	// each tuple carried whole. It is no longer written; the decoder
-	// reads it as a RecHeapBatchInsert.
-	recHeapBatchInsertV1 RecordType = 7
+	// Type 7 is retired: the batch insert older builds wrote, each tuple
+	// carried whole. A log that holds one is refused.
 	// RecHeapSetXmax stamps a deleting transaction ID into the xmax
 	// field of the versioned tuple at (page, slot) — the log shape of an
 	// MVCC DELETE, which leaves the tuple in place for older snapshots.
@@ -121,7 +119,7 @@ const (
 	RecHeapBatchInsert RecordType = 16
 
 	// NumRecordTypes bounds the RecordType values in use (0 is not a
-	// record); Stats.ByType is indexed up to it.
+	// record, nor is 7); Stats.ByType is indexed up to it.
 	NumRecordTypes = 17
 )
 
@@ -142,8 +140,6 @@ func (t RecordType) String() string {
 		return "commit"
 	case RecHeapBatchInsert:
 		return "heap-batch-insert"
-	case recHeapBatchInsertV1:
-		return "heap-batch-insert-v1"
 	case RecHeapSetXmax:
 		return "heap-set-xmax"
 	case RecHeapClearXmax:

@@ -460,14 +460,17 @@ func TestHeapBatchRecordRoundTrip(t *testing.T) {
 	for _, xmin := range xmins {
 		g := NewGroup()
 		g.AddHeapBatchInsert("big.tbl", 42, slots, xmin, payloads)
-		whole := NewGroup()
+		// The same record with each tuple whole: type, len, the head
+		// (relation, page), n:2, then slot:2 len:4 and the tuple each.
 		tuples := make([][]byte, len(payloads))
+		body := uvarintLen(uint64(len("big.tbl")+1)) + len("big.tbl") + uvarintLen(42) + 2
 		for i, p := range payloads {
 			tuples[i] = tuple(xmin, string(p))
+			body += 6 + len(tuples[i])
 		}
-		addBatchV1(whole, "big.tbl", 42, slots, tuples)
-		if saved := len(whole.buf) - len(g.buf); saved < 16*len(slots) {
-			t.Errorf("xmin %d: the batch takes %d bytes, the same tuples whole %d: want 16 or more a tuple saved", xmin, len(g.buf), len(whole.buf))
+		whole := 1 + uvarintLen(uint64(body)) + body
+		if saved := whole - len(g.buf); saved < 16*len(slots) {
+			t.Errorf("xmin %d: the batch takes %d bytes, the same tuples whole %d: want 16 or more a tuple saved", xmin, len(g.buf), whole)
 		}
 		if _, err := w.AppendGroup(g); err != nil {
 			t.Fatal(err)
