@@ -85,18 +85,18 @@ var nnFixtures = []nnFixture{
 // opclasses it runs over a view are the fixtures above and the suffix tree,
 // which stores what the trie stores and searches it by "@=".
 func init() {
-	core.FuzzFixtures = func(f *testing.F) []core.FuzzFixture {
+	core.FuzzFixtures = func(t testing.TB) []core.FuzzFixture {
 		sfx := nnFixtures[0]
 		sfx.name, sfx.oc = "suffix", func() core.OpClass { return suffix.New() }
 		sfx.scan = suffix.SubstringQuery("ab")
 		var out []core.FuzzFixture
 		for _, fx := range append([]nnFixture{sfx}, nnFixtures...) {
-			tr, live := buildFixture(f, fx, storage.NewMem(fixturePageSize), 120, 24)
+			tr, live := buildFixture(t, fx, storage.NewMem(fixturePageSize), 120, 24)
 			key, r := live[0].key, rand.New(rand.NewSource(24))
 			out = append(out, core.FuzzFixture{
 				OC: tr.OpClass(), Key: key, NNQuery: fx.drawQuery(r),
 				Queries: []*core.Query{fx.scan, {Op: tr.OpClass().Params().EqualityOp, Arg: key}},
-				Records: core.TreeRecords(f, tr),
+				Records: core.TreeRecords(t, tr),
 			})
 		}
 		return out

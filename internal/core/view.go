@@ -16,8 +16,9 @@ import (
 // number of searches share one view.
 //
 // It stands where PostgreSQL reads the tuple inside the pinned buffer page.
-// The copy exists because a pin per node visit is a counted pool access per
-// visit; once that is priced, Tree.read is the one function to change.
+// A record of up to 256 bytes with its offsets lies in the same object as
+// the header (viewTier), so a visit of the node misses cache once, not
+// twice; a larger record keeps a buffer of its own.
 type nodeView struct {
 	buf  []byte // the record, then one u16 per entry or item: its offset in the record
 	tab  int    // len(record): where the offsets start
@@ -31,7 +32,7 @@ func newView(rec []byte) (*nodeView, error) {
 	if len(rec) < 3 {
 		return nil, fmt.Errorf("spgist: node record too short (%d bytes)", len(rec))
 	}
-	v := &nodeView{tab: len(rec)}
+	n, leaf := 0, false
 	off, tail := 0, refSize // the first entry or item; what follows each one's label or key
 	switch rec[0] {
 	case nodeKindLeaf:
@@ -39,21 +40,21 @@ func newView(rec []byte) (*nodeView, error) {
 		if err != nil {
 			return nil, err
 		}
-		v.leaf, v.n, off, tail = true, cnt, leafHeaderSize, heap.RIDSize
+		leaf, n, off, tail = true, cnt, leafHeaderSize, heap.RIDSize
 	case nodeKindInner:
 		off = 3 + int(binary.LittleEndian.Uint16(rec[1:]))
 		if off+2 > len(rec) {
 			return nil, fmt.Errorf("spgist: truncated inner predicate")
 		}
-		v.n = int(binary.LittleEndian.Uint16(rec[off:]))
+		n = int(binary.LittleEndian.Uint16(rec[off:]))
 		off += 2
-		if off+v.n*(2+refSize) > len(rec) {
+		if off+n*(2+refSize) > len(rec) {
 			return nil, fmt.Errorf("spgist: truncated inner entry header")
 		}
 	default:
 		return nil, fmt.Errorf("spgist: unknown node kind %d", rec[0])
 	}
-	v.buf = make([]byte, len(rec)+2*v.n)
+	v := allocView(len(rec), n, leaf)
 	copy(v.buf, rec)
 	for i := 0; i < v.n; i++ {
 		if off+2 > len(rec) {
@@ -66,6 +67,38 @@ func newView(rec []byte) (*nodeView, error) {
 		}
 	}
 	return v, nil
+}
+
+// viewTier is a view with room for need = tab+2n bytes of record and
+// offsets in the object itself. Its buffer is sliced to capacity need, so an
+// accessor that overran the record still panics rather than read the
+// tier's spare bytes.
+type viewTier[B [64]byte | [128]byte | [256]byte] struct {
+	nodeView
+	b B
+}
+
+// allocView returns a view of a record of tab bytes with n entries or items
+// and a zeroed buffer for them: one object up to 256 bytes, two above. The
+// header is built in place; a heap header copied into the tier would be a
+// second allocation.
+func allocView(tab, n int, leaf bool) *nodeView {
+	need := tab + 2*n
+	switch {
+	case need <= 64:
+		w := &viewTier[[64]byte]{nodeView: nodeView{tab: tab, n: n, leaf: leaf}}
+		w.buf = w.b[:need:need]
+		return &w.nodeView
+	case need <= 128:
+		w := &viewTier[[128]byte]{nodeView: nodeView{tab: tab, n: n, leaf: leaf}}
+		w.buf = w.b[:need:need]
+		return &w.nodeView
+	case need <= 256:
+		w := &viewTier[[256]byte]{nodeView: nodeView{tab: tab, n: n, leaf: leaf}}
+		w.buf = w.b[:need:need]
+		return &w.nodeView
+	}
+	return &nodeView{buf: make([]byte, need), tab: tab, n: n, leaf: leaf}
 }
 
 // field returns the length-prefixed bytes entry or item i opens with — its
@@ -120,9 +153,10 @@ func (l Labels) At(i int) []byte { return l.v.label(i) }
 // nodeTable holds a tree's node views, indexed by page and then slot. Only
 // a mutator — alone in the tree by the Tree contract — changes its shape, to
 // cover a page or slot the file gained; searches, concurrent with each
-// other, load and publish views through the atomic slots. It holds at most
-// the index's own record bytes, so it has no bound and no eviction: a write
-// drops the one node it changes.
+// other, load and publish views through the atomic slots. It holds each
+// record's bytes rounded up to its tier (64, 128 or 256 bytes) plus the
+// header, so it grows with the index and has no bound and no eviction: a
+// write drops the one node it changes.
 type nodeTable struct {
 	pages [][]atomic.Pointer[nodeView]
 }

@@ -19,7 +19,7 @@ type FuzzFixture struct {
 
 // FuzzFixtures builds the fixtures of the real opclasses. Package core_test
 // sets it (driver_test.go): it can import them, this package cannot.
-var FuzzFixtures func(f *testing.F) []FuzzFixture
+var FuzzFixtures func(t testing.TB) []FuzzFixture
 
 // TreeRecords returns a copy of every node record in tr's file.
 func TreeRecords(t testing.TB, tr *Tree) [][]byte {
@@ -37,6 +37,69 @@ func TreeRecords(t testing.TB, tr *Tree) [][]byte {
 		tr.bp.Unpin(p, false)
 	}
 	return recs
+}
+
+// viewTierSizes are the bytes of record and offsets that a view of each
+// tier has room for.
+var viewTierSizes = []int{64, 128, 256}
+
+// boundaryRecords returns data-node records whose bytes and offsets come to
+// each tier's size and one byte more: three items, the last key filling.
+func boundaryRecords(t testing.TB) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	for _, tier := range viewTierSizes {
+		for _, need := range []int{tier, tier + 1} {
+			fill := need - leafHeaderSize - 3*(leafItemExtra+2) - 2
+			n := &node{leaf: true, next: InvalidRef, items: []item{
+				{key: []byte("a"), rid: rid(1)},
+				{key: []byte("b"), rid: rid(2)},
+				{key: bytes.Repeat([]byte("c"), fill), rid: rid(3)},
+			}}
+			rec := n.encode()
+			if len(rec)+2*len(n.items) != need {
+				t.Fatalf("boundary record of %d bytes with offsets, want %d", len(rec)+2*len(n.items), need)
+			}
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// TestNodeViewIsOneAllocation: a view whose record and offsets fit 256
+// bytes is one object, header included, and a larger one two; either way
+// the buffer is the record and its offsets, capacity and all, so an
+// accessor that overran them panics. Records are those of the real
+// opclasses' fixture trees (kd-tree and trie among them) and of the tier
+// boundaries.
+func TestNodeViewIsOneAllocation(t *testing.T) {
+	recs := boundaryRecords(t)
+	for _, fx := range FuzzFixtures(t) {
+		recs = append(recs, fx.Records...)
+	}
+	perTier := map[float64]int{}
+	for _, rec := range recs {
+		v, err := newView(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		need := len(rec) + 2*v.n
+		if len(v.buf) != need || cap(v.buf) != need {
+			t.Fatalf("%d-byte record of %d entries: buffer len %d cap %d, want %d", len(rec), v.n, len(v.buf), cap(v.buf), need)
+		}
+		if !bytes.Equal(v.buf[:len(rec)], rec) {
+			t.Fatalf("%d-byte record: the view's buffer does not open with it", len(rec))
+		}
+		want := 1.0
+		if need > viewTierSizes[len(viewTierSizes)-1] {
+			want = 2
+		}
+		if got := testing.AllocsPerRun(10, func() { _, _ = newView(rec) }); got != want {
+			t.Fatalf("%d-byte record of %d entries: %.0f allocations per view, want %.0f", len(rec), v.n, got, want)
+		}
+		perTier[want]++
+	}
+	t.Logf("%d views of one object, %d of two", perTier[1], perTier[2])
 }
 
 // FuzzNodeView: whatever bytes a node record holds, newView refuses them or
@@ -83,11 +146,18 @@ func FuzzNodeView(f *testing.F) {
 			f.Fatalf("%s: seed tree has no inner or no data node", fx.OC.Name())
 		}
 	}
+	for _, rec := range boundaryRecords(f) {
+		f.Add(rec)
+		f.Add(rec[:len(rec)/2])
+	}
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		v, err := newView(rec)
 		if err != nil {
 			return
+		}
+		if cap(v.buf) != len(v.buf) {
+			t.Fatalf("record %x: view buffer len %d cap %d; an overrun would read spare bytes", rec, len(v.buf), cap(v.buf))
 		}
 		if v.leaf {
 			v.next()
