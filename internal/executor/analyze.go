@@ -417,11 +417,12 @@ func (t *Table) analyzeInMemory() error {
 // record is replaced whole or not at all. After a successful ANALYZE the
 // next Open loads the statistics with the schema, so the first plan
 // never scans the heap.
-func (t *Table) Analyze() error {
-	if err := t.db.beginDDL(); err != nil {
+func (t *Table) Analyze() (err error) {
+	db := t.db
+	if err := db.beginDDL(); err != nil {
 		return err
 	}
-	defer t.db.stmtMu.Unlock()
+	defer func() { db.endDDL(err) }()
 	if err := t.checkAttached(); err != nil {
 		return err
 	}
@@ -429,36 +430,15 @@ func (t *Table) Analyze() error {
 	if err != nil {
 		return err
 	}
-	db := t.db
-	prev, hadPrev := db.cat.GetStats(t.oid)
 	if err := db.cat.SetStats(s); err != nil {
 		return err
-	}
-	// Compensate the uncommitted catalog records on any later failure,
-	// exactly like the DDL statements: left in place, the next
-	// statement's commit marker would retroactively commit them.
-	undo := func() {
-		var rerr error
-		if hadPrev {
-			rerr = db.cat.RestoreStats(prev)
-		} else {
-			_, _, rerr = db.cat.RemoveStats(t.oid)
-		}
-		if rerr != nil {
-			db.broken = rerr
-		}
 	}
 	if f := db.faults.BeforeDDLCommit; f != nil {
 		if err := f("ANALYZE " + t.Name); err != nil {
 			return faultErr{err}
 		}
 	}
-	if err := db.commitWAL(nil); err != nil {
-		undo()
-		return err
-	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
-		undo()
+	if err := db.commitDDL(nil, nil); err != nil {
 		return err
 	}
 	t.installStats(s, StatsFromAnalyze)

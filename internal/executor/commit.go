@@ -25,9 +25,6 @@ import (
 // passes through noteWALFailure: the statement that met a dead log is
 // the one that degrades the database. A no-op when logging is off.
 func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables ...*Table) error {
-	if err := db.poisoned(); err != nil {
-		return err
-	}
 	if db.wal == nil {
 		return nil
 	}

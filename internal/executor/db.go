@@ -272,14 +272,10 @@ type DB struct {
 	slowQueryThreshold time.Duration
 	slowQueryLog       io.Writer
 
-	// broken poisons the database when a DDL compensation fails: the
-	// in-memory catalog and its uncommitted heap records have diverged
-	// in a way no later action may commit. Guarded by stmtMu.
-	broken error
-
 	// degraded, once set, marks the database read-only: the write-ahead
 	// log hit ENOSPC or a permanent device error and can accept no more
-	// records. See degraded.go. Lock-free: read on every DML prologue.
+	// records, or a failed DDL statement's catalog revert could not read
+	// a page back. See degraded.go. Lock-free: read on every DML prologue.
 	degraded degradedPtr
 
 	// diskFaults is the fault-injection wrap applied to every data
@@ -320,9 +316,10 @@ type DB struct {
 }
 
 // faultErr marks an error raised through FaultInjection: a simulated
-// crash point. DDL error paths skip their catalog compensation for it —
-// the test is about to Crash() the database, and healing would destroy
-// exactly the state the crash is meant to leave behind.
+// crash point. A DDL statement that fails with it reverts neither its
+// catalog pages nor its files (endDDL): the test is about to Crash() the
+// database, and reverting would destroy exactly the state the crash is
+// meant to leave behind.
 type faultErr struct{ error }
 
 func (e faultErr) Unwrap() error { return e.error }
@@ -523,9 +520,9 @@ func Open(opts Options) (*DB, error) {
 // closes first (its appended records become durable for the next open's
 // recovery to judge), the pool drops every frame, and the in-memory
 // references clear. Discard, never flush: the callers — a failed Open,
-// a poisoned Close, Crash — may hold uncommitted dirty frames, and
-// writing them in place would break the no-steal discipline; the next
-// open must see exactly the last committed state.
+// Crash — may hold uncommitted dirty frames, and writing them in place
+// would break the no-steal discipline; the next open must see exactly
+// the last committed state.
 func (db *DB) discardAll() error {
 	var firstErr error
 	if db.wal != nil {
@@ -597,7 +594,7 @@ func (db *DB) bootstrapCatalog() error {
 	} else if hf, err = heap.Create(bp); err != nil {
 		return err
 	}
-	cat, err := syscat.New(hf, !existed)
+	cat, err := syscat.New(hf, !existed, nil)
 	if err != nil {
 		return err
 	}
@@ -906,7 +903,9 @@ func (db *DB) Waits() *obs.WaitSet { return db.waits }
 func (db *DB) TraceDir() string { return db.traceDir }
 
 // Catalog exposes the persistent system catalog (SQL introspection, the
-// CLI's describe commands, tests).
+// CLI's describe commands, tests). A failed DDL statement replaces it
+// with one read again from the reverted pages, so callers take it afresh
+// for each statement.
 func (db *DB) Catalog() *syscat.Catalog { return db.cat }
 
 // RebuiltIndexes lists the indexes Open rebuilt because the catalog
@@ -939,13 +938,6 @@ func (db *DB) Close() error {
 	defer db.mu.Unlock()
 	if db.crashed {
 		return nil
-	}
-	if db.broken != nil {
-		// Flushing or checkpointing would persist the diverged state a
-		// failed compensation left behind; discard it instead — the
-		// durable state is the last commit, which the next open serves.
-		db.discardAll()
-		return fmt.Errorf("executor: close discarded in-memory state poisoned by a failed DDL compensation: %w", db.broken)
 	}
 	// Roll back whatever transactions are still open: their versions are
 	// compensated in place, their abort records close their trails, and
@@ -1071,19 +1063,6 @@ func (db *DB) Crash() error {
 	defer db.mu.Unlock()
 	db.crashed = true
 	return db.discardAll()
-}
-
-// poisoned reports the sticky error of a failed DDL compensation.
-// commitWAL refuses under it (a commit marker would retroactively
-// commit the ghost records left in the log), and every write statement
-// checks it up front (checkWritable) so a poisoned session stops
-// mutating the catalog heap at all rather than failing late and relying
-// on yet another compensation.
-func (db *DB) poisoned() error {
-	if db.broken == nil {
-		return nil
-	}
-	return fmt.Errorf("executor: database poisoned by a failed DDL compensation, reopen it: %w", db.broken)
 }
 
 // newPool opens a fresh or existing relation file (or memory) in the pool.

@@ -17,26 +17,95 @@ import (
 // CREATE INDEX.
 
 // beginDDL opens a DDL or maintenance statement: the exclusive statement
-// lock, then the refusal of a poisoned or read-only database — up
-// front, so such a session stops mutating the catalog heap at all. On
-// error nothing is held; otherwise release with db.stmtMu.Unlock().
+// lock, the refusal of a read-only database — up front, so such a
+// session stops mutating the catalog heap at all — and the savepoint of
+// the catalog's pages. On error nothing is held; otherwise close the
+// statement with endDDL.
 func (db *DB) beginDDL() error {
 	db.xlockStmt()
 	err := db.checkWritable()
+	if err == nil && db.catPool == nil {
+		err = fmt.Errorf("executor: database is closed")
+	}
 	if err != nil {
 		db.stmtMu.Unlock()
+		return err
 	}
-	return err
+	db.catPool.Savepoint()
+	return nil
+}
+
+// endDDL closes a statement beginDDL opened, given its error. A failed
+// statement leaves the catalog as its last durable point (commitDDL)
+// left it, or as it found it: the catalog's pages are reverted to the
+// savepoint, its deferred records dropped — no later commit marker can
+// cover them — and the catalog read again from those pages. A simulated
+// crash (faultErr) reverts nothing: the caller is about to Crash() the
+// database and wants the state the crash leaves. A revert that cannot
+// read a page back (only possible without a log) leaves the catalog
+// beside its pages, and the database read-only.
+func (db *DB) endDDL(err error) {
+	if err != nil && !isFault(err) {
+		if rerr := db.revertCatalog(); rerr != nil {
+			db.enterDegraded(fmt.Errorf("executor: revert the catalog after a failed statement: %w", rerr))
+		}
+	}
+	db.catPool.ReleaseSavepoint()
+	db.stmtMu.Unlock()
+}
+
+// revertCatalog reverts the catalog's pages to the savepoint and, if that
+// put any page back, reads the catalog again from them. The in-memory OID
+// counter keeps its value: a reverted CREATE has handed out its OID, and
+// its file may still exist or be named in the log.
+func (db *DB) revertCatalog() error {
+	reverted, err := db.catPool.Revert()
+	if err != nil || !reverted {
+		return err
+	}
+	hf, err := heap.Open(db.catPool)
+	if err != nil {
+		return err
+	}
+	cat, err := syscat.New(hf, false, db.cat)
+	if err != nil {
+		return err
+	}
+	db.cat = cat
+	return nil
+}
+
+// commitDDL makes a DDL statement's catalog change durable and moves the
+// catalog's savepoint past it, so a later failure of the statement
+// reverts nothing before it. Under a log that is the commit marker, with
+// t's counters saved (t may be nil). Without one it is rel's pages (rel
+// may be nil) and then the catalog's, in that order: a catalog entry on
+// disk over a relation file that is not yet there would fail every later
+// open.
+func (db *DB) commitDDL(t *Table, rel *storage.BufferPool) error {
+	if err := db.commitWAL(t); err != nil {
+		return err
+	}
+	if rel != nil {
+		if err := db.flushUnlogged(rel); err != nil {
+			return err
+		}
+	}
+	if err := db.flushCatalogIfUnlogged(); err != nil {
+		return err
+	}
+	db.catPool.Savepoint()
+	return nil
 }
 
 // CreateTable creates a table: its catalog entry and fresh heap file are
 // committed together, so a crash mid-statement leaves neither (the
 // orphaned file, if any, is swept at the next open).
-func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
+func (db *DB) CreateTable(name string, cols []Column) (_ *Table, err error) {
 	if err := db.beginDDL(); err != nil {
 		return nil, err
 	}
-	defer db.stmtMu.Unlock()
+	defer func() { db.endDDL(err) }()
 	if _, err := db.Table(name); err == nil {
 		return nil, fmt.Errorf("executor: table %q already exists", name)
 	}
@@ -54,42 +123,28 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compensate the catalog records on any later failure: they are
-	// uncommitted, but left in place the next statement's commit marker
-	// would retroactively commit a half-executed CREATE TABLE.
-	undo := func(bp *storage.BufferPool, unlink bool) {
-		if rerr := db.cat.RemoveTable(name); rerr != nil {
-			// The ghost record cannot be taken back; poison the session
-			// so no later commit marker can commit it.
-			db.broken = rerr
-		}
-		if bp != nil {
-			bp.Crash()
-		}
+	bp, existed, err := db.newPool(te.File)
+	if err != nil {
+		return nil, err
+	}
+	if existed {
+		// OIDs are never reused, so a pre-existing file under a fresh
+		// OID means outside interference.
+		bp.Crash()
+		return nil, fmt.Errorf("executor: fresh relation file %s already exists", te.File)
+	}
+	hf, err := heap.Create(bp)
+	if err != nil {
+		bp.Crash()
 		// Unlinking is only provably safe under WAL, where the no-steal
 		// rule keeps the uncommitted catalog entry off disk and the file
 		// is therefore an orphan. Unlogged, eviction may already have
 		// made the entry durable, and a durable table entry over a
 		// missing file bricks every later open — keep the file (at
 		// worst it lingers as junk).
-		if unlink && db.wal != nil && db.dir != "" {
+		if db.wal != nil && db.dir != "" {
 			os.Remove(filepath.Join(db.dir, te.File))
 		}
-	}
-	bp, existed, err := db.newPool(te.File)
-	if err != nil {
-		undo(nil, false)
-		return nil, err
-	}
-	if existed {
-		// OIDs are never reused, so a pre-existing file under a fresh
-		// OID means outside interference.
-		undo(bp, false)
-		return nil, fmt.Errorf("executor: fresh relation file %s already exists", te.File)
-	}
-	hf, err := heap.Create(bp)
-	if err != nil {
-		undo(bp, true)
 		return nil, err
 	}
 	t := &Table{Name: name, Columns: cols, Heap: hf, oid: te.OID, file: te.File, mu: newTableLock(), db: db}
@@ -98,24 +153,12 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 			return nil, faultErr{err}
 		}
 	}
-	if err := db.commitWAL(t); err != nil {
+	if err := db.commitDDL(t, bp); err != nil {
 		// Keep the file: a failed fsync leaves the commit marker's
 		// durability indeterminate, and if it did survive, the entry is
 		// committed and unlinking would strand it. If the commit truly
 		// failed, the next open sweeps the file as an orphan.
-		undo(bp, false)
-		return nil, err
-	}
-	// Unlogged databases have no commit marker ordering durability; do
-	// it by hand — the relation's pages first (a durable entry over an
-	// all-zero file would brick every later open), then the catalog
-	// entry (a relation file with no catalog at all is unreconstructable).
-	if err := db.flushUnlogged(bp); err != nil {
-		undo(bp, true)
-		return nil, err
-	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
-		undo(bp, true)
+		bp.Crash()
 		return nil, err
 	}
 	db.mu.Lock()
@@ -197,11 +240,11 @@ func (db *DB) buildIndex(t *Table, idx am.Index, ci int, bp *storage.BufferPool)
 // only when the build commits. A crash anywhere in between is detected
 // at the next Open, which removes the partial index file and rebuilds
 // the index from the heap — a partial build is never reattached.
-func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName string) (*IndexInfo, error) {
+func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName string) (_ *IndexInfo, err error) {
 	if err := db.beginDDL(); err != nil {
 		return nil, err
 	}
-	defer db.stmtMu.Unlock()
+	defer func() { db.endDDL(err) }()
 	t, err := db.Table(tableName)
 	if err != nil {
 		return nil, err
@@ -231,67 +274,56 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 	if err != nil {
 		return nil, err
 	}
-	// undo compensates the catalog entry on failure. Before the phase-1
-	// commit the records are simply uncommitted leftovers that must not
-	// ride along under the next statement's marker; after it, the
-	// compensation itself is committed (commit=true) so a *failed* (not
-	// crashed) CREATE INDEX durably leaves nothing — no invalid entry,
-	// no rebuild at the next open.
-	undo := func(bp *storage.BufferPool, unlink, commit bool) {
-		if rerr := db.cat.RemoveIndex(idxName); rerr != nil {
-			// The ghost record cannot be taken back; poison the session
-			// so no later commit marker can commit it. (After the
-			// phase-1 commit the entry is durable anyway and the next
-			// open rebuilds or drops it.)
-			db.broken = rerr
-		} else if commit {
-			// Discard the doomed build's frames first, so the
-			// compensation commit does not log the records of a file
-			// about to be unlinked.
-			if bp != nil {
-				bp.Crash()
-				bp = nil
-			}
-			if cerr := db.commitWAL(nil); cerr != nil {
-				// The compensation never committed; the durable invalid
-				// entry survives for the next open. Poison the session
-				// so the operator learns the statement's full outcome.
-				db.broken = cerr
-			}
-		}
-		if bp != nil {
-			bp.Crash()
-		}
+	bp, existed, err := db.newPool(ie.File)
+	if err != nil {
+		return nil, err
+	}
+	// discard drops the doomed build's frames and, if unlink, its file.
+	discard := func(unlink bool) {
+		bp.Crash()
 		if unlink && db.dir != "" {
 			os.Remove(filepath.Join(db.dir, ie.File))
 		}
 	}
-	bp, existed, err := db.newPool(ie.File)
-	if err != nil {
-		undo(nil, false, false)
-		return nil, err
-	}
 	if existed {
-		undo(bp, false, false)
+		discard(false)
 		return nil, fmt.Errorf("executor: fresh relation file %s already exists", ie.File)
 	}
 	idx, err := am.New(oc.Name, bp, true)
 	if err != nil {
-		undo(bp, true, false)
+		discard(true)
 		return nil, err
 	}
 	if err := db.commitWAL(nil); err != nil {
-		undo(bp, true, false)
+		discard(true)
+		return nil, err
+	}
+	if db.wal != nil {
+		// The invalid entry is durable; a failure from here on reverts
+		// the catalog to it at most.
+		db.catPool.Savepoint()
+	}
+	// fail ends a statement that failed after phase 1 and was not a
+	// simulated crash: the build is discarded, then the entry removed
+	// under a commit of its own — the build's frames crashed first, so
+	// that commit logs nothing of a file about to be unlinked — and a
+	// failed (not crashed) CREATE INDEX leaves nothing behind. Should
+	// that commit fail, the entry stays as phase 1 committed it, as after
+	// a crash: the next open rebuilds it, or DROP INDEX removes it.
+	fail := func(err error, unlink bool) (*IndexInfo, error) {
+		if isFault(err) {
+			return nil, err
+		}
+		discard(unlink)
+		if db.cat.RemoveIndex(idxName) == nil {
+			db.commitDDL(nil, nil)
+		}
 		return nil, err
 	}
 
 	// Phase 2: ambuild.
 	if _, err := db.buildIndex(t, idx, ci, bp); err != nil {
-		if isFault(err) {
-			return nil, err // simulated crash: leave the state for Crash()
-		}
-		undo(bp, true, true)
-		return nil, err
+		return fail(err, true)
 	}
 
 	// Phase 3: flip the entry valid and commit it with the build's final
@@ -299,16 +331,14 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 	// index joins t.Indexes only after the commit succeeds, so a failed
 	// statement never leaves a live index behind.
 	if err := db.cat.SetIndexValid(idxName, true); err != nil {
-		undo(bp, true, true)
-		return nil, err
+		return fail(err, true)
 	}
 	// Fresh statistics make the planner's selectivity realistic (like
 	// the auto-ANALYZE PostgreSQL runs after bulk operations). In-memory
 	// only: persisting them here would entangle the index build's commit
 	// with a statistics replacement; explicit ANALYZE persists.
 	if err := t.analyzeInMemory(); err != nil {
-		undo(bp, true, true)
-		return nil, err
+		return fail(err, true)
 	}
 	if f := db.faults.BeforeDDLCommit; f != nil {
 		if err := f("CREATE INDEX " + idxName); err != nil {
@@ -316,26 +346,17 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 		}
 	}
 	if err := idx.SaveMeta(); err != nil {
-		undo(bp, true, true)
-		return nil, err
+		return fail(err, true)
 	}
-	if err := db.commitWAL(t); err != nil {
-		// Keep the file: the failed fsync leaves the marker's durability
-		// indeterminate. If it survived, the entry is committed valid
-		// and replay reconstructs the file; if not, the entry is still
-		// invalid and the next open removes and rebuilds it.
-		undo(bp, false, true)
-		return nil, err
-	}
-	// See CreateTable: unlogged durability by hand, index pages before
+	// See CreateTable: unlogged, the index pages reach the disk before
 	// the (now valid) catalog entry.
-	if err := db.flushUnlogged(bp); err != nil {
-		undo(bp, true, true)
-		return nil, err
-	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
-		undo(bp, true, true)
-		return nil, err
+	if err := db.commitDDL(t, bp); err != nil {
+		// Under a log keep the file: the failed force leaves the marker's
+		// durability indeterminate. If it survived, the entry is
+		// committed valid and replay reconstructs the file; if not, the
+		// entry is still invalid and the next open removes and rebuilds
+		// it.
+		return fail(err, db.wal == nil)
 	}
 	return db.attachIndex(t, idxName, ci, oc, idx, bp, ie.File), nil
 }
@@ -370,11 +391,11 @@ func (db *DB) rebuildIndex(t *Table, ie syscat.Index, oc *catalog.OperatorClass,
 // closes that scan's buffer pool underneath it (PostgreSQL would block
 // on a relation lock here). Callers must not drop a relation with reads
 // of it in flight.
-func (db *DB) DropIndex(name string) error {
+func (db *DB) DropIndex(name string) (err error) {
 	if err := db.beginDDL(); err != nil {
 		return err
 	}
-	defer db.stmtMu.Unlock()
+	defer func() { db.endDDL(err) }()
 	ie, ok := db.cat.GetIndex(name)
 	if !ok {
 		return fmt.Errorf("executor: unknown index %q", name)
@@ -410,23 +431,7 @@ func (db *DB) DropIndex(name string) error {
 			return faultErr{err}
 		}
 	}
-	if err := db.commitWAL(nil); err != nil {
-		// Best-effort compensation: re-insert the entry so the
-		// uncommitted delete cannot ride along under a later statement's
-		// marker. (WAL append/sync errors are sticky, so this mostly
-		// matters for keeping the in-memory catalog consistent with the
-		// still-attached index.)
-		if rerr := db.cat.RestoreIndex(ie); rerr != nil {
-			db.broken = rerr
-		}
-		return err
-	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
-		// The delete may not be durable; re-insert the entry so the
-		// catalog keeps matching the still-attached index.
-		if rerr := db.cat.RestoreIndex(ie); rerr != nil {
-			db.broken = rerr
-		}
+	if err := db.commitDDL(nil, nil); err != nil {
 		return err
 	}
 	// The drop is committed; detach and unlink unconditionally from here
@@ -460,11 +465,11 @@ func (db *DB) DropIndex(name string) error {
 // the next open sweeps (unlogged databases have no sweep; such files
 // linger as junk). As with DropIndex, callers must not drop a table with
 // reads of it in flight — readers are not locked out.
-func (db *DB) DropTable(name string) error {
+func (db *DB) DropTable(name string) (err error) {
 	if err := db.beginDDL(); err != nil {
 		return err
 	}
-	defer db.stmtMu.Unlock()
+	defer func() { db.endDDL(err) }()
 	t, err := db.Table(name)
 	if err != nil {
 		return err
@@ -475,45 +480,19 @@ func (db *DB) DropTable(name string) error {
 	// Remove every *cataloged* index of the table, not just the attached
 	// ones: a failed CREATE INDEX can leave a cataloged entry with no
 	// IndexInfo, and a dangling index record would make the catalog
-	// unloadable at the next open. On any failure before the commit,
-	// re-insert whatever was already removed so the uncommitted deletes
-	// cannot ride along under a later statement's marker.
-	te, _ := db.cat.GetTable(name)
+	// unloadable at the next open.
 	catIndexes := db.cat.IndexesOf(t.oid)
-	var prevStats syscat.Stats
-	hadStats := false
-	restore := func(upTo int, table bool) {
-		for i := 0; i < upTo; i++ {
-			if rerr := db.cat.RestoreIndex(catIndexes[i]); rerr != nil {
-				db.broken = rerr
-			}
-		}
-		if hadStats {
-			if rerr := db.cat.RestoreStats(prevStats); rerr != nil {
-				db.broken = rerr
-			}
-		}
-		if table {
-			if rerr := db.cat.RestoreTable(te); rerr != nil {
-				db.broken = rerr
-			}
-		}
-	}
-	for i, ie := range catIndexes {
+	for _, ie := range catIndexes {
 		if err := db.cat.RemoveIndex(ie.Name); err != nil {
-			restore(i, false)
 			return err
 		}
 	}
 	// The table's statistics record goes in the same statement, so the
 	// drop commits catalog-clean — no ghost statistics for a dead OID.
-	var serr error
-	if prevStats, hadStats, serr = db.cat.RemoveStats(t.oid); serr != nil {
-		restore(len(catIndexes), false)
-		return serr
+	if err := db.cat.RemoveStats(t.oid); err != nil {
+		return err
 	}
 	if err := db.cat.RemoveTable(name); err != nil {
-		restore(len(catIndexes), false)
 		return err
 	}
 	if f := db.faults.BeforeDDLCommit; f != nil {
@@ -521,14 +500,7 @@ func (db *DB) DropTable(name string) error {
 			return faultErr{err}
 		}
 	}
-	if err := db.commitWAL(nil); err != nil {
-		restore(len(catIndexes), true)
-		return err
-	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
-		// The deletes may not be durable; re-insert the entries so the
-		// catalog keeps matching the still-attached table.
-		restore(len(catIndexes), true)
+	if err := db.commitDDL(nil, nil); err != nil {
 		return err
 	}
 	db.mu.Lock()

@@ -15,11 +15,15 @@ import (
 // *ErrReadOnly; SHOW STATE and /healthz report the condition so an
 // operator (or orchestrator) can replace the disk and restart. The
 // flip is one-way for the process lifetime — a sticky log error cannot
-// clear without reopening the database.
+// clear without reopening the database. It is the one sticky failure
+// state: the other way in is a failed DDL statement whose catalog
+// revert could not read a page back (only possible without a log),
+// which leaves the in-memory catalog beside its pages.
 
 // ErrReadOnly is returned by write statements while the database is in
 // read-only degraded mode. Cause is the storage failure that forced
-// the degradation.
+// the degradation: the log's sticky error, or the read a catalog revert
+// failed on.
 type ErrReadOnly struct{ Cause error }
 
 func (e *ErrReadOnly) Error() string {
@@ -62,14 +66,10 @@ func (db *DB) State() (state, detail string) {
 	return "degraded", fmt.Sprintf("read-only since %s: %v", st.since.Format(time.RFC3339), st.cause)
 }
 
-// checkWritable gates write statements: nil when healthy, the poisoned
-// error after a failed DDL compensation, a typed *ErrReadOnly once
-// degraded. Called from the DML prologue, every DDL/maintenance entry
-// point and CHECKPOINT.
+// checkWritable gates write statements: nil when healthy, a typed
+// *ErrReadOnly once degraded. Called from the DML prologue, every
+// DDL/maintenance entry point and CHECKPOINT.
 func (db *DB) checkWritable() error {
-	if err := db.poisoned(); err != nil {
-		return err
-	}
 	if st := db.degraded.Load(); st != nil {
 		return &ErrReadOnly{Cause: st.cause}
 	}

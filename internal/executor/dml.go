@@ -399,11 +399,11 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 // entries and heap slot. Runs under the exclusive statement lock, like
 // other maintenance statements, in pool-bounded committed chunks.
 // Returns how many versions were reclaimed.
-func (db *DB) Vacuum(name string) (int, error) {
+func (db *DB) Vacuum(name string) (_ int, err error) {
 	if err := db.beginDDL(); err != nil {
 		return 0, err
 	}
-	defer db.stmtMu.Unlock()
+	defer func() { db.endDDL(err) }()
 	var tables []*Table
 	if name == "" {
 		tables = db.Tables()

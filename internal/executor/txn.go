@@ -401,9 +401,6 @@ func (tm *TxnManager) finish(tx *Txn) {
 func (db *DB) Begin() (*Txn, error) {
 	rlockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
 	defer db.stmtMu.RUnlock()
-	if err := db.poisoned(); err != nil {
-		return nil, err
-	}
 	tx, err := db.tm.begin(false)
 	if err != nil {
 		return nil, err
@@ -442,8 +439,8 @@ func (tx *Txn) Commit() error {
 // way tx is finished. Caller holds the statement lock (shared or
 // exclusive).
 func (db *DB) commitTxn(tx *Txn) error {
-	err := db.poisoned()
-	if err == nil && db.wal != nil && tx.logged {
+	var err error
+	if db.wal != nil && tx.logged {
 		tables := make([]*Table, 0, len(tx.tables))
 		var pools []*storage.BufferPool
 		for t := range tx.tables {
@@ -465,7 +462,7 @@ func (db *DB) commitTxn(tx *Txn) error {
 // If the compensation itself failed that is surfaced too, but the
 // statement's own error stays primary.
 func (db *DB) abortAfter(tx *Txn, err error) error {
-	if rerr := db.rollbackTxn(tx); rerr != nil && db.broken == nil {
+	if rerr := db.rollbackTxn(tx); rerr != nil {
 		return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
 	}
 	return err

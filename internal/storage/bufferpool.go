@@ -164,6 +164,8 @@ type BufferPool struct {
 
 	// trace, when armed, records the distinct pages fetched (PageTrace).
 	trace atomic.Pointer[PageTrace]
+	// save, when armed, keeps each page's bytes for Revert (Savepoint).
+	save atomic.Pointer[savepoint]
 }
 
 // inflightRead is one pending disk read published in a shard's in-flight
@@ -607,6 +609,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		if e.err != nil {
 			return nil, e.err
 		}
+		bp.keep(id, sh.frames[e.fi].data)
 		return &Page{ID: id, Data: sh.frames[e.fi].data, shard: si, frame: e.fi}, nil
 	default:
 		// A real miss — counted even when no frame could be claimed, so
@@ -620,6 +623,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
+	bp.keep(id, sh.frames[fi].data)
 	return &Page{ID: id, Data: sh.frames[fi].data, shard: si, frame: fi}, nil
 }
 
@@ -662,6 +666,7 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		f.data[i] = 0
 	}
 	f.dirty = true // must reach disk even if never modified again
+	bp.keep(id, nil)
 	return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
 }
 

@@ -143,8 +143,11 @@ type statsSlot struct {
 
 // New attaches a catalog to its heap file. fresh distinguishes a newly
 // created heap (the OID counter is initialized) from an existing one
-// (every record is loaded and validated).
-func New(hf *heap.File, fresh bool) (*Catalog, error) {
+// (every record is loaded and validated). prev, when not nil, is the
+// catalog this one is read again to replace, after a failed statement's
+// pages were put back: the OIDs prev handed out stay dead, so allocation
+// resumes at prev's counter, and the next allocation persists it.
+func New(hf *heap.File, fresh bool, prev *Catalog) (*Catalog, error) {
 	c := &Catalog{
 		heap:       hf,
 		tables:     make(map[string]*tableSlot),
@@ -164,6 +167,9 @@ func New(hf *heap.File, fresh bool) (*Catalog, error) {
 	}
 	if err := c.load(); err != nil {
 		return nil, err
+	}
+	if prev != nil {
+		c.nextOID = max(c.nextOID, prev.nextOID)
 	}
 	return c, nil
 }
@@ -293,12 +299,8 @@ func (c *Catalog) load() error {
 func (c *Catalog) alloc() (uint64, error) {
 	oid := c.nextOID
 	c.nextOID++
-	// Insert the advanced counter *before* deleting the old record: if
-	// both survive a failure here, load() takes the maximum, which is
-	// harmless — whereas a delete whose replacement insert failed would
-	// leave an uncommitted counter deletion that a later statement's
-	// commit marker could make durable, re-opening the OID-reuse hazard
-	// this record exists to prevent.
+	// Insert the advanced counter, then delete the old record: should
+	// both survive, load() takes the maximum.
 	rid, err := c.heap.Insert(encodeCounter(c.nextOID))
 	if err != nil {
 		c.nextOID-- // nothing persisted; hand the OID back
@@ -372,42 +374,9 @@ func (c *Catalog) AddIndex(name string, tableOID uint64, column int, method, opc
 	return ix, nil
 }
 
-// RestoreTable re-inserts a table record previously handed out by
-// AddTable/Tables — the compensation a failed DROP TABLE uses to undo
-// its uncommitted catalog delete. No OID is allocated.
-func (c *Catalog) RestoreTable(t Table) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.tables[t.Name]; dup {
-		return fmt.Errorf("syscat: table %q already cataloged", t.Name)
-	}
-	rid, err := c.heap.Insert(encodeTable(t))
-	if err != nil {
-		return fmt.Errorf("syscat: restore table %q: %w", t.Name, err)
-	}
-	c.tables[t.Name] = &tableSlot{t: t, rid: rid}
-	return nil
-}
-
-// RestoreIndex re-inserts an index record previously handed out by
-// AddIndex/Indexes — the compensation a failed DROP uses to undo its
-// uncommitted catalog delete. No OID is allocated.
-func (c *Catalog) RestoreIndex(ix Index) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.indexes[ix.Name]; dup {
-		return fmt.Errorf("syscat: index %q already cataloged", ix.Name)
-	}
-	rid, err := c.heap.Insert(encodeIndex(ix))
-	if err != nil {
-		return fmt.Errorf("syscat: restore index %q: %w", ix.Name, err)
-	}
-	c.indexes[ix.Name] = &indexSlot{i: ix, rid: rid}
-	return nil
-}
-
 // SetIndexValid rewrites an index record's validity flag (delete+insert;
-// the heap has no in-place update). The caller commits the statement.
+// the heap has no in-place update). The caller commits the statement, or,
+// when this fails, reads the catalog again from its reverted pages.
 func (c *Catalog) SetIndexValid(name string, valid bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -422,14 +391,6 @@ func (c *Catalog) SetIndexValid(name string, valid bool) error {
 	}
 	rid, err := c.heap.Insert(encodeIndex(updated))
 	if err != nil {
-		// The old record is already deleted. Re-insert it so the map
-		// stays truthful; if even that fails, drop the entry — the map
-		// must never claim a record the heap does not hold.
-		if oldRID, rerr := c.heap.Insert(encodeIndex(s.i)); rerr == nil {
-			s.rid = oldRID
-		} else {
-			delete(c.indexes, name)
-		}
 		return fmt.Errorf("syscat: update index %q: %w", name, err)
 	}
 	s.i = updated
@@ -498,40 +459,19 @@ func (c *Catalog) SetStats(s Stats) error {
 	return nil
 }
 
-// RemoveStats deletes a table's statistics record, returning the prior
-// record so a failed statement can RestoreStats it. Removing statistics
-// that do not exist is a no-op.
-func (c *Catalog) RemoveStats(tableOID uint64) (Stats, bool, error) {
+// RemoveStats deletes a table's statistics record. Removing statistics
+// that do not exist is a no-op. The caller commits the statement.
+func (c *Catalog) RemoveStats(tableOID uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.stats[tableOID]
 	if !ok {
-		return Stats{}, false, nil
+		return nil
 	}
 	if err := c.heap.Delete(s.rid); err != nil {
-		return Stats{}, false, fmt.Errorf("syscat: remove stats for OID %d: %w", tableOID, err)
+		return fmt.Errorf("syscat: remove stats for OID %d: %w", tableOID, err)
 	}
 	delete(c.stats, tableOID)
-	return s.s, true, nil
-}
-
-// RestoreStats re-inserts a statistics record previously returned by
-// GetStats/RemoveStats — the compensation a failed statement uses to
-// undo its uncommitted catalog mutation.
-func (c *Catalog) RestoreStats(s Stats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, had := c.stats[s.TableOID]; had {
-		if err := c.heap.Delete(old.rid); err != nil {
-			return fmt.Errorf("syscat: restore stats for OID %d: %w", s.TableOID, err)
-		}
-	}
-	rid, err := c.heap.Insert(encodeStats(s))
-	if err != nil {
-		delete(c.stats, s.TableOID)
-		return fmt.Errorf("syscat: restore stats for OID %d: %w", s.TableOID, err)
-	}
-	c.stats[s.TableOID] = &statsSlot{s: s, rid: rid}
 	return nil
 }
 

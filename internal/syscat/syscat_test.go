@@ -15,7 +15,7 @@ func newCatalog(t *testing.T) (*Catalog, *storage.BufferPool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(hf, true)
+	c, err := New(hf, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func reload(t *testing.T, bp *storage.BufferPool) *Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(hf, false)
+	c, err := New(hf, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCatalogLoadRejectsDanglingIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(hf, false); err == nil {
+	if _, err := New(hf, false, nil); err == nil {
 		t.Fatal("load accepted an index referencing a missing table")
 	}
 }
@@ -248,9 +248,8 @@ func TestCatalogStatsRoundTrip(t *testing.T) {
 	}
 
 	// Removal round-trips too.
-	prev, had, err := c.RemoveStats(tb.OID)
-	if err != nil || !had || prev.Rows != 5000 {
-		t.Fatalf("remove: %v %v %+v", err, had, prev)
+	if err := c.RemoveStats(tb.OID); err != nil {
+		t.Fatalf("remove: %v", err)
 	}
 	if _, ok := reload(t, bp).GetStats(tb.OID); ok {
 		t.Fatal("stats survived removal")
