@@ -323,12 +323,8 @@ func describe(db *repro.DB, name string) {
 			if ix.Column >= 0 && ix.Column < len(te.Cols) {
 				col = te.Cols[ix.Column].Name
 			}
-			validity := ""
-			if !ix.Valid {
-				validity = "  INVALID (crash-interrupted build)"
-			}
-			fmt.Printf("  %s ON %s USING %s (%s %s)  oid=%d file=%s%s\n",
-				ix.Name, te.Name, ix.Method, col, ix.OpClass, ix.OID, ix.File, validity)
+			fmt.Printf("  %s ON %s USING %s (%s %s)  oid=%d file=%s\n",
+				ix.Name, te.Name, ix.Method, col, ix.OpClass, ix.OID, ix.File)
 		}
 	}
 	// What the planner is using right now (an in-memory lazy sample is

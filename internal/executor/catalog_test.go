@@ -1,6 +1,7 @@
 package executor_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/heap"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -106,9 +108,9 @@ func TestReopenWithoutRedeclare(t *testing.T) {
 
 // crashMidCreateIndex drives a CREATE INDEX that fails at the given
 // build row (or at the pre-commit point when failRow < 0), crashes, and
-// returns the reopened database plus the on-disk size the partial index
-// file had at crash time.
-func crashMidCreateIndex(t *testing.T, failRow int) (*executor.DB, string, int64) {
+// returns the reopened database and its directory, after checking that
+// the crash left a file of the build on disk.
+func crashMidCreateIndex(t *testing.T, failRow int) (*executor.DB, string) {
 	t.Helper()
 	dir := t.TempDir()
 	boom := errors.New("injected crash")
@@ -133,9 +135,8 @@ func crashMidCreateIndex(t *testing.T, failRow int) (*executor.DB, string, int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 600 rows: the build's 256-row batch commits fire at least twice, so
-	// a committed prefix of the partial index is genuinely on disk / in
-	// the log when the fault hits.
+	// 600 rows over a 16-page pool: the build evicts pages into its
+	// file before the fault hits.
 	fillWords(t, tb, 600)
 	if _, err := db.CreateIndex("words_trie", "words", "name", "spgist", "spgist_trie"); !errors.Is(err, boom) {
 		t.Fatalf("CREATE INDEX did not hit the injected fault: %v", err)
@@ -143,52 +144,79 @@ func crashMidCreateIndex(t *testing.T, failRow int) (*executor.DB, string, int64
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The partial index file is present on disk at this point.
-	var partialFile string
-	var partialSize int64
-	matches, _ := filepath.Glob(filepath.Join(dir, "rel*.idx"))
-	if len(matches) == 1 {
-		partialFile = matches[0]
-		if st, err := os.Stat(partialFile); err == nil {
-			partialSize = st.Size()
-		}
+	if len(indexFiles(t, dir)) == 0 {
+		t.Fatal("no file of the build on disk at crash time; the scenario is vacuous")
 	}
-
-	return openCatalogDB(t, dir, executor.FaultInjection{}), partialFile, partialSize
+	return openCatalogDB(t, dir, executor.FaultInjection{}), dir
 }
 
-func verifyRebuiltIndex(t *testing.T, db *executor.DB, wantRebuilt bool) {
+// indexFiles lists the index files in dir, built (rel*.idx) or in their
+// build (rel*.idx.build).
+func indexFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "rel*.idx*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// verifyCreateIndexLeftNothing checks a database reopened after a crashed
+// CREATE INDEX of words_trie: no entry, no file, nothing rebuilt — and the
+// name can be used again, for an index that agrees with the heap.
+func verifyCreateIndexLeftNothing(t *testing.T, db *executor.DB, dir string) {
+	t.Helper()
+	defer db.Close()
+	if _, ok := db.Catalog().GetIndex("words_trie"); ok {
+		t.Fatal("the crashed CREATE INDEX left its catalog entry")
+	}
+	if files := indexFiles(t, dir); len(files) != 0 {
+		t.Fatalf("the crashed CREATE INDEX left files: %v", files)
+	}
+	if got := db.RebuiltIndexes(); len(got) != 0 {
+		t.Fatalf("the reopen rebuilt %v", got)
+	}
+	if _, err := db.CreateIndex("words_trie", "words", "name", "spgist", "spgist_trie"); err != nil {
+		t.Fatalf("CREATE INDEX again: %v", err)
+	}
+	tb, err := db.Table("words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seqPrefixRows(t, tb, "wa")
+	if got := indexedPrefixRows(t, tb, "wa"); strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("the index created again diverges from the heap:\n want %v\n got  %v", want, got)
+	}
+}
+
+// verifyRebuiltIndex checks that words_trie was built again at the open of
+// db, and agrees with the heap.
+func verifyRebuiltIndex(t *testing.T, db *executor.DB) {
 	t.Helper()
 	defer db.Close()
 	tb, err := db.Table("words")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := db.RebuiltIndexes()
-	if wantRebuilt {
-		if len(rebuilt) != 1 || rebuilt[0] != "words_trie" {
-			t.Fatalf("expected words_trie rebuilt, got %v", rebuilt)
-		}
-		if len(tb.Indexes) != 1 {
-			t.Fatalf("index not reattached after rebuild: %d indexes", len(tb.Indexes))
-		}
-		ie, ok := db.Catalog().GetIndex("words_trie")
-		if !ok || !ie.Valid {
-			t.Fatalf("catalog entry after rebuild: %+v ok=%v", ie, ok)
-		}
-		// A reattached partial build would miss rows: the rebuilt index
-		// must cover the whole heap ...
-		if got, want := tb.Indexes[0].Idx.Count(), tb.Heap.Count(); got != want {
-			t.Fatalf("rebuilt index covers %d of %d rows — partial build reattached", got, want)
-		}
-		// ... and a forced index scan must agree with a sequential scan.
-		want := seqPrefixRows(t, tb, "wa")
-		if got := indexedPrefixRows(t, tb, "wa"); strings.Join(got, ";") != strings.Join(want, ";") {
-			t.Fatalf("rebuilt index diverges from heap:\n want %v\n got  %v", want, got)
-		}
-	} else if len(rebuilt) != 0 {
-		t.Fatalf("unexpected rebuilds: %v", rebuilt)
+	if rebuilt := db.RebuiltIndexes(); len(rebuilt) != 1 || rebuilt[0] != "words_trie" {
+		t.Fatalf("expected words_trie rebuilt, got %v", rebuilt)
+	}
+	if len(tb.Indexes) != 1 {
+		t.Fatalf("index not reattached after rebuild: %d indexes", len(tb.Indexes))
+	}
+	ie, ok := db.Catalog().GetIndex("words_trie")
+	if !ok || !ie.Valid {
+		t.Fatalf("catalog entry after rebuild: %+v ok=%v", ie, ok)
+	}
+	// A reattached partial build would miss rows: the rebuilt index
+	// must cover the whole heap ...
+	if got, want := tb.Indexes[0].Idx.Count(), tb.Heap.Count(); got != want {
+		t.Fatalf("rebuilt index covers %d of %d rows — partial build reattached", got, want)
+	}
+	// ... and a forced index scan must agree with a sequential scan.
+	want := seqPrefixRows(t, tb, "wa")
+	if got := indexedPrefixRows(t, tb, "wa"); strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("rebuilt index diverges from heap:\n want %v\n got  %v", want, got)
 	}
 }
 
@@ -215,20 +243,17 @@ func seqPrefixRows(t *testing.T, tb *executor.Table, prefix string) []string {
 	return out
 }
 
-func TestCrashMidIndexBuildRebuilds(t *testing.T) {
-	db, partialFile, partialSize := crashMidCreateIndex(t, 300)
-	if partialFile == "" || partialSize == 0 {
-		t.Fatal("no partial index file on disk at crash time; the scenario is vacuous")
-	}
-	verifyRebuiltIndex(t, db, true)
+func TestCrashMidIndexBuildLeavesNothing(t *testing.T) {
+	db, dir := crashMidCreateIndex(t, 300)
+	verifyCreateIndexLeftNothing(t, db, dir)
 }
 
-func TestCrashBeforeIndexCommitRebuilds(t *testing.T) {
-	// The fault fires after the whole build but before the validity flip
-	// commits — the entry is still invalid, so the (complete-looking)
-	// file must still be discarded and rebuilt, not trusted.
-	db, _, _ := crashMidCreateIndex(t, -1)
-	verifyRebuiltIndex(t, db, true)
+func TestCrashBeforeIndexCommitLeavesNothing(t *testing.T) {
+	// The fault fires after the whole build, with the complete file
+	// renamed into place, but before the entry commits: the file is an
+	// orphan all the same.
+	db, dir := crashMidCreateIndex(t, -1)
+	verifyCreateIndexLeftNothing(t, db, dir)
 }
 
 func TestCrashMidCreateTableLeavesNothing(t *testing.T) {
@@ -359,10 +384,9 @@ func TestDropRequiresExistingRelation(t *testing.T) {
 	}
 }
 
-// A *failed* (as opposed to crashed) CREATE INDEX must compensate its
-// committed invalid entry: the session keeps running, the entry and the
-// partial file are gone, the name is reusable, and a reopen neither
-// rebuilds nor errors.
+// A *failed* (as opposed to crashed) CREATE INDEX leaves nothing: the
+// session keeps running, there is no entry and no file of the build, the
+// name is reusable, and a reopen neither rebuilds nor errors.
 func TestFailedIndexBuildHealsInSession(t *testing.T) {
 	dir := t.TempDir()
 	db := openCatalogDB(t, dir, executor.FaultInjection{})
@@ -383,7 +407,7 @@ func TestFailedIndexBuildHealsInSession(t *testing.T) {
 	if _, ok := db.Catalog().GetIndex("w_trie"); ok {
 		t.Fatal("failed CREATE INDEX left its catalog entry")
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "rel*.idx")); len(files) != 0 {
+	if files := indexFiles(t, dir); len(files) != 0 {
 		t.Fatalf("failed CREATE INDEX left files: %v", files)
 	}
 	// The database stays usable, and later statements' commit markers
@@ -404,9 +428,7 @@ func TestFailedIndexBuildHealsInSession(t *testing.T) {
 	}
 }
 
-// DROP TABLE must remove every *cataloged* index of the table, including
-// one whose CREATE INDEX crashed (entry present, nothing attached after
-// the next open rebuilds it — but here we drop before any reopen).
+// DROP TABLE removes the entries of the table's indexes with its own.
 func TestDropTableRemovesCatalogedIndexes(t *testing.T) {
 	dir := t.TempDir()
 	db := openCatalogDB(t, dir, executor.FaultInjection{})
@@ -471,10 +493,10 @@ func TestLegacyDirectoryRefused(t *testing.T) {
 	}
 }
 
-// A valid index whose file vanished is rebuilt at open — and that
-// rebuild must itself be crash-safe: the entry is flipped invalid before
-// building, so an interrupted rebuild can never leave committed partial
-// pages under a still-valid entry.
+// An index whose file vanished is rebuilt at open — and that rebuild must
+// itself be crash-safe: it builds outside the log and renames the file
+// into place complete, so an interrupted rebuild leaves the entry without
+// its file, for the next open to build again.
 func TestVanishedIndexFileRebuildIsCrashSafe(t *testing.T) {
 	dir := t.TempDir()
 	db := openCatalogDB(t, dir, executor.FaultInjection{})
@@ -494,8 +516,8 @@ func TestVanishedIndexFileRebuildIsCrashSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First reopen: the rebuild is interrupted after enough rows for its
-	// intra-build batch commits to have made partial pages durable.
+	// First reopen: the rebuild is interrupted after enough rows for the
+	// 16-page pool of its build to have written pages.
 	boom := errors.New("injected crash")
 	_, err = executor.Open(executor.Options{
 		Dir: dir, WAL: true, PoolPages: 16,
@@ -510,10 +532,66 @@ func TestVanishedIndexFileRebuildIsCrashSafe(t *testing.T) {
 		t.Fatalf("open did not surface the injected rebuild crash: %v", err)
 	}
 
-	// Second reopen: the interrupted rebuild must present as an invalid
-	// entry, not a valid partial index.
+	// Second reopen: the interrupted rebuild left no partial index to
+	// reattach, and the index is built again.
+	if _, err := os.Stat(filepath.Join(dir, idxFile)); !os.IsNotExist(err) {
+		t.Fatalf("the interrupted rebuild left %s: %v", idxFile, err)
+	}
 	db = openCatalogDB(t, dir, executor.FaultInjection{})
-	verifyRebuiltIndex(t, db, true)
+	verifyRebuiltIndex(t, db)
+}
+
+// An entry an older build left invalid — its CREATE INDEX committed the
+// entry with the validity flag at 0 before the build, and a crash
+// interrupted the build — is built again at open, under a fresh file, and
+// stays built: the next open rebuilds nothing.
+func TestOlderInvalidIndexEntryRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	db := openCatalogDB(t, dir, executor.FaultInjection{})
+	tb, err := db.CreateTable("words", []executor.Column{{Name: "name", Type: catalog.Text}, {Name: "id", Type: catalog.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillWords(t, tb, 300)
+	if _, err := db.CreateIndex("words_trie", "words", "name", "spgist", "spgist_trie"); err != nil {
+		t.Fatal(err)
+	}
+	idxFile := tb.Indexes[0].File()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The index record ends with its file name and the flag byte; set
+	// the flag to 0 and re-stamp the page's checksum.
+	catPath := filepath.Join(dir, "syscat.dat")
+	raw, err := os.ReadFile(catPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := append([]byte(idxFile), 1)
+	at := bytes.Index(raw, tail)
+	if at < 0 || bytes.Count(raw, tail) != 1 {
+		t.Fatalf("index record of %s not found once in the catalog", idxFile)
+	}
+	raw[at+len(idxFile)] = 0
+	page := raw[at/8192*8192:][:8192]
+	storage.StampPageChecksum(page)
+	if err := os.WriteFile(catPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db = openCatalogDB(t, dir, executor.FaultInjection{})
+	verifyRebuiltIndex(t, db)
+	if _, err := os.Stat(filepath.Join(dir, idxFile)); !os.IsNotExist(err) {
+		t.Fatalf("the partial file %s is still there: %v", idxFile, err)
+	}
+	db = openCatalogDB(t, dir, executor.FaultInjection{})
+	defer db.Close()
+	if got := db.RebuiltIndexes(); len(got) != 0 {
+		t.Fatalf("the second open rebuilt %v", got)
+	}
+	if ie, ok := db.Catalog().GetIndex("words_trie"); !ok || !ie.Valid || ie.File == idxFile {
+		t.Fatalf("catalog entry after the rebuild: %+v ok=%v, want valid under a new file", ie, ok)
+	}
 }
 
 // Without a write-ahead log, a DROP must make the catalog delete durable

@@ -154,8 +154,8 @@ func (db *DB) commitTable(t *Table) error {
 // insertChunkRows bounds how many rows of one multi-row INSERT apply
 // between commit markers. Every page a statement dirties is unevictable
 // until its records are appended (no-steal), so an unbounded statement
-// could exhaust the buffer pool; like buildIndex's intra-build markers,
-// oversized batches commit in pool-proportional chunks (each chunk
+// could exhaust the buffer pool; oversized batches commit in
+// pool-proportional chunks (each chunk
 // all-or-nothing across a crash). Batched inserts pack ~dozens of rows
 // per heap page and their sorted index descents cluster, so poolPages*4
 // rows stay well inside a pool even after sharding.

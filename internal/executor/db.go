@@ -236,7 +236,7 @@ type DB struct {
 
 	cat     *syscat.Catalog
 	catPool *storage.BufferPool // the catalog heap's own pool
-	rebuilt []string            // indexes rebuilt during Open (recorded invalid)
+	rebuilt []string            // indexes Open built again (RebuiltIndexes)
 	faults  FaultInjection
 	// statsRefreshHook, when set (in-package tests only), runs inside
 	// every lazy statistics refresh before the sample; an error fails it.
@@ -417,9 +417,8 @@ type Options struct {
 // Open creates or opens a database. The persistent system catalog is
 // bootstrapped first (replaying any write-ahead log into it and the data
 // files), then every cataloged table and index is reattached — callers
-// never re-declare their schema. An index recorded invalid (its CREATE
-// INDEX never committed before a crash) has its partial file removed and
-// is rebuilt from the heap before Open returns; see RebuiltIndexes.
+// never re-declare their schema. An index whose file is missing is built
+// again from the heap before Open returns; see RebuiltIndexes.
 func Open(opts Options) (*DB, error) {
 	if opts.PageSize <= 0 {
 		opts.PageSize = storage.DefaultPageSize
@@ -692,9 +691,9 @@ func (db *DB) recountAfterRedo(hf *heap.File) error {
 }
 
 // loadSchema reattaches every cataloged relation: orphaned data files
-// from DDL that never committed are swept, tables are opened, valid
-// indexes are reattached, and invalid indexes (a crash interrupted their
-// CREATE INDEX) are rebuilt from their heap.
+// from DDL that never committed are swept, tables are opened, indexes are
+// reattached, and an index whose file is missing, or whose entry an older
+// build left invalid, is built again from its heap.
 func (db *DB) loadSchema() error {
 	if db.wal != nil {
 		if err := db.sweepOrphans(); err != nil {
@@ -749,6 +748,7 @@ func (db *DB) loadSchema() error {
 	for _, t := range db.tables {
 		byOID[t.oid] = t
 	}
+	var stale []string // files of entries an older build left invalid
 	for _, ie := range db.cat.Indexes() {
 		t := byOID[ie.TableOID]
 		if t == nil {
@@ -758,61 +758,64 @@ func (db *DB) loadSchema() error {
 		if err != nil {
 			return fmt.Errorf("executor: catalog index %q: %w", ie.Name, err)
 		}
-		if ie.Valid {
-			bp, existed, err := db.newPool(ie.File)
+		if !ie.Valid {
+			// An older build committed CREATE INDEX's entry invalid
+			// before its build, and a crash interrupted the build: the
+			// file is partial. The entry is recorded afresh, under a new
+			// OID and so a file no logged record names, and built like
+			// a missing one; the old file goes once that commits.
+			stale = append(stale, ie.File)
+			if err := db.cat.RemoveIndex(ie.Name); err != nil {
+				return err
+			}
+			if ie, err = db.cat.AddIndex(ie.Name, ie.TableOID, ie.Column, ie.Method, ie.OpClass); err != nil {
+				return err
+			}
+		} else if st, err := os.Stat(filepath.Join(db.dir, ie.File)); err == nil && st.Size() > 0 {
+			bp, _, err := db.newPool(ie.File)
 			if err != nil {
 				return err
 			}
-			if existed {
-				idx, err := am.New(oc.Name, bp, false)
-				if err != nil {
-					return fmt.Errorf("executor: index %q (%s): %w", ie.Name, ie.File, err)
-				}
-				db.attachIndex(t, ie.Name, ie.Column, oc, idx, bp, ie.File)
-				continue
+			idx, err := am.New(oc.Name, bp, false)
+			if err != nil {
+				return fmt.Errorf("executor: index %q (%s): %w", ie.Name, ie.File, err)
 			}
-			// The file vanished under a valid entry (e.g. deleted by
-			// hand): the fresh file newPool just opened serves as the
-			// rebuild target. Flip the entry invalid and commit first —
-			// the rebuild emits intra-build commit markers, so a crash
-			// mid-rebuild would otherwise leave committed partial pages
-			// under a still-valid entry, silently reattached next open.
-			if err := db.cat.SetIndexValid(ie.Name, false); err != nil {
-				return err
-			}
-			if err := db.commitWAL(nil); err != nil {
-				return err
-			}
-			if err := db.rebuildIndex(t, ie, oc, bp); err != nil {
-				return err
-			}
+			db.attachIndex(t, ie.Name, ie.Column, oc, idx, bp, ie.File)
 			continue
 		}
-		// Recorded invalid: a crash interrupted its CREATE INDEX after
-		// the entry committed but before the build did. The file holds a
-		// partial build (whatever prefix the build's batch commits made
-		// durable) and must never be reattached as-is.
-		if db.dir != "" {
-			if err := os.Remove(filepath.Join(db.dir, ie.File)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("executor: remove partial index file %s: %w", ie.File, err)
-			}
-		}
-		bp, _, err := db.newPool(ie.File)
+		// The file is missing (e.g. deleted by hand): build it again. A
+		// crash in the build leaves the entry as it was, and the next
+		// open builds it again.
+		idx, bp, err := db.buildIndexFile(t, ie.Column, oc, ie.File)
 		if err != nil {
-			return err
+			return fmt.Errorf("executor: rebuild index %q: %w", ie.Name, err)
 		}
-		if err := db.rebuildIndex(t, ie, oc, bp); err != nil {
+		db.attachIndex(t, ie.Name, ie.Column, oc, idx, bp, ie.File)
+		db.rebuilt = append(db.rebuilt, ie.Name)
+	}
+	if len(stale) == 0 {
+		return nil
+	}
+	if err := db.commitWAL(nil); err != nil {
+		return err
+	}
+	if err := db.flushCatalogIfUnlogged(); err != nil {
+		return err
+	}
+	for _, file := range stale {
+		if err := os.Remove(filepath.Join(db.dir, file)); err != nil && !os.IsNotExist(err) {
 			return err
 		}
 	}
 	return nil
 }
 
-// sweepOrphans removes relation files (rel<oid>.tbl / rel<oid>.idx) that
-// no catalog entry references. Such files are leftovers of DDL whose
-// commit never made it into the log — the file was created eagerly, the
-// catalog entry was discarded with the uncommitted log tail — or of a
-// DROP that crashed between its commit and its unlink. Only run when
+// sweepOrphans removes relation files (rel<oid>.tbl / rel<oid>.idx, and
+// an index build's rel<oid>.idx.build) that no catalog entry references.
+// Such files are leftovers of DDL whose commit never made it into the log
+// — the file was created or built eagerly, the catalog entry was discarded
+// with the uncommitted log tail — or of a DROP that crashed between its
+// commit and its unlink. Only run when
 // write-ahead logging is on: without it there is no commit marker making
 // "file exists but entry does not" a reliable orphan signal.
 func (db *DB) sweepOrphans() error {
@@ -840,10 +843,11 @@ func (db *DB) sweepOrphans() error {
 }
 
 // isRelationFile reports whether name matches the catalog's relation
-// file naming scheme rel<digits>.tbl / rel<digits>.idx. Anything else in
-// the directory is not ours to touch.
+// file naming scheme rel<digits>.tbl / rel<digits>.idx, or is such a
+// file's build (a ".build" suffix). Anything else in the directory is not
+// ours to touch.
 func isRelationFile(name string) bool {
-	rest, ok := strings.CutPrefix(name, "rel")
+	rest, ok := strings.CutPrefix(strings.TrimSuffix(name, ".build"), "rel")
 	if !ok {
 		return false
 	}
@@ -908,8 +912,9 @@ func (db *DB) TraceDir() string { return db.traceDir }
 // for each statement.
 func (db *DB) Catalog() *syscat.Catalog { return db.cat }
 
-// RebuiltIndexes lists the indexes Open rebuilt because the catalog
-// recorded them invalid — each one a CREATE INDEX a crash interrupted.
+// RebuiltIndexes lists the indexes Open built again from their heap: each
+// one cataloged with no file (deleted by hand), or left invalid by an
+// older build whose CREATE INDEX a crash interrupted.
 func (db *DB) RebuiltIndexes() []string { return append([]string(nil), db.rebuilt...) }
 
 // RecoveryStats reports the redo pass performed when the database was
@@ -1082,12 +1087,7 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 		}
 		dm = fdm
 	}
-	if db.diskFaults != nil {
-		dm = db.diskFaults(fileName, dm)
-		if fdm, ok := dm.(*storage.FaultDiskManager); ok {
-			db.faultDMs = append(db.faultDMs, fdm)
-		}
-	}
+	dm = db.wrapFaults(fileName, dm)
 	if db.wal != nil && !existed {
 		if _, err := db.wal.AppendFileCreate(fileName); err != nil {
 			// The file never joins the pool, so nothing else will release
@@ -1109,6 +1109,19 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 		ioEv = obs.WaitIOIndexRead
 	}
 	return db.pool.Open(fileName, dm, ioEv), existed, nil
+}
+
+// wrapFaults applies Options.DiskFaults to the disk manager of relation
+// file fileName.
+func (db *DB) wrapFaults(fileName string, dm storage.DiskManager) storage.DiskManager {
+	if db.diskFaults == nil {
+		return dm
+	}
+	dm = db.diskFaults(fileName, dm)
+	if fdm, ok := dm.(*storage.FaultDiskManager); ok {
+		db.faultDMs = append(db.faultDMs, fdm)
+	}
+	return dm
 }
 
 // flushUnlogged makes one relation durable on databases with no write-ahead

@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/am"
 	"repro/internal/catalog"
 	"repro/internal/heap"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/syscat"
 )
 
 // This file holds the DDL statements — CREATE/DROP TABLE and INDEX, and
-// the index build they share with Open's rebuild of an interrupted
-// CREATE INDEX.
+// the index build CREATE INDEX shares with Open's rebuild of an index
+// whose file is missing.
 
 // beginDDL opens a DDL or maintenance statement: the exclusive statement
 // lock, the refusal of a read-only database — up front, so such a
@@ -182,16 +184,49 @@ func (db *DB) attachIndex(t *Table, name string, column int, oc *catalog.Operato
 	return info
 }
 
-// buildIndex back-fills idx from every live heap row of t (ambuild).
-// Under the buffer pool's no-steal rule a build's dirty pages are
-// unevictable until a commit marker covers them; marking in batches
-// keeps a large backfill from exhausting the pool. Those intra-build
-// markers are safe precisely because the index is still recorded invalid
-// in the catalog: a crash replays the committed prefix into the file,
-// and the invalid flag makes the next open discard and rebuild it.
-func (db *DB) buildIndex(t *Table, idx am.Index, ci int, bp *storage.BufferPool) (int, error) {
+// buildIndexFile builds an index of operator class oc over column ci of t
+// into the relation file named file, and opens it in the database's pool
+// — CREATE INDEX's build, and Open's of an index whose file is missing.
+// The heap is back-filled (ambuild) into file+".build" through a private
+// pool with no log attached: no catalog entry names that file, so a dirty
+// page may reach it at any time (steal) and none is logged. The file is
+// synced and renamed to file, so an index file exists only complete, and
+// its disk manager is handed to the database's pool. A failure removes
+// the file; a simulated crash (faultErr) leaves the ".build" file for the
+// orphan sweep.
+func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file string) (_ am.Index, _ *storage.BufferPool, err error) {
+	path := filepath.Join(db.dir, file)
+	var dm storage.DiskManager
+	if db.dir == "" {
+		dm = storage.NewMem(db.pageSize)
+	} else {
+		// A ".build" file a crash left (only unlogged databases keep one
+		// past the next open) is junk.
+		if err := os.Remove(path + ".build"); err != nil && !os.IsNotExist(err) {
+			return nil, nil, err
+		}
+		if dm, err = storage.OpenFile(path+".build", db.pageSize); err != nil {
+			return nil, nil, err
+		}
+	}
+	// The build's pool has the database's frame budget, capped near the
+	// heap's size: a small table's build allocates little, and a page
+	// the cap evicts is read back.
+	build := storage.NewBufferPool(file, db.wrapFaults(file, dm), min(db.poolPages, int(t.Heap.NumPages())+16))
+	defer func() {
+		if err != nil {
+			build.Crash()
+			if db.dir != "" && !isFault(err) {
+				os.Remove(path + ".build")
+				os.Remove(path)
+			}
+		}
+	}()
+	idx, err := am.New(oc.Name, build, true)
+	if err != nil {
+		return nil, nil, err
+	}
 	rows := 0
-	var err error
 	serr := t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, payload []byte) bool {
 		if h.Flags&heap.FlagXminAborted != 0 {
 			// A rolled-back insert: invisible to every snapshot and about
@@ -203,8 +238,7 @@ func (db *DB) buildIndex(t *Table, idx am.Index, ci int, bp *storage.BufferPool)
 			err = derr
 			return false
 		}
-		if ierr := idx.Insert(tup[ci], rid); ierr != nil {
-			err = ierr
+		if err = idx.Insert(tup[ci], rid); err != nil {
 			return false
 		}
 		rows++
@@ -214,32 +248,67 @@ func (db *DB) buildIndex(t *Table, idx am.Index, ci int, bp *storage.BufferPool)
 				return false
 			}
 		}
-		// Batch size 64 keeps the build's uncommitted (unevictable)
-		// frame set well inside a single buffer-pool shard even for
-		// small pools — the no-steal rule now binds per shard.
-		if rows%64 == 0 {
-			if werr := db.appendPools([]*storage.BufferPool{bp}); werr != nil {
-				err = werr
-				return false
-			}
-		}
 		return true
 	})
 	if serr != nil {
-		return rows, serr
+		err = serr
 	}
-	return rows, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if err = idx.SaveMeta(); err != nil {
+		return nil, nil, err
+	}
+	if err = build.FlushAll(); err != nil {
+		return nil, nil, err
+	}
+	if err = build.DM().Sync(); err != nil {
+		return nil, nil, err
+	}
+	if db.dir != "" {
+		if err = os.Rename(path+".build", path); err != nil {
+			return nil, nil, err
+		}
+		if err = syncDir(db.dir); err != nil {
+			return nil, nil, err
+		}
+	}
+	if db.wal != nil {
+		// The file's creation is logged, as CREATE TABLE's is: a page
+		// the index grows from here on is rebuilt from its records
+		// alone should its write be torn. A page of the build ships a
+		// full image at its first touch instead.
+		if _, err = db.wal.AppendFileCreate(file); err != nil {
+			return nil, nil, err
+		}
+	}
+	bp := db.pool.Open(file, build.DM(), obs.WaitIOIndexRead)
+	if idx, err = am.New(oc.Name, bp, false); err != nil {
+		bp.Crash()
+		return nil, nil, err
+	}
+	return idx, bp, nil
+}
+
+// syncDir makes the entries of directory dir durable: a rename in it
+// survives a crash once it returns.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // CreateIndex creates an index on a column, via CREATE INDEX ... USING
 // method (col opclass). When opclassName is empty the default class of
 // (method, column type) is used. Existing rows are back-filled (ambuild).
 //
-// CREATE INDEX is crash-atomic through the system catalog: the index's
-// entry is committed *invalid* before the build starts and flipped valid
-// only when the build commits. A crash anywhere in between is detected
-// at the next Open, which removes the partial index file and rebuilds
-// the index from the heap — a partial build is never reattached.
+// CREATE INDEX commits once, like CREATE TABLE: the index file is built
+// complete outside the log (buildIndexFile), then its catalog entry is
+// added and committed. A crash or failure before that commit leaves an
+// orphan file, which the next open sweeps, and no catalog entry.
 func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName string) (_ *IndexInfo, err error) {
 	if err := db.beginDDL(); err != nil {
 		return nil, err
@@ -266,118 +335,36 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 	if _, dup := db.cat.GetIndex(idxName); dup {
 		return nil, fmt.Errorf("executor: index %q already exists", idxName)
 	}
-
-	// Phase 1: commit the entry as invalid, together with the fresh
-	// file's creation, before any build work. From here on a crash
-	// leaves a durable "this index is incomplete" record.
-	ie, err := db.cat.AddIndex(idxName, t.oid, ci, method, oc.Name, false)
-	if err != nil {
-		return nil, err
-	}
-	bp, existed, err := db.newPool(ie.File)
-	if err != nil {
-		return nil, err
-	}
-	// discard drops the doomed build's frames and, if unlink, its file.
-	discard := func(unlink bool) {
-		bp.Crash()
-		if unlink && db.dir != "" {
-			os.Remove(filepath.Join(db.dir, ie.File))
-		}
-	}
-	if existed {
-		discard(false)
-		return nil, fmt.Errorf("executor: fresh relation file %s already exists", ie.File)
-	}
-	idx, err := am.New(oc.Name, bp, true)
-	if err != nil {
-		discard(true)
-		return nil, err
-	}
-	if err := db.commitWAL(nil); err != nil {
-		discard(true)
-		return nil, err
-	}
-	if db.wal != nil {
-		// The invalid entry is durable; a failure from here on reverts
-		// the catalog to it at most.
-		db.catPool.Savepoint()
-	}
-	// fail ends a statement that failed after phase 1 and was not a
-	// simulated crash: the build is discarded, then the entry removed
-	// under a commit of its own — the build's frames crashed first, so
-	// that commit logs nothing of a file about to be unlinked — and a
-	// failed (not crashed) CREATE INDEX leaves nothing behind. Should
-	// that commit fail, the entry stays as phase 1 committed it, as after
-	// a crash: the next open rebuilds it, or DROP INDEX removes it.
-	fail := func(err error, unlink bool) (*IndexInfo, error) {
-		if isFault(err) {
-			return nil, err
-		}
-		discard(unlink)
-		if db.cat.RemoveIndex(idxName) == nil {
-			db.commitDDL(nil, nil)
-		}
-		return nil, err
-	}
-
-	// Phase 2: ambuild.
-	if _, err := db.buildIndex(t, idx, ci, bp); err != nil {
-		return fail(err, true)
-	}
-
-	// Phase 3: flip the entry valid and commit it with the build's final
-	// records and metadata — the statement's real commit point. The
-	// index joins t.Indexes only after the commit succeeds, so a failed
-	// statement never leaves a live index behind.
-	if err := db.cat.SetIndexValid(idxName, true); err != nil {
-		return fail(err, true)
-	}
 	// Fresh statistics make the planner's selectivity realistic (like
 	// the auto-ANALYZE PostgreSQL runs after bulk operations). In-memory
 	// only: persisting them here would entangle the index build's commit
 	// with a statistics replacement; explicit ANALYZE persists.
 	if err := t.analyzeInMemory(); err != nil {
-		return fail(err, true)
+		return nil, err
+	}
+	ie, err := db.cat.AddIndex(idxName, t.oid, ci, method, oc.Name)
+	if err != nil {
+		return nil, err
+	}
+	idx, bp, err := db.buildIndexFile(t, ci, oc, ie.File)
+	if err != nil {
+		return nil, err
 	}
 	if f := db.faults.BeforeDDLCommit; f != nil {
 		if err := f("CREATE INDEX " + idxName); err != nil {
 			return nil, faultErr{err}
 		}
 	}
-	if err := idx.SaveMeta(); err != nil {
-		return fail(err, true)
-	}
-	// See CreateTable: unlogged, the index pages reach the disk before
-	// the (now valid) catalog entry.
-	if err := db.commitDDL(t, bp); err != nil {
-		// Under a log keep the file: the failed force leaves the marker's
-		// durability indeterminate. If it survived, the entry is
-		// committed valid and replay reconstructs the file; if not, the
-		// entry is still invalid and the next open removes and rebuilds
-		// it.
-		return fail(err, db.wal == nil)
+	if err := db.commitDDL(t, nil); err != nil {
+		// Should the marker have survived, the next open finds the
+		// entry without its file and builds it again.
+		bp.Crash()
+		if db.dir != "" {
+			os.Remove(filepath.Join(db.dir, ie.File))
+		}
+		return nil, err
 	}
 	return db.attachIndex(t, idxName, ci, oc, idx, bp, ie.File), nil
-}
-
-// rebuildIndex builds the index of catalog entry ie from its table's
-// heap into the fresh pool bp, marks the entry valid, and commits — the
-// recovery path of a crash-interrupted CREATE INDEX.
-func (db *DB) rebuildIndex(t *Table, ie syscat.Index, oc *catalog.OperatorClass, bp *storage.BufferPool) error {
-	idx, err := am.New(oc.Name, bp, true)
-	if err != nil {
-		return err
-	}
-	if _, err := db.buildIndex(t, idx, ie.Column, bp); err != nil {
-		return fmt.Errorf("executor: rebuild index %q: %w", ie.Name, err)
-	}
-	db.attachIndex(t, ie.Name, ie.Column, oc, idx, bp, ie.File)
-	if err := db.cat.SetIndexValid(ie.Name, true); err != nil {
-		return err
-	}
-	db.rebuilt = append(db.rebuilt, ie.Name)
-	return db.commitWAL(t)
 }
 
 // DropIndex removes an index: its catalog entry is deleted and committed
@@ -396,30 +383,18 @@ func (db *DB) DropIndex(name string) (err error) {
 		return err
 	}
 	defer func() { db.endDDL(err) }()
-	ie, ok := db.cat.GetIndex(name)
-	if !ok {
-		return fmt.Errorf("executor: unknown index %q", name)
-	}
-	// An entry may be cataloged without an attached IndexInfo (a failed
-	// CREATE INDEX left its invalid entry behind); like PostgreSQL's
-	// droppable INVALID indexes, DROP INDEX must remove those too.
 	db.mu.Lock()
 	var t *Table
-	var info *IndexInfo
-	var pos int
+	pos := -1
 	for _, cand := range db.tables {
-		if cand.oid != ie.TableOID {
-			continue
-		}
-		t = cand
-		for i, ix := range cand.Indexes {
-			if ix.Name == name {
-				info, pos = ix, i
-				break
-			}
+		if i := slices.IndexFunc(cand.Indexes, func(ix *IndexInfo) bool { return ix.Name == name }); i >= 0 {
+			t, pos = cand, i
 		}
 	}
 	db.mu.Unlock()
+	if t == nil {
+		return fmt.Errorf("executor: unknown index %q", name)
+	}
 	if err := db.refuseLockedByTxn(t, "DROP INDEX"); err != nil {
 		return err
 	}
@@ -435,28 +410,21 @@ func (db *DB) DropIndex(name string) (err error) {
 		return err
 	}
 	// The drop is committed; detach and unlink unconditionally from here
-	// on, reporting the first failure only afterwards — aborting early
-	// would leave files no later open can reclaim (the orphan sweep only
-	// runs under WAL).
-	var firstErr error
-	if t != nil && info != nil {
-		// Copy-on-write removal: an in-place splice would mutate the
-		// backing array under any reader still iterating the old slice
-		// header.
-		db.mu.Lock()
-		fresh := make([]*IndexInfo, 0, len(t.Indexes)-1)
-		fresh = append(fresh, t.Indexes[:pos]...)
-		fresh = append(fresh, t.Indexes[pos+1:]...)
-		t.Indexes = fresh
-		db.mu.Unlock()
-		info.pool.Crash()
-	}
+	// on — aborting early would leave a file no later open can reclaim
+	// (the orphan sweep only runs under WAL). Copy-on-write removal: an
+	// in-place splice would mutate the backing array under any reader
+	// still iterating the old slice header.
+	db.mu.Lock()
+	info := t.Indexes[pos]
+	t.Indexes = slices.Delete(slices.Clone(t.Indexes), pos, pos+1)
+	db.mu.Unlock()
+	info.pool.Crash()
 	if db.dir != "" {
-		if err := os.Remove(filepath.Join(db.dir, ie.File)); err != nil && !os.IsNotExist(err) && firstErr == nil {
-			firstErr = err
+		if err := os.Remove(filepath.Join(db.dir, info.file)); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // DropTable removes a table and all its indexes: every catalog entry is
@@ -477,13 +445,8 @@ func (db *DB) DropTable(name string) (err error) {
 	if err := db.refuseLockedByTxn(t, "DROP TABLE"); err != nil {
 		return err
 	}
-	// Remove every *cataloged* index of the table, not just the attached
-	// ones: a failed CREATE INDEX can leave a cataloged entry with no
-	// IndexInfo, and a dangling index record would make the catalog
-	// unloadable at the next open.
-	catIndexes := db.cat.IndexesOf(t.oid)
-	for _, ie := range catIndexes {
-		if err := db.cat.RemoveIndex(ie.Name); err != nil {
+	for _, ix := range t.Indexes {
+		if err := db.cat.RemoveIndex(ix.Name); err != nil {
 			return err
 		}
 	}
@@ -525,8 +488,8 @@ func (db *DB) DropTable(name string) (err error) {
 				keep(err)
 			}
 		}
-		for _, ie := range catIndexes {
-			unlink(ie.File)
+		for _, ix := range t.Indexes {
+			unlink(ix.file)
 		}
 		unlink(t.file)
 	}

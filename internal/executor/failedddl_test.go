@@ -87,9 +87,10 @@ func failSecondCatalogRead(f *storage.FaultDiskManager) {
 // TestFailedDDLRestoresCatalog: a DDL statement that fails after writing
 // catalog records leaves the catalog exactly as the last commit left it —
 // in memory, under the next statement's commit marker, and on a reopen —
-// and leaves the database healthy. Each statement but one fails on a read
-// of a catalog page (its second one) after it changed another; CREATE
-// INDEX also fails after its phase 1, on a row its build cannot decode.
+// and leaves the database healthy, with no index file the catalog does not
+// name. Each statement but one fails on a read of a catalog page (its
+// second one) after it changed another; CREATE INDEX also fails in its
+// build, after it added its entry, on a row the build cannot decode.
 // Logged and unlogged.
 func TestFailedDDLRestoresCatalog(t *testing.T) {
 	cases := []struct {
@@ -117,7 +118,7 @@ func TestFailedDDLRestoresCatalog(t *testing.T) {
 			_, err := db.CreateIndex("t_bt", "t", "name", "btree", "btree_text")
 			return err
 		}},
-		{name: "create index after phase 1", corrupt: true, run: func(db *executor.DB, _ *executor.Table) error {
+		{name: "create index in its build", corrupt: true, run: func(db *executor.DB, _ *executor.Table) error {
 			_, err := db.CreateIndex("t_bt", "t", "name", "btree", "btree_text")
 			return err
 		}},
@@ -182,6 +183,19 @@ func TestFailedDDLRestoresCatalog(t *testing.T) {
 				}
 				if state, detail := db.State(); state != "ok" {
 					t.Fatalf("SHOW STATE after the failed statement: %s %s", state, detail)
+				}
+				named := map[string]bool{}
+				for _, ie := range db.Catalog().Indexes() {
+					named[filepath.Join(dir, ie.File)] = true
+				}
+				files, err := filepath.Glob(filepath.Join(dir, "rel*.idx*"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range files {
+					if !named[f] {
+						t.Fatalf("the failed statement left %s", filepath.Base(f))
+					}
 				}
 				if _, err := db.CreateTable("next", tortureCols()); err != nil {
 					t.Fatalf("DDL after the failed statement: %v", err)

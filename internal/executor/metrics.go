@@ -86,25 +86,19 @@ func newExecMetrics() *execMetrics {
 func (db *DB) Obs() *obs.Registry { return db.met.reg }
 
 // sampleStorage contributes the storage-layer counters to the registry
-// readout: the buffer pool's size and traffic (every relation file,
-// catalog included), physical disk I/O, and the write-ahead log's activity.
+// readout: the buffer pool's size and traffic (every relation file it has
+// held, the catalog and dropped ones included), physical disk I/O, and the
+// write-ahead log's activity.
 func (db *DB) sampleStorage(emit func(name string, value int64)) {
 	db.stmtMu.RLock()
 	faultDMs := append([]*storage.FaultDiskManager(nil), db.faultDMs...)
 	w := db.wal
 	db.stmtMu.RUnlock()
 
-	rels := db.pool.Relations()
 	ps := db.pool.Stats()
-	var reads, writes, allocs int64
-	for _, bp := range rels {
-		r, wr, al := bp.DM().Stats().Snapshot()
-		reads += r
-		writes += wr
-		allocs += al
-	}
+	reads, writes, allocs := db.pool.DiskStats()
 	emit("pool_frames", int64(db.pool.Frames()))
-	emit("pool_open", int64(len(rels)))
+	emit("pool_open", int64(len(db.pool.Relations())))
 	emit("pool_shards", int64(db.pool.NumShards()))
 	emit("pool_accesses_total", ps.Accesses)
 	emit("pool_hits_total", ps.Hits)
@@ -175,18 +169,16 @@ func (db *DB) resetStorageStats() {
 	db.stmtMu.RLock()
 	w := db.wal
 	db.stmtMu.RUnlock()
-	for _, bp := range db.pool.Relations() {
-		bp.ResetStats()
-		bp.DM().Stats().Reset()
-	}
+	db.pool.ResetStats()
 	if w != nil {
 		w.ResetStats()
 	}
 	db.waits.Reset()
 }
 
-// PoolStats sums the buffer-pool counters over every open relation
-// file. The slow-query log and tests use it for before/after deltas.
+// PoolStats sums the buffer-pool counters over every relation file the
+// database has held. The slow-query log and tests use it for before/after
+// deltas.
 func (db *DB) PoolStats() storage.PoolStats { return db.pool.Stats() }
 
 // TableStat is one name/value line of the per-table SHOW STATS output;

@@ -356,6 +356,15 @@ func oracleCrashCreate(t *testing.T, db *DB, ti int, suffix bool) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracleCrashIndexes(t, db, ti, suffix)
+	return tb
+}
+
+// oracleCrashIndexes creates the indexes of table ti of oracleCrashTables,
+// as oracleCrashCreate does.
+func oracleCrashIndexes(t *testing.T, db *DB, ti int, suffix bool) {
+	t.Helper()
+	ot := oracleCrashTables[ti]
 	for _, ix := range ot.indexes {
 		if ix[2] == "spgist_suffix" && !suffix {
 			continue
@@ -364,7 +373,6 @@ func oracleCrashCreate(t *testing.T, db *DB, ti int, suffix bool) *Table {
 			t.Fatalf("CREATE INDEX %s: %v", ix[0], err)
 		}
 	}
-	return tb
 }
 
 func TestOracleCrashInterleaved(t *testing.T) {
@@ -599,17 +607,26 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 // alike — lands its first 512 bytes and the power goes.
 // Every torn page fails its checksum at redo and is rebuilt from the log:
 // before the first checkpoint from the file's creation on (the log holds
-// no image at all), after one from the image its first touch since then
-// shipped. After recovery every index must agree with the heap, and the
-// heap with the statements that succeeded.
+// no image of a node page), after one from the image its first touch
+// since then shipped. An index built over a loaded table wrote its pages
+// outside the log; a torn one is rebuilt from the image its first touch
+// shipped, before the first checkpoint too. After recovery every index
+// must agree with the heap, and the heap with the statements that
+// succeeded.
 func TestTornIndexPageRecovery(t *testing.T) {
-	for _, checkpointed := range []bool{false, true} {
-		name := map[bool]string{false: "before the first checkpoint", true: "after a checkpoint"}[checkpointed]
-		t.Run(name, func(t *testing.T) { tornIndexPageRecovery(t, checkpointed) })
+	for _, c := range []struct {
+		name                string
+		checkpointed, built bool
+	}{
+		{"before the first checkpoint", false, false},
+		{"after a checkpoint", true, false},
+		{"built over its rows, before the first checkpoint", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) { tornIndexPageRecovery(t, c.checkpointed, c.built) })
 	}
 }
 
-func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
+func tornIndexPageRecovery(t *testing.T, checkpointed, built bool) {
 	dir := t.TempDir()
 	faults := map[string]*storage.FaultDiskManager{}
 	db, err := Open(Options{Dir: dir, WAL: true, PoolPages: 16 * oracleCrampedFiles,
@@ -643,9 +660,23 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	// statements: first touches of pages the checkpoint left clean, and
 	// later touches of the same pages.
 	var tables []*Table
+	builtPages := map[string]storage.PageID{}
 	for ti, ot := range oracleCrashTables {
-		tb := oracleCrashCreate(t, db, ti, false) // 16 frames a file again: no suffix tree
+		if !built {
+			tb := oracleCrashCreate(t, db, ti, false) // 16 frames a file again: no suffix tree
+			insert(tb, ot.datum, 0, 400, ot.cramped)
+			tables = append(tables, tb)
+			continue
+		}
+		tb, err := db.CreateTable(ot.name, []Column{{"k", ot.typ}, {"id", catalog.Int}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		insert(tb, ot.datum, 0, 400, ot.cramped)
+		oracleCrashIndexes(t, db, ti, false)
+		for _, ix := range tb.Indexes {
+			builtPages[ix.file] = storage.PageID(ix.pool.DM().NumPages())
+		}
 		tables = append(tables, tb)
 	}
 	if checkpointed {
@@ -660,7 +691,9 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 	for _, tb := range tables {
 		for _, ix := range tb.Indexes {
 			indexFiles[ix.file] = true
-			tearDirtyPage(t, ix.pool, faults[ix.file])
+			if id := tearDirtyPage(t, ix.pool, faults[ix.file]); built && id >= builtPages[ix.file] {
+				t.Fatalf("%s: the torn page %d is not one of the %d its build wrote", ix.file, id, builtPages[ix.file])
+			}
 		}
 	}
 	if got := db.WAL().CheckpointLSN() != 0; got != checkpointed {
@@ -679,8 +712,8 @@ func tornIndexPageRecovery(t *testing.T, checkpointed bool) {
 		t.Fatal(err)
 	}
 	for file := range indexFiles {
-		if n := nodePageImages[file]; (n != 0) != checkpointed {
-			t.Fatalf("the log holds %d images of node pages of %s; none are due before the first checkpoint, some after it", n, file)
+		if n := nodePageImages[file]; (n != 0) != (checkpointed || built) {
+			t.Fatalf("the log holds %d images of node pages of %s; none are due before the first checkpoint but of built pages, some after it", n, file)
 		}
 	}
 	db, err = Open(Options{Dir: dir, WAL: true, PoolPages: 16 * oracleCrampedFiles})

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -242,5 +243,83 @@ func TestSharedPoolFrames(t *testing.T) {
 	if got["pool_frames"] != 64 || got["pool_open"] != 7 || got["pool_shards"] != 4 {
 		t.Errorf("pool_frames %d, pool_open %d, pool_shards %d; want 64 frames in 4 shards for the catalog, 3 heaps and 3 indexes",
 			got["pool_frames"], got["pool_open"], got["pool_shards"])
+	}
+}
+
+// TestStorageCountersNeverFall: the pool's and the disk's *_total counters
+// keep what a relation counted when it leaves the pool — by DROP INDEX,
+// DROP TABLE or a failed CREATE INDEX — so none of them ever falls, and
+// SHOW STATS RESET zeroes them all the same.
+func TestStorageCountersNeverFall(t *testing.T) {
+	db, err := Open(Options{Dir: t.TempDir(), WAL: true, PoolPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	names := []string{"pool_accesses_total", "disk_reads_total", "disk_writes_total"}
+	counters := func() map[string]int64 {
+		got := map[string]int64{}
+		db.Obs().Each(func(name string, v int64) { got[name] = v })
+		return got
+	}
+	tb, err := db.CreateTable("t", []Column{{"k", catalog.Text}, {"id", catalog.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]catalog.Tuple, 2000)
+	for i := range rows {
+		rows[i] = catalog.Tuple{catalog.NewText(fmt.Sprintf("key%05d", i)), catalog.NewInt(int64(i))}
+	}
+	if _, err := tb.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("t_trie", "t", "k", "spgist", "spgist_trie"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Select(&Pred{Column: 0, Op: "#=", Arg: catalog.NewText("key01")}, func(Row) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	prev := counters()
+	for _, n := range names {
+		if prev[n] == 0 {
+			t.Fatalf("%s is 0 before the drops; the test would be vacuous", n)
+		}
+	}
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"DROP INDEX", func() error { return db.DropIndex("t_trie") }},
+		{"a failed CREATE INDEX", func() error {
+			if _, err := tb.Heap.Insert([]byte{0xFF, 0xFF, 0xFF}); err != nil {
+				return err
+			}
+			if _, err := db.CreateIndex("t_trie", "t", "k", "spgist", "spgist_trie"); err == nil {
+				return fmt.Errorf("CREATE INDEX over an undecodable row succeeded")
+			}
+			return nil
+		}},
+		{"DROP TABLE", func() error { return db.DropTable("t") }},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		got := counters()
+		for _, n := range names {
+			if got[n] < prev[n] {
+				t.Errorf("after %s: %s fell from %d to %d", step.name, n, prev[n], got[n])
+			}
+		}
+		prev = got
+	}
+	db.Obs().Reset()
+	got := counters()
+	for _, n := range names {
+		if got[n] != 0 {
+			t.Errorf("%s is %d after a reset, want 0", n, got[n])
+		}
 	}
 }

@@ -25,9 +25,7 @@ import (
 // in-memory model that applies crash semantics:
 //
 //   - a statement crashed before its commit marker left nothing behind
-//     (CREATE/DROP TABLE, DROP INDEX, ANALYZE);
-//   - a crashed CREATE INDEX leaves its committed-invalid entry, so the
-//     index exists *rebuilt and valid* after recovery;
+//     (CREATE/DROP TABLE and INDEX, ANALYZE);
 //   - statistics are whole: either the pre-crash record or the new one,
 //     with exactly the row count the model predicts — never torn;
 //   - no ghost records, no partial index files, no orphaned data files;
@@ -144,7 +142,7 @@ func verifyTorture(t *testing.T, dir string, model *tortureModel) {
 			t.Fatalf("ghost index %q in catalog", ie.Name)
 		}
 		if !ie.Valid {
-			t.Fatalf("index %q is INVALID after recovery (rebuild skipped)", ie.Name)
+			t.Fatalf("index %q is invalid after recovery", ie.Name)
 		}
 		delete(wantIx, ie.Name)
 	}
@@ -229,7 +227,7 @@ func verifyTorture(t *testing.T, dir string, model *tortureModel) {
 	}
 	for _, e := range entries {
 		n := e.Name()
-		if !strings.HasSuffix(n, ".tbl") && !strings.HasSuffix(n, ".idx") {
+		if !strings.HasSuffix(n, ".tbl") && !strings.HasSuffix(n, ".idx") && !strings.HasSuffix(n, ".build") {
 			continue
 		}
 		if !knownFiles[n] {
@@ -342,9 +340,6 @@ func runTorture(t *testing.T, seed int64, steps int) {
 			}
 			_, err := db.CreateIndex(ixName, name, "name", method, oc)
 			if errors.Is(err, errTortureCrash) {
-				// The invalid entry committed before the build: after
-				// recovery the index exists, rebuilt and valid.
-				mt.indexes[ixName] = oc
 				crashed(step)
 				continue
 			}

@@ -98,8 +98,8 @@ func TestRecoveredPagesMatchTwin(t *testing.T) {
 // past the first 512 bytes is written through the file's fault manager
 // with a torn rule armed, so only those 512 bytes land. The frame stays
 // dirty and pinned, so no later eviction writes the page whole again; a
-// crash discards it.
-func tearDirtyPage(t *testing.T, bp *storage.BufferPool, fdm *storage.FaultDiskManager) {
+// crash discards it. It returns the torn page's id.
+func tearDirtyPage(t *testing.T, bp *storage.BufferPool, fdm *storage.FaultDiskManager) storage.PageID {
 	t.Helper()
 	const torn = 512
 	disk := make([]byte, bp.DM().PageSize())
@@ -118,9 +118,10 @@ func tearDirtyPage(t *testing.T, bp *storage.BufferPool, fdm *storage.FaultDiskM
 		if err := fdm.WritePage(id, img); !errors.Is(err, storage.ErrInjectedIO) || fdm.Counters().TornWrites != 1 {
 			t.Fatalf("%s page %d: the torn write returned %v after %d torn writes, want an injected error after 1", bp.FileName(), id, err, fdm.Counters().TornWrites)
 		}
-		return
+		return id
 	}
 	t.Fatalf("%s: no data page is dirty past its first %d bytes", bp.FileName(), torn)
+	return storage.InvalidPageID
 }
 
 // openTwin opens the on-disk, logged database of TestRecoveredPagesMatchTwin.

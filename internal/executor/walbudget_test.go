@@ -15,8 +15,9 @@ import (
 )
 
 // TestIndexWALBudget guards what the log of an SP-GiST insert is made of.
-// The load, before the first checkpoint, logs no page image at all: the
-// log reaches back to every file's creation. After a CHECKPOINT, 1 000
+// The load, before the first checkpoint, logs no page image but one of
+// each page the index builds wrote outside the log, at its first touch:
+// the log reaches back to every other page's creation. After a CHECKPOINT, 1 000
 // autocommit single-row INSERTs into a trie-indexed and into a
 // kd-tree-indexed table may append at most 195 B of WAL per statement
 // beyond page images, as the writer's page-image byte counter has them
@@ -50,6 +51,7 @@ func TestIndexWALBudget(t *testing.T) {
 		"pts":   func(i int) catalog.Datum { return catalog.NewPoint(pts[i]) },
 	}
 	tables := map[string]*executor.Table{}
+	built := map[string]uint32{} // pages each index build wrote
 	for _, def := range []struct {
 		name, opclass string
 		typ           catalog.Type
@@ -58,9 +60,11 @@ func TestIndexWALBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.CreateIndex(def.name+"_ix", def.name, "k", "spgist", def.opclass); err != nil {
+		ix, err := db.CreateIndex(def.name+"_ix", def.name, "k", "spgist", def.opclass)
+		if err != nil {
 			t.Fatal(err)
 		}
+		built[ix.File()] = ix.Pool().DM().NumPages()
 		tups := make([]catalog.Tuple, loaded)
 		for i := range tups {
 			tups[i] = catalog.Tuple{datum[def.name](i), catalog.NewInt(int64(i))}
@@ -74,8 +78,17 @@ func TestIndexWALBudget(t *testing.T) {
 	if err := w.Sync(w.AppendedLSN()); err != nil {
 		t.Fatal(err)
 	}
+	type pageKey struct {
+		file string
+		page uint32
+	}
+	builtImages := map[pageKey]int{}
 	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
-		if r.Type == wal.RecPageImage {
+		if r.Type != wal.RecPageImage {
+			return nil
+		}
+		key := pageKey{r.File, r.Page}
+		if builtImages[key]++; r.Page >= built[r.File] || builtImages[key] > 1 {
 			t.Errorf("LSN %d: image of %s page %d before the first checkpoint", r.LSN, r.File, r.Page)
 		}
 		return nil
@@ -102,10 +115,6 @@ func TestIndexWALBudget(t *testing.T) {
 	// Walk the statements' records. A page image is a first touch iff no
 	// earlier group holds a record of its page and the page has not been
 	// imaged already.
-	type pageKey struct {
-		file string
-		page uint32
-	}
 	earlier := map[pageKey]bool{} // pages with a record in an earlier group, or an image
 	inGroup := map[pageKey]bool{}
 	var nodeRecords int64
@@ -214,9 +223,11 @@ func TestIndexWALBudget(t *testing.T) {
 // statement's frame is far over 1 KB and goes out deflated, so the load
 // may append at most 85 B of WAL per row (82 measured; 121 with every
 // frame stored raw, 143 while a batch insert also repeated each tuple's
-// 18-byte header). A second load of the same shape, crashed after half of
+// 18-byte header). A CREATE INDEX over the loaded words then logs nothing
+// of its build. A second load of the same shape, crashed after half of
 // its statements, recovers exactly the committed rows — the first load's —
-// from those deflated frames, by a scan and through each index.
+// from those deflated frames, by a scan and through each index, the one
+// built outside the log included.
 func TestBulkLoadWALBudget(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *executor.DB {
@@ -270,6 +281,44 @@ func TestBulkLoadWALBudget(t *testing.T) {
 		t.Errorf("the load's frames take %d B stored and %d B raw: none was deflated", stored, raw)
 	}
 
+	// CREATE INDEX over the loaded words logs nothing of its build: the
+	// index file's creation, its catalog records (the OID counter's
+	// delete and insert, the index record, the catalog's meta patch) and
+	// one marker, 186 B measured.
+	start := w.AppendedLSN()
+	before = w.Stats()
+	exec(`CREATE INDEX words_ix2 ON words USING spgist (k spgist_trie)`)
+	created := w.Stats().AppendedBytes - before.AppendedBytes
+	tb, err := db.Table("words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixFile := tb.Indexes[1].File()
+	if err := w.Sync(w.AppendedLSN()); err != nil {
+		t.Fatal(err)
+	}
+	var markers, others int
+	if _, err := wal.Replay(filepath.Join(dir, "wal"), func(r *wal.Record) error {
+		switch {
+		case r.LSN <= start:
+		case r.Type == wal.RecCommit:
+			markers++
+		case r.File == ixFile && r.Type != wal.RecFileCreate:
+			t.Errorf("CREATE INDEX logged a %s record of %s page %d", r.Type, r.File, r.Page)
+		case r.File != "syscat.dat" && r.File != ixFile:
+			t.Errorf("CREATE INDEX logged a %s record of %s", r.Type, r.File)
+		default:
+			others++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("CREATE INDEX over %d rows: %d B of WAL, %d records and %d marker", rows, created, others, markers)
+	if markers != 1 || others != 5 || created > 200 {
+		t.Errorf("CREATE INDEX over %d rows appended %d B, %d records and %d markers, want at most 200 B, 5 and 1", rows, created, others, markers)
+	}
+
 	exec(`BEGIN`)
 	load(rows, rows+rows/2)
 	if err := db.Crash(); err != nil {
@@ -299,16 +348,20 @@ func TestBulkLoadWALBudget(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		indexed := map[int64]bool{}
-		for i := 0; i < rows+rows/2; i++ {
-			if err := tb.SelectIndexed(tb.Indexes[0], &executor.Pred{Column: 0, Op: c.op, Arg: c.key(i)}, func(r executor.Row) bool {
-				indexed[r.Tuple[1].I] = true
-				return true
-			}); err != nil {
-				t.Fatal(err)
+		found := map[string]map[int64]bool{"scan": scanned}
+		for _, ix := range tb.Indexes {
+			indexed := map[int64]bool{}
+			for i := 0; i < rows+rows/2; i++ {
+				if err := tb.SelectIndexed(ix, &executor.Pred{Column: 0, Op: c.op, Arg: c.key(i)}, func(r executor.Row) bool {
+					indexed[r.Tuple[1].I] = true
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
+			found["index "+ix.Name] = indexed
 		}
-		for name, ids := range map[string]map[int64]bool{"scan": scanned, "index": indexed} {
+		for name, ids := range found {
 			if len(ids) != rows {
 				t.Errorf("%s: the %s finds %d rows after the crash, want the %d committed", c.table, name, len(ids), rows)
 			}

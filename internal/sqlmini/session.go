@@ -714,12 +714,12 @@ func (p *parser) explainTrace(s *Session) (*Result, error) {
 
 // SHOW INDEXES: one row per index record of the persistent system
 // catalog — name, table, indexed column, access method, operator class,
-// validity, and index file. Shared lock, like SHOW TABLES.
+// and index file. Shared lock, like SHOW TABLES.
 func showIndexes(s *Session) (*Result, error) {
 	s.DB.ShareLock()
 	defer s.DB.ShareUnlock()
 	cat := s.DB.Catalog()
-	res := &Result{Columns: []string{"index", "table", "column", "method", "opclass", "valid", "file"}}
+	res := &Result{Columns: []string{"index", "table", "column", "method", "opclass", "file"}}
 	byOID := make(map[uint64]string)
 	colName := func(tableOID uint64, ord int) string {
 		tn, ok := byOID[tableOID]
@@ -742,7 +742,6 @@ func showIndexes(s *Session) (*Result, error) {
 			catalog.NewText(colName(ie.TableOID, ie.Column)),
 			catalog.NewText(ie.Method),
 			catalog.NewText(ie.OpClass),
-			catalog.NewText(fmt.Sprintf("%v", ie.Valid)),
 			catalog.NewText(ie.File),
 		})
 	}

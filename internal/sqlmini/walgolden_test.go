@@ -52,8 +52,8 @@ func TestGoldenWALStream(t *testing.T) {
 	s := NewSession(db)
 	mustExec(t, s, `CREATE TABLE w (name VARCHAR, id INT)`)
 	// Batch INSERT: 300 deterministic words — several heap pages (one
-	// batch record each) and more than 64 rows, so the index build below
-	// places its intra-build commit markers.
+	// batch record each) — for the index build below to back-fill
+	// outside the log.
 	var vals []string
 	for i := 0; i < 300; i++ {
 		vals = append(vals, fmt.Sprintf("('%s%03d', %d)", []string{"alpha", "beta", "gamma", "delta"}[i%4], (i*37)%300, i))
@@ -159,6 +159,21 @@ func firstDiff(got, want string) string {
 // stored as a DEFLATE stream of Huffman codes when that is smaller — the
 // batch INSERT's and the index build's among them: 32 039 → 20 700 bytes.
 // Every record line is unchanged: the decoder gives back the same records.
+//
+// Re-recorded once more when CREATE INDEX came to build its file outside
+// the log and commit once. Of its 503 lines 497 are gone: the meta page's
+// creation slot-put and the build's 154 further slot-puts and 335
+// slot-patches of rel2.idx, five of its six markers (the one that
+// committed the entry invalid and four inside the build), and the
+// catalog's delete and insert that flipped the entry valid; the file's
+// creation, the catalog's four records of the entry and one marker
+// remain. The first statement to touch the built pages (the INSERT of
+// 'epsilon') ships their first-touch images, rel2.idx page 1 (3 031 bytes
+// deflated) and page 0 (50 bytes), behind its records. The two deflated
+// images after CHECKPOINT come out 2 bytes longer (1 484 → 1 486,
+// 2 877 → 2 879): their pages carry other LSNs. The stream appends 86
+// records instead of 581 and 12 856 bytes instead of 20 700. Every other
+// line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 slot-put file="syscat.dat" page=0 slot=0 xid=0 len=20
@@ -186,503 +201,6 @@ heap-insert file="syscat.dat" page=1 slot=3 xid=0 len=27
 heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
 heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
 slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=7
-slot-put file="rel2.idx" page=0 slot=0 xid=0 len=22
-commit file="" page=0 slot=0 xid=0 len=0
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=25
-slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=13
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=0 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=89
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=69
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=73
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=73
-slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=38
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=27
-commit file="" page=0 slot=0 xid=0 len=0
-slot-put file="rel2.idx" page=1 slot=1 xid=0 len=36
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=137
-slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=29
-slot-put file="rel2.idx" page=1 slot=2 xid=0 len=26
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=144
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=129
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=3 xid=0 len=36
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=153
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=105
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=41
-slot-patch file="rel2.idx" page=1 slot=3 xid=0 len=29
-slot-put file="rel2.idx" page=1 slot=4 xid=0 len=36
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=137
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=105
-slot-patch file="rel2.idx" page=1 slot=4 xid=0 len=29
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=2 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-commit file="" page=0 slot=0 xid=0 len=0
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-put file="rel2.idx" page=1 slot=10 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=17 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=18 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=19 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=20 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=21 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=22 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=23 xid=0 len=57
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=9 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=24 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=25 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=26 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=27 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=28 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=29 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=30 xid=0 len=54
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=7 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=31 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=32 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=33 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=34 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=35 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=36 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=37 xid=0 len=41
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=38 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=39 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=40 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=38 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=39 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=40 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=15 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=41 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=42 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=43 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=44 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=45 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=46 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=47 xid=0 len=41
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=48 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=40 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=47 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=48 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=49 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=50 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=48 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=49 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=50 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-put file="rel2.idx" page=1 slot=12 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=51 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=52 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=53 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=54 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=55 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=56 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=57 xid=0 len=41
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=58 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=7 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=59 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=57 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-commit file="" page=0 slot=0 xid=0 len=0
-slot-patch file="rel2.idx" page=1 slot=58 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=59 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=60 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=58 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=59 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=60 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=16 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=61 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=62 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=63 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=64 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=65 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=66 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=67 xid=0 len=39
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=68 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=15 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=69 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=70 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=68 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=69 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=70 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=5 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=71 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=72 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=73 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=74 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=75 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=76 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=77 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=78 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=74
-slot-put file="rel2.idx" page=1 slot=8 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=79 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=80 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=81 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=82 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=83 xid=0 len=39
-slot-put file="rel2.idx" page=1 slot=84 xid=0 len=54
-slot-put file="rel2.idx" page=1 slot=85 xid=0 len=39
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=69 xid=0 len=27
-slot-put file="rel2.idx" page=1 slot=13 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=86 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=87 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=88 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=89 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=90 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=91 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=92 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=93 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=74
-slot-put file="rel2.idx" page=1 slot=6 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=94 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=95 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=96 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=97 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=98 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=99 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=100 xid=0 len=41
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=70 xid=0 len=26
-slot-put file="rel2.idx" page=1 slot=11 xid=0 len=77
-slot-put file="rel2.idx" page=1 slot=101 xid=0 len=25
-slot-put file="rel2.idx" page=1 slot=102 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=103 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=104 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=105 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=106 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=107 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=108 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=74
-slot-put file="rel2.idx" page=1 slot=14 xid=0 len=68
-slot-put file="rel2.idx" page=1 slot=109 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=110 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=111 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=112 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=113 xid=0 len=57
-slot-put file="rel2.idx" page=1 slot=114 xid=0 len=41
-slot-put file="rel2.idx" page=1 slot=115 xid=0 len=41
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=65
-slot-patch file="rel2.idx" page=1 slot=78 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=116 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=117 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=12 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=93 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=100 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=118 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=108 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=115 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=119 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=116 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=117 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=120 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=121 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=118 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=108 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=122 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=119 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=116 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=123 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=120 xid=0 len=27
-commit file="" page=0 slot=0 xid=0 len=0
-heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
-heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
-slot-patch file="rel2.idx" page=1 slot=121 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=124 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=16 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=125 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=122 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=119 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=126 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=123 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=120 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=127 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=124 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=125 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=128 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=129 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=5 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=126 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=123 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=130 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=13 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=127 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=124 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=131 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=11 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=128 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=129 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=132 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=8 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=133 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=10 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=130 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=127 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=134 xid=0 len=24
-slot-patch file="rel2.idx" page=1 slot=9 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=131 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=128 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=132 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=133 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=86 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=135 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=6 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=134 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=131 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=20
-slot-put file="rel2.idx" page=1 slot=136 xid=0 len=25
-slot-patch file="rel2.idx" page=1 slot=14 xid=0 len=11
-slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=132 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=17 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=86 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=135 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=24 xid=0 len=26
-slot-patch file="rel2.idx" page=1 slot=101 xid=0 len=27
-slot-patch file="rel2.idx" page=1 slot=136 xid=0 len=27
-slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=8
 commit file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=39
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
@@ -690,6 +208,8 @@ slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=3031
+page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 heap-set-xmax file="rel1.tbl" page=2 slot=114 xid=3 len=0
@@ -731,17 +251,17 @@ commit file="" page=0 slot=0 xid=0 len=0
 checkpoint file="" page=0 slot=0 xid=0 len=0
 heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
-page-image file="rel1.tbl" page=2 slot=0 xid=0 len=1484
+page-image file="rel1.tbl" page=2 slot=0 xid=0 len=1486
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=48
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=2877
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=2879
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=581 appended_bytes=20700
+appends=86 appended_bytes=12856
 `

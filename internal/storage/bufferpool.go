@@ -114,9 +114,14 @@ type Pool struct {
 
 	// rels lists the open relations in the order they were opened; their
 	// numbers (nextRel) are never reused, so no frame outlives its file.
-	relMu   sync.Mutex
-	rels    []*BufferPool
-	nextRel uint32
+	// retired and retiredIO keep the counters of the relations that have
+	// left the pool (BufferPool.Crash), so the pool's totals never fall
+	// when a file is dropped.
+	relMu     sync.Mutex
+	rels      []*BufferPool
+	nextRel   uint32
+	retired   PoolStats
+	retiredIO [3]int64 // disk reads, writes, allocations
 }
 
 // BufferPool is one relation file opened in a Pool, the handle access
@@ -233,6 +238,11 @@ type frame struct {
 	// recovery can only rebuild a torn page when an image of it survives
 	// in the post-checkpoint log.
 	imagedLSN wal.LSN
+	// unlogged marks a page read from its file with content no record
+	// stamped — an initialized page with a zero pageLSN — which only a
+	// write outside the log leaves: an index build's, or a session's
+	// without a log.
+	unlogged bool
 }
 
 // NewPool creates a pool of capacity frames of pageSize bytes.
@@ -468,13 +478,41 @@ func (bp *BufferPool) ResetStats() {
 	}
 }
 
-// Stats sums the counters of every open relation.
+// Stats sums the counters of every relation the pool has held: the open
+// ones and those that have left it.
 func (p *Pool) Stats() PoolStats {
-	var s PoolStats
-	for _, bp := range p.Relations() {
+	p.relMu.Lock()
+	defer p.relMu.Unlock()
+	s := p.retired
+	for _, bp := range p.rels {
 		s.add(bp.Stats())
 	}
 	return s
+}
+
+// DiskStats sums the physical I/O of every relation file the pool has
+// held: its disk manager's counters while it is open, and what they
+// counted when it left the pool.
+func (p *Pool) DiskStats() (reads, writes, allocs int64) {
+	p.relMu.Lock()
+	defer p.relMu.Unlock()
+	reads, writes, allocs = p.retiredIO[0], p.retiredIO[1], p.retiredIO[2]
+	for _, bp := range p.rels {
+		r, w, a := bp.dm.Stats().Snapshot()
+		reads, writes, allocs = reads+r, writes+w, allocs+a
+	}
+	return reads, writes, allocs
+}
+
+// ResetStats zeroes what Stats and DiskStats report (SHOW STATS RESET).
+func (p *Pool) ResetStats() {
+	p.relMu.Lock()
+	defer p.relMu.Unlock()
+	p.retired, p.retiredIO = PoolStats{}, [3]int64{}
+	for _, bp := range p.rels {
+		bp.ResetStats()
+		bp.dm.Stats().Reset()
+	}
 }
 
 // claimLocked resolves page id to a frame of shard si, the first step of
@@ -534,6 +572,7 @@ func (bp *BufferPool) publishLocked(sh *poolShard, fi int, id PageID) *frame {
 	f.lsn = 0
 	f.imagedLSN = 0
 	f.opPending = false
+	f.unlogged = false
 	f.valid = true
 	sh.table[bp.key(id)] = fi
 	return f
@@ -571,7 +610,7 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID) error 
 		// the frame becomes reachable through the table, so no waiter
 		// can find its page evicted underneath it.
 		f.pin.Store(1 + e.waiters)
-		bp.publishLocked(sh, fi, id)
+		bp.publishLocked(sh, fi, id).unlogged = PageLSN(f.data) == 0 && !SlotAreaBlank(f.data)
 	}
 	close(e.done)
 	return err
@@ -843,20 +882,25 @@ func (bp *BufferPool) takeDeferred(g *wal.Group) []Staged {
 // does not match and replays the records that cover it, which restores
 // everything only when the log still reaches back to the page's creation
 // or holds a full image of it, and a checkpoint recycles the older
-// segments. Before the first checkpoint the log is complete since
-// creation and no image is needed.
+// segments. Before the first checkpoint the log is complete since the
+// creation of every page written under it, and only a page written outside
+// it needs an image: an index build's (which syncs its file before any
+// record names it) or a session's without a log.
 func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []Staged) []Staged {
 	nOps, ckpt := len(staged), w.CheckpointLSN()
-	if nOps == 0 || ckpt == 0 {
+	if nOps == 0 {
 		return staged
 	}
-	done := make(map[PageID]bool, nOps)
+	// A page's records mostly run together; imaged keeps a page that
+	// recurs later from a second image.
+	var imaged map[PageID]bool
+	prev := InvalidPageID
 	for _, op := range staged[:nOps] {
 		id := op.Page
-		if done[id] {
+		if id == prev || imaged[id] {
 			continue
 		}
-		done[id] = true
+		prev = id
 		sh := &bp.pool.shards[bp.shardOf(id)]
 		bp.pool.lockShard(sh)
 		fi, ok := sh.table[bp.key(id)]
@@ -867,14 +911,18 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 			continue
 		}
 		f := &sh.frames[fi]
-		if f.imagedLSN > ckpt || PageLSN(f.data) > uint64(ckpt) {
+		if f.imagedLSN > ckpt || PageLSN(f.data) > uint64(ckpt) || (ckpt == 0 && !f.unlogged) {
 			// An image of this page from after the checkpoint already
 			// survives in the log — logged directly, or implied by a
 			// record whose own statement forced one before stamping the
-			// pageLSN.
+			// pageLSN — or, before the first checkpoint, its creation.
 			sh.mu.Unlock()
 			continue
 		}
+		if imaged == nil {
+			imaged = make(map[PageID]bool)
+		}
+		imaged[id] = true
 		// The image, its hole (pageHole) left out, is copied under the
 		// lock and staged with the lock released.
 		off, n := pageHole(f.data)
@@ -1118,10 +1166,11 @@ func (bp *BufferPool) Close() error {
 }
 
 // Crash discards the relation's frames — dirty or not, pinned or not —
-// without writing anything back, detaches the relation from the pool and
-// closes its disk manager: the loss of volatile state in a crash, and how
-// a doomed relation (a committed DROP, a failed DDL statement) frees its
-// frames without its dirty pages reaching the log or the file.
+// without writing anything back, detaches the relation from the pool,
+// whose totals keep its counters, and closes its disk manager: the loss
+// of volatile state in a crash, and how a doomed relation (a committed
+// DROP, a failed DDL statement) frees its frames without its dirty pages
+// reaching the log or the file.
 func (bp *BufferPool) Crash() error {
 	for si := range bp.pool.shards {
 		sh := &bp.pool.shards[si]
@@ -1143,8 +1192,17 @@ func (bp *BufferPool) Crash() error {
 	bp.opPages = nil
 	bp.opsMu.Unlock()
 	p := bp.pool
+	st := bp.Stats()
+	r, w, a := bp.dm.Stats().Snapshot()
 	p.relMu.Lock()
+	n := len(p.rels)
 	p.rels = slices.DeleteFunc(p.rels, func(r *BufferPool) bool { return r == bp })
+	if len(p.rels) < n { // a second Crash counts nothing twice
+		p.retired.add(st)
+		p.retiredIO[0] += r
+		p.retiredIO[1] += w
+		p.retiredIO[2] += a
+	}
 	p.relMu.Unlock()
 	return bp.dm.Close()
 }

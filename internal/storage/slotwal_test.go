@@ -113,6 +113,47 @@ func TestFirstTouchImages(t *testing.T) {
 	}
 }
 
+// TestFirstTouchImageOfUnloggedPage: a page written outside the log — an
+// index build's, whose file is synced before any record names it — has
+// no creation in the log to be rebuilt from, so its first touch ships an
+// image before any checkpoint too, and only its first; a blank page of
+// the same file does not.
+func TestFirstTouchImageOfUnloggedPage(t *testing.T) {
+	dm := NewMem(256)
+	build := NewBufferPool("rel2.idx", dm, 4)
+	for _, rec := range []string{"built", ""} {
+		p, err := build.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec != "" {
+			SlotInit(p.Data)
+			SlotInsert(p.Data, []byte(rec))
+		}
+		build.Unpin(p, true)
+	}
+	if err := build.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	w := openMarkedWAL(t, t.TempDir(), wal.Options{})
+	defer w.Close()
+	bp := NewBufferPool("rel2.idx", dm, 4)
+	bp.pool.AttachWAL(w)
+	for _, c := range []struct {
+		when   string
+		page   PageID
+		images int
+	}{
+		{"first touch of the built page", 0, 1},
+		{"second touch of the built page", 0, 0},
+		{"first touch of the blank page", 1, 0},
+	} {
+		if recs, imgs := touchNode(t, bp, w, c.page, []byte(c.when)); recs != 1 || imgs != c.images {
+			t.Fatalf("%s: group carries %d records and %d images, want 1 and %d", c.when, recs, imgs, c.images)
+		}
+	}
+}
+
 // addImage stages an image of page in g as the buffer pool does, its hole
 // left out.
 func addImage(g *wal.Group, file string, id uint32, page []byte) {

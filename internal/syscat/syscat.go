@@ -17,9 +17,9 @@
 //     through catalog.TypeByName on load — the file is self-describing);
 //   - an index record per index: OID, name, owning table OID, column
 //     ordinal, access-method and operator-class names, index file name,
-//     and a validity flag. An index is recorded invalid when its CREATE
-//     INDEX begins and flipped valid only when the build commits, so a
-//     crash mid-build is detectable at the next open;
+//     and a validity flag. The flag is always written 1: CREATE INDEX
+//     builds the file before its entry commits. A 0 is an entry an older
+//     build committed before its build, whose build a crash interrupted;
 //   - a single OID counter record. OIDs are never reused — a dropped
 //     relation's file name must stay dead while write-ahead log records
 //     mentioning it can still replay, or redo could alias an old
@@ -66,7 +66,7 @@ type Index struct {
 	Method   string // access method name (pg_am reference)
 	OpClass  string // operator class name (pg_opclass reference)
 	File     string // index file base name, rel<OID>.idx
-	Valid    bool   // false from CREATE INDEX start until its build commits
+	Valid    bool   // false only on an entry an older build left mid-build
 }
 
 // Stats is one planner-statistics record: the sampled per-column
@@ -343,10 +343,8 @@ func (c *Catalog) AddTable(name string, cols []Column) (Table, error) {
 	return t, nil
 }
 
-// AddIndex records a new index (normally with valid=false: the entry
-// commits before the build starts, and SetIndexValid flips it once the
-// build commits). The caller commits the statement.
-func (c *Catalog) AddIndex(name string, tableOID uint64, column int, method, opclass string, valid bool) (Index, error) {
+// AddIndex records a new, valid index. The caller commits the statement.
+func (c *Catalog) AddIndex(name string, tableOID uint64, column int, method, opclass string) (Index, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.indexes[name]; dup {
@@ -364,7 +362,7 @@ func (c *Catalog) AddIndex(name string, tableOID uint64, column int, method, opc
 		Method:   method,
 		OpClass:  opclass,
 		File:     fmt.Sprintf("rel%d.idx", oid),
-		Valid:    valid,
+		Valid:    true,
 	}
 	rid, err := c.heap.Insert(encodeIndex(ix))
 	if err != nil {
@@ -372,30 +370,6 @@ func (c *Catalog) AddIndex(name string, tableOID uint64, column int, method, opc
 	}
 	c.indexes[name] = &indexSlot{i: ix, rid: rid}
 	return ix, nil
-}
-
-// SetIndexValid rewrites an index record's validity flag (delete+insert;
-// the heap has no in-place update). The caller commits the statement, or,
-// when this fails, reads the catalog again from its reverted pages.
-func (c *Catalog) SetIndexValid(name string, valid bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.indexes[name]
-	if !ok {
-		return fmt.Errorf("syscat: unknown index %q", name)
-	}
-	updated := s.i
-	updated.Valid = valid
-	if err := c.heap.Delete(s.rid); err != nil {
-		return fmt.Errorf("syscat: update index %q: %w", name, err)
-	}
-	rid, err := c.heap.Insert(encodeIndex(updated))
-	if err != nil {
-		return fmt.Errorf("syscat: update index %q: %w", name, err)
-	}
-	s.i = updated
-	s.rid = rid
-	return nil
 }
 
 // RemoveTable deletes a table record (the executor removes the table's
@@ -740,11 +714,7 @@ func encodeIndex(ix Index) []byte {
 	b = appendStr8(b, ix.Method)
 	b = appendStr8(b, ix.OpClass)
 	b = appendStr16(b, ix.File)
-	v := byte(0)
-	if ix.Valid {
-		v = 1
-	}
-	return append(b, v)
+	return append(b, 1) // valid: see Index.Valid
 }
 
 // EncodedSize reports the heap-record size of a statistics record —

@@ -48,15 +48,12 @@ func TestCatalogRoundTrip(t *testing.T) {
 	if tb.File != "rel1.tbl" {
 		t.Fatalf("table file: %q", tb.File)
 	}
-	ix, err := c.AddIndex("words_trie", tb.OID, 0, "spgist", "spgist_trie", false)
+	ix, err := c.AddIndex("words_trie", tb.OID, 0, "spgist", "spgist_trie")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Valid {
-		t.Fatal("index born valid")
-	}
-	if err := c.SetIndexValid("words_trie", true); err != nil {
-		t.Fatal(err)
+	if !ix.Valid {
+		t.Fatal("index born invalid")
 	}
 
 	c2 := reload(t, bp)
@@ -75,7 +72,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 		t.Fatal("index lost on reload")
 	}
 	if !ix2.Valid {
-		t.Fatal("validity flip lost on reload")
+		t.Fatal("validity lost on reload")
 	}
 	if ix2.TableOID != tb.OID || ix2.Column != 0 || ix2.Method != "spgist" || ix2.OpClass != "spgist_trie" {
 		t.Fatalf("index diverged: %+v", ix2)
@@ -116,18 +113,27 @@ func TestCatalogInvalidIndexSurvivesReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddIndex("kd", tb.OID, 0, "spgist", "spgist_kdtree", false); err != nil {
+	ix, err := c.AddIndex("kd", tb.OID, 0, "spgist", "spgist_kdtree")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The crash-mid-build state: the invalid entry is on disk, the flip
-	// to valid never happened.
+	// The record an older build committed before its build, with the
+	// validity flag at 0, and a crash before the build flipped it.
+	rec := encodeIndex(ix)
+	rec[len(rec)-1] = 0
+	if err := c.heap.Delete(c.indexes["kd"].rid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.heap.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
 	c2 := reload(t, bp)
 	ix, ok := c2.GetIndex("kd")
 	if !ok {
 		t.Fatal("invalid index entry lost")
 	}
 	if ix.Valid {
-		t.Fatal("index entry became valid without SetIndexValid")
+		t.Fatal("an entry left invalid loads valid")
 	}
 }
 
@@ -140,10 +146,10 @@ func TestCatalogRejectsDuplicatesAndUnknowns(t *testing.T) {
 	if _, err := c.AddTable("t", []Column{{Name: "x", Type: catalog.Int}}); err == nil {
 		t.Fatal("duplicate table accepted")
 	}
-	if _, err := c.AddIndex("i", tb.OID, 0, "spgist", "spgist_trie", false); err != nil {
+	if _, err := c.AddIndex("i", tb.OID, 0, "spgist", "spgist_trie"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddIndex("i", tb.OID, 0, "spgist", "spgist_trie", false); err == nil {
+	if _, err := c.AddIndex("i", tb.OID, 0, "spgist", "spgist_trie"); err == nil {
 		t.Fatal("duplicate index accepted")
 	}
 	if err := c.RemoveTable("nope"); err == nil {
@@ -152,14 +158,11 @@ func TestCatalogRejectsDuplicatesAndUnknowns(t *testing.T) {
 	if err := c.RemoveIndex("nope"); err == nil {
 		t.Fatal("remove of unknown index accepted")
 	}
-	if err := c.SetIndexValid("nope", true); err == nil {
-		t.Fatal("validity flip of unknown index accepted")
-	}
 }
 
 func TestCatalogLoadRejectsDanglingIndex(t *testing.T) {
 	c, bp := newCatalog(t)
-	if _, err := c.AddIndex("i", 999, 0, "spgist", "spgist_trie", true); err != nil {
+	if _, err := c.AddIndex("i", 999, 0, "spgist", "spgist_trie"); err != nil {
 		t.Fatal(err)
 	}
 	hf, err := heap.Open(bp)

@@ -28,9 +28,9 @@
 // reopening one rediscovers every table and index with no schema
 // re-declaration, DROP TABLE / DROP INDEX remove relations, and SHOW
 // TABLES / SHOW INDEXES introspect the catalog in SQL. With Options.WAL
-// all DDL is crash-atomic — in particular, a crash during CREATE INDEX
-// is detected at the next open and the index is rebuilt, never left
-// partial.
+// all DDL is crash-atomic — in particular, CREATE INDEX builds its file
+// complete before its catalog entry commits, so a crash during it leaves
+// neither the index nor a partial file.
 //
 // The deeper layers are available for direct use: repro/internal/core is
 // the SP-GiST framework itself (OpClass external methods, generic
