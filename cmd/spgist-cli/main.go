@@ -2,7 +2,7 @@
 // engine — the closest thing in this repository to the psql sessions of
 // the paper's Table 6.
 //
-//	$ spgist-cli [-dir /path/to/db]
+//	$ spgist-cli [-dir /path/to/db [-wal-lazy]]
 //	spgist> CREATE TABLE word_data (name VARCHAR, id INT);
 //	spgist> CREATE INDEX t ON word_data USING spgist (name spgist_trie);
 //	spgist> INSERT INTO word_data VALUES ('random', 1);
@@ -18,6 +18,8 @@
 // multi-row INSERT beat 1000 single-row statements), \q (quit).
 // SHOW TABLES / SHOW INDEXES / SHOW STATS and DROP TABLE / DROP INDEX
 // are plain SQL.
+// A database in -dir is write-ahead logged and recovers from a crash at
+// the next start; without -dir it lives in memory, with no log.
 package main
 
 import (
@@ -39,15 +41,18 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "database directory (default: in-memory)")
-	useWAL := flag.Bool("wal", false, "enable write-ahead logging and crash recovery (requires -dir)")
-	walLazy := flag.Bool("wal-lazy", false, "sync the log lazily instead of on every commit")
+	walLazy := flag.Bool("wal-lazy", false, "sync the log lazily instead of on every commit (requires -dir)")
 	flag.Parse()
 
+	if *walLazy && *dir == "" {
+		fmt.Fprintln(os.Stderr, "-wal-lazy requires -dir: an in-memory database has no log")
+		os.Exit(2)
+	}
 	mode := wal.SyncCommit
 	if *walLazy {
 		mode = wal.SyncLazy
 	}
-	db, err := repro.Open(repro.Options{Dir: *dir, WAL: *useWAL, WALSync: mode})
+	db, err := repro.Open(repro.Options{Dir: *dir, WALSync: mode})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -248,7 +253,7 @@ func meta(db *repro.DB, dir, line string) bool {
 	case "\\wal":
 		w := db.Engine().WAL()
 		if w == nil {
-			fmt.Println("write-ahead logging is off (start with -dir DIR -wal)")
+			fmt.Println("write-ahead logging is off (start with -dir DIR)")
 			break
 		}
 		st := w.Stats()

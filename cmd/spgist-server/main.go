@@ -5,8 +5,11 @@
 // concurrently under the engine's shared statement lock while DML and
 // DDL serialize as single writers.
 //
-//	$ spgist-server -addr :5433 -dir /path/to/db -wal
+//	$ spgist-server -addr :5433 -dir /path/to/db
 //	$ printf 'SHOW TABLES\n' | nc localhost 5433
+//
+// A database in -dir is write-ahead logged: killed at any point, the
+// server recovers every committed statement at its next start.
 //
 // Protocol (newline-framed text; see internal/server):
 //
@@ -33,20 +36,23 @@ func main() {
 	addr := flag.String("addr", "localhost:5433", "TCP listen address")
 	httpAddr := flag.String("http", "", "HTTP observability listen address for /metrics, /activity, /healthz, /debug/pprof (empty disables)")
 	dir := flag.String("dir", "", "database directory (default: in-memory)")
-	useWAL := flag.Bool("wal", false, "enable write-ahead logging and crash recovery (requires -dir)")
-	walLazy := flag.Bool("wal-lazy", false, "sync the log lazily instead of on every commit")
+	walLazy := flag.Bool("wal-lazy", false, "sync the log lazily instead of on every commit (requires -dir)")
 	poolPages := flag.Int("pool", 0, "buffer-pool pages per database (default 1024)")
 	slowQuery := flag.Duration("slow-query", 0, "log statements at or over this duration to stderr (0 disables)")
 	traceDir := flag.String("trace-dir", "", "write a Chrome trace-event JSON file per statement into this directory (empty disables)")
 	idleTxn := flag.Duration("idle-txn-timeout", 0, "roll back and disconnect sessions idle in an open transaction this long (0 disables)")
 	flag.Parse()
 
+	if *walLazy && *dir == "" {
+		fmt.Fprintln(os.Stderr, "-wal-lazy requires -dir: an in-memory database has no log")
+		os.Exit(2)
+	}
 	mode := wal.SyncCommit
 	if *walLazy {
 		mode = wal.SyncLazy
 	}
 	db, err := executor.Open(executor.Options{
-		Dir: *dir, WAL: *useWAL, WALSync: mode, PoolPages: *poolPages,
+		Dir: *dir, WALSync: mode, PoolPages: *poolPages,
 		SlowQueryThreshold: *slowQuery, TraceDir: *traceDir,
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func main() {
 	fmt.Println("database directory:", dir)
 
 	// First session: declare schema, load data, close cleanly.
-	db, err := repro.Open(repro.Options{Dir: dir, WAL: true})
+	db, err := repro.Open(repro.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// Second session: reopen. No CREATE TABLE, no CREATE INDEX — the
 	// system catalog is the single source of the schema.
-	db, err = repro.Open(repro.Options{Dir: dir, WAL: true})
+	db, err = repro.Open(repro.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Recovery: crash-and-recover on a file-backed database. The program
-// opens a database with write-ahead logging, loads words and points
-// under two SP-GiST indexes, then simulates a crash: every unflushed
-// buffer-pool frame is discarded, so the data files hold only what
-// happened to be evicted. Reopening with WAL enabled runs the redo pass,
-// and the indexed queries return exactly what a clean shutdown would
-// have preserved.
+// opens an on-disk database, which is always write-ahead logged, loads
+// words and points under two SP-GiST indexes, then simulates a crash:
+// every unflushed buffer-pool frame is discarded, so the data files hold
+// only what happened to be evicted. Reopening runs the redo pass, and
+// the indexed queries return exactly what a clean shutdown would have
+// preserved.
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	fmt.Println("database directory:", dir)
 
-	db, err := repro.Open(repro.Options{Dir: dir, WAL: true})
+	db, err := repro.Open(repro.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func main() {
 	// Reopen: the redo pass replays the log into the heap and index
 	// files, then the persistent system catalog rediscovers the schema —
 	// nothing is re-declared.
-	db, err = repro.Open(repro.Options{Dir: dir, WAL: true})
+	db, err = repro.Open(repro.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

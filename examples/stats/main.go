@@ -24,7 +24,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	fmt.Println("database directory:", dir)
 
-	db, err := repro.Open(repro.Options{Dir: dir, WAL: true})
+	db, err := repro.Open(repro.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	}
 
 	fmt.Println("\n-- reopen: statistics load with the catalog, no heap scan")
-	db, err = repro.Open(repro.Options{Dir: dir, WAL: true})
+	db, err = repro.Open(repro.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

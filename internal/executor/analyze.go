@@ -438,7 +438,7 @@ func (t *Table) Analyze() (err error) {
 			return faultErr{err}
 		}
 	}
-	if err := db.commitDDL(nil, nil); err != nil {
+	if err := db.commitDDL(nil); err != nil {
 		return err
 	}
 	t.installStats(s, StatsFromAnalyze)

@@ -594,10 +594,9 @@ func TestOlderInvalidIndexEntryRebuilt(t *testing.T) {
 	}
 }
 
-// Without a write-ahead log, a DROP must make the catalog delete durable
-// before unlinking the relation files: a crash in between must not leave
-// a durable entry pointing at a missing file (an unopenable database).
-func TestUnloggedDropSurvivesCrash(t *testing.T) {
+// A DROP TABLE committed before a crash stays dropped: the reopen finds
+// neither its entry nor its file, and the other table intact.
+func TestDropSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *executor.DB {
 		db, err := executor.Open(executor.Options{Dir: dir, PoolPages: 16})
@@ -621,6 +620,11 @@ func TestUnloggedDropSurvivesCrash(t *testing.T) {
 	}
 
 	db = open()
+	victim, err := db.Table("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimFile := victim.File()
 	if err := db.DropTable("victim"); err != nil {
 		t.Fatal(err)
 	}
@@ -632,24 +636,37 @@ func TestUnloggedDropSurvivesCrash(t *testing.T) {
 	db = open()
 	defer db.Close()
 	if _, err := db.Table("victim"); err == nil {
-		t.Fatal("dropped table resurfaced after unlogged crash")
+		t.Fatal("dropped table resurfaced after a crash")
 	}
-	if _, err := db.Table("keep"); err != nil {
+	keep, err := db.Table("keep")
+	if err != nil {
 		t.Fatalf("surviving table lost: %v", err)
+	}
+	if n := keep.RowCount(); n != 1 {
+		t.Fatalf("surviving table holds %d rows, want 1", n)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "rel*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || filepath.Base(files[0]) != keep.File() {
+		t.Fatalf("relation files after the reopen: %v, want only %s (%s was dropped)", files, keep.File(), victimFile)
 	}
 }
 
-// A fresh unlogged on-disk database killed before its first flush leaves
-// syscat.dat as eagerly-allocated zero pages; reopening must detect the
-// contentless husk and heal, not fail forever on "bad magic".
-func TestUnloggedFreshCatalogHuskHeals(t *testing.T) {
+// A fresh on-disk database killed before its first commit reached the
+// disk (or one an older build wrote without a log, killed before its
+// first flush) leaves syscat.dat as eagerly-allocated zero pages;
+// reopening must detect the contentless husk and heal, not fail forever
+// on "bad magic".
+func TestFreshCatalogHuskHeals(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "syscat.dat"), make([]byte, 16384), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, err := executor.Open(executor.Options{Dir: dir})
+	db, err := executor.Open(executor.Options{Dir: dir, WALSync: wal.SyncLazy})
 	if err != nil {
-		t.Fatalf("unlogged open over a zeroed catalog husk failed: %v", err)
+		t.Fatalf("open over a zeroed catalog husk failed: %v", err)
 	}
 	if _, err := db.CreateTable("t", []executor.Column{{Name: "x", Type: catalog.Int}}); err != nil {
 		t.Fatal(err)
@@ -666,7 +683,7 @@ func TestUnloggedFreshCatalogHuskHeals(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir2, "rel1.tbl"), make([]byte, 8192), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := executor.Open(executor.Options{Dir: dir2})
+	db2, err := executor.Open(executor.Options{Dir: dir2, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatalf("zeroed husks not healed: %v", err)
 	}
@@ -681,7 +698,7 @@ func TestUnloggedFreshCatalogHuskHeals(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir3, "rel1.tbl"), realPage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := executor.Open(executor.Options{Dir: dir3}); err == nil || !strings.Contains(err.Error(), "no system catalog") {
+	if _, err := executor.Open(executor.Options{Dir: dir3, WALSync: wal.SyncLazy}); err == nil || !strings.Contains(err.Error(), "no system catalog") {
 		t.Fatalf("stranded data file not refused: %v", err)
 	}
 }

@@ -23,7 +23,8 @@ import (
 // writer's group-commit protocol, so any number of statements
 // committing concurrently share one fsync. A failed append or force
 // passes through noteWALFailure: the statement that met a dead log is
-// the one that degrades the database. A no-op when logging is off.
+// the one that degrades the database. A no-op in memory, where there is
+// no log.
 func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables ...*Table) error {
 	if db.wal == nil {
 		return nil

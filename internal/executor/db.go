@@ -373,15 +373,19 @@ func (db *DB) FaultPanicCheck(stmt string) {
 
 // Options configure a database.
 type Options struct {
-	// Dir is the storage directory; empty means in-memory.
+	// Dir is the storage directory; empty means in-memory. An on-disk
+	// database is write-ahead logged: on open, the log left by a previous
+	// run is replayed into the data files before they are attached.
 	Dir string
 	// PageSize defaults to storage.DefaultPageSize.
 	PageSize int
 	// PoolPages is the buffer pool size, shared by every file; defaults to 1024.
 	PoolPages int
-	// WAL enables write-ahead logging and crash recovery (requires
-	// Dir). On open, any log left by a previous run is replayed into
-	// the data files before they are attached.
+	// WAL is ignored, except that Open refuses it without Dir: logging
+	// follows Dir.
+	//
+	// Deprecated: the benchmark harness still sets it; the harness change
+	// of ROADMAP item B-1 stops doing so and deletes the field.
 	WAL bool
 	// WALSync controls commit durability; defaults to wal.SyncCommit.
 	WALSync wal.SyncMode
@@ -414,12 +418,17 @@ type Options struct {
 	TraceDir string
 }
 
-// Open creates or opens a database. The persistent system catalog is
-// bootstrapped first (replaying any write-ahead log into it and the data
-// files), then every cataloged table and index is reattached — callers
-// never re-declare their schema. An index whose file is missing is built
-// again from the heap before Open returns; see RebuiltIndexes.
+// Open creates or opens a database. An on-disk database (Dir set) is
+// always write-ahead logged and an in-memory one never is. The persistent
+// system catalog is bootstrapped first (replaying the write-ahead log into
+// it and the data files), then every cataloged table and index is
+// reattached — callers never re-declare their schema. An index whose file
+// is missing is built again from the heap before Open returns; see
+// RebuiltIndexes.
 func Open(opts Options) (*DB, error) {
+	if opts.WAL && opts.Dir == "" {
+		return nil, fmt.Errorf("executor: write-ahead logging requires an on-disk database (Options.Dir)")
+	}
 	if opts.PageSize <= 0 {
 		opts.PageSize = storage.DefaultPageSize
 	}
@@ -463,15 +472,7 @@ func Open(opts Options) (*DB, error) {
 	db.met.reg.Sample(db.sampleStorage)
 	db.waits.Register(db.met.reg)
 	db.met.reg.OnReset(db.resetStorageStats)
-	if !opts.WAL && opts.Dir != "" && wal.HasLog(filepath.Join(opts.Dir, "wal")) {
-		// Ignoring a leftover log would skip its recovery now and then
-		// replay it over newer (unlogged) data if WAL is re-enabled.
-		return nil, fmt.Errorf("executor: %s holds a write-ahead log from a previous run; open with Options.WAL or remove its wal/ directory", opts.Dir)
-	}
-	if opts.WAL {
-		if opts.Dir == "" {
-			return nil, fmt.Errorf("executor: write-ahead logging requires an on-disk database (Options.Dir)")
-		}
+	if opts.Dir != "" {
 		walDir := filepath.Join(opts.Dir, "wal")
 		// Redo pass: bring the data files up to the end of the log left
 		// by the previous run before anything reattaches them.
@@ -487,9 +488,9 @@ func Open(opts Options) (*DB, error) {
 		db.wal = w
 		w.AttachObs(db.waits)
 		if w.CommittedLSN() == 0 {
-			// A fresh log (new database, or a previously-unlogged one
-			// now opened with WAL) has no commit marker yet, and both
-			// the buffer pool's no-steal rule and recovery's
+			// A fresh log (a new database, or one an older build wrote
+			// without a log) has no commit marker yet, and both the
+			// buffer pool's no-steal rule and recovery's
 			// uncommitted-tail discard are relative to the last marker.
 			// Plant an initial one so statement atomicity holds from the
 			// very first record — the single place that guarantees the
@@ -544,12 +545,11 @@ func (db *DB) discardAll() error {
 func (db *DB) bootstrapCatalog() error {
 	if db.dir != "" {
 		// A crash between the catalog file's creation and its first
-		// commit (or, unlogged, its first flush) leaves a file of zeroed
-		// pages: the pages were allocated eagerly, but their contents
-		// lived only in frames the crash discarded — and under WAL, in
-		// log records the recovery pass rejected as an uncommitted tail.
-		// An entirely-zero catalog file is always such a contentless
-		// husk (any committed or flushed catalog has a non-zero meta
+		// commit leaves a file of zeroed pages: the pages were allocated
+		// eagerly, but their contents lived only in frames the crash
+		// discarded and in log records the recovery pass rejected as an
+		// uncommitted tail. An entirely-zero catalog file is always such
+		// a contentless husk (any committed catalog has a non-zero meta
 		// page), but it is indistinguishable from corruption to
 		// heap.Open, so detect and remove it here. The legacy-files
 		// check below still refuses the directory if data files exist
@@ -574,7 +574,7 @@ func (db *DB) bootstrapCatalog() error {
 			if legacy, err := db.legacyRelationFiles(); err != nil {
 				return err
 			} else if len(legacy) > 0 {
-				return fmt.Errorf("executor: %s holds relation files %v but no system catalog — either it predates the persistent catalog, or an unlogged (Options.WAL off) session crashed before the catalog reached disk; the schema cannot be reconstructed, recreate the database (or load pre-catalog files with the release that wrote them)", db.dir, legacy)
+				return fmt.Errorf("executor: %s holds relation files %v but no system catalog — it predates the persistent catalog, or an older build crashed it without a write-ahead log before the catalog reached disk; the schema cannot be reconstructed, recreate the database (or load pre-catalog files with the release that wrote them)", db.dir, legacy)
 			}
 		}
 	}
@@ -585,7 +585,7 @@ func (db *DB) bootstrapCatalog() error {
 	var hf *heap.File
 	if existed {
 		if hf, err = heap.Open(bp); err != nil {
-			return fmt.Errorf("executor: system catalog %s is unreadable (%v); was the database crashed without write-ahead logging?", catalogFile, err)
+			return fmt.Errorf("executor: system catalog %s is unreadable: %w", catalogFile, err)
 		}
 		if err := db.recountAfterRedo(hf); err != nil {
 			return err
@@ -601,13 +601,8 @@ func (db *DB) bootstrapCatalog() error {
 	db.catPool = bp
 	if !existed {
 		// Commit the catalog's creation so the first DDL statement's
-		// marker does not retroactively cover it; unlogged, flush it so
-		// a kill before the first DDL leaves a readable (empty) catalog
-		// rather than a zeroed husk.
-		if err := db.commitWAL(nil); err != nil {
-			return err
-		}
-		return db.flushCatalogIfUnlogged()
+		// marker does not retroactively cover it.
+		return db.commitWAL(nil)
 	}
 	return nil
 }
@@ -615,11 +610,11 @@ func (db *DB) bootstrapCatalog() error {
 // legacyRelationFiles lists every data file in a directory that has no
 // system catalog. Any .tbl/.idx file qualifies — including rel<oid>-
 // shaped names, because a pre-catalog table could have been *named*
-// "rel5". Under WAL a genuinely catalog-era rel file cannot exist here
-// (the catalog's creation commits before the first CREATE TABLE runs);
-// without WAL an unlogged crash can leave this state too — in every
-// case the schema is unreconstructable and refusing loudly beats
-// sweeping or stranding the files.
+// "rel5". A logged catalog-era rel file cannot exist here (the catalog's
+// creation commits before the first CREATE TABLE runs); an older build
+// that wrote without a log could leave one. In every case the schema is
+// unreconstructable, and refusing loudly beats sweeping or stranding the
+// files.
 func (db *DB) legacyRelationFiles() ([]string, error) {
 	entries, err := os.ReadDir(db.dir)
 	if err != nil {
@@ -695,7 +690,7 @@ func (db *DB) recountAfterRedo(hf *heap.File) error {
 // reattached, and an index whose file is missing, or whose entry an older
 // build left invalid, is built again from its heap.
 func (db *DB) loadSchema() error {
-	if db.wal != nil {
+	if db.dir != "" {
 		if err := db.sweepOrphans(); err != nil {
 			return err
 		}
@@ -799,9 +794,6 @@ func (db *DB) loadSchema() error {
 	if err := db.commitWAL(nil); err != nil {
 		return err
 	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
-		return err
-	}
 	for _, file := range stale {
 		if err := os.Remove(filepath.Join(db.dir, file)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -815,9 +807,8 @@ func (db *DB) loadSchema() error {
 // Such files are leftovers of DDL whose commit never made it into the log
 // — the file was created or built eagerly, the catalog entry was discarded
 // with the uncommitted log tail — or of a DROP that crashed between its
-// commit and its unlink. Only run when
-// write-ahead logging is on: without it there is no commit marker making
-// "file exists but entry does not" a reliable orphan signal.
+// commit and its unlink. The log's commit markers make "file exists but
+// entry does not" a reliable orphan signal.
 func (db *DB) sweepOrphans() error {
 	entries, err := os.ReadDir(db.dir)
 	if err != nil {
@@ -868,7 +859,7 @@ func isRelationFile(name string) bool {
 	return true
 }
 
-// WAL returns the attached log writer (nil when logging is off).
+// WAL returns the attached log writer (nil for an in-memory database).
 func (db *DB) WAL() *wal.Writer { return db.wal }
 
 // ShareLock takes the shared catalog/DDL lock for a multi-call
@@ -918,7 +909,7 @@ func (db *DB) Catalog() *syscat.Catalog { return db.cat }
 func (db *DB) RebuiltIndexes() []string { return append([]string(nil), db.rebuilt...) }
 
 // RecoveryStats reports the redo pass performed when the database was
-// opened (all zeros when logging is off or the log was empty).
+// opened (all zeros for an in-memory database or an empty log).
 func (db *DB) RecoveryStats() storage.RecoveryStats { return db.recovered }
 
 // SlowQueryConfig reports the slow-query log settings (threshold zero
@@ -1060,7 +1051,7 @@ func (db *DB) checkpointLocked() error {
 // OS-level crash would leave after the last commit), the buffer pool
 // discards its frames without writing them back, and the files close.
 // Data pages keep only what earlier evictions and flushes wrote; a
-// subsequent Open with WAL enabled must redo the rest from the log.
+// subsequent Open must redo the rest from the log.
 func (db *DB) Crash() error {
 	db.xlockStmt()
 	defer db.stmtMu.Unlock()
@@ -1093,9 +1084,7 @@ func (db *DB) newPool(fileName string) (*storage.BufferPool, bool, error) {
 			// The file never joins the pool, so nothing else will release
 			// the descriptor or the just-created empty file.
 			dm.Close()
-			if db.dir != "" {
-				os.Remove(filepath.Join(db.dir, fileName))
-			}
+			os.Remove(filepath.Join(db.dir, fileName))
 			return nil, false, err
 		}
 	}
@@ -1122,33 +1111,6 @@ func (db *DB) wrapFaults(fileName string, dm storage.DiskManager) storage.DiskMa
 		db.faultDMs = append(db.faultDMs, fdm)
 	}
 	return dm
-}
-
-// flushUnlogged makes one relation durable on databases with no write-ahead
-// log (a no-op otherwise). Unlogged DDL uses it to order durability by
-// hand: a new relation's pages before its catalog entry, the catalog's
-// deletes before a DROP's unlink. Either ordering violated across a
-// crash yields a catalog entry over a missing or all-zero file — a
-// database that can never open again.
-func (db *DB) flushUnlogged(bp *storage.BufferPool) error {
-	if db.wal != nil || db.dir == "" {
-		return nil
-	}
-	if err := bp.FlushAll(); err != nil {
-		return err
-	}
-	return bp.DM().Sync()
-}
-
-// flushCatalogIfUnlogged is flushUnlogged of the catalog's own file.
-func (db *DB) flushCatalogIfUnlogged() error {
-	if db.catPool == nil || db.wal != nil {
-		return nil
-	}
-	if err := db.cat.SaveMeta(); err != nil {
-		return err
-	}
-	return db.flushUnlogged(db.catPool)
 }
 
 // Table returns a table by name.

@@ -44,8 +44,8 @@ func (db *DB) beginDDL() error {
 // cover them — and the catalog read again from those pages. A simulated
 // crash (faultErr) reverts nothing: the caller is about to Crash() the
 // database and wants the state the crash leaves. A revert that cannot
-// read a page back (only possible without a log) leaves the catalog
-// beside its pages, and the database read-only.
+// read a page back (possible only in memory, without a log) leaves the
+// catalog beside its pages, and the database read-only.
 func (db *DB) endDDL(err error) {
 	if err != nil && !isFault(err) {
 		if rerr := db.revertCatalog(); rerr != nil {
@@ -77,23 +77,11 @@ func (db *DB) revertCatalog() error {
 	return nil
 }
 
-// commitDDL makes a DDL statement's catalog change durable and moves the
-// catalog's savepoint past it, so a later failure of the statement
-// reverts nothing before it. Under a log that is the commit marker, with
-// t's counters saved (t may be nil). Without one it is rel's pages (rel
-// may be nil) and then the catalog's, in that order: a catalog entry on
-// disk over a relation file that is not yet there would fail every later
-// open.
-func (db *DB) commitDDL(t *Table, rel *storage.BufferPool) error {
+// commitDDL commits a DDL statement's catalog change, with t's counters
+// saved (t may be nil), and moves the catalog's savepoint past it, so a
+// later failure of the statement reverts nothing before it.
+func (db *DB) commitDDL(t *Table) error {
 	if err := db.commitWAL(t); err != nil {
-		return err
-	}
-	if rel != nil {
-		if err := db.flushUnlogged(rel); err != nil {
-			return err
-		}
-	}
-	if err := db.flushCatalogIfUnlogged(); err != nil {
 		return err
 	}
 	db.catPool.Savepoint()
@@ -138,13 +126,9 @@ func (db *DB) CreateTable(name string, cols []Column) (_ *Table, err error) {
 	hf, err := heap.Create(bp)
 	if err != nil {
 		bp.Crash()
-		// Unlinking is only provably safe under WAL, where the no-steal
-		// rule keeps the uncommitted catalog entry off disk and the file
-		// is therefore an orphan. Unlogged, eviction may already have
-		// made the entry durable, and a durable table entry over a
-		// missing file bricks every later open — keep the file (at
-		// worst it lingers as junk).
-		if db.wal != nil && db.dir != "" {
+		// The no-steal rule keeps the uncommitted catalog entry off
+		// disk, so the file is an orphan.
+		if db.dir != "" {
 			os.Remove(filepath.Join(db.dir, te.File))
 		}
 		return nil, err
@@ -155,7 +139,7 @@ func (db *DB) CreateTable(name string, cols []Column) (_ *Table, err error) {
 			return nil, faultErr{err}
 		}
 	}
-	if err := db.commitDDL(t, bp); err != nil {
+	if err := db.commitDDL(t); err != nil {
 		// Keep the file: a failed fsync leaves the commit marker's
 		// durability indeterminate, and if it did survive, the entry is
 		// committed and unlinking would strand it. If the commit truly
@@ -199,15 +183,8 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 	var dm storage.DiskManager
 	if db.dir == "" {
 		dm = storage.NewMem(db.pageSize)
-	} else {
-		// A ".build" file a crash left (only unlogged databases keep one
-		// past the next open) is junk.
-		if err := os.Remove(path + ".build"); err != nil && !os.IsNotExist(err) {
-			return nil, nil, err
-		}
-		if dm, err = storage.OpenFile(path+".build", db.pageSize); err != nil {
-			return nil, nil, err
-		}
+	} else if dm, err = storage.OpenFile(path+".build", db.pageSize); err != nil {
+		return nil, nil, err
 	}
 	// The build's pool has the database's frame budget, capped near the
 	// heap's size: a small table's build allocates little, and a page
@@ -272,8 +249,6 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 		if err = syncDir(db.dir); err != nil {
 			return nil, nil, err
 		}
-	}
-	if db.wal != nil {
 		// The file's creation is logged, as CREATE TABLE's is: a page
 		// the index grows from here on is rebuilt from its records
 		// alone should its write be torn. A page of the build ships a
@@ -355,7 +330,7 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 			return nil, faultErr{err}
 		}
 	}
-	if err := db.commitDDL(t, nil); err != nil {
+	if err := db.commitDDL(t); err != nil {
 		// Should the marker have survived, the next open finds the
 		// entry without its file and builds it again.
 		bp.Crash()
@@ -368,9 +343,8 @@ func (db *DB) CreateIndex(idxName, tableName, colName, method, opclassName strin
 }
 
 // DropIndex removes an index: its catalog entry is deleted and committed
-// first, then the file is closed and unlinked. Under WAL a crash between
-// the two leaves an orphaned file that the next open sweeps; unlogged
-// databases have no sweep, so such a file lingers as junk.
+// first, then the file is closed and unlinked. A crash between the two
+// leaves an orphaned file that the next open sweeps.
 //
 // Like every DDL statement, DropIndex serializes against other writers
 // under the statement lock, but the engine does not lock readers:
@@ -406,14 +380,12 @@ func (db *DB) DropIndex(name string) (err error) {
 			return faultErr{err}
 		}
 	}
-	if err := db.commitDDL(nil, nil); err != nil {
+	if err := db.commitDDL(nil); err != nil {
 		return err
 	}
 	// The drop is committed; detach and unlink unconditionally from here
-	// on — aborting early would leave a file no later open can reclaim
-	// (the orphan sweep only runs under WAL). Copy-on-write removal: an
-	// in-place splice would mutate the backing array under any reader
-	// still iterating the old slice header.
+	// on. Copy-on-write removal: an in-place splice would mutate the
+	// backing array under any reader still iterating the old slice header.
 	db.mu.Lock()
 	info := t.Indexes[pos]
 	t.Indexes = slices.Delete(slices.Clone(t.Indexes), pos, pos+1)
@@ -429,9 +401,8 @@ func (db *DB) DropIndex(name string) (err error) {
 
 // DropTable removes a table and all its indexes: every catalog entry is
 // deleted and committed in one statement, then the files are closed and
-// unlinked. Under WAL a crash between the two leaves orphaned files that
-// the next open sweeps (unlogged databases have no sweep; such files
-// linger as junk). As with DropIndex, callers must not drop a table with
+// unlinked. A crash between the two leaves orphaned files that the next
+// open sweeps. As with DropIndex, callers must not drop a table with
 // reads of it in flight — readers are not locked out.
 func (db *DB) DropTable(name string) (err error) {
 	if err := db.beginDDL(); err != nil {
@@ -463,15 +434,14 @@ func (db *DB) DropTable(name string) (err error) {
 			return faultErr{err}
 		}
 	}
-	if err := db.commitDDL(nil, nil); err != nil {
+	if err := db.commitDDL(nil); err != nil {
 		return err
 	}
 	db.mu.Lock()
 	delete(db.tables, name)
 	db.mu.Unlock()
 	// The drop is committed; detach and unlink everything, reporting the
-	// first failure only afterwards — aborting early would leave files
-	// no later open can reclaim (the orphan sweep only runs under WAL).
+	// first failure only afterwards.
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {

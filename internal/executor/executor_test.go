@@ -10,6 +10,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/geom"
 	"repro/internal/heap"
+	"repro/internal/wal"
 )
 
 func memDB(t testing.TB) *DB {
@@ -391,7 +392,7 @@ func TestSchemaValidation(t *testing.T) {
 
 func TestOnDiskPersistenceOfTableAndIndex(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, PageSize: 1024, PoolPages: 64})
+	db, err := Open(Options{Dir: dir, PageSize: 1024, PoolPages: 64, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestOnDiskPersistenceOfTableAndIndex(t *testing.T) {
 
 	// The persistent catalog rediscovers the table and its index; no
 	// re-declaration.
-	db2, err := Open(Options{Dir: dir, PageSize: 1024, PoolPages: 64})
+	db2, err := Open(Options{Dir: dir, PageSize: 1024, PoolPages: 64, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}

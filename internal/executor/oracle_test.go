@@ -37,7 +37,7 @@ var oracleWorld = geom.MakeBox(0, 0, 100, 100)
 // with one index per operator class.
 func oracleBuild(t *testing.T, dir string) {
 	t.Helper()
-	db, err := Open(Options{Dir: dir})
+	db, err := Open(Options{Dir: dir, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestIndexMatchesSeqScanOracle(t *testing.T) {
 	// Every page read is a demand read: the run keeps the name and the
 	// seed it had when readahead was a knob and -1 turned it off.
 	t.Run("readahead=-1", func(t *testing.T) {
-		db, err := Open(Options{Dir: dir, PoolPages: 16})
+		db, err := Open(Options{Dir: dir, PoolPages: 16, WALSync: wal.SyncLazy})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,29 +235,39 @@ func TestWALRequiresDir(t *testing.T) {
 	}
 }
 
-func TestOpenWithoutWALRefusesLeftoverLog(t *testing.T) {
-	// Skipping recovery of a leftover log and writing unlogged data
-	// would corrupt the files when the stale log is replayed later; the
-	// open must refuse instead.
+// TestDirOnlyOpenRecoversLog: an Open that names only a directory logs,
+// so it recovers the log a crashed logged session left there.
+func TestDirOnlyOpenRecoversLog(t *testing.T) {
 	dir := t.TempDir()
 	db := openRecoveryDB(t, dir)
-	declareRecoverySchema(t, db)
-	if err := db.Close(); err != nil {
+	runRecoveryWorkload(t, declareRecoverySchema(t, db))
+	want := queryAll(t, db)
+	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := executor.Open(executor.Options{Dir: dir}); err == nil {
-		t.Fatal("open without WAL accepted a directory holding a log")
-	}
-	db = openRecoveryDB(t, dir)
-	if err := db.Close(); err != nil {
+	db, err := executor.Open(executor.Options{Dir: dir, PoolPages: 7 * 8})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.WAL() == nil {
+		t.Fatal("an Open with a directory attached no log")
+	}
+	if rs := db.RecoveryStats(); rs.Records == 0 || rs.PagesWritten == 0 {
+		t.Fatalf("the open recovered nothing: %+v", rs)
+	}
+	got := queryAll(t, db)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("query %d after recovery:\n got: %s\nwant: %s", i, got[i], want[i])
+		}
 	}
 }
 
+// TestCrashWithoutRecoveryLosesData checks that the crash simulation is
+// not vacuous: Crash leaves the committed rows out of the data files, so
+// the reopen's redo must write pages to bring every one of them back.
 func TestCrashWithoutRecoveryLosesData(t *testing.T) {
-	// Sanity check that the crash simulation actually loses unflushed
-	// state when WAL is off — otherwise the recovery tests above would
-	// pass vacuously.
 	dir := t.TempDir()
 	db, err := executor.Open(executor.Options{Dir: dir, PoolPages: 8})
 	if err != nil {
@@ -277,18 +287,17 @@ func TestCrashWithoutRecoveryLosesData(t *testing.T) {
 	}
 	db, err = executor.Open(executor.Options{Dir: dir, PoolPages: 8})
 	if err != nil {
-		// The system catalog (or a heap meta page) was entirely lost;
-		// that is fine — the point is only that state is missing without
-		// a WAL.
-		return
+		t.Fatal(err)
 	}
-	s = sqlmini.NewSession(db)
-	res, err := s.Exec(`SELECT * FROM w`)
+	defer db.Close()
+	if rs := db.RecoveryStats(); rs.PagesWritten == 0 {
+		t.Fatalf("redo wrote no page, so the crash lost nothing and the recovery tests are vacuous: %+v", rs)
+	}
+	res, err := sqlmini.NewSession(db).Exec(`SELECT * FROM w`)
 	if err != nil {
-		// The table did not survive the crash — also data loss.
-		return
+		t.Fatal(err)
 	}
-	if len(res.Rows) == 50 {
-		t.Fatal("crash simulation lost nothing; recovery tests are vacuous")
+	if len(res.Rows) != 50 {
+		t.Fatalf("%d of 50 committed rows came back", len(res.Rows))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/wal"
 )
 
 // TestWarmIndexScanReadsNoIndexPage: once every SP-GiST node of an index
@@ -14,7 +15,7 @@ import (
 // none.
 func TestWarmIndexScanReadsNoIndexPage(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
+	db, err := Open(Options{Dir: dir, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestWarmIndexScanReadsNoIndexPage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = Open(Options{Dir: dir, PoolPages: 16})
+	db, err = Open(Options{Dir: dir, PoolPages: 16, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}

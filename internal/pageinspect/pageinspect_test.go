@@ -16,6 +16,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // describeString runs Describe into a string, failing the test on error.
@@ -122,7 +123,7 @@ func TestBTreeRoundTrip(t *testing.T) {
 // index file of the closed directory — no executor over it.
 func TestSPGiSTRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	db, err := executor.Open(executor.Options{Dir: dir})
+	db, err := executor.Open(executor.Options{Dir: dir, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1102,7 +1102,7 @@ func syncWAL(w *wal.Writer, lsn wal.LSN) error {
 // commit point.
 //
 // Callers must hold the exclusive statement lock (CHECKPOINT, Close
-// and unlogged DDL all do): frames are checksum-stamped and written
+// and an index build all do): frames are checksum-stamped and written
 // in place, which tolerates no concurrent pins on the frame. A pinned
 // dirty frame here is a locking bug and panics rather than racing the
 // reader on the header bytes.

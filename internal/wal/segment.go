@@ -108,14 +108,6 @@ func TruncateAfter(dir string, lsn LSN) error {
 	return nil
 }
 
-// HasLog reports whether dir holds any log segments. Callers opening a
-// database with logging disabled use it to refuse a directory whose log
-// has not been recovered.
-func HasLog(dir string) bool {
-	segs, err := listSegments(dir)
-	return err == nil && len(segs) > 0
-}
-
 // scanSegment iterates the valid frames of one segment file, calling fn
 // for each with its first LSN, its record count and its records, inflated
 // when the frame holds them deflated (valid during the call). It returns

@@ -24,11 +24,12 @@
 //	db.MustExec(`INSERT INTO word_data VALUES ('random', 1), ('spade', 2)`)
 //	res, _ := db.Exec(`SELECT * FROM word_data WHERE name ?= 'r?nd?m'`)
 //
-// On-disk databases (Options.Dir) carry a persistent system catalog:
-// reopening one rediscovers every table and index with no schema
+// On-disk databases (Options.Dir) are write-ahead logged and carry a
+// persistent system catalog: reopening one, after a clean close or a
+// crash, rediscovers every table and index with no schema
 // re-declaration, DROP TABLE / DROP INDEX remove relations, and SHOW
-// TABLES / SHOW INDEXES introspect the catalog in SQL. With Options.WAL
-// all DDL is crash-atomic — in particular, CREATE INDEX builds its file
+// TABLES / SHOW INDEXES introspect the catalog in SQL. All DDL is
+// crash-atomic — in particular, CREATE INDEX builds its file
 // complete before its catalog entry commits, so a crash during it leaves
 // neither the index nor a partial file.
 //

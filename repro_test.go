@@ -1,7 +1,11 @@
 package repro
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -45,7 +49,7 @@ func TestCatalogExposure(t *testing.T) {
 
 func TestFacadeOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir})
+	db, err := Open(Options{Dir: dir, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func TestFacadeOnDisk(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(Options{Dir: dir})
+	db2, err := Open(Options{Dir: dir, WALSync: wal.SyncLazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,5 +67,44 @@ func TestFacadeOnDisk(t *testing.T) {
 	res := db2.MustExec(`SELECT * FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0].S != "persisted" {
 		t.Fatalf("reopen: %v", res.Rows)
+	}
+}
+
+// TestDirOnlyDatabaseSurvivesCrash: an on-disk database opened with no
+// option but its directory is write-ahead logged, so every row a
+// statement committed comes back after a crash.
+func TestDirOnlyDatabaseSurvivesCrash(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExec(`CREATE TABLE t (name VARCHAR, id INT)`)
+	vals := make([]string, 200)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("('row%03d', %d)", i, i)
+	}
+	db.MustExec(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
+	if err := db.Engine().Crash(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := db.Exec(`SELECT * FROM t`)
+	if err != nil {
+		t.Fatalf("after the crash: %v", err)
+	}
+	if len(res.Rows) != len(vals) {
+		t.Fatalf("%d of %d committed rows came back after the crash", len(res.Rows), len(vals))
+	}
+	seen := make(map[int64]bool)
+	for _, r := range res.Rows {
+		if want := fmt.Sprintf("row%03d", r[1].I); r[0].S != want || seen[r[1].I] {
+			t.Fatalf("row %v after the crash", r)
+		}
+		seen[r[1].I] = true
 	}
 }
