@@ -541,6 +541,80 @@ func TestVanishedIndexFileRebuildIsCrashSafe(t *testing.T) {
 	verifyRebuiltIndex(t, db)
 }
 
+// crashAfterCheckpoint loads 3 000 rows, builds a trie over them,
+// checkpoints — the log then holds neither file's creation — inserts
+// 300 rows more and crashes, returning the heap's and the index's file.
+func crashAfterCheckpoint(t *testing.T, dir string) (heapFile, idxFile string) {
+	t.Helper()
+	db := openCatalogDB(t, dir, executor.FaultInjection{})
+	tb, err := db.CreateTable("words", []executor.Column{{Name: "name", Type: catalog.Text}, {Name: "id", Type: catalog.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillWords(t, tb, 3000)
+	if _, err := db.CreateIndex("words_trie", "words", "name", "spgist", "spgist_trie"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 3000; i < 3300; i++ {
+		if _, err := tb.Insert(catalog.Tuple{catalog.NewText(fmt.Sprintf("wz%d", i)), catalog.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heapFile, idxFile = tb.File(), tb.Indexes[0].File()
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	return heapFile, idxFile
+}
+
+// An index file deleted by hand after a crash comes back whole. The log
+// holds the records of the statements since the last checkpoint but not
+// the file's creation, so redo passes them rather than recreate the file
+// from the pages they touch, and the open builds the index from the heap.
+func TestHandDeletedIndexFileAfterCrashRebuiltWhole(t *testing.T) {
+	dir := t.TempDir()
+	_, idxFile := crashAfterCheckpoint(t, dir)
+	if err := os.Remove(filepath.Join(dir, idxFile)); err != nil {
+		t.Fatal(err)
+	}
+
+	db := openCatalogDB(t, dir, executor.FaultInjection{})
+	tb, err := db.Table("words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seqPrefixRows(t, tb, "w")
+	if len(want) != 3300 {
+		t.Fatalf("the heap holds %d of 3300 rows after the crash", len(want))
+	}
+	if got := indexedPrefixRows(t, tb, "w"); strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("an index scan finds %d rows, a sequential scan %d", len(got), len(want))
+	}
+	verifyRebuiltIndex(t, db)
+}
+
+// A heap file deleted by hand after a crash is not brought back as the
+// pages the log's records touch: redo passes them, and the open refuses
+// the table whose file is missing.
+func TestHandDeletedHeapFileAfterCrashRefused(t *testing.T) {
+	dir := t.TempDir()
+	heapFile, _ := crashAfterCheckpoint(t, dir)
+	if err := os.Remove(filepath.Join(dir, heapFile)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := executor.Open(executor.Options{Dir: dir, PoolPages: 16})
+	if err == nil || !strings.Contains(err.Error(), "is missing") {
+		t.Fatalf("open over a deleted heap file: %v, want the missing-file error", err)
+	}
+	// The open's check leaves the file it looked for, empty.
+	if fi, err := os.Stat(filepath.Join(dir, heapFile)); err == nil && fi.Size() > 0 {
+		t.Fatalf("redo wrote %d bytes into %s", fi.Size(), heapFile)
+	}
+}
+
 // An entry an older build left invalid — its CREATE INDEX committed the
 // entry with the validity flag at 0 before the build, and a crash
 // interrupted the build — is built again at open, under a fresh file, and

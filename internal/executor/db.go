@@ -475,8 +475,10 @@ func Open(opts Options) (*DB, error) {
 	if opts.Dir != "" {
 		walDir := filepath.Join(opts.Dir, "wal")
 		// Redo pass: bring the data files up to the end of the log left
-		// by the previous run before anything reattaches them.
-		st, err := storage.RecoverDir(opts.Dir, walDir, opts.PageSize)
+		// by the previous run before anything reattaches them. It runs in
+		// a pool of its own with the database's budget, which keeps its
+		// I/O out of db.pool's disk counters.
+		st, err := storage.RecoverDir(opts.Dir, walDir, opts.PageSize, opts.PoolPages)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,8 @@ package executor_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/sqlmini"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -300,4 +303,120 @@ func TestCrashWithoutRecoveryLosesData(t *testing.T) {
 	if len(res.Rows) != 50 {
 		t.Fatalf("%d of 50 committed rows came back", len(res.Rows))
 	}
+}
+
+// crashAfterLoad loads rows rows into a trie-indexed table words, 100 to
+// a statement, through a pool that holds every page the load touches,
+// and crashes: the data files hold nothing of the load, and the reopen's
+// redo rebuilds all of it from the log.
+func crashAfterLoad(t *testing.T, rows int) string {
+	t.Helper()
+	dir := t.TempDir()
+	db, err := executor.Open(executor.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sqlmini.NewSession(db)
+	for _, stmt := range []string{
+		`CREATE TABLE words (name VARCHAR, id INT)`,
+		`CREATE INDEX words_trie ON words USING spgist (name spgist_trie)`,
+	} {
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < rows; i += 100 {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO words VALUES `)
+		for j := i; j < i+100; j++ {
+			if j > i {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "('w%07d', %d)", j*7919%rows, j)
+		}
+		if _, err := s.Exec(b.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// checkRecoveredLoad checks that every row crashAfterLoad committed came
+// back, in the heap and in the index alike.
+func checkRecoveredLoad(t *testing.T, db *executor.DB, rows int) {
+	t.Helper()
+	tb, err := db.Table("words")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seqPrefixRows(t, tb, "w")
+	if len(want) != rows {
+		t.Fatalf("%d of %d committed rows came back", len(want), rows)
+	}
+	if got := indexedPrefixRows(t, tb, "w"); strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("an index scan finds %d rows, a sequential scan %d", len(got), len(want))
+	}
+}
+
+// dataFilePages counts the pages of the relation and catalog files of
+// the database in dir.
+func dataFilePages(t *testing.T, dir string) int64 {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pages int64
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages += fi.Size() / storage.DefaultPageSize
+	}
+	return pages
+}
+
+// TestRedoWritesEachPageOnce: redo patches a page in its frame as often
+// as the log changes it and writes it back once, so a reopen whose pool
+// holds every page redo touches writes no more pages than the data files
+// have, where a write per record would be one per row here.
+func TestRedoWritesEachPageOnce(t *testing.T) {
+	const rows = 4000
+	dir := crashAfterLoad(t, rows)
+	db, err := executor.Open(executor.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rs := db.RecoveryStats()
+	if pages := dataFilePages(t, dir); rs.PagesWritten <= 0 || rs.PagesWritten > pages {
+		t.Fatalf("redo of %d records wrote %d pages, want between 1 and the %d pages of the data files", rs.Records, rs.PagesWritten, pages)
+	}
+	checkRecoveredLoad(t, db, rows)
+}
+
+// TestRedoUnderSmallerBudget: redo runs within the database's frame
+// budget, here far smaller than the pages it touches, so pages are
+// evicted and written back in the middle of the pass, and come back in
+// later records' fetches.
+func TestRedoUnderSmallerBudget(t *testing.T) {
+	const rows, frames = 20000, 16
+	dir := crashAfterLoad(t, rows)
+	if pages := dataFilePages(t, dir); pages < 4*frames {
+		t.Fatalf("the load left %d pages, too few to overflow %d frames", pages, frames)
+	}
+	db, err := executor.Open(executor.Options{Dir: dir, PoolPages: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// More pages written than frames held means evictions wrote some.
+	if rs := db.RecoveryStats(); rs.PagesWritten <= frames {
+		t.Fatalf("redo wrote %d pages through %d frames: nothing was evicted mid-pass", rs.PagesWritten, frames)
+	}
+	checkRecoveredLoad(t, db, rows)
 }

@@ -480,7 +480,7 @@ func TestRecoverDirRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := RecoverDir(dataDir, walDir, 256)
+	st, err := RecoverDir(dataDir, walDir, 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestRecoverDirRedo(t *testing.T) {
 	}
 
 	// Recovery must be idempotent.
-	st2, err := RecoverDir(dataDir, walDir, 256)
+	st2, err := RecoverDir(dataDir, walDir, 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestRecoverDirRefusesUncoveredTornPage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := RecoverDir(dataDir, walDir, 256)
+	st, err := RecoverDir(dataDir, walDir, 256, 16)
 	if err == nil {
 		t.Fatalf("recovery repaired an unrecoverable torn page: %+v", st)
 	}
@@ -609,7 +609,7 @@ func TestRecoverDirDiscardsUncommittedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := RecoverDir(dataDir, walDir, 256)
+	st, err := RecoverDir(dataDir, walDir, 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +635,7 @@ func TestRecoverDirDiscardsUncommittedTail(t *testing.T) {
 	// The discarded records must also be gone from the log itself —
 	// left in place they would sit below the next run's markers and be
 	// replayed as committed by a second recovery.
-	st2, err := RecoverDir(dataDir, walDir, 256)
+	st2, err := RecoverDir(dataDir, walDir, 256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +672,7 @@ func TestRecoverDirRefusesOlderBatchRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(walDir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RecoverDir(dataDir, walDir, 256)
+	st, err := RecoverDir(dataDir, walDir, 256, 16)
 	if err == nil || !strings.Contains(err.Error(), "unknown record type 7") {
 		t.Fatalf("RecoverDir of a log holding a type-7 record: %v, want the unknown-record-type error", err)
 	}

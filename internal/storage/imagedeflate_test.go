@@ -205,7 +205,7 @@ func TestTornPageRepairedFromDeflatedImage(t *testing.T) {
 	}
 	dm.Close()
 
-	st, err := RecoverDir(dataDir, walDir, DefaultPageSize)
+	st, err := RecoverDir(dataDir, walDir, DefaultPageSize, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

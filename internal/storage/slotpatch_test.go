@@ -119,7 +119,7 @@ func TestRecoverDirRejectsDamagedPatches(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, err := RecoverDir(dataDir, walDir, pageSize)
+			_, err := RecoverDir(dataDir, walDir, pageSize, 16)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("recovery returned %v, want an error saying %q", err, c.want)
 			}

@@ -211,7 +211,7 @@ func TestRecoverySameStreamSamePage(t *testing.T) {
 			}
 			dm.Close()
 
-			st, err := RecoverDir(dataDir, walDir, pageSize)
+			st, err := RecoverDir(dataDir, walDir, pageSize, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +289,7 @@ func TestRecoveryUnitSpansTwoFrames(t *testing.T) {
 			}
 			dm.Close()
 
-			st, err := RecoverDir(dataDir, walDir, pageSize)
+			st, err := RecoverDir(dataDir, walDir, pageSize, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +355,7 @@ func TestRecoverDirRejectsDamagedSlotRecords(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, err := RecoverDir(dataDir, walDir, pageSize)
+			_, err := RecoverDir(dataDir, walDir, pageSize, 16)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("recovery returned %v, want an error about %q", err, c.want)
 			}

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -26,7 +28,7 @@ type RecoveryStats struct {
 	SkippedByLSN  int64 // logical records skipped because pageLSN was newer
 	TailDiscarded int64 // records after the last commit marker, not replayed
 	FilesTouched  int   // distinct data files opened by redo
-	PagesWritten  int64 // physical page writes performed by redo
+	PagesWritten  int64 // pages redo wrote back: each it dirtied once, plus any evicted and written earlier
 	AbortFixups   int64 // tuples of uncommitted transactions flagged aborted
 	XmaxFixups    int64 // stamped xmaxes of uncommitted transactions cleared
 	TornPages     int64 // pages failing checksum at redo (torn at crash)
@@ -94,8 +96,8 @@ func (fx *txnFixups) noteDelete(key fixupKey) {
 }
 
 // imageInflater inflates the deflated page images of one redo pass into
-// its page buffer; it keeps the decompressor, and its 32 KB window, from
-// image to image.
+// the frames of their pages; it keeps the decompressor, and its 32 KB
+// window, from image to image.
 type imageInflater struct {
 	src bytes.Reader
 	zr  io.ReadCloser
@@ -156,10 +158,16 @@ func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
 // log: page-image records overwrite their page (replay is in LSN order,
 // so the last image wins), and logical records — heap tuples, index
 // nodes and meta records alike, every page being slotted — are
-// re-executed through the slotted-page layer unless the on-disk pageLSN
-// shows the page already reflects them. The pass is idempotent —
-// replaying an already-recovered log is harmless — and a missing or
-// empty log directory is a no-op.
+// re-executed through the slotted-page layer unless the page's pageLSN
+// shows it already reflects them. The pass is idempotent — replaying an
+// already-recovered log is harmless — and a missing or empty log
+// directory is a no-op.
+//
+// Redo runs in a pool of its own, poolPages frames (the database's
+// budget), made when the log first names a file: a page is read and
+// checksum-verified once, patched in its frame by every record that
+// changes it, and written back, stamped, at eviction or by the flush and
+// one sync per file that end the pass, before the log's tail is cut.
 //
 // Records are applied a unit at a time: the records up to and including
 // the next commit or checkpoint marker, one statement's group. Records
@@ -169,15 +177,18 @@ func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
 // no marker at all (raw storage-level use) is one unit, replayed in full.
 //
 // Every page of every file is trusted by one rule: its checksum matches.
-// A page a logical record targets whose checksum does not match was torn
-// at the crash; it is reinitialized and rebuilt by the replay, provided
-// the log holds the file's creation ahead of the record, or the record's
-// unit holds a full image of the page — otherwise recovery fails with
-// ErrPageCorrupt. The pool ships that image in the first group that
-// touches a page after a checkpoint, behind the page's records, so the
-// first unit to find a page torn carries it. Every page recovery writes
-// leaves freshly stamped.
-func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
+// A page a record targets whose checksum does not match was torn at the
+// crash; it is blanked and rebuilt by the replay, provided the log holds
+// the file's creation ahead of the record, or the record's unit holds a
+// full image of the page — otherwise recovery fails with ErrPageCorrupt.
+// The pool ships that image in the first group that touches a page after
+// a checkpoint, behind the page's records, so the first unit to find a
+// page torn carries it.
+//
+// A file missing on disk whose creation the log does not hold, in a log
+// that has lost its beginning, was deleted outside the engine: its
+// records would bring back only the pages they touch, so they are passed.
+func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
@@ -186,53 +197,168 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 		file string
 		page uint32
 	}
-	files := make(map[string]*FileDiskManager)
+	var pool *Pool
 	defer func() {
-		for _, dm := range files {
-			dm.Sync()
-			dm.Close()
+		if pool != nil {
+			pool.Crash()
 		}
 	}()
-	open := func(name string) (*FileDiskManager, error) {
-		if dm, ok := files[name]; ok {
-			return dm, nil
+	rels := make(map[string]*BufferPool)
+	created := make(map[string]bool)  // files whose creation has been replayed
+	vanished := make(map[string]bool) // missing files whose records are passed
+	firstLSN := wal.LSN(0)
+	// open returns the relation of the file name, nil for a vanished one.
+	open := func(name string) (*BufferPool, error) {
+		if bp, ok := rels[name]; ok || vanished[name] {
+			return bp, nil
 		}
 		// Record file names are base names chosen by this process; a
 		// separator would mean a damaged or hostile log.
 		if name == "" || name != filepath.Base(name) || strings.ContainsAny(name, `/\`) {
 			return nil, fmt.Errorf("storage: recovery: unsafe file name %q in log", name)
 		}
-		dm, err := OpenFile(filepath.Join(dataDir, name), pageSize)
+		path := filepath.Join(dataDir, name)
+		if _, err := os.Stat(path); os.IsNotExist(err) && !created[name] && firstLSN > 1 {
+			vanished[name] = true
+			return nil, nil
+		}
+		dm, err := OpenFile(path, pageSize)
 		if err != nil {
 			return nil, err
 		}
-		files[name] = dm
+		if pool == nil {
+			pool = NewPool(pageSize, poolPages)
+		}
+		rels[name] = pool.Open(name, dm, obs.WaitNone)
 		st.FilesTouched++
-		return dm, nil
-	}
-	// ensure extends dm to hold page. Every page a statement allocates
-	// is covered by a record of its own, so a file can trail the log by
-	// no more pages than the log has records up to the end of the unit
-	// being replayed; an address further out is a damaged log, not a
-	// page to allocate four billion zeroed pages up to.
-	replayed := int64(0)
-	ensure := func(dm *FileDiskManager, page uint32) error {
-		if uint64(page) >= uint64(dm.NumPages())+uint64(replayed) {
-			return fmt.Errorf("storage: recovery: page %d is beyond anything the log's %d records could have allocated (file has %d pages)", page, replayed, dm.NumPages())
-		}
-		for dm.NumPages() <= page {
-			if _, err := dm.AllocatePage(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return rels[name], nil
 	}
 
-	buf := make([]byte, pageSize)
 	var images imageInflater
 	fx := newTxnFixups()
-	created := make(map[string]bool)       // files whose creation has been replayed
 	unitImage := make(map[pageKey]wal.LSN) // LSN of the unit's last image of a page
+	// pin returns r's page pinned. A page past the end of its file is
+	// allocated, with every page before it: every page a statement
+	// allocates is covered by a record of its own, so a file can trail
+	// the log by no more pages than the log has records up to the end of
+	// the unit being replayed; an address further out is a damaged log,
+	// not a page to allocate four billion zeroed pages up to. A page that
+	// fails its checksum was torn at the crash: its pageLSN and slot
+	// directory cannot be trusted, so when the log provably holds its
+	// whole content — the file's creation record, already replayed, or a
+	// full image of the page in this unit — it is blanked on disk and
+	// rebuilt by the replay, the reset pageLSN (0) disabling the skip
+	// guard. Otherwise blanking it would silently drop every row the
+	// recycled segments carried, so recovery fails loudly instead.
+	replayed := int64(0)
+	pin := func(bp *BufferPool, r *wal.Record) (*Page, error) {
+		dm, id := bp.DM(), PageID(r.Page)
+		if uint64(r.Page) >= uint64(dm.NumPages())+uint64(replayed) {
+			return nil, fmt.Errorf("storage: recovery: page %d is beyond anything the log's %d records could have allocated (file has %d pages)", r.Page, replayed, dm.NumPages())
+		}
+		for dm.NumPages() <= r.Page {
+			p, err := bp.NewPage()
+			if err != nil || p.ID == id {
+				return p, err
+			}
+			bp.Unpin(p, false)
+		}
+		p, err := bp.Fetch(id)
+		if !IsPageCorrupt(err) {
+			return p, err
+		}
+		st.TornPages++
+		if !created[r.File] && unitImage[pageKey{r.File, r.Page}] == 0 {
+			return nil, err
+		}
+		if err := dm.WritePage(id, make([]byte, pageSize)); err != nil {
+			return nil, err
+		}
+		st.TornRepaired++
+		return bp.Fetch(id)
+	}
+	// redo applies r to buf, its page, reporting whether it changed it.
+	redo := func(buf []byte, r *wal.Record) (bool, error) {
+		switch {
+		case r.Type == wal.RecPageImage:
+		case SlotAreaBlank(buf):
+			SlotInit(buf)
+		case PageLSN(buf) >= uint64(r.LSN):
+			st.SkippedByLSN++
+			return false, nil
+		}
+		switch r.Type {
+		case wal.RecPageImage:
+			// The image was captured before its statement's LSNs were
+			// stamped, so its embedded pageLSN is stale. Advance it to the
+			// image's own LSN (below): the group records preceding the
+			// image are baked into it, and the skip guard should treat
+			// them as applied on a re-replay.
+			if err := images.imagePage(buf, r); err != nil {
+				return false, err
+			}
+			st.PageImages++
+		case wal.RecHeapInsert, wal.RecSlotPut:
+			if !SlotInsertAt(buf, int(r.Slot), r.Data) {
+				return false, fmt.Errorf("storage: recovery: redo insert does not fit page %d of %s", r.Page, r.File)
+			}
+			if r.Type == wal.RecSlotPut {
+				st.SlotPuts++
+			} else {
+				st.HeapInserts++
+			}
+		case wal.RecSlotPatch:
+			// A patch needs the record it was taken from. The unit's
+			// image of the page, behind it, overwrites whatever this
+			// redo would leave, and on a page rebuilt from that image
+			// (torn, see pin) the old record is not there to patch:
+			// such patches are passed.
+			if r.LSN < unitImage[pageKey{r.File, r.Page}] {
+				break
+			}
+			if err := SlotPatch(buf, int(r.Slot), r.Data); err != nil {
+				return false, fmt.Errorf("storage: recovery: page %d of %s: %w", r.Page, r.File, err)
+			}
+			st.SlotPatches++
+		case wal.RecHeapBatchInsert:
+			// One record redoes a whole page-worth of tuples — the
+			// all-or-nothing unit of a multi-row INSERT's redo.
+			for i, slot := range r.Slots {
+				if !SlotInsertAt(buf, int(slot), r.Recs[i]) {
+					return false, fmt.Errorf("storage: recovery: redo batch insert does not fit page %d of %s", r.Page, r.File)
+				}
+			}
+			st.HeapInserts += int64(len(r.Slots))
+			st.HeapBatches++
+		case wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted:
+			// Header rewrites of a tuple already on the page. A
+			// missing or short tuple means the log and page disagree
+			// in a way replay of later records will repair (or the
+			// slot was physically deleted) — skip, like heap.Delete
+			// of a non-existent record.
+			if rec := SlotRead(buf, int(r.Slot)); rec != nil && len(rec) >= tupleHeaderSize {
+				switch r.Type {
+				case wal.RecHeapSetXmax:
+					binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], r.Xid)
+				case wal.RecHeapClearXmax:
+					binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], 0)
+				case wal.RecHeapMarkAborted:
+					binary.LittleEndian.PutUint16(rec[tupleFlagsOffset:],
+						binary.LittleEndian.Uint16(rec[tupleFlagsOffset:])|flagXminAborted)
+				}
+			}
+			st.HeapXmaxOps++
+		default: // RecHeapDelete, RecSlotDelete
+			SlotDelete(buf, int(r.Slot))
+			if r.Type == wal.RecSlotDelete {
+				st.SlotDeletes++
+			} else {
+				st.HeapDeletes++
+			}
+		}
+		SetPageLSN(buf, uint64(r.LSN))
+		return true, nil
+	}
 	apply := func(r *wal.Record) error {
 		// Transaction bookkeeping happens for every surviving record —
 		// including ones the pageLSN guard will skip below, because a
@@ -268,134 +394,20 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 			created[r.File] = true
 			_, err := open(r.File)
 			return err
-		case wal.RecPageImage:
-			if err := images.imagePage(buf, r); err != nil {
-				return err
-			}
-			dm, err := open(r.File)
-			if err != nil {
-				return err
-			}
-			if err := ensure(dm, r.Page); err != nil {
-				return err
-			}
-			// The image was captured before its statement's LSNs were
-			// stamped, so its embedded pageLSN is stale. Advance it to the
-			// image's own LSN: the group records preceding the image are
-			// baked into it, and the skip guard should treat them as
-			// applied on a re-replay.
-			SetPageLSN(buf, uint64(r.LSN))
-			StampPageChecksum(buf)
-			if err := dm.WritePage(PageID(r.Page), buf); err != nil {
-				return err
-			}
-			st.PageImages++
-			st.PagesWritten++
-			return nil
-		case wal.RecHeapInsert, wal.RecHeapDelete, wal.RecHeapBatchInsert,
+		case wal.RecPageImage, wal.RecHeapInsert, wal.RecHeapDelete, wal.RecHeapBatchInsert,
 			wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted,
 			wal.RecSlotPut, wal.RecSlotDelete, wal.RecSlotPatch:
-			dm, err := open(r.File)
+			bp, err := open(r.File)
+			if bp == nil {
+				return err
+			}
+			p, err := pin(bp, r)
 			if err != nil {
 				return err
 			}
-			if err := ensure(dm, r.Page); err != nil {
-				return err
-			}
-			if err := dm.ReadPage(PageID(r.Page), buf); err != nil {
-				return err
-			}
-			if SlotAreaBlank(buf) {
-				SlotInit(buf)
-			} else if stored, computed, ok := VerifyPageChecksum(buf); !ok {
-				// A checksum mismatch here is a page torn at the crash —
-				// part of an eviction or flush landed, the rest did not.
-				// Its pageLSN and slot directory cannot be trusted, so
-				// reinitialize the page and let replay rebuild it, with
-				// the reset pageLSN (0) disabling the skip guard — but
-				// only when the log provably holds the page's whole
-				// content: the file's creation record, already replayed,
-				// or a full image of the page in this unit. Otherwise
-				// reinitializing would silently drop every row the
-				// recycled segments carried, so recovery fails loudly
-				// instead.
-				st.TornPages++
-				if !created[r.File] && unitImage[pageKey{r.File, r.Page}] == 0 {
-					return &ErrPageCorrupt{File: r.File, PageID: PageID(r.Page), Expected: stored, Got: computed}
-				}
-				SlotInit(buf)
-				st.TornRepaired++
-			}
-			if PageLSN(buf) >= uint64(r.LSN) {
-				st.SkippedByLSN++
-				return nil
-			}
-			switch r.Type {
-			case wal.RecHeapInsert, wal.RecSlotPut:
-				if !SlotInsertAt(buf, int(r.Slot), r.Data) {
-					return fmt.Errorf("storage: recovery: redo insert does not fit page %d of %s", r.Page, r.File)
-				}
-				if r.Type == wal.RecSlotPut {
-					st.SlotPuts++
-				} else {
-					st.HeapInserts++
-				}
-			case wal.RecSlotPatch:
-				// A patch needs the record it was taken from. The unit's
-				// image of the page, behind it, overwrites whatever this
-				// redo would leave, and on a page rebuilt from that image
-				// (torn, see above) the old record is not there to patch:
-				// such patches are passed.
-				if r.LSN < unitImage[pageKey{r.File, r.Page}] {
-					break
-				}
-				if err := SlotPatch(buf, int(r.Slot), r.Data); err != nil {
-					return fmt.Errorf("storage: recovery: page %d of %s: %w", r.Page, r.File, err)
-				}
-				st.SlotPatches++
-			case wal.RecHeapBatchInsert:
-				// One record redoes a whole page-worth of tuples — the
-				// all-or-nothing unit of a multi-row INSERT's redo.
-				for i, slot := range r.Slots {
-					if !SlotInsertAt(buf, int(slot), r.Recs[i]) {
-						return fmt.Errorf("storage: recovery: redo batch insert does not fit page %d of %s", r.Page, r.File)
-					}
-				}
-				st.HeapInserts += int64(len(r.Slots))
-				st.HeapBatches++
-			case wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted:
-				// Header rewrites of a tuple already on the page. A
-				// missing or short tuple means the log and page disagree
-				// in a way replay of later records will repair (or the
-				// slot was physically deleted) — skip, like heap.Delete
-				// of a non-existent record.
-				if rec := SlotRead(buf, int(r.Slot)); rec != nil && len(rec) >= tupleHeaderSize {
-					switch r.Type {
-					case wal.RecHeapSetXmax:
-						binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], r.Xid)
-					case wal.RecHeapClearXmax:
-						binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], 0)
-					case wal.RecHeapMarkAborted:
-						binary.LittleEndian.PutUint16(rec[tupleFlagsOffset:],
-							binary.LittleEndian.Uint16(rec[tupleFlagsOffset:])|flagXminAborted)
-					}
-				}
-				st.HeapXmaxOps++
-			default: // RecHeapDelete, RecSlotDelete
-				SlotDelete(buf, int(r.Slot))
-				if r.Type == wal.RecSlotDelete {
-					st.SlotDeletes++
-				} else {
-					st.HeapDeletes++
-				}
-			}
-			SetPageLSN(buf, uint64(r.LSN))
-			StampPageChecksum(buf)
-			if err := dm.WritePage(PageID(r.Page), buf); err != nil {
-				return err
-			}
-			st.PagesWritten++
-			return nil
+			dirty, err := redo(p.Data, r)
+			bp.Unpin(p, dirty)
+			return err
 		default:
 			return fmt.Errorf("storage: recovery: unexpected record type %v", r.Type)
 		}
@@ -420,6 +432,9 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	}
 	lastMarker := wal.LSN(0)
 	rs, err := wal.Replay(walDir, func(r *wal.Record) error {
+		if firstLSN == 0 {
+			firstLSN = r.LSN
+		}
 		unit = append(unit, r)
 		if r.Type != wal.RecCommit && r.Type != wal.RecCheckpoint {
 			return nil
@@ -443,72 +458,55 @@ func RecoverDir(dataDir, walDir string, pageSize int) (RecoveryStats, error) {
 	// stamped xmaxes are cleared — so no snapshot ever sees the
 	// transaction's effects. Idempotent: re-recovering reapplies the
 	// same repairs onto already-repaired pages.
-	fixPages := make(map[pageKey]bool)
-	abortSlots := make(map[pageKey][]uint16)
-	clearSlots := make(map[pageKey]map[uint16]uint64)
+	fixup := func(key fixupKey, xid uint64, edit func(rec []byte) bool) error {
+		bp := rels[key.file]
+		if fx.committed[xid] || bp == nil || bp.DM().NumPages() <= key.page {
+			return nil
+		}
+		p, err := bp.Fetch(PageID(key.page))
+		if err != nil {
+			return fmt.Errorf("storage: recovery: %w", err)
+		}
+		rec := SlotRead(p.Data, int(key.slot))
+		bp.Unpin(p, len(rec) >= tupleHeaderSize && edit(rec))
+		return nil
+	}
 	for key, xid := range fx.lastInsert {
-		if !fx.committed[xid] {
-			pk := pageKey{key.file, key.page}
-			abortSlots[pk] = append(abortSlots[pk], key.slot)
-			fixPages[pk] = true
+		if err := fixup(key, xid, func(rec []byte) bool {
+			flags := binary.LittleEndian.Uint16(rec[tupleFlagsOffset:])
+			if flags&flagXminAborted != 0 {
+				return false
+			}
+			binary.LittleEndian.PutUint16(rec[tupleFlagsOffset:], flags|flagXminAborted)
+			st.AbortFixups++
+			return true
+		}); err != nil {
+			return st, err
 		}
 	}
 	for key, xid := range fx.lastXmaxSet {
-		if !fx.committed[xid] {
-			pk := pageKey{key.file, key.page}
-			if clearSlots[pk] == nil {
-				clearSlots[pk] = make(map[uint16]uint64)
+		if err := fixup(key, xid, func(rec []byte) bool {
+			if binary.LittleEndian.Uint64(rec[tupleXmaxOffset:]) != xid {
+				return false
 			}
-			clearSlots[pk][key.slot] = xid
-			fixPages[pk] = true
+			binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], 0)
+			st.XmaxFixups++
+			return true
+		}); err != nil {
+			return st, err
 		}
 	}
-	for pk := range fixPages {
-		dm, err := open(pk.file)
-		if err != nil {
+	// Write back what redo dirtied and make it durable; the deferred
+	// Crash drops the relations.
+	if pool != nil {
+		if err := pool.FlushAll(); err != nil {
 			return st, fmt.Errorf("storage: recovery: %w", err)
 		}
-		if dm.NumPages() <= pk.page {
-			continue
-		}
-		if err := dm.ReadPage(PageID(pk.page), buf); err != nil {
-			return st, fmt.Errorf("storage: recovery: %w", err)
-		}
-		changed := false
-		for _, slot := range abortSlots[pk] {
-			rec := SlotRead(buf, int(slot))
-			if rec == nil || len(rec) < tupleHeaderSize {
-				continue
+		for name, bp := range rels {
+			if err := bp.DM().Sync(); err != nil {
+				return st, fmt.Errorf("storage: recovery: sync %s: %w", name, err)
 			}
-			flags := binary.LittleEndian.Uint16(rec[tupleFlagsOffset:])
-			if flags&flagXminAborted == 0 {
-				binary.LittleEndian.PutUint16(rec[tupleFlagsOffset:], flags|flagXminAborted)
-				changed = true
-				st.AbortFixups++
-			}
-		}
-		for slot, xid := range clearSlots[pk] {
-			rec := SlotRead(buf, int(slot))
-			if rec == nil || len(rec) < tupleHeaderSize {
-				continue
-			}
-			if binary.LittleEndian.Uint64(rec[tupleXmaxOffset:]) == xid {
-				binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], 0)
-				changed = true
-				st.XmaxFixups++
-			}
-		}
-		if changed {
-			StampPageChecksum(buf)
-			if err := dm.WritePage(PageID(pk.page), buf); err != nil {
-				return st, fmt.Errorf("storage: recovery: %w", err)
-			}
-			st.PagesWritten++
-		}
-	}
-	for name, dm := range files {
-		if serr := dm.Sync(); serr != nil {
-			return st, fmt.Errorf("storage: recovery: sync %s: %w", name, serr)
+			st.PagesWritten += bp.Stats().DirtyWrites
 		}
 	}
 	// The discarded tail must not survive in the log: left in place, its
