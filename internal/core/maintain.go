@@ -65,6 +65,7 @@ func (t *Tree) dropItems(leaves []NodeRef, drop func(it item) bool) (int, error)
 func (t *Tree) searchLeaves(q *Query) ([]NodeRef, error) {
 	var leaves []NodeRef
 	d := t.newDescent(q)
+	defer d.release()
 	for {
 		n, err := d.next()
 		if n == nil || err != nil {

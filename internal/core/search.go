@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/heap"
 )
@@ -21,6 +22,7 @@ func (t *Tree) Scan(q *Query, emit func(key []byte, rid heap.RID) bool) error {
 		seen = make(map[heap.RID]struct{})
 	}
 	d := t.newDescent(q)
+	defer d.release()
 	lq := d.in.Query // the descent's copy: the caller's Query need not escape
 	for {
 		v, err := d.next()
@@ -60,10 +62,11 @@ type frame struct {
 //
 // A descent owns every buffer the walk needs — the InnerIn it refills per
 // node, the Follow slice the opclass appends into, the stack — in one
-// allocation made per search, never per tree, so concurrent searches of
-// one tree share nothing but the immutable node views. Searches deeper
-// or wider than the inline arrays spill into append-grown slices that
-// also live as long as the descent.
+// object per search, never per tree, so concurrent searches of one tree
+// share nothing but the immutable node views. Searches deeper or wider
+// than the inline arrays spill into append-grown slices that also live
+// as long as the descent. A finished descent goes back to descents for
+// the next search, like a closed NN cursor.
 type descent struct {
 	t     *Tree
 	query Query // in.Query points here, unless the search has no query
@@ -79,8 +82,12 @@ type descent struct {
 	followBuf [4]InnerFollow
 }
 
+// descents holds finished descents for newDescent to reuse.
+var descents = sync.Pool{New: func() any { return new(descent) }}
+
 func (t *Tree) newDescent(q *Query) *descent {
-	d := &descent{t: t}
+	d := descents.Get().(*descent)
+	d.t = t
 	if q != nil {
 		d.query = *q
 		d.in.Query = &d.query
@@ -91,6 +98,15 @@ func (t *Tree) newDescent(q *Query) *descent {
 		d.stack = append(d.stack, frame{t.root, 0, t.oc.RootRecon()})
 	}
 	return d
+}
+
+// release returns d to descents, holding nothing of its search: the
+// query, traversal values and node views it still references would
+// otherwise stay reachable until its next search. The descent must not
+// be used afterwards.
+func (d *descent) release() {
+	*d = descent{}
+	descents.Put(d)
 }
 
 // next returns the next data-node record of the walk (overflow records

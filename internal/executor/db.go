@@ -64,6 +64,8 @@ type Table struct {
 	Heap    *heap.File
 	Indexes []*IndexInfo
 
+	names []string // Columns' names, see ColumnNames
+
 	oid  uint64 // catalog OID
 	file string // heap file base name, from the system catalog
 
@@ -720,6 +722,7 @@ func (db *DB) loadSchema() error {
 			Name:    te.Name,
 			Columns: cols,
 			Heap:    hf,
+			names:   columnNames(cols),
 			oid:     te.OID,
 			file:    te.File,
 			mu:      newTableLock(),
@@ -1136,6 +1139,18 @@ func (db *DB) Tables() []*Table {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// ColumnNames returns the names of t's columns in order. The slice is
+// the table's own, shared by every caller, and must not be modified.
+func (t *Table) ColumnNames() []string { return t.names }
+
+func columnNames(cols []Column) []string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	return names
 }
 
 func (t *Table) colIndex(name string) (int, error) {

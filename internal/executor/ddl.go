@@ -133,7 +133,7 @@ func (db *DB) CreateTable(name string, cols []Column) (_ *Table, err error) {
 		}
 		return nil, err
 	}
-	t := &Table{Name: name, Columns: cols, Heap: hf, oid: te.OID, file: te.File, mu: newTableLock(), db: db}
+	t := &Table{Name: name, Columns: cols, Heap: hf, names: columnNames(cols), oid: te.OID, file: te.File, mu: newTableLock(), db: db}
 	if f := db.faults.BeforeDDLCommit; f != nil {
 		if err := f("CREATE TABLE " + name); err != nil {
 			return nil, faultErr{err}

@@ -176,15 +176,16 @@ func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, en
 // under stx's own snapshot: the transaction's own inserts qualify, other
 // transactions' uncommitted rows are not even visible. Already-stamped
 // versions (xmax set by stx or a committed deleter) fail Visible and are
-// skipped, so a double DELETE never stacks xmax stamps.
-func (t *Table) qualify(stx *Txn, implicit bool, pred *Pred, emit func(Row) bool) error {
+// skipped, so a double DELETE never stacks xmax stamps. It returns the
+// plan the scan ran.
+func (t *Table) qualify(stx *Txn, implicit bool, pred *Pred, emit func(Row) bool) (*Plan, error) {
 	snap := t.db.tm.snapshot(stx)
-	_, err := t.selectLocked(snap, pred, emit)
+	plan, err := t.selectLocked(snap, pred, emit)
 	t.db.tm.release(snap)
 	if err != nil {
-		return t.endDML(stx, implicit, false, err)
+		return nil, t.endDML(stx, implicit, false, err)
 	}
-	return nil
+	return plan, nil
 }
 
 // Insert adds a row as its own implicit transaction, maintaining all
@@ -276,26 +277,28 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 // transaction write lock; readers on the same table proceed
 // concurrently and never see a partial delete.
 func (t *Table) DeleteWhere(pred *Pred) (int, error) {
-	return t.DeleteWhereTx(nil, pred)
+	n, _, err := t.DeleteWhereTx(nil, pred)
+	return n, err
 }
 
 // DeleteWhereTx is DeleteWhere inside transaction tx (nil for
-// autocommit).
-func (t *Table) DeleteWhereTx(tx *Txn, pred *Pred) (int, error) {
+// autocommit). It also returns the plan of the scan that found the
+// rows.
+func (t *Table) DeleteWhereTx(tx *Txn, pred *Pred) (int, *Plan, error) {
 	db := t.db
 	rlockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
 	defer db.stmtMu.RUnlock()
 	stx, implicit, err := t.beginDML(tx)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	var rids []heap.RID
-	err = t.qualify(stx, implicit, pred, func(r Row) bool {
+	plan, err := t.qualify(stx, implicit, pred, func(r Row) bool {
 		rids = append(rids, r.RID)
 		return true
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	err = t.runDML(stx, implicit, dmlShape{
 		verb: "DELETE", rows: len(rids), chunk: db.deleteChunkRows(), churn: 1,
@@ -310,9 +313,9 @@ func (t *Table) DeleteWhereTx(tx *Txn, pred *Pred) (int, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return len(rids), nil
+	return len(rids), plan, nil
 }
 
 // ColUpdate assigns one column of an UPDATE's SET list.
@@ -327,21 +330,23 @@ type ColUpdate struct {
 // successor version is inserted (with index entries for every index —
 // old entries stay and are rechecked away at fetch time until VACUUM).
 func (t *Table) UpdateWhere(pred *Pred, sets []ColUpdate) (int, error) {
-	return t.UpdateWhereTx(nil, pred, sets)
+	n, _, err := t.UpdateWhereTx(nil, pred, sets)
+	return n, err
 }
 
 // UpdateWhereTx is UpdateWhere inside transaction tx (nil for
-// autocommit).
-func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error) {
+// autocommit). It also returns the plan of the scan that found the
+// rows.
+func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, *Plan, error) {
 	if len(sets) == 0 {
-		return 0, fmt.Errorf("executor: UPDATE needs a SET list")
+		return 0, nil, fmt.Errorf("executor: UPDATE needs a SET list")
 	}
 	for _, set := range sets {
 		if set.Column < 0 || set.Column >= len(t.Columns) {
-			return 0, fmt.Errorf("executor: UPDATE column ordinal %d out of range", set.Column)
+			return 0, nil, fmt.Errorf("executor: UPDATE column ordinal %d out of range", set.Column)
 		}
 		if set.Value.Typ != t.Columns[set.Column].Type {
-			return 0, fmt.Errorf("executor: column %s expects %v, got %v",
+			return 0, nil, fmt.Errorf("executor: column %s expects %v, got %v",
 				t.Columns[set.Column].Name, t.Columns[set.Column].Type, set.Value.Typ)
 		}
 	}
@@ -350,15 +355,15 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 	defer db.stmtMu.RUnlock()
 	stx, implicit, err := t.beginDML(tx)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	var olds []Row
-	err = t.qualify(stx, implicit, pred, func(r Row) bool {
+	plan, err := t.qualify(stx, implicit, pred, func(r Row) bool {
 		olds = append(olds, r)
 		return true
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	err = t.runDML(stx, implicit, dmlShape{
 		verb: "UPDATE", rows: len(olds), chunk: db.deleteChunkRows(), churn: 2,
@@ -388,9 +393,9 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, error
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return len(olds), nil
+	return len(olds), plan, nil
 }
 
 // Vacuum reclaims dead tuple versions — rolled-back inserts and

@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
@@ -105,15 +106,16 @@ func (t *Table) SelectIndexed(ix *IndexInfo, pred *Pred, emit func(Row) bool) er
 // scan that ran to completion also records its q-error — how far the
 // planner's row estimate was from the rows it really produced.
 func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, emitted int64, err error) {
-	m := t.db.met
-	stopped := false // emit asked for no more rows (LIMIT)
-	defer func() {
-		m.tuplesRead.Add(scanned)
-		m.rowsReturned.Add(emitted)
-		if err == nil && !stopped && plan.Pred != nil {
-			m.planQError.ObserveRatio(QError(plan.Rows, emitted))
+	r := rowScans.Get().(*rowScan)
+	r.t, r.snap, r.plan, r.emit = t, snap, plan, emit
+	if plan.Pred != nil {
+		op, ok := catalog.LookupOperator(plan.Pred.Op, t.Columns[plan.Pred.Column].Type)
+		if !ok {
+			r.release()
+			return 0, 0, fmt.Errorf("executor: no operator %q", plan.Pred.Op)
 		}
-	}()
+		r.opProc = op.Proc
+	}
 	if tr := obs.Current(); tr != nil {
 		sp := tr.StartSpan("execute "+plan.Kind.String(), "exec")
 		defer sp.End()
@@ -122,50 +124,86 @@ func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, e
 			defer isp.End()
 		}
 	}
-	var opProc func(l, r catalog.Datum) bool
-	if plan.Pred != nil {
-		op, ok := catalog.LookupOperator(plan.Pred.Op, t.Columns[plan.Pred.Column].Type)
-		if !ok {
-			return 0, 0, fmt.Errorf("executor: no operator %q", plan.Pred.Op)
-		}
-		opProc = op.Proc
-	}
-	accept := func(rid heap.RID, tup catalog.Tuple) bool {
-		scanned++
-		if opProc != nil && !opProc(tup[plan.Pred.Column], plan.Pred.Arg) {
-			return true // filtered out; keep scanning
-		}
-		emitted++
-		stopped = !emit(Row{RID: rid, Tuple: tup})
-		return !stopped
-	}
+	m := t.db.met
 	switch plan.Kind {
 	case SeqScan:
 		m.planSeqScan.Inc()
-		_, err = t.seqScan(snap, accept)
-		return scanned, emitted, err
+		_, err = t.seqScan(snap, r.acceptFn)
 	case IndexScan:
 		m.planIndexScan.Inc()
 		plan.Index.scans.Inc()
-		var ierr error
-		err := plan.Index.Idx.Scan(plan.Pred.Op, plan.Pred.Arg, func(rid heap.RID) bool {
-			tup, e := t.getVisible(snap, rid)
-			if e != nil {
-				ierr = e
-				return false
-			}
-			if tup == nil {
-				return true // dead or invisible version; skip
-			}
-			return accept(rid, tup)
-		})
-		if err != nil {
-			return scanned, emitted, err
+		if err = plan.Index.Idx.Scan(plan.Pred.Op, plan.Pred.Arg, r.fetchFn); err == nil {
+			err = r.err
 		}
-		return scanned, emitted, ierr
 	default:
-		return 0, 0, fmt.Errorf("executor: cannot run plan kind %v", plan.Kind)
+		err = fmt.Errorf("executor: cannot run plan kind %v", plan.Kind)
 	}
+	scanned, emitted, stopped := r.scanned, r.emitted, r.stopped
+	r.release()
+	m.tuplesRead.Add(scanned)
+	m.rowsReturned.Add(emitted)
+	if err == nil && !stopped && plan.Pred != nil {
+		m.planQError.ObserveRatio(QError(plan.Rows, emitted))
+	}
+	return scanned, emitted, err
+}
+
+// rowScan is the state of one run: what it reads through, the filter it
+// applies, and what it has counted. The heap and the index call back
+// into its methods, bound once when the rowScan is made, and a finished
+// one goes back to rowScans for the next statement, so running a plan
+// allocates nothing of its own.
+type rowScan struct {
+	t      *Table
+	snap   *Snapshot
+	plan   *Plan
+	opProc func(l, r catalog.Datum) bool // nil: no filter
+	emit   func(Row) bool
+
+	scanned, emitted int64
+	stopped          bool  // emit asked for no more rows (LIMIT)
+	err              error // a heap fetch failed under the index scan
+
+	acceptFn func(heap.RID, catalog.Tuple) bool // accept
+	fetchFn  func(heap.RID) bool                // fetch
+}
+
+// rowScans holds finished rowScans for run to reuse.
+var rowScans = sync.Pool{New: func() any {
+	r := new(rowScan)
+	r.acceptFn, r.fetchFn = r.accept, r.fetch
+	return r
+}}
+
+// release returns r, emptied, to rowScans.
+func (r *rowScan) release() {
+	*r = rowScan{acceptFn: r.acceptFn, fetchFn: r.fetchFn}
+	rowScans.Put(r)
+}
+
+// accept counts a visible tuple, filters it and emits it when it passes.
+func (r *rowScan) accept(rid heap.RID, tup catalog.Tuple) bool {
+	r.scanned++
+	if r.opProc != nil && !r.opProc(tup[r.plan.Pred.Column], r.plan.Pred.Arg) {
+		return true // filtered out; keep scanning
+	}
+	r.emitted++
+	r.stopped = !r.emit(Row{RID: rid, Tuple: tup})
+	return !r.stopped
+}
+
+// fetch reads the version an index entry points to and accepts it when
+// the snapshot sees it.
+func (r *rowScan) fetch(rid heap.RID) bool {
+	tup, err := r.t.getVisible(r.snap, rid)
+	if err != nil {
+		r.err = err
+		return false
+	}
+	if tup == nil {
+		return true // dead or invisible version; skip
+	}
+	return r.accept(rid, tup)
 }
 
 // seqScan walks the heap in order, calling fn with every version snap

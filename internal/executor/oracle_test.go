@@ -542,10 +542,10 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 				_, err = tb.InsertBatchTx(tx, fresh(ti, 1+r.Intn(min(40, maxRows))))
 			}
 			if err == nil {
-				_, err = tb.DeleteWhereTx(tx, idPred("=", id))
+				_, _, err = tb.DeleteWhereTx(tx, idPred("=", id))
 			}
 			if err == nil {
-				_, err = tb.UpdateWhereTx(tx, idPred("=", r.Int63n(nextID)), []ColUpdate{{Column: 0, Value: oracleCrashTables[ti].datum(r)}})
+				_, _, err = tb.UpdateWhereTx(tx, idPred("=", r.Int63n(nextID)), []ColUpdate{{Column: 0, Value: oracleCrashTables[ti].datum(r)}})
 			}
 			if err == nil {
 				err = tx.Rollback()

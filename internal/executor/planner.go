@@ -63,6 +63,10 @@ type Plan struct {
 	TotalCost   float64
 	Rows        int64 // estimated result rows
 	Recheck     bool  // heap tuples are rechecked against the operator
+
+	// pred is the plan's own copy of the predicate Pred points to, so
+	// the caller's need not outlive the call that planned it.
+	pred Pred
 }
 
 // String renders the plan line every SELECT response carries, so it is
@@ -88,13 +92,46 @@ func (p *Plan) String() string {
 		b = p.Pred.Arg.Append(b)
 	}
 	b = append(b, "  (cost="...)
-	b = strconv.AppendFloat(b, p.StartupCost, 'f', 2, 64)
+	b = appendCost(b, p.StartupCost)
 	b = append(b, ".."...)
-	b = strconv.AppendFloat(b, p.TotalCost, 'f', 2, 64)
+	b = appendCost(b, p.TotalCost)
 	b = append(b, " rows="...)
 	b = strconv.AppendInt(b, p.Rows, 10)
 	b = append(b, ')')
 	return string(b)
+}
+
+// appendCost appends x as strconv.AppendFloat(b, x, 'f', 2, 64) does,
+// byte for byte. strconv formats every fixed number of decimals through
+// its arbitrary-precision path; below 1e15, x·100 rounded half to even —
+// the rounding strconv applies to x's exact binary value — is exact in
+// integer arithmetic on x's mantissa. NaN, the infinities and larger
+// values go to strconv.
+func appendCost(b []byte, x float64) []byte {
+	if !(math.Abs(x) < 1e15) {
+		return strconv.AppendFloat(b, x, 'f', 2, 64)
+	}
+	bits := math.Float64bits(x)
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	// |x| = mant · 2^exp, and exp < 0 because |x| < 1e15 < 2^50.
+	biased := int(bits>>52) & 0x7ff
+	mant, exp := bits&(1<<52-1), -1074
+	if biased != 0 {
+		mant, exp = mant|1<<52, biased-1075
+	}
+	n, shift := mant*100, uint(-exp) // n < 2^60
+	var q uint64                     // |x|·100, rounded half to even
+	if shift < 64 {
+		q = n >> shift
+		rest, half := n&(1<<shift-1), uint64(1)<<(shift-1)
+		if rest > half || rest == half && q&1 == 1 {
+			q++
+		}
+	} // else |x|·100 < 2^60 / 2^64 rounds to 0
+	b = strconv.AppendUint(b, q/100, 10)
+	return append(b, '.', byte('0'+q/10%10), byte('0'+q%10))
 }
 
 // staleRowsLocked is how many rows changed since the statistics were
@@ -219,16 +256,8 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 		defer sp.End()
 	}
 	rows := t.Heap.Count()
-	best := &Plan{
-		Kind:      SeqScan,
-		Table:     t,
-		Pred:      pred,
-		TotalCost: t.seqScanCost(),
-		Rows:      rows,
-		Recheck:   pred != nil,
-	}
 	if pred == nil {
-		return best, nil
+		return &Plan{Kind: SeqScan, Table: t, TotalCost: t.seqScanCost(), Rows: rows}, nil
 	}
 	t.ensureStats()
 	op, ok := catalog.LookupOperator(pred.Op, t.Columns[pred.Column].Type)
@@ -237,8 +266,16 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 			pred.Op, t.Columns[pred.Column].Type)
 	}
 	sel := op.Restrict(t.stats(pred.Column), pred.Arg)
-	best.Selectivity = sel
-	best.Rows = clampRows(sel * float64(rows))
+	best := &Plan{
+		Kind:        SeqScan,
+		Table:       t,
+		Selectivity: sel,
+		TotalCost:   t.seqScanCost(),
+		Rows:        clampRows(sel * float64(rows)),
+		Recheck:     true,
+		pred:        *pred,
+	}
+	best.Pred = &best.pred
 	heapPages := float64(t.Heap.NumPages())
 	for _, ix := range t.Indexes {
 		if ix.Column != pred.Column || !ix.OpClass.SupportsOp(pred.Op) {
@@ -246,16 +283,7 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 		}
 		cost := indexScanCost(float64(rows), heapPages, float64(ix.pool.DM().NumPages()), sel)
 		if cost < best.TotalCost {
-			best = &Plan{
-				Kind:        IndexScan,
-				Table:       t,
-				Index:       ix,
-				Pred:        pred,
-				Selectivity: sel,
-				TotalCost:   cost,
-				Rows:        best.Rows,
-				Recheck:     true,
-			}
+			best.Kind, best.Index, best.TotalCost = IndexScan, ix, cost
 		}
 	}
 	return best, nil

@@ -549,14 +549,14 @@ func runTorture(t *testing.T, seed int64, steps int) {
 					}
 				case 1: // delete prefix
 					prefix := fmt.Sprintf("w%c", 'a'+rng.Intn(6))
-					_, err = tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "#=", Arg: catalog.NewText(prefix)})
+					_, _, err = tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "#=", Arg: catalog.NewText(prefix)})
 					if err == nil {
 						modelDeletePrefix(staged, prefix)
 					}
 				default: // update prefix
 					prefix := fmt.Sprintf("w%c", 'a'+rng.Intn(6))
 					newWord := fmt.Sprintf("w%c%c%02d", 'a'+rng.Intn(6), 'a'+rng.Intn(6), rng.Intn(40))
-					_, err = tb.UpdateWhereTx(tx, &executor.Pred{Column: 0, Op: "#=", Arg: catalog.NewText(prefix)},
+					_, _, err = tb.UpdateWhereTx(tx, &executor.Pred{Column: 0, Op: "#=", Arg: catalog.NewText(prefix)},
 						[]executor.ColUpdate{{Column: 0, Value: catalog.NewText(newWord)}})
 					if err == nil {
 						modelUpdatePrefix(staged, prefix, newWord)

@@ -157,10 +157,10 @@ func TestTxnRollback(t *testing.T) {
 	if _, err := tb.InsertBatchTx(tx, []catalog.Tuple{batchTuple(500), batchTuple(501)}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[0][0]}); err != nil || n != 1 {
+	if n, _, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[0][0]}); err != nil || n != 1 {
 		t.Fatalf("in-txn delete: n=%d err=%v", n, err)
 	}
-	if n, err := tb.UpdateWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[1][0]},
+	if n, _, err := tb.UpdateWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[1][0]},
 		[]executor.ColUpdate{{Column: 1, Value: catalog.NewInt(9999)}}); err != nil || n != 1 {
 		t.Fatalf("in-txn update: n=%d err=%v", n, err)
 	}
@@ -384,7 +384,7 @@ func TestTxnCrashWithOpenTransaction(t *testing.T) {
 	if _, err := tb.InsertBatchTx(tx, pending); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[0][0]}); err != nil || n != 1 {
+	if n, _, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[0][0]}); err != nil || n != 1 {
 		t.Fatalf("in-txn delete: n=%d err=%v", n, err)
 	}
 	if err := db.Crash(); err != nil {
@@ -431,7 +431,7 @@ func TestTxnCommitDurableAcrossCrash(t *testing.T) {
 	if _, err := tb.InsertBatchTx(tx, added); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[0][0]}); err != nil || n != 1 {
+	if n, _, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: seed[0][0]}); err != nil || n != 1 {
 		t.Fatalf("in-txn delete: n=%d err=%v", n, err)
 	}
 	if err := tx.Commit(); err != nil {

@@ -218,7 +218,7 @@ func TestTxnVisibilityReadForms(t *testing.T) {
 				t.Errorf("Get of another transaction's uncommitted insert: %v, %v", tup, err)
 			}
 
-			n, err := tb.UpdateWhereTx(tx, &executor.Pred{Column: 0, Op: tc.eqOp, Arg: first},
+			n, _, err := tb.UpdateWhereTx(tx, &executor.Pred{Column: 0, Op: tc.eqOp, Arg: first},
 				[]executor.ColUpdate{{Column: 0, Value: tc.moved}})
 			if err != nil || n != 1 {
 				t.Fatalf("UPDATE: %d rows, %v", n, err)
@@ -226,7 +226,7 @@ func TestTxnVisibilityReadForms(t *testing.T) {
 			own[0].key = tc.moved
 			check("after UPDATE")
 
-			n, err = tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: tc.eqOp, Arg: second})
+			n, _, err = tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: tc.eqOp, Arg: second})
 			if err != nil || n != 1 {
 				t.Fatalf("DELETE: %d rows, %v", n, err)
 			}

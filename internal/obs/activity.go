@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // SessionState is a session's instantaneous state in the activity table.
@@ -35,17 +37,21 @@ func (s SessionState) String() string {
 // SessionEntry is one live session's row in the activity table. Every
 // field a scraper reads is an atomic, so scrapers (SHOW ACTIVITY, the
 // /activity endpoint) read a consistent-enough snapshot without taking
-// any lock a statement's hot path would contend on; the statement text
-// in particular is an atomic pointer swap, so a scraper can never
-// observe a torn string.
+// any lock a statement's hot path would contend on. The statement text
+// is published under a sequence count (see statement), so a scraper can
+// never observe a torn string and Begin allocates nothing.
 type SessionEntry struct {
 	act     *Activity
 	id      int64
 	client  string
 	started time.Time
 
-	state     atomic.Int32
-	stmt      atomic.Pointer[string]
+	state atomic.Int32
+	// stmtData and stmtLen are the current statement text's bytes and
+	// length. stmtSeq is odd while Begin rewrites them.
+	stmtSeq   atomic.Uint64
+	stmtData  atomic.Pointer[byte]
+	stmtLen   atomic.Int64
 	stmtStart atomic.Int64 // unix nanos; 0 when idle
 	wait      atomic.Int32
 
@@ -73,14 +79,14 @@ func (se *SessionEntry) ID() int64 {
 	return se.id
 }
 
-// Begin marks the start of one statement: the session becomes active
-// and records stmt as its current statement. The first Begin binds the
-// session to the calling goroutine — the one goroutine-id lookup of the
-// session's life — so waits observed anywhere below (lock acquisition,
-// buffer I/O, WAL commit) attribute to it; every later Begin touches
-// only atomics. A session that moves to another goroutine keeps its
-// row but loses live wait attribution.
-func (se *SessionEntry) Begin(stmt string) {
+// Begin marks the start of one statement, which began at start: the
+// session becomes active and records stmt as its current statement. The
+// first Begin binds the session to the calling goroutine — the one
+// goroutine-id lookup of the session's life — so waits observed
+// anywhere below (lock acquisition, buffer I/O, WAL commit) attribute
+// to it; every later Begin touches only atomics. A session that moves
+// to another goroutine keeps its row but loses live wait attribution.
+func (se *SessionEntry) Begin(stmt string, start time.Time) {
 	if se == nil {
 		return
 	}
@@ -88,10 +94,28 @@ func (se *SessionEntry) Begin(stmt string) {
 		se.bind = se.act.bindGoroutine()
 	}
 	se.bind.cur.Store(se)
-	se.stmt.Store(&stmt)
-	se.stmtStart.Store(time.Now().UnixNano())
+	se.stmtSeq.Add(1)
+	se.stmtData.Store(unsafe.StringData(stmt))
+	se.stmtLen.Store(int64(len(stmt)))
+	se.stmtSeq.Add(1)
+	se.stmtStart.Store(start.UnixNano())
 	se.wait.Store(int32(WaitNone))
 	se.state.Store(int32(StateActive))
+}
+
+// statement reads the text the last Begin recorded. Begin is the only
+// writer and never waits; a reader that overlaps it reads again.
+func (se *SessionEntry) statement() string {
+	for {
+		seq := se.stmtSeq.Load()
+		if seq&1 == 0 {
+			data, n := se.stmtData.Load(), se.stmtLen.Load()
+			if se.stmtSeq.Load() == seq {
+				return unsafe.String(data, n)
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // End marks the statement finished: the session returns to idle. The
@@ -248,9 +272,7 @@ func (a *Activity) Snapshot() []SessionInfo {
 			WaitEvent:  WaitEvent(se.wait.Load()).String(),
 			SessionAge: now.Sub(se.started),
 		}
-		if p := se.stmt.Load(); p != nil {
-			info.Statement = *p
-		}
+		info.Statement = se.statement()
 		if s := se.stmtStart.Load(); s > 0 {
 			info.StmtElapsed = now.Sub(time.Unix(0, s))
 		}

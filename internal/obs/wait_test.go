@@ -67,7 +67,7 @@ func TestWaitAttributesToSession(t *testing.T) {
 	act := NewActivity()
 	ws := NewWaitSet(act)
 	se := act.Register("test-client")
-	se.Begin("SELECT 1")
+	se.Begin("SELECT 1", time.Now())
 
 	m := ws.Begin(WaitWALCommitWait)
 	snap := act.Snapshot()
@@ -99,7 +99,7 @@ func TestWaitOtherGoroutineNotAttributed(t *testing.T) {
 	act := NewActivity()
 	ws := NewWaitSet(act)
 	se := act.Register("c1")
-	se.Begin("INSERT ...")
+	se.Begin("INSERT ...", time.Now())
 	defer se.Close()
 
 	var wg sync.WaitGroup
@@ -127,7 +127,7 @@ func TestIdleSessionNeverWaits(t *testing.T) {
 	act := NewActivity()
 	ws := NewWaitSet(act)
 	se := act.Register("c1")
-	se.Begin("SELECT 1")
+	se.Begin("SELECT 1", time.Now())
 	se.End()
 
 	m := ws.Begin(WaitLockTable)
@@ -159,14 +159,14 @@ func TestActivityBindingIsOncePerSession(t *testing.T) {
 	a, b := act.Register("a"), act.Register("b")
 	defer a.Close()
 	defer b.Close()
-	a.Begin("warm-up")
+	a.Begin("warm-up", time.Now())
 	a.End()
-	b.Begin("warm-up")
+	b.Begin("warm-up", time.Now())
 	b.End()
 
 	before := GoidLookups()
 	for i := 0; i < 1000; i++ {
-		a.Begin("SELECT 1")
+		a.Begin("SELECT 1", time.Now())
 		a.End()
 	}
 	if n := GoidLookups() - before; n != 0 {
@@ -174,7 +174,7 @@ func TestActivityBindingIsOncePerSession(t *testing.T) {
 	}
 
 	for _, se := range []*SessionEntry{a, b, a} {
-		se.Begin("UPDATE t")
+		se.Begin("UPDATE t", time.Now())
 		m := ws.Begin(WaitLockTable)
 		for _, si := range act.Snapshot() {
 			want := "idle"
@@ -196,7 +196,7 @@ func TestPageReadWaitsAttributedOnlyWhenSlow(t *testing.T) {
 	act := NewActivity()
 	ws := NewWaitSet(act)
 	se := act.Register("c1")
-	se.Begin("SELECT 1")
+	se.Begin("SELECT 1", time.Now())
 	defer se.Close()
 
 	before := GoidLookups()
@@ -228,7 +228,7 @@ func TestActivitySnapshotFields(t *testing.T) {
 	b := act.Register("addr-b")
 	defer a.Close()
 	defer b.Close()
-	b.Begin("SELECT * FROM t")
+	b.Begin("SELECT * FROM t", time.Now())
 	defer b.End()
 
 	snap := act.Snapshot()
@@ -246,5 +246,56 @@ func TestActivitySnapshotFields(t *testing.T) {
 	}
 	if snap[1].StmtElapsed <= 0 {
 		t.Fatalf("active session StmtElapsed = %v, want > 0", snap[1].StmtElapsed)
+	}
+}
+
+// TestActivityStatementNeverTorn: scrapers snapshotting while a session
+// begins statements of different lengths read each text whole, and
+// Begin records the text without allocating.
+func TestActivityStatementNeverTorn(t *testing.T) {
+	act := NewActivity()
+	se := act.Register("c1")
+	defer se.Close()
+	stmts := []string{"SELECT 1", "SELECT * FROM words WHERE name = '00123456'", "", "BEGIN"}
+	known := map[string]bool{}
+	for _, s := range stmts {
+		known[s] = true
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, si := range act.Snapshot() {
+					if !known[si.Statement] {
+						t.Errorf("snapshot read statement %q, never begun", si.Statement)
+						return
+					}
+				}
+			}
+		}()
+	}
+	start := time.Now()
+	for i := 0; i < 20000; i++ {
+		se.Begin(stmts[i%len(stmts)], start)
+		se.End()
+	}
+	close(stop)
+	wg.Wait()
+
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		se.Begin(stmts[i%len(stmts)], start)
+		se.End()
+		i++
+	}); n != 0 {
+		t.Errorf("Begin allocates %.0f times per statement, want 0", n)
 	}
 }

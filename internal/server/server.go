@@ -207,9 +207,8 @@ func (s *Server) session(conn net.Conn) {
 			}
 			continue
 		}
-		start := time.Now()
-		res, err := s.execGuarded(sess, line)
-		s.queryLatency.Observe(time.Since(start))
+		res, elapsed, err := s.execGuarded(sess, line, time.Now())
+		s.queryLatency.Observe(elapsed)
 		s.queriesTotal.Inc()
 		if err != nil {
 			writeErr(out, err)
@@ -245,15 +244,16 @@ func (s *Server) session(conn net.Conn) {
 // and no other connection notices. The stack is logged to stderr and
 // counted (server_panics_total): a panic is still a bug worth paging
 // on, it just is not a process kill taking every session with it.
-func (s *Server) execGuarded(sess *sqlmini.Session, line string) (res *sqlmini.Result, err error) {
+func (s *Server) execGuarded(sess *sqlmini.Session, line string, start time.Time) (res *sqlmini.Result, elapsed time.Duration, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			elapsed = time.Since(start)
 			s.panicsTotal.Inc()
 			fmt.Fprintf(os.Stderr, "server: panic executing %q: %v\n%s", line, r, debug.Stack())
 			res, err = nil, fmt.Errorf("internal error: statement panicked: %v", r)
 		}
 	}()
-	return sess.Exec(line)
+	return sess.ExecTimed(line, start)
 }
 
 // writeStats answers the STATS verb: every counter, gauge, and expanded

@@ -70,6 +70,16 @@ var fuzzSeeds = []string{
 	`;`,
 	`SELECT * FROM w WHERE name = 'unterminated`,
 	`DROP TABLE w; DROP TABLE pts`,
+	// String literals the lexer takes as substrings of the statement or,
+	// with a doubled quote, copies.
+	`''`,
+	`'it''s'`,
+	`'a'''`,
+	`'abc`,
+	`'x'--c`,
+	`'héllo 日本'`,
+	`SELECT * FROM w WHERE name = 'it''s'`,
+	`INSERT INTO w VALUES ('a''''', 7), ('', 8), ('wörd', 9)--c`,
 }
 
 // FuzzSessionExec runs any statement text against a fresh fuzzSchema

@@ -43,8 +43,13 @@ type lexer struct {
 	toks []token
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lex appends the tokens of src, ending with tokEOF, to toks[:0] and
+// returns the slice: a session hands in the slice of its last statement,
+// so a warm statement lexes without allocating. Token texts are
+// substrings of src (a string literal with a doubled quote excepted), so
+// nothing a token says aliases the slice itself.
+func lex(src string, toks []token) ([]token, error) {
+	l := lexer{src: src, toks: toks[:0]}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -58,18 +63,18 @@ func lex(src string) ([]token, error) {
 			}
 		case c == '\'':
 			if err := l.lexString(); err != nil {
-				return nil, err
+				return l.toks, err
 			}
 		case c >= '0' && c <= '9' || (c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'):
 			l.lexNumber()
 		case isIdentStart(c):
 			l.lexIdent()
-		case strings.ContainsRune("(),;*", rune(c)):
-			l.emit(tokPunct, string(c))
+		case strings.IndexByte("(),;*", c) >= 0:
+			l.emit(tokPunct, l.src[l.pos:l.pos+1])
 			l.pos++
 		default:
 			if !l.lexOperator() {
-				return nil, fmt.Errorf("sql: unexpected character %q at %d", c, l.pos)
+				return l.toks, fmt.Errorf("sql: unexpected character %q at %d", c, l.pos)
 			}
 		}
 	}
@@ -81,14 +86,32 @@ func (l *lexer) emit(k tokenKind, text string) {
 	l.toks = append(l.toks, token{kind: k, text: text, pos: l.pos})
 }
 
+// lexString reads a quoted literal. One without a doubled quote, SQL's
+// escape for a quote, is the substring between its quotes; only an
+// escaped one is copied.
 func (l *lexer) lexString() error {
+	start := l.pos
+	body := l.src[start+1:]
+	end := strings.IndexByte(body, '\'')
+	if end < 0 {
+		return fmt.Errorf("sql: unterminated string starting at %d", start)
+	}
+	if end+1 < len(body) && body[end+1] == '\'' {
+		return l.lexEscapedString()
+	}
+	l.pos = start + 1 + end + 1
+	l.toks = append(l.toks, token{kind: tokString, text: body[:end], pos: start})
+	return nil
+}
+
+// lexEscapedString reads a quoted literal that holds a doubled quote.
+func (l *lexer) lexEscapedString() error {
 	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {
-			// Doubled quote escapes a quote, SQL style.
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
 				sb.WriteByte('\'')
 				l.pos += 2

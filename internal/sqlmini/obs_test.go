@@ -329,6 +329,43 @@ func TestSlowQueryLog(t *testing.T) {
 	if !strings.Contains(buf.String(), ", plan=Seq Scan, ok): SELECT * FROM w LIMIT 1") {
 		t.Fatalf("slow-query log of a LIMIT-stopped scan:\n%s", buf.String())
 	}
+	// UPDATE and DELETE are logged with the plan of the scan that found
+	// their rows, and the rows they changed as its actual count.
+	mustExec(t, s, `UPDATE w SET id = 4 WHERE id = 3`)
+	mustExec(t, s, `DELETE FROM w WHERE id = 2`)
+	for _, want := range []string{
+		", plan=Seq Scan est=1 actual=1, ok): UPDATE w SET id = 4 WHERE id = 3",
+		", plan=Seq Scan est=1 actual=1, ok): DELETE FROM w WHERE id = 2",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("slow-query log missing %q:\n%s", want, buf.String())
+		}
+	}
+	// Through an index, by key.
+	mustExec(t, s, `CREATE TABLE k (name VARCHAR, id INT)`)
+	mustExec(t, s, `CREATE INDEX k_trie ON k USING spgist (name spgist_trie)`)
+	var ins strings.Builder
+	ins.WriteString(`INSERT INTO k VALUES `)
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "('k%04d', %d)", i, i)
+	}
+	mustExec(t, s, ins.String())
+	mustExec(t, s, `ANALYZE k`)
+	mustExec(t, s, `UPDATE k SET id = 7 WHERE name = 'k0042'`)
+	mustExec(t, s, `DELETE FROM k WHERE name = 'k0043'`)
+	mustExec(t, s, `DELETE FROM k WHERE name = 'nokey'`)
+	for _, want := range []string{
+		", plan=Index Scan est=1 actual=1, ok): UPDATE k SET id = 7 WHERE name = 'k0042'",
+		", plan=Index Scan est=1 actual=1, ok): DELETE FROM k WHERE name = 'k0043'",
+		", plan=Index Scan est=1 actual=0, ok): DELETE FROM k WHERE name = 'nokey'",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("slow-query log missing %q:\n%s", want, buf.String())
+		}
+	}
 
 	// Zero threshold (the default) logs nothing.
 	buf.Reset()

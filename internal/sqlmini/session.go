@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // Result is the outcome of one statement.
@@ -31,8 +32,9 @@ type Result struct {
 	// trace-event format (EXPLAIN (TRACE) only).
 	TraceJSON []byte
 
-	// ran is the plan an executed SELECT really ran (nil for EXPLAIN and
-	// everything else); the slow-query log reports its kind and estimate.
+	// ran is the plan an executed SELECT, UPDATE or DELETE really ran
+	// (nil for EXPLAIN and everything else); the slow-query log reports
+	// its kind and estimate.
 	// limited says a LIMIT cut the scan short, so len(Rows) says nothing
 	// about that estimate.
 	ran     *executor.Plan
@@ -54,7 +56,15 @@ type Session struct {
 	DB    *executor.DB
 	entry *obs.SessionEntry
 	tx    *executor.Txn
+	// toks is the token slice of the last statement, kept for the next
+	// one to lex into.
+	toks []token
 }
+
+// maxKeptTokens bounds the token slice a session keeps between
+// statements: one long INSERT must not pin its tokens for the session's
+// life.
+const maxKeptTokens = 256
 
 // NewSession wraps a database as a local (embedded) session.
 func NewSession(db *executor.DB) *Session { return NewSessionWithClient(db, "local") }
@@ -85,20 +95,31 @@ func (s *Session) InTxn() bool { return s.tx != nil }
 // tracks it live (statement text, active/waiting state, wait event) for
 // the duration. When the database was opened with a slow-query
 // threshold, statements at or over it are logged with their text,
-// duration, buffer traffic and — for an executed SELECT — the plan kind
-// with its estimated and actual row counts (the counts are left out
-// when a LIMIT stopped the scan, as in EXPLAIN ANALYZE).
+// duration, buffer traffic and — for an executed SELECT, UPDATE or
+// DELETE — the plan kind with its estimated and actual row counts (the
+// counts are left out when a LIMIT stopped the scan, as in EXPLAIN
+// ANALYZE).
 func (s *Session) Exec(sql string) (*Result, error) {
-	s.entry.Begin(sql)
+	res, _, err := s.ExecTimed(sql, time.Now())
+	return res, err
+}
+
+// ExecTimed is Exec for a caller that read the clock as the statement
+// arrived: start serves the activity entry, the trace and the
+// slow-query log, and elapsed, read once at the statement's end, is
+// what the slow-query log compares with its threshold.
+func (s *Session) ExecTimed(sql string, start time.Time) (res *Result, elapsed time.Duration, err error) {
+	s.entry.Begin(sql, start)
 	defer s.entry.End()
 	threshold, logw := s.DB.SlowQueryConfig()
-	if threshold <= 0 || logw == nil {
-		return s.exec(sql)
+	logSlow := threshold > 0 && logw != nil
+	var before storage.PoolStats
+	if logSlow {
+		before = s.DB.PoolStats()
 	}
-	before := s.DB.PoolStats()
-	start := time.Now()
-	res, err := s.exec(sql)
-	if elapsed := time.Since(start); elapsed >= threshold {
+	res, err = s.exec(sql, start)
+	elapsed = time.Since(start)
+	if logSlow && elapsed >= threshold {
 		after := s.DB.PoolStats()
 		status := "ok"
 		if err != nil {
@@ -107,20 +128,23 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		plan := ""
 		if res != nil && res.ran != nil {
 			plan = ", plan=" + res.ran.Kind.String()
+			actual := len(res.Rows)
+			if res.Columns == nil { // UPDATE or DELETE
+				actual = res.Affected
+			}
 			if !res.limited {
-				plan += fmt.Sprintf(" est=%d actual=%d", res.ran.Rows, len(res.Rows))
+				plan += fmt.Sprintf(" est=%d actual=%d", res.ran.Rows, actual)
 			}
 		}
 		fmt.Fprintf(logw, "slow query (%.1f ms, hits=%d misses=%d%s, %s): %s\n",
 			elapsed.Seconds()*1000, after.Hits-before.Hits,
 			after.Misses-before.Misses, plan, status, strings.TrimSpace(sql))
 	}
-	return res, err
+	return res, elapsed, err
 }
 
-func (s *Session) exec(sql string) (*Result, error) {
+func (s *Session) exec(sql string, start time.Time) (*Result, error) {
 	s.DB.FaultPanicCheck(sql)
-	start := time.Now()
 	var tr *obs.Tracer
 	if s.DB.TraceDir() != "" {
 		// TraceDir traces every statement: arm before lexing so the
@@ -129,13 +153,27 @@ func (s *Session) exec(sql string) (*Result, error) {
 		defer s.writeTrace(tr)
 		defer tr.Arm()()
 	}
-	toks, err := lex(sql)
+	toks, err := lex(sql, s.toks)
+	defer s.keepTokens(toks)
 	if err != nil {
 		return nil, err
 	}
-	tr.AddRange("parse", "sql", start, time.Now())
-	p := &parser{toks: toks, stmtStart: start, lexEnd: time.Now()}
+	if tr != nil {
+		tr.AddRange("parse", "sql", start, time.Now())
+	}
+	p := &parser{toks: toks, stmtStart: start}
 	return p.statement(s)
+}
+
+// keepTokens keeps toks, emptied, for the session's next statement to
+// lex into, unless it grew past maxKeptTokens.
+func (s *Session) keepTokens(toks []token) {
+	if cap(toks) > maxKeptTokens {
+		s.toks = nil
+		return
+	}
+	clear(toks) // the texts pin the statement
+	s.toks = toks[:0]
 }
 
 // writeTrace finishes tr and writes its Chrome trace-event JSON as one
@@ -150,11 +188,12 @@ func (s *Session) writeTrace(tr *obs.Tracer) {
 type parser struct {
 	toks []token
 	i    int
-	// stmtStart/lexEnd bracket the lexing phase, recorded by exec so
+	// stmtStart is when the statement began, recorded by exec so
 	// EXPLAIN (TRACE) — which only learns it should trace after parsing
 	// its prefix — can backfill the parse span onto its tracer.
 	stmtStart time.Time
-	lexEnd    time.Time
+	// pred is the statement's WHERE clause, where it has one.
+	pred executor.Pred
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -692,9 +731,9 @@ func showActivity(s *Session) (*Result, error) {
 // TraceDir too, when configured).
 func (p *parser) explainTrace(s *Session) (*Result, error) {
 	tr := obs.NewTracerStarted(p.stmtStart)
-	// Lexing happened before the EXPLAIN (TRACE) prefix was parsed;
-	// backfill it as the parse span.
-	tr.AddRange("parse", "sql", p.stmtStart, p.lexEnd)
+	// Lexing and the EXPLAIN (TRACE) prefix were parsed untraced;
+	// backfill them as the parse span.
+	tr.AddRange("parse", "sql", p.stmtStart, time.Now())
 	disarm := tr.Arm()
 	_, err := p.statement(s)
 	disarm()
@@ -817,7 +856,7 @@ func (p *parser) insert(s *Session) (*Result, error) {
 	return &Result{Affected: len(tups), Msg: fmt.Sprintf("INSERT %d", len(tups))}, nil
 }
 
-// where parses [WHERE col OP literal].
+// where parses [WHERE col OP literal] into the parser's predicate.
 func (p *parser) where(t *executor.Table) (*executor.Pred, error) {
 	if !p.accept(tokIdent, "WHERE") {
 		return nil, nil
@@ -854,7 +893,8 @@ func (p *parser) where(t *executor.Table) (*executor.Pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &executor.Pred{Column: ci, Op: opTok.text, Arg: arg}, nil
+	p.pred = executor.Pred{Column: ci, Op: opTok.text, Arg: arg}
+	return &p.pred, nil
 }
 
 // selectMode distinguishes how a SELECT statement runs: executed
@@ -981,11 +1021,7 @@ func (p *parser) selectStmt(s *Session, mode selectMode) (*Result, error) {
 		return nil, err
 	}
 
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = c.Name
-	}
-	res := &Result{Columns: cols}
+	res := &Result{Columns: t.ColumnNames()}
 
 	nn := nnCol != ""
 	if nn && pred != nil {
@@ -1074,11 +1110,11 @@ func (p *parser) deleteStmt(s *Session) (*Result, error) {
 	if err := p.end(); err != nil {
 		return nil, err
 	}
-	n, err := t.DeleteWhereTx(s.tx, pred)
+	n, plan, err := t.DeleteWhereTx(s.tx, pred)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("DELETE %d", n)}, nil
+	return &Result{Affected: n, Msg: fmt.Sprintf("DELETE %d", n), ran: plan}, nil
 }
 
 // UPDATE t SET col = lit [, col = lit ...] [WHERE ...]
@@ -1135,11 +1171,11 @@ func (p *parser) updateStmt(s *Session) (*Result, error) {
 	if err := p.end(); err != nil {
 		return nil, err
 	}
-	n, err := t.UpdateWhereTx(s.tx, pred, sets)
+	n, plan, err := t.UpdateWhereTx(s.tx, pred, sets)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Affected: n, Msg: fmt.Sprintf("UPDATE %d", n)}, nil
+	return &Result{Affected: n, Msg: fmt.Sprintf("UPDATE %d", n), ran: plan}, nil
 }
 
 // VACUUM [table]: reclaim dead tuple versions (committed deletes and
