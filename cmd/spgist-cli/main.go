@@ -59,8 +59,8 @@ func main() {
 	}
 	defer db.Close()
 	if rs := db.Engine().RecoveryStats(); rs.PagesWritten > 0 || rs.TornTail {
-		fmt.Printf("recovered from WAL: %d records (%d page images, %d heap inserts, %d heap deletes, %d index node puts, %d node patches, %d node deletes), %d pages written across %d files\n",
-			rs.Records, rs.PageImages, rs.HeapInserts, rs.HeapDeletes, rs.SlotPuts, rs.SlotPatches, rs.SlotDeletes, rs.PagesWritten, rs.FilesTouched)
+		fmt.Printf("recovered from WAL: %d records (%d page images, %d slot puts, %d slot patches, %d slot deletes), %d pages written across %d files; %d tuples of unresolved transactions aborted, %d xmaxes cleared\n",
+			rs.Records, rs.PageImages, rs.SlotPuts, rs.SlotPatches, rs.SlotDeletes, rs.PagesWritten, rs.FilesTouched, rs.AbortFixups, rs.XmaxFixups)
 		if rs.TornPages > 0 {
 			fmt.Printf("torn pages detected by checksum: %d, repaired from WAL: %d\n", rs.TornPages, rs.TornRepaired)
 		}

@@ -54,8 +54,8 @@ func main() {
 	}
 	defer db.Close()
 	rs := db.Engine().RecoveryStats()
-	fmt.Printf("recovered: %d log records (%d page images, %d heap inserts, %d index node puts, %d node patches, %d node deletes; %d torn pages, %d repaired) -> %d pages across %d files\n",
-		rs.Records, rs.PageImages, rs.HeapInserts, rs.SlotPuts, rs.SlotPatches, rs.SlotDeletes, rs.TornPages, rs.TornRepaired, rs.PagesWritten, rs.FilesTouched)
+	fmt.Printf("recovered: %d log records (%d page images, %d slot puts, %d slot patches, %d slot deletes; %d torn pages, %d repaired) -> %d pages across %d files; %d tuples of unresolved transactions aborted, %d xmaxes cleared\n",
+		rs.Records, rs.PageImages, rs.SlotPuts, rs.SlotPatches, rs.SlotDeletes, rs.TornPages, rs.TornRepaired, rs.PagesWritten, rs.FilesTouched, rs.AbortFixups, rs.XmaxFixups)
 
 	after := db.MustExec(`SELECT * FROM word_data WHERE name #= 'word012'`)
 	pt := db.MustExec(`SELECT * FROM pts WHERE loc @ '(12,44)'`)

@@ -140,6 +140,45 @@ func (v *nodeView) node() *node {
 	return n
 }
 
+// View is a node record as pageinspect reads it: NewView validates the
+// record, and every accessor then stays inside it for every index below
+// Len — the partitions of an inner node, the items of a data node.
+type View struct{ v *nodeView }
+
+// NewView validates rec as a node record and returns its view, which
+// holds a copy of it.
+func NewView(rec []byte) (View, error) {
+	v, err := newView(rec)
+	if err != nil {
+		return View{}, err
+	}
+	return View{v}, nil
+}
+
+// Leaf reports whether the node is a data node.
+func (v View) Leaf() bool { return v.v.leaf }
+
+// Len returns the partitions of an inner node, the items of a data node.
+func (v View) Len() int { return v.v.n }
+
+// Pred returns an inner node's encoded predicate.
+func (v View) Pred() []byte { return v.v.pred() }
+
+// Label returns the encoded label of partition i of an inner node.
+func (v View) Label(i int) []byte { return v.v.label(i) }
+
+// Child returns the node partition i of an inner node leads to.
+func (v View) Child(i int) NodeRef { return v.v.child(i) }
+
+// Key returns the key of item i of a data node.
+func (v View) Key(i int) []byte { return v.v.key(i) }
+
+// RID returns the row of item i of a data node.
+func (v View) RID(i int) heap.RID { return v.v.rid(i) }
+
+// Next returns a data node's overflow link.
+func (v View) Next() NodeRef { return v.v.next() }
+
 // Labels is the partition labels of one inner node in entry order, each as
 // it is encoded in the node's record.
 type Labels struct{ v *nodeView }

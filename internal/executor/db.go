@@ -231,8 +231,11 @@ type DB struct {
 	tables    map[string]*Table
 	pool      *storage.Pool // every relation file's frames; created at Open
 	wal       *wal.Writer
-	recovered storage.RecoveryStats
-	crashed   bool
+	recovered RecoveryStats
+	// unresolved is the heap pass's rule after a redo that met data
+	// records (heap.Unresolved), nil when Open needs no heap pass.
+	unresolved func(xid uint64) bool
+	crashed    bool
 	// appendScratch lends appendPoolsXid its buffers (*appendScratch).
 	appendScratch sync.Pool
 
@@ -354,7 +357,7 @@ type FaultInjection struct {
 	// (under a plain marker, without the statement's transaction
 	// commit record). A crash here must recover with *none* of the
 	// statement visible — the chunks carry one uncommitted xid, and
-	// recovery's abort fixup hides them. stmt names the statement,
+	// the heap's pass after recovery hides them. stmt names the statement,
 	// chunksDone counts the appended chunks.
 	BetweenDMLChunks func(stmt string, chunksDone int) error
 	// PanicOn makes FaultPanicCheck panic on any statement containing
@@ -484,7 +487,10 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		db.recovered = st
+		db.recovered.RecoveryStats = st
+		if st.PageImages+st.SlotPuts+st.SlotPatches+st.SlotDeletes+st.SkippedByLSN > 0 {
+			db.unresolved = heap.Unresolved(st.Committed, st.LastCheckpoint)
+		}
 		w, err := wal.OpenWriter(walDir, wal.Options{Mode: opts.WALSync})
 		if err != nil {
 			return nil, err
@@ -516,6 +522,13 @@ func Open(opts Options) (*DB, error) {
 	if err := db.loadSchema(); err != nil {
 		db.discardAll()
 		return nil, err
+	}
+	// The heap passes' last repairs commit under one marker.
+	if r := db.recovered; r.AbortFixups+r.XmaxFixups > 0 {
+		if err := db.commitWAL(nil); err != nil {
+			db.discardAll()
+			return nil, err
+		}
 	}
 	return db, nil
 }
@@ -679,14 +692,27 @@ func fileIsAllZeros(path string) (bool, error) {
 	}
 }
 
-// recountAfterRedo takes a heap's record count and last-page hint from its
-// pages if the redo pass met tuple records: some may belong to statements
-// that never reached their commit point, where those counters are saved.
+// recountAfterRedo runs the heap's pass over hf after a redo that met
+// data records (heap.File.Recount): its counters are taken from its pages,
+// some of which may hold statements that never reached the commit point
+// where those are saved, and the tuples of transactions the crash left
+// unresolved are repaired. The repairs are appended every deleteChunkRows
+// pages, each such page pinned until they are, as DELETE's chunks are.
 func (db *DB) recountAfterRedo(hf *heap.File) error {
-	if r := db.recovered; r.HeapInserts+r.HeapDeletes+r.SkippedByLSN == 0 {
+	if db.unresolved == nil {
 		return nil
 	}
-	return hf.Recount()
+	pages := 0
+	fx, err := hf.Recount(db.unresolved, func() error {
+		if pages++; pages < db.deleteChunkRows() {
+			return nil
+		}
+		pages = 0
+		return db.appendPools([]*storage.BufferPool{hf.Pool()})
+	})
+	db.recovered.AbortFixups += fx.Aborted
+	db.recovered.XmaxFixups += fx.XmaxCleared
+	return err
 }
 
 // loadSchema reattaches every cataloged relation: orphaned data files
@@ -913,9 +939,19 @@ func (db *DB) Catalog() *syscat.Catalog { return db.cat }
 // older build whose CREATE INDEX a crash interrupted.
 func (db *DB) RebuiltIndexes() []string { return append([]string(nil), db.rebuilt...) }
 
-// RecoveryStats reports the redo pass performed when the database was
-// opened (all zeros for an in-memory database or an empty log).
-func (db *DB) RecoveryStats() storage.RecoveryStats { return db.recovered }
+// RecoveryStats reports what opening the database recovered: the redo
+// pass over the log, and the heap passes that repaired the tuples of
+// transactions the crash left unresolved. All zeros for an in-memory
+// database or an empty log.
+type RecoveryStats struct {
+	storage.RecoveryStats
+	AbortFixups int64 // tuples of unresolved transactions flagged aborted
+	XmaxFixups  int64 // xmaxes of unresolved transactions cleared
+}
+
+// RecoveryStats reports the recovery performed when the database was
+// opened.
+func (db *DB) RecoveryStats() RecoveryStats { return db.recovered }
 
 // SlowQueryConfig reports the slow-query log settings (threshold zero
 // means disabled). The SQL session layer, which owns statement text and
@@ -941,8 +977,8 @@ func (db *DB) Close() error {
 		return nil
 	}
 	// Roll back whatever transactions are still open: their versions are
-	// compensated in place, their abort records close their trails, and
-	// the checkpoint below no longer has live uncommitted xids to fear.
+	// compensated in place, and the checkpoint below no longer has live
+	// uncommitted xids to fear.
 	if db.tm != nil {
 		for _, tx := range db.tm.activeTxns() {
 			if err := db.rollbackTxn(tx); err != nil {
@@ -1015,10 +1051,9 @@ func (db *DB) checkpointLocked() error {
 	if err := db.checkWritable(); err != nil {
 		return err
 	}
-	// A checkpoint recycles log segments, destroying the records that
-	// recovery's abort fixup would need to hide an open transaction's
-	// versions after a crash — refuse while any logged transaction is
-	// still in flight.
+	// A checkpoint recycles log segments, and with them the records of
+	// an open transaction that logged changes — refuse while any such
+	// transaction is still in flight.
 	if db.wal != nil && db.tm != nil && db.tm.anyLoggedActive() {
 		return fmt.Errorf("executor: cannot checkpoint with an open transaction that has logged changes")
 	}
@@ -1044,7 +1079,7 @@ func (db *DB) checkpointLocked() error {
 		}
 	}
 	if db.wal != nil {
-		if _, err := db.wal.Checkpoint(); err != nil {
+		if _, err := db.wal.Checkpoint(db.tm.checkpointState()); err != nil {
 			return db.noteWALFailure(err)
 		}
 	}

@@ -24,7 +24,8 @@ import (
 //     every chunk carries the transaction's xid and no snapshot admits
 //     an uncommitted xid. That is the fix for the chunked-DML atomicity
 //     hole: a crash between chunks recovers with the whole statement
-//     invisible (recovery's abort fixup marks the xid's versions dead).
+//     invisible (the heap's pass after recovery marks the xid's versions
+//     dead).
 //   - An implicit transaction commits at statement end — the remaining
 //     records plus wal.RecTxnCommit under one marker, then the group-
 //     commit fsync. A statement inside an explicit transaction only

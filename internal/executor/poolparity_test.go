@@ -122,13 +122,26 @@ type poolCounts struct {
 // inserted (941 → 717 B), and the deflated images of pages stamped with
 // other LSNs come out a few bytes apart (one heap page 164 B shorter):
 // 39 660 → 39 437.
+//
+// The log bytes were re-recorded once more when the heap came to log its
+// changes as slot records. Record for record, heap inserts became
+// slot-puts and VACUUM's heap deletes slot-deletes of the same bytes; the
+// 63 xmax stamps before the crash became slot patches a byte shorter
+// each (1 017 → 954 B: the xids changed one byte), and the 6 after the
+// reopen the same size; the batch inserts became batch puts, which carry
+// a prefix length and the count of its bytes kept besides the xmin's
+// bytes, 1 or 2 bytes more a record (73 635 → 73 824 B over 106 records,
+// 1 220 → 1 280 over 30). Raw, 517 486 → 517 612 and 54 273 → 54 333
+// bytes; as the frames deflate, 371 761 → 371 904 and 39 437 → 39 503.
+// Accesses, misses and disk writes did not move: the heap's pass after
+// the reopen reads the pages the recount read, and repairs nothing.
 func TestPoolCountParity(t *testing.T) {
 	for _, c := range []struct {
 		pool int
 		want [2]poolCounts // before the crash, after the reopen
 	}{
 		{16, [2]poolCounts{{accesses: 11774}, {accesses: 2629}}},
-		{1024, [2]poolCounts{{11719, 42, 44, 371761}, {2633, 43, 34, 39437}}},
+		{1024, [2]poolCounts{{11719, 42, 44, 371904}, {2633, 43, 34, 39503}}},
 	} {
 		t.Run(fmt.Sprintf("pool=%d", c.pool), func(t *testing.T) {
 			got := poolParityRun(t, c.pool)

@@ -175,7 +175,7 @@ func TestCrashRecoveryMatchesCleanShutdown(t *testing.T) {
 	if rs.Records == 0 || rs.PagesWritten == 0 {
 		t.Fatalf("crash reopen performed no recovery: %+v", rs)
 	}
-	if rs.HeapInserts == 0 || rs.SlotPuts == 0 {
+	if rs.SlotBatches == 0 || rs.SlotPuts+rs.SlotPatches == 0 {
 		t.Fatalf("recovery exercised only one record family: %+v", rs)
 	}
 	crashRows := queryAll(t, db)

@@ -33,15 +33,21 @@ import (
 //   - Commit is a WAL record (wal.RecTxnCommit) appended atomically with
 //     the transaction's final statement group. Statements inside an open
 //     transaction append their records under a plain group marker
-//     *without* fsync: the marker releases their no-steal frames, while
-//     crash recovery's abort fixup (storage/walapply.go) marks every
-//     version of a transaction with no commit record aborted — which is
-//     also what makes a multi-chunk statement atomic: all its chunks
-//     carry one xid, and no chunk is visible until the commit record.
+//     *without* fsync: the marker releases their no-steal frames. After
+//     a crash, redo replays every record alike, and the heap's pass that
+//     follows it at Open (heap.File.Recount) marks every version of a
+//     transaction the crash left unresolved aborted and clears its
+//     xmaxes — which is also what makes a multi-chunk statement atomic:
+//     all its chunks carry one xid, and no chunk is visible until the
+//     commit record. A transaction is unresolved when the surviving log
+//     holds no commit record for it and the last checkpoint had not seen
+//     it resolved: the checkpoint record carries the next xid and the
+//     xids open at it (heap.Unresolved).
 //   - ROLLBACK walks the transaction's in-memory undo list backwards,
 //     marking inserted versions aborted and clearing stamped xmax
-//     fields, then appends wal.RecTxnAbort. A crash anywhere during
-//     rollback recovers to the same end state through the abort fixup.
+//     fields. Nothing marks its end in the log: a crash anywhere during
+//     rollback leaves the transaction unresolved, and the heap's pass
+//     reaches the same end state.
 //
 // Transaction IDs are allocated from a counter whose high-water mark
 // persists in the system catalog ('X' record) in strides, so no xid is
@@ -141,8 +147,7 @@ type Txn struct {
 	undo   []undoRec
 	// logged is set once any of the transaction's records reached the
 	// write-ahead log; CHECKPOINT refuses to run while such a
-	// transaction is open (recycling segments would destroy the
-	// evidence recovery's abort fixup needs).
+	// transaction is open.
 	logged bool
 	done   bool
 }
@@ -362,6 +367,20 @@ func (tm *TxnManager) anyLoggedActive() bool {
 	return false
 }
 
+// checkpointState is the transaction state a checkpoint record carries:
+// the next xid, and the xids of the open transactions, which may write
+// after the checkpoint and never commit. Caller holds the statement lock
+// exclusively, so no transaction begins or ends meanwhile.
+func (tm *TxnManager) checkpointState() wal.CheckpointState {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	st := wal.CheckpointState{NextXid: tm.nextXid}
+	for xid := range tm.active {
+		st.Running = append(st.Running, xid)
+	}
+	return st
+}
+
 // activeTxns snapshots the open transaction list (Close rolls each one
 // back).
 func (tm *TxnManager) activeTxns() []*Txn {
@@ -469,9 +488,9 @@ func (db *DB) abortAfter(tx *Txn, err error) error {
 }
 
 // Rollback undoes the transaction: every version it inserted is marked
-// aborted, every xmax it stamped is cleared, and an abort record closes
-// its trail in the log. Always releases the transaction's locks, even
-// on error. Rolling back a transaction that changed nothing is free.
+// aborted and every xmax it stamped is cleared. Always releases the
+// transaction's locks, even on error. Rolling back a transaction that
+// changed nothing is free.
 func (tx *Txn) Rollback() error {
 	if tx.done {
 		return fmt.Errorf("executor: transaction %d already ended", tx.xid)
@@ -487,8 +506,9 @@ func (tx *Txn) Rollback() error {
 // rollbackTxn applies tx's undo list backwards and finishes it. Caller
 // holds the statement lock (shared or exclusive — Close calls in here
 // under its exclusive lock). The undo appends ride under plain group
-// markers with no fsync: if a crash interrupts them, recovery's abort
-// fixup reaches the same end state from the missing commit record.
+// markers with no fsync: if a crash interrupts them, the heap's pass
+// after recovery reaches the same end state from the missing commit
+// record.
 func (db *DB) rollbackTxn(tx *Txn) error {
 	var firstErr error
 	keep := func(err error) {
@@ -528,15 +548,6 @@ func (db *DB) rollbackTxn(tx *Txn) error {
 		}
 	}
 	flush()
-	if db.wal != nil && tx.logged {
-		// Close the transaction's trail with an abort record under its
-		// own marker. Informational: recovery treats a missing commit
-		// record identically. No fsync — a torn abort recovers the same.
-		g := wal.NewGroup()
-		g.AddTxnAbort(tx.xid)
-		_, _, err := db.wal.AppendGroupCommit(g)
-		keep(err)
-	}
 	db.tm.finish(tx)
 	return firstErr
 }

@@ -403,6 +403,86 @@ func TestTxnCrashWithOpenTransaction(t *testing.T) {
 	}
 }
 
+// TestTxnOpenAcrossCheckpointCrash: a transaction open at a CHECKPOINT —
+// begun, and read only so far, so the checkpoint runs — writes after it
+// and never commits. Its xid is below the next xid the checkpoint
+// recorded, so only the checkpoint's list of open transactions tells
+// recovery that it is unresolved: its row must vanish and the row it
+// deleted stay, through a Seq Scan and through the index alike, while the
+// row committed before the checkpoint is kept. A second crash before any
+// checkpoint recovers the same rows and repairs nothing new.
+func TestTxnOpenAcrossCheckpointCrash(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *executor.DB {
+		db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	tb := txnTable(t, db)
+	a, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := visibleNames(t, tb, a); len(got) != 0 {
+		t.Fatalf("A reads %v from a fresh table", got)
+	}
+	rowA, rowB := batchTuple(1), batchTuple(2)
+	b, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.InsertBatchTx(b, []catalog.Tuple{rowB}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("CHECKPOINT with a transaction that only read: %v", err)
+	}
+	if _, err := tb.InsertBatchTx(a, []catalog.Tuple{rowA}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := tb.DeleteWhereTx(a, &executor.Pred{Column: 0, Op: "=", Arg: rowB[0]}); err != nil || n != 1 {
+		t.Fatalf("A's delete of B's row: n=%d err=%v", n, err)
+	}
+	if err := db.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round, fixups := range []int64{1, 0} {
+		db = open()
+		if rs := db.RecoveryStats(); rs.AbortFixups != fixups || rs.XmaxFixups != fixups {
+			t.Fatalf("reopen %d: %d tuples flagged aborted and %d xmaxes cleared, want %d each", round+1, rs.AbortFixups, rs.XmaxFixups, fixups)
+		}
+		tb, err = db.Table("words")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := visibleNames(t, tb, nil); len(got) != 1 || !got[rowB[0].S] {
+			t.Fatalf("reopen %d: a Seq Scan sees %v, want B's row alone", round+1, got)
+		}
+		for _, c := range []struct {
+			row  catalog.Tuple
+			want int
+		}{{rowA, 0}, {rowB, 1}} {
+			n := 0
+			if err := tb.SelectIndexed(tb.Indexes[0], &executor.Pred{Column: 0, Op: "=", Arg: c.row[0]}, func(executor.Row) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if n != c.want {
+				t.Fatalf("reopen %d: the index finds %d rows of %q, want %d", round+1, n, c.row[0].S, c.want)
+			}
+		}
+		if err := db.Crash(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTxnCommitDurableAcrossCrash: the flip side — a COMMITted explicit
 // transaction survives a crash whole, including its deletes.
 func TestTxnCommitDurableAcrossCrash(t *testing.T) {

@@ -139,7 +139,7 @@ func TestIndexWALBudget(t *testing.T) {
 		case wal.RecSlotPut, wal.RecSlotPatch, wal.RecSlotDelete:
 			nodeRecords++
 			inGroup[key] = true
-		case wal.RecHeapInsert, wal.RecHeapBatchInsert:
+		case wal.RecSlotBatchPut:
 			inGroup[key] = true
 		}
 		return nil
@@ -326,8 +326,8 @@ func TestBulkLoadWALBudget(t *testing.T) {
 	}
 	db = open()
 	defer db.Close()
-	if rs := db.RecoveryStats(); rs.HeapBatches == 0 || rs.TornTail {
-		t.Fatalf("recovery replayed %d batch records (torn tail %v), want the loads' from whole frames", rs.HeapBatches, rs.TornTail)
+	if rs := db.RecoveryStats(); rs.SlotBatches == 0 || rs.TornTail {
+		t.Fatalf("recovery replayed %d batch records (torn tail %v), want the loads' from whole frames", rs.SlotBatches, rs.TornTail)
 	}
 	for _, c := range []struct {
 		table string

@@ -79,11 +79,16 @@ type TupleHeader struct {
 // EncodeTuple prepends h to payload, producing the on-page record bytes.
 func EncodeTuple(h TupleHeader, payload []byte) []byte {
 	rec := make([]byte, TupleHeaderSize+len(payload))
+	h.put(rec)
+	copy(rec[TupleHeaderSize:], payload)
+	return rec
+}
+
+// put writes h over the first TupleHeaderSize bytes of rec.
+func (h TupleHeader) put(rec []byte) {
 	binary.LittleEndian.PutUint64(rec[0:], h.Xmin)
 	binary.LittleEndian.PutUint64(rec[8:], h.Xmax)
 	binary.LittleEndian.PutUint16(rec[16:], h.Flags)
-	copy(rec[TupleHeaderSize:], payload)
-	return rec
 }
 
 // ParseTuple splits on-page record bytes into the version header and the
@@ -121,6 +126,8 @@ type File struct {
 	// file grows. It lives in memory only: after a reopen it is empty until
 	// VACUUM's deletes fill it again.
 	free *storage.FreeSpace
+	// scratch holds the tuple setHeader rewrites.
+	scratch []byte
 }
 
 // freeFloor is the least free space that lists a page in the free-space
@@ -183,39 +190,84 @@ func (f *File) SaveMeta() error {
 	return f.bp.WriteMeta(body[:])
 }
 
-// Recount sets the record count from the data pages themselves, and the
-// target page to the last of them. Crash recovery replays the tuples of
-// statements whose commit point — and with it their SaveMeta — never
-// came; the owner calls this after such a replay.
-func (f *File) Recount() error {
+// Fixups counts the tuple headers a Recount repaired.
+type Fixups struct {
+	Aborted     int64 // tuples of unresolved transactions flagged aborted
+	XmaxCleared int64 // xmaxes of unresolved transactions cleared
+}
+
+// Unresolved returns the rule by which a crash leaves transaction xid
+// unresolved: the surviving log holds no commit record for it
+// (committed), and it was not resolved before the log's last checkpoint
+// (ckpt) — it was assigned after it, or was open at it. Such a
+// transaction never committed, and a rollback that was under way may not
+// have reached the disk. The frozen xid 0 is never unresolved.
+func Unresolved(committed map[uint64]bool, ckpt wal.CheckpointState) func(xid uint64) bool {
+	running := make(map[uint64]bool, len(ckpt.Running))
+	for _, x := range ckpt.Running {
+		running[x] = true
+	}
+	return func(xid uint64) bool {
+		return xid != 0 && !committed[xid] && (xid >= ckpt.NextXid || running[xid])
+	}
+}
+
+// Recount is the heap's pass after crash recovery. It sets the record
+// count from the data pages themselves, and the target page to the last
+// of them: redo replays the tuples of statements whose commit point — and
+// with it their SaveMeta — never came. It also repairs, where each
+// tuple's header lies, what transactions the crash left unresolved wrote
+// (there is no undo log): a tuple whose xmin is unresolved is flagged
+// aborted, and an xmax that is unresolved is cleared. The repairs go
+// through the logged header writes, MarkAborted and ClearXmax, and flush
+// is called after each page repaired, so that the owner can append them
+// before they pin more of the pool than it holds. A slot a later tuple
+// reuses shows that tuple, so only the current one is judged. Run again
+// on the repaired file, it repairs nothing.
+func (f *File) Recount(unresolved func(xid uint64) bool, flush func() error) (Fixups, error) {
+	var fx Fixups
+	var aborted, cleared []uint16
 	n := f.NumPages()
 	f.count, f.target = 0, storage.InvalidPageID
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, err := f.bp.Fetch(pid)
 		if err != nil {
-			return err
+			return fx, err
 		}
 		f.count += int64(storage.SlotLive(p.Data))
+		aborted, cleared = aborted[:0], cleared[:0]
+		storage.SlotForEach(p.Data, func(slot int, rec []byte) bool {
+			h, _ := ParseTuple(rec)
+			if h.Flags&FlagXminAborted == 0 && unresolved(h.Xmin) {
+				aborted = append(aborted, uint16(slot))
+			}
+			if unresolved(h.Xmax) {
+				cleared = append(cleared, uint16(slot))
+			}
+			return true
+		})
 		f.bp.Unpin(p, false)
 		f.target = pid
-	}
-	return nil
-}
-
-// unpinLogged releases a data page after an insert or delete of rec at
-// slot. With a WAL attached the mutation is covered by a logical record
-// (not a page image), and the record is *deferred*: it is staged in the
-// buffer pool and appended — contiguously with the rest of the
-// statement's records and its commit marker — at the commit point, so
-// records of statements running concurrently on other tables never
-// interleave with it. rec is nil for a delete.
-func (f *File) unpinLogged(p *storage.Page, slot int, rec []byte) {
-	f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-		if rec != nil {
-			return g.AddHeapInsert(file, uint32(p.ID), uint16(slot), rec)
+		if len(aborted)+len(cleared) == 0 {
+			continue
 		}
-		return g.AddHeapDelete(file, uint32(p.ID), uint16(slot))
-	})
+		for _, slot := range aborted {
+			if err := f.MarkAborted(RID{Page: pid, Slot: slot}); err != nil {
+				return fx, err
+			}
+		}
+		for _, slot := range cleared {
+			if err := f.ClearXmax(RID{Page: pid, Slot: slot}); err != nil {
+				return fx, err
+			}
+		}
+		fx.Aborted += int64(len(aborted))
+		fx.XmaxCleared += int64(len(cleared))
+		if err := flush(); err != nil {
+			return fx, err
+		}
+	}
+	return fx, nil
 }
 
 // Insert stores payload as a frozen tuple (xmin 0, visible to every
@@ -236,7 +288,7 @@ func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
 	if err != nil {
 		return InvalidRID, err
 	}
-	f.unpinLogged(p, slot, rec)
+	f.bp.UnpinPut(p, slot, rec)
 	f.count++
 	return RID{Page: p.ID, Slot: uint16(slot)}, nil
 }
@@ -316,8 +368,8 @@ func (f *File) insertNoted(p *storage.Page, rec []byte) (int, bool) {
 
 // InsertBatch stores every record of recs, filling each data page to
 // capacity under a single pin (instead of re-pinning per record the way
-// per-row Insert does) and covering each filled page with one batch log
-// record rather than one record per tuple. The returned RIDs parallel
+// per-row Insert does) and covering each filled page with one batch-put
+// log record rather than one record per tuple. The returned RIDs parallel
 // recs. The frozen (xmin 0) twin of InsertBatchTx.
 func (f *File) InsertBatch(payloads [][]byte) ([]RID, error) {
 	return f.InsertBatchTx(payloads, 0)
@@ -337,6 +389,8 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 			return nil, fmt.Errorf("heap: record of %d bytes exceeds page capacity", len(recs[i]))
 		}
 	}
+	var hdr [TupleHeaderSize]byte
+	TupleHeader{Xmin: xmin}.put(hdr[:])
 	rids := make([]RID, 0, len(recs))
 	for i := 0; i < len(recs); {
 		p, slot, err := f.place(recs[i])
@@ -357,11 +411,11 @@ func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {
 			placed = append(placed, payloads[i])
 		}
 		f.count += int64(len(slots))
-		// One batch record covers the whole page-worth of tuples,
-		// deferred like unpinLogged's. The tuples share one fresh
-		// header, which the record carries as xmin alone.
+		// One batch put covers the whole page-worth of tuples. They
+		// share one fresh header, the record's prefix, which it carries
+		// as xmin alone: xmax and flags are zeros.
 		f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-			return g.AddHeapBatchInsert(file, uint32(p.ID), slots, xmin, placed)
+			return g.AddSlotBatchPut(file, uint32(p.ID), slots, hdr[:], placed)
 		})
 	}
 	return rids, nil
@@ -400,19 +454,10 @@ func (f *File) GetVersion(rid RID, read func(h TupleHeader, payload []byte) erro
 	return read(ParseTuple(rec))
 }
 
-// headerOp discriminates the three version-header mutations.
-type headerOp int
-
-const (
-	opSetXmax headerOp = iota
-	opClearXmax
-	opMarkAborted
-)
-
-// setHeader rewrites part of the version header of the record at rid in
-// place and logs it. Mutating a non-existent record is a no-op, like
-// Delete. Logging follows unpinLogged's discipline.
-func (f *File) setHeader(rid RID, op headerOp, xid uint64) error {
+// setHeader rewrites the version header of the record at rid in place
+// by edit, logged as a slot patch of the bytes that changed. Mutating a
+// non-existent record is a no-op, like Delete.
+func (f *File) setHeader(rid RID, edit func(h *TupleHeader)) error {
 	if !rid.Valid() || uint32(rid.Page) >= f.NumPages() {
 		return nil
 	}
@@ -421,44 +466,35 @@ func (f *File) setHeader(rid RID, op headerOp, xid uint64) error {
 		return err
 	}
 	rec := storage.SlotRead(p.Data, int(rid.Slot))
-	if rec == nil || len(rec) < TupleHeaderSize {
+	if len(rec) < TupleHeaderSize {
 		f.bp.Unpin(p, false)
 		return nil
 	}
-	switch op {
-	case opSetXmax:
-		binary.LittleEndian.PutUint64(rec[8:], xid)
-	case opClearXmax:
-		binary.LittleEndian.PutUint64(rec[8:], 0)
-	case opMarkAborted:
-		binary.LittleEndian.PutUint16(rec[16:],
-			binary.LittleEndian.Uint16(rec[16:])|FlagXminAborted)
-	}
-	f.bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
-		switch op {
-		case opSetXmax:
-			return g.AddHeapSetXmax(file, uint32(p.ID), rid.Slot, xid)
-		case opClearXmax:
-			return g.AddHeapClearXmax(file, uint32(p.ID), rid.Slot)
-		default:
-			return g.AddHeapMarkAborted(file, uint32(p.ID), rid.Slot)
-		}
-	})
-	return nil
+	h, _ := ParseTuple(rec)
+	edit(&h)
+	f.scratch = append(f.scratch[:0], rec...)
+	h.put(f.scratch)
+	return f.bp.UnpinRewrite(p, int(rid.Slot), f.scratch)
 }
 
 // SetXmax stamps xid as the deleting transaction of the tuple at rid —
 // the MVCC delete: the version stays in place for snapshots that predate
 // the deleter.
-func (f *File) SetXmax(rid RID, xid uint64) error { return f.setHeader(rid, opSetXmax, xid) }
+func (f *File) SetXmax(rid RID, xid uint64) error {
+	return f.setHeader(rid, func(h *TupleHeader) { h.Xmax = xid })
+}
 
 // ClearXmax zeroes the xmax of the tuple at rid — the undo of SetXmax,
 // applied when the deleting transaction rolls back.
-func (f *File) ClearXmax(rid RID) error { return f.setHeader(rid, opClearXmax, 0) }
+func (f *File) ClearXmax(rid RID) error {
+	return f.setHeader(rid, func(h *TupleHeader) { h.Xmax = 0 })
+}
 
 // MarkAborted sets the aborted flag on the tuple at rid, hiding it from
 // every snapshot — the undo of an insert whose transaction rolled back.
-func (f *File) MarkAborted(rid RID) error { return f.setHeader(rid, opMarkAborted, 0) }
+func (f *File) MarkAborted(rid RID) error {
+	return f.setHeader(rid, func(h *TupleHeader) { h.Flags |= FlagXminAborted })
+}
 
 // Delete removes the record at rid and notes the page's free space in the
 // free-space map, so later inserts fill it. Deleting a non-existent record
@@ -479,7 +515,7 @@ func (f *File) Delete(rid RID) error {
 	dir := storage.SlotDirCost(p.Data)
 	storage.SlotDelete(p.Data, int(rid.Slot))
 	f.free.Note(p, dir, -len(rec))
-	f.unpinLogged(p, int(rid.Slot), nil)
+	f.bp.UnpinDelete(p, int(rid.Slot))
 	f.count--
 	return nil
 }

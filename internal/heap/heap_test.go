@@ -445,7 +445,7 @@ func TestBatchRecordCarriesXminOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := w.Stats()
-	batch, tuples := st.ByType[wal.RecHeapBatchInsert].Bytes, int64(0)
+	batch, tuples := st.ByType[wal.RecSlotBatchPut].Bytes, int64(0)
 	for _, p := range payloads {
 		tuples += 2 * int64(TupleHeaderSize+len(p))
 	}
@@ -474,5 +474,108 @@ func TestBatchRecordCarriesXminOnce(t *testing.T) {
 		if !bytes.Equal(logged[rid], onPage) {
 			t.Fatalf("%v: logged %x, the page holds %x", rid, logged[rid], onPage)
 		}
+	}
+}
+
+// TestRecountRepairsUnresolved: the heap's pass after recovery judges
+// every tuple's header where it lies by Unresolved's rule — here the log
+// commits 11, and its checkpoint saw 10 as the next xid with 4 open, so 4
+// and 12 are unresolved and 3 and 11 are not. It flags aborted the tuples
+// whose xmin is unresolved, clears the xmaxes that are, counts what it
+// repaired, flushes after the page, leaves alone a slot that a committed
+// tuple reuses after an unresolved one's was freed, and repairs nothing
+// on a second run.
+func TestRecountRepairsUnresolved(t *testing.T) {
+	unresolved := Unresolved(map[uint64]bool{11: true}, wal.CheckpointState{NextXid: 10, Running: []uint64{4}})
+	for xid, want := range map[uint64]bool{0: false, 3: false, 4: true, 9: false, 10: true, 11: false, 12: true} {
+		if unresolved(xid) != want {
+			t.Errorf("Unresolved(%d) = %v, want %v", xid, !want, want)
+		}
+	}
+	f := newTestHeap(t)
+	type version struct {
+		xmin, xmax uint64
+		aborted    bool
+	}
+	var rids []RID
+	var want []TupleHeader
+	for _, v := range []version{
+		{xmin: 3},                           // resolved: left alone
+		{xmin: 4},                           // open at the checkpoint: aborted
+		{xmin: 11, xmax: 12},                // xmax cleared
+		{xmin: 12, xmax: 12},                // aborted, xmax cleared
+		{xmin: 3, xmax: 4},                  // xmax cleared
+		{xmin: 0, xmax: 3},                  // frozen, deleted before the checkpoint: left alone
+		{xmin: 12, aborted: true},           // rolled back already: left alone
+		{xmin: 12, xmax: 11, aborted: true}, // a committed xmax: left alone
+	} {
+		rid, err := f.InsertTx([]byte("payload"), v.xmin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := TupleHeader{Xmin: v.xmin}
+		if v.xmax != 0 {
+			if err := f.SetXmax(rid, v.xmax); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v.aborted {
+			if err := f.MarkAborted(rid); err != nil {
+				t.Fatal(err)
+			}
+			h.Flags = FlagXminAborted
+		}
+		if unresolved(v.xmin) && !v.aborted {
+			h.Flags = FlagXminAborted
+		}
+		if !unresolved(v.xmax) {
+			h.Xmax = v.xmax
+		}
+		rids = append(rids, rid)
+		want = append(want, h)
+	}
+	// An unresolved transaction's tuple, freed, and a committed one in
+	// its slot.
+	gone, err := f.InsertTx([]byte("gone"), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := f.InsertTx([]byte("reused"), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != gone {
+		t.Fatalf("the committed tuple went to %v, not the freed slot %v", reused, gone)
+	}
+	rids = append(rids, reused)
+	want = append(want, TupleHeader{Xmin: 11})
+
+	flushes := 0
+	flush := func() error { flushes++; return nil }
+	fx, err := f.Recount(unresolved, flush)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fx != (Fixups{Aborted: 2, XmaxCleared: 3}) || flushes != 1 {
+		t.Fatalf("Recount repaired %+v with %d flushes, want 2 aborted, 3 xmaxes cleared, 1 flush", fx, flushes)
+	}
+	if f.Count() != int64(len(rids)) {
+		t.Fatalf("Count = %d, want %d", f.Count(), len(rids))
+	}
+	for i, rid := range rids {
+		if err := f.GetVersion(rid, func(h TupleHeader, _ []byte) error {
+			if h != want[i] {
+				t.Errorf("tuple %d at %v: header %+v, want %+v", i, rid, h, want[i])
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fx, err := f.Recount(unresolved, flush); err != nil || fx != (Fixups{}) || flushes != 1 {
+		t.Fatalf("a second Recount repaired %+v (%v, %d flushes), want nothing", fx, err, flushes)
 	}
 }

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/rtree"
 	"repro/internal/storage"
@@ -273,77 +274,31 @@ func describeHeapTuple(w io.Writer, rec []byte) {
 	}
 }
 
-// describeSPGiSTNode renders one SP-GiST node record — inner nodes with
-// their partition labels and child references, leaf (data) nodes with
-// their items and overflow chain. The layout mirrors core's node
-// encoding: kind byte 1=inner, 2=leaf.
+// describeSPGiSTNode renders an SP-GiST node record as core's view reads
+// it: an inner node's predicate, then every partition's label and child;
+// a data (leaf) node's overflow link, then every item's key and RID.
 func describeSPGiSTNode(w io.Writer, rec []byte) {
-	if len(rec) < 3 {
-		fmt.Fprintf(w, "    node: truncated record (%d bytes)\n", len(rec))
+	v, err := core.NewView(rec)
+	if err != nil {
+		describeMalformed(w, err, rec)
 		return
 	}
-	const refSize = 6
-	ref := func(b []byte) string {
-		pg := binary.LittleEndian.Uint32(b)
-		if storage.PageID(pg) == storage.InvalidPageID {
+	ref := func(r core.NodeRef) string {
+		if r.Page == storage.InvalidPageID {
 			return "invalid"
 		}
-		return fmt.Sprintf("(%d,%d)", pg, binary.LittleEndian.Uint16(b[4:]))
+		return fmt.Sprintf("(%d,%d)", r.Page, r.Slot)
 	}
-	switch rec[0] {
-	case 1: // inner
-		pl := int(binary.LittleEndian.Uint16(rec[1:]))
-		off := 3
-		if off+pl+2 > len(rec) {
-			fmt.Fprintf(w, "    inner node: truncated predicate\n")
-			return
+	if v.Leaf() {
+		fmt.Fprintf(w, "    leaf node: items=%d next=%s\n", v.Len(), ref(v.Next()))
+		for i := 0; i < v.Len(); i++ {
+			fmt.Fprintf(w, "      key=%q rid=%s\n", v.Key(i), v.RID(i))
 		}
-		pred := rec[off : off+pl]
-		off += pl
-		cnt := int(binary.LittleEndian.Uint16(rec[off:]))
-		off += 2
-		fmt.Fprintf(w, "    inner node: pred=%q partitions=%d\n", pred, cnt)
-		for i := 0; i < cnt; i++ {
-			if off+2 > len(rec) {
-				fmt.Fprintf(w, "      [truncated]\n")
-				return
-			}
-			ll := int(binary.LittleEndian.Uint16(rec[off:]))
-			off += 2
-			if off+ll+refSize > len(rec) {
-				fmt.Fprintf(w, "      [truncated]\n")
-				return
-			}
-			fmt.Fprintf(w, "      label=%q child=%s\n", rec[off:off+ll], ref(rec[off+ll:]))
-			off += ll + refSize
-		}
-	case 2: // leaf
-		if len(rec) < 3+refSize {
-			fmt.Fprintf(w, "    leaf node: truncated header\n")
-			return
-		}
-		next := ref(rec[1:])
-		cnt := int(binary.LittleEndian.Uint16(rec[1+refSize:]))
-		fmt.Fprintf(w, "    leaf node: items=%d next=%s\n", cnt, next)
-		off := 3 + refSize
-		for i := 0; i < cnt; i++ {
-			if off+2 > len(rec) {
-				fmt.Fprintf(w, "      [truncated]\n")
-				return
-			}
-			kl := int(binary.LittleEndian.Uint16(rec[off:]))
-			off += 2
-			if off+kl+heap.RIDSize > len(rec) {
-				fmt.Fprintf(w, "      [truncated]\n")
-				return
-			}
-			rid := heap.RIDFromBytes(rec[off+kl:])
-			fmt.Fprintf(w, "      key=%q rid=%s\n", rec[off:off+kl], rid)
-			off += kl + heap.RIDSize
-		}
-	default:
-		fmt.Fprintf(w, "    node: unknown kind %d; raw bytes:\n", rec[0])
-		hexdump(w, "    ", rec)
+		return
+	}
+	fmt.Fprintf(w, "    inner node: pred=%q partitions=%d\n", v.Pred(), v.Len())
+	for i := 0; i < v.Len(); i++ {
+		fmt.Fprintf(w, "      label=%q child=%s\n", v.Label(i), ref(v.Child(i)))
 	}
 }
 

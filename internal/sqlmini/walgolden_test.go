@@ -174,35 +174,56 @@ func firstDiff(got, want string) string {
 // 2 877 → 2 879): their pages carry other LSNs. The stream appends 86
 // records instead of 581 and 12 856 bytes instead of 20 700. Every other
 // line is unchanged.
+//
+// Re-recorded once more when the heap came to log its changes with the
+// slot records index pages use, and the transaction-abort record went.
+// The heap's inserts are slot-puts and its deletes slot-deletes, of the
+// same slots and lengths: the catalog's eight lines, the UPDATE's new
+// version and VACUUM's four deletes. Its batch inserts are slot-batch-puts: the six lines of
+// rel1.tbl, each decoding to the same tuple bytes. The three xmax stamps
+// (of the UPDATE, the DELETE, and the DELETE inside BEGIN) are 7-byte
+// slot-patches of the same slots — the new length, one fragment header
+// and the one byte of the xmax that changed — and no longer name the xid;
+// the ROLLBACK's clear-xmax and its two mark-aborted are 7-byte
+// slot-patches too, of the one byte each changes. The ROLLBACK's
+// txn-abort record and the commit marker of its frame are gone: the
+// stream holds 84 records instead of 86. The LSNs that follow come two
+// earlier, and the deflated first-touch image of rel2.idx page 1 after
+// CHECKPOINT, whose page holds them, comes out 2 bytes longer
+// (2 879 → 2 881). Each batch put carries a prefix length and a kept
+// count besides the xmin's byte (2 bytes more), the three xmax stamps a
+// byte less each, the ROLLBACK's three patches 7 bytes each where its
+// records had none, and the abort's frame is gone: the stream appends
+// 12 862 bytes instead of 12 856. Every other line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 slot-put file="syscat.dat" page=0 slot=0 xid=0 len=20
-heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=27
+slot-put file="syscat.dat" page=1 slot=0 xid=0 len=27
 slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=11
 commit file="" page=0 slot=0 xid=0 len=0
 file-create file="rel1.tbl" page=0 slot=0 xid=0 len=0
-heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=27
-heap-delete file="syscat.dat" page=1 slot=0 xid=0 len=0
-heap-insert file="syscat.dat" page=1 slot=0 xid=0 len=64
+slot-put file="syscat.dat" page=1 slot=1 xid=0 len=27
+slot-delete file="syscat.dat" page=1 slot=0 xid=0 len=0
+slot-put file="syscat.dat" page=1 slot=0 xid=0 len=64
 slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=7
 slot-put file="rel1.tbl" page=0 slot=0 xid=0 len=20
 commit file="" page=0 slot=0 xid=0 len=0
-heap-insert file="syscat.dat" page=1 slot=2 xid=0 len=27
+slot-put file="syscat.dat" page=1 slot=2 xid=0 len=27
 commit file="" page=0 slot=0 xid=0 len=0
-heap-batch-insert file="rel1.tbl" page=1 slot=0 xid=0 len=7393
-heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=2783
+slot-batch-put file="rel1.tbl" page=1 slot=0 xid=0 len=7393
+slot-batch-put file="rel1.tbl" page=2 slot=0 xid=0 len=2783
 commit file="" page=0 slot=0 xid=0 len=0
-heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=1749
+slot-batch-put file="rel1.tbl" page=2 slot=0 xid=0 len=1749
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=12
 txn-commit file="" page=0 slot=0 xid=1 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 file-create file="rel2.idx" page=0 slot=0 xid=0 len=0
-heap-insert file="syscat.dat" page=1 slot=3 xid=0 len=27
-heap-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
-heap-insert file="syscat.dat" page=1 slot=1 xid=0 len=71
+slot-put file="syscat.dat" page=1 slot=3 xid=0 len=27
+slot-delete file="syscat.dat" page=1 slot=1 xid=0 len=0
+slot-put file="syscat.dat" page=1 slot=1 xid=0 len=71
 slot-patch file="syscat.dat" page=0 slot=0 xid=0 len=7
 commit file="" page=0 slot=0 xid=0 len=0
-heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=39
+slot-batch-put file="rel1.tbl" page=2 slot=0 xid=0 len=39
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
@@ -212,34 +233,32 @@ page-image file="rel2.idx" page=1 slot=0 xid=0 len=3031
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
-heap-set-xmax file="rel1.tbl" page=2 slot=114 xid=3 len=0
-heap-insert file="rel1.tbl" page=2 slot=115 xid=0 len=39
+slot-patch file="rel1.tbl" page=2 slot=114 xid=0 len=7
+slot-put file="rel1.tbl" page=2 slot=115 xid=0 len=39
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=26
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
 txn-commit file="" page=0 slot=0 xid=3 len=0
 commit file="" page=0 slot=0 xid=0 len=0
-heap-set-xmax file="rel1.tbl" page=1 slot=0 xid=4 len=0
+slot-patch file="rel1.tbl" page=1 slot=0 xid=0 len=7
 txn-commit file="" page=0 slot=0 xid=4 len=0
 commit file="" page=0 slot=0 xid=0 len=0
-heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=71
+slot-batch-put file="rel1.tbl" page=2 slot=0 xid=0 len=71
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=22
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=138 xid=0 len=21
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 commit file="" page=0 slot=0 xid=0 len=0
-heap-set-xmax file="rel1.tbl" page=1 slot=1 xid=5 len=0
+slot-patch file="rel1.tbl" page=1 slot=1 xid=0 len=7
 commit file="" page=0 slot=0 xid=0 len=0
-heap-clear-xmax file="rel1.tbl" page=1 slot=1 xid=0 len=0
-heap-mark-aborted file="rel1.tbl" page=2 slot=117 xid=0 len=0
-heap-mark-aborted file="rel1.tbl" page=2 slot=116 xid=0 len=0
+slot-patch file="rel1.tbl" page=1 slot=1 xid=0 len=7
+slot-patch file="rel1.tbl" page=2 slot=117 xid=0 len=7
+slot-patch file="rel1.tbl" page=2 slot=116 xid=0 len=7
 commit file="" page=0 slot=0 xid=0 len=0
-txn-abort file="" page=0 slot=0 xid=5 len=0
-commit file="" page=0 slot=0 xid=0 len=0
-heap-delete file="rel1.tbl" page=1 slot=0 xid=0 len=0
-heap-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
-heap-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
-heap-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
+slot-delete file="rel1.tbl" page=1 slot=0 xid=0 len=0
+slot-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
+slot-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
+slot-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=23
@@ -249,7 +268,7 @@ slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
 commit file="" page=0 slot=0 xid=0 len=0
 -- after CHECKPOINT --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-heap-batch-insert file="rel1.tbl" page=2 slot=0 xid=0 len=37
+slot-batch-put file="rel1.tbl" page=2 slot=0 xid=0 len=37
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 page-image file="rel1.tbl" page=2 slot=0 xid=0 len=1486
 page-image file="rel1.tbl" page=0 slot=0 xid=0 len=48
@@ -257,11 +276,11 @@ slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=2879
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=2881
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=86 appended_bytes=12856
+appends=84 appended_bytes=12862
 `

@@ -765,7 +765,7 @@ func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file strin
 
 // UnpinPut releases p after rec was stored at slot of its slotted page,
 // logging a slot-put: what was stored where. Recovery replays it through
-// the slotted-page redo, as it does a heap tuple.
+// the slotted-page redo.
 func (bp *BufferPool) UnpinPut(p *Page, slot int, rec []byte) {
 	bp.UnpinDeferred(p, func(g *wal.Group, file string) int {
 		return g.AddSlotPut(file, uint32(p.ID), uint16(slot), rec)

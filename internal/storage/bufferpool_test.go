@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -484,7 +485,7 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SlotPuts != 1 || st.HeapInserts != 1 {
+	if st.SlotPuts != 2 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
 	fdm2, err := OpenFile(dataDir+"/t.tbl", 256)
@@ -514,7 +515,7 @@ func TestRecoverDirRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.HeapInserts != 0 || st2.SlotPuts != 0 || st2.SkippedByLSN != 2 {
+	if st2.SlotPuts != 0 || st2.SkippedByLSN != 2 {
 		t.Fatalf("second pass not idempotent: %+v", st2)
 	}
 }
@@ -538,7 +539,7 @@ func TestRecoverDirRefusesUncoveredTornPage(t *testing.T) {
 	}
 	// The checkpoint recycles the segment holding old-row's record and
 	// the file's history.
-	if _, err := w.Checkpoint(); err != nil {
+	if _, err := w.Checkpoint(wal.CheckpointState{}); err != nil {
 		t.Fatal(err)
 	}
 	appendHeapInsert(t, w, "t.tbl", 1, 1, []byte("new-row"))
@@ -613,7 +614,7 @@ func TestRecoverDirDiscardsUncommittedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.HeapInserts != 1 || st.TailDiscarded != 1 {
+	if st.SlotPuts != 1 || st.TailDiscarded != 1 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
 	fdm, err := OpenFile(dataDir+"/t.tbl", 256)
@@ -656,27 +657,73 @@ const olderBatchLog = "02000000fcda4441010000000000000006000a000000d329559402000
 	"00000000000002001700000005000000000000000000000000000000000067616d6d610b08050000000000" +
 	"00000600"
 
-// TestRecoverDirRefusesOlderBatchRecord: a log whose batch insert an
-// older build wrote, each tuple whole, as record type 7, is refused with
-// the decoder's unknown-record-type error.
+// retiredFrame is a frame of the log format at LSN first: a slot-put of
+// "row" into slot 0 of page 1 of rel1.tbl, one record of the retired type
+// typ, its body shaped as the older build that wrote it shaped it — a
+// tuple put (2), a slot (3, 9, 10), a slot and an xid (8), an xid (12) or
+// a batch of one tuple (16) — and a commit marker.
+func retiredFrame(first uint64, typ byte) []byte {
+	record := func(typ byte, body []byte) []byte {
+		return append(binary.AppendUvarint([]byte{typ}, uint64(len(body))), body...)
+	}
+	head := append([]byte{byte(len("rel1.tbl") + 1)}, "rel1.tbl"...)
+	head = append(head, 1) // page
+	tuple := append(binary.LittleEndian.AppendUint64(nil, 5), make([]byte, 10)...)
+	var body []byte
+	switch typ {
+	case 2:
+		body = append(append(head, 0), append(tuple, "row"...)...)
+	case 3, 9, 10:
+		body = append(head, 0)
+	case 8:
+		body = binary.LittleEndian.AppendUint64(append(head, 0), 5)
+	case 12:
+		body = binary.LittleEndian.AppendUint64(nil, 5)
+	case 16:
+		body = append(head, 1, 5, 0, 3, 'r', 'o', 'w')
+	}
+	recs := binary.LittleEndian.AppendUint64(nil, first)
+	recs = append(recs, record(13, append(append(head, 0), "row"...))...)
+	recs = append(recs, record(typ, body)...)
+	recs = append(recs, record(6, nil)...)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)-8))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(recs, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, recs...)
+}
+
+// TestRecoverDirRefusesOlderBatchRecord: a log holding a record of a type
+// an older build wrote and this one retired — the batch insert that
+// carried each tuple whole (7), the heap's own insert, delete, batch
+// insert, set-xmax, clear-xmax and mark-aborted (2, 3, 16, 8, 9, 10), the
+// transaction abort (12) — is refused with the decoder's
+// unknown-record-type error, and nothing of the refused record's frame is
+// replayed.
 func TestRecoverDirRefusesOlderBatchRecord(t *testing.T) {
-	dataDir := t.TempDir()
-	walDir := filepath.Join(dataDir, "wal")
-	seg, err := hex.DecodeString(olderBatchLog)
+	older, err := hex.DecodeString(olderBatchLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		t.Fatal(err)
+	logs := map[byte][]byte{7: older}
+	for _, typ := range []byte{2, 3, 8, 9, 10, 12, 16} {
+		// The log opens as the older one does: a commit marker, then the
+		// creation of rel1.tbl.
+		logs[typ] = append(older[:44:44], retiredFrame(3, typ)...)
 	}
-	if err := os.WriteFile(filepath.Join(walDir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := RecoverDir(dataDir, walDir, 256, 16)
-	if err == nil || !strings.Contains(err.Error(), "unknown record type 7") {
-		t.Fatalf("RecoverDir of a log holding a type-7 record: %v, want the unknown-record-type error", err)
-	}
-	if st.HeapBatches != 0 || st.HeapInserts != 0 {
-		t.Fatalf("the older batch was replayed: %+v", st)
+	for typ, seg := range logs {
+		dataDir := t.TempDir()
+		walDir := filepath.Join(dataDir, "wal")
+		if err := os.MkdirAll(walDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(walDir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := RecoverDir(dataDir, walDir, 256, 16)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown record type %d", typ)) {
+			t.Fatalf("RecoverDir of a log holding a type-%d record: %v, want the unknown-record-type error", typ, err)
+		}
+		if st.SlotBatches != 0 || st.SlotPuts != 0 || st.SlotPatches != 0 || st.SlotDeletes != 0 || len(st.Committed) != 0 {
+			t.Fatalf("type %d: the refused frame was replayed: %+v", typ, st)
+		}
 	}
 }

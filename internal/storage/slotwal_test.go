@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestFirstTouchImages(t *testing.T) {
 				if err := bp.FlushAll(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := w.Checkpoint(); err != nil {
+				if _, err := w.Checkpoint(wal.CheckpointState{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -241,7 +242,7 @@ func TestRecoverySameStreamSamePage(t *testing.T) {
 	if !bytes.Equal(recovered["rel2.idx"], recovered["rel1.tbl"]) {
 		t.Fatalf("the same stream recovered different pages:\n idx %x\n tbl %x", recovered["rel2.idx"], recovered["rel1.tbl"])
 	}
-	if stats["rel2.idx"] != stats["rel1.tbl"] {
+	if !reflect.DeepEqual(stats["rel2.idx"], stats["rel1.tbl"]) {
 		t.Fatalf("the same stream recovered with different statistics:\n idx %+v\n tbl %+v", stats["rel2.idx"], stats["rel1.tbl"])
 	}
 }

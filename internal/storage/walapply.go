@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -18,81 +17,23 @@ import (
 type RecoveryStats struct {
 	wal.ReplayStats
 	PageImages    int64 // page-image records applied
-	HeapInserts   int64 // logical heap inserts applied (batch rows included)
-	HeapDeletes   int64 // logical heap deletes applied
-	HeapBatches   int64 // batch-insert records applied
-	HeapXmaxOps   int64 // set/clear-xmax and mark-aborted records applied
-	SlotPuts      int64 // index-node puts applied
-	SlotPatches   int64 // index-node patches applied
-	SlotDeletes   int64 // index-node deletes applied
+	SlotPuts      int64 // slot puts applied (heap tuples and index nodes, batch records included)
+	SlotBatches   int64 // batch-put records applied
+	SlotPatches   int64 // slot patches applied
+	SlotDeletes   int64 // slot deletes applied
 	SkippedByLSN  int64 // logical records skipped because pageLSN was newer
 	TailDiscarded int64 // records after the last commit marker, not replayed
 	FilesTouched  int   // distinct data files opened by redo
 	PagesWritten  int64 // pages redo wrote back: each it dirtied once, plus any evicted and written earlier
-	AbortFixups   int64 // tuples of uncommitted transactions flagged aborted
-	XmaxFixups    int64 // stamped xmaxes of uncommitted transactions cleared
 	TornPages     int64 // pages failing checksum at redo (torn at crash)
 	TornRepaired  int64 // torn pages reinitialized and rebuilt from the log
-}
-
-// Versioned heap tuples carry an 18-byte [xmin:8][xmax:8][flags:2]
-// header (heap.TupleHeader; the constants are mirrored here because heap
-// builds on storage, not the reverse). Recovery reads xids out of logged
-// tuple bytes to judge, after replay, which tuples belong to
-// transactions that never committed.
-const (
-	tupleHeaderSize  = 18
-	flagXminAborted  = 0x1
-	tupleXmaxOffset  = 8
-	tupleFlagsOffset = 16
-)
-
-// fixupKey addresses one heap slot across the replayed log.
-type fixupKey struct {
-	file string
-	page uint32
-	slot uint16
-}
-
-// txnFixups tracks, across the whole replay, the *last* transactional
-// write to every heap slot plus the set of committed transactions. After
-// replay, slots whose last writer never committed are repaired in place:
-// inserted tuples get the aborted flag, stamped xmaxes are cleared. The
-// last-writer-per-slot rule (not per-transaction lists) makes slot reuse
-// safe: if aborted transaction X's tuple at (p,s) was vacuumed away and
-// transaction Y's tuple now lives there, the map holds Y, not X.
-type txnFixups struct {
-	lastInsert  map[fixupKey]uint64 // slot -> xmin of last inserted tuple
-	lastXmaxSet map[fixupKey]uint64 // slot -> last stamped (uncleared) xmax
-	committed   map[uint64]bool     // xids with a RecTxnCommit in the log
-}
-
-func newTxnFixups() *txnFixups {
-	return &txnFixups{
-		lastInsert:  make(map[fixupKey]uint64),
-		lastXmaxSet: make(map[fixupKey]uint64),
-		committed:   make(map[uint64]bool),
-	}
-}
-
-// noteInsert records that a tuple with the given raw bytes now occupies
-// key. A frozen (xid 0) or unversioned tuple clears the slot's history —
-// whatever was there before has been overwritten.
-func (fx *txnFixups) noteInsert(key fixupKey, rec []byte) {
-	delete(fx.lastXmaxSet, key) // a fresh tuple's xmax is whatever rec carries
-	if len(rec) >= tupleHeaderSize {
-		if xid := binary.LittleEndian.Uint64(rec); xid != 0 {
-			fx.lastInsert[key] = xid
-			return
-		}
-	}
-	delete(fx.lastInsert, key)
-}
-
-// noteDelete records that key's slot no longer holds a tuple.
-func (fx *txnFixups) noteDelete(key fixupKey) {
-	delete(fx.lastInsert, key)
-	delete(fx.lastXmaxSet, key)
+	// Committed holds the transactions the replayed log has a commit
+	// record for, and LastCheckpoint the state its last checkpoint record
+	// carries (zero when the log holds none): what the owner of versioned
+	// records judges a crash's unresolved transactions by. Redo itself
+	// applies every record alike.
+	Committed      map[uint64]bool
+	LastCheckpoint wal.CheckpointState
 }
 
 // imageInflater inflates the deflated page images of one redo pass into
@@ -188,6 +129,12 @@ func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
 // A file missing on disk whose creation the log does not hold, in a log
 // that has lost its beginning, was deleted outside the engine: its
 // records would bring back only the pages they touch, so they are passed.
+//
+// Redo knows no transactions: the records of one that never committed are
+// applied like any other. It hands back the transactions the log commits
+// and the state of its last checkpoint (RecoveryStats.Committed,
+// LastCheckpoint), by which the owner of versioned records hides what the
+// others wrote once the files are up to date.
 func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -235,7 +182,7 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 	}
 
 	var images imageInflater
-	fx := newTxnFixups()
+	st.Committed = make(map[uint64]bool)
 	unitImage := make(map[pageKey]wal.LSN) // LSN of the unit's last image of a page
 	// pin returns r's page pinned. A page past the end of its file is
 	// allocated, with every page before it: every page a statement
@@ -298,15 +245,11 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 				return false, err
 			}
 			st.PageImages++
-		case wal.RecHeapInsert, wal.RecSlotPut:
+		case wal.RecSlotPut:
 			if !SlotInsertAt(buf, int(r.Slot), r.Data) {
-				return false, fmt.Errorf("storage: recovery: redo insert does not fit page %d of %s", r.Page, r.File)
+				return false, fmt.Errorf("storage: recovery: redo put does not fit page %d of %s", r.Page, r.File)
 			}
-			if r.Type == wal.RecSlotPut {
-				st.SlotPuts++
-			} else {
-				st.HeapInserts++
-			}
+			st.SlotPuts++
 		case wal.RecSlotPatch:
 			// A patch needs the record it was taken from. The unit's
 			// image of the page, behind it, overwrites whatever this
@@ -320,83 +263,38 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 				return false, fmt.Errorf("storage: recovery: page %d of %s: %w", r.Page, r.File, err)
 			}
 			st.SlotPatches++
-		case wal.RecHeapBatchInsert:
-			// One record redoes a whole page-worth of tuples — the
+		case wal.RecSlotBatchPut:
+			// One record redoes a whole page-worth of records — the
 			// all-or-nothing unit of a multi-row INSERT's redo.
 			for i, slot := range r.Slots {
 				if !SlotInsertAt(buf, int(slot), r.Recs[i]) {
-					return false, fmt.Errorf("storage: recovery: redo batch insert does not fit page %d of %s", r.Page, r.File)
+					return false, fmt.Errorf("storage: recovery: redo batch put does not fit page %d of %s", r.Page, r.File)
 				}
 			}
-			st.HeapInserts += int64(len(r.Slots))
-			st.HeapBatches++
-		case wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted:
-			// Header rewrites of a tuple already on the page. A
-			// missing or short tuple means the log and page disagree
-			// in a way replay of later records will repair (or the
-			// slot was physically deleted) — skip, like heap.Delete
-			// of a non-existent record.
-			if rec := SlotRead(buf, int(r.Slot)); rec != nil && len(rec) >= tupleHeaderSize {
-				switch r.Type {
-				case wal.RecHeapSetXmax:
-					binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], r.Xid)
-				case wal.RecHeapClearXmax:
-					binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], 0)
-				case wal.RecHeapMarkAborted:
-					binary.LittleEndian.PutUint16(rec[tupleFlagsOffset:],
-						binary.LittleEndian.Uint16(rec[tupleFlagsOffset:])|flagXminAborted)
-				}
-			}
-			st.HeapXmaxOps++
-		default: // RecHeapDelete, RecSlotDelete
+			st.SlotPuts += int64(len(r.Slots))
+			st.SlotBatches++
+		default: // RecSlotDelete
 			SlotDelete(buf, int(r.Slot))
-			if r.Type == wal.RecSlotDelete {
-				st.SlotDeletes++
-			} else {
-				st.HeapDeletes++
-			}
+			st.SlotDeletes++
 		}
 		SetPageLSN(buf, uint64(r.LSN))
 		return true, nil
 	}
 	apply := func(r *wal.Record) error {
-		// Transaction bookkeeping happens for every surviving record —
-		// including ones the pageLSN guard will skip below, because a
-		// skipped record's effect is already on the page and still needs
-		// judging against the commit set.
 		switch r.Type {
 		case wal.RecTxnCommit:
-			fx.committed[r.Xid] = true
+			st.Committed[r.Xid] = true
 			return nil
-		case wal.RecTxnAbort:
-			// Informational: the compensating records precede it, and an
-			// absent commit record already means aborted.
+		case wal.RecCheckpoint:
+			st.LastCheckpoint = r.Checkpoint
 			return nil
-		case wal.RecHeapInsert:
-			fx.noteInsert(fixupKey{r.File, r.Page, r.Slot}, r.Data)
-		case wal.RecHeapBatchInsert:
-			for i, slot := range r.Slots {
-				fx.noteInsert(fixupKey{r.File, r.Page, slot}, r.Recs[i])
-			}
-		case wal.RecHeapDelete:
-			fx.noteDelete(fixupKey{r.File, r.Page, r.Slot})
-		case wal.RecHeapSetXmax:
-			if r.Xid != 0 {
-				fx.lastXmaxSet[fixupKey{r.File, r.Page, r.Slot}] = r.Xid
-			}
-		case wal.RecHeapClearXmax:
-			delete(fx.lastXmaxSet, fixupKey{r.File, r.Page, r.Slot})
-		}
-		switch r.Type {
-		case wal.RecCheckpoint, wal.RecCommit:
+		case wal.RecCommit:
 			return nil
 		case wal.RecFileCreate:
 			created[r.File] = true
 			_, err := open(r.File)
 			return err
-		case wal.RecPageImage, wal.RecHeapInsert, wal.RecHeapDelete, wal.RecHeapBatchInsert,
-			wal.RecHeapSetXmax, wal.RecHeapClearXmax, wal.RecHeapMarkAborted,
-			wal.RecSlotPut, wal.RecSlotDelete, wal.RecSlotPatch:
+		case wal.RecPageImage, wal.RecSlotPut, wal.RecSlotDelete, wal.RecSlotPatch, wal.RecSlotBatchPut:
 			bp, err := open(r.File)
 			if bp == nil {
 				return err
@@ -450,52 +348,6 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 		return st, fmt.Errorf("storage: recovery: %w", err)
 	}
 	st.TailDiscarded = int64(len(unit))
-	// Abort fixup: replay restored every surviving record, including the
-	// tuples of transactions that never reached a commit record (a crash
-	// mid-transaction, or mid-statement between the chunks of an
-	// oversized DML). There is no undo log; instead, each such tuple is
-	// repaired in place — inserted versions get the aborted flag,
-	// stamped xmaxes are cleared — so no snapshot ever sees the
-	// transaction's effects. Idempotent: re-recovering reapplies the
-	// same repairs onto already-repaired pages.
-	fixup := func(key fixupKey, xid uint64, edit func(rec []byte) bool) error {
-		bp := rels[key.file]
-		if fx.committed[xid] || bp == nil || bp.DM().NumPages() <= key.page {
-			return nil
-		}
-		p, err := bp.Fetch(PageID(key.page))
-		if err != nil {
-			return fmt.Errorf("storage: recovery: %w", err)
-		}
-		rec := SlotRead(p.Data, int(key.slot))
-		bp.Unpin(p, len(rec) >= tupleHeaderSize && edit(rec))
-		return nil
-	}
-	for key, xid := range fx.lastInsert {
-		if err := fixup(key, xid, func(rec []byte) bool {
-			flags := binary.LittleEndian.Uint16(rec[tupleFlagsOffset:])
-			if flags&flagXminAborted != 0 {
-				return false
-			}
-			binary.LittleEndian.PutUint16(rec[tupleFlagsOffset:], flags|flagXminAborted)
-			st.AbortFixups++
-			return true
-		}); err != nil {
-			return st, err
-		}
-	}
-	for key, xid := range fx.lastXmaxSet {
-		if err := fixup(key, xid, func(rec []byte) bool {
-			if binary.LittleEndian.Uint64(rec[tupleXmaxOffset:]) != xid {
-				return false
-			}
-			binary.LittleEndian.PutUint64(rec[tupleXmaxOffset:], 0)
-			st.XmaxFixups++
-			return true
-		}); err != nil {
-			return st, err
-		}
-	}
 	// Write back what redo dirtied and make it durable; the deferred
 	// Crash drops the relations.
 	if pool != nil {

@@ -47,7 +47,7 @@ func writeStatements(t *testing.T, w *Writer, groups int) []LSN {
 		g.AddHeapInsert("rel1.tbl", uint32(s+1), 0, bytes.Repeat([]byte{byte(s)}, 20+s))
 		g.AddSlotPut("rel2.idx", uint32(s+1), 1, []byte("node"))
 		g.AddSlotPatch("rel2.idx", uint32(s+1), 1, []byte{4, 0, 0, 0, 1, 0, 'N'})
-		g.AddHeapSetXmax("rel1.tbl", uint32(s+1), 0, uint64(s))
+		g.AddSlotPatch("rel1.tbl", uint32(s+1), 0, []byte{byte(20 + s), 0, 8, 0, 1, 0, byte(s)})
 		if s%2 == 1 {
 			g.AddTxnCommit(uint64(s))
 		}
@@ -197,7 +197,7 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Checkpoint(); err != nil {
+	if _, err := w.Checkpoint(CheckpointState{}); err != nil {
 		t.Fatal(err)
 	}
 	before := w.Stats()
@@ -211,7 +211,7 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 	if d := one.ByType[RecCommit].Bytes - before.ByType[RecCommit].Bytes; d != frameHeaderSize+markerSize {
 		t.Errorf("a statement's marker is charged %d bytes, want its frame header and itself, %d", d, frameHeaderSize+markerSize)
 	}
-	if d := one.ByType[RecHeapInsert].Bytes + one.ByType[RecSlotPut].Bytes; d != int64(len(g.buf)) {
+	if d := one.ByType[RecSlotPut].Bytes; d != int64(len(g.buf)) {
 		t.Errorf("the statement's records are charged %d bytes, want their %d encoded bytes", d, len(g.buf))
 	}
 
@@ -232,7 +232,7 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Reset()
-		g.AddHeapDelete("rel1.tbl", 1, 0)
+		g.AddSlotDelete("rel1.tbl", 1, 0)
 		if _, err := w.AppendGroup(g); err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestAppendedBytesCountTheDisk(t *testing.T) {
 		}
 		disk += size
 	}
-	const checkpointFrame = frameHeaderSize + markerSize
+	checkpointFrame := int64(frameHeaderSize + len(appendCheckpoint(nil, CheckpointState{})))
 	if disk != st.AppendedBytes+checkpointFrame {
 		t.Errorf("segments hold %d bytes, AppendedBytes %d + one %d-byte checkpoint frame = %d", disk, st.AppendedBytes, checkpointFrame, st.AppendedBytes+checkpointFrame)
 	}
@@ -580,23 +580,23 @@ func TestDeflatedFrameBounds(t *testing.T) {
 	}
 }
 
-// TestBatchTupleCountBound: a batch insert may count as many tuples as a
+// TestBatchTupleCountBound: a batch put may count as many records as a
 // page's uint16 slot numbers address and no more. A deflated frame of
-// some 16 KB that holds one record counting 2^16 + 1 empty tuples
+// some 16 KB that holds one batch counting 2^16 + 1 empty records
 // — enough bytes for each, so only the bound refuses it — is corruption,
-// refused before the decoder allocates for the tuples; 2^16 decode.
+// refused before the decoder allocates for the records; 2^16 decode.
 func TestBatchTupleCountBound(t *testing.T) {
 	for _, c := range []struct {
 		n  int
 		ok bool
-	}{{maxBatchTuples, true}, {maxBatchTuples + 1, false}} {
+	}{{maxBatchRecords, true}, {maxBatchRecords + 1, false}} {
 		g := NewGroup()
 		body := binary.AppendUvarint(nil, uint64(c.n))
-		body = append(body, 0)                      // xmin
+		body = append(body, 0, 0)                   // an empty prefix
 		body = append(body, make([]byte, 2*c.n)...) // delta 0, len 0 each
-		g.head(RecHeapBatchInsert, "r.tbl", 1, len(body))
+		g.head(RecSlotBatchPut, "r.tbl", 1, len(body))
 		g.buf = append(g.buf, body...)
-		g.add(RecHeapBatchInsert)
+		g.add(RecSlotBatchPut)
 		frame := deflatedFrameOf(t, g, 1)
 		if len(frame) > 1<<15 {
 			t.Fatalf("the frame of %d tuples takes %d bytes", c.n, len(frame))

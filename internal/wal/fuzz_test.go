@@ -25,22 +25,61 @@ var everyType = []func(g *Group){
 		page := bytes.Repeat([]byte("a page image that deflates "), 160)
 		g.AddPageImage("rel1.tbl", 4, page, 100, 300)
 	},
-	func(g *Group) { g.AddHeapInsert("rel1.tbl", 1, 7, []byte("a heap tuple")) },
-	func(g *Group) { g.AddHeapDelete("rel1.tbl", 1, 7) },
+	func(g *Group) { g.AddSlotPut("rel1.tbl", 1, 7, tuple(42, "a heap tuple")) },
+	func(g *Group) { g.AddSlotDelete("rel1.tbl", 1, 7) },
 	func(g *Group) { g.addRecord(RecFileCreate, "rel2.idx") },
-	func(g *Group) { g.addRecord(RecCheckpoint, "") },
-	func(g *Group) { g.addRecord(RecCommit, "") },
-	func(g *Group) {
-		g.AddHeapBatchInsert("rel1.tbl", 3, []uint16{4, 2, 3}, 77, [][]byte{[]byte("four"), {}, []byte("three")})
+	func(g *Group) { // the transaction state of a checkpoint
+		_, body, _, _ := nextRecord(appendCheckpoint(nil, CheckpointState{NextXid: 4097, Running: []uint64{300, 4096}}))
+		g.addRecord(RecCheckpoint, string(body))
 	},
-	func(g *Group) { g.AddHeapSetXmax("rel1.tbl", 1, 7, 42) },
-	func(g *Group) { g.AddHeapClearXmax("rel1.tbl", 1, 7) },
-	func(g *Group) { g.AddHeapMarkAborted("rel1.tbl", 1, 7) },
+	func(g *Group) { g.addRecord(RecCommit, "") },
+	func(g *Group) { // a heap batch: the tuples' header the shared prefix
+		g.AddSlotBatchPut("rel1.tbl", 3, []uint16{4, 2, 3}, tuple(77, ""), [][]byte{[]byte("four"), {}, []byte("three")})
+	},
+	func(g *Group) { g.AddSlotPatch("rel1.tbl", 1, 7, []byte{30, 0, 8, 0, 1, 0, 42}) }, // an xmax stamped
 	func(g *Group) { g.AddTxnCommit(42) },
-	func(g *Group) { g.AddTxnAbort(43) },
 	func(g *Group) { g.AddSlotPut("rel2.idx", 400, 9, []byte("an index node")) },
 	func(g *Group) { g.AddSlotDelete("rel2.idx", 400, 9) },
 	func(g *Group) { g.AddSlotPatch("rel2.idx", 400, 300, []byte{15, 0, 3, 0, 2, 0, 'n', 'o'}) },
+}
+
+// retiredTypes are the record types older builds wrote and this one
+// refuses: 2 and 3 the heap's insert and delete, 7 and 16 its batch
+// inserts, 8, 9 and 10 its set-xmax, clear-xmax and mark-aborted, 12 the
+// transaction abort.
+var retiredTypes = []RecordType{2, 3, 7, 8, 9, 10, 12, 16}
+
+// retiredFrame is a raw frame holding one record of type typ, its body
+// shaped as an older build's: a tuple put (2), a slot (3, 9, 10), a slot
+// and an xid (8), an xid (12) or a batch of one tuple (7, 16).
+func retiredFrame(typ RecordType) []byte {
+	var body []byte
+	switch typ {
+	case 12:
+		body = binary.LittleEndian.AppendUint64(nil, 43)
+	default:
+		body = append(body, byte(len("rel1.tbl")+1))
+		body = append(body, "rel1.tbl"...)
+		body = append(body, 1) // page
+		switch typ {
+		case 2:
+			body = append(append(body, 7), tuple(42, "a heap tuple")...)
+		case 3, 9, 10:
+			body = append(body, 7)
+		case 8:
+			body = binary.LittleEndian.AppendUint64(append(body, 7), 42)
+		case 7:
+			body = binary.LittleEndian.AppendUint16(body, 1)
+			body = binary.LittleEndian.AppendUint16(body, 0)
+			body = binary.LittleEndian.AppendUint32(body, uint32(len(tuple(5, "one"))))
+			body = append(body, tuple(5, "one")...)
+		case 16:
+			body = append(body, 1, 5, 0, 3)
+			body = append(body, "one"...)
+		}
+	}
+	rec := append([]byte{byte(typ)}, binary.AppendUvarint(nil, uint64(len(body)))...)
+	return appendFrame(nil, 100, append(rec, body...), commitMarker, nil)
 }
 
 // retiredBatchFrame is a frame an older build wrote: a batch insert of
@@ -52,11 +91,11 @@ const retiredBatchFrame = "6c000000fb005f5d0300000000000000075e0972656c312e74626
 	"000000000002001700000005000000000000000000000000000000000067616d6d610b0805000000000000" +
 	"000600"
 
-// tuple returns a heap tuple of a fresh version of transaction xmin: its
-// 18-byte header (xmin, xmax 0, no flags), then payload.
+// tuple returns what the heap stores for a fresh version of transaction
+// xmin: an 18-byte header (xmin, xmax 0, no flags), then payload.
 func tuple(xmin uint64, payload string) []byte {
 	t := binary.LittleEndian.AppendUint64(nil, xmin)
-	return append(append(t, make([]byte, tupleHeaderSize-8)...), payload...)
+	return append(append(t, make([]byte, 10)...), payload...)
 }
 
 // frameOf encodes records [i, j) of g as a raw frame whose first LSN is
@@ -131,20 +170,22 @@ func varintOffsets(f []byte) []int {
 // return records or an error; they never panic, a deflated frame never
 // inflates into more than maxFrameSize bytes, and the records decoded
 // from a frame hold no more bytes than the frame's records, inflated,
-// save the tuple header a batch insert carries once for all its tuples
-// (the decoder copies payloads, so a length field must not be able to
-// size an allocation, and a name referred back to is shared, not copied).
-// The seed corpus is a one-record frame of every record type — page
-// images raw and deflated — and every truncation of it, a frame holding
-// one record of every type and every truncation of that, that frame with
-// each bit of its len, rel and page varints flipped under a checksum made
-// to match, and a deflated frame of the same records with more index
-// nodes, its truncations, each bit of its stream flipped under a matching
-// checksum, the stream with a byte past its end, a stream that inflates
-// past maxFrameSize, and the batch frame an older build wrote, which the
-// decoder refuses, with its truncations and each bit of its records
-// flipped under a matching checksum. `go test` runs the corpus,
-// `go test -fuzz` explores.
+// save the shared prefix a batch put carries once for all its records,
+// which fits a frame (the decoder copies payloads, so a length field must
+// not be able to size an allocation past that, and a name referred back
+// to is shared, not copied). The seed corpus is a one-record frame of
+// every record type — page images raw and deflated, a heap batch, a
+// checkpoint's transaction state, a tuple's xmax stamped by a slot patch
+// — and every truncation of it, a frame holding one record of every type
+// and every truncation of that, that frame with each bit of its len, rel
+// and page varints flipped under a checksum made to match, and a deflated
+// frame of the same records with more index nodes, its truncations, each
+// bit of its stream flipped under a matching checksum, the stream with a
+// byte past its end, a stream that inflates past maxFrameSize, and a
+// frame of every record type retired, which the decoder refuses, with
+// its truncations and each bit of its records flipped under a matching
+// checksum — the batch frame an older build wrote among them. `go test`
+// runs the corpus, `go test -fuzz` explores.
 func FuzzDecodeRecord(f *testing.F) {
 	g := NewGroup()
 	seen := map[RecordType]bool{}
@@ -161,7 +202,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	}
 	for typ := RecordType(1); typ < NumRecordTypes; typ++ {
-		if !seen[typ] && typ.String() != "unknown" { // type 7 is retired
+		if !seen[typ] && typ.String() != "unknown" { // a retired type
 			f.Fatalf("no seed record of type %v: a new type must join everyType", typ)
 		}
 	}
@@ -213,26 +254,32 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		f.Add(bad)
 	}
-	retired, err := hex.DecodeString(retiredBatchFrame)
+	older, err := hex.DecodeString(retiredBatchFrame)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var fr frameReader
-	first, _, recs, _, ok := fr.parseFrame(retired)
-	if !ok {
-		f.Fatal("the older build's batch frame does not parse")
+	frames := [][]byte{older}
+	for _, typ := range retiredTypes {
+		frames = append(frames, retiredFrame(typ))
 	}
-	if err := decodeFrame(first, recs, func(*Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "unknown record type 7") {
-		f.Fatalf("the older build's batch frame decodes to %v, want the unknown-record-type error", err)
-	}
-	for cut := 0; cut <= len(retired); cut++ {
-		f.Add(retired[:cut])
-	}
-	for off := frameHeaderSize; off < len(retired); off++ {
-		for bit := 0; bit < 8; bit++ {
-			flipped := append([]byte(nil), retired...)
-			flipped[off] ^= 1 << bit
-			f.Add(reseal(flipped))
+	for _, retired := range frames {
+		var fr frameReader
+		first, _, recs, _, ok := fr.parseFrame(retired)
+		if !ok {
+			f.Fatal("a frame of a retired record type does not parse")
+		}
+		if err := decodeFrame(first, recs, func(*Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "unknown record type") {
+			f.Fatalf("a frame of retired record type %d decodes to %v, want the unknown-record-type error", recs[0], err)
+		}
+		for cut := 0; cut <= len(retired); cut++ {
+			f.Add(retired[:cut])
+		}
+		for off := frameHeaderSize; off < len(retired); off++ {
+			for bit := 0; bit < 8; bit++ {
+				flipped := append([]byte(nil), retired...)
+				flipped[off] ^= 1 << bit
+				f.Add(reseal(flipped))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -279,7 +326,7 @@ func checkFrame(t *testing.T, data []byte) {
 	if size > len(data) || len(recs) > maxFrameSize || cap(fr.buf) > maxFrameSize || (raw && len(recs) > size) {
 		t.Fatalf("frame of %d bytes parsed to length %d, records %d (buffer %d)", len(data), size, len(recs), cap(fr.buf))
 	}
-	held, got, tuples := 0, 0, 0
+	held, got, batches := 0, 0, 0
 	var prev string
 	err := decodeFrame(first, recs, func(r *Record) error {
 		if r.LSN != first+LSN(got) {
@@ -296,14 +343,16 @@ func checkFrame(t *testing.T, data []byte) {
 		for _, rec := range r.Recs {
 			held += len(rec)
 		}
-		tuples += len(r.Recs)
+		if r.Type == RecSlotBatchPut {
+			batches++
+		}
 		if len(r.Recs) != len(r.Slots) {
 			t.Fatalf("%d slots, %d tuples", len(r.Slots), len(r.Recs))
 		}
 		return nil
 	})
-	if held > len(recs)+tupleHeaderSize*tuples {
-		t.Fatalf("%d bytes of records decoded to %d bytes, %d of them batch tuples", len(recs), held, tuples)
+	if held > len(recs)+maxFrameSize*batches {
+		t.Fatalf("%d bytes of records decoded to %d bytes, %d batch puts among them", len(recs), held, batches)
 	}
 	if err == nil && got != n {
 		t.Fatalf("frame of %d records decoded to %d", n, got)

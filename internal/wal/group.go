@@ -285,17 +285,14 @@ func (g *Group) slotOp(typ RecordType, file string, page uint32, slot uint16, re
 	return g.add(typ)
 }
 
-// AddHeapInsert stages a logical heap insert.
+// AddHeapInsert is AddSlotPut, kept under its older name for callers
+// outside this module.
 func (g *Group) AddHeapInsert(file string, page uint32, slot uint16, rec []byte) int {
-	return g.slotOp(RecHeapInsert, file, page, slot, rec)
+	return g.AddSlotPut(file, page, slot, rec)
 }
 
-// AddHeapDelete stages a logical heap delete.
-func (g *Group) AddHeapDelete(file string, page uint32, slot uint16) int {
-	return g.slotOp(RecHeapDelete, file, page, slot, nil)
-}
-
-// AddSlotPut stages storing rec — an index node — at (page, slot).
+// AddSlotPut stages storing rec — a heap tuple, an index node — at
+// (page, slot).
 func (g *Group) AddSlotPut(file string, page uint32, slot uint16, rec []byte) int {
 	return g.slotOp(RecSlotPut, file, page, slot, rec)
 }
@@ -311,58 +308,39 @@ func (g *Group) AddSlotPatch(file string, page uint32, slot uint16, patch []byte
 	return g.slotOp(RecSlotPatch, file, page, slot, patch)
 }
 
-// AddHeapBatchInsert stages a page-worth of heap inserts as one record:
-// fresh tuple versions of transaction xmin, payloads[i] going to
-// slots[i]. The record carries xmin once; redo rebuilds each tuple's
-// header from it.
-func (g *Group) AddHeapBatchInsert(file string, page uint32, slots []uint16, xmin uint64, payloads [][]byte) int {
-	n := uvarintLen(uint64(len(slots))) + uvarintLen(xmin)
+// AddSlotBatchPut stages storing records at slots of page in one record:
+// record i is prefix followed by suffixes[i], going to slots[i]. The
+// record carries prefix once, less its trailing zeros, which redo puts
+// back.
+func (g *Group) AddSlotBatchPut(file string, page uint32, slots []uint16, prefix []byte, suffixes [][]byte) int {
+	kept := len(prefix)
+	for kept > 0 && prefix[kept-1] == 0 {
+		kept--
+	}
+	n := uvarintLen(uint64(len(slots))) + uvarintLen(uint64(len(prefix))) + uvarintLen(uint64(kept)) + kept
 	prev := uint16(math.MaxUint16)
-	for i, p := range payloads {
+	for i, p := range suffixes {
 		n += uvarintLen(uint64(slots[i]-prev-1)) + uvarintLen(uint64(len(p))) + len(p)
 		prev = slots[i]
 	}
-	g.head(RecHeapBatchInsert, file, page, n)
+	g.head(RecSlotBatchPut, file, page, n)
 	g.buf = binary.AppendUvarint(g.buf, uint64(len(slots)))
-	g.buf = binary.AppendUvarint(g.buf, xmin)
+	g.buf = binary.AppendUvarint(g.buf, uint64(len(prefix)))
+	g.buf = binary.AppendUvarint(g.buf, uint64(kept))
+	g.buf = append(g.buf, prefix[:kept]...)
 	prev = math.MaxUint16
-	for i, p := range payloads {
+	for i, p := range suffixes {
 		g.buf = binary.AppendUvarint(g.buf, uint64(slots[i]-prev-1))
 		g.buf = binary.AppendUvarint(g.buf, uint64(len(p)))
 		g.buf = append(g.buf, p...)
 		prev = slots[i]
 	}
-	return g.add(RecHeapBatchInsert)
-}
-
-// AddHeapSetXmax stages stamping xid as the deleting transaction of the
-// tuple at (page, slot).
-func (g *Group) AddHeapSetXmax(file string, page uint32, slot uint16, xid uint64) int {
-	g.head(RecHeapSetXmax, file, page, uvarintLen(uint64(slot))+8)
-	g.buf = binary.AppendUvarint(g.buf, uint64(slot))
-	g.buf = binary.LittleEndian.AppendUint64(g.buf, xid)
-	return g.add(RecHeapSetXmax)
-}
-
-// AddHeapClearXmax stages zeroing the xmax of the tuple at (page, slot).
-func (g *Group) AddHeapClearXmax(file string, page uint32, slot uint16) int {
-	return g.slotOp(RecHeapClearXmax, file, page, slot, nil)
-}
-
-// AddHeapMarkAborted stages setting the aborted flag on the tuple at
-// (page, slot).
-func (g *Group) AddHeapMarkAborted(file string, page uint32, slot uint16) int {
-	return g.slotOp(RecHeapMarkAborted, file, page, slot, nil)
+	return g.add(RecSlotBatchPut)
 }
 
 // AddTxnCommit stages a transaction-commit record for xid.
-func (g *Group) AddTxnCommit(xid uint64) int { return g.xidRecord(RecTxnCommit, xid) }
-
-// AddTxnAbort stages a transaction-abort record for xid.
-func (g *Group) AddTxnAbort(xid uint64) int { return g.xidRecord(RecTxnAbort, xid) }
-
-func (g *Group) xidRecord(typ RecordType, xid uint64) int {
-	g.begin(typ, 8)
+func (g *Group) AddTxnCommit(xid uint64) int {
+	g.begin(RecTxnCommit, 8)
 	g.buf = binary.LittleEndian.AppendUint64(g.buf, xid)
-	return g.add(typ)
+	return g.add(RecTxnCommit)
 }

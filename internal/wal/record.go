@@ -46,22 +46,25 @@ import (
 //
 //	page image:  head holeOff:2 holeLen:2 image...
 //	             (holeLen's bit 15 set: image is a DEFLATE stream)
-//	heap insert, slot put:    head slot:uvarint rec...
+//	slot put:    head slot:uvarint rec...
 //	slot patch:  head slot:uvarint patch...
-//	heap delete, slot delete: head slot:uvarint
-//	clear xmax, mark aborted: head slot:uvarint
-//	set xmax:    head slot:uvarint xid:8
-//	batch insert: head n:uvarint xmin:uvarint { delta:uvarint len:uvarint payload }*n
-//	txn commit/abort: xid:8
+//	slot delete: head slot:uvarint
+//	batch put:   head n:uvarint plen:uvarint kept:uvarint prefix[:kept]
+//	             { delta:uvarint len:uvarint suffix }*n
+//	txn commit:  xid:8
+//	checkpoint:  nextXid:uvarint n:uvarint { xid:uvarint }*n
 //	file create: name
-//	commit, checkpoint: (empty)
+//	commit:      (empty)
 //
-// A batch insert's tuple i goes to slot s(i) = s(i-1) + 1 + delta, modulo
+// A batch put's record i goes to slot s(i) = s(i-1) + 1 + delta, modulo
 // 2^16, with s(-1) = 2^16 - 1: a page filled in order spends a byte on
-// each slot. Every tuple is a fresh heap version of transaction xmin; the
-// record carries its payload alone and the decoder puts back the 18-byte
-// header (xmin, xmax 0, no flags), as PostgreSQL's xl_multi_insert_tuple
-// leaves out what the record's xid implies.
+// each slot. Every record of the batch is the plen-byte prefix followed by
+// its suffix; the record carries the prefix once, and of it only the
+// first kept bytes — the rest are zeros, which the decoder puts back, as
+// PostgreSQL's xl_multi_insert_tuple leaves out what the record's xid
+// implies: a heap batch's prefix is the header its tuples share, zeros
+// past the inserting transaction. A checkpoint carries its
+// CheckpointState: the next xid and the n transactions running.
 const (
 	frameHeaderSize = 16
 	// maxFrameSize bounds the records of one frame, inflated; larger
@@ -75,16 +78,13 @@ const (
 	// commit marker, that is offered to the deflater. The window
 	// statements of a read workload stay under it and are never coded.
 	minDeflatedFrame = 1 << 10
-	// markerSize is the encoded size of a commit or checkpoint record:
-	// its type byte and a zero len.
+	// markerSize is the encoded size of a commit record: its type byte
+	// and a zero len.
 	markerSize = 2
-	// tupleHeaderSize is the heap's tuple header (heap.TupleHeaderSize:
-	// xmin:8 xmax:8 flags:2), which a batch insert carries as its xmin.
-	tupleHeaderSize = 18
-	// maxBatchTuples bounds the tuples of one batch insert, what a page's
+	// maxBatchRecords bounds the records of one batch put, what a page's
 	// uint16 slot numbers can address; a larger count is corruption,
 	// refused before anything is allocated for it.
-	maxBatchTuples = 1 << 16
+	maxBatchRecords = 1 << 16
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -93,9 +93,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // a page.
 func (t RecordType) pageLevel() bool {
 	switch t {
-	case RecPageImage, RecHeapInsert, RecHeapDelete, RecHeapBatchInsert,
-		RecHeapSetXmax, RecHeapClearXmax, RecHeapMarkAborted,
-		RecSlotPut, RecSlotDelete, RecSlotPatch:
+	case RecPageImage, RecSlotPut, RecSlotDelete, RecSlotPatch, RecSlotBatchPut:
 		return true
 	}
 	return false
@@ -131,12 +129,25 @@ func closeFrame(b []byte, start int, deflated bool) {
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(b[start+8:], crcTable))
 }
 
-// The encoded commit and checkpoint markers: a record's type byte and a
-// zero len.
-var (
-	commitMarker     = []byte{byte(RecCommit), 0}
-	checkpointMarker = []byte{byte(RecCheckpoint), 0}
-)
+// commitMarker is the encoded commit record: its type byte and a zero
+// len.
+var commitMarker = []byte{byte(RecCommit), 0}
+
+// appendCheckpoint appends the encoded checkpoint record carrying st.
+func appendCheckpoint(dst []byte, st CheckpointState) []byte {
+	n := uvarintLen(st.NextXid) + uvarintLen(uint64(len(st.Running)))
+	for _, x := range st.Running {
+		n += uvarintLen(x)
+	}
+	dst = append(dst, byte(RecCheckpoint))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, st.NextXid)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Running)))
+	for _, x := range st.Running {
+		dst = binary.AppendUvarint(dst, x)
+	}
+	return dst
+}
 
 // nextRecord splits the record at the head of recs into its type and
 // body; ok is false when recs does not start with a whole record.
@@ -234,12 +245,14 @@ func (d *recordDecoder) decode(lsn LSN, typ RecordType, body []byte) (*Record, e
 	r := &Record{LSN: lsn, Type: typ}
 	var err error
 	switch typ {
-	case RecCheckpoint, RecCommit:
+	case RecCommit:
 		return r, exact(r, body, 0)
+	case RecCheckpoint:
+		return r, decodeCheckpoint(r, body)
 	case RecFileCreate:
 		r.File = string(body)
 		return r, nil
-	case RecTxnCommit, RecTxnAbort:
+	case RecTxnCommit:
 		if err := exact(r, body, 8); err != nil {
 			return nil, err
 		}
@@ -263,25 +276,17 @@ func (d *recordDecoder) decode(lsn LSN, typ RecordType, body []byte) (*Record, e
 		r.Deflated = hole&imageDeflated != 0
 		r.Data = append([]byte(nil), body[4:]...)
 		return r, nil
-	case RecHeapBatchInsert:
+	case RecSlotBatchPut:
 		return r, decodeBatch(r, body)
 	}
 	if r.Slot, body, err = parseSlot(body); err != nil {
 		return nil, err
 	}
-	switch typ {
-	case RecHeapInsert, RecSlotPut, RecSlotPatch:
-		r.Data = append([]byte(nil), body...)
-		return r, nil
-	case RecHeapSetXmax:
-		if err := exact(r, body, 8); err != nil {
-			return nil, err
-		}
-		r.Xid = binary.LittleEndian.Uint64(body)
-		return r, nil
-	default: // heap delete, slot delete, clear xmax, mark aborted
+	if typ == RecSlotDelete {
 		return r, exact(r, body, 0)
 	}
+	r.Data = append([]byte(nil), body...) // slot put, slot patch
+	return r, nil
 }
 
 // exact checks that what is left of r's body is n bytes long.
@@ -292,47 +297,70 @@ func exact(r *Record, rest []byte, n int) error {
 	return nil
 }
 
-// decodeBatch parses the tuples of a batch insert into r, each tuple's
-// header put back in front of its payload. The tuples share one
-// allocation.
+// uvarints parses len(dst) uvarints off the head of b into dst and
+// returns what follows them; ok is false when b runs out first.
+func uvarints(b []byte, dst ...*uint64) (rest []byte, ok bool) {
+	for _, d := range dst {
+		x, k := binary.Uvarint(b)
+		if k <= 0 {
+			return nil, false
+		}
+		*d, b = x, b[k:]
+	}
+	return b, true
+}
+
+// decodeCheckpoint parses the transaction state of a checkpoint record
+// into r.
+func decodeCheckpoint(r *Record, b []byte) error {
+	var n uint64
+	b, ok := uvarints(b, &r.Checkpoint.NextXid, &n)
+	// An xid takes at least a byte.
+	if !ok || n > uint64(len(b)) {
+		return fmt.Errorf("wal: checkpoint record at LSN %d: truncated transaction state (an older build checkpointed without one)", r.LSN)
+	}
+	r.Checkpoint.Running = make([]uint64, n)
+	for i := range r.Checkpoint.Running {
+		if b, ok = uvarints(b, &r.Checkpoint.Running[i]); !ok {
+			return fmt.Errorf("wal: checkpoint record at LSN %d: truncated running xid", r.LSN)
+		}
+	}
+	return exact(r, b, 0)
+}
+
+// decodeBatch parses the records of a batch put into r, each its shared
+// prefix, the implied zeros put back, followed by its suffix. The records
+// share one allocation.
 func decodeBatch(r *Record, b []byte) error {
-	n, k := binary.Uvarint(b)
-	if k <= 0 {
-		return fmt.Errorf("wal: truncated heap-batch header")
+	var n, plen, kept uint64
+	b, ok := uvarints(b, &n, &plen, &kept)
+	if !ok || kept > plen || kept > uint64(len(b)) {
+		return fmt.Errorf("wal: truncated batch-put header")
 	}
-	b = b[k:]
-	xmin, k := binary.Uvarint(b)
-	if k <= 0 {
-		return fmt.Errorf("wal: truncated heap-batch xmin")
-	}
-	b = b[k:]
-	// A tuple takes at least two bytes, its delta and its len.
-	if n > maxBatchTuples || n > uint64(len(b)/2) {
-		return fmt.Errorf("wal: heap-batch of %d tuples in %d bytes", n, len(b))
+	prefix := b[:kept]
+	b = b[kept:]
+	// A record takes at least two bytes, its delta and its len, and the
+	// records, prefixes put back, fit a frame.
+	if n > maxBatchRecords || n > uint64(len(b)/2) || plen > maxFrameSize || n*plen > maxFrameSize {
+		return fmt.Errorf("wal: batch put of %d records of a %d-byte prefix in %d bytes", n, plen, len(b))
 	}
 	r.Slots = make([]uint16, 0, n)
 	r.Recs = make([][]byte, 0, n)
-	tuples := make([]byte, 0, len(b)+tupleHeaderSize*int(n))
+	recs := make([]byte, 0, len(b)+int(n*plen))
 	slot := uint16(math.MaxUint16)
 	for i := uint64(0); i < n; i++ {
-		delta, k := binary.Uvarint(b)
-		if k <= 0 || delta > math.MaxUint16 {
-			return fmt.Errorf("wal: bad heap-batch slot")
+		var delta, sl uint64
+		if b, ok = uvarints(b, &delta, &sl); !ok || delta > math.MaxUint16 || sl > uint64(len(b)) {
+			return fmt.Errorf("wal: truncated batch-put record")
 		}
-		b = b[k:]
-		pl, k := binary.Uvarint(b)
-		if k <= 0 || pl > uint64(len(b)-k) {
-			return fmt.Errorf("wal: truncated heap-batch tuple")
-		}
-		b = b[k:]
 		slot += 1 + uint16(delta)
-		start := len(tuples)
-		tuples = binary.LittleEndian.AppendUint64(tuples, xmin)
-		tuples = append(tuples, make([]byte, tupleHeaderSize-8)...)
-		tuples = append(tuples, b[:pl]...)
-		b = b[pl:]
+		start := len(recs)
+		recs = append(recs, prefix...)
+		recs = append(recs, make([]byte, plen-kept)...)
+		recs = append(recs, b[:sl]...)
+		b = b[sl:]
 		r.Slots = append(r.Slots, slot)
-		r.Recs = append(r.Recs, tuples[start:len(tuples):len(tuples)])
+		r.Recs = append(r.Recs, recs[start:len(recs):len(recs)])
 	}
 	return exact(r, b, 0)
 }

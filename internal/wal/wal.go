@@ -18,11 +18,13 @@
 //     pd_lower and pd_upper, deflated when that makes an image of 1 KB or
 //     more smaller (PostgreSQL's wal_compression), and are replayed by
 //     overwriting the page, the hole zeroed;
-//   - logical records describe one operation on a slotted page — a
-//     heap tuple or an SP-GiST node put into, patched in, or deleted
-//     from, a fixed page/slot — and are replayed through the
-//     slotted-page layer, guarded by the pageLSN stamped in the
-//     slotted-page header so replay is idempotent.
+//   - logical records describe one operation on a slotted page — an
+//     opaque record (a heap tuple, an index node, a meta record) put
+//     into, patched in, or deleted from, a fixed page/slot — and are
+//     replayed through the slotted-page layer, guarded by the pageLSN
+//     stamped in the slotted-page header so replay is idempotent. The
+//     log never looks inside a record: what a heap tuple's header means
+//     is the heap's business, before and after a crash.
 //
 // The log is a sequence of segment files in one directory, each named
 // by the LSN of its first record. A checkpoint rotates to a fresh
@@ -57,15 +59,14 @@ const (
 	// out: (HoleOff, HoleLen) name the bytes the image does not carry,
 	// and redo writes zeros there. Deflated says the image is compressed.
 	RecPageImage RecordType = 1
-	// RecHeapInsert is a logical heap-record insert at a fixed slot.
-	RecHeapInsert RecordType = 2
-	// RecHeapDelete is a logical heap-record delete.
-	RecHeapDelete RecordType = 3
+	// Types 2 and 3 are retired: the heap's own insert and delete, now
+	// slot puts and slot deletes. A log that holds one is refused.
 	// RecFileCreate records the creation of a table or index file, so
 	// recovery can recreate empty files that never flushed a page.
 	RecFileCreate RecordType = 4
 	// RecCheckpoint marks a point where all data files were flushed
-	// and synced; records before it are redundant.
+	// and synced; records before it are redundant. It carries the
+	// transaction state of that point (CheckpointState).
 	RecCheckpoint RecordType = 5
 	// RecCommit marks a statement boundary: every record of the
 	// statement precedes it. Recovery discards the records after the
@@ -74,53 +75,42 @@ const (
 	// its index entries).
 	RecCommit RecordType = 6
 	// Type 7 is retired: the batch insert older builds wrote, each tuple
-	// carried whole. A log that holds one is refused.
-	// RecHeapSetXmax stamps a deleting transaction ID into the xmax
-	// field of the versioned tuple at (page, slot) — the log shape of an
-	// MVCC DELETE, which leaves the tuple in place for older snapshots.
-	RecHeapSetXmax RecordType = 8
-	// RecHeapClearXmax zeroes a tuple's xmax — the undo of a SetXmax,
-	// written when the deleting transaction rolls back.
-	RecHeapClearXmax RecordType = 9
-	// RecHeapMarkAborted sets the aborted infomask flag on a tuple whose
-	// inserting transaction rolled back, so no snapshot ever sees it.
-	RecHeapMarkAborted RecordType = 10
+	// carried whole. So are 8, 9 and 10, the heap's set-xmax, clear-xmax
+	// and mark-aborted, now slot patches, and 12, the transaction-abort
+	// record recovery never read. A log that holds one is refused.
 	// RecTxnCommit marks transaction Xid committed. Recovery collects
-	// these; versioned tuples whose xmin never reached a RecTxnCommit
-	// are flagged aborted after replay (and stamped xmaxes cleared).
+	// these for the owner of versioned records (the heap), which judges
+	// after replay which transactions a crash left unresolved.
 	RecTxnCommit RecordType = 11
-	// RecTxnAbort records that transaction Xid rolled back. Informational
-	// — the compensating ClearXmax/MarkAborted records precede it, and
-	// recovery treats any transaction without a commit record as aborted.
-	RecTxnAbort RecordType = 12
 	// RecSlotPut stores an opaque record at a fixed (page, slot) of a
-	// slotted page, replacing whatever the slot held — the log shape of
-	// an SP-GiST node written by core.Tree. Same payload as
-	// RecHeapInsert, same redo; only the heap's MVCC bookkeeping does
-	// not apply, since a node's first bytes are not an xmin.
+	// slotted page, replacing whatever the slot held — a heap tuple, an
+	// index node, a meta record.
 	RecSlotPut RecordType = 13
-	// RecSlotDelete frees the slot at (page, slot) — a node that moved
-	// to another page or was dissolved by a split.
+	// RecSlotDelete frees the slot at (page, slot) — a tuple VACUUM
+	// reclaimed, a node that moved to another page or was dissolved by a
+	// split.
 	RecSlotDelete RecordType = 14
 	// RecSlotPatch rewrites the record at (page, slot) where it lies,
 	// carrying only what changed: the new length and the byte ranges of
 	// the new record that differ from the old one at the same offsets
 	// (storage.AppendSlotPatch builds it, storage.SlotPatch redoes it).
-	// It is the log shape of an SP-GiST node rewritten in place — a leaf
-	// append, a shrink, an AddNode, a child pointer patched — and is only
-	// logged when it is smaller than the RecSlotPut it stands for. Its
-	// redo needs the old record, which replay from the file's creation or
-	// from a full image of the page provides, like every slot record's.
+	// It is the log shape of a record rewritten in place — an SP-GiST
+	// leaf append, shrink, AddNode or child pointer, a heap tuple's
+	// header stamped — and is only logged when it is smaller than the
+	// RecSlotPut it stands for. Its redo needs the old record, which
+	// replay from the file's creation or from a full image of the page
+	// provides, like every slot record's.
 	RecSlotPatch RecordType = 15
-	// RecHeapBatchInsert is a logical insert of a whole page-worth of
-	// fresh heap tuples of one transaction at fixed slots — one record
-	// per filled page instead of one per tuple, the log shape of a
-	// multi-row INSERT. It carries the transaction's xmin once.
-	RecHeapBatchInsert RecordType = 16
+	// Type 16 is retired: the heap's batch insert, now RecSlotBatchPut.
+	// RecSlotBatchPut stores records at fixed slots of one page in one
+	// record — the log shape of a page-worth of a multi-row INSERT's
+	// tuples. The records share a prefix, which the record carries once.
+	RecSlotBatchPut RecordType = 17
 
-	// NumRecordTypes bounds the RecordType values in use (0 is not a
-	// record, nor is 7); Stats.ByType is indexed up to it.
-	NumRecordTypes = 17
+	// NumRecordTypes bounds the RecordType values; Stats.ByType is
+	// indexed up to it. 0 is not a record, and the retired types name
+	// none.
+	NumRecordTypes = 18
 )
 
 // String names the record type for stats and debugging output.
@@ -128,48 +118,35 @@ func (t RecordType) String() string {
 	switch t {
 	case RecPageImage:
 		return "page-image"
-	case RecHeapInsert:
-		return "heap-insert"
-	case RecHeapDelete:
-		return "heap-delete"
 	case RecFileCreate:
 		return "file-create"
 	case RecCheckpoint:
 		return "checkpoint"
 	case RecCommit:
 		return "commit"
-	case RecHeapBatchInsert:
-		return "heap-batch-insert"
-	case RecHeapSetXmax:
-		return "heap-set-xmax"
-	case RecHeapClearXmax:
-		return "heap-clear-xmax"
-	case RecHeapMarkAborted:
-		return "heap-mark-aborted"
 	case RecTxnCommit:
 		return "txn-commit"
-	case RecTxnAbort:
-		return "txn-abort"
 	case RecSlotPut:
 		return "slot-put"
 	case RecSlotDelete:
 		return "slot-delete"
 	case RecSlotPatch:
 		return "slot-patch"
+	case RecSlotBatchPut:
+		return "slot-batch-put"
 	default:
 		return "unknown"
 	}
 }
 
 // Record is one decoded log record. Which fields are meaningful depends
-// on Type: File/Page address a page for images and slot operations
-// (heap tuples, index nodes), Slot is the slot operated on, and Data
-// holds the image less its hole, the bytes put into the slot, or a slot
-// patch. An image's hole is HoleLen bytes at HoleOff, so the page it
-// expands to is len(Data)+HoleLen bytes — unless Deflated is set, and
-// Data is the image less its hole as a DEFLATE stream (RFC 1951), left
-// for redo to inflate. Batch inserts carry parallel Slots/Recs instead of
-// Slot/Data.
+// on Type: File/Page address a page for images and slot operations, Slot
+// is the slot operated on, and Data holds the image less its hole, the
+// bytes put into the slot, or a slot patch. An image's hole is HoleLen
+// bytes at HoleOff, so the page it expands to is len(Data)+HoleLen bytes
+// — unless Deflated is set, and Data is the image less its hole as a
+// DEFLATE stream (RFC 1951), left for redo to inflate. Batch puts carry
+// parallel Slots/Recs instead of Slot/Data.
 type Record struct {
 	LSN      LSN
 	Type     RecordType
@@ -180,11 +157,24 @@ type Record struct {
 	HoleLen  int
 	Deflated bool
 	Data     []byte
-	// Slots/Recs are the per-tuple slot assignments and record bytes of
-	// one RecHeapBatchInsert.
+	// Slots/Recs are the slots and the whole records, shared prefix
+	// included, of one RecSlotBatchPut.
 	Slots []uint16
 	Recs  [][]byte
-	// Xid is the transaction ID of a RecTxnCommit/RecTxnAbort marker, or
-	// the deleting transaction stamped by a RecHeapSetXmax.
+	// Xid is the transaction of a RecTxnCommit.
 	Xid uint64
+	// Checkpoint is the transaction state a RecCheckpoint carries.
+	Checkpoint CheckpointState
+}
+
+// CheckpointState is the transaction state a checkpoint record carries,
+// as PostgreSQL's carries nextXid and the running xids: the first
+// transaction ID not yet assigned, and the IDs of the transactions open
+// at the checkpoint. A transaction below NextXid and not Running was
+// resolved before the checkpoint flushed the data files — committed, or
+// rolled back with its changes undone — so recovery need not find its
+// commit record in the log the checkpoint leaves behind.
+type CheckpointState struct {
+	NextXid uint64
+	Running []uint64
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -55,7 +56,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l3, err := appendGroupOf(w, func(g *Group) { g.AddHeapDelete("t.tbl", 3, 12) })
+	l3, err := appendGroupOf(w, func(g *Group) { g.AddSlotDelete("t.tbl", 3, 12) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("image data mismatch: %q vs %q", img.Data, want)
 	}
 	ins := recs[1]
-	if ins.Type != RecHeapInsert || ins.Page != 3 || ins.Slot != 12 || string(ins.Data) != "tuple-bytes" {
+	if ins.Type != RecSlotPut || ins.Page != 3 || ins.Slot != 12 || string(ins.Data) != "tuple-bytes" {
 		t.Fatalf("bad insert record: %+v", ins)
 	}
 	del := recs[2]
-	if del.Type != RecHeapDelete || del.Page != 3 || del.Slot != 12 {
+	if del.Type != RecSlotDelete || del.Page != 3 || del.Slot != 12 {
 		t.Fatalf("bad delete record: %+v", del)
 	}
 	if recs[3].Type != RecFileCreate || recs[3].File != "idx.idx" {
@@ -195,7 +196,8 @@ func TestCheckpointRecyclesSegments(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("expected multiple segments before checkpoint, got %d", before)
 	}
-	ck, err := w.Checkpoint()
+	state := CheckpointState{NextXid: 1 << 20, Running: []uint64{7, 1<<20 - 1}}
+	ck, err := w.Checkpoint(state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +215,8 @@ func TestCheckpointRecyclesSegments(t *testing.T) {
 	if st.Checkpoints != 1 || len(recs) != 2 {
 		t.Fatalf("post-checkpoint log: %d records, %d checkpoints", len(recs), st.Checkpoints)
 	}
-	if recs[0].Type != RecCheckpoint || recs[0].LSN != ck {
-		t.Fatalf("first surviving record is %+v, want checkpoint at %d", recs[0], ck)
+	if recs[0].Type != RecCheckpoint || recs[0].LSN != ck || !reflect.DeepEqual(recs[0].Checkpoint, state) {
+		t.Fatalf("first surviving record is %+v, want checkpoint at %d carrying %+v", recs[0], ck, state)
 	}
 }
 
@@ -417,7 +419,7 @@ func TestAppendGroupCommitIsAtomic(t *testing.T) {
 	var runOwner uint32
 	for _, r := range recs {
 		switch r.Type {
-		case RecHeapInsert:
+		case RecSlotPut:
 			if run == 0 {
 				runOwner = r.Page
 			} else if r.Page != runOwner {
@@ -433,7 +435,7 @@ func TestAppendGroupCommitIsAtomic(t *testing.T) {
 	}
 	total := 0
 	for _, r := range recs {
-		if r.Type == RecHeapInsert {
+		if r.Type == RecSlotPut {
 			total++
 		}
 	}
@@ -442,11 +444,12 @@ func TestAppendGroupCommitIsAtomic(t *testing.T) {
 	}
 }
 
-// TestHeapBatchRecordRoundTrip: the batch-insert record's slots and
-// tuples survive encode -> frame -> replay intact, each tuple's header
-// rebuilt from the xmin the record carries once — 18 bytes less a tuple
-// than the same tuples carried whole, less what the xmin takes — and
-// slot numbers that wrap around 2^16 come back as they went.
+// TestHeapBatchRecordRoundTrip: a batch put of heap tuples — records
+// that share an 18-byte header prefix of xmin and zeros — gives back its
+// slots and records through encode -> frame -> replay intact, the prefix
+// put back from what the record carries once, its zeros implied — 16 or
+// more bytes less a tuple than the same tuples carried whole — and slot
+// numbers that wrap around 2^16 come back as they went.
 func TestHeapBatchRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, Options{Mode: SyncCommit})
@@ -459,7 +462,7 @@ func TestHeapBatchRecordRoundTrip(t *testing.T) {
 	var batches [][][]byte
 	for _, xmin := range xmins {
 		g := NewGroup()
-		g.AddHeapBatchInsert("big.tbl", 42, slots, xmin, payloads)
+		g.AddSlotBatchPut("big.tbl", 42, slots, tuple(xmin, ""), payloads)
 		// The same record with each tuple whole: type, len, the head
 		// (relation, page), n:2, then slot:2 len:4 and the tuple each.
 		tuples := make([][]byte, len(payloads))
@@ -486,7 +489,7 @@ func TestHeapBatchRecordRoundTrip(t *testing.T) {
 	got, _ := replayAll(t, dir)
 	var replayed []*Record
 	for _, r := range got {
-		if r.Type == RecHeapBatchInsert {
+		if r.Type == RecSlotBatchPut {
 			replayed = append(replayed, r)
 		}
 	}

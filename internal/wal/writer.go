@@ -40,7 +40,7 @@ type Options struct {
 // to the frame's last record: the commit marker of a statement's group,
 // the record itself when it was appended alone. A checkpoint record is
 // counted where Appends counts it and, like AppendedBytes, without its
-// 18-byte frame. PageImageRawBytes is what ByType[RecPageImage].Bytes
+// frame. PageImageRawBytes is what ByType[RecPageImage].Bytes
 // would be had no image been stored deflated; the two give the images'
 // compression ratio, as FrameRawBytes over AppendedBytes gives the
 // frames'.
@@ -563,9 +563,10 @@ func (w *Writer) Commit() error {
 
 // Checkpoint marks a recovery point: the caller must already have
 // flushed and synced every data file. The log rotates to a fresh
-// segment whose first record is the checkpoint record, forces it to
-// disk, and deletes the older segments. Returns the checkpoint LSN.
-func (w *Writer) Checkpoint() (LSN, error) {
+// segment whose first record is the checkpoint record, carrying st,
+// forces it to disk, and deletes the older segments. Returns the
+// checkpoint LSN.
+func (w *Writer) Checkpoint(st CheckpointState) (LSN, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -584,7 +585,7 @@ func (w *Writer) Checkpoint() (LSN, error) {
 	ckSegFirst := w.segFirst
 	lsn := w.nextLSN
 	w.nextLSN++
-	w.buf = appendFrame(w.buf, lsn, nil, checkpointMarker, nil)
+	w.buf = appendFrame(w.buf, lsn, appendCheckpoint(nil, st), nil, nil)
 	w.appended = lsn
 	w.committed = lsn
 	w.ckpt = lsn
