@@ -477,6 +477,7 @@ func Open(opts Options) (*DB, error) {
 	db.met.reg.Sample(db.sampleStorage)
 	db.waits.Register(db.met.reg)
 	db.met.reg.OnReset(db.resetStorageStats)
+	var freshLog, olderCheckpoint bool
 	if opts.Dir != "" {
 		walDir := filepath.Join(opts.Dir, "wal")
 		// Redo pass: bring the data files up to the end of the log left
@@ -488,7 +489,15 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		db.recovered.RecoveryStats = st
-		if st.PageImages+st.SlotPuts+st.SlotPatches+st.SlotDeletes+st.SkippedByLSN > 0 {
+		redone := st.PageImages+st.SlotPuts+st.SlotPatches+st.SlotDeletes+st.SkippedByLSN > 0
+		// An older build's checkpoint carries no transaction state, so
+		// the records behind it cannot be judged: the committed
+		// transactions before it would read as unresolved.
+		olderCheckpoint = st.Checkpoints > 0 && st.LastCheckpoint.NextXid == 0
+		if olderCheckpoint && redone {
+			return nil, fmt.Errorf("executor: the log of %s holds records behind a checkpoint an older build wrote without transaction state; recover and close the database with that build first", opts.Dir)
+		}
+		if redone {
 			db.unresolved = heap.Unresolved(st.Committed, st.LastCheckpoint)
 		}
 		w, err := wal.OpenWriter(walDir, wal.Options{Mode: opts.WALSync})
@@ -497,7 +506,7 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.wal = w
 		w.AttachObs(db.waits)
-		if w.CommittedLSN() == 0 {
+		if freshLog = w.CommittedLSN() == 0; freshLog {
 			// A fresh log (a new database, or one an older build wrote
 			// without a log) has no commit marker yet, and both the
 			// buffer pool's no-steal rule and recovery's
@@ -526,6 +535,18 @@ func Open(opts Options) (*DB, error) {
 	// The heap passes' last repairs commit under one marker.
 	if r := db.recovered; r.AbortFixups+r.XmaxFixups > 0 {
 		if err := db.commitWAL(nil); err != nil {
+			db.discardAll()
+			return nil, err
+		}
+	}
+	// A crash judges the xids the log has no commit record for by its
+	// last checkpoint's state, so a log that does not reach back to the
+	// database's creation must carry one before any DML logs: a fresh
+	// log over files with xids (an older build wrote them without a
+	// log, or the log was removed), or one whose checkpoint an older
+	// build wrote without state. Every xid on disk is resolved by now.
+	if olderCheckpoint || freshLog && db.tm.nextXid > 1 {
+		if err := db.checkpointLocked(); err != nil {
 			db.discardAll()
 			return nil, err
 		}

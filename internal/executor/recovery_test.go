@@ -168,6 +168,30 @@ func TestCrashRecoveryMatchesCleanShutdown(t *testing.T) {
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
+	// The heap's puts and patches the log holds (a batch put's rows
+	// counted one by one), and the index nodes'.
+	var heapRecs, indexRecs int64
+	if _, err := wal.Replay(filepath.Join(crashDir, "wal"), func(r *wal.Record) error {
+		n := int64(1)
+		switch r.Type {
+		case wal.RecSlotBatchPut:
+			n = int64(len(r.Slots))
+		case wal.RecSlotPut, wal.RecSlotPatch:
+		default:
+			return nil
+		}
+		if strings.HasSuffix(r.File, ".idx") {
+			indexRecs += n
+		} else {
+			heapRecs += n
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if heapRecs == 0 || indexRecs == 0 {
+		t.Fatalf("the log holds %d heap and %d index slot records", heapRecs, indexRecs)
+	}
 
 	// Reopen: redo recovery must reconstruct heap and index files.
 	db = openRecoveryDB(t, crashDir)
@@ -175,8 +199,10 @@ func TestCrashRecoveryMatchesCleanShutdown(t *testing.T) {
 	if rs.Records == 0 || rs.PagesWritten == 0 {
 		t.Fatalf("crash reopen performed no recovery: %+v", rs)
 	}
-	if rs.SlotBatches == 0 || rs.SlotPuts+rs.SlotPatches == 0 {
-		t.Fatalf("recovery exercised only one record family: %+v", rs)
+	// Redo applied index records too: more puts and patches than all the
+	// heap's in the log.
+	if rs.SlotBatches == 0 || rs.SlotPuts+rs.SlotPatches <= heapRecs {
+		t.Fatalf("recovery exercised only one record family (%d heap records in the log): %+v", heapRecs, rs)
 	}
 	crashRows := queryAll(t, db)
 	if err := db.Close(); err != nil {

@@ -1,8 +1,12 @@
 package executor_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +15,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
+	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // txnTable creates the (name text, id int) word table with a trie index
@@ -481,6 +487,177 @@ func TestTxnOpenAcrossCheckpointCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// olderCheckpointLog replaces the log in dir, which a clean Close left
+// holding its checkpoint alone, by the one an older build's clean Close
+// left: a checkpoint record at the same LSN without transaction state.
+func olderCheckpointLog(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("the closed log holds segments %v (%v), want one", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := append(seg[8:16:16], byte(wal.RecCheckpoint), 0) // first LSN, an empty checkpoint
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)-8))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(recs, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(segs[0], append(frame, recs...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// preLogDir turns dir, a database a clean Close left, into one an older
+// build wrote without a log: no log, and pages that carry no LSN.
+func preLogDir(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		path := filepath.Join(dir, f.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); off += storage.DefaultPageSize {
+			if page := data[off : off+storage.DefaultPageSize]; storage.PageLSN(page) != 0 {
+				storage.SetPageLSN(page, 0)
+				storage.StampPageChecksum(page)
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTxnCrashOverLogWithoutState: a log that does not reach back to the
+// database's creation — none at all, as over files an older build wrote
+// without one, or one whose checkpoint an older build wrote without
+// transaction state — says nothing of the xids already on disk, so Open
+// checkpoints their state before any DML. A crash after DML then keeps
+// every row committed before the open and every delete, and hides only
+// the open transaction's insert and delete. A log holding records behind
+// an older build's checkpoint is refused: they cannot be judged.
+func TestTxnCrashOverLogWithoutState(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		strip func(t *testing.T, dir string)
+	}{
+		{"no log", preLogDir},
+		{"older checkpoint", olderCheckpointLog},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *executor.DB {
+				db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			db := open()
+			tb := txnTable(t, db)
+			rows := []catalog.Tuple{batchTuple(1), batchTuple(2), batchTuple(3), batchTuple(4), batchTuple(5)}
+			if _, err := tb.InsertBatch(rows[:3]); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := tb.DeleteWhere(&executor.Pred{Column: 0, Op: "=", Arg: rows[1][0]}); err != nil || n != 1 {
+				t.Fatalf("delete: n=%d err=%v", n, err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c.strip(t, dir)
+
+			db = open()
+			tb, err := db.Table("words")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.InsertBatch(rows[3:4]); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.InsertBatchTx(tx, rows[4:]); err != nil {
+				t.Fatal(err)
+			}
+			if n, _, err := tb.DeleteWhereTx(tx, &executor.Pred{Column: 0, Op: "=", Arg: rows[0][0]}); err != nil || n != 1 {
+				t.Fatalf("in-txn delete: n=%d err=%v", n, err)
+			}
+			if err := db.Crash(); err != nil {
+				t.Fatal(err)
+			}
+
+			db = open()
+			defer db.Close()
+			if rs := db.RecoveryStats(); rs.AbortFixups != 1 || rs.XmaxFixups != 1 {
+				t.Fatalf("%d tuples flagged aborted and %d xmaxes cleared, want the open transaction's 1 each", rs.AbortFixups, rs.XmaxFixups)
+			}
+			tb, err = db.Table("words")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]bool{rows[0][0].S: true, rows[2][0].S: true, rows[3][0].S: true}
+			if got := visibleNames(t, tb, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("a Seq Scan sees %v, want %v", got, want)
+			}
+			for _, r := range rows {
+				n := 0
+				if err := tb.SelectIndexed(tb.Indexes[0], &executor.Pred{Column: 0, Op: "=", Arg: r[0]}, func(executor.Row) bool { n++; return true }); err != nil {
+					t.Fatal(err)
+				}
+				if (n == 1) != want[r[0].S] || n > 1 {
+					t.Fatalf("the index finds %d rows of %q", n, r[0].S)
+				}
+			}
+		})
+	}
+
+	t.Run("records behind an older checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := filepath.Join(dir, txnTable(t, db).File())
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		olderCheckpointLog(t, dir)
+		// The older build logged a page after its checkpoint: an image of
+		// the table's meta page as it lies.
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := wal.OpenWriter(filepath.Join(dir, "wal"), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := wal.NewGroup()
+		g.AddPageImage(filepath.Base(file), 0, data[:storage.DefaultPageSize], 0, 0)
+		if _, _, err := w.AppendGroupCommit(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16}); err == nil || !strings.Contains(err.Error(), "without transaction state") {
+			t.Fatalf("Open of a log with records behind an older build's checkpoint: %v, want it refused", err)
+		}
+	})
 }
 
 // TestTxnCommitDurableAcrossCrash: the flip side — a COMMITted explicit

@@ -691,6 +691,32 @@ func retiredFrame(first uint64, typ byte) []byte {
 	return append(frame, recs...)
 }
 
+// TestRecoverDirReadsOlderCheckpoint: an older build's clean Close left a
+// log holding its checkpoint alone, a record without transaction state.
+// Redo reads it as a checkpoint of the zero state, applies nothing, and
+// reports it, so that the owner of versioned records knows the log says
+// nothing of the transactions before it.
+func TestRecoverDirReadsOlderCheckpoint(t *testing.T) {
+	dataDir := t.TempDir()
+	walDir := filepath.Join(dataDir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	recs := append(binary.LittleEndian.AppendUint64(nil, 7), 5, 0) // LSN 7: an empty checkpoint
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(recs)-8))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(recs, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(walDir, "wal-0000000000000007.seg"), append(frame, recs...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := RecoverDir(dataDir, walDir, 256, 16)
+	if err != nil {
+		t.Fatalf("RecoverDir of an older build's clean log: %v", err)
+	}
+	if st.Checkpoints != 1 || st.LastCheckpoint.NextXid != 0 || len(st.LastCheckpoint.Running) != 0 || st.Records != 1 || st.FilesTouched != 0 {
+		t.Fatalf("an older build's checkpoint recovered as %+v", st)
+	}
+}
+
 // TestRecoverDirRefusesOlderBatchRecord: a log holding a record of a type
 // an older build wrote and this one retired — the batch insert that
 // carried each tuple whole (7), the heap's own insert, delete, batch

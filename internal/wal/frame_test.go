@@ -616,3 +616,36 @@ func TestBatchTupleCountBound(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchPrefixBound: a batch put's shared prefix, its implied zeros
+// included, is at most maxBatchPrefix bytes. A record of a dozen bytes
+// whose prefix length claims 2^24 implied zeros is corruption, refused
+// before the decoder allocates them; one a byte past the bound is too,
+// and one at it decodes. The writer refuses to build a longer prefix.
+func TestBatchPrefixBound(t *testing.T) {
+	for _, c := range []struct {
+		plen int
+		ok   bool
+	}{{maxBatchPrefix, true}, {maxBatchPrefix + 1, false}, {1 << 24, false}} {
+		g := NewGroup()
+		body := binary.AppendUvarint([]byte{1}, uint64(c.plen)) // one record
+		body = append(body, 0, 0, 0)                            // no prefix byte kept; delta 0, len 0
+		g.head(RecSlotBatchPut, "r.tbl", 1, len(body))
+		g.buf = append(g.buf, body...)
+		g.add(RecSlotBatchPut)
+		var recs [][]byte
+		err := decodeFrame(100, g.buf, func(r *Record) error {
+			recs = r.Recs
+			return nil
+		})
+		if (err == nil) != c.ok || (c.ok && (len(recs) != 1 || !bytes.Equal(recs[0], make([]byte, c.plen)))) {
+			t.Errorf("a %d-byte prefix: decoded %d records, error %v; want ok %v", c.plen, len(recs), err, c.ok)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a batch put with a prefix past maxBatchPrefix was staged")
+		}
+	}()
+	NewGroup().AddSlotBatchPut("r.tbl", 1, []uint16{0}, make([]byte, maxBatchPrefix+1), [][]byte{nil})
+}

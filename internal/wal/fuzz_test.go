@@ -170,22 +170,22 @@ func varintOffsets(f []byte) []int {
 // return records or an error; they never panic, a deflated frame never
 // inflates into more than maxFrameSize bytes, and the records decoded
 // from a frame hold no more bytes than the frame's records, inflated,
-// save the shared prefix a batch put carries once for all its records,
-// which fits a frame (the decoder copies payloads, so a length field must
-// not be able to size an allocation past that, and a name referred back
-// to is shared, not copied). The seed corpus is a one-record frame of
-// every record type — page images raw and deflated, a heap batch, a
-// checkpoint's transaction state, a tuple's xmax stamped by a slot patch
-// — and every truncation of it, a frame holding one record of every type
-// and every truncation of that, that frame with each bit of its len, rel
-// and page varints flipped under a checksum made to match, and a deflated
-// frame of the same records with more index nodes, its truncations, each
-// bit of its stream flipped under a matching checksum, the stream with a
-// byte past its end, a stream that inflates past maxFrameSize, and a
-// frame of every record type retired, which the decoder refuses, with
-// its truncations and each bit of its records flipped under a matching
-// checksum — the batch frame an older build wrote among them. `go test`
-// runs the corpus, `go test -fuzz` explores.
+// save the shared prefix, of at most maxBatchPrefix bytes, a batch put
+// carries once for all its records (the decoder copies payloads, so a
+// length field must not be able to size an allocation past that, and a
+// name referred back to is shared, not copied). The seed corpus is a
+// one-record frame of every record type — page images raw and deflated,
+// a heap batch, a checkpoint's transaction state, a tuple's xmax stamped
+// by a slot patch — and every truncation of it, a frame holding one
+// record of every type and every truncation of that, that frame with
+// each bit of its len, rel and page varints flipped under a checksum made
+// to match, and a deflated frame of the same records with more index
+// nodes, its truncations, each bit of its stream flipped under a matching
+// checksum, the stream with a byte past its end, a stream that inflates
+// past maxFrameSize, and a frame of every record type retired, which the
+// decoder refuses, with its truncations and each bit of its records
+// flipped under a matching checksum — the batch frame an older build
+// wrote among them. `go test` runs the corpus, `go test -fuzz` explores.
 func FuzzDecodeRecord(f *testing.F) {
 	g := NewGroup()
 	seen := map[RecordType]bool{}
@@ -326,7 +326,7 @@ func checkFrame(t *testing.T, data []byte) {
 	if size > len(data) || len(recs) > maxFrameSize || cap(fr.buf) > maxFrameSize || (raw && len(recs) > size) {
 		t.Fatalf("frame of %d bytes parsed to length %d, records %d (buffer %d)", len(data), size, len(recs), cap(fr.buf))
 	}
-	held, got, batches := 0, 0, 0
+	held, got, tuples := 0, 0, 0
 	var prev string
 	err := decodeFrame(first, recs, func(r *Record) error {
 		if r.LSN != first+LSN(got) {
@@ -343,16 +343,14 @@ func checkFrame(t *testing.T, data []byte) {
 		for _, rec := range r.Recs {
 			held += len(rec)
 		}
-		if r.Type == RecSlotBatchPut {
-			batches++
-		}
+		tuples += len(r.Recs)
 		if len(r.Recs) != len(r.Slots) {
 			t.Fatalf("%d slots, %d tuples", len(r.Slots), len(r.Recs))
 		}
 		return nil
 	})
-	if held > len(recs)+maxFrameSize*batches {
-		t.Fatalf("%d bytes of records decoded to %d bytes, %d batch puts among them", len(recs), held, batches)
+	if held > len(recs)+maxBatchPrefix*tuples {
+		t.Fatalf("%d bytes of records decoded to %d bytes, %d of them batch records", len(recs), held, tuples)
 	}
 	if err == nil && got != n {
 		t.Fatalf("frame of %d records decoded to %d", n, got)

@@ -311,8 +311,12 @@ func (g *Group) AddSlotPatch(file string, page uint32, slot uint16, patch []byte
 // AddSlotBatchPut stages storing records at slots of page in one record:
 // record i is prefix followed by suffixes[i], going to slots[i]. The
 // record carries prefix once, less its trailing zeros, which redo puts
-// back.
+// back. The prefix is a header of at most 32 bytes (maxBatchPrefix); a
+// longer one is a caller's bug and panics, as the log could not read it.
 func (g *Group) AddSlotBatchPut(file string, page uint32, slots []uint16, prefix []byte, suffixes [][]byte) int {
+	if len(prefix) > maxBatchPrefix {
+		panic(fmt.Sprintf("wal: batch put prefix of %d bytes, past %d", len(prefix), maxBatchPrefix))
+	}
 	kept := len(prefix)
 	for kept > 0 && prefix[kept-1] == 0 {
 		kept--

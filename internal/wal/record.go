@@ -85,6 +85,13 @@ const (
 	// uint16 slot numbers can address; a larger count is corruption,
 	// refused before anything is allocated for it.
 	maxBatchRecords = 1 << 16
+	// maxBatchPrefix bounds the prefix a batch put's records share, its
+	// implied zeros included: a header, such as the heap's 18-byte tuple
+	// header, not a payload. The bound keeps what decoding a batch put
+	// allocates within its bytes plus maxBatchPrefix per record, each
+	// record taking at least two bytes, so a short record cannot make it
+	// allocate a frame's worth of implied zeros.
+	maxBatchPrefix = 32
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -311,13 +318,17 @@ func uvarints(b []byte, dst ...*uint64) (rest []byte, ok bool) {
 }
 
 // decodeCheckpoint parses the transaction state of a checkpoint record
-// into r.
+// into r. An empty body is an older build's checkpoint, which carried no
+// state: it reads as the zero state.
 func decodeCheckpoint(r *Record, b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
 	var n uint64
 	b, ok := uvarints(b, &r.Checkpoint.NextXid, &n)
 	// An xid takes at least a byte.
 	if !ok || n > uint64(len(b)) {
-		return fmt.Errorf("wal: checkpoint record at LSN %d: truncated transaction state (an older build checkpointed without one)", r.LSN)
+		return fmt.Errorf("wal: checkpoint record at LSN %d: truncated transaction state", r.LSN)
 	}
 	r.Checkpoint.Running = make([]uint64, n)
 	for i := range r.Checkpoint.Running {
@@ -339,9 +350,8 @@ func decodeBatch(r *Record, b []byte) error {
 	}
 	prefix := b[:kept]
 	b = b[kept:]
-	// A record takes at least two bytes, its delta and its len, and the
-	// records, prefixes put back, fit a frame.
-	if n > maxBatchRecords || n > uint64(len(b)/2) || plen > maxFrameSize || n*plen > maxFrameSize {
+	// A record takes at least two bytes, its delta and its len.
+	if n > maxBatchRecords || n > uint64(len(b)/2) || plen > maxBatchPrefix {
 		return fmt.Errorf("wal: batch put of %d records of a %d-byte prefix in %d bytes", n, plen, len(b))
 	}
 	r.Slots = make([]uint16, 0, n)

@@ -173,7 +173,9 @@ type Record struct {
 // at the checkpoint. A transaction below NextXid and not Running was
 // resolved before the checkpoint flushed the data files — committed, or
 // rolled back with its changes undone — so recovery need not find its
-// commit record in the log the checkpoint leaves behind.
+// commit record in the log the checkpoint leaves behind. Xids start at
+// 1, so NextXid 0 is no state: the checkpoint an older build wrote
+// carried none.
 type CheckpointState struct {
 	NextXid uint64
 	Running []uint64
