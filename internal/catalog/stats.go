@@ -45,7 +45,10 @@ type ColumnStats struct {
 }
 
 // TableStats is what a restrict procedure may consult: the live row
-// count, the queried column's statistics, and how stale they are.
+// count, the queried column's statistics, and how stale they are. The
+// column's statistics are shared, not copied — the planner points at the
+// ones it published, which nobody changes — so a TableStats is three
+// words and goes by value.
 type TableStats struct {
 	Rows int64
 	// StaleFrac is the fraction of the table churned (inserted +
@@ -54,7 +57,10 @@ type TableStats struct {
 	// by this weight, discounting stale statistics gracefully; at 1 the
 	// executor's planner re-samples the table rather than plan from it.
 	StaleFrac float64
-	ColumnStats
+	// ColumnStats is never nil: a column without statistics has
+	// &ColumnStats{}, whose zero NDistinct sends every restrict
+	// procedure to its default.
+	*ColumnStats
 }
 
 // mcvTotal sums the stored MCV frequencies.

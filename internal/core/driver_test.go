@@ -212,6 +212,39 @@ func TestNNCursorContract(t *testing.T) {
 	}
 }
 
+// TestNNCursorMatchesReference: the cursor yields exactly the (RID,
+// distance) sequence of a plain best-first search that enqueues every
+// child (core.NNReference), ties included, for every NN opclass over
+// duplicate keys, equal distances, overflow chains, deleted entries and
+// the PMR quadtree's copies of one segment in several cells.
+func TestNNCursorMatchesReference(t *testing.T) {
+	for _, f := range nnFixtures {
+		t.Run(f.name, func(t *testing.T) {
+			for seed, n := range []int{150, 600} {
+				tr, _ := buildFixture(t, f, storage.NewMem(fixturePageSize), n, 41+int64(seed))
+				r := rand.New(rand.NewSource(51 + int64(seed)))
+				for trial := 0; trial < 6; trial++ {
+					q := f.drawQuery(r)
+					rids, dists, err := core.NNReference(tr, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hits := drain(t, f, tr, q)
+					if len(hits) != len(rids) {
+						t.Fatalf("seed %d q=%v: cursor yielded %d results, the reference %d", seed, q, len(hits), len(rids))
+					}
+					for i, h := range hits {
+						if h.rid != rids[i] || h.dist != dists[i] {
+							t.Fatalf("seed %d q=%v: result %d is %v at %g, the reference's %v at %g",
+								seed, q, i, h.rid, h.dist, rids[i], dists[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // checkBruteForce fails unless hits are every live RID exactly once, in
 // the distance order a brute-force sort gives.
 func checkBruteForce(t *testing.T, f nnFixture, live []pair, q core.Value, hits []nnHit) {

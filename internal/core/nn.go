@@ -26,6 +26,14 @@ import (
 // values are bytes the opclass appends to a second, byte arena, which
 // entries name by offset, so deriving one allocates nothing either.
 //
+// Most dequeued entries are the children of the node dequeued just
+// before: a node close to the query usually has the next entry under it.
+// So expand keeps the least of a node's children off the heap and, when
+// it is less than the heap's top, goes on with it at once — the pop that
+// would have returned it — and pushes only the others. Keys are unique
+// (the tie's push counter), so the sequence is the one a plain
+// push-every-child, pop-the-least search yields, ties included.
+//
 // A scan ends when its caller closes the cursor (PostgreSQL's
 // amendscan): Close hands the queue and both arenas, emptied, to the
 // next NNScan, so a warm kNN statement allocates nothing at all.
@@ -124,7 +132,7 @@ func (t *Tree) NNScan(q Value) (*NNCursor, error) {
 	}
 	if t.root.Valid() {
 		c.recon = oc.NNRootRecon(c.recon)
-		c.push(0, nnNodeTie, nnEntry{ref: t.root, re: uint32(len(c.recon))})
+		c.push(c.key(0, nnNodeTie), nnEntry{ref: t.root, re: uint32(len(c.recon))})
 	}
 	return c, nil
 }
@@ -147,20 +155,24 @@ func (c *NNCursor) Close() {
 	nnCursors.Put(c)
 }
 
-// push enqueues e at distance dist; kind is 0 for a data object and
-// nnNodeTie for a node.
-func (c *NNCursor) push(dist float64, kind uint64, e nnEntry) {
-	var idx uint32
+// key returns the queue key of an entry at distance dist, the next in
+// push order; kind is 0 for a data object and nnNodeTie for a node.
+func (c *NNCursor) key(dist float64, kind uint64) nnKey {
+	k := nnKey{dist: dist, tie: kind | c.seq}
+	c.seq++
+	return k
+}
+
+// push enqueues e under k, whose arena slot it sets.
+func (c *NNCursor) push(k nnKey, e nnEntry) {
 	if c.free >= 0 {
-		idx = uint32(c.free)
-		c.free = c.ents[idx].idx
-		c.ents[idx] = e
+		k.idx = uint32(c.free)
+		c.free = c.ents[k.idx].idx
+		c.ents[k.idx] = e
 	} else {
-		idx = uint32(len(c.ents))
+		k.idx = uint32(len(c.ents))
 		c.ents = append(c.ents, e)
 	}
-	k := nnKey{dist: dist, tie: kind | c.seq, idx: idx}
-	c.seq++
 	// Sift up.
 	c.pq = append(c.pq, k)
 	i := len(c.pq) - 1
@@ -214,42 +226,72 @@ func (c *NNCursor) Next() (key []byte, rid heapfile.RID, dist float64, ok bool) 
 	if c.err != nil {
 		return nil, heapfile.InvalidRID, 0, false
 	}
+pop:
 	for len(c.pq) > 0 {
 		k, e := c.pop()
-		if k.tie&nnNodeTie == 0 {
-			rid := e.n.rid(int(e.idx))
-			if c.dedup {
-				if _, dup := c.seen[rid]; dup {
-					continue
-				}
-				c.seen[rid] = struct{}{}
+		// Expanding a node may hand back its least child as the next
+		// entry, to be taken as if popped.
+		for k.tie&nnNodeTie != 0 {
+			var next bool
+			if k, e, next, c.err = c.expand(k.dist, e); c.err != nil {
+				return nil, heapfile.InvalidRID, 0, false
+			} else if !next {
+				continue pop
 			}
-			return e.n.key(int(e.idx)), rid, k.dist, true
 		}
-		if c.err = c.expand(k.dist, e); c.err != nil {
-			return nil, heapfile.InvalidRID, 0, false
+		rid := e.n.rid(int(e.idx))
+		if c.dedup {
+			if _, dup := c.seen[rid]; dup {
+				continue
+			}
+			c.seen[rid] = struct{}{}
 		}
+		return e.n.key(int(e.idx)), rid, k.dist, true
 	}
 	return nil, heapfile.InvalidRID, 0, false
 }
 
+// nnHeld is the least child of the node being expanded, kept off the heap.
+type nnHeld struct {
+	k  nnKey
+	e  nnEntry
+	ok bool
+}
+
+// offer enqueues a child of the node being expanded, unless it is the
+// least so far: that one takes h's place, and the child h held before is
+// enqueued instead.
+func (c *NNCursor) offer(h *nnHeld, k nnKey, e nnEntry) {
+	if !h.ok {
+		*h = nnHeld{k, e, true}
+		return
+	}
+	if k.less(h.k) {
+		k, h.k = h.k, k
+		e, h.e = h.e, e
+	}
+	c.push(k, e)
+}
+
 // expand replaces a dequeued node by its children: the items and the
 // overflow link of a data node, the non-empty partitions of an inner
-// node.
-func (c *NNCursor) expand(dist float64, e nnEntry) error {
+// node. The least child is not enqueued when it is less than the heap's
+// top: it is returned with next set, the entry the next pop would give.
+func (c *NNCursor) expand(dist float64, e nnEntry) (nnKey, nnEntry, bool, error) {
 	n, err := c.t.view(e.ref)
 	if err != nil {
-		return err
+		return nnKey{}, nnEntry{}, false, err
 	}
+	var h nnHeld
 	if n.leaf {
 		for i := 0; i < n.n; i++ {
-			c.push(c.oc.NNLeaf(c.q, n.key(i)), 0, nnEntry{n: n, idx: int32(i)})
+			c.offer(&h, c.key(c.oc.NNLeaf(c.q, n.key(i)), 0), nnEntry{n: n, idx: int32(i)})
 		}
 		if next := n.next(); next.Valid() {
 			// The overflow record inherits the node's lower bound.
-			c.push(dist, nnNodeTie, nnEntry{ref: next})
+			c.offer(&h, c.key(dist, nnNodeTie), nnEntry{ref: next})
 		}
-		return nil
+		return c.settle(&h)
 	}
 	rc, re := e.rc, e.re
 	if e.n != nil {
@@ -261,7 +303,7 @@ func (c *NNCursor) expand(dist float64, e nnEntry) error {
 	} else if e.ref != c.t.root {
 		// Parentless and not the root: an overflow link, which only ever
 		// leads to another data node in a well-formed tree.
-		return fmt.Errorf("spgist: overflow chain reaches inner node %v", e.ref)
+		return nnKey{}, nnEntry{}, false, fmt.Errorf("spgist: overflow chain reaches inner node %v", e.ref)
 	}
 	recon := c.recon[rc:re:re]
 	pred := n.pred()
@@ -271,7 +313,7 @@ func (c *NNCursor) expand(dist float64, e nnEntry) error {
 			continue
 		}
 		d, levelAdd := c.oc.NNInner(c.q, pred, n.label(i), int(e.level), recon, dist)
-		c.push(d, nnNodeTie, nnEntry{
+		c.offer(&h, c.key(d, nnNodeTie), nnEntry{
 			n:      n,
 			idx:    int32(i),
 			level:  e.level + int32(levelAdd),
@@ -281,7 +323,20 @@ func (c *NNCursor) expand(dist float64, e nnEntry) error {
 			re:     re,
 		})
 	}
-	return nil
+	return c.settle(&h)
+}
+
+// settle ends an expansion: the held child is the next entry if the heap
+// is empty or its top is greater, and is enqueued otherwise.
+func (c *NNCursor) settle(h *nnHeld) (nnKey, nnEntry, bool, error) {
+	if !h.ok {
+		return nnKey{}, nnEntry{}, false, nil
+	}
+	if len(c.pq) == 0 || h.k.less(c.pq[0]) {
+		return h.k, h.e, true, nil
+	}
+	c.push(h.k, h.e)
+	return nnKey{}, nnEntry{}, false, nil
 }
 
 // Err reports a storage error encountered by Next.

@@ -477,7 +477,7 @@ func Open(opts Options) (*DB, error) {
 	db.met.reg.Sample(db.sampleStorage)
 	db.waits.Register(db.met.reg)
 	db.met.reg.OnReset(db.resetStorageStats)
-	var freshLog, olderCheckpoint bool
+	var freshLog, pastPages, olderCheckpoint bool
 	if opts.Dir != "" {
 		walDir := filepath.Join(opts.Dir, "wal")
 		// Redo pass: bring the data files up to the end of the log left
@@ -507,6 +507,18 @@ func Open(opts Options) (*DB, error) {
 		db.wal = w
 		w.AttachObs(db.waits)
 		if freshLog = w.CommittedLSN() == 0; freshLog {
+			// A fresh log over files an earlier log wrote (its directory
+			// was removed) numbers its records past their pages' LSNs:
+			// redo passes a record no newer than its page.
+			top, err := maxPageLSN(opts.Dir, opts.PageSize)
+			if err == nil && top > 0 {
+				pastPages = true
+				err = w.StartAfter(wal.LSN(top))
+			}
+			if err != nil {
+				db.discardAll()
+				return nil, err
+			}
 			// A fresh log (a new database, or one an older build wrote
 			// without a log) has no commit marker yet, and both the
 			// buffer pool's no-steal rule and recovery's
@@ -543,15 +555,57 @@ func Open(opts Options) (*DB, error) {
 	// last checkpoint's state, so a log that does not reach back to the
 	// database's creation must carry one before any DML logs: a fresh
 	// log over files with xids (an older build wrote them without a
-	// log, or the log was removed), or one whose checkpoint an older
-	// build wrote without state. Every xid on disk is resolved by now.
-	if olderCheckpoint || freshLog && db.tm.nextXid > 1 {
+	// log, or the log was removed) or numbered past its files' pages,
+	// or one whose checkpoint an older build wrote without state. Every
+	// xid on disk is resolved by now.
+	if olderCheckpoint || freshLog && (db.tm.nextXid > 1 || pastPages) {
 		if err := db.checkpointLocked(); err != nil {
 			db.discardAll()
 			return nil, err
 		}
 	}
 	return db, nil
+}
+
+// maxPageLSN returns the highest LSN on the pages of the relation files
+// and the catalog in dir: what a fresh log over them must number past.
+// A page that fails its checksum was torn, its header unreliable, and is
+// passed over.
+func maxPageLSN(dir string, pageSize int) (uint64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	var top uint64
+	buf := make([]byte, 64*pageSize)
+	for _, e := range entries {
+		name := e.Name()
+		if !e.Type().IsRegular() || name != catalogFile && !strings.HasSuffix(name, ".tbl") && !strings.HasSuffix(name, ".idx") {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			return 0, err
+		}
+		for off := int64(0); ; off += int64(len(buf)) {
+			n, err := f.ReadAt(buf, off)
+			for p := 0; p+pageSize <= n; p += pageSize {
+				page := buf[p : p+pageSize]
+				if _, _, ok := storage.VerifyPageChecksum(page); ok {
+					top = max(top, storage.PageLSN(page))
+				}
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				f.Close()
+				return 0, err
+			}
+		}
+		f.Close()
+	}
+	return top, nil
 }
 
 // discardAll tears the database down without flushing anything: the log

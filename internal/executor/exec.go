@@ -109,10 +109,13 @@ func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, e
 	r := rowScans.Get().(*rowScan)
 	r.t, r.snap, r.plan, r.emit = t, snap, plan, emit
 	if plan.Pred != nil {
-		op, ok := catalog.LookupOperator(plan.Pred.Op, t.Columns[plan.Pred.Column].Type)
-		if !ok {
-			r.release()
-			return 0, 0, fmt.Errorf("executor: no operator %q", plan.Pred.Op)
+		op := plan.op
+		if op == nil {
+			var ok bool
+			if op, ok = catalog.LookupOperator(plan.Pred.Op, t.Columns[plan.Pred.Column].Type); !ok {
+				r.release()
+				return 0, 0, fmt.Errorf("executor: no operator %q", plan.Pred.Op)
+			}
 		}
 		r.opProc = op.Proc
 	}

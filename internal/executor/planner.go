@@ -67,6 +67,9 @@ type Plan struct {
 	// pred is the plan's own copy of the predicate Pred points to, so
 	// the caller's need not outlive the call that planned it.
 	pred Pred
+	// op is Pred's operator, looked up once by planSelect; run looks
+	// it up itself for a plan built elsewhere.
+	op *catalog.Operator
 }
 
 // String renders the plan line every SELECT response carries, so it is
@@ -151,11 +154,18 @@ func (t *Table) staleRowsLocked(versions int64) int64 {
 	return eff
 }
 
+// noColumnStats is the statistics of a column that has none.
+var noColumnStats catalog.ColumnStats
+
+// stats returns what a restrict procedure consults for column. Its
+// column statistics point into t.colStats, which ANALYZE and a lazy
+// sample replace whole and never change in place, so they are read
+// after the lock is dropped without being copied under it.
 func (t *Table) stats(column int) catalog.TableStats {
-	st := catalog.TableStats{Rows: t.Heap.Count()}
+	st := catalog.TableStats{Rows: t.Heap.Count(), ColumnStats: &noColumnStats}
 	t.statsMu.Lock()
 	if t.statsSource != StatsNone && column < len(t.colStats) {
-		st.ColumnStats = t.colStats[column]
+		st.ColumnStats = &t.colStats[column]
 		st.StaleFrac = t.staleFracLocked(st.Rows)
 	}
 	t.statsMu.Unlock()
@@ -274,6 +284,7 @@ func (t *Table) planSelect(pred *Pred) (*Plan, error) {
 		Rows:        clampRows(sel * float64(rows)),
 		Recheck:     true,
 		pred:        *pred,
+		op:          op,
 	}
 	best.Pred = &best.pred
 	heapPages := float64(t.Heap.NumPages())

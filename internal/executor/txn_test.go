@@ -510,13 +510,20 @@ func olderCheckpointLog(t *testing.T, dir string) {
 	}
 }
 
-// preLogDir turns dir, a database a clean Close left, into one an older
-// build wrote without a log: no log, and pages that carry no LSN.
-func preLogDir(t *testing.T, dir string) {
+// removeLog removes the log of dir, a database a clean Close left; its
+// pages keep the LSNs the log gave them.
+func removeLog(t *testing.T, dir string) {
 	t.Helper()
 	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// preLogDir turns dir, a database a clean Close left, into one an older
+// build wrote without a log: no log, and pages that carry no LSN.
+func preLogDir(t *testing.T, dir string) {
+	t.Helper()
+	removeLog(t, dir)
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -541,18 +548,22 @@ func preLogDir(t *testing.T, dir string) {
 
 // TestTxnCrashOverLogWithoutState: a log that does not reach back to the
 // database's creation — none at all, as over files an older build wrote
-// without one, or one whose checkpoint an older build wrote without
-// transaction state — says nothing of the xids already on disk, so Open
-// checkpoints their state before any DML. A crash after DML then keeps
-// every row committed before the open and every delete, and hides only
-// the open transaction's insert and delete. A log holding records behind
-// an older build's checkpoint is refused: they cannot be judged.
+// without one or over files whose log was removed, or one whose
+// checkpoint an older build wrote without transaction state — says
+// nothing of the xids already on disk, so Open checkpoints their state
+// before any DML. A fresh log over pages that carry an earlier log's LSNs
+// numbers its records past them, or redo would pass them as already
+// applied. A crash after DML then keeps every row committed before the
+// open, the one committed after it and every delete, and hides only the
+// open transaction's insert and delete. A log holding records behind an
+// older build's checkpoint is refused: they cannot be judged.
 func TestTxnCrashOverLogWithoutState(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		strip func(t *testing.T, dir string)
 	}{
 		{"no log", preLogDir},
+		{"log removed", removeLog},
 		{"older checkpoint", olderCheckpointLog},
 	} {
 		t.Run(c.name, func(t *testing.T) {

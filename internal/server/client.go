@@ -17,9 +17,15 @@ type Client struct {
 	in      *bufio.Scanner
 	out     *bufio.Writer
 	timeout time.Duration
+	// resp gathers the payloads of a response's lines until its OK line,
+	// each behind a kind byte and ended by '\n' (see read); it is reused
+	// from statement to statement.
+	resp []byte
 }
 
-// Response is one statement's parsed reply.
+// Response is one statement's parsed reply. Its strings share one
+// backing string per response, and its rows one value slice, each row
+// capacity-limited so that appending to one never overwrites the next.
 type Response struct {
 	Columns []string
 	Rows    [][]string
@@ -63,37 +69,97 @@ func (c *Client) Exec(stmt string) (*Response, error) {
 	if err := c.out.Flush(); err != nil {
 		return nil, err
 	}
-	res := &Response{}
+	return c.read()
+}
+
+// read reads one response. The lines' payloads are gathered, behind a
+// kind byte, into c.resp, whose one string at the OK line holds every
+// string of the response: the values of the #cols and row lines split
+// into one slice, the plan and the OK payload. Only a value with an
+// escape gets a string of its own.
+func (c *Client) read() (*Response, error) {
+	buf := c.resp[:0]
+	if cap(buf) > 1<<20 {
+		buf = nil // one huge response must not stay pinned for every later one
+	}
+	nvals, nrows := 0, 0
 	for c.in.Scan() {
-		// The scanner's buffer is reused: only what the response keeps
-		// is copied out of it, once per line.
+		// The scanner's buffer is reused: what the response keeps is
+		// copied out of it into buf.
 		line := c.in.Bytes()
 		switch {
 		case bytes.HasPrefix(line, []byte("#cols ")):
-			res.Columns = strings.Split(string(line[len("#cols "):]), "\t")
+			line = line[len("#cols "):]
+			nvals += 1 + bytes.Count(line, []byte{'\t'})
+			buf = append(append(append(buf, 'c'), line...), '\n')
 		case bytes.HasPrefix(line, []byte("row ")):
-			vals := strings.Split(string(line[len("row "):]), "\t")
-			if bytes.IndexByte(line, '\\') >= 0 {
-				for i, v := range vals {
-					vals[i] = unescapeValue(v)
-				}
-			}
-			res.Rows = append(res.Rows, vals)
+			line = line[len("row "):]
+			nvals += 1 + bytes.Count(line, []byte{'\t'})
+			nrows++
+			buf = append(append(append(buf, 'r'), line...), '\n')
 		case bytes.HasPrefix(line, []byte("plan ")):
-			res.Plan = string(line[len("plan "):])
+			buf = append(append(append(buf, 'p'), line[len("plan "):]...), '\n')
 		case bytes.HasPrefix(line, []byte("OK")):
-			res.OK = string(bytes.TrimSpace(line[len("OK"):]))
-			return res, nil
+			buf = append(buf, bytes.TrimSpace(line[len("OK"):])...)
+			c.resp = buf
+			return decodeResponse(string(buf), nvals, nrows), nil
 		case bytes.HasPrefix(line, []byte("ERR ")):
+			c.resp = buf
 			return nil, fmt.Errorf("server: %s", line[len("ERR "):])
 		default:
+			c.resp = buf
 			return nil, fmt.Errorf("server: malformed response line %q", line)
 		}
 	}
+	c.resp = buf
 	if err := c.in.Err(); err != nil {
 		return nil, err
 	}
 	return nil, fmt.Errorf("server: connection closed mid-response")
+}
+
+// decodeResponse builds a Response out of what read gathered: lines of a
+// kind byte, a payload and '\n', then the OK payload. nvals and nrows
+// count the values and rows the lines hold.
+func decodeResponse(s string, nvals, nrows int) *Response {
+	res := &Response{}
+	var vals []string
+	if nvals > 0 {
+		vals = make([]string, 0, nvals)
+	}
+	if nrows > 0 {
+		res.Rows = make([][]string, 0, nrows)
+	}
+	for {
+		end := strings.IndexByte(s, '\n')
+		if end < 0 {
+			res.OK = s
+			return res
+		}
+		kind, line := s[0], s[1:end]
+		s = s[end+1:]
+		if kind == 'p' {
+			res.Plan = line
+			continue
+		}
+		first := len(vals)
+		for {
+			v, rest, more := strings.Cut(line, "\t")
+			if kind == 'r' && strings.IndexByte(v, '\\') >= 0 {
+				v = unescapeValue(v)
+			}
+			vals = append(vals, v)
+			if !more {
+				break
+			}
+			line = rest
+		}
+		if kind == 'c' {
+			res.Columns = vals[first:len(vals):len(vals)]
+		} else {
+			res.Rows = append(res.Rows, vals[first:len(vals):len(vals)])
+		}
+	}
 }
 
 // Stats runs the STATS protocol verb and returns the server's metrics

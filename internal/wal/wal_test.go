@@ -511,3 +511,46 @@ func TestHeapBatchRecordRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestStartAfter: a log that holds no record starts its numbering past
+// the given LSN, in one segment named for it that replays and reopens
+// like any other; a lower LSN changes nothing, and a log that holds a
+// record refuses.
+func TestStartAfter(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWriter(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StartAfter(41); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.StartAfter(7); err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := appendHeapInsert(w, "t.tbl", 1, 0, []byte("row"))
+	if err != nil || lsn != 42 {
+		t.Fatalf("first record at LSN %d (%v), want 42", lsn, err)
+	}
+	if err := w.StartAfter(100); err == nil {
+		t.Fatal("StartAfter on a log that holds a record succeeded")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := filepath.Glob(filepath.Join(dir, "*.seg")); err != nil || len(segs) != 1 || filepath.Base(segs[0]) != segmentName(42) {
+		t.Fatalf("segments %v (%v), want %s alone", segs, err, segmentName(42))
+	}
+	recs, st := replayAll(t, dir)
+	if len(recs) != 1 || st.FirstLSN != 42 || recs[0].LSN != 42 {
+		t.Fatalf("replayed %d records from LSN %d, want one at 42", len(recs), st.FirstLSN)
+	}
+	w, err = OpenWriter(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if lsn, err := appendHeapInsert(w, "t.tbl", 1, 1, []byte("row")); err != nil || lsn != 43 {
+		t.Fatalf("record after reopen at LSN %d (%v), want 43", lsn, err)
+	}
+}

@@ -177,6 +177,39 @@ func OpenWriter(dir string, opts Options) (*Writer, error) {
 	return w, nil
 }
 
+// StartAfter makes the first record of a log that holds none take LSN
+// lsn+1, when that is past its next LSN: the empty segment is replaced by
+// one named for lsn+1. A log begun afresh over data files whose pages
+// carry the LSNs of an earlier log must number its records above them,
+// since redo passes a record no newer than its page.
+func (w *Writer) StartAfter(lsn LSN) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.appended != 0 || len(w.buf) != 0 || w.segWritten != 0 {
+		return fmt.Errorf("wal: StartAfter on a log that holds records")
+	}
+	if lsn < w.nextLSN {
+		return nil
+	}
+	// The empty segment goes first: a crash between the two steps leaves
+	// no segment, a fresh log, rather than two that do not join.
+	path := w.f.Name()
+	if err := w.f.Close(); err != nil {
+		w.err = fmt.Errorf("wal: close %s: %w", path, err)
+		return w.err
+	}
+	if err := os.Remove(path); err != nil {
+		w.err = fmt.Errorf("wal: remove %s: %w", path, err)
+		return w.err
+	}
+	if err := w.openSegment(lsn + 1); err != nil {
+		w.err = err
+		return err
+	}
+	w.nextLSN = lsn + 1
+	return nil
+}
+
 // openSegment creates (or reopens) the segment whose first record is lsn
 // and makes it current. Caller holds w.mu (or is in OpenWriter).
 func (w *Writer) openSegment(lsn LSN) error {
