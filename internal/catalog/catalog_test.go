@@ -137,11 +137,11 @@ func TestOperatorLookupAndProcs(t *testing.T) {
 }
 
 func TestSelectivityProcs(t *testing.T) {
-	st := TableStats{Rows: 10000, ColumnStats: &ColumnStats{NDistinct: 500}}
+	st := TableStats{Rows: 10000, Column: &ColumnStats{NDistinct: 500}}
 	if got := EqSel(st, NewText("x")); got != 1.0/500 {
 		t.Errorf("EqSel with stats = %g", got)
 	}
-	if got := EqSel(TableStats{ColumnStats: &ColumnStats{}}, NewText("x")); got != DefaultEqSel {
+	if got := EqSel(TableStats{}, NewText("x")); got != DefaultEqSel {
 		t.Errorf("EqSel default = %g", got)
 	}
 	// More literal characters in a pattern select fewer rows.

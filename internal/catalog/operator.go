@@ -25,18 +25,19 @@ type RestrictProc func(st TableStats, arg Datum) float64
 // spreads the remaining mass over the remaining distinct values; without
 // statistics it falls back to the default.
 func EqSel(st TableStats, arg Datum) float64 {
-	if st.NDistinct <= 0 {
+	cs := st.column()
+	if cs.NDistinct <= 0 {
 		return DefaultEqSel
 	}
-	mcvTot := st.mcvTotal()
-	for i, v := range st.MCVals {
+	mcvTot := cs.mcvTotal()
+	for i, v := range cs.MCVals {
 		if v.Equal(arg) {
-			return clampSel(blend(st.MCFreqs[i], DefaultEqSel, st.StaleFrac))
+			return clampSel(blend(cs.MCFreqs[i], DefaultEqSel, st.StaleFrac))
 		}
 	}
 	est := 0.0
-	if rest := st.NDistinct - int64(len(st.MCVals)); rest > 0 {
-		est = (1 - st.NullFrac - mcvTot) / float64(rest)
+	if rest := cs.NDistinct - int64(len(cs.MCVals)); rest > 0 {
+		est = (1 - cs.NullFrac - mcvTot) / float64(rest)
 	}
 	return clampSel(blend(est, DefaultEqSel, st.StaleFrac))
 }
@@ -47,27 +48,28 @@ func EqSel(st TableStats, arg Datum) float64 {
 // the non-MCV mass. Without statistics longer literal prefixes select
 // fewer rows, as before.
 func LikeSel(st TableStats, arg Datum) float64 {
+	cs := st.column()
 	if arg.Typ != Text {
 		return DefaultMatchSel
 	}
 	def := prefixDefaultSel(arg.S)
-	if st.NDistinct <= 0 {
+	if cs.NDistinct <= 0 {
 		return def
 	}
 	est := 0.0
-	for i, v := range st.MCVals {
+	for i, v := range cs.MCVals {
 		if strings.HasPrefix(v.S, arg.S) {
-			est += st.MCFreqs[i]
+			est += cs.MCFreqs[i]
 		}
 	}
 	rangeOK := false
 	if upper, ok := successor(arg.S); ok {
-		loFrac, okLo := histogramFraction(st.Histogram, NewText(arg.S), false)
-		hiFrac, okHi := histogramFraction(st.Histogram, NewText(upper), false)
+		loFrac, okLo := histogramFraction(cs.Histogram, NewText(arg.S), false)
+		hiFrac, okHi := histogramFraction(cs.Histogram, NewText(upper), false)
 		if okLo && okHi {
 			rangeOK = true
 			if hiFrac > loFrac {
-				est += (hiFrac - loFrac) * (1 - st.NullFrac - st.mcvTotal())
+				est += (hiFrac - loFrac) * (1 - cs.NullFrac - cs.mcvTotal())
 			}
 		}
 	}
@@ -75,10 +77,10 @@ func LikeSel(st TableStats, arg Datum) float64 {
 		// No histogram covers the non-MCV mass; without MCVs either the
 		// statistics say nothing about this prefix — use the heuristic —
 		// and with them, price the remaining mass heuristically.
-		if len(st.MCVals) == 0 {
+		if len(cs.MCVals) == 0 {
 			return def
 		}
-		est += def * (1 - st.NullFrac - st.mcvTotal())
+		est += def * (1 - cs.NullFrac - cs.mcvTotal())
 	}
 	return clampSel(blend(est, def, st.StaleFrac))
 }
@@ -101,20 +103,21 @@ func prefixDefaultSel(pattern string) float64 {
 // have no range form, so only the MCV list is consulted; the remaining
 // mass uses the pattern-length heuristic.
 func ContainsSel(st TableStats, arg Datum) float64 {
+	cs := st.column()
 	if arg.Typ != Text {
 		return DefaultMatchSel
 	}
 	def := prefixDefaultSel(arg.S)
-	if st.NDistinct <= 0 || len(st.MCVals) == 0 {
+	if cs.NDistinct <= 0 || len(cs.MCVals) == 0 {
 		return def
 	}
 	est := 0.0
-	for i, v := range st.MCVals {
+	for i, v := range cs.MCVals {
 		if strings.Contains(v.S, arg.S) {
-			est += st.MCFreqs[i]
+			est += cs.MCFreqs[i]
 		}
 	}
-	est += def * (1 - st.NullFrac - st.mcvTotal())
+	est += def * (1 - cs.NullFrac - cs.mcvTotal())
 	return clampSel(blend(est, def, st.StaleFrac))
 }
 
@@ -122,6 +125,7 @@ func ContainsSel(st TableStats, arg Datum) float64 {
 // full key length, so every literal character prunes the candidates. With
 // statistics, MCVs matching the pattern contribute exact frequencies.
 func MatchSel(st TableStats, arg Datum) float64 {
+	cs := st.column()
 	def := 1.0
 	for i := 0; i < len(arg.S); i++ {
 		if arg.S[i] != '?' {
@@ -132,16 +136,16 @@ func MatchSel(st TableStats, arg Datum) float64 {
 		def = DefaultMatchSel
 	}
 	def = clampSel(def)
-	if st.NDistinct <= 0 || len(st.MCVals) == 0 {
+	if cs.NDistinct <= 0 || len(cs.MCVals) == 0 {
 		return def
 	}
 	est := 0.0
-	for i, v := range st.MCVals {
+	for i, v := range cs.MCVals {
 		if trie.MatchPattern(v.S, arg.S) {
-			est += st.MCFreqs[i]
+			est += cs.MCFreqs[i]
 		}
 	}
-	est += def * (1 - st.NullFrac - st.mcvTotal())
+	est += def * (1 - cs.NullFrac - cs.mcvTotal())
 	return clampSel(blend(est, def, st.StaleFrac))
 }
 
@@ -153,12 +157,13 @@ func ContSel(_ TableStats, _ Datum) float64 { return DefaultContSel }
 // histogram interpolation, with a min/max linear fallback for numeric
 // columns without a histogram.
 func ScalarIneqSel(st TableStats, arg Datum, wantLt, orEq bool) float64 {
-	if st.NDistinct <= 0 {
+	cs := st.column()
+	if cs.NDistinct <= 0 {
 		return DefaultIneqSel
 	}
-	mcvTot := st.mcvTotal()
+	mcvTot := cs.mcvTotal()
 	mcvBelow := 0.0
-	for i, v := range st.MCVals {
+	for i, v := range cs.MCVals {
 		c, ok := Compare(v, arg)
 		if !ok {
 			return DefaultIneqSel
@@ -166,15 +171,15 @@ func ScalarIneqSel(st TableStats, arg Datum, wantLt, orEq bool) float64 {
 		if c < 0 || (c == 0 && orEq == wantLt) {
 			// For <= count equality below; for > the complement (1-selLE)
 			// must exclude equality, handled by flipping orEq here.
-			mcvBelow += st.MCFreqs[i]
+			mcvBelow += cs.MCFreqs[i]
 		}
 	}
-	frac, ok := histogramFraction(st.Histogram, arg, orEq == wantLt)
+	frac, ok := histogramFraction(cs.Histogram, arg, orEq == wantLt)
 	if !ok {
-		frac, ok = rangeFraction(st, arg)
+		frac, ok = rangeFraction(cs, arg)
 	}
 	if !ok {
-		if len(st.MCVals) == 0 {
+		if len(cs.MCVals) == 0 {
 			return DefaultIneqSel
 		}
 		// Neither histogram nor min/max covers the non-MCV mass (e.g.
@@ -183,10 +188,10 @@ func ScalarIneqSel(st TableStats, arg Datum, wantLt, orEq bool) float64 {
 		// refines the remainder, it must not erase it.
 		frac = DefaultIneqSel
 	}
-	selBelow := mcvBelow + frac*(1-st.NullFrac-mcvTot)
+	selBelow := mcvBelow + frac*(1-cs.NullFrac-mcvTot)
 	est := selBelow
 	if !wantLt {
-		est = 1 - st.NullFrac - selBelow
+		est = 1 - cs.NullFrac - selBelow
 	}
 	return clampSel(blend(est, DefaultIneqSel, st.StaleFrac))
 }

@@ -45,10 +45,7 @@ type ColumnStats struct {
 }
 
 // TableStats is what a restrict procedure may consult: the live row
-// count, the queried column's statistics, and how stale they are. The
-// column's statistics are shared, not copied — the planner points at the
-// ones it published, which nobody changes — so a TableStats is three
-// words and goes by value.
+// count, the queried column's statistics, and how stale they are.
 type TableStats struct {
 	Rows int64
 	// StaleFrac is the fraction of the table churned (inserted +
@@ -57,16 +54,29 @@ type TableStats struct {
 	// by this weight, discounting stale statistics gracefully; at 1 the
 	// executor's planner re-samples the table rather than plan from it.
 	StaleFrac float64
-	// ColumnStats is never nil: a column without statistics has
-	// &ColumnStats{}, whose zero NDistinct sends every restrict
-	// procedure to its default.
-	*ColumnStats
+	// Column is the queried column's statistics, shared, not copied:
+	// the planner points at the ones it published, which nobody changes.
+	// nil means the column has none.
+	Column *ColumnStats
+}
+
+// noColumnStats is the statistics of a column that has none: its zero
+// NDistinct sends every restrict procedure to its default.
+var noColumnStats ColumnStats
+
+// column returns the statistics the restrict procedures read: st.Column,
+// or noColumnStats when it is nil.
+func (st TableStats) column() *ColumnStats {
+	if st.Column == nil {
+		return &noColumnStats
+	}
+	return st.Column
 }
 
 // mcvTotal sums the stored MCV frequencies.
-func (st TableStats) mcvTotal() float64 {
+func (cs *ColumnStats) mcvTotal() float64 {
 	tot := 0.0
-	for _, f := range st.MCFreqs {
+	for _, f := range cs.MCFreqs {
 		tot += f
 	}
 	return tot
@@ -239,22 +249,22 @@ func stringScalar(s string, rlo, rhi int) float64 {
 
 // rangeFraction is the min/max-only fallback of histogramFraction for
 // numeric columns whose statistics carry no histogram.
-func rangeFraction(st TableStats, arg Datum) (float64, bool) {
-	if !st.HasRange {
+func rangeFraction(cs *ColumnStats, arg Datum) (float64, bool) {
+	if !cs.HasRange {
 		return 0, false
 	}
 	var pos, span float64
 	switch arg.Typ {
 	case Int:
-		if arg.Typ != st.Min.Typ {
+		if arg.Typ != cs.Min.Typ {
 			return 0, false
 		}
-		pos, span = float64(arg.I-st.Min.I), float64(st.Max.I-st.Min.I)
+		pos, span = float64(arg.I-cs.Min.I), float64(cs.Max.I-cs.Min.I)
 	case Float:
-		if arg.Typ != st.Min.Typ {
+		if arg.Typ != cs.Min.Typ {
 			return 0, false
 		}
-		pos, span = arg.F-st.Min.F, st.Max.F-st.Min.F
+		pos, span = arg.F-cs.Min.F, cs.Max.F-cs.Min.F
 	default:
 		return 0, false
 	}

@@ -48,7 +48,7 @@ func TestHistogramFraction(t *testing.T) {
 func TestScalarIneqSelDirections(t *testing.T) {
 	st := TableStats{
 		Rows: 1000,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 1000,
 			Histogram: intHistogram(0, 250, 500, 750, 1000),
 			HasRange:  true,
@@ -75,7 +75,7 @@ func TestScalarIneqSelDirections(t *testing.T) {
 		t.Errorf("P(col < huge) = %g, want ≈1", s)
 	}
 	// Without statistics: the PostgreSQL default.
-	if s := ScalarIneqSel(TableStats{ColumnStats: &ColumnStats{}}, NewInt(1), true, false); s != DefaultIneqSel {
+	if s := ScalarIneqSel(TableStats{}, NewInt(1), true, false); s != DefaultIneqSel {
 		t.Errorf("default = %g", s)
 	}
 }
@@ -84,7 +84,7 @@ func TestScalarIneqSelMCVAndRangeFallback(t *testing.T) {
 	// MCVs only (no histogram): masses below the constant count.
 	st := TableStats{
 		Rows: 100,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 3,
 			MCVals:    []Datum{NewInt(1), NewInt(2), NewInt(3)},
 			MCFreqs:   []float64{0.5, 0.3, 0.2},
@@ -99,7 +99,7 @@ func TestScalarIneqSelMCVAndRangeFallback(t *testing.T) {
 	// Numeric min/max without a histogram interpolates linearly.
 	rg := TableStats{
 		Rows: 100,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 100,
 			HasRange:  true,
 			Min:       NewInt(0),
@@ -114,7 +114,7 @@ func TestScalarIneqSelMCVAndRangeFallback(t *testing.T) {
 func TestEqSelConsultsMCVs(t *testing.T) {
 	st := TableStats{
 		Rows: 1000,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 101,
 			MCVals:    []Datum{NewText("common")},
 			MCFreqs:   []float64{0.7},
@@ -132,7 +132,7 @@ func TestEqSelConsultsMCVs(t *testing.T) {
 func TestLikeSelPrefixUsesStats(t *testing.T) {
 	st := TableStats{
 		Rows: 1000,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 500,
 			MCVals:    []Datum{NewText("walnut")},
 			MCFreqs:   []float64{0.4},
@@ -152,7 +152,7 @@ func TestLikeSelPrefixUsesStats(t *testing.T) {
 func TestStaleFracBlendsTowardDefault(t *testing.T) {
 	st := TableStats{
 		Rows: 1000,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 11,
 			MCVals:    []Datum{NewText("common")},
 			MCFreqs:   []float64{0.9},
@@ -195,7 +195,7 @@ func TestSuccessor(t *testing.T) {
 func TestScalarIneqSelShrunkStatsKeepRemainderMass(t *testing.T) {
 	st := TableStats{
 		Rows: 1000,
-		ColumnStats: &ColumnStats{
+		Column: &ColumnStats{
 			NDistinct: 100,
 			MCVals:    []Datum{NewText("mmm")},
 			MCFreqs:   []float64{0.1},

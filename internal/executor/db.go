@@ -477,7 +477,7 @@ func Open(opts Options) (*DB, error) {
 	db.met.reg.Sample(db.sampleStorage)
 	db.waits.Register(db.met.reg)
 	db.met.reg.OnReset(db.resetStorageStats)
-	var freshLog, pastPages, olderCheckpoint bool
+	var needCheckpoint bool
 	if opts.Dir != "" {
 		walDir := filepath.Join(opts.Dir, "wal")
 		// Redo pass: bring the data files up to the end of the log left
@@ -493,7 +493,7 @@ func Open(opts Options) (*DB, error) {
 		// An older build's checkpoint carries no transaction state, so
 		// the records behind it cannot be judged: the committed
 		// transactions before it would read as unresolved.
-		olderCheckpoint = st.Checkpoints > 0 && st.LastCheckpoint.NextXid == 0
+		olderCheckpoint := st.Checkpoints > 0 && st.LastCheckpoint.NextXid == 0
 		if olderCheckpoint && redone {
 			return nil, fmt.Errorf("executor: the log of %s holds records behind a checkpoint an older build wrote without transaction state; recover and close the database with that build first", opts.Dir)
 		}
@@ -506,14 +506,16 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.wal = w
 		w.AttachObs(db.waits)
-		if freshLog = w.CommittedLSN() == 0; freshLog {
-			// A fresh log over files an earlier log wrote (its directory
-			// was removed) numbers its records past their pages' LSNs:
-			// redo passes a record no newer than its page.
-			top, err := maxPageLSN(opts.Dir, opts.PageSize)
-			if err == nil && top > 0 {
-				pastPages = true
-				err = w.StartAfter(wal.LSN(top))
+		if w.CommittedLSN() == 0 {
+			// A fresh log over existing files (its directory was removed,
+			// or an older build wrote them without one) numbers its
+			// records past their pages' LSNs, since redo passes a record
+			// no newer than its page, and past LSN 1 in any case: a log
+			// that does not start at 1 says, from then on, that it does
+			// not reach back to the database's creation.
+			top, found, err := maxPageLSN(opts.Dir, opts.PageSize)
+			if err == nil && found {
+				err = w.StartAfter(wal.LSN(max(top, 1)))
 			}
 			if err != nil {
 				db.discardAll()
@@ -531,6 +533,13 @@ func Open(opts Options) (*DB, error) {
 				return nil, err
 			}
 		}
+		// A crash judges the xids the log has no commit record for by
+		// its last checkpoint's state, so a log that does not reach back
+		// to the database's creation must carry one with state before
+		// any DML logs. Judged from the log itself, not from whether this
+		// Open began it: an earlier Open that failed or crashed after
+		// beginning it left it without one.
+		needCheckpoint = olderCheckpoint || st.Checkpoints == 0 && w.CheckpointLSN() > 0
 		db.pool.AttachWAL(w)
 	}
 	if err := db.bootstrapCatalog(); err != nil {
@@ -551,14 +560,8 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	// A crash judges the xids the log has no commit record for by its
-	// last checkpoint's state, so a log that does not reach back to the
-	// database's creation must carry one before any DML logs: a fresh
-	// log over files with xids (an older build wrote them without a
-	// log, or the log was removed) or numbered past its files' pages,
-	// or one whose checkpoint an older build wrote without state. Every
-	// xid on disk is resolved by now.
-	if olderCheckpoint || freshLog && (db.tm.nextXid > 1 || pastPages) {
+	// Every xid on disk is resolved by now.
+	if needCheckpoint {
 		if err := db.checkpointLocked(); err != nil {
 			db.discardAll()
 			return nil, err
@@ -568,15 +571,14 @@ func Open(opts Options) (*DB, error) {
 }
 
 // maxPageLSN returns the highest LSN on the pages of the relation files
-// and the catalog in dir: what a fresh log over them must number past.
-// A page that fails its checksum was torn, its header unreliable, and is
-// passed over.
-func maxPageLSN(dir string, pageSize int) (uint64, error) {
+// and the catalog in dir — what a fresh log over them must number past —
+// and whether it found any page. A page that fails its checksum was torn,
+// its header unreliable, and is passed over.
+func maxPageLSN(dir string, pageSize int) (top uint64, found bool, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	var top uint64
 	buf := make([]byte, 64*pageSize)
 	for _, e := range entries {
 		name := e.Name()
@@ -585,14 +587,14 @@ func maxPageLSN(dir string, pageSize int) (uint64, error) {
 		}
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
-			return 0, err
+			return 0, false, err
 		}
 		for off := int64(0); ; off += int64(len(buf)) {
 			n, err := f.ReadAt(buf, off)
 			for p := 0; p+pageSize <= n; p += pageSize {
 				page := buf[p : p+pageSize]
 				if _, _, ok := storage.VerifyPageChecksum(page); ok {
-					top = max(top, storage.PageLSN(page))
+					top, found = max(top, storage.PageLSN(page)), true
 				}
 			}
 			if err == io.EOF {
@@ -600,12 +602,12 @@ func maxPageLSN(dir string, pageSize int) (uint64, error) {
 			}
 			if err != nil {
 				f.Close()
-				return 0, err
+				return 0, false, err
 			}
 		}
 		f.Close()
 	}
-	return top, nil
+	return top, found, nil
 }
 
 // discardAll tears the database down without flushing anything: the log

@@ -84,13 +84,17 @@ func (t *Table) SelectIndexed(ix *IndexInfo, pred *Pred, emit func(Row) bool) er
 	if !ix.OpClass.SupportsOp(pred.Op) {
 		return fmt.Errorf("executor: operator class %s does not support %q", ix.OpClass.Name, pred.Op)
 	}
+	op, ok := catalog.LookupOperator(pred.Op, t.Columns[pred.Column].Type)
+	if !ok {
+		return fmt.Errorf("executor: no operator %q for type %v", pred.Op, t.Columns[pred.Column].Type)
+	}
 	snap, err := t.beginRead(nil)
 	if err != nil {
 		return err
 	}
 	defer t.endRead(snap)
 	t.db.met.stmtSelect.Inc()
-	_, _, err = t.run(snap, &Plan{Kind: IndexScan, Table: t, Index: ix, Pred: pred, Recheck: true}, emit)
+	_, _, err = t.run(snap, &Plan{Kind: IndexScan, Table: t, Index: ix, Pred: pred, Recheck: true, op: op}, emit)
 	return err
 }
 
@@ -109,15 +113,7 @@ func (t *Table) run(snap *Snapshot, plan *Plan, emit func(Row) bool) (scanned, e
 	r := rowScans.Get().(*rowScan)
 	r.t, r.snap, r.plan, r.emit = t, snap, plan, emit
 	if plan.Pred != nil {
-		op := plan.op
-		if op == nil {
-			var ok bool
-			if op, ok = catalog.LookupOperator(plan.Pred.Op, t.Columns[plan.Pred.Column].Type); !ok {
-				r.release()
-				return 0, 0, fmt.Errorf("executor: no operator %q", plan.Pred.Op)
-			}
-		}
-		r.opProc = op.Proc
+		r.opProc = plan.op.Proc
 	}
 	if tr := obs.Current(); tr != nil {
 		sp := tr.StartSpan("execute "+plan.Kind.String(), "exec")

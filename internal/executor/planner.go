@@ -67,8 +67,8 @@ type Plan struct {
 	// pred is the plan's own copy of the predicate Pred points to, so
 	// the caller's need not outlive the call that planned it.
 	pred Pred
-	// op is Pred's operator, looked up once by planSelect; run looks
-	// it up itself for a plan built elsewhere.
+	// op is Pred's operator, looked up once by whoever built the plan
+	// (planSelect, SelectIndexed); set whenever Pred is.
 	op *catalog.Operator
 }
 
@@ -154,18 +154,15 @@ func (t *Table) staleRowsLocked(versions int64) int64 {
 	return eff
 }
 
-// noColumnStats is the statistics of a column that has none.
-var noColumnStats catalog.ColumnStats
-
 // stats returns what a restrict procedure consults for column. Its
 // column statistics point into t.colStats, which ANALYZE and a lazy
 // sample replace whole and never change in place, so they are read
 // after the lock is dropped without being copied under it.
 func (t *Table) stats(column int) catalog.TableStats {
-	st := catalog.TableStats{Rows: t.Heap.Count(), ColumnStats: &noColumnStats}
+	st := catalog.TableStats{Rows: t.Heap.Count()}
 	t.statsMu.Lock()
 	if t.statsSource != StatsNone && column < len(t.colStats) {
-		st.ColumnStats = &t.colStats[column]
+		st.Column = &t.colStats[column]
 		st.StaleFrac = t.staleFracLocked(st.Rows)
 	}
 	t.statsMu.Unlock()

@@ -546,6 +546,29 @@ func preLogDir(t *testing.T, dir string) {
 	}
 }
 
+// failingOpen returns strip followed by an Open of dir that fails after
+// the log is begun: the table's file is hidden from it, so the catalog
+// names a file that is missing. The log keeps what that Open appended.
+func failingOpen(strip func(t *testing.T, dir string)) func(t *testing.T, dir string) {
+	return func(t *testing.T, dir string) {
+		t.Helper()
+		strip(t, dir)
+		files, err := filepath.Glob(filepath.Join(dir, "*.tbl"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("table files %v (%v), want one", files, err)
+		}
+		if err := os.Rename(files[0], files[0]+".hidden"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16}); err == nil || !strings.Contains(err.Error(), "is missing") {
+			t.Fatalf("Open without the table's file: %v, want it refused", err)
+		}
+		if err := os.Rename(files[0]+".hidden", files[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTxnCrashOverLogWithoutState: a log that does not reach back to the
 // database's creation — none at all, as over files an older build wrote
 // without one or over files whose log was removed, or one whose
@@ -556,7 +579,9 @@ func preLogDir(t *testing.T, dir string) {
 // applied. A crash after DML then keeps every row committed before the
 // open, the one committed after it and every delete, and hides only the
 // open transaction's insert and delete. A log holding records behind an
-// older build's checkpoint is refused: they cannot be judged.
+// older build's checkpoint is refused: they cannot be judged. An Open that
+// fails after beginning such a log leaves it without a checkpoint; the
+// next Open checkpoints just the same.
 func TestTxnCrashOverLogWithoutState(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -565,6 +590,8 @@ func TestTxnCrashOverLogWithoutState(t *testing.T) {
 		{"no log", preLogDir},
 		{"log removed", removeLog},
 		{"older checkpoint", olderCheckpointLog},
+		{"no log, failed open", failingOpen(preLogDir)},
+		{"log removed, failed open", failingOpen(removeLog)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

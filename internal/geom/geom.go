@@ -28,45 +28,8 @@ func (p Point) Append(b []byte) []byte {
 }
 
 // appendG appends f as fmt's %g prints a float64: the shortest form that
-// reads back exactly, byte for byte strconv.AppendFloat(b, f, 'g', -1, 64).
-//
-// Coordinates are mostly short decimals, so those take a fast path: a
-// nonzero f below 1e6 in magnitude that is the double nearest some m/1000
-// prints as m/1000 in %f form with its trailing zeros dropped. %g picks
-// %f there (the exponent lies in [-3, 5]), and m/1000 is the shortest
-// form that reads back: a shorter one would also be a multiple of 0.001,
-// and two of those are never within one ulp of f. Both m and 1000 are
-// exact doubles, so float64(m)/1000 is the correctly rounded quotient —
-// the double that parsing m/1000 gives. Every other value goes to strconv.
-func appendG(b []byte, f float64) []byte {
-	if m := f * 1000; f != 0 && m > -1e9 && m < 1e9 {
-		if n := int64(math.Round(m)); float64(n)/1000 == f {
-			return appendMilli(b, n)
-		}
-	}
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
-// appendMilli appends n/1000 in decimal, without trailing fraction zeros
-// or a bare point.
-func appendMilli(b []byte, n int64) []byte {
-	if n < 0 {
-		b, n = append(b, '-'), -n
-	}
-	b = strconv.AppendUint(b, uint64(n/1000), 10)
-	frac := n % 1000
-	if frac == 0 {
-		return b
-	}
-	b = append(b, '.', byte('0'+frac/100))
-	if frac%100 != 0 {
-		b = append(b, byte('0'+frac/10%10))
-		if frac%10 != 0 {
-			b = append(b, byte('0'+frac%10))
-		}
-	}
-	return b
-}
+// reads back exactly.
+func appendG(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
 
 // Eq reports exact coordinate equality.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }

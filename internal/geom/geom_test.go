@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -369,79 +368,5 @@ func TestTextFormsMatchFmt(t *testing.T) {
 	s := Segment{Point{-1.5e-300, math.Inf(1)}, Point{math.NaN(), 1e21}}
 	if allocs := testing.AllocsPerRun(100, func() { buf = s.Append(buf[:0]) }); allocs != 0 {
 		t.Errorf("Segment.Append into a buffer with room: %.0f allocations, want 0", allocs)
-	}
-}
-
-// appendGSeeds are the floats at the edges of appendG's short-decimal
-// path: zeros, its smallest and largest decimals, the first value past
-// it, negatives, NaN, infinities and subnormals.
-var appendGSeeds = []float64{
-	0, math.Copysign(0, -1), 1e-4, 0.001, -0.001, 0.0015, 999999.999, -999999.999, 1e6, -1e6,
-	999999.9995, 0.5, -2.25, -123.456, 1.0 / 3, 0.1 + 0.2, math.NaN(), math.Inf(1), math.Inf(-1),
-	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022 / 3, math.MaxFloat64,
-}
-
-// TestAppendGMatchesStrconv: appendG writes byte for byte what
-// strconv.AppendFloat(f, 'g', -1, 64) writes — on every multiple of 0.001
-// in (-100, 100) and on one in 9 973 up to ±1e6, on the same values one
-// ulp either side and divided by ten (four places, which must leave the
-// fast path), on every multiple of 0.001 within 10 of ±1e6, on the seeds,
-// and on random bit patterns and multiples of 0.001.
-func TestAppendGMatchesStrconv(t *testing.T) {
-	check := func(f float64) {
-		t.Helper()
-		if got, want := appendG(nil, f), strconv.AppendFloat(nil, f, 'g', -1, 64); string(got) != string(want) {
-			t.Fatalf("appendG(%b) = %q, strconv writes %q", math.Float64bits(f), got, want)
-		}
-	}
-	for _, f := range appendGSeeds {
-		check(f)
-	}
-	for m := -1000000000; m < 1000000000; {
-		f := float64(m) / 1000
-		check(f)
-		check(math.Nextafter(f, math.Inf(1)))
-		check(math.Nextafter(f, math.Inf(-1)))
-		check(float64(m) / 10000)
-		if m >= -100000 && m < 100000 {
-			m++
-		} else {
-			m += 9973
-		}
-	}
-	for m := int64(999990000); m < 1000010000; m++ {
-		check(float64(m) / 1000)
-		check(-float64(m) / 1000)
-	}
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 200000; i++ {
-		check(math.Float64frombits(r.Uint64()))
-		check(float64(r.Int63n(2e9)-1e9) / 1000)
-	}
-}
-
-func FuzzAppendG(f *testing.F) {
-	for _, v := range appendGSeeds {
-		f.Add(math.Float64bits(v))
-	}
-	f.Fuzz(func(t *testing.T, bits uint64) {
-		v := math.Float64frombits(bits)
-		if got, want := appendG(nil, v), strconv.AppendFloat(nil, v, 'g', -1, 64); string(got) != string(want) {
-			t.Fatalf("appendG(%b) = %q, strconv writes %q", bits, got, want)
-		}
-	})
-}
-
-// BenchmarkAppendG formats a coordinate of the end-to-end benchmark's
-// point set: a multiple of 0.001 in [0, 1000).
-func BenchmarkAppendG(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	var vals [1024]float64
-	for i := range vals {
-		vals[i] = float64(r.Intn(1000000)) / 1000
-	}
-	buf := make([]byte, 0, 32)
-	for i := 0; i < b.N; i++ {
-		buf = appendG(buf[:0], vals[i%len(vals)])
 	}
 }

@@ -528,6 +528,9 @@ func TestStartAfter(t *testing.T) {
 	if err := w.StartAfter(7); err != nil {
 		t.Fatal(err)
 	}
+	if got := w.CheckpointLSN(); got != 42 {
+		t.Fatalf("CheckpointLSN %d after StartAfter(41), want 42: the log does not reach back to LSN 1", got)
+	}
 	lsn, err := appendHeapInsert(w, "t.tbl", 1, 0, []byte("row"))
 	if err != nil || lsn != 42 {
 		t.Fatalf("first record at LSN %d (%v), want 42", lsn, err)
@@ -550,6 +553,9 @@ func TestStartAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	if got := w.CheckpointLSN(); got != 42 {
+		t.Fatalf("CheckpointLSN %d after reopen, want 42", got)
+	}
 	if lsn, err := appendHeapInsert(w, "t.tbl", 1, 1, []byte("row")); err != nil || lsn != 43 {
 		t.Fatalf("record after reopen at LSN %d (%v), want 43", lsn, err)
 	}

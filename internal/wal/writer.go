@@ -181,7 +181,9 @@ func OpenWriter(dir string, opts Options) (*Writer, error) {
 // lsn+1, when that is past its next LSN: the empty segment is replaced by
 // one named for lsn+1. A log begun afresh over data files whose pages
 // carry the LSNs of an earlier log must number its records above them,
-// since redo passes a record no newer than its page.
+// since redo passes a record no newer than its page. Such a log does not
+// reach back to the files' creation, so CheckpointLSN reports lsn+1, as
+// OpenWriter does for a log whose oldest segment starts past LSN 1.
 func (w *Writer) StartAfter(lsn LSN) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -207,6 +209,7 @@ func (w *Writer) StartAfter(lsn LSN) error {
 		return err
 	}
 	w.nextLSN = lsn + 1
+	w.ckpt = w.nextLSN
 	return nil
 }
 
@@ -378,8 +381,9 @@ func (w *Writer) AppendCommit() (LSN, error) {
 }
 
 // CheckpointLSN returns the LSN of the last checkpoint record — the
-// horizon the surviving log is complete back to. 0 means no checkpoint
-// has ever recycled segments, so the log reaches back to its creation.
+// horizon the surviving log is complete back to — or, for a log begun
+// past LSN 1 (StartAfter) that has taken no checkpoint yet, its first
+// LSN. 0 means the log reaches back to its creation.
 // The buffer pool uses it for full-page-write decisions: a page's first
 // mutation after a checkpoint must log a full image, or a
 // write of the page torn at a crash could not be rebuilt (the records
