@@ -183,7 +183,7 @@ func runPhase(addr, httpAddr string, withWriter bool) map[string]int64 {
 		if resp.StatusCode != http.StatusOK || len(body) == 0 {
 			log.Fatalf("GET %s: status %d, %d bytes", path, resp.StatusCode, len(body))
 		}
-		if path == "/metrics" && !strings.Contains(string(body), "wait_buf_shard_total") {
+		if path == "/metrics" && !strings.Contains(string(body), "wait_buf_pool_total") {
 			log.Fatalf("/metrics missing wait-event families")
 		}
 	}

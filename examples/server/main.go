@@ -4,7 +4,7 @@
 // trie index, and then drives it from many concurrent TCP clients
 // running exact-match and prefix SELECTs while one client keeps
 // inserting. It prints the aggregate statement throughput — the number
-// the engine's sharded buffer pool and shared/exclusive statement lock
+// the engine's shared buffer pool and shared/exclusive statement lock
 // exist to scale — then scrapes the STATS protocol verb and exits
 // non-zero if the server-side counters undercount the issued traffic
 // (CI runs this as its server smoke test).

@@ -159,7 +159,7 @@ func (db *DB) commitTable(t *Table) error {
 // pool-proportional chunks (each chunk
 // all-or-nothing across a crash). Batched inserts pack ~dozens of rows
 // per heap page and their sorted index descents cluster, so poolPages*4
-// rows stay well inside a pool even after sharding.
+// rows dirty far fewer pages than the pool holds.
 func (db *DB) insertChunkRows() int {
 	if n := db.poolPages * 4; n > 64 {
 		return n

@@ -20,8 +20,7 @@ import (
 // shows directly whether aggregate read throughput scales with
 // GOMAXPROCS (ns/op in a RunParallel benchmark is wall-clock divided by
 // total operations — flat ns/op across -cpu counts means linear
-// scaling; the pre-refactor engine serialized every page fetch behind
-// one pool mutex and could only flatline).
+// scaling).
 
 const benchRows = 20000
 

@@ -262,7 +262,7 @@ type DB struct {
 	// waits and activity are the wait-event and live-session layer
 	// (pg_stat_activity): both always non-nil, created at Open, shared
 	// by every component that can block — the statement locks here, the
-	// buffer pool's shard mutexes and miss I/O, the WAL writer's group
+	// buffer pool's mutex and miss I/O, the WAL writer's group
 	// commit. Immutable after Open.
 	waits    *obs.WaitSet
 	activity *obs.Activity

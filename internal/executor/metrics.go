@@ -99,7 +99,6 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 	reads, writes, allocs := db.pool.DiskStats()
 	emit("pool_frames", int64(db.pool.Frames()))
 	emit("pool_open", int64(len(db.pool.Relations())))
-	emit("pool_shards", int64(db.pool.NumShards()))
 	emit("pool_accesses_total", ps.Accesses)
 	emit("pool_hits_total", ps.Hits)
 	emit("pool_misses_total", ps.Misses)

@@ -11,7 +11,7 @@ import (
 // and the system catalog, page 0 included — is read from disk and
 // verified against its stored checksum. Pages whose cached frame is dirty
 // are skipped — the disk copy is legitimately stale there — and a failed
-// read is confirmed under the owning shard's mutex, so a concurrent
+// read is confirmed under the buffer pool's mutex, so a concurrent
 // eviction write can never be observed half-done. The scan runs under the
 // shared statement lock: queries and DML proceed, only DDL waits.
 

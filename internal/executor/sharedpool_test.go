@@ -240,9 +240,9 @@ func TestSharedPoolFrames(t *testing.T) {
 	}
 	got := map[string]int64{}
 	db.Obs().Each(func(name string, v int64) { got[name] = v })
-	if got["pool_frames"] != 64 || got["pool_open"] != 7 || got["pool_shards"] != 4 {
-		t.Errorf("pool_frames %d, pool_open %d, pool_shards %d; want 64 frames in 4 shards for the catalog, 3 heaps and 3 indexes",
-			got["pool_frames"], got["pool_open"], got["pool_shards"])
+	if got["pool_frames"] != 64 || got["pool_open"] != 7 {
+		t.Errorf("pool_frames %d, pool_open %d; want 64 frames for the catalog, 3 heaps and 3 indexes",
+			got["pool_frames"], got["pool_open"])
 	}
 }
 

@@ -745,7 +745,7 @@ func TestStaleTableHandleRejected(t *testing.T) {
 // different per-table locks, committing concurrently through the WAL's
 // group-commit path — then crashes, recovers, and model-checks the
 // durable state of both. Under -race in CI this is the end-to-end proof
-// that the sharded buffer pool, the guarded node caches, the two-level
+// that the shared buffer pool, the guarded node caches, the two-level
 // catalog/table lock hierarchy, and the atomic group append compose
 // into a safe concurrent engine.
 func TestConcurrentReadWriteTorture(t *testing.T) {

@@ -366,18 +366,11 @@ func (f *File) insertNoted(p *storage.Page, rec []byte) (int, bool) {
 	return slot, ok
 }
 
-// InsertBatch stores every record of recs, filling each data page to
-// capacity under a single pin (instead of re-pinning per record the way
-// per-row Insert does) and covering each filled page with one batch-put
-// log record rather than one record per tuple. The returned RIDs parallel
-// recs. The frozen (xmin 0) twin of InsertBatchTx.
-func (f *File) InsertBatch(payloads [][]byte) ([]RID, error) {
-	return f.InsertBatchTx(payloads, 0)
-}
-
 // InsertBatchTx stores every payload as a new tuple version created by
 // transaction xmin, placing each page's first record as InsertTx does and
-// the records after it on the same page while they fit. The encoded
+// the records after it on the same page while they fit, so each filled
+// page is pinned once and covered by one batch-put log record rather than
+// one record per tuple. The returned RIDs parallel payloads. The encoded
 // records are fresh allocations, so callers may reuse their payload
 // slices.
 func (f *File) InsertBatchTx(payloads [][]byte, xmin uint64) ([]RID, error) {

@@ -51,7 +51,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(3 * time.Microsecond)  // bucket 2 (le 4us)
 	h.Observe(20 * time.Second)      // catch-all
 	r.Sample(func(emit func(string, int64)) {
-		emit("wait_buf_shard_total", 9)
+		emit("wait_buf_pool_total", 9)
 		emit("pool_pages", 64)
 	})
 
@@ -64,8 +64,8 @@ func TestWritePrometheus(t *testing.T) {
 		t.Errorf("server_sessions_active: type %q value %g", types["server_sessions_active"], values["server_sessions_active"])
 	}
 	// Sampler values fold by the _total convention.
-	if types["wait_buf_shard_total"] != "counter" || values["wait_buf_shard_total"] != 9 {
-		t.Errorf("wait_buf_shard_total: type %q value %g", types["wait_buf_shard_total"], values["wait_buf_shard_total"])
+	if types["wait_buf_pool_total"] != "counter" || values["wait_buf_pool_total"] != 9 {
+		t.Errorf("wait_buf_pool_total: type %q value %g", types["wait_buf_pool_total"], values["wait_buf_pool_total"])
 	}
 	if types["pool_pages"] != "gauge" {
 		t.Errorf("pool_pages type = %q, want gauge", types["pool_pages"])

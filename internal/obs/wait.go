@@ -24,10 +24,10 @@ const (
 	// a reader behind a writer of the same table, or a writer behind
 	// anything on the same table.
 	WaitLockTable
-	// WaitBufShard: blocked acquiring a buffer-pool shard mutex — page
-	// lookups hashing to a shard whose mutex another fetch (possibly a
-	// miss doing disk I/O) holds.
-	WaitBufShard
+	// WaitBufPool: blocked acquiring the buffer-pool mutex, which another
+	// session holds for a page lookup, a clock sweep or a write-back. A
+	// miss's disk read runs with the mutex released.
+	WaitBufPool
 	// WaitIOHeapRead: reading a heap page from disk on a buffer-pool miss.
 	WaitIOHeapRead
 	// WaitIOIndexRead: reading an index page from disk on a miss.
@@ -53,7 +53,7 @@ var waitEventNames = [NumWaitEvents]string{
 	WaitNone:          "none",
 	WaitLockCatalog:   "lock_catalog",
 	WaitLockTable:     "lock_table",
-	WaitBufShard:      "buf_shard",
+	WaitBufPool:       "buf_pool",
 	WaitIOHeapRead:    "io_heap_read",
 	WaitIOIndexRead:   "io_index_read",
 	WaitIOCatalogRead: "io_catalog_read",

@@ -19,7 +19,7 @@ func TestWaitSetChargesEvents(t *testing.T) {
 	if count != 1 || total != ns {
 		t.Fatalf("Count = (%d, %d), want (1, %d)", count, total, ns)
 	}
-	if c, _ := ws.Count(WaitBufShard); c != 0 {
+	if c, _ := ws.Count(WaitBufPool); c != 0 {
 		t.Fatalf("unrelated event charged: %d", c)
 	}
 	ws.Reset()
@@ -106,12 +106,12 @@ func TestWaitOtherGoroutineNotAttributed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ws.End(ws.Begin(WaitBufShard))
+		ws.End(ws.Begin(WaitBufPool))
 	}()
 	wg.Wait()
 
-	if c, _ := ws.Count(WaitBufShard); c != 1 {
-		t.Fatalf("WaitBufShard count = %d, want 1", c)
+	if c, _ := ws.Count(WaitBufPool); c != 1 {
+		t.Fatalf("WaitBufPool count = %d, want 1", c)
 	}
 	snap := act.Snapshot()
 	if snap[0].WaitEvent != "none" || snap[0].State != "active" {

@@ -26,7 +26,7 @@ func waitCount(db *executor.DB, evs ...obs.WaitEvent) int64 {
 // While any session is bound, each costs exactly one goroutine-id
 // lookup, whichever goroutine it happens on.
 func blockedWaits(db *executor.DB) int64 {
-	return waitCount(db, obs.WaitLockCatalog, obs.WaitLockTable, obs.WaitBufShard,
+	return waitCount(db, obs.WaitLockCatalog, obs.WaitLockTable, obs.WaitBufPool,
 		obs.WaitWALFsync, obs.WaitWALCommitWait, obs.WaitIORetry)
 }
 
@@ -77,7 +77,7 @@ func TestActivityCostsNoGoroutineLookups(t *testing.T) {
 		if reads < stmts/10 {
 			t.Fatalf("pool was not cold: %d page reads over %d statements", reads, stmts)
 		}
-		// A shard mutex held by another goroutine can block a fetch for
+		// The pool mutex held by another goroutine can block a fetch for
 		// an instant; such a wait resolves its session by design. Every
 		// lookup must be one of those — the page reads account for none.
 		if lookups != blocked {

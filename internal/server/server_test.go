@@ -123,7 +123,7 @@ func TestServerValueEscaping(t *testing.T) {
 // TestServerConcurrentSessions drives parallel clients — mixed readers
 // and a writer — against one shared database. Run under -race this
 // exercises the whole concurrent read path end to end: server sessions,
-// shared statement lock, sharded buffer pool, node caches.
+// shared statement lock, buffer pool, node caches.
 func TestServerConcurrentSessions(t *testing.T) {
 	addr, shutdown := startServer(t)
 	defer shutdown()

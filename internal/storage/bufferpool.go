@@ -20,8 +20,7 @@ type Page struct {
 	ID   PageID
 	Data []byte
 
-	shard int // owning shard index
-	frame int // frame index inside the owning shard
+	frame int // frame index in the pool
 }
 
 // PoolStats counts logical page traffic at the buffer-pool level.
@@ -53,33 +52,17 @@ func (s *PoolStats) add(o PoolStats) {
 	s.InflightJoins += o.InflightJoins
 }
 
-// maxPoolShards caps the page-table sharding; 16 shards keep read-path
-// lock contention negligible up to dozens of cores without wasting frames
-// on tiny pools.
-const maxPoolShards = 16
-
-// minFramesPerShard keeps each shard's clock big enough that one
-// statement's pinned and uncommitted (no-steal) frames cannot exhaust
-// it. Sharding fragments the pool's victim search — a frame must be
-// found in the page's own shard, there is no cross-shard borrowing — so
-// small pools shard less rather than risk "shard exhausted" errors on
-// statements the unsharded pool handled.
-const minFramesPerShard = 16
-
 // Pool is the buffer pool of one database, PostgreSQL's shared buffers:
 // one set of frames, one clock and one budget for every relation file
 // opened in it (Open), with frames keyed by (relation, page). All methods
 // are safe for concurrent use.
 //
-// The page table is sharded so concurrent Fetch/Unpin of distinct pages
-// contend on (at most) one shard mutex rather than one global pool mutex,
-// and releasing a clean pin touches no mutex at all: pin counts and
-// reference bits are per-frame atomics. Pins are only ever *added* under
-// the owning shard's mutex, which the evictor also holds, so a frame
-// observed unpinned by the evictor cannot be concurrently re-pinned. A
-// page's shard is its page number plus its relation's number, modulo the
-// shard count: each file's consecutive pages spread round-robin, so a set
-// of files that fits the budget fits every shard.
+// One mutex guards the page table, the clock hand and the in-flight
+// reads. It is never held across a miss's disk read (readClaimedLocked
+// releases it first), and releasing a clean pin touches no mutex at all:
+// pin counts and reference bits are per-frame atomics. Pins are only ever
+// *added* under the mutex, which the evictor also holds, so a frame
+// observed unpinned by the evictor cannot be concurrently re-pinned.
 //
 // When a write-ahead log is attached (AttachWAL), the pool becomes the
 // WAL integration point for every structure built on it, with one
@@ -93,19 +76,33 @@ const minFramesPerShard = 16
 // to a relation: staging, flushing and resolving one relation touch only
 // its own frames, so statements on different tables commit independently.
 type Pool struct {
-	shards []poolShard
-	frames int // the budget: how many frames the shards hold together
+	// mu guards table, inflight, hand, every non-atomic frame field and
+	// every relation's counters. It has its cache line to itself: every
+	// fetch moves the line between the cores that lock it, and frames is
+	// read without the lock (a clean Unpin, the tail of Fetch). Sharing
+	// the line made BenchmarkConcurrentRangeScan at -cpu 2 a third slower.
+	mu     sync.Mutex
+	_      [64]byte
+	frames []frame
+	// table maps (relation, page), packed into one uint64
+	// (BufferPool.key), to the frame caching it.
+	table map[uint64]int
+	hand  int
+
+	// inflight holds the pending disk reads, keyed like table. An entry's
+	// frame is pinned and invalid, reachable only through the entry until
+	// the read publishes it into table.
+	inflight map[uint64]*inflightRead
 
 	// walRef holds the attached log writer. An atomic pointer rather than
 	// a mutex: AttachWAL is called once, before the pool is shared, and
 	// afterwards every dirty unpin and eviction reads it — a lock here
-	// would be a pool-global serialization point inside the per-shard
-	// critical sections.
+	// would be a second lock inside the pool mutex's critical sections.
 	walRef atomic.Pointer[wal.Writer]
 
 	// waits joins the pool to the engine's wait-event layer (AttachObs,
-	// once, before the pool is shared; nil for standalone pools). Shard
-	// mutex acquisitions charge waitShard only after a TryLock failed —
+	// once, before the pool is shared; nil for standalone pools). Pool
+	// mutex acquisitions charge buf_pool only after a TryLock failed —
 	// the uncontended path pays one predictable branch and reads no
 	// clock — while miss disk reads always charge the relation's I/O
 	// event: next to a real disk read the two clock reads are noise, and
@@ -130,16 +127,15 @@ type Pool struct {
 // and page trace — and shares everything else with the pool.
 type BufferPool struct {
 	pool     *Pool
-	rel      uint32 // relation number: its frames' key prefix and shard offset
+	rel      uint32 // relation number: its frames' key prefix
 	dm       DiskManager
 	fileName string
 	waitIO   obs.WaitEvent // miss-read classification (heap/index/catalog)
 
-	// stats[si] counts this relation's traffic in shard si, as plain
-	// fields under that shard's mutex, which the hot paths already hold —
-	// zero extra atomics per fetch. Readouts (SHOW STATS) take the same
-	// mutexes.
-	stats []PoolStats
+	// stats counts this relation's traffic, as plain fields under the
+	// pool mutex, which the hot paths already hold — zero extra atomics
+	// per fetch. Readouts (SHOW STATS) take the same mutex.
+	stats PoolStats
 
 	// ops holds the statement's deferred logical records, already
 	// encoded by their owner (UnpinDeferred): instead of appending to the
@@ -157,8 +153,8 @@ type BufferPool struct {
 	opsMu   sync.Mutex
 	ops     wal.Group
 	opPages []Staged
-	// imageCopy is the page an image is copied into under its shard's
-	// lock, to be staged — and deflated — with the lock released. Only
+	// imageCopy is the page an image is copied into under the pool
+	// mutex, to be staged — and deflated — with the lock released. Only
 	// StagePending and FlushAll use it, which the same serialization
 	// orders.
 	imageCopy []byte
@@ -173,43 +169,27 @@ type BufferPool struct {
 	save atomic.Pointer[savepoint]
 }
 
-// inflightRead is one pending disk read published in a shard's in-flight
+// inflightRead is one pending disk read published in the pool's in-flight
 // table. The claiming fetch owns the frame at fi — pinned and invalid,
-// so the evictor skips it — reads with the shard mutex released, then
+// so the evictor skips it — reads with the pool mutex released, then
 // publishes the frame and closes done.
 // Fetches of the same page meanwhile register as waiters (under the
-// shard mutex) and park on done; the publisher grants their pins in one
+// pool mutex) and park on done; the publisher grants their pins in one
 // store before the entry leaves the table, so a published frame cannot
 // be evicted before its waiters wake. err and the frame contents become
 // visible to waiters through the channel close.
 type inflightRead struct {
 	done    chan struct{}
 	fi      int
-	waiters int32 // registered before publish, under the shard mutex
+	waiters int32 // registered before publish, under the pool mutex
 	err     error
 }
 
-// poolShard owns a disjoint subset of the pool's frames and the pages
-// that map to it, keyed by (relation, page) packed into one uint64
-// (BufferPool.key). Its mutex guards the page table, the clock hand,
-// every non-atomic frame field and its slot of every relation's counters.
-type poolShard struct {
-	mu     sync.Mutex
-	frames []frame
-	table  map[uint64]int
-	hand   int
-
-	// inflight holds the shard's pending disk reads, keyed like table. An
-	// entry's frame is pinned and invalid, reachable only through the
-	// entry until the read publishes it into table.
-	inflight map[uint64]*inflightRead
-}
-
 // anyInflightDone returns the done channel of an arbitrary in-flight
-// read, or nil when none is pending. Callers hold sh.mu; the channel
+// read, or nil when none is pending. Callers hold p.mu; the channel
 // stays valid after unlock (it is closed exactly once by the publisher).
-func (sh *poolShard) anyInflightDone() chan struct{} {
-	for _, e := range sh.inflight {
+func (p *Pool) anyInflightDone() chan struct{} {
+	for _, e := range p.inflight {
 		return e.done
 	}
 	return nil
@@ -220,8 +200,8 @@ type frame struct {
 	id   PageID
 	data []byte
 	// pin and ref are atomics so a clean unpin (the hot read path) needs
-	// no shard lock: it decrements pin and sets ref without synchronizing
-	// with anything else. New pins are only taken under the shard mutex.
+	// no pool lock: it decrements pin and sets ref without synchronizing
+	// with anything else. New pins are only taken under the pool mutex.
 	pin   atomic.Int32
 	ref   atomic.Bool // clock reference bit
 	dirty bool
@@ -248,22 +228,13 @@ type frame struct {
 // NewPool creates a pool of capacity frames of pageSize bytes.
 func NewPool(pageSize, capacity int) *Pool {
 	capacity = max(capacity, 4)
-	nShards := min(max(capacity/minFramesPerShard, 1), maxPoolShards)
-	p := &Pool{frames: capacity, shards: make([]poolShard, nShards)}
-	for si := range p.shards {
-		// Distribute the capacity remainder over the first shards so the
-		// total frame count is exactly capacity.
-		n := capacity / nShards
-		if si < capacity%nShards {
-			n++
-		}
-		sh := &p.shards[si]
-		sh.frames = make([]frame, n)
-		sh.table = make(map[uint64]int, n)
-		sh.inflight = make(map[uint64]*inflightRead)
-		for i := range sh.frames {
-			sh.frames[i].data = make([]byte, pageSize)
-		}
+	p := &Pool{
+		frames:   make([]frame, capacity),
+		table:    make(map[uint64]int, capacity),
+		inflight: make(map[uint64]*inflightRead),
+	}
+	for i := range p.frames {
+		p.frames[i].data = make([]byte, pageSize)
 	}
 	return p
 }
@@ -279,7 +250,7 @@ func NewBufferPool(fileName string, dm DiskManager, capacity int) *BufferPool {
 func (p *Pool) Open(fileName string, dm DiskManager, ioEvent obs.WaitEvent) *BufferPool {
 	p.relMu.Lock()
 	defer p.relMu.Unlock()
-	bp := &BufferPool{pool: p, rel: p.nextRel, dm: dm, fileName: fileName, waitIO: ioEvent, stats: make([]PoolStats, len(p.shards))}
+	bp := &BufferPool{pool: p, rel: p.nextRel, dm: dm, fileName: fileName, waitIO: ioEvent}
 	p.nextRel++
 	p.rels = append(p.rels, bp)
 	return bp
@@ -295,13 +266,6 @@ func (p *Pool) Relations() []*BufferPool {
 // key is the page-table key of page id of this relation.
 func (bp *BufferPool) key(id PageID) uint64 { return uint64(bp.rel)<<32 | uint64(id) }
 
-// shardOf maps a page to its owning shard index. A file's sequential
-// page IDs spread round-robin, so a scan's working set lands evenly
-// across shards; the relation number staggers where each file starts.
-func (bp *BufferPool) shardOf(id PageID) int {
-	return int((uint32(id) + bp.rel) % uint32(len(bp.pool.shards)))
-}
-
 // DM exposes the underlying disk manager.
 func (bp *BufferPool) DM() DiskManager { return bp.dm }
 
@@ -310,11 +274,8 @@ func (bp *BufferPool) SizeBytes() int64 {
 	return int64(bp.dm.NumPages()) * int64(bp.dm.PageSize())
 }
 
-// NumShards reports the page-table shard count (introspection, tests).
-func (p *Pool) NumShards() int { return len(p.shards) }
-
 // Frames reports how many frames the pool holds — its page budget.
-func (p *Pool) Frames() int { return p.frames }
+func (p *Pool) Frames() int { return len(p.frames) }
 
 // AttachWAL enables write-ahead logging for the pool; each relation's
 // pages appear in log records under its file name. Must be called before
@@ -334,8 +295,8 @@ func (p *Pool) AttachWAL(w *wal.Writer) {
 	p.walRef.Store(w)
 }
 
-// AttachObs joins the pool to a wait-event set: shard-mutex contention
-// is charged to buf_shard and miss disk reads to each relation's I/O
+// AttachObs joins the pool to a wait-event set: pool-mutex contention
+// is charged to buf_pool and miss disk reads to each relation's I/O
 // event. Like AttachWAL, it must be called before the pool is shared.
 func (p *Pool) AttachObs(ws *obs.WaitSet) { p.waits = ws }
 
@@ -394,8 +355,8 @@ func (bp *BufferPool) readPageRetry(id PageID, buf []byte, ev obs.WaitEvent) err
 }
 
 // writePageRetry stamps the page checksum and writes the page, retrying
-// transient errors per the retry policy. Callers hold the owning shard's
-// mutex with the frame unpinned, so mutating the checksum bytes in place
+// transient errors per the retry policy. Callers hold the pool mutex
+// with the frame unpinned, so mutating the checksum bytes in place
 // cannot race a reader.
 func (bp *BufferPool) writePageRetry(id PageID, data []byte) error {
 	StampPageChecksum(data)
@@ -412,70 +373,67 @@ func (bp *BufferPool) writePageRetry(id PageID, data []byte) error {
 // scratch (a page-size buffer), for SCRUB. A cached dirty frame means
 // the disk copy is legitimately stale — the authoritative bytes are in
 // memory, already verified on their way in — so such pages pass. The
-// read itself runs outside the shard mutex so an online scrub over a
-// slow or flaky device never stalls the shard's fetches and evictions
+// read itself runs outside the pool mutex so an online scrub over a
+// slow or flaky device never stalls the pool's fetches and evictions
 // behind retry backoff. A failure is then re-checked under the mutex,
 // which every pool disk write also holds: an in-progress write the
 // unlocked read observed torn cannot still look torn on the locked
 // re-read.
 func (bp *BufferPool) VerifyPage(id PageID, scratch []byte) error {
-	sh := &bp.pool.shards[bp.shardOf(id)]
-	bp.pool.lockShard(sh)
-	if fi, ok := sh.table[bp.key(id)]; ok && sh.frames[fi].dirty {
-		sh.mu.Unlock()
+	p := bp.pool
+	p.lock()
+	dirty := bp.residentDirtyLocked(id)
+	p.mu.Unlock()
+	if dirty {
 		return nil
 	}
-	sh.mu.Unlock()
 	if err := bp.readPageRetry(id, scratch, bp.waitIO); err == nil {
 		return nil
 	}
-	// Confirm the failure with the shard quiesced. The frame may have
+	// Confirm the failure with the pool quiesced. The frame may have
 	// been dirtied (or written back) since the unlocked snapshot.
-	bp.pool.lockShard(sh)
-	defer sh.mu.Unlock()
-	if fi, ok := sh.table[bp.key(id)]; ok && sh.frames[fi].dirty {
+	p.lock()
+	defer p.mu.Unlock()
+	if bp.residentDirtyLocked(id) {
 		return nil
 	}
 	return bp.readPageRetry(id, scratch, bp.waitIO)
 }
 
-// lockShard acquires sh.mu, charging a blocked acquisition to the
-// buf_shard wait event. The uncontended fast path is one TryLock.
-func (p *Pool) lockShard(sh *poolShard) {
-	if sh.mu.TryLock() {
+// residentDirtyLocked reports whether page id is cached in a dirty frame.
+// Caller holds the pool mutex.
+func (bp *BufferPool) residentDirtyLocked(id PageID) bool {
+	fi, ok := bp.pool.table[bp.key(id)]
+	return ok && bp.pool.frames[fi].dirty
+}
+
+// lock acquires p.mu, charging a blocked acquisition to the buf_pool wait
+// event. The uncontended fast path is one TryLock.
+func (p *Pool) lock() {
+	if p.mu.TryLock() {
 		return
 	}
-	m := p.waits.Begin(obs.WaitBufShard)
-	sh.mu.Lock()
+	m := p.waits.Begin(obs.WaitBufPool)
+	p.mu.Lock()
 	p.waits.End(m)
 }
 
 // WAL returns the attached log writer (nil when logging is disabled).
 func (p *Pool) WAL() *wal.Writer { return p.walRef.Load() }
 
-// Stats returns a snapshot of the relation's counters, summed over
-// shards. Under concurrent traffic the counters are read at slightly
-// different instants; each is individually exact.
+// Stats returns a snapshot of the relation's counters.
 func (bp *BufferPool) Stats() PoolStats {
-	var s PoolStats
-	for si := range bp.stats {
-		sh := &bp.pool.shards[si]
-		sh.mu.Lock()
-		s.add(bp.stats[si])
-		sh.mu.Unlock()
-	}
-	return s
+	bp.pool.mu.Lock()
+	defer bp.pool.mu.Unlock()
+	return bp.stats
 }
 
 // ResetStats zeroes the relation's counters (the disk counters are
 // separate).
 func (bp *BufferPool) ResetStats() {
-	for si := range bp.stats {
-		sh := &bp.pool.shards[si]
-		sh.mu.Lock()
-		bp.stats[si] = PoolStats{}
-		sh.mu.Unlock()
-	}
+	bp.pool.mu.Lock()
+	bp.stats = PoolStats{}
+	bp.pool.mu.Unlock()
 }
 
 // Stats sums the counters of every relation the pool has held: the open
@@ -515,7 +473,7 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// claimLocked resolves page id to a frame of shard si, the first step of
+// claimLocked resolves page id to a frame, the first step of
 // Fetch and NewPage alike. Exactly one outcome holds:
 // resident — fi is the frame already caching id (no pin taken); e != nil
 // — a read of id is in flight; err != nil — every frame is pinned or
@@ -523,38 +481,38 @@ func (p *Pool) ResetStats() {
 // once and invalid, so the evictor skips it and nothing reaches it
 // through the table until publishLocked.
 //
-// "Shard exhausted" can be transient: concurrent misses each claim a
-// frame for the duration of their read, so a small shard under a miss
+// "Pool exhausted" can be transient: concurrent misses each claim a
+// frame for the duration of their read, so a small pool under a miss
 // burst may have every frame pinned by reads about to complete, so
 // claimLocked waits for any in-flight read to publish and retries from
 // the top (the page itself may have arrived meanwhile); with no reads in
-// flight the exhaustion is real. Caller holds the shard's mutex, which
-// is released only around that wait.
-func (bp *BufferPool) claimLocked(si int, id PageID) (fi int, resident bool, e *inflightRead, err error) {
-	sh, key := &bp.pool.shards[si], bp.key(id)
+// flight the exhaustion is real. Caller holds the pool mutex, which is
+// released only around that wait.
+func (bp *BufferPool) claimLocked(id PageID) (fi int, resident bool, e *inflightRead, err error) {
+	p, key := bp.pool, bp.key(id)
 	for {
-		if cached, ok := sh.table[key]; ok {
+		if cached, ok := p.table[key]; ok {
 			return cached, true, nil, nil
 		}
-		if pending, ok := sh.inflight[key]; ok {
+		if pending, ok := p.inflight[key]; ok {
 			return 0, false, pending, nil
 		}
-		if fi, err = bp.pool.victimLocked(si); err == nil {
-			f := &sh.frames[fi]
+		if fi, err = p.victimLocked(); err == nil {
+			f := &p.frames[fi]
 			f.rel, f.id = bp, id
 			f.valid = false
 			f.pin.Store(1)
 			return fi, false, nil, nil
 		}
-		done := sh.anyInflightDone()
+		done := p.anyInflightDone()
 		if done == nil {
 			return 0, false, nil, err
 		}
-		sh.mu.Unlock()
-		iw := bp.pool.waits.Begin(bp.waitIO)
+		p.mu.Unlock()
+		iw := p.waits.Begin(bp.waitIO)
 		<-done
-		bp.pool.waits.End(iw)
-		bp.pool.lockShard(sh)
+		p.waits.End(iw)
+		p.lock()
 	}
 }
 
@@ -563,9 +521,9 @@ func (bp *BufferPool) claimLocked(si int, id PageID) (fi int, resident bool, e *
 // per-residency field is reset, so a frame carries no WAL horizon, pending
 // flag or dirt over from the page it held before; the caller has already
 // stored the pin count the frame becomes reachable with. Caller holds
-// sh.mu.
-func (bp *BufferPool) publishLocked(sh *poolShard, fi int, id PageID) *frame {
-	f := &sh.frames[fi]
+// the pool mutex.
+func (bp *BufferPool) publishLocked(fi int, id PageID) *frame {
+	f := &bp.pool.frames[fi]
 	f.rel, f.id = bp, id
 	f.dirty = false
 	f.ref.Store(true)
@@ -574,34 +532,35 @@ func (bp *BufferPool) publishLocked(sh *poolShard, fi int, id PageID) *frame {
 	f.opPending = false
 	f.unlogged = false
 	f.valid = true
-	sh.table[bp.key(id)] = fi
+	bp.pool.table[bp.key(id)] = fi
 	return f
 }
 
 // readClaimedLocked fills the frame claimLocked handed out with page id
 // from disk and publishes it — Fetch's miss path. The read is a
-// singleflight per page over the shard's in-flight table: an "I/O
-// pending" entry is published and the shard mutex released for the
-// read, so misses on different pages of one shard overlap their disk
-// reads, while fetches of the same page register as waiters on the entry
-// and park on its channel — exactly one disk read happens however many
-// sessions miss together.
+// singleflight per page over the pool's in-flight table: an "I/O
+// pending" entry is published and the pool mutex released for the
+// read, so misses on different pages overlap their disk reads, while
+// fetches of the same page register as waiters on the entry and park on
+// its channel — exactly one disk read happens however many sessions
+// miss together.
 //
 // The read keeps one pin for its caller, is charged to the relation's
 // I/O wait event (transient errors retry with backoff; the bytes are
 // checksum-verified) and — when the statement above armed a tracer —
-// recorded as a page_read span on its timeline. Called with sh.mu held,
-// and returns with it held.
-func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID) error {
-	f := &sh.frames[fi]
+// recorded as a page_read span on its timeline. Called with the pool
+// mutex held, and returns with it held.
+func (bp *BufferPool) readClaimedLocked(fi int, id PageID) error {
+	p := bp.pool
+	f := &p.frames[fi]
 	e := &inflightRead{done: make(chan struct{}), fi: fi}
-	sh.inflight[bp.key(id)] = e
-	sh.mu.Unlock()
+	p.inflight[bp.key(id)] = e
+	p.mu.Unlock()
 	sp := obs.Current().StartSpan("page_read", "io")
 	err := bp.readPageRetry(id, f.data, bp.waitIO)
 	sp.End()
-	bp.pool.lockShard(sh)
-	delete(sh.inflight, bp.key(id))
+	p.lock()
+	delete(p.inflight, bp.key(id))
 	if err != nil {
 		e.err = err
 		f.pin.Store(0) // still invalid: free for the next claim
@@ -610,7 +569,7 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID) error 
 		// the frame becomes reachable through the table, so no waiter
 		// can find its page evicted underneath it.
 		f.pin.Store(1 + e.waiters)
-		bp.publishLocked(sh, fi, id).unlogged = PageLSN(f.data) == 0 && !SlotAreaBlank(f.data)
+		bp.publishLocked(fi, id).unlogged = PageLSN(f.data) == 0 && !SlotAreaBlank(f.data)
 	}
 	close(e.done)
 	return err
@@ -623,47 +582,47 @@ func (bp *BufferPool) readClaimedLocked(sh *poolShard, fi int, id PageID) error 
 // of an armed page trace.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.TracePage(id)
-	si := bp.shardOf(id)
-	sh, st := &bp.pool.shards[si], &bp.stats[si]
-	bp.pool.lockShard(sh)
+	p, st := bp.pool, &bp.stats
+	p.lock()
 	st.Accesses++
-	fi, resident, e, err := bp.claimLocked(si, id)
+	fi, resident, e, err := bp.claimLocked(id)
 	switch {
 	case resident:
 		st.Hits++
-		f := &sh.frames[fi]
+		f := &p.frames[fi]
 		f.pin.Add(1)
 		f.ref.Store(true)
 	case e != nil:
 		st.Misses++
 		st.InflightJoins++
 		e.waiters++
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		// Park on the in-flight read; the publisher granted this pin
 		// before closing done. Waiting on someone else's read is still
 		// I/O wait from this session's point of view.
-		iw := bp.pool.waits.Begin(bp.waitIO)
+		iw := p.waits.Begin(bp.waitIO)
 		<-e.done
-		bp.pool.waits.End(iw)
+		p.waits.End(iw)
 		if e.err != nil {
 			return nil, e.err
 		}
-		bp.keep(id, sh.frames[e.fi].data)
-		return &Page{ID: id, Data: sh.frames[e.fi].data, shard: si, frame: e.fi}, nil
+		fi = e.fi
+		bp.keep(id, p.frames[fi].data)
+		return &Page{ID: id, Data: p.frames[fi].data, frame: fi}, nil
 	default:
 		// A real miss — counted even when no frame could be claimed, so
 		// the Hits+Misses == Accesses identity survives the error.
 		st.Misses++
 		if err == nil {
-			err = bp.readClaimedLocked(sh, fi, id)
+			err = bp.readClaimedLocked(fi, id)
 		}
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	bp.keep(id, sh.frames[fi].data)
-	return &Page{ID: id, Data: sh.frames[fi].data, shard: si, frame: fi}, nil
+	bp.keep(id, p.frames[fi].data)
+	return &Page{ID: id, Data: p.frames[fi].data, frame: fi}, nil
 }
 
 // NewPage allocates a fresh zeroed page on disk and returns it pinned.
@@ -672,12 +631,11 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	si := bp.shardOf(id)
-	sh := &bp.pool.shards[si]
-	bp.pool.lockShard(sh)
-	defer sh.mu.Unlock()
-	bp.stats[si].Accesses++
-	bp.stats[si].Misses++
+	p := bp.pool
+	p.lock()
+	defer p.mu.Unlock()
+	bp.stats.Accesses++
+	bp.stats.Misses++
 	var fi int
 	var resident bool
 	for {
@@ -687,26 +645,26 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 		// rather than double-buffer: wait out an in-flight read of our id,
 		// then take over the published frame.
 		var e *inflightRead
-		if fi, resident, e, err = bp.claimLocked(si, id); err != nil {
+		if fi, resident, e, err = bp.claimLocked(id); err != nil {
 			return nil, err
 		}
 		if e == nil {
 			break
 		}
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		<-e.done
-		bp.pool.lockShard(sh)
+		p.lock()
 	}
 	if resident {
-		sh.frames[fi].pin.Add(1)
+		p.frames[fi].pin.Add(1)
 	}
-	f := bp.publishLocked(sh, fi, id)
+	f := bp.publishLocked(fi, id)
 	for i := range f.data {
 		f.data[i] = 0
 	}
 	f.dirty = true // must reach disk even if never modified again
 	bp.keep(id, nil)
-	return &Page{ID: id, Data: f.data, shard: si, frame: fi}, nil
+	return &Page{ID: id, Data: f.data, frame: fi}, nil
 }
 
 // Unpin releases one pin on p. dirty marks the frame as modified, which
@@ -720,9 +678,8 @@ func (bp *BufferPool) NewPage() (*Page, error) {
 // valid bit, and data reassigned) while the pin is held, and the evictor
 // observes the decrement through the same atomic.
 func (bp *BufferPool) Unpin(p *Page, dirty bool) {
-	sh := &bp.pool.shards[p.shard]
 	if !dirty {
-		f := &sh.frames[p.frame]
+		f := &bp.pool.frames[p.frame]
 		bp.validatePinned(f, p)
 		f.ref.Store(true)
 		f.pin.Add(-1)
@@ -731,9 +688,9 @@ func (bp *BufferPool) Unpin(p *Page, dirty bool) {
 	if bp.pool.WAL() != nil {
 		panic(fmt.Sprintf("storage: dirty Unpin of page %d of %q with a log attached: the change would reach the disk unlogged (log it through UnpinDeferred)", p.ID, bp.fileName))
 	}
-	bp.pool.lockShard(sh)
-	defer sh.mu.Unlock()
-	bp.unpinLocked(sh, p).dirty = true
+	bp.pool.lock()
+	defer bp.pool.mu.Unlock()
+	bp.unpinLocked(p).dirty = true
 }
 
 // UnpinDeferred releases one pin on p, marking it dirty and covered by a
@@ -755,10 +712,9 @@ func (bp *BufferPool) UnpinDeferred(p *Page, build func(g *wal.Group, file strin
 	bp.opsMu.Lock()
 	bp.opPages = append(bp.opPages, Staged{Page: p.ID, Index: build(&bp.ops, bp.fileName)})
 	bp.opsMu.Unlock()
-	sh := &bp.pool.shards[p.shard]
-	bp.pool.lockShard(sh)
-	defer sh.mu.Unlock()
-	f := bp.unpinLocked(sh, p)
+	bp.pool.lock()
+	defer bp.pool.mu.Unlock()
+	f := bp.unpinLocked(p)
 	f.dirty = true
 	f.opPending = true
 }
@@ -895,28 +851,28 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 	// recurs later from a second image.
 	var imaged map[PageID]bool
 	prev := InvalidPageID
+	p := bp.pool
 	for _, op := range staged[:nOps] {
 		id := op.Page
 		if id == prev || imaged[id] {
 			continue
 		}
 		prev = id
-		sh := &bp.pool.shards[bp.shardOf(id)]
-		bp.pool.lockShard(sh)
-		fi, ok := sh.table[bp.key(id)]
+		p.lock()
+		fi, ok := p.table[bp.key(id)]
 		if !ok {
 			// Unreachable: frames with deferred ops are opPending and
 			// therefore unevictable until resolved.
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			continue
 		}
-		f := &sh.frames[fi]
+		f := &p.frames[fi]
 		if f.imagedLSN > ckpt || PageLSN(f.data) > uint64(ckpt) || (ckpt == 0 && !f.unlogged) {
 			// An image of this page from after the checkpoint already
 			// survives in the log — logged directly, or implied by a
 			// record whose own statement forced one before stamping the
 			// pageLSN — or, before the first checkpoint, its creation.
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			continue
 		}
 		if imaged == nil {
@@ -931,7 +887,7 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 		}
 		copy(bp.imageCopy, f.data[:off])
 		copy(bp.imageCopy[off+n:], f.data[off+n:])
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		staged = append(staged, Staged{Page: id, Index: g.AddPageImage(bp.fileName, uint32(id), bp.imageCopy, off, n), Image: true})
 	}
 	return staged
@@ -952,18 +908,18 @@ func (bp *BufferPool) stageFullPageImages(g *wal.Group, w *wal.Writer, staged []
 // record with a pageLSN behind its content, and redo would apply the
 // later records a second time.
 func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
+	p := bp.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i := len(staged) - 1; i >= 0; i-- {
 		s := staged[i]
 		lsn := lsns[s.Index]
-		sh := &bp.pool.shards[bp.shardOf(s.Page)]
-		sh.mu.Lock()
-		fi, ok := sh.table[bp.key(s.Page)]
+		fi, ok := p.table[bp.key(s.Page)]
 		if !ok {
 			// Unreachable: pending frames are unevictable until resolved.
-			sh.mu.Unlock()
 			continue
 		}
-		f := &sh.frames[fi]
+		f := &p.frames[fi]
 		if lsn > f.lsn {
 			f.lsn = lsn
 		}
@@ -977,7 +933,6 @@ func (bp *BufferPool) ResolvePending(staged []Staged, lsns []wal.LSN) {
 				SetPageLSN(f.data, uint64(lsn))
 			}
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -1017,21 +972,20 @@ func (bp *BufferPool) validatePinned(f *frame, p *Page) {
 }
 
 // unpinLocked validates and drops one pin, returning the frame. Caller
-// holds the shard mutex.
-func (bp *BufferPool) unpinLocked(sh *poolShard, p *Page) *frame {
-	f := &sh.frames[p.frame]
+// holds the pool mutex.
+func (bp *BufferPool) unpinLocked(p *Page) *frame {
+	f := &bp.pool.frames[p.frame]
 	bp.validatePinned(f, p)
 	f.ref.Store(true)
 	f.pin.Add(-1)
 	return f
 }
 
-// victimLocked finds a free or evictable frame in shard si, writing back
-// a dirty victim — of whichever relation it holds a page of. Caller holds
-// the shard's mutex.
-func (p *Pool) victimLocked(si int) (int, error) {
-	sh := &p.shards[si]
-	n := len(sh.frames)
+// victimLocked finds a free or evictable frame, writing back a dirty
+// victim — of whichever relation it holds a page of. Caller holds the
+// pool mutex.
+func (p *Pool) victimLocked() (int, error) {
+	n := len(p.frames)
 	// No-steal rule: with a WAL attached, a dirty frame whose latest
 	// record is past the last commit marker holds uncommitted state.
 	// Writing it in place would require an undo pass at recovery (the
@@ -1048,9 +1002,9 @@ func (p *Pool) victimLocked(si int) (int, error) {
 	// check: an in-flight read's claimed frame is pinned but not yet
 	// valid, and must never be handed out as "free".
 	for sweep := 0; sweep < 2*n+1; sweep++ {
-		f := &sh.frames[sh.hand]
-		i := sh.hand
-		sh.hand = (sh.hand + 1) % n
+		f := &p.frames[p.hand]
+		i := p.hand
+		p.hand = (p.hand + 1) % n
 		if f.pin.Load() > 0 {
 			continue
 		}
@@ -1064,7 +1018,7 @@ func (p *Pool) victimLocked(si int) (int, error) {
 			f.ref.Store(false)
 			continue
 		}
-		st := &f.rel.stats[si]
+		st := &f.rel.stats
 		if f.dirty {
 			// WAL-before-data, including the commit marker covering
 			// this frame's statement: if only the records (not the
@@ -1078,12 +1032,12 @@ func (p *Pool) victimLocked(si int) (int, error) {
 			}
 			st.DirtyWrites++
 		}
-		delete(sh.table, f.rel.key(f.id))
+		delete(p.table, f.rel.key(f.id))
 		f.valid = false
 		st.Evictions++
 		return i, nil
 	}
-	return 0, fmt.Errorf("storage: buffer pool shard exhausted (%d frames, all pinned or uncommitted)", n)
+	return 0, fmt.Errorf("storage: buffer pool exhausted (%d frames, all pinned or uncommitted)", n)
 }
 
 // syncWAL enforces WAL-before-data: with a log attached, the log must be
@@ -1128,30 +1082,24 @@ func (p *Pool) FlushAll() error {
 // nil), each once the log is durable up to its latest record.
 func (p *Pool) flushFrames(rel *BufferPool) error {
 	w := p.WAL()
-	for si := range p.shards {
-		sh := &p.shards[si]
-		sh.mu.Lock()
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if !f.valid || !f.dirty || (rel != nil && f.rel != rel) {
-				continue
-			}
-			if n := f.pin.Load(); n != 0 {
-				sh.mu.Unlock()
-				panic(fmt.Sprintf("storage: FlushAll of page %d of %q with %d pins held", f.id, f.rel.fileName, n))
-			}
-			if err := syncWAL(w, f.lsn); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			if err := f.rel.writePageRetry(f.id, f.data); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			f.rel.stats[si].DirtyWrites++
-			f.dirty = false
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.frames {
+		f := &p.frames[i]
+		if !f.valid || !f.dirty || (rel != nil && f.rel != rel) {
+			continue
 		}
-		sh.mu.Unlock()
+		if n := f.pin.Load(); n != 0 {
+			panic(fmt.Sprintf("storage: FlushAll of page %d of %q with %d pins held", f.id, f.rel.fileName, n))
+		}
+		if err := syncWAL(w, f.lsn); err != nil {
+			return err
+		}
+		if err := f.rel.writePageRetry(f.id, f.data); err != nil {
+			return err
+		}
+		f.rel.stats.DirtyWrites++
+		f.dirty = false
 	}
 	return nil
 }
@@ -1172,26 +1120,23 @@ func (bp *BufferPool) Close() error {
 // DROP, a failed DDL statement) frees its frames without its dirty pages
 // reaching the log or the file.
 func (bp *BufferPool) Crash() error {
-	for si := range bp.pool.shards {
-		sh := &bp.pool.shards[si]
-		sh.mu.Lock()
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if f.rel != bp {
-				continue
-			}
-			if f.valid {
-				delete(sh.table, bp.key(f.id))
-			}
-			*f = frame{data: f.data}
+	p := bp.pool
+	p.mu.Lock()
+	for i := range p.frames {
+		f := &p.frames[i]
+		if f.rel != bp {
+			continue
 		}
-		sh.mu.Unlock()
+		if f.valid {
+			delete(p.table, bp.key(f.id))
+		}
+		*f = frame{data: f.data}
 	}
+	p.mu.Unlock()
 	bp.opsMu.Lock()
 	bp.ops.Reset()
 	bp.opPages = nil
 	bp.opsMu.Unlock()
-	p := bp.pool
 	st := bp.Stats()
 	r, w, a := bp.dm.Stats().Snapshot()
 	p.relMu.Lock()

@@ -98,18 +98,15 @@ func TestSingleflightColdMiss(t *testing.T) {
 	}
 }
 
-// TestConcurrentMissesOverlap: misses on *different* pages of one shard
-// must overlap their disk reads. With a 20ms simulated read latency,
-// eight reads serialized under the shard mutex would take ≥160ms;
-// overlapped they must finish in under half of that.
+// TestConcurrentMissesOverlap: misses on *different* pages must overlap
+// their disk reads. With a 20ms simulated read latency, eight reads
+// serialized under the pool mutex would take ≥160ms; overlapped they must
+// finish in under half of that.
 func TestConcurrentMissesOverlap(t *testing.T) {
 	const pages = 8
 	const delay = 20 * time.Millisecond
 	dm, _ := asyncTestDisk(t, pages, delay)
-	bp := NewBufferPool("", dm, 16) // one shard: every page contends on one mutex
-	if bp.pool.NumShards() != 1 {
-		t.Fatalf("want 1 shard for this test, got %d", bp.pool.NumShards())
-	}
+	bp := NewBufferPool("", dm, 16)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < pages; i++ {
@@ -144,7 +141,7 @@ func TestConcurrentMissesOverlap(t *testing.T) {
 // Every goroutine holds its pin across checkPage, and a pool cannot hand
 // out more pins than it has frames: with all four frames pinned by
 // preempted goroutines and no read in flight, a fifth Fetch correctly
-// fails with "shard exhausted". So the pinners — not the goroutines, not
+// fails with "pool exhausted". So the pinners — not the goroutines, not
 // the pages — are bounded by the frame count; the other goroutines queue
 // on the semaphore and keep the four slots permanently contended.
 func TestEvictionVsInflightInterleaving(t *testing.T) {
@@ -155,7 +152,7 @@ func TestEvictionVsInflightInterleaving(t *testing.T) {
 		frames     = 4
 	)
 	dm, _ := asyncTestDisk(t, pages, 100*time.Microsecond)
-	bp := NewBufferPool("", dm, frames) // 4 frames, 1 shard: maximum eviction pressure
+	bp := NewBufferPool("", dm, frames) // 4 frames: maximum eviction pressure
 	pinners := make(chan struct{}, frames)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -204,8 +201,8 @@ func TestExhaustedFetchCountsAMiss(t *testing.T) {
 		}
 		defer bp.Unpin(p, false)
 	}
-	if _, err := bp.Fetch(4); err == nil || !strings.Contains(err.Error(), "shard exhausted") {
-		t.Fatalf("fetch with all 4 frames pinned: err = %v, want shard exhausted", err)
+	if _, err := bp.Fetch(4); err == nil || !strings.Contains(err.Error(), "pool exhausted") {
+		t.Fatalf("fetch with all 4 frames pinned: err = %v, want pool exhausted", err)
 	}
 	st := bp.Stats()
 	if st.Accesses != 5 || st.Hits+st.Misses != st.Accesses {

@@ -138,16 +138,58 @@ func TestEvictionNeverReclaimsPinned(t *testing.T) {
 	}
 }
 
-// TestPoolStatsAtomicUnderConcurrency checks that the per-counter
-// atomics lose nothing under concurrent fetch traffic: every access is
-// either a hit or a miss, and the totals match the driven load exactly.
+// TestPoolExhaustedOnlyWhenEveryFrameIsHeld: a fetch is refused a frame
+// only when every frame of the pool is pinned. Pages 1, 17, 33, … — a
+// stride that a pool partitioning its frames by page number would crowd
+// into one part — are all admitted, and once all 256 frames are pinned
+// the next fetch fails with an error that names the pool.
+func TestPoolExhaustedOnlyWhenEveryFrameIsHeld(t *testing.T) {
+	const frames, pages = 256, 300
+	dm := NewMem(256)
+	for i := 0; i < pages; i++ {
+		if _, err := dm.AllocatePage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bp := NewBufferPool("", dm, frames)
+	held := make(map[PageID]*Page)
+	defer func() {
+		for _, p := range held {
+			bp.Unpin(p, false)
+		}
+	}()
+	pin := func(id PageID) {
+		t.Helper()
+		p, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatalf("pin %d (page %d) with %d of %d frames free: %v", len(held)+1, id, frames-len(held), frames, err)
+		}
+		held[id] = p
+	}
+	for id := PageID(1); id < pages; id += 16 {
+		pin(id)
+	}
+	next := PageID(0)
+	for ; len(held) < frames; next++ {
+		if held[next] == nil {
+			pin(next)
+		}
+	}
+	for held[next] != nil {
+		next++
+	}
+	if _, err := bp.Fetch(next); err == nil || !strings.Contains(err.Error(), "buffer pool exhausted") {
+		t.Fatalf("fetch of page %d with all %d frames pinned: err = %v, want the pool exhausted", next, frames, err)
+	}
+}
+
+// TestPoolStatsAtomicUnderConcurrency checks that the counters lose
+// nothing under concurrent fetch traffic: every access is either a hit or
+// a miss, and the totals match the driven load exactly.
 func TestPoolStatsAtomicUnderConcurrency(t *testing.T) {
 	dm := NewMem(256)
 	const pages = 64
 	bp := NewBufferPool("", dm, 2*pages) // no eviction: hits+misses is exact
-	if bp.pool.NumShards() < 2 {
-		t.Fatalf("pool of %d frames got %d shards, want sharding", 2*pages, bp.pool.NumShards())
-	}
 	for i := 0; i < pages; i++ {
 		p, err := bp.NewPage()
 		if err != nil {

@@ -83,14 +83,14 @@ func (bp *BufferPool) Revert() (bool, error) {
 // revertResident puts pre back into page id's frame, if the page is
 // resident, and reports whether it was.
 func (bp *BufferPool) revertResident(id PageID, pre []byte, logged bool) bool {
-	sh := &bp.pool.shards[bp.shardOf(id)]
-	bp.pool.lockShard(sh)
-	defer sh.mu.Unlock()
-	fi, ok := sh.table[bp.key(id)]
+	p := bp.pool
+	p.lock()
+	defer p.mu.Unlock()
+	fi, ok := p.table[bp.key(id)]
 	if !ok {
 		return false
 	}
-	f := &sh.frames[fi]
+	f := &p.frames[fi]
 	revertBytes(f.data, pre)
 	f.opPending = false
 	// Without a log the frame may have been written back changed and

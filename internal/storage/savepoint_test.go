@@ -77,14 +77,13 @@ func savepointScript(t *testing.T, w *wal.Writer, armed bool) (*BufferPool, [2][
 // is not in the pool.
 func residentFrame(t *testing.T, bp *BufferPool, id PageID) *frame {
 	t.Helper()
-	sh := &bp.pool.shards[bp.shardOf(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fi, ok := sh.table[bp.key(id)]
+	bp.pool.mu.Lock()
+	defer bp.pool.mu.Unlock()
+	fi, ok := bp.pool.table[bp.key(id)]
 	if !ok {
 		t.Fatalf("page %d is not resident", id)
 	}
-	return &sh.frames[fi]
+	return &bp.pool.frames[fi]
 }
 
 // TestSavepointRevert: Revert puts every page a failed statement changed

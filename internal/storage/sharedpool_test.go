@@ -165,12 +165,11 @@ func TestSharedPoolDropFreesFrames(t *testing.T) {
 	}
 }
 
-// TestSharedPoolSpreadsFilesOverShards: files are laid over the shards
-// round-robin from staggered starts, so a set of files that fits the
-// budget fits every shard — here the seven files of the benchmark's
-// write_mix (778 pages) in its 1 024 frames, 16 shards of 64: no shard
-// holds more than ⌈778/16⌉ + 7 pages, and nothing is evicted.
-func TestSharedPoolSpreadsFilesOverShards(t *testing.T) {
+// TestSharedPoolHoldsFilesThatFit: a set of files that fits the budget
+// stays resident whole — here the seven files of the benchmark's
+// write_mix (778 pages) in its 1 024 frames: every page is in the page
+// table, and nothing is evicted.
+func TestSharedPoolHoldsFilesThatFit(t *testing.T) {
 	p := NewPool(256, 1024)
 	total := 0
 	for i, n := range []int{2, 200, 110, 160, 135, 130, 41} {
@@ -180,10 +179,7 @@ func TestSharedPoolSpreadsFilesOverShards(t *testing.T) {
 	if st := p.Stats(); st.Evictions != 0 {
 		t.Fatalf("%d pages in %d frames evicted %d", total, p.Frames(), st.Evictions)
 	}
-	bound := (total+p.NumShards()-1)/p.NumShards() + 7
-	for si := range p.shards {
-		if n := len(p.shards[si].table); n > bound {
-			t.Errorf("shard %d holds %d pages, want at most %d", si, n, bound)
-		}
+	if n := len(p.table); n != total {
+		t.Errorf("pool holds %d pages, want all %d", n, total)
 	}
 }
