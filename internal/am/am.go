@@ -40,8 +40,12 @@ type NNIter func() (rid heap.RID, dist float64, ok bool)
 type Index interface {
 	// Insert adds the key of one row.
 	Insert(key catalog.Datum, rid heap.RID) error
-	// Delete removes the key of one row.
-	Delete(key catalog.Datum, rid heap.RID) (int, error)
+	// BulkDelete removes the entries of every row whose RID dead reports,
+	// reading the index file once in page order (PostgreSQL's
+	// ambulkdelete; the paper's spgistbulkdelete), and returns how many
+	// it removed by the index's Count rule. VACUUM calls it once per
+	// batch of dead versions, with no key: it never decodes a dead tuple.
+	BulkDelete(dead func(heap.RID) bool) (int, error)
 	// Scan drives an index scan for `key op arg`, emitting candidate
 	// RIDs (possibly lossy).
 	Scan(op string, arg catalog.Datum, emit func(heap.RID) bool) error
@@ -217,12 +221,8 @@ func (x *spgistIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
 	return x.tree.InsertBatch(vs, rids)
 }
 
-func (x *spgistIndex) Delete(key catalog.Datum, rid heap.RID) (int, error) {
-	v, err := datumToValue(key)
-	if err != nil {
-		return 0, err
-	}
-	return x.tree.Delete(v, rid)
+func (x *spgistIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {
+	return x.tree.BulkDelete(dead)
 }
 
 func (x *spgistIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) bool) error {
@@ -276,7 +276,8 @@ func (x *spgistIndex) NNSearch(arg catalog.Datum, yield func(heap.RID, float64) 
 	}
 }
 
-// suffixIndex overrides row maintenance to index all suffixes.
+// suffixIndex overrides insertion to index all suffixes; BulkDelete drops
+// a dead row's suffixes by RID like any other entries.
 type suffixIndex struct {
 	spgistIndex
 }
@@ -303,16 +304,6 @@ func (x *suffixIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
 		}
 	}
 	return nil
-}
-
-func (x *suffixIndex) Delete(key catalog.Datum, rid heap.RID) (int, error) {
-	if key.Typ != catalog.Text {
-		return 0, fmt.Errorf("am: suffix index requires VARCHAR keys")
-	}
-	if err := suffix.DeleteWord(x.tree, key.S, rid); err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 // btreeIndex adapts the B+-tree baseline over text keys.
@@ -344,8 +335,8 @@ func (x *btreeIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
 	return x.tree.InsertBatch(pairs)
 }
 
-func (x *btreeIndex) Delete(key catalog.Datum, rid heap.RID) (int, error) {
-	return x.tree.Delete([]byte(key.S), rid)
+func (x *btreeIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {
+	return x.tree.BulkDelete(dead)
 }
 
 func (x *btreeIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) bool) error {
@@ -408,12 +399,8 @@ func (x *rtreeIndex) Insert(key catalog.Datum, rid heap.RID) error {
 	return x.tree.Insert(r, rid)
 }
 
-func (x *rtreeIndex) Delete(key catalog.Datum, rid heap.RID) (int, error) {
-	r, err := x.rect(key)
-	if err != nil {
-		return 0, err
-	}
-	return x.tree.Delete(r, rid)
+func (x *rtreeIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {
+	return x.tree.BulkDelete(dead)
 }
 
 func (x *rtreeIndex) Scan(op string, arg catalog.Datum, emit func(heap.RID) bool) error {

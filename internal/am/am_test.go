@@ -154,8 +154,8 @@ func TestSuffixIndexInsertsAllSuffixes(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("substring found %d rows, want 1", n)
 	}
-	if _, err := idx.Delete(catalog.NewText("hello"), rid(0)); err != nil {
-		t.Fatal(err)
+	if n, err := idx.BulkDelete(func(r heap.RID) bool { return r == rid(0) }); err != nil || n != 5 || idx.Count() != 0 {
+		t.Fatalf("BulkDelete removed %d (%v), Count %d; want all 5 suffixes", n, err, idx.Count())
 	}
 	n = 0
 	idx.Scan("@=", catalog.NewText("ell"), func(heap.RID) bool { n++; return true })

@@ -12,8 +12,8 @@
 // the rest, reproducing the B+-tree behaviour the paper describes: a
 // pattern starting with '?' degenerates to a full scan.
 //
-// Duplicate keys are supported; deletion is by (key, RID) and leaves are
-// not rebalanced (like the experiments in the paper, which only insert).
+// Duplicate keys are supported; deletion is by RID (BulkDelete) and leaves
+// are not rebalanced (like the experiments in the paper, which only insert).
 package btree
 
 import (
@@ -580,51 +580,42 @@ func (t *Tree) MatchScan(pattern string, match func(key string, pattern string) 
 	})
 }
 
-// Delete removes pairs with the given key; with a valid rid only the
-// matching pair is removed. It returns the number removed. Leaves are not
-// rebalanced.
-func (t *Tree) Delete(key []byte, rid heap.RID) (int, error) {
-	if t.root == storage.InvalidPageID {
-		return 0, nil
-	}
+// BulkDelete removes every pair whose RID dead reports, reading the file
+// once in page order as PostgreSQL's btvacuumscan does: each leaf that holds
+// a dead RID is rewritten in place, under the pin that read it. Leaves are
+// not rebalanced. It returns the number of pairs removed.
+func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
 	w := walks.Get().(*walk)
 	defer walks.Put(w)
-	p, v, err := t.descend(key, true, w)
-	if err != nil {
-		return 0, err
-	}
-	pid := p.ID
-	v = t.release(p, v, w)
-	removed := 0
-	for {
-		n := v.node()
-		kept := n.entries[:0]
-		done := false
-		for _, e := range n.entries {
-			cmp := bytes.Compare(e.key, key)
-			if cmp > 0 {
-				done = true
-			}
-			if cmp == 0 && (!rid.Valid() || e.rid == rid) {
-				removed++
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if len(kept) != len(n.entries) {
-			n.entries = kept
-			if err := t.writeNode(pid, n); err != nil {
-				return removed, err
-			}
-		}
-		if done || n.next == storage.InvalidPageID {
-			break
-		}
-		pid = n.next
-		if v, err = t.readLeaf(pid, w); err != nil {
+	defer func() { t.count -= int64(removed) }()
+	n := t.bp.DM().NumPages()
+	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
+		p, v, err := t.pin(pid, w)
+		if err != nil {
 			return removed, err
 		}
+		hit := false
+		for i := 0; v.leaf && i < v.Len() && !hit; i++ {
+			hit = dead(v.RID(i))
+		}
+		if !hit {
+			t.bp.Unpin(p, false)
+			continue
+		}
+		nd := v.node()
+		kept := slices.DeleteFunc(nd.entries, func(e entry) bool { return dead(e.rid) })
+		gone := len(nd.entries) - len(kept)
+		nd.entries = kept
+		rec, err := t.record(nd)
+		if err == nil {
+			err = t.bp.UnpinRewrite(p, nodeSlot, rec)
+		} else {
+			t.bp.Unpin(p, false)
+		}
+		if err != nil {
+			return removed, err
+		}
+		removed += gone
 	}
-	t.count -= int64(removed)
 	return removed, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -252,19 +253,21 @@ func TestDelete(t *testing.T) {
 		words = append(words, w)
 		tr.Insert([]byte(w), rid(i))
 	}
-	n, err := tr.Delete([]byte(words[0]), rid(0))
+	// Every third row goes, from every leaf, in one pass.
+	n, err := tr.BulkDelete(func(r heap.RID) bool { return r.Slot%3 == 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("delete removed %d, want 1", n)
+	if n != 334 {
+		t.Fatalf("delete removed %d, want 334", n)
 	}
-	for _, rd := range collect(t, tr, words[0]) {
-		if rd == rid(0) {
-			t.Fatal("deleted rid still found")
+	for i, w := range words {
+		found := slices.Contains(collect(t, tr, w), rid(i))
+		if found == (i%3 == 0) {
+			t.Fatalf("row %d (%q): found = %v after deleting every third row", i, w, found)
 		}
 	}
-	if tr.Count() != 999 {
+	if tr.Count() != 666 {
 		t.Fatalf("Count = %d", tr.Count())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -28,7 +29,6 @@ func (testTrie) Params() Params {
 		PathShrink:    NeverShrink,
 		NodeShrink:    true,
 		BucketSize:    4,
-		EqualityOp:    "=",
 	}
 }
 func (testTrie) RootRecon() Value           { return "" }
@@ -290,8 +290,8 @@ func TestDelete(t *testing.T) {
 	for i, w := range words {
 		tr.Insert(w, rid(i))
 	}
-	// Delete one specific (key, rid).
-	n, err := tr.Delete("aa", rid(0))
+	// Delete one copy of aa by its RID.
+	n, err := tr.BulkDelete(func(r heap.RID) bool { return r == rid(0) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +302,8 @@ func TestDelete(t *testing.T) {
 	if len(rids) != 2 {
 		t.Fatalf("after delete, %d copies of aa remain, want 2", len(rids))
 	}
-	// Delete all remaining copies.
-	n, err = tr.Delete("aa", heap.InvalidRID)
+	// Delete the remaining copies, rows 6 and 7.
+	n, err = tr.BulkDelete(func(r heap.RID) bool { return r == rid(6) || r == rid(7) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			model[w] = append(model[w], rd)
 		default: // delete one key fully
 			for w := range model {
-				n, err := tr.Delete(w, heap.InvalidRID)
+				n, err := tr.BulkDelete(func(r heap.RID) bool { return slices.Contains(model[w], r) })
 				if err != nil {
 					t.Fatal(err)
 				}

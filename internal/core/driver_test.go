@@ -36,6 +36,7 @@ type nnFixture struct {
 	query func(r *rand.Rand) core.Value
 	dist  func(q, key core.Value) float64
 	scan  *core.Query // a multi-leaf search for the concurrency test
+	eq    string      // the opclass's exact-match operator
 }
 
 func latticePoint(r *rand.Rand) core.Value {
@@ -56,17 +57,17 @@ var nnFixtures = []nnFixture{
 			return string(b)
 		},
 		dist: func(q, k core.Value) float64 { return trie.Distance(k.(string), q.(string)) },
-		scan: &core.Query{Op: "#=", Arg: "a"},
+		scan: &core.Query{Op: "#=", Arg: "a"}, eq: "=",
 	},
 	{
 		name: "kdtree", oc: func() core.OpClass { return kdtree.New() },
 		key: latticePoint, dist: pointDist,
-		scan: &core.Query{Op: "^", Arg: geom.MakeBox(2, 2, 9, 9)},
+		scan: &core.Query{Op: "^", Arg: geom.MakeBox(2, 2, 9, 9)}, eq: "@",
 	},
 	{
 		name: "pquad", oc: func() core.OpClass { return pquad.New() },
 		key: latticePoint, dist: pointDist,
-		scan: &core.Query{Op: "^", Arg: geom.MakeBox(2, 2, 9, 9)},
+		scan: &core.Query{Op: "^", Arg: geom.MakeBox(2, 2, 9, 9)}, eq: "@",
 	},
 	{
 		name: "pmr",
@@ -77,7 +78,7 @@ var nnFixtures = []nnFixture{
 		},
 		query: latticePoint,
 		dist:  func(q, k core.Value) float64 { return k.(geom.Segment).DistToPoint(q.(geom.Point)) },
-		scan:  &core.Query{Op: "&&", Arg: geom.MakeBox(2, 2, 9, 9)},
+		scan:  &core.Query{Op: "&&", Arg: geom.MakeBox(2, 2, 9, 9)}, eq: "=",
 	},
 }
 
@@ -95,7 +96,7 @@ func init() {
 			key, r := live[0].key, rand.New(rand.NewSource(24))
 			out = append(out, core.FuzzFixture{
 				OC: tr.OpClass(), Key: key, NNQuery: fx.drawQuery(r),
-				Queries: []*core.Query{fx.scan, {Op: tr.OpClass().Params().EqualityOp, Arg: key}},
+				Queries: []*core.Query{fx.scan, {Op: fx.eq, Arg: key}},
 				Records: core.TreeRecords(t, tr),
 			})
 		}
@@ -143,14 +144,16 @@ func buildFixture(t testing.TB, f nnFixture, dm storage.DiskManager, n int, seed
 		all = append(all, pair{k, rid(i)})
 	}
 	var live []pair
+	dead := map[heap.RID]bool{}
 	for i, p := range all {
 		if i%7 != 3 {
 			live = append(live, p)
-			continue
+		} else {
+			dead[p.rid] = true
 		}
-		if got, err := tr.Delete(p.key, p.rid); err != nil || got != 1 {
-			t.Fatalf("delete %v %v: removed %d, err %v", p.key, p.rid, got, err)
-		}
+	}
+	if got, err := tr.BulkDelete(func(r heap.RID) bool { return dead[r] }); err != nil || got != len(dead) {
+		t.Fatalf("delete every seventh pair: removed %d, err %v; want %d", got, err, len(dead))
 	}
 	return tr, live
 }

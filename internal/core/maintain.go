@@ -1,93 +1,100 @@
 package core
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/heap"
+	"repro/internal/storage"
 )
 
-// Delete removes the (key, rid) pair from the index, using the opclass's
-// EqualityOp to locate the data nodes holding the key. With an invalid
-// rid every item matching the key is removed. It returns the number of
-// logical keys removed (MultiAssign copies count once).
+// BulkDelete removes every item whose RID dead reports: the
+// spgistbulkdelete interface routine of the paper's Table 2, which VACUUM
+// calls once per batch of dead heap versions. Like PostgreSQL's
+// spgvacuumscan it reads the index file once in page order rather than
+// walking the tree: each page is fetched once and its data-node records
+// (overflow records included) are tested where they lie, and only a record
+// holding a dead RID is fetched again and rewritten, in place. Removal only
+// shrinks a record, so it always fits and no parent is patched. Emptied data
+// nodes, the inner nodes above them and their pages stay.
 //
-// Like the PostgreSQL realization, deletion removes leaf items but does
-// not merge or shrink inner nodes; BulkDelete plays the role of
-// spgistbulkdelete for batched VACUUM-style cleanup.
-func (t *Tree) Delete(key Value, rid heap.RID) (int, error) {
-	if t.pr.EqualityOp == "" {
-		return 0, fmt.Errorf("spgist: opclass %s declares no EqualityOp; use BulkDelete", t.oc.Name())
+// It returns the number of keys removed by Count's rule: distinct RIDs
+// under MultiAssign, where a key is an item in every cell it crosses, and
+// items otherwise (the suffix tree counts each suffix).
+func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (int, error) {
+	type rewrite struct {
+		slot int
+		rec  []byte
 	}
-	kb := t.oc.EncodeKey(key)
-	q := &Query{Op: t.pr.EqualityOp, Arg: key}
-
-	leaves, err := t.searchLeaves(q)
-	if err != nil {
-		return 0, err
-	}
-	return t.dropItems(leaves, func(it item) bool {
-		return bytes.Equal(it.key, kb) && (!rid.Valid() || it.rid == rid)
-	})
-}
-
-// dropItems rewrites the data-node records at leaves without the items drop
-// selects and returns the number of logical keys that went. Removal shrinks
-// records, so the rewrites always succeed in place and no parent is patched.
-func (t *Tree) dropItems(leaves []NodeRef, drop func(it item) bool) (int, error) {
-	removed := make(map[heap.RID]struct{})
-	for _, ref := range leaves {
-		n, err := t.readNode(ref)
+	var hits []rewrite
+	var dropped []heap.RID
+	n := t.bp.DM().NumPages()
+	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
+		p, err := t.bp.Fetch(pid)
 		if err != nil {
 			return 0, err
 		}
-		kept := n.items[:0]
-		for _, it := range n.items {
-			if drop(it) {
-				removed[it.rid] = struct{}{}
-			} else {
-				kept = append(kept, it)
+		hits = hits[:0]
+		for slot, slots := 0, storage.SlotCount(p.Data); slot < slots; slot++ {
+			rec := storage.SlotRead(p.Data, slot)
+			if len(rec) == 0 || rec[0] != nodeKindLeaf {
+				continue
+			}
+			var kept []byte
+			if kept, dropped, err = dropDead(rec, dead, dropped); err != nil {
+				t.bp.Unpin(p, false)
+				return 0, fmt.Errorf("%w (page %d slot %d)", err, pid, slot)
+			}
+			if kept != nil {
+				hits = append(hits, rewrite{slot, kept})
 			}
 		}
-		if len(kept) < len(n.items) {
-			n.items = kept
-			if _, err := t.writeNode(ref, n, nil); err != nil {
+		t.bp.Unpin(p, false)
+		for _, h := range hits {
+			if p, err = t.bp.Fetch(pid); err != nil {
+				return 0, err
+			}
+			if _, err = t.writeRecord(p, NodeRef{Page: pid, Slot: uint16(h.slot)}, h.rec, nil); err != nil {
 				return 0, err
 			}
 		}
 	}
-	t.nKeys -= int64(len(removed))
-	return len(removed), nil
-}
-
-// searchLeaves returns the data-node records (overflow records included)
-// a Scan of q would test.
-func (t *Tree) searchLeaves(q *Query) ([]NodeRef, error) {
-	var leaves []NodeRef
-	d := t.newDescent(q)
-	defer d.release()
-	for {
-		n, err := d.next()
-		if n == nil || err != nil {
-			return leaves, err
+	removed := len(dropped)
+	if t.pr.MultiAssign {
+		gone := make(map[heap.RID]struct{}, len(dropped))
+		for _, rid := range dropped {
+			gone[rid] = struct{}{}
 		}
-		leaves = append(leaves, d.ref)
+		removed = len(gone)
 	}
+	t.nKeys -= int64(removed)
+	return removed, nil
 }
 
-// BulkDelete removes every item whose RID satisfies drop, visiting the
-// whole index once (the spgistbulkdelete interface routine of the paper's
-// Table 2). It returns the number of logical keys removed.
-func (t *Tree) BulkDelete(drop func(rid heap.RID) bool) (int, error) {
-	var leaves []NodeRef
-	err := t.walk(func(ref NodeRef, v *nodeView, _, _ int) bool {
-		if v.leaf {
-			leaves = append(leaves, ref)
-		}
-		return true
-	})
+// dropDead returns a copy of the data-node record rec without the items
+// whose RID dead reports, and dropped with their RIDs appended; nil and
+// dropped as it was when no item is dead.
+func dropDead(rec []byte, dead func(heap.RID) bool, dropped []heap.RID) ([]byte, []heap.RID, error) {
+	_, cnt, err := leafHeader(rec)
 	if err != nil {
-		return 0, err
+		return nil, dropped, err
 	}
-	return t.dropItems(leaves, func(it item) bool { return drop(it.rid) })
+	var out []byte
+	had := len(dropped)
+	for i, off := 0, leafHeaderSize; i < cnt; i++ {
+		end := off + 2 + int(binary.LittleEndian.Uint16(rec[off:])) + heap.RIDSize
+		if rid := heap.RIDFromBytes(rec[end-heap.RIDSize:]); dead(rid) {
+			if out == nil {
+				out = append(make([]byte, 0, len(rec)), rec[:off]...)
+			}
+			dropped = append(dropped, rid)
+		} else if out != nil {
+			out = append(out, rec[off:end]...)
+		}
+		off = end
+	}
+	if out != nil {
+		binary.LittleEndian.PutUint16(out[1+refSize:], uint16(cnt-(len(dropped)-had)))
+	}
+	return out, dropped, nil
 }

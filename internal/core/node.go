@@ -41,7 +41,7 @@ type item struct {
 }
 
 // node is the decoded, mutable form of a tree node: what the paths that
-// restructure the tree (AddNode, SplitNode, PickSplit, Repack, deletion)
+// restructure the tree (AddNode, SplitNode, PickSplit, Repack)
 // build, change and encode. Reads never see it — they work on a nodeView.
 //
 // A data (leaf) node additionally carries a next reference: when a group

@@ -3,13 +3,14 @@
 // 2006 PostgreSQL realization by Eltabakh, Eltarras & Aref.
 //
 // The framework supplies the *internal methods* shared by every
-// space-partitioning tree — Insert, Scan (search), Delete, BulkDelete, and
-// the incremental nearest-neighbor search of the paper's section 5 — plus
-// the node-to-page clustering that packs many small tree nodes into disk
-// pages. A concrete index (trie, kd-tree, point quadtree, PMR quadtree,
-// suffix tree, ...) is obtained by supplying the *external methods* of the
-// OpClass interface and the interface parameters of Params, exactly the
-// extension points Table 1 of the paper describes.
+// space-partitioning tree — Insert, Scan (search), BulkDelete (VACUUM's one
+// page-order pass over the index file) and the incremental nearest-neighbor
+// search of the paper's section 5 — plus the node-to-page clustering that
+// packs many small tree nodes into disk pages. A concrete index (trie,
+// kd-tree, point quadtree, PMR quadtree, suffix tree, ...) is obtained by
+// supplying the *external methods* of the OpClass interface and the
+// interface parameters of Params, exactly the extension points Table 1 of
+// the paper describes.
 package core
 
 // Value is an opclass-typed datum: a key, a node predicate, a partition
@@ -95,9 +96,6 @@ type Params struct {
 	// MultiAssign. The suffix tree needs it: one heap row contributes one
 	// key per suffix, and several suffixes can satisfy one query.
 	DedupScan bool
-	// EqualityOp is the operator name Delete uses to locate the leaf
-	// items of a key (for example "=" or "@").
-	EqualityOp string
 }
 
 // ChooseAction tells Insert what to do at an inner node.

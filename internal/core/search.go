@@ -57,8 +57,7 @@ type frame struct {
 
 // descent is the one search driver: a depth-first walk of the inner
 // nodes consistent with a query that hands out the data-node records it
-// reaches, one per next call. Scan tests their items; Delete collects
-// their references.
+// reaches, one per next call, and Scan tests their items.
 //
 // A descent owns every buffer the walk needs — the InnerIn it refills per
 // node, the Follow slice the opclass appends into, the stack — in one
@@ -74,8 +73,7 @@ type descent struct {
 	out   InnerOut
 	stack []frame
 
-	// ref and level describe the data-node record next last returned.
-	ref   NodeRef
+	// level is the level of the data-node record next last returned.
 	level int
 
 	stackBuf  [8]frame
@@ -124,7 +122,7 @@ func (d *descent) next() (*nodeView, error) {
 			if next := v.next(); next.Valid() {
 				d.stack = append(d.stack, frame{next, f.level, f.recon})
 			}
-			d.ref, d.level = f.ref, f.level
+			d.level = f.level
 			return v, nil
 		}
 		d.in.Level, d.in.Recon = f.level, f.recon

@@ -390,7 +390,7 @@ type Options struct {
 	// follows Dir.
 	//
 	// Deprecated: the benchmark harness still sets it; the harness change
-	// of ROADMAP item B-1 stops doing so and deletes the field.
+	// of ROADMAP item M-1 stops doing so and deletes the field.
 	WAL bool
 	// WALSync controls commit durability; defaults to wal.SyncCommit.
 	WALSync wal.SyncMode

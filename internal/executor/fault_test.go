@@ -163,9 +163,10 @@ func TestDegradedRollbackReleasesLocks(t *testing.T) {
 // checkpointed page of any relation file — a heap page, a data page of a
 // trie, a B+-tree or an R-tree index, a page 0 — is (a) reported by SCRUB
 // with the file and page, (b) never served to a query — the scan fails
-// with ErrPageCorrupt instead of returning poisoned rows, and a file whose
-// page 0 is damaged is refused at open — and (c) not a reason to degrade:
-// read-side corruption is per-page, the database stays writable elsewhere.
+// with ErrPageCorrupt instead of returning poisoned rows, VACUUM fails
+// with it too, and a file whose page 0 is damaged is refused at open — and
+// (c) not a reason to degrade: read-side corruption is per-page, the
+// database stays writable elsewhere.
 func TestScrubReportsBitFlip(t *testing.T) {
 	textKey := func(i int) catalog.Datum { return catalog.NewText(fmt.Sprintf("word%03d", i)) }
 	pointKey := func(i int) catalog.Datum { return catalog.NewPoint(geom.Point{X: float64(i), Y: float64(i % 7)}) }
@@ -293,6 +294,16 @@ func TestScrubReportsBitFlip(t *testing.T) {
 			}
 			if !storage.IsPageCorrupt(err) || rows != 0 {
 				t.Fatalf("scan over the corrupt page: %d rows and %v, want none and page corrupt", rows, err)
+			}
+			// VACUUM reads every page of the heap and of each index, so it
+			// fails on the corrupt page rather than leave entries behind.
+			if c.method != "" {
+				if _, err := tb.DeleteWhere(&executor.Pred{Column: 1, Op: "=", Arg: catalog.NewInt(3)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.Vacuum("t"); !storage.IsPageCorrupt(err) {
+				t.Fatalf("VACUUM over the corrupt page: %v, want page corrupt", err)
 			}
 
 			// Corruption is not degradation: the database is still writable.

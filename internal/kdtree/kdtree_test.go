@@ -168,14 +168,12 @@ func TestNNExhaustsIndex(t *testing.T) {
 func TestDeletePoints(t *testing.T) {
 	tr := newTree(t)
 	pts := buildRandom(t, tr, 1000, 8)
-	for i := 0; i < len(pts); i += 2 {
-		n, err := tr.Delete(pts[i], rid(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 1 {
-			t.Fatalf("delete %v removed %d", pts[i], n)
-		}
+	n, err := tr.BulkDelete(func(r heap.RID) bool { return r.Slot%2 == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(pts)/2 {
+		t.Fatalf("BulkDelete removed %d, want %d", n, len(pts)/2)
 	}
 	for i, p := range pts {
 		rids, err := tr.Lookup(&core.Query{Op: "@", Arg: p})

@@ -88,7 +88,6 @@ func (o *OpClass) Params() core.Params {
 		Resolution:    o.resolution,
 		SplitOnce:     true,
 		MultiAssign:   true,
-		EqualityOp:    "=",
 	}
 }
 

@@ -174,12 +174,13 @@ func TestNNAgainstBruteForce(t *testing.T) {
 func TestDelete(t *testing.T) {
 	tr := newTree(t)
 	segs := buildRandom(t, tr, 500, 8)
-	n, err := tr.Delete(segs[0], rid(0))
+	// A segment is an item in every cell it crosses; it counts once.
+	n, err := tr.BulkDelete(func(r heap.RID) bool { return r == rid(0) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("delete removed %d", n)
+	if n != 1 || tr.Count() != int64(len(segs)-1) {
+		t.Fatalf("BulkDelete removed %d, Count %d; want 1 and %d", n, tr.Count(), len(segs)-1)
 	}
 	rids, err := tr.Lookup(&core.Query{Op: "=", Arg: segs[0]})
 	if err != nil {

@@ -43,7 +43,6 @@ func (o *OpClass) Params() core.Params {
 		PathShrink:    core.NeverShrink,
 		NodeShrink:    false,
 		BucketSize:    1,
-		EqualityOp:    "@",
 	}
 }
 

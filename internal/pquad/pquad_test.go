@@ -127,7 +127,7 @@ func TestDeleteAndDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := tr.Delete(p, rid(7)); err != nil || n != 1 {
+	if n, err := tr.BulkDelete(func(r heap.RID) bool { return r == rid(7) }); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
 	rids, err := tr.Lookup(&core.Query{Op: "@", Arg: p})

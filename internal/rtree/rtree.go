@@ -448,40 +448,36 @@ func (t *Tree) SearchContained(q geom.Box, emit func(rect geom.Box, rid heap.RID
 	})
 }
 
-// Delete removes the entry with exactly this rectangle and RID. It
-// returns the number removed (0 or 1). MBRs on the path are not shrunk
+// BulkDelete removes every leaf entry whose RID dead reports, reading the
+// file once in page order: each leaf that holds a dead RID is rewritten in
+// place, under the pin that read it. MBRs on the path are not shrunk
 // (Guttman's CondenseTree is skipped, as deletes do not occur in the
-// paper's experiments); search correctness is unaffected.
-func (t *Tree) Delete(rect geom.Box, rid heap.RID) (int, error) {
-	if t.root == storage.InvalidPageID {
-		return 0, nil
-	}
-	stack := []storage.PageID{t.root}
-	for len(stack) > 0 {
-		pid := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+// paper's experiments); search correctness is unaffected. It returns the
+// number of entries removed.
+func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
+	defer func() { t.count -= int64(removed) }()
+	n := t.bp.DM().NumPages()
+	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, v, err := t.pin(pid)
 		if err != nil {
-			return 0, err
+			return removed, err
 		}
-		for i := 0; i < v.Len(); i++ {
-			r := v.Rect(i)
-			switch {
-			case !r.Intersects(rect):
-			case !v.leaf:
-				stack = append(stack, v.Child(i))
-			case r == rect && v.RID(i) == rid:
-				n := v.node()
-				t.bp.Unpin(p, false)
-				n.entries = slices.Delete(n.entries, i, i+1)
-				if err := t.writeNode(pid, n); err != nil {
-					return 0, err
-				}
-				t.count--
-				return 1, nil
-			}
+		hit := false
+		for i := 0; v.leaf && i < v.Len() && !hit; i++ {
+			hit = dead(v.RID(i))
 		}
-		t.bp.Unpin(p, false)
+		if !hit {
+			t.bp.Unpin(p, false)
+			continue
+		}
+		nd := v.node()
+		kept := slices.DeleteFunc(nd.entries, func(e entry) bool { return dead(e.rid) })
+		gone := len(nd.entries) - len(kept)
+		nd.entries = kept
+		if err := t.bp.UnpinRewrite(p, nodeSlot, t.record(nd)); err != nil {
+			return removed, err
+		}
+		removed += gone
 	}
-	return 0, nil
+	return removed, nil
 }

@@ -188,7 +188,7 @@ func TestNodeFillBounds(t *testing.T) {
 func TestDelete(t *testing.T) {
 	tr := newTestTree(t, 1024)
 	pts := buildPoints(t, tr, 500, 8)
-	n, err := tr.Delete(pointRect(pts[17]), rid(17))
+	n, err := tr.BulkDelete(func(r heap.RID) bool { return r == rid(17) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Count = %d", tr.Count())
 	}
 	// Deleting again is a no-op.
-	n, _ = tr.Delete(pointRect(pts[17]), rid(17))
+	n, _ = tr.BulkDelete(func(r heap.RID) bool { return r == rid(17) })
 	if n != 0 {
 		t.Fatalf("double delete removed %d", n)
 	}

@@ -31,16 +31,6 @@ func InsertWord(t *core.Tree, word string, rid heap.RID) error {
 	return nil
 }
 
-// DeleteWord removes every suffix of word for the given RID.
-func DeleteWord(t *core.Tree, word string, rid heap.RID) error {
-	for i := 0; i < len(word); i++ {
-		if _, err := t.Delete(word[i:], rid); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // SubstringQuery builds the "@=" query for a substring search.
 func SubstringQuery(sub string) *core.Query {
 	return &core.Query{Op: "@=", Arg: sub}

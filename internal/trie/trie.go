@@ -78,7 +78,6 @@ func (o *OpClass) Params() core.Params {
 		PathShrink:    core.TreeShrink,
 		NodeShrink:    true,
 		BucketSize:    o.bucket,
-		EqualityOp:    "=",
 		DedupScan:     o.dedup,
 	}
 }

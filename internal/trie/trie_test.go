@@ -237,15 +237,16 @@ func TestDeleteThenSearch(t *testing.T) {
 	words := buildRandom(t, tr, 2000, 9)
 	// Delete every third word.
 	deleted := map[int]bool{}
+	dead := map[heap.RID]bool{}
 	for i := 0; i < len(words); i += 3 {
-		n, err := tr.Delete(words[i], rid(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 1 {
-			t.Fatalf("delete %q removed %d", words[i], n)
-		}
-		deleted[i] = true
+		deleted[i], dead[rid(i)] = true, true
+	}
+	n, err := tr.BulkDelete(func(r heap.RID) bool { return dead[r] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(dead) || tr.Count() != int64(len(words)-n) {
+		t.Fatalf("BulkDelete removed %d, Count %d; want %d and %d", n, tr.Count(), len(dead), len(words)-len(dead))
 	}
 	for i, w := range words {
 		rids := lookup(t, tr, "=", w)
