@@ -500,7 +500,9 @@ func Open(opts Options) (*DB, error) {
 		if redone {
 			db.unresolved = heap.Unresolved(st.Committed, st.LastCheckpoint)
 		}
-		w, err := wal.OpenWriter(walDir, wal.Options{Mode: opts.WALSync})
+		// The writer appends where redo found the kept log to end,
+		// without reading the log again.
+		w, err := wal.OpenWriterAt(walDir, wal.Options{Mode: opts.WALSync}, st.End)
 		if err != nil {
 			return nil, err
 		}

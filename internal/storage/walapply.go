@@ -16,17 +16,16 @@ import (
 // RecoveryStats summarizes one redo pass over the write-ahead log.
 type RecoveryStats struct {
 	wal.ReplayStats
-	PageImages    int64 // page-image records applied
-	SlotPuts      int64 // slot puts applied (heap tuples and index nodes, batch records included)
-	SlotBatches   int64 // batch-put records applied
-	SlotPatches   int64 // slot patches applied
-	SlotDeletes   int64 // slot deletes applied
-	SkippedByLSN  int64 // logical records skipped because pageLSN was newer
-	TailDiscarded int64 // records after the last commit marker, not replayed
-	FilesTouched  int   // distinct data files opened by redo
-	PagesWritten  int64 // pages redo wrote back: each it dirtied once, plus any evicted and written earlier
-	TornPages     int64 // pages failing checksum at redo (torn at crash)
-	TornRepaired  int64 // torn pages reinitialized and rebuilt from the log
+	PageImages   int64 // page-image records applied
+	SlotPuts     int64 // slot puts applied (heap tuples and index nodes, batch records included)
+	SlotBatches  int64 // batch-put records applied
+	SlotPatches  int64 // slot patches applied
+	SlotDeletes  int64 // slot deletes applied
+	SkippedByLSN int64 // logical records skipped because pageLSN was newer
+	FilesTouched int   // distinct data files opened by redo
+	PagesWritten int64 // pages redo wrote back: each it dirtied once, plus any evicted and written earlier
+	TornPages    int64 // pages failing checksum at redo (torn at crash)
+	TornRepaired int64 // torn pages reinitialized and rebuilt from the log
 	// Committed holds the transactions the replayed log has a commit
 	// record for, and LastCheckpoint the state its last checkpoint record
 	// carries (zero when the log holds none): what the owner of versioned
@@ -116,6 +115,8 @@ func (z *imageInflater) imagePage(buf []byte, r *wal.Record) error {
 // in the crash; they are not replayed, so a heap row never reappears
 // without its index entries, and they are cut from the log. A log with
 // no marker at all (raw storage-level use) is one unit, replayed in full.
+// wal.Replay decides which records are kept and where the kept log ends
+// (RecoveryStats.End), and the log is left cut there for the writer.
 //
 // Every page of every file is trusted by one rule: its checksum matches.
 // A page a record targets whose checksum does not match was torn at the
@@ -328,7 +329,6 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 		unit = unit[:0]
 		return nil
 	}
-	lastMarker := wal.LSN(0)
 	rs, err := wal.Replay(walDir, func(r *wal.Record) error {
 		if firstLSN == 0 {
 			firstLSN = r.LSN
@@ -337,17 +337,15 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 		if r.Type != wal.RecCommit && r.Type != wal.RecCheckpoint {
 			return nil
 		}
-		lastMarker = r.LSN
 		return applyUnit()
 	})
 	st.ReplayStats = rs
-	if err == nil && lastMarker == 0 {
+	if err == nil && rs.TailDiscarded == 0 {
 		err = applyUnit()
 	}
 	if err != nil {
 		return st, fmt.Errorf("storage: recovery: %w", err)
 	}
-	st.TailDiscarded = int64(len(unit))
 	// Write back what redo dirtied and make it durable; the deferred
 	// Crash drops the relations.
 	if pool != nil {
@@ -363,11 +361,10 @@ func RecoverDir(dataDir, walDir string, pageSize, poolPages int) (RecoveryStats,
 	}
 	// The discarded tail must not survive in the log: left in place, its
 	// records would sit below the next run's commit markers and be
-	// replayed as committed by a later recovery.
-	if st.TailDiscarded > 0 {
-		if terr := wal.TruncateAfter(walDir, lastMarker); terr != nil {
-			return st, fmt.Errorf("storage: recovery: %w", terr)
-		}
+	// replayed as committed by a later recovery. A torn frame goes with
+	// it, in one cut.
+	if err := wal.Cut(walDir, rs.End); err != nil {
+		return st, fmt.Errorf("storage: recovery: %w", err)
 	}
 	return st, nil
 }

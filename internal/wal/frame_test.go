@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -36,22 +38,27 @@ func frameSpans(t *testing.T, path string) []frameSpan {
 	}
 }
 
-// writeStatements appends groups statements of several records over two
-// relations, each closed by its commit marker, and returns the markers'
-// LSNs.
+// statement stages the records of statement s: several, over two
+// relations.
+func statement(s int) *Group {
+	g := NewGroup()
+	g.AddHeapInsert("rel1.tbl", uint32(s+1), 0, bytes.Repeat([]byte{byte(s)}, 20+s))
+	g.AddSlotPut("rel2.idx", uint32(s+1), 1, []byte("node"))
+	g.AddSlotPatch("rel2.idx", uint32(s+1), 1, []byte{4, 0, 0, 0, 1, 0, 'N'})
+	g.AddSlotPatch("rel1.tbl", uint32(s+1), 0, []byte{byte(20 + s), 0, 8, 0, 1, 0, byte(s)})
+	if s%2 == 1 {
+		g.AddTxnCommit(uint64(s))
+	}
+	return g
+}
+
+// writeStatements appends groups statements, each closed by its commit
+// marker, and returns the markers' LSNs.
 func writeStatements(t *testing.T, w *Writer, groups int) []LSN {
 	t.Helper()
 	var markers []LSN
 	for s := 0; s < groups; s++ {
-		g := NewGroup()
-		g.AddHeapInsert("rel1.tbl", uint32(s+1), 0, bytes.Repeat([]byte{byte(s)}, 20+s))
-		g.AddSlotPut("rel2.idx", uint32(s+1), 1, []byte("node"))
-		g.AddSlotPatch("rel2.idx", uint32(s+1), 1, []byte{4, 0, 0, 0, 1, 0, 'N'})
-		g.AddSlotPatch("rel1.tbl", uint32(s+1), 0, []byte{byte(20 + s), 0, 8, 0, 1, 0, byte(s)})
-		if s%2 == 1 {
-			g.AddTxnCommit(uint64(s))
-		}
-		if _, m, err := w.AppendGroupCommit(g); err != nil {
+		if _, m, err := w.AppendGroupCommit(statement(s)); err != nil {
 			t.Fatal(err)
 		} else {
 			markers = append(markers, m)
@@ -126,62 +133,99 @@ func TestFrameIsAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestTruncateAfterCutsWholeFrames: truncating after a marker leaves the
-// log ending on that marker's frame, across segment rotations; an LSN
-// inside a frame that does not close it cannot be cut after and is an
-// error that leaves the log as it was.
-func TestTruncateAfterCutsWholeFrames(t *testing.T) {
+// segmentBytes returns the bytes of each segment in dir, by file name.
+func segmentBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	m := map[string][]byte{}
+	segs, _ := listSegments(dir)
+	for _, s := range segs {
+		b, err := os.ReadFile(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[filepath.Base(s.path)] = b
+	}
+	return m
+}
+
+// TestCutKeepsWholeFrames: the end Replay reports for a log whose last
+// statements lost their markers lies just past the last marker's frame,
+// and the cut there leaves the log ending on that frame, across segment
+// rotations. No end falls inside a frame: Replay refuses a log whose
+// marker does not close its frame, the one way a statement could end
+// inside one, and Cut refuses an end the log on disk does not reach,
+// leaving the log as it was.
+func TestCutKeepsWholeFrames(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWriter(dir, Options{SegmentBytes: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	markers := writeStatements(t, w, 8)
+	markers := writeStatements(t, w, 5)
+	if err := w.Sync(markers[4]); err != nil {
+		t.Fatal(err)
+	}
+	kept := len(segmentBytes(t, dir))
+	tail := int64(0)
+	for s := 5; s < 8; s++ {
+		g := statement(s)
+		tail += int64(g.Len())
+		if _, err := w.AppendGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if segs, _ := listSegments(dir); len(segs) < 3 {
-		t.Fatalf("%d segments, want the groups spread over at least 3", len(segs))
+	if segs, _ := listSegments(dir); kept < 2 || len(segs) <= kept {
+		t.Fatalf("%d segments to the last marker, %d with the tail: want the tail past a rotation", kept, len(segs))
 	}
-	snapshot := func() map[string][]byte {
-		m := map[string][]byte{}
-		segs, _ := listSegments(dir)
-		for _, s := range segs {
-			b, err := os.ReadFile(s.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m[s.path] = b
+	_, st := replayAll(t, dir)
+	if st.TailDiscarded != tail || st.End.next != markers[4]+1 {
+		t.Fatalf("replay discards %d records and ends before LSN %d, want %d and %d", st.TailDiscarded, st.End.next, tail, markers[4]+1)
+	}
+
+	before := segmentBytes(t, dir)
+	size := int64(len(before[segmentName(st.End.seg)]))
+	for _, e := range []End{
+		{seg: st.End.seg, off: size + 1, next: st.End.next},
+		{seg: st.End.seg + 1, next: st.End.next},
+	} {
+		if err := Cut(dir, e); err == nil {
+			t.Fatalf("Cut(%+v) past the log succeeded", e)
 		}
-		return m
-	}
-	before := snapshot()
-	inside := markers[4] - 2 // a record of the fifth statement's frame
-	if err := TruncateAfter(dir, inside); err == nil {
-		t.Fatalf("TruncateAfter(%d) inside a frame succeeded", inside)
-	}
-	after := snapshot()
-	if len(after) != len(before) {
-		t.Fatalf("a failed TruncateAfter changed the segments: %d → %d", len(before), len(after))
-	}
-	for path, b := range before {
-		if !bytes.Equal(after[path], b) {
-			t.Fatalf("a failed TruncateAfter changed %s", path)
+		if after := segmentBytes(t, dir); !maps.EqualFunc(after, before, bytes.Equal) {
+			t.Fatalf("a refused Cut(%+v) changed the log", e)
 		}
 	}
 
-	if err := TruncateAfter(dir, markers[4]); err != nil {
+	if err := Cut(dir, st.End); err != nil {
 		t.Fatal(err)
 	}
 	segs, _ := listSegments(dir)
 	last := segs[len(segs)-1].path
 	spans := frameSpans(t, last)
-	if size, _ := fileSize(last); len(spans) == 0 || spans[len(spans)-1].end != size {
-		t.Fatalf("the last segment is %d bytes, its frames %+v: not cut on a frame boundary", size, spans)
+	if size, _ := fileSize(last); len(segs) != kept || len(spans) == 0 || spans[len(spans)-1].end != size {
+		t.Fatalf("%d segments, the last %d bytes with frames %+v: not cut on the marker's frame", len(segs), size, spans)
 	}
-	recs, st := replayAll(t, dir)
-	if st.TornTail || st.LastLSN != markers[4] || recs[len(recs)-1].Type != RecCommit {
-		t.Fatalf("after TruncateAfter(%d): last LSN %d, torn %v", markers[4], st.LastLSN, st.TornTail)
+	recs, again := replayAll(t, dir)
+	if again.TornTail || again.LastLSN != markers[4] || recs[len(recs)-1].Type != RecCommit {
+		t.Fatalf("after the cut: last LSN %d, torn %v", again.LastLSN, again.TornTail)
+	}
+	if again.End != st.End || again.TailDiscarded != 0 {
+		t.Fatalf("a cut log ends at %+v, discarding %d; want the cut %+v, discarding none", again.End, again.TailDiscarded, st.End)
+	}
+
+	// A frame holding a slot delete behind its commit marker.
+	bad := t.TempDir()
+	g := NewGroup()
+	g.AddSlotDelete("r", 1, 0)
+	frame := appendFrame(nil, 1, commitMarker, g.buf, nil)
+	if err := os.WriteFile(filepath.Join(bad, segmentName(1)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(bad, func(*Record) error { return nil }); err == nil || !strings.Contains(err.Error(), "inside the frame") {
+		t.Fatalf("replay of a marker inside its frame: %v, want it refused", err)
 	}
 }
 
@@ -330,7 +374,7 @@ func TestOversizeGroupSplitsIntoFrames(t *testing.T) {
 	segs, _ := listSegments(dir)
 	var ends []RecordType // the type of each frame's last record
 	for _, s := range segs {
-		if _, _, err := scanSegment(s.path, func(_ LSN, _ int, recs []byte) error {
+		if _, _, err := scanSegment(s.path, func(_ LSN, _ int, recs []byte, _ int64) error {
 			var typ RecordType
 			for len(recs) > 0 {
 				typ, _, recs, _ = nextRecord(recs)
@@ -452,8 +496,9 @@ func bigStatement(s int) *Group {
 
 // TestTornDeflatedFrame: a torn tail inside a deflated frame stops replay
 // at the frame before it, deflated or not, and OpenWriter cuts the log
-// back to that frame's end; TruncateAfter a deflated frame's marker keeps
-// that frame whole.
+// back to that frame's end; the cut at the end replay finds when a
+// deflated frame's statement lost its marker keeps the deflated frame
+// before it whole.
 func TestTornDeflatedFrame(t *testing.T) {
 	src := t.TempDir()
 	w, err := OpenWriter(src, Options{})
@@ -461,12 +506,13 @@ func TestTornDeflatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	markers := writeStatements(t, w, 2)
-	for s := 0; s < 2; s++ {
-		_, m, err := w.AppendGroupCommit(bigStatement(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		markers = append(markers, m)
+	_, m, err := w.AppendGroupCommit(bigStatement(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	markers = append(markers, m)
+	if _, err := w.AppendGroup(bigStatement(1)); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -528,18 +574,19 @@ func TestTornDeflatedFrame(t *testing.T) {
 	if err := os.WriteFile(seg, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := TruncateAfter(dir, markers[2]-1); err == nil {
-		t.Fatal("TruncateAfter inside a deflated frame succeeded")
+	_, st := replayAll(t, dir)
+	if st.TailDiscarded != int64(spans[3].n) {
+		t.Fatalf("replay discards %d records, want the %d of the unmarked frame", st.TailDiscarded, spans[3].n)
 	}
-	if err := TruncateAfter(dir, markers[2]); err != nil {
+	if err := Cut(dir, st.End); err != nil {
 		t.Fatal(err)
 	}
 	if size, _ := fileSize(seg); size != spans[2].end {
-		t.Fatalf("TruncateAfter(%d) left %d bytes, want the deflated frame's end %d", markers[2], size, spans[2].end)
+		t.Fatalf("the cut left %d bytes, want the deflated frame's end %d", size, spans[2].end)
 	}
 	recs, st := replayAll(t, dir)
 	if st.TornTail || st.LastLSN != markers[2] {
-		t.Fatalf("after TruncateAfter(%d): last LSN %d, torn %v", markers[2], st.LastLSN, st.TornTail)
+		t.Fatalf("after the cut: last LSN %d, torn %v, want the marker %d", st.LastLSN, st.TornTail, markers[2])
 	}
 	node := recs[len(recs)-2]
 	if node.Type != RecSlotPut || node.Slot != 59 || string(node.Data) != "node 59 of statement 0" {
@@ -648,4 +695,12 @@ func TestBatchPrefixBound(t *testing.T) {
 		}
 	}()
 	NewGroup().AddSlotBatchPut("r.tbl", 1, []uint16{0}, make([]byte, maxBatchPrefix+1), [][]byte{nil})
+}
+
+func fileSize(path string) (int64, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Segment files are named wal-<firstLSN as 16 hex digits>.seg so a
@@ -58,84 +58,34 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-var errStopScan = errors.New("wal: stop scan")
-
-// TruncateAfter physically removes every record with an LSN greater
-// than lsn from the log: whole segments past lsn are deleted and the
-// segment containing lsn is cut just after the frame it closes. Recovery
-// calls this after discarding an uncommitted tail, so the discarded
-// records cannot resurface (and be wrongly replayed as committed) at the
-// next reopen. A frame is cut whole or not at all, so lsn must be the
-// last record of its frame — a marker is — or TruncateAfter returns an
-// error and cuts nothing. Only the segment containing lsn is read: one
-// whose successor starts at or below lsn holds nothing past it. No
-// Writer may have the log open during the call.
-func TruncateAfter(dir string, lsn LSN) error {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return err
-	}
-	for i, seg := range segs {
-		if seg.first > lsn {
-			if err := os.Remove(seg.path); err != nil {
-				return fmt.Errorf("wal: truncate: remove %s: %w", seg.path, err)
-			}
-			continue
-		}
-		if i+1 < len(segs) && segs[i+1].first <= lsn {
-			continue
-		}
-		// scanSegment stops at the frame whose callback errors and
-		// returns the offset of that frame — the cut point.
-		cut, _, err := scanSegment(seg.path, func(first LSN, n int, _ []byte) error {
-			switch last := first + LSN(n) - 1; {
-			case first > lsn:
-				return errStopScan
-			case last > lsn:
-				return fmt.Errorf("wal: truncate after LSN %d: it lies inside the frame of LSNs %d to %d", lsn, first, last)
-			}
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopScan) {
-			return err
-		}
-		if size, serr := fileSize(seg.path); serr == nil && cut < size {
-			if terr := os.Truncate(seg.path, cut); terr != nil {
-				return fmt.Errorf("wal: truncate %s: %w", seg.path, terr)
-			}
-		}
-	}
-	return nil
-}
+// frameParses counts the frames scanSegment has parsed, for the test that
+// holds a reopen to one parse of each.
+var frameParses atomic.Int64
 
 // scanSegment iterates the valid frames of one segment file, calling fn
-// for each with its first LSN, its record count and its records, inflated
-// when the frame holds them deflated (valid during the call). It returns
-// the byte offset just past the last valid frame and the LSN of that
-// frame's last record (0 if none). Scanning stops silently at the first
+// for each with its first LSN, its record count, its records, inflated
+// when the frame holds them deflated (valid during the call), and the
+// byte offset just past it. It returns the offset just past the last
+// valid frame and the file's size. Scanning stops silently at the first
 // torn or corrupt frame — distinguishing a crash-torn tail from damage is
 // the caller's job.
-func scanSegment(path string, fn func(first LSN, n int, recs []byte) error) (validEnd int64, last LSN, err error) {
+func scanSegment(path string, fn func(first LSN, n int, recs []byte, end int64) error) (validEnd, size int64, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	var fr frameReader
-	off := 0
-	for {
-		first, n, recs, size, ok := fr.parseFrame(b[off:])
+	for off := 0; ; {
+		first, n, recs, k, ok := fr.parseFrame(b[off:])
 		if !ok {
-			break
+			return int64(off), int64(len(b)), nil
 		}
-		if fn != nil {
-			if err := fn(first, n, recs); err != nil {
-				return int64(off), last, err
-			}
+		frameParses.Add(1)
+		if err := fn(first, n, recs, int64(off+k)); err != nil {
+			return int64(off), int64(len(b)), err
 		}
-		last = first + LSN(n) - 1
-		off += size
+		off += k
 	}
-	return int64(off), last, nil
 }
 
 // frameReader parses frames, inflating the deflated ones into a buffer it

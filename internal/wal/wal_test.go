@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,8 +131,12 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 		t.Fatalf("want 5 records and a torn tail, got %d (stats %+v)", len(recs), st)
 	}
 
-	// Reopen: the tail must be truncated and the LSN sequence continue.
-	w, err = OpenWriter(dir, Options{})
+	// Reopen at the end replay found, a log without markers being kept
+	// whole: the tail must be cut and the LSN sequence continue.
+	if err := Cut(dir, st.End); err != nil {
+		t.Fatal(err)
+	}
+	w, err = OpenWriterAt(dir, Options{}, st.End)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +153,136 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 	recs, st = replayAll(t, dir)
 	if len(recs) != 6 || st.TornTail {
 		t.Fatalf("after truncation: %d records, torn=%v", len(recs), st.TornTail)
+	}
+}
+
+// TestReopenParsesEachFrameOnce: a reopen — Replay, the cut at the end it
+// reports, the writer opened there — parses each frame of the log once.
+// It leaves the segments as the reopen always has: a log that ends at a
+// marker whole; a statement that lost its marker cut back to the last
+// marker's frame, with the segment it spilled into removed; a torn final
+// frame cut back to the frame before it. The writer carries on the LSNs.
+func TestReopenParsesEachFrameOnce(t *testing.T) {
+	sizes := func(dir string) map[string]int64 {
+		m := map[string]int64{}
+		segs, _ := listSegments(dir)
+		for _, s := range segs {
+			m[filepath.Base(s.path)], _ = fileSize(s.path)
+		}
+		return m
+	}
+	cases := []struct {
+		name string
+		opts Options
+		// write fills the log and returns the segments a reopen leaves
+		// and the LSN it appends next; tear, when set, cuts bytes off the
+		// closed log's last frame.
+		write func(t *testing.T, w *Writer, dir string) (map[string]int64, LSN)
+		tear  bool
+	}{
+		{
+			name: "ends at a marker",
+			opts: Options{SegmentBytes: 300},
+			write: func(t *testing.T, w *Writer, dir string) (map[string]int64, LSN) {
+				markers := writeStatements(t, w, 6)
+				if err := w.Sync(markers[5]); err != nil {
+					t.Fatal(err)
+				}
+				return sizes(dir), markers[5] + 1
+			},
+		},
+		{
+			name: "uncommitted tail across a rotation",
+			opts: Options{SegmentBytes: 300},
+			write: func(t *testing.T, w *Writer, dir string) (map[string]int64, LSN) {
+				markers := writeStatements(t, w, 3)
+				if err := w.Sync(markers[2]); err != nil {
+					t.Fatal(err)
+				}
+				keep := sizes(dir)
+				for s := 3; len(sizes(dir)) <= len(keep); s++ {
+					if _, err := w.AppendGroup(statement(s)); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Sync(w.AppendedLSN()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return keep, markers[2] + 1
+			},
+		},
+		{
+			name: "torn final frame",
+			write: func(t *testing.T, w *Writer, dir string) (map[string]int64, LSN) {
+				markers := writeStatements(t, w, 4)
+				if err := w.Sync(markers[3]); err != nil {
+					t.Fatal(err)
+				}
+				keep := sizes(dir)
+				if _, _, err := w.AppendGroupCommit(statement(4)); err != nil {
+					t.Fatal(err)
+				}
+				return keep, markers[3] + 1
+			},
+			tear: true,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := OpenWriter(dir, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, next := c.write(t, w, dir)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, _ := listSegments(dir)
+			frames := 0
+			for _, s := range segs {
+				frames += len(frameSpans(t, s.path))
+			}
+			if c.tear {
+				last := segs[len(segs)-1].path
+				size, _ := fileSize(last)
+				if err := os.Truncate(last, size-3); err != nil {
+					t.Fatal(err)
+				}
+				frames--
+			}
+
+			frameParses.Store(0)
+			st, err := Replay(dir, func(*Record) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Cut(dir, st.End); err != nil {
+				t.Fatal(err)
+			}
+			if w, err = OpenWriterAt(dir, c.opts, st.End); err != nil {
+				t.Fatal(err)
+			}
+			if got := frameParses.Load(); got != int64(frames) {
+				t.Errorf("the reopen parsed %d frames, want each of the %d once", got, frames)
+			}
+			if got := sizes(dir); !maps.Equal(got, want) {
+				t.Errorf("the reopen left segments %v, want %v", got, want)
+			}
+			lsn, err := w.AppendCommit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if lsn != next {
+				t.Fatalf("the first append after the reopen took LSN %d, want %d", lsn, next)
+			}
+			if _, again := replayAll(t, dir); again.TornTail || again.LastLSN != lsn || again.TailDiscarded != 0 {
+				t.Fatalf("after the reopen: last LSN %d, torn %v, %d discarded; want %d, whole", again.LastLSN, again.TornTail, again.TailDiscarded, lsn)
+			}
+		})
 	}
 }
 
@@ -544,9 +679,9 @@ func TestStartAfter(t *testing.T) {
 	if segs, err := filepath.Glob(filepath.Join(dir, "*.seg")); err != nil || len(segs) != 1 || filepath.Base(segs[0]) != segmentName(42) {
 		t.Fatalf("segments %v (%v), want %s alone", segs, err, segmentName(42))
 	}
-	recs, st := replayAll(t, dir)
-	if len(recs) != 1 || st.FirstLSN != 42 || recs[0].LSN != 42 {
-		t.Fatalf("replayed %d records from LSN %d, want one at 42", len(recs), st.FirstLSN)
+	recs, _ := replayAll(t, dir)
+	if len(recs) != 1 || recs[0].LSN != 42 {
+		t.Fatalf("replayed %d records, want one at LSN 42", len(recs))
 	}
 	w, err = OpenWriter(dir, Options{})
 	if err != nil {

@@ -115,59 +115,50 @@ type Writer struct {
 	waits *obs.WaitSet
 }
 
-// OpenWriter opens (creating if necessary) the log in dir and positions
-// appends after the last valid record, truncating any torn tail left by
-// a crash.
+// OpenWriter opens (creating if necessary) the log in dir to append
+// after the last valid frame of its last segment, which it finds, cutting
+// off any torn tail a crash left. Recovery opens at the end Replay
+// reported instead (OpenWriterAt), without a second read.
 func OpenWriter(dir string, opts Options) (*Writer, error) {
+	segs, err := listSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	var e End
+	if len(segs) > 0 {
+		last := segs[len(segs)-1]
+		e = End{seg: last.first, next: last.first}
+		if segs[0].first > 1 {
+			e.ckpt = segs[0].first
+		}
+		if e.off, _, err = scanSegment(last.path, func(first LSN, n int, _ []byte, _ int64) error {
+			e.next = first + LSN(n)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return OpenWriterAt(dir, opts, e)
+}
+
+// OpenWriterAt cuts the log in dir at e (Cut) and opens it to append
+// there, without reading it; the zero End begins a log.
+func OpenWriterAt(dir string, opts Options, e End) (*Writer, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
+	if err := Cut(dir, e); err != nil {
+		return nil, err
+	}
 	w := &Writer{dir: dir, opts: opts, frames: deflater{level: flate.HuffmanOnly}}
 	w.cond = sync.NewCond(&w.mu)
-
-	segs, err := listSegments(dir)
-	if err != nil {
+	if err := w.openSegment(max(e.seg, 1)); err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 {
-		w.nextLSN = 1
-		if err := w.openSegment(w.nextLSN); err != nil {
-			return nil, err
-		}
-		return w, nil
-	}
-	last := segs[len(segs)-1]
-	validEnd, lastLSN, err := scanSegment(last.path, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Only a checkpoint ever deletes segments, and the checkpoint record
-	// is always the first record of the segment the rotation opened — so
-	// the oldest surviving segment starting past LSN 1 names the last
-	// checkpoint. An oldest segment at LSN 1 means no checkpoint ever
-	// recycled anything: the log is complete since its creation.
-	if segs[0].first > 1 {
-		w.ckpt = segs[0].first
-	}
-	if lastLSN == 0 {
-		// The segment was created but no record survived.
-		w.nextLSN = last.first
-	} else {
-		w.nextLSN = lastLSN + 1
-	}
-	if err := os.Truncate(last.path, validEnd); err != nil {
-		return nil, fmt.Errorf("wal: truncate torn tail of %s: %w", last.path, err)
-	}
-	f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", last.path, err)
-	}
-	w.f = f
-	w.segFirst = last.first
-	w.segWritten = validEnd
+	w.segWritten, w.nextLSN, w.ckpt = e.off, max(e.next, 1), e.ckpt
 	w.appended = w.nextLSN - 1
 	w.durable = w.appended
 	// Records surviving from previous runs are settled (recovery has
@@ -214,7 +205,7 @@ func (w *Writer) StartAfter(lsn LSN) error {
 }
 
 // openSegment creates (or reopens) the segment whose first record is lsn
-// and makes it current. Caller holds w.mu (or is in OpenWriter).
+// and makes it current. Caller holds w.mu (or is in OpenWriterAt).
 func (w *Writer) openSegment(lsn LSN) error {
 	path := filepath.Join(w.dir, segmentName(lsn))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
