@@ -81,8 +81,9 @@ type Index interface {
 
 // BatchInserter is the optional grouped-maintenance interface: an index
 // that implements it absorbs a multi-row statement's keys as one
-// operation (sorting them so descents cluster, amortizing node decodes
-// and page pins) instead of one fully independent insert per row.
+// operation (ordering them so descents cluster or, for the kd-tree, so the
+// tree comes out balanced, amortizing node decodes and page pins) instead
+// of one fully independent insert per row.
 type BatchInserter interface {
 	InsertBatch(keys []catalog.Datum, rids []heap.RID) error
 }
@@ -206,9 +207,9 @@ func (x *spgistIndex) Insert(key catalog.Datum, rid heap.RID) error {
 	return x.tree.Insert(v, rid)
 }
 
-// InsertBatch groups a statement's inserts: core sorts the keys by
-// encoded form, so the clustered descents find the inner nodes they share
-// in its node table.
+// InsertBatch groups a statement's inserts: core orders the keys (by the
+// opclass's order if it has one, else by encoded form, so the clustered
+// descents find the inner nodes they share in its node table).
 func (x *spgistIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
 	vs := make([]core.Value, len(keys))
 	for i, k := range keys {

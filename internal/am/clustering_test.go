@@ -61,7 +61,11 @@ func measureShape(t *testing.T, x *spgistIndex, bp *storage.BufferPool, op strin
 // (core.Tree.Repack, the clustering section 3 of the paper keeps at all
 // times). Figure 12's "nearly equal page heights" holds for the repacked
 // tree only: the built tree's figures are today's, bounds for a bottom-up
-// builder to tighten, and the repacked tree's must not be exceeded.
+// builder to tighten, and the repacked tree's must not be exceeded. The
+// kd-tree is also built from the same keys in 500-key InsertBatch calls,
+// the end-to-end benchmark's statement size, whose median-first order
+// (kdtree.OpClass.OrderBatch) gives page height 14 and 6.425 pages per
+// descent; with each batch sorted by encoded key it gave 16 and 7.08.
 func TestInsertBuiltClustering(t *testing.T) {
 	const n = 10000
 	world := geom.MakeBox(0, 0, 100, 100) // the figures' world and segment length
@@ -80,12 +84,13 @@ func TestInsertBuiltClustering(t *testing.T) {
 		keys            []catalog.Datum
 		op              string // the exact match
 		built, repacked shape  // bounds: today's figures
+		batched         shape  // built in 500-key InsertBatch calls; zero: not measured
 	}{
-		{"spgist_trie", words, "=", shape{4, 2.82}, shape{2, 1.99}},
-		{"spgist_suffix", words, "@=", shape{4, 15.71}, shape{2, 2.65}},
-		{"spgist_kdtree", points, "@", shape{15, 6.86}, shape{4, 2.51}},
-		{"spgist_pquadtree", points, "@", shape{10, 4.91}, shape{3, 2.47}},
-		{"spgist_pmr", segments, "=", shape{8, 10.73}, shape{3, 3.64}},
+		{"spgist_trie", words, "=", shape{4, 2.82}, shape{2, 1.99}, shape{}},
+		{"spgist_suffix", words, "@=", shape{4, 15.71}, shape{2, 2.65}, shape{}},
+		{"spgist_kdtree", points, "@", shape{15, 6.86}, shape{4, 2.51}, shape{14, 6.43}},
+		{"spgist_pquadtree", points, "@", shape{10, 4.91}, shape{3, 2.47}, shape{}},
+		{"spgist_pmr", segments, "=", shape{8, 10.73}, shape{3, 3.64}, shape{}},
 	}
 	for _, c := range cases {
 		t.Run(c.opclass, func(t *testing.T) {
@@ -118,6 +123,28 @@ func TestInsertBuiltClustering(t *testing.T) {
 			t.Logf("as built: %v; repacked: %v", built, repacked)
 			if !built.within(c.built) || !repacked.within(c.repacked) {
 				t.Errorf("as built: %v, repacked: %v; want at most %v and %v", built, repacked, c.built, c.repacked)
+			}
+			if c.batched == (shape{}) {
+				return
+			}
+			bbp := storage.NewBufferPool("", storage.NewMem(storage.DefaultPageSize), 256)
+			bx, err := New(c.opclass, bbp, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids := make([]heap.RID, len(c.keys))
+			for i := range rids {
+				rids[i] = rid(i)
+			}
+			for lo := 0; lo < len(c.keys); lo += 500 {
+				if err := bx.(BatchInserter).InsertBatch(c.keys[lo:lo+500], rids[lo:lo+500]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batched := measureShape(t, bx.(*spgistIndex), bbp, c.op, probes)
+			t.Logf("built in 500-key batches: %v", batched)
+			if !batched.within(c.batched) {
+				t.Errorf("built in 500-key batches: %v; want at most %v", batched, c.batched)
 			}
 		})
 	}

@@ -27,27 +27,32 @@ func (t *Tree) Insert(key Value, rid heap.RID) error {
 	return t.insertEncoded(t.oc.EncodeKey(key), rid)
 }
 
-// InsertBatch adds many (key, rid) pairs as one grouped operation: the
-// keys are sorted by their encoded form first, so consecutive descents
-// revisit the same inner nodes back to back and read them out of the node
-// table — one page fetch and one record copy per inner node for the whole
-// key cluster that routes through it. The data node at the end of a descent
-// is never copied: an insertion extends its record inside the page.
+// InsertBatch adds many (key, rid) pairs as one grouped operation, in the
+// opclass's order (BatchOrderer: the kd-tree's median first) or else sorted
+// by encoded form, so consecutive descents revisit the same inner nodes
+// back to back and read them out of the node table — one page fetch and
+// one record copy per inner node for the whole key cluster that routes
+// through it. The data node at the end of a descent is never copied: an
+// insertion extends its record inside the page. A one-key batch is Insert.
 func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	if len(keys) != len(rids) {
 		return fmt.Errorf("spgist: InsertBatch got %d keys for %d rids", len(keys), len(rids))
 	}
-	type pair struct {
-		kb  []byte
-		rid heap.RID
+	if len(keys) == 1 {
+		return t.Insert(keys[0], rids[0])
 	}
-	ps := make([]pair, len(keys))
+	kbs := make([][]byte, len(keys))
+	order := make([]int, len(keys))
 	for i := range keys {
-		ps[i] = pair{kb: t.oc.EncodeKey(keys[i]), rid: rids[i]}
+		kbs[i], order[i] = t.oc.EncodeKey(keys[i]), i
 	}
-	slices.SortStableFunc(ps, func(a, b pair) int { return bytes.Compare(a.kb, b.kb) })
-	for _, p := range ps {
-		if err := t.insertEncoded(p.kb, p.rid); err != nil {
+	if bo, ok := t.oc.(BatchOrderer); ok {
+		bo.OrderBatch(keys, order)
+	} else {
+		slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(kbs[a], kbs[b]) })
+	}
+	for _, i := range order {
+		if err := t.insertEncoded(kbs[i], rids[i]); err != nil {
 			return err
 		}
 	}

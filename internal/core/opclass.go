@@ -255,6 +255,15 @@ type OpClass interface {
 	LeafConsistent(q *Query, key []byte, level int) bool
 }
 
+// BatchOrderer is implemented by opclasses whose trees take their shape
+// from the order keys arrive in. Tree.InsertBatch inserts keys[order[i]]
+// for i = 0, 1, … after OrderBatch has permuted order (0 … len(keys)-1 on
+// entry), which must depend on the keys alone: equal batches, equal files.
+type BatchOrderer interface {
+	OpClass
+	OrderBatch(keys []Value, order []int)
+}
+
 // NNOpClass is implemented by opclasses that support the incremental
 // nearest-neighbor search of the paper's section 5. Distances must be
 // lower bounds that never decrease along a root-to-leaf path, which is

@@ -204,6 +204,50 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 	}
 }
 
+// OrderBatch implements core.BatchOrderer: median first, Bentley's
+// kd-tree construction. The batch's median on X goes in first, then each
+// half in turn by its median on Y, then X, and so on down, so a batch
+// that lands in an empty tree builds it balanced. Every level selects its
+// median rather than sorting (O(n log n) for the batch) and breaks ties
+// by index, so the order is a function of the batch.
+func (o *OpClass) OrderBatch(keys []core.Value, order []int) { medianFirst(keys, order, 0) }
+
+func medianFirst(keys []core.Value, order []int, level int) {
+	if len(order) < 2 {
+		return
+	}
+	less := func(a, b int) bool {
+		ca, cb := coord(keys[a].(geom.Point), level), coord(keys[b].(geom.Point), level)
+		return ca < cb || ca == cb && a < b
+	}
+	// Hoare's selection: partition around the middle entry until the
+	// median lands at mid, the lower half before it, the upper after.
+	mid := len(order) / 2
+	for lo, hi := 0, len(order)-1; lo < hi; {
+		m := lo + (hi-lo)/2
+		order[m], order[hi] = order[hi], order[m]
+		i := lo
+		for j := lo; j < hi; j++ {
+			if less(order[j], order[hi]) {
+				order[i], order[j] = order[j], order[i]
+				i++
+			}
+		}
+		order[i], order[hi] = order[hi], order[i]
+		if mid <= i {
+			hi = i - 1
+		}
+		if mid >= i {
+			lo = i + 1
+		}
+	}
+	m := order[mid] // to the front, ahead of the lower half
+	copy(order[1:mid+1], order[:mid])
+	order[0] = m
+	medianFirst(keys, order[1:mid+1], level+1)
+	medianFirst(keys, order[mid+1:], level+1)
+}
+
 // follow appends the child under entry i. Searches navigate by the
 // splitting point alone, so no traversal value goes along.
 func follow(out *core.InnerOut, i int) {

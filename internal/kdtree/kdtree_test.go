@@ -1,8 +1,10 @@
 package kdtree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -72,24 +74,51 @@ func TestPointMatchAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestRangeSearchAgainstBruteForce(t *testing.T) {
-	tr := newTree(t)
-	pts := buildRandom(t, tr, 5000, 3)
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		b := geom.MakeBox(r.Float64()*100, r.Float64()*100, r.Float64()*100, r.Float64()*100)
-		want := 0
-		for _, p := range pts {
-			if b.Contains(p) {
-				want++
-			}
+// buildBatched loads n random points, every tenth a repeat of an earlier
+// one, in InsertBatch calls of 250 keys: median first.
+func buildBatched(t testing.TB, tr *core.Tree, n int, seed int64) []geom.Point {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	keys := make([]core.Value, n)
+	rids := make([]heap.RID, n)
+	for i := range pts {
+		if pts[i] = randPoint(r); i%10 == 9 {
+			pts[i] = pts[r.Intn(i)]
 		}
-		rids, err := tr.Lookup(&core.Query{Op: "^", Arg: b})
-		if err != nil {
+		keys[i], rids[i] = pts[i], rid(i)
+	}
+	for lo := 0; lo < n; lo += 250 {
+		hi := min(lo+250, n)
+		if err := tr.InsertBatch(keys[lo:hi], rids[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
-		if len(rids) != want {
-			t.Fatalf("^ %v: got %d, want %d", b, len(rids), want)
+	}
+	return pts
+}
+
+func TestRangeSearchAgainstBruteForce(t *testing.T) {
+	for name, build := range map[string]func(testing.TB, *core.Tree, int, int64) []geom.Point{
+		"one by one": buildRandom, "batched": buildBatched,
+	} {
+		tr := newTree(t)
+		pts := build(t, tr, 5000, 3)
+		r := rand.New(rand.NewSource(4))
+		for i := 0; i < 100; i++ {
+			b := geom.MakeBox(r.Float64()*100, r.Float64()*100, r.Float64()*100, r.Float64()*100)
+			want := 0
+			for _, p := range pts {
+				if b.Contains(p) {
+					want++
+				}
+			}
+			rids, err := tr.Lookup(&core.Query{Op: "^", Arg: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rids) != want {
+				t.Fatalf("%s: ^ %v: got %d, want %d", name, b, len(rids), want)
+			}
 		}
 	}
 }
@@ -212,5 +241,93 @@ func TestStatsBinaryShape(t *testing.T) {
 	}
 	if st.MaxPageHeight > st.MaxNodeHeight {
 		t.Fatal("page height exceeds node height")
+	}
+}
+
+// medianFirstRef is OrderBatch's order computed by full sorts: the
+// median by (coordinate of the level, index) first, then the half below
+// it, then the half above, each ordered the same way one level down.
+func medianFirstRef(pts []geom.Point, idx []int, level int) []int {
+	if len(idx) < 2 {
+		return idx
+	}
+	s := append([]int(nil), idx...)
+	sort.Slice(s, func(a, b int) bool {
+		ca, cb := coord(pts[s[a]], level), coord(pts[s[b]], level)
+		return ca < cb || ca == cb && s[a] < s[b]
+	})
+	mid := len(s) / 2
+	out := []int{s[mid]}
+	out = append(out, medianFirstRef(pts, s[:mid], level+1)...)
+	return append(out, medianFirstRef(pts, s[mid+1:], level+1)...)
+}
+
+func TestOrderBatchIsMedianFirst(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	gen := map[string]func(i int) geom.Point{
+		"distinct":   func(int) geom.Point { return randPoint(r) },
+		"duplicates": func(int) geom.Point { return geom.Point{X: float64(r.Intn(5)), Y: float64(r.Intn(3))} },
+		"all equal":  func(int) geom.Point { return geom.Point{X: 1, Y: 2} },
+	}
+	for name, g := range gen {
+		for _, n := range []int{0, 1, 2, 3, 500} {
+			pts := make([]geom.Point, n)
+			keys := make([]core.Value, n)
+			identity := make([]int, n)
+			for i := range pts {
+				pts[i] = g(i)
+				keys[i], identity[i] = pts[i], i
+			}
+			order := append([]int(nil), identity...)
+			New().OrderBatch(keys, order)
+			want := medianFirstRef(pts, identity, 0)
+			if fmt.Sprint(order) != fmt.Sprint(want) {
+				t.Fatalf("%s, %d keys: order %v, want %v", name, n, order, want)
+			}
+			again := append([]int(nil), identity...)
+			New().OrderBatch(keys, again)
+			if fmt.Sprint(again) != fmt.Sprint(order) {
+				t.Fatalf("%s, %d keys: a second call ordered %v, the first %v", name, n, again, order)
+			}
+		}
+	}
+}
+
+// TestOneKeyBatchAllocatesAsInsert checks that InsertBatch of one key,
+// the path of every single-row INSERT, allocates no more than Insert:
+// it is not ordered. Where sync.Pool drops what it is given at random
+// (the race detector does that) the two counts differ by chance, and the
+// test skips.
+func TestOneKeyBatchAllocatesAsInsert(t *testing.T) {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		x := new(int)
+		if p.Put(x); p.Get() != any(x) {
+			t.Skip("sync.Pool drops what it is given: allocation counts vary by chance")
+		}
+	}
+	one, batch := newTree(t), newTree(t)
+	r := rand.New(rand.NewSource(9))
+	keys := make([]core.Value, 2000)
+	for i := range keys {
+		keys[i] = randPoint(r)
+	}
+	i, j := 0, 0
+	a := testing.AllocsPerRun(len(keys)-1, func() {
+		if err := one.Insert(keys[i], rid(i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	rids := []heap.RID{{}}
+	b := testing.AllocsPerRun(len(keys)-1, func() {
+		rids[0] = rid(j)
+		if err := batch.InsertBatch(keys[j:j+1], rids); err != nil {
+			t.Fatal(err)
+		}
+		j++
+	})
+	if b > a {
+		t.Errorf("a one-key InsertBatch allocates %.0f times, Insert %.0f", b, a)
 	}
 }
