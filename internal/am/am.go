@@ -38,8 +38,12 @@ type NNIter func() (rid heap.RID, dist float64, ok bool)
 // StartPageTrace / PageTraceCount), as in PostgreSQL it is the storage
 // and buffer managers'.
 type Index interface {
-	// Insert adds the key of one row.
-	Insert(key catalog.Datum, rid heap.RID) error
+	// Insert adds keys[i] for row rids[i], for every i, in the order
+	// that suits the index. It is the one insert routine, as in the
+	// paper's interface: INSERT and UPDATE call it once per chunk of a
+	// statement and CREATE INDEX once per batch of the heap's rows, as
+	// PostgreSQL's spgbuild drives spgdoinsert.
+	Insert(keys []catalog.Datum, rids []heap.RID) error
 	// BulkDelete removes the entries of every row whose RID dead reports,
 	// reading the index file once in page order (PostgreSQL's
 	// ambulkdelete; the paper's spgistbulkdelete), and returns how many
@@ -77,35 +81,6 @@ type Index interface {
 	// itself, where it moves, so a logged statement that moved the root
 	// is never recovered without it.
 	SaveMeta() error
-}
-
-// BatchInserter is the optional grouped-maintenance interface: an index
-// that implements it absorbs a multi-row statement's keys as one
-// operation (ordering them so descents cluster or, for the kd-tree, so the
-// tree comes out balanced, amortizing node decodes and page pins) instead
-// of one fully independent insert per row.
-type BatchInserter interface {
-	InsertBatch(keys []catalog.Datum, rids []heap.RID) error
-}
-
-// InsertBatch feeds every (tups[i][column], rids[i]) pair into idx,
-// through its BatchInserter fast path when it has one and row by row
-// otherwise. The executor's multi-row INSERT maintains each index
-// through this.
-func InsertBatch(idx Index, column int, tups []catalog.Tuple, rids []heap.RID) error {
-	if bi, ok := idx.(BatchInserter); ok {
-		keys := make([]catalog.Datum, len(tups))
-		for i, tup := range tups {
-			keys[i] = tup[column]
-		}
-		return bi.InsertBatch(keys, rids)
-	}
-	for i, tup := range tups {
-		if err := idx.Insert(tup[column], rids[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // New creates (or reopens) an index of the given operator class over the
@@ -199,18 +174,10 @@ type spgistIndex struct {
 func (x *spgistIndex) Count() int64    { return x.tree.Count() }
 func (x *spgistIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
-func (x *spgistIndex) Insert(key catalog.Datum, rid heap.RID) error {
-	v, err := datumToValue(key)
-	if err != nil {
-		return err
-	}
-	return x.tree.Insert(v, rid)
-}
-
-// InsertBatch groups a statement's inserts: core orders the keys (by the
-// opclass's order if it has one, else by encoded form, so the clustered
-// descents find the inner nodes they share in its node table).
-func (x *spgistIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
+// Insert groups the keys: core orders them (by the opclass's order if it
+// has one, else by encoded form, so the clustered descents find the inner
+// nodes they share in its node table).
+func (x *spgistIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	vs := make([]core.Value, len(keys))
 	for i, k := range keys {
 		v, err := datumToValue(k)
@@ -283,24 +250,20 @@ type suffixIndex struct {
 	spgistIndex
 }
 
-func (x *suffixIndex) Insert(key catalog.Datum, rid heap.RID) error {
-	if key.Typ != catalog.Text {
-		return fmt.Errorf("am: suffix index requires VARCHAR keys")
-	}
-	return suffix.InsertWord(x.tree, key.S, rid)
-}
-
-// InsertBatch must not inherit the plain SP-GiST batch path: each word
-// expands to all its suffixes. Words are inserted in sorted order so at
-// least their shared-prefix descents cluster.
-func (x *suffixIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
+// Insert must not inherit the plain SP-GiST path: each word expands to
+// all its suffixes. Words are inserted in sorted order so at least their
+// shared-prefix descents cluster.
+func (x *suffixIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]].S < keys[order[b]].S })
 	for _, i := range order {
-		if err := x.Insert(keys[i], rids[i]); err != nil {
+		if keys[i].Typ != catalog.Text {
+			return fmt.Errorf("am: suffix index requires VARCHAR keys")
+		}
+		if err := suffix.InsertWord(x.tree, keys[i].S, rids[i]); err != nil {
 			return err
 		}
 	}
@@ -316,16 +279,9 @@ type btreeIndex struct {
 func (x *btreeIndex) Count() int64    { return x.tree.Count() }
 func (x *btreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
 
-func (x *btreeIndex) Insert(key catalog.Datum, rid heap.RID) error {
-	if key.Typ != catalog.Text {
-		return fmt.Errorf("am: btree_text requires VARCHAR keys")
-	}
-	return x.tree.Insert([]byte(key.S), rid)
-}
-
-// InsertBatch sorts the keys and hands them to the tree's leaf-run bulk
-// path: one descent and one page pin per leaf cluster.
-func (x *btreeIndex) InsertBatch(keys []catalog.Datum, rids []heap.RID) error {
+// Insert hands the keys to the tree's leaf-run bulk path, which sorts
+// them: one descent and one page pin per leaf cluster.
+func (x *btreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	pairs := make([]btree.Pair, len(keys))
 	for i, k := range keys {
 		if k.Typ != catalog.Text {
@@ -392,12 +348,17 @@ func (x *rtreeIndex) rect(key catalog.Datum) (geom.Box, error) {
 	}
 }
 
-func (x *rtreeIndex) Insert(key catalog.Datum, rid heap.RID) error {
-	r, err := x.rect(key)
-	if err != nil {
-		return err
+func (x *rtreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
+	for i, key := range keys {
+		r, err := x.rect(key)
+		if err != nil {
+			return err
+		}
+		if err := x.tree.Insert(r, rids[i]); err != nil {
+			return err
+		}
 	}
-	return x.tree.Insert(r, rid)
+	return nil
 }
 
 func (x *rtreeIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {

@@ -17,6 +17,11 @@ func pool() *storage.BufferPool {
 	return storage.NewBufferPool("", storage.NewMem(8192), 256)
 }
 
+// insertOne adds one row's key, a single-row INSERT's call.
+func insertOne(idx Index, key catalog.Datum, r heap.RID) error {
+	return idx.Insert([]catalog.Datum{key}, []heap.RID{r})
+}
+
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
 func TestNewRejectsUnknownOpClass(t *testing.T) {
@@ -64,7 +69,7 @@ func TestScanAgreementAcrossOpClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, w := range words {
-			if err := idx.Insert(catalog.NewText(w), rid(i)); err != nil {
+			if err := insertOne(idx, catalog.NewText(w), rid(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -96,7 +101,7 @@ func TestScanAgreementAcrossOpClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, p := range pts {
-			if err := idx.Insert(catalog.NewPoint(p), rid(i)); err != nil {
+			if err := insertOne(idx, catalog.NewPoint(p), rid(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -120,8 +125,8 @@ func TestScanAgreementAcrossOpClasses(t *testing.T) {
 	pmrIdx, _ := New("spgist_pmr", pool(), true)
 	rtIdx, _ := New("rtree_segment", pool(), true)
 	for i, s := range segs {
-		pmrIdx.Insert(catalog.NewSegment(s), rid(i))
-		rtIdx.Insert(catalog.NewSegment(s), rid(i))
+		insertOne(pmrIdx, catalog.NewSegment(s), rid(i))
+		insertOne(rtIdx, catalog.NewSegment(s), rid(i))
 	}
 	win := geom.MakeBox(10, 10, 30, 30)
 	want := 0
@@ -143,7 +148,7 @@ func TestSuffixIndexInsertsAllSuffixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.Insert(catalog.NewText("hello"), rid(0)); err != nil {
+	if err := insertOne(idx, catalog.NewText("hello"), rid(0)); err != nil {
 		t.Fatal(err)
 	}
 	if idx.Count() != 5 {
@@ -171,7 +176,7 @@ func TestNNThroughAMInterface(t *testing.T) {
 	}
 	pts := datagen.Points(500, 4, geom.MakeBox(0, 0, 100, 100))
 	for i, p := range pts {
-		idx.Insert(catalog.NewPoint(p), rid(i))
+		insertOne(idx, catalog.NewPoint(p), rid(i))
 	}
 	iter, err := idx.NNScan(catalog.NewPoint(geom.Point{X: 50, Y: 50}))
 	if err != nil {
@@ -218,7 +223,7 @@ func TestNNSearchEndsItsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range datagen.Points(500, 4, geom.MakeBox(0, 0, 100, 100)) {
-		idx.Insert(catalog.NewPoint(p), rid(i))
+		insertOne(idx, catalog.NewPoint(p), rid(i))
 	}
 	q := catalog.NewPoint(geom.Point{X: 50, Y: 50})
 	for _, stop := range []int{10, 1000} {
@@ -260,11 +265,11 @@ func poolsKeep() bool {
 
 func TestTypeMismatchErrors(t *testing.T) {
 	bt, _ := New("btree_text", pool(), true)
-	if err := bt.Insert(catalog.NewInt(5), rid(0)); err == nil {
+	if err := insertOne(bt, catalog.NewInt(5), rid(0)); err == nil {
 		t.Error("btree accepted INT key")
 	}
 	rt, _ := New("rtree_point", pool(), true)
-	if err := rt.Insert(catalog.NewSegment(geom.Segment{}), rid(0)); err == nil {
+	if err := insertOne(rt, catalog.NewSegment(geom.Segment{}), rid(0)); err == nil {
 		t.Error("rtree_point accepted SEGMENT key")
 	}
 	kd, _ := New("spgist_kdtree", pool(), true)
@@ -282,7 +287,7 @@ func TestReopenExistingIndexFile(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
 		w := datagen.Words(1, r.Int63())[0]
-		idx.Insert(catalog.NewText(w), rid(i))
+		insertOne(idx, catalog.NewText(w), rid(i))
 	}
 	if err := idx.SaveMeta(); err != nil {
 		t.Fatal(err)

@@ -55,14 +55,14 @@ func measureShape(t *testing.T, x *spgistIndex, bp *storage.BufferPool, op strin
 
 // TestInsertBuiltClustering reproduces figures 11–12 on the tree CREATE
 // INDEX serves. For each SP-GiST operator class, 10⁴ keys are inserted
-// one at a time in data order, as the build inserts the heap's rows, and
+// one at a time in data order, as single-row INSERTs insert them, and
 // the tree's page height and pages per exact-match descent are recorded
 // next to those of the same tree repacked to minimum page height
 // (core.Tree.Repack, the clustering section 3 of the paper keeps at all
 // times). Figure 12's "nearly equal page heights" holds for the repacked
 // tree only: the built tree's figures are today's, bounds for a bottom-up
 // builder to tighten, and the repacked tree's must not be exceeded. The
-// kd-tree is also built from the same keys in 500-key InsertBatch calls,
+// kd-tree is also built from the same keys in 500-key Insert calls,
 // the end-to-end benchmark's statement size, whose median-first order
 // (kdtree.OpClass.OrderBatch) gives page height 14 and 6.425 pages per
 // descent; with each batch sorted by encoded key it gave 16 and 7.08.
@@ -84,7 +84,7 @@ func TestInsertBuiltClustering(t *testing.T) {
 		keys            []catalog.Datum
 		op              string // the exact match
 		built, repacked shape  // bounds: today's figures
-		batched         shape  // built in 500-key InsertBatch calls; zero: not measured
+		batched         shape  // built in 500-key Insert calls; zero: not measured
 	}{
 		{"spgist_trie", words, "=", shape{4, 2.82}, shape{2, 1.99}, shape{}},
 		{"spgist_suffix", words, "@=", shape{4, 15.71}, shape{2, 2.65}, shape{}},
@@ -100,7 +100,7 @@ func TestInsertBuiltClustering(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, k := range c.keys {
-				if err := idx.Insert(k, rid(i)); err != nil {
+				if err := insertOne(idx, k, rid(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -137,7 +137,7 @@ func TestInsertBuiltClustering(t *testing.T) {
 				rids[i] = rid(i)
 			}
 			for lo := 0; lo < len(c.keys); lo += 500 {
-				if err := bx.(BatchInserter).InsertBatch(c.keys[lo:lo+500], rids[lo:lo+500]); err != nil {
+				if err := bx.Insert(c.keys[lo:lo+500], rids[lo:lo+500]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -165,11 +165,7 @@ func TestNodeTableFetchParity(t *testing.T) {
 				func() {
 					for lo := 0; lo < half; lo += 250 {
 						hi := min(lo+250, half)
-						tups := make([]catalog.Tuple, 0, hi-lo)
-						for _, k := range c.keys[lo:hi] {
-							tups = append(tups, catalog.Tuple{k})
-						}
-						if err := InsertBatch(idx, 0, tups, rids[lo:hi]); err != nil {
+						if err := idx.Insert(c.keys[lo:hi], rids[lo:hi]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -180,7 +176,7 @@ func TestNodeTableFetchParity(t *testing.T) {
 				// Row-at-a-time inserts of the second half over a warm store.
 				func() {
 					for i := half; i < len(c.keys); i++ {
-						if err := idx.Insert(c.keys[i], rids[i]); err != nil {
+						if err := insertOne(idx, c.keys[i], rids[i]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -231,12 +227,12 @@ func TestWarmBTreeMatchPinsItsPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := datagen.Words(8000, 11)
-	tups := make([]catalog.Tuple, len(words))
+	keys := make([]catalog.Datum, len(words))
 	rids := make([]heap.RID, len(words))
 	for i, w := range words {
-		tups[i], rids[i] = catalog.Tuple{catalog.NewText(w)}, rid(i)
+		keys[i], rids[i] = catalog.NewText(w), rid(i)
 	}
-	if err := InsertBatch(idx, 0, tups, rids); err != nil {
+	if err := idx.Insert(keys, rids); err != nil {
 		t.Fatal(err)
 	}
 	match := func() {

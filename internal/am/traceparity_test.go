@@ -115,13 +115,11 @@ func TestPageTraceParity(t *testing.T) {
 			}
 			for lo := 0; lo < len(c.keys); lo += 250 {
 				hi := min(lo+250, len(c.keys))
-				tups := make([]catalog.Tuple, 0, hi-lo)
 				rids := make([]heap.RID, 0, hi-lo)
-				for i, k := range c.keys[lo:hi] {
-					tups = append(tups, catalog.Tuple{k})
-					rids = append(rids, rid(lo+i))
+				for i := lo; i < hi; i++ {
+					rids = append(rids, rid(i))
 				}
-				if err := InsertBatch(idx, 0, tups, rids); err != nil {
+				if err := idx.Insert(c.keys[lo:hi], rids); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -340,7 +340,8 @@ func isFault(err error) bool {
 // instant would leave in the log. The database must then be discarded
 // with Crash(); continuing to use it is undefined.
 type FaultInjection struct {
-	// DuringIndexBuild runs after each row back-filled by CREATE INDEX.
+	// DuringIndexBuild runs after each batch of rows CREATE INDEX
+	// back-fills, with the number of rows back-filled so far.
 	DuringIndexBuild func(rowsDone int) error
 	// BeforeDDLCommit runs immediately before a DDL statement's commit
 	// marker would be appended. stmt names the statement, e.g.
@@ -1060,7 +1061,7 @@ func (db *DB) Close() error {
 	// uncommitted xids to fear.
 	if db.tm != nil {
 		for _, tx := range db.tm.activeTxns() {
-			if err := db.rollbackTxn(tx); err != nil {
+			if err := db.rollbackTxn(tx, nil); err != nil {
 				return err
 			}
 			db.met.txnRollback.Inc()

@@ -203,7 +203,23 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := 0
+	// The live rows go in as an INSERT's do, a chunk's worth per Insert,
+	// so the build holds no more keys at once than an INSERT chunk.
+	chunk, rows := db.insertChunkRows(), 0
+	keys, rids := make([]catalog.Datum, 0, chunk), make([]heap.RID, 0, chunk)
+	insert := func() error {
+		if err := idx.Insert(keys, rids); err != nil {
+			return err
+		}
+		rows += len(keys)
+		keys, rids = keys[:0], rids[:0]
+		if f := db.faults.DuringIndexBuild; f != nil {
+			if ferr := f(rows); ferr != nil {
+				return faultErr{ferr}
+			}
+		}
+		return nil
+	}
 	serr := t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, payload []byte) bool {
 		if h.Flags&heap.FlagXminAborted != 0 {
 			// A rolled-back insert: invisible to every snapshot and about
@@ -215,20 +231,17 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 			err = derr
 			return false
 		}
-		if err = idx.Insert(tup[ci], rid); err != nil {
-			return false
+		keys, rids = append(keys, tup[ci]), append(rids, rid)
+		if len(keys) == chunk {
+			err = insert()
 		}
-		rows++
-		if f := db.faults.DuringIndexBuild; f != nil {
-			if ferr := f(rows); ferr != nil {
-				err = faultErr{ferr}
-				return false
-			}
-		}
-		return true
+		return err == nil
 	})
 	if serr != nil {
 		err = serr
+	}
+	if err == nil && len(keys) > 0 {
+		err = insert()
 	}
 	if err != nil {
 		return nil, nil, err

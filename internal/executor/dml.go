@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/am"
 	"repro/internal/catalog"
 	"repro/internal/heap"
 	"repro/internal/obs"
@@ -35,8 +34,8 @@ import (
 //   - DELETE is an MVCC delete: the version's xmax is stamped and the
 //     index entries stay (index fetches recheck visibility against the
 //     heap); VACUUM reclaims the version and its entries once no
-//     snapshot can see it. UPDATE stamps the old version and inserts
-//     the successor.
+//     snapshot can see it. UPDATE inserts the successors as INSERT
+//     does, then stamps the old versions.
 
 // beginDML is the prologue of one DML statement against t: the
 // writability and attachment checks, the statement's transaction (tx,
@@ -65,6 +64,7 @@ func (t *Table) beginDML(tx *Txn) (stx *Txn, implicit bool, err error) {
 		}
 		return nil, false, err
 	}
+	tx.stmtUndo = len(tx.undo)
 	return tx, implicit, nil
 }
 
@@ -76,10 +76,11 @@ func (t *Table) beginDML(tx *Txn) (stx *Txn, implicit bool, err error) {
 // statement inside an explicit transaction appends its records under a
 // plain marker *without* fsync or commit record: the frames release,
 // and the statement stays invisible (and non-durable) until the
-// transaction's COMMIT. A failed one keeps its applied prefix (its undo
-// entries are on the transaction, so ROLLBACK still compensates it) and
-// appends best effort, so the pool is not left holding unevictable
-// frames. Returns err, or what ending the statement failed with.
+// transaction's COMMIT. A failed one applies its own undo entries, as
+// ROLLBACK would, so it leaves nothing the transaction can see, and the
+// transaction goes on; its records append best effort, so the pool is
+// not left holding unevictable frames. Returns err, or what ending the
+// statement failed with.
 //
 // mutated reports whether the statement actually staged page mutations.
 // A statement that matched zero rows left no trace, so it must not be
@@ -97,8 +98,11 @@ func (t *Table) endDML(stx *Txn, implicit, mutated bool, err error) error {
 	case implicit && err == nil:
 		return db.commitTxn(stx)
 	case implicit:
-		return db.abortAfter(stx, err)
-	case logged:
+		return db.rollbackTxn(stx, err)
+	case err != nil:
+		err = db.undoTo(stx, stx.stmtUndo, err)
+	}
+	if logged {
 		if aerr := db.appendPools(tablePools(t)); err == nil {
 			err = aerr
 		}
@@ -211,9 +215,9 @@ func (t *Table) InsertTx(tx *Txn, tup catalog.Tuple) (heap.RID, error) {
 // own implicit transaction — the executor half of multi-row INSERT.
 // All tuples are validated and encoded up front, the heap fills each
 // data page to capacity under a single pin and covers it with a single
-// batch log record, and index maintenance is grouped (keys sorted so
-// consecutive inserts descend through the same just-decoded nodes; see
-// am.InsertBatch). The whole statement is crash-atomic — including
+// batch log record, and each index takes a chunk's keys in one Insert,
+// which orders them (so consecutive inserts descend through the same
+// just-decoded nodes; see insertChunk). The whole statement is crash-atomic — including
 // batches larger than insertChunkRows, whose chunks append under plain
 // markers but stay invisible until the final commit record — and
 // fail-atomic: an error mid-batch rolls the implicit transaction back.
@@ -250,23 +254,37 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 		verb: "INSERT", rows: len(tups), chunk: db.insertChunkRows(), churn: 1,
 		stmts: db.met.stmtInsert, tuples: db.met.tuplesInserted,
 	}, func(base, end int) error {
-		crids, err := t.Heap.InsertBatchTx(encoded[base:end], stx.xid)
-		for _, rid := range crids {
-			stx.undo = append(stx.undo, undoRec{t: t, op: undoInsert, rid: rid})
-		}
-		if err != nil {
-			return err
-		}
-		for _, ix := range t.Indexes {
-			if err := am.InsertBatch(ix.Idx, ix.Column, tups[base:end], crids); err != nil {
-				return fmt.Errorf("executor: index %s: %w", ix.Name, err)
-			}
-		}
+		crids, err := t.insertChunk(stx, tups[base:end], encoded[base:end])
 		rids = append(rids, crids...)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	return rids, nil
+}
+
+// insertChunk stores tups, encoded, as new versions of stx: the chunk body
+// of INSERT and of UPDATE, whose successors it stores. The heap checks
+// every record's size before it touches a page and fills each page under
+// one pin and one batch record; then each index takes the chunk's keys in
+// one Insert. Returns the versions' RIDs, which parallel tups.
+func (t *Table) insertChunk(stx *Txn, tups []catalog.Tuple, encoded [][]byte) ([]heap.RID, error) {
+	rids, err := t.Heap.InsertBatchTx(encoded, stx.xid)
+	for _, rid := range rids {
+		stx.undo = append(stx.undo, undoRec{t: t, op: undoInsert, rid: rid})
+	}
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]catalog.Datum, len(tups))
+	for _, ix := range t.Indexes {
+		for i, tup := range tups {
+			keys[i] = tup[ix.Column]
+		}
+		if err := ix.Idx.Insert(keys, rids); err != nil {
+			return nil, fmt.Errorf("executor: index %s: %w", ix.Name, err)
+		}
 	}
 	return rids, nil
 }
@@ -371,26 +389,24 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, *Plan
 		verb: "UPDATE", rows: len(olds), chunk: db.deleteChunkRows(), churn: 2,
 		stmts: db.met.stmtUpdate, tuples: db.met.tuplesUpdated,
 	}, func(base, end int) error {
+		// The successors go in first, as INSERT stores its rows.
+		succs := make([]catalog.Tuple, end-base)
+		encoded := make([][]byte, end-base)
+		for i, old := range olds[base:end] {
+			succ := slices.Clone(old.Tuple)
+			for _, set := range sets {
+				succ[set.Column] = set.Value
+			}
+			succs[i], encoded[i] = succ, catalog.EncodeTuple(succ)
+		}
+		if _, err := t.insertChunk(stx, succs, encoded); err != nil {
+			return err
+		}
 		for _, old := range olds[base:end] {
 			if err := t.Heap.SetXmax(old.RID, stx.xid); err != nil {
 				return err
 			}
 			stx.undo = append(stx.undo, undoRec{t: t, op: undoSetXmax, rid: old.RID})
-			succ := make(catalog.Tuple, len(old.Tuple))
-			copy(succ, old.Tuple)
-			for _, set := range sets {
-				succ[set.Column] = set.Value
-			}
-			nrid, err := t.Heap.InsertTx(catalog.EncodeTuple(succ), stx.xid)
-			if err != nil {
-				return err
-			}
-			stx.undo = append(stx.undo, undoRec{t: t, op: undoInsert, rid: nrid})
-			for _, ix := range t.Indexes {
-				if err := ix.Idx.Insert(succ[ix.Column], nrid); err != nil {
-					return fmt.Errorf("executor: index %s: %w", ix.Name, err)
-				}
-			}
 		}
 		return nil
 	})

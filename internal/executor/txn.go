@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -52,8 +53,8 @@ import (
 // Transaction IDs are allocated from a counter whose high-water mark
 // persists in the system catalog ('X' record) in strides, so no xid is
 // ever reused across restarts — visibility comparisons are plain
-// numeric. Frozen rows (xmin 0: system catalog records and rows written
-// through the legacy non-transactional heap API) are visible to every
+// numeric. Frozen rows (xmin 0: system catalog records, which
+// heap.File.Insert stores outside any transaction) are visible to every
 // snapshot.
 
 // xidStride is how many transaction IDs one catalog update leases. The
@@ -145,6 +146,9 @@ type Txn struct {
 	// acquired through TxnManager.lockTable), released when it ends.
 	tables map[*Table]struct{}
 	undo   []undoRec
+	// stmtUndo is len(undo) when the running statement began: a failed
+	// statement undoes back to it.
+	stmtUndo int
 	// logged is set once any of the transaction's records reached the
 	// write-ahead log; CHECKPOINT refuses to run while such a
 	// transaction is open.
@@ -469,22 +473,10 @@ func (db *DB) commitTxn(tx *Txn) error {
 		err = db.commitGroup(pools, tx.xid, tables...)
 	}
 	if err != nil {
-		return db.abortAfter(tx, err)
+		return db.rollbackTxn(tx, err)
 	}
 	db.tm.finish(tx)
 	return nil
-}
-
-// abortAfter rolls tx back because err failed its statement or its
-// COMMIT — compensating its versions and releasing its locks rather
-// than leaking them (rollbackTxn always finishes tx) — and returns err.
-// If the compensation itself failed that is surfaced too, but the
-// statement's own error stays primary.
-func (db *DB) abortAfter(tx *Txn, err error) error {
-	if rerr := db.rollbackTxn(tx); rerr != nil {
-		return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
-	}
-	return err
 }
 
 // Rollback undoes the transaction: every version it inserted is marked
@@ -498,18 +490,32 @@ func (tx *Txn) Rollback() error {
 	db := tx.db
 	rlockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
 	defer db.stmtMu.RUnlock()
-	err := db.rollbackTxn(tx)
+	err := db.rollbackTxn(tx, nil)
 	db.met.txnRollback.Inc()
 	return err
 }
 
-// rollbackTxn applies tx's undo list backwards and finishes it. Caller
-// holds the statement lock (shared or exclusive — Close calls in here
-// under its exclusive lock). The undo appends ride under plain group
-// markers with no fsync: if a crash interrupts them, the heap's pass
-// after recovery reaches the same end state from the missing commit
-// record.
-func (db *DB) rollbackTxn(tx *Txn) error {
+// rollbackTxn rolls tx back because cause failed its statement or its
+// COMMIT (nil for ROLLBACK): it applies the whole undo list and finishes
+// tx, releasing its locks even when the compensation fails, rather than
+// leaking them. Returns what undoTo returns.
+func (db *DB) rollbackTxn(tx *Txn, cause error) error {
+	err := db.undoTo(tx, 0, cause)
+	db.tm.finish(tx)
+	return err
+}
+
+// undoTo applies tx's undo entries from mark on backwards and drops them
+// from the list, so tx stands as it stood when it held mark entries: all
+// of them for a rollback, the failed statement's own for a statement
+// that failed inside a transaction. Caller holds the statement lock
+// (shared or exclusive — Close calls in here under its exclusive lock).
+// The undo appends ride under plain group markers with no fsync: if a
+// crash interrupts them, the heap's pass after recovery reaches the same
+// end state from the missing commit record. Returns cause, with what the
+// compensation failed with appended (the cause stays primary), or that
+// failure when cause is nil.
+func (db *DB) undoTo(tx *Txn, mark int, cause error) error {
 	var firstErr error
 	keep := func(err error) {
 		if err != nil && firstErr == nil {
@@ -529,7 +535,7 @@ func (db *DB) rollbackTxn(tx *Txn) error {
 		keep(db.appendPools(pools))
 		pending = 0
 	}
-	for i := len(tx.undo) - 1; i >= 0; i-- {
+	for i := len(tx.undo) - 1; i >= mark; i-- {
 		u := tx.undo[i]
 		u.t.phys.Lock()
 		var err error
@@ -548,6 +554,9 @@ func (db *DB) rollbackTxn(tx *Txn) error {
 		}
 	}
 	flush()
-	db.tm.finish(tx)
-	return firstErr
+	tx.undo = tx.undo[:mark]
+	if cause == nil || firstErr == nil {
+		return cmp.Or(cause, firstErr)
+	}
+	return fmt.Errorf("%w (rollback also failed: %v)", cause, firstErr)
 }

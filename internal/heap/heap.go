@@ -58,8 +58,8 @@ const RIDSize = 6
 //
 // xmin is the inserting transaction, xmax the deleting one (0 = not
 // deleted). xmin 0 is the frozen transaction: such tuples predate the
-// MVCC machinery (system-catalog records, the legacy Insert API) and
-// are visible to every snapshot.
+// MVCC machinery (system-catalog records, stored by Insert) and are
+// visible to every snapshot.
 const (
 	// TupleHeaderSize is the fixed per-record MVCC header size.
 	TupleHeaderSize = 18
@@ -271,16 +271,10 @@ func (f *File) Recount(unresolved func(xid uint64) bool, flush func() error) (Fi
 }
 
 // Insert stores payload as a frozen tuple (xmin 0, visible to every
-// snapshot) and returns its RID — the legacy single-row API, used by the
-// system catalog and version-agnostic callers.
+// snapshot) on the page place picks, and returns its RID: the system
+// catalog's rows. A table's rows go in through InsertBatchTx.
 func (f *File) Insert(payload []byte) (RID, error) {
-	return f.InsertTx(payload, 0)
-}
-
-// InsertTx stores payload as a new tuple version created by transaction
-// xmin, on the page place picks, and returns its RID.
-func (f *File) InsertTx(payload []byte, xmin uint64) (RID, error) {
-	rec := EncodeTuple(TupleHeader{Xmin: xmin}, payload)
+	rec := EncodeTuple(TupleHeader{}, payload)
 	if len(rec) > storage.SlotCapacity(f.bp.DM().PageSize()) {
 		return InvalidRID, fmt.Errorf("heap: record of %d bytes exceeds page capacity", len(rec))
 	}
@@ -367,7 +361,7 @@ func (f *File) insertNoted(p *storage.Page, rec []byte) (int, bool) {
 }
 
 // InsertBatchTx stores every payload as a new tuple version created by
-// transaction xmin, placing each page's first record as InsertTx does and
+// transaction xmin, placing each page's first record as Insert does and
 // the records after it on the same page while they fit, so each filled
 // page is pinned once and covered by one batch-put log record rather than
 // one record per tuple. The returned RIDs parallel payloads. The encoded

@@ -360,7 +360,7 @@ func TestInsertsFillFreedSpace(t *testing.T) {
 			payload := make([]byte, 1+r.Intn(100))
 			r.Read(payload)
 			page := want(payload)
-			rid, err := f.InsertTx(payload, 1)
+			rid, err := insertOne(f, payload, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -509,7 +509,7 @@ func TestRecountRepairsUnresolved(t *testing.T) {
 		{xmin: 12, aborted: true},           // rolled back already: left alone
 		{xmin: 12, xmax: 11, aborted: true}, // a committed xmax: left alone
 	} {
-		rid, err := f.InsertTx([]byte("payload"), v.xmin)
+		rid, err := insertOne(f, []byte("payload"), v.xmin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,14 +536,14 @@ func TestRecountRepairsUnresolved(t *testing.T) {
 	}
 	// An unresolved transaction's tuple, freed, and a committed one in
 	// its slot.
-	gone, err := f.InsertTx([]byte("gone"), 12)
+	gone, err := insertOne(f, []byte("gone"), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Delete(gone); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := f.InsertTx([]byte("reused"), 11)
+	reused, err := insertOne(f, []byte("reused"), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,4 +578,14 @@ func TestRecountRepairsUnresolved(t *testing.T) {
 	if fx, err := f.Recount(unresolved, flush); err != nil || fx != (Fixups{}) || flushes != 1 {
 		t.Fatalf("a second Recount repaired %+v (%v, %d flushes), want nothing", fx, err, flushes)
 	}
+}
+
+// insertOne stores one tuple version of transaction xmin the way a
+// table's rows go in, through InsertBatchTx.
+func insertOne(f *File, payload []byte, xmin uint64) (RID, error) {
+	rids, err := f.InsertBatchTx([][]byte{payload}, xmin)
+	if err != nil {
+		return InvalidRID, err
+	}
+	return rids[0], nil
 }

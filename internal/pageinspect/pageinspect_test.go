@@ -250,7 +250,7 @@ func buildFile(t testing.TB, kind FileKind, pageSize int) string {
 		if kind == KindRTree {
 			key = catalog.NewPoint(geom.Point{X: 1, Y: 2})
 		}
-		if err := idx.Insert(key, heap.RID{Page: 1}); err != nil {
+		if err := idx.Insert([]catalog.Datum{key}, []heap.RID{{Page: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := idx.SaveMeta(); err != nil {

@@ -205,6 +205,26 @@ func firstDiff(got, want string) string {
 // follow come one earlier, and the deflated first-touch image of rel2.idx
 // page 1 after CHECKPOINT comes out 2 bytes shorter (2 881 → 2 879). It
 // appends 12 836 bytes instead of 12 862. Every other line is unchanged.
+//
+// Re-recorded once more when UPDATE came to insert its successors as
+// INSERT does, in one heap batch per chunk ahead of the old versions'
+// xmax stamps, and CREATE INDEX to insert the heap's rows into the index
+// in batches of an INSERT chunk (256 rows at 64 frames), sorted by key,
+// in place of one row at a time. The UPDATE's successor is a
+// slot-batch-put of the same 39 decoded bytes, and it now comes first in
+// the UPDATE's group, ahead of the xmax patch of the old version (page 2
+// slot 114) and, as before, of the index's records. The build inserts
+// 'alpha000', the first of the 300 words in key order, first, so the
+// trie leaf that holds it, which VACUUM rewrites, is slot 1 of rel2.idx
+// page 1, not slot 71 (the same 27 bytes). The page's nodes lie in
+// another order, and its two deflated images come out longer: the
+// first-touch image at the INSERT of 'epsilon' 3 031 → 3 198 bytes, the
+// one after CHECKPOINT 2 879 → 2 985. The stream holds the same 83
+// records and appends 13 096 bytes instead of 12 836: the images' 273
+// bytes more, and 13 fewer in the UPDATE's frame, whose batch put takes
+// 39 bytes where the put took 44 (it carries the xmin once, not an 18-byte
+// header) and whose patches take 76 where they took 84 (the xmax patch now
+// follows a record of its own file). Every other line is unchanged.
 const goldenWALStream = `commit file="" page=0 slot=0 xid=0 len=0
 file-create file="syscat.dat" page=0 slot=0 xid=0 len=0
 slot-put file="syscat.dat" page=0 slot=0 xid=0 len=20
@@ -239,12 +259,12 @@ slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=137 xid=0 len=24
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=3031
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=3198
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=2 len=0
 commit file="" page=0 slot=0 xid=0 len=0
+slot-batch-put file="rel1.tbl" page=2 slot=0 xid=0 len=39
 slot-patch file="rel1.tbl" page=2 slot=114 xid=0 len=7
-slot-put file="rel1.tbl" page=2 slot=115 xid=0 len=39
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=26
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
@@ -270,7 +290,7 @@ slot-delete file="rel1.tbl" page=2 slot=114 xid=0 len=0
 slot-delete file="rel1.tbl" page=2 slot=116 xid=0 len=0
 slot-delete file="rel1.tbl" page=2 slot=117 xid=0 len=0
 slot-patch file="rel1.tbl" page=0 slot=0 xid=0 len=7
-slot-patch file="rel2.idx" page=1 slot=71 xid=0 len=27
+slot-patch file="rel2.idx" page=1 slot=1 xid=0 len=27
 slot-patch file="rel2.idx" page=1 slot=137 xid=0 len=12
 slot-patch file="rel2.idx" page=1 slot=138 xid=0 len=7
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
@@ -285,11 +305,11 @@ slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=20
 slot-put file="rel2.idx" page=1 slot=139 xid=0 len=22
 slot-patch file="rel2.idx" page=1 slot=0 xid=0 len=11
 slot-patch file="rel2.idx" page=0 slot=0 xid=0 len=7
-page-image file="rel2.idx" page=1 slot=0 xid=0 len=2879
+page-image file="rel2.idx" page=1 slot=0 xid=0 len=2985
 page-image file="rel2.idx" page=0 slot=0 xid=0 len=50
 txn-commit file="" page=0 slot=0 xid=6 len=0
 commit file="" page=0 slot=0 xid=0 len=0
 -- after Close --
 checkpoint file="" page=0 slot=0 xid=0 len=0
-appends=83 appended_bytes=12836
+appends=83 appended_bytes=13096
 `
