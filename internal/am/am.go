@@ -36,7 +36,8 @@ type NNIter func() (rid heap.RID, dist float64, ok bool)
 // flushing, counting the pages a scan reads — is the buffer pool's the
 // index was opened over (storage.BufferPool: SizeBytes, FlushAll,
 // StartPageTrace / PageTraceCount), as in PostgreSQL it is the storage
-// and buffer managers'.
+// and buffer managers'. No index keeps a count of its entries: the
+// planner reads row counts off the heap, and a full scan is the count.
 type Index interface {
 	// Insert adds keys[i] for row rids[i], for every i, in the order
 	// that suits the index. It is the one insert routine, as in the
@@ -46,10 +47,10 @@ type Index interface {
 	Insert(keys []catalog.Datum, rids []heap.RID) error
 	// BulkDelete removes the entries of every row whose RID dead reports,
 	// reading the index file once in page order (PostgreSQL's
-	// ambulkdelete; the paper's spgistbulkdelete), and returns how many
-	// it removed by the index's Count rule. VACUUM calls it once per
-	// batch of dead versions, with no key: it never decodes a dead tuple.
-	BulkDelete(dead func(heap.RID) bool) (int, error)
+	// ambulkdelete; the paper's spgistbulkdelete). VACUUM calls it once
+	// per batch of dead versions, with no key: it never decodes a dead
+	// tuple.
+	BulkDelete(dead func(heap.RID) bool) error
 	// Scan drives an index scan for `key op arg`, emitting candidate
 	// RIDs (possibly lossy).
 	Scan(op string, arg catalog.Datum, emit func(heap.RID) bool) error
@@ -66,21 +67,6 @@ type Index interface {
 	// that cut the scan short, if the index met one. The executor's kNN
 	// runs through this.
 	NNSearch(arg catalog.Datum, yield func(rid heap.RID, dist float64) bool) error
-	// Count returns the number of indexed rows. It is a statistic for
-	// display (SHOW STATS' index_<name>_entries), nothing plans by it. An
-	// SP-GiST index without MultiAssign counts its leaf items on open, so
-	// after a crash it counts what recovery replayed — the entries a full
-	// scan returns. The others read as of the last commit point (see
-	// SaveMeta), without the entries of statements that never reached
-	// one, even though recovery replayed them.
-	Count() int64
-	// SaveMeta persists the index's in-memory metadata (root, count)
-	// into its metadata page without flushing data pages, dirtying the
-	// page only when a value changed. The executor calls it at its commit
-	// point for the counters; the root pointer every access method saves
-	// itself, where it moves, so a logged statement that moved the root
-	// is never recovered without it.
-	SaveMeta() error
 }
 
 // New creates (or reopens) an index of the given operator class over the
@@ -171,9 +157,6 @@ type spgistIndex struct {
 	tree *core.Tree
 }
 
-func (x *spgistIndex) Count() int64    { return x.tree.Count() }
-func (x *spgistIndex) SaveMeta() error { return x.tree.SaveMeta() }
-
 // Insert groups the keys: core orders them (by the opclass's order if it
 // has one, else by encoded form, so the clustered descents find the inner
 // nodes they share in its node table).
@@ -189,7 +172,7 @@ func (x *spgistIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	return x.tree.InsertBatch(vs, rids)
 }
 
-func (x *spgistIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {
+func (x *spgistIndex) BulkDelete(dead func(heap.RID) bool) error {
 	return x.tree.BulkDelete(dead)
 }
 
@@ -276,9 +259,6 @@ type btreeIndex struct {
 	tree *btree.Tree
 }
 
-func (x *btreeIndex) Count() int64    { return x.tree.Count() }
-func (x *btreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
-
 // Insert hands the keys to the tree's leaf-run bulk path, which sorts
 // them: one descent and one page pin per leaf cluster.
 func (x *btreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
@@ -292,7 +272,7 @@ func (x *btreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	return x.tree.InsertBatch(pairs)
 }
 
-func (x *btreeIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {
+func (x *btreeIndex) BulkDelete(dead func(heap.RID) bool) error {
 	return x.tree.BulkDelete(dead)
 }
 
@@ -334,9 +314,6 @@ type rtreeIndex struct {
 	segments bool
 }
 
-func (x *rtreeIndex) Count() int64    { return x.tree.Count() }
-func (x *rtreeIndex) SaveMeta() error { return x.tree.SaveMeta() }
-
 func (x *rtreeIndex) rect(key catalog.Datum) (geom.Box, error) {
 	switch {
 	case !x.segments && key.Typ == catalog.Point:
@@ -361,7 +338,7 @@ func (x *rtreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	return nil
 }
 
-func (x *rtreeIndex) BulkDelete(dead func(heap.RID) bool) (int, error) {
+func (x *rtreeIndex) BulkDelete(dead func(heap.RID) bool) error {
 	return x.tree.BulkDelete(dead)
 }
 

@@ -185,7 +185,7 @@ func TestNodeTableFetchParity(t *testing.T) {
 				// per 240 rows, each followed by searches of what it invalidated.
 				func() {
 					for lo := 0; lo < len(c.keys); lo += 240 {
-						if _, err := idx.BulkDelete(func(r heap.RID) bool {
+						if err := idx.BulkDelete(func(r heap.RID) bool {
 							i := int(r.Page-1)*1000 + int(r.Slot)
 							return i >= lo && i < lo+240 && i%3 == 0
 						}); err != nil {

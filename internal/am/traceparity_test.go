@@ -123,9 +123,6 @@ func TestPageTraceParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := idx.SaveMeta(); err != nil {
-				t.Fatal(err)
-			}
 			if err := bp.FlushAll(); err != nil {
 				t.Fatal(err)
 			}

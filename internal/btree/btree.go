@@ -29,10 +29,10 @@ import (
 )
 
 // Meta page: the magic, and the body storage frames on page 0 —
-// [root u32][height u32][count u64].
+// [root u32][height u32].
 const (
 	magic        = 0x42545245 // "BTRE"
-	metaBodySize = 16
+	metaBodySize = 8
 )
 
 // Node record layout, the one record of its page, in nodeSlot:
@@ -68,7 +68,6 @@ type Tree struct {
 	bp     *storage.BufferPool
 	root   storage.PageID
 	height int
-	count  int64
 
 	// enc is the buffer node records are encoded and spliced in; writers
 	// are serialized, so one serves the tree.
@@ -78,7 +77,6 @@ type Tree struct {
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
 	binary.LittleEndian.PutUint32(body[0:], uint32(t.root))
 	binary.LittleEndian.PutUint32(body[4:], uint32(t.height))
-	binary.LittleEndian.PutUint64(body[8:], uint64(t.count))
 	return body
 }
 
@@ -102,30 +100,20 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 		bp:     bp,
 		root:   storage.PageID(binary.LittleEndian.Uint32(body[0:])),
 		height: int(binary.LittleEndian.Uint32(body[4:])),
-		count:  int64(binary.LittleEndian.Uint64(body[8:])),
 	}, nil
 }
 
-// saveMeta writes root, height and count into the meta page, dirtying it
-// (and so logging the change with the next record group) only when one of
-// them changed. Insert calls it where the root moves, so that a record
-// group holding the new root page always holds the pointer to it; the
-// count follows at the caller's commit point (SaveMeta).
+// saveMeta writes root and height into the meta page, dirtying it (and so
+// logging the change with the next record group). Insert calls it where
+// the root moves, so that a record group holding the new root page always
+// holds the pointer to it.
 func (t *Tree) saveMeta() error {
 	body := t.metaBody()
 	return t.bp.WriteMeta(body[:])
 }
 
-// SaveMeta persists the in-memory metadata (root, height, count) into
-// the metadata page without flushing data pages; with a WAL attached
-// the dirty meta page is logged and recoverable.
-func (t *Tree) SaveMeta() error { return t.saveMeta() }
-
 // Pool returns the underlying buffer pool.
 func (t *Tree) Pool() *storage.BufferPool { return t.bp }
-
-// Count returns the number of stored (key, RID) pairs.
-func (t *Tree) Count() int64 { return t.count }
 
 // Height returns the number of levels (nodes == pages on a root-to-leaf
 // path); 0 for an empty tree.
@@ -339,7 +327,6 @@ func (t *Tree) insert(pairs []Pair, w *walk) (int, error) {
 		}
 		t.root = pid
 		t.height = 1
-		t.count++
 		return 1, t.saveMeta()
 	}
 	if n, err := t.spliceRun(pairs, w); err != nil || n > 0 {
@@ -358,10 +345,8 @@ func (t *Tree) insert(pairs []Pair, w *walk) (int, error) {
 		}
 		t.root = pid
 		t.height++
-		t.count++
 		return 1, t.saveMeta()
 	}
-	t.count++
 	return 1, nil
 }
 
@@ -422,7 +407,6 @@ func (t *Tree) spliceRun(pairs []Pair, w *walk) (int, error) {
 	if err := t.bp.UnpinRewrite(p, nodeSlot, data[:v.end]); err != nil {
 		return 0, err
 	}
-	t.count += int64(done)
 	return done, nil
 }
 
@@ -583,16 +567,15 @@ func (t *Tree) MatchScan(pattern string, match func(key string, pattern string) 
 // BulkDelete removes every pair whose RID dead reports, reading the file
 // once in page order as PostgreSQL's btvacuumscan does: each leaf that holds
 // a dead RID is rewritten in place, under the pin that read it. Leaves are
-// not rebalanced. It returns the number of pairs removed.
-func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
+// not rebalanced.
+func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) error {
 	w := walks.Get().(*walk)
 	defer walks.Put(w)
-	defer func() { t.count -= int64(removed) }()
 	n := t.bp.DM().NumPages()
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, v, err := t.pin(pid, w)
 		if err != nil {
-			return removed, err
+			return err
 		}
 		hit := false
 		for i := 0; v.leaf && i < v.Len() && !hit; i++ {
@@ -603,9 +586,7 @@ func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
 			continue
 		}
 		nd := v.node()
-		kept := slices.DeleteFunc(nd.entries, func(e entry) bool { return dead(e.rid) })
-		gone := len(nd.entries) - len(kept)
-		nd.entries = kept
+		nd.entries = slices.DeleteFunc(nd.entries, func(e entry) bool { return dead(e.rid) })
 		rec, err := t.record(nd)
 		if err == nil {
 			err = t.bp.UnpinRewrite(p, nodeSlot, rec)
@@ -613,9 +594,8 @@ func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
 			t.bp.Unpin(p, false)
 		}
 		if err != nil {
-			return removed, err
+			return err
 		}
-		removed += gone
 	}
-	return removed, nil
+	return nil
 }

@@ -45,6 +45,16 @@ func collect(t testing.TB, tr *Tree, key string) []heap.RID {
 	return rids
 }
 
+// scanCount returns how many pairs a full range scan of tr yields.
+func scanCount(t testing.TB, tr *Tree) int {
+	t.Helper()
+	n := 0
+	if err := tr.RangeScan(nil, nil, func([]byte, heap.RID) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestInsertSearchSmallPages(t *testing.T) {
 	// Small pages force deep trees and many splits.
 	tr := newTree(t, 256)
@@ -254,12 +264,8 @@ func TestDelete(t *testing.T) {
 		tr.Insert([]byte(w), rid(i))
 	}
 	// Every third row goes, from every leaf, in one pass.
-	n, err := tr.BulkDelete(func(r heap.RID) bool { return r.Slot%3 == 0 })
-	if err != nil {
+	if err := tr.BulkDelete(func(r heap.RID) bool { return r.Slot%3 == 0 }); err != nil {
 		t.Fatal(err)
-	}
-	if n != 334 {
-		t.Fatalf("delete removed %d, want 334", n)
 	}
 	for i, w := range words {
 		found := slices.Contains(collect(t, tr, w), rid(i))
@@ -267,8 +273,8 @@ func TestDelete(t *testing.T) {
 			t.Fatalf("row %d (%q): found = %v after deleting every third row", i, w, found)
 		}
 	}
-	if tr.Count() != 666 {
-		t.Fatalf("Count = %d", tr.Count())
+	if n := scanCount(t, tr); n != 666 {
+		t.Fatalf("full scan yields %d pairs, want 666", n)
 	}
 }
 
@@ -286,9 +292,6 @@ func TestPersistence(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tr.Insert([]byte(fmt.Sprintf("key%04d", i)), rid(i))
 	}
-	if err := tr.SaveMeta(); err != nil {
-		t.Fatal(err)
-	}
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +303,8 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bp2.Close()
-	if tr2.Count() != 500 {
-		t.Fatalf("Count after reopen = %d", tr2.Count())
+	if n := scanCount(t, tr2); n != 500 {
+		t.Fatalf("full scan after reopen yields %d pairs", n)
 	}
 	for i := 0; i < 500; i++ {
 		if got := len(collect(t, tr2, fmt.Sprintf("key%04d", i))); got != 1 {

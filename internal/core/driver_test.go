@@ -152,8 +152,8 @@ func buildFixture(t testing.TB, f nnFixture, dm storage.DiskManager, n int, seed
 			dead[p.rid] = true
 		}
 	}
-	if got, err := tr.BulkDelete(func(r heap.RID) bool { return dead[r] }); err != nil || got != len(dead) {
-		t.Fatalf("delete every seventh pair: removed %d, err %v; want %d", got, err, len(dead))
+	if err := tr.BulkDelete(func(r heap.RID) bool { return dead[r] }); err != nil {
+		t.Fatalf("delete every seventh pair: %v", err)
 	}
 	return tr, live
 }
@@ -418,9 +418,6 @@ func TestNNCursorSurfacesStorageError(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr, live := buildFixture(t, f, dm, 600, 13)
-			if err := tr.SaveMeta(); err != nil {
-				t.Fatal(err)
-			}
 			if err := tr.Pool().Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -67,14 +67,9 @@ func (t *Tree) insertEncoded(kb []byte, rid heap.RID) error {
 		if err != nil {
 			return err
 		}
-		t.nKeys++
 		return t.setRoot(ref)
 	}
-	if err := t.insertAt(t.root, nil, 0, t.oc.RootRecon(), kb, rid); err != nil {
-		return err
-	}
-	t.nKeys++
-	return nil
+	return t.insertAt(t.root, nil, 0, t.oc.RootRecon(), kb, rid)
 }
 
 // insertIntoLeaf adds (kb, rid) to the data node whose record rec lies in

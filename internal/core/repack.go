@@ -29,9 +29,8 @@ func (t *Tree) Repack(bp *storage.BufferPool) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt.nKeys = t.nKeys
 	if !t.root.Valid() {
-		return nt, nt.saveMeta()
+		return nt, nil
 	}
 
 	// Load the whole tree structure. (Repacking is an offline, bulk

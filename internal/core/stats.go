@@ -6,10 +6,9 @@ package core
 // tree can be tall), and the maximum height counted in pages (which the
 // clustering keeps close to a B+-tree's).
 type TreeStats struct {
-	Keys       int64 // logical (key, rid) pairs
 	InnerNodes int
 	LeafNodes  int
-	LeafItems  int // stored items; exceeds Keys under MultiAssign
+	LeafItems  int // stored items; a MultiAssign key is one in every cell it crosses
 	// MaxNodeHeight is the maximum number of tree nodes on a
 	// root-to-leaf path.
 	MaxNodeHeight int
@@ -24,7 +23,6 @@ type TreeStats struct {
 // Stats walks the tree and computes TreeStats.
 func (t *Tree) Stats() (TreeStats, error) {
 	st := TreeStats{
-		Keys:      t.nKeys,
 		Pages:     t.NumPages(),
 		SizeBytes: t.bp.SizeBytes(),
 	}

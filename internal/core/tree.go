@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/storage"
@@ -22,8 +21,7 @@ type Tree struct {
 	oc OpClass
 	pr Params
 
-	root  NodeRef
-	nKeys int64
+	root NodeRef
 
 	// nodes holds the view of every node a read has visited since it was
 	// last written; mutating paths decode private copies.
@@ -45,15 +43,14 @@ func newFreeSpace(bp *storage.BufferPool) *storage.FreeSpace {
 }
 
 // Meta page: the magic, and the body storage frames on page 0 —
-// [root page u32][root slot u16][keys u64].
+// [root page u32][root slot u16].
 const (
 	treeMagic    = 0x53504753 // "SPGS"
-	metaBodySize = 14
+	metaBodySize = refSize
 )
 
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
 	putRef(body[0:], t.root)
-	binary.LittleEndian.PutUint64(body[6:], uint64(t.nKeys))
 	return body
 }
 
@@ -78,11 +75,7 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 }
 
 // Open attaches to an existing index file, rebuilding the free-space map
-// and — unless the opclass is MultiAssign, where a key is an item in every
-// cell it crosses — the key count: the meta page holds the count of the
-// last commit point, while recovery replays every statement the log kept,
-// those of a transaction that never committed included (their heap tuples,
-// marked aborted, stay counted until VACUUM as well).
+// and the node table's page cover from one pass over its pages.
 func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 	var body [metaBodySize]byte
 	if err := bp.ReadMeta(treeMagic, body[:]); err != nil {
@@ -93,21 +86,17 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		oc:        oc,
 		pr:        oc.Params(),
 		root:      getRef(body[0:]),
-		nKeys:     int64(binary.LittleEndian.Uint64(body[6:])),
 		free:      newFreeSpace(bp),
 		lastAlloc: storage.InvalidPageID,
 	}
 	n := bp.DM().NumPages()
-	keys, counted := int64(0), !t.pr.MultiAssign
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, err := bp.Fetch(pid)
 		if storage.IsPageCorrupt(err) {
 			// One damaged page does not keep the index — and the database
 			// over it — from opening: the page stays out of the free-space
 			// map, so nothing new is placed on it, a descent that reaches it
-			// fails with this error, and SCRUB names it. Its items cannot be
-			// counted, so the meta page's count stands.
-			counted = false
+			// fails with this error, and SCRUB names it.
 			continue
 		}
 		if err != nil {
@@ -115,27 +104,9 @@ func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		}
 		t.free.Set(pid, storage.SlotFreeSpace(p.Data))
 		t.nodes.cover(pid, storage.SlotCount(p.Data))
-		if counted {
-			keys += leafItems(p.Data)
-		}
 		bp.Unpin(p, false)
 	}
-	if counted {
-		t.nKeys = keys
-	}
 	return t, nil
-}
-
-// leafItems returns the number of items the data-node records of one page
-// hold, read off their headers.
-func leafItems(page []byte) (n int64) {
-	storage.SlotForEach(page, func(_ int, rec []byte) bool {
-		if len(rec) >= leafHeaderSize && rec[0] == nodeKindLeaf {
-			n += int64(binary.LittleEndian.Uint16(rec[1+refSize:]))
-		}
-		return true
-	})
-	return n
 }
 
 // OpClass returns the opclass the tree was built with.
@@ -144,19 +115,14 @@ func (t *Tree) OpClass() OpClass { return t.oc }
 // Pool returns the underlying buffer pool (statistics, flushing).
 func (t *Tree) Pool() *storage.BufferPool { return t.bp }
 
-// Count returns the number of stored (key, RID) pairs. With MultiAssign
-// each logical key counts once even though it occupies several leaves.
-func (t *Tree) Count() int64 { return t.nKeys }
-
 // NumPages returns the number of pages of the index file, including the
 // metadata page.
 func (t *Tree) NumPages() uint32 { return t.bp.DM().NumPages() }
 
-// saveMeta writes the root reference and the key count into the meta page,
-// dirtying it (and so logging the change with the next record group) only
-// when one of them changed. The root reference is saved where it moves —
-// a record group that holds the moved root always holds the pointer to it
-// — and the key count at the caller's commit point (SaveMeta).
+// saveMeta writes the root reference into the meta page, dirtying it (and
+// so logging the change with the next record group) only when it changed.
+// The root reference is saved where it moves: a record group that holds
+// the moved root always holds the pointer to it.
 func (t *Tree) saveMeta() error {
 	body := t.metaBody()
 	return t.bp.WriteMeta(body[:])
@@ -167,13 +133,6 @@ func (t *Tree) setRoot(ref NodeRef) error {
 	t.root = ref
 	return t.saveMeta()
 }
-
-// SaveMeta persists the in-memory metadata (root reference, key count)
-// into the metadata page without flushing data pages. With a WAL
-// attached this is enough to make the metadata recoverable: the change to
-// the meta record is logged as a slot patch, as a node rewrite is, and
-// replayed on reopen.
-func (t *Tree) SaveMeta() error { return t.saveMeta() }
 
 // record pins ref's page and returns the node record in it; the caller
 // unpins p.

@@ -1,7 +1,6 @@
 package executor_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/heap"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -101,7 +99,7 @@ func TestReopenWithoutRedeclare(t *testing.T) {
 		t.Fatalf("indexed query diverged after reopen:\n want %v\n got  %v", want, got)
 	}
 	ie, ok := db.Catalog().GetIndex("words_trie")
-	if !ok || !ie.Valid {
+	if !ok {
 		t.Fatalf("catalog entry after reopen: %+v ok=%v", ie, ok)
 	}
 }
@@ -205,12 +203,16 @@ func verifyRebuiltIndex(t *testing.T, db *executor.DB) {
 		t.Fatalf("index not reattached after rebuild: %d indexes", len(tb.Indexes))
 	}
 	ie, ok := db.Catalog().GetIndex("words_trie")
-	if !ok || !ie.Valid {
+	if !ok {
 		t.Fatalf("catalog entry after rebuild: %+v ok=%v", ie, ok)
 	}
 	// A reattached partial build would miss rows: the rebuilt index
 	// must cover the whole heap ...
-	if got, want := tb.Indexes[0].Idx.Count(), tb.Heap.Count(); got != want {
+	got := int64(0)
+	if err := tb.Indexes[0].Idx.Scan("#=", catalog.NewText(""), func(heap.RID) bool { got++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if want := tb.Heap.Count(); got != want {
 		t.Fatalf("rebuilt index covers %d of %d rows — partial build reattached", got, want)
 	}
 	// ... and a forced index scan must agree with a sequential scan.
@@ -612,59 +614,6 @@ func TestHandDeletedHeapFileAfterCrashRefused(t *testing.T) {
 	// The open's check leaves the file it looked for, empty.
 	if fi, err := os.Stat(filepath.Join(dir, heapFile)); err == nil && fi.Size() > 0 {
 		t.Fatalf("redo wrote %d bytes into %s", fi.Size(), heapFile)
-	}
-}
-
-// An entry an older build left invalid — its CREATE INDEX committed the
-// entry with the validity flag at 0 before the build, and a crash
-// interrupted the build — is built again at open, under a fresh file, and
-// stays built: the next open rebuilds nothing.
-func TestOlderInvalidIndexEntryRebuilt(t *testing.T) {
-	dir := t.TempDir()
-	db := openCatalogDB(t, dir, executor.FaultInjection{})
-	tb, err := db.CreateTable("words", []executor.Column{{Name: "name", Type: catalog.Text}, {Name: "id", Type: catalog.Int}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillWords(t, tb, 300)
-	if _, err := db.CreateIndex("words_trie", "words", "name", "spgist", "spgist_trie"); err != nil {
-		t.Fatal(err)
-	}
-	idxFile := tb.Indexes[0].File()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The index record ends with its file name and the flag byte; set
-	// the flag to 0 and re-stamp the page's checksum.
-	catPath := filepath.Join(dir, "syscat.dat")
-	raw, err := os.ReadFile(catPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := append([]byte(idxFile), 1)
-	at := bytes.Index(raw, tail)
-	if at < 0 || bytes.Count(raw, tail) != 1 {
-		t.Fatalf("index record of %s not found once in the catalog", idxFile)
-	}
-	raw[at+len(idxFile)] = 0
-	page := raw[at/8192*8192:][:8192]
-	storage.StampPageChecksum(page)
-	if err := os.WriteFile(catPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db = openCatalogDB(t, dir, executor.FaultInjection{})
-	verifyRebuiltIndex(t, db)
-	if _, err := os.Stat(filepath.Join(dir, idxFile)); !os.IsNotExist(err) {
-		t.Fatalf("the partial file %s is still there: %v", idxFile, err)
-	}
-	db = openCatalogDB(t, dir, executor.FaultInjection{})
-	defer db.Close()
-	if got := db.RebuiltIndexes(); len(got) != 0 {
-		t.Fatalf("the second open rebuilt %v", got)
-	}
-	if ie, ok := db.Catalog().GetIndex("words_trie"); !ok || !ie.Valid || ie.File == idxFile {
-		t.Fatalf("catalog entry after the rebuild: %+v ok=%v, want valid under a new file", ie, ok)
 	}
 }
 

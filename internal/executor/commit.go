@@ -10,10 +10,12 @@ import (
 // statement's deferred records into the log and forces it — and the
 // relation-set and chunk-size helpers its callers share.
 
-// commitGroup is the engine's one commit point. The counters of tables
-// (nil entries skipped) are saved into (logged) meta pages — here and
-// nowhere per statement; a *pointer* in a meta page is saved where it
-// moves, by the structure that moves it — the deferred logical records
+// commitGroup is the engine's one commit point. The heap counters of
+// tables (nil entries skipped) are saved into their (logged) meta pages —
+// here and nowhere per statement, and only where a value changed, so a
+// commit that changed none logs no meta page; an index keeps no counter,
+// and the root pointer in its meta page is saved where it moves, by the
+// structure that moves it — the deferred logical records
 // and page images of the relation files in pools are staged into one
 // record group — closed by commitXid's transaction-commit record when
 // that is non-zero — the group plus a commit marker is appended to the
@@ -33,7 +35,7 @@ func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables 
 		if t == nil {
 			continue
 		}
-		if err := t.saveMeta(); err != nil {
+		if err := t.Heap.SaveMeta(); err != nil {
 			return err
 		}
 	}
@@ -44,21 +46,6 @@ func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables 
 	err := db.wal.Commit()
 	sp.End()
 	return db.noteWALFailure(err)
-}
-
-// saveMeta writes the counters of t's heap and of every index of t into
-// their meta pages. Each of them dirties its page only when a value
-// changed, so a commit that changed none logs no meta page.
-func (t *Table) saveMeta() error {
-	if err := t.Heap.SaveMeta(); err != nil {
-		return err
-	}
-	for _, ix := range t.Indexes {
-		if err := ix.Idx.SaveMeta(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // appendPools stages the deferred records and page images of the

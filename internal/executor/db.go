@@ -797,8 +797,8 @@ func (db *DB) recountAfterRedo(hf *heap.File) error {
 
 // loadSchema reattaches every cataloged relation: orphaned data files
 // from DDL that never committed are swept, tables are opened, indexes are
-// reattached, and an index whose file is missing, or whose entry an older
-// build left invalid, is built again from its heap.
+// reattached, and an index whose file is missing is built again from its
+// heap.
 func (db *DB) loadSchema() error {
 	if db.dir != "" {
 		if err := db.sweepOrphans(); err != nil {
@@ -854,7 +854,6 @@ func (db *DB) loadSchema() error {
 	for _, t := range db.tables {
 		byOID[t.oid] = t
 	}
-	var stale []string // files of entries an older build left invalid
 	for _, ie := range db.cat.Indexes() {
 		t := byOID[ie.TableOID]
 		if t == nil {
@@ -864,20 +863,7 @@ func (db *DB) loadSchema() error {
 		if err != nil {
 			return fmt.Errorf("executor: catalog index %q: %w", ie.Name, err)
 		}
-		if !ie.Valid {
-			// An older build committed CREATE INDEX's entry invalid
-			// before its build, and a crash interrupted the build: the
-			// file is partial. The entry is recorded afresh, under a new
-			// OID and so a file no logged record names, and built like
-			// a missing one; the old file goes once that commits.
-			stale = append(stale, ie.File)
-			if err := db.cat.RemoveIndex(ie.Name); err != nil {
-				return err
-			}
-			if ie, err = db.cat.AddIndex(ie.Name, ie.TableOID, ie.Column, ie.Method, ie.OpClass); err != nil {
-				return err
-			}
-		} else if st, err := os.Stat(filepath.Join(db.dir, ie.File)); err == nil && st.Size() > 0 {
+		if st, err := os.Stat(filepath.Join(db.dir, ie.File)); err == nil && st.Size() > 0 {
 			bp, _, err := db.newPool(ie.File)
 			if err != nil {
 				return err
@@ -898,17 +884,6 @@ func (db *DB) loadSchema() error {
 		}
 		db.attachIndex(t, ie.Name, ie.Column, oc, idx, bp, ie.File)
 		db.rebuilt = append(db.rebuilt, ie.Name)
-	}
-	if len(stale) == 0 {
-		return nil
-	}
-	if err := db.commitWAL(nil); err != nil {
-		return err
-	}
-	for _, file := range stale {
-		if err := os.Remove(filepath.Join(db.dir, file)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
 	}
 	return nil
 }
@@ -1015,8 +990,7 @@ func (db *DB) TraceDir() string { return db.traceDir }
 func (db *DB) Catalog() *syscat.Catalog { return db.cat }
 
 // RebuiltIndexes lists the indexes Open built again from their heap: each
-// one cataloged with no file (deleted by hand), or left invalid by an
-// older build whose CREATE INDEX a crash interrupted.
+// one cataloged with no file (deleted by hand).
 func (db *DB) RebuiltIndexes() []string { return append([]string(nil), db.rebuilt...) }
 
 // RecoveryStats reports what opening the database recovered: the redo
@@ -1138,7 +1112,7 @@ func (db *DB) checkpointLocked() error {
 		return fmt.Errorf("executor: cannot checkpoint with an open transaction that has logged changes")
 	}
 	for _, t := range db.tables {
-		if err := t.saveMeta(); err != nil {
+		if err := t.Heap.SaveMeta(); err != nil {
 			return db.noteWALFailure(err)
 		}
 	}

@@ -246,9 +246,6 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 	if err != nil {
 		return nil, nil, err
 	}
-	if err = idx.SaveMeta(); err != nil {
-		return nil, nil, err
-	}
 	if err = build.FlushAll(); err != nil {
 		return nil, nil, err
 	}

@@ -494,7 +494,7 @@ func (db *DB) vacuumTable(t *Table) (int, error) {
 		for _, ix := range t.Indexes {
 			// An aborted version may never have been indexed (CREATE
 			// INDEX skips them): its RID simply matches no entry.
-			if _, err := ix.Idx.BulkDelete(inPart); err != nil {
+			if err := ix.Idx.BulkDelete(inPart); err != nil {
 				return done, fmt.Errorf("executor: vacuum index %s: %w", ix.Name, err)
 			}
 		}

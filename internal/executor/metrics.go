@@ -141,7 +141,7 @@ func (db *DB) sampleStorage(emit func(name string, value int64)) {
 		// frame's header is charged to its last record, a statement's
 		// commit marker).
 		for typ := wal.RecordType(1); typ < wal.NumRecordTypes; typ++ {
-			if typ.String() == "unknown" { // type 7 is retired
+			if typ.String() == "unknown" { // types 2, 3, 7-10, 12 and 16 are retired
 				continue
 			}
 			by := s.ByType[typ]
@@ -248,7 +248,6 @@ func (t *Table) Stats() ([]TableStat, error) {
 	}
 	for _, ix := range t.Indexes {
 		out = append(out,
-			TableStat{Name: "index_" + ix.Name + "_entries", Value: ix.Idx.Count()},
 			TableStat{Name: "index_" + ix.Name + "_pages", Value: int64(ix.pool.DM().NumPages())},
 			TableStat{Name: "index_" + ix.Name + "_size_bytes", Value: ix.pool.SizeBytes()},
 			TableStat{Name: "index_" + ix.Name + "_scans_total", Value: ix.scans.Load()},

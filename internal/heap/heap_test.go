@@ -216,7 +216,9 @@ func TestOpenRefusesPreVersionFormat(t *testing.T) {
 		{"another version in the framing", func(meta []byte) {
 			binary.LittleEndian.PutUint32(storage.SlotRead(meta, 0)[4:], storage.FormatVersion-1)
 			storage.StampPageChecksum(meta)
-		}, func(err error) bool { return strings.Contains(err.Error(), "on-disk format version 3") }},
+		}, func(err error) bool {
+			return strings.Contains(err.Error(), fmt.Sprintf("on-disk format version %d,", storage.FormatVersion-1))
+		}},
 		{"the framing before slotted meta pages", func(meta []byte) {
 			clear(meta)
 			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize:], metaMagic)

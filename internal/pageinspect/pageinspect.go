@@ -165,7 +165,7 @@ func recordFormatter(kind FileKind, pageNo uint32) func(w io.Writer, rec []byte)
 
 // metaBodySize is the meta body of each file kind, mirrored from its
 // package: the bytes describeMeta reads.
-var metaBodySize = map[FileKind]int{KindHeap: 12, KindBTree: 16, KindSPGiST: 14, KindRTree: 16}
+var metaBodySize = map[FileKind]int{KindHeap: 12, KindBTree: 8, KindSPGiST: 6, KindRTree: 8}
 
 // describeMeta renders page 0's meta record: storage's framing
 // [magic u32][format u32], then the body, whose field offsets mirror each
@@ -178,20 +178,19 @@ func describeMeta(w io.Writer, kind FileKind, rec []byte) {
 	}
 	format, body := binary.LittleEndian.Uint32(rec[4:]), rec[8:]
 	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(body[off:]) }
-	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(body[off:]) }
 	switch kind {
 	case KindHeap:
 		fmt.Fprintf(w, "    meta: magic=\"HEAP\" format=%d target=%s count=%d\n",
-			format, pageIDString(u32(0)), u64(4))
+			format, pageIDString(u32(0)), binary.LittleEndian.Uint64(body[4:]))
 	case KindBTree:
-		fmt.Fprintf(w, "    meta: magic=\"BTRE\" format=%d root=%s height=%d count=%d\n",
-			format, pageIDString(u32(0)), u32(4), u64(8))
+		fmt.Fprintf(w, "    meta: magic=\"BTRE\" format=%d root=%s height=%d\n",
+			format, pageIDString(u32(0)), u32(4))
 	case KindSPGiST:
-		fmt.Fprintf(w, "    meta: magic=\"SPGS\" format=%d root=(%s,%d) nkeys=%d\n",
-			format, pageIDString(u32(0)), binary.LittleEndian.Uint16(body[4:]), u64(6))
+		fmt.Fprintf(w, "    meta: magic=\"SPGS\" format=%d root=(%s,%d)\n",
+			format, pageIDString(u32(0)), binary.LittleEndian.Uint16(body[4:]))
 	case KindRTree:
-		fmt.Fprintf(w, "    meta: magic=\"RTRE\" format=%d root=%s height=%d count=%d\n",
-			format, pageIDString(u32(0)), u32(4), u64(8))
+		fmt.Fprintf(w, "    meta: magic=\"RTRE\" format=%d root=%s height=%d\n",
+			format, pageIDString(u32(0)), u32(4))
 	}
 }
 

@@ -95,9 +95,6 @@ func TestBTreeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := bt.SaveMeta(); err != nil {
-		t.Fatal(err)
-	}
 	if err := bt.Pool().FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +103,7 @@ func TestBTreeRoundTrip(t *testing.T) {
 	}
 
 	meta := describeString(t, path, 0)
-	if !strings.Contains(meta, `magic="BTRE"`) || !strings.Contains(meta, "count=5") {
+	if !strings.Contains(meta, `meta: magic="BTRE" format=5 root=1 height=1`+"\n") {
 		t.Errorf("btree meta dump:\n%s", meta)
 	}
 	// 5 keys fit one leaf, which is the root: page 1.
@@ -162,7 +159,7 @@ func TestSPGiSTRoundTrip(t *testing.T) {
 
 	idxPath := filepath.Join(dir, idxFile)
 	meta := describeString(t, idxPath, 0)
-	if !strings.Contains(meta, `magic="SPGS"`) || !strings.Contains(meta, "nkeys=65") {
+	if !strings.Contains(meta, `meta: magic="SPGS" format=5 root=(1,0)`+"\n") {
 		t.Errorf("spgist meta dump:\n%s", meta)
 	}
 	// Scan every data page for decoded node records: all five keys must
@@ -251,9 +248,6 @@ func buildFile(t testing.TB, kind FileKind, pageSize int) string {
 			key = catalog.NewPoint(geom.Point{X: 1, Y: 2})
 		}
 		if err := idx.Insert([]catalog.Datum{key}, []heap.RID{{Page: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := idx.SaveMeta(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,6 +344,11 @@ func FuzzDescribePage(f *testing.F) {
 		raw, err := os.ReadFile(buildFile(f, kind, pageSize))
 		if err != nil {
 			f.Fatal(err)
+		}
+		var meta strings.Builder
+		describePage(&meta, kind, 0, raw[:pageSize])
+		if !strings.Contains(meta.String(), "    meta: magic=") {
+			f.Fatalf("%v seed page 0 does not decode as a meta page:\n%s", kind, meta.String())
 		}
 		f.Add(uint8(kind), false, raw[:pageSize])
 		f.Add(uint8(kind), true, raw[pageSize:2*pageSize])

@@ -25,10 +25,10 @@ import (
 )
 
 // Meta page: the magic, and the body storage frames on page 0 —
-// [root u32][height u32][count u64].
+// [root u32][height u32].
 const (
 	magic        = 0x52545245 // "RTRE"
-	metaBodySize = 16
+	metaBodySize = 8
 )
 
 // Node record layout, the one record of its page, in nodeSlot:
@@ -59,7 +59,6 @@ type Tree struct {
 	bp      *storage.BufferPool
 	root    storage.PageID
 	height  int
-	count   int64
 	maxFill int // M: entries per node
 	minFill int // m: lower bound after split
 
@@ -71,7 +70,6 @@ type Tree struct {
 func (t *Tree) metaBody() (body [metaBodySize]byte) {
 	binary.LittleEndian.PutUint32(body[0:], uint32(t.root))
 	binary.LittleEndian.PutUint32(body[4:], uint32(t.height))
-	binary.LittleEndian.PutUint64(body[8:], uint64(t.count))
 	return body
 }
 
@@ -94,7 +92,6 @@ func Open(bp *storage.BufferPool) (*Tree, error) {
 	t := newTree(bp)
 	t.root = storage.PageID(binary.LittleEndian.Uint32(body[0:]))
 	t.height = int(binary.LittleEndian.Uint32(body[4:]))
-	t.count = int64(binary.LittleEndian.Uint64(body[8:]))
 	return t, nil
 }
 
@@ -112,26 +109,17 @@ func newTree(bp *storage.BufferPool) *Tree {
 	}
 }
 
-// saveMeta writes root, height and count into the meta page, dirtying it
-// (and so logging the change with the next record group) only when one of
-// them changed. Insert calls it where the root moves, so that a record
-// group holding the new root page always holds the pointer to it; the
-// count follows at the caller's commit point (SaveMeta).
+// saveMeta writes root and height into the meta page, dirtying it (and so
+// logging the change with the next record group). Insert calls it where
+// the root moves, so that a record group holding the new root page always
+// holds the pointer to it.
 func (t *Tree) saveMeta() error {
 	body := t.metaBody()
 	return t.bp.WriteMeta(body[:])
 }
 
-// SaveMeta persists the in-memory metadata (root, height, count) into
-// the metadata page without flushing data pages; with a WAL attached
-// the dirty meta page is logged and recoverable.
-func (t *Tree) SaveMeta() error { return t.saveMeta() }
-
 // Pool returns the underlying buffer pool.
 func (t *Tree) Pool() *storage.BufferPool { return t.bp }
-
-// Count returns the number of stored entries.
-func (t *Tree) Count() int64 { return t.count }
 
 // Height returns the number of levels; 0 when empty.
 func (t *Tree) Height() int { return t.height }
@@ -234,7 +222,6 @@ func (t *Tree) Insert(rect geom.Box, rid heap.RID) error {
 		}
 		t.root = pid
 		t.height = 1
-		t.count++
 		return t.saveMeta()
 	}
 	splitRect1, splitRect2, right, err := t.insertAt(t.root, rect, rid, t.height)
@@ -252,10 +239,8 @@ func (t *Tree) Insert(rect geom.Box, rid heap.RID) error {
 		}
 		t.root = pid
 		t.height++
-		t.count++
 		return t.saveMeta()
 	}
-	t.count++
 	return nil
 }
 
@@ -452,15 +437,13 @@ func (t *Tree) SearchContained(q geom.Box, emit func(rect geom.Box, rid heap.RID
 // file once in page order: each leaf that holds a dead RID is rewritten in
 // place, under the pin that read it. MBRs on the path are not shrunk
 // (Guttman's CondenseTree is skipped, as deletes do not occur in the
-// paper's experiments); search correctness is unaffected. It returns the
-// number of entries removed.
-func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
-	defer func() { t.count -= int64(removed) }()
+// paper's experiments); search correctness is unaffected.
+func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) error {
 	n := t.bp.DM().NumPages()
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
 		p, v, err := t.pin(pid)
 		if err != nil {
-			return removed, err
+			return err
 		}
 		hit := false
 		for i := 0; v.leaf && i < v.Len() && !hit; i++ {
@@ -471,13 +454,10 @@ func (t *Tree) BulkDelete(dead func(rid heap.RID) bool) (removed int, _ error) {
 			continue
 		}
 		nd := v.node()
-		kept := slices.DeleteFunc(nd.entries, func(e entry) bool { return dead(e.rid) })
-		gone := len(nd.entries) - len(kept)
-		nd.entries = kept
+		nd.entries = slices.DeleteFunc(nd.entries, func(e entry) bool { return dead(e.rid) })
 		if err := t.bp.UnpinRewrite(p, nodeSlot, t.record(nd)); err != nil {
-			return removed, err
+			return err
 		}
-		removed += gone
 	}
-	return removed, nil
+	return nil
 }

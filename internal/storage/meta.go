@@ -21,7 +21,7 @@ const (
 
 	// FormatVersion is the on-disk format this build writes, and the only
 	// one it reads.
-	FormatVersion = 4
+	FormatVersion = 5
 )
 
 // ParseMeta splits the slot-0 record of a page 0 into magic, format

@@ -1,6 +1,10 @@
 package storage
 
-import "sync"
+import (
+	"maps"
+	"slices"
+	"sync"
+)
 
 // PageTrace counts the distinct pages of one relation file that are read
 // while it is armed — the page reads a cold (unbuffered) execution would
@@ -26,14 +30,18 @@ func (bp *BufferPool) StartPageTrace() {
 
 // PageTraceCount disarms the relation's page trace and reports the
 // distinct pages it visited (0 when none was armed).
-func (bp *BufferPool) PageTraceCount() int {
+func (bp *BufferPool) PageTraceCount() int { return len(bp.PageTracePages()) }
+
+// PageTracePages disarms the relation's page trace and returns the
+// distinct pages it visited, in ascending order (none when none was armed).
+func (bp *BufferPool) PageTracePages() []PageID {
 	tr := bp.trace.Swap(nil)
 	if tr == nil {
-		return 0
+		return nil
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return len(tr.pages)
+	return slices.Sorted(maps.Keys(tr.pages))
 }
 
 // TracePage records a visit of page id in the armed trace, if any.

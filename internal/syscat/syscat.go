@@ -66,7 +66,6 @@ type Index struct {
 	Method   string // access method name (pg_am reference)
 	OpClass  string // operator class name (pg_opclass reference)
 	File     string // index file base name, rel<OID>.idx
-	Valid    bool   // false only on an entry an older build left mid-build
 }
 
 // Stats is one planner-statistics record: the sampled per-column
@@ -362,7 +361,6 @@ func (c *Catalog) AddIndex(name string, tableOID uint64, column int, method, opc
 		Method:   method,
 		OpClass:  opclass,
 		File:     fmt.Sprintf("rel%d.idx", oid),
-		Valid:    true,
 	}
 	rid, err := c.heap.Insert(encodeIndex(ix))
 	if err != nil {
@@ -713,8 +711,7 @@ func encodeIndex(ix Index) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(ix.Column))
 	b = appendStr8(b, ix.Method)
 	b = appendStr8(b, ix.OpClass)
-	b = appendStr16(b, ix.File)
-	return append(b, 1) // valid: see Index.Valid
+	return appendStr16(b, ix.File)
 }
 
 // EncodedSize reports the heap-record size of a statistics record —
@@ -863,9 +860,8 @@ func decodeIndex(rec []byte) (Index, error) {
 	if ix.File, b, err = readStr16(b); err != nil {
 		return ix, err
 	}
-	if len(b) != 1 {
-		return ix, fmt.Errorf("syscat: malformed validity flag in index record %q", ix.Name)
+	if len(b) != 0 {
+		return ix, fmt.Errorf("syscat: %d trailing bytes in index record %q", len(b), ix.Name)
 	}
-	ix.Valid = b[0] == 1
 	return ix, nil
 }
