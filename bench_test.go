@@ -12,7 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -64,6 +66,21 @@ var fixtures struct {
 	rtSeg *rtree.Tree
 }
 
+// loaded returns a fixture the bench package's loaders built in the
+// end-to-end benchmark's 500-row statement batches.
+func loaded[T any](t T, _ time.Duration, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// repacked returns an SP-GiST fixture repacked, as the figures search it.
+func repacked(t *core.Tree, d time.Duration, err error) *core.Tree {
+	t, err = loaded(t, d, err).Repack(newPool())
+	return loaded(t, d, err)
+}
+
 func setup(b *testing.B) {
 	b.Helper()
 	defer b.ResetTimer() // keep one-time fixture construction out of the timings
@@ -74,41 +91,27 @@ func setup(b *testing.B) {
 		f.prefixes = datagen.Prefixes(f.words, 512, 44)
 		f.subs = datagen.Substrings(f.words, 512, 45)
 
-		f.trie, _ = core.Create(newPool(), trie.New())
-		f.bt, _ = btree.Create(newPool())
-		for i, w := range f.words {
-			f.trie.Insert(w, benchRID(i))
-			f.bt.Insert([]byte(w), benchRID(i))
-		}
-		f.trie, _ = f.trie.Repack(newPool())
-
-		f.sfx, _ = core.Create(newPool(), suffix.New())
-		for i, w := range f.words[:benchWords/5] {
-			suffix.InsertWord(f.sfx, w, benchRID(i))
-		}
-		f.sfx, _ = f.sfx.Repack(newPool())
+		f.trie = repacked(bench.LoadSPGiST(newPool(), trie.New(), f.words))
+		f.bt = loaded(bench.LoadBTree(newPool(), f.words))
+		f.sfx = repacked(bench.LoadSuffix(newPool(), f.words[:benchWords/5]))
 
 		world := geom.MakeBox(0, 0, 100, 100)
 		f.points = datagen.Points(benchPoints, 46, world)
-		f.kd, _ = core.Create(newPool(), kdtree.New())
-		f.pq, _ = core.Create(newPool(), pquad.New())
-		f.rtPt, _ = rtree.Create(newPool())
+		f.kd = repacked(bench.LoadSPGiST(newPool(), kdtree.New(), f.points))
+		f.pq = repacked(bench.LoadSPGiST(newPool(), pquad.New(), f.points))
+		boxes := make([]geom.Box, len(f.points))
 		for i, p := range f.points {
-			f.kd.Insert(p, benchRID(i))
-			f.pq.Insert(p, benchRID(i))
-			f.rtPt.Insert(geom.Box{Min: p, Max: p}, benchRID(i))
+			boxes[i] = geom.Box{Min: p, Max: p}
 		}
-		f.kd, _ = f.kd.Repack(newPool())
-		f.pq, _ = f.pq.Repack(newPool())
+		f.rtPt = loaded(bench.LoadRTree(newPool(), boxes))
 
 		f.segs = datagen.Segments(benchSegs, 47, world, 5)
-		f.pmrT, _ = core.Create(newPool(), pmr.New())
-		f.rtSeg, _ = rtree.Create(newPool())
+		f.pmrT = repacked(bench.LoadSPGiST(newPool(), pmr.New(), f.segs))
+		mbrs := make([]geom.Box, len(f.segs))
 		for i, s := range f.segs {
-			f.pmrT.Insert(s, benchRID(i))
-			f.rtSeg.Insert(s.MBR(), benchRID(i))
+			mbrs[i] = s.MBR()
 		}
-		f.pmrT, _ = f.pmrT.Repack(newPool())
+		f.rtSeg = loaded(bench.LoadRTree(newPool(), mbrs))
 	})
 }
 
@@ -171,22 +174,27 @@ func BenchmarkFig7RegexBTree(b *testing.B) {
 }
 
 // --- Figures 8-9: trie insert vs B+-tree insert (fresh trees per run).
+// The insert targets time a one-key batch, what a single-row INSERT runs.
 
 func BenchmarkFig9InsertTrie(b *testing.B) {
 	setup(b)
 	t, _ := core.Create(newPool(), trie.New())
+	keys, rids := make([]core.Value, 1), make([]heap.RID, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Insert(fixtures.words[i%benchWords], benchRID(i))
+		keys[0], rids[0] = fixtures.words[i%benchWords], benchRID(i)
+		t.InsertBatch(keys, rids)
 	}
 }
 
 func BenchmarkFig9InsertBTree(b *testing.B) {
 	setup(b)
 	t, _ := btree.Create(newPool())
+	pair := make([]btree.Pair, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Insert([]byte(fixtures.words[i%benchWords]), benchRID(i))
+		pair[0] = btree.Pair{Key: []byte(fixtures.words[i%benchWords]), RID: benchRID(i)}
+		t.InsertBatch(pair)
 	}
 }
 
@@ -240,9 +248,11 @@ func BenchmarkFig13RangeRTree(b *testing.B) {
 func BenchmarkFig13InsertKD(b *testing.B) {
 	setup(b)
 	t, _ := core.Create(newPool(), kdtree.New())
+	keys, rids := make([]core.Value, 1), make([]heap.RID, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Insert(fixtures.points[i%benchPoints], benchRID(i))
+		keys[0], rids[0] = fixtures.points[i%benchPoints], benchRID(i)
+		t.InsertBatch(keys, rids)
 	}
 }
 
@@ -391,7 +401,6 @@ func TestBenchFixturesSane(t *testing.T) {
 	if benchWords < 1000 || benchPoints < 1000 || benchSegs < 1000 {
 		t.Fatal("bench fixtures too small to be meaningful")
 	}
-	_ = fmt.Sprintf
 }
 
 // BenchmarkWALAppend measures the write-ahead-log append path that every

@@ -12,7 +12,6 @@ package am
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -234,23 +233,16 @@ type suffixIndex struct {
 }
 
 // Insert must not inherit the plain SP-GiST path: each word expands to
-// all its suffixes. Words are inserted in sorted order so at least their
-// shared-prefix descents cluster.
+// all its suffixes, and core orders the suffixes of the whole batch.
 func (x *suffixIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]].S < keys[order[b]].S })
-	for _, i := range order {
-		if keys[i].Typ != catalog.Text {
+	words := make([]string, len(keys))
+	for i, k := range keys {
+		if k.Typ != catalog.Text {
 			return fmt.Errorf("am: suffix index requires VARCHAR keys")
 		}
-		if err := suffix.InsertWord(x.tree, keys[i].S, rids[i]); err != nil {
-			return err
-		}
+		words[i] = k.S
 	}
-	return nil
+	return suffix.Insert(x.tree, words, rids)
 }
 
 // btreeIndex adapts the B+-tree baseline over text keys.

@@ -41,7 +41,7 @@ func baselineRecords(t testing.TB) (bt, rt [][]byte) {
 			return err
 		}
 		for i, w := range datagen.Words(400, 31) {
-			if err := tr.Insert([]byte(w), rid(i)); err != nil {
+			if err := tr.InsertBatch([]btree.Pair{{Key: []byte(w), RID: rid(i)}}); err != nil {
 				return err
 			}
 		}

@@ -5,17 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/heap"
 	"repro/internal/storage"
 	"repro/internal/trie"
 )
-
-// nonClusteringOpClass disables nothing in the opclass itself — the
-// clustering lives in the framework's allocator — so the clustering
-// ablation is approximated by a tiny buffer... instead we ablate what we
-// can control from outside: the trie's bucket size, which trades leaf
-// fan-in against tree depth, and NodeShrink (via a trie variant that
-// pre-creates all 27 partitions).
 
 // noShrinkTrie wraps the patricia trie but reports NodeShrink=false and
 // pre-creates every partition at split time, reproducing Figure 2(a)'s
@@ -73,27 +65,22 @@ func RunAblation(cfg Config) []Figure {
 	n := cfg.sizes([]int{40000})[0]
 	words := datagen.Words(n, cfg.Seed)
 
-	build := func(oc core.OpClass, pageSize int) (*core.Tree, core.TreeStats) {
+	build := func(oc core.OpClass, pageSize int) core.TreeStats {
 		bp := storage.NewBufferPool("", storage.NewMem(pageSize), cfg.PoolPages)
-		t, err := core.Create(bp, oc)
+		t, _, err := LoadSPGiST(bp, oc, words)
 		if err != nil {
 			panic(fmt.Sprintf("bench ablation: %v", err))
-		}
-		for i, w := range words {
-			if err := t.Insert(w, benchRID(i)); err != nil {
-				panic(err)
-			}
 		}
 		st, err := t.Stats()
 		if err != nil {
 			panic(err)
 		}
-		return t, st
+		return st
 	}
 
 	// NodeShrink ablation.
-	_, shrunk := build(trie.New(), cfg.PageSize)
-	_, unshrunk := build(noShrinkTrie{trie.New()}, cfg.PageSize)
+	shrunk := build(trie.New(), cfg.PageSize)
+	unshrunk := build(noShrinkTrie{trie.New()}, cfg.PageSize)
 	nodeShrink := Figure{
 		ID: "ablation-nodeshrink", Title: "NodeShrink on/off (trie, size & height)",
 		XLabel: "variant", YLabel: "value",
@@ -112,7 +99,7 @@ func RunAblation(cfg Config) []Figure {
 	buckets := []int{1, 4, 16, 64, 256}
 	var bx, bheight, bsize []float64
 	for _, b := range buckets {
-		_, st := build(trie.New(trie.WithBucketSize(b)), cfg.PageSize)
+		st := build(trie.New(trie.WithBucketSize(b)), cfg.PageSize)
 		bx = append(bx, float64(b))
 		bheight = append(bheight, float64(st.MaxNodeHeight))
 		bsize = append(bsize, float64(st.SizeBytes)/(1<<20))
@@ -132,7 +119,7 @@ func RunAblation(cfg Config) []Figure {
 	pages := []int{1024, 2048, 4096, 8192, 16384}
 	var px, ph, nh []float64
 	for _, ps := range pages {
-		_, st := build(trie.New(), ps)
+		st := build(trie.New(), ps)
 		px = append(px, float64(ps))
 		ph = append(ph, float64(st.MaxPageHeight))
 		nh = append(nh, float64(st.MaxNodeHeight))
@@ -147,6 +134,5 @@ func RunAblation(cfg Config) []Figure {
 		Notes: []string{"bigger pages let the clustering collapse more levels per page"},
 	}
 
-	_ = heap.RID{}
 	return []Figure{nodeShrink, bucket, paging}
 }

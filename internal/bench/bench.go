@@ -3,7 +3,10 @@
 // same index structures over the same workload distributions the paper
 // used — only the dataset sizes are scaled down (geometric sweeps
 // preserved) — and reports the same series the figure plots: relative
-// ratios, log-ratios, heights, sizes, and NN latencies.
+// ratios, log-ratios, heights, sizes, and NN latencies. Every index is
+// loaded through the routine the server's index adapter calls, in the
+// end-to-end benchmark's 500-row statement batches (load), so the insert,
+// height and size series describe the tree the server builds.
 //
 // All figure axes in the paper are ratios or structural quantities, not
 // absolute times, so the reproduction target is the *shape*: who wins,
@@ -16,7 +19,13 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/btree"
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/heap"
+	"repro/internal/rtree"
 	"repro/internal/storage"
+	"repro/internal/suffix"
 )
 
 // Config scales and seeds the experiments.
@@ -153,6 +162,94 @@ func (f *Figure) Markdown(w *strings.Builder) {
 	}
 }
 
+// statementRows is how many keys one load call carries: the end-to-end
+// benchmark loads its tables in INSERT statements of 500 rows (loadBatch
+// in benchmark/dataset.go), and the server hands each statement's keys to
+// an index in one call. Loading in such batches makes a figure's tree the
+// one the server builds.
+const statementRows = 500
+
+func benchRID(i int) heap.RID {
+	return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)}
+}
+
+// load inserts keys[i] under benchRID(i), statementRows keys per call of
+// insert, and returns the time the calls took.
+func load[K any](keys []K, insert func([]K, []heap.RID) error) (time.Duration, error) {
+	rids := make([]heap.RID, len(keys))
+	for i := range rids {
+		rids[i] = benchRID(i)
+	}
+	start := time.Now()
+	for lo := 0; lo < len(keys); lo += statementRows {
+		hi := min(lo+statementRows, len(keys))
+		if err := insert(keys[lo:hi], rids[lo:hi]); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start), nil
+}
+
+// LoadSPGiST creates an SP-GiST tree of oc over bp and loads keys into it
+// through InsertBatch, the routine the server's index adapter calls.
+func LoadSPGiST[K any](bp *storage.BufferPool, oc core.OpClass, keys []K) (*core.Tree, time.Duration, error) {
+	t, err := core.Create(bp, oc)
+	if err != nil {
+		return nil, 0, err
+	}
+	vs := make([]core.Value, len(keys))
+	for i, k := range keys {
+		vs[i] = k
+	}
+	d, err := load(vs, t.InsertBatch)
+	return t, d, err
+}
+
+// LoadSuffix creates a suffix tree over bp and loads words into it
+// through suffix.Insert, which the server's suffix index calls.
+func LoadSuffix(bp *storage.BufferPool, words []string) (*core.Tree, time.Duration, error) {
+	t, err := core.Create(bp, suffix.New())
+	if err != nil {
+		return nil, 0, err
+	}
+	d, err := load(words, func(ws []string, rids []heap.RID) error { return suffix.Insert(t, ws, rids) })
+	return t, d, err
+}
+
+// LoadBTree creates a B+-tree over bp and loads words into it through
+// InsertBatch, the routine the server's index adapter calls.
+func LoadBTree(bp *storage.BufferPool, words []string) (*btree.Tree, time.Duration, error) {
+	t, err := btree.Create(bp)
+	if err != nil {
+		return nil, 0, err
+	}
+	pairs := make([]btree.Pair, len(words))
+	for i, w := range words {
+		pairs[i] = btree.Pair{Key: []byte(w), RID: benchRID(i)}
+	}
+	d, err := load(pairs, func(ps []btree.Pair, _ []heap.RID) error { return t.InsertBatch(ps) })
+	return t, d, err
+}
+
+// LoadRTree creates an R-tree over bp and loads boxes into it through
+// rtree.Tree.Insert, the engine's one R-tree insert routine, which takes
+// one key per call.
+func LoadRTree(bp *storage.BufferPool, boxes []geom.Box) (*rtree.Tree, time.Duration, error) {
+	t, err := rtree.Create(bp)
+	if err != nil {
+		return nil, 0, err
+	}
+	d, err := load(boxes, func(bs []geom.Box, rids []heap.RID) error {
+		for i, b := range bs {
+			if err := t.Insert(b, rids[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return t, d, err
+}
+
 // measured couples the two cost metrics of one operation: warm wall time
 // (the CPU-bound regime of modern in-memory runs) and distinct pages
 // touched per query (the page reads a cold run would issue — the
@@ -184,12 +281,6 @@ func pageRatio(num, den measured) float64 {
 }
 
 // timeOp measures the average wall time of one operation over n runs.
-//
-// (Search measurements run on repacked trees: the paper's clustering
-// guarantees minimum page-height at all times, while this repository
-// maintains a greedy approximation during inserts and restores the
-// minimum-height packing with core.Tree.Repack, PostgreSQL-CLUSTER
-// style. See repack in the per-experiment files.)
 func timeOp(n int, op func(i int)) time.Duration {
 	start := time.Now()
 	for i := 0; i < n; i++ {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/geom"
 	"repro/internal/kdtree"
 	"repro/internal/pquad"
 	"repro/internal/trie"
@@ -26,40 +25,18 @@ func RunNN(cfg Config) []Figure {
 	pQ := datagen.Points(cfg.Queries, cfg.Seed+2, world)
 	wQ := datagen.Words(cfg.Queries, cfg.Seed+3)
 
-	kd, err := core.Create(cfg.pool(), kdtree.New())
-	if err != nil {
-		panic(fmt.Sprintf("bench nn: %v", err))
-	}
-	pq, err := core.Create(cfg.pool(), pquad.New())
-	if err != nil {
-		panic(fmt.Sprintf("bench nn: %v", err))
-	}
-	for i, p := range pts {
-		if err := kd.Insert(p, benchRID(i)); err != nil {
-			panic(err)
+	repacked := func(t *core.Tree, _ time.Duration, err error) *core.Tree {
+		if err == nil {
+			t, err = t.Repack(cfg.pool())
 		}
-		if err := pq.Insert(p, benchRID(i)); err != nil {
-			panic(err)
+		if err != nil {
+			panic(fmt.Sprintf("bench nn: %v", err))
 		}
+		return t
 	}
-	tr, err := core.Create(cfg.pool(), trie.New())
-	if err != nil {
-		panic(fmt.Sprintf("bench nn: %v", err))
-	}
-	for i, w := range words {
-		if err := tr.Insert(w, benchRID(i)); err != nil {
-			panic(err)
-		}
-	}
-	if kd, err = kd.Repack(cfg.pool()); err != nil {
-		panic(err)
-	}
-	if pq, err = pq.Repack(cfg.pool()); err != nil {
-		panic(err)
-	}
-	if tr, err = tr.Repack(cfg.pool()); err != nil {
-		panic(err)
-	}
+	kd := repacked(LoadSPGiST(cfg.pool(), kdtree.New(), pts))
+	pq := repacked(LoadSPGiST(cfg.pool(), pquad.New(), pts))
+	tr := repacked(LoadSPGiST(cfg.pool(), trie.New(), words))
 
 	// A smaller probe count keeps the k=1024 sweep fast.
 	probes := cfg.Queries / 10
@@ -83,7 +60,6 @@ func RunNN(cfg Config) []Figure {
 		pqY[i] = nnTime(pq, k, func(i int) core.Value { return pQ[i%len(pQ)] })
 		trY[i] = nnTime(tr, k, func(i int) core.Value { return wQ[i%len(wQ)] })
 	}
-	_ = geom.Point{}
 	return []Figure{{
 		ID: "fig17", Title: "NN search performance (time per query, ms)",
 		XLabel: "number of NNs", YLabel: "time (ms)",

@@ -9,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/kdtree"
-	"repro/internal/rtree"
 )
 
 var world = geom.MakeBox(0, 0, 100, 100)
@@ -30,19 +29,13 @@ func measurePointRow(cfg Config, n int) (pointRow, error) {
 	// Range queries selecting ~0.1% of the space, like small windows.
 	boxQ := datagen.Boxes(cfg.Queries, cfg.Seed+2, world, 3)
 
-	kd, err := core.Create(cfg.pool(), kdtree.New())
+	kdBuilt, kdIns, err := LoadSPGiST(cfg.pool(), kdtree.New(), pts)
 	if err != nil {
 		return row, err
 	}
-	start := time.Now()
-	for i, p := range pts {
-		if err := kd.Insert(p, benchRID(i)); err != nil {
-			return row, err
-		}
-	}
-	row.kdInsert = time.Since(start)
-	kdBuilt := kd
-	if kd, err = kdBuilt.Repack(cfg.pool()); err != nil {
+	row.kdInsert = kdIns
+	kd, err := kdBuilt.Repack(cfg.pool())
+	if err != nil {
 		return row, err
 	}
 	sink := 0
@@ -55,17 +48,15 @@ func measurePointRow(cfg Config, n int) (pointRow, error) {
 	})
 	row.kdSize = kdBuilt.Pool().SizeBytes() // dynamic (insert-maintained) size, as in the paper
 
-	rt, err := rtree.Create(cfg.pool())
+	boxes := make([]geom.Box, len(pts))
+	for i, p := range pts {
+		boxes[i] = geom.Box{Min: p, Max: p}
+	}
+	rt, rtIns, err := LoadRTree(cfg.pool(), boxes)
 	if err != nil {
 		return row, err
 	}
-	start = time.Now()
-	for i, p := range pts {
-		if err := rt.Insert(geom.Box{Min: p, Max: p}, benchRID(i)); err != nil {
-			return row, err
-		}
-	}
-	row.rtInsert = time.Since(start)
+	row.rtInsert = rtIns
 	row.rtPoint = measure(rt.Pool(), len(pointQ), func(i int) {
 		rt.SearchPoint(pointQ[i], func(heap.RID) bool { sink++; return true })
 	})

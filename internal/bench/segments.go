@@ -9,7 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/heap"
 	"repro/internal/pmr"
-	"repro/internal/rtree"
 )
 
 type segmentRow struct {
@@ -26,17 +25,11 @@ func measureSegmentRow(cfg Config, n int) (segmentRow, error) {
 	exactQ := datagen.Sample(segs, cfg.Queries, cfg.Seed+1)
 	boxQ := datagen.Boxes(cfg.Queries, cfg.Seed+2, world, 5)
 
-	pq, err := core.Create(cfg.pool(), pmr.New())
+	pq, pmrIns, err := LoadSPGiST(cfg.pool(), pmr.New(), segs)
 	if err != nil {
 		return row, err
 	}
-	start := time.Now()
-	for i, s := range segs {
-		if err := pq.Insert(s, benchRID(i)); err != nil {
-			return row, err
-		}
-	}
-	row.pmrInsert = time.Since(start)
+	row.pmrInsert = pmrIns
 	if pq, err = pq.Repack(cfg.pool()); err != nil {
 		return row, err
 	}
@@ -49,17 +42,15 @@ func measureSegmentRow(cfg Config, n int) (segmentRow, error) {
 		pq.Scan(&core.Query{Op: "&&", Arg: boxQ[i]}, emit)
 	})
 
-	rt, err := rtree.Create(cfg.pool())
+	mbrs := make([]geom.Box, len(segs))
+	for i, s := range segs {
+		mbrs[i] = s.MBR()
+	}
+	rt, rtIns, err := LoadRTree(cfg.pool(), mbrs)
 	if err != nil {
 		return row, err
 	}
-	start = time.Now()
-	for i, s := range segs {
-		if err := rt.Insert(s.MBR(), benchRID(i)); err != nil {
-			return row, err
-		}
-	}
-	row.rtInsert = time.Since(start)
+	row.rtInsert = rtIns
 	// The R-tree indexes MBRs, so exact and window queries recheck the
 	// real segment — the executor's lossy-hit recheck, priced in.
 	ridToSeg := func(rd heap.RID) geom.Segment {

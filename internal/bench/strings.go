@@ -5,11 +5,9 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/heap"
-	"repro/internal/storage"
 	"repro/internal/trie"
 )
 
@@ -29,40 +27,6 @@ type stringRow struct {
 	trieRepackH             int // page height after min-height repacking
 }
 
-func benchRID(i int) heap.RID {
-	return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)}
-}
-
-// buildTrie loads words into a fresh SP-GiST patricia trie.
-func buildTrie(cfg Config, words []string) (*core.Tree, time.Duration, error) {
-	tr, err := core.Create(cfg.pool(), trie.New())
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	for i, w := range words {
-		if err := tr.Insert(w, benchRID(i)); err != nil {
-			return nil, 0, err
-		}
-	}
-	return tr, time.Since(start), nil
-}
-
-// buildBTree loads words into a fresh B+-tree.
-func buildBTree(cfg Config, words []string) (*btree.Tree, time.Duration, error) {
-	bt, err := btree.Create(cfg.pool())
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	for i, w := range words {
-		if err := bt.Insert([]byte(w), benchRID(i)); err != nil {
-			return nil, 0, err
-		}
-	}
-	return bt, time.Since(start), nil
-}
-
 func measureStringRow(cfg Config, n int) (stringRow, error) {
 	row := stringRow{n: n}
 	words := datagen.Words(n, cfg.Seed)
@@ -70,13 +34,16 @@ func measureStringRow(cfg Config, n int) (stringRow, error) {
 	prefixQ := datagen.Prefixes(words, cfg.Queries, cfg.Seed+2)
 	regexQ := datagen.Patterns(words, cfg.Queries, 0.3, cfg.Seed+3)
 
-	built, tIns, err := buildTrie(cfg, words)
+	built, tIns, err := LoadSPGiST(cfg.pool(), trie.New(), words)
 	if err != nil {
 		return row, err
 	}
 	row.trieInsert = tIns
-	// Searches run on the min-page-height packing the paper's clustering
-	// maintains (Repack = offline Diwan-style packing).
+	// Searches in every experiment run on repacked trees: the paper's
+	// clustering guarantees minimum page height at all times, while this
+	// repository maintains a greedy approximation during inserts and
+	// restores the minimum-height packing with core.Tree.Repack (offline
+	// Diwan-style packing, PostgreSQL-CLUSTER style).
 	tr, err := built.Repack(cfg.pool())
 	if err != nil {
 		return row, err
@@ -109,7 +76,7 @@ func measureStringRow(cfg Config, n int) (stringRow, error) {
 	}
 	row.trieRepackH = rst.MaxPageHeight
 
-	bt, bIns, err := buildBTree(cfg, words)
+	bt, bIns, err := LoadBTree(cfg.pool(), words)
 	if err != nil {
 		return row, err
 	}
@@ -257,7 +224,7 @@ func RunStrings(cfg Config) []Figure {
 		{Name: "trie (repack)", X: xs(rows), Y: rph},
 	}
 	fig12.Notes = append(fig12.Notes,
-		"insert = greedy insert-time clustering; repack = offline min-page-height packing (the paper's guarantee)")
+		"insert = as the server builds it, 500-key batches with greedy insert-time clustering; repack = offline min-page-height packing (the paper's guarantee)")
 
 	return []Figure{fig6, fig7, fig8, fig9, fig10, fig11, fig12}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/heap"
 	"repro/internal/suffix"
@@ -38,16 +36,11 @@ func RunSuffix(cfg Config) []Figure {
 		}
 
 		// The suffix tree.
-		st, err := core.Create(cfg.pool(), suffix.New())
+		st, _, err := LoadSuffix(cfg.pool(), words)
+		if err == nil {
+			st, err = st.Repack(cfg.pool())
+		}
 		if err != nil {
-			panic(fmt.Sprintf("bench suffix: %v", err))
-		}
-		for i, w := range words {
-			if err := suffix.InsertWord(st, w, benchRID(i)); err != nil {
-				panic(fmt.Sprintf("bench suffix: %v", err))
-			}
-		}
-		if st, err = st.Repack(cfg.pool()); err != nil {
 			panic(fmt.Sprintf("bench suffix: %v", err))
 		}
 
@@ -70,7 +63,6 @@ func RunSuffix(cfg Config) []Figure {
 		})
 		xs = append(xs, float64(n))
 		ys = append(ys, math.Log10(ratio(seqTime, sfxTime)))
-		_ = time.Now
 	}
 	return []Figure{{
 		ID: "fig16", Title: "Substring match: sequential scan vs suffix tree",

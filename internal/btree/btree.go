@@ -267,32 +267,21 @@ func (t *Tree) checkKey(key []byte) error {
 	return nil
 }
 
-// Insert adds one (key, rid) pair.
-func (t *Tree) Insert(key []byte, rid heap.RID) error {
-	if err := t.checkKey(key); err != nil {
-		return err
-	}
-	w := walks.Get().(*walk)
-	defer walks.Put(w)
-	_, err := t.insert([]Pair{{Key: key, RID: rid}}, w)
-	return err
-}
-
 // Pair is one (key, RID) input of InsertBatch.
 type Pair struct {
 	Key []byte
 	RID heap.RID
 }
 
-// InsertBatch adds many pairs as one grouped operation. The pairs are
-// sorted first, then inserted in key order with a leaf-run fast path:
-// one descent pins the target leaf and splices every following key that
-// provably belongs to the same leaf — strictly below the leaf's current
-// last key, or anything at all on the rightmost leaf — without
-// re-descending or re-pinning per row. Keys that fall outside the run
-// (or overflow the leaf) fall back to the ordinary split path. For the
-// common bulk-load shape (many keys per leaf) this is one descent and
-// one pin per leaf cluster instead of one per row.
+// InsertBatch adds pairs as one grouped operation; it is the tree's one
+// insert routine. The pairs are sorted first, then inserted in key order
+// with a leaf-run fast path: one descent pins the target leaf and splices
+// every following key that provably belongs to the same leaf — strictly
+// below the leaf's current last key, or anything at all on the rightmost
+// leaf — without re-descending or re-pinning per row. Keys that fall
+// outside the run (or overflow the leaf) fall back to the ordinary split
+// path. For the common bulk-load shape (many keys per leaf) this is one
+// descent and one pin per leaf cluster instead of one per row.
 func (t *Tree) InsertBatch(pairs []Pair) error {
 	for _, p := range pairs {
 		if err := t.checkKey(p.Key); err != nil {

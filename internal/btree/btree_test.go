@@ -27,6 +27,12 @@ func newTree(t testing.TB, pageSize int) *Tree {
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
+// insertOne inserts one key as a one-key batch, which is what a
+// single-row INSERT runs.
+func insertOne(t *Tree, key []byte, r heap.RID) error {
+	return t.InsertBatch([]Pair{{Key: key, RID: r}})
+}
+
 func randWord(r *rand.Rand) string {
 	n := 1 + r.Intn(15)
 	b := make([]byte, n)
@@ -62,7 +68,7 @@ func TestInsertSearchSmallPages(t *testing.T) {
 	words := map[string]int{}
 	for i := 0; i < 3000; i++ {
 		w := randWord(r)
-		if err := tr.Insert([]byte(w), rid(i)); err != nil {
+		if err := insertOne(tr, []byte(w), rid(i)); err != nil {
 			t.Fatalf("insert %q: %v", w, err)
 		}
 		words[w]++
@@ -87,7 +93,7 @@ func TestSortedOrderInvariant(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		w := randWord(r)
 		words = append(words, w)
-		tr.Insert([]byte(w), rid(i))
+		insertOne(tr, []byte(w), rid(i))
 	}
 	sort.Strings(words)
 	var got []string
@@ -115,7 +121,7 @@ func TestRangeScanAgainstBruteForce(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		w := randWord(r)
 		words = append(words, w)
-		tr.Insert([]byte(w), rid(i))
+		insertOne(tr, []byte(w), rid(i))
 	}
 	for trial := 0; trial < 50; trial++ {
 		lo := randWord(r)
@@ -150,7 +156,7 @@ func TestPrefixScanAgainstBruteForce(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		w := randWord(r)
 		words = append(words, w)
-		tr.Insert([]byte(w), rid(i))
+		insertOne(tr, []byte(w), rid(i))
 	}
 	probe := func(p string) {
 		want := 0
@@ -181,7 +187,7 @@ func TestMatchScanWildcard(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		w := randWord(r)
 		words = append(words, w)
-		tr.Insert([]byte(w), rid(i))
+		insertOne(tr, []byte(w), rid(i))
 	}
 	probe := func(pat string) {
 		want := 0
@@ -240,14 +246,14 @@ func TestDuplicatesAcrossSplits(t *testing.T) {
 	tr := newTree(t, 256)
 	// Enough duplicates to span several leaves.
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert([]byte("dup"), rid(i)); err != nil {
+		if err := insertOne(tr, []byte("dup"), rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Surround them with other keys.
 	for i := 0; i < 500; i++ {
-		tr.Insert([]byte(fmt.Sprintf("a%03d", i)), rid(1000+i))
-		tr.Insert([]byte(fmt.Sprintf("z%03d", i)), rid(2000+i))
+		insertOne(tr, []byte(fmt.Sprintf("a%03d", i)), rid(1000+i))
+		insertOne(tr, []byte(fmt.Sprintf("z%03d", i)), rid(2000+i))
 	}
 	if got := len(collect(t, tr, "dup")); got != 500 {
 		t.Fatalf("duplicates: got %d, want 500", got)
@@ -261,7 +267,7 @@ func TestDelete(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		w := randWord(r)
 		words = append(words, w)
-		tr.Insert([]byte(w), rid(i))
+		insertOne(tr, []byte(w), rid(i))
 	}
 	// Every third row goes, from every leaf, in one pass.
 	if err := tr.BulkDelete(func(r heap.RID) bool { return r.Slot%3 == 0 }); err != nil {
@@ -290,7 +296,7 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		tr.Insert([]byte(fmt.Sprintf("key%04d", i)), rid(i))
+		insertOne(tr, []byte(fmt.Sprintf("key%04d", i)), rid(i))
 	}
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
@@ -316,7 +322,7 @@ func TestPersistence(t *testing.T) {
 func TestEarlyStopScan(t *testing.T) {
 	tr := newTree(t, 512)
 	for i := 0; i < 100; i++ {
-		tr.Insert([]byte(fmt.Sprintf("k%02d", i)), rid(i))
+		insertOne(tr, []byte(fmt.Sprintf("k%02d", i)), rid(i))
 	}
 	n := 0
 	tr.RangeScan(nil, nil, func(_ []byte, _ heap.RID) bool { n++; return n < 7 })

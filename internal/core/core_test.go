@@ -169,6 +169,12 @@ func newTestTree(t testing.TB) *Tree {
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/100), Slot: uint16(i % 100)} }
 
+// insertOne inserts one key as a one-key batch, which is what a
+// single-row INSERT runs.
+func insertOne(t *Tree, key Value, r heap.RID) error {
+	return t.InsertBatch([]Value{key}, []heap.RID{r})
+}
+
 // scanCount returns how many entries a full scan of tr yields.
 func scanCount(t testing.TB, tr *Tree) int {
 	t.Helper()
@@ -192,7 +198,7 @@ func TestInsertAndExactSearch(t *testing.T) {
 	tr := newTestTree(t)
 	words := []string{"a", "ab", "abc", "b", "ba", "bad", "c", "ca", "cab", "d", "da", "dab", "abcd", "aaaa"}
 	for i, w := range words {
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			t.Fatalf("insert %q: %v", w, err)
 		}
 	}
@@ -225,7 +231,7 @@ func TestDuplicateKeysGrowLeaf(t *testing.T) {
 	// 50 copies of the same key force PickSplit to fail repeatedly; the
 	// framework must keep them in an oversized data node.
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert("abab", rid(i)); err != nil {
+		if err := insertOne(tr, "abab", rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +251,7 @@ func TestPrefixScan(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		w := randWord(r)
 		words = append(words, w)
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +275,7 @@ func TestPrefixScan(t *testing.T) {
 func TestFullScanNilQuery(t *testing.T) {
 	tr := newTestTree(t)
 	for i := 0; i < 300; i++ {
-		if err := tr.Insert(fmt.Sprintf("%04s", strings.Repeat("abcd"[i%4:i%4+1], 1+i%4)), rid(i)); err != nil {
+		if err := insertOne(tr, fmt.Sprintf("%04s", strings.Repeat("abcd"[i%4:i%4+1], 1+i%4)), rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +291,7 @@ func TestFullScanNilQuery(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	tr := newTestTree(t)
 	for i := 0; i < 100; i++ {
-		tr.Insert("ab", rid(i))
+		insertOne(tr, "ab", rid(i))
 	}
 	n := 0
 	tr.Scan(nil, func(_ []byte, _ heap.RID) bool { n++; return n < 5 })
@@ -298,7 +304,7 @@ func TestDelete(t *testing.T) {
 	tr := newTestTree(t)
 	words := []string{"aa", "ab", "ac", "ad", "ba", "bb", "aa", "aa"}
 	for i, w := range words {
-		tr.Insert(w, rid(i))
+		insertOne(tr, w, rid(i))
 	}
 	// Delete one copy of aa by its RID.
 	if err := tr.BulkDelete(func(r heap.RID) bool { return r == rid(0) }); err != nil {
@@ -330,7 +336,7 @@ func TestBulkDelete(t *testing.T) {
 	tr := newTestTree(t)
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 1000; i++ {
-		tr.Insert(randWord(r), rid(i))
+		insertOne(tr, randWord(r), rid(i))
 	}
 	// Drop every even RID slot.
 	before := scanCount(t, tr)
@@ -354,7 +360,7 @@ func TestStatsShape(t *testing.T) {
 	tr := newTestTree(t)
 	r := rand.New(rand.NewSource(6))
 	for i := 0; i < 3000; i++ {
-		tr.Insert(randWord(r), rid(i))
+		insertOne(tr, randWord(r), rid(i))
 	}
 	st, err := tr.Stats()
 	if err != nil {
@@ -389,7 +395,7 @@ func TestClusteringKeepsPageHeightLow(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
-		if err := tr.Insert(randWord(r), rid(i)); err != nil {
+		if err := insertOne(tr, randWord(r), rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -421,7 +427,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	words := map[string]int{}
 	for i := 0; i < 2000; i++ {
 		w := randWord(r)
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 		words[w]++
@@ -453,7 +459,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		}
 	}
 	// The reopened tree accepts new inserts.
-	if err := tr2.Insert("dddddddd", rid(99999)); err != nil {
+	if err := insertOne(tr2, "dddddddd", rid(99999)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -471,7 +477,7 @@ func TestRandomizedAgainstModel(t *testing.T) {
 			w := randWord(r)
 			rd := rid(next)
 			next++
-			if err := tr.Insert(w, rd); err != nil {
+			if err := insertOne(tr, w, rd); err != nil {
 				t.Fatal(err)
 			}
 			model[w] = append(model[w], rd)
@@ -584,7 +590,7 @@ func TestInsertThroughDeepPath(t *testing.T) {
 	// The fifth key overflows the bucket and the split cascades one level
 	// per prefix byte; every later key descends the 200 inner nodes.
 	for i, k := range keys {
-		if err := tr.Insert(k, rid(i)); err != nil {
+		if err := insertOne(tr, k, rid(i)); err != nil {
 			t.Fatalf("insert #%d: %v", i, err)
 		}
 	}

@@ -23,7 +23,7 @@ func (o strayFollow) InnerConsistent(in *InnerIn, out *InnerOut) {
 func TestDeleteRejectsOutOfRangeFollow(t *testing.T) {
 	tr := newTestTree(t)
 	for i, w := range []string{"a", "ab", "abc", "b", "ba", "bad", "c", "ca"} {
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,6 +26,12 @@ import (
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
+// insertOne inserts one key as a one-key batch, which is what a
+// single-row INSERT runs.
+func insertOne(t *core.Tree, key core.Value, r heap.RID) error {
+	return t.InsertBatch([]core.Value{key}, []heap.RID{r})
+}
+
 // nnFixture describes one NN-capable opclass for the cursor contract
 // test: keys and queries are drawn from a small lattice so duplicate
 // keys and equal distances are the rule, not the exception.
@@ -138,7 +144,7 @@ func buildFixture(t testing.TB, f nnFixture, dm storage.DiskManager, n int, seed
 		if i < n {
 			k = f.key(r)
 		}
-		if err := tr.Insert(k, rid(i)); err != nil {
+		if err := insertOne(tr, k, rid(i)); err != nil {
 			t.Fatalf("insert %v: %v", k, err)
 		}
 		all = append(all, pair{k, rid(i)})
@@ -545,7 +551,7 @@ func TestSearchAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40000; i++ {
-		if err := words.Insert(fmt.Sprintf("w%06d", i*7919%1000003), rid(i)); err != nil {
+		if err := insertOne(words, fmt.Sprintf("w%06d", i*7919%1000003), rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -566,7 +572,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	var deep geom.Point
 	for i := 0; i < 15000; i++ {
 		p := geom.Point{X: r.Float64() * 1000, Y: r.Float64() * 1000}
-		if err := pts.Insert(p, rid(i)); err != nil {
+		if err := insertOne(pts, p, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 		deep = p // the last point inserted hangs at the end of a full-length path

@@ -20,26 +20,23 @@ const (
 	maxSplitDepth = 1024
 )
 
-// Insert adds one (key, rid) pair to the index. This is the generic
+// InsertBatch adds (key, rid) pairs to the index as one grouped
+// operation; it is the tree's one insert routine. This is the generic
 // internal method of the framework: all tree-specific behaviour comes
-// from the opclass's Choose and PickSplit external methods.
-func (t *Tree) Insert(key Value, rid heap.RID) error {
-	return t.insertEncoded(t.oc.EncodeKey(key), rid)
-}
-
-// InsertBatch adds many (key, rid) pairs as one grouped operation, in the
+// from the opclass's Choose and PickSplit external methods. Keys go in the
 // opclass's order (BatchOrderer: the kd-tree's median first) or else sorted
 // by encoded form, so consecutive descents revisit the same inner nodes
 // back to back and read them out of the node table — one page fetch and
 // one record copy per inner node for the whole key cluster that routes
 // through it. The data node at the end of a descent is never copied: an
-// insertion extends its record inside the page. A one-key batch is Insert.
+// insertion extends its record inside the page. A one-key batch, a
+// single-row INSERT, skips the ordering and allocates nothing for it.
 func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	if len(keys) != len(rids) {
 		return fmt.Errorf("spgist: InsertBatch got %d keys for %d rids", len(keys), len(rids))
 	}
 	if len(keys) == 1 {
-		return t.Insert(keys[0], rids[0])
+		return t.insertEncoded(t.oc.EncodeKey(keys[0]), rids[0])
 	}
 	kbs := make([][]byte, len(keys))
 	order := make([]int, len(keys))
@@ -59,7 +56,7 @@ func (t *Tree) InsertBatch(keys []Value, rids []heap.RID) error {
 	return nil
 }
 
-// insertEncoded is Insert past key encoding.
+// insertEncoded inserts one key past its encoding.
 func (t *Tree) insertEncoded(kb []byte, rid heap.RID) error {
 	if !t.root.Valid() {
 		n := &node{leaf: true, items: []item{{key: kb, rid: rid}}}

@@ -187,7 +187,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 		tr := newTestTree(t)
 		words := []string{"ab", "ac", "ad", "aa", "abc"} // bucket size 4
 		for i, w := range words {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				t.Fatal(err)
 			}
 			st, err := tr.Stats()
@@ -208,7 +208,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 	t.Run("indistinguishable keys chain", func(t *testing.T) {
 		tr := newTestTree(t) // 1 KB pages: ~80 items of "abab" fill a record
 		for i := 0; i < 400; i++ {
-			if err := tr.Insert("abab", rid(i)); err != nil {
+			if err := insertOne(tr, "abab", rid(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -228,7 +228,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 		long := func(head string) string { return head + strings.Repeat("c", 300) }
 		words := []string{long("a"), long("b"), long("c"), long("d"), long("ab"), long("bb"), long("ba"), long("bc"), long("bd")}
 		for i, w := range words {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				t.Fatal(err)
 			}
 			st, err := tr.Stats()
@@ -276,7 +276,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 		}
 		words := []string{"abaa", "abab", "abac", "abad", "abba", "abbb", "abbc", "abbd", "abca"}
 		for i, w := range words {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,7 +296,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 	})
 	t.Run("corrupt node is refused and left alone", func(t *testing.T) {
 		tr := newTestTree(t)
-		if err := tr.Insert("ab", rid(0)); err != nil {
+		if err := insertOne(tr, "ab", rid(0)); err != nil {
 			t.Fatal(err)
 		}
 		corrupt := func(mutate func(rec []byte)) []byte {
@@ -310,7 +310,7 @@ func TestInsertIntoLeafCases(t *testing.T) {
 		}
 		// The count claims an item the record does not hold.
 		page := corrupt(func(rec []byte) { binary.LittleEndian.PutUint16(rec[1+refSize:], 2) })
-		err := tr.Insert("ac", rid(1))
+		err := insertOne(tr, "ac", rid(1))
 		if err == nil || !strings.Contains(err.Error(), "truncated leaf item") {
 			t.Fatalf("insert into a node whose count overstates its items: %v", err)
 		}
@@ -338,7 +338,7 @@ func TestEqualInsertionsBuildEqualFiles(t *testing.T) {
 			if tr.free.Listed() > 3 { // beyond the preferred and the last-allocated page
 				choices++
 			}
-			if err := tr.Insert(randWord(r), rid(i)); err != nil {
+			if err := insertOne(tr, randWord(r), rid(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,7 +36,7 @@ func TestQuickInsertThenFindAll(t *testing.T) {
 		}
 		counts := map[string]int{}
 		for i, w := range ws {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				return false
 			}
 			counts[w]++
@@ -66,7 +66,7 @@ func TestQuickCountInvariant(t *testing.T) {
 			return false
 		}
 		for i, w := range ws {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				return false
 			}
 		}
@@ -98,7 +98,7 @@ func TestQuickStructuralInvariants(t *testing.T) {
 			return false
 		}
 		for i, w := range ws {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				return false
 			}
 		}
@@ -133,7 +133,7 @@ func TestQuickRepackPreservesPairs(t *testing.T) {
 		}
 		var want []pair
 		for i, w := range ws {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				return false
 			}
 			want = append(want, pair{w, rid(i)})
@@ -177,7 +177,7 @@ func TestQuickPersistenceRoundTrip(t *testing.T) {
 		}
 		counts := map[string]int{}
 		for i, w := range ws {
-			if err := tr.Insert(w, rid(i)); err != nil {
+			if err := insertOne(tr, w, rid(i)); err != nil {
 				return false
 			}
 			counts[w]++

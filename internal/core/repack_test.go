@@ -18,7 +18,7 @@ func TestRepackPreservesContentAndLowersPageHeight(t *testing.T) {
 	words := map[string]int{}
 	for i := 0; i < 30000; i++ {
 		w := randWord(r)
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 		words[w]++
@@ -70,7 +70,7 @@ func TestRepackPreservesContentAndLowersPageHeight(t *testing.T) {
 		t.Fatalf("repack grew the file: %d -> %d pages", before.Pages, after.Pages)
 	}
 	// Inserts keep working on the repacked tree.
-	if err := rp.Insert("postrepack", heap.RID{Page: 9, Slot: 9}); err != nil {
+	if err := insertOne(rp, "postrepack", heap.RID{Page: 9, Slot: 9}); err != nil {
 		t.Fatal(err)
 	}
 	rids, err := rp.Lookup(&Query{Op: "=", Arg: "postrepack"})

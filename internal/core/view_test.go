@@ -111,7 +111,7 @@ func TestNodeViewIsOneAllocation(t *testing.T) {
 func FuzzNodeView(f *testing.F) {
 	tr := newTestTree(f)
 	for i, w := range []string{"a", "ab", "abc", "abcd", "b", "ba", "bad", "c", "ca", "cab", "d", "da", "dab", "aaaa", "aaab"} {
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func TestBTreeRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("key%d", i)
-		if err := bt.Insert([]byte(key), heap.RID{Page: 1, Slot: uint16(i)}); err != nil {
+		if err := bt.InsertBatch([]btree.Pair{{Key: []byte(key), RID: heap.RID{Page: 1, Slot: uint16(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,6 +23,12 @@ func newTree(t testing.TB, opts ...Option) *core.Tree {
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
+// insertOne inserts one key as a one-key batch, which is what a
+// single-row INSERT runs.
+func insertOne(t *core.Tree, key core.Value, r heap.RID) error {
+	return t.InsertBatch([]core.Value{key}, []heap.RID{r})
+}
+
 // randSegment mirrors the paper's line-segment datasets: uniform midpoints
 // in the world with short random extents.
 func randSegment(r *rand.Rand) geom.Segment {
@@ -51,7 +57,7 @@ func buildRandom(t testing.TB, tr *core.Tree, n int, seed int64) []geom.Segment 
 	segs := make([]geom.Segment, n)
 	for i := 0; i < n; i++ {
 		segs[i] = randSegment(r)
-		if err := tr.Insert(segs[i], rid(i)); err != nil {
+		if err := insertOne(tr, segs[i], rid(i)); err != nil {
 			t.Fatalf("insert %v: %v", segs[i], err)
 		}
 	}
@@ -127,7 +133,7 @@ func TestNoDuplicateResultsForLongSegments(t *testing.T) {
 	// A diagonal across the whole world plus enough short segments to
 	// force deep decomposition.
 	long := geom.Segment{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 100, Y: 100}}
-	if err := tr.Insert(long, rid(0)); err != nil {
+	if err := insertOne(tr, long, rid(0)); err != nil {
 		t.Fatal(err)
 	}
 	buildRandom(t, tr, 500, 5)
@@ -203,7 +209,7 @@ func TestResolutionCap(t *testing.T) {
 	tr := newTree(t, WithThreshold(2), WithResolution(4))
 	s := geom.Segment{A: geom.Point{X: 10, Y: 10}, B: geom.Point{X: 11, Y: 11}}
 	for i := 0; i < 200; i++ {
-		if err := tr.Insert(s, rid(i)); err != nil {
+		if err := insertOne(tr, s, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +234,7 @@ func TestResolutionCap(t *testing.T) {
 func TestOutOfWorldSegment(t *testing.T) {
 	tr := newTree(t, WithThreshold(2))
 	out := geom.Segment{A: geom.Point{X: 200, Y: 200}, B: geom.Point{X: 210, Y: 210}}
-	if err := tr.Insert(out, rid(0)); err != nil {
+	if err := insertOne(tr, out, rid(0)); err != nil {
 		t.Fatal(err)
 	}
 	buildRandom(t, tr, 200, 9)

@@ -23,13 +23,19 @@ func newTree(t testing.TB) *core.Tree {
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
+// insertOne inserts one key as a one-key batch, which is what a
+// single-row INSERT runs.
+func insertOne(t *core.Tree, key core.Value, r heap.RID) error {
+	return t.InsertBatch([]core.Value{key}, []heap.RID{r})
+}
+
 func buildRandom(t testing.TB, tr *core.Tree, n int, seed int64) []geom.Point {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	pts := make([]geom.Point, n)
 	for i := 0; i < n; i++ {
 		pts[i] = geom.Point{X: r.Float64() * 100, Y: r.Float64() * 100}
-		if err := tr.Insert(pts[i], rid(i)); err != nil {
+		if err := insertOne(tr, pts[i], rid(i)); err != nil {
 			t.Fatalf("insert %v: %v", pts[i], err)
 		}
 	}
@@ -123,7 +129,7 @@ func TestDeleteAndDuplicates(t *testing.T) {
 	tr := newTree(t)
 	p := geom.Point{X: 3, Y: 4}
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(p, rid(i)); err != nil {
+		if err := insertOne(tr, p, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

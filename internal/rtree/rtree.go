@@ -124,9 +124,6 @@ func (t *Tree) Pool() *storage.BufferPool { return t.bp }
 // Height returns the number of levels; 0 when empty.
 func (t *Tree) Height() int { return t.height }
 
-// MaxEntries exposes M (used by tests).
-func (t *Tree) MaxEntries() int { return t.maxFill }
-
 func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 

@@ -182,8 +182,8 @@ func TestNodeFillBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(n.entries) > tr.MaxEntries() {
-			t.Fatalf("node with %d entries exceeds M=%d", len(n.entries), tr.MaxEntries())
+		if len(n.entries) > tr.maxFill {
+			t.Fatalf("node with %d entries exceeds M=%d", len(n.entries), tr.maxFill)
 		}
 		if !isRoot && len(n.entries) < 1 {
 			t.Fatal("empty non-root node")

@@ -11,6 +11,8 @@
 package suffix
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/trie"
@@ -20,15 +22,26 @@ import (
 // suffix keys (see trie.NewSuffix).
 func New(opts ...trie.Option) *trie.OpClass { return trie.NewSuffix(opts...) }
 
-// InsertWord indexes every suffix of word under the given RID. The tree
-// must have been created with the opclass returned by New.
-func InsertWord(t *core.Tree, word string, rid heap.RID) error {
-	for i := 0; i < len(word); i++ {
-		if err := t.Insert(word[i:], rid); err != nil {
-			return err
+// Insert indexes every suffix of words[i] under rids[i], all in one
+// InsertBatch call, so the tree takes every suffix of the batch in
+// encoded-key order. The tree must have been created with the opclass
+// returned by New.
+func Insert(t *core.Tree, words []string, rids []heap.RID) error {
+	if len(words) != len(rids) {
+		return fmt.Errorf("suffix: Insert got %d words for %d rids", len(words), len(rids))
+	}
+	n := 0
+	for _, w := range words {
+		n += len(w)
+	}
+	keys, krids := make([]core.Value, 0, n), make([]heap.RID, 0, n)
+	for i, w := range words {
+		for j := range len(w) {
+			keys = append(keys, w[j:])
+			krids = append(krids, rids[i])
 		}
 	}
-	return nil
+	return t.InsertBatch(keys, krids)
 }
 
 // SubstringQuery builds the "@=" query for a substring search.

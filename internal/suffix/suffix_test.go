@@ -23,6 +23,15 @@ func newTree(t testing.TB, opts ...trie.Option) *core.Tree {
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
+// rids returns rid(lo) … rid(hi-1).
+func rids(lo, hi int) []heap.RID {
+	out := make([]heap.RID, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, rid(i))
+	}
+	return out
+}
+
 func randWord(r *rand.Rand) string {
 	n := 1 + r.Intn(15)
 	b := make([]byte, n)
@@ -38,7 +47,10 @@ func TestSubstringAgainstBruteForce(t *testing.T) {
 	words := make([]string, 1500)
 	for i := range words {
 		words[i] = randWord(r)
-		if err := InsertWord(tr, words[i], rid(i)); err != nil {
+	}
+	// In the server's 500-row statement batches.
+	for lo := 0; lo < len(words); lo += 500 {
+		if err := Insert(tr, words[lo:lo+500], rids(lo, lo+500)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,10 +82,7 @@ func TestSubstringAgainstBruteForce(t *testing.T) {
 // A word containing the query substring twice must be reported once.
 func TestRepeatedSubstringDedup(t *testing.T) {
 	tr := newTree(t)
-	if err := InsertWord(tr, "abcabcabc", rid(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := InsertWord(tr, "xyz", rid(1)); err != nil {
+	if err := Insert(tr, []string{"abcabcabc", "xyz"}, rids(0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	rids, err := tr.Lookup(SubstringQuery("abc"))
@@ -87,10 +96,7 @@ func TestRepeatedSubstringDedup(t *testing.T) {
 
 func TestDeleteWord(t *testing.T) {
 	tr := newTree(t)
-	if err := InsertWord(tr, "hello", rid(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := InsertWord(tr, "yellow", rid(1)); err != nil {
+	if err := Insert(tr, []string{"hello", "yellow"}, rids(0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	// The row's entries are its word's suffixes; all of them go.
@@ -112,11 +118,11 @@ func TestDeleteWord(t *testing.T) {
 func TestSuffixCountMatchesWordLengths(t *testing.T) {
 	tr := newTree(t)
 	words := []string{"a", "bb", "ccc", "dddd"}
+	if err := Insert(tr, words, rids(0, len(words))); err != nil {
+		t.Fatal(err)
+	}
 	total := 0
-	for i, w := range words {
-		if err := InsertWord(tr, w, rid(i)); err != nil {
-			t.Fatal(err)
-		}
+	for _, w := range words {
 		total += len(w)
 	}
 	if n := leafItems(t, tr); n != total {

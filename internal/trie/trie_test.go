@@ -23,6 +23,12 @@ func newTree(t testing.TB, opts ...Option) *core.Tree {
 
 func rid(i int) heap.RID { return heap.RID{Page: storage.PageID(1 + i/1000), Slot: uint16(i % 1000)} }
 
+// insertOne inserts one key as a one-key batch, which is what a
+// single-row INSERT runs.
+func insertOne(t *core.Tree, key core.Value, r heap.RID) error {
+	return t.InsertBatch([]core.Value{key}, []heap.RID{r})
+}
+
 func randWord(r *rand.Rand, maxLen int) string {
 	n := 1 + r.Intn(maxLen)
 	b := make([]byte, n)
@@ -40,7 +46,7 @@ func buildRandom(t testing.TB, tr *core.Tree, n int, seed int64) []string {
 	words := make([]string, n)
 	for i := 0; i < n; i++ {
 		words[i] = randWord(r, 15)
-		if err := tr.Insert(words[i], rid(i)); err != nil {
+		if err := insertOne(tr, words[i], rid(i)); err != nil {
 			t.Fatalf("insert %q: %v", words[i], err)
 		}
 	}
@@ -280,7 +286,7 @@ func TestPathShrinkProducesShallowTree(t *testing.T) {
 		"internal",
 	}
 	for i, w := range words {
-		if err := tr.Insert(w, rid(i)); err != nil {
+		if err := insertOne(tr, w, rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +310,7 @@ func TestPathShrinkProducesShallowTree(t *testing.T) {
 func TestManyDuplicates(t *testing.T) {
 	tr := newTree(t, WithBucketSize(4))
 	for i := 0; i < 3000; i++ {
-		if err := tr.Insert("same", rid(i)); err != nil {
+		if err := insertOne(tr, "same", rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +325,7 @@ func TestManyDuplicates(t *testing.T) {
 
 func TestEmptyStringKey(t *testing.T) {
 	tr := newTree(t)
-	if err := tr.Insert("", rid(0)); err != nil {
+	if err := insertOne(tr, "", rid(0)); err != nil {
 		t.Fatal(err)
 	}
 	buildRandom(t, tr, 500, 10)
