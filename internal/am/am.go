@@ -233,7 +233,7 @@ type suffixIndex struct {
 }
 
 // Insert must not inherit the plain SP-GiST path: each word expands to
-// all its suffixes, and core orders the suffixes of the whole batch.
+// all its suffixes, which go to core in batches of up to 1 MiB.
 func (x *suffixIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	words := make([]string, len(keys))
 	for i, k := range keys {

@@ -1,7 +1,9 @@
 package am
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -175,6 +177,50 @@ func TestSuffixIndexInsertsAllSuffixes(t *testing.T) {
 	idx.Scan("@=", catalog.NewText("ell"), func(heap.RID) bool { n++; return true })
 	if n != 0 {
 		t.Fatal("substring survives delete")
+	}
+}
+
+// A statement holding a word of a few KB (the heap takes a 3 000-byte
+// VARCHAR) indexes every suffix of every word; suffix.Insert splits the
+// 4.5 MB of the long word's suffixes over several InsertBatch calls.
+func TestSuffixIndexTakesLongWords(t *testing.T) {
+	idx, err := New("spgist_suffix", pool(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	long := make([]byte, 3000)
+	for i := range long {
+		long[i] = byte('a' + r.Intn(26))
+	}
+	words := []string{"hello", string(long), "yellow"}
+	keys := make([]catalog.Datum, len(words))
+	total := 0
+	for i, w := range words {
+		keys[i] = catalog.NewText(w)
+		total += len(w)
+	}
+	if err := idx.Insert(keys, []heap.RID{rid(0), rid(1), rid(2)}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := idx.(*suffixIndex).tree.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LeafItems != total {
+		t.Fatalf("%d suffixes stored, want %d", st.LeafItems, total)
+	}
+	for sub, want := range map[string][]heap.RID{
+		string(long[1500:1520]): {rid(1)},
+		string(long[2990:]):     {rid(1)},
+		"ello":                  {rid(0), rid(2)},
+	} {
+		var got []heap.RID
+		idx.Scan("@=", catalog.NewText(sub), func(r heap.RID) bool { got = append(got, r); return true })
+		slices.SortFunc(got, func(a, b heap.RID) int { return cmp.Compare(a.Slot, b.Slot) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("@= %.20q: got %v, want %v", sub, got, want)
+		}
 	}
 }
 

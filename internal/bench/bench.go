@@ -84,6 +84,18 @@ func (c Config) pool() *storage.BufferPool {
 	return storage.NewBufferPool("", storage.NewMem(c.PageSize), c.PoolPages)
 }
 
+// repacked returns a loaded SP-GiST tree repacked into a new pool, the
+// tree the figures search, and panics if loading or repacking failed.
+func (c Config) repacked(t *core.Tree, _ time.Duration, err error) *core.Tree {
+	if err == nil {
+		t, err = t.Repack(c.pool())
+	}
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return t
+}
+
 // Series is one plotted line: Y[i] measured at X[i].
 type Series struct {
 	Name string
@@ -223,11 +235,13 @@ func LoadBTree(bp *storage.BufferPool, words []string) (*btree.Tree, time.Durati
 	if err != nil {
 		return nil, 0, err
 	}
-	pairs := make([]btree.Pair, len(words))
-	for i, w := range words {
-		pairs[i] = btree.Pair{Key: []byte(w), RID: benchRID(i)}
-	}
-	d, err := load(pairs, func(ps []btree.Pair, _ []heap.RID) error { return t.InsertBatch(ps) })
+	d, err := load(words, func(ws []string, rids []heap.RID) error {
+		pairs := make([]btree.Pair, len(ws))
+		for i, w := range ws {
+			pairs[i] = btree.Pair{Key: []byte(w), RID: rids[i]}
+		}
+		return t.InsertBatch(pairs)
+	})
 	return t, d, err
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -25,18 +24,9 @@ func RunNN(cfg Config) []Figure {
 	pQ := datagen.Points(cfg.Queries, cfg.Seed+2, world)
 	wQ := datagen.Words(cfg.Queries, cfg.Seed+3)
 
-	repacked := func(t *core.Tree, _ time.Duration, err error) *core.Tree {
-		if err == nil {
-			t, err = t.Repack(cfg.pool())
-		}
-		if err != nil {
-			panic(fmt.Sprintf("bench nn: %v", err))
-		}
-		return t
-	}
-	kd := repacked(LoadSPGiST(cfg.pool(), kdtree.New(), pts))
-	pq := repacked(LoadSPGiST(cfg.pool(), pquad.New(), pts))
-	tr := repacked(LoadSPGiST(cfg.pool(), trie.New(), words))
+	kd := cfg.repacked(LoadSPGiST(cfg.pool(), kdtree.New(), pts))
+	pq := cfg.repacked(LoadSPGiST(cfg.pool(), pquad.New(), pts))
+	tr := cfg.repacked(LoadSPGiST(cfg.pool(), trie.New(), words))
 
 	// A smaller probe count keeps the k=1024 sweep fast.
 	probes := cfg.Queries / 10

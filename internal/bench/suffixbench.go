@@ -36,13 +36,7 @@ func RunSuffix(cfg Config) []Figure {
 		}
 
 		// The suffix tree.
-		st, _, err := LoadSuffix(cfg.pool(), words)
-		if err == nil {
-			st, err = st.Repack(cfg.pool())
-		}
-		if err != nil {
-			panic(fmt.Sprintf("bench suffix: %v", err))
-		}
+		st := cfg.repacked(LoadSuffix(cfg.pool(), words))
 
 		sink := 0
 		seqTime := timeOp(len(subQ), func(i int) {

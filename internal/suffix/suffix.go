@@ -22,26 +22,40 @@ import (
 // suffix keys (see trie.NewSuffix).
 func New(opts ...trie.Option) *trie.OpClass { return trie.NewSuffix(opts...) }
 
-// Insert indexes every suffix of words[i] under rids[i], all in one
-// InsertBatch call, so the tree takes every suffix of the batch in
-// encoded-key order. The tree must have been created with the opclass
-// returned by New.
+// batchBytes bounds the suffix bytes of one InsertBatch call, which
+// encodes all its keys before it inserts one: a word of length L has
+// L(L+1)/2 bytes of suffixes, 4.5 MB for a 3 000-byte word. A statement
+// of dictionary words (some 30 KB for 500) still takes one call.
+const batchBytes = 1 << 20
+
+// Insert indexes every suffix of words[i] under rids[i] in as few
+// InsertBatch calls as batchBytes allows, so the tree takes a statement's
+// suffixes in encoded-key order. The tree must use the opclass of New.
 func Insert(t *core.Tree, words []string, rids []heap.RID) error {
+	return insertBatches(words, rids, t.InsertBatch)
+}
+
+// insertBatches hands insert the suffixes of words in batches of at most
+// batchBytes bytes, or of one longer suffix.
+func insertBatches(words []string, rids []heap.RID, insert func([]core.Value, []heap.RID) error) error {
 	if len(words) != len(rids) {
 		return fmt.Errorf("suffix: Insert got %d words for %d rids", len(words), len(rids))
 	}
-	n := 0
-	for _, w := range words {
-		n += len(w)
-	}
-	keys, krids := make([]core.Value, 0, n), make([]heap.RID, 0, n)
+	var keys []core.Value
+	var krids []heap.RID
+	size := 0
 	for i, w := range words {
 		for j := range len(w) {
-			keys = append(keys, w[j:])
-			krids = append(krids, rids[i])
+			if len(keys) > 0 && size+len(w)-j > batchBytes {
+				if err := insert(keys, krids); err != nil {
+					return err
+				}
+				keys, krids, size = keys[:0], krids[:0], 0
+			}
+			keys, krids, size = append(keys, w[j:]), append(krids, rids[i]), size+len(w)-j
 		}
 	}
-	return t.InsertBatch(keys, krids)
+	return insert(keys, krids)
 }
 
 // SubstringQuery builds the "@=" query for a substring search.
