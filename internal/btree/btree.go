@@ -31,8 +31,8 @@ import (
 // Meta page: the magic, and the body storage frames on page 0 —
 // [root u32][height u32].
 const (
-	magic        = 0x42545245 // "BTRE"
-	metaBodySize = 8
+	MetaMagic    = 0x42545245 // "BTRE"
+	MetaBodySize = 8
 )
 
 // Node record layout, the one record of its page, in nodeSlot:
@@ -74,7 +74,7 @@ type Tree struct {
 	enc []byte
 }
 
-func (t *Tree) metaBody() (body [metaBodySize]byte) {
+func (t *Tree) metaBody() (body [MetaBodySize]byte) {
 	binary.LittleEndian.PutUint32(body[0:], uint32(t.root))
 	binary.LittleEndian.PutUint32(body[4:], uint32(t.height))
 	return body
@@ -84,7 +84,7 @@ func (t *Tree) metaBody() (body [metaBodySize]byte) {
 func Create(bp *storage.BufferPool) (*Tree, error) {
 	t := &Tree{bp: bp, root: storage.InvalidPageID}
 	body := t.metaBody()
-	if err := bp.CreateMeta(magic, body[:]); err != nil {
+	if err := bp.CreateMeta(MetaMagic, body[:]); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -92,8 +92,8 @@ func Create(bp *storage.BufferPool) (*Tree, error) {
 
 // Open attaches to an existing B+-tree file.
 func Open(bp *storage.BufferPool) (*Tree, error) {
-	var body [metaBodySize]byte
-	if err := bp.ReadMeta(magic, body[:]); err != nil {
+	var body [MetaBodySize]byte
+	if err := bp.ReadMeta(MetaMagic, body[:]); err != nil {
 		return nil, err
 	}
 	return &Tree{

@@ -223,7 +223,7 @@ type Tuple []Datum
 func EncodeTuple(t Tuple) []byte {
 	sz := 2
 	for _, d := range t {
-		sz += 1 + datumSize(d)
+		sz += 1 + DatumSize(d)
 	}
 	buf := make([]byte, sz)
 	binary.LittleEndian.PutUint16(buf, uint16(len(t)))
@@ -236,7 +236,8 @@ func EncodeTuple(t Tuple) []byte {
 	return buf
 }
 
-func datumSize(d Datum) int {
+// DatumSize is the bytes d takes in an encoded tuple, after its type byte.
+func DatumSize(d Datum) int {
 	switch d.Typ {
 	case Int, Float:
 		return 8

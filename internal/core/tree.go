@@ -45,11 +45,11 @@ func newFreeSpace(bp *storage.BufferPool) *storage.FreeSpace {
 // Meta page: the magic, and the body storage frames on page 0 —
 // [root page u32][root slot u16].
 const (
-	treeMagic    = 0x53504753 // "SPGS"
-	metaBodySize = refSize
+	MetaMagic    = 0x53504753 // "SPGS"
+	MetaBodySize = refSize
 )
 
-func (t *Tree) metaBody() (body [metaBodySize]byte) {
+func (t *Tree) metaBody() (body [MetaBodySize]byte) {
 	putRef(body[0:], t.root)
 	return body
 }
@@ -68,7 +68,7 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 		lastAlloc: storage.InvalidPageID,
 	}
 	body := t.metaBody()
-	if err := bp.CreateMeta(treeMagic, body[:]); err != nil {
+	if err := bp.CreateMeta(MetaMagic, body[:]); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -77,8 +77,8 @@ func Create(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
 // Open attaches to an existing index file, rebuilding the free-space map
 // and the node table's page cover from one pass over its pages.
 func Open(bp *storage.BufferPool, oc OpClass) (*Tree, error) {
-	var body [metaBodySize]byte
-	if err := bp.ReadMeta(treeMagic, body[:]); err != nil {
+	var body [MetaBodySize]byte
+	if err := bp.ReadMeta(MetaMagic, body[:]); err != nil {
 		return nil, err
 	}
 	t := &Tree{

@@ -1,6 +1,9 @@
 package executor
 
 import (
+	"sort"
+
+	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -39,7 +42,7 @@ func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables 
 			return err
 		}
 	}
-	if err := db.appendPoolsXid(pools, commitXid); err != nil {
+	if err := db.appendPools(pools, commitXid); err != nil {
 		return err
 	}
 	sp := obs.Current().StartSpan("commit_wait", "wal")
@@ -51,18 +54,11 @@ func (db *DB) commitGroup(pools []*storage.BufferPool, commitXid uint64, tables 
 // appendPools stages the deferred records and page images of the
 // relation files in pools into one wal.Group, appends the group and its
 // commit marker atomically, and stamps the assigned LSNs back onto the
-// covered frames.
-func (db *DB) appendPools(pools []*storage.BufferPool) error {
-	return db.appendPoolsXid(pools, 0)
-}
-
-// appendPoolsXid is appendPools with a transaction-boundary record
-// riding in the same atomic group: commitXid != 0 appends the
-// transaction's commit record (wal.RecTxnCommit) after the staged
-// records. The boundary record and the data records land under one
-// marker, so recovery either sees the transaction resolved together with
-// its final records or not at all.
-func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) error {
+// covered frames. commitXid != 0 appends the transaction's commit record
+// (wal.RecTxnCommit) after the staged records, under the same marker, so
+// recovery sees the transaction resolved together with its final records
+// or not at all.
+func (db *DB) appendPools(pools []*storage.BufferPool, commitXid uint64) error {
 	if db.wal == nil {
 		return nil
 	}
@@ -99,7 +95,7 @@ func (db *DB) appendPoolsXid(pools []*storage.BufferPool, commitXid uint64) erro
 	return nil
 }
 
-// appendScratch is what one appendPoolsXid call builds its record group
+// appendScratch is what one appendPools call builds its record group
 // in, kept from call to call so that a statement's append allocates
 // nothing once the buffers have grown to a statement's size.
 type appendScratch struct {
@@ -131,35 +127,52 @@ func (db *DB) commitWAL(t *Table) error {
 	return db.commitGroup(db.pool.Relations(), 0, t)
 }
 
-// commitTable commits a DML statement against one table: only the
-// table's own heap and index files are staged, so statements of
-// concurrent writers on other tables (which hold stmtMu only shared)
-// are never swept into this statement's marker.
-func (db *DB) commitTable(t *Table) error {
-	return db.commitGroup(tablePools(t), 0, t)
+// chunkLen sizes the chunks of every multi-step statement: INSERT, UPDATE,
+// DELETE, VACUUM, an undo, the heap pass after redo, CREATE INDEX's
+// batches. A chunk's dirty pages stay in the pool until its records are
+// appended (no-steal), so of the n units left it takes the most, and at
+// least one, whose pages fit in half the pool's frames: summed over the
+// files 0..files-1 it writes, min(the file's pages, the existing pages
+// the units touch there) plus the new pages their bytes fill. at(f, i)
+// reports file f's pages, and unit i's touched pages and bytes there.
+func (db *DB) chunkLen(n, files int, at func(f, i int) (pages, touch, bytes int)) int {
+	fits := func(k int) bool { // the estimate for k units
+		cost := 0
+		for f := range files {
+			pages, touch, bytes := 0, 0, 0
+			for i := range k {
+				p, t, b := at(f, i)
+				pages, touch, bytes = p, touch+t, bytes+b
+			}
+			cost += min(pages, touch) + (bytes+db.pageSize-1)/db.pageSize
+		}
+		return cost <= db.poolPages/2
+	}
+	// Gallop to k units that fit, then search to 2k: O(k log k) at calls.
+	k := 1
+	for 2*k <= n && fits(2*k) {
+		k *= 2
+	}
+	return k + sort.Search(min(n, 2*k)-k, func(j int) bool { return !fits(k + j + 1) })
 }
 
-// insertChunkRows bounds how many rows of one multi-row INSERT apply
-// between commit markers. Every page a statement dirties is unevictable
-// until its records are appended (no-steal), so an unbounded statement
-// could exhaust the buffer pool; oversized batches commit in
-// pool-proportional chunks (each chunk
-// all-or-nothing across a crash). Batched inserts pack ~dozens of rows
-// per heap page and their sorted index descents cluster, so poolPages*4
-// rows dirty far fewer pages than the pool holds.
-func (db *DB) insertChunkRows() int {
-	if n := db.poolPages * 4; n > 64 {
-		return n
-	}
-	return 64
-}
+// recordOverhead is what chunkLen counts a record beyond its payload: a
+// heap tuple's header and slot, or an index entry's RID and slot.
+const recordOverhead = 24
 
-// deleteChunkRows is insertChunkRows for DELETE, far smaller because a
-// deleted row can touch a heap page all of its own (worst case one page
-// per row, against ~dozens of batched inserts per page).
-func (db *DB) deleteChunkRows() int {
-	if n := db.poolPages / 4; n > 16 {
-		return n
+// indexAt is chunkLen's at(f, i) for an index of class oc in file bp and a
+// unit that makes the entries of a key of size bytes (catalog.DatumSize,
+// or more): the file's pages, and the existing pages the entries touch and
+// the bytes they add. A key makes one entry, a word one per suffix in a
+// suffix tree, and a PMR segment, stored in every quadrant it crosses, is
+// bounded by the file.
+func indexAt(oc *catalog.OperatorClass, bp *storage.BufferPool, size int) (pages, touch, bytes int) {
+	pages = int(bp.DM().NumPages())
+	switch oc.Name {
+	case "spgist_pmr":
+		return pages, pages, size + recordOverhead
+	case "spgist_suffix":
+		return pages, size, size*(size+1)/2 + size*recordOverhead
 	}
-	return 16
+	return pages, 1, size + recordOverhead
 }

@@ -236,7 +236,7 @@ type DB struct {
 	// records (heap.Unresolved), nil when Open needs no heap pass.
 	unresolved func(xid uint64) bool
 	crashed    bool
-	// appendScratch lends appendPoolsXid its buffers (*appendScratch).
+	// appendScratch lends appendPools its buffers (*appendScratch).
 	appendScratch sync.Pool
 
 	cat     *syscat.Catalog
@@ -291,32 +291,27 @@ type DB struct {
 	diskFaults func(fileName string, dm storage.DiskManager) storage.DiskManager
 	faultDMs   []*storage.FaultDiskManager
 
-	// stmtMu is the catalog/DDL lock, the top of the two-level lock
-	// hierarchy (stmtMu, then Table.mu):
+	// stmtMu is the catalog/DDL lock, the top of the three-level lock
+	// hierarchy (stmtMu, then a table's logical write lock Table.mu, then
+	// its page latch Table.phys):
 	//
 	//   - shared (RLock): every table statement — SELECT, EXPLAIN,
-	//     nearest-neighbor scans, RID lookups, INSERT, DELETE. Readers
-	//     additionally hold the target table's mu shared and writers
-	//     hold it exclusive, so reads and writes of one table still
-	//     exclude each other (scans work on shared node views and
-	//     unversioned heap pages — there is no MVCC), while writers
-	//     on different tables overlap and commit together through the
-	//     write-ahead log's group-commit fsync.
-	//   - exclusive (Lock): DDL, ANALYZE, CHECKPOINT, Close, Crash —
-	//     anything that changes the schema, the shared catalog state, or
-	//     the log's segment structure excludes every statement at once.
+	//     nearest-neighbor scans, RID lookups, INSERT, UPDATE, DELETE,
+	//     COMMIT, ROLLBACK. Readers take no Table.mu: they hold phys
+	//     shared and filter versions through a snapshot (MVCC), so they
+	//     proceed beside a write transaction on the same table. Writers
+	//     own Table.mu until their transaction ends and take phys only
+	//     around page mutation; writers on different tables overlap and
+	//     share the log's group-commit fsync.
+	//   - exclusive (Lock): DDL, VACUUM, ANALYZE, CHECKPOINT, Close,
+	//     Crash — what changes the schema, the shared catalog state or the
+	//     log's segments excludes every statement at once.
 	//
-	// Concurrent writers are safe for the log because a statement's
-	// records are *deferred* during execution and appended as one
-	// contiguous group with its commit marker (wal.AppendGroupCommit):
-	// a marker can only ever cover whole statements, so recovery keeps
-	// its positional everything-before-the-last-marker rule. A
-	// checkpoint still excludes writers exclusively — recycling a log
-	// segment under an in-flight statement's unflushed pages would lose
-	// them. stmtMu is always acquired before Table.mu and db.mu, and no
-	// method may take it (shared or exclusive) while already holding it
-	// — Go's RWMutex does not support recursive read locking, so
-	// internal code paths use the *Locked variants instead.
+	// A statement's records are deferred and appended as one group with
+	// its marker (wal.AppendGroupCommit), so a marker covers only whole
+	// statements. stmtMu is acquired before Table.mu and db.mu, never
+	// while held: Go's RWMutex is not reentrant, so internal paths use
+	// the *Locked variants.
 	stmtMu sync.RWMutex
 }
 
@@ -348,18 +343,14 @@ type FaultInjection struct {
 	// "CREATE TABLE t".
 	BeforeDDLCommit func(stmt string) error
 	// BeforeDMLCommit runs inside a DML statement before any of its
-	// records reach the log (mutations are deferred, so whatever has
-	// been applied exists only in memory), and before its first chunk
-	// commit — a crash here must recover with none of the statement
-	// visible. stmt names the statement, e.g. "INSERT t 1000".
+	// records reach the log (what it applied exists only in memory) — a
+	// crash here must recover with none of the statement visible. stmt
+	// names it, e.g. "INSERT t 1000".
 	BeforeDMLCommit func(stmt string) error
-	// BetweenDMLChunks runs inside an oversized DML statement after
-	// each pool-bounded chunk's records were appended to the log
-	// (under a plain marker, without the statement's transaction
-	// commit record). A crash here must recover with *none* of the
-	// statement visible — the chunks carry one uncommitted xid, and
-	// the heap's pass after recovery hides them. stmt names the statement,
-	// chunksDone counts the appended chunks.
+	// BetweenDMLChunks runs inside a DML statement of several chunks
+	// after each appended chunk but the last (chunksDone counts them). A
+	// crash here must recover with *none* of the statement visible: the
+	// chunks carry one uncommitted xid, which the heap's pass hides.
 	BetweenDMLChunks func(stmt string, chunksDone int) error
 	// PanicOn makes FaultPanicCheck panic on any statement containing
 	// the substring — the hook behind the server's per-session panic
@@ -556,7 +547,7 @@ func Open(opts Options) (*DB, error) {
 		db.discardAll()
 		return nil, err
 	}
-	// The heap passes' last repairs commit under one marker.
+	// The heap passes' repairs, appended as they went, commit together.
 	if r := db.recovered; r.AbortFixups+r.XmaxFixups > 0 {
 		if err := db.commitWAL(nil); err != nil {
 			db.discardAll()
@@ -776,19 +767,16 @@ func fileIsAllZeros(path string) (bool, error) {
 // data records (heap.File.Recount): its counters are taken from its pages,
 // some of which may hold statements that never reached the commit point
 // where those are saved, and the tuples of transactions the crash left
-// unresolved are repaired. The repairs are appended every deleteChunkRows
-// pages, each such page pinned until they are, as DELETE's chunks are.
+// unresolved are repaired. A repaired page is a chunkLen unit: the repairs
+// append after each chunk and at the end, leaving the next heap the pool.
 func (db *DB) recountAfterRedo(hf *heap.File) error {
 	if db.unresolved == nil {
 		return nil
 	}
-	pages := 0
-	fx, err := hf.Recount(db.unresolved, func() error {
-		if pages++; pages < db.deleteChunkRows() {
-			return nil
-		}
-		pages = 0
-		return db.appendPools([]*storage.BufferPool{hf.Pool()})
+	pages := int(hf.NumPages())
+	chunk := db.chunkLen(pages, 1, func(int, int) (int, int, int) { return pages, 1, 0 })
+	fx, err := hf.Recount(db.unresolved, chunk, func() error {
+		return db.appendPools([]*storage.BufferPool{hf.Pool()}, 0)
 	})
 	db.recovered.AbortFixups += fx.Aborted
 	db.recovered.XmaxFixups += fx.XmaxCleared

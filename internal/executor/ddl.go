@@ -203,16 +203,19 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 	if err != nil {
 		return nil, nil, err
 	}
-	// The live rows go in as an INSERT's do, a chunk's worth per Insert,
-	// so the build holds no more keys at once than an INSERT chunk.
-	chunk, rows := db.insertChunkRows(), 0
-	keys, rids := make([]catalog.Datum, 0, chunk), make([]heap.RID, 0, chunk)
-	insert := func() error {
-		if err := idx.Insert(keys, rids); err != nil {
+	// The live rows go in as an INSERT's do, in chunks chunkLen sizes over
+	// the build's file, each time the buffer fills; while all fit, it grows.
+	keys, rids, rows := []catalog.Datum(nil), []heap.RID(nil), 0
+	insert := func(all bool) error {
+		k := db.chunkLen(len(keys), 1, func(_, i int) (int, int, int) { return indexAt(oc, build, catalog.DatumSize(keys[i])) })
+		if k == len(keys) && !all {
+			return nil
+		}
+		if err := idx.Insert(keys[:k:k], rids[:k:k]); err != nil {
 			return err
 		}
-		rows += len(keys)
-		keys, rids = keys[:0], rids[:0]
+		rows += k
+		keys, rids = keys[:copy(keys, keys[k:])], rids[:copy(rids, rids[k:])]
 		if f := db.faults.DuringIndexBuild; f != nil {
 			if ferr := f(rows); ferr != nil {
 				return faultErr{ferr}
@@ -231,17 +234,17 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 			err = derr
 			return false
 		}
-		keys, rids = append(keys, tup[ci]), append(rids, rid)
-		if len(keys) == chunk {
-			err = insert()
+		if len(keys) > 0 && len(keys) == cap(keys) {
+			err = insert(false)
 		}
+		keys, rids = append(keys, tup[ci]), append(rids, rid)
 		return err == nil
 	})
 	if serr != nil {
 		err = serr
 	}
-	if err == nil && len(keys) > 0 {
-		err = insert()
+	for err == nil && len(keys) > 0 {
+		err = insert(true)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -17,15 +17,10 @@ import (
 //   - The statement holds db.stmtMu shared (so DDL excludes it) and the
 //     table's logical write lock Table.mu, owned by its transaction from
 //     first touch until COMMIT/ROLLBACK (TxnManager.lockTable).
-//   - Page mutation happens under Table.phys held exclusively, in
-//     pool-bounded chunks; between chunks the latch could be dropped,
-//     and each chunk's records append under a plain group marker with
-//     no fsync — frames release, but nothing becomes visible, because
-//     every chunk carries the transaction's xid and no snapshot admits
-//     an uncommitted xid. That is the fix for the chunked-DML atomicity
-//     hole: a crash between chunks recovers with the whole statement
-//     invisible (the heap's pass after recovery marks the xid's versions
-//     dead).
+//   - Page mutation happens under Table.phys held exclusively, in the
+//     chunks chunkLen sizes, each appended under a plain marker with no
+//     fsync: frames release, but no snapshot admits the chunks' xid until
+//     it commits, and a crash between chunks leaves it unresolved.
 //   - An implicit transaction commits at statement end — the remaining
 //     records plus wal.RecTxnCommit under one marker, then the group-
 //     commit fsync. A statement inside an explicit transaction only
@@ -103,7 +98,7 @@ func (t *Table) endDML(stx *Txn, implicit, mutated bool, err error) error {
 		err = db.undoTo(stx, stx.stmtUndo, err)
 	}
 	if logged {
-		if aerr := db.appendPools(tablePools(t)); err == nil {
+		if aerr := db.appendPools(tablePools(t), 0); err == nil {
 			err = aerr
 		}
 	}
@@ -115,22 +110,23 @@ func (t *Table) endDML(stx *Txn, implicit, mutated bool, err error) error {
 type dmlShape struct {
 	verb  string // "INSERT" — with the table and row count, the fault hooks' statement label
 	rows  int    // rows the statement applies to
-	chunk int    // rows per pool-bounded chunk
-	churn int    // versions churned per row: an update churns an old and a new one
+	churn int    // versions a row churns, each on a heap page: an update's old and new one
+	// The versions an INSERT or UPDATE stores, encoded, and their tuples;
+	// for VACUUM, the bytes of each version it removes, at least its key's.
+	tups    []catalog.Tuple
+	encoded [][]byte
+	sizes   []int
 	// The statement's two cumulative counters.
 	stmts, tuples *obs.Counter
 }
 
 // runDML is the body every DML statement shares once it knows its rows:
 // apply(base, end) mutates the heap and the indexes for rows [base, end)
-// under the table's physical latch, chunk by chunk; between chunks the
-// applied records append under a plain marker (no fsync, no commit
-// record), so their frames release while the statement stays invisible
-// — every chunk carries the transaction's xid. Then the statement ends
-// (endDML) and is counted. The two crash points run where a crash is
-// worth simulating: before anything reached the log, and after each
-// intermediate append. Caller holds db.stmtMu shared and has run
-// beginDML.
+// under the table's physical latch, chunk by chunk (rowChunk), appending
+// between chunks as the file's header says; then the statement ends
+// (endDML) and is counted. The crash points run before anything reached
+// the log and after each intermediate append. Caller holds db.stmtMu
+// shared and has run beginDML.
 func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, end int) error) error {
 	db := t.db
 	var stmt string
@@ -143,22 +139,22 @@ func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, en
 			return faultErr{err}
 		}
 	}
-	for base, chunksDone := 0, 0; base < sh.rows; base += sh.chunk {
-		end := min(base+sh.chunk, sh.rows)
+	for base, chunksDone := 0, 0; base < sh.rows; {
+		end := base + t.rowChunk(base, &sh)
 		t.phys.Lock()
 		err := apply(base, end)
 		t.phys.Unlock()
 		if err != nil {
 			return t.endDML(stx, implicit, true, err)
 		}
-		if end == sh.rows {
+		if base = end; end == sh.rows {
 			break
 		}
 		if db.wal != nil {
 			stx.logged = true
 			// A chunk that moved an index's root carries the meta page
 			// that says where it now is: the index saved it when it moved.
-			if err := db.appendPools(tablePools(t)); err != nil {
+			if err := db.appendPools(tablePools(t), 0); err != nil {
 				return t.endDML(stx, implicit, true, err)
 			}
 		}
@@ -218,8 +214,8 @@ func (t *Table) InsertTx(tx *Txn, tup catalog.Tuple) (heap.RID, error) {
 // batch log record, and each index takes a chunk's keys in one Insert,
 // which orders them (so consecutive inserts descend through the same
 // just-decoded nodes; see insertChunk). The whole statement is crash-atomic — including
-// batches larger than insertChunkRows, whose chunks append under plain
-// markers but stay invisible until the final commit record — and
+// batches larger than one chunk (rowChunk), whose chunks append under
+// plain markers but stay invisible until the final commit record — and
 // fail-atomic: an error mid-batch rolls the implicit transaction back.
 // The returned RIDs parallel tups.
 func (t *Table) InsertBatch(tups []catalog.Tuple) ([]heap.RID, error) {
@@ -251,7 +247,7 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 	}
 	rids := make([]heap.RID, 0, len(tups))
 	err = t.runDML(stx, implicit, dmlShape{
-		verb: "INSERT", rows: len(tups), chunk: db.insertChunkRows(), churn: 1,
+		verb: "INSERT", rows: len(tups), churn: 1, tups: tups, encoded: encoded,
 		stmts: db.met.stmtInsert, tuples: db.met.tuplesInserted,
 	}, func(base, end int) error {
 		crids, err := t.insertChunk(stx, tups[base:end], encoded[base:end])
@@ -289,6 +285,28 @@ func (t *Table) insertChunk(stx *Txn, tups []catalog.Tuple, encoded [][]byte) ([
 	return rids, nil
 }
 
+// rowChunk is chunkLen for sh's rows from base, each touching sh.churn
+// heap pages: INSERT and UPDATE store versions and keys, VACUUM removes
+// them, and a DELETE stamps the heap alone.
+func (t *Table) rowChunk(base int, sh *dmlShape) int {
+	return t.db.chunkLen(sh.rows-base, 1+len(t.Indexes), func(f, i int) (int, int, int) {
+		switch {
+		case f == 0 && sh.tups == nil:
+			return int(t.Heap.NumPages()), sh.churn, 0
+		case f == 0:
+			return int(t.Heap.NumPages()), sh.churn, len(sh.encoded[base+i]) + recordOverhead
+		case sh.tups == nil && sh.sizes == nil:
+			return 0, 0, 0
+		}
+		ix := t.Indexes[f-1]
+		if sh.sizes != nil {
+			pages, touch, _ := indexAt(ix.OpClass, ix.pool, sh.sizes[base+i])
+			return pages, touch, 0
+		}
+		return indexAt(ix.OpClass, ix.pool, catalog.DatumSize(sh.tups[base+i][ix.Column]))
+	})
+}
+
 // DeleteWhere deletes every row matching pred (all rows when pred is
 // nil) as its own implicit transaction, returning how many versions
 // were stamped — an MVCC delete: a version's xmax is stamped and it
@@ -321,7 +339,7 @@ func (t *Table) DeleteWhereTx(tx *Txn, pred *Pred) (int, *Plan, error) {
 		return 0, nil, err
 	}
 	err = t.runDML(stx, implicit, dmlShape{
-		verb: "DELETE", rows: len(rids), chunk: db.deleteChunkRows(), churn: 1,
+		verb: "DELETE", rows: len(rids), churn: 1,
 		stmts: db.met.stmtDelete, tuples: db.met.tuplesDeleted,
 	}, func(base, end int) error {
 		for _, rid := range rids[base:end] {
@@ -385,21 +403,20 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, *Plan
 	if err != nil {
 		return 0, nil, err
 	}
+	succs, encoded := make([]catalog.Tuple, len(olds)), make([][]byte, len(olds))
+	for i, old := range olds {
+		succs[i] = slices.Clone(old.Tuple)
+		for _, set := range sets {
+			succs[i][set.Column] = set.Value
+		}
+		encoded[i] = catalog.EncodeTuple(succs[i])
+	}
 	err = t.runDML(stx, implicit, dmlShape{
-		verb: "UPDATE", rows: len(olds), chunk: db.deleteChunkRows(), churn: 2,
+		verb: "UPDATE", rows: len(olds), churn: 2, tups: succs, encoded: encoded,
 		stmts: db.met.stmtUpdate, tuples: db.met.tuplesUpdated,
 	}, func(base, end int) error {
 		// The successors go in first, as INSERT stores its rows.
-		succs := make([]catalog.Tuple, end-base)
-		encoded := make([][]byte, end-base)
-		for i, old := range olds[base:end] {
-			succ := slices.Clone(old.Tuple)
-			for _, set := range sets {
-				succ[set.Column] = set.Value
-			}
-			succs[i], encoded[i] = succ, catalog.EncodeTuple(succ)
-		}
-		if _, err := t.insertChunk(stx, succs, encoded); err != nil {
+		if _, err := t.insertChunk(stx, succs[base:end], encoded[base:end]); err != nil {
 			return err
 		}
 		for _, old := range olds[base:end] {
@@ -462,34 +479,26 @@ func (db *DB) Vacuum(name string) (_ int, err error) {
 func (db *DB) vacuumTable(t *Table) (int, error) {
 	horizon := db.tm.horizon()
 	var dead []heap.RID
-	err := t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, _ []byte) bool {
+	var sizes []int // each dead version's payload bytes: at least its key's
+	err := t.Heap.ScanVersions(func(rid heap.RID, h heap.TupleHeader, payload []byte) bool {
 		// Dead: a rolled-back insert (aborted versions are invisible to
 		// every snapshot), or a committed delete older than every live
 		// snapshot. An uncommitted deleter's xid is >= horizon — active
 		// transactions bound it — so in-flight deletes are never
 		// reclaimed.
 		if h.Flags&heap.FlagXminAborted != 0 || (h.Xmax != 0 && h.Xmax < horizon) {
-			dead = append(dead, rid)
+			dead, sizes = append(dead, rid), append(sizes, len(payload))
 		}
 		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	// A chunk's pages stay in the pool until its commit, so a chunk holds
-	// deleteChunkRows versions — unless the table's files fit in half the
-	// pool, when no chunk can dirty more pages than that and one takes
-	// every version: each index is then read once per VACUUM, not once
-	// per chunk.
-	chunk, pages := db.deleteChunkRows(), 0
-	for _, bp := range tablePools(t) {
-		pages += int(bp.DM().NumPages())
-	}
-	if pages <= db.poolPages/2 {
-		chunk = max(chunk, len(dead))
-	}
+	// When the table's files fit in half the pool, one chunk takes every
+	// version, and each index is read once per VACUUM, not once per chunk.
+	sh := dmlShape{rows: len(dead), churn: 1, sizes: sizes}
 	for done := 0; done < len(dead); {
-		part := dead[done:min(done+chunk, len(dead))]
+		part := dead[done : done+t.rowChunk(done, &sh)]
 		inPart := reaped(part)
 		for _, ix := range t.Indexes {
 			// An aborted version may never have been indexed (CREATE
@@ -504,7 +513,7 @@ func (db *DB) vacuumTable(t *Table) (int, error) {
 			}
 		}
 		done += len(part)
-		if err := db.commitTable(t); err != nil {
+		if err := db.commitGroup(tablePools(t), 0, t); err != nil {
 			return done, err
 		}
 	}

@@ -147,7 +147,9 @@ func TestUpdateLogsSuccessorsInBatches(t *testing.T) {
 	t.Logf("heap data-page records: %d slot-batch-puts over %d pages, %d slot-puts, %d slot-patches",
 		batchPuts, len(pages), puts, patches)
 	// A page a chunk leaves room on takes the next chunk's first rows.
-	chunks := 2 // 300 rows in 256-row chunks at the default 1 024 frames
+	// The table's files and the successors' bytes fill a few pages of the
+	// 512 a chunk may dirty at the default 1 024 frames: one chunk.
+	chunks := 1
 	if puts != 0 || batchPuts < len(pages) || batchPuts > len(pages)+chunks-1 || patches != rows {
 		t.Errorf("%d slot-puts, %d slot-batch-puts and %d slot-patches; want none, one per page a chunk fills (%d pages, %d chunks), and %d xmax stamps",
 			puts, batchPuts, patches, len(pages), chunks, rows)
@@ -155,15 +157,18 @@ func TestUpdateLogsSuccessorsInBatches(t *testing.T) {
 }
 
 // TestCreateIndexBuildsInBatches: CREATE INDEX inserts the heap's rows as
-// INSERT does, an INSERT chunk's worth per Index.Insert (4 096 rows at
-// the default 1 024 frames), so a kd-tree built over a loaded table comes
-// out median first. The table is the end-to-end benchmark's points table
-// (bench.ScanWarmPoints), loaded in 500-row INSERTs with no index; the
-// index is then created and its shape measured over bench.TraceScanWarm's
-// 1 024 queries: node height 22, page height 11, 134 pages, 9.30 pages
-// per kNN-10 and 9.22 per box. Built one row at a time, the tree had node
-// height 33, page height 16, 135 pages, and 31.25 pages per kNN-10 and
-// 29.81 per box.
+// INSERT does, a chunk per Index.Insert (chunkLen over the index file), so
+// a kd-tree built over a loaded table comes out median first. The table is
+// the end-to-end benchmark's points table (bench.ScanWarmPoints), loaded in
+// 500-row INSERTs with no index; the index is then created and its shape
+// measured over bench.TraceScanWarm's 1 024 queries. Its 15 000 keys fill
+// a few dozen pages of the 512 a chunk may dirty at the default 1 024
+// frames, so they go in as one batch: node height 16, page height 9, 122
+// pages, 6.08 pages per kNN-10 and 6.02 per box. In batches of 4 096 rows
+// (four times the pool's frames, the rule before) the tree had node height
+// 22, page height 11, 134 pages, 9.30 pages per kNN-10 and 9.22 per box,
+// the bounds below; built one row at a time, node height 33, page height
+// 16, 135 pages, and 31.25 pages per kNN-10 and 29.81 per box.
 func TestCreateIndexBuildsInBatches(t *testing.T) {
 	const batch = 500
 	db := executor.OpenMemory()

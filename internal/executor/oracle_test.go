@@ -271,7 +271,7 @@ func oracleNN(t *testing.T, r *rand.Rand, tb *Table, ix *IndexInfo, keys []catal
 	for i := 0; i < probes; i++ {
 		arg := oracleArg(r, tb.Columns[0].Type, "<->", keys)
 		k := min(1+r.Intn(20), len(keys))
-		res, plan, err := tb.SelectNN("k", arg, k)
+		res, plan, err := tb.SelectNN(tb.Columns[0].Name, arg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,16 +301,16 @@ func oracleNN(t *testing.T, r *rand.Rand, tb *Table, ix *IndexInfo, keys []catal
 // After every recovery the heap must hold exactly the rows of the
 // statements that returned success, and every index must agree with it.
 //
-// It runs twice. With the default pool nothing is evicted and a
-// statement chunks only past 4 096 rows (INSERT) or 256 (DELETE). With
+// It runs twice. With the default pool nothing is evicted, and a
+// statement chunks only once its pages may fill 512 frames (chunkLen). With
 // 16 frames for each of its eleven files the files outgrow the pool, so
-// index pages are evicted, reloaded and re-imaged between crashes — but
-// no-steal keeps every page a chunk dirtied in memory until the chunk's
-// records are appended, and 16 frames a file hold no more than that:
-// there the tables are loaded through the default pool first, statements
-// stay a few rows long, dead versions are vacuumed while they are few,
-// and the suffix tree (one word is up to fifteen suffixes, each in a
-// leaf of its own) sits the run out.
+// index pages are evicted, reloaded and re-imaged between crashes, and a
+// chunk may dirty 88 pages: there the tables are loaded through the
+// default pool first, statements stay a few rows long, dead versions are
+// vacuumed while they are few, and the suffix tree (one word is up to
+// fifteen suffixes, each in a leaf of its own) sits the run out. The
+// statement crashed between its chunks is an INSERT one row longer than
+// its first chunk (oracleChunked).
 
 // oracleCrashTables are the crash oracle's three tables: between them
 // one index of every access method, created before the first row so
@@ -373,6 +373,35 @@ func oracleCrashIndexes(t *testing.T, db *DB, ti int, suffix bool) {
 			t.Fatalf("CREATE INDEX %s: %v", ix[0], err)
 		}
 	}
+}
+
+// oracleChunkedMax bounds the rows oracleChunked draws.
+const oracleChunkedMax = 3000
+
+// oracleChunked draws rows for table ti of oracleCrashTables, one more than
+// the first chunk of them takes (rowChunk), so that an INSERT of them
+// splits; their ids are left to the caller. The words table's keys are
+// 200-byte words, whose suffixes fill the default pool's 512-frame chunk
+// in some 170 rows. It returns nil when the chunk takes all
+// oracleChunkedMax rows, as the default pool's does of points or
+// segments, whose small keys would need tens of thousands.
+func oracleChunked(tb *Table, ti int, r *rand.Rand) []catalog.Tuple {
+	wide := datagen.WordConfig{MinLen: 200, MaxLen: 200, Alphabet: datagen.DefaultWords.Alphabet}
+	tups := make([]catalog.Tuple, oracleChunkedMax)
+	encoded := make([][]byte, len(tups))
+	for i := range tups {
+		k := oracleCrashTables[ti].datum(r)
+		if k.Typ == catalog.Text {
+			k = catalog.NewText(datagen.WordsCfg(1, r.Int63(), wide)[0])
+		}
+		tups[i] = catalog.Tuple{k, catalog.NewInt(0)}
+		encoded[i] = catalog.EncodeTuple(tups[i])
+	}
+	n := tb.rowChunk(0, &dmlShape{rows: len(tups), churn: 1, tups: tups, encoded: encoded})
+	if n == len(tups) {
+		return nil
+	}
+	return tups[:n+1]
 }
 
 func TestOracleCrashInterleaved(t *testing.T) {
@@ -442,7 +471,7 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 		db = open(poolPages)
 	}
 
-	matched, insertCrashed := map[string]int{}, map[string]bool{}
+	matched := map[string]int{}
 	recoveries, chunkCrashes, evictions := 0, 0, int64(0)
 	// recoverAndCheck crashes the database, reopens it and holds heap and
 	// indexes to the model and to each other.
@@ -480,9 +509,9 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 			t.Fatal(err)
 		}
 		id := r.Int63n(nextID)
-		maxRows, chunkedRows := 150, 4097 // the default pool's INSERT chunk is 4 096 rows
+		maxRows := 150
 		if cramped {
-			maxRows, chunkedRows = oracleCrashTables[ti].cramped, 0
+			maxRows = oracleCrashTables[ti].cramped
 		}
 		leftDead := false // the statement left versions for VACUUM
 		switch k := r.Intn(40); {
@@ -557,19 +586,15 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 		case k < 38: // crash between statements
 			recoverAndCheck("a completed statement")
 		default: // crash between the chunks of one statement
-			// The first on each table is an INSERT where the pool lets one
-			// chunk (4 097 rows cost a second, so only the first); the rest
-			// are DELETEs, which chunk past 256 rows (16 when cramped).
+			// An INSERT the rule splits (oracleChunked).
 			armed = true
-			if chunkedRows > 0 && !insertCrashed[name] {
-				insertCrashed[name] = true
-				tups := fresh(ti, chunkedRows)
+			if tups := oracleChunked(tb, ti, r); tups != nil {
+				for _, tup := range tups {
+					tup[1] = catalog.NewInt(nextID)
+					nextID++
+				}
 				if _, err = tb.InsertBatch(tups); err == nil {
 					learn(name, tups)
-				}
-			} else if len(model[name]) > 256 {
-				if _, err = tb.DeleteWhere(nil); err == nil {
-					clear(model[name])
 				}
 			}
 			armed = false

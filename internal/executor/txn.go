@@ -38,9 +38,8 @@ import (
 //     a crash, redo replays every record alike, and the heap's pass that
 //     follows it at Open (heap.File.Recount) marks every version of a
 //     transaction the crash left unresolved aborted and clears its
-//     xmaxes — which is also what makes a multi-chunk statement atomic:
-//     all its chunks carry one xid, and no chunk is visible until the
-//     commit record. A transaction is unresolved when the surviving log
+//     xmaxes, also of a statement crashed between its chunks (which
+//     share its xid). A transaction is unresolved when the surviving log
 //     holds no commit record for it and the last checkpoint had not seen
 //     it resolved: the checkpoint record carries the next xid and the
 //     xids open at it (heap.Unresolved).
@@ -63,11 +62,6 @@ import (
 // first commit fsync that uses the stride, so a crash can only waste
 // the unissued remainder, never reissue an xid that mattered.
 const xidStride = 4096
-
-// rollbackChunkOps bounds how many undo operations apply between the
-// group markers of one ROLLBACK, for the same reason DML chunks: every
-// page an undo op dirties is unevictable until its records append.
-const rollbackChunkOps = 256
 
 // DefaultLockTimeout bounds how long a DML statement waits for a table
 // lock held by another open transaction before failing.
@@ -220,7 +214,7 @@ func (tm *TxnManager) begin(implicit bool) (*Txn, error) {
 		if err := tm.db.cat.SetXidHigh(high); err != nil {
 			return nil, err
 		}
-		if err := tm.db.appendPools([]*storage.BufferPool{tm.db.catPool}); err != nil {
+		if err := tm.db.appendPools([]*storage.BufferPool{tm.db.catPool}, 0); err != nil {
 			return nil, err
 		}
 		tm.lease = high + 1
@@ -522,38 +516,28 @@ func (db *DB) undoTo(tx *Txn, mark int, cause error) error {
 			firstErr = err
 		}
 	}
-	pending := 0
-	touched := make(map[*Table]struct{})
-	flush := func() {
-		if db.wal == nil || pending == 0 {
-			return
-		}
-		var pools []*storage.BufferPool
-		for t := range touched {
-			pools = append(pools, tablePools(t)...)
-		}
-		keep(db.appendPools(pools))
-		pending = 0
+	// An undo op touches a heap page; the transaction's heaps count as one
+	// file, and each chunk appends the records of all its tables.
+	pages, pools := 0, []*storage.BufferPool(nil)
+	for t := range tx.tables {
+		pages, pools = pages+int(t.Heap.NumPages()), append(pools, tablePools(t)...)
 	}
-	for i := len(tx.undo) - 1; i >= mark; i-- {
-		u := tx.undo[i]
-		u.t.phys.Lock()
-		var err error
-		switch u.op {
-		case undoInsert:
-			err = u.t.Heap.MarkAborted(u.rid)
-		case undoSetXmax:
-			err = u.t.Heap.ClearXmax(u.rid)
+	for i := len(tx.undo); i > mark; {
+		for lo := i - db.chunkLen(i-mark, 1, func(int, int) (int, int, int) { return pages, 1, 0 }); i > lo; i-- {
+			u := tx.undo[i-1]
+			u.t.phys.Lock()
+			var err error
+			switch u.op {
+			case undoInsert:
+				err = u.t.Heap.MarkAborted(u.rid)
+			case undoSetXmax:
+				err = u.t.Heap.ClearXmax(u.rid)
+			}
+			u.t.phys.Unlock()
+			keep(err)
 		}
-		u.t.phys.Unlock()
-		keep(err)
-		touched[u.t] = struct{}{}
-		pending++
-		if pending >= rollbackChunkOps {
-			flush()
-		}
+		keep(db.appendPools(pools, 0))
 	}
-	flush()
 	tx.undo = tx.undo[:mark]
 	if cause == nil || firstErr == nil {
 		return cmp.Or(cause, firstErr)

@@ -252,8 +252,9 @@ func TestTxnCrashBetweenInsertChunks(t *testing.T) {
 		return nil
 	}}
 	open := func() *executor.DB {
-		// PoolPages 16 => insert chunks of 64 rows, so a 200-row batch
-		// splits into 4 chunks and the fault fires mid-statement.
+		// At 16 frames a chunk may dirty 8 pages. The 1 000 doomed rows'
+		// tuples alone fill six new heap pages, and their trie entries
+		// more, so the statement splits and the fault fires mid-way.
 		db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16, Faults: faults})
 		if err != nil {
 			t.Fatal(err)
@@ -267,7 +268,7 @@ func TestTxnCrashBetweenInsertChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	doomed := make([]catalog.Tuple, 200)
+	doomed := make([]catalog.Tuple, 1000)
 	for i := range doomed {
 		doomed[i] = batchTuple(i)
 	}
@@ -318,7 +319,8 @@ func TestTxnCrashBetweenDeleteChunks(t *testing.T) {
 		return nil
 	}}
 	open := func() *executor.DB {
-		// PoolPages 16 => delete chunks of 16 rows.
+		// At 16 frames a chunk may dirty 8 pages, and a DELETE stamps one
+		// heap page a row: over a heap of more pages, 8 rows a chunk.
 		db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16, Faults: faults})
 		if err != nil {
 			t.Fatal(err)
@@ -327,13 +329,16 @@ func TestTxnCrashBetweenDeleteChunks(t *testing.T) {
 	}
 	db := open()
 	tb := txnTable(t, db)
-	const rows = 100
+	const rows = 2000
 	tups := make([]catalog.Tuple, rows)
 	for i := range tups {
 		tups[i] = batchTuple(i)
 	}
 	if _, err := tb.InsertBatch(tups); err != nil {
 		t.Fatal(err)
+	}
+	if n := tb.Heap.NumPages(); n <= 8 {
+		t.Fatalf("the heap holds %d pages; a DELETE of its rows takes one chunk", n)
 	}
 
 	armed.Store(true)

@@ -51,9 +51,10 @@ func fullIndexScan(t *testing.T, ix *IndexInfo) map[heap.RID]bool {
 // returns what a Seq Scan returns. The tables cover every operator class;
 // the dead versions are committed deletes, the old versions of updated
 // rows and the rows of a rolled-back transaction. At a 64-page pool the
-// words and points tables' files are larger than half the pool, so their
-// VACUUM works in chunks of deleteChunkRows (16); the segments table's are
-// not, so its VACUUM is one chunk.
+// words and points tables' files are larger than half the pool, and each
+// has more dead versions than any of its files has pages, so the chunks
+// chunkLen sizes cannot take them all at once; the segments table's files
+// fit in half the pool, so its VACUUM is one chunk.
 func TestVacuumRemovesIndexEntries(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Dir: dir, PoolPages: 64, WALSync: wal.SyncLazy}

@@ -109,8 +109,8 @@ func ParseTuple(rec []byte) (TupleHeader, []byte) {
 // Heap file meta page: the magic, and the body storage frames on page 0 —
 // [target page u32 (hint)][live records u64].
 const (
-	metaMagic    = 0x48454150 // "HEAP"
-	metaBodySize = 12
+	MetaMagic    = 0x48454150 // "HEAP"
+	MetaBodySize = 12
 )
 
 // File is a heap file over a buffer pool. Methods are not safe for
@@ -135,7 +135,7 @@ type File struct {
 // bytes, so the floor is far below a page: a typical tuple still fits.
 const freeFloor = 128
 
-func (f *File) metaBody() (body [metaBodySize]byte) {
+func (f *File) metaBody() (body [MetaBodySize]byte) {
 	binary.LittleEndian.PutUint32(body[0:], uint32(f.target))
 	binary.LittleEndian.PutUint64(body[4:], uint64(f.count))
 	return body
@@ -145,7 +145,7 @@ func (f *File) metaBody() (body [metaBodySize]byte) {
 func Create(bp *storage.BufferPool) (*File, error) {
 	f := &File{bp: bp, target: storage.InvalidPageID, free: storage.NewFreeSpace(freeFloor)}
 	body := f.metaBody()
-	if err := bp.CreateMeta(metaMagic, body[:]); err != nil {
+	if err := bp.CreateMeta(MetaMagic, body[:]); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -153,8 +153,8 @@ func Create(bp *storage.BufferPool) (*File, error) {
 
 // Open attaches to an existing heap file.
 func Open(bp *storage.BufferPool) (*File, error) {
-	var body [metaBodySize]byte
-	if err := bp.ReadMeta(metaMagic, body[:]); err != nil {
+	var body [MetaBodySize]byte
+	if err := bp.ReadMeta(MetaMagic, body[:]); err != nil {
 		return nil, err
 	}
 	return &File{
@@ -220,13 +220,15 @@ func Unresolved(committed map[uint64]bool, ckpt wal.CheckpointState) func(xid ui
 // (there is no undo log): a tuple whose xmin is unresolved is flagged
 // aborted, and an xmax that is unresolved is cleared. The repairs go
 // through the logged header writes, MarkAborted and ClearXmax, and flush
-// is called after each page repaired, so that the owner can append them
-// before they pin more of the pool than it holds. A slot a later tuple
-// reuses shows that tuple, so only the current one is judged. Run again
-// on the repaired file, it repairs nothing.
-func (f *File) Recount(unresolved func(xid uint64) bool, flush func() error) (Fixups, error) {
+// is called after every chunk pages repaired and after the last, so that
+// the owner can append them before they pin more of the pool than it
+// holds. A slot a later tuple reuses shows that tuple, so only the
+// current one is judged. Run again on the repaired file, it repairs
+// nothing.
+func (f *File) Recount(unresolved func(xid uint64) bool, chunk int, flush func() error) (Fixups, error) {
 	var fx Fixups
 	var aborted, cleared []uint16
+	repaired := 0
 	n := f.NumPages()
 	f.count, f.target = 0, storage.InvalidPageID
 	for pid := storage.PageID(1); uint32(pid) < n; pid++ {
@@ -263,9 +265,14 @@ func (f *File) Recount(unresolved func(xid uint64) bool, flush func() error) (Fi
 		}
 		fx.Aborted += int64(len(aborted))
 		fx.XmaxCleared += int64(len(cleared))
-		if err := flush(); err != nil {
-			return fx, err
+		if repaired++; repaired%chunk == 0 {
+			if err := flush(); err != nil {
+				return fx, err
+			}
 		}
+	}
+	if repaired%chunk != 0 {
+		return fx, flush()
 	}
 	return fx, nil
 }

@@ -221,13 +221,13 @@ func TestOpenRefusesPreVersionFormat(t *testing.T) {
 		}},
 		{"the framing before slotted meta pages", func(meta []byte) {
 			clear(meta)
-			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize:], metaMagic)
+			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize:], MetaMagic)
 			binary.LittleEndian.PutUint32(meta[storage.PageHeaderSize+4:], storage.FormatVersion-1)
 			storage.StampPageChecksum(meta)
 		}, func(err error) bool { return strings.Contains(err.Error(), "holds no meta record") }},
 		{"the layout before the common header", func(meta []byte) {
 			clear(meta)
-			binary.LittleEndian.PutUint32(meta[0:], metaMagic)
+			binary.LittleEndian.PutUint32(meta[0:], MetaMagic)
 			binary.LittleEndian.PutUint32(meta[4:], 1)  // last page
 			binary.LittleEndian.PutUint64(meta[8:], 1)  // count
 			binary.LittleEndian.PutUint32(meta[16:], 2) // the heap's format version
@@ -557,7 +557,7 @@ func TestRecountRepairsUnresolved(t *testing.T) {
 
 	flushes := 0
 	flush := func() error { flushes++; return nil }
-	fx, err := f.Recount(unresolved, flush)
+	fx, err := f.Recount(unresolved, 2, flush) // one page repaired: the last flush
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func TestRecountRepairsUnresolved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fx, err := f.Recount(unresolved, flush); err != nil || fx != (Fixups{}) || flushes != 1 {
+	if fx, err := f.Recount(unresolved, 1, flush); err != nil || fx != (Fixups{}) || flushes != 1 {
 		t.Fatalf("a second Recount repaired %+v (%v, %d flushes), want nothing", fx, err, flushes)
 	}
 }

@@ -1,8 +1,8 @@
 // Package obs is the observability substrate shared by every layer of
 // the engine: lock-cheap cumulative counters and gauges, fixed-bucket
-// latency histograms with quantile readout, and a registry that renders
-// everything as expvar-style "name value" text for SHOW STATS, the
-// server's STATS verb, and the benchmark harness.
+// latency histograms with quantile readout, and a registry that reads
+// everything out as name/value pairs sorted by name (Each) for SHOW STATS,
+// the server's STATS verb, and the benchmark harness.
 //
 // The design rule is that the hot path pays one atomic add and nothing
 // else: components obtain *Counter / *Gauge / *Histogram pointers once,
@@ -11,8 +11,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -201,8 +199,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Registry names metrics for readout. Components register once at
-// construction and then bump the returned pointers directly; Render and
-// Each take the registry mutex but never touch any hot path.
+// construction and then bump the returned pointers directly; Each takes
+// the registry mutex but never touches any hot path.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
@@ -278,7 +276,7 @@ func (r *Registry) histogram(name string, unit histUnit) *Histogram {
 }
 
 // Sample registers a cold readout callback that contributes additional
-// name/value pairs to Each and Render — the bridge for components that
+// name/value pairs to Each — the bridge for components that
 // already keep their own atomic counters.
 func (r *Registry) Sample(fn func(emit func(name string, value int64))) {
 	r.mu.Lock()
@@ -357,12 +355,4 @@ func (r *Registry) Each(fn func(name string, value int64)) {
 	for _, row := range rows {
 		fn(row.k, row.v)
 	}
-}
-
-// Render writes the registry as expvar-compatible text: one
-// "name value" pair per line, sorted by name.
-func (r *Registry) Render(w io.Writer) {
-	r.Each(func(name string, value int64) {
-		fmt.Fprintf(w, "%s %d\n", name, value)
-	})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -26,8 +27,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			var sb strings.Builder
-			r.Render(&sb)
+			r.Each(func(string, int64) {})
 		}
 	}()
 	var writers sync.WaitGroup
@@ -157,7 +157,7 @@ func TestHistogramEmpty(t *testing.T) {
 }
 
 // TestRegistrySampler checks that sampler callbacks contribute to the
-// rendered output.
+// readout, sorted by name with the registry's own metrics.
 func TestRegistrySampler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_native").Add(7)
@@ -165,10 +165,10 @@ func TestRegistrySampler(t *testing.T) {
 		emit("aa_sampled", 42)
 	})
 	var sb strings.Builder
-	r.Render(&sb)
+	r.Each(func(name string, value int64) { fmt.Fprintf(&sb, "%s %d\n", name, value) })
 	got := sb.String()
 	want := "aa_sampled 42\nzz_native 7\n"
 	if got != want {
-		t.Fatalf("Render = %q, want %q", got, want)
+		t.Fatalf("Each = %q, want %q", got, want)
 	}
 }

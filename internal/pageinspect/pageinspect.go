@@ -65,26 +65,16 @@ func (k FileKind) String() string {
 	}
 }
 
-// The page-0 magics of every structure, mirrored from their packages
-// (heap, btree, core, rtree). All are big-endian ASCII read as a
-// little-endian uint32.
-const (
-	magicHeap   = 0x48454150 // "HEAP"
-	magicBTree  = 0x42545245 // "BTRE"
-	magicSPGiST = 0x53504753 // "SPGS"
-	magicRTree  = 0x52545245 // "RTRE"
-)
-
 // DetectKind classifies a page file from its metadata page (page 0).
 func DetectKind(page0 []byte) FileKind {
 	switch magic, _, _ := storage.ParseMeta(page0); magic {
-	case magicHeap:
+	case heap.MetaMagic:
 		return KindHeap
-	case magicBTree:
+	case btree.MetaMagic:
 		return KindBTree
-	case magicSPGiST:
+	case core.MetaMagic:
 		return KindSPGiST
-	case magicRTree:
+	case rtree.MetaMagic:
 		return KindRTree
 	default:
 		return KindUnknown
@@ -163,9 +153,11 @@ func recordFormatter(kind FileKind, pageNo uint32) func(w io.Writer, rec []byte)
 	}
 }
 
-// metaBodySize is the meta body of each file kind, mirrored from its
-// package: the bytes describeMeta reads.
-var metaBodySize = map[FileKind]int{KindHeap: 12, KindBTree: 8, KindSPGiST: 6, KindRTree: 8}
+// metaBodySize is the meta body of each file kind: the bytes describeMeta
+// reads.
+var metaBodySize = map[FileKind]int{
+	KindHeap: heap.MetaBodySize, KindBTree: btree.MetaBodySize, KindSPGiST: core.MetaBodySize, KindRTree: rtree.MetaBodySize,
+}
 
 // describeMeta renders page 0's meta record: storage's framing
 // [magic u32][format u32], then the body, whose field offsets mirror each
