@@ -221,11 +221,7 @@ type Tuple []Datum
 
 // EncodeTuple serializes a tuple for heap storage.
 func EncodeTuple(t Tuple) []byte {
-	sz := 2
-	for _, d := range t {
-		sz += 1 + DatumSize(d)
-	}
-	buf := make([]byte, sz)
+	buf := make([]byte, EncodedSize(t))
 	binary.LittleEndian.PutUint16(buf, uint16(len(t)))
 	off := 2
 	for _, d := range t {
@@ -234,6 +230,15 @@ func EncodeTuple(t Tuple) []byte {
 		off += encodeDatum(buf[off:], d)
 	}
 	return buf
+}
+
+// EncodedSize is the bytes EncodeTuple lays t out in.
+func EncodedSize(t Tuple) int {
+	sz := 2
+	for _, d := range t {
+		sz += 1 + DatumSize(d)
+	}
+	return sz
 }
 
 // DatumSize is the bytes d takes in an encoded tuple, after its type byte.

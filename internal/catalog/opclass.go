@@ -11,6 +11,8 @@ type OperatorClass struct {
 	AM      string // access method name
 	Type    Type   // indexed column type
 	Default bool   // default opclass for (AM, Type)
+	// Entries is how many index entries one key makes.
+	Entries KeyEntries
 	// Strategies maps operator name -> strategy number.
 	Strategies map[string]int
 	// NNOp is the ordering operator supported by the class ("" if none).
@@ -20,6 +22,23 @@ type OperatorClass struct {
 	Support []string
 }
 
+// KeyEntries says how many index entries one key of a class makes, each
+// of which an insert or a VACUUM may find on a page of its own.
+type KeyEntries uint8
+
+const (
+	_ KeyEntries = iota // unset: RegisterOpClass refuses it
+	// EntryPerKey: one entry per key.
+	EntryPerKey
+	// EntryPerByte: one entry per byte of the key, a suffix tree's one per
+	// suffix.
+	EntryPerByte
+	// EntryPerCell: one entry per cell the key crosses, a PMR quadtree's
+	// multi-assigned segment. How many depends on how finely the tree has
+	// decomposed space where the key lies, which only its file shows.
+	EntryPerCell
+)
+
 // SupportsOp reports whether the class can drive an index scan for op.
 func (oc *OperatorClass) SupportsOp(op string) bool {
 	_, ok := oc.Strategies[op]
@@ -28,8 +47,14 @@ func (oc *OperatorClass) SupportsOp(op string) bool {
 
 var opclasses = map[string]*OperatorClass{}
 
-// RegisterOpClass adds an operator class (CREATE OPERATOR CLASS).
-func RegisterOpClass(oc *OperatorClass) { opclasses[oc.Name] = oc }
+// RegisterOpClass adds an operator class (CREATE OPERATOR CLASS). A class
+// must say how many entries its keys make.
+func RegisterOpClass(oc *OperatorClass) {
+	if oc.Entries == 0 {
+		panic("catalog: operator class " + oc.Name + " declares no Entries")
+	}
+	opclasses[oc.Name] = oc
+}
 
 // LookupOpClass finds an operator class by name.
 func LookupOpClass(name string) (*OperatorClass, bool) {
@@ -87,7 +112,7 @@ func init() {
 	// quadtree and PMR quadtree classes used by its experiments, plus the
 	// baseline classes for the built-in B+-tree and R-tree.
 	RegisterOpClass(&OperatorClass{
-		Name: "spgist_trie", AM: "spgist", Type: Text, Default: true,
+		Name: "spgist_trie", AM: "spgist", Type: Text, Default: true, Entries: EntryPerKey,
 		Strategies: map[string]int{"=": 1, "#=": 2, "?=": 3, "@@": 20},
 		NNOp:       "@@",
 		Support:    []string{"trie_consistent", "trie_picksplit", "trie_nn_consistent", "trie_getparameters"},
@@ -96,40 +121,40 @@ func init() {
 	// order is no row distance order, so the class registers no
 	// ordering operator and `<->` plans elsewhere.
 	RegisterOpClass(&OperatorClass{
-		Name: "spgist_suffix", AM: "spgist", Type: Text,
+		Name: "spgist_suffix", AM: "spgist", Type: Text, Entries: EntryPerByte,
 		Strategies: map[string]int{"@=": 1},
 		Support:    []string{"suffix_consistent", "suffix_picksplit", "suffix_getparameters"},
 	})
 	RegisterOpClass(&OperatorClass{
-		Name: "spgist_kdtree", AM: "spgist", Type: Point, Default: true,
+		Name: "spgist_kdtree", AM: "spgist", Type: Point, Default: true, Entries: EntryPerKey,
 		Strategies: map[string]int{"@": 1, "^": 2, "@@": 20},
 		NNOp:       "@@",
 		Support:    []string{"kdtree_consistent", "kdtree_picksplit", "kdtree_nn_consistent", "kdtree_getparameters"},
 	})
 	RegisterOpClass(&OperatorClass{
-		Name: "spgist_pquadtree", AM: "spgist", Type: Point,
+		Name: "spgist_pquadtree", AM: "spgist", Type: Point, Entries: EntryPerKey,
 		Strategies: map[string]int{"@": 1, "^": 2, "@@": 20},
 		NNOp:       "@@",
 		Support:    []string{"pquad_consistent", "pquad_picksplit", "pquad_nn_consistent", "pquad_getparameters"},
 	})
 	RegisterOpClass(&OperatorClass{
-		Name: "spgist_pmr", AM: "spgist", Type: Segment, Default: true,
+		Name: "spgist_pmr", AM: "spgist", Type: Segment, Default: true, Entries: EntryPerCell,
 		Strategies: map[string]int{"=": 1, "&&": 2, "@@": 20},
 		NNOp:       "@@",
 		Support:    []string{"pmr_consistent", "pmr_picksplit", "pmr_nn_consistent", "pmr_getparameters"},
 	})
 	RegisterOpClass(&OperatorClass{
-		Name: "btree_text", AM: "btree", Type: Text, Default: true,
+		Name: "btree_text", AM: "btree", Type: Text, Default: true, Entries: EntryPerKey,
 		Strategies: map[string]int{"<": 1, "<=": 2, "=": 3, ">=": 4, ">": 5, "#=": 6, "?=": 7},
 		Support:    []string{"bttextcmp"},
 	})
 	RegisterOpClass(&OperatorClass{
-		Name: "rtree_point", AM: "rtree", Type: Point, Default: true,
+		Name: "rtree_point", AM: "rtree", Type: Point, Default: true, Entries: EntryPerKey,
 		Strategies: map[string]int{"@": 1, "^": 2},
 		Support:    []string{"rtree_union", "rtree_inter", "rtree_size"},
 	})
 	RegisterOpClass(&OperatorClass{
-		Name: "rtree_segment", AM: "rtree", Type: Segment, Default: true,
+		Name: "rtree_segment", AM: "rtree", Type: Segment, Default: true, Entries: EntryPerKey,
 		Strategies: map[string]int{"=": 1, "&&": 2},
 		Support:    []string{"rtree_union", "rtree_inter", "rtree_size"},
 	})

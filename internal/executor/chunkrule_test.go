@@ -203,3 +203,68 @@ func TestChunkRuleRollbackWideRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChunkRuleSegmentsChunkByCells: a PMR quadtree stores a segment in
+// every cell it crosses, so its keys make as many entries as its file
+// holds a key, not one each and not the whole file each. On a segments
+// table whose PMR file is larger than half a 64-frame pool, a multi-row
+// INSERT and a VACUUM each take several rows a chunk, and the index then
+// answers as a Seq Scan does, live and after a crash and Open.
+func TestChunkRuleSegmentsChunkByCells(t *testing.T) {
+	const frames, loaded, inserted, stmt = 64, 3000, 300, 500
+	dir := t.TempDir()
+	chunks := 0 // intermediate appends of the statement being counted
+	faults := FaultInjection{BetweenDMLChunks: func(string, int) error { chunks++; return nil }}
+	db, err := Open(Options{Dir: dir, PoolPages: frames, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := db.CreateTable("segs", []Column{{"seg", catalog.Segment}, {"id", catalog.Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("segs_pmr", "segs", "seg", "spgist", "spgist_pmr"); err != nil {
+		t.Fatal(err)
+	}
+	segs := datagen.Segments(loaded+inserted, 41, oracleWorld, 5)
+	rows := func(lo, hi int) []catalog.Tuple {
+		tups := make([]catalog.Tuple, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			tups = append(tups, catalog.Tuple{catalog.NewSegment(segs[i]), catalog.NewInt(int64(i))})
+		}
+		return tups
+	}
+	for lo := 0; lo < loaded; lo += stmt {
+		if _, err := tb.InsertBatch(rows(lo, lo+stmt)); err != nil {
+			t.Fatalf("INSERT of rows %d..%d: %v", lo, lo+stmt-1, err)
+		}
+	}
+	if pages := int(tb.Indexes[0].pool.DM().NumPages()); pages <= frames/2 {
+		t.Fatalf("the PMR file has %d pages, not more than half of %d frames", pages, frames)
+	}
+	chunks = 0
+	if _, err := tb.InsertBatch(rows(loaded, loaded+inserted)); err != nil {
+		t.Fatalf("INSERT of %d rows: %v", inserted, err)
+	}
+	t.Logf("INSERT of %d rows: %d chunks", inserted, chunks+1)
+	if chunks+1 >= inserted {
+		t.Errorf("INSERT of %d rows took %d chunks: one row a chunk", inserted, chunks+1)
+	}
+	dead, err := tb.DeleteWhere(&Pred{Column: 1, Op: "<", Arg: catalog.NewInt(loaded / 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := db.WAL().Stats().GroupCommits
+	if n, err := db.Vacuum("segs"); err != nil || n != dead {
+		t.Fatalf("VACUUM: %d versions, err %v; want %d", n, err, dead)
+	}
+	commits := int(db.WAL().Stats().GroupCommits - before)
+	t.Logf("VACUUM of %d versions: %d group commits", dead, commits)
+	if commits >= dead {
+		t.Errorf("VACUUM of %d versions made %d group commits: one version a chunk", dead, commits)
+	}
+	db = chunkRuleCheck(t, db, dir, frames, map[string]int{"segs": loaded + inserted - dead})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -150,8 +150,8 @@ func (db *DB) chunkLen(n, files int, at func(f, i int) (pages, touch, bytes int)
 	}
 	// Gallop to k units that fit, then search to 2k: O(k log k) at calls.
 	k := 1
-	for 2*k <= n && fits(2*k) {
-		k *= 2
+	for k < n && fits(min(2*k, n)) {
+		k = min(2*k, n)
 	}
 	return k + sort.Search(min(n, 2*k)-k, func(j int) bool { return !fits(k + j + 1) })
 }
@@ -160,19 +160,21 @@ func (db *DB) chunkLen(n, files int, at func(f, i int) (pages, touch, bytes int)
 // heap tuple's header and slot, or an index entry's RID and slot.
 const recordOverhead = 24
 
-// indexAt is chunkLen's at(f, i) for an index of class oc in file bp and a
-// unit that makes the entries of a key of size bytes (catalog.DatumSize,
-// or more): the file's pages, and the existing pages the entries touch and
-// the bytes they add. A key makes one entry, a word one per suffix in a
-// suffix tree, and a PMR segment, stored in every quadrant it crosses, is
-// bounded by the file.
-func indexAt(oc *catalog.OperatorClass, bp *storage.BufferPool, size int) (pages, touch, bytes int) {
+// indexAt is chunkLen's at(f, i) for an index of class oc in file bp,
+// holding the entries of keys keys, and a key of size bytes (or more): the
+// file's pages, and the existing pages the key's entries (oc.Entries)
+// touch and the bytes they add. A key stored in every cell it crosses
+// makes as many as the file holds a key, its bytes over an entry's: the
+// figure follows the tree as it decomposes space more finely.
+func indexAt(oc *catalog.OperatorClass, bp *storage.BufferPool, keys, size int) (pages, touch, bytes int) {
 	pages = int(bp.DM().NumPages())
-	switch oc.Name {
-	case "spgist_pmr":
-		return pages, pages, size + recordOverhead
-	case "spgist_suffix":
+	switch oc.Entries {
+	case catalog.EntryPerByte: // every suffix, (size+1)/2 bytes on average
 		return pages, size, size*(size+1)/2 + size*recordOverhead
+	case catalog.EntryPerCell:
+		entry := size + recordOverhead
+		n := max(1, int(bp.SizeBytes())/((keys+1)*entry))
+		return pages, n, n * entry
 	}
 	return pages, 1, size + recordOverhead
 }

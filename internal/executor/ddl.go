@@ -207,7 +207,7 @@ func (db *DB) buildIndexFile(t *Table, ci int, oc *catalog.OperatorClass, file s
 	// the build's file, each time the buffer fills; while all fit, it grows.
 	keys, rids, rows := []catalog.Datum(nil), []heap.RID(nil), 0
 	insert := func(all bool) error {
-		k := db.chunkLen(len(keys), 1, func(_, i int) (int, int, int) { return indexAt(oc, build, catalog.DatumSize(keys[i])) })
+		k := db.chunkLen(len(keys), 1, func(_, i int) (int, int, int) { return indexAt(oc, build, rows, catalog.DatumSize(keys[i])) })
 		if k == len(keys) && !all {
 			return nil
 		}

@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/heap"
@@ -111,11 +112,10 @@ type dmlShape struct {
 	verb  string // "INSERT" — with the table and row count, the fault hooks' statement label
 	rows  int    // rows the statement applies to
 	churn int    // versions a row churns, each on a heap page: an update's old and new one
-	// The versions an INSERT or UPDATE stores, encoded, and their tuples;
-	// for VACUUM, the bytes of each version it removes, at least its key's.
-	tups    []catalog.Tuple
-	encoded [][]byte
-	sizes   []int
+	// size reports row i's bytes for the chunk rule: the version it stores
+	// (col < 0; 0 if none) or its key in column col (at most the version a
+	// VACUUM removes). nil for a DELETE, which touches no index.
+	size func(i, col int) int
 	// The statement's two cumulative counters.
 	stmts, tuples *obs.Counter
 }
@@ -131,7 +131,7 @@ func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, en
 	db := t.db
 	var stmt string
 	if db.faults.BeforeDMLCommit != nil || db.faults.BetweenDMLChunks != nil {
-		stmt = fmt.Sprintf("%s %s %d", sh.verb, t.Name, sh.rows)
+		stmt = sh.verb + " " + t.Name + " " + strconv.Itoa(sh.rows) // no Sprintf: sh would escape
 	}
 	if f := db.faults.BeforeDMLCommit; f != nil {
 		// The crash point: nothing of the statement has reached the log.
@@ -247,7 +247,7 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 	}
 	rids := make([]heap.RID, 0, len(tups))
 	err = t.runDML(stx, implicit, dmlShape{
-		verb: "INSERT", rows: len(tups), churn: 1, tups: tups, encoded: encoded,
+		verb: "INSERT", rows: len(tups), churn: 1, size: storing(tups),
 		stmts: db.met.stmtInsert, tuples: db.met.tuplesInserted,
 	}, func(base, end int) error {
 		crids, err := t.insertChunk(stx, tups[base:end], encoded[base:end])
@@ -285,25 +285,38 @@ func (t *Table) insertChunk(stx *Txn, tups []catalog.Tuple, encoded [][]byte) ([
 	return rids, nil
 }
 
-// rowChunk is chunkLen for sh's rows from base, each touching sh.churn
-// heap pages: INSERT and UPDATE store versions and keys, VACUUM removes
-// them, and a DELETE stamps the heap alone.
+// storing is the dmlShape.size of a statement that stores tups, as
+// catalog.EncodeTuple lays them out.
+func storing(tups []catalog.Tuple) func(i, col int) int {
+	return func(i, col int) int {
+		if col < 0 {
+			return catalog.EncodedSize(tups[i])
+		}
+		return catalog.DatumSize(tups[i][col])
+	}
+}
+
+// rowChunk is chunkLen for sh's rows from base: in the heap each row
+// touches sh.churn pages and fills the bytes of the version it stores, and
+// in each index its key makes the entries indexAt counts. INSERT and UPDATE
+// store versions and keys; DELETE and VACUUM fill no page.
 func (t *Table) rowChunk(base int, sh *dmlShape) int {
-	return t.db.chunkLen(sh.rows-base, 1+len(t.Indexes), func(f, i int) (int, int, int) {
-		switch {
-		case f == 0 && sh.tups == nil:
-			return int(t.Heap.NumPages()), sh.churn, 0
-		case f == 0:
-			return int(t.Heap.NumPages()), sh.churn, len(sh.encoded[base+i]) + recordOverhead
-		case sh.tups == nil && sh.sizes == nil:
-			return 0, 0, 0
+	keys := int(t.Heap.Count())
+	return t.db.chunkLen(sh.rows-base, 1+len(t.Indexes), func(f, i int) (pages, touch, bytes int) {
+		stored := 0
+		if sh.size != nil {
+			stored = sh.size(base+i, -1)
 		}
-		ix := t.Indexes[f-1]
-		if sh.sizes != nil {
-			pages, touch, _ := indexAt(ix.OpClass, ix.pool, sh.sizes[base+i])
-			return pages, touch, 0
+		if f == 0 {
+			pages, touch, bytes = int(t.Heap.NumPages()), sh.churn, stored+recordOverhead
+		} else if sh.size != nil {
+			ix := t.Indexes[f-1]
+			pages, touch, bytes = indexAt(ix.OpClass, ix.pool, keys, sh.size(base+i, ix.Column))
 		}
-		return indexAt(ix.OpClass, ix.pool, catalog.DatumSize(sh.tups[base+i][ix.Column]))
+		if stored == 0 {
+			bytes = 0
+		}
+		return pages, touch, bytes
 	})
 }
 
@@ -323,37 +336,7 @@ func (t *Table) DeleteWhere(pred *Pred) (int, error) {
 // autocommit). It also returns the plan of the scan that found the
 // rows.
 func (t *Table) DeleteWhereTx(tx *Txn, pred *Pred) (int, *Plan, error) {
-	db := t.db
-	rlockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
-	defer db.stmtMu.RUnlock()
-	stx, implicit, err := t.beginDML(tx)
-	if err != nil {
-		return 0, nil, err
-	}
-	var rids []heap.RID
-	plan, err := t.qualify(stx, implicit, pred, func(r Row) bool {
-		rids = append(rids, r.RID)
-		return true
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	err = t.runDML(stx, implicit, dmlShape{
-		verb: "DELETE", rows: len(rids), churn: 1,
-		stmts: db.met.stmtDelete, tuples: db.met.tuplesDeleted,
-	}, func(base, end int) error {
-		for _, rid := range rids[base:end] {
-			if err := t.Heap.SetXmax(rid, stx.xid); err != nil {
-				return err
-			}
-			stx.undo = append(stx.undo, undoRec{t: t, op: undoSetXmax, rid: rid})
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return len(rids), plan, nil
+	return t.stampWhere(tx, pred, nil)
 }
 
 // ColUpdate assigns one column of an UPDATE's SET list.
@@ -388,6 +371,15 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, *Plan
 				t.Columns[set.Column].Name, t.Columns[set.Column].Type, set.Value.Typ)
 		}
 	}
+	return t.stampWhere(tx, pred, sets)
+}
+
+// stampWhere is the body of DELETE (sets nil) and UPDATE: it stamps the
+// xmax of every version pred selects under stx's snapshot, and an UPDATE
+// first stores each one's successor, with sets applied, as INSERT stores
+// its rows. The scan decodes each row afresh, so its tuple becomes the
+// successor in place. It returns the versions stamped and the scan's plan.
+func (t *Table) stampWhere(tx *Txn, pred *Pred, sets []ColUpdate) (int, *Plan, error) {
 	db := t.db
 	rlockTimed(&db.stmtMu, db.met.lockWaitNs, db.waits, obs.WaitLockCatalog)
 	defer db.stmtMu.RUnlock()
@@ -395,35 +387,39 @@ func (t *Table) UpdateWhereTx(tx *Txn, pred *Pred, sets []ColUpdate) (int, *Plan
 	if err != nil {
 		return 0, nil, err
 	}
-	var olds []Row
+	var olds []heap.RID
+	var succs []catalog.Tuple
 	plan, err := t.qualify(stx, implicit, pred, func(r Row) bool {
-		olds = append(olds, r)
+		for _, set := range sets {
+			r.Tuple[set.Column] = set.Value
+		}
+		if olds = append(olds, r.RID); sets != nil {
+			succs = append(succs, r.Tuple)
+		}
 		return true
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	succs, encoded := make([]catalog.Tuple, len(olds)), make([][]byte, len(olds))
-	for i, old := range olds {
-		succs[i] = slices.Clone(old.Tuple)
-		for _, set := range sets {
-			succs[i][set.Column] = set.Value
-		}
-		encoded[i] = catalog.EncodeTuple(succs[i])
+	sh := dmlShape{verb: "DELETE", rows: len(olds), churn: 1, stmts: db.met.stmtDelete, tuples: db.met.tuplesDeleted}
+	if sets != nil {
+		sh = dmlShape{verb: "UPDATE", rows: len(olds), churn: 2, size: storing(succs), stmts: db.met.stmtUpdate, tuples: db.met.tuplesUpdated}
 	}
-	err = t.runDML(stx, implicit, dmlShape{
-		verb: "UPDATE", rows: len(olds), churn: 2, tups: succs, encoded: encoded,
-		stmts: db.met.stmtUpdate, tuples: db.met.tuplesUpdated,
-	}, func(base, end int) error {
-		// The successors go in first, as INSERT stores its rows.
-		if _, err := t.insertChunk(stx, succs[base:end], encoded[base:end]); err != nil {
-			return err
-		}
-		for _, old := range olds[base:end] {
-			if err := t.Heap.SetXmax(old.RID, stx.xid); err != nil {
+	err = t.runDML(stx, implicit, sh, func(base, end int) error {
+		if sets != nil {
+			encoded := make([][]byte, end-base)
+			for i, succ := range succs[base:end] {
+				encoded[i] = catalog.EncodeTuple(succ)
+			}
+			if _, err := t.insertChunk(stx, succs[base:end], encoded); err != nil {
 				return err
 			}
-			stx.undo = append(stx.undo, undoRec{t: t, op: undoSetXmax, rid: old.RID})
+		}
+		for _, old := range olds[base:end] {
+			if err := t.Heap.SetXmax(old, stx.xid); err != nil {
+				return err
+			}
+			stx.undo = append(stx.undo, undoRec{t: t, op: undoSetXmax, rid: old})
 		}
 		return nil
 	})
@@ -496,7 +492,12 @@ func (db *DB) vacuumTable(t *Table) (int, error) {
 	}
 	// When the table's files fit in half the pool, one chunk takes every
 	// version, and each index is read once per VACUUM, not once per chunk.
-	sh := dmlShape{rows: len(dead), churn: 1, sizes: sizes}
+	sh := dmlShape{rows: len(dead), churn: 1, size: func(i, col int) int {
+		if col < 0 {
+			return 0
+		}
+		return sizes[i]
+	}}
 	for done := 0; done < len(dead); {
 		part := dead[done : done+t.rowChunk(done, &sh)]
 		inPart := reaped(part)

@@ -309,8 +309,10 @@ func oracleNN(t *testing.T, r *rand.Rand, tb *Table, ix *IndexInfo, keys []catal
 // default pool first, statements stay a few rows long, dead versions are
 // vacuumed while they are few, and the suffix tree (one word is up to
 // fifteen suffixes, each in a leaf of its own) sits the run out. The
-// statement crashed between its chunks is an INSERT one row longer than
-// its first chunk (oracleChunked).
+// statement crashed between its chunks is a DELETE of every row where the
+// rule splits one, which the cramped pool does once a heap outgrows half
+// of it, and otherwise an INSERT one row longer than its first chunk
+// (oracleChunked).
 
 // oracleCrashTables are the crash oracle's three tables: between them
 // one index of every access method, created before the first row so
@@ -388,16 +390,14 @@ const oracleChunkedMax = 3000
 func oracleChunked(tb *Table, ti int, r *rand.Rand) []catalog.Tuple {
 	wide := datagen.WordConfig{MinLen: 200, MaxLen: 200, Alphabet: datagen.DefaultWords.Alphabet}
 	tups := make([]catalog.Tuple, oracleChunkedMax)
-	encoded := make([][]byte, len(tups))
 	for i := range tups {
 		k := oracleCrashTables[ti].datum(r)
 		if k.Typ == catalog.Text {
 			k = catalog.NewText(datagen.WordsCfg(1, r.Int63(), wide)[0])
 		}
 		tups[i] = catalog.Tuple{k, catalog.NewInt(0)}
-		encoded[i] = catalog.EncodeTuple(tups[i])
 	}
-	n := tb.rowChunk(0, &dmlShape{rows: len(tups), churn: 1, tups: tups, encoded: encoded})
+	n := tb.rowChunk(0, &dmlShape{rows: len(tups), churn: 1, size: storing(tups)})
 	if n == len(tups) {
 		return nil
 	}
@@ -586,9 +586,16 @@ func oracleCrashRun(t *testing.T, poolPages int, seed int64) {
 		case k < 38: // crash between statements
 			recoverAndCheck("a completed statement")
 		default: // crash between the chunks of one statement
-			// An INSERT the rule splits (oracleChunked).
+			// A DELETE of every row where the rule splits it (the cramped
+			// pool, once the heap outgrows half of it), else an INSERT
+			// the rule splits (oracleChunked).
 			armed = true
-			if tups := oracleChunked(tb, ti, r); tups != nil {
+			if live := len(model[name]); tb.rowChunk(0, &dmlShape{rows: live, churn: 1}) < live {
+				if _, err = tb.DeleteWhere(nil); err == nil {
+					clear(model[name])
+					leftDead = true
+				}
+			} else if tups := oracleChunked(tb, ti, r); tups != nil {
 				for _, tup := range tups {
 					tup[1] = catalog.NewInt(nextID)
 					nextID++
