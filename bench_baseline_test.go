@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// BENCH_55.json is the committed baseline of the end-to-end benchmark:
+// BENCH_59.json is the committed baseline of the end-to-end benchmark:
 // every workload × end_to_end metric of BENCHMARK.json, each the median of
 // seeds 1–3 of `bash benchmark/run.sh --workload W --seed S --seconds 10
 // --trace 0` with the three per-seed values beside it. The three count
@@ -24,7 +24,7 @@ import (
 //	done; done
 //	go test -run TestBenchBaseline -count=1 . -args -bench-runs=.bench_build/runs -bench-record   # writes the file
 //	go test -run TestBenchBaseline -count=1 . -args -bench-runs=.bench_build/runs                  # gates the runs against it
-const benchBaselineFile = "BENCH_55.json"
+const benchBaselineFile = "BENCH_59.json"
 
 var (
 	benchRuns   = flag.String("bench-runs", "", "directory of <workload>.<seed>.json files, each the last line benchmark/run.sh printed")

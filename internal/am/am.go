@@ -40,10 +40,17 @@ type NNIter func() (rid heap.RID, dist float64, ok bool)
 type Index interface {
 	// Insert adds keys[i] for row rids[i], for every i, in the order
 	// that suits the index. It is the one insert routine, as in the
-	// paper's interface: INSERT and UPDATE call it once per chunk of a
-	// statement and CREATE INDEX once per batch of the heap's rows, as
-	// PostgreSQL's spgbuild drives spgdoinsert.
+	// paper's interface: a transaction's index batch goes in through it
+	// a chunk at a time (the keys of its INSERTs and UPDATEs) and CREATE
+	// INDEX's once per batch of the heap's rows, as PostgreSQL's
+	// spgbuild drives spgdoinsert.
 	Insert(keys []catalog.Datum, rids []heap.RID) error
+	// Check reports why Insert would refuse one of keys whatever the
+	// index holds, nil when it would take them all: a B+-tree key too
+	// large for a node to split around. A transaction's keys wait in
+	// the executor's index batch until its COMMIT, so a statement checks
+	// its keys here and a key no index can take fails the statement.
+	Check(keys []catalog.Datum) error
 	// BulkDelete removes the entries of every row whose RID dead reports,
 	// reading the index file once in page order (PostgreSQL's
 	// ambulkdelete; the paper's spgistbulkdelete). VACUUM calls it once
@@ -171,6 +178,11 @@ func (x *spgistIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	return x.tree.InsertBatch(vs, rids)
 }
 
+// Check refuses none: whether a leaf holds a key depends on what the
+// tree above it has consumed of it. A key that no leaf page holds fails
+// the Insert that merges it, which ends its transaction.
+func (x *spgistIndex) Check([]catalog.Datum) error { return nil }
+
 func (x *spgistIndex) BulkDelete(dead func(heap.RID) bool) error {
 	return x.tree.BulkDelete(dead)
 }
@@ -264,6 +276,15 @@ func (x *btreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	return x.tree.InsertBatch(pairs)
 }
 
+func (x *btreeIndex) Check(keys []catalog.Datum) error {
+	for _, k := range keys {
+		if err := x.tree.CheckKey([]byte(k.S)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (x *btreeIndex) BulkDelete(dead func(heap.RID) bool) error {
 	return x.tree.BulkDelete(dead)
 }
@@ -329,6 +350,9 @@ func (x *rtreeIndex) Insert(keys []catalog.Datum, rids []heap.RID) error {
 	}
 	return nil
 }
+
+// Check refuses none: every rectangle fits a node.
+func (x *rtreeIndex) Check([]catalog.Datum) error { return nil }
 
 func (x *rtreeIndex) BulkDelete(dead func(heap.RID) bool) error {
 	return x.tree.BulkDelete(dead)

@@ -11,7 +11,7 @@ import (
 	"repro/internal/storage"
 )
 
-// The end-to-end benchmark's points table at seed 1 and scale 1: its
+// The end-to-end benchmark's points table at scale 1: its
 // dataset draws 45 000 unique words first, then 15 000 points in
 // [0, 1000)² at three decimals, all from one generator.
 const (
@@ -30,8 +30,12 @@ func coord(r *rand.Rand, span float64) float64 {
 
 // ScanWarmPoints returns the end-to-end benchmark's seed-1 points in the
 // order its load inserts them.
-func ScanWarmPoints() []geom.Point {
-	r := rand.New(rand.NewSource(1))
+func ScanWarmPoints() []geom.Point { return BenchPoints(1) }
+
+// BenchPoints returns the end-to-end benchmark's points at seed (and
+// scale 1) in the order its load inserts them.
+func BenchPoints(seed int64) []geom.Point {
+	r := rand.New(rand.NewSource(seed))
 	seen := map[int]bool{}
 	for len(seen) < scanWarmWords {
 		seen[r.Intn(100000000)] = true

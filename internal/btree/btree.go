@@ -259,8 +259,8 @@ func (t *Tree) allocNode(n *node) (storage.PageID, error) {
 	return t.bp.NewRecordPage(rec)
 }
 
-// checkKey refuses a key too large for a node to split around.
-func (t *Tree) checkKey(key []byte) error {
+// CheckKey refuses a key too large for a node to split around.
+func (t *Tree) CheckKey(key []byte) error {
 	if len(key)+32 > t.bp.DM().PageSize()/4 {
 		return fmt.Errorf("btree: key of %d bytes too large", len(key))
 	}
@@ -284,7 +284,7 @@ type Pair struct {
 // descent and one pin per leaf cluster instead of one per row.
 func (t *Tree) InsertBatch(pairs []Pair) error {
 	for _, p := range pairs {
-		if err := t.checkKey(p.Key); err != nil {
+		if err := t.CheckKey(p.Key); err != nil {
 			return err
 		}
 	}

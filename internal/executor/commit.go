@@ -1,8 +1,6 @@
 package executor
 
 import (
-	"sort"
-
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -129,31 +127,37 @@ func (db *DB) commitWAL(t *Table) error {
 
 // chunkLen sizes the chunks of every multi-step statement: INSERT, UPDATE,
 // DELETE, VACUUM, an undo, the heap pass after redo, CREATE INDEX's
-// batches. A chunk's dirty pages stay in the pool until its records are
-// appended (no-steal), so of the n units left it takes the most, and at
-// least one, whose pages fit in half the pool's frames: summed over the
-// files 0..files-1 it writes, min(the file's pages, the existing pages
-// the units touch there) plus the new pages their bytes fill. at(f, i)
-// reports file f's pages, and unit i's touched pages and bytes there.
+// batches, the merge of an index batch. A chunk's dirty pages stay in the
+// pool until its records are appended (no-steal), so of the n units left
+// it takes the most, and at least one, whose pages fit in half the pool's
+// frames: summed over the files 0..files-1 it writes, min(the file's
+// pages, the existing pages the units touch there) plus the new pages
+// their bytes fill. at(f, i) reports file f's pages, and unit i's touched
+// pages and bytes there.
 func (db *DB) chunkLen(n, files int, at func(f, i int) (pages, touch, bytes int)) int {
-	fits := func(k int) bool { // the estimate for k units
-		cost := 0
-		for f := range files {
-			pages, touch, bytes := 0, 0, 0
-			for i := range k {
-				p, t, b := at(f, i)
-				pages, touch, bytes = p, touch+t, bytes+b
-			}
-			cost += min(pages, touch) + (bytes+db.pageSize-1)/db.pageSize
+	if n <= 1 {
+		return 1
+	}
+	return max(db.fit(make([][3]int, files), 0, n, at), 1)
+}
+
+// fit adds units from..n-1 to sums (per file: pages, touched, bytes) until
+// the estimate outgrows half the pool, and returns the first unit that
+// did not fit, n when all did. The estimate only grows, so one pass does.
+func (db *DB) fit(sums [][3]int, from, n int, at func(f, i int) (pages, touch, bytes int)) int {
+	for i := from; i < n; i++ {
+		pages := 0
+		for f := range sums {
+			p, t, b := at(f, i)
+			s := &sums[f]
+			s[0], s[1], s[2] = p, s[1]+t, s[2]+b
+			pages += min(s[0], s[1]) + (s[2]+db.pageSize-1)/db.pageSize
 		}
-		return cost <= db.poolPages/2
+		if pages > db.poolPages/2 {
+			return i
+		}
 	}
-	// Gallop to k units that fit, then search to 2k: O(k log k) at calls.
-	k := 1
-	for k < n && fits(min(2*k, n)) {
-		k = min(2*k, n)
-	}
-	return k + sort.Search(min(n, 2*k)-k, func(j int) bool { return !fits(k + j + 1) })
+	return n
 }
 
 // recordOverhead is what chunkLen counts a record beyond its payload: a

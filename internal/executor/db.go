@@ -114,6 +114,8 @@ type Table struct {
 	// in-flight slot writes. Always acquired after mu, never before.
 	phys sync.RWMutex
 
+	batch indexBatch // of mu's owner; only it touches the batch
+
 	db *DB
 }
 
@@ -1280,7 +1282,7 @@ func (t *Table) Get(rid heap.RID) (catalog.Tuple, error) {
 // GetTx is Get inside a transaction: tx's own writes are visible,
 // other transactions' uncommitted versions are not. tx may be nil.
 func (t *Table) GetTx(tx *Txn, rid heap.RID) (catalog.Tuple, error) {
-	snap, err := t.beginRead(tx)
+	snap, err := t.beginRead(tx, false)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,10 @@ import (
 //     chunks chunkLen sizes, each appended under a plain marker with no
 //     fsync: frames release, but no snapshot admits the chunks' xid until
 //     it commits, and a crash between chunks leaves it unresolved.
+//   - A statement writes the heap; its versions' index keys wait in the
+//     table's index batch, which goes into the indexes at COMMIT, before
+//     the transaction reads through an index, or once it outgrows a chunk
+//     (mergeBatch): a bulk load reaches each index as one batch.
 //   - An implicit transaction commits at statement end — the remaining
 //     records plus wal.RecTxnCommit under one marker, then the group-
 //     commit fsync. A statement inside an explicit transaction only
@@ -60,7 +64,7 @@ func (t *Table) beginDML(tx *Txn) (stx *Txn, implicit bool, err error) {
 		}
 		return nil, false, err
 	}
-	tx.stmtUndo = len(tx.undo)
+	tx.stmtUndo, t.batch.mark = len(tx.undo), len(t.batch.rids)
 	return tx, implicit, nil
 }
 
@@ -75,8 +79,9 @@ func (t *Table) beginDML(tx *Txn) (stx *Txn, implicit bool, err error) {
 // transaction's COMMIT. A failed one applies its own undo entries, as
 // ROLLBACK would, so it leaves nothing the transaction can see, and the
 // transaction goes on; its records append best effort, so the pool is
-// not left holding unevictable frames. Returns err, or what ending the
-// statement failed with.
+// not left holding unevictable frames, and its keys leave the index
+// batch. One that succeeded merges the batch when it holds more than one
+// chunk. Returns err, or what ending the statement failed with.
 //
 // mutated reports whether the statement actually staged page mutations.
 // A statement that matched zero rows left no trace, so it must not be
@@ -97,6 +102,9 @@ func (t *Table) endDML(stx *Txn, implicit, mutated bool, err error) error {
 		return db.rollbackTxn(stx, err)
 	case err != nil:
 		err = db.undoTo(stx, stx.stmtUndo, err)
+		t.batch.truncate(t.batch.mark)
+	case t.batchOutgrown():
+		return t.mergeFor(stx) // its append carries the statement's records
 	}
 	if logged {
 		if aerr := db.appendPools(tablePools(t), 0); err == nil {
@@ -112,21 +120,17 @@ type dmlShape struct {
 	verb  string // "INSERT" — with the table and row count, the fault hooks' statement label
 	rows  int    // rows the statement applies to
 	churn int    // versions a row churns, each on a heap page: an update's old and new one
-	// size reports row i's bytes for the chunk rule: the version it stores
-	// (col < 0; 0 if none) or its key in column col (at most the version a
-	// VACUUM removes). nil for a DELETE, which touches no index.
-	size func(i, col int) int
+	// size reports the bytes of the version row i stores; nil for a DELETE.
+	size func(i int) int
 	// The statement's two cumulative counters.
 	stmts, tuples *obs.Counter
 }
 
 // runDML is the body every DML statement shares once it knows its rows:
-// apply(base, end) mutates the heap and the indexes for rows [base, end)
-// under the table's physical latch, chunk by chunk (rowChunk), appending
-// between chunks as the file's header says; then the statement ends
-// (endDML) and is counted. The crash points run before anything reached
-// the log and after each intermediate append. Caller holds db.stmtMu
-// shared and has run beginDML.
+// apply(base, end) mutates the heap for rows [base, end) in the chunks
+// rowChunk sizes (inChunks); then the statement ends (endDML) and is
+// counted. The crash points run before anything reached the log and
+// between chunks. Caller holds db.stmtMu shared and has run beginDML.
 func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, end int) error) error {
 	db := t.db
 	var stmt string
@@ -139,31 +143,12 @@ func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, en
 			return faultErr{err}
 		}
 	}
-	for base, chunksDone := 0, 0; base < sh.rows; {
-		end := base + t.rowChunk(base, &sh)
-		t.phys.Lock()
-		err := apply(base, end)
-		t.phys.Unlock()
-		if err != nil {
-			return t.endDML(stx, implicit, true, err)
-		}
-		if base = end; end == sh.rows {
-			break
-		}
-		if db.wal != nil {
-			stx.logged = true
-			// A chunk that moved an index's root carries the meta page
-			// that says where it now is: the index saved it when it moved.
-			if err := db.appendPools(tablePools(t), 0); err != nil {
-				return t.endDML(stx, implicit, true, err)
-			}
-		}
-		chunksDone++
-		if f := db.faults.BetweenDMLChunks; f != nil {
-			if err := f(stmt, chunksDone); err != nil {
-				return faultErr{err}
-			}
-		}
+	err := t.inChunks(stmt, sh.rows, func(base int) int { return t.rowChunk(base, &sh) }, apply)
+	if isFault(err) {
+		return err
+	}
+	if err != nil {
+		return t.endDML(stx, implicit, true, err)
 	}
 	if err := t.endDML(stx, implicit, sh.rows > 0, nil); err != nil {
 		return err
@@ -174,13 +159,46 @@ func (t *Table) runDML(stx *Txn, implicit bool, sh dmlShape, apply func(base, en
 	return nil
 }
 
+// inChunks applies rows [0, n) in the chunks chunk(base) sizes, each under
+// t.phys exclusive, and appends every chunk but the last under a plain
+// marker, then runs the fault hook BetweenDMLChunks. The caller appends
+// or commits the last.
+func (t *Table) inChunks(stmt string, n int, chunk func(base int) int, apply func(base, end int) error) error {
+	db := t.db
+	for base, chunksDone := 0, 0; base < n; {
+		end := base + chunk(base)
+		t.phys.Lock()
+		err := apply(base, end)
+		t.phys.Unlock()
+		if err != nil || end == n {
+			return err
+		}
+		if err := db.appendPools(tablePools(t), 0); err != nil {
+			return err
+		}
+		base, chunksDone = end, chunksDone+1
+		if f := db.faults.BetweenDMLChunks; f != nil {
+			if err := f(stmt, chunksDone); err != nil {
+				return faultErr{err}
+			}
+		}
+	}
+	return nil
+}
+
 // qualify emits every row pred selects (all rows when pred is nil)
-// under stx's own snapshot: the transaction's own inserts qualify, other
+// under stx's own snapshot, after merging the index batch if the scan may
+// read an index: the transaction's own inserts qualify, other
 // transactions' uncommitted rows are not even visible. Already-stamped
 // versions (xmax set by stx or a committed deleter) fail Visible and are
 // skipped, so a double DELETE never stacks xmax stamps. It returns the
 // plan the scan ran.
 func (t *Table) qualify(stx *Txn, implicit bool, pred *Pred, emit func(Row) bool) (*Plan, error) {
+	if t.indexable(pred) {
+		if err := t.mergeFor(stx); err != nil {
+			return nil, err
+		}
+	}
 	snap := t.db.tm.snapshot(stx)
 	plan, err := t.selectLocked(snap, pred, emit)
 	t.db.tm.release(snap)
@@ -211,9 +229,9 @@ func (t *Table) InsertTx(tx *Txn, tup catalog.Tuple) (heap.RID, error) {
 // own implicit transaction — the executor half of multi-row INSERT.
 // All tuples are validated and encoded up front, the heap fills each
 // data page to capacity under a single pin and covers it with a single
-// batch log record, and each index takes a chunk's keys in one Insert,
-// which orders them (so consecutive inserts descend through the same
-// just-decoded nodes; see insertChunk). The whole statement is crash-atomic — including
+// batch log record, and the rows' keys join the table's index batch,
+// which each index takes in one Insert a chunk at COMMIT (see
+// mergeBatch). The whole statement is crash-atomic — including
 // batches larger than one chunk (rowChunk), whose chunks append under
 // plain markers but stay invisible until the final commit record — and
 // fail-atomic: an error mid-batch rolls the implicit transaction back.
@@ -263,8 +281,8 @@ func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error)
 // insertChunk stores tups, encoded, as new versions of stx: the chunk body
 // of INSERT and of UPDATE, whose successors it stores. The heap checks
 // every record's size before it touches a page and fills each page under
-// one pin and one batch record; then each index takes the chunk's keys in
-// one Insert. Returns the versions' RIDs, which parallel tups.
+// one pin and one batch record; then the versions' keys join the index
+// batch. Returns the versions' RIDs, which parallel tups.
 func (t *Table) insertChunk(stx *Txn, tups []catalog.Tuple, encoded [][]byte) ([]heap.RID, error) {
 	rids, err := t.Heap.InsertBatchTx(encoded, stx.xid)
 	for _, rid := range rids {
@@ -273,50 +291,141 @@ func (t *Table) insertChunk(stx *Txn, tups []catalog.Tuple, encoded [][]byte) ([
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]catalog.Datum, len(tups))
-	for _, ix := range t.Indexes {
-		for i, tup := range tups {
-			keys[i] = tup[ix.Column]
+	return rids, t.batch.add(t.Indexes, tups, rids)
+}
+
+// indexBatch is the index keys of the versions the owner of a table's
+// write lock stored and the indexes have not taken yet, in order, as
+// PostgreSQL's GIN pending list (fastupdate) holds a writer's keys for a
+// bulk insert. It is empty whenever the lock is free.
+type indexBatch struct {
+	rids []heap.RID
+	keys [][]catalog.Datum // keys[j] parallels rids, for Table.Indexes[j]
+	mark int               // len(rids) when the running statement began
+	// The chunk rule's sums (fit) over rows [0, fitted).
+	sums   [][3]int
+	fitted int
+}
+
+// add appends the keys that indexes take of tups, stored at rids, and
+// fails when an index would refuse one (am.Index.Check).
+func (b *indexBatch) add(indexes []*IndexInfo, tups []catalog.Tuple, rids []heap.RID) error {
+	if len(indexes) == 0 {
+		return nil
+	}
+	if len(b.keys) != len(indexes) {
+		b.keys = make([][]catalog.Datum, len(indexes))
+	}
+	b.rids = append(b.rids, rids...)
+	for j, ix := range indexes {
+		from := len(b.keys[j])
+		for _, tup := range tups {
+			b.keys[j] = append(b.keys[j], tup[ix.Column])
 		}
-		if err := ix.Idx.Insert(keys, rids); err != nil {
-			return nil, fmt.Errorf("executor: index %s: %w", ix.Name, err)
+		if err := ix.Idx.Check(b.keys[j][from:]); err != nil {
+			return fmt.Errorf("executor: index %s: %w", ix.Name, err)
 		}
 	}
-	return rids, nil
+	return nil
+}
+
+// truncate drops the rows from n on. Emptied, a batch that held over
+// 1 024 rows lets its memory go; a smaller one keeps it for the next.
+func (b *indexBatch) truncate(n int) {
+	if n == 0 && cap(b.rids) > 1024 {
+		*b = indexBatch{}
+		return
+	}
+	b.rids = b.rids[:n]
+	for j := range b.keys {
+		b.keys[j] = b.keys[j][:n]
+	}
+	clear(b.sums)
+	b.fitted = 0
+}
+
+// batchOutgrown reports whether the index batch holds more rows than the
+// first chunk of its merge takes, adding each row to its sums once.
+func (t *Table) batchOutgrown() bool {
+	b := &t.batch
+	if len(b.rids) == b.fitted {
+		return false
+	}
+	if len(b.sums) != len(t.Indexes) {
+		b.sums = make([][3]int, len(t.Indexes))
+	}
+	b.fitted = t.db.fit(b.sums, b.fitted, len(b.rids), t.keyAt(func(j, i int) catalog.Datum { return b.keys[j][i] }))
+	return b.fitted < len(b.rids)
+}
+
+// keyAt is chunkLen's at(j, i) over t's index files, key(j, i) being row
+// i's key in t.Indexes[j]: a key makes the entries indexAt counts.
+func (t *Table) keyAt(key func(j, i int) catalog.Datum) func(j, i int) (pages, touch, bytes int) {
+	keys := int(t.Heap.Count())
+	return func(j, i int) (pages, touch, bytes int) {
+		ix := t.Indexes[j]
+		return indexAt(ix.OpClass, ix.pool, keys, catalog.DatumSize(key(j, i)))
+	}
+}
+
+// mergeBatch puts t's index batch into its indexes and empties it: each
+// index takes a chunk's keys (chunkLen over the index files) in one
+// Insert, through inChunks. Caller holds db.stmtMu and t's write lock.
+func (t *Table) mergeBatch() error {
+	b := &t.batch
+	var stmt string
+	if t.db.faults.BetweenDMLChunks != nil {
+		stmt = "MERGE " + t.Name + " " + strconv.Itoa(len(b.rids))
+	}
+	err := t.inChunks(stmt, len(b.rids), func(base int) int {
+		return t.db.chunkLen(len(b.rids)-base, len(t.Indexes), t.keyAt(func(j, i int) catalog.Datum { return b.keys[j][base+i] }))
+	}, func(base, end int) error {
+		for j, ix := range t.Indexes {
+			if err := ix.Idx.Insert(b.keys[j][base:end], b.rids[base:end]); err != nil {
+				return fmt.Errorf("executor: index %s: %w", ix.Name, err)
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		b.truncate(0)
+	}
+	return err
+}
+
+// mergeFor merges t's index batch for tx, which owns t, and appends the
+// last chunk. A failed merge (but a fault hook's crash) ends tx: an index
+// may hold part of a chunk, rows the rollback marks aborted.
+func (t *Table) mergeFor(tx *Txn) error {
+	if len(t.batch.rids) == 0 {
+		return nil
+	}
+	if err := t.mergeBatch(); err != nil {
+		if isFault(err) {
+			return err
+		}
+		return t.db.rollbackTxn(tx, err)
+	}
+	return t.db.appendPools(tablePools(t), 0)
 }
 
 // storing is the dmlShape.size of a statement that stores tups, as
 // catalog.EncodeTuple lays them out.
-func storing(tups []catalog.Tuple) func(i, col int) int {
-	return func(i, col int) int {
-		if col < 0 {
-			return catalog.EncodedSize(tups[i])
-		}
-		return catalog.DatumSize(tups[i][col])
-	}
+func storing(tups []catalog.Tuple) func(i int) int {
+	return func(i int) int { return catalog.EncodedSize(tups[i]) }
 }
 
-// rowChunk is chunkLen for sh's rows from base: in the heap each row
-// touches sh.churn pages and fills the bytes of the version it stores, and
-// in each index its key makes the entries indexAt counts. INSERT and UPDATE
-// store versions and keys; DELETE and VACUUM fill no page.
+// rowChunk is chunkLen for sh's rows from base over the heap, the one file
+// a DML statement writes: each row touches sh.churn pages there and fills
+// the bytes of the version it stores. Its keys wait in the index batch.
 func (t *Table) rowChunk(base int, sh *dmlShape) int {
-	keys := int(t.Heap.Count())
-	return t.db.chunkLen(sh.rows-base, 1+len(t.Indexes), func(f, i int) (pages, touch, bytes int) {
-		stored := 0
+	pages := int(t.Heap.NumPages())
+	return t.db.chunkLen(sh.rows-base, 1, func(_, i int) (int, int, int) {
+		bytes := 0
 		if sh.size != nil {
-			stored = sh.size(base+i, -1)
+			bytes = sh.size(base+i) + recordOverhead
 		}
-		if f == 0 {
-			pages, touch, bytes = int(t.Heap.NumPages()), sh.churn, stored+recordOverhead
-		} else if sh.size != nil {
-			ix := t.Indexes[f-1]
-			pages, touch, bytes = indexAt(ix.OpClass, ix.pool, keys, sh.size(base+i, ix.Column))
-		}
-		if stored == 0 {
-			bytes = 0
-		}
-		return pages, touch, bytes
+		return pages, sh.churn, bytes
 	})
 }
 
@@ -492,14 +601,19 @@ func (db *DB) vacuumTable(t *Table) (int, error) {
 	}
 	// When the table's files fit in half the pool, one chunk takes every
 	// version, and each index is read once per VACUUM, not once per chunk.
-	sh := dmlShape{rows: len(dead), churn: 1, size: func(i, col int) int {
-		if col < 0 {
-			return 0
-		}
-		return sizes[i]
-	}}
+	// A version touches its heap page, and in each index the pages its
+	// entries lie on; removing them fills none.
 	for done := 0; done < len(dead); {
-		part := dead[done : done+t.rowChunk(done, &sh)]
+		keys := int(t.Heap.Count())
+		n := db.chunkLen(len(dead)-done, 1+len(t.Indexes), func(f, i int) (int, int, int) {
+			if f == 0 {
+				return int(t.Heap.NumPages()), 1, 0
+			}
+			ix := t.Indexes[f-1]
+			pages, touch, _ := indexAt(ix.OpClass, ix.pool, keys, sizes[done+i])
+			return pages, touch, 0
+		})
+		part := dead[done : done+n]
 		inPart := reaped(part)
 		for _, ix := range t.Indexes {
 			// An aborted version may never have been indexed (CREATE

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,15 +19,31 @@ type Row struct {
 }
 
 // beginRead opens a statement that reads rows of t on behalf of tx (nil
-// for autocommit) — the one prologue of every such form: lockRead (the
+// for autocommit) — the one prologue of every such form: a merge of t's
+// index batch if tx owns t and the read may use an index; lockRead (the
 // shared catalog/DDL lock, t's shared physical latch, the attachment
 // check), then a snapshot that admits tx's own uncommitted writes. On
 // error nothing is held; otherwise pair it with endRead.
-func (t *Table) beginRead(tx *Txn) (*Snapshot, error) {
+func (t *Table) beginRead(tx *Txn, index bool) (*Snapshot, error) {
+	if index && tx != nil && t.db.tm.lockedBy(t) == tx && len(t.batch.rids) > 0 {
+		rlockTimed(&t.db.stmtMu, t.db.met.lockWaitNs, t.db.waits, obs.WaitLockCatalog)
+		err := t.mergeFor(tx)
+		t.db.stmtMu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
+	}
 	if err := t.lockRead(); err != nil {
 		return nil, err
 	}
 	return t.db.tm.snapshot(tx), nil
+}
+
+// indexable reports whether a plan for pred may read one of t's indexes.
+func (t *Table) indexable(pred *Pred) bool {
+	return pred != nil && slices.ContainsFunc(t.Indexes, func(ix *IndexInfo) bool {
+		return ix.Column == pred.Column && ix.OpClass.SupportsOp(pred.Op)
+	})
 }
 
 // endRead closes the statement beginRead opened.
@@ -51,7 +68,7 @@ func (t *Table) Select(pred *Pred, emit func(Row) bool) (*Plan, error) {
 // SelectTx is Select inside transaction tx (nil for autocommit): the
 // snapshot additionally admits tx's own uncommitted writes.
 func (t *Table) SelectTx(tx *Txn, pred *Pred, emit func(Row) bool) (*Plan, error) {
-	snap, err := t.beginRead(tx)
+	snap, err := t.beginRead(tx, t.indexable(pred))
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +105,7 @@ func (t *Table) SelectIndexed(ix *IndexInfo, pred *Pred, emit func(Row) bool) er
 	if !ok {
 		return fmt.Errorf("executor: no operator %q for type %v", pred.Op, t.Columns[pred.Column].Type)
 	}
-	snap, err := t.beginRead(nil)
+	snap, err := t.beginRead(nil, false)
 	if err != nil {
 		return err
 	}
@@ -251,7 +268,7 @@ func (t *Table) SelectNNTx(tx *Txn, colName string, arg catalog.Datum, k int) ([
 	if err != nil {
 		return nil, nil, err
 	}
-	snap, err := t.beginRead(tx)
+	snap, err := t.beginRead(tx, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,8 +31,9 @@ func rootPointer(t *testing.T, ix *IndexInfo) []byte {
 
 // TestRootMoveInOpenTransactionSurvivesCrash: statements inside BEGIN move
 // the root of an SP-GiST trie (its root node outgrows a full page and is
-// relocated), of a B+-tree and of an R-tree (root splits); the database
-// crashes before COMMIT or ROLLBACK. The statements' index records are in
+// relocated), of a B+-tree and of an R-tree (root splits), each merging
+// its index batch as a read would; the database crashes before COMMIT or
+// ROLLBACK. The statements' index records are in
 // the log, so the meta page that says where the root now is must be too:
 // after recovery every index still answers like a sequential scan — the
 // committed rows, none of the transaction's.
@@ -128,6 +129,8 @@ func TestRootMoveInOpenTransactionSurvivesCrash(t *testing.T) {
 			if _, err := f.tb.InsertBatchTx(tx, tups); err != nil {
 				t.Fatal(err)
 			}
+			// Merge the index batch, as a read through an index would.
+			mergeByRead(t, f.tb, tx)
 		}
 	}
 	if err := db.Crash(); err != nil {

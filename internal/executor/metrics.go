@@ -344,14 +344,15 @@ func (t *Table) tablePoolStats() (hits, misses int64) {
 // analyzed runs one read statement for EXPLAIN ANALYZE — the measuring
 // wrapper of both statement kinds. plan chooses the access path and
 // exec runs it, inside one lock window and through tx's snapshot like
-// the plain forms; the pool, WAL and wall-time deltas are taken and the
-// index page trace is armed inside that window, around exec alone. The
-// statement really executes, so it counts once in stmts.
-func (t *Table) analyzed(tx *Txn, stmts *obs.Counter,
+// the plain forms (index: the plan may read an index); the pool, WAL and
+// wall-time deltas are taken and the index page trace is armed inside
+// that window, around exec alone. The statement really executes, so it
+// counts once in stmts.
+func (t *Table) analyzed(tx *Txn, index bool, stmts *obs.Counter,
 	plan func() (*Plan, error),
 	exec func(*Snapshot, *Plan) (scanned, emitted int64, err error),
 ) (*Plan, *RunStats, error) {
-	snap, err := t.beginRead(tx)
+	snap, err := t.beginRead(tx, index)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -395,7 +396,7 @@ func (t *Table) analyzed(tx *Txn, stmts *obs.Counter,
 // time, tuple counts, buffer hit/miss deltas, WAL byte deltas, and — for
 // index scans — the distinct index pages visited via PageTrace.
 func (t *Table) SelectAnalyzed(tx *Txn, pred *Pred, emit func(Row) bool) (*Plan, *RunStats, error) {
-	return t.analyzed(tx, t.db.met.stmtSelect,
+	return t.analyzed(tx, t.indexable(pred), t.db.met.stmtSelect,
 		func() (*Plan, error) { return t.planSelect(pred) },
 		func(snap *Snapshot, plan *Plan) (int64, int64, error) { return t.run(snap, plan, emit) })
 }
@@ -408,7 +409,7 @@ func (t *Table) SelectNNAnalyzed(tx *Txn, colName string, arg catalog.Datum, k i
 		return nil, nil, nil, err
 	}
 	var out []NNResult
-	plan, rs, err := t.analyzed(tx, t.db.met.stmtNN,
+	plan, rs, err := t.analyzed(tx, true, t.db.met.stmtNN,
 		func() (*Plan, error) { return t.planNN(ci, arg, k) },
 		func(snap *Snapshot, plan *Plan) (read, rows int64, err error) {
 			out, read, err = t.runNN(snap, plan, ci, arg, k)

@@ -381,10 +381,10 @@ func oracleCrashIndexes(t *testing.T, db *DB, ti int, suffix bool) {
 const oracleChunkedMax = 3000
 
 // oracleChunked draws rows for table ti of oracleCrashTables, one more than
-// the first chunk of them takes (rowChunk), so that an INSERT of them
-// splits; their ids are left to the caller. The words table's keys are
-// 200-byte words, whose suffixes fill the default pool's 512-frame chunk
-// in some 170 rows. It returns nil when the chunk takes all
+// the first chunk of them takes, in the heap (rowChunk) or in the indexes
+// at its COMMIT (keyAt), so that an INSERT of them splits; their ids
+// are left to the caller. The words table's keys are 200-byte words,
+// whose suffixes fill the default pool's 512-frame chunk in some 170 rows. It returns nil when the chunk takes all
 // oracleChunkedMax rows, as the default pool's does of points or
 // segments, whose small keys would need tens of thousands.
 func oracleChunked(tb *Table, ti int, r *rand.Rand) []catalog.Tuple {
@@ -397,7 +397,8 @@ func oracleChunked(tb *Table, ti int, r *rand.Rand) []catalog.Tuple {
 		}
 		tups[i] = catalog.Tuple{k, catalog.NewInt(0)}
 	}
-	n := tb.rowChunk(0, &dmlShape{rows: len(tups), churn: 1, size: storing(tups)})
+	n := min(tb.rowChunk(0, &dmlShape{rows: len(tups), churn: 1, size: storing(tups)}),
+		tb.db.chunkLen(len(tups), len(tb.Indexes), tb.keyAt(func(j, i int) catalog.Datum { return tups[i][tb.Indexes[j].Column] })))
 	if n == len(tups) {
 		return nil
 	}

@@ -193,12 +193,23 @@ type poolCounts struct {
 // before, takes two before the crash and pts two after the reopen; the
 // kd-tree built from 3-row batches lies on other pages. Accesses
 // 11 512 → 12 290 before the crash and 2 579 → 2 569 after the reopen.
+//
+// The accesses at 16 frames were re-recorded when a statement's index
+// keys came to wait in the table's index batch and go into each index at
+// COMMIT: a statement's chunks are sized by the heap pages alone, and the
+// batch by the index files alone. At 1 024 frames every statement is one
+// chunk either way, and nothing there moved. At 16 frames the 150-row
+// INSERTs that went in 3-row chunks once a table's files outgrew 8 pages
+// go into the heap in one or two chunks and into each index in chunks of
+// their own, fewer descents from the root: accesses 12 290 → 11 452
+// before the crash, and the kd-tree built from other batches lies on
+// other pages, 2 569 → 2 579 after the reopen.
 func TestPoolCountParity(t *testing.T) {
 	for _, c := range []struct {
 		pool int
 		want [2]poolCounts // before the crash, after the reopen
 	}{
-		{16, [2]poolCounts{{accesses: 12290}, {accesses: 2569}}},
+		{16, [2]poolCounts{{accesses: 11452}, {accesses: 2579}}},
 		{1024, [2]poolCounts{{11403, 42, 44, 365536}, {2561, 43, 31, 38824}}},
 	} {
 		t.Run(fmt.Sprintf("pool=%d", c.pool), func(t *testing.T) {

@@ -392,7 +392,8 @@ func (tm *TxnManager) activeTxns() []*Txn {
 }
 
 // finish releases everything tx owns and unregisters it. The undo list
-// is dropped — callers have either committed or already compensated.
+// and the index batches are dropped — callers have either committed
+// (merged) or already compensated.
 func (tm *TxnManager) finish(tx *Txn) {
 	tm.mu.Lock()
 	for t := range tx.tables {
@@ -403,6 +404,7 @@ func (tm *TxnManager) finish(tx *Txn) {
 	delete(tm.active, tx.xid)
 	tm.mu.Unlock()
 	for t := range tx.tables {
+		t.batch.truncate(0)
 		t.mu.Unlock()
 	}
 	tx.tables = make(map[*Table]struct{})
@@ -448,7 +450,8 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-// commitTxn ends tx by committing it: the commit record (with any
+// commitTxn ends tx by committing it: each table's index batch is merged
+// (mergeBatch), then the commit record (with any
 // pending deferred records of its tables) appends under one marker and
 // the log is forced — commitGroup over the tables the transaction
 // touched; a transaction that logged nothing commits without touching
@@ -457,7 +460,15 @@ func (tx *Txn) Commit() error {
 // exclusive).
 func (db *DB) commitTxn(tx *Txn) error {
 	var err error
-	if db.wal != nil && tx.logged {
+	for t := range tx.tables {
+		if err = t.mergeBatch(); err != nil {
+			break
+		}
+	}
+	if isFault(err) {
+		return err
+	}
+	if err == nil && db.wal != nil && tx.logged {
 		tables := make([]*Table, 0, len(tx.tables))
 		var pools []*storage.BufferPool
 		for t := range tx.tables {

@@ -252,9 +252,10 @@ func TestTxnCrashBetweenInsertChunks(t *testing.T) {
 		return nil
 	}}
 	open := func() *executor.DB {
-		// At 16 frames a chunk may dirty 8 pages. The 1 000 doomed rows'
-		// tuples alone fill six new heap pages, and their trie entries
-		// more, so the statement splits and the fault fires mid-way.
+		// At 16 frames a chunk may dirty 8 pages. The 2 000 doomed rows'
+		// tuples fill twelve new heap pages, so the statement splits and
+		// the fault fires mid-way. (Their trie entries wait in the index
+		// batch, which takes chunks of its own at COMMIT.)
 		db, err := executor.Open(executor.Options{Dir: dir, WAL: true, PoolPages: 16, Faults: faults})
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +269,7 @@ func TestTxnCrashBetweenInsertChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	doomed := make([]catalog.Tuple, 1000)
+	doomed := make([]catalog.Tuple, 2000)
 	for i := range doomed {
 		doomed[i] = batchTuple(i)
 	}

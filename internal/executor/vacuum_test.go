@@ -111,6 +111,9 @@ func TestVacuumRemovesIndexEntries(t *testing.T) {
 		if _, err := tb.InsertBatchTx(tx, tups[live:]); err != nil {
 			t.Fatal(err)
 		}
+		// Merge the index batch, as a read through an index would, so
+		// the indexes hold entries of the rows it rolls back.
+		mergeByRead(t, tb, tx)
 		if err := tx.Rollback(); err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,7 @@ package kdtree
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -207,15 +208,20 @@ func (o *OpClass) PickSplit(in *core.PickSplitIn) core.PickSplitOut {
 // OrderBatch implements core.BatchOrderer: median first, Bentley's
 // kd-tree construction. The batch's median on X goes in first, then each
 // half in turn by its median on Y, then X, and so on down, so a batch
-// that lands in an empty tree builds it balanced. Every level selects its
-// median rather than sorting (O(n log n) for the batch) and breaks ties
-// by index, so the order is a function of the batch.
+// that lands in an empty tree builds it balanced. Choose sends a key that
+// ties the split's coordinate right, so the split is the first key of the
+// median's tie run and the whole run goes to the upper half; copies of
+// the split's point go to its own partition, so they follow the lower
+// half in one run. Every level selects its median rather than sorting
+// (O(n log n) for the batch) and breaks ties by index, so the order is a
+// function of the batch.
 func (o *OpClass) OrderBatch(keys []core.Value, order []int) { medianFirst(keys, order, 0) }
 
 func medianFirst(keys []core.Value, order []int, level int) {
 	if len(order) < 2 {
 		return
 	}
+	at := func(i int) float64 { return coord(keys[order[i]].(geom.Point), level) }
 	less := func(a, b int) bool {
 		ca, cb := coord(keys[a].(geom.Point), level), coord(keys[b].(geom.Point), level)
 		return ca < cb || ca == cb && a < b
@@ -241,11 +247,35 @@ func medianFirst(keys []core.Value, order []int, level int) {
 			lo = i + 1
 		}
 	}
-	m := order[mid] // to the front, ahead of the lower half
-	copy(order[1:mid+1], order[:mid])
+	// The lower half's ties of the median come before it by index: move
+	// them after the keys below it, and split at the first of the run.
+	c, below := at(mid), 0
+	for j := range mid {
+		if at(j) < c {
+			order[below], order[j] = order[j], order[below]
+			below++
+		}
+	}
+	first := below
+	for j := below + 1; j <= mid; j++ {
+		if order[j] < order[first] {
+			first = j
+		}
+	}
+	order[first], order[below] = order[below], order[first]
+	m := order[below] // to the front, ahead of the lower half
+	copy(order[1:below+1], order[:below])
 	order[0] = m
-	medianFirst(keys, order[1:mid+1], level+1)
-	medianFirst(keys, order[mid+1:], level+1)
+	upper, same := order[below+1:], 0
+	for j, k := range upper {
+		if keys[k].(geom.Point).Eq(keys[m].(geom.Point)) {
+			upper[same], upper[j] = k, upper[same]
+			same++
+		}
+	}
+	slices.Sort(upper[:same])
+	medianFirst(keys, order[1:below+1], level+1)
+	medianFirst(keys, upper[same:], level+1)
 }
 
 // follow appends the child under entry i. Searches navigate by the

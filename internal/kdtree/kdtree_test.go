@@ -246,9 +246,11 @@ func TestStatsBinaryShape(t *testing.T) {
 	}
 }
 
-// medianFirstRef is OrderBatch's order computed by full sorts: the
-// median by (coordinate of the level, index) first, then the half below
-// it, then the half above, each ordered the same way one level down.
+// medianFirstRef is OrderBatch's order computed by full sorts, by
+// (coordinate of the level, index): the first key that ties the median's
+// coordinate, then the half below it, then the copies of its point, then
+// the rest of the half above, each half ordered the same way one level
+// down.
 func medianFirstRef(pts []geom.Point, idx []int, level int) []int {
 	if len(idx) < 2 {
 		return idx
@@ -258,10 +260,22 @@ func medianFirstRef(pts []geom.Point, idx []int, level int) []int {
 		ca, cb := coord(pts[s[a]], level), coord(pts[s[b]], level)
 		return ca < cb || ca == cb && s[a] < s[b]
 	})
-	mid := len(s) / 2
-	out := []int{s[mid]}
-	out = append(out, medianFirstRef(pts, s[:mid], level+1)...)
-	return append(out, medianFirstRef(pts, s[mid+1:], level+1)...)
+	split := len(s) / 2
+	for split > 0 && coord(pts[s[split-1]], level) == coord(pts[s[split]], level) {
+		split--
+	}
+	var copies, rest []int
+	for _, i := range s[split+1:] {
+		if pts[i].Eq(pts[s[split]]) {
+			copies = append(copies, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	out := []int{s[split]}
+	out = append(out, medianFirstRef(pts, s[:split], level+1)...)
+	out = append(out, copies...)
+	return append(out, medianFirstRef(pts, rest, level+1)...)
 }
 
 func TestOrderBatchIsMedianFirst(t *testing.T) {

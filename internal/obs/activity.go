@@ -224,16 +224,17 @@ func (a *Activity) bindGoroutine() *goBinding {
 }
 
 // current resolves the session running a statement on the calling
-// goroutine, or nil. It costs a goroutine-id lookup: WaitSet.Begin
-// decides per event whether the wait is worth one.
-func (a *Activity) current() *SessionEntry {
+// goroutine, or nil, and reports whether that cost a goroutine-id
+// lookup (it does while any goroutine is bound): WaitSet.Begin decides
+// per event whether the wait is worth one.
+func (a *Activity) current() (se *SessionEntry, looked bool) {
 	if a == nil || a.bound.Load() == 0 {
-		return nil
+		return nil, false
 	}
 	if v, ok := a.byGoid.Load(goid()); ok {
-		return v.(*goBinding).cur.Load()
+		return v.(*goBinding).cur.Load(), true
 	}
-	return nil
+	return nil, true
 }
 
 // SessionInfo is one row of an activity snapshot.

@@ -73,6 +73,9 @@ func (e WaitEvent) String() string {
 type waitCell struct {
 	count atomic.Int64
 	ns    atomic.Int64
+	// resolves counts the waits whose Begin looked up the waiting
+	// goroutine's session (one goroutine-id lookup each).
+	resolves atomic.Int64
 }
 
 // WaitSet accumulates per-event wait counts and durations. One WaitSet
@@ -108,7 +111,7 @@ type WaitMark struct {
 // for a scrape to have a chance of catching the reader mid-read.
 const slowReadNs = 50_000
 
-// attributed reports whether a wait on ev is worth resolving the
+// Attributed reports whether a wait on ev is worth resolving the
 // calling goroutine's session for. Waits that have already blocked
 // (locks, the WAL, retry backoff) always are: the block costs far more
 // than the lookup. A page read sits between —
@@ -116,7 +119,7 @@ const slowReadNs = 50_000
 // device — so it is attributed once the event's own history says reads
 // are slow (cumulative mean, so a device takes a while to change class;
 // the first read after start or STATS RESET is never attributed).
-func (ws *WaitSet) attributed(ev WaitEvent) bool {
+func (ws *WaitSet) Attributed(ev WaitEvent) bool {
 	switch ev {
 	case WaitIOHeapRead, WaitIOIndexRead, WaitIOCatalogRead:
 		c := &ws.cells[ev]
@@ -135,8 +138,12 @@ func (ws *WaitSet) Begin(ev WaitEvent) WaitMark {
 		return WaitMark{}
 	}
 	m := WaitMark{start: time.Now(), ev: ev}
-	if ws.act != nil && ws.attributed(ev) {
-		if se := ws.act.current(); se != nil && se.setWait(ev) {
+	if ws.act != nil && ws.Attributed(ev) {
+		se, looked := ws.act.current()
+		if looked {
+			ws.cells[ev].resolves.Add(1)
+		}
+		if se != nil && se.setWait(ev) {
 			m.se = se
 		}
 	}
@@ -169,6 +176,15 @@ func (ws *WaitSet) Count(ev WaitEvent) (count, ns int64) {
 	return ws.cells[ev].count.Load(), ws.cells[ev].ns.Load()
 }
 
+// Resolves returns how many waits on ev looked up the waiting
+// goroutine's session: every goroutine-id lookup a wait costs.
+func (ws *WaitSet) Resolves(ev WaitEvent) int64 {
+	if ws == nil {
+		return 0
+	}
+	return ws.cells[ev].resolves.Load()
+}
+
 // Reset zeroes every cell (SHOW STATS RESET).
 func (ws *WaitSet) Reset() {
 	if ws == nil {
@@ -177,6 +193,7 @@ func (ws *WaitSet) Reset() {
 	for i := range ws.cells {
 		ws.cells[i].count.Store(0)
 		ws.cells[i].ns.Store(0)
+		ws.cells[i].resolves.Store(0)
 	}
 }
 

@@ -203,8 +203,8 @@ func TestPageReadWaitsAttributedOnlyWhenSlow(t *testing.T) {
 	for i := 0; i < 100; i++ { // reads out of the OS cache: far under 50 µs
 		ws.End(ws.Begin(WaitIOHeapRead))
 	}
-	if n := GoidLookups() - before; n != 0 {
-		t.Fatalf("fast reads made %d goroutine-id lookups, want 0", n)
+	if n := GoidLookups() - before; n != 0 || ws.Resolves(WaitIOHeapRead) != 0 {
+		t.Fatalf("fast reads made %d goroutine-id lookups and %d resolves, want 0", n, ws.Resolves(WaitIOHeapRead))
 	}
 
 	ws.cells[WaitIOIndexRead].count.Store(10)
@@ -214,6 +214,9 @@ func TestPageReadWaitsAttributedOnlyWhenSlow(t *testing.T) {
 		t.Fatalf("read on a slow device: state %q wait %q", snap[0].State, snap[0].WaitEvent)
 	}
 	ws.End(m)
+	if n := ws.Resolves(WaitIOIndexRead); n != 1 {
+		t.Fatalf("a read on a slow device counts %d resolves, want 1", n)
+	}
 	// The heap-read event has its own history and is still fast.
 	m = ws.Begin(WaitIOHeapRead)
 	if snap := act.Snapshot(); snap[0].State != "active" {
