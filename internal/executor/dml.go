@@ -242,7 +242,8 @@ func (t *Table) InsertBatch(tups []catalog.Tuple) ([]heap.RID, error) {
 
 // InsertBatchTx is InsertBatch inside transaction tx (nil for
 // autocommit): the rows become visible to other snapshots — and
-// durable — only when tx commits.
+// durable — only when tx commits. The caller must not change tups while
+// tx is open: the table's index batch keeps them until a merge.
 func (t *Table) InsertBatchTx(tx *Txn, tups []catalog.Tuple) ([]heap.RID, error) {
 	if len(tups) == 0 {
 		return nil, nil
@@ -294,52 +295,43 @@ func (t *Table) insertChunk(stx *Txn, tups []catalog.Tuple, encoded [][]byte) ([
 	return rids, t.batch.add(t.Indexes, tups, rids)
 }
 
-// indexBatch is the index keys of the versions the owner of a table's
-// write lock stored and the indexes have not taken yet, in order, as
-// PostgreSQL's GIN pending list (fastupdate) holds a writer's keys for a
-// bulk insert. It is empty whenever the lock is free.
+// indexBatch is the versions (the statements' own tuples) the owner of a
+// table's write lock stored whose keys the indexes have not taken yet, in
+// order, as PostgreSQL's GIN pending list (fastupdate) holds a writer's
+// keys for a bulk insert. It is empty whenever the lock is free.
 type indexBatch struct {
 	rids []heap.RID
-	keys [][]catalog.Datum // keys[j] parallels rids, for Table.Indexes[j]
-	mark int               // len(rids) when the running statement began
+	rows []catalog.Tuple // rows[i] is the version stored at rids[i]
+	mark int             // len(rids) when the running statement began
 	// The chunk rule's sums (fit) over rows [0, fitted).
 	sums   [][3]int
 	fitted int
 }
 
-// add appends the keys that indexes take of tups, stored at rids, and
-// fails when an index would refuse one (am.Index.Check).
+// add appends tups, stored at rids, and fails when an index would refuse
+// one of their keys (am.Index.Check).
 func (b *indexBatch) add(indexes []*IndexInfo, tups []catalog.Tuple, rids []heap.RID) error {
 	if len(indexes) == 0 {
 		return nil
 	}
-	if len(b.keys) != len(indexes) {
-		b.keys = make([][]catalog.Datum, len(indexes))
-	}
-	b.rids = append(b.rids, rids...)
-	for j, ix := range indexes {
-		from := len(b.keys[j])
+	for _, ix := range indexes {
 		for _, tup := range tups {
-			b.keys[j] = append(b.keys[j], tup[ix.Column])
-		}
-		if err := ix.Idx.Check(b.keys[j][from:]); err != nil {
-			return fmt.Errorf("executor: index %s: %w", ix.Name, err)
+			if err := ix.Idx.Check(tup[ix.Column : ix.Column+1]); err != nil {
+				return fmt.Errorf("executor: index %s: %w", ix.Name, err)
+			}
 		}
 	}
+	b.rids, b.rows = append(b.rids, rids...), append(b.rows, tups...)
 	return nil
 }
 
-// truncate drops the rows from n on. Emptied, a batch that held over
-// 1 024 rows lets its memory go; a smaller one keeps it for the next.
+// truncate drops the rows from n on. The rows before a statement's mark
+// that a merge took are gone, so the mark falls with them. The batch
+// keeps its slices until its transaction ends (TxnManager.finish).
 func (b *indexBatch) truncate(n int) {
-	if n == 0 && cap(b.rids) > 1024 {
-		*b = indexBatch{}
-		return
-	}
-	b.rids = b.rids[:n]
-	for j := range b.keys {
-		b.keys[j] = b.keys[j][:n]
-	}
+	clear(b.rows[n:])
+	b.rids, b.rows = b.rids[:n], b.rows[:n]
+	b.mark = min(b.mark, n)
 	clear(b.sums)
 	b.fitted = 0
 }
@@ -354,17 +346,17 @@ func (t *Table) batchOutgrown() bool {
 	if len(b.sums) != len(t.Indexes) {
 		b.sums = make([][3]int, len(t.Indexes))
 	}
-	b.fitted = t.db.fit(b.sums, b.fitted, len(b.rids), t.keyAt(func(j, i int) catalog.Datum { return b.keys[j][i] }))
+	b.fitted = t.db.fit(b.sums, b.fitted, len(b.rids), t.keyAt(b.rows))
 	return b.fitted < len(b.rids)
 }
 
-// keyAt is chunkLen's at(j, i) over t's index files, key(j, i) being row
-// i's key in t.Indexes[j]: a key makes the entries indexAt counts.
-func (t *Table) keyAt(key func(j, i int) catalog.Datum) func(j, i int) (pages, touch, bytes int) {
+// keyAt is chunkLen's at(j, i) over t's index files for rows: row i's key
+// in t.Indexes[j] makes the entries indexAt counts.
+func (t *Table) keyAt(rows []catalog.Tuple) func(j, i int) (pages, touch, bytes int) {
 	keys := int(t.Heap.Count())
 	return func(j, i int) (pages, touch, bytes int) {
 		ix := t.Indexes[j]
-		return indexAt(ix.OpClass, ix.pool, keys, catalog.DatumSize(key(j, i)))
+		return indexAt(ix.OpClass, ix.pool, keys, catalog.DatumSize(rows[i][ix.Column]))
 	}
 }
 
@@ -378,10 +370,14 @@ func (t *Table) mergeBatch() error {
 		stmt = "MERGE " + t.Name + " " + strconv.Itoa(len(b.rids))
 	}
 	err := t.inChunks(stmt, len(b.rids), func(base int) int {
-		return t.db.chunkLen(len(b.rids)-base, len(t.Indexes), t.keyAt(func(j, i int) catalog.Datum { return b.keys[j][base+i] }))
+		return t.db.chunkLen(len(b.rids)-base, len(t.Indexes), t.keyAt(b.rows[base:]))
 	}, func(base, end int) error {
-		for j, ix := range t.Indexes {
-			if err := ix.Idx.Insert(b.keys[j][base:end], b.rids[base:end]); err != nil {
+		keys := make([]catalog.Datum, end-base)
+		for _, ix := range t.Indexes {
+			for i, row := range b.rows[base:end] {
+				keys[i] = row[ix.Column]
+			}
+			if err := ix.Idx.Insert(keys, b.rids[base:end]); err != nil {
 				return fmt.Errorf("executor: index %s: %w", ix.Name, err)
 			}
 		}

@@ -240,36 +240,59 @@ func TestIndexBatchRollbackLogsNoIndexRecord(t *testing.T) {
 	indexBatchCheck(t, db, map[string]int{"words": 500, "pts": 500})
 }
 
-// TestIndexBatchFailedStatementKeepsEarlier: inside a transaction, an
-// INSERT with a key the B+-tree refuses fails and takes its own rows out
-// of the index batch; the rows of the statements before it stay there and
-// go into the indexes at COMMIT, with those of the statement after it.
+// TestIndexBatchFailedStatementKeepsEarlier: inside a transaction, a
+// statement fails and takes its own rows out of the index batch; the rows
+// of the statements before it go into the indexes at COMMIT, with those of
+// the statement after it, once each. The failed statement is an INSERT
+// with a key the B+-tree refuses, whose earlier rows stay in the batch, or
+// an UPDATE by key whose successor the B+-tree or the heap refuses, whose
+// scan merged the earlier rows first: they leave the batch, so COMMIT
+// neither fails on the refused key nor inserts them a second time.
 func TestIndexBatchFailedStatementKeepsEarlier(t *testing.T) {
-	db := OpenMemory()
-	defer db.Close()
-	words, _ := indexBatchTables(t, db, 500)
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name, refusal string
+		size, batched int // the refused word's bytes; rows left in the batch
+		update        bool
+	}{
+		{"insert", "executor: index w_btree", 3000, 100, false},
+		{"update_index", "executor: index w_btree", 3000, 0, true},
+		{"update_heap", "heap:", 9000, 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := OpenMemory()
+			defer db.Close()
+			words, _ := indexBatchTables(t, db, 500)
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := indexBatchWords(500, 600)
+			if _, err := words.InsertBatchTx(tx, ins); err != nil {
+				t.Fatal(err)
+			}
+			big := catalog.NewText(strings.Repeat("x", c.size))
+			if c.update {
+				_, _, err = words.UpdateWhereTx(tx, &Pred{Column: 0, Op: "=", Arg: ins[7][0]}, []ColUpdate{{Column: 0, Value: big}})
+			} else {
+				bad := indexBatchWords(600, 610)
+				bad[5][0] = big
+				_, err = words.InsertBatchTx(tx, bad)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.refusal) {
+				t.Fatalf("a %d-byte word: err %v, want %q", c.size, err, c.refusal)
+			}
+			if n := len(words.batch.rids); n != c.batched {
+				t.Fatalf("the failed statement left %d rows in the index batch, want %d", n, c.batched)
+			}
+			if _, err := words.InsertBatchTx(tx, indexBatchWords(610, 660)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			indexBatchCheck(t, db, map[string]int{"words": 650, "pts": 500})
+		})
 	}
-	if _, err := words.InsertBatchTx(tx, indexBatchWords(500, 600)); err != nil {
-		t.Fatal(err)
-	}
-	bad := indexBatchWords(600, 610)
-	bad[5][0] = catalog.NewText(strings.Repeat("x", 3000))
-	if _, err := words.InsertBatchTx(tx, bad); err == nil || !strings.Contains(err.Error(), "executor: index w_btree") {
-		t.Fatalf("INSERT of a 3 000-byte word: err %v, want the B+-tree's refusal", err)
-	}
-	if n := len(words.batch.rids); n != 100 {
-		t.Fatalf("the failed INSERT left %d rows in the index batch, want the earlier statement's 100", n)
-	}
-	if _, err := words.InsertBatchTx(tx, indexBatchWords(610, 660)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	indexBatchCheck(t, db, map[string]int{"words": 650, "pts": 500})
 }
 
 // TestIndexBatchCrashBeforeCommit: a transaction's rows, some merged into

@@ -398,7 +398,7 @@ func oracleChunked(tb *Table, ti int, r *rand.Rand) []catalog.Tuple {
 		tups[i] = catalog.Tuple{k, catalog.NewInt(0)}
 	}
 	n := min(tb.rowChunk(0, &dmlShape{rows: len(tups), churn: 1, size: storing(tups)}),
-		tb.db.chunkLen(len(tups), len(tb.Indexes), tb.keyAt(func(j, i int) catalog.Datum { return tups[i][tb.Indexes[j].Column] })))
+		tb.db.chunkLen(len(tups), len(tb.Indexes), tb.keyAt(tups)))
 	if n == len(tups) {
 		return nil
 	}

@@ -404,7 +404,7 @@ func (tm *TxnManager) finish(tx *Txn) {
 	delete(tm.active, tx.xid)
 	tm.mu.Unlock()
 	for t := range tx.tables {
-		t.batch.truncate(0)
+		t.batch = indexBatch{}
 		t.mu.Unlock()
 	}
 	tx.tables = make(map[*Table]struct{})
